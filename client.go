@@ -7,14 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
-	"sync"
 	"time"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
-	"github.com/gpuckpt/gpuckpt/internal/connpool"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
+	"github.com/gpuckpt/gpuckpt/internal/wireclient"
 )
 
 // Client talks to a ckptd checkpoint server (cmd/ckptd): it pushes
@@ -23,19 +21,20 @@ import (
 // form of the paper's §2.3 storage hierarchy bottom.
 //
 // A Client multiplexes its operations over a bounded pool of
-// connections (internal/connpool) and is safe for concurrent use:
-// concurrent calls proceed in parallel up to MaxConns and serialize
-// beyond it. Each pooled connection carries its own protocol session —
-// the negotiated wire version, an epoch-scoped lineage-handle cache and
-// the reusable staging buffers of the zero-copy push path — so state
-// cached against one socket can never leak across a reconnect.
+// connections and is safe for concurrent use: concurrent calls proceed
+// in parallel up to MaxConns and serialize beyond it. The protocol
+// mechanics — dial and handshake, the deadline-bounded round trip, the
+// per-connection lineage-handle cache, the retry loop — are
+// internal/wireclient's, shared with the replication follower and the
+// anti-entropy reconciler; this type adds the bulk push path on top.
+// Each pooled connection carries the reusable staging buffers of that
+// zero-copy path, so state cached against one socket can never leak
+// across a reconnect.
 //
-// Bulk pushes (PushRecord, PushCheckpointer) switch automatically to
-// the v4 streaming protocol when the server's handshake advertises it:
-// a window of TPushStream frames rides the connection back-to-back and
+// Bulk pushes (PushRecord, PushCheckpointer) stream: a window of
+// TPushStream frames rides the connection back-to-back and
 // acknowledgements return asynchronously, hiding the per-request
-// round-trip that bounds v3 push throughput. Against a v3 server the
-// same calls degrade to sequential request/response pushes.
+// round trip that bounds one-at-a-time Push throughput.
 //
 // Failures are classified by wire.Transient: transport errors (torn
 // connection, deadline expiry, dial failure) are retried on a fresh
@@ -50,16 +49,9 @@ import (
 // identical bytes idempotent on the server, and a streamed push
 // resumes from the server's authoritative lineage length.
 type Client struct {
-	addr    string
+	wc      *wireclient.Client
 	timeout time.Duration
-	retry   RetryPolicy
-	dialer  func(addr string, timeout time.Duration) (net.Conn, error)
 	window  streamWindow
-
-	pool *connpool.Pool
-
-	mu  sync.Mutex
-	rng *rand.Rand // jitter source; guarded by mu
 }
 
 // streamWindow bounds how much of a streamed push may be in flight
@@ -79,78 +71,13 @@ const (
 
 // DefaultMaxConns is the connection-pool bound a zero
 // DialConfig.MaxConns selects.
-const DefaultMaxConns = 4
+const DefaultMaxConns = wireclient.DefaultMaxConns
 
 // RetryPolicy bounds and paces the client's retries of transiently
 // failed requests. The delay before attempt k (k≥2) is
 // BaseDelay·Multiplier^(k-2) clamped to MaxDelay, spread by ±Jitter,
 // and floored at a load-shedding server's retry-after hint.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries per request, first
-	// attempt included (default 4).
-	MaxAttempts int
-	// BaseDelay is the backoff before the second attempt (default 50ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the grown backoff (default 2s).
-	MaxDelay time.Duration
-	// Multiplier grows the delay between consecutive attempts
-	// (default 2).
-	Multiplier float64
-	// Jitter spreads each delay uniformly over ±Jitter·delay so
-	// lock-step clients don't retry in convoy (default 0.2).
-	Jitter float64
-	// Seed seeds the jitter RNG; 0 selects a fixed default. Tests use
-	// distinct seeds for reproducible-yet-decorrelated schedules.
-	Seed int64
-	// Sleep replaces the retry wait; tests stub it to run retry
-	// schedules instantly. When nil (the default) the wait runs on a
-	// timer that a cancelled context abandons immediately — a stubbed
-	// Sleep is still bracketed by context checks, but cannot itself be
-	// interrupted mid-wait.
-	Sleep func(time.Duration)
-}
-
-func (p *RetryPolicy) fill() {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 50 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 2 * time.Second
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	if p.Jitter < 0 || p.Jitter > 1 {
-		p.Jitter = 0.2
-	}
-}
-
-// delay computes the pre-attempt backoff: attempt counts from 2 (the
-// first retry), hint is a server-provided retry-after floor (0 if
-// none).
-func (p *RetryPolicy) delay(attempt int, hint time.Duration, rng *rand.Rand) time.Duration {
-	d := float64(p.BaseDelay)
-	for i := 2; i < attempt; i++ {
-		d *= p.Multiplier
-		if d >= float64(p.MaxDelay) {
-			break
-		}
-	}
-	if d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
-	}
-	if p.Jitter > 0 {
-		d *= 1 + p.Jitter*(2*rng.Float64()-1)
-	}
-	out := time.Duration(d)
-	if out < hint {
-		out = hint
-	}
-	return out
-}
+type RetryPolicy = wireclient.RetryPolicy
 
 // DialConfig parameterizes DialConfigured.
 type DialConfig struct {
@@ -183,8 +110,7 @@ type DialConfig struct {
 type RemoteError = wire.RemoteError
 
 // ErrUnsupported matches (via errors.Is) a RemoteError from a server
-// that does not implement the request type — e.g. a lifecycle request
-// against a pre-lifecycle ckptd build.
+// that does not implement the request type.
 var ErrUnsupported = wire.ErrUnsupported
 
 // LineageInfo describes one lineage hosted by the server.
@@ -200,50 +126,10 @@ type LineageInfo struct {
 	Bytes int64
 }
 
-// ServerStats reports the server's operational counters.
-type ServerStats struct {
-	// Requests counts requests the server has accepted (including the
-	// stats request reporting them).
-	Requests uint64
-	// BytesIn and BytesOut count protocol bytes received from and sent
-	// to clients.
-	BytesIn, BytesOut uint64
-	// ActiveConns is the number of currently served connections.
-	ActiveConns uint64
-	// Conns counts connections accepted over the server lifetime.
-	Conns uint64
-	// Lineages is the number of lineages the server hosts.
-	Lineages uint64
-	// Compactions counts committed compaction transactions;
-	// CompactedDiffs the diff files they deleted; ReclaimedBytes the
-	// net disk bytes they freed.
-	Compactions, CompactedDiffs, ReclaimedBytes uint64
-	// BusyRejects counts requests and connections the server shed with
-	// StatusBusy (connection limit or lineage queue saturation).
-	BusyRejects uint64
-	// BlocksInterned counts unique blocks written into the server's
-	// shared content-addressed block store; BlockDedupHits counts
-	// intern requests satisfied by an already-stored block (within or
-	// across lineages); BlockBytesSaved is the payload bytes those
-	// hits avoided writing.
-	BlocksInterned, BlockDedupHits, BlockBytesSaved uint64
-	// BlockGCBlocks and BlockGCBytes count unreferenced blocks (and
-	// their payload bytes) reclaimed by block-store garbage collection.
-	BlockGCBlocks, BlockGCBytes uint64
-	// Quarantined is the number of diff files currently quarantined
-	// across all lineages — open damage awaiting repair (a gauge).
-	Quarantined uint64
-	// DigestRounds counts anti-entropy digest rounds the server ran
-	// against its peers; SpansHealed the diffs those rounds repaired
-	// or installed; BytesRefetched the encoded bytes pulled to do so.
-	DigestRounds, SpansHealed, BytesRefetched uint64
-	// HealQuarantines counts lineages the reconciler fail-stopped
-	// after repeated heal failures or divergence.
-	HealQuarantines uint64
-	// Degraded is the number of configured peers currently
-	// unreachable (a gauge; nonzero means reduced redundancy).
-	Degraded uint64
-}
+// ServerStats reports the server's operational counters; see the
+// field docs on the wire type, which is the one definition of the
+// STATS layout.
+type ServerStats = wire.Stats
 
 // CompactInfo reports one server-side compaction transaction.
 type CompactInfo struct {
@@ -258,10 +144,8 @@ type CompactInfo struct {
 	FreedBytes int64
 }
 
-// session is the per-connection protocol state parked in the pool's
-// opaque Session slot. It lives and dies with its socket: a discarded
-// connection takes its handle cache and buffers with it, so a handle
-// from one server epoch can never be replayed against another.
+// session is the push path's per-connection state, parked in the
+// wireclient connection's Ext slot. It lives and dies with its socket.
 //
 // The buffers make the push path allocation-free in steady state:
 // stage holds each frame's [header|checksum|diff prefix] block, vec
@@ -270,16 +154,23 @@ type CompactInfo struct {
 // locking — a session is only ever touched by the goroutine holding
 // its connection checked out.
 type session struct {
-	version uint8             // negotiated wire protocol version
-	handles map[string]uint32 // lineage name -> server handle (this connection epoch)
-
 	stage   []byte      // staged frame header + checksum (+ encoded prefix)
-	enc     sliceWriter // v3 fallback: encodes the whole diff into stage
 	vec     net.Buffers // writev segment list over stage and diff sections
 	ack     wire.Frame  // response frame, payload aliasing ackBuf
 	ackBuf  []byte
 	pending []inflight    // unacknowledged stream frames
 	staged  []stagedFrame // coalesced frames staged but not yet written
+}
+
+// sessionOf returns the push session of a checked-out connection,
+// creating it on the connection's first push.
+func sessionOf(cn *wireclient.Conn) *session {
+	sess, ok := cn.Ext.(*session)
+	if !ok {
+		sess = &session{}
+		cn.Ext = sess
+	}
+	return sess
 }
 
 // inflight is one streamed push frame awaiting its ack.
@@ -301,16 +192,6 @@ type stagedFrame struct {
 	data   []byte
 }
 
-// sliceWriter is an io.Writer appending to a reusable slice — the v3
-// push path's staging sink (bytes.Buffer would re-allocate its
-// internals across uses; this keeps one backing array per session).
-type sliceWriter struct{ b []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
 // Dial connects to a ckptd server. timeout bounds the dial and every
 // per-request network operation (0 selects 30s).
 func Dial(addr string, timeout time.Duration) (*Client, error) {
@@ -323,16 +204,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 // address fails here, not on the first operation.
 func DialConfigured(addr string, cfg DialConfig) (*Client, error) {
 	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
-	}
-	cfg.Retry.fill()
-	if cfg.Dialer == nil {
-		cfg.Dialer = func(addr string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		}
-	}
-	if cfg.MaxConns <= 0 {
-		cfg.MaxConns = DefaultMaxConns
+		cfg.Timeout = wireclient.DefaultTimeout
 	}
 	if cfg.WindowFrames <= 0 {
 		cfg.WindowFrames = DefaultWindowFrames
@@ -340,249 +212,44 @@ func DialConfigured(addr string, cfg DialConfig) (*Client, error) {
 	if cfg.WindowBytes <= 0 {
 		cfg.WindowBytes = DefaultWindowBytes
 	}
-	seed := cfg.Retry.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	c := &Client{
-		addr:    addr,
-		timeout: cfg.Timeout,
-		retry:   cfg.Retry,
-		dialer:  cfg.Dialer,
-		window:  streamWindow{frames: cfg.WindowFrames, bytes: cfg.WindowBytes},
-		rng:     rand.New(rand.NewSource(seed)),
-	}
-	pool, err := connpool.New(connpool.Options{
-		Dial:        c.dialSession,
-		MaxActive:   cfg.MaxConns,
-		WaitTimeout: cfg.Timeout,
+	wc, err := wireclient.New(addr, wireclient.Options{
+		Timeout:  cfg.Timeout,
+		Dialer:   cfg.Dialer,
+		MaxConns: cfg.MaxConns,
+		Retry:    cfg.Retry,
 	})
 	if err != nil {
 		return nil, err
 	}
-	c.pool = pool
-	pc, err := c.pool.Get()
+	cn, err := wc.Get()
 	if err != nil {
-		c.pool.Close()
+		wc.Close()
 		return nil, err
 	}
-	pc.Release()
-	return c, nil
-}
-
-// dialSession opens one pooled connection: dial, handshake, fresh
-// session. The deadline covers only the handshake — each operation
-// then arms its own read/write deadlines, so a long-lived pooled
-// connection never runs on a stale connect-time deadline.
-func (c *Client) dialSession() (net.Conn, any, error) {
-	conn, err := c.dialer(c.addr, c.timeout)
-	if err != nil {
-		return nil, nil, fmt.Errorf("gpuckpt: dial %s: %w", c.addr, err)
-	}
-	conn.SetDeadline(time.Now().Add(c.timeout))
-	v, err := wire.Handshake(conn)
-	if err != nil {
-		conn.Close()
-		return nil, nil, fmt.Errorf("gpuckpt: handshake with %s: %w", c.addr, err)
-	}
-	conn.SetDeadline(time.Time{})
-	return conn, &session{version: v, handles: make(map[string]uint32)}, nil
+	cn.Release()
+	return &Client{
+		wc:      wc,
+		timeout: cfg.Timeout,
+		window:  streamWindow{frames: cfg.WindowFrames, bytes: cfg.WindowBytes},
+	}, nil
 }
 
 // Close releases every pooled connection.
 func (c *Client) Close() error {
-	return c.pool.Close()
+	return c.wc.Close()
 }
 
-// backoff waits before retry attempt (≥2), flooring the jittered
-// exponential delay at a busy server's retry-after hint. The wait
-// observes ctx: a caller cancelled mid-schedule gets its context
-// error back immediately instead of sleeping through the remaining
-// attempts against a server that may be gone.
-func (c *Client) backoff(ctx context.Context, attempt int, lastErr error) error {
-	var hint time.Duration
-	var re *RemoteError
-	if errors.As(lastErr, &re) && re.Busy {
-		hint = re.RetryAfter
-	}
-	c.mu.Lock()
-	d := c.retry.delay(attempt, hint, c.rng)
-	c.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if c.retry.Sleep != nil {
-		c.retry.Sleep(d)
-		return ctx.Err()
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-timer.C:
-		return nil
-	}
-}
-
-// dropHandle prunes name's cached handle from every idle session, so
-// a handle the server declared unknown is not replayed from a sibling
-// connection that cached it in the same dead epoch.
-func (c *Client) dropHandle(name string) {
-	c.pool.ForEachIdle(func(_ net.Conn, s any) {
-		delete(s.(*session).handles, name)
-	})
-}
-
-// settle disposes of a checked-out connection after a failed attempt
-// and reports whether the failure is worth another attempt. Remote
-// errors keep the connection (the server answered; the transport is
-// fine); only busy sheds and unknown-handle epochs among them are
-// retryable. Everything else — transport errors, protocol violations —
-// taints the connection.
-func (c *Client) settle(pc *connpool.Conn, name string, err error) bool {
-	var re *RemoteError
-	if errors.As(err, &re) {
-		if re.UnknownHandle && name != "" {
-			delete(pc.Session.(*session).handles, name)
-			c.dropHandle(name)
-		}
-		pc.Release()
-		return re.Busy || re.UnknownHandle
-	}
-	pc.Discard()
-	// wire.Transient calls net.ErrClosed terminal (a server must not
-	// spin on its own closed listener), but here it can only mean the
-	// pooled socket died under us, and redialing is the right response.
-	//ckptlint:ignore retryable deliberate client-side exception to the wire taxonomy, see above
-	return wire.Transient(err) || errors.Is(err, net.ErrClosed)
-}
-
-// exchange performs one framed request/response on a pooled
-// connection with per-operation deadlines: the write deadline arms
-// before the request goes out, the read deadline arms after it, so a
-// slow large pull gets the full timeout for its read phase rather
-// than whatever the write left over.
-func (c *Client) exchange(pc *connpool.Conn, req *wire.Frame) (*wire.Frame, error) {
-	pc.NC.SetWriteDeadline(time.Now().Add(c.timeout))
-	if err := wire.WriteFrame(pc.NC, req); err != nil {
-		return nil, err
-	}
-	pc.NC.SetReadDeadline(time.Now().Add(c.timeout))
-	resp, err := wire.ReadFrame(pc.NC, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := resp.Err(); err != nil {
-		return nil, err
-	}
-	if resp.Type != req.Type {
-		return nil, fmt.Errorf("gpuckpt: server answered type 0x%02x to request 0x%02x", resp.Type, req.Type)
-	}
-	return resp, nil
-}
-
-// resolve returns name's lineage handle on this connection, opening
-// it if the session has not cached it yet.
-func (c *Client) resolve(pc *connpool.Conn, name string) (uint32, error) {
-	sess := pc.Session.(*session)
-	if h, ok := sess.handles[name]; ok {
-		return h, nil
-	}
-	resp, err := c.exchange(pc, &wire.Frame{Type: wire.TOpen, Payload: []byte(name)})
-	if err != nil {
-		return 0, err
-	}
-	sess.handles[name] = resp.Lineage
-	return resp.Lineage, nil
-}
-
-// tryOn runs one attempt of req on a checked-out connection,
-// resolving name's handle on that same connection first (an explicit
-// TOpen refreshes the cache instead).
-func (c *Client) tryOn(pc *connpool.Conn, name string, req *wire.Frame) (*wire.Frame, error) {
-	if name != "" {
-		if req.Type == wire.TOpen {
-			resp, err := c.exchange(pc, req)
-			if err == nil {
-				pc.Session.(*session).handles[name] = resp.Lineage
-			}
-			return resp, err
-		}
-		h, err := c.resolve(pc, name)
-		if err != nil {
-			return nil, err
-		}
-		req.Lineage = h
-	}
-	return c.exchange(pc, req)
-}
-
-// do sends req and returns the server's response, retrying transient
-// failures under the client's RetryPolicy on fresh pool checkouts.
-// When name is non-empty the request addresses that lineage: its
-// handle is resolved per connection, and a StatusUnknownHandle
-// response prunes the stale cache before the retry re-resolves it.
-// Cancelling ctx between attempts ends the retry schedule with the
-// context's error wrapping whatever failed last.
-func (c *Client) do(ctx context.Context, name string, req *wire.Frame) (*wire.Frame, error) {
-	var lastErr error
-	for attempt := 1; attempt <= c.retry.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			if err := c.backoff(ctx, attempt, lastErr); err != nil {
-				return nil, fmt.Errorf("%w (last attempt: %w)", err, lastErr)
-			}
-		}
-		pc, err := c.pool.Get()
-		if err != nil {
-			if errors.Is(err, connpool.ErrClosed) {
-				return nil, err
-			}
-			lastErr = err
-			continue
-		}
-		resp, err := c.tryOn(pc, name, req)
-		if err == nil {
-			pc.Release()
-			return resp, nil
-		}
-		lastErr = err
-		if !c.settle(pc, name, err) {
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("gpuckpt: request failed after %d attempts: %w", c.retry.MaxAttempts, lastErr)
-}
-
-// roundTrip sends a raw frame without lineage addressing — the
-// retrying core shared by the directory and stats operations (and the
-// protocol tests).
-func (c *Client) roundTrip(req *wire.Frame) (*wire.Frame, error) {
-	return c.do(context.Background(), "", req)
-}
-
-// open resolves a lineage name to its server handle, current length,
-// and compaction baseline. The handle lands in the serving
-// connection's session cache; length and base are always fresh. A
-// version-1 server omits the base payload; DecodeOpenInfo maps that
-// to base 0.
-func (c *Client) open(name string) (handle uint32, length, base int, err error) {
-	resp, err := c.do(context.Background(), name, &wire.Frame{Type: wire.TOpen, Payload: []byte(name)})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	b, err := wire.DecodeOpenInfo(resp.Payload)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("gpuckpt: open %q: %w", name, err)
-	}
-	return resp.Lineage, int(resp.Ckpt), int(b), nil
+// roundTrip sends a raw frame without lineage addressing (the stats
+// operation and the protocol tests).
+func (c *Client) roundTrip(req *wire.Frame) (wire.Frame, error) {
+	return c.wc.Call(context.Background(), "", req)
 }
 
 // Len returns the number of checkpoints the server holds for lineage
 // name (creating the lineage, empty, if it does not exist). After a
 // compaction only indices [Span] of those remain restorable.
 func (c *Client) Len(name string) (int, error) {
-	_, n, _, err := c.open(name)
+	n, _, err := c.wc.Open(name)
 	return n, err
 }
 
@@ -590,7 +257,7 @@ func (c *Client) Len(name string) (int, error) {
 // lineage: base is the compaction baseline (0 if never compacted) and
 // length is one past the highest stored checkpoint.
 func (c *Client) Span(name string) (base, length int, err error) {
-	_, n, b, err := c.open(name)
+	n, b, err := c.wc.Open(name)
 	return b, n, err
 }
 
@@ -615,50 +282,22 @@ func (c *Client) Push(name string, ckptID int, encoded []byte) error {
 // error. In-flight network operations still run under the client's
 // Timeout; the context governs the waits between them.
 func (c *Client) PushContext(ctx context.Context, name string, ckptID int, encoded []byte) error {
-	var lastErr error
-	for attempt := 1; attempt <= c.retry.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			if err := c.backoff(ctx, attempt, lastErr); err != nil {
-				return fmt.Errorf("%w (last attempt: %w)", err, lastErr)
-			}
-		}
-		pc, err := c.pool.Get()
+	return c.wc.Do(ctx, name, func(cn *wireclient.Conn) error {
+		h, err := cn.Handle(name)
 		if err != nil {
-			if errors.Is(err, connpool.ErrClosed) {
-				return err
-			}
-			lastErr = err
-			continue
-		}
-		err = c.pushOn(pc, name, uint32(ckptID), encoded)
-		if err == nil {
-			pc.Release()
-			return nil
-		}
-		lastErr = err
-		if !c.settle(pc, name, err) {
 			return err
 		}
-	}
-	return fmt.Errorf("gpuckpt: request failed after %d attempts: %w", c.retry.MaxAttempts, lastErr)
-}
-
-// pushOn runs one TPush attempt on a checked-out connection.
-func (c *Client) pushOn(pc *connpool.Conn, name string, ckpt uint32, encoded []byte) error {
-	h, err := c.resolve(pc, name)
-	if err != nil {
-		return err
-	}
-	sess := pc.Session.(*session)
-	if err := sess.stagePush(wire.TPush, h, ckpt, encoded); err != nil {
-		return err
-	}
-	pc.NC.SetWriteDeadline(time.Now().Add(c.timeout))
-	if err := sess.writeStaged(pc.NC); err != nil {
-		return err
-	}
-	pc.NC.SetReadDeadline(time.Now().Add(c.timeout))
-	return sess.readResp(pc.NC, wire.TPush)
+		sess := sessionOf(cn)
+		if err := sess.stagePush(wire.TPush, h, uint32(ckptID), encoded); err != nil {
+			return err
+		}
+		cn.NC.SetWriteDeadline(time.Now().Add(c.timeout))
+		if err := sess.writeStaged(cn.NC); err != nil {
+			return err
+		}
+		cn.NC.SetReadDeadline(time.Now().Add(c.timeout))
+		return sess.readResp(cn.NC, wire.TPush)
+	})
 }
 
 // stagePush builds a push frame around encoded without copying it:
@@ -697,7 +336,7 @@ func (s *session) readResp(r io.Reader, wantType uint8) error {
 		return err
 	}
 	if s.ack.Type != wantType {
-		return fmt.Errorf("gpuckpt: server answered type 0x%02x to request 0x%02x", s.ack.Type, wantType)
+		return fmt.Errorf("%w: type 0x%02x to request 0x%02x", wire.ErrUnexpectedResponse, s.ack.Type, wantType)
 	}
 	return nil
 }
@@ -705,11 +344,7 @@ func (s *session) readResp(r io.Reader, wantType uint8) error {
 // PullDiff downloads the encoded diff of checkpoint ckptID of the
 // named lineage.
 func (c *Client) PullDiff(name string, ckptID int) ([]byte, error) {
-	resp, err := c.do(context.Background(), name, &wire.Frame{Type: wire.TPull, Ckpt: uint32(ckptID)})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Payload, nil
+	return c.wc.Pull(name, ckptID)
 }
 
 // Pull downloads the restorable span of the named lineage and
@@ -717,12 +352,12 @@ func (c *Client) PullDiff(name string, ckptID int) ([]byte, error) {
 // starts at the compaction baseline, not 0; Record.Base reports it and
 // Record.Restore keeps accepting the original absolute indices.
 func (c *Client) Pull(name string) (*Record, error) {
-	_, n, base, err := c.open(name)
+	n, base, err := c.wc.Open(name)
 	if err != nil {
 		return nil, err
 	}
 	if n == base {
-		return nil, fmt.Errorf("gpuckpt: lineage %q is empty on %s", name, c.addr)
+		return nil, fmt.Errorf("gpuckpt: lineage %q is empty on %s", name, c.wc.Addr())
 	}
 	rec := checkpoint.NewRecord()
 	for ck := base; ck < n; ck++ {
@@ -746,16 +381,15 @@ func (c *Client) Pull(name string) (*Record, error) {
 
 // PushRecord uploads every diff of rec that the server does not
 // already hold for the named lineage, returning the number pushed.
-// Against a v4 server the missing suffix streams as a pipelined
-// window; against a v3 server it degrades to sequential pushes.
+// The missing suffix streams as a pipelined window.
 func (c *Client) PushRecord(name string, rec *Record) (int, error) {
-	return c.pushDiffs(context.Background(), name, rec.Len(), rec.diffAt, rec.WriteDiff)
+	return c.pushDiffs(context.Background(), name, rec.Len(), rec.diffAt)
 }
 
 // PushRecordContext is PushRecord bounded by a context: cancellation
 // between retry attempts ends the schedule immediately.
 func (c *Client) PushRecordContext(ctx context.Context, name string, rec *Record) (int, error) {
-	return c.pushDiffs(ctx, name, rec.Len(), rec.diffAt, rec.WriteDiff)
+	return c.pushDiffs(ctx, name, rec.Len(), rec.diffAt)
 }
 
 // PushCheckpointer uploads every diff of ck's record that the server
@@ -763,7 +397,7 @@ func (c *Client) PushRecordContext(ctx context.Context, name string, rec *Record
 // pushed. Call it after each Checkpoint (incremental push) or once at
 // the end (bulk push) — contiguity makes both equivalent.
 func (c *Client) PushCheckpointer(name string, ck *Checkpointer) (int, error) {
-	return c.pushDiffs(context.Background(), name, ck.NumCheckpoints(), ck.diffAt, ck.WriteDiff)
+	return c.pushDiffs(context.Background(), name, ck.NumCheckpoints(), ck.diffAt)
 }
 
 // pushDiffs syncs diffs [have, total) of a lineage to the server,
@@ -773,52 +407,16 @@ func (c *Client) PushCheckpointer(name string, ck *Checkpointer) (int, error) {
 // the retry re-opens for a fresh length and resumes exactly at the
 // gap; diffs that landed before the failure are never re-sent.
 // Returns the number of diffs newly acknowledged by the server.
-func (c *Client) pushDiffs(ctx context.Context, name string, total int, diffAt func(int) (*checkpoint.Diff, error), writeDiff func(int, io.Writer) error) (int, error) {
+func (c *Client) pushDiffs(ctx context.Context, name string, total int, diffAt func(int) (*checkpoint.Diff, error)) (int, error) {
 	pushed := 0
-	var lastErr error
-	for attempt := 1; attempt <= c.retry.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			if err := c.backoff(ctx, attempt, lastErr); err != nil {
-				return pushed, fmt.Errorf("%w (last attempt: %w)", err, lastErr)
-			}
+	err := c.wc.Do(ctx, name, func(cn *wireclient.Conn) error {
+		h, have, _, err := cn.Open(name)
+		if err != nil || have >= total {
+			return err
 		}
-		pc, err := c.pool.Get()
-		if err != nil {
-			if errors.Is(err, connpool.ErrClosed) {
-				return pushed, err
-			}
-			lastErr = err
-			continue
-		}
-		resp, err := c.tryOn(pc, name, &wire.Frame{Type: wire.TOpen, Payload: []byte(name)})
-		if err != nil {
-			lastErr = err
-			if !c.settle(pc, name, err) {
-				return pushed, err
-			}
-			continue
-		}
-		h, have := resp.Lineage, int(resp.Ckpt)
-		if have >= total {
-			pc.Release()
-			return pushed, nil
-		}
-		sess := pc.Session.(*session)
-		if sess.version >= 4 {
-			err = c.streamPush(pc, sess, h, have, total, diffAt, &pushed)
-		} else {
-			err = c.pushSeq(pc, sess, h, have, total, writeDiff, &pushed)
-		}
-		if err == nil {
-			pc.Release()
-			return pushed, nil
-		}
-		lastErr = err
-		if !c.settle(pc, name, err) {
-			return pushed, err
-		}
-	}
-	return pushed, fmt.Errorf("gpuckpt: push to %q failed after %d attempts: %w", name, c.retry.MaxAttempts, lastErr)
+		return c.streamPush(cn.NC, sessionOf(cn), h, have, total, diffAt, &pushed)
+	})
+	return pushed, err
 }
 
 // streamCoalesceFrames is how many staged frames ride one writev.
@@ -842,8 +440,7 @@ const streamCoalesceFrames = 16
 // the socket by reference, and up to streamCoalesceFrames frames
 // leave in one writev. Anything staged is flushed before the stream
 // ever waits for an ack, so coalescing cannot deadlock the window.
-func (c *Client) streamPush(pc *connpool.Conn, sess *session, h uint32, have, total int, diffAt func(int) (*checkpoint.Diff, error), pushed *int) error {
-	nc := pc.NC
+func (c *Client) streamPush(nc net.Conn, sess *session, h uint32, have, total int, diffAt func(int) (*checkpoint.Diff, error), pushed *int) error {
 	sess.pending = sess.pending[:0]
 	sess.stage = sess.stage[:0]
 	sess.staged = sess.staged[:0]
@@ -1008,69 +605,22 @@ func (s *session) consumeAck(r io.Reader, pushed *int, frameErr *error) (int64, 
 	return size, nil
 }
 
-// pushGap reserves room for [frame header | CRC32C] ahead of an
-// encoded diff staged in place.
-var pushGap [wire.HeaderSize + wire.PushChecksumSize]byte
-
-// pushSeq is the v3 fallback: sequential request/response pushes on
-// one connection. Each diff encodes into the session's reused staging
-// buffer directly behind its frame header — the one copy the
-// request/response protocol requires, but no per-diff allocation.
-func (c *Client) pushSeq(pc *connpool.Conn, sess *session, h uint32, have, total int, writeDiff func(int, io.Writer) error, pushed *int) error {
-	for k := have; k < total; k++ {
-		if err := sess.stageEncoded(wire.TPush, h, uint32(k), k, writeDiff); err != nil {
-			return err
-		}
-		pc.NC.SetWriteDeadline(time.Now().Add(c.timeout))
-		if err := sess.writeStaged(pc.NC); err != nil {
-			return err
-		}
-		pc.NC.SetReadDeadline(time.Now().Add(c.timeout))
-		if err := sess.readResp(pc.NC, wire.TPush); err != nil {
-			return err
-		}
-		*pushed++
-	}
-	return nil
-}
-
-// stageEncoded stages a complete push frame, encoding the diff
-// through writeDiff directly into the reused stage buffer behind a
-// reserved header gap, then patching the header and checksum once the
-// encoded length is known.
-func (s *session) stageEncoded(typ uint8, h, ckpt uint32, k int, writeDiff func(int, io.Writer) error) error {
-	s.enc.b = append(s.stage[:0], pushGap[:]...)
-	if err := writeDiff(k, &s.enc); err != nil {
-		s.stage = s.enc.b
-		return err
-	}
-	stage := s.enc.b
-	enc := stage[len(pushGap):]
-	if _, err := wire.AppendFrameHeader(stage[:0], typ, 0, h, ckpt, wire.PushChecksumSize+len(enc)); err != nil {
-		s.stage = stage
-		return err
-	}
-	binary.BigEndian.PutUint32(stage[wire.HeaderSize:], wire.Checksum(enc))
-	s.stage = stage
-	s.vec = append(s.vec[:0], stage)
-	return nil
-}
-
 // List returns the lineages hosted by the server.
 func (c *Client) List() ([]LineageInfo, error) {
-	resp, err := c.roundTrip(&wire.Frame{Type: wire.TList})
+	raw, err := c.wc.List()
 	if err != nil {
 		return nil, err
 	}
-	raw, err := wire.DecodeList(resp.Payload)
-	if err != nil {
-		return nil, err
-	}
+	return lineageInfos(raw), nil
+}
+
+// lineageInfos converts a wire lineage directory to its public form.
+func lineageInfos(raw []wire.LineageInfo) []LineageInfo {
 	out := make([]LineageInfo, len(raw))
 	for i, in := range raw {
 		out[i] = LineageInfo{Name: in.Name, Len: int(in.Len), Base: int(in.Base), Bytes: int64(in.Bytes)}
 	}
-	return out, nil
+	return out
 }
 
 // Stats returns the server's operational counters.
@@ -1079,37 +629,11 @@ func (c *Client) Stats() (ServerStats, error) {
 	if err != nil {
 		return ServerStats{}, err
 	}
-	st, err := wire.DecodeStats(resp.Payload)
-	if err != nil {
-		return ServerStats{}, err
-	}
-	return ServerStats{
-		Requests:        st.Requests,
-		BytesIn:         st.BytesIn,
-		BytesOut:        st.BytesOut,
-		ActiveConns:     st.ActiveConns,
-		Conns:           st.Conns,
-		Lineages:        st.Lineages,
-		Compactions:     st.Compactions,
-		CompactedDiffs:  st.CompactedDiffs,
-		ReclaimedBytes:  st.ReclaimedBytes,
-		BusyRejects:     st.BusyRejects,
-		BlocksInterned:  st.BlocksInterned,
-		BlockDedupHits:  st.BlockDedupHits,
-		BlockBytesSaved: st.BlockBytesSaved,
-		BlockGCBlocks:   st.BlockGCBlocks,
-		BlockGCBytes:    st.BlockGCBytes,
-		Quarantined:     st.Quarantined,
-		DigestRounds:    st.DigestRounds,
-		SpansHealed:     st.SpansHealed,
-		BytesRefetched:  st.BytesRefetched,
-		HealQuarantines: st.HealQuarantines,
-		Degraded:        st.Degraded,
-	}, nil
+	return wire.DecodeStats(resp.Payload)
 }
 
 // LineageDigest is the compact anti-entropy summary of a lineage
-// span, as served by wire v6 TDigest: coordinates plus a rolling
+// span, as served by TDigest: coordinates plus a rolling
 // CRC32C and a murmur3-128 merkle root over per-diff content
 // checksums. Two replicas whose digests match hold byte-identical
 // canonical encodings over the span.
@@ -1134,19 +658,11 @@ type LineageDigest struct {
 // Digest requests a span digest of the named lineage. lo == hi == 0
 // digests the server's whole stored span. With detail, the response
 // carries per-diff checksums (the span must then be at most
-// wire.DigestMaxDetail wide). Returns ErrUnsupported (via errors.Is)
-// from servers predating wire v6.
+// wire.DigestMaxDetail wide).
 func (c *Client) Digest(name string, lo, hi int, detail bool) (LineageDigest, error) {
-	resp, err := c.do(context.Background(), name, &wire.Frame{
-		Type:    wire.TDigest,
-		Payload: wire.EncodeDigestReq(wire.DigestReq{Lo: uint32(lo), Hi: uint32(hi), Detail: detail}),
-	})
+	d, err := c.wc.Digest(name, wire.DigestReq{Lo: uint32(lo), Hi: uint32(hi), Detail: detail})
 	if err != nil {
 		return LineageDigest{}, err
-	}
-	d, err := wire.DecodeDigestResp(resp.Payload)
-	if err != nil {
-		return LineageDigest{}, fmt.Errorf("gpuckpt: digest %q: %w", name, err)
 	}
 	return LineageDigest{
 		Base:       int(d.Base),
@@ -1164,7 +680,7 @@ func (c *Client) Digest(name string, lo, hi int, detail bool) (LineageDigest, er
 // checkpoint index, or wire.CompactAuto to let the server's retention
 // policy choose.
 func (c *Client) compact(name string, target uint32) (CompactInfo, error) {
-	resp, err := c.do(context.Background(), name, &wire.Frame{Type: wire.TCompact, Ckpt: target})
+	resp, err := c.wc.Call(context.Background(), name, &wire.Frame{Type: wire.TCompact, Ckpt: target})
 	if err != nil {
 		return CompactInfo{}, err
 	}
@@ -1185,8 +701,7 @@ func (c *Client) compact(name string, target uint32) (CompactInfo, error) {
 // full baseline at the index chosen by its retention policy, then
 // delete the folded diff files. The transaction is crash-safe on the
 // server and every retained checkpoint restores byte-identically
-// afterwards. Returns ErrUnsupported (via errors.Is) from servers
-// predating lifecycle support.
+// afterwards.
 func (c *Client) Compact(name string) (CompactInfo, error) {
 	return c.compact(name, wire.CompactAuto)
 }
@@ -1206,13 +721,13 @@ func (c *Client) CompactTo(name string, k int) (CompactInfo, error) {
 // "keep-last=N", "keep-every=K"). It changes which baseline future
 // compactions choose; it does not itself compact.
 func (c *Client) SetRetention(name, policy string) error {
-	_, err := c.do(context.Background(), name, &wire.Frame{Type: wire.TPolicy, Payload: []byte(policy)})
+	_, err := c.wc.Call(context.Background(), name, &wire.Frame{Type: wire.TPolicy, Payload: []byte(policy)})
 	return err
 }
 
 // Retention reports the named lineage's current retention policy.
 func (c *Client) Retention(name string) (string, error) {
-	resp, err := c.do(context.Background(), name, &wire.Frame{Type: wire.TPolicy})
+	resp, err := c.wc.Call(context.Background(), name, &wire.Frame{Type: wire.TPolicy})
 	if err != nil {
 		return "", err
 	}

@@ -26,7 +26,7 @@ func cannedFrame(t *testing.T, f *wire.Frame) []byte {
 	return buf.Bytes()
 }
 
-// TestClientPushZeroAlloc measures the v3/legacy push round trip —
+// TestClientPushZeroAlloc measures the single-diff push round trip —
 // stage [header|checksum] around caller-owned encoded bytes, writev,
 // read the OK response — at zero allocations per frame once the
 // session's buffers are warm.

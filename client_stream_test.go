@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"testing"
@@ -38,8 +37,7 @@ func chainCheckpointer(t *testing.T, n, bufLen int) *Checkpointer {
 	return ck
 }
 
-// TestClientStreamPushUsed pins down that bulk pushes against a v4
-// server actually take the windowed streaming path — the server's
+// TestClientStreamPushUsed pins down that bulk pushes actually take the windowed streaming path — the server's
 // TPushStream counter must account for every diff — and that the
 // streamed bytes land bit-exactly.
 func TestClientStreamPushUsed(t *testing.T) {
@@ -77,38 +75,6 @@ func TestClientStreamPushUsed(t *testing.T) {
 	}
 }
 
-// TestClientV3Fallback verifies handshake-driven downgrade: against a
-// server pinned to protocol 3 the same bulk-push call must complete
-// over sequential TPush round trips, with zero TPushStream frames on
-// the wire.
-func TestClientV3Fallback(t *testing.T) {
-	srv, addr, shutdown := startTestServerH(t, server.Config{Root: t.TempDir(), Protocol: 3})
-	defer shutdown()
-	cl, err := Dial(addr, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	const chain = 6
-	ck := chainCheckpointer(t, chain, 16<<10)
-	if n, err := cl.PushCheckpointer("legacy", ck); err != nil || n != chain {
-		t.Fatalf("fallback push: n=%d err=%v", n, err)
-	}
-	if got := srv.StreamPushes(); got != 0 {
-		t.Fatalf("v3 server saw %d stream frames, want 0", got)
-	}
-	rec, err := cl.Pull("legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := ck.RestoreLatest()
-	got, err := rec.Restore(chain - 1)
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("fallback lineage restore mismatch (err %v)", err)
-	}
-}
-
 // ackScript tells the scripted stream server how to answer one
 // expected TPushStream frame window.
 type ackScript struct {
@@ -123,7 +89,7 @@ type ackScript struct {
 	extra uint32
 }
 
-// scriptedStreamServer accepts ONE connection, performs a v4
+// scriptedStreamServer accepts ONE connection, performs the
 // handshake, answers TOpen with a fixed handle, reads stream frames
 // until the client stops sending, and acknowledges them per script.
 // It lets the ack tests control ordering and status without racing a
@@ -141,7 +107,7 @@ func scriptedStreamServer(t *testing.T, window int, script ackScript) string {
 			return
 		}
 		defer conn.Close()
-		if _, err := wire.Handshake(conn); err != nil {
+		if err := wire.Handshake(conn); err != nil {
 			return
 		}
 		sendAck := func(ckpt uint32, status uint8) error {
@@ -428,5 +394,3 @@ func TestRecordDiffAtRebase(t *testing.T) {
 		t.Fatal("diffAt past end accepted")
 	}
 }
-
-var _ io.Writer = (*sliceWriter)(nil)

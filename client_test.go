@@ -340,7 +340,17 @@ func TestClientRemoteErrors(t *testing.T) {
 func TestClientReconnects(t *testing.T) {
 	addr, shutdown := startTestServer(t, server.Config{Root: t.TempDir()})
 	defer shutdown()
-	cl, err := Dial(addr, 10*time.Second)
+	var dialed []net.Conn
+	cl, err := DialConfigured(addr, DialConfig{
+		Timeout: 10 * time.Second,
+		Dialer: func(addr string, timeout time.Duration) (net.Conn, error) {
+			nc, err := net.DialTimeout("tcp", addr, timeout)
+			if err == nil {
+				dialed = append(dialed, nc)
+			}
+			return nc, err
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +359,9 @@ func TestClientReconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sever every parked connection behind the client's back.
-	cl.pool.ForEachIdle(func(nc net.Conn, _ any) { nc.Close() })
+	for _, nc := range dialed {
+		nc.Close()
+	}
 	// The next request must transparently redial.
 	if _, err := cl.Stats(); err != nil {
 		t.Fatalf("request after connection loss failed: %v", err)
@@ -526,26 +538,13 @@ func TestClientConnectionLimitError(t *testing.T) {
 	}
 }
 
-// Guard against protocol drift: the version the client speaks is the
-// version the server checks. Version 2 added the lifecycle requests
-// (TCompact/TPolicy), the open-info base payload, and the extended
-// list/stats encodings. Version 3 added the CRC32C push precondition,
-// StatusBusy load shedding with a retry-after hint, and the busy-
-// reject stats counter. Version 4 added TPushStream windowed
-// streaming pushes with out-of-order StreamAcks. Version 5 added the
-// replication surface: TSubscribe with resume cursors, server-pushed
-// TTail frames, and TResync barriers (lag shed / compaction fold);
-// v5 clients fall back to length-polling against v4 servers.
-// Version 6 added the anti-entropy surface: TDigest span digests
-// (summary CRC + merkle root + optional per-diff detail) and the
-// extended stats encoding with the reconciliation counters; v6
-// reconcilers degrade to doing nothing against pre-v6 peers.
+// Guard against protocol drift: there is one protocol version, spoken
+// by every client and checked by every server built from this tree.
+// Bumping it is a flag day — update the handshake refusal tests and
+// the protocol description in internal/wire when it moves.
 func TestClientProtocolVersion(t *testing.T) {
 	if wire.Version != 6 {
-		t.Fatalf("protocol version bumped to %d: update compatibility notes", wire.Version)
-	}
-	if wire.MinVersion != 3 {
-		t.Fatalf("minimum supported version now %d: v3 sequential-push fallback notes are stale", wire.MinVersion)
+		t.Fatalf("protocol version bumped to %d: update the protocol notes", wire.Version)
 	}
 }
 

@@ -16,13 +16,13 @@ import (
 	"github.com/gpuckpt/gpuckpt/internal/server"
 )
 
-// saturateExperiment measures what the v4 streaming push protocol buys
-// over v3 request/response on the wire itself: ONE checkpoint chain is
-// pushed to a loopback ckptd twice — once against a server pinned to
-// protocol 3 (every diff waits out a full round trip) and once against
-// a v4 server (a window of frames rides the connection back-to-back,
-// acks returning out-of-band). Same client, same diffs, same loopback;
-// the only variable is the protocol.
+// saturateExperiment measures what the streaming push buys over
+// per-diff request/response on the wire itself: ONE checkpoint chain
+// is pushed to a loopback ckptd twice — once as a WriteDiff + Push
+// loop (every diff is encoded, sent, and waits out a full round trip)
+// and once as a stream (a window of TPushStream frames rides the
+// connection back-to-back, acks returning out-of-band). Same client,
+// same diffs, same kind of server; the only variable is the push path.
 //
 // Two methodology choices keep the comparison about the wire:
 //
@@ -79,11 +79,11 @@ func saturateExperiment(cfg experiments.Config, chain, windowFrames int, windowB
 
 	type mode struct {
 		name     string
-		protocol uint8
+		streamed bool
 	}
 	modes := []mode{
-		{"sequential (v3)", 3},
-		{"streamed (v4)", 0}, // 0 = server default, currently v4
+		{"per-diff request/response", false},
+		{"streamed", true},
 	}
 
 	// Both modes run against live servers at once and their reps are
@@ -93,7 +93,7 @@ func saturateExperiment(cfg experiments.Config, chain, windowFrames int, windowB
 	// happened to run second, so the best-of walls stay comparable.
 	runners := make([]*saturateRunner, len(modes))
 	for i, m := range modes {
-		r, err := newSaturateRunner(m.protocol, windowFrames, windowBytes)
+		r, err := newSaturateRunner(windowFrames, windowBytes)
 		if err != nil {
 			for _, p := range runners[:i] {
 				p.close()
@@ -112,7 +112,7 @@ func saturateExperiment(cfg experiments.Config, chain, windowFrames int, windowB
 	walls := make([]time.Duration, len(modes))
 	for rep := 0; rep < saturateRepsFor(chain); rep++ {
 		for i, m := range modes {
-			wall, err := runners[i].push(ck, chain, rep)
+			wall, err := runners[i].push(ck, chain, rep, m.streamed)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", m.name, err)
 			}
@@ -154,7 +154,7 @@ func saturateExperiment(cfg experiments.Config, chain, windowFrames int, windowB
 			StrmDiffsPerS float64 `json:"streamed_diffs_per_s"`
 			Speedup       float64 `json:"streamed_vs_sequential_speedup"`
 		}{
-			Note: "v4 windowed streaming push vs v3 request/response over loopback; " +
+			Note: "windowed streaming push vs per-diff request/response over loopback; " +
 				"regenerate with `make bench-wire`",
 			Chain: chain, ChunkSize: chunk, BufLen: bufLen,
 			WindowFrames: windowFrames, WindowBytes: windowBytes,
@@ -207,25 +207,26 @@ func saturateRepsFor(chain int) int {
 }
 
 // saturateRunner is one mode's half of the interleaved measurement: a
-// loopback server pinned to a protocol (0 = server default) plus a
-// client dialed at the configured window. Every push rep targets a
-// fresh lineage on the same server; verify pulls the last rep's
-// lineage back and byte-compares its final restore.
+// loopback server plus a client dialed at the configured window.
+// Every push rep targets a fresh lineage on the same server; verify
+// pulls the last rep's lineage back and byte-compares its final
+// restore.
 type saturateRunner struct {
 	root   string
 	cancel context.CancelFunc
 	done   chan error
 	cl     *gpuckpt.Client
-	last   string // lineage name of the most recent rep
+	last   string       // lineage name of the most recent rep
+	enc    bytes.Buffer // per-diff mode's reused encode buffer
 }
 
-func newSaturateRunner(protocol uint8, windowFrames int, windowBytes int64) (*saturateRunner, error) {
+func newSaturateRunner(windowFrames int, windowBytes int64) (*saturateRunner, error) {
 	root, err := benchTempDir("ckptbench-saturate-")
 	if err != nil {
 		return nil, err
 	}
 	r := &saturateRunner{root: root, done: make(chan error, 1)}
-	srv, err := server.New(server.Config{Root: root, Protocol: protocol, Logf: func(string, ...any) {}})
+	srv, err := server.New(server.Config{Root: root, Logf: func(string, ...any) {}})
 	if err != nil {
 		os.RemoveAll(root)
 		return nil, err
@@ -250,10 +251,27 @@ func newSaturateRunner(protocol uint8, windowFrames int, windowBytes int64) (*sa
 	return r, nil
 }
 
-func (r *saturateRunner) push(ck *gpuckpt.Checkpointer, chain, rep int) (time.Duration, error) {
+// push times one rep. The per-diff baseline encodes inside the timed
+// region, one diff at a time into a reused buffer, because the
+// streamed path pays its encoding there too.
+func (r *saturateRunner) push(ck *gpuckpt.Checkpointer, chain, rep int, streamed bool) (time.Duration, error) {
 	r.last = fmt.Sprintf("saturate-%d", rep)
 	start := time.Now()
-	n, err := r.cl.PushCheckpointer(r.last, ck)
+	n := 0
+	var err error
+	if streamed {
+		n, err = r.cl.PushCheckpointer(r.last, ck)
+	} else {
+		for ; n < chain; n++ {
+			r.enc.Reset()
+			if err = ck.WriteDiff(n, &r.enc); err != nil {
+				break
+			}
+			if err = r.cl.Push(r.last, n, r.enc.Bytes()); err != nil {
+				break
+			}
+		}
+	}
 	wall := time.Since(start)
 	if err != nil {
 		return 0, err

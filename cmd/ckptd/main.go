@@ -21,8 +21,7 @@
 //
 // With -follow the daemon runs as a live replica instead of a
 // primary: it discovers the primary's lineages, tails each one's diff
-// stream (wire v5 subscription, poll fallback on v4), and mirrors
-// them under -root. When the primary stays unreachable for
+// stream, and mirrors them under -root. When the primary stays unreachable for
 // -failover-after (0 disables automatic promotion), the standby
 // promotes: replication stops, and the same process starts serving
 // the mirrored root on -listen. Promotion applies no diffs — every

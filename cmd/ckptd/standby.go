@@ -73,7 +73,7 @@ func runStandby(ctx context.Context, stdout io.Writer, cfg standbyConfig) error 
 
 	promote := false
 	for !promote {
-		infos, err := follower.Lineages(cfg.primary, cfg.server.ReadTimeout, nil)
+		infos, err := follower.Lineages(cfg.primary, cfg.server.ReadTimeout)
 		switch {
 		case err != nil:
 			if downSince.IsZero() {

@@ -1,233 +1,27 @@
 package antientropy
 
 import (
-	"bufio"
-	"errors"
-	"fmt"
-	"net"
 	"time"
 
-	"github.com/gpuckpt/gpuckpt/internal/connpool"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
 
 // Peer is the reconciler's view of one remote replica: digest a span,
-// pull a diff. An interface so tests can stand in a local store or a
-// lying peer without a socket.
+// pull a diff. The production implementation is *wireclient.Client —
+// the same client the public API and the follower use; the interface
+// exists so tests can stand in a local store or a lying peer without a
+// socket.
 type Peer interface {
 	// Addr identifies the peer for logs and stats.
 	Addr() string
-	// Digest requests a TDigest of lineage's span. A peer that does
-	// not speak v6 surfaces as an error matching wire.ErrUnsupported;
-	// a peer that is alive but cannot verify its own span surfaces as
-	// a *wire.RemoteError.
+	// Digest requests a TDigest of lineage's span. A peer that is
+	// alive but cannot verify its own span surfaces as a
+	// *wire.RemoteError.
 	Digest(lineage string, q wire.DigestReq) (wire.DigestResp, error)
 	// Pull fetches checkpoint ck's canonical encoded bytes.
 	Pull(lineage string, ck int) ([]byte, error)
-	// Close releases the peer's connections.
-	Close() error
 }
 
-// Dialer opens the transport to a peer; the chaos suite injects
-// fault-wrapped connections through it.
-type Dialer func(addr string, timeout time.Duration) (net.Conn, error)
-
-// DefaultPeerTimeout bounds dials and request round trips when
-// PeerOptions.Timeout is zero.
+// DefaultPeerTimeout bounds a reconciler worker's dials and request
+// round trips.
 const DefaultPeerTimeout = 10 * time.Second
-
-// peerBufSize matches the server's per-connection buffer.
-const peerBufSize = 64 << 10
-
-// PeerOptions configures a WirePeer.
-type PeerOptions struct {
-	// Timeout bounds dials and request round trips (default
-	// DefaultPeerTimeout).
-	Timeout time.Duration
-	// Dialer overrides the transport dial (default net.DialTimeout).
-	Dialer Dialer
-}
-
-// peerSession is the per-connection protocol state parked in the
-// pool: the negotiated version, the connection's buffered endpoints,
-// reusable frame storage, and the epoch-scoped lineage handle cache
-// (valid exactly as long as its socket — a Discard drops both).
-type peerSession struct {
-	version uint8
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	frame   wire.Frame
-	scratch []byte
-	handles map[string]uint32
-}
-
-// WirePeer is the production Peer: one pooled connection to a ckptd
-// replica (MaxActive=1 — anti-entropy traffic is sequential and
-// sparse; the pool buys the parked session and redial health checks,
-// the same shape as the replication follower). A WirePeer must be
-// Closed (ckptlint closecontract).
-type WirePeer struct {
-	addr string
-	opts PeerOptions
-	pool *connpool.Pool
-}
-
-// NewWirePeer builds a peer client for addr. No connection is dialed
-// until the first request.
-func NewWirePeer(addr string, opts PeerOptions) (*WirePeer, error) {
-	if addr == "" {
-		return nil, errors.New("antientropy: peer address is required")
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = DefaultPeerTimeout
-	}
-	if opts.Dialer == nil {
-		opts.Dialer = func(a string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", a, timeout)
-		}
-	}
-	p := &WirePeer{addr: addr, opts: opts}
-	pool, err := connpool.New(connpool.Options{
-		Dial:        p.dial,
-		MaxActive:   1,
-		WaitTimeout: opts.Timeout,
-	})
-	if err != nil {
-		return nil, err
-	}
-	p.pool = pool
-	return p, nil
-}
-
-// Addr identifies the peer.
-func (p *WirePeer) Addr() string { return p.addr }
-
-// Close releases the pooled connections. Idempotent.
-func (p *WirePeer) Close() error { return p.pool.Close() }
-
-// dial opens and handshakes one pooled connection.
-func (p *WirePeer) dial() (net.Conn, any, error) {
-	nc, err := p.opts.Dialer(p.addr, p.opts.Timeout)
-	if err != nil {
-		return nil, nil, err
-	}
-	nc.SetDeadline(time.Now().Add(p.opts.Timeout))
-	v, err := wire.Handshake(nc)
-	if err != nil {
-		nc.Close()
-		return nil, nil, err
-	}
-	nc.SetDeadline(time.Time{})
-	return nc, &peerSession{
-		version: v,
-		br:      bufio.NewReaderSize(nc, peerBufSize),
-		bw:      bufio.NewWriterSize(nc, peerBufSize),
-		handles: make(map[string]uint32),
-	}, nil
-}
-
-// Digest requests a span digest of lineage from the peer.
-func (p *WirePeer) Digest(lineage string, q wire.DigestReq) (wire.DigestResp, error) {
-	var resp wire.DigestResp
-	err := p.withConn(lineage, func(c *connpool.Conn, handle uint32) error {
-		sess := c.Session.(*peerSession)
-		if sess.version < 6 {
-			// The peer's hello already settled below v6: don't send a
-			// frame it cannot parse. Same typed outcome as a v6-pinned
-			// old server answering StatusUnsupported.
-			return fmt.Errorf("antientropy: peer %s speaks v%d (digest needs v6): %w",
-				p.addr, sess.version, wire.ErrUnsupported)
-		}
-		fr, err := p.roundTrip(c, &wire.Frame{
-			Type: wire.TDigest, Lineage: handle, Payload: wire.EncodeDigestReq(q)})
-		if err != nil {
-			return err
-		}
-		resp, err = wire.DecodeDigestResp(fr.Payload)
-		return err
-	})
-	return resp, err
-}
-
-// Pull fetches checkpoint ck's canonical encoded bytes. The copy is
-// deliberate: the frame payload aliases the session scratch buffer.
-func (p *WirePeer) Pull(lineage string, ck int) ([]byte, error) {
-	var out []byte
-	err := p.withConn(lineage, func(c *connpool.Conn, handle uint32) error {
-		fr, err := p.roundTrip(c, &wire.Frame{
-			Type: wire.TPull, Lineage: handle, Ckpt: uint32(ck)})
-		if err != nil {
-			return err
-		}
-		out = append([]byte(nil), fr.Payload...)
-		return nil
-	})
-	return out, err
-}
-
-// withConn runs fn with a checked-out connection and its lineage
-// handle, retrying once on a fresh connection when the pooled one
-// fails at the transport level (a parked socket severed by a peer
-// restart). Typed remote errors are NOT retried — the peer answered;
-// its connection is healthy and the error is the result.
-func (p *WirePeer) withConn(lineage string, fn func(c *connpool.Conn, handle uint32) error) error {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		c, err := p.pool.Get()
-		if err != nil {
-			return err
-		}
-		handle, err := p.openLineage(c, lineage)
-		if err == nil {
-			err = fn(c, handle)
-		}
-		var re *wire.RemoteError
-		if err == nil || errors.As(err, &re) {
-			c.Release()
-			return err
-		}
-		c.Discard()
-		lastErr = err
-	}
-	return lastErr
-}
-
-// openLineage resolves lineage to this connection's handle, caching
-// it in the session for the socket's lifetime.
-func (p *WirePeer) openLineage(c *connpool.Conn, lineage string) (uint32, error) {
-	sess := c.Session.(*peerSession)
-	if h, ok := sess.handles[lineage]; ok {
-		return h, nil
-	}
-	fr, err := p.roundTrip(c, &wire.Frame{Type: wire.TOpen, Payload: []byte(lineage)})
-	if err != nil {
-		return 0, err
-	}
-	sess.handles[lineage] = fr.Lineage
-	return fr.Lineage, nil
-}
-
-// roundTrip writes one request and reads one response under Timeout
-// deadlines, surfacing error frames as their typed RemoteError.
-func (p *WirePeer) roundTrip(c *connpool.Conn, req *wire.Frame) (*wire.Frame, error) {
-	sess := c.Session.(*peerSession)
-	c.NC.SetWriteDeadline(time.Now().Add(p.opts.Timeout))
-	if err := wire.WriteFrame(sess.bw, req); err != nil {
-		return nil, err
-	}
-	if err := sess.bw.Flush(); err != nil {
-		return nil, err
-	}
-	c.NC.SetReadDeadline(time.Now().Add(p.opts.Timeout))
-	if err := wire.ReadFrameInto(sess.br, wire.DefaultMaxPayload, &sess.frame, &sess.scratch); err != nil {
-		return nil, err
-	}
-	resp := &sess.frame
-	if err := resp.Err(); err != nil {
-		return nil, err
-	}
-	if resp.Type == wire.TErr {
-		return nil, fmt.Errorf("antientropy: peer %s answered error frame without status", p.addr)
-	}
-	return resp, nil
-}

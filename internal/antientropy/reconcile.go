@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
-	"time"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
@@ -108,9 +106,6 @@ const (
 	// OutcomePeerDamaged: the peer answered a digest with a remote
 	// verification failure; its reconciler heals it from us.
 	OutcomePeerDamaged
-	// OutcomeUnsupported: the peer does not speak wire v6; the
-	// reconciler degrades to doing nothing against it.
-	OutcomeUnsupported
 	// OutcomeRaced: a compaction or append moved a span mid-round;
 	// nothing was concluded, the next round starts over.
 	OutcomeRaced
@@ -127,8 +122,6 @@ func (o Outcome) String() string {
 		return "peer-behind"
 	case OutcomePeerDamaged:
 		return "peer-damaged"
-	case OutcomeUnsupported:
-		return "unsupported"
 	case OutcomeRaced:
 		return "raced"
 	default:
@@ -296,33 +289,27 @@ func (r *Reconciler) round() (Result, error) {
 	pd, err := r.cfg.Peer.Digest(r.cfg.Lineage, wire.DigestReq{})
 	if err != nil {
 		var re *wire.RemoteError
-		switch {
-		case errors.Is(err, wire.ErrUnsupported):
-			res.Outcome = OutcomeUnsupported
-			return res, nil
-		case errors.As(err, &re):
-			// The peer is alive but cannot verify its own span. If the
-			// rot is mutual — BOTH replicas damaged — waiting for the
-			// peer to heal itself deadlocks: each side would report the
-			// other damaged forever. So check local health too, and
-			// self-heal any local rot right now; when the peer's copy
-			// of the same diff is rotten as well, that heal fails, and
-			// repeated failures drive the typed fail-stop instead of a
-			// silent standoff.
-			r.cfg.Logf("antientropy %s: peer %s digest failed remotely: %v",
-				r.cfg.Lineage, r.cfg.Peer.Addr(), err)
-			if err := r.selfHeal(&res); err != nil {
-				return res, err
-			}
-			if res.Healed > 0 {
-				res.Outcome = OutcomeHealed
-			} else {
-				res.Outcome = OutcomePeerDamaged
-			}
-			return res, nil
-		default:
+		if !errors.As(err, &re) {
 			return res, err
 		}
+		// The peer is alive but cannot verify its own span. If the rot
+		// is mutual — BOTH replicas damaged — waiting for the peer to
+		// heal itself deadlocks: each side would report the other
+		// damaged forever. So check local health too, and self-heal any
+		// local rot right now; when the peer's copy of the same diff is
+		// rotten as well, that heal fails, and repeated failures drive
+		// the typed fail-stop instead of a silent standoff.
+		r.cfg.Logf("antientropy %s: peer %s digest failed remotely: %v",
+			r.cfg.Lineage, r.cfg.Peer.Addr(), err)
+		if err := r.selfHeal(&res); err != nil {
+			return res, err
+		}
+		if res.Healed > 0 {
+			res.Outcome = OutcomeHealed
+		} else {
+			res.Outcome = OutcomePeerDamaged
+		}
+		return res, nil
 	}
 	pBase, pLen := int(pd.Base), int(pd.Len)
 
@@ -642,43 +629,3 @@ func (r *Reconciler) locked(fn func() error) error {
 	}
 	return fn()
 }
-
-// Backoff is the jittered exponential retry delay of the reconciler
-// workers: unreachable peers are re-probed at doubling intervals with
-// half-interval jitter so a cluster rejoining after a partition does
-// not thundering-herd its replicas. Seeded explicitly — reconciler
-// schedules stay deterministic under the chaos suite.
-type Backoff struct {
-	min, max time.Duration
-	cur      time.Duration
-	rng      *rand.Rand
-}
-
-// NewBackoff builds a backoff ranging over [min, max].
-func NewBackoff(minD, maxD time.Duration, seed int64) *Backoff {
-	if minD <= 0 {
-		minD = 50 * time.Millisecond
-	}
-	if maxD < minD {
-		maxD = minD
-	}
-	return &Backoff{min: minD, max: maxD, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Next returns the next delay: the doubled current interval with up
-// to 50% subtracted jitter.
-func (b *Backoff) Next() time.Duration {
-	if b.cur <= 0 {
-		b.cur = b.min
-	} else {
-		b.cur *= 2
-		if b.cur > b.max {
-			b.cur = b.max
-		}
-	}
-	jitter := time.Duration(b.rng.Int63n(int64(b.cur/2) + 1))
-	return b.cur - jitter
-}
-
-// Reset returns the backoff to its minimum after a success.
-func (b *Backoff) Reset() { b.cur = 0 }

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
@@ -475,51 +474,4 @@ func TestRoundBisection(t *testing.T) {
 		t.Fatalf("bisected heal: %+v", res)
 	}
 	verifyConverged(t, local, peer)
-}
-
-func TestRoundUnsupportedPeer(t *testing.T) {
-	local := newStore(t)
-	appendChain(t, local, 4, defaultTag)
-	r, err := NewReconciler(Config{Lineage: "lin", Store: local, Peer: unsupportedPeer{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.Round()
-	if err != nil || res.Outcome != OutcomeUnsupported {
-		t.Fatalf("v5 peer must degrade to a no-op: %+v %v", res, err)
-	}
-}
-
-type unsupportedPeer struct{}
-
-func (unsupportedPeer) Addr() string { return "old-peer" }
-func (unsupportedPeer) Digest(string, wire.DigestReq) (wire.DigestResp, error) {
-	return wire.DigestResp{}, &wire.RemoteError{Msg: "unsupported", Unsupported: true}
-}
-func (unsupportedPeer) Pull(string, int) ([]byte, error) {
-	return nil, &wire.RemoteError{Msg: "unsupported", Unsupported: true}
-}
-func (unsupportedPeer) Close() error { return nil }
-
-func TestBackoffDeterministicJitter(t *testing.T) {
-	a := NewBackoff(10*time.Millisecond, 160*time.Millisecond, 42)
-	b := NewBackoff(10*time.Millisecond, 160*time.Millisecond, 42)
-	prevCeil := time.Duration(0)
-	for i := 0; i < 10; i++ {
-		da, db := a.Next(), b.Next()
-		if da != db {
-			t.Fatalf("same seed diverged at step %d: %v vs %v", i, da, db)
-		}
-		if da <= 0 || da > 160*time.Millisecond {
-			t.Fatalf("step %d delay %v outside bounds", i, da)
-		}
-		if da > prevCeil*2 && prevCeil > 0 && da > 160*time.Millisecond {
-			t.Fatalf("delay grew faster than doubling: %v after %v", da, prevCeil)
-		}
-		prevCeil = da
-	}
-	a.Reset()
-	if d := a.Next(); d > 10*time.Millisecond {
-		t.Fatalf("reset did not return to the minimum: %v", d)
-	}
 }

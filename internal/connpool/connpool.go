@@ -1,7 +1,6 @@
-// Package connpool provides the bounded, health-checked client
-// connection pool behind gpuckpt.Client and the replication
-// follower (internal/follower, which runs it at MaxActive=1 purely
-// for the parked protocol session and redial health checks).
+// Package connpool provides the bounded, health-checked connection
+// pool under internal/wireclient — and through it under gpuckpt.Client,
+// the replication follower and the anti-entropy reconciler.
 //
 // The shape follows the classic outbound-pool idiom (blox pool.go): a
 // fixed number of checkout permits bounds total connections, returned
@@ -15,9 +14,9 @@
 //
 // Each pooled connection carries an opaque Session payload created by
 // the dial function — the client parks its per-connection protocol
-// state there (negotiated wire version, epoch-scoped handle cache,
-// reusable frame buffers), which is what makes the zero-copy push
-// path allocation-free across checkouts.
+// state there (epoch-scoped handle cache, reusable frame buffers),
+// which is what makes the zero-copy push path allocation-free across
+// checkouts.
 package connpool
 
 import (

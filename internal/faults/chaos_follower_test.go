@@ -59,7 +59,6 @@ func startFaultServer(t *testing.T, cfg server.Config, in *faults.Injector, plan
 func runChaosFollower(t *testing.T, opts follower.Options) *follower.Follower {
 	t.Helper()
 	opts.Timeout = 5 * time.Second
-	opts.PollInterval = 20 * time.Millisecond
 	opts.MinBackoff = 5 * time.Millisecond
 	opts.MaxBackoff = 50 * time.Millisecond
 	opts.Logf = t.Logf

@@ -1,6 +1,6 @@
 // Package follower implements the hot-standby side of live
 // replication: a subscriber that dials a ckptd primary, tails the
-// server-pushed diff stream of one lineage (wire v5 TSubscRIBE), and
+// server-pushed diff stream of one lineage (TSubscribe), and
 // applies every diff as it arrives into both a local FileStore mirror
 // (durability) and a live in-memory Record plus materialized state
 // buffer (serving readiness). Because the state buffer is advanced on
@@ -22,13 +22,6 @@
 // then re-subscribes. Being shed for lag, a primary crash mid-frame,
 // and a compaction fold racing the stream all collapse into the same
 // loop: reconnect, re-subscribe, maybe resync.
-//
-// # v4 fallback
-//
-// Against a primary that negotiates wire v4 or below (no TSubscribe)
-// the follower degrades to poll-based tailing: a TOpen length probe
-// every PollInterval, pulling whatever appeared. Same convergence,
-// higher latency — the interop contract of the v5 bump.
 package follower
 
 import (
@@ -37,26 +30,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
-	"github.com/gpuckpt/gpuckpt/internal/connpool"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
+	"github.com/gpuckpt/gpuckpt/internal/wireclient"
 )
-
-// Dialer opens the transport to the primary; tests inject fault-
-// wrapped dialers through it (the PR 5 network seam).
-type Dialer func(addr string, timeout time.Duration) (net.Conn, error)
 
 // Defaults applied by New for zero Options fields.
 const (
-	DefaultTimeout      = 10 * time.Second
-	DefaultPollInterval = 200 * time.Millisecond
-	DefaultMinBackoff   = 50 * time.Millisecond
-	DefaultMaxBackoff   = 2 * time.Second
+	DefaultTimeout = 10 * time.Second
 
 	// tailTick is the read-deadline granularity of the tail loop: how
 	// often an idle subscriber wakes to check for cancellation.
@@ -81,15 +68,13 @@ type Options struct {
 	Dir string
 	// Timeout bounds dials and request round trips (default 10s).
 	Timeout time.Duration
-	// PollInterval is the tail probe cadence against a v4 primary
-	// (default 200ms). Unused when the primary speaks v5.
-	PollInterval time.Duration
-	// MinBackoff/MaxBackoff bound the reconnect backoff (defaults
-	// 50ms/2s; backoff resets whenever a session makes progress).
+	// MinBackoff/MaxBackoff bound the jittered reconnect backoff (the
+	// wireclient.RetryPolicy delay defaults, 50ms/2s; backoff resets
+	// whenever a session makes progress).
 	MinBackoff, MaxBackoff time.Duration
 	// Dialer overrides the transport dial (default net.DialTimeout);
 	// the chaos suite injects fault-wrapped connections here.
-	Dialer Dialer
+	Dialer wireclient.Dialer
 	// Logf sinks follower logs (default: silent).
 	Logf func(format string, args ...any)
 	// OnApply, when set, runs after checkpoint ckpt is applied and
@@ -106,18 +91,6 @@ func (o *Options) fill() error {
 	if o.Timeout <= 0 {
 		o.Timeout = DefaultTimeout
 	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = DefaultPollInterval
-	}
-	if o.MinBackoff <= 0 {
-		o.MinBackoff = DefaultMinBackoff
-	}
-	if o.MaxBackoff < o.MinBackoff {
-		o.MaxBackoff = DefaultMaxBackoff
-	}
-	if o.Dialer == nil {
-		o.Dialer = defaultDial
-	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
@@ -131,9 +104,8 @@ type Stats struct {
 	Base, Next int
 	// Applied counts diffs applied since New.
 	Applied uint64
-	// TailFrames counts diffs that arrived via the v5 stream; Polls
-	// counts v4 length probes.
-	TailFrames, Polls uint64
+	// TailFrames counts diffs that arrived via the tail stream.
+	TailFrames uint64
 	// Resyncs counts span re-pulls after a fold barrier; Reconnects
 	// counts sessions ended by any error or barrier.
 	Resyncs, Reconnects uint64
@@ -164,28 +136,21 @@ type Promotion struct {
 	Store *checkpoint.FileStore
 }
 
-// session is the per-connection protocol state parked in the pool.
-type session struct {
-	version uint8
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	frame   wire.Frame
-	scratch []byte
-}
-
 // errStopped ends a session loop because Close or Promote was called.
 var errStopped = errors.New("follower: stopped")
-
-func defaultDial(addr string, timeout time.Duration) (net.Conn, error) {
-	return net.DialTimeout("tcp", addr, timeout)
-}
 
 // Follower mirrors one lineage from a primary. Create with New, drive
 // with Run (one goroutine, owned by the caller), finish with Promote
 // and/or Close. A Follower must be Closed (ckptlint closecontract).
 type Follower struct {
 	opts Options
-	pool *connpool.Pool
+	// wc carries both the replication session (a connection checked
+	// out for the life of each subscription) and Heal's repair pulls.
+	wc *wireclient.Client
+	// backoff paces reconnects, seeded from the mirror's identity so N
+	// standbys of a restarted primary do not redial in lock-step while
+	// each one's schedule stays reproducible.
+	backoff *wireclient.Backoff
 
 	mu sync.Mutex
 	//ckptlint:guardedby mu
@@ -218,7 +183,6 @@ type Follower struct {
 
 	applied    atomic.Uint64 //ckptlint:atomic
 	tailFrames atomic.Uint64 //ckptlint:atomic
-	polls      atomic.Uint64 //ckptlint:atomic
 	resyncs    atomic.Uint64 //ckptlint:atomic
 	reconnects atomic.Uint64 //ckptlint:atomic
 	healed     atomic.Uint64 //ckptlint:atomic
@@ -235,11 +199,15 @@ func New(opts Options) (*Follower, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Follower{opts: opts, store: store, stop: make(chan struct{})}
-	f.pool, err = connpool.New(connpool.Options{
-		Dial:        f.dial,
-		MaxActive:   1,
-		WaitTimeout: opts.Timeout,
+	seed := fnv.New64a()
+	seed.Write([]byte(opts.Lineage + "\x00" + opts.Dir))
+	retry := wireclient.RetryPolicy{BaseDelay: opts.MinBackoff, MaxDelay: opts.MaxBackoff, Seed: int64(seed.Sum64())}
+	f := &Follower{opts: opts, store: store, stop: make(chan struct{}), backoff: wireclient.NewBackoff(retry)}
+	f.wc, err = wireclient.New(opts.Addr, wireclient.Options{
+		Timeout:  opts.Timeout,
+		Dialer:   opts.Dialer,
+		MaxConns: 2, // the replication session + Heal's repair connection
+		Retry:    retry,
 	})
 	if err != nil {
 		store.Close()
@@ -252,39 +220,19 @@ func New(opts Options) (*Follower, error) {
 		f.mu.Unlock()
 	}
 	if lerr != nil {
-		f.pool.Close()
+		f.wc.Close()
 		store.Close()
 		return nil, fmt.Errorf("follower: mirror %s unusable: %w", opts.Dir, lerr)
 	}
 	return f, nil
 }
 
-// dial opens and handshakes one pooled connection.
-func (f *Follower) dial() (net.Conn, any, error) {
-	nc, err := f.opts.Dialer(f.opts.Addr, f.opts.Timeout)
-	if err != nil {
-		return nil, nil, err
-	}
-	nc.SetDeadline(time.Now().Add(f.opts.Timeout))
-	v, err := wire.Handshake(nc)
-	if err != nil {
-		nc.Close()
-		return nil, nil, err
-	}
-	nc.SetDeadline(time.Time{})
-	return nc, &session{
-		version: v,
-		br:      bufio.NewReaderSize(nc, connBufSize),
-		bw:      bufio.NewWriterSize(nc, connBufSize),
-	}, nil
-}
-
 // Run drives replication until ctx is cancelled or Close/Promote is
-// called: dial, subscribe (or poll), apply, reconnect with backoff.
-// It always returns nil on a deliberate stop; it never returns on a
-// primary failure — that is the condition the standby exists for.
+// called: dial, subscribe, apply, reconnect with backoff. It always
+// returns nil on a deliberate stop; it never returns on a primary
+// failure — that is the condition the standby exists for.
 func (f *Follower) Run(ctx context.Context) error {
-	backoff := f.opts.MinBackoff
+	idle := 0 // consecutive sessions without progress
 	for {
 		if ctx.Err() != nil || f.stopped() {
 			return nil
@@ -298,11 +246,11 @@ func (f *Follower) Run(ctx context.Context) error {
 			f.opts.Logf("follower %s: session: %v", f.opts.Lineage, err)
 		}
 		if progress {
-			backoff = f.opts.MinBackoff
+			idle = 0
 		} else {
-			backoff = min(backoff*2, f.opts.MaxBackoff)
+			idle++
 		}
-		timer := time.NewTimer(backoff)
+		timer := time.NewTimer(f.backoff.Delay(2+idle, 0))
 		select {
 		case <-ctx.Done():
 			timer.Stop()
@@ -316,36 +264,24 @@ func (f *Follower) Run(ctx context.Context) error {
 }
 
 // session runs one connection's worth of replication and reports
-// whether it made progress (applied, resynced, or reached the
-// primary's length).
+// whether it made progress (applied or resynced). A subscription
+// consumes its connection, so the session always ends by discarding
+// it.
 func (f *Follower) session(ctx context.Context) (bool, error) {
-	c, err := f.pool.Get()
+	cn, err := f.wc.Get()
 	if err != nil {
 		return false, err
 	}
-	f.setConn(c.NC)
-	healthy := false
+	f.setConn(cn.NC)
 	defer func() {
 		f.setConn(nil)
-		if healthy {
-			c.Release()
-		} else {
-			c.Discard()
-		}
+		cn.Discard()
 	}()
-	sess := c.Session.(*session)
-	handle, err := f.openLineage(c)
+	handle, err := cn.Handle(f.opts.Lineage)
 	if err != nil {
 		return false, err
 	}
-	if sess.version >= 5 {
-		return f.subscribe(ctx, c, handle)
-	}
-	progress, err := f.poll(ctx, c, handle)
-	// A poll session ends only on error or stop; the connection is
-	// reusable after a deliberate stop.
-	healthy = err == nil
-	return progress, err
+	return f.subscribe(ctx, cn, handle)
 }
 
 // setConn records the live connection so Close/Promote can sever it.
@@ -355,41 +291,6 @@ func (f *Follower) setConn(nc net.Conn) {
 	f.mu.Unlock()
 }
 
-// openLineage resolves the lineage name to this connection's handle.
-func (f *Follower) openLineage(c *connpool.Conn) (uint32, error) {
-	resp, err := f.roundTrip(c, &wire.Frame{Type: wire.TOpen, Payload: []byte(f.opts.Lineage)})
-	if err != nil {
-		return 0, err
-	}
-	if err := resp.Err(); err != nil {
-		return 0, err
-	}
-	return resp.Lineage, nil
-}
-
-// roundTrip writes one request and reads one response under Timeout
-// deadlines. An unsolicited TErr frame (the server's over-capacity
-// greeting) surfaces as its typed error.
-func (f *Follower) roundTrip(c *connpool.Conn, req *wire.Frame) (*wire.Frame, error) {
-	sess := c.Session.(*session)
-	c.NC.SetWriteDeadline(time.Now().Add(f.opts.Timeout))
-	if err := wire.WriteFrame(sess.bw, req); err != nil {
-		return nil, err
-	}
-	if err := sess.bw.Flush(); err != nil {
-		return nil, err
-	}
-	c.NC.SetReadDeadline(time.Now().Add(f.opts.Timeout))
-	if err := wire.ReadFrameInto(sess.br, wire.DefaultMaxPayload, &sess.frame, &sess.scratch); err != nil {
-		return nil, err
-	}
-	resp := &sess.frame
-	if resp.Type == wire.TErr {
-		return nil, resp.Err()
-	}
-	return resp, nil
-}
-
 // cursor snapshots the resume position.
 func (f *Follower) cursor() wire.Cursor {
 	f.mu.Lock()
@@ -397,9 +298,9 @@ func (f *Follower) cursor() wire.Cursor {
 	return wire.Cursor{Base: uint32(f.base), Next: uint32(f.next), CRC: f.lastCRC}
 }
 
-// subscribe drives the v5 path on one connection: subscribe (resync
-// and retry on a barrier response), then tail the stream.
-func (f *Follower) subscribe(ctx context.Context, c *connpool.Conn, handle uint32) (bool, error) {
+// subscribe drives one connection: subscribe (resync and retry on a
+// barrier response), then tail the stream.
+func (f *Follower) subscribe(ctx context.Context, cn *wireclient.Conn, handle uint32) (bool, error) {
 	progress := false
 	for attempt := 0; attempt < resubscribeAttempts; attempt++ {
 		if ctx.Err() != nil || f.stopped() {
@@ -407,12 +308,11 @@ func (f *Follower) subscribe(ctx context.Context, c *connpool.Conn, handle uint3
 		}
 		req := &wire.Frame{Type: wire.TSubscribe, Lineage: handle,
 			Payload: wire.EncodeSubscribe(f.cursor())}
-		resp, err := f.roundTrip(c, req)
+		resp, err := cn.RoundTrip(req)
 		if err != nil {
 			return progress, err
 		}
-		switch {
-		case resp.Type == wire.TResync && resp.Status == wire.StatusOK:
+		if resp.Type == wire.TResync {
 			// Cursor rejected; the connection is still in request
 			// mode. Pull the authoritative span right here, then
 			// re-subscribe with the fresh cursor.
@@ -420,29 +320,17 @@ func (f *Follower) subscribe(ctx context.Context, c *connpool.Conn, handle uint3
 			if err != nil {
 				return progress, err
 			}
-			if err := f.resync(c, handle, info); err != nil {
+			if err := f.resync(cn, handle, info); err != nil {
 				return progress, err
 			}
 			progress = true
 			continue
-		case resp.Type == wire.TSubscribe && resp.Status == wire.StatusOK:
-			if _, err := wire.DecodeSubscribeAck(resp.Payload); err != nil {
-				return progress, err
-			}
-			tailed, err := f.tail(ctx, c)
-			return progress || tailed, err
-		default:
-			err := resp.Err()
-			if errors.Is(err, wire.ErrUnsupported) {
-				// A v5 hello but no subscription support (version pin
-				// newer than the feature): degrade to polling.
-				return f.poll(ctx, c, handle)
-			}
-			if err == nil {
-				err = fmt.Errorf("follower: unexpected %#x response to subscribe", resp.Type)
-			}
+		}
+		if _, err := wire.DecodeSubscribeAck(resp.Payload); err != nil {
 			return progress, err
 		}
+		tailed, err := f.tail(ctx, cn.NC)
+		return progress || tailed, err
 	}
 	return progress, fmt.Errorf("follower: cursor not settled after %d resyncs", resubscribeAttempts)
 }
@@ -451,8 +339,10 @@ func (f *Follower) subscribe(ctx context.Context, c *connpool.Conn, handle uint3
 // short deadlines as idle ticks so cancellation is noticed between
 // frames; bufio.Peek keeps partially arrived bytes buffered across
 // ticks, so a frame straddling a tick is never torn.
-func (f *Follower) tail(ctx context.Context, c *connpool.Conn) (bool, error) {
-	sess := c.Session.(*session)
+func (f *Follower) tail(ctx context.Context, nc net.Conn) (bool, error) {
+	br := bufio.NewReaderSize(nc, connBufSize)
+	var frame wire.Frame
+	var scratch []byte
 	progress := false
 	var stalled time.Duration
 	prevBuffered := 0
@@ -460,19 +350,19 @@ func (f *Follower) tail(ctx context.Context, c *connpool.Conn) (bool, error) {
 		if ctx.Err() != nil || f.stopped() {
 			return progress, nil
 		}
-		c.NC.SetReadDeadline(time.Now().Add(tailTick))
-		_, err := sess.br.Peek(wire.HeaderSize)
+		nc.SetReadDeadline(time.Now().Add(tailTick))
+		_, err := br.Peek(wire.HeaderSize)
 		if err != nil {
 			if wire.Timeout(err) {
 				// Idle tick. A partial frame that stops growing for a
 				// full Timeout is a stalled primary, not idleness.
-				if b := sess.br.Buffered(); b > 0 && b == prevBuffered {
+				if b := br.Buffered(); b > 0 && b == prevBuffered {
 					stalled += tailTick
 					if stalled >= f.opts.Timeout {
 						return progress, fmt.Errorf("follower: stream stalled mid-frame (%d bytes buffered)", b)
 					}
 				} else {
-					prevBuffered = sess.br.Buffered()
+					prevBuffered = br.Buffered()
 					stalled = 0
 				}
 				continue
@@ -480,11 +370,11 @@ func (f *Follower) tail(ctx context.Context, c *connpool.Conn) (bool, error) {
 			return progress, err
 		}
 		stalled, prevBuffered = 0, 0
-		c.NC.SetReadDeadline(time.Now().Add(f.opts.Timeout))
-		if err := wire.ReadFrameInto(sess.br, wire.DefaultMaxPayload, &sess.frame, &sess.scratch); err != nil {
+		nc.SetReadDeadline(time.Now().Add(f.opts.Timeout))
+		if err := wire.ReadFrameInto(br, wire.DefaultMaxPayload, &frame, &scratch); err != nil {
 			return progress, err
 		}
-		fr := &sess.frame
+		fr := &frame
 		switch fr.Type {
 		case wire.TTail:
 			crc, encoded, err := wire.DecodePush(fr.Payload)
@@ -516,79 +406,10 @@ func (f *Follower) tail(ctx context.Context, c *connpool.Conn) (bool, error) {
 	}
 }
 
-// poll is the v4 fallback: probe the lineage length every
-// PollInterval and pull whatever appeared.
-func (f *Follower) poll(ctx context.Context, c *connpool.Conn, handle uint32) (bool, error) {
-	progress := false
-	for {
-		if ctx.Err() != nil || f.stopped() {
-			return progress, nil
-		}
-		resp, err := f.roundTrip(c, &wire.Frame{Type: wire.TOpen, Payload: []byte(f.opts.Lineage)})
-		if err != nil {
-			return progress, err
-		}
-		if err := resp.Err(); err != nil {
-			return progress, err
-		}
-		n := int(resp.Ckpt)
-		base32, err := wire.DecodeOpenInfo(resp.Payload)
-		if err != nil {
-			return progress, err
-		}
-		f.polls.Add(1)
-		cur := f.cursor()
-		if int(cur.Base) != int(base32) || int(cur.Next) > n {
-			// The primary folded (or regressed, which resync rejects).
-			if err := f.resync(c, handle, wire.Resync{Reason: wire.ResyncFold, Base: base32, Len: uint32(n)}); err != nil {
-				return progress, err
-			}
-			progress = true
-			cur = f.cursor()
-		}
-		for k := int(cur.Next); k < n; k++ {
-			encoded, err := f.pull(c, handle, k)
-			if err != nil {
-				return progress, err
-			}
-			if err := f.applyEncoded(k, encoded, wire.Checksum(encoded)); err != nil {
-				if errors.Is(err, errStopped) {
-					return progress, nil
-				}
-				return progress, err
-			}
-			progress = true
-		}
-		timer := time.NewTimer(f.opts.PollInterval)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return progress, nil
-		case <-f.stop:
-			timer.Stop()
-			return progress, nil
-		case <-timer.C:
-		}
-	}
-}
-
-// pull fetches one encoded diff (no CRC prefix — TPull serves the
-// stored bytes, whose integrity footer the store already verified).
-func (f *Follower) pull(c *connpool.Conn, handle uint32, k int) ([]byte, error) {
-	resp, err := f.roundTrip(c, &wire.Frame{Type: wire.TPull, Lineage: handle, Ckpt: uint32(k)})
-	if err != nil {
-		return nil, err
-	}
-	if err := resp.Err(); err != nil {
-		return nil, err
-	}
-	return resp.Payload, nil
-}
-
 // resync pulls the authoritative span [info.Base, info.Len) and
 // installs it atomically over the mirror, then rebuilds the live
 // replica. O(span), but only runs when a fold invalidated the cursor.
-func (f *Follower) resync(c *connpool.Conn, handle uint32, info wire.Resync) error {
+func (f *Follower) resync(cn *wireclient.Conn, handle uint32, info wire.Resync) error {
 	if info.Len == info.Base {
 		if info.Base == 0 {
 			cur := f.cursor()
@@ -601,11 +422,11 @@ func (f *Follower) resync(c *connpool.Conn, handle uint32, info wire.Resync) err
 	}
 	diffs := make([]*checkpoint.Diff, 0, info.Len-info.Base)
 	for k := info.Base; k < info.Len; k++ {
-		encoded, err := f.pull(c, handle, int(k))
+		resp, err := cn.RoundTrip(&wire.Frame{Type: wire.TPull, Lineage: handle, Ckpt: k})
 		if err != nil {
 			return fmt.Errorf("follower: resync pull %d: %w", k, err)
 		}
-		d, err := checkpoint.Decode(bytes.NewReader(encoded))
+		d, err := checkpoint.Decode(bytes.NewReader(resp.Payload))
 		if err != nil {
 			return fmt.Errorf("follower: resync decode %d: %w", k, err)
 		}
@@ -664,7 +485,7 @@ func (f *Follower) reloadLocked() error {
 
 // applyEncoded applies one arrived diff: durable append to the mirror
 // first, then the live record and the materialized state buffer, then
-// the cursor. encoded may alias the session scratch buffer — Decode
+// the cursor. encoded may alias the connection's read buffer — Decode
 // copies what it keeps.
 func (f *Follower) applyEncoded(k int, encoded []byte, crc uint32) error {
 	d, err := checkpoint.Decode(bytes.NewReader(encoded))
@@ -747,7 +568,6 @@ func (f *Follower) Stats() Stats {
 		Next:       next,
 		Applied:    f.applied.Load(),
 		TailFrames: f.tailFrames.Load(),
-		Polls:      f.polls.Load(),
 		Resyncs:    f.resyncs.Load(),
 		Reconnects: f.reconnects.Load(),
 		Healed:     f.healed.Load(),
@@ -833,7 +653,8 @@ func (f *Follower) Promote() (*Promotion, error) {
 	}, nil
 }
 
-// Close ends replication and releases the pool and the mirror store.
+// Close ends replication and releases the connections and the mirror
+// store.
 // Idempotent.
 func (f *Follower) Close() error {
 	f.mu.Lock()
@@ -845,14 +666,14 @@ func (f *Follower) Close() error {
 	f.severLocked()
 	store := f.store
 	f.mu.Unlock()
-	f.pool.Close()
+	f.wc.Close()
 	return store.Close()
 }
 
 // Heal runs one anti-entropy pass of the standby against its primary:
 // scan the mirrored span for on-disk rot, and repair each damaged
-// diff by re-pulling its canonical bytes over a dedicated repair
-// connection (the replication session owns the pooled one). The
+// diff by re-pulling its canonical bytes over a repair connection of
+// its own (the replication session holds the other one). The
 // rotten file is quarantined before the verified replacement lands,
 // so the damaged bytes survive as forensics and a crash mid-heal
 // leaves a typed hole, never a half-written diff posing as healthy.
@@ -868,13 +689,6 @@ func (f *Follower) Close() error {
 // Returns the number of diffs repaired. A clean pass costs one
 // checksum sweep of the mirror and no network traffic.
 func (f *Follower) Heal() (healed int, err error) {
-	var nc net.Conn
-	var handle uint32
-	defer func() {
-		if nc != nil {
-			nc.Close()
-		}
-	}()
 	for {
 		f.mu.Lock()
 		st, base, next := f.store, f.base, f.next
@@ -891,12 +705,7 @@ func (f *Follower) Heal() (healed int, err error) {
 		if !errors.As(serr, &ce) {
 			return healed, serr
 		}
-		if nc == nil {
-			if nc, handle, err = f.healDial(); err != nil {
-				return healed, fmt.Errorf("follower: healing checkpoint %d: %w", ce.Ckpt, err)
-			}
-		}
-		d, derr := f.healPull(nc, handle, ce.Ckpt)
+		d, derr := f.healPull(ce.Ckpt)
 		if derr != nil {
 			return healed, fmt.Errorf("follower: healing checkpoint %d: %w", ce.Ckpt, derr)
 		}
@@ -924,36 +733,13 @@ func (f *Follower) Heal() (healed int, err error) {
 	}
 }
 
-// healDial opens the throwaway repair connection: handshake plus one
-// TOpen for the lineage handle.
-func (f *Follower) healDial() (net.Conn, uint32, error) {
-	nc, err := f.opts.Dialer(f.opts.Addr, f.opts.Timeout)
-	if err != nil {
-		return nil, 0, err
-	}
-	nc.SetDeadline(time.Now().Add(f.opts.Timeout))
-	if _, err := wire.Handshake(nc); err != nil {
-		nc.Close()
-		return nil, 0, err
-	}
-	resp, err := healRoundTrip(nc, f.opts.Timeout,
-		&wire.Frame{Type: wire.TOpen, Payload: []byte(f.opts.Lineage)})
-	if err != nil {
-		nc.Close()
-		return nil, 0, err
-	}
-	return nc, resp.Lineage, nil
-}
-
-// healPull fetches and structurally verifies one diff on the repair
-// connection.
-func (f *Follower) healPull(nc net.Conn, handle uint32, k int) (*checkpoint.Diff, error) {
-	resp, err := healRoundTrip(nc, f.opts.Timeout,
-		&wire.Frame{Type: wire.TPull, Lineage: handle, Ckpt: uint32(k)})
+// healPull fetches and structurally verifies one diff for Heal.
+func (f *Follower) healPull(k int) (*checkpoint.Diff, error) {
+	b, err := f.wc.Pull(f.opts.Lineage, k)
 	if err != nil {
 		return nil, err
 	}
-	d, err := checkpoint.Decode(bytes.NewReader(resp.Payload))
+	d, err := checkpoint.Decode(bytes.NewReader(b))
 	if err != nil {
 		return nil, fmt.Errorf("pulled bytes do not decode: %w", err)
 	}
@@ -963,51 +749,22 @@ func (f *Follower) healPull(nc net.Conn, handle uint32, k int) (*checkpoint.Diff
 	return d, nil
 }
 
-// healRoundTrip writes one request and reads one response on the
-// repair connection under a fresh deadline.
-func healRoundTrip(nc net.Conn, timeout time.Duration, req *wire.Frame) (*wire.Frame, error) {
-	nc.SetDeadline(time.Now().Add(timeout))
-	if err := wire.WriteFrame(nc, req); err != nil {
-		return nil, err
-	}
-	resp, err := wire.ReadFrame(nc, wire.DefaultMaxPayload)
-	if err != nil {
-		return nil, err
-	}
-	if err := resp.Err(); err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
 // Lineages fetches the primary's lineage directory with one TList
 // round trip on a throwaway connection — the discovery call behind
-// ckptd's standby mode. dialer may be nil (net.DialTimeout).
-func Lineages(addr string, timeout time.Duration, dialer Dialer) ([]wire.LineageInfo, error) {
+// ckptd's standby mode. One attempt only: the standby's down-probe
+// wants the failure now, not after a backoff.
+func Lineages(addr string, timeout time.Duration) ([]wire.LineageInfo, error) {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
-	if dialer == nil {
-		dialer = defaultDial
-	}
-	nc, err := dialer(addr, timeout)
+	wc, err := wireclient.New(addr, wireclient.Options{
+		Timeout:  timeout,
+		MaxConns: 1,
+		Retry:    wireclient.RetryPolicy{MaxAttempts: 1},
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(timeout))
-	if _, err := wire.Handshake(nc); err != nil {
-		return nil, err
-	}
-	if err := wire.WriteFrame(nc, &wire.Frame{Type: wire.TList}); err != nil {
-		return nil, err
-	}
-	resp, err := wire.ReadFrame(nc, wire.DefaultMaxPayload)
-	if err != nil {
-		return nil, err
-	}
-	if err := resp.Err(); err != nil {
-		return nil, err
-	}
-	return wire.DecodeList(resp.Payload)
+	defer wc.Close()
+	return wc.List()
 }

@@ -88,14 +88,13 @@ func checkpointer(t *testing.T, images [][]byte) *gpuckpt.Checkpointer {
 func runFollower(t *testing.T, addr, lineage string, tweak func(*follower.Options)) *follower.Follower {
 	t.Helper()
 	opts := follower.Options{
-		Addr:         addr,
-		Lineage:      lineage,
-		Dir:          t.TempDir(),
-		Timeout:      5 * time.Second,
-		PollInterval: 20 * time.Millisecond,
-		MinBackoff:   5 * time.Millisecond,
-		MaxBackoff:   100 * time.Millisecond,
-		Logf:         t.Logf,
+		Addr:       addr,
+		Lineage:    lineage,
+		Dir:        t.TempDir(),
+		Timeout:    5 * time.Second,
+		MinBackoff: 5 * time.Millisecond,
+		MaxBackoff: 100 * time.Millisecond,
+		Logf:       t.Logf,
 	}
 	if tweak != nil {
 		tweak(&opts)
@@ -185,8 +184,8 @@ func TestFollowerLiveTailAndPromote(t *testing.T) {
 	waitNext(t, fl, 6) // live frames
 
 	st := fl.Stats()
-	if st.TailFrames < 6 || st.Polls != 0 {
-		t.Fatalf("expected pure v5 tailing, got %+v", st)
+	if st.TailFrames < 6 {
+		t.Fatalf("expected every diff to arrive on the tail stream, got %+v", st)
 	}
 	// OnApply fires after the cursor is published; give it a beat.
 	deadline := time.Now().Add(5 * time.Second)
@@ -220,46 +219,6 @@ func TestFollowerLiveTailAndPromote(t *testing.T) {
 	if _, err := fl.Promote(); err == nil {
 		t.Fatal("promote after close succeeded")
 	}
-}
-
-// Interop: a v5 follower against a primary pinned to wire v4 must
-// degrade to poll-based tailing and still converge byte-exactly.
-func TestFollowerPollFallbackAgainstV4(t *testing.T) {
-	images := testImages(902, 5)
-	_, addr, stop := startServer(t, server.Config{Root: t.TempDir(), Protocol: 4})
-	defer stop()
-	cl, err := gpuckpt.Dial(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	ck := checkpointer(t, images[:2])
-	if _, err := cl.PushCheckpointer("v4", ck); err != nil {
-		t.Fatal(err)
-	}
-
-	fl := runFollower(t, addr, "v4", nil)
-	waitNext(t, fl, 2)
-
-	for _, img := range images[2:] {
-		if _, err := ck.Checkpoint(img); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := cl.PushCheckpointer("v4", ck); err != nil {
-		t.Fatal(err)
-	}
-	waitNext(t, fl, 5)
-
-	st := fl.Stats()
-	if st.Polls == 0 || st.TailFrames != 0 {
-		t.Fatalf("expected poll fallback, got %+v", st)
-	}
-	p, err := fl.Promote()
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifyPromotion(t, p, images, 0)
 }
 
 // A compaction fold on the primary invalidates the follower's cursor
@@ -410,7 +369,7 @@ func TestFollowerLineagesDiscovery(t *testing.T) {
 	if _, err := cl.PushCheckpointer("disco", ck); err != nil {
 		t.Fatal(err)
 	}
-	infos, err := follower.Lineages(addr, 5*time.Second, nil)
+	infos, err := follower.Lineages(addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,9 @@ var closerConstructors = map[string][]string{
 	// A connpool.Pool owns up to MaxActive sockets and a reaper
 	// goroutine; leaking one leaks both.
 	"connpool.New": {"Close"},
-	// A follower.Follower owns a connection pool and the mirror's
+	// A wireclient.Client owns such a pool.
+	"wireclient.New": {"Close"},
+	// A follower.Follower owns a wire client and the mirror's
 	// FileStore; Promote hands serving state to the caller but the
 	// resources stay owned until Close.
 	"follower.New": {"Close"},

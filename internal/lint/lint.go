@@ -25,6 +25,10 @@
 //     ReadFrameInto, WriteFrameVec) must not be fed buffers created
 //     fresh on every loop iteration — that silently reintroduces the
 //     per-frame allocation they exist to remove.
+//   - onewire:       wire.Handshake / WriteHello / ReadHello are called
+//     only from internal/wireclient (the one client) and
+//     internal/server — a second dial+handshake implementation cannot
+//     grow back unnoticed.
 //   - guardedby:     struct fields tagged //ckptlint:guardedby <mu>
 //     are only read or written while <mu> is held — via a Lock/RLock
 //     in the same function, or inside a helper carrying a
@@ -137,6 +141,7 @@ func Checks() []Check {
 		retryableCheck{},
 		nowallclockCheck{},
 		bufreuseCheck{},
+		onewireCheck{},
 		guardedbyCheck{},
 		lockorderCheck{},
 		goroleakCheck{},

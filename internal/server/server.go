@@ -38,6 +38,7 @@ import (
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/lifecycle"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
+	"github.com/gpuckpt/gpuckpt/internal/wireclient"
 )
 
 // Config parameterizes a Server.
@@ -76,21 +77,16 @@ type Config struct {
 	// target. 0 (the default) disables background compaction; COMPACT
 	// requests still work.
 	CompactInterval time.Duration
-	// SubscriberQueue bounds the per-subscriber event queue of the v5
+	// SubscriberQueue bounds the per-subscriber event queue of the
 	// tail-stream hub (default 64). A subscriber that falls further
 	// behind than this many appends beyond its store backlog is shed
 	// with a lag barrier and resumes via its cursor.
 	SubscriberQueue int
-	// Protocol pins the wire version this server advertises in its
-	// hello (0 = wire.Version). The effective version of a connection
-	// is min(advertised, client's); pinning 3 exercises the client's
-	// v3 request/response fallback against a current build.
-	Protocol uint8
 	// Peers lists replica addresses (host:port) this server runs
 	// anti-entropy reconciliation against: every interval, each open
 	// lineage's digest is compared with each peer's and local damage
-	// is healed by pulling verified diffs (wire v6 TDigest). Empty
-	// disables the reconciler.
+	// is healed by pulling verified diffs (TDigest). Empty disables the
+	// reconciler.
 	Peers []string
 	// AntiEntropyInterval is the reconciliation cadence per peer
 	// (default 5s). An unreachable peer is re-probed on a jittered
@@ -98,7 +94,7 @@ type Config struct {
 	AntiEntropyInterval time.Duration
 	// PeerDialer overrides the reconciler's transport dial (default
 	// TCP); the chaos suite injects fault-wrapped connections here.
-	PeerDialer antientropy.Dialer
+	PeerDialer wireclient.Dialer
 	// Logf sinks server logs (default log.Printf; use a no-op in
 	// tests).
 	Logf func(format string, args ...any)
@@ -131,9 +127,6 @@ func (c *Config) fill() {
 	}
 	if c.SubscriberQueue <= 0 {
 		c.SubscriberQueue = 64
-	}
-	if c.Protocol == 0 {
-		c.Protocol = wire.Version
 	}
 	if c.AntiEntropyInterval <= 0 {
 		c.AntiEntropyInterval = 5 * time.Second
@@ -212,7 +205,7 @@ type Server struct {
 	subSheds       atomic.Uint64 //ckptlint:atomic
 	foldBarriers   atomic.Uint64 //ckptlint:atomic
 
-	// Anti-entropy counters (v6 stats trailer). degraded is a gauge:
+	// Anti-entropy counters. degraded is a gauge:
 	// the number of peers currently unreachable.
 	digestRounds    atomic.Uint64 //ckptlint:atomic
 	spansHealed     atomic.Uint64 //ckptlint:atomic
@@ -220,7 +213,7 @@ type Server struct {
 	healQuarantines atomic.Uint64 //ckptlint:atomic
 	degraded        atomic.Uint64 //ckptlint:atomic
 
-	// hub fans appended diffs out to v5 subscribers.
+	// hub fans appended diffs out to subscribers.
 	hub *hub
 
 	// conn tracking for forced shutdown
@@ -242,10 +235,6 @@ func New(cfg Config) (*Server, error) {
 	retention, err := lifecycle.ParsePolicy(cfg.Retention)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
-	}
-	if cfg.Protocol < wire.MinVersion || cfg.Protocol > wire.Version {
-		return nil, fmt.Errorf("server: cannot advertise protocol %d (this build speaks %d..%d)",
-			cfg.Protocol, wire.MinVersion, wire.Version)
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -349,9 +338,9 @@ func (s *Server) open(name string) (uint32, int, int, error) {
 }
 
 // errUnknownHandle marks a request naming a handle this server never
-// issued — a pooled client replaying against a restarted server. v4
-// connections get it back as StatusUnknownHandle so the client prunes
-// its cache and re-resolves by name; v3 connections see a plain error.
+// issued — a pooled client replaying against a restarted server. It
+// goes back as StatusUnknownHandle so the client prunes its cache and
+// re-resolves by name.
 var errUnknownHandle = errors.New("unknown lineage handle")
 
 // get returns the lineage for a handle.
@@ -375,16 +364,15 @@ func (s *Server) snapshot() []*lineage {
 
 // StreamPushes reports how many TPushStream frames the server has
 // served (successful or not). It is a server-side observability
-// counter, deliberately not part of the wire.Stats payload: that
-// layout is version-frozen and shared with v3 peers.
+// counter, deliberately not part of the positional wire.Stats
+// payload.
 func (s *Server) StreamPushes() uint64 { return s.streamPushes.Load() }
 
-// Subscribes reports accepted v5 subscriptions; TailFrames the TTail
+// Subscribes reports accepted subscriptions; TailFrames the TTail
 // frames pushed; SubscriberSheds subscribers shed for lag (bounded
 // queue overflow); FoldBarriers subscribers shed because a compaction
 // fold moved their lineage's baseline. Like StreamPushes these are
-// server-side counters, not part of the version-frozen wire.Stats
-// payload.
+// server-side counters, not part of the wire.Stats payload.
 func (s *Server) Subscribes() uint64      { return s.subscribes.Load() }
 func (s *Server) TailFrames() uint64      { return s.tailFrames.Load() }
 func (s *Server) SubscriberSheds() uint64 { return s.subSheds.Load() }
@@ -545,19 +533,32 @@ func (s *Server) rejectConn(conn net.Conn) {
 	defer conn.Close()
 	s.busyRejects.Add(1)
 	conn.SetDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	if _, err := wire.ReadHello(conn); err != nil {
+	if s.handshake(conn) != nil {
 		return
 	}
-	s.bytesIn.Add(wire.HelloSize)
-	if err := wire.WriteHelloVersion(conn, s.cfg.Protocol); err != nil {
-		return
-	}
-	s.bytesOut.Add(wire.HelloSize)
 	f := &wire.Frame{Type: wire.TErr, Status: wire.StatusBusy,
 		Payload: wire.EncodeRetryAfter(s.cfg.RetryAfterHint)}
 	if wire.WriteFrame(conn, f) == nil {
 		s.bytesOut.Add(uint64(f.WireSize()))
 	}
+}
+
+// handshake answers one client hello: read theirs, write ours, refuse
+// any version but wire.Version. A mismatched peer still gets our hello
+// before the connection drops, so its own check reports the same typed
+// *wire.VersionError instead of a bare EOF; it is served no frame.
+func (s *Server) handshake(conn net.Conn) error {
+	err := wire.ReadHello(conn)
+	var ve *wire.VersionError
+	if err != nil && !errors.As(err, &ve) {
+		return err
+	}
+	s.bytesIn.Add(wire.HelloSize)
+	if werr := wire.WriteHello(conn); werr != nil {
+		return werr
+	}
+	s.bytesOut.Add(wire.HelloSize)
+	return err
 }
 
 // connBufSize sizes the per-connection bufio reader and writer. Large
@@ -573,28 +574,14 @@ func (s *Server) handleConn(ctx context.Context, stop <-chan struct{}, conn net.
 	defer conn.Close()
 	caddr := conn.RemoteAddr().String()
 
-	// Handshake under a deadline: read the client's highest version,
-	// answer with ours, settle on the minimum.
 	conn.SetDeadline(time.Now().Add(s.cfg.ReadTimeout))
-	theirs, err := wire.ReadHello(conn)
-	if err != nil {
+	if err := s.handshake(conn); err != nil {
 		s.cfg.Logf("server: %s: handshake: %v", caddr, err)
 		return
 	}
-	s.bytesIn.Add(wire.HelloSize)
-	if err := wire.WriteHelloVersion(conn, s.cfg.Protocol); err != nil {
-		return
-	}
-	s.bytesOut.Add(wire.HelloSize)
-	if theirs < wire.MinVersion {
-		s.cfg.Logf("server: %s: handshake: peer protocol %d below supported floor %d",
-			caddr, theirs, wire.MinVersion)
-		return
-	}
-	protocol := min(theirs, s.cfg.Protocol)
 
 	// The request loop is sequential, but reads and writes are
-	// buffered so a pipelined v4 client gets its acks batched: while
+	// buffered so a pipelining client gets its acks batched: while
 	// the next request is already buffered, responses pile into bw;
 	// the flush happens only when the loop is about to block on the
 	// socket, so a request/response client still sees every response
@@ -638,14 +625,14 @@ func (s *Server) handleConn(ctx context.Context, stop <-chan struct{}, conn net.
 		s.requests.Add(1)
 		s.bytesIn.Add(uint64(req.WireSize()))
 
-		if req.Type == wire.TPushStream && protocol >= 4 {
+		if req.Type == wire.TPushStream {
 			if err := s.serveStream(&batch, &req, bw, conn); err != nil {
 				s.cfg.Logf("server: %s: stream: %v", caddr, err)
 				return
 			}
 			continue
 		}
-		if req.Type == wire.TSubscribe && protocol >= 5 {
+		if req.Type == wire.TSubscribe {
 			// Settle staged stream frames first, as for any
 			// non-stream request.
 			if err := s.commitStream(&batch, bw, conn); err != nil {
@@ -663,7 +650,7 @@ func (s *Server) handleConn(ctx context.Context, stop <-chan struct{}, conn net.
 			s.cfg.Logf("server: %s: stream commit: %v", caddr, err)
 			return
 		}
-		resp := s.dispatch(&req, protocol)
+		resp := s.dispatch(&req)
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 		if err := wire.WriteFrame(bw, resp); err != nil {
 			s.cfg.Logf("server: %s: write: %v", caddr, err)
@@ -710,7 +697,15 @@ func (s *Server) compactLoop(ctx context.Context, stop <-chan struct{}) {
 // heals keep failing is fail-stopped by its Reconciler and only
 // reports its standing quarantine from then on.
 func (s *Server) antiEntropyLoop(ctx context.Context, stop <-chan struct{}, addr string, seed int64) {
-	peer, err := antientropy.NewWirePeer(addr, antientropy.PeerOptions{Dialer: s.cfg.PeerDialer})
+	// Sequential, sparse traffic: one connection, one replay when the
+	// parked socket was severed by a peer restart. Pacing an unreachable
+	// peer is this loop's job, not the client's.
+	peer, err := wireclient.New(addr, wireclient.Options{
+		Timeout:  antientropy.DefaultPeerTimeout,
+		Dialer:   s.cfg.PeerDialer,
+		MaxConns: 1,
+		Retry:    wireclient.RetryPolicy{MaxAttempts: 2, Seed: seed},
+	})
 	if err != nil {
 		s.cfg.Logf("server: anti-entropy peer %s: %v", addr, err)
 		return
@@ -721,7 +716,9 @@ func (s *Server) antiEntropyLoop(ctx context.Context, stop <-chan struct{}, addr
 	// is confined to this goroutine.
 	recs := make(map[string]*antientropy.Reconciler)
 	quarantined := make(map[string]bool)
-	backoff := antientropy.NewBackoff(s.cfg.AntiEntropyInterval, 8*s.cfg.AntiEntropyInterval, seed)
+	backoff := wireclient.NewBackoff(wireclient.RetryPolicy{
+		BaseDelay: s.cfg.AntiEntropyInterval, MaxDelay: 8 * s.cfg.AntiEntropyInterval, Seed: seed})
+	unreachable := 0 // consecutive sweeps that could not reach the peer
 	degraded := false
 	setDegraded := func(d bool) {
 		if d == degraded {
@@ -739,10 +736,11 @@ func (s *Server) antiEntropyLoop(ctx context.Context, stop <-chan struct{}, addr
 		delay := s.cfg.AntiEntropyInterval
 		if s.reconcilePeer(peer, recs, quarantined) {
 			setDegraded(false)
-			backoff.Reset()
+			unreachable = 0
 		} else {
 			setDegraded(true)
-			delay = backoff.Next()
+			unreachable++
+			delay = backoff.Delay(1+unreachable, 0)
 		}
 		timer := time.NewTimer(delay)
 		select {
@@ -844,15 +842,10 @@ func (s *Server) accountCompaction(name string, st lifecycle.Stats) {
 
 // dispatch serves one request and returns the response frame. Request
 // failures come back as StatusErr (or StatusUnsupported for unknown
-// request types, StatusUnknownHandle for stale handles on v4
-// connections) responses on the same connection; only transport
-// errors tear the connection down.
-func (s *Server) dispatch(req *wire.Frame, protocol uint8) *wire.Frame {
-	if req.Type == wire.TPushStream && protocol >= 4 {
-		s.streamPushes.Add(1)
-		return s.dispatchStream(req)
-	}
-	resp, err := s.serve(req, protocol)
+// request types, StatusUnknownHandle for stale handles) responses on
+// the same connection; only transport errors tear the connection down.
+func (s *Server) dispatch(req *wire.Frame) *wire.Frame {
+	resp, err := s.serve(req)
 	if err != nil {
 		if errors.Is(err, wire.ErrBusy) {
 			// Load shed: the request was NOT executed. The payload is a
@@ -865,7 +858,7 @@ func (s *Server) dispatch(req *wire.Frame, protocol uint8) *wire.Frame {
 		switch {
 		case errors.Is(err, wire.ErrUnsupported):
 			status = wire.StatusUnsupported
-		case protocol >= 4 && errors.Is(err, errUnknownHandle):
+		case errors.Is(err, errUnknownHandle):
 			status = wire.StatusUnknownHandle
 		}
 		return &wire.Frame{Type: req.Type, Status: status, Payload: []byte(err.Error())}
@@ -912,7 +905,7 @@ const (
 	streamBatchBytes  = 16 << 20
 )
 
-// serveStream handles one TPushStream frame on a v4 connection:
+// serveStream handles one TPushStream frame:
 // frames that extend the connection's staged batch are buffered for
 // the next group commit; everything else — replays, conflicts, stale
 // handles, malformed payloads — takes the per-frame dispatchStream
@@ -1039,7 +1032,7 @@ func (s *Server) commitStream(b *streamBatch, bw *bufio.Writer, conn net.Conn) e
 }
 
 // streamAckFrame builds the StreamAck response frame for one stream
-// push outcome, mapping err onto the v4 status byte exactly as
+// push outcome, mapping err onto the status byte exactly as
 // dispatch does for request/response.
 func (s *Server) streamAckFrame(handle, ckpt, newLen uint32, err error) *wire.Frame {
 	ack := wire.StreamAck{Ckpt: ckpt, NewLen: newLen}
@@ -1130,7 +1123,7 @@ func (s *Server) servePush(req *wire.Frame) (uint32, error) {
 	return req.Ckpt + 1, nil
 }
 
-func (s *Server) serve(req *wire.Frame, protocol uint8) (*wire.Frame, error) {
+func (s *Server) serve(req *wire.Frame) (*wire.Frame, error) {
 	switch req.Type {
 	case wire.TOpen:
 		h, n, base, err := s.open(string(req.Payload))
@@ -1247,12 +1240,6 @@ func (s *Server) serve(req *wire.Frame, protocol uint8) (*wire.Frame, error) {
 		return &wire.Frame{Lineage: req.Lineage, Ckpt: uint32(base), Payload: []byte(name)}, nil
 
 	case wire.TDigest:
-		// Gated on the negotiated version like TSubscribe: a v5
-		// connection gets StatusUnsupported, and its reconciler
-		// degrades to doing nothing against this server.
-		if protocol < 6 {
-			return nil, fmt.Errorf("server: digest requires protocol 6: %w", wire.ErrUnsupported)
-		}
 		ln, err := s.get(req.Lineage)
 		if err != nil {
 			return nil, err

@@ -55,7 +55,7 @@ func testConn(t *testing.T, addr string) net.Conn {
 		t.Fatal(err)
 	}
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := wire.Handshake(conn); err != nil {
+	if err := wire.Handshake(conn); err != nil {
 		conn.Close()
 		t.Fatal(err)
 	}
@@ -321,8 +321,8 @@ func TestServerStreamPush(t *testing.T) {
 }
 
 // TestServerStreamUnknownHandleAck: a stream frame naming a stale
-// handle is answered with a StatusUnknownHandle ack on a v4
-// connection, still without tearing the stream.
+// handle is answered with a StatusUnknownHandle ack, still without
+// tearing the stream.
 func TestServerStreamUnknownHandleAck(t *testing.T) {
 	_, addr, stop := startServer(t, Config{Root: t.TempDir()})
 	defer stop()
@@ -344,47 +344,6 @@ func TestServerStreamUnknownHandleAck(t *testing.T) {
 	// The connection is still alive.
 	if st := call(t, conn, &wire.Frame{Type: wire.TStats}); st.Status != wire.StatusOK {
 		t.Fatalf("connection dead after unknown-handle ack: %+v", st)
-	}
-}
-
-// TestServerProtocolPin: a server pinned to v3 negotiates v3 with a
-// v4 client, answers TPushStream with StatusUnsupported (it never
-// advertised the op), and keeps plain TPush working.
-func TestServerProtocolPin(t *testing.T) {
-	_, addr, stop := startServer(t, Config{Root: t.TempDir(), Protocol: 3})
-	defer stop()
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	v, err := wire.Handshake(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 3 {
-		t.Fatalf("negotiated v%d against a v3-pinned server", v)
-	}
-
-	open := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte("v3lin")})
-	if open.Status != wire.StatusOK {
-		t.Fatalf("open: %+v", open)
-	}
-	push := call(t, conn, &wire.Frame{Type: wire.TPush, Lineage: open.Lineage, Ckpt: 0,
-		Payload: wire.EncodePush(encodedDiff(t, 0, 0x11))})
-	if push.Status != wire.StatusOK {
-		t.Fatalf("v3 push: %+v", push)
-	}
-	stream := call(t, conn, &wire.Frame{Type: wire.TPushStream, Lineage: open.Lineage, Ckpt: 1,
-		Payload: wire.EncodePush(encodedDiff(t, 1, 0x22))})
-	if stream.Status != wire.StatusUnsupported {
-		t.Fatalf("TPushStream on v3 conn: status %d, want StatusUnsupported", stream.Status)
-	}
-	// Stale handles on a v3 conn keep the legacy generic status.
-	stale := call(t, conn, &wire.Frame{Type: wire.TPull, Lineage: 77})
-	if stale.Status != wire.StatusErr {
-		t.Fatalf("stale handle on v3 conn: status %d, want StatusErr", stale.Status)
 	}
 }
 
@@ -428,7 +387,7 @@ func TestServerConnectionLimit(t *testing.T) {
 	}
 	defer c3.Close()
 	c3.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := wire.Handshake(c3); err != nil {
+	if err := wire.Handshake(c3); err != nil {
 		t.Fatalf("over-limit handshake failed: %v", err)
 	}
 	f, err := wire.ReadFrame(c3, 0)
@@ -450,7 +409,7 @@ func TestServerConnectionLimit(t *testing.T) {
 		c4, err := net.DialTimeout("tcp", addr, time.Second)
 		if err == nil {
 			c4.SetDeadline(time.Now().Add(5 * time.Second))
-			if _, err := wire.Handshake(c4); err == nil {
+			if err := wire.Handshake(c4); err == nil {
 				if err := wire.WriteFrame(c4, &wire.Frame{Type: wire.TStats}); err == nil {
 					if resp, err := wire.ReadFrame(c4, 0); err == nil && resp.Status == wire.StatusOK {
 						c4.Close()
@@ -666,25 +625,28 @@ func TestServerBackgroundCompaction(t *testing.T) {
 		}
 	}
 
+	// The worker may fire mid-push and fold a shorter prefix first, and
+	// it counts a compaction after publishing its baseline; the settled
+	// state is what the policy promises: the last two of six, counted.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		stats := call(t, conn, &wire.Frame{Type: wire.TStats})
-		st, err := wire.DecodeStats(stats.Payload)
+		open2 := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte("bg")})
+		base, err := wire.DecodeOpenInfo(open2.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Compactions >= 1 {
+		st, err := wire.DecodeStats(call(t, conn, &wire.Frame{Type: wire.TStats}).Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base == 4 && open2.Ckpt == 6 && st.Compactions >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("background compaction never ran")
+			t.Fatalf("background compaction never settled: len %d base %d compactions %d",
+				open2.Ckpt, base, st.Compactions)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	open2 := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte("bg")})
-	base, err := wire.DecodeOpenInfo(open2.Payload)
-	if err != nil || base != 4 || open2.Ckpt != 6 {
-		t.Fatalf("after background compaction: len %d base %d (%v)", open2.Ckpt, base, err)
 	}
 	// The retained span still pulls cleanly.
 	for k := uint32(4); k < 6; k++ {

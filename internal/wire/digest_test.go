@@ -136,10 +136,11 @@ func TestDigestRespInvalid(t *testing.T) {
 	}
 }
 
-// TestDecodeStatsBackCompat: a v5 peer's 120-byte stats payload still
-// decodes — the 15 legacy counters land and the v6 trailer reads
-// zero — and the current encoding round trips at full size.
-func TestDecodeStatsBackCompat(t *testing.T) {
+// TestDecodeStatsExactSize: the stats payload has one layout. The
+// current encoding round trips, and any other size — including the
+// 120-byte layout older builds sent — is refused rather than decoded
+// with a zeroed trailer.
+func TestDecodeStatsExactSize(t *testing.T) {
 	full := Stats{
 		Requests: 1, BytesIn: 2, BytesOut: 3, ActiveConns: 4, Conns: 5, Lineages: 6,
 		Compactions: 7, CompactedDiffs: 8, ReclaimedBytes: 9, BusyRejects: 10,
@@ -155,17 +156,10 @@ func TestDecodeStatsBackCompat(t *testing.T) {
 	if err != nil || got != full {
 		t.Fatalf("full round trip: %+v err=%v", got, err)
 	}
-
-	legacy := enc[:statsSizeV5]
-	got, err = DecodeStats(legacy)
-	if err != nil {
-		t.Fatalf("legacy 120-byte payload rejected: %v", err)
-	}
-	want := full
-	want.Quarantined, want.DigestRounds, want.SpansHealed = 0, 0, 0
-	want.BytesRefetched, want.HealQuarantines, want.Degraded = 0, 0, 0
-	if got != want {
-		t.Fatalf("legacy decode: %+v, want %+v", got, want)
+	for _, n := range []int{0, 15 * 8, statsSize - 1} {
+		if _, err := DecodeStats(enc[:n]); err == nil {
+			t.Fatalf("%d-byte stats payload accepted", n)
+		}
 	}
 }
 

@@ -75,33 +75,29 @@ type readWriter struct {
 }
 
 // FuzzHandshake drives the full hello exchange with arbitrary peer
-// bytes: it must accept exactly a well-formed hello at or above
-// MinVersion, settle on min(ours, theirs), and error on everything
-// else, never panic.
+// bytes: it must accept exactly a well-formed hello advertising
+// Version and error on everything else, never panic.
 func FuzzHandshake(f *testing.F) {
 	var valid bytes.Buffer
 	_ = WriteHello(&valid)
 	f.Add(valid.Bytes())
-	older := append([]byte(nil), valid.Bytes()...)
-	older[4] = MinVersion
-	f.Add(older)
-	tooOld := append([]byte(nil), valid.Bytes()...)
-	tooOld[4] = MinVersion - 1
-	f.Add(tooOld)
+	for _, v := range []uint8{Version - 1, Version + 1} {
+		other := append([]byte(nil), valid.Bytes()...)
+		other[4] = v
+		f.Add(other)
+	}
 	f.Add([]byte{0, 0, 0, 0, 0, 0})
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rw := &readWriter{Reader: bytes.NewReader(data), Writer: io.Discard}
-		got, err := Handshake(rw)
+		err := Handshake(rw)
 		wellFormed := len(data) >= HelloSize &&
-			binary.BigEndian.Uint32(data) == Magic && data[4] >= MinVersion
-		if wellFormed {
-			want := min(data[4], Version)
-			if err != nil || got != want {
-				t.Fatalf("valid hello (peer v%d) rejected: got %d, %v", data[4], got, err)
-			}
-		} else if err == nil {
+			binary.BigEndian.Uint32(data) == Magic && data[4] == Version
+		if wellFormed && err != nil {
+			t.Fatalf("valid hello rejected: %v", err)
+		}
+		if !wellFormed && err == nil {
 			t.Fatalf("malformed hello %x accepted", data)
 		}
 	})

@@ -12,13 +12,15 @@
 //
 // Request/response pairing is strictly sequential per connection: the
 // client writes one request frame and reads exactly one response frame
-// (Status reports success or failure; error responses carry the
-// message in the payload). This keeps the server loop trivial and
-// makes the client's retry-on-transient-error logic safe: a broken
-// connection can always be replayed by re-sending the request on a
-// fresh connection. The single exception is a v5 subscription: an
-// accepted TSubscribe switches the connection into a server-pushed
-// tail stream of TTail frames (see subscribe.go).
+// of the same type (Status reports success or failure; error responses
+// carry the message in the payload). This keeps the server loop
+// trivial and makes the client's retry-on-transient-error logic safe:
+// a broken connection can always be replayed by re-sending the request
+// on a fresh connection. Two request types leave that mode: a run of
+// TPushStream frames is pipelined (acknowledgements return out of
+// order, keyed by checkpoint id), and an accepted TSubscribe switches
+// the connection into a server-pushed tail stream of TTail frames
+// (see subscribe.go).
 package wire
 
 import (
@@ -37,55 +39,11 @@ import (
 const (
 	// Magic opens every hello ("CKPD" big-endian).
 	Magic uint32 = 0x434b5044
-	// Version is the protocol version negotiated by the hello
-	// exchange. Peers with different versions refuse the connection.
-	//
-	// Version history:
-	//
-	//	1: open/push/pull/list/stats.
-	//	2: lineage lifecycle — COMPACT and POLICY requests, the
-	//	   StatusUnsupported status byte, a baseline field in TOpen
-	//	   responses and list entries, and compaction counters in
-	//	   stats. The list and stats payload layouts changed shape,
-	//	   hence the incompatible bump.
-	//	3: durability — TPush payloads carry a CRC32C (Castagnoli)
-	//	   prefix over the encoded diff, turning replayed pushes into
-	//	   an idempotent content-hash precondition; the StatusBusy
-	//	   status byte with a retry-after hint for load shedding; a
-	//	   busy-reject counter in stats. The push and stats payload
-	//	   layouts changed shape, hence the incompatible bump.
-	//	4: raw wire speed — the TPushStream request (windowed
-	//	   pipelined pushes with per-frame StreamAck responses keyed
-	//	   by checkpoint id), the StatusUnknownHandle status byte
-	//	   (handle-epoch invalidation a pooled client can recover
-	//	   from), and min-version hello negotiation: each peer sends
-	//	   the highest version it speaks and both sides settle on the
-	//	   minimum, so a v4 client falls back to v3 request/response
-	//	   against a v3 server instead of refusing the connection.
-	//	5: live replication — the TSubscribe request (lineage + resume
-	//	   cursor) switches a connection into a server-pushed tail
-	//	   stream of TTail diff frames, and TResync carries the
-	//	   barrier a subscriber receives when its cursor cannot be
-	//	   honored (compaction fold moved the baseline, a slow
-	//	   follower was shed, the server is shutting down). Only new
-	//	   frame types were added — every v4 payload layout is
-	//	   untouched — so a v5 client against a v4 server negotiates
-	//	   down and falls back to poll-based tailing.
-	//	6: anti-entropy — the TDigest request exchanges compact
-	//	   per-lineage divergence digests (base, length, compaction
-	//	   generation, rolling CRC32C over per-diff content checksums,
-	//	   murmur3-128 merkle root) and, in detail mode, per-diff CRC
-	//	   lists over a bounded span so a reconciler can bisect to the
-	//	   diverging checkpoints. Stats grew six trailing counters
-	//	   (quarantine gauge + anti-entropy totals); DecodeStats still
-	//	   accepts the v5 120-byte layout, so mixed-version clusters
-	//	   read each other's STATS. Only a new frame type and trailing
-	//	   stats fields were added — a v6 reconciler against a v5 peer
-	//	   gets StatusUnsupported and degrades to doing nothing.
+	// Version is the one protocol version this build speaks. Every
+	// peer is built from the same source tree, so there is nothing to
+	// negotiate: both ends refuse a hello advertising any other version
+	// with a *VersionError before a single frame is exchanged.
 	Version uint8 = 6
-	// MinVersion is the oldest protocol version this build still
-	// speaks. A peer advertising anything older is refused.
-	MinVersion uint8 = 3
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 14
 	// HelloSize is the handshake message length in bytes.
@@ -225,6 +183,11 @@ var (
 	// client recovers by dropping its cached handle, re-opening the
 	// lineage by name and replaying.
 	ErrUnknownHandle = errors.New("wire: unknown lineage handle")
+	// ErrUnexpectedResponse reports a response frame whose type does not
+	// answer the request that was sent. The stream is out of step with
+	// the peer, so the connection is discarded and the failure is
+	// terminal.
+	ErrUnexpectedResponse = errors.New("wire: response does not answer the request")
 )
 
 // Frame is one protocol message in either direction.
@@ -321,12 +284,13 @@ func DecodeRetryAfter(b []byte) (time.Duration, error) {
 // unreachable dials (the peer may be restarting), and StatusBusy
 // rejections. Terminal: every other RemoteError (the server executed
 // or rejected the request — replaying would duplicate work or fail
-// identically), protocol violations (bad magic, oversized frames,
-// checksum mismatches) and operations on a connection this process
+// identically), protocol violations (bad magic, a version mismatch,
+// oversized frames, checksum mismatches, a response of the wrong type)
+// and operations on a connection this process
 // already closed (net.ErrClosed: retrying a deliberate Close is a
 // bug, not a network fault).
 //
-// Unknown errors default to transient: the v3 PUSH content-hash
+// Unknown errors default to transient: the PUSH content-hash
 // precondition makes replays idempotent, so the cost of a wasted
 // retry is bounded while the cost of giving up on a recoverable
 // fault is a failed checkpoint.
@@ -338,7 +302,12 @@ func Transient(err error) bool {
 	if errors.As(err, &re) {
 		return re.Busy
 	}
-	if errors.Is(err, ErrBadMagic) || errors.Is(err, ErrPayloadTooLarge) || errors.Is(err, ErrChecksum) {
+	if errors.Is(err, ErrBadMagic) || errors.Is(err, ErrPayloadTooLarge) || errors.Is(err, ErrChecksum) ||
+		errors.Is(err, ErrUnexpectedResponse) {
+		return false
+	}
+	var ve *VersionError
+	if errors.As(err, &ve) {
 		return false
 	}
 	if errors.Is(err, net.ErrClosed) {
@@ -369,20 +338,24 @@ func Timeout(err error) bool {
 	return errors.Is(err, os.ErrDeadlineExceeded)
 }
 
-// WriteHello writes the 6-byte handshake advertising Version (the
-// highest protocol this build speaks): magic, version, flags.
-func WriteHello(w io.Writer) error {
-	return WriteHelloVersion(w, Version)
+// VersionError reports a hello advertising a protocol version other
+// than Version. Both ends raise it and drop the connection before any
+// frame is exchanged; it is terminal (see Transient) — redialing the
+// same peer would read the same hello.
+type VersionError struct {
+	// Peer is the version the other side advertised.
+	Peer uint8
 }
 
-// WriteHelloVersion writes the 6-byte handshake advertising an
-// explicit protocol version — a server pinned to an older protocol
-// (for interop tests or staged rollouts) advertises that instead of
-// Version.
-func WriteHelloVersion(w io.Writer, version uint8) error {
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("wire: protocol version mismatch: peer %d, ours %d", e.Peer, Version)
+}
+
+// WriteHello writes the 6-byte handshake: magic, Version, flags.
+func WriteHello(w io.Writer) error {
 	var b [HelloSize]byte
 	binary.BigEndian.PutUint32(b[0:], Magic)
-	b[4] = version
+	b[4] = Version
 	b[5] = 0 // flags, reserved
 	if _, err := w.Write(b[:]); err != nil {
 		return fmt.Errorf("wire: write hello: %w", err)
@@ -390,50 +363,32 @@ func WriteHelloVersion(w io.Writer, version uint8) error {
 	return nil
 }
 
-// ReadHello reads and validates the peer's handshake, returning the
-// peer's protocol version.
-func ReadHello(r io.Reader) (uint8, error) {
+// ReadHello reads and validates the peer's handshake: ErrBadMagic for
+// a stream that is not this protocol at all, a *VersionError for a
+// peer speaking any version but ours.
+func ReadHello(r io.Reader) error {
 	var b [HelloSize]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, fmt.Errorf("wire: read hello: %w", err)
+		return fmt.Errorf("wire: read hello: %w", err)
 	}
 	if binary.BigEndian.Uint32(b[0:]) != Magic {
-		return 0, ErrBadMagic
+		return ErrBadMagic
 	}
-	return b[4], nil
+	if b[4] != Version {
+		return &VersionError{Peer: b[4]}
+	}
+	return nil
 }
 
-// Handshake performs one side of the hello exchange: write our
-// highest version, read theirs, and settle on the minimum of the two.
-// It returns the effective version both sides will speak, or an error
-// if the peer's protocol is older than MinVersion (each side checks
-// the same floor, so a refused handshake is symmetric).
-func Handshake(rw io.ReadWriter) (uint8, error) {
-	return HandshakeVersion(rw, Version)
-}
-
-// HandshakeVersion is Handshake advertising an explicit highest
-// version instead of Version. Pinning below MinVersion is a caller
-// bug and fails before any bytes are written.
-func HandshakeVersion(rw io.ReadWriter, version uint8) (uint8, error) {
-	if version < MinVersion {
-		return 0, fmt.Errorf("wire: cannot advertise protocol %d below the supported floor %d", version, MinVersion)
+// Handshake performs the dialing side of the hello exchange: write
+// ours, read and validate theirs. The accepting side reads first (see
+// internal/server) and answers even a mismatched hello, so both ends
+// of a refused connection report the same *VersionError.
+func Handshake(rw io.ReadWriter) error {
+	if err := WriteHello(rw); err != nil {
+		return err
 	}
-	if err := WriteHelloVersion(rw, version); err != nil {
-		return 0, err
-	}
-	theirs, err := ReadHello(rw)
-	if err != nil {
-		return 0, err
-	}
-	if theirs < MinVersion {
-		return 0, fmt.Errorf("wire: protocol version mismatch: peer %d, ours %d (oldest supported %d)",
-			theirs, version, MinVersion)
-	}
-	if theirs < version {
-		return theirs, nil
-	}
-	return version, nil
+	return ReadHello(rw)
 }
 
 // WriteFrame writes f as header + payload. The header and payload are
@@ -802,18 +757,12 @@ func EncodeOpenInfo(base uint32) []byte {
 	return binary.BigEndian.AppendUint32(nil, base)
 }
 
-// DecodeOpenInfo parses a TOpen response payload. An empty payload
-// decodes as baseline 0 (a v2 server always sends one; the empty case
-// keeps raw test harnesses and future slimmer responses valid).
+// DecodeOpenInfo parses a TOpen response payload.
 func DecodeOpenInfo(b []byte) (uint32, error) {
-	switch len(b) {
-	case 0:
-		return 0, nil
-	case 4:
-		return binary.BigEndian.Uint32(b), nil
-	default:
-		return 0, fmt.Errorf("wire: open info payload %d bytes, want 0 or 4", len(b))
+	if len(b) != 4 {
+		return 0, fmt.Errorf("wire: open info payload %d bytes, want 4", len(b))
 	}
+	return binary.BigEndian.Uint32(b), nil
 }
 
 // CompactResult is the payload of a successful TCompact response.
@@ -920,16 +869,10 @@ type Stats struct {
 	Degraded uint64
 }
 
-// statsSizeV5 is the frozen 15-counter v3..v5 layout; statsSize is
-// the current layout with the v6 anti-entropy trailer. DecodeStats
-// accepts both so mixed-version clusters read each other's STATS.
-const (
-	statsSizeV5 = 15 * 8
-	statsSize   = 21 * 8
-)
+// statsSize is the encoded size of the 21 counters.
+const statsSize = 21 * 8
 
-// fields returns pointers to every counter in wire order; the first
-// 15 are the frozen v5 prefix.
+// fields returns pointers to every counter in wire order.
 func (s *Stats) fields() [21]*uint64 {
 	return [21]*uint64{&s.Requests, &s.BytesIn, &s.BytesOut, &s.ActiveConns, &s.Conns, &s.Lineages,
 		&s.Compactions, &s.CompactedDiffs, &s.ReclaimedBytes, &s.BusyRejects,
@@ -946,18 +889,13 @@ func (s *Stats) Encode() []byte {
 	return buf
 }
 
-// DecodeStats parses a TStats response payload: the current layout,
-// or the 120-byte v5 layout from an older server (the v6 trailer
-// decodes as zero).
+// DecodeStats parses a TStats response payload.
 func DecodeStats(b []byte) (Stats, error) {
-	if len(b) != statsSize && len(b) != statsSizeV5 {
-		return Stats{}, fmt.Errorf("wire: stats payload %d bytes, want %d or %d", len(b), statsSize, statsSizeV5)
+	if len(b) != statsSize {
+		return Stats{}, fmt.Errorf("wire: stats payload %d bytes, want %d", len(b), statsSize)
 	}
 	var s Stats
 	for i, p := range s.fields() {
-		if 8*i >= len(b) {
-			break
-		}
 		*p = binary.BigEndian.Uint64(b[8*i:])
 	}
 	return s, nil

@@ -73,14 +73,13 @@ func TestHelloExchange(t *testing.T) {
 	if buf.Len() != HelloSize {
 		t.Fatalf("hello is %d bytes, want %d", buf.Len(), HelloSize)
 	}
-	v, err := ReadHello(&buf)
-	if err != nil || v != Version {
-		t.Fatalf("hello round trip: v=%d err=%v", v, err)
+	if err := ReadHello(&buf); err != nil {
+		t.Fatalf("hello round trip: %v", err)
 	}
-	if _, err := ReadHello(bytes.NewReader([]byte("notckpd"))); !errors.Is(err, ErrBadMagic) {
+	if err := ReadHello(bytes.NewReader([]byte("notckpd"))); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("bad magic accepted: %v", err)
 	}
-	if _, err := ReadHello(bytes.NewReader([]byte{1, 2})); err == nil {
+	if err := ReadHello(bytes.NewReader([]byte{1, 2})); err == nil {
 		t.Fatal("short hello accepted")
 	}
 }
@@ -98,56 +97,30 @@ func TestHandshake(t *testing.T) {
 	if err := WriteHello(&peer); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Handshake(pipeRW{&peer, &ours})
-	if err != nil || got != Version {
-		t.Fatalf("same-version handshake: v=%d err=%v", got, err)
+	if err := Handshake(pipeRW{&peer, &ours}); err != nil {
+		t.Fatalf("same-version handshake: %v", err)
 	}
-	v, err := ReadHello(&ours)
-	if err != nil || v != Version {
-		t.Fatalf("handshake wrote bad hello: v=%d err=%v", v, err)
+	if err := ReadHello(&ours); err != nil {
+		t.Fatalf("handshake wrote bad hello: %v", err)
 	}
 }
 
-func TestHandshakeNegotiation(t *testing.T) {
-	cases := []struct {
-		ours, theirs uint8
-		want         uint8
-		ok           bool
-	}{
-		{Version, Version, Version, true},
-		// A newer peer settles on our version; a MinVersion peer pulls
-		// us down to its level.
-		{Version, Version + 3, Version, true},
-		{Version, MinVersion, MinVersion, true},
-		{MinVersion, Version, MinVersion, true},
-		// Anything below the floor is refused, on either side.
-		{Version, MinVersion - 1, 0, false},
-		{MinVersion - 1, Version, 0, false},
-		{Version, 0, 0, false},
-	}
-	for _, c := range cases {
-		var peer, out bytes.Buffer
-		if err := WriteHelloVersion(&peer, c.theirs); err != nil {
-			t.Fatal(err)
+// TestHandshakeExactVersion: there is one protocol floor. A hello
+// advertising any version but ours — older or newer — is refused with
+// a *VersionError naming the peer's version, and the refusal is
+// terminal.
+func TestHandshakeExactVersion(t *testing.T) {
+	for _, theirs := range []uint8{0, 3, Version - 1, Version + 1, 255} {
+		peer := bytes.NewBuffer([]byte{0x43, 0x4b, 0x50, 0x44, theirs, 0})
+		var out bytes.Buffer
+		err := Handshake(pipeRW{peer, &out})
+		var ve *VersionError
+		if !errors.As(err, &ve) || ve.Peer != theirs {
+			t.Fatalf("handshake with a v%d peer: %v, want a VersionError naming it", theirs, err)
 		}
-		got, err := HandshakeVersion(pipeRW{&peer, &out}, c.ours)
-		if c.ok {
-			if err != nil || got != c.want {
-				t.Fatalf("handshake(ours=%d, theirs=%d): got %d, %v; want %d", c.ours, c.theirs, got, err, c.want)
-			}
-		} else if err == nil {
-			t.Fatalf("handshake(ours=%d, theirs=%d) accepted, want refusal", c.ours, c.theirs)
+		if Transient(err) {
+			t.Fatalf("version mismatch %v classified transient", err)
 		}
-	}
-}
-
-func TestHandshakeVersionMismatch(t *testing.T) {
-	var peer bytes.Buffer
-	b := []byte{0x43, 0x4b, 0x50, 0x44, MinVersion - 1, 0}
-	peer.Write(b)
-	var out bytes.Buffer
-	if _, err := Handshake(pipeRW{&peer, &out}); err == nil {
-		t.Fatal("below-floor version accepted")
 	}
 }
 
@@ -218,11 +191,9 @@ func TestOpenInfoRoundTrip(t *testing.T) {
 			t.Fatalf("open info %d: got %d, %v", base, got, err)
 		}
 	}
-	// An empty payload (v1-era response) decodes as baseline 0.
-	if got, err := DecodeOpenInfo(nil); err != nil || got != 0 {
-		t.Fatalf("empty open info: got %d, %v", got, err)
-	}
-	for _, bad := range [][]byte{{1}, {1, 2, 3}, {1, 2, 3, 4, 5}} {
+	// The payload has one layout; the empty response of a v1-era
+	// server is refused like any other wrong size.
+	for _, bad := range [][]byte{nil, {1}, {1, 2, 3}, {1, 2, 3, 4, 5}} {
 		if _, err := DecodeOpenInfo(bad); err == nil {
 			t.Fatalf("open info of %d bytes accepted", len(bad))
 		}

@@ -1,0 +1,454 @@
+// Package wireclient is the one client side of the ckptd wire protocol
+// (internal/wire). Everything that talks to a server — gpuckpt.Client,
+// the replication follower, the anti-entropy reconciler — goes through
+// it and so inherits the same checks: the only dial+handshake, the
+// only request/response round trip (per-operation deadlines, typed
+// remote errors, response-type match), the per-connection handle
+// cache, one retry rule and one seeded jittered backoff.
+//
+// A Client multiplexes over a bounded connpool.Pool and is safe for
+// concurrent use. A checked-out Conn belongs to one goroutine; its
+// state (handle cache, frame buffers, the caller's Ext) dies with its
+// socket, so nothing cached against one server epoch can be replayed
+// against another.
+package wireclient
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"net"
+	"sync"
+	"time"
+
+	"github.com/gpuckpt/gpuckpt/internal/connpool"
+	"github.com/gpuckpt/gpuckpt/internal/wire"
+)
+
+// Dialer opens the transport to a server; tests and the chaos suite
+// interpose fault-injecting connections through it.
+type Dialer func(addr string, timeout time.Duration) (net.Conn, error)
+
+// Defaults applied by New for zero Options fields.
+const (
+	DefaultTimeout  = 30 * time.Second
+	DefaultMaxConns = 4
+)
+
+// Options configures a Client.
+type Options struct {
+	// Timeout bounds the dial, the handshake, and each per-operation
+	// read and write (0 selects DefaultTimeout).
+	Timeout time.Duration
+	// Dialer replaces net.DialTimeout.
+	Dialer Dialer
+	// MaxConns bounds the connection pool (0 selects DefaultMaxConns).
+	MaxConns int
+	// Retry is the transient-failure retry policy; zero fields take
+	// defaults.
+	Retry RetryPolicy
+}
+
+// RetryPolicy bounds and paces the client's retries of transiently
+// failed requests. The delay before attempt k (k≥2) is
+// BaseDelay·Multiplier^(k-2) clamped to MaxDelay, spread by ±Jitter,
+// and floored at a load-shedding server's retry-after hint.
+type RetryPolicy struct {
+	// MaxAttempts is the total number of tries per request, first
+	// attempt included (default 4).
+	MaxAttempts int
+	// BaseDelay is the backoff before the second attempt (default 50ms).
+	BaseDelay time.Duration
+	// MaxDelay caps the grown backoff (default 2s).
+	MaxDelay time.Duration
+	// Multiplier grows the delay between consecutive attempts
+	// (default 2).
+	Multiplier float64
+	// Jitter spreads each delay uniformly over ±Jitter·delay so
+	// lock-step clients don't retry in convoy (default 0.2).
+	Jitter float64
+	// Seed seeds the jitter RNG; 0 selects a fixed default. Tests use
+	// distinct seeds for reproducible-yet-decorrelated schedules.
+	Seed int64
+	// Sleep replaces the retry wait; tests stub it to run retry
+	// schedules instantly. When nil (the default) the wait runs on a
+	// timer that a cancelled context abandons immediately — a stubbed
+	// Sleep is still bracketed by context checks, but cannot itself be
+	// interrupted mid-wait.
+	Sleep func(time.Duration)
+}
+
+func (p *RetryPolicy) fill() {
+	if p.MaxAttempts <= 0 {
+		p.MaxAttempts = 4
+	}
+	if p.BaseDelay <= 0 {
+		p.BaseDelay = 50 * time.Millisecond
+	}
+	if p.MaxDelay <= 0 {
+		p.MaxDelay = 2 * time.Second
+	}
+	if p.Multiplier < 1 {
+		p.Multiplier = 2
+	}
+	if p.Jitter <= 0 || p.Jitter > 1 {
+		p.Jitter = 0.2
+	}
+	if p.Seed == 0 {
+		p.Seed = 1
+	}
+}
+
+// Backoff is the repository's one jittered exponential backoff: the
+// client's retry waits, the follower's reconnect loop and the
+// reconciler workers' unreachable-peer probes all draw from it. Seeded
+// explicitly, so chaos schedules stay deterministic; safe for
+// concurrent use.
+type Backoff struct {
+	p RetryPolicy
+
+	mu sync.Mutex
+	//ckptlint:guardedby mu
+	rng *rand.Rand
+}
+
+// NewBackoff builds a backoff over p's delay fields (zero fields take
+// the RetryPolicy defaults).
+func NewBackoff(p RetryPolicy) *Backoff {
+	p.fill()
+	return &Backoff{p: p, rng: rand.New(rand.NewSource(p.Seed))}
+}
+
+// Delay returns the wait before attempt, counting from 2 (the first
+// retry); floor is a server-provided retry-after hint (0 if none).
+func (b *Backoff) Delay(attempt int, floor time.Duration) time.Duration {
+	d := float64(b.p.BaseDelay)
+	for i := 2; i < attempt && d < float64(b.p.MaxDelay); i++ {
+		d *= b.p.Multiplier
+	}
+	b.mu.Lock()
+	spread := 1 + b.p.Jitter*(2*b.rng.Float64()-1)
+	b.mu.Unlock()
+	return max(time.Duration(min(d, float64(b.p.MaxDelay))*spread), floor)
+}
+
+// wait sleeps out Delay(attempt, floor), abandoning the wait with the
+// context's error the moment ctx is cancelled.
+func (b *Backoff) wait(ctx context.Context, attempt int, floor time.Duration) error {
+	d := b.Delay(attempt, floor)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if b.p.Sleep != nil {
+		b.p.Sleep(d)
+		return ctx.Err()
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-timer.C:
+		return nil
+	}
+}
+
+// Client is a pooled, retrying connection to one ckptd server. It
+// implements antientropy.Peer. A Client must be Closed (ckptlint
+// closecontract).
+type Client struct {
+	addr    string
+	timeout time.Duration
+	dialer  Dialer
+	backoff *Backoff // also carries the filled RetryPolicy
+	pool    *connpool.Pool
+}
+
+// New builds a client for the server at addr. No connection is dialed
+// until the first request (or Get).
+func New(addr string, opts Options) (*Client, error) {
+	if addr == "" {
+		return nil, errors.New("wireclient: server address is required")
+	}
+	if opts.Timeout <= 0 {
+		opts.Timeout = DefaultTimeout
+	}
+	if opts.Dialer == nil {
+		opts.Dialer = func(addr string, timeout time.Duration) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, timeout)
+		}
+	}
+	if opts.MaxConns <= 0 {
+		opts.MaxConns = DefaultMaxConns
+	}
+	c := &Client{addr: addr, timeout: opts.Timeout, dialer: opts.Dialer, backoff: NewBackoff(opts.Retry)}
+	pool, err := connpool.New(connpool.Options{
+		Dial:        c.dial,
+		MaxActive:   opts.MaxConns,
+		WaitTimeout: opts.Timeout,
+	})
+	if err != nil {
+		return nil, err
+	}
+	c.pool = pool
+	return c, nil
+}
+
+// Addr identifies the server for logs and stats.
+func (c *Client) Addr() string { return c.addr }
+
+// Close releases every pooled connection. Idempotent.
+func (c *Client) Close() error { return c.pool.Close() }
+
+// dial opens one pooled connection: dial, handshake, fresh protocol
+// state. The deadline covers only the handshake — each operation then
+// arms its own read/write deadlines, so a long-lived pooled connection
+// never runs on a stale connect-time deadline.
+func (c *Client) dial() (net.Conn, any, error) {
+	nc, err := c.dialer(c.addr, c.timeout)
+	if err != nil {
+		return nil, nil, fmt.Errorf("wireclient: dial %s: %w", c.addr, err)
+	}
+	nc.SetDeadline(time.Now().Add(c.timeout))
+	if err := wire.Handshake(nc); err != nil {
+		nc.Close()
+		return nil, nil, fmt.Errorf("wireclient: handshake with %s: %w", c.addr, err)
+	}
+	nc.SetDeadline(time.Time{})
+	return nc, &Conn{NC: nc, timeout: c.timeout, handles: make(map[string]uint32)}, nil
+}
+
+// Conn is one checked-out connection and its protocol state. Exactly
+// one of Release or Discard must be called when the caller is done
+// with it.
+type Conn struct {
+	// NC is the underlying socket, for callers that take the
+	// connection out of request/response mode (push streams, tail
+	// subscriptions) and arm their own deadlines.
+	NC net.Conn
+	// Ext is caller-owned state that must share the socket's lifetime
+	// (the public client parks its push-stream staging buffers here).
+	Ext any
+
+	pc      *connpool.Conn
+	timeout time.Duration
+	handles map[string]uint32 // lineage name -> server handle (this connection epoch)
+
+	stage   []byte      // staged request header
+	vec     net.Buffers // writev segment list: header, then payload by reference
+	resp    wire.Frame  // response frame, payload aliasing scratch
+	scratch []byte
+}
+
+// Get checks out a connection, dialing one if the pool has none idle.
+func (c *Client) Get() (*Conn, error) {
+	pc, err := c.pool.Get()
+	if err != nil {
+		return nil, err
+	}
+	cn := pc.Session.(*Conn)
+	cn.pc = pc
+	return cn, nil
+}
+
+// Release returns a healthy connection to the pool.
+func (cn *Conn) Release() { cn.pc.Release() }
+
+// Discard closes a broken connection, dropping its cached state.
+func (cn *Conn) Discard() { cn.pc.Discard() }
+
+// RoundTrip performs one framed request/response. Deadlines arm per
+// phase — write before the request goes out, read after — so a slow
+// large pull gets the full timeout for its read. A non-OK status
+// surfaces as its typed *wire.RemoteError; a response of any type but
+// the request's is wire.ErrUnexpectedResponse (TResync answering
+// TSubscribe is the one declared exception). The payload rides to the
+// socket by reference, and the returned frame aliases the connection's
+// reused buffers: it is valid until the next round trip.
+func (cn *Conn) RoundTrip(req *wire.Frame) (*wire.Frame, error) {
+	stage, err := wire.AppendFrameHeader(cn.stage[:0], req.Type, req.Status, req.Lineage, req.Ckpt, len(req.Payload))
+	if err != nil {
+		return nil, err
+	}
+	cn.stage = stage
+	cn.vec = append(cn.vec[:0], stage)
+	if len(req.Payload) > 0 {
+		cn.vec = append(cn.vec, req.Payload)
+	}
+	cn.NC.SetWriteDeadline(time.Now().Add(cn.timeout))
+	// WriteTo consumes cn.vec in place; restore the header afterwards
+	// to keep the backing array for the next request.
+	saved := cn.vec
+	err = wire.WriteFrameVec(cn.NC, &cn.vec)
+	cn.vec = saved[:0]
+	if err != nil {
+		return nil, err
+	}
+	cn.NC.SetReadDeadline(time.Now().Add(cn.timeout))
+	if err := wire.ReadFrameInto(cn.NC, 0, &cn.resp, &cn.scratch); err != nil {
+		return nil, err
+	}
+	if err := cn.resp.Err(); err != nil {
+		return nil, err
+	}
+	if cn.resp.Type != req.Type && !(req.Type == wire.TSubscribe && cn.resp.Type == wire.TResync) {
+		return nil, fmt.Errorf("%w: type 0x%02x to request 0x%02x", wire.ErrUnexpectedResponse, cn.resp.Type, req.Type)
+	}
+	return &cn.resp, nil
+}
+
+// Open resolves a lineage name with a TOpen round trip, refreshing the
+// connection's handle cache, and returns the handle plus the lineage's
+// current length and compaction baseline.
+func (cn *Conn) Open(name string) (handle uint32, length, base int, err error) {
+	resp, err := cn.RoundTrip(&wire.Frame{Type: wire.TOpen, Payload: []byte(name)})
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	b, err := wire.DecodeOpenInfo(resp.Payload)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("wireclient: open %q: %w", name, err)
+	}
+	cn.handles[name] = resp.Lineage
+	return resp.Lineage, int(resp.Ckpt), int(b), nil
+}
+
+// Handle returns name's lineage handle on this connection, opening it
+// if the connection has not cached it yet.
+func (cn *Conn) Handle(name string) (uint32, error) {
+	if h, ok := cn.handles[name]; ok {
+		return h, nil
+	}
+	h, _, _, err := cn.Open(name)
+	return h, err
+}
+
+// settle disposes of a connection after a failed attempt and reports
+// whether another attempt is worthwhile. Remote errors keep the
+// connection (the server answered); only busy sheds and unknown-handle
+// epochs among them retry — both assert the request was NOT executed.
+// Anything else taints the connection. cn is nil when the checkout
+// itself failed.
+func (c *Client) settle(cn *Conn, name string, err error) bool {
+	if cn == nil {
+		return !errors.Is(err, connpool.ErrClosed) && wire.Transient(err)
+	}
+	var re *wire.RemoteError
+	if errors.As(err, &re) {
+		if re.UnknownHandle && name != "" {
+			// Prune the stale handle here and from every idle sibling
+			// that cached it in the same dead epoch.
+			delete(cn.handles, name)
+			c.pool.ForEachIdle(func(_ net.Conn, s any) { delete(s.(*Conn).handles, name) })
+		}
+		cn.Release()
+		return re.Busy || re.UnknownHandle
+	}
+	cn.Discard()
+	// wire.Transient calls net.ErrClosed terminal (a server must not
+	// spin on its own closed listener), but here it can only mean the
+	// pooled socket died under us, and redialing is the right response.
+	//ckptlint:ignore retryable deliberate client-side exception to the wire taxonomy, see above
+	return wire.Transient(err) || errors.Is(err, net.ErrClosed)
+}
+
+// Do runs op on a checked-out connection — the one retry loop. A
+// failed attempt is settled and, when retryable, replayed on a fresh
+// checkout after the backoff, up to MaxAttempts. name, when non-empty,
+// is the lineage op addresses (see settle). Cancelling ctx between
+// attempts ends the schedule with the context's error wrapping
+// whatever failed last. op must not Release or Discard.
+func (c *Client) Do(ctx context.Context, name string, op func(*Conn) error) error {
+	var lastErr error
+	attempts := c.backoff.p.MaxAttempts
+	for attempt := 1; attempt <= attempts; attempt++ {
+		if attempt > 1 {
+			var hint time.Duration
+			var re *wire.RemoteError
+			if errors.As(lastErr, &re) && re.Busy {
+				hint = re.RetryAfter
+			}
+			if err := c.backoff.wait(ctx, attempt, hint); err != nil {
+				return fmt.Errorf("%w (last attempt: %w)", err, lastErr)
+			}
+		}
+		cn, err := c.Get()
+		if err == nil {
+			if err = op(cn); err == nil {
+				cn.Release()
+				return nil
+			}
+		}
+		if !c.settle(cn, name, err) {
+			return err
+		}
+		lastErr = err
+	}
+	return fmt.Errorf("wireclient: request to %s failed after %d attempt(s): %w", c.addr, attempts, lastErr)
+}
+
+// Call sends req under Do and returns the server's response. When
+// name is non-empty the request addresses that lineage and its handle
+// is resolved on the serving connection first (into req.Lineage). The
+// returned frame's payload is owned by the caller.
+func (c *Client) Call(ctx context.Context, name string, req *wire.Frame) (wire.Frame, error) {
+	var out wire.Frame
+	err := c.Do(ctx, name, func(cn *Conn) error {
+		if name != "" {
+			h, err := cn.Handle(name)
+			if err != nil {
+				return err
+			}
+			req.Lineage = h
+		}
+		resp, err := cn.RoundTrip(req)
+		if err != nil {
+			return err
+		}
+		// Hand the payload buffer over instead of copying it out; the
+		// connection grows a fresh one on its next read.
+		out, cn.scratch = *resp, nil
+		return nil
+	})
+	return out, err
+}
+
+// Open resolves a lineage name to its current (never cached) length
+// and compaction baseline, creating the lineage if it does not exist.
+func (c *Client) Open(name string) (length, base int, err error) {
+	err = c.Do(context.Background(), name, func(cn *Conn) error {
+		_, length, base, err = cn.Open(name)
+		return err
+	})
+	return length, base, err
+}
+
+// Pull fetches checkpoint ck's canonical encoded bytes.
+func (c *Client) Pull(lineage string, ck int) ([]byte, error) {
+	resp, err := c.Call(context.Background(), lineage, &wire.Frame{Type: wire.TPull, Ckpt: uint32(ck)})
+	return resp.Payload, err
+}
+
+// Digest requests a span digest of lineage. A server that is alive
+// but cannot verify its own span surfaces as a *wire.RemoteError.
+func (c *Client) Digest(lineage string, q wire.DigestReq) (wire.DigestResp, error) {
+	resp, err := c.Call(context.Background(), lineage, &wire.Frame{Type: wire.TDigest, Payload: wire.EncodeDigestReq(q)})
+	if err != nil {
+		return wire.DigestResp{}, err
+	}
+	d, err := wire.DecodeDigestResp(resp.Payload)
+	if err != nil {
+		return wire.DigestResp{}, fmt.Errorf("wireclient: digest %q: %w", lineage, err)
+	}
+	return d, nil
+}
+
+// List fetches the server's lineage directory.
+func (c *Client) List() ([]wire.LineageInfo, error) {
+	resp, err := c.Call(context.Background(), "", &wire.Frame{Type: wire.TList})
+	if err != nil {
+		return nil, err
+	}
+	return wire.DecodeList(resp.Payload)
+}

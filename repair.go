@@ -1,14 +1,11 @@
 package gpuckpt
 
 import (
-	"bytes"
 	"fmt"
-	"math"
 	"sort"
 
 	"github.com/gpuckpt/gpuckpt/internal/antientropy"
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
-	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
 
 // RepairReport summarizes a ScrubDir or Client.Repair pass over a
@@ -49,37 +46,6 @@ func ScrubDir(dir string) (*RepairReport, error) {
 	return &RepairReport{Checked: sr.Checked, Corrupt: sr.Corrupt, Unverified: sr.Unverified}, nil
 }
 
-// clientPeer adapts a *Client into the reconciler's Peer view of the
-// server: digests ride TDigest, pulls ride TPull, both under the
-// client's pooling and retry policy.
-type clientPeer struct{ c *Client }
-
-func (p *clientPeer) Addr() string { return p.c.addr }
-
-func (p *clientPeer) Digest(name string, q wire.DigestReq) (wire.DigestResp, error) {
-	d, err := p.c.Digest(name, int(q.Lo), int(q.Hi), q.Detail)
-	if err != nil {
-		return wire.DigestResp{}, err
-	}
-	if d.Len > math.MaxUint32 {
-		return wire.DigestResp{}, fmt.Errorf("gpuckpt: digest length %d overflows the wire form", d.Len)
-	}
-	return wire.DigestResp{
-		Base:       uint32(d.Base),
-		Len:        uint32(d.Len),
-		Generation: d.Generation,
-		CRC:        d.CRC,
-		Root:       d.Root,
-		SpanLo:     uint32(d.SpanLo),
-		SpanHi:     uint32(d.SpanHi),
-		Detail:     d.Detail,
-	}, nil
-}
-
-func (p *clientPeer) Pull(name string, ck int) ([]byte, error) { return p.c.PullDiff(name, ck) }
-
-func (p *clientPeer) Close() error { return nil }
-
 // Repair converges the local checkpoint directory dir with the
 // server's lineage name — the recovery path for bit rot on a node's
 // local store when a ckptd peer holds a replica. It runs one
@@ -93,9 +59,6 @@ func (p *clientPeer) Close() error { return nil }
 // equally-verified copy is divergence and comes back as an error
 // matching antientropy.ErrDiverged — Repair never overwrites good
 // local data with conflicting server data.
-//
-// Against a server predating wire v6 digests, Repair degrades to the
-// scrub-and-refetch pass over the locally detected damage alone.
 //
 // Repair returns the report even when some diffs could not be
 // repaired (server missing the lineage, id compacted away); the error
@@ -128,15 +91,12 @@ func (c *Client) Repair(dir, name string) (*RepairReport, error) {
 	rec, err := antientropy.NewReconciler(antientropy.Config{
 		Lineage: name,
 		Store:   fs,
-		Peer:    &clientPeer{c: c},
+		Peer:    c.wc,
 	})
 	if err != nil {
 		return rep, err
 	}
-	res, roundErr := rec.Round()
-	if roundErr == nil && res.Outcome == antientropy.OutcomeUnsupported {
-		return c.repairLegacy(fs, rep, dir, name, broken)
-	}
+	_, roundErr := rec.Round()
 	// Repaired is whatever stopped being an open hole: the scrub's
 	// damage list minus the quarantines still standing afterwards.
 	still := map[int]bool{}
@@ -156,43 +116,4 @@ func (c *Client) Repair(dir, name string) (*RepairReport, error) {
 		roundErr = fmt.Errorf("gpuckpt: repair %s: %w", dir, roundErr)
 	}
 	return rep, roundErr
-}
-
-// repairLegacy refetches the locally detected damage diff-by-diff —
-// the pre-digest repair path, kept for servers without TDigest.
-func (c *Client) repairLegacy(fs *checkpoint.FileStore, rep *RepairReport, dir, name string, broken []int) (*RepairReport, error) {
-	var firstErr error
-	for _, ck := range broken {
-		b, err := c.PullDiff(name, ck)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("gpuckpt: repair %s ckpt %d: %w", dir, ck, err)
-			}
-			continue
-		}
-		d, err := checkpoint.Decode(bytes.NewReader(b))
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("gpuckpt: repair %s ckpt %d: server bytes undecodable: %w", dir, ck, err)
-			}
-			continue
-		}
-		if int(d.CkptID) != ck {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("gpuckpt: repair %s ckpt %d: server returned diff id %d", dir, ck, d.CkptID)
-			}
-			continue
-		}
-		if err := fs.ReinstallDiff(d); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("gpuckpt: repair %s ckpt %d: %w", dir, ck, err)
-			}
-			continue
-		}
-		if err := fs.ClearQuarantine(ck); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		rep.Repaired = append(rep.Repaired, ck)
-	}
-	return rep, firstErr
 }

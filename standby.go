@@ -17,9 +17,6 @@ type FollowerConfig struct {
 	Dir string
 	// Timeout bounds dials and round trips (default 10s).
 	Timeout time.Duration
-	// PollInterval is the tail cadence against a v4 primary that
-	// cannot stream (default 200ms).
-	PollInterval time.Duration
 	// Dialer replaces net.DialTimeout, letting tests interpose a
 	// fault-injecting transport.
 	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
@@ -52,10 +49,10 @@ type Promotion struct {
 }
 
 // Follower is a live hot standby: it tails a primary's diff stream
-// for one lineage (wire v5 subscription, with poll fallback against
-// v4 primaries) and keeps both a durable local mirror and an applied
-// in-memory image current. Promote turns it into a serving-ready
-// replica in O(1). A Follower must be Closed.
+// for one lineage (a TSubscribe subscription) and keeps both a
+// durable local mirror and an applied in-memory image current.
+// Promote turns it into a serving-ready replica in O(1). A Follower
+// must be Closed.
 type Follower struct {
 	fl *follower.Follower
 }
@@ -65,14 +62,13 @@ type Follower struct {
 // Close.
 func NewFollower(addr string, cfg FollowerConfig) (*Follower, error) {
 	fl, err := follower.New(follower.Options{
-		Addr:         addr,
-		Lineage:      cfg.Lineage,
-		Dir:          cfg.Dir,
-		Timeout:      cfg.Timeout,
-		PollInterval: cfg.PollInterval,
-		Dialer:       cfg.Dialer,
-		Logf:         cfg.Logf,
-		OnApply:      cfg.OnApply,
+		Addr:    addr,
+		Lineage: cfg.Lineage,
+		Dir:     cfg.Dir,
+		Timeout: cfg.Timeout,
+		Dialer:  cfg.Dialer,
+		Logf:    cfg.Logf,
+		OnApply: cfg.OnApply,
 	})
 	if err != nil {
 		return nil, err
@@ -112,13 +108,9 @@ func (f *Follower) Close() error { return f.fl.Close() }
 // Lineages lists the lineage directory of the primary at addr — the
 // discovery step before spawning one Follower per lineage.
 func Lineages(addr string, timeout time.Duration) ([]LineageInfo, error) {
-	infos, err := follower.Lineages(addr, timeout, nil)
+	infos, err := follower.Lineages(addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]LineageInfo, len(infos))
-	for i, in := range infos {
-		out[i] = LineageInfo{Name: in.Name, Len: int(in.Len), Base: int(in.Base), Bytes: int64(in.Bytes)}
-	}
-	return out, nil
+	return lineageInfos(infos), nil
 }
