@@ -18,7 +18,7 @@ FUZZ_TARGETS = \
 	FuzzDiffDecode:./internal/checkpoint \
 	FuzzRestore:./internal/checkpoint \
 	FuzzManifestDecode:./internal/checkpoint \
-	FuzzDiffChecksum:./internal/checkpoint \
+	FuzzSegmentScan:./internal/checkpoint \
 	FuzzBlockIndexDecode:./internal/blockstore \
 	FuzzBlockJournalDecode:./internal/blockstore
 FUZZTIME ?= 5s
@@ -77,9 +77,15 @@ bench-json:
 
 # bench-wire regenerates BENCH_wire.json from the loopback saturation
 # experiment: streamed (windowed TPushStream) push vs per-diff
-# request/response (WriteDiff + Push loop) on the same chain. The run
-# itself enforces the >= 3x streamed-speedup gate at this chain length
-# and fails the target when the wire regresses.
+# request/response (WriteDiff + Push loop) on the same chain, each
+# mode's wall the median of its interleaved reps. The run itself
+# enforces the streamed-speedup gate (saturateMinSpeedup, >= 1.3x)
+# and fails the target when the stream path regresses. The gate was
+# >= 3x while every per-diff push paid a file-per-checkpoint commit;
+# with one segment per lineage both modes commit the same way, the
+# per-diff baseline is ~1.6x faster, and the ratio left is the
+# overlapped round trip (see cmd/ckptbench/saturate.go for the
+# re-anchoring runs).
 bench-wire:
 	$(GO) run ./cmd/ckptbench -exp saturate -chain 256 -json BENCH_wire.json
 
@@ -125,13 +131,16 @@ fuzz-smoke:
 	done
 
 # chaos-smoke runs the seeded fault-injection suite (internal/faults)
-# under the race detector, plus the TestRace concurrency regression
-# tests guarding the bugs the guardedby/lockorder/goroleak analyzers
-# found (Serve worker join, locked pin reads, idle-session pruning).
-# Every schedule is deterministic — a failure reproduces by rerunning
-# the named test, no flake triage needed.
+# under the race detector, the lineage store's crash-point enumeration
+# and torn-tail / rot classification tests (internal/checkpoint), plus
+# the TestRace concurrency regression tests guarding the bugs the
+# guardedby/lockorder/goroleak analyzers found (Serve worker join,
+# locked pin reads, idle-session pruning). Every schedule is
+# deterministic — a failure reproduces by rerunning the named test, no
+# flake triage needed.
 chaos-smoke:
 	$(GO) test -race -count=1 -run '^TestChaos' ./internal/faults
+	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail)$$' ./internal/checkpoint
 	$(GO) test -race -count=1 -run '^TestRace' \
 		./internal/server ./internal/lifecycle ./internal/connpool
 

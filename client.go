@@ -136,7 +136,7 @@ type CompactInfo struct {
 	// OldBase and NewBase are the lineage baseline before and after;
 	// equal when the retention policy had nothing to fold.
 	OldBase, NewBase int
-	// Pruned counts deleted diff files; Rewritten counts retained
+	// Pruned counts the diffs folded away; Rewritten counts retained
 	// diffs rewritten to drop references into the folded prefix.
 	Pruned, Rewritten int
 	// FreedBytes is the net on-disk change (can be negative for short
@@ -698,10 +698,9 @@ func (c *Client) compact(name string, target uint32) (CompactInfo, error) {
 }
 
 // Compact asks the server to fold the named lineage's prefix into a
-// full baseline at the index chosen by its retention policy, then
-// delete the folded diff files. The transaction is crash-safe on the
-// server and every retained checkpoint restores byte-identically
-// afterwards.
+// full baseline at the index chosen by its retention policy and drop
+// the folded diffs. The fold is crash-safe on the server and every
+// retained checkpoint restores byte-identically afterwards.
 func (c *Client) Compact(name string) (CompactInfo, error) {
 	return c.compact(name, wire.CompactAuto)
 }

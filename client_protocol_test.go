@@ -5,14 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/gpuckpt/gpuckpt/internal/antientropy"
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
+	"github.com/gpuckpt/gpuckpt/internal/faults"
 	"github.com/gpuckpt/gpuckpt/internal/follower"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 	"github.com/gpuckpt/gpuckpt/internal/wireclient"
@@ -95,17 +94,11 @@ func mirrorDir(t *testing.T) string {
 	return dir
 }
 
-// rotMirror flips one payload byte of the mirror's second diff, so a
-// follower's Heal must re-pull it.
+// rotMirror flips one bit of the mirror's second diff, so a follower's
+// Heal must re-pull it.
 func rotMirror(t *testing.T, dir string) {
 	t.Helper()
-	path := filepath.Join(dir, "ckpt-000001.gckp")
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/2] ^= 0x40
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	if _, _, _, err := faults.New(1).RotStoredDiff(dir, 1); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -216,17 +216,9 @@ func storageRow(t *metrics.Table, seed int64, addr string, images, encoded [][]b
 	}
 
 	// Rot two diffs on disk: one deterministic bit flipped in each.
-	files, err := fs.Files()
-	if err != nil {
-		return err
-	}
-	victims := []int{1, len(files) - 2}
+	victims := []int{1, len(encoded) - 2}
 	for _, v := range victims {
-		raw, err := os.ReadFile(files[v])
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(files[v], in.FlipBit(raw), 0o644); err != nil {
+		if _, _, _, err := in.RotStoredDiff(dir, v); err != nil {
 			return err
 		}
 	}

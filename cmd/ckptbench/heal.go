@@ -13,6 +13,7 @@ import (
 
 	gpuckpt "github.com/gpuckpt/gpuckpt"
 	"github.com/gpuckpt/gpuckpt/internal/experiments"
+	"github.com/gpuckpt/gpuckpt/internal/faults"
 	"github.com/gpuckpt/gpuckpt/internal/metrics"
 	"github.com/gpuckpt/gpuckpt/internal/server"
 )
@@ -24,8 +25,8 @@ import (
 // numbers that matter:
 //
 //   - heal wall: replica start to full convergence (every rotten diff
-//     quarantined, re-pulled from the healthy peer, verified and
-//     reinstalled, zero quarantines left) — the window during which a
+//     re-pulled from the healthy peer, verified and reinstalled, zero
+//     holes left) — the window during which a
 //     client restore through the damaged span would fail;
 //   - heal throughput: verified bytes refetched per second of wall,
 //     the capacity number for sizing anti-entropy against rot rates;
@@ -153,15 +154,9 @@ func healExperiment(cfg experiments.Config, chain int, jsonPath string) (*metric
 		rotted = 1
 	}
 	stride := chain / rotted
+	in := faults.New(cfg.Seed)
 	for i := 0; i < rotted; i++ {
-		path := filepath.Join(rootA, "heal", fmt.Sprintf("ckpt-%06d.gckp", i*stride))
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		bit := rng.Intn(len(raw) * 8)
-		raw[bit/8] ^= 1 << (bit % 8)
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
+		if _, _, _, err := in.RotStoredDiff(filepath.Join(rootA, "heal"), i*stride); err != nil {
 			return nil, err
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	gpuckpt "github.com/gpuckpt/gpuckpt"
+	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 )
 
 // standbyDaemon runs ckptd in -follow mode and returns a channel of
@@ -120,8 +121,13 @@ func TestStandbyFailover(t *testing.T) {
 
 	// Wait for the mirror to hold the whole chain before the kill.
 	mirrorReady := func() bool {
-		files, _ := filepath.Glob(filepath.Join(standbyRoot, "job", "ckpt-*.gckp"))
-		return len(files) == chain
+		mirror, err := checkpoint.NewFileStoreWith(filepath.Join(standbyRoot, "job"), nil)
+		if err != nil {
+			return false
+		}
+		defer mirror.Close()
+		n, _ := mirror.Len()
+		return n == chain
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for !mirrorReady() && time.Now().Before(deadline) {

@@ -157,9 +157,9 @@ func run(args []string, stdout io.Writer) error {
 		if n == store.Base() {
 			return fmt.Errorf("lineage directory %s is empty", *dirPath)
 		}
-		// DiffBytes verifies and strips each file's integrity footer
-		// and reassembles block-mapped containers from the shared
-		// block store, so raw is always the canonical diff stream.
+		// DiffBytes verifies each stored record's checksums and
+		// reassembles block-mapped containers from the shared block
+		// store, so raw is always the canonical diff stream.
 		for ck := store.Base(); ck < n; ck++ {
 			b, err := store.DiffBytes(ck)
 			if err != nil {

@@ -151,8 +151,8 @@ type Config struct {
 	// deactivated" when the data fully changes in an interval).
 	AutoFallback bool
 	// PersistDir, when set, appends every produced diff to a lineage
-	// directory (one atomically-written file per checkpoint) so the
-	// record survives the process — the bottom of the §2.3 storage
+	// directory (one fsynced record per checkpoint in its append-only
+	// segment) so the record survives the process — the bottom of the §2.3 storage
 	// hierarchy. Restore it later with ReadRecordDir.
 	PersistDir string
 	// Ablation switches for the §2.4 design-choice studies.
@@ -232,9 +232,8 @@ func New(cfg Config, dataLen int) (*Checkpointer, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n, err := store.Len(); err != nil {
-			return nil, err
-		} else if n != 0 {
+		if n, _ := store.Len(); n != 0 {
+			store.Close()
 			return nil, fmt.Errorf("gpuckpt: persist dir %s already holds %d diffs", cfg.PersistDir, n)
 		}
 		c.store = store
@@ -500,7 +499,7 @@ func (r *Record) Restore(k int) ([]byte, error) {
 func (r *Record) TotalBytes() int64 { return r.rec.TotalBytes() }
 
 // SaveRecordDir persists the current lineage into an empty directory,
-// one atomically-written diff file per checkpoint.
+// as one atomically committed batch.
 func (c *Checkpointer) SaveRecordDir(dir string) error {
 	store, err := checkpoint.NewFileStore(dir)
 	if err != nil {
@@ -513,7 +512,9 @@ func (c *Checkpointer) SaveRecordDir(dir string) error {
 // ReadRecordDir loads a lineage directory written by PersistDir or
 // SaveRecordDir into a restorable Record. For a compacted directory
 // the record's Base reports the compaction baseline and Restore keeps
-// accepting the original absolute indices.
+// accepting the original absolute indices. A directory of the replaced
+// file-per-checkpoint layout is refused with an error matching
+// checkpoint.ErrOldLayout, here and in CompactDir.
 func ReadRecordDir(dir string) (*Record, error) {
 	store, err := checkpoint.NewFileStore(dir)
 	if err != nil {
@@ -534,7 +535,7 @@ type CompactStats struct {
 	// OldBase and NewBase are the restorable-range start before and
 	// after; equal when the policy had nothing to fold.
 	OldBase, NewBase int
-	// PrunedDiffs counts deleted diff files; RewrittenDiffs counts
+	// PrunedDiffs counts the diffs folded away; RewrittenDiffs counts
 	// retained diffs rewritten to drop references into the folded
 	// prefix.
 	PrunedDiffs, RewrittenDiffs int
@@ -545,10 +546,11 @@ type CompactStats struct {
 
 // CompactDir folds the prefix of the lineage directory dir into a full
 // baseline at the index chosen by policy ("keep-all", "keep-last=N",
-// "keep-every=K") and deletes the folded diff files. The transaction
-// is crash-safe: interrupted runs leave every retained checkpoint
-// restorable, and the next open (or CompactDir call) completes the
-// cleanup. workers bounds the restore worker pool (0 = GOMAXPROCS).
+// "keep-every=K") and drops the folded diffs. The fold is one
+// crash-safe span install: an interrupted run leaves either the old
+// lineage or the folded one, every retained checkpoint restorable, and
+// the next write to the directory removes the loser's leftovers.
+// workers bounds the restore worker pool (0 = GOMAXPROCS).
 func CompactDir(dir, policy string, workers int) (CompactStats, error) {
 	pol, err := lifecycle.ParsePolicy(policy)
 	if err != nil {

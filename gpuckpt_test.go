@@ -2,10 +2,14 @@ package gpuckpt
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
+	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/device"
 )
 
@@ -326,5 +330,29 @@ func TestGPUModelCustomFieldsSurvive(t *testing.T) {
 	if fp.Name != "x" || fp.MemBandwidth != 1 || fp.PCIeBandwidth != 2 ||
 		fp.HashRate != 3 || fp.MapOpRate != 4 || fp.KernelLaunchLatency != 5 || fp.MemCapacity != 6 {
 		t.Fatalf("full model mangled: %+v", fp)
+	}
+}
+
+// TestOldLayoutDirRefused: a directory written by the replaced
+// file-per-checkpoint store is refused typed by the directory-level
+// entry points, and nothing in it is modified.
+func TestOldLayoutDirRefused(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "ckpt-000000.gckp")
+	if err := os.WriteFile(old, []byte("old store"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadRecordDir(dir); !errors.Is(err, checkpoint.ErrOldLayout) {
+		t.Fatalf("ReadRecordDir: %v, want ErrOldLayout", err)
+	}
+	if _, err := CompactDir(dir, "keep-last=1", 0); !errors.Is(err, checkpoint.ErrOldLayout) {
+		t.Fatalf("CompactDir: %v, want ErrOldLayout", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("refused directory now holds %v (%v)", entries, err)
+	}
+	if b, err := os.ReadFile(old); err != nil || string(b) != "old store" {
+		t.Fatalf("refused directory's file changed: %q %v", b, err)
 	}
 }

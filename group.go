@@ -85,10 +85,8 @@ func (g *Group) Protect(name string, dataLen int) error {
 			d.Close()
 			return err
 		}
-		if n, err := store.Len(); err != nil {
-			d.Close()
-			return err
-		} else if n != 0 {
+		if n, _ := store.Len(); n != 0 {
+			store.Close()
 			d.Close()
 			return fmt.Errorf("gpuckpt: member dir for %q already holds %d diffs", name, n)
 		}
@@ -239,14 +237,17 @@ func (g *Group) RestoreLatest() (map[string][]byte, error) {
 	return g.Restore(g.ckpts - 1)
 }
 
-// Close releases the modeled device memory of every member and the
-// shared block store, if one was attached.
+// Close releases the modeled device memory and the lineage store of
+// every member and the shared block store, if one was attached.
 func (g *Group) Close() {
 	if g.closed {
 		return
 	}
 	for _, m := range g.members {
 		m.d.Close()
+		if m.store != nil {
+			m.store.Close() // releases the segment; the block store is the Group's
+		}
 	}
 	if g.blocks != nil {
 		g.blocks.Close()

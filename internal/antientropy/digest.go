@@ -42,14 +42,11 @@ type Store interface {
 	// SpanChecksums returns per-diff content CRCs for [lo, hi);
 	// *checkpoint.CorruptError on rot.
 	SpanChecksums(lo, hi int) ([]uint32, error)
-	// QuarantineDiff moves one rotten diff file aside.
-	QuarantineDiff(ck int) error
-	// QuarantinedIDs lists the quarantine holes still open.
+	// QuarantinedIDs lists the holes still open.
 	QuarantinedIDs() ([]int, error)
-	// ClearQuarantine removes ck's quarantine file after a heal.
-	ClearQuarantine(ck int) error
-	// ReinstallDiff writes a verified diff at its absolute id,
-	// filling a hole or extending the stored suffix.
+	// ReinstallDiff stores a verified diff at its absolute id:
+	// filling a hole, superseding a rotten record, or extending the
+	// stored suffix.
 	ReinstallDiff(d *checkpoint.Diff) error
 	// InstallSpan atomically adopts a peer's authoritative span.
 	InstallSpan(base int, diffs []*checkpoint.Diff) error

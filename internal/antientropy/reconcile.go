@@ -336,23 +336,14 @@ func (r *Reconciler) round() (Result, error) {
 		return res, nil
 	}
 
-	// Refill quarantine holes the peer can cover. Holes below the
-	// baseline are stale forensics from before a fold: drop them so
-	// they stop reading as open damage.
+	// Refill the holes the peer can cover.
 	holes, err := st.QuarantinedIDs()
 	if err != nil {
 		return res, err
 	}
 	for _, ck := range holes {
-		switch {
-		case ck < base:
-			if err := st.ClearQuarantine(ck); err != nil {
-				return res, err
-			}
-			r.cfg.Logf("antientropy %s: dropped stale quarantine of %d (below baseline %d)",
-				r.cfg.Lineage, ck, base)
-		case ck < pLen:
-			if err := r.heal(ck, 0, false, false, &res); err != nil {
+		if ck < pLen {
+			if err := r.heal(ck, 0, false, &res); err != nil {
 				return res, err
 			}
 		}
@@ -364,7 +355,7 @@ func (r *Reconciler) round() (Result, error) {
 		return res, err
 	}
 	for ck := n; ck < pLen; ck++ {
-		if err := r.heal(ck, 0, false, false, &res); err != nil {
+		if err := r.heal(ck, 0, false, &res); err != nil {
 			return res, err
 		}
 	}
@@ -422,7 +413,7 @@ func (r *Reconciler) selfHeal(res *Result) error {
 		if !errors.As(err, &ce) {
 			return err
 		}
-		if err := r.heal(ce.Ckpt, 0, false, true, res); err != nil {
+		if err := r.heal(ce.Ckpt, 0, false, res); err != nil {
 			return err
 		}
 	}
@@ -524,7 +515,7 @@ func (r *Reconciler) repairSpan(lo, hi int, res *Result) error {
 		case err == nil:
 			return &DivergenceError{Lineage: r.cfg.Lineage, Ckpt: ck}
 		case checkpoint.IsCorrupt(err):
-			if err := r.heal(ck, want, true, true, res); err != nil {
+			if err := r.heal(ck, want, true, res); err != nil {
 				return err
 			}
 		default:
@@ -536,13 +527,13 @@ func (r *Reconciler) repairSpan(lo, hi int, res *Result) error {
 
 // heal pulls checkpoint ck from the peer, verifies it (against
 // wantCRC when haveCRC, plus a structural decode and id cross-check),
-// and installs it. Verification happens BEFORE the local quarantine:
-// a failed pull must not leave a self-inflicted hole. When the local
-// file exists and is rotten (quarantine=true) it is moved aside
-// first — the rotten bytes survive as forensic evidence and a crash
-// mid-heal leaves a typed hole, never a half-written diff
-// masquerading as healthy.
-func (r *Reconciler) heal(ck int, wantCRC uint32, haveCRC, quarantine bool, res *Result) error {
+// and installs it with one ReinstallDiff. Verification happens BEFORE
+// the store is touched, so a failed pull changes nothing. The store is
+// append-only: the replacement record supersedes whatever holds the id
+// now — a hole, or a rotten record whose bytes stay in the segment as
+// forensic evidence — and a crash mid-heal leaves either the old state
+// or the new one, never a half-written diff masquerading as healthy.
+func (r *Reconciler) heal(ck int, wantCRC uint32, haveCRC bool, res *Result) error {
 	fail := func(cause error) error {
 		return &HealError{Lineage: r.cfg.Lineage, Ckpt: ck, Cause: cause}
 	}
@@ -560,18 +551,7 @@ func (r *Reconciler) heal(ck int, wantCRC uint32, haveCRC, quarantine bool, res 
 	if int(d.CkptID) != ck {
 		return fail(fmt.Errorf("pull returned diff %d", d.CkptID))
 	}
-	err = r.locked(func() error {
-		if quarantine {
-			if err := r.cfg.Store.QuarantineDiff(ck); err != nil {
-				return err
-			}
-		}
-		if err := r.cfg.Store.ReinstallDiff(d); err != nil {
-			return err
-		}
-		return r.cfg.Store.ClearQuarantine(ck)
-	})
-	if err != nil {
+	if err := r.locked(func() error { return r.cfg.Store.ReinstallDiff(d) }); err != nil {
 		return fail(err)
 	}
 	res.Healed++

@@ -3,12 +3,10 @@ package antientropy
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
+	"github.com/gpuckpt/gpuckpt/internal/faults"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
 
@@ -42,16 +40,10 @@ func appendChain(t *testing.T, st *checkpoint.FileStore, n int, tagOf func(ck in
 
 func defaultTag(ck int) byte { return byte(0x10 + ck) }
 
-// rot flips one payload byte of checkpoint ck's stored file.
+// rot flips one bit of checkpoint ck's stored record.
 func rot(t *testing.T, st *checkpoint.FileStore, ck int) {
 	t.Helper()
-	path := filepath.Join(st.Dir(), fmt.Sprintf("ckpt-%06d.gckp", ck))
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/2] ^= 0x40
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	if _, _, _, err := faults.New(int64(ck)).RotStoredDiff(st.Dir(), ck); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -380,13 +372,10 @@ func TestRoundBothRotten(t *testing.T) {
 	if r.Quarantined() == nil {
 		t.Fatal("Quarantined() must report the fail-stop")
 	}
-	// The local rotten file was never replaced with unverified bytes.
-	b, err := os.ReadFile(filepath.Join(local.Dir(), "ckpt-000003.gckp"))
-	if err != nil {
-		t.Fatalf("rotten diff must remain on disk: %v", err)
-	}
-	if len(b) == 0 {
-		t.Fatal("rotten diff truncated")
+	// The local rotten record was never replaced with unverified
+	// bytes: the id still fails typed.
+	if _, err := local.DiffBytes(3); !checkpoint.IsCorrupt(err) {
+		t.Fatalf("rotten diff must stay rotten, not be papered over: %v", err)
 	}
 }
 

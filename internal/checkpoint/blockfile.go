@@ -9,9 +9,9 @@ import (
 	"github.com/gpuckpt/gpuckpt/internal/blockstore"
 )
 
-// Block-mapped diff container ("GCKD"): the on-disk form of a diff
+// Block-mapped diff container ("GCKD"): the stored form of a diff
 // whose data section lives in the shared content-addressed block
-// store instead of being embedded in the file. The container keeps the
+// store instead of being embedded in the record. The container keeps the
 // canonical diff prefix (header, region metadata, bitmap) verbatim and
 // replaces the data section with a list of block references, so a
 // reader reassembles the EXACT canonical encoding — wire format,
@@ -26,11 +26,11 @@ import (
 //	prefix bytes (canonical diff encoding up to the data section)
 //	refs: {id [16]byte, len u32} x count
 //
-// The container is wrapped in the same CRC32C integrity footer as a
-// self-contained diff file, so SplitFooter and the scrub/quarantine
-// machinery treat both identically; the block payloads themselves are
-// verified by the block store on every read (footer CRC plus a full
-// digest recomputation).
+// The container is the payload of a segment record exactly like a
+// self-contained diff encoding, so the record checksums and the
+// scrub/quarantine machinery treat both identically; the block
+// payloads themselves are verified by the block store on every read
+// (footer CRC plus a full digest recomputation).
 const (
 	blockDiffMagic   = 0x44_4b_43_47 // "GCKD" little-endian
 	blockDiffVersion = 1
@@ -43,26 +43,29 @@ const (
 	maxBlockRefs = 1 << 32
 )
 
-// IsBlockMapped reports whether encoded (a diff file image with the
-// integrity footer already stripped) is a block-mapped container
-// rather than a self-contained diff encoding.
+// IsBlockMapped reports whether encoded (a stored record's payload) is
+// a block-mapped container rather than a self-contained diff encoding.
 func IsBlockMapped(encoded []byte) bool {
 	return len(encoded) >= 4 && binary.LittleEndian.Uint32(encoded) == blockDiffMagic
 }
 
-// encodeBlockDiff serializes a container from the canonical prefix and
-// the interned data-section blocks.
-func encodeBlockDiff(prefix []byte, refs []blockstore.Ref, dataLen uint64) ([]byte, error) {
-	if uint64(len(prefix)) > math.MaxUint32 || uint64(len(refs)) > math.MaxUint32 {
-		return nil, errors.New("checkpoint: block container metadata exceeds format limits")
+// appendBlockDiff appends the container of d to buf: the canonical
+// prefix of d, then refs — the interned blocks of its data section.
+func appendBlockDiff(buf []byte, d *Diff, refs []blockstore.Ref) ([]byte, error) {
+	prefixLen := d.PrefixBytes()
+	if prefixLen > math.MaxUint32 || uint64(len(refs)) > math.MaxUint32 {
+		return buf, errors.New("checkpoint: block container metadata exceeds format limits")
 	}
-	buf := make([]byte, 0, blockDiffHdrSize+len(prefix)+blockRefSize*len(refs))
 	buf = binary.LittleEndian.AppendUint32(buf, blockDiffMagic)
 	buf = append(buf, blockDiffVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(prefix)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(prefixLen))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(refs)))
-	buf = binary.LittleEndian.AppendUint64(buf, dataLen)
-	buf = append(buf, prefix...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(d.Data)))
+	buf, err := d.AppendPrefix(buf)
+	if err != nil {
+		return buf, err
+	}
+	buf = append(buf, d.Bitmap...)
 	for _, r := range refs {
 		buf = append(buf, r.ID[:]...)
 		buf = binary.LittleEndian.AppendUint32(buf, r.Len)

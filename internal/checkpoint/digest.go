@@ -3,16 +3,15 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
-	"os"
 )
 
 // Anti-entropy digest plumbing: per-diff CONTENT checksums over a
 // stored span. The content checksum is the CRC32C of the canonical
 // diff encoding — the bytes a pull serves and a push's precondition
-// hashes — NOT the raw file bytes: the same diff stored
+// hashes — NOT the raw record bytes: the same diff stored
 // self-contained on one replica and block-mapped on another has
 // different on-disk images but identical canonical encodings, and a
-// digest that compared file bytes would see phantom divergence
+// digest that compared record bytes would see phantom divergence
 // between healthy replicas.
 //
 // Computing a span checksum re-reads and re-verifies every diff in
@@ -26,19 +25,13 @@ import (
 // the checkpoint (errors.Is ErrCorrupt) — the reconciler's local-rot
 // signal.
 func (fs *FileStore) SpanChecksums(lo, hi int) ([]uint32, error) {
-	fs.mu.Lock()
-	if err := fs.ensureMaterializedLocked(); err != nil {
-		fs.mu.Unlock()
-		return nil, err
-	}
-	base, length, hooks := int(fs.man.Base), fs.n, fs.hooks
-	fs.mu.Unlock()
-	if lo < base || hi > length || hi < lo {
+	base := fs.Base()
+	if length, _ := fs.Len(); lo < base || hi > length || hi < lo {
 		return nil, fmt.Errorf("checkpoint: digest span [%d,%d) outside stored [%d,%d)", lo, hi, base, length)
 	}
 	out := make([]uint32, 0, hi-lo)
 	for ck := lo; ck < hi; ck++ {
-		encoded, _, err := fs.readVerified(ck, hooks)
+		encoded, err := fs.DiffBytes(ck)
 		if err != nil {
 			return nil, err
 		}
@@ -47,49 +40,21 @@ func (fs *FileStore) SpanChecksums(lo, hi int) ([]uint32, error) {
 	return out, nil
 }
 
-// VerifySpan re-reads and verifies every stored diff — footer CRC,
-// block reassembly, structural decode, id cross-check — without
-// mutating anything (unlike Scrub, nothing is quarantined). It
-// returns the first *CorruptError found, or nil when the whole
+// VerifySpan re-reads and verifies every stored diff — record
+// checksums, block reassembly, structural decode, id cross-check —
+// without mutating anything (unlike Scrub, nothing is quarantined).
+// It returns the first *CorruptError found, or nil when the whole
 // stored span is intact. This is the read-only health gate a standby
 // runs before agreeing to be promoted.
 func (fs *FileStore) VerifySpan() error {
-	fs.mu.Lock()
-	if err := fs.ensureMaterializedLocked(); err != nil {
-		fs.mu.Unlock()
-		return err
-	}
-	base, length, hooks := int(fs.man.Base), fs.n, fs.hooks
-	fs.mu.Unlock()
+	base := fs.Base()
+	length, _ := fs.Len()
 	for ck := base; ck < length; ck++ {
-		if _, _, err := fs.decodeVerified(ck, hooks); err != nil {
+		if _, err := fs.decodeVerified(ck); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// QuarantineDiff moves checkpoint ck's file aside under
-// QuarantineSuffix — the single-diff form of what Scrub does to every
-// corrupt file — and rescans so the cached range shrinks to the
-// contiguous prefix before the hole. The reconciler quarantines
-// before it overwrites: the rotten bytes stay on disk as forensic
-// evidence, and a crash mid-heal leaves a typed hole, never a
-// half-written diff masquerading as healthy.
-func (fs *FileStore) QuarantineDiff(ck int) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.ensureMaterializedLocked(); err != nil {
-		return err
-	}
-	if ck < int(fs.man.Base) || ck >= fs.n {
-		return fmt.Errorf("checkpoint: quarantine %d outside stored [%d,%d)", ck, fs.man.Base, fs.n)
-	}
-	path := fs.diffPath(ck)
-	if err := os.Rename(path, path+QuarantineSuffix); err != nil {
-		return fmt.Errorf("checkpoint: quarantining diff %d: %w", ck, err)
-	}
-	return fs.rescanLocked()
 }
 
 // IsCorrupt reports whether err marks data that failed an integrity

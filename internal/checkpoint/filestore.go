@@ -4,99 +4,125 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
 	"github.com/gpuckpt/gpuckpt/internal/blockstore"
 )
 
-// FileStore persists a checkpoint lineage as a directory of diff
-// files, one per checkpoint (`ckpt-000000.gckp`, `ckpt-000001.gckp`,
-// ...), plus an optional lifecycle manifest (`lineage.manifest`). Files
-// are written atomically (temp file + rename) so a crash mid-checkpoint
-// never leaves a truncated diff; on load, the sequence is validated by
-// the Record's usual geometry and ordering checks.
+// FileStore persists a checkpoint lineage as a directory holding ONE
+// append-only segment file (`segment-NNNNNN.log`) plus an optional
+// lifecycle manifest (`lineage.manifest`) that names it. The segment
+// is a sequence of CRC-framed records (see segment.go), one per stored
+// diff, whose payload is the diff's canonical encoding or — when a
+// block store is attached — the block-mapped container whose data
+// section lives in that store. The log IS the store: there are no
+// per-checkpoint files and nothing is written twice.
 //
-// File names carry absolute checkpoint ids and so do the diffs inside
-// them: after a compaction moves the baseline to index k, the retained
-// files keep their names and bytes, the manifest records Base=k, and
-// Load rebases ids to the 0-based contiguous ids Record.Append
-// requires. The restorable range is [Base(), Len()).
+// Every mutation is one of two primitives. Appends (Append,
+// AppendBatch, ReinstallDiff, QuarantineDiff, Scrub) add one frame of
+// records to the end of the segment with one write and one fsync; a
+// frame that did not complete is rolled back, or dropped by the next
+// open, as a whole. InstallSpan — compaction and replica resync —
+// writes a complete fresh segment and switches to it with the manifest
+// rename; whichever segment the manifest does not name is debris.
 //
-// Crash recovery: opening a store sweeps temp debris, then deletes any
-// diff file below the manifest baseline — the tail of a compaction
-// transaction that committed its manifest but crashed before finishing
-// the prune (see internal/lifecycle).
+// An in-memory index, checkpoint id -> record extent, is built by
+// scanning the segment on open; per id the last record wins. The
+// restorable range is [Base(), Len()); records carry absolute ids.
+// Reads go back to the disk and re-verify both record checksums on
+// every call — nothing read is cached, so rot that sets in after a
+// successful read is still caught by the next one — and an id whose
+// record the scan found damaged stays in range and fails its reads
+// typed the same way: damage never shortens a lineage behind the
+// caller's back.
 //
-// A FileStore is safe for concurrent use by multiple goroutines within
-// one process: every method holds an internal mutex, so two goroutines
-// racing to append the same next id yield exactly one winner (the loser
-// gets a contiguity error instead of silently overwriting the winner's
-// file). Two FileStores opened on the same directory — or two
-// processes — are NOT coordinated; give each lineage a single owner,
-// as the ckptd server does.
+// Opening a store only reads. Debris of an interrupted mutation is
+// ignored by the open and removed by the first write, which is also
+// what creates the directory: opening a name that was never written
+// leaves no trace on disk.
+//
+// Every method holds an internal mutex, so a FileStore is safe for
+// concurrent use within one process and two goroutines racing to
+// append the same next id yield exactly one winner. Two FileStores
+// writing the same directory — or two processes — are NOT coordinated;
+// give each lineage a single writer, as the ckptd server does.
 //
 // This is the bottom of the paper's storage hierarchy (§2.3): what the
 // asynchronous runtime eventually flushes to the parallel file system.
 type FileStore struct {
 	dir string
 
-	// man, n, and size are protected by mu. They are also touched by
-	// the *Locked helpers (callers hold mu) and by NewFileStore before
-	// the store is shared, which is why they carry no ckptlint
-	// guardedby directive — that check requires the Lock call to be in
-	// the same function body.
+	// Everything below is protected by mu. The *Locked helpers (callers
+	// hold mu) and newFileStore (before the store is shared) touch it
+	// too, which is why the fields carry no ckptlint guardedby
+	// directive — that check requires the Lock call to be in the same
+	// function body.
 	mu  sync.Mutex
 	man Manifest
-	// n is one past the highest contiguously stored checkpoint index,
-	// starting from the baseline; size is the cumulative on-disk byte
-	// count of diffs [man.Base, n). Both are computed once on open and
-	// maintained incrementally by Append/ReplaceDiff, so Len and
-	// TotalBytes are O(1) instead of a directory scan per call.
+
+	// seg is the live segment (nil while the lineage has none) and
+	// segSize its committed length, where the next frame goes. Until
+	// the first write sets ready, seg is open read-only and the
+	// directory may still hold debris.
+	seg     *os.File
+	segSize int64
+	ready   bool
+
+	// recs[i] is the index entry of checkpoint man.Base+i; n is one
+	// past the last id before the first quarantined one.
+	recs []recLoc
 	n    int
-	size int64
+
+	// failed, once set, fails every later write: the store was closed,
+	// hit an error it could not roll back, or a simulated crash, and
+	// the directory is only trustworthy again after a reopen.
+	failed error
 
 	// hooks intercepts I/O for fault injection; nil in production.
-	// Guarded by mu like the rest of the mutable state.
 	hooks *IOHooks
 
-	// Write-behind intake state (see intake.go), guarded by mu: wal is
-	// the open intake log (lazily created by the first AppendBatch),
-	// tail the committed-but-unmaterialized containers for checkpoints
-	// [n-len(tail), n), tailBytes their cumulative size.
-	wal       *os.File
-	tail      []tailEntry
-	tailBytes int64
-
 	// blocks, when non-nil, is the shared content-addressed block store
-	// the data sections of new diffs are interned into: Append writes a
-	// block-mapped container (see blockfile.go) instead of embedding
-	// payload bytes, so identical chunks across every lineage sharing
-	// the store exist on disk exactly once. nil means self-contained
-	// (legacy) files, which remain readable either way. Set once before
-	// the store is shared, immutable afterwards.
-	blocks *blockstore.Store
-	// ownBlocks records whether Close should close blocks: true when
-	// NewFileStore auto-attached a sibling store, false when the caller
-	// passed a shared one to NewFileStoreWith.
+	// the data sections of new diffs are interned into; nil means new
+	// records are self-contained. Records of either shape are readable
+	// either way. Immutable once the store is shared. ownBlocks says
+	// Close should close it (NewFileStore auto-attached it).
+	blocks    *blockstore.Store
 	ownBlocks bool
 }
 
-const (
-	diffFileExt = ".gckp"
-	tmpPrefix   = "ckpt-"
-	tmpSuffix   = ".tmp"
+// recLoc is one index entry: the state of a checkpoint id and, while
+// it is live, where its winning record sits in the segment.
+type recLoc struct {
+	off   int64  // of the record header
+	len   uint32 // of the payload
+	state recState
+}
 
-	// QuarantineSuffix is appended to a corrupt diff file's name when
-	// Scrub moves it aside. Quarantined files no longer parse as diff
-	// names, so every store scan skips them; they are kept (not
-	// deleted) as forensic evidence until repaired or manually removed.
-	QuarantineSuffix = ".quarantine"
+// recState is what the segment says about a checkpoint id.
+type recState byte
+
+const (
+	// recDamaged (the zero value): later records say the id was stored,
+	// but no record of it verifies. It stays in range and its reads
+	// fail with a *CorruptError.
+	recDamaged     recState = iota
+	recLive                 // a verified diff record holds the id
+	recQuarantined          // a tombstone holds the id; Len stops here
 )
+
+// oldLayoutSuffix is the per-checkpoint diff file extension of the
+// layout ErrOldLayout refuses.
+const oldLayoutSuffix = ".gckp"
+
+// segmentName returns the file name of segment number seq.
+func segmentName(seq uint32) string { return fmt.Sprintf("segment-%06d.log", seq) }
 
 // SetIOHooks installs fault-injection hooks. Pass nil to remove them.
 // Test-only seam; production stores never call it.
@@ -106,11 +132,7 @@ func (fs *FileStore) SetIOHooks(h *IOHooks) {
 	fs.hooks = h
 }
 
-// NewFileStore creates (or reopens) a lineage directory. Orphaned
-// temporary files from a previous crash (created but never renamed
-// into place) are swept on open, a manifest is loaded if present, and
-// an interrupted compaction prune is completed (files below the
-// committed baseline are deleted).
+// NewFileStore opens a lineage directory, which need not exist yet.
 //
 // If a sibling block store directory exists (<parent>/_blocks, the
 // layout a ckptd root uses), it is opened and attached automatically,
@@ -152,9 +174,9 @@ func attachSiblingStore(sibling string) (*blockstore.Store, error) {
 	return blockstore.Open(sibling, blockstore.Options{ReadOnly: true})
 }
 
-// NewFileStoreWith creates (or reopens) a lineage directory whose new
-// diffs intern their data sections into the shared block store bs —
-// the multi-lineage configuration of the ckptd server, where one store
+// NewFileStoreWith opens a lineage directory whose new diffs intern
+// their data sections into the shared block store bs — the
+// multi-lineage configuration of the ckptd server, where one store
 // de-duplicates across every lineage and tenant. The caller retains
 // ownership of bs; closing the FileStore does not close it. bs may be
 // nil, which is exactly NewFileStore minus the sibling auto-attach.
@@ -162,49 +184,102 @@ func NewFileStoreWith(dir string, bs *blockstore.Store) (*FileStore, error) {
 	return newFileStore(dir, bs, false)
 }
 
+// newFileStore loads the manifest, scans the segment it names and
+// builds the index. It writes nothing, and a directory that does not
+// exist is an empty lineage. A directory of the replaced
+// file-per-checkpoint layout is refused with ErrOldLayout.
 func newFileStore(dir string, bs *blockstore.Store, own bool) (*FileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("checkpoint: creating store %s: %w", dir, err)
-	}
 	fs := &FileStore{dir: dir, blocks: bs, ownBlocks: own}
-	man, err := ReadManifestFile(fs.manifestPath())
+	entries, _ := os.ReadDir(dir) // a missing directory has none
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), oldLayoutSuffix) {
+			return nil, fmt.Errorf("%w: %s", ErrOldLayout, filepath.Join(dir, e.Name()))
+		}
+	}
+	man, err := ReadManifestFile(filepath.Join(dir, ManifestFileName))
 	switch {
 	case err == nil:
 		fs.man = *man
-	case os.IsNotExist(err):
-		// No manifest: a legacy / never-compacted lineage, baseline 0.
-	default:
+	case !os.IsNotExist(err):
 		return nil, err
 	}
-	if err := fs.sweepTemp(); err != nil {
+	fs.n = int(fs.man.Base)
+	f, err := os.Open(filepath.Join(dir, segmentName(fs.man.segment)))
+	if os.IsNotExist(err) {
+		return fs, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: opening store %s: %w", dir, err)
+	}
+	if err := fs.indexLocked(f); err != nil {
+		f.Close()
 		return nil, err
 	}
-	// The intake log replay needs the file-level length, so it runs
-	// between the two rescans: the first establishes where the files
-	// end, the replay materializes the committed tail past that point,
-	// and the final rescan folds the recovered files into the cache.
-	if err := fs.rescanLocked(); err != nil {
-		return nil, err
-	}
-	if err := fs.replayIntakeLocked(); err != nil {
-		return nil, err
-	}
-	if _, _, err := fs.pruneBelowBaseLocked(); err != nil {
-		return nil, err
-	}
-	if err := fs.rescanLocked(); err != nil {
-		return nil, err
-	}
+	fs.seg = f
 	return fs, nil
 }
 
-// Close flushes the write-behind intake tail and releases the
-// auto-attached block store, if any. A FileStore opened with
-// NewFileStoreWith leaves the shared store to its owner. Idempotent.
+// indexLocked scans segment f and rebuilds the index from it: in file
+// order the last record of an id wins, and an id below the highest end
+// any record declares that no surviving record covers is damaged.
+func (fs *FileStore) indexLocked(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("checkpoint: scanning %s: %w", f.Name(), err)
+	}
+	recs, committed, err := scanSegment(f, st.Size())
+	if err != nil {
+		return fmt.Errorf("checkpoint: scanning %s: %w", f.Name(), err)
+	}
+	base := fs.man.Base
+	fs.recs, fs.segSize = fs.recs[:0], committed
+	for _, r := range recs {
+		// Every id in [base, end) was written to this segment at least
+		// once, which bounds end by what the file can hold.
+		if r.id < base || int64(r.end-base) > committed/recHdrSize {
+			return fmt.Errorf("checkpoint: %s: record of checkpoint %d (end %d) does not belong to a segment of %d bytes at baseline %d",
+				f.Name(), r.id, r.end, committed, base)
+		}
+		for len(fs.recs) < int(r.end-base) {
+			fs.recs = append(fs.recs, recLoc{})
+		}
+		fs.recs[r.id-base] = recLoc{off: r.off, len: r.len, state: stateOf(r.kind)}
+	}
+	fs.n = int(base)
+	fs.growLocked()
+	return nil
+}
+
+// stateOf returns the state a record of the given kind puts its id in.
+func stateOf(kind byte) recState {
+	if kind == recTombstone {
+		return recQuarantined
+	}
+	return recLive
+}
+
+// growLocked advances n up to the next quarantined id.
+func (fs *FileStore) growLocked() {
+	base := int(fs.man.Base)
+	for fs.n-base < len(fs.recs) && fs.recs[fs.n-base].state != recQuarantined {
+		fs.n++
+	}
+}
+
+// Close releases the segment and the auto-attached block store, if
+// any. A FileStore opened with NewFileStoreWith leaves the shared
+// store to its owner. Idempotent; a closed store fails every write.
 func (fs *FileStore) Close() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	err := fs.closeIntakeLocked()
+	var err error
+	if fs.seg != nil {
+		err = fs.seg.Close()
+		fs.seg = nil
+	}
+	if fs.failed == nil {
+		fs.failed = fmt.Errorf("checkpoint: store %s is closed", fs.dir)
+	}
 	if fs.ownBlocks && fs.blocks != nil {
 		fs.ownBlocks = false
 		if berr := fs.blocks.Close(); err == nil {
@@ -214,91 +289,8 @@ func (fs *FileStore) Close() error {
 	return err
 }
 
-// BlockStats returns the counters of the attached block store, or a
-// zero snapshot when the lineage is self-contained.
-func (fs *FileStore) BlockStats() blockstore.Stats {
-	if fs.blocks == nil {
-		return blockstore.Stats{}
-	}
-	return fs.blocks.Stats()
-}
-
-// sweepTemp removes stale ckpt-*.tmp files left by a crash between
-// CreateTemp and Rename.
-func (fs *FileStore) sweepTemp() error {
-	entries, err := os.ReadDir(fs.dir)
-	if err != nil {
-		return fmt.Errorf("checkpoint: sweeping store %s: %w", fs.dir, err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, tmpPrefix) || !strings.HasSuffix(name, tmpSuffix) {
-			continue
-		}
-		if err := os.Remove(filepath.Join(fs.dir, name)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("checkpoint: removing stale temp file %s: %w", name, err)
-		}
-	}
-	return nil
-}
-
 // Dir returns the store directory.
 func (fs *FileStore) Dir() string { return fs.dir }
-
-// diffPath returns the canonical file name of checkpoint ck.
-func (fs *FileStore) diffPath(ck int) string {
-	return filepath.Join(fs.dir, fmt.Sprintf("ckpt-%06d%s", ck, diffFileExt))
-}
-
-// manifestPath returns the manifest file name.
-func (fs *FileStore) manifestPath() string {
-	return filepath.Join(fs.dir, ManifestFileName)
-}
-
-// parseDiffName extracts the checkpoint index from a diff file name.
-func parseDiffName(name string) (int, bool) {
-	if !strings.HasPrefix(name, "ckpt-") || !strings.HasSuffix(name, diffFileExt) {
-		return 0, false
-	}
-	var ck int
-	if _, err := fmt.Sscanf(name, "ckpt-%06d", &ck); err != nil {
-		return 0, false
-	}
-	return ck, true
-}
-
-// rescanLocked recomputes the cached length and byte count from the
-// directory: the contiguous run of diff files starting at the
-// baseline. Stray files beyond a gap are ignored, as before.
-func (fs *FileStore) rescanLocked() error {
-	entries, err := os.ReadDir(fs.dir)
-	if err != nil {
-		return fmt.Errorf("checkpoint: reading store: %w", err)
-	}
-	sizes := map[int]int64{}
-	for _, e := range entries {
-		ck, ok := parseDiffName(e.Name())
-		if !ok {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			return fmt.Errorf("checkpoint: stat %s: %w", e.Name(), err)
-		}
-		sizes[ck] = info.Size()
-	}
-	fs.n = int(fs.man.Base)
-	fs.size = 0
-	for {
-		sz, ok := sizes[fs.n]
-		if !ok {
-			break
-		}
-		fs.size += sz
-		fs.n++
-	}
-	return nil
-}
 
 // Base returns the baseline index: the first restorable checkpoint.
 func (fs *FileStore) Base() int {
@@ -314,509 +306,278 @@ func (fs *FileStore) Manifest() Manifest {
 	return fs.man.Clone()
 }
 
-// Len returns one past the highest stored checkpoint index. For a
-// never-compacted lineage this is the diff count; after compaction the
-// stored diffs span [Base(), Len()). The error return is kept for
-// interface stability; the cached value cannot fail.
+// Len returns one past the last restorable checkpoint index: the
+// stored diffs span [Base(), Len()), and a quarantined id (see
+// QuarantineDiff) ends the span until it is reinstalled. The error
+// return is kept for interface stability; the cached value cannot
+// fail.
 func (fs *FileStore) Len() (int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return fs.n, nil
 }
 
-// Append writes diff d as the next checkpoint file. The diff's CkptID
-// must equal the current length (contiguity), and its shifted
-// duplicates must not reference a checkpoint below the baseline —
-// after a compaction those bytes are gone, so a stale pusher that
-// still holds pre-compaction history gets a clean error instead of
-// storing an unrestorable diff. Concurrent appends of the same id are
-// serialized and exactly one wins.
-func (fs *FileStore) Append(d *Diff) error {
+// TotalBytes returns the on-disk size of the lineage's segment.
+func (fs *FileStore) TotalBytes() (int64, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.ensureMaterializedLocked(); err != nil {
-		return err
-	}
-	if int(d.CkptID) != fs.n {
-		return fmt.Errorf("checkpoint: store has diffs [%d,%d), cannot append id %d",
-			fs.man.Base, fs.n, d.CkptID)
-	}
-	for _, s := range d.ShiftDupl {
-		if s.SrcCkpt < fs.man.Base {
-			return fmt.Errorf("checkpoint: diff %d references checkpoint %d, pruned below baseline %d",
-				d.CkptID, s.SrcCkpt, fs.man.Base)
-		}
-	}
-	sz, err := fs.writeDiffLocked(fs.n, d)
-	if err != nil {
-		return err
-	}
-	fs.n++
-	fs.size += sz
-	return nil
+	return fs.segSize, nil
 }
 
-// AppendBatch appends a contiguous run of diffs with one durability
-// point for the whole batch instead of one per diff — the group
-// commit behind the server's v4 stream path. The run is validated up
-// front (contiguity, baseline references), every data section is
-// interned in a single block-store call (one journal fsync covers the
-// batch), and the encoded containers are committed to the write-behind
-// intake log with one fsynced append (see intake.go). Per-checkpoint
-// files materialize off the commit path.
+// Locate returns where stored checkpoint ck lives on disk: the segment
+// file and the extent of its record (header and payload) within it —
+// the seam through which tests and drills damage a specific diff.
+func (fs *FileStore) Locate(ck int) (path string, off, length int64, err error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	i := ck - int(fs.man.Base)
+	if i < 0 || i >= len(fs.recs) || fs.recs[i].state != recLive || fs.seg == nil {
+		return "", 0, 0, fmt.Errorf("checkpoint: no stored diff %d in [%d,%d)", ck, fs.man.Base, int(fs.man.Base)+len(fs.recs))
+	}
+	return fs.seg.Name(), fs.recs[i].off, recHdrSize + int64(fs.recs[i].len), nil
+}
+
+// Append stores diff d as the next checkpoint: AppendBatch of one.
+func (fs *FileStore) Append(d *Diff) error {
+	_, err := fs.AppendBatch([]*Diff{d})
+	return err
+}
+
+// AppendBatch appends a contiguous run of diffs as one frame: one
+// block-store call interns every data section (blocks and their
+// journal records are durable before the records that reference
+// them), one write adds the records to the segment, one fsync makes
+// the whole batch durable — the group commit behind the server's
+// stream path, and the only append path there is.
 //
-// The batch commits atomically: on success every diff is durable and
-// appended reports len(ds); on error nothing was committed and any
-// just-taken block references are released again. A non-nil error
-// alongside appended == len(ds) means the batch IS committed but a
-// deferred materialization failed — the store needs attention, yet
-// the data is safe in the log and recovers on reopen.
+// The first id must equal Len() and the run must be contiguous; a
+// shifted duplicate must not reference a checkpoint below the
+// baseline — after a compaction those bytes are gone, so a stale
+// pusher that still holds pre-compaction history gets a clean error
+// instead of storing an unrestorable diff.
+//
+// The batch commits atomically: appended is len(ds) and every diff is
+// durable, or it is 0 and nothing was committed — the segment is
+// rolled back to its previous length (a crash instead leaves a torn
+// frame the next open discards) and the block references just taken
+// are released again.
 func (fs *FileStore) AppendBatch(ds []*Diff) (appended int, err error) {
 	if len(ds) == 0 {
 		return 0, nil
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if err := checkRun(ds, fs.n, fs.man.Base); err != nil {
+		return 0, fmt.Errorf("checkpoint: append to [%d,%d): %w", fs.man.Base, fs.n, err)
+	}
+	if err := fs.appendFrameLocked(recDiff, ds); err != nil {
+		return 0, err
+	}
+	return len(ds), nil
+}
+
+// checkRun verifies that ds carry the contiguous ids first, first+1,
+// ... and that no shifted duplicate references history below base.
+func checkRun(ds []*Diff, first int, base uint32) error {
 	for i, d := range ds {
-		if int(d.CkptID) != fs.n+i {
-			return 0, fmt.Errorf("checkpoint: store has diffs [%d,%d), cannot append id %d at batch offset %d",
-				fs.man.Base, fs.n, d.CkptID, i)
+		if int(d.CkptID) != first+i || d.CkptID == math.MaxUint32 {
+			return fmt.Errorf("diff at offset %d carries id %d, want %d", i, d.CkptID, first+i)
 		}
 		for _, s := range d.ShiftDupl {
-			if s.SrcCkpt < fs.man.Base {
-				return 0, fmt.Errorf("checkpoint: diff %d references checkpoint %d, pruned below baseline %d",
-					d.CkptID, s.SrcCkpt, fs.man.Base)
+			if s.SrcCkpt < base {
+				return fmt.Errorf("diff %d references checkpoint %d, pruned below baseline %d", d.CkptID, s.SrcCkpt, base)
 			}
 		}
 	}
+	return nil
+}
 
-	// Intern every data section of the batch in one call: block
-	// payload files and ONE journal append cover all of them, and the
-	// ordering contract holds batch-wide — blocks and their journal
-	// records are durable before the log record that references them.
-	var refs []blockstore.Ref
-	counts := make([]int, len(ds))
-	if fs.blocks != nil {
-		var chunks [][]byte
-		for i, d := range ds {
-			cs := fs.blocks.Split(d.Data)
-			counts[i] = len(cs)
-			chunks = append(chunks, cs...)
-		}
-		refs, err = fs.blocks.Intern(chunks)
-		if err != nil {
-			return 0, fmt.Errorf("checkpoint: interning batch: %w", err)
+// prepareLocked readies the directory for its first write since the
+// open: it creates directory and live segment, opens the segment for
+// writing, and removes what an interrupted mutation can have left — a
+// staged manifest, the segment an uncommitted install was writing (the
+// next number), the one a committed install had not deleted yet (the
+// previous number), a torn frame at the end of the live one.
+func (fs *FileStore) prepareLocked() error {
+	if fs.failed != nil || fs.ready {
+		return fs.failed
+	}
+	if err := os.MkdirAll(fs.dir, 0o755); err != nil {
+		return fmt.Errorf("checkpoint: creating store %s: %w", fs.dir, err)
+	}
+	seq := fs.man.segment
+	debris := []string{manifestTmpName, segmentName(seq + 1)}
+	if seq > 0 {
+		debris = append(debris, segmentName(seq-1))
+	}
+	for _, name := range debris {
+		if err := os.Remove(filepath.Join(fs.dir, name)); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("checkpoint: removing stale %s: %w", name, err)
 		}
 	}
+	f, err := os.OpenFile(filepath.Join(fs.dir, segmentName(seq)), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return fmt.Errorf("checkpoint: opening segment for writing: %w", err)
+	}
+	// Never append after garbage: cut a torn frame off first.
+	if err = f.Truncate(fs.segSize); err == nil && fs.seg == nil {
+		// Just created: its existence must survive power loss too.
+		err = syncDir(fs.dir)
+	}
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("checkpoint: preparing segment for writing: %w", err)
+	}
+	if fs.seg != nil {
+		fs.seg.Close()
+	}
+	fs.seg, fs.ready = f, true
+	return nil
+}
 
-	// Encode the containers, then commit them all with one log append.
-	cks := make([]int, len(ds))
-	containers := make([][]byte, len(ds))
-	off := 0
+// internLocked interns the data sections of ds into the attached block
+// store with one call and returns the references, all of them, and how
+// many belong to each diff. Without a block store both are nil.
+func (fs *FileStore) internLocked(ds []*Diff) (refs []blockstore.Ref, counts []int, err error) {
+	if fs.blocks == nil {
+		return nil, nil, nil
+	}
+	var chunks [][]byte
+	counts = make([]int, len(ds))
 	for i, d := range ds {
-		rs := refs[off : off+counts[i]]
-		off += counts[i]
-		cks[i] = int(d.CkptID)
-		if fs.blocks == nil {
-			var buf bytes.Buffer
-			if err := d.Encode(&buf); err != nil {
-				return 0, err
+		cs := fs.blocks.Split(d.Data)
+		counts[i] = len(cs)
+		chunks = append(chunks, cs...)
+	}
+	if refs, err = fs.blocks.Intern(chunks); err != nil {
+		return nil, nil, fmt.Errorf("checkpoint: interning diffs [%d,%d): %w", ds[0].CkptID, int(ds[0].CkptID)+len(ds), err)
+	}
+	return refs, counts, nil
+}
+
+// writeRecords is the one encoder of segment records: it writes one
+// record of the given kind per diff to w — for a tombstone only the
+// diff's id matters — and returns where each landed relative to w's
+// start, plus the byte count. With frame set the records form ONE
+// frame; otherwise each is a frame of its own, which is how a whole
+// segment is laid out so damage to its tail cannot take the rest with
+// it. Headers and containers are staged in a pooled buffer (the one
+// Diff.Encode stages prefixes in, sized up front so a pool miss costs
+// one allocation, not a chain of append growths); the data section of
+// a self-contained diff is written straight from the diff, never
+// copied.
+func (fs *FileStore) writeRecords(w io.Writer, kind byte, ds []*Diff, refs []blockstore.Ref, counts []int, end uint32, frame bool) (locs []recLoc, n int64, err error) {
+	bp, _ := encodeBufPool.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	buf := (*bp)[:0]
+	defer func() {
+		*bp = buf
+		encodeBufPool.Put(bp)
+	}()
+	flush := func(p []byte) error {
+		m, werr := w.Write(p)
+		n += int64(m)
+		return werr
+	}
+	locs = make([]recLoc, 0, len(ds))
+	for i, d := range ds {
+		hdrAt := len(buf)
+		buf = append(buf, make([]byte, recHdrSize)...)
+		var data []byte // written after buf, by reference
+		switch {
+		case kind == recTombstone:
+		case fs.blocks != nil:
+			buf = slices.Grow(buf, blockDiffHdrSize+int(d.PrefixBytes())+blockRefSize*counts[i])
+			if buf, err = appendBlockDiff(buf, d, refs[:counts[i]]); err != nil {
+				return nil, n, err
 			}
-			containers[i] = buf.Bytes()
-		} else {
-			var prefix bytes.Buffer
-			if err := d.encodePrefix(&prefix); err != nil {
-				fs.blocks.Release(refs)
-				return 0, err
+			refs = refs[counts[i]:]
+		default:
+			buf = slices.Grow(buf, int(d.PrefixBytes()))
+			if buf, err = d.AppendPrefix(buf); err != nil {
+				return nil, n, err
 			}
-			containers[i], err = encodeBlockDiff(prefix.Bytes(), rs, uint64(len(d.Data)))
+			buf, data = append(buf, d.Bitmap...), d.Data
+		}
+		staged := buf[hdrAt+recHdrSize:]
+		size := uint64(len(staged)) + uint64(len(data))
+		if size > math.MaxUint32 {
+			return nil, n, fmt.Errorf("checkpoint: diff %d encodes to %d bytes, beyond the record length limit", d.CkptID, size)
+		}
+		crc := crc32.Update(crc32.Checksum(staged, castagnoli), castagnoli, data)
+		putRecHeader(buf[hdrAt:], kind, frame && i < len(ds)-1, d.CkptID, end, uint32(size), crc)
+		locs = append(locs, recLoc{off: n + int64(hdrAt), len: uint32(size), state: stateOf(kind)})
+		if len(data) > 0 {
+			if err = flush(buf); err == nil {
+				err = flush(data)
+			}
 			if err != nil {
-				fs.blocks.Release(refs)
-				return 0, err
+				return nil, n, fmt.Errorf("checkpoint: writing diff %d: %w", d.CkptID, err)
 			}
+			buf = buf[:0]
 		}
 	}
-	if err := fs.appendIntakeLocked(cks, containers); err != nil {
-		if fs.blocks != nil {
-			fs.blocks.Release(refs)
-		}
-		return 0, err
+	if err = flush(buf); err != nil {
+		return nil, n, fmt.Errorf("checkpoint: writing records: %w", err)
 	}
-	for i := range ds {
-		fs.tail = append(fs.tail, tailEntry{ck: cks[i], container: containers[i]})
-		fs.tailBytes += int64(len(containers[i]))
-		fs.n++
-		fs.size += int64(len(containers[i])) + FooterSize
-	}
-	appended = len(ds)
-
-	if len(fs.tail) >= tailMaxCount || fs.tailBytes >= tailMaxBytes {
-		if merr := fs.ensureMaterializedLocked(); merr != nil {
-			return appended, merr
-		}
-	}
-	return appended, nil
+	return locs, n, nil
 }
 
-// writeDiffLocked persists d (plus its integrity footer) as the file
-// of checkpoint ck and returns the on-disk byte count. With a block
-// store attached the file is a block-mapped container whose data
-// section was interned first; otherwise it is the self-contained
-// canonical encoding.
-func (fs *FileStore) writeDiffLocked(ck int, d *Diff) (int64, error) {
-	if fs.blocks == nil {
-		return fs.writeFileLocked(ck, d.Encode)
-	}
-	return fs.writeBlockDiffLocked(ck, d)
-}
-
-// writeBlockDiffLocked interns d's data section into the shared block
-// store, then writes the container file. The ordering is the crash
-// contract of the store: block payloads and their journal records are
-// durable BEFORE the container that references them is renamed into
-// place, so a crash at any instant leaves either a fully referenced
-// diff or unreferenced debris (leaked refcounts at worst) — never a
-// committed diff pointing at missing blocks. On a non-crash write
-// failure the just-taken references are released again.
-func (fs *FileStore) writeBlockDiffLocked(ck int, d *Diff) (int64, error) {
-	var prefix bytes.Buffer
-	if err := d.encodePrefix(&prefix); err != nil {
-		return 0, err
-	}
-	refs, err := fs.blocks.Intern(fs.blocks.Split(d.Data))
-	if err != nil {
-		return 0, fmt.Errorf("checkpoint: interning diff %d data: %w", ck, err)
-	}
-	container, err := encodeBlockDiff(prefix.Bytes(), refs, uint64(len(d.Data)))
-	if err != nil {
-		fs.blocks.Release(refs)
-		return 0, err
-	}
-	sz, err := fs.writeFileLocked(ck, func(w io.Writer) error {
-		if _, werr := w.Write(container); werr != nil {
-			return werr
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, ErrSimulatedCrash) {
-		// The container never made it to disk; drop its references. A
-		// simulated crash keeps them, exactly as a dying process would.
-		fs.blocks.Release(refs)
-	}
-	return sz, err
-}
-
-// writeFileLocked streams encode (plus the integrity footer) into the
-// file of checkpoint ck and returns the on-disk byte count. The commit
-// is crash-durable, not just atomic: the temp file is fsynced before
-// the rename and the parent directory after it, so once this returns
-// the file survives power loss — a rename alone only orders the file
-// against other renames, not against the disk.
-//
-// A hook error wrapping ErrSimulatedCrash is propagated without
-// cleanup: the temp file (and, after the rename, the published file)
-// stays exactly as a dying process would leave it, so crash tests can
-// reopen the directory and exercise recovery on authentic debris.
-func (fs *FileStore) writeFileLocked(ck int, encode func(io.Writer) error) (int64, error) {
-	return fs.writeFile(ck, encode, true)
-}
-
-// writeFile is writeFileLocked with the parent-directory sync made
-// optional: AppendBatch defers it to one call per batch. Skipping it
-// does NOT weaken per-file atomicity (temp file is still fsynced
-// before the rename); it only defers the point at which the rename
-// itself is guaranteed to survive power loss.
-func (fs *FileStore) writeFile(ck int, encode func(io.Writer) error, syncParent bool) (int64, error) {
-	tmp, err := os.CreateTemp(fs.dir, tmpPrefix+"*"+tmpSuffix)
-	if err != nil {
-		return 0, fmt.Errorf("checkpoint: temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) (int64, error) {
-		tmp.Close()
-		if !errors.Is(err, ErrSimulatedCrash) {
-			os.Remove(tmpName)
-		}
-		return 0, err
-	}
-	var w io.Writer = tmp
-	if fs.hooks != nil && fs.hooks.WrapDiffWrite != nil {
-		w = fs.hooks.WrapDiffWrite(ck, w)
-	}
-	cw := &crcWriter{w: w}
-	if err := encode(cw); err != nil {
-		return fail(err)
-	}
-	footer := footerFor(cw.crc)
-	if _, err := w.Write(footer[:]); err != nil {
-		return fail(fmt.Errorf("checkpoint: writing diff %d footer: %w", ck, err))
-	}
-	if fs.hooks != nil && fs.hooks.BeforeSync != nil {
-		if err := fs.hooks.BeforeSync(tmpName); err != nil {
-			return fail(err)
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(fmt.Errorf("checkpoint: syncing diff %d: %w", ck, err))
-	}
-	if err := tmp.Close(); err != nil {
-		if !errors.Is(err, ErrSimulatedCrash) {
-			os.Remove(tmpName)
-		}
-		return 0, fmt.Errorf("checkpoint: closing temp file: %w", err)
-	}
-	final := fs.diffPath(ck)
-	if fs.hooks != nil && fs.hooks.BeforeRename != nil {
-		if err := fs.hooks.BeforeRename(tmpName, final); err != nil {
-			if !errors.Is(err, ErrSimulatedCrash) {
-				os.Remove(tmpName)
-			}
-			return 0, err
-		}
-	}
-	if err := os.Rename(tmpName, final); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("checkpoint: publishing diff %d: %w", ck, err)
-	}
-	if fs.hooks != nil && fs.hooks.AfterRename != nil {
-		if err := fs.hooks.AfterRename(final); err != nil {
-			return 0, err
-		}
-	}
-	if syncParent {
-		if err := syncDir(fs.dir); err != nil {
-			return 0, err
-		}
-	}
-	return cw.n + FooterSize, nil
-}
-
-// ReplaceDiff atomically overwrites the file of stored checkpoint ck
-// with d (temp file + rename). The compaction transaction uses it to
-// install the materialized baseline and to rewrite suffix diffs; every
-// replacement must be state-equivalent, which internal/lifecycle
-// verifies before writing anything. d must carry the absolute id ck.
-func (fs *FileStore) ReplaceDiff(ck int, d *Diff) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.ensureMaterializedLocked(); err != nil {
+// appendFrameLocked is the one write path of the live segment: it adds
+// one frame — a diff record per element of ds, or a tombstone per
+// element when kind says so — with one write and one fsync, then
+// indexes it. On failure the segment is cut back to its previous
+// length and the block references just taken are released; if even
+// that fails, or the failure is a simulated crash (which must leave
+// the debris a dying process would), the store stops accepting writes.
+func (fs *FileStore) appendFrameLocked(kind byte, ds []*Diff) error {
+	if err := fs.prepareLocked(); err != nil {
 		return err
 	}
-	if ck < int(fs.man.Base) || ck >= fs.n {
-		return fmt.Errorf("checkpoint: replace %d outside stored range [%d,%d)", ck, fs.man.Base, fs.n)
+	var refs []blockstore.Ref
+	var counts []int
+	if kind == recDiff {
+		var err error
+		if refs, counts, err = fs.internLocked(ds); err != nil {
+			return err
+		}
 	}
-	if int(d.CkptID) != ck {
-		return fmt.Errorf("checkpoint: replacement for %d carries id %d", ck, d.CkptID)
+	base := int(fs.man.Base)
+	end := base + len(fs.recs)
+	for _, d := range ds {
+		end = max(end, int(d.CkptID)+1)
 	}
-	old, err := os.Stat(fs.diffPath(ck))
-	if err != nil {
-		return fmt.Errorf("checkpoint: stat diff %d: %w", ck, err)
+	w := fs.hooks.wrapWrite(int(ds[0].CkptID), io.NewOffsetWriter(fs.seg, fs.segSize))
+	locs, size, err := fs.writeRecords(w, kind, ds, refs, counts, uint32(end), true)
+	if err == nil {
+		err = fs.hooks.sync(fs.seg)
 	}
-	// Capture the old file's block references before the rename
-	// destroys it; release them only after the replacement is durable.
-	// This is also the transparent-intern path: replacing a legacy
-	// self-contained file (no refs to release) writes a block-mapped
-	// one, migrating the lineage into the shared store as compaction
-	// naturally rewrites it.
-	oldRefs := fs.blockRefsAt(ck)
-	sz, err := fs.writeDiffLocked(ck, d)
-	if err != nil {
+	if errors.Is(err, ErrSimulatedCrash) {
+		fs.failed = err
 		return err
 	}
-	fs.size += sz - old.Size()
-	return fs.releaseRefs(oldRefs)
-}
-
-// CommitManifest atomically publishes m as the lineage manifest — the
-// commit point of a compaction transaction. The baseline may only move
-// forward, must keep at least one stored diff, and every pin must lie
-// in the retained range. Files below the new baseline are NOT deleted
-// here; call PruneBelowBase afterwards (recovery on reopen completes
-// the prune if the process dies in between).
-func (fs *FileStore) CommitManifest(m Manifest) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	// Drain the write-behind tail first: the rescan below recomputes
-	// fs.n from FILES, which would silently forget committed diffs
-	// still waiting in the intake log.
-	if err := fs.ensureMaterializedLocked(); err != nil {
+	if err != nil {
+		fs.releaseRefs(refs)
+		if terr := fs.seg.Truncate(fs.segSize); terr != nil {
+			fs.failed = fmt.Errorf("checkpoint: store %s stopped: rolling back a failed append: %v (append failed with: %w)", fs.dir, terr, err)
+		}
 		return err
 	}
-	if m.Base < fs.man.Base {
-		return fmt.Errorf("checkpoint: manifest baseline %d behind committed %d", m.Base, fs.man.Base)
+	for len(fs.recs) < end-base {
+		fs.recs = append(fs.recs, recLoc{})
 	}
-	if int(m.Base) > fs.n || (fs.n > int(fs.man.Base) && int(m.Base) >= fs.n) {
-		return fmt.Errorf("checkpoint: manifest baseline %d has no stored diff (range [%d,%d))",
-			m.Base, fs.man.Base, fs.n)
-	}
-	if m.Generation <= fs.man.Generation {
-		return fmt.Errorf("checkpoint: manifest generation %d does not advance %d",
-			m.Generation, fs.man.Generation)
-	}
-	for _, p := range m.Pins {
-		if int(p) >= fs.n {
-			return fmt.Errorf("checkpoint: pin %d beyond stored range [%d,%d)", p, m.Base, fs.n)
+	for i, d := range ds {
+		locs[i].off += fs.segSize
+		fs.recs[int(d.CkptID)-base] = locs[i]
+		if kind == recTombstone {
+			fs.n = min(fs.n, int(d.CkptID))
 		}
 	}
-	if err := WriteManifestFile(fs.manifestPath(), &m); err != nil {
-		return err
-	}
-	fs.man = m.Clone()
-	// The cached byte count covers [Base, n); rescan under the new
-	// baseline (files below it still exist until PruneBelowBase runs).
-	return fs.rescanLocked()
-}
-
-// PruneBelowBase deletes diff files below the committed baseline and
-// returns how many files and bytes it removed. It is idempotent: the
-// deletions are also performed on reopen, so a crash anywhere in the
-// loop loses nothing but disk space until the next open.
-func (fs *FileStore) PruneBelowBase() (int, int64, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.ensureMaterializedLocked(); err != nil {
-		return 0, 0, err
-	}
-	return fs.pruneBelowBaseLocked()
-}
-
-func (fs *FileStore) pruneBelowBaseLocked() (int, int64, error) {
-	entries, err := os.ReadDir(fs.dir)
-	if err != nil {
-		return 0, 0, fmt.Errorf("checkpoint: reading store: %w", err)
-	}
-	removed, freed := 0, int64(0)
-	for _, e := range entries {
-		ck, ok := parseDiffName(e.Name())
-		if !ok || ck >= int(fs.man.Base) {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			return removed, freed, fmt.Errorf("checkpoint: stat %s: %w", e.Name(), err)
-		}
-		// Retention becomes a refcount decrement, not a payload delete:
-		// capture the file's references, remove the file, then release.
-		// The shared blocks survive as long as ANY lineage still points
-		// at them; the next blockstore GC reclaims the rest. A crash
-		// between remove and release leaks counts, never corrupts them.
-		refs := fs.blockRefsAt(ck)
-		if err := os.Remove(filepath.Join(fs.dir, e.Name())); err != nil && !os.IsNotExist(err) {
-			return removed, freed, fmt.Errorf("checkpoint: pruning %s: %w", e.Name(), err)
-		}
-		if err := fs.releaseRefs(refs); err != nil {
-			return removed, freed, err
-		}
-		removed++
-		freed += info.Size()
-	}
-	return removed, freed, nil
-}
-
-// DiffBytes returns the encoded bytes of stored checkpoint ck with the
-// integrity footer verified and stripped — the path a network server
-// uses to serve a pull without decoding. A footer mismatch surfaces as
-// a *CorruptError (errors.Is ErrCorrupt); a legacy footer-less file is
-// returned as-is, unverified.
-func (fs *FileStore) DiffBytes(ck int) ([]byte, error) {
-	fs.mu.Lock()
-	if err := fs.ensureMaterializedLocked(); err != nil {
-		fs.mu.Unlock()
-		return nil, err
-	}
-	base, length, hooks := int(fs.man.Base), fs.n, fs.hooks
-	fs.mu.Unlock()
-	if ck < base || ck >= length {
-		return nil, fmt.Errorf("checkpoint: diff %d out of range [%d,%d)", ck, base, length)
-	}
-	encoded, _, err := fs.readVerified(ck, hooks)
-	return encoded, err
-}
-
-// errNoBlockStore reports a block-mapped diff file in a store opened
-// without a block store — a configuration problem (the `_blocks`
-// sibling was moved or the wrong constructor was used), not data
-// corruption, so it is deliberately NOT a *CorruptError: a scrub must
-// abort rather than quarantine every file it cannot resolve.
-var errNoBlockStore = errors.New("checkpoint: block-mapped diff but no block store attached")
-
-// readVerified reads checkpoint ck's file, applies the read-time fault
-// hook, and verifies+strips the integrity footer. A block-mapped
-// container is reassembled into the canonical diff encoding, each
-// payload block verified by the block store (CRC plus digest); callers
-// never see container bytes. verified is false only for legacy
-// footer-less files.
-func (fs *FileStore) readVerified(ck int, hooks *IOHooks) (encoded []byte, verified bool, err error) {
-	path := fs.diffPath(ck)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false, fmt.Errorf("checkpoint: reading diff %d: %w", ck, err)
-	}
-	if hooks != nil && hooks.OnDiffRead != nil {
-		raw = hooks.OnDiffRead(ck, raw)
-	}
-	encoded, verified, err = SplitFooter(raw)
-	if err != nil {
-		return nil, false, &CorruptError{Path: path, Ckpt: ck, Err: err}
-	}
-	if IsBlockMapped(encoded) {
-		encoded, err = fs.reassemble(encoded)
-		if err != nil {
-			if errors.Is(err, errNoBlockStore) {
-				return nil, false, err
-			}
-			return nil, false, &CorruptError{Path: path, Ckpt: ck, Err: err}
-		}
-		verified = true
-	}
-	return encoded, verified, nil
-}
-
-// reassemble expands a block-mapped container into the canonical diff
-// encoding: prefix verbatim, then every referenced block fetched from
-// the shared store. Both rot in the container (caught by its footer
-// before this runs) and rot in a block (caught by the store's
-// per-block verification here) surface as typed corruption.
-func (fs *FileStore) reassemble(container []byte) ([]byte, error) {
-	prefix, refs, dataLen, err := decodeBlockDiff(container)
-	if err != nil {
-		return nil, err
-	}
-	if fs.blocks == nil {
-		return nil, errNoBlockStore
-	}
-	out := make([]byte, 0, uint64(len(prefix))+dataLen)
-	out = append(out, prefix...)
-	for _, r := range refs {
-		p, err := fs.blocks.Get(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p...)
-	}
-	return out, nil
-}
-
-// blockRefsAt returns the block references held by checkpoint ck's
-// file, nil for self-contained or unreadable files. It is the
-// release-side bookkeeping read: callers that are about to delete or
-// overwrite the file capture its references first and release them
-// only after the file is durably gone (crash in between leaks a
-// count; it never underflows one).
-func (fs *FileStore) blockRefsAt(ck int) []blockstore.Ref {
-	raw, err := os.ReadFile(fs.diffPath(ck))
-	if err != nil {
-		return nil
-	}
-	encoded, _, err := SplitFooter(raw)
-	if err != nil || !IsBlockMapped(encoded) {
-		return nil
-	}
-	_, refs, _, err := decodeBlockDiff(encoded)
-	if err != nil {
-		return nil
-	}
-	return refs
+	fs.segSize += size
+	fs.growLocked()
+	return nil
 }
 
 // releaseRefs drops refs from the attached block store, tolerating
@@ -832,52 +593,283 @@ func (fs *FileStore) releaseRefs(refs []blockstore.Ref) error {
 	return nil
 }
 
-// decodeVerified decodes the verified bytes of checkpoint ck and
-// cross-checks the embedded id against the file name. Structural
-// decode failures and id mismatches are *CorruptError like checksum
-// failures: all three mean the file cannot be restored. verified is
-// false for legacy footer-less files.
-func (fs *FileStore) decodeVerified(ck int, hooks *IOHooks) (*Diff, bool, error) {
-	encoded, verified, err := fs.readVerified(ck, hooks)
-	if err != nil {
-		return nil, false, err
-	}
-	d, err := Decode(bytes.NewReader(encoded))
-	if err != nil {
-		return nil, verified, &CorruptError{Path: fs.diffPath(ck), Ckpt: ck, Err: err}
-	}
-	if int(d.CkptID) != ck {
-		return nil, verified, &CorruptError{Path: fs.diffPath(ck), Ckpt: ck,
-			Err: fmt.Errorf("file holds diff id %d", d.CkptID)}
-	}
-	return d, verified, nil
-}
-
-// TotalBytes returns the cumulative on-disk size of the stored diffs.
-func (fs *FileStore) TotalBytes() (int64, error) {
+// CommitManifest atomically publishes m as the lineage manifest: the
+// way pins change. The generation must advance, every pin must lie in
+// the stored range, and the baseline must stay where it is — it moves
+// only together with the diffs that make it restorable, in
+// InstallSpan.
+func (fs *FileStore) CommitManifest(m Manifest) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.size, nil
+	if m.Base != fs.man.Base {
+		return fmt.Errorf("checkpoint: manifest baseline %d differs from committed %d; the baseline moves only by installing a span",
+			m.Base, fs.man.Base)
+	}
+	if m.Generation <= fs.man.Generation {
+		return fmt.Errorf("checkpoint: manifest generation %d does not advance %d",
+			m.Generation, fs.man.Generation)
+	}
+	for _, p := range m.Pins {
+		if int(p) >= fs.n {
+			return fmt.Errorf("checkpoint: pin %d beyond stored range [%d,%d)", p, m.Base, fs.n)
+		}
+	}
+	m = m.Clone()
+	m.segment = fs.man.segment
+	return fs.commitManifestLocked(m)
+}
+
+// commitManifestLocked publishes m and adopts it. A failure before the
+// rename leaves the old manifest in force and is reported as is; a
+// simulated crash, or a failure after the rename (the commit stands
+// but its durability is unknown), stops the store until a reopen
+// settles which manifest won.
+func (fs *FileStore) commitManifestLocked(m Manifest) error {
+	if err := fs.prepareLocked(); err != nil {
+		return err
+	}
+	renamed, err := writeManifestFile(filepath.Join(fs.dir, ManifestFileName), &m, fs.hooks)
+	if err != nil {
+		if renamed || errors.Is(err, ErrSimulatedCrash) {
+			fs.failed = err
+		}
+		return err
+	}
+	fs.man = m
+	return nil
+}
+
+// InstallSpan replaces the lineage's content with diffs, which carry
+// the contiguous absolute ids [base, base+len(diffs)): the one rewrite
+// primitive. Compaction installs the folded span it verified; a
+// replica whose peer folded its lineage installs the span it pulled,
+// which may start past everything the replica holds. base must not
+// move backwards, and the span must reach at least as far as the store
+// does — a span planned from an older Load would silently drop the
+// diffs appended since, so it is refused.
+//
+// The span is written to a fresh segment and fsynced; the manifest
+// rename that names the new segment (baseline base, next generation,
+// pins below base dropped) is the commit point; then the old segment
+// is deleted and the block references of its records are released. A
+// crash leaves the old lineage plus an unnamed segment, or the new
+// lineage plus the old segment; the next write removes either, and a
+// crash can only leak block references, never drop a needed one.
+func (fs *FileStore) InstallSpan(base int, diffs []*Diff) error {
+	if len(diffs) == 0 {
+		return fmt.Errorf("checkpoint: install span at %d with no diffs", base)
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if base < int(fs.man.Base) {
+		return fmt.Errorf("checkpoint: span baseline %d behind committed %d", base, fs.man.Base)
+	}
+	if end := int(fs.man.Base) + len(fs.recs); base+len(diffs) < end {
+		return fmt.Errorf("checkpoint: span [%d,%d) stops short of the stored diffs, which reach %d",
+			base, base+len(diffs), end)
+	}
+	if err := checkRun(diffs, base, uint32(base)); err != nil {
+		return fmt.Errorf("checkpoint: span at %d: %w", base, err)
+	}
+	if err := fs.prepareLocked(); err != nil {
+		return err
+	}
+
+	m := fs.man.Clone()
+	m.Base = uint32(base)
+	m.Generation++
+	m.segment++
+	kept := m.Pins[:0]
+	for _, p := range m.Pins {
+		if int(p) >= base {
+			kept = append(kept, p)
+		}
+	}
+	m.Pins = kept
+
+	oldRefs, err := fs.segmentRefsLocked()
+	if err != nil {
+		return err
+	}
+	refs, counts, err := fs.internLocked(diffs)
+	if err != nil {
+		return err
+	}
+	f, locs, size, err := fs.writeSegment(filepath.Join(fs.dir, segmentName(m.segment)), diffs, refs, counts)
+	if err == nil {
+		err = fs.commitManifestLocked(m)
+	}
+	if err != nil {
+		if f != nil {
+			f.Close()
+		}
+		if fs.failed == nil { // not committed, and not pretending to have crashed
+			os.Remove(filepath.Join(fs.dir, segmentName(m.segment)))
+			fs.releaseRefs(refs)
+		}
+		return err
+	}
+	fs.seg.Close()
+	os.Remove(fs.seg.Name())
+	fs.seg, fs.segSize, fs.recs, fs.n = f, size, locs, base+len(diffs)
+	return fs.releaseRefs(oldRefs)
+}
+
+// writeSegment is the one writer of whole segments: it creates path,
+// writes one record per diff, and fsyncs. The open file is returned
+// (also on error, for the caller to dispose of) together with the
+// index of what it holds.
+func (fs *FileStore) writeSegment(path string, diffs []*Diff, refs []blockstore.Ref, counts []int) (f *os.File, locs []recLoc, size int64, err error) {
+	if f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644); err != nil {
+		return nil, nil, 0, fmt.Errorf("checkpoint: creating segment: %w", err)
+	}
+	first := int(diffs[0].CkptID)
+	locs, size, err = fs.writeRecords(fs.hooks.wrapWrite(first, f), recDiff, diffs, refs, counts, uint32(first+len(diffs)), false)
+	if err == nil {
+		err = fs.hooks.sync(f)
+	}
+	if errors.Is(err, ErrSimulatedCrash) {
+		fs.failed = err
+	}
+	return f, locs, size, err
+}
+
+// segmentRefsLocked returns the block references held by the live
+// segment: those of EVERY diff record in it that still verifies,
+// superseded ones included — each took its references when it was
+// written and nothing has released them since. References of records
+// that no longer verify are leaked rather than guessed at.
+func (fs *FileStore) segmentRefsLocked() ([]blockstore.Ref, error) {
+	if fs.blocks == nil {
+		return nil, nil
+	}
+	recs, _, err := scanSegment(fs.seg, fs.segSize)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: scanning %s: %w", fs.seg.Name(), err)
+	}
+	var out []blockstore.Ref
+	for _, r := range recs {
+		if r.kind != recDiff {
+			continue
+		}
+		payload := make([]byte, r.len)
+		if _, err := fs.seg.ReadAt(payload, r.off+recHdrSize); err != nil || !IsBlockMapped(payload) {
+			continue
+		}
+		if _, refs, _, err := decodeBlockDiff(payload); err == nil {
+			out = append(out, refs...)
+		}
+	}
+	return out, nil
+}
+
+// errNoBlockStore reports a block-mapped record in a store opened
+// without a block store — a configuration problem (the `_blocks`
+// sibling was moved or the wrong constructor was used), not data
+// corruption, so it is deliberately NOT a *CorruptError: a scrub must
+// abort rather than quarantine every diff it cannot resolve.
+var errNoBlockStore = errors.New("checkpoint: block-mapped diff but no block store attached")
+
+// DiffBytes returns the canonical encoded bytes of stored checkpoint ck
+// — the path a network server uses to serve a pull without decoding.
+// It reads the record back from the segment and verifies both record
+// checksums and the header against the index; a block-mapped container
+// is reassembled — prefix verbatim, then every referenced block
+// fetched from the shared store, which verifies each one — so callers
+// never see container bytes. Damage of either kind is a *CorruptError
+// (errors.Is ErrCorrupt). Only the read itself happens under the lock:
+// a reader never sees a half-installed segment, and verification and
+// block fetches do not hold up appends.
+func (fs *FileStore) DiffBytes(ck int) ([]byte, error) {
+	fs.mu.Lock()
+	base := int(fs.man.Base)
+	if ck < base || ck >= fs.n {
+		fs.mu.Unlock()
+		return nil, fmt.Errorf("checkpoint: diff %d out of range [%d,%d)", ck, base, fs.n)
+	}
+	if fs.seg == nil {
+		fs.mu.Unlock()
+		return nil, fs.failed
+	}
+	corrupt := func(err error) ([]byte, error) {
+		return nil, &CorruptError{Path: fs.dir, Ckpt: ck, Err: err}
+	}
+	loc, hooks := fs.recs[ck-base], fs.hooks
+	if loc.state != recLive {
+		fs.mu.Unlock()
+		return corrupt(fmt.Errorf("%w: no record of the diff verified when the segment was opened", ErrChecksumMismatch))
+	}
+	raw := make([]byte, recHdrSize+int(loc.len))
+	_, err := fs.seg.ReadAt(raw, loc.off)
+	fs.mu.Unlock()
+	if err != nil && err != io.EOF { // a short read fails verification below
+		return nil, fmt.Errorf("checkpoint: reading diff %d: %w", ck, err)
+	}
+	if hooks != nil && hooks.OnDiffRead != nil {
+		raw = hooks.OnDiffRead(ck, raw)
+	}
+	h, ok := parseRecHeader(raw)
+	if !ok || h.kind != recDiff || int(h.id) != ck || h.len != loc.len {
+		return corrupt(fmt.Errorf("%w: record header at offset %d does not verify", ErrChecksumMismatch, loc.off))
+	}
+	payload := raw[recHdrSize:]
+	if got := crc32.Checksum(payload, castagnoli); got != h.crc {
+		return corrupt(fmt.Errorf("%w: record says %08x, payload hashes to %08x", ErrChecksumMismatch, h.crc, got))
+	}
+	if !IsBlockMapped(payload) {
+		return payload, nil
+	}
+	prefix, refs, dataLen, err := decodeBlockDiff(payload)
+	if err != nil {
+		return corrupt(err)
+	}
+	if fs.blocks == nil {
+		return nil, errNoBlockStore
+	}
+	out := make([]byte, 0, uint64(len(prefix))+dataLen)
+	out = append(out, prefix...)
+	for _, r := range refs {
+		p, err := fs.blocks.Get(r)
+		if err != nil {
+			return corrupt(err)
+		}
+		out = append(out, p...)
+	}
+	return out, nil
+}
+
+// decodeVerified decodes the verified bytes of checkpoint ck and
+// cross-checks the embedded id. Structural decode failures and id
+// mismatches are *CorruptError like checksum failures: all three mean
+// the diff cannot be restored.
+func (fs *FileStore) decodeVerified(ck int) (*Diff, error) {
+	encoded, err := fs.DiffBytes(ck)
+	if err != nil {
+		return nil, err
+	}
+	d, err := Decode(bytes.NewReader(encoded))
+	if err == nil && int(d.CkptID) != ck {
+		err = fmt.Errorf("record holds diff id %d", d.CkptID)
+	}
+	if err != nil {
+		return nil, &CorruptError{Path: fs.dir, Ckpt: ck, Err: err}
+	}
+	return d, nil
 }
 
 // Load reads the stored lineage [Base, Len) into a restorable Record.
-// On-disk diffs carry absolute ids; Load rebases them to the 0-based
+// Stored diffs carry absolute ids; Load rebases them to the 0-based
 // contiguous ids the Record requires, so Record index i is absolute
 // checkpoint Base()+i.
 func (fs *FileStore) Load() (*Record, error) {
-	fs.mu.Lock()
-	if err := fs.ensureMaterializedLocked(); err != nil {
-		fs.mu.Unlock()
-		return nil, err
-	}
-	base, length, hooks := int(fs.man.Base), fs.n, fs.hooks
-	fs.mu.Unlock()
+	base := fs.Base()
+	length, _ := fs.Len()
 	if length == base {
 		return nil, fmt.Errorf("checkpoint: store %s is empty", fs.dir)
 	}
 	rec := NewRecord()
 	for ck := base; ck < length; ck++ {
-		d, _, err := fs.decodeVerified(ck, hooks)
+		d, err := fs.decodeVerified(ck)
 		if err != nil {
 			return nil, err
 		}
@@ -891,21 +883,18 @@ func (fs *FileStore) Load() (*Record, error) {
 	return rec, nil
 }
 
-// WriteRecord persists an in-memory record into an empty store.
+// WriteRecord persists an in-memory record into an empty store, as one
+// batch.
 func (fs *FileStore) WriteRecord(rec *Record) error {
-	n, err := fs.Len()
-	if err != nil {
-		return err
-	}
-	if n != 0 {
+	if n, _ := fs.Len(); n != 0 {
 		return fmt.Errorf("checkpoint: store %s already holds diffs up to %d", fs.dir, n)
 	}
-	for i := 0; i < rec.Len(); i++ {
-		if err := fs.Append(rec.Diff(i)); err != nil {
-			return err
-		}
+	ds := make([]*Diff, rec.Len())
+	for i := range ds {
+		ds[i] = rec.Diff(i)
 	}
-	return nil
+	_, err := fs.AppendBatch(ds)
+	return err
 }
 
 // ScrubReport summarizes a Scrub pass.
@@ -913,223 +902,88 @@ type ScrubReport struct {
 	// Checked is how many stored diffs were read and verified.
 	Checked int
 	// Corrupt lists, in ascending order, the absolute checkpoint ids
-	// whose files failed verification and were quarantined.
+	// that failed verification and were quarantined.
 	Corrupt []int
-	// Errors holds the *CorruptError for each entry of Corrupt.
-	Errors []error
-	// Unverified lists legacy footer-less diffs that decoded cleanly
-	// but carry no checksum to verify.
-	Unverified []int
 }
 
-// OK reports whether the scrub found no corruption.
-func (r *ScrubReport) OK() bool { return len(r.Corrupt) == 0 }
-
-// Scrub reads and verifies every stored diff: footer checksum,
-// structural decode, and id-vs-filename agreement. Each corrupt file
-// is quarantined — renamed to <name>.quarantine, which removes it from
-// the store's namespace while preserving the bytes for forensics — and
-// the cached range shrinks to the contiguous prefix before the first
-// hole, exactly as if the file had never been written. Use
+// Scrub reads and verifies every stored diff of [Base, Len): record
+// checksums, block reassembly, structural decode, and id agreement.
+// The corrupt ones are quarantined together (see QuarantineDiff), so
+// the stored range shrinks to the contiguous prefix before the first
+// of them, exactly as if the rest had never been written. Use
 // ReinstallDiff (e.g. with bytes refetched from a ckptd peer, see the
-// client's Repair) to fill the hole and reconnect the suffix.
-//
-// Scrub holds the store lock for the whole pass; concurrent appends
-// and pulls wait rather than racing a quarantine rename.
+// client's Repair) to bring them back and reconnect the suffix.
 func (fs *FileStore) Scrub() (*ScrubReport, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.ensureMaterializedLocked(); err != nil {
-		return nil, err
-	}
+	base := fs.Base()
+	length, _ := fs.Len()
 	rep := &ScrubReport{}
-	for ck := int(fs.man.Base); ck < fs.n; ck++ {
+	var holes []*Diff
+	for ck := base; ck < length; ck++ {
 		rep.Checked++
-		_, verified, err := fs.decodeVerified(ck, fs.hooks)
-		if err != nil {
-			var ce *CorruptError
-			if !errors.As(err, &ce) {
-				return rep, err // I/O failure, not corruption: abort the pass
-			}
-			path := fs.diffPath(ck)
-			if err := os.Rename(path, path+QuarantineSuffix); err != nil {
-				return rep, fmt.Errorf("checkpoint: quarantining diff %d: %w", ck, err)
-			}
-			rep.Corrupt = append(rep.Corrupt, ck)
-			rep.Errors = append(rep.Errors, ce)
+		_, err := fs.decodeVerified(ck)
+		if err == nil {
 			continue
 		}
-		if !verified {
-			rep.Unverified = append(rep.Unverified, ck)
+		if !errors.Is(err, ErrCorrupt) {
+			return rep, err // I/O failure, not corruption: abort the pass
 		}
+		rep.Corrupt = append(rep.Corrupt, ck)
+		holes = append(holes, &Diff{CkptID: uint32(ck)})
 	}
-	if len(rep.Corrupt) > 0 {
-		if err := fs.rescanLocked(); err != nil {
-			return rep, err
-		}
+	if len(holes) == 0 {
+		return rep, nil
 	}
-	sort.Ints(rep.Corrupt)
-	return rep, nil
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return rep, fs.appendFrameLocked(recTombstone, holes)
 }
 
-// ReinstallDiff writes d at its absolute checkpoint id, filling a hole
-// left by Scrub quarantine (or overwriting an existing file with
-// equivalent bytes). The id must lie at or above the baseline; after
-// the write the store rescans, so a suffix stranded beyond the hole is
-// reconnected and Len() grows back accordingly.
+// QuarantineDiff takes stored checkpoint ck out of the restorable
+// range: it appends a durable tombstone record, after which Len stops
+// at ck until ReinstallDiff brings the id back. The superseded record
+// stays in the segment as forensic evidence until the next InstallSpan
+// rewrites it away.
+func (fs *FileStore) QuarantineDiff(ck int) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	i := ck - int(fs.man.Base)
+	if i < 0 || i >= len(fs.recs) {
+		return fmt.Errorf("checkpoint: quarantine %d outside stored [%d,%d)", ck, fs.man.Base, int(fs.man.Base)+len(fs.recs))
+	}
+	if fs.recs[i].state == recQuarantined {
+		return nil
+	}
+	return fs.appendFrameLocked(recTombstone, []*Diff{{CkptID: uint32(ck)}})
+}
+
+// QuarantinedIDs returns, ascending, the ids the lineage has stored but
+// cannot serve: quarantined ones, and ones whose record the scan on
+// open found damaged, not reinstalled since — what a repair pass
+// (possibly in a later process than the scrub) still needs to fill.
+func (fs *FileStore) QuarantinedIDs() ([]int, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	var out []int
+	for i, r := range fs.recs {
+		if r.state != recLive {
+			out = append(out, int(fs.man.Base)+i)
+		}
+	}
+	return out, nil
+}
+
+// ReinstallDiff stores d at its absolute checkpoint id, whatever is
+// there now: it brings back a quarantined id (reconnecting the suffix
+// stranded beyond it, so Len grows back), supersedes a stored or
+// damaged record, or — at the end of the stored ids — extends the
+// lineage by one. The id must lie at or above the baseline and may not
+// skip ahead.
 func (fs *FileStore) ReinstallDiff(d *Diff) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.ensureMaterializedLocked(); err != nil {
-		return err
+	base, ck := int(fs.man.Base), int(d.CkptID)
+	if ck < base || ck > base+len(fs.recs) || d.CkptID == math.MaxUint32 {
+		return fmt.Errorf("checkpoint: reinstall %d outside [%d,%d]", ck, base, base+len(fs.recs))
 	}
-	ck := int(d.CkptID)
-	if ck < int(fs.man.Base) {
-		return fmt.Errorf("checkpoint: reinstall %d below baseline %d", ck, fs.man.Base)
-	}
-	oldRefs := fs.blockRefsAt(ck)
-	if _, err := fs.writeDiffLocked(ck, d); err != nil {
-		return err
-	}
-	if err := fs.releaseRefs(oldRefs); err != nil {
-		return err
-	}
-	return fs.rescanLocked()
-}
-
-// InstallSpan installs a replicated span pulled from a peer: diffs
-// carry contiguous absolute ids [base, base+len(diffs)) and become
-// the store's authoritative content, adopting base as the committed
-// baseline when it lies beyond the current one. This is the resync
-// commit of a follower whose primary folded its lineage — unlike
-// CommitManifest (which moves the baseline of diffs already stored),
-// InstallSpan may move the baseline PAST the mirror's current length,
-// because the span's files are written first and the manifest commit
-// only then publishes the new base over them.
-//
-// The transaction reuses the compaction crash contract: span files
-// (durable, fsynced individually), then the atomic manifest rename,
-// then the prune of files below the new baseline. A crash at any
-// point leaves either the old committed state plus ignorable stranded
-// files, or the new state with the prune completed on reopen.
-func (fs *FileStore) InstallSpan(base int, diffs []*Diff) error {
-	if len(diffs) == 0 {
-		return fmt.Errorf("checkpoint: install span at %d with no diffs", base)
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.ensureMaterializedLocked(); err != nil {
-		return err
-	}
-	if base < int(fs.man.Base) {
-		return fmt.Errorf("checkpoint: span baseline %d behind committed %d", base, fs.man.Base)
-	}
-	for i, d := range diffs {
-		if int(d.CkptID) != base+i {
-			return fmt.Errorf("checkpoint: span diff at offset %d carries id %d, want %d",
-				i, d.CkptID, base+i)
-		}
-		for _, s := range d.ShiftDupl {
-			if int(s.SrcCkpt) < base {
-				return fmt.Errorf("checkpoint: span diff %d references checkpoint %d below its baseline %d",
-					d.CkptID, s.SrcCkpt, base)
-			}
-		}
-	}
-	for i, d := range diffs {
-		// An overwritten file's block references are captured before
-		// the rename destroys it and released only once the
-		// replacement is durable, as in ReplaceDiff.
-		oldRefs := fs.blockRefsAt(base + i)
-		if _, err := fs.writeDiffLocked(base+i, d); err != nil {
-			return err
-		}
-		if err := fs.releaseRefs(oldRefs); err != nil {
-			return err
-		}
-	}
-	if base > int(fs.man.Base) {
-		m := fs.man.Clone()
-		m.Base = uint32(base)
-		m.Generation++
-		kept := m.Pins[:0]
-		for _, p := range m.Pins {
-			if int(p) >= base {
-				kept = append(kept, p)
-			}
-		}
-		m.Pins = kept
-		if err := WriteManifestFile(fs.manifestPath(), &m); err != nil {
-			return err
-		}
-		fs.man = m
-	}
-	if err := fs.rescanLocked(); err != nil {
-		return err
-	}
-	_, _, err := fs.pruneBelowBaseLocked()
-	return err
-}
-
-// Quarantined lists the quarantine file names currently in the store
-// directory, in lexical order.
-func (fs *FileStore) Quarantined() ([]string, error) {
-	entries, err := os.ReadDir(fs.dir)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: reading store: %w", err)
-	}
-	var out []string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), QuarantineSuffix) {
-			out = append(out, e.Name())
-		}
-	}
-	return out, nil
-}
-
-// QuarantinedIDs returns the checkpoint ids of the quarantine files in
-// the store directory, ascending — the holes a repair pass (possibly
-// in a later process than the scrub that quarantined them) still needs
-// to fill.
-func (fs *FileStore) QuarantinedIDs() ([]int, error) {
-	names, err := fs.Quarantined()
-	if err != nil {
-		return nil, err
-	}
-	var out []int
-	for _, name := range names {
-		if ck, ok := parseDiffName(strings.TrimSuffix(name, QuarantineSuffix)); ok {
-			out = append(out, ck)
-		}
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
-// ClearQuarantine removes checkpoint ck's quarantine file, if any —
-// called once a repair has reinstalled verified bytes at ck, so the
-// forensic copy of the rotten file stops masquerading as an open hole.
-func (fs *FileStore) ClearQuarantine(ck int) error {
-	err := os.Remove(fs.diffPath(ck) + QuarantineSuffix)
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("checkpoint: clearing quarantine of diff %d: %w", ck, err)
-	}
-	return nil
-}
-
-// Files lists the stored diff file names in checkpoint order. Callers
-// read the files, so the write-behind tail is drained first.
-func (fs *FileStore) Files() ([]string, error) {
-	fs.mu.Lock()
-	if err := fs.ensureMaterializedLocked(); err != nil {
-		fs.mu.Unlock()
-		return nil, err
-	}
-	base, length := int(fs.man.Base), fs.n
-	fs.mu.Unlock()
-	out := make([]string, 0, length-base)
-	for ck := base; ck < length; ck++ {
-		out = append(out, fs.diffPath(ck))
-	}
-	return out, nil
+	return fs.appendFrameLocked(recDiff, []*Diff{d})
 }

@@ -108,17 +108,17 @@ func TestBlockStoreDiffBytesCanonical(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("block-mapped DiffBytes diverged from canonical: %d vs %d bytes", len(b1), len(b2))
 	}
-	// The on-disk file, by contrast, is the small container.
-	info, err := os.Stat(stores[0].diffPath(0))
+	// The on-disk record, by contrast, holds the small container.
+	_, _, size, err := stores[0].Locate(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Size() >= int64(len(b2)) {
-		t.Fatalf("container file %d bytes, not smaller than canonical %d", info.Size(), len(b2))
+	if size >= int64(len(b2)) {
+		t.Fatalf("container record %d bytes, not smaller than canonical %d", size, len(b2))
 	}
 }
 
-// TestBlockStoreReleaseOnPrune: retention pruning releases block
+// TestBlockStoreReleaseOnPrune: folding history away releases block
 // references; blocks shared with a surviving lineage survive GC,
 // blocks referenced by no one are reclaimed.
 func TestBlockStoreReleaseOnPrune(t *testing.T) {
@@ -136,15 +136,10 @@ func TestBlockStoreReleaseOnPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Move a's baseline to 3: files 0..2 pruned, their refs released.
+	// Move a's baseline to 3: the old segment's records are gone and
+	// their refs released.
 	base := randomDiff(3, 999, 640)
-	if err := stores[0].ReplaceDiff(3, base); err != nil {
-		t.Fatal(err)
-	}
-	if err := stores[0].CommitManifest(Manifest{Base: 3, Generation: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := stores[0].PruneBelowBase(); err != nil {
+	if err := stores[0].InstallSpan(3, []*Diff{base}); err != nil {
 		t.Fatal(err)
 	}
 	gc, err := bs.GC()
@@ -180,14 +175,16 @@ func TestBlockStoreReleaseOnPrune(t *testing.T) {
 	}
 }
 
-// TestBlockStoreLegacyCompat: a pre-blockstore (self-contained)
-// lineage opens under a shared store, loads byte-exact, and is
-// transparently interned when compaction rewrites a file.
-func TestBlockStoreLegacyCompat(t *testing.T) {
+// TestBlockStoreSelfContainedCompat: a lineage written without a block
+// store (self-contained records) opens under a shared store, loads
+// byte-exact, and is interned when compaction rewrites it — which
+// record shape is written follows from whether a store is attached,
+// and both are always readable.
+func TestBlockStoreSelfContainedCompat(t *testing.T) {
 	root := t.TempDir()
-	dir := filepath.Join(root, "legacy")
+	dir := filepath.Join(root, "plain")
 
-	// Write a legacy lineage: no sibling _blocks, self-contained files.
+	// Write the lineage with no sibling _blocks: self-contained records.
 	plain, err := NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +208,7 @@ func TestBlockStoreLegacyCompat(t *testing.T) {
 	}
 	rec, err := fs.Load()
 	if err != nil {
-		t.Fatalf("legacy lineage under shared store: %v", err)
+		t.Fatalf("self-contained lineage under shared store: %v", err)
 	}
 	for ck := 0; ck < 3; ck++ {
 		got, err := rec.Restore(ck)
@@ -219,30 +216,28 @@ func TestBlockStoreLegacyCompat(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, randomDiff(ck, int64(ck), 640).Data) {
-			t.Fatalf("legacy restore %d diverged", ck)
+			t.Fatalf("self-contained restore %d diverged", ck)
 		}
 	}
 	if bs.Stats().Interned != 0 {
-		t.Fatal("merely loading a legacy lineage interned blocks")
+		t.Fatal("merely loading a self-contained lineage interned blocks")
 	}
 
-	// Rewriting a file (the compaction path) interns it transparently.
-	if err := fs.ReplaceDiff(1, randomDiff(1, 1, 640)); err != nil {
-		t.Fatal(err)
-	}
+	// Rewriting the lineage (the compaction path) interns it.
+	foldTo(t, fs, 0)
 	if bs.Stats().Interned == 0 {
-		t.Fatal("ReplaceDiff did not intern the rewritten diff")
+		t.Fatal("InstallSpan did not intern the rewritten diffs")
 	}
-	encoded, err := os.ReadFile(fs.diffPath(1))
+	path, off, size, err := fs.Locate(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _, err := SplitFooter(encoded)
+	seg, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsBlockMapped(body) {
-		t.Fatal("rewritten file is not block-mapped")
+	if !IsBlockMapped(seg[off+recHdrSize : off+size]) {
+		t.Fatal("rewritten record is not block-mapped")
 	}
 	rec2, err := fs.Load()
 	if err != nil {
@@ -391,8 +386,8 @@ func TestBlockStoreRotSurfacesAsCorrupt(t *testing.T) {
 		}
 	}
 	// Rot one shared block on disk.
-	refs := stores[0].blockRefsAt(0)
-	if len(refs) == 0 {
+	refs, err := stores[0].segmentRefsLocked()
+	if err != nil || len(refs) == 0 {
 		t.Fatal("no block refs recorded")
 	}
 	path := bs.BlockPath(refs[0].ID)

@@ -31,10 +31,6 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if n, _ := fs.Len(); n != 3 {
 		t.Fatalf("store has %d diffs, want 3", n)
 	}
-	files, err := fs.Files()
-	if err != nil || len(files) != 3 {
-		t.Fatalf("files: %v %v", files, err)
-	}
 	rec, err := fs.Load()
 	if err != nil {
 		t.Fatal(err)
@@ -90,26 +86,6 @@ func TestFileStoreEmptyLoad(t *testing.T) {
 	}
 }
 
-func TestFileStoreIgnoresStrayFiles(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "README.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "ckpt-junk.tmp"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Append(storeDiff(0, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := fs.Len(); n != 1 {
-		t.Fatalf("stray files confused Len: %d", n)
-	}
-}
-
 func TestFileStoreCorruptDiff(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := NewFileStore(dir)
@@ -119,111 +95,21 @@ func TestFileStoreCorruptDiff(t *testing.T) {
 	if err := fs.Append(storeDiff(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	files, _ := fs.Files()
-	if err := os.WriteFile(files[0], []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Load(); err == nil {
-		t.Fatal("corrupt diff loaded")
-	}
-}
-
-// TestFileStoreRenameCrashDurability drives the commit protocol
-// through injected rename-time crashes: the temp file must be fsynced
-// before every publish, a crash before the rename must lose only the
-// in-flight diff (and leave a temp file for reopen to sweep), and a
-// crash after the rename must lose nothing.
-func TestFileStoreRenameCrashDurability(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := NewFileStore(dir)
+	path, off, _, err := fs.Locate(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var syncs int
-	var crashBefore, crashAfter bool
-	fs.SetIOHooks(&IOHooks{
-		BeforeSync: func(string) error { syncs++; return nil },
-		BeforeRename: func(tmp, final string) error {
-			if crashBefore {
-				return ErrSimulatedCrash
-			}
-			return nil
-		},
-		AfterRename: func(final string) error {
-			if crashAfter {
-				return ErrSimulatedCrash
-			}
-			return nil
-		},
-	})
-
-	for ck := 0; ck < 2; ck++ {
-		if err := fs.Append(storeDiff(ck, byte(ck+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if syncs != 2 {
-		t.Fatalf("%d temp-file fsyncs for 2 appends", syncs)
-	}
-
-	// Crash after the fsync but before the publishing rename: the diff
-	// is lost, its temp file survives for reopen-recovery to sweep.
-	crashBefore = true
-	if err := fs.Append(storeDiff(2, 3)); !errorsIsSimulatedCrash(err) {
-		t.Fatalf("crash-before-rename append: %v", err)
-	}
-	crashBefore = false
-	if n, _ := fs.Len(); n != 2 {
-		t.Fatalf("store advanced through a pre-rename crash: Len %d", n)
-	}
-	tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
-	if len(tmps) != 1 {
-		t.Fatalf("expected 1 orphaned temp file, found %v", tmps)
-	}
-
-	// Reopen: the orphan is swept and the same id appends cleanly.
-	fs2, err := NewFileStore(dir)
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
-		t.Fatalf("reopen left temp files: %v", tmps)
-	}
-	if err := fs2.Append(storeDiff(2, 3)); err != nil {
+	defer f.Close()
+	if _, err := f.WriteAt([]byte("garbage"), off+recHdrSize); err != nil {
 		t.Fatal(err)
 	}
-
-	// Crash between the rename and the directory fsync: the diff was
-	// published, so after "reboot" it must be present and verified.
-	fs2.SetIOHooks(&IOHooks{AfterRename: func(string) error { return ErrSimulatedCrash }})
-	if err := fs2.Append(storeDiff(3, 4)); !errorsIsSimulatedCrash(err) {
-		t.Fatalf("crash-after-rename append: %v", err)
+	if _, err := fs.Load(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupt diff loaded: %v", err)
 	}
-	fs3, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := fs3.Len(); n != 4 {
-		t.Fatalf("post-rename crash lost the published diff: Len %d", n)
-	}
-	rec, err := fs3.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ck := 0; ck < 4; ck++ {
-		got, err := rec.Restore(ck)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[0] != byte(ck+1) {
-			t.Fatalf("restore %d wrong content after crashes", ck)
-		}
-	}
-}
-
-func errorsIsSimulatedCrash(err error) bool {
-	return err != nil && errors.Is(err, ErrSimulatedCrash)
 }
 
 func TestFileStoreWriteRecord(t *testing.T) {
@@ -249,57 +135,14 @@ func TestFileStoreWriteRecord(t *testing.T) {
 	}
 }
 
-func TestFileStoreSweepsStaleTempFiles(t *testing.T) {
-	dir := t.TempDir()
-	// Simulate a crash between CreateTemp and Rename: a stale tmp file
-	// exists before the store is (re)opened.
-	stale := filepath.Join(dir, "ckpt-123456789.tmp")
-	if err := os.WriteFile(stale, []byte("half-written diff"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A non-tmp stray and a published diff must survive the sweep.
-	keep := filepath.Join(dir, "NOTES.txt")
-	if err := os.WriteFile(keep, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fs, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatalf("stale temp file not swept: %v", err)
-	}
-	if _, err := os.Stat(keep); err != nil {
-		t.Fatalf("sweep removed unrelated file: %v", err)
-	}
-	if err := fs.Append(storeDiff(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen with a fresh stale tmp next to a real diff: only the tmp
-	// goes, the lineage stays intact.
-	if err := os.WriteFile(stale, []byte("again"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fs2, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatal("stale temp file survived reopen")
-	}
-	if n, _ := fs2.Len(); n != 1 {
-		t.Fatalf("sweep damaged lineage: len %d", n)
-	}
-}
-
 func TestFileStoreConcurrentAppendOneWinner(t *testing.T) {
 	fs, err := NewFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Two goroutines race to append the same next id. Exactly one may
-	// win; the loser must see a contiguity error, and exactly one file
-	// must exist afterwards. The ckptd server relies on this.
+	// win; the loser must see a contiguity error, and exactly one
+	// record must exist afterwards. The ckptd server relies on this.
 	const racers = 8
 	errs := make(chan error, racers)
 	var start sync.WaitGroup
@@ -326,9 +169,9 @@ func TestFileStoreConcurrentAppendOneWinner(t *testing.T) {
 	if n, _ := fs.Len(); n != 1 {
 		t.Fatalf("store holds %d diffs after race, want 1", n)
 	}
-	files, _ := fs.Files()
-	if len(files) != 1 {
-		t.Fatalf("store holds %d files after race, want 1", len(files))
+	want, _ := fs.DiffBytes(0)
+	if total, _ := fs.TotalBytes(); total != int64(recHdrSize+len(want)) {
+		t.Fatalf("segment holds %d bytes after race, want one record of %d", total, recHdrSize+len(want))
 	}
 }
 
@@ -355,29 +198,28 @@ func TestFileStoreDiffBytes(t *testing.T) {
 	if _, err := fs.DiffBytes(-1); err == nil {
 		t.Fatal("negative DiffBytes accepted")
 	}
-	// On-disk accounting includes the integrity footer; DiffBytes strips
-	// it, so the two sizes differ by exactly FooterSize per diff.
+	// On-disk accounting includes the record header; DiffBytes strips
+	// it, so the two sizes differ by exactly recHdrSize per diff.
 	total, err := fs.TotalBytes()
-	if err != nil || total != int64(want.Len()+FooterSize) {
-		t.Fatalf("TotalBytes %d, want %d (err %v)", total, want.Len()+FooterSize, err)
+	if err != nil || total != int64(want.Len()+recHdrSize) {
+		t.Fatalf("TotalBytes %d, want %d (err %v)", total, want.Len()+recHdrSize, err)
 	}
 }
 
-// commitBase commits a new manifest moving the baseline to base, with
-// the next generation.
-func commitBase(t *testing.T, fs *FileStore, base int) {
+// foldTo moves the baseline to base the way compaction does: it
+// installs the stored span [base, Len) unchanged.
+func foldTo(t *testing.T, fs *FileStore, base int) {
 	t.Helper()
-	m := fs.Manifest()
-	m.Base = uint32(base)
-	m.Generation++
-	kept := m.Pins[:0]
-	for _, p := range m.Pins {
-		if int(p) >= base {
-			kept = append(kept, p)
+	n, _ := fs.Len()
+	var span []*Diff
+	for ck := base; ck < n; ck++ {
+		d, err := fs.decodeVerified(ck)
+		if err != nil {
+			t.Fatal(err)
 		}
+		span = append(span, d)
 	}
-	m.Pins = kept
-	if err := fs.CommitManifest(m); err != nil {
+	if err := fs.InstallSpan(base, span); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -393,29 +235,15 @@ func TestFileStoreBaseline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	commitBase(t, fs, 2)
+	foldTo(t, fs, 2)
 	if fs.Base() != 2 {
 		t.Fatalf("base %d, want 2", fs.Base())
 	}
 	if n, _ := fs.Len(); n != 5 {
 		t.Fatalf("len %d, want 5 (absolute)", n)
 	}
-	// Files below the baseline still exist until the prune runs; the
-	// restorable views must already exclude them.
 	if _, err := fs.DiffBytes(1); err == nil {
 		t.Fatal("DiffBytes below baseline served")
-	}
-	files, _ := fs.Files()
-	if len(files) != 3 {
-		t.Fatalf("Files lists %d entries, want 3", len(files))
-	}
-	removed, freed, err := fs.PruneBelowBase()
-	if err != nil || removed != 2 || freed <= 0 {
-		t.Fatalf("prune: removed %d, freed %d, err %v", removed, freed, err)
-	}
-	// Idempotent.
-	if removed, _, err := fs.PruneBelowBase(); err != nil || removed != 0 {
-		t.Fatalf("second prune: removed %d, err %v", removed, err)
 	}
 	// Load rebases to 0-based record indices: record index i holds
 	// absolute checkpoint base+i.
@@ -439,55 +267,18 @@ func TestFileStoreBaseline(t *testing.T) {
 	if err := fs.Append(storeDiff(5, 6)); err != nil {
 		t.Fatal(err)
 	}
-	// The exact cached size equals the bytes on disk.
-	var disk int64
-	files, _ = fs.Files()
-	for _, f := range files {
-		st, err := os.Stat(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		disk += st.Size()
+	// The lineage directory holds the manifest and the one segment it
+	// names, whose size is the cached TotalBytes.
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 2 {
+		t.Fatalf("directory after fold: %v %v", entries, err)
 	}
-	if total, _ := fs.TotalBytes(); total != disk {
-		t.Fatalf("cached TotalBytes %d, on-disk %d", total, disk)
-	}
-}
-
-func TestFileStoreRecoversInterruptedPrune(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := NewFileStore(dir)
+	st, err := os.Stat(filepath.Join(dir, segmentName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ck := 0; ck < 4; ck++ {
-		if err := fs.Append(storeDiff(ck, byte(ck+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Simulate a crash after the manifest commit but before the prune:
-	// commit without pruning, then reopen.
-	commitBase(t, fs, 2)
-	if _, err := os.Stat(fs.diffPath(0)); err != nil {
-		t.Fatalf("precondition: pruned file should still exist: %v", err)
-	}
-	fs2, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ck := 0; ck < 2; ck++ {
-		if _, err := os.Stat(fs2.diffPath(ck)); !os.IsNotExist(err) {
-			t.Fatalf("reopen did not complete the prune of diff %d: %v", ck, err)
-		}
-	}
-	if fs2.Base() != 2 {
-		t.Fatalf("reopened base %d, want 2", fs2.Base())
-	}
-	if n, _ := fs2.Len(); n != 4 {
-		t.Fatalf("reopened len %d, want 4", n)
-	}
-	if _, err := fs2.Load(); err != nil {
-		t.Fatalf("reopened store does not load: %v", err)
+	if total, _ := fs.TotalBytes(); total != st.Size() {
+		t.Fatalf("cached TotalBytes %d, on-disk %d", total, st.Size())
 	}
 }
 
@@ -501,7 +292,7 @@ func TestFileStoreAppendRejectsPrunedReference(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	commitBase(t, fs, 2)
+	foldTo(t, fs, 2)
 	// A diff whose shifted duplicate references checkpoint 1 (< base 2)
 	// would be unrestorable; the store must refuse it.
 	bad := &Diff{Method: MethodTree, CkptID: 3, DataLen: 100, ChunkSize: 16,
@@ -528,15 +319,15 @@ func TestFileStoreCommitManifestValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	commitBase(t, fs, 1)
+	foldTo(t, fs, 1)
 	cases := []struct {
 		name string
 		m    Manifest
 	}{
 		{"backward baseline", Manifest{Base: 0, Generation: 99}},
-		{"baseline with no diff", Manifest{Base: 3, Generation: 99}},
-		{"stale generation", Manifest{Base: 2, Generation: 1}},
-		{"pin out of range", Manifest{Base: 2, Generation: 99, Pins: []uint32{7}}},
+		{"forward baseline", Manifest{Base: 2, Generation: 99}},
+		{"stale generation", Manifest{Base: 1, Generation: 1}},
+		{"pin out of range", Manifest{Base: 1, Generation: 99, Pins: []uint32{7}}},
 	}
 	for _, tc := range cases {
 		if err := fs.CommitManifest(tc.m); err == nil {
@@ -547,54 +338,26 @@ func TestFileStoreCommitManifestValidation(t *testing.T) {
 	if fs.Base() != 1 {
 		t.Fatalf("failed commits moved the baseline to %d", fs.Base())
 	}
-}
-
-func TestFileStoreReplaceDiff(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
+	// A pin commit survives a reopen and keeps the segment the
+	// manifest names.
+	if err := fs.CommitManifest(Manifest{Base: 1, Generation: 99, Pins: []uint32{2}}); err != nil {
+		t.Fatal(err)
+	}
+	fs2, err := NewFileStore(fs.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ck := 0; ck < 2; ck++ {
-		if err := fs.Append(storeDiff(ck, 1)); err != nil {
-			t.Fatal(err)
-		}
+	defer fs2.Close()
+	if m := fs2.Manifest(); len(m.Pins) != 1 || m.Pins[0] != 2 || m.Generation != 99 {
+		t.Fatalf("reopened manifest %+v", m)
 	}
-	if err := fs.ReplaceDiff(2, storeDiff(2, 9)); err == nil {
-		t.Fatal("replace outside range accepted")
-	}
-	if err := fs.ReplaceDiff(1, storeDiff(0, 9)); err == nil {
-		t.Fatal("replace with mismatched id accepted")
-	}
-	if err := fs.ReplaceDiff(1, storeDiff(1, 9)); err != nil {
-		t.Fatal(err)
-	}
-	b, err := fs.DiffBytes(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Decode(bytes.NewReader(b))
-	if err != nil || d.Data[0] != 9 {
-		t.Fatalf("replacement not visible: %v", err)
-	}
-	// Cached size tracks the replacement exactly.
-	var disk int64
-	files, _ := fs.Files()
-	for _, f := range files {
-		st, err := os.Stat(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		disk += st.Size()
-	}
-	if total, _ := fs.TotalBytes(); total != disk {
-		t.Fatalf("cached TotalBytes %d, on-disk %d", total, disk)
+	if n, _ := fs2.Len(); n != 3 {
+		t.Fatalf("reopened len %d, want 3", n)
 	}
 }
 
-// BenchmarkFileStoreLen measures the O(1) cached Len/TotalBytes path;
-// before the cache these were a full directory scan per call
-// (ReadDir + per-entry Stat), so the benchmark guards the satellite
-// optimization against regressing back to I/O.
+// BenchmarkFileStoreLen measures the O(1) cached Len/TotalBytes path,
+// guarding it against regressing to I/O.
 func BenchmarkFileStoreLen(b *testing.B) {
 	fs, err := NewFileStore(b.TempDir())
 	if err != nil {

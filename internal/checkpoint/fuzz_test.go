@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -89,54 +91,119 @@ func FuzzManifestDecode(f *testing.F) {
 	})
 }
 
-// FuzzDiffChecksum attacks the integrity footer with arbitrary file
-// images and arbitrary single-byte corruptions of footered images. The
-// invariant under fuzz: SplitFooter must never report verified=true
-// unless the returned bytes hash to the footer CRC; AppendFooter must
-// round-trip; and any corruption of a footered image is either
-// detected (ErrChecksumMismatch) or demotes the file to the legacy
-// unverified path — silent verified corruption is the one forbidden
-// outcome.
-func FuzzDiffChecksum(f *testing.F) {
-	for _, d := range sampleDiffs() {
-		f.Add(encodeSeed(f, d), uint16(0), byte(0))
+// FuzzSegmentScan attacks the open-time segment scan with arbitrary
+// segment images and with arbitrary single-byte corruptions of a valid
+// record. The invariants: the scan never panics and never reports a
+// record whose header or payload checksum fails or whose extent leaves
+// the committed image; a store opened on the image serves every diff
+// it indexed as live and fails the rest typed; and a corrupted record
+// is either gone from the scan
+// (detected, or unreadable) or — never — reported with altered bytes:
+// silently verified corruption is the one forbidden outcome.
+func FuzzSegmentScan(f *testing.F) {
+	for _, img := range segmentSeeds(f) {
+		f.Add(img, uint16(0), byte(0))
+		f.Add(img, uint16(len(img)/2), byte(0x40))
 	}
 	f.Add([]byte{}, uint16(3), byte(0xFF))
 	f.Add(bytes.Repeat([]byte{0x5A}, 64), uint16(70), byte(1))
 	f.Fuzz(func(t *testing.T, data []byte, pos uint16, mask byte) {
-		// Arbitrary raw image: whatever SplitFooter verifies must
-		// actually hash to its recorded CRC.
-		if enc, verified, err := SplitFooter(data); err == nil && verified {
-			if DiffChecksum(enc) != DiffChecksum(data[:len(data)-FooterSize]) ||
-				!bytes.Equal(enc, data[:len(data)-FooterSize]) {
-				t.Fatalf("SplitFooter verified bytes that are not the footered prefix")
+		checkScan(t, data)
+
+		// The image as a lineage's segment: every id the open indexed as
+		// live reads back verified, every other one fails typed.
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segmentName(0)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if fs, err := NewFileStoreWith(dir, nil); err == nil {
+			damaged := map[int]bool{}
+			unservable, _ := fs.QuarantinedIDs()
+			for _, ck := range unservable {
+				damaged[ck] = true
 			}
+			n, _ := fs.Len()
+			for ck := 0; ck < n; ck++ {
+				if _, err := fs.DiffBytes(ck); (err != nil) != damaged[ck] || err != nil && !IsCorrupt(err) {
+					t.Fatalf("diff %d (reported damaged: %v) read back as: %v", ck, damaged[ck], err)
+				}
+			}
+			fs.Close()
 		}
 
-		// A freshly footered image must verify and round-trip.
-		footered := AppendFooter(data)
-		enc, verified, err := SplitFooter(footered)
-		if err != nil || !verified {
-			t.Fatalf("AppendFooter image did not verify: verified=%v err=%v", verified, err)
+		// One record holding data, then one corrupted byte anywhere in
+		// it: the record must not survive as a whole.
+		if len(data) == 0 {
+			return
 		}
-		if !bytes.Equal(enc, data) {
-			t.Fatalf("footer round trip changed the bytes")
+		img := make([]byte, recHdrSize, recHdrSize+len(data))
+		putRecHeader(img, recDiff, false, 7, 8, uint32(len(data)), DiffChecksum(data))
+		img = append(img, data...)
+		if recs := checkScan(t, img); len(recs) == 0 || recs[0].off != 0 || recs[0].len != uint32(len(data)) {
+			t.Fatalf("valid record not scanned: %+v", recs)
 		}
-
-		// Corrupt one byte anywhere in the footered image: detection or
-		// demotion to legacy-unverified, never verified with altered
-		// content.
 		if mask == 0 {
 			mask = 1
 		}
-		p := int(pos) % len(footered)
-		mut := append([]byte(nil), footered...)
-		mut[p] ^= mask
-		enc, verified, err = SplitFooter(mut)
-		if err == nil && verified && !bytes.Equal(enc, data) {
-			t.Fatalf("flip of byte %d (mask %02x) verified with altered content", p, mask)
+		img[int(pos)%len(img)] ^= mask
+		for _, r := range checkScan(t, img) {
+			if r.off == 0 {
+				t.Fatalf("flip of byte %d (mask %02x) verified with altered content", int(pos)%len(img), mask)
+			}
 		}
 	})
+}
+
+// checkScan scans img and fails the test if any reported record does
+// not verify against the bytes it points at.
+func checkScan(t *testing.T, img []byte) []segRecord {
+	t.Helper()
+	recs, committed, err := scanSegment(bytes.NewReader(img), int64(len(img)))
+	if err != nil {
+		t.Fatalf("scan of an in-memory image failed: %v", err)
+	}
+	if committed < 0 || committed > int64(len(img)) {
+		t.Fatalf("committed offset %d outside image of %d bytes", committed, len(img))
+	}
+	prev := int64(0)
+	for _, r := range recs {
+		if r.off < prev || r.next() > committed {
+			t.Fatalf("record %+v overlaps its predecessor (ends %d) or the committed offset %d", r, prev, committed)
+		}
+		h, ok := parseRecHeader(img[r.off:])
+		h.off = r.off
+		if !ok || h != r {
+			t.Fatalf("record %+v reported over header %+v (ok=%v)", r, h, ok)
+		}
+		if DiffChecksum(img[r.off+recHdrSize:r.next()]) != r.crc {
+			t.Fatalf("record %+v reported with a failing payload checksum", r)
+		}
+		prev = r.next()
+	}
+	return recs
+}
+
+// segmentSeeds returns segment images for the fuzz corpus: appended
+// frames, a tombstone and its replacement, and a torn tail.
+func segmentSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	diffs := sampleDiffs()
+	for i, d := range diffs {
+		d.CkptID = uint32(i)
+	}
+	var fs FileStore
+	frame := func(kind byte, end uint32, ds ...*Diff) []byte {
+		var buf bytes.Buffer
+		if _, _, err := fs.writeRecords(&buf, kind, ds, nil, nil, end, true); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	one := frame(recDiff, 1, diffs[0])
+	batch := append(one, frame(recDiff, 4, diffs[1], diffs[2], diffs[3])...)
+	healed := append(append([]byte(nil), batch...), frame(recTombstone, 4, diffs[2])...)
+	healed = append(healed, frame(recDiff, 4, diffs[2])...)
+	return [][]byte{one, batch, healed, batch[:len(batch)-5]}
 }
 
 // fuzzRestoreMaxData bounds the buffer the restore harness will

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -10,94 +9,51 @@ import (
 	"syscall"
 )
 
-// On-disk integrity: every diff file the FileStore writes ends with an
-// 8-byte footer — a magic marker plus the CRC32C (Castagnoli) of every
-// byte before it. The footer is storage-local: it is written when a
-// diff is committed to disk and stripped before the bytes are decoded
-// or served over the wire, so the wire format and the Record are
-// unaffected. A file whose footer fails verification is surfaced as a
-// typed *CorruptError (matching ErrCorrupt via errors.Is) — bit rot is
+// On-disk integrity: every record of a lineage segment carries a
+// CRC32C (Castagnoli) of its payload and one of its own header (see
+// segment.go). The framing is storage-local: it is written when a diff
+// is committed to disk and stripped before the bytes are decoded or
+// served over the wire, so the wire format and the Record are
+// unaffected. A record that fails verification is surfaced as a typed
+// *CorruptError (matching ErrCorrupt via errors.Is) — bit rot is
 // detected at read time, never silently restored.
-//
-// Files without a footer (written before checksumming existed) are
-// accepted as legacy and pass through unverified; Decode's structural
-// validation is their only guard. The odds of corruption forging the
-// footer magic are 2^-32 and a forged magic still has to survive the
-// CRC check, so the fallback does not weaken detection of real rot.
-const (
-	// FooterSize is the length of the integrity footer: 4-byte magic +
-	// 4-byte CRC32C, both little-endian like the diff format.
-	FooterSize = 8
-
-	footerMagic = 0x46_4b_43_47 // "GCKF" little-endian
-)
 
 // castagnoli matches the polynomial of the wire package's push
-// checksum, so a diff's stored footer CRC equals the content hash the
-// v3 PUSH precondition compares.
+// checksum, so a stored diff's content checksum equals the hash the
+// PUSH precondition compares.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// DiffChecksum returns the CRC32C recorded in a diff file's footer for
-// the given encoded diff bytes.
+// DiffChecksum returns the content checksum of encoded diff bytes: the
+// CRC32C of the canonical encoding, which span digests compare across
+// replicas.
 func DiffChecksum(encoded []byte) uint32 { return crc32.Checksum(encoded, castagnoli) }
-
-// AppendFooter returns encoded with its integrity footer appended.
-func AppendFooter(encoded []byte) []byte {
-	out := make([]byte, len(encoded)+FooterSize)
-	copy(out, encoded)
-	binary.LittleEndian.PutUint32(out[len(encoded):], footerMagic)
-	binary.LittleEndian.PutUint32(out[len(encoded)+4:], DiffChecksum(encoded))
-	return out
-}
-
-// footerFor serializes the footer for encoded bytes whose CRC32C has
-// already been computed incrementally.
-func footerFor(crc uint32) [FooterSize]byte {
-	var f [FooterSize]byte
-	binary.LittleEndian.PutUint32(f[0:], footerMagic)
-	binary.LittleEndian.PutUint32(f[4:], crc)
-	return f
-}
-
-// SplitFooter separates a raw diff file image into the encoded diff
-// and its verification state. verified reports that a footer was
-// present and its CRC matched; a missing footer (legacy file) returns
-// the bytes unverified with no error; a present footer with a
-// mismatching CRC returns ErrChecksumMismatch.
-func SplitFooter(raw []byte) (encoded []byte, verified bool, err error) {
-	if len(raw) < FooterSize || binary.LittleEndian.Uint32(raw[len(raw)-FooterSize:]) != footerMagic {
-		return raw, false, nil
-	}
-	encoded = raw[:len(raw)-FooterSize]
-	want := binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if got := DiffChecksum(encoded); got != want {
-		return nil, false, fmt.Errorf("%w: footer records %08x, data hashes to %08x",
-			ErrChecksumMismatch, want, got)
-	}
-	return encoded, true, nil
-}
 
 // Integrity errors.
 var (
 	// ErrCorrupt matches (via errors.Is) every *CorruptError: a stored
 	// diff failed its integrity check and must not be restored.
 	ErrCorrupt = errors.New("checkpoint: corrupt diff")
-	// ErrChecksumMismatch reports a diff file whose footer CRC does not
-	// cover its bytes. It wraps into a *CorruptError at the FileStore
-	// surface.
+	// ErrChecksumMismatch reports a stored record whose checksums do
+	// not cover its bytes. It wraps into a *CorruptError at the
+	// FileStore surface.
 	ErrChecksumMismatch = errors.New("checkpoint: diff checksum mismatch")
 	// ErrSimulatedCrash marks an error injected by a fault-injection
 	// hook that models the process dying at that instant: the FileStore
-	// propagates it WITHOUT running its usual cleanup (temp files stay,
-	// partial state stays), exactly as a real crash would leave the
-	// directory. Only the internal/faults seams return it.
+	// propagates it WITHOUT running its usual cleanup (a half-written
+	// frame stays, block references stay taken) and refuses every later
+	// write, exactly as a real crash would leave the directory until
+	// the next open. Only fault-injection seams return it.
 	ErrSimulatedCrash = errors.New("checkpoint: simulated crash")
+	// ErrOldLayout reports a lineage directory written by the
+	// file-per-checkpoint store this one replaced. There is no reader
+	// for that layout and nothing in the directory is touched.
+	ErrOldLayout = errors.New("checkpoint: directory holds the file-per-checkpoint layout, which this store does not read")
 )
 
 // CorruptError is a stored diff that failed verification: a checksum
 // mismatch, an undecodable payload, or an id that does not match its
-// file name. It matches ErrCorrupt via errors.Is. Scrub quarantines
-// the file; a client can then repair it from a ckptd peer.
+// record. It matches ErrCorrupt via errors.Is. Scrub quarantines the
+// diff; a client can then repair it from a ckptd peer.
 type CorruptError struct {
 	Path string
 	Ckpt int
@@ -117,40 +73,44 @@ func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
 // IOHooks intercepts FileStore I/O at its failure points. Every field
 // is optional; a nil hook struct (the default) costs one nil check per
 // operation. This is the storage seam of the fault-injection framework
-// (internal/faults): short and torn writes, rename-time crashes,
-// fsync failures and read-time bit rot are all injected here rather
-// than by patching the filesystem.
+// (internal/faults): short and torn writes, fsync failures, crashes
+// around the manifest rename and read-time bit rot are all injected
+// here rather than by patching the filesystem.
 type IOHooks struct {
-	// WrapDiffWrite wraps the writer a diff is encoded into; the
-	// returned writer can truncate, error (ENOSPC) or tear the stream.
+	// WrapDiffWrite wraps the writer records go through — an appended
+	// frame (ck is its first id) or a whole new segment (ck is its
+	// baseline); the returned writer can truncate, error (ENOSPC) or
+	// tear the stream.
 	WrapDiffWrite func(ck int, w io.Writer) io.Writer
-	// BeforeSync runs before a temp file is fsynced.
+	// BeforeSync runs before a segment or a staged manifest is fsynced.
 	BeforeSync func(path string) error
-	// BeforeRename runs between the temp file's fsync+close and the
-	// rename that publishes it.
+	// BeforeRename runs between a staged manifest's fsync+close and
+	// the rename that publishes it (CommitManifest, InstallSpan).
 	BeforeRename func(tmp, final string) error
-	// AfterRename runs between the rename and the directory fsync that
-	// makes it crash-durable.
+	// AfterRename runs between that rename and the directory fsync
+	// that makes it crash-durable.
 	AfterRename func(final string) error
-	// OnDiffRead may transform (corrupt) the raw bytes read from a
-	// diff file before verification sees them.
+	// OnDiffRead may transform (corrupt) the raw record bytes — header
+	// and payload — read from the segment before verification sees
+	// them.
 	OnDiffRead func(ck int, raw []byte) []byte
 }
 
-// crcWriter forwards writes while accumulating the CRC32C of every
-// byte successfully written, so the footer is computed in the same
-// pass as the encode (no second read of the data).
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-	n   int64
+func (h *IOHooks) wrapWrite(ck int, w io.Writer) io.Writer {
+	if h == nil || h.WrapDiffWrite == nil {
+		return w
+	}
+	return h.WrapDiffWrite(ck, w)
 }
 
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc = crc32.Update(cw.crc, castagnoli, p[:n])
-	cw.n += int64(n)
-	return n, err
+// sync makes f durable, through the BeforeSync seam.
+func (h *IOHooks) sync(f *os.File) error {
+	if h != nil && h.BeforeSync != nil {
+		if err := h.BeforeSync(f.Name()); err != nil {
+			return err
+		}
+	}
+	return f.Sync()
 }
 
 // syncDir fsyncs a directory, making a just-renamed file durable

@@ -11,39 +11,45 @@ import (
 
 // Manifest is the on-disk lifecycle state of one lineage directory: the
 // index of the materialized baseline (the first stored diff, a
-// consolidated full checkpoint after the first compaction) and the
+// consolidated full checkpoint after the first compaction), the
 // explicitly pinned checkpoint indices that retention policies must not
-// prune. It is the commit record of the compaction transaction: a
-// lineage's restorable range is [Base, Len) and nothing below Base is
-// ever read again, so deleting pruned files after the manifest rename
-// is safe at any crash point.
+// prune, and the name of the live segment. It is the commit record of
+// every span install: a lineage's restorable range is [Base, Len), and
+// the one rename that publishes a new manifest is what switches the
+// lineage from its old segment to a freshly written one.
 //
-// The manifest is written atomically (temp file + rename, like diff
-// files) and decoded defensively (bounded counts, exact length), the
-// same posture as the wire and diff formats: a corrupt manifest must
-// fail loudly, never silently move the baseline.
+// The manifest is written atomically (temp file + rename) and decoded
+// defensively (bounded counts, exact length), the same posture as the
+// wire and diff formats: a corrupt manifest must fail loudly, never
+// silently move the baseline.
 type Manifest struct {
 	// Base is the absolute index of the baseline checkpoint. Diffs
-	// below Base have been folded into the baseline and their files
-	// removed. Zero for a never-compacted lineage.
+	// below Base have been folded into the baseline and are gone.
+	// Zero for a never-compacted lineage.
 	Base uint32
-	// Generation counts committed compaction transactions; every
-	// manifest rewrite increments it, so it only moves forward.
+	// Generation counts committed manifest rewrites; it only moves
+	// forward.
 	Generation uint64
 	// Pins lists explicitly pinned checkpoint indices in strictly
 	// ascending order. A pinned index is never folded away: retention
 	// policies clamp the baseline to the smallest pin.
 	Pins []uint32
+
+	// segment numbers the live segment file (see segmentName). It
+	// belongs to the FileStore: InstallSpan advances it, CommitManifest
+	// carries the current value over whatever the caller passed.
+	segment uint32
 }
 
 const (
 	manifestMagic   = 0x4d_4c_43_47 // "GCLM" little-endian
-	manifestVersion = 1
-	manifestHdrSize = 4 + 1 + 4 + 8 + 4 // magic, version, base, generation, pin count
+	manifestVersion = 2
+	manifestHdrSize = 4 + 1 + 4 + 8 + 4 + 4 // magic, version, base, generation, segment, pin count
 
 	// ManifestFileName is the manifest's name inside a lineage
-	// directory.
+	// directory; manifestTmpName is where a new one is staged.
 	ManifestFileName = "lineage.manifest"
+	manifestTmpName  = ManifestFileName + ".tmp"
 )
 
 // validate checks the structural invariants shared by Encode and
@@ -75,7 +81,8 @@ func (m *Manifest) Encode() ([]byte, error) {
 	buf[4] = manifestVersion
 	binary.LittleEndian.PutUint32(buf[5:], m.Base)
 	binary.LittleEndian.PutUint64(buf[9:], m.Generation)
-	binary.LittleEndian.PutUint32(buf[17:], uint32(len(m.Pins)))
+	binary.LittleEndian.PutUint32(buf[17:], m.segment)
+	binary.LittleEndian.PutUint32(buf[21:], uint32(len(m.Pins)))
 	for _, p := range m.Pins {
 		buf = binary.LittleEndian.AppendUint32(buf, p)
 	}
@@ -98,8 +105,9 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	m := &Manifest{
 		Base:       binary.LittleEndian.Uint32(b[5:]),
 		Generation: binary.LittleEndian.Uint64(b[9:]),
+		segment:    binary.LittleEndian.Uint32(b[17:]),
 	}
-	nPins := binary.LittleEndian.Uint32(b[17:])
+	nPins := binary.LittleEndian.Uint32(b[21:])
 	rest := b[manifestHdrSize:]
 	if uint64(nPins)*4 != uint64(len(rest)) {
 		return nil, fmt.Errorf("checkpoint: manifest declares %d pins but carries %d trailing bytes",
@@ -130,43 +138,49 @@ func ReadManifestFile(path string) (*Manifest, error) {
 	return m, nil
 }
 
-// WriteManifestFile atomically writes m to path (temp file in the same
-// directory + rename). The temp name matches the ckpt-*.tmp pattern so
-// a crash mid-write leaves only debris the store sweeps on open.
-func WriteManifestFile(path string, m *Manifest) error {
+// writeManifestFile atomically replaces the manifest at path with m:
+// staged in manifestTmpName, fsynced, renamed over path, and the
+// directory fsynced so the rename itself survives power loss (a rename
+// alone only orders against other renames, not against the disk). The
+// rename is the commit point of every span install, so hooks can fail
+// or crash each step; a crash leaves at most the staging file. renamed
+// reports whether the new manifest was published: an error after that
+// point leaves the commit standing but of unknown durability.
+func writeManifestFile(path string, m *Manifest, hooks *IOHooks) (renamed bool, err error) {
 	b, err := m.Encode()
 	if err != nil {
-		return err
+		return false, err
 	}
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, tmpPrefix+"manifest-*"+tmpSuffix)
+	tmpName := filepath.Join(dir, manifestTmpName)
+	tmp, err := os.OpenFile(tmpName, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("checkpoint: manifest temp file: %w", err)
+		return false, fmt.Errorf("checkpoint: staging manifest: %w", err)
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: writing manifest: %w", err)
+	if _, err = tmp.Write(b); err == nil {
+		err = hooks.sync(tmp)
 	}
-	// The manifest is the commit point of compaction transactions: sync
-	// the bytes before the rename and the directory after it, so a
-	// committed baseline move survives power loss (rename alone does not
-	// order against the disk).
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: syncing manifest: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: closing manifest temp file: %w", err)
+	if err == nil && hooks != nil && hooks.BeforeRename != nil {
+		err = hooks.BeforeRename(tmpName, path)
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: publishing manifest: %w", err)
+	if err == nil {
+		err = os.Rename(tmpName, path)
 	}
-	return syncDir(dir)
+	if err != nil {
+		if !errors.Is(err, ErrSimulatedCrash) {
+			os.Remove(tmpName)
+		}
+		return false, fmt.Errorf("checkpoint: publishing manifest: %w", err)
+	}
+	if hooks != nil && hooks.AfterRename != nil {
+		if err := hooks.AfterRename(path); err != nil {
+			return true, err
+		}
+	}
+	return true, syncDir(dir)
 }
 
 // Clone returns a deep copy of m.
@@ -180,8 +194,8 @@ func (m *Manifest) Clone() Manifest {
 
 // Rebase shifts every checkpoint id carried by d — its CkptID and the
 // SrcCkpt of every shifted-duplicate region — by delta. The FileStore
-// keeps absolute ids on disk (file ckpt-000057.gckp holds CkptID 57
-// even after compaction moved the baseline to 50) and rebases to the
+// keeps absolute ids on disk (the record of checkpoint 57 holds CkptID
+// 57 even after compaction moved the baseline to 50) and rebases to the
 // 0-based ids Record.Append requires at load time; clients rebase the
 // other way when re-encoding a pulled diff for push. A shift that
 // would take any id out of uint32 range — in particular a SrcCkpt

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -14,7 +13,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		{},
 		{Base: 0, Generation: 1},
 		{Base: 7, Generation: 42},
-		{Base: 8, Generation: 3, Pins: []uint32{8, 12, 60}},
+		{Base: 8, Generation: 3, Pins: []uint32{8, 12, 60}, segment: 2},
 	}
 	for _, m := range cases {
 		b, err := m.Encode()
@@ -65,7 +64,7 @@ func TestManifestDecodeDefensive(t *testing.T) {
 		{"bad magic", mutate(func(b []byte) []byte { b[0] ^= 0xFF; return b })},
 		{"bad version", mutate(func(b []byte) []byte { b[4] = 99; return b })},
 		{"pin count over payload", mutate(func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[17:], 1<<30)
+			binary.LittleEndian.PutUint32(b[21:], 1<<30)
 			return b
 		})},
 		{"trailing garbage", append(append([]byte(nil), valid...), 0)},
@@ -84,9 +83,9 @@ func TestManifestDecodeDefensive(t *testing.T) {
 func TestManifestFileIO(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, ManifestFileName)
-	want := &Manifest{Base: 5, Generation: 2, Pins: []uint32{6, 9}}
-	if err := WriteManifestFile(path, want); err != nil {
-		t.Fatal(err)
+	want := &Manifest{Base: 5, Generation: 2, Pins: []uint32{6, 9}, segment: 1}
+	if renamed, err := writeManifestFile(path, want, nil); err != nil || !renamed {
+		t.Fatal(renamed, err)
 	}
 	got, err := ReadManifestFile(path)
 	if err != nil {
@@ -100,13 +99,11 @@ func TestManifestFileIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), tmpSuffix) {
-			t.Fatalf("temp file left behind: %s", e.Name())
-		}
+	if len(entries) != 1 {
+		t.Fatalf("staging file left behind: %v", entries)
 	}
 	// A missing manifest surfaces as os.IsNotExist so the store can
-	// treat it as "legacy, base 0".
+	// treat it as "never compacted, base 0".
 	if _, err := ReadManifestFile(filepath.Join(dir, "absent")); !os.IsNotExist(err) {
 		t.Fatalf("missing manifest: got %v, want not-exist", err)
 	}

@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -91,20 +90,40 @@ func pushTo(t *testing.T, addr, name string, encoded [][]byte) {
 	}
 }
 
-// rotServerDiff flips one bit of a stored diff file under a server
-// root, returning the rotten image for no-ping-pong assertions.
-func rotServerDiff(t *testing.T, root, lineage string, ck int, seed int64) []byte {
+// rottenDiff is what rotDiff did: the segment file it damaged, at
+// which size, and the rotten record image at its offset — what a
+// no-ping-pong assertion compares against later.
+type rottenDiff struct {
+	path      string
+	off, size int64
+	image     []byte
+}
+
+// rotDiff flips one bit of a stored diff's record in a lineage
+// directory (a server's root/lineage, or a follower's mirror).
+func rotDiff(t *testing.T, dir string, ck int, seed int64) rottenDiff {
 	t.Helper()
-	path := filepath.Join(root, lineage, fmt.Sprintf("ckpt-%06d.gckp", ck))
-	raw, err := os.ReadFile(path)
+	image, path, off, err := faults.New(seed).RotStoredDiff(dir, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rotten := faults.New(seed).FlipBit(raw)
-	if err := os.WriteFile(path, rotten, 0o644); err != nil {
+	st, err := os.Stat(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return rotten
+	return rottenDiff{path: path, off: off, size: st.Size(), image: image}
+}
+
+// untouched reports whether the segment still is exactly what rotDiff
+// left: same length (an append-only store heals by appending, so any
+// repair attempt grows it) and the rotten bytes still in place.
+func (r rottenDiff) untouched(t *testing.T) bool {
+	t.Helper()
+	seg, err := os.ReadFile(r.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(seg)) == r.size && bytes.Equal(seg[r.off:r.off+int64(len(r.image))], r.image)
 }
 
 // waitUntil polls cond until it holds or the budget runs out.
@@ -145,7 +164,7 @@ func TestChaosAntiEntropyOneReplicaRot(t *testing.T) {
 	stopSeedB()
 
 	victim := 3
-	rotServerDiff(t, rootA, "lin", victim, 1101)
+	rotDiff(t, filepath.Join(rootA, "lin"), victim, 1101)
 
 	lnA2, err := net.Listen("tcp", addrA)
 	if err != nil {
@@ -204,8 +223,8 @@ func TestChaosAntiEntropyBothRottenFailStop(t *testing.T) {
 	stopSeedB()
 
 	victim := 4
-	rottenA := rotServerDiff(t, rootA, "lin", victim, 1202)
-	rottenB := rotServerDiff(t, rootB, "lin", victim, 1203)
+	rottenA := rotDiff(t, filepath.Join(rootA, "lin"), victim, 1202)
+	rottenB := rotDiff(t, filepath.Join(rootB, "lin"), victim, 1203)
 
 	lnA2, err := net.Listen("tcp", addrA)
 	if err != nil {
@@ -229,19 +248,9 @@ func TestChaosAntiEntropyBothRottenFailStop(t *testing.T) {
 	if h := srvA.Stats().SpansHealed + srvB.Stats().SpansHealed; h != 0 {
 		t.Fatalf("%d spans 'healed' between two damaged copies", h)
 	}
-	// No ping-pong: the rotten bytes are exactly what the injector
-	// wrote — no remote reconciler overwrote them with its own rot.
-	pathA := filepath.Join(rootA, "lin", fmt.Sprintf("ckpt-%06d.gckp", victim))
-	pathB := filepath.Join(rootB, "lin", fmt.Sprintf("ckpt-%06d.gckp", victim))
-	gotA, err := os.ReadFile(pathA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotB, err := os.ReadFile(pathB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotA, rottenA) || !bytes.Equal(gotB, rottenB) {
+	// No ping-pong: both segments are exactly what the injector left
+	// — no reconciler installed the other side's rot over its own.
+	if !rottenA.untouched(t) || !rottenB.untouched(t) {
 		t.Fatal("fail-stopped replicas kept mutating the damaged diff")
 	}
 }
@@ -267,7 +276,7 @@ func TestChaosAntiEntropyPartitionRejoin(t *testing.T) {
 	stopSeedA()
 	stopSeedB()
 
-	rotServerDiff(t, rootA, "lin", 2, 1303)
+	rotDiff(t, filepath.Join(rootA, "lin"), 2, 1303)
 
 	// The partition: A's peer dialer rejects while the flag is up.
 	var partitioned atomic.Bool
@@ -336,7 +345,7 @@ func TestChaosAntiEntropyNodeKillMidHeal(t *testing.T) {
 	// Several rotten diffs so the heal has real work in flight when
 	// the peer dies.
 	for _, victim := range []int{1, 3, 5} {
-		rotServerDiff(t, rootA, "lin", victim, int64(1404+victim))
+		rotDiff(t, filepath.Join(rootA, "lin"), victim, int64(1404+victim))
 	}
 
 	// B comes back wrapped in a fault plan: its first accepted
@@ -411,14 +420,7 @@ func TestChaosAntiEntropyRotDuringSubscribe(t *testing.T) {
 
 	// Rot a mirrored diff while the subscription is live.
 	victim := 1
-	path := filepath.Join(dir, fmt.Sprintf("ckpt-%06d.gckp", victim))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, faults.New(1505).FlipBit(raw), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rotDiff(t, dir, victim, 1505)
 
 	healed, err := fl.Heal()
 	if err != nil {
@@ -459,14 +461,7 @@ func TestChaosStandbyRotPromoteRefusal(t *testing.T) {
 
 	// Primary dies; then the idle mirror rots.
 	stop()
-	path := filepath.Join(dir, fmt.Sprintf("ckpt-%06d.gckp", 2))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, faults.New(1606).FlipBit(raw), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rotDiff(t, dir, 2, 1606)
 
 	_, perr := fl.Promote()
 	if perr == nil {

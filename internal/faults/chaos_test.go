@@ -219,8 +219,9 @@ func TestChaosStorageENOSPCRetry(t *testing.T) {
 	}
 }
 
-// Scenario 3: fsync of the temp file fails (flaky disk); the append
-// reports a typed error wrapping EIO and the retry succeeds.
+// Scenario 3: fsync of the segment fails (flaky disk); the append
+// reports a typed error wrapping EIO, the frame is rolled back and the
+// retry succeeds.
 func TestChaosStorageSyncFailure(t *testing.T) {
 	images := seededImages(303, chaosCkpts)
 	rec, _ := buildLineage(t, checkpoint.MethodList, images, dedup.Options{})
@@ -243,12 +244,15 @@ func TestChaosStorageSyncFailure(t *testing.T) {
 	verifyStore(t, dir, images)
 }
 
-// crashScenario drives an append into a simulated crash at the given
-// rename-adjacent hook, then reopens the directory (the "restarted
-// process") and finishes the lineage. wantSurvived is how many diffs
-// the store must hold after recovery: the crashed write is lost before
-// the rename and durable after it.
-func crashScenario(t *testing.T, method checkpoint.Method, seed int64, plan faults.StoragePlan, crashAt, wantSurvived int) {
+// crashScenario appends the whole lineage, then drives a span install
+// — the rewrite behind compaction and replica resync, and the only
+// place a rename commits anything — into a simulated crash at the
+// given rename-adjacent hook, and reopens the directory (the
+// "restarted process"). wantGeneration tells which side of the commit
+// the crash fell on: the install is lost before the rename and durable
+// after it; either way every diff restores byte-exact and the first
+// write after the restart removes the loser's debris.
+func crashScenario(t *testing.T, method checkpoint.Method, seed int64, plan faults.StoragePlan, wantGeneration uint64) {
 	t.Helper()
 	images := seededImages(seed, chaosCkpts)
 	rec, _ := buildLineage(t, method, images, dedup.Options{})
@@ -257,37 +261,33 @@ func crashScenario(t *testing.T, method checkpoint.Method, seed int64, plan faul
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := faults.New(seed)
-	fs.SetIOHooks(in.StorageHooks(plan))
-	var crashErr error
-	for i := 0; i < rec.Len(); i++ {
-		if err := fs.Append(rec.Diff(i)); err != nil {
-			crashErr = err
-			break
-		}
+	appendWithRetry(t, fs, rec, 0, 0)
+	span := make([]*checkpoint.Diff, rec.Len())
+	for i := range span {
+		span[i] = rec.Diff(i)
 	}
-	if !errors.Is(crashErr, checkpoint.ErrSimulatedCrash) {
-		t.Fatalf("crash at append %d surfaced as %v", crashAt, crashErr)
+	fs.SetIOHooks(faults.New(seed).StorageHooks(plan))
+	if err := fs.InstallSpan(0, span); !errors.Is(err, checkpoint.ErrSimulatedCrash) {
+		t.Fatalf("crashed install surfaced as %v", err)
 	}
+	fs.Close()
 
-	// "Restart": reopen the directory. Recovery must sweep crash
-	// debris (orphaned temp files) and report a consistent length.
 	fs2, err := checkpoint.NewFileStore(dir)
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
-	if n, err := fs2.Len(); err != nil || n != wantSurvived {
-		t.Fatalf("store holds %d diffs after crash recovery, want %d (err %v)", n, wantSurvived, err)
+	defer fs2.Close()
+	if n, err := fs2.Len(); err != nil || n != rec.Len() {
+		t.Fatalf("store holds %d diffs after crash recovery, want %d (err %v)", n, rec.Len(), err)
 	}
-	for _, name := range mustFiles(t, dir) {
-		if filepath.Ext(name) == ".tmp" {
-			t.Fatalf("crash debris %s survived reopen", name)
-		}
+	if g := fs2.Manifest().Generation; g != wantGeneration {
+		t.Fatalf("manifest generation %d after crash recovery, want %d", g, wantGeneration)
 	}
-	for i := wantSurvived; i < rec.Len(); i++ {
-		if err := fs2.Append(rec.Diff(i)); err != nil {
-			t.Fatalf("post-recovery append %d: %v", i, err)
-		}
+	if err := fs2.ReinstallDiff(rec.Diff(rec.Len() - 1)); err != nil {
+		t.Fatalf("post-recovery write: %v", err)
+	}
+	if names := mustFiles(t, dir); len(names) > 2 {
+		t.Fatalf("crash debris survived the first write after reopen: %v", names)
 	}
 	verifyStore(t, dir, images)
 }
@@ -305,25 +305,26 @@ func mustFiles(t *testing.T, dir string) []string {
 	return names
 }
 
-// Scenario 4: the process dies between the temp file's fsync and the
-// publishing rename — the diff is lost, the temp file is swept on
-// reopen, and the lineage continues from the last published diff.
+// Scenario 4: the process dies between the staged manifest's fsync and
+// the rename that commits a span install — the install is lost, the
+// old segment still serves, the orphaned new segment is swept.
 func TestChaosStorageCrashBeforeRename(t *testing.T) {
 	for _, m := range chaosMethods {
 		t.Run(m.name, func(t *testing.T) {
 			crashScenario(t, m.method, 404,
-				faults.StoragePlan{CrashBeforeRename: faults.On(4)}, 3, 3)
+				faults.StoragePlan{CrashBeforeRename: faults.On(1)}, 0)
 		})
 	}
 }
 
-// Scenario 5: the process dies right after the rename, before the
-// directory fsync — the published diff must survive and count.
+// Scenario 5: the process dies right after that rename, before the
+// directory fsync — the install is committed and the new segment
+// serves.
 func TestChaosStorageCrashAfterRename(t *testing.T) {
 	for _, m := range chaosMethods {
 		t.Run(m.name, func(t *testing.T) {
 			crashScenario(t, m.method, 505,
-				faults.StoragePlan{CrashAfterRename: faults.On(4)}, 3, 4)
+				faults.StoragePlan{CrashAfterRename: faults.On(1)}, 1)
 		})
 	}
 }
@@ -360,18 +361,9 @@ func TestChaosBitRotScrubRepair(t *testing.T) {
 				}
 			}
 
-			// Rot: flip one payload bit of diff #victim on disk.
+			// Rot: flip one bit of diff #victim's record on disk.
 			victim := 2 + mi
-			files, err := fs.Files()
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := files[victim]
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, faults.New(606).FlipBit(raw), 0o644); err != nil {
+			if _, _, _, err := faults.New(606).RotStoredDiff(dir, victim); err != nil {
 				t.Fatal(err)
 			}
 
@@ -392,9 +384,10 @@ func TestChaosBitRotScrubRepair(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if qs, err := q.Quarantined(); err != nil || len(qs) != 1 {
-				t.Fatalf("quarantined files %v (err %v), want exactly one", qs, err)
+			if qs, err := q.QuarantinedIDs(); err != nil || len(qs) != 1 {
+				t.Fatalf("quarantined diffs %v (err %v), want exactly one", qs, err)
 			}
+			q.Close()
 
 			// Repair refetches from the peer; restore is byte-exact.
 			rrep, err := cl.Repair(dir, name)
@@ -954,18 +947,12 @@ func blockChaosLineages(t *testing.T, seed int64) (string, *blockstore.Store, []
 			t.Fatal(err)
 		}
 	}
-	// Fold the scratch prefix into a full baseline at index 1 and
-	// prune below it: diff 0's blocks (a full random image nothing
-	// else references) go dead in the store.
+	// Fold the scratch prefix into a full baseline at index 1: diff
+	// 0's blocks (a full random image nothing else references) go
+	// dead in the store.
 	full := &checkpoint.Diff{Method: checkpoint.MethodFull, CkptID: 1,
 		DataLen: uint64(len(junk[1])), ChunkSize: chaosChunk, Data: junk[1]}
-	if err := scratch.ReplaceDiff(1, full); err != nil {
-		t.Fatal(err)
-	}
-	if err := scratch.CommitManifest(checkpoint.Manifest{Base: 1, Generation: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := scratch.PruneBelowBase(); err != nil {
+	if err := scratch.InstallSpan(1, []*checkpoint.Diff{full}); err != nil {
 		t.Fatal(err)
 	}
 	return root, bs, images

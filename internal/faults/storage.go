@@ -2,6 +2,7 @@ package faults
 
 import (
 	"io"
+	"os"
 	"syscall"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
@@ -21,30 +22,33 @@ const (
 // is a Hits predicate over that event's occurrence ordinal; nil never
 // fires.
 type StoragePlan struct {
-	// TornWrite truncates the selected diff write after TornAfter
-	// bytes and then fails it — a torn write, as when the process dies
-	// or the disk fills mid-encode. The temp file never publishes.
+	// TornWrite truncates the selected record write — an appended
+	// frame or a whole new segment — after TornAfter bytes and then
+	// fails it: a torn write, as when the disk fills mid-frame. The
+	// store rolls the segment back; nothing of the frame commits.
 	TornWrite Hits
 	// TornAfter is how many bytes a torn write lets through
 	// (default 64).
 	TornAfter int
-	// WriteErr fails the selected diff write immediately with an
+	// WriteErr fails the selected record write immediately with an
 	// injected ENOSPC.
 	WriteErr Hits
-	// SyncErr fails the selected temp-file fsync with an injected EIO.
+	// SyncErr fails the selected segment or staged-manifest fsync with
+	// an injected EIO.
 	SyncErr Hits
-	// CrashBeforeRename simulates the process dying after the temp
-	// file is durable but before the publishing rename: the store
-	// propagates checkpoint.ErrSimulatedCrash without cleanup, leaving
-	// the orphaned temp file for reopen-recovery to sweep.
+	// CrashBeforeRename simulates the process dying after a staged
+	// manifest is durable but before the rename that commits it
+	// (CommitManifest, InstallSpan): the store propagates
+	// checkpoint.ErrSimulatedCrash without cleanup, leaving the staged
+	// manifest — and for InstallSpan the unnamed new segment — for the
+	// next open to ignore and the next write to remove.
 	CrashBeforeRename Hits
-	// CrashAfterRename simulates the process dying right after the
+	// CrashAfterRename simulates the process dying right after that
 	// rename, before the directory fsync.
 	CrashAfterRename Hits
 	// BitRot flips one deterministically-chosen bit of the selected
-	// diff read, modeling storage-medium rot. The flip lands in the
-	// encoded payload (not the footer magic), so a checksummed file
-	// must detect it.
+	// record read — header or payload — modeling storage-medium rot;
+	// the record checksums must detect it.
 	BitRot Hits
 }
 
@@ -102,24 +106,48 @@ func (in *Injector) StorageHooks(plan StoragePlan) *checkpoint.IOHooks {
 }
 
 // FlipBit returns a copy of raw with one bit flipped at a position
-// drawn from the injector's seeded PRNG. When raw is long enough to
-// carry an integrity footer the flip is confined to the bytes before
-// it, so the corruption attacks the payload rather than knocking out
-// the footer magic (which would merely demote the file to legacy
-// unverified).
+// drawn from the injector's seeded PRNG.
 func (in *Injector) FlipBit(raw []byte) []byte {
-	n := len(raw)
-	if n == 0 {
+	if len(raw) == 0 {
 		return raw
 	}
-	span := n
-	if n > checkpoint.FooterSize {
-		span = n - checkpoint.FooterSize
-	}
-	pos := in.intn(span * 8)
+	pos := in.intn(len(raw) * 8)
 	out := append([]byte(nil), raw...)
 	out[pos/8] ^= 1 << (pos % 8)
 	return out
+}
+
+// RotStoredDiff flips one bit (see FlipBit) of the on-disk record —
+// header and payload — of stored checkpoint ck in the lineage
+// directory dir, in place, and returns the rotten image and where it
+// sits. It finds the record through a throwaway FileStore, whose open
+// only reads, so it is safe beside a live owner of the directory. This
+// is the one seam through which tests and drills damage a specific
+// stored diff.
+func (in *Injector) RotStoredDiff(dir string, ck int) (rotten []byte, path string, off int64, err error) {
+	fs, err := checkpoint.NewFileStoreWith(dir, nil)
+	if err != nil {
+		return nil, "", 0, err
+	}
+	path, off, n, err := fs.Locate(ck)
+	fs.Close()
+	if err != nil {
+		return nil, "", 0, err
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return nil, "", 0, err
+	}
+	defer f.Close()
+	raw := make([]byte, n)
+	if _, err := f.ReadAt(raw, off); err != nil {
+		return nil, "", 0, err
+	}
+	rotten = in.FlipBit(raw)
+	if _, err = f.WriteAt(rotten, off); err == nil {
+		err = f.Close()
+	}
+	return rotten, path, off, err
 }
 
 // errWriter fails every write with err.

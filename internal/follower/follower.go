@@ -594,8 +594,8 @@ func (f *Follower) severLocked() {
 }
 
 // ErrMirrorCorrupt matches (via errors.Is) a *MirrorCorruptError:
-// Promote found mirror bytes whose integrity footer no longer
-// verifies and refused to seal them as authoritative state.
+// Promote found mirror bytes whose record checksums no longer
+// verify and refused to seal them as authoritative state.
 var ErrMirrorCorrupt = errors.New("follower: mirror failed verification")
 
 // MirrorCorruptError is Promote's typed refusal. A refused Promote
@@ -624,8 +624,8 @@ func (e *MirrorCorruptError) Is(target error) bool { return target == ErrMirrorC
 // resources stay owned by the Follower; call Close when the promoted
 // state has been handed off (and before reopening Dir elsewhere).
 //
-// Promote re-verifies every mirrored diff against its integrity
-// footer before sealing. Bit rot accumulated on the standby's disk
+// Promote re-verifies every mirrored diff against its record
+// checksums before sealing. Bit rot accumulated on the standby's disk
 // while it idled must surface here as a typed *MirrorCorruptError
 // refusal — a failover must never trade a dead primary for a replica
 // serving silently corrupt state. A refused Promote does NOT end
@@ -674,9 +674,10 @@ func (f *Follower) Close() error {
 // scan the mirrored span for on-disk rot, and repair each damaged
 // diff by re-pulling its canonical bytes over a repair connection of
 // its own (the replication session holds the other one). The
-// rotten file is quarantined before the verified replacement lands,
-// so the damaged bytes survive as forensics and a crash mid-heal
-// leaves a typed hole, never a half-written diff posing as healthy.
+// verified replacement is appended to the mirror's segment and
+// supersedes the rotten record, whose bytes survive as forensics; a
+// crash mid-heal leaves the old record or the new one, never a
+// half-written diff posing as healthy.
 //
 // The in-memory replica needs no rebuild afterwards: every mirrored
 // diff was decode-verified when it arrived, so rot is strictly an
@@ -714,15 +715,7 @@ func (f *Follower) Heal() (healed int, err error) {
 			f.mu.Unlock()
 			return healed, nil
 		}
-		ierr := func() error {
-			if err := f.store.QuarantineDiff(ce.Ckpt); err != nil {
-				return err
-			}
-			if err := f.store.ReinstallDiff(d); err != nil {
-				return err
-			}
-			return f.store.ClearQuarantine(ce.Ckpt)
-		}()
+		ierr := f.store.ReinstallDiff(d)
 		f.mu.Unlock()
 		if ierr != nil {
 			return healed, fmt.Errorf("follower: healing checkpoint %d: %w", ce.Ckpt, ierr)

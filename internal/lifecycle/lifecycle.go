@@ -1,7 +1,7 @@
 // Package lifecycle bounds the growth of checkpoint lineages: it
 // materializes consolidated baselines, applies retention policies and
-// garbage-collects pruned diff files through a crash-safe transaction
-// over a checkpoint.FileStore.
+// drops the folded history through one crash-safe span install on a
+// checkpoint.FileStore.
 //
 // The problem it solves is the flip side of the paper's incremental
 // diffs (§1, §2.3): a lineage is an ever-growing chain, so restore
@@ -11,7 +11,7 @@
 // plus diffs [0..k] into one full baseline at index k by replaying
 // them through checkpoint.Record (the same Apply used for restores,
 // so the baseline is byte-identical to a restore at k by
-// construction), then prunes the folded files.
+// construction), and replaces the stored lineage with the folded one.
 //
 // # Suffix rewriting
 //
@@ -25,35 +25,27 @@
 //   - clean: every SrcCkpt >= k and no referenced source was itself
 //     rewritten. References to exactly k stay valid because the new
 //     baseline is a full image — resolving any node against it yields
-//     the same bytes the original region held. Clean diffs keep their
-//     files untouched (byte-stable across repeated compactions).
+//     the same bytes the original region held. Clean diffs are carried
+//     over byte for byte (stable across repeated compactions).
 //   - dirty: some reference would resolve below the new baseline (or
 //     against a rewritten source). The diff is rewritten as a
 //     self-contained MethodBasic diff — dirty-chunk bitmap between the
 //     restored states at j-1 and j — which produces the identical
 //     state when applied.
 //
-// # Transaction order and crash safety
+// # One span install
 //
-// Writes happen in an order that keeps the store restorable at every
-// intermediate crash point, with the manifest rename as the single
-// commit point:
-//
-//  1. Rewrite dirty suffix diffs in DECREASING index order (each
-//     replacement is state-equivalent, and a diff is only replaced
-//     after every diff referencing it has been replaced), then install
-//     the full baseline at k. Crash here: the old manifest is still
-//     committed and every index in the old range restores identically.
-//  2. Commit the new manifest (baseline k, generation+1) via
-//     temp+rename. This is the commit point.
-//  3. Delete files below k. Crash here: reopening the store completes
-//     the prune (checkpoint.NewFileStore removes files below the
-//     committed baseline).
-//
-// Before writing anything, the Manager rebuilds the post-compaction
-// record in memory and byte-compares every retained restore against
-// the original — a compaction that cannot prove byte-identical
-// restores refuses to touch the disk.
+// The Manager never edits stored diffs in place. It plans the whole
+// post-compaction span [k, n) — the full baseline at k, the Basic
+// rewrites of dirty diffs, the clean diffs unchanged — rebuilds it in
+// memory, byte-compares every retained restore against the original (a
+// compaction that cannot prove byte-identical restores refuses to
+// touch the disk), and hands the verified span to
+// checkpoint.FileStore.InstallSpan. That call writes a fresh segment
+// and commits it with the manifest rename (baseline k, generation+1):
+// a crash before the rename leaves the old lineage untouched, a crash
+// after it leaves the new one, and the store refuses the span if the
+// lineage grew since the Load the plan was made from.
 package lifecycle
 
 import (
@@ -143,13 +135,13 @@ type Stats struct {
 	// OldBase and NewBase are the baseline before and after; equal for
 	// a no-op.
 	OldBase, NewBase int
-	// PrunedDiffs counts deleted diff files.
+	// PrunedDiffs counts the diffs folded away below the new baseline.
 	PrunedDiffs int
 	// RewrittenDiffs counts retained diffs rewritten as self-contained
 	// Basic diffs because they referenced pruned history.
 	RewrittenDiffs int
-	// FreedBytes is the net on-disk change: bytes deleted by the prune
-	// minus bytes added by the baseline and rewrites. Negative when
+	// FreedBytes is the net on-disk change of the lineage directory:
+	// the old segment's size minus the new one's. Negative when
 	// consolidation costs more than it frees (short chains).
 	FreedBytes int64
 }
@@ -161,9 +153,9 @@ type Options struct {
 	// pool is owned by the Manager and released by Close.
 	Workers int
 
-	// OnFold, when set, runs after a compaction transaction commits a
-	// baseline move (its manifest rename is durable, the folded
-	// prefix not yet pruned), with the old and new baselines. The
+	// OnFold, when set, runs after a compaction commits a baseline
+	// move (the span install has returned), with the old and new
+	// baselines. The
 	// ckptd server uses it to push TResync barriers at live
 	// subscribers whose resume cursors the fold just invalidated. It
 	// runs with the Manager lock held — it must not call back into
@@ -190,14 +182,6 @@ type Manager struct {
 	pool *parallel.Pool
 	//ckptlint:guardedby mu
 	closed bool
-
-	// hookBeforeCommit and hookAfterCommit run around the manifest
-	// commit; tests use them to inject crashes between transaction
-	// phases. A non-nil error aborts the transaction at that point.
-	//ckptlint:guardedby mu
-	hookBeforeCommit func() error
-	//ckptlint:guardedby mu
-	hookAfterCommit func() error
 
 	// onFold is Options.OnFold; set once at New and never mutated.
 	onFold func(oldBase, newBase int)
@@ -380,8 +364,8 @@ func (m *Manager) MaterializeTo(k int) (Stats, error) {
 	return m.compactLocked(k, base, length)
 }
 
-// compactLocked runs the compaction transaction to baseline k. The
-// caller guarantees base <= k < length.
+// compactLocked folds the lineage to baseline k. The caller guarantees
+// base <= k < length.
 //
 //ckptlint:locked mu
 func (m *Manager) compactLocked(k, base, length int) (Stats, error) {
@@ -424,14 +408,16 @@ func (m *Manager) compactLocked(k, base, length int) (Stats, error) {
 	if err != nil {
 		return st, fmt.Errorf("lifecycle: materializing checkpoint %d: %w", k, err)
 	}
-	baseline := &checkpoint.Diff{
+	// The post-compaction span [k, length) in absolute ids: the full
+	// baseline, then each retained diff as rewritten or as stored
+	// (record ids are base-relative).
+	span := []*checkpoint.Diff{{
 		Method:    checkpoint.MethodFull,
 		CkptID:    uint32(k),
 		DataLen:   uint64(dataLen),
 		ChunkSize: uint32(chunk),
 		Data:      append([]byte(nil), state...),
-	}
-	rewrites := make(map[int]*checkpoint.Diff)
+	}}
 	var prev []byte
 	for j := k + 1; j < length; j++ {
 		if dirty[j] {
@@ -440,116 +426,64 @@ func (m *Manager) compactLocked(k, base, length int) (Stats, error) {
 		if err := rec.Apply(state, j-base); err != nil {
 			return st, fmt.Errorf("lifecycle: replaying checkpoint %d: %w", j, err)
 		}
+		var d *checkpoint.Diff
 		if dirty[j] {
-			rw, err := RewriteBasic(prev, state, chunk, uint32(j))
-			if err != nil {
-				return st, fmt.Errorf("lifecycle: rewriting checkpoint %d: %w", j, err)
-			}
-			rewrites[j] = rw
+			d, err = RewriteBasic(prev, state, chunk, uint32(j))
+		} else {
+			d = rec.Diff(j - base).CloneShallow()
+			err = d.Rebase(int64(base))
 		}
+		if err != nil {
+			return st, fmt.Errorf("lifecycle: rewriting checkpoint %d: %w", j, err)
+		}
+		span = append(span, d)
 	}
 
-	// Prove byte-identical restores before touching the disk: rebuild
-	// the post-compaction record in memory and sweep both records,
-	// comparing every retained state.
-	if err := m.verify(rec, rewrites, baseline, k, base, length); err != nil {
+	// Prove byte-identical restores before touching the disk: replay
+	// the span next to the original record, comparing every retained
+	// state.
+	if err := m.verify(rec, span, k, base); err != nil {
 		return st, err
 	}
 
-	// Phase 1: rewrites in decreasing index order, then the baseline.
-	// Every intermediate disk state is restorable under the OLD
-	// manifest (each replacement is state-equivalent and happens after
-	// all its referencing diffs were replaced).
-	var added int64
-	for j := length - 1; j > k; j-- {
-		rw := rewrites[j]
-		if rw == nil {
-			continue
-		}
-		oldBytes := rec.Diff(j - base).TotalBytes()
-		if err := m.store.ReplaceDiff(j, rw); err != nil {
-			return st, err
-		}
-		added += rw.TotalBytes() - oldBytes
-	}
-	oldK := rec.Diff(k - base).TotalBytes()
-	if err := m.store.ReplaceDiff(k, baseline); err != nil {
-		return st, err
-	}
-	added += baseline.TotalBytes() - oldK
-
-	if m.hookBeforeCommit != nil {
-		if err := m.hookBeforeCommit(); err != nil {
-			return st, err
-		}
-	}
-
-	// Phase 2: commit.
-	man := m.store.Manifest()
-	man.Base = uint32(k)
-	man.Generation++
-	keep := man.Pins[:0]
-	for _, p := range man.Pins {
-		if int(p) >= k {
-			keep = append(keep, p)
-		}
-	}
-	man.Pins = keep
-	if err := m.store.CommitManifest(man); err != nil {
-		return st, err
-	}
-	st.NewBase = k
-	st.RewrittenDiffs = len(rewrites)
-	if m.onFold != nil && k > base {
-		m.onFold(base, k)
-	}
-
-	if m.hookAfterCommit != nil {
-		if err := m.hookAfterCommit(); err != nil {
-			return st, err
-		}
-	}
-
-	// Phase 3: garbage-collect the folded prefix.
-	removed, freed, err := m.store.PruneBelowBase()
+	before, err := m.store.TotalBytes()
 	if err != nil {
 		return st, err
 	}
-	st.PrunedDiffs = removed
-	st.FreedBytes = freed - added
+	if err := m.store.InstallSpan(k, span); err != nil {
+		return st, err
+	}
+	after, err := m.store.TotalBytes()
+	if err != nil {
+		return st, err
+	}
+	st.NewBase = k
+	st.RewrittenDiffs = len(dirty)
+	st.PrunedDiffs = k - base
+	st.FreedBytes = before - after
+	if m.onFold != nil {
+		m.onFold(base, k)
+	}
 	return st, nil
 }
 
-// verify rebuilds the post-compaction chain in memory and
-// byte-compares every retained restore against the original record.
+// verify replays span — the post-compaction lineage [k, k+len(span))
+// in absolute ids — next to the original record and byte-compares
+// every retained restore.
 //
 //ckptlint:locked mu
-func (m *Manager) verify(rec *checkpoint.Record, rewrites map[int]*checkpoint.Diff,
-	baseline *checkpoint.Diff, k, base, length int) error {
+func (m *Manager) verify(rec *checkpoint.Record, span []*checkpoint.Diff, k, base int) error {
 	newRec := checkpoint.NewRecord()
 	if m.pool != nil {
 		newRec.SetPool(m.pool)
 	}
-	bl := baseline.CloneShallow()
-	if err := bl.Rebase(-int64(k)); err != nil {
-		return err
-	}
-	if err := newRec.Append(bl); err != nil {
-		return fmt.Errorf("lifecycle: verify baseline: %w", err)
-	}
-	for j := k + 1; j < length; j++ {
-		var d *checkpoint.Diff
-		var delta int64
-		if rw := rewrites[j]; rw != nil {
-			d, delta = rw.CloneShallow(), -int64(k) // rewrites carry absolute ids
-		} else {
-			d, delta = rec.Diff(j-base).CloneShallow(), -int64(k-base) // record ids are base-relative
-		}
-		if err := d.Rebase(delta); err != nil {
-			return fmt.Errorf("lifecycle: verify checkpoint %d: %w", j, err)
+	for _, d := range span {
+		d = d.CloneShallow()
+		if err := d.Rebase(-int64(k)); err != nil {
+			return fmt.Errorf("lifecycle: verify checkpoint %d: %w", d.CkptID, err)
 		}
 		if err := newRec.Append(d); err != nil {
-			return fmt.Errorf("lifecycle: verify checkpoint %d: %w", j, err)
+			return fmt.Errorf("lifecycle: verify checkpoint %d: %w", d.CkptID, err)
 		}
 	}
 
@@ -567,7 +501,7 @@ func (m *Manager) verify(rec *checkpoint.Record, rewrites map[int]*checkpoint.Di
 	if !bytes.Equal(oldState, newState) {
 		return fmt.Errorf("lifecycle: baseline at %d diverges from original restore; refusing to compact", k)
 	}
-	for j := k + 1; j < length; j++ {
+	for j := k + 1; j < k+len(span); j++ {
 		if err := rec.Apply(oldState, j-base); err != nil {
 			return err
 		}

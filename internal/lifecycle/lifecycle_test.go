@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
 	"sync"
 	"testing"
 
@@ -190,9 +191,11 @@ func TestCompactKeepLastNProperty(t *testing.T) {
 	}
 }
 
-// TestCompactCrashAfterCommit simulates dying between the manifest
-// commit and the file deletions (phase 3): reopening the store must
-// complete the prune and leave every retained checkpoint byte-exact.
+// TestCompactCrashAfterCommit simulates dying right after the manifest
+// rename that commits the span install, before the old segment is
+// deleted: the reopened store serves the folded lineage, every
+// retained checkpoint byte-exact, and the next write removes the old
+// segment.
 func TestCompactCrashAfterCommit(t *testing.T) {
 	images := buildImages(32)
 	dir := buildLineage(t, checkpoint.MethodTree, images)
@@ -205,34 +208,43 @@ func TestCompactCrashAfterCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	crash := errors.New("simulated crash")
-	mgr.hookAfterCommit = func() error { return crash }
-	if _, err := mgr.Compact(); !errors.Is(err, crash) {
+	store.SetIOHooks(&checkpoint.IOHooks{
+		AfterRename: func(string) error { return checkpoint.ErrSimulatedCrash },
+	})
+	if _, err := mgr.Compact(); !errors.Is(err, checkpoint.ErrSimulatedCrash) {
 		t.Fatalf("compact: %v, want injected crash", err)
 	}
-	// The commit happened, the prune did not: files below the baseline
-	// are still on disk.
-	if store.Base() != 24 {
-		t.Fatalf("baseline %d after commit, want 24", store.Base())
-	}
-	files, err := store.Files()
+	store.Close()
+
+	reopened, err := checkpoint.NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 8 {
-		t.Fatalf("restorable files %d, want 8", len(files))
+	defer reopened.Close()
+	if reopened.Base() != 24 {
+		t.Fatalf("baseline %d after the committed crash, want 24", reopened.Base())
 	}
-	// Recovery on reopen deletes the folded prefix and restores stay
-	// byte-identical.
 	restoreAll(t, dir, images)
+	mgr2, err := New(reopened, KeepLastN(8), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr2.Close()
+	if err := mgr2.Pin(30); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 2 {
+		t.Fatalf("directory after the first write past the crash: %v %v (want manifest + one segment)", entries, err)
+	}
 }
 
-// TestCompactCrashBeforeCommit simulates dying after the suffix
-// rewrites and baseline install but before the manifest commit: the
-// old manifest still governs, and because every replacement is
-// state-equivalent and written in decreasing index order, EVERY
-// original checkpoint — including the ones that were about to be
-// folded — must still restore byte-identically on reopen.
+// TestCompactCrashBeforeCommit simulates dying after the folded span
+// was written to its new segment but before the manifest rename: the
+// old manifest still governs, so EVERY original checkpoint — including
+// the ones that were about to be folded — must still restore
+// byte-identically on reopen, and a reopened manager runs the
+// compaction to completion.
 func TestCompactCrashBeforeCommit(t *testing.T) {
 	images := buildImages(32)
 	dir := buildLineage(t, checkpoint.MethodTree, images)
@@ -245,22 +257,22 @@ func TestCompactCrashBeforeCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	crash := errors.New("simulated crash")
-	mgr.hookBeforeCommit = func() error { return crash }
-	if _, err := mgr.Compact(); !errors.Is(err, crash) {
+	store.SetIOHooks(&checkpoint.IOHooks{
+		BeforeRename: func(_, _ string) error { return checkpoint.ErrSimulatedCrash },
+	})
+	if _, err := mgr.Compact(); !errors.Is(err, checkpoint.ErrSimulatedCrash) {
 		t.Fatalf("compact: %v, want injected crash", err)
 	}
 	if store.Base() != 0 {
 		t.Fatalf("baseline moved to %d without a manifest commit", store.Base())
 	}
-	// All 32 original checkpoints restore byte-identically from the
-	// partially rewritten on-disk state.
+	store.Close()
 	restoreAll(t, dir, images)
-	// And a reopened manager can run the transaction to completion.
 	store2, err := checkpoint.NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store2.Close()
 	mgr2, err := New(store2, KeepLastN(8), Options{})
 	if err != nil {
 		t.Fatal(err)

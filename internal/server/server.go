@@ -139,8 +139,8 @@ func (c *Config) fill() {
 // lineage is one named checkpoint lineage: a FileStore plus the mutex
 // that serializes its contiguous appends and its compactions. Holding
 // mu across a whole compaction is what makes background GC safe
-// against concurrent Push/Pull: a pull either sees the pre-transaction
-// files or the post-commit state, never a half-replaced suffix.
+// against concurrent Push/Pull: a pull either sees the pre-compaction
+// lineage or the post-commit one, never a mix.
 type lineage struct {
 	name  string
 	mu    sync.Mutex
@@ -260,17 +260,26 @@ func New(cfg Config) (*Server, error) {
 			continue
 		}
 		if _, _, _, err := s.open(e.Name()); err != nil {
-			bs.Close()
+			s.Close()
 			return nil, fmt.Errorf("server: reopening lineage %s: %w", e.Name(), err)
 		}
 	}
 	return s, nil
 }
 
-// Close releases the shared block store. Call it once the server is no
-// longer serving (Serve has returned).
+// Close releases every open lineage store and the shared block store.
+// Call it once the server is no longer serving (Serve has returned).
 func (s *Server) Close() error {
-	return s.blocks.Close()
+	var first error
+	for _, ln := range s.snapshot() {
+		if err := ln.store.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	if err := s.blocks.Close(); err != nil && first == nil {
+		first = err
+	}
+	return first
 }
 
 // validName rejects lineage names that would escape the root or break
@@ -379,18 +388,16 @@ func (s *Server) SubscriberSheds() uint64 { return s.subSheds.Load() }
 func (s *Server) FoldBarriers() uint64    { return s.foldBarriers.Load() }
 
 // Stats returns the current counters. The Quarantined gauge counts
-// diff files sitting in quarantine across every open lineage — the
-// operator's rot alarm; it re-lists the store directories on every
-// call, so a STATS round trip always reports current holes, not a
-// cached impression of health.
+// the holes — quarantined diffs not yet reinstalled — across every
+// open lineage: the operator's rot alarm.
 func (s *Server) Stats() wire.Stats {
 	s.mu.Lock()
 	nLineages := len(s.lineages)
 	s.mu.Unlock()
 	var quarantined uint64
 	for _, ln := range s.snapshot() {
-		if names, err := ln.store.Quarantined(); err == nil {
-			quarantined += uint64(len(names))
+		if holes, err := ln.store.QuarantinedIDs(); err == nil {
+			quarantined += uint64(len(holes))
 		}
 	}
 	bst := s.blocks.Stats()
@@ -991,11 +998,11 @@ func (s *Server) tryStage(b *streamBatch, req *wire.Frame) int {
 }
 
 // commitStream appends the staged batch with one store durability
-// point and writes one ack per staged frame. Append failures fail the
-// batch's uncommitted tail with typed error acks — the committed
-// prefix still acks OK — and the client's retry resumes from the
-// length the server reports. The returned error is transport-only
-// (ack write failure); store errors travel inside the acks.
+// point and writes one ack per staged frame. The batch commits as a
+// whole or not at all: a store failure fails every staged frame with
+// a typed error ack, and the client's retry resumes from the length
+// the server reports. The returned error is transport-only (ack write
+// failure); store errors travel inside the acks.
 func (s *Server) commitStream(b *streamBatch, bw *bufio.Writer, conn net.Conn) error {
 	if len(b.diffs) == 0 {
 		return nil
@@ -1003,26 +1010,19 @@ func (s *Server) commitStream(b *streamBatch, bw *bufio.Writer, conn net.Conn) e
 	diffs, ln, handle, start := b.diffs, b.ln, b.handle, b.start
 	b.diffs, b.ln, b.bytes = nil, nil, 0
 
-	var appended int
 	release, err := ln.acquire(s.cfg.MaxLineagePending)
 	if err == nil {
-		appended, err = ln.store.AppendBatch(diffs)
-		if appended > 0 {
+		if _, err = ln.store.AppendBatch(diffs); err == nil {
 			// Still under the lineage lock: subscribers must see the
 			// batch before any later append.
-			s.publishBatch(ln, start, diffs[:appended])
+			s.publishBatch(ln, start, diffs)
 		}
 		release()
 	}
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	for i := range diffs {
 		ckpt := start + uint32(i)
-		var resp *wire.Frame
-		if i < appended {
-			resp = s.streamAckFrame(handle, ckpt, ckpt+1, nil)
-		} else {
-			resp = s.streamAckFrame(handle, ckpt, 0, err)
-		}
+		resp := s.streamAckFrame(handle, ckpt, ckpt+1, err)
 		if werr := wire.WriteFrame(bw, resp); werr != nil {
 			return fmt.Errorf("ack write: %w", werr)
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gpuckpt/gpuckpt/internal/blockstore"
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
@@ -109,9 +110,11 @@ func TestServerOpenPushPull(t *testing.T) {
 		t.Fatalf("pull returned %d bytes, want %d", len(pull.Payload), len(enc))
 	}
 
-	// The lineage landed as a FileStore directory under root.
-	if _, err := os.Stat(filepath.Join(root, "lin-a", "ckpt-000000.gckp")); err != nil {
-		t.Fatalf("lineage file missing: %v", err)
+	// The lineage landed as a FileStore directory under root: one
+	// segment file.
+	entries, err := os.ReadDir(filepath.Join(root, "lin-a"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("lineage directory: %v %v", entries, err)
 	}
 
 	list := call(t, conn, &wire.Frame{Type: wire.TList})
@@ -119,19 +122,83 @@ func TestServerOpenPushPull(t *testing.T) {
 	if err != nil || len(infos) != 1 || infos[0].Name != "lin-a" || infos[0].Len != 1 {
 		t.Fatalf("list: %+v err %v", infos, err)
 	}
-	// On-disk bytes reflect the block-mapped container, which is
-	// smaller than the canonical encoding it reassembles to: the data
-	// section is replaced by references into the shared block store.
-	fi, err := os.Stat(filepath.Join(root, "lin-a", "ckpt-000000.gckp"))
+	// The listing reports the lineage's on-disk bytes (the record of a
+	// block-mapped container), not the canonical encoding's size.
+	fi, err := entries[0].Info()
 	if err != nil {
-		t.Fatalf("stat lineage file: %v", err)
+		t.Fatalf("stat lineage segment: %v", err)
 	}
 	if infos[0].Bytes != uint64(fi.Size()) {
 		t.Fatalf("list bytes %d, want on-disk %d", infos[0].Bytes, fi.Size())
 	}
-	if infos[0].Bytes >= uint64(len(enc)+checkpoint.FooterSize) {
-		t.Fatalf("block-mapped file is %d bytes, not smaller than canonical %d",
-			infos[0].Bytes, len(enc)+checkpoint.FooterSize)
+
+}
+
+// TestServerReadOnlyOpenCreatesNothing: opening a name nobody ever
+// pushed to — a typo — and reading from it must not leave a lineage
+// directory behind; the root still holds the block store alone.
+func TestServerReadOnlyOpenCreatesNothing(t *testing.T) {
+	root := t.TempDir()
+	_, addr, stop := startServer(t, Config{Root: root})
+	defer stop()
+	conn := testConn(t, addr)
+	defer conn.Close()
+
+	open := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte("typo")})
+	if open.Status != wire.StatusOK || open.Ckpt != 0 {
+		t.Fatalf("open of an unknown name: %+v", open)
+	}
+	if pull := call(t, conn, &wire.Frame{Type: wire.TPull, Lineage: open.Lineage, Ckpt: 0}); pull.Status != wire.StatusErr {
+		t.Fatalf("pull from an empty lineage: %+v", pull)
+	}
+	digest := call(t, conn, &wire.Frame{Type: wire.TDigest, Lineage: open.Lineage,
+		Payload: wire.EncodeDigestReq(wire.DigestReq{})})
+	if digest.Status != wire.StatusOK {
+		t.Fatalf("digest of an empty lineage: %+v", digest)
+	}
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != blockstore.DirName {
+		t.Fatalf("read-only requests left %v under the root, want %s alone", entries, blockstore.DirName)
+	}
+}
+
+// TestServerRefusesOldLayout: a lineage directory of the replaced
+// file-per-checkpoint layout fails its OPEN typed, untouched, while
+// the server keeps serving other lineages; a root holding one at
+// startup is refused the same way.
+func TestServerRefusesOldLayout(t *testing.T) {
+	root := t.TempDir()
+	srv, addr, stop := startServer(t, Config{Root: root})
+	old := filepath.Join(root, "old", "ckpt-000000.gckp")
+	if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(old, []byte("old store"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := srv.open("old"); !errors.Is(err, checkpoint.ErrOldLayout) {
+		t.Fatalf("open of an old-layout lineage: %v, want ErrOldLayout", err)
+	}
+	conn := testConn(t, addr)
+	if resp := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte("old")}); resp.Status != wire.StatusErr {
+		t.Fatalf("OPEN of an old-layout lineage: %+v", resp)
+	}
+	if resp := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte("fresh")}); resp.Status != wire.StatusOK {
+		t.Fatalf("OPEN beside the refused lineage: %+v", resp)
+	}
+	conn.Close()
+	stop()
+	if _, err := New(quiet(Config{Root: root})); !errors.Is(err, checkpoint.ErrOldLayout) {
+		t.Fatalf("server start over an old-layout lineage: %v, want ErrOldLayout", err)
+	}
+	if b, err := os.ReadFile(old); err != nil || string(b) != "old store" {
+		t.Fatalf("refused lineage was modified: %q %v", b, err)
+	}
+	if entries, _ := os.ReadDir(filepath.Dir(old)); len(entries) != 1 {
+		t.Fatalf("refused lineage directory now holds %v", entries)
 	}
 }
 

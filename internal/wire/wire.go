@@ -547,7 +547,7 @@ func ReadFrameInto(r io.Reader, maxPayload uint32, f *Frame, scratch *[]byte) er
 const PushChecksumSize = 4
 
 // castagnoli is the CRC32C polynomial table shared by the push
-// precondition and the FileStore's on-disk diff footers.
+// precondition and the FileStore's on-disk record checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum returns the CRC32C (Castagnoli) checksum of b — the

@@ -2,7 +2,6 @@ package gpuckpt
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/gpuckpt/gpuckpt/internal/antientropy"
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
@@ -13,15 +12,13 @@ import (
 type RepairReport struct {
 	// Checked is how many stored diffs were read and verified.
 	Checked int
-	// Corrupt lists the absolute checkpoint ids that failed
-	// verification and were quarantined.
+	// Corrupt lists the absolute checkpoint ids that are quarantined:
+	// those that failed verification in this pass, plus the holes an
+	// earlier pass (or damage found when the store was opened) left.
 	Corrupt []int
 	// Repaired lists the quarantined ids that were refetched from the
 	// server and reinstalled; on a successful repair it equals Corrupt.
 	Repaired []int
-	// Unverified lists legacy footer-less diffs that decoded cleanly
-	// but carry no checksum.
-	Unverified []int
 }
 
 // OK reports whether the store ended the pass fully verified: nothing
@@ -29,21 +26,31 @@ type RepairReport struct {
 func (r *RepairReport) OK() bool { return len(r.Corrupt) == len(r.Repaired) }
 
 // ScrubDir verifies every diff in the checkpoint directory dir:
-// checksum footers, structural decode, id-vs-filename agreement.
-// Corrupt files are quarantined (renamed aside, removed from the
-// restorable range) but not repaired — use Client.Repair to refetch
-// them from a ckptd server holding the same lineage.
+// record checksums, structural decode, id agreement. Corrupt diffs
+// are quarantined (tombstoned in the lineage's segment, removed from
+// the restorable range) but not repaired — use Client.Repair to
+// refetch them from a ckptd server holding the same lineage.
 func ScrubDir(dir string) (*RepairReport, error) {
 	fs, err := checkpoint.NewFileStore(dir)
 	if err != nil {
 		return nil, err
 	}
 	defer fs.Close()
+	return scrub(fs)
+}
+
+// scrub runs a scrub pass over fs and reports every hole it leaves
+// open, old and new.
+func scrub(fs *checkpoint.FileStore) (*RepairReport, error) {
 	sr, err := fs.Scrub()
 	if err != nil {
 		return nil, err
 	}
-	return &RepairReport{Checked: sr.Checked, Corrupt: sr.Corrupt, Unverified: sr.Unverified}, nil
+	holes, err := fs.QuarantinedIDs()
+	if err != nil {
+		return nil, err
+	}
+	return &RepairReport{Checked: sr.Checked, Corrupt: holes}, nil
 }
 
 // Repair converges the local checkpoint directory dir with the
@@ -53,7 +60,7 @@ func ScrubDir(dir string) (*RepairReport, error) {
 // machinery ckptd peers use continuously): scrub and quarantine local
 // rot, refill quarantine holes from the server, pull any missing
 // suffix, and bisect span digests down to whatever damage the scrub's
-// footer check cannot see. Every refetched diff is verified before it
+// checksum pass cannot see. Every refetched diff is verified before it
 // is reinstalled; after a full repair every restore is byte-exact
 // again. A local diff that verifies but disagrees with the server's
 // equally-verified copy is divergence and comes back as an error
@@ -69,24 +76,10 @@ func (c *Client) Repair(dir, name string) (*RepairReport, error) {
 		return nil, err
 	}
 	defer fs.Close()
-	sr, err := fs.Scrub()
+	rep, err := scrub(fs)
 	if err != nil {
 		return nil, err
 	}
-	quarantined, err := fs.QuarantinedIDs()
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[int]bool, len(sr.Corrupt)+len(quarantined))
-	broken := make([]int, 0, len(sr.Corrupt)+len(quarantined))
-	for _, ck := range append(append([]int(nil), sr.Corrupt...), quarantined...) {
-		if !seen[ck] {
-			seen[ck] = true
-			broken = append(broken, ck)
-		}
-	}
-	sort.Ints(broken)
-	rep := &RepairReport{Checked: sr.Checked, Corrupt: broken, Unverified: sr.Unverified}
 
 	rec, err := antientropy.NewReconciler(antientropy.Config{
 		Lineage: name,
@@ -107,7 +100,7 @@ func (c *Client) Repair(dir, name string) (*RepairReport, error) {
 	} else if roundErr == nil {
 		roundErr = qerr
 	}
-	for _, ck := range broken {
+	for _, ck := range rep.Corrupt {
 		if !still[ck] {
 			rep.Repaired = append(rep.Repaired, ck)
 		}
