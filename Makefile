@@ -20,7 +20,7 @@ FUZZ_TARGETS = \
 	FuzzManifestDecode:./internal/checkpoint \
 	FuzzSegmentScan:./internal/checkpoint \
 	FuzzBlockIndexDecode:./internal/blockstore \
-	FuzzBlockJournalDecode:./internal/blockstore
+	FuzzPackScan:./internal/blockstore
 FUZZTIME ?= 5s
 FUZZTIME_LONG ?= 5m
 
@@ -131,16 +131,19 @@ fuzz-smoke:
 	done
 
 # chaos-smoke runs the seeded fault-injection suite (internal/faults)
-# under the race detector, the lineage store's crash-point enumeration
-# and torn-tail / rot classification tests (internal/checkpoint), plus
-# the TestRace concurrency regression tests guarding the bugs the
-# guardedby/lockorder/goroleak analyzers found (Serve worker join,
-# locked pin reads, idle-session pruning). Every schedule is
+# under the race detector, the crash-point enumeration and torn-tail /
+# rot classification tests of the lineage store (internal/checkpoint)
+# and of the block store (internal/blockstore, with its fsync budget
+# and its Get-vs-relocating-GC race), plus the TestRace concurrency
+# regression tests guarding the bugs the guardedby/lockorder/goroleak
+# analyzers found (Serve worker join, locked pin reads, idle-session
+# pruning). Every schedule is
 # deterministic — a failure reproduces by rerunning the named test, no
 # flake triage needed.
 chaos-smoke:
 	$(GO) test -race -count=1 -run '^TestChaos' ./internal/faults
 	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail)$$' ./internal/checkpoint
+	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestRaceGetInternGC)$$' ./internal/blockstore
 	$(GO) test -race -count=1 -run '^TestRace' \
 		./internal/server ./internal/lifecycle ./internal/connpool
 

@@ -295,7 +295,7 @@ func (c *Checkpointer) Rebase() (*Record, error) {
 			return nil, fmt.Errorf("gpuckpt: archiving lineage dir: %w", err)
 		}
 		// Close before reopening: an auto-attached shared block store
-		// must never be open under two journal handles at once.
+		// must never be open under two writable handles at once.
 		if err := c.store.Close(); err != nil {
 			return nil, fmt.Errorf("gpuckpt: closing archived lineage store: %w", err)
 		}

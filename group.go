@@ -32,9 +32,9 @@ type Group struct {
 	closed  bool
 	// blocks is the PersistDir's shared content-addressed block store,
 	// opened once for all members when <PersistDir>/_blocks exists.
-	// One handle serves every member store: the block store's journal
-	// must never be open twice, and sharing is the point — identical
-	// chunks across members are stored once.
+	// One handle serves every member store: the block store's log has
+	// one writable owner, and sharing is the point — identical chunks
+	// across members are stored once.
 	blocks *blockstore.Store
 }
 

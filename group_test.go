@@ -2,10 +2,13 @@ package gpuckpt
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/gpuckpt/gpuckpt/internal/blockstore"
 )
 
 func TestGroupRoundTrip(t *testing.T) {
@@ -203,5 +206,20 @@ func TestGroupSharedBlockStore(t *testing.T) {
 		if err != nil || !bytes.Equal(got, buf) {
 			t.Fatalf("member %s restore mismatch: %v", name, err)
 		}
+	}
+}
+
+// TestGroupRefusesOldBlockLayout: a PersistDir whose _blocks is of the
+// replaced file-per-block layout fails Protect with the block store's
+// typed error.
+func TestGroupRefusesOldBlockLayout(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, blockstore.DirName, "data"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	g := NewGroup(Config{Method: MethodTree, ChunkSize: 64, PersistDir: dir})
+	defer g.Close()
+	if err := g.Protect("grid", 4096); !errors.Is(err, blockstore.ErrOldLayout) {
+		t.Fatalf("Protect over an old-layout block store: %v, want blockstore.ErrOldLayout", err)
 	}
 }

@@ -5,63 +5,80 @@
 // A block is addressed by the 128-bit Murmur3 digest of its payload
 // (the same hash family the paper's GPU kernels use to fingerprint
 // chunks, §2.4), so identical chunks produced by ANY lineage resolve
-// to the same on-disk file and are stored exactly once. Every block
-// file carries a CRC32C footer and every read re-derives the digest,
-// so bit rot surfaces as a typed ErrCorrupt, never as silently wrong
-// restore bytes.
+// to the same stored record and are stored exactly once. Every read
+// re-verifies two CRC32Cs and re-derives the digest, so bit rot
+// surfaces as a typed ErrCorrupt, never as silently wrong restore
+// bytes.
 //
 // # Planes
 //
-// Following the split index/data streams of klauspost/dedup and the
-// hash-addressed block layout of blox, the store keeps three planes
-// under one directory:
+// Following the split index/data streams of klauspost/dedup, the store
+// keeps two planes under one directory (formats in format.go):
 //
-//   - data plane: data/xx/<hex>.blk — immutable payload files, fanned
-//     out by the first ID byte, written once via temp+fsync+rename.
-//   - index plane: blockstore.index — an atomic snapshot of every live
-//     block's {length, CRC, refcount}, the commit record of GC.
-//   - journal plane: blockstore.journal — an append-only, fsynced log
-//     of refcount deltas since the last snapshot, replayed on open.
+//   - the pack log, pack-NNNNNN.log: append-only files of CRC-framed
+//     records holding the blocks AND every refcount change. The log is
+//     the store; the highest-numbered pack takes appends, the others
+//     are sealed.
+//   - the index snapshot, blockstore.index: every referenced block's
+//     {pack, offset, length, CRC, refcount} as of one log position — the
+//     commit record of GC and a cache of the log up to that position.
+//     An open loads it and replays only the log past it.
 //
 // # Crash safety
 //
-// Intern orders its writes so that a crash at any instant leaves the
-// store consistent: the payload file is made durable first, then the
-// journal records are appended and fsynced, and only then does the
-// caller commit whatever references the block (a diff file rename).
-// An orphaned payload with no journal record is therefore
-// unreferenced by construction and is swept on the next open.
+// Intern and Release each append ONE frame — the records of the call,
+// all but the last flagged more — with one write and one fsync,
+// whatever the block count, and touch the in-memory index only after
+// that fsync.
 //
-// GC is a transaction in the PR 4 idiom: fold journal into a new
-// snapshot (refcounted entries only), commit it by atomic rename,
-// reset the journal to the new generation, then delete zero-ref
-// payload files. A crash before the rename loses nothing; a crash
-// after it is completed on the next open (stale-generation journals
-// are discarded — their effects are inside the snapshot — and
-// unreferenced payload files are swept).
+// B1. A crash, failed write or failed fsync loses exactly the un-acked
+// frame: the next open cuts a frame without its committing record off
+// before anything is appended after it, so a reopen yields the state
+// before the call — no orphan block, no partial reference batch. A
+// failure that is not a crash cuts the pack back itself, or fail-stops
+// the store if even that fails.
 //
-// Refcounts err on the side of leaking, never of freeing live data: a
-// release is journaled only after the referencing file is durably
-// gone, so a crash in between leaves an over-count (reclaimed by a
-// later release-less GC never — documented leak) rather than an
-// under-count that would let GC delete a block a restore still needs.
+// B2. Rot in a committed record is never mistaken for a torn tail. A
+// bad region followed by any record that verifies is rot: nothing after
+// it is dropped, every other block keeps its location and every
+// reference a surviving record states, and Get of the damaged block
+// fails typed (ErrCorrupt while later records
+// still name it, ErrNotFound when nothing does) in every lineage that
+// references it. Only a bad region that reaches the end of the last
+// pack is a torn commit — the one ambiguity: rot inside the very last
+// frame reads as a torn append and is cut off with it. What rot can take
+// that no later record restores is a count: the damaged region may have
+// been a ref record. A store that finds one in the log it replays
+// therefore treats its counts as lower bounds — GC refuses (ErrCorrupt)
+// and reclaims nothing, so the leak-only rule below holds under rot too.
+//
+// GC keeps one commit point, the snapshot rename; see GC. Refcounts err
+// on the side of leaking: a caller releases a reference only after the
+// record that held it is durably gone, so a crash in between leaves an
+// over-count (a leak no later GC reclaims), never an under-count that
+// would let GC drop a block a restore needs.
 package blockstore
 
 import (
+	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
 
 	"github.com/gpuckpt/gpuckpt/internal/metrics"
 	"github.com/gpuckpt/gpuckpt/internal/murmur3"
+	"github.com/gpuckpt/gpuckpt/internal/recframe"
 )
 
 const (
@@ -75,11 +92,6 @@ const (
 	// seed is a format constant, never a configuration knob.
 	idSeed uint32 = 0x9747b28c
 
-	// blockFooterSize is the per-block integrity footer: 4-byte magic
-	// plus the CRC32C of the payload.
-	blockFooterSize = 8
-	blockMagic      = 0x4b_4c_42_47 // "GBLK"
-
 	// DirName is the conventional name of a shared block store
 	// directory placed next to the lineage directories it serves
 	// (e.g. a ckptd root holds <root>/_blocks beside <root>/<lineage>).
@@ -87,12 +99,23 @@ const (
 	// namespace.
 	DirName = "_blocks"
 
-	indexFileName   = "blockstore.index"
-	journalFileName = "blockstore.journal"
-	lockFileName    = "blockstore.lock"
-	dataDirName     = "data"
-	tmpSuffix       = ".tmp"
+	indexFileName = "blockstore.index"
+	lockFileName  = "blockstore.lock"
+	tmpSuffix     = ".tmp"
+
+	// packRollSize seals the active pack: the first frame that finds it
+	// at least this long goes to a new one. A frame never spans packs.
+	// GC empties a sealed pack once under 1/gcSparseDiv of it is live.
+	packRollSize = 64 << 20
+	gcSparseDiv  = 2
+	// writeBufSize is the store's fixed staging buffer: headers, IDs
+	// and small payloads coalesce in it, larger payloads bypass it.
+	writeBufSize = 64 << 10
 )
+
+// oldLayoutNames are what the replaced file-per-block layout kept in
+// the store directory; a directory holding either is refused.
+var oldLayoutNames = []string{"data", "blockstore.journal"}
 
 // IDSize is the byte length of an ID, for formats that embed block
 // references.
@@ -121,11 +144,10 @@ type Ref struct {
 // Errors.
 var (
 	// ErrCorrupt matches every integrity failure surfaced by the
-	// store: block checksum or digest mismatches, rotten index or
-	// journal bytes. Callers branch on it with errors.Is.
+	// store: record checksum or digest mismatches, a rotten index.
+	// Callers branch on it with errors.Is.
 	ErrCorrupt = errors.New("blockstore: corrupt")
-	// ErrNotFound reports a Get/AddRef of a block the store does not
-	// hold.
+	// ErrNotFound reports a Get of a block the store does not hold.
 	ErrNotFound = errors.New("blockstore: block not found")
 	// ErrCollision reports an intern whose payload hashes to an
 	// existing ID but disagrees with the stored length or CRC — the
@@ -136,8 +158,7 @@ var (
 	ErrClosed = errors.New("blockstore: store is closed")
 	// ErrUnderflow reports a Release of a reference the store does not
 	// hold. The count clamps at zero instead of wrapping; callers doing
-	// best-effort cleanup (pruning files that may predate the store)
-	// treat it as a soft failure.
+	// best-effort cleanup treat it as a soft failure.
 	ErrUnderflow = errors.New("blockstore: refcount underflow")
 	// ErrReadOnly reports a mutating operation on a store opened with
 	// Options.ReadOnly.
@@ -146,19 +167,31 @@ var (
 	// live Store holds (typically a running ckptd server). Retry later,
 	// or open with Options.ReadOnly to inspect alongside the owner.
 	ErrBusy = errors.New("blockstore: store directory is locked by another owner")
+	// ErrOldLayout reports a directory written by the file-per-block
+	// layout (a data/ fan-out plus blockstore.journal). There is no
+	// migration and no second reader; nothing in it is touched.
+	ErrOldLayout = errors.New("blockstore: directory holds the file-per-block layout, which this store does not read")
+	// ErrSimulatedCrash is what a Hooks seam returns (wrapped) to kill
+	// the process there: the store leaves the debris a dying process
+	// would and refuses everything until it is reopened. Any other
+	// error from a seam is an I/O failure the store rolls back from.
+	ErrSimulatedCrash = errors.New("blockstore: simulated crash")
 )
 
-// Hooks intercepts the GC transaction at its crash points; tests use
-// them to kill the process (by returning an error that aborts the
-// transaction with state exactly as a dying process would leave it).
-// Production stores leave it nil.
+// Hooks intercepts the store's write side at its failure points; tests
+// count I/O through them and inject failures and crashes (see
+// ErrSimulatedCrash). Both fields are optional.
 type Hooks struct {
-	// BeforeGCCommit runs after zero-ref blocks are identified, before
-	// the new index snapshot is renamed into place.
-	BeforeGCCommit func() error
-	// AfterGCCommit runs after the snapshot rename, before the journal
-	// reset and the deletion of zero-ref payload files.
-	AfterGCCommit func() error
+	// WrapPackWrite wraps the writer one frame goes through.
+	WrapPackWrite func(w io.Writer) io.Writer
+	// Seam runs at every other failure point, with the path about to be
+	// acted on: "sync" before a pack, a staged snapshot or the store
+	// directory is fsynced; "gc-before" once GC has relocated what it
+	// will, before the new snapshot is staged; "before-rename" and
+	// "after-rename" around that snapshot's rename; "gc-after" once it
+	// is durable, before emptied packs are unlinked; "unlink" before GC
+	// unlinks the named pack.
+	Seam func(point, path string) error
 }
 
 // Options parameterizes Open.
@@ -169,73 +202,80 @@ type Options struct {
 	// producer to chunk identically.
 	ChunkSize int
 
-	// ReadOnly opens the store without running mutating recovery (no
-	// temp sweep, no journal rewrite, no orphan sweep), without taking
-	// the directory lock, and without an append handle: Intern,
-	// Release, and GC return ErrReadOnly. This is the safe way for
-	// tooling to inspect a store whose writable lock a live ckptd
-	// server holds — the reader sees the state as of its open (the
-	// owner's later interns are invisible) but can never delete a
-	// payload file the owner is about to commit a reference to.
+	// ReadOnly opens the store without mutating anything (no temp
+	// sweep, no cut of a torn tail) and without taking the directory
+	// lock: Intern, Release, and GC return ErrReadOnly. This is the safe
+	// way for tooling to inspect a store whose writable lock a live
+	// ckptd server holds — the reader sees the log as of its open (the
+	// owner's later interns are invisible).
 	ReadOnly bool
 }
 
 // Stats is a snapshot of the store counters.
 type Stats struct {
-	// Blocks and StoredBytes describe the live data plane.
+	// Blocks and StoredBytes describe the indexed blocks.
 	Blocks      int
 	StoredBytes int64
 	// Interned counts unique blocks written since open; DedupHits
 	// counts interns resolved to an already-present block; SavedBytes
-	// sums the payload bytes those hits avoided writing.
-	Interned  uint64
-	DedupHits uint64
-	// SavedBytes is the cross-producer de-duplication win: bytes that
-	// were referenced but never stored twice.
-	SavedBytes uint64
+	// sums the payload bytes those hits avoided writing — the
+	// cross-producer de-duplication win.
+	Interned, DedupHits, SavedBytes uint64
 	// GCBlocks / GCBytes count blocks and payload bytes reclaimed by
 	// committed GC transactions since open.
-	GCBlocks uint64
-	GCBytes  uint64
+	GCBlocks, GCBytes uint64
 }
 
 // Store is a content-addressed block store rooted at one directory.
 // It is safe for concurrent use by multiple goroutines (and is
 // typically shared by every FileStore of a server). Writable opens are
 // serialized by an advisory directory lock — a second writable Open
-// while an owner lives fails with ErrBusy instead of running mutating
-// recovery (orphan sweep, journal rewrite) under the owner's feet.
-// Read-only opens coexist with a live owner; see Options.ReadOnly.
+// while an owner lives fails with ErrBusy instead of cutting the tail
+// off a log the owner is appending to. Read-only opens coexist with a
+// live owner; see Options.ReadOnly.
 type Store struct {
 	dir   string
 	chunk int
+	// ro marks a store opened with Options.ReadOnly; rollSize is
+	// packRollSize (tests shrink it). Both are set once in Open.
+	ro       bool
+	rollSize int64
 
-	// entries, gen, journal, closed, hooks, jbuf and lock are protected
-	// by mu. Helpers that run with mu already held carry a
-	// //ckptlint:locked mu precondition, which the guardedby analyzer
+	// mu protects everything below. Helpers that run with it held carry
+	// a //ckptlint:locked mu precondition, which the guardedby analyzer
 	// verifies at every call site.
-	mu sync.Mutex
-	//ckptlint:guardedby mu
-	entries map[ID]entry
-	//ckptlint:guardedby mu
-	gen uint64
-	//ckptlint:guardedby mu
-	journal *os.File
-	//ckptlint:guardedby mu
-	closed bool
-	//ckptlint:guardedby mu
-	hooks *Hooks
-	// jbuf is the reusable journal-batch staging buffer.
-	//ckptlint:guardedby mu
-	jbuf []byte
-
-	// ro marks a store opened with Options.ReadOnly; mutations return
-	// ErrReadOnly. Set once in Open, immutable afterwards.
-	ro bool
+	mu      sync.Mutex
+	entries map[ID]entry //ckptlint:guardedby mu
+	// blocks and bytes are len(entries) and the sum of their lengths,
+	// kept as running totals so Stats is O(1).
+	blocks int    //ckptlint:guardedby mu
+	bytes  int64  //ckptlint:guardedby mu
+	gen    uint64 //ckptlint:guardedby mu
+	// damaged names the first committed region of the replayed log that
+	// no longer verifies ("" if none). It may have held a ref record, so
+	// the counts are lower bounds from then on and GC reclaims nothing.
+	damaged string //ckptlint:guardedby mu
+	// packs holds one handle per pack file, by number: what Get reads
+	// through and, for the active pack, what frames are written to.
+	// active is the number of the pack appends go to (0: none yet) and
+	// packSize the offset its next record goes to — between frames, its
+	// committed length.
+	packs    map[uint32]*os.File //ckptlint:guardedby mu
+	active   uint32              //ckptlint:guardedby mu
+	packSize int64               //ckptlint:guardedby mu
+	// The write path's fixed scratch: the staging buffer, a record
+	// header, the IDs (end to end) of the frame's ref or release
+	// records, and what the call plans per ID (Intern: a new block's
+	// entry; Release: how many references it drops).
+	w      *bufio.Writer          //ckptlint:guardedby mu
+	hdr    [recframe.HdrSize]byte //ckptlint:guardedby mu
+	ids    []byte                 //ckptlint:guardedby mu
+	plan   map[ID]entry           //ckptlint:guardedby mu
+	closed bool                   //ckptlint:guardedby mu
+	hooks  Hooks                  //ckptlint:guardedby mu
 	// lock is the held writable-owner lock file handle (nil in
 	// read-only mode or where the platform offers no flock).
-	//ckptlint:guardedby mu
-	lock *os.File
+	lock *os.File //ckptlint:guardedby mu
 
 	interned  metrics.Counter //ckptlint:atomic
 	dedupHits metrics.Counter //ckptlint:atomic
@@ -248,68 +288,47 @@ type Store struct {
 // default options; both spellings carry the same Close contract.
 func New(dir string) (*Store, error) { return Open(dir, Options{}) }
 
-// Open creates or reopens a block store. A writable open first takes
-// the directory's advisory owner lock (ErrBusy if another live Store
-// holds it), then runs recovery before the store is usable: stale temp
-// files are swept, a stale-generation journal (the tail of a GC that
-// committed its snapshot but crashed before resetting the journal) is
-// discarded, the journal is replayed onto the snapshot and rewritten
-// canonically if the on-disk file carried a torn tail, and
-// unreferenced payload files are deleted — completing both interrupted
-// GC deletions and torn interns.
-//
-// With Options.ReadOnly the directory must already exist, no lock is
-// taken, and recovery is in-memory only: nothing on disk is touched.
+// Open creates or reopens a block store. A writable open takes the
+// directory's advisory owner lock (ErrBusy if another live Store holds
+// it) and recovers: see recoverLocked. Opening a new or empty store
+// syncs nothing and creates no pack; the first Intern does. With
+// Options.ReadOnly the directory must already exist, no lock is taken,
+// and nothing on disk is touched.
 //
 // The returned Store must be Closed when no longer needed.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.ChunkSize <= 0 {
 		opts.ChunkSize = 4096
 	}
-	s := &Store{dir: dir, chunk: opts.ChunkSize, ro: opts.ReadOnly}
-	// Nothing shares the store yet, but recovery runs through the same
-	// locked helpers the steady state uses; holding mu for the rest of
-	// Open keeps their precondition true and is uncontended.
+	for _, name := range oldLayoutNames {
+		if _, err := os.Lstat(filepath.Join(dir, name)); err == nil {
+			return nil, fmt.Errorf("%w: %s", ErrOldLayout, filepath.Join(dir, name))
+		}
+	}
+	s := &Store{dir: dir, chunk: opts.ChunkSize, ro: opts.ReadOnly, rollSize: packRollSize}
+	// Nothing shares the store yet; holding mu keeps the precondition
+	// of the locked helpers recovery runs through true.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if opts.ReadOnly {
-		if fi, err := os.Stat(dir); err != nil {
-			return nil, fmt.Errorf("blockstore: opening %s read-only: %w", dir, err)
-		} else if !fi.IsDir() {
-			return nil, fmt.Errorf("blockstore: %s is not a directory", dir)
+	if !s.ro {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("blockstore: creating %s: %w", dir, err)
 		}
-		if err := s.recover(); err != nil {
+		lock, err := acquireDirLock(filepath.Join(dir, lockFileName))
+		if err != nil {
 			return nil, err
 		}
-		return s, nil
+		s.lock = lock
+		s.plan, s.w = make(map[ID]entry), bufio.NewWriterSize(nil, writeBufSize)
 	}
-	if err := os.MkdirAll(filepath.Join(dir, dataDirName), 0o755); err != nil {
-		return nil, fmt.Errorf("blockstore: creating %s: %w", dir, err)
-	}
-	lock, err := acquireDirLock(filepath.Join(dir, lockFileName))
-	if err != nil {
+	if err := s.recoverLocked(); err != nil {
+		s.releaseLocked()
 		return nil, err
 	}
-	s.lock = lock
-	fail := func(err error) (*Store, error) {
-		releaseDirLock(lock)
-		return nil, err
-	}
-	if err := s.sweepTemp(); err != nil {
-		return fail(err)
-	}
-	if err := s.recover(); err != nil {
-		return fail(err)
-	}
-	j, err := os.OpenFile(s.journalPath(), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fail(fmt.Errorf("blockstore: opening journal: %w", err))
-	}
-	s.journal = j
 	return s, nil
 }
 
-// Close releases the journal handle and the owner lock. Idempotent; a
+// Close releases the pack handles and the owner lock. Idempotent; a
 // closed store rejects every other operation.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -317,271 +336,256 @@ func (s *Store) Close() error {
 	if s.closed {
 		return nil
 	}
-	s.closed = true
-	var jerr error
-	if s.journal != nil {
-		jerr = s.journal.Close()
-		s.journal = nil
-	}
-	releaseDirLock(s.lock)
-	s.lock = nil
-	if jerr != nil {
-		return fmt.Errorf("blockstore: closing journal: %w", jerr)
-	}
-	return nil
+	return s.releaseLocked()
 }
 
-// failLocked transitions the store to closed after an unrecoverable
-// post-commit failure, so no further mutation can reach a journal
-// whose on-disk generation no longer matches the committed index.
+// releaseLocked closes the store: every pack handle and the owner lock.
+//
+//ckptlint:locked mu
+func (s *Store) releaseLocked() (err error) {
+	s.closed = true
+	for num, f := range s.packs {
+		if cerr := f.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("blockstore: closing pack %d: %w", num, cerr)
+		}
+	}
+	s.packs = nil
+	if s.lock != nil { // dropping the flock is closing the handle
+		s.lock.Close()
+		s.lock = nil
+	}
+	return err
+}
+
+// failLocked disables the store after a failure it cannot roll back
+// from: whatever is on disk stays exactly as it is, and only a reopen
+// (which recovers from it) makes the directory usable again.
 //
 //ckptlint:locked mu
 func (s *Store) failLocked(err error) error {
-	s.closed = true
-	if s.journal != nil {
-		s.journal.Close()
-		s.journal = nil
-	}
-	releaseDirLock(s.lock)
-	s.lock = nil
+	s.releaseLocked()
 	return fmt.Errorf("%w (store disabled; reopen to recover)", err)
 }
 
-// SetHooks installs GC crash hooks. Test-only seam.
+// seamLocked runs the Seam hook, if any, at point. A simulated crash there disables
+// the store, debris and all.
+//
+//ckptlint:locked mu
+func (s *Store) seamLocked(point, path string) error {
+	if s.hooks.Seam == nil {
+		return nil
+	}
+	err := s.hooks.Seam(point, path)
+	if errors.Is(err, ErrSimulatedCrash) {
+		return s.failLocked(err)
+	}
+	return err
+}
+
+// SetHooks installs the write-side hooks; nil removes them. Test-only
+// seam.
 func (s *Store) SetHooks(h *Hooks) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.hooks = h
+	s.hooks = Hooks{}
+	if h != nil {
+		s.hooks = *h
+	}
 }
-
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
-// ChunkSize returns the store's intern granularity.
-func (s *Store) ChunkSize() int { return s.chunk }
-
-// ReadOnly reports whether the store was opened with Options.ReadOnly.
-func (s *Store) ReadOnly() bool { return s.ro }
 
 // LockingSupported reports whether this platform enforces the writable
 // owner lock (flock). Where false, writable opens never return ErrBusy
 // and single-owner discipline falls to the operator.
 func LockingSupported() bool { return lockingSupported }
 
-func (s *Store) indexPath() string   { return filepath.Join(s.dir, indexFileName) }
-func (s *Store) journalPath() string { return filepath.Join(s.dir, journalFileName) }
+func (s *Store) indexPath() string { return filepath.Join(s.dir, indexFileName) }
 
-// BlockPath returns the payload file of id. Exposed for forensics and
-// fault-injection tests; production readers go through Get.
-func (s *Store) BlockPath(id ID) string {
-	h := id.String()
-	return filepath.Join(s.dir, dataDirName, h[:2], h+".blk")
+func (s *Store) packPath(num uint32) string {
+	return filepath.Join(s.dir, fmt.Sprintf("pack-%06d.log", num))
 }
 
-// sweepTemp removes temp debris left by a crash between CreateTemp
-// and rename, in both the store root and the data fan-out.
-func (s *Store) sweepTemp() error {
-	var sweep func(dir string) error
-	sweep = func(dir string) error {
-		entries, err := os.ReadDir(dir)
+// syncLocked makes f — a pack, a staged snapshot, or with dir set the
+// store directory, so that a just-created or just-renamed file
+// survives power loss — durable, through the "sync" seam.
+// Filesystems that refuse directory fsync report EINVAL or ENOTSUP,
+// which is treated as success (same posture as the checkpoint store);
+// the raw errno values must be matched — a *PathError wrapping
+// syscall.EINVAL never matches os.ErrInvalid.
+//
+//ckptlint:locked mu
+func (s *Store) syncLocked(f *os.File, dir bool) error {
+	if dir {
+		d, err := os.Open(s.dir)
 		if err != nil {
-			if os.IsNotExist(err) {
-				return nil
-			}
-			return fmt.Errorf("blockstore: sweeping %s: %w", dir, err)
+			return fmt.Errorf("blockstore: opening %s for sync: %w", s.dir, err)
 		}
-		for _, e := range entries {
-			if e.IsDir() {
-				if err := sweep(filepath.Join(dir, e.Name())); err != nil {
-					return err
-				}
-				continue
-			}
-			if strings.HasSuffix(e.Name(), tmpSuffix) {
-				if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !os.IsNotExist(err) {
-					return fmt.Errorf("blockstore: removing stale temp %s: %w", e.Name(), err)
-				}
-			}
-		}
-		return nil
+		defer d.Close()
+		f = d
 	}
-	return sweep(s.dir)
-}
-
-// recover loads the snapshot, replays (or discards) the journal,
-// rewrites the journal canonically when the on-disk bytes are not, and
-// sweeps unreferenced payload files. In read-only mode recovery is
-// in-memory only: torn tails and stale journals are dropped from the
-// replayed state but every file is left exactly as found.
-//
-//ckptlint:locked mu
-func (s *Store) recover() error {
-	s.entries = make(map[ID]entry)
-	s.gen = 0
-	if b, err := os.ReadFile(s.indexPath()); err == nil {
-		gen, entries, derr := DecodeIndex(b)
-		if derr != nil {
-			return fmt.Errorf("blockstore: index %s: %w", s.indexPath(), derr)
-		}
-		s.gen, s.entries = gen, entries
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("blockstore: reading index: %w", err)
-	}
-
-	// keep holds the journal records that survive recovery; canonical
-	// reports whether the on-disk journal already IS exactly those
-	// records (right generation, no torn tail, no extra bytes).
-	var keep []journalRec
-	canonical := false
-	if b, err := os.ReadFile(s.journalPath()); err == nil {
-		gen, recs, derr := DecodeJournal(b)
-		switch {
-		case derr != nil:
-			return fmt.Errorf("blockstore: journal %s: %w", s.journalPath(), derr)
-		case gen != s.gen:
-			// A GC committed its snapshot (folding this journal in) but
-			// crashed before resetting the journal: discard it.
-		default:
-			for _, r := range recs {
-				s.applyRec(r)
-			}
-			keep = recs
-			canonical = len(b) == journalHdrSize+len(recs)*journalRecSize
-		}
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("blockstore: reading journal: %w", err)
-	}
-	if s.ro {
-		return nil
-	}
-	if !canonical {
-		// The on-disk journal is stale, missing, or ends in a torn
-		// tail. It MUST be rewritten before the append handle opens:
-		// records appended after torn garbage sit misaligned, and the
-		// next open's decode would classify every one of them as more
-		// torn tail — silently dropping durably committed references
-		// and then sweeping their payload files.
-		if err := s.rewriteJournal(keep); err != nil {
-			return err
-		}
-	}
-	return s.sweepOrphans()
-}
-
-// applyRec folds one journal record into the in-memory state.
-// Refcount underflow (a Release journaled twice around a crash is
-// impossible by ordering, but rot is not) clamps at zero rather than
-// wrapping.
-//
-//ckptlint:locked mu
-func (s *Store) applyRec(r journalRec) {
-	e := s.entries[r.id]
-	switch r.op {
-	case opRef:
-		if e.refs == 0 && e.len == 0 && e.crc == 0 {
-			e = entry{len: r.len, crc: r.crc}
-		}
-		e.refs++
-	case opRelease:
-		if e.refs > 0 {
-			e.refs--
-		}
-	}
-	s.entries[r.id] = e
-}
-
-// resetJournal atomically replaces the journal with an empty one at
-// the current generation.
-//
-//ckptlint:locked mu
-func (s *Store) resetJournal() error { return s.rewriteJournal(nil) }
-
-// rewriteJournal atomically replaces the journal with a canonical file
-// at the current generation holding exactly recs. Recovery calls it
-// whenever the on-disk journal is not already canonical, so the append
-// handle never writes live records after garbage bytes.
-//
-//ckptlint:locked mu
-func (s *Store) rewriteJournal(recs []journalRec) error {
-	buf := encodeJournalHeader(s.gen)
-	for _, r := range recs {
-		buf = appendJournalRec(buf, r)
-	}
-	tmp, err := os.CreateTemp(s.dir, journalFileName+"-*"+tmpSuffix)
-	if err != nil {
-		return fmt.Errorf("blockstore: journal temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
+	if err := s.seamLocked("sync", f.Name()); err != nil {
 		return err
 	}
-	if _, err := tmp.Write(buf); err != nil {
-		return fail(fmt.Errorf("blockstore: writing journal: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(fmt.Errorf("blockstore: syncing journal: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("blockstore: closing journal temp: %w", err)
-	}
-	if err := os.Rename(tmpName, s.journalPath()); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("blockstore: publishing journal: %w", err)
-	}
-	return syncDir(s.dir)
-}
-
-// sweepOrphans deletes payload files with no entry: the tail of a
-// committed GC that crashed mid-delete, or a torn intern whose journal
-// record never made it to disk (and whose referencing diff therefore
-// never committed either).
-//
-//ckptlint:locked mu
-func (s *Store) sweepOrphans() error {
-	root := filepath.Join(s.dir, dataDirName)
-	fans, err := os.ReadDir(root)
-	if err != nil {
-		return fmt.Errorf("blockstore: reading data plane: %w", err)
-	}
-	for _, fan := range fans {
-		if !fan.IsDir() {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(root, fan.Name()))
-		if err != nil {
-			return fmt.Errorf("blockstore: reading data fan %s: %w", fan.Name(), err)
-		}
-		for _, f := range files {
-			id, ok := parseBlockName(f.Name())
-			if !ok {
-				continue
-			}
-			if _, live := s.entries[id]; live {
-				continue
-			}
-			if err := os.Remove(filepath.Join(root, fan.Name(), f.Name())); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("blockstore: sweeping orphan block %s: %w", id, err)
-			}
-		}
+	if err := f.Sync(); err != nil && !(dir && (errors.Is(err, syscall.EINVAL) || errors.Is(err, errors.ErrUnsupported))) {
+		return fmt.Errorf("blockstore: syncing %s: %w", f.Name(), err)
 	}
 	return nil
 }
 
-// parseBlockName extracts the block ID from a data-plane file name.
-func parseBlockName(name string) (ID, bool) {
-	var id ID
-	if !strings.HasSuffix(name, ".blk") {
-		return id, false
+// recoverLocked builds the in-memory state from the directory: the
+// snapshot, then every verified record of the log past the position it
+// folds up to. Sealed packs lose nothing to damage; a torn frame at
+// the end of the last pack is dropped. A writable open also cuts that
+// frame off — never append after garbage — and removes a snapshot an
+// interrupted GC staged.
+//
+//ckptlint:locked mu
+func (s *Store) recoverLocked() error {
+	s.entries, s.packs = make(map[ID]entry), make(map[uint32]*os.File)
+	names, err := os.ReadDir(s.dir)
+	if err != nil {
+		return fmt.Errorf("blockstore: opening %s: %w", s.dir, err)
 	}
-	raw, err := hex.DecodeString(strings.TrimSuffix(name, ".blk"))
-	if err != nil || len(raw) != idSize {
-		return id, false
+	var mark logPos
+	var nums []uint32
+	for _, e := range names {
+		var num uint32
+		switch name := e.Name(); {
+		case strings.HasSuffix(name, tmpSuffix) && !s.ro:
+			if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
+				return fmt.Errorf("blockstore: removing stale temp %s: %w", name, err)
+			}
+		case name == indexFileName:
+			b, err := os.ReadFile(s.indexPath())
+			if err == nil {
+				s.gen, mark, s.entries, err = DecodeIndex(b)
+			}
+			if err != nil {
+				return fmt.Errorf("blockstore: index %s: %w", s.indexPath(), err)
+			}
+		default:
+			if n, _ := fmt.Sscanf(name, "pack-%d.log", &num); n == 1 && num > 0 && name == filepath.Base(s.packPath(num)) {
+				nums = append(nums, num)
+			}
+		}
 	}
-	copy(id[:], raw)
-	return id, true
+	for _, e := range s.entries {
+		s.blocks++
+		s.bytes += int64(e.len)
+	}
+	slices.Sort(nums)
+	for i, num := range nums {
+		last, flag := i == len(nums)-1, os.O_RDONLY
+		if last && !s.ro {
+			flag = os.O_RDWR
+		}
+		f, err := os.OpenFile(s.packPath(num), flag, 0)
+		if err != nil {
+			return fmt.Errorf("blockstore: opening pack: %w", err)
+		}
+		s.packs[num] = f
+		size, err := f.Seek(0, io.SeekEnd)
+		from := int64(0)
+		switch {
+		case err != nil:
+		case num < mark.pack:
+			from = size // folded into the snapshot
+		case num == mark.pack && mark.off > size:
+			err = fmt.Errorf("%w: the index folds it up to offset %d, it holds %d bytes", ErrCorrupt, mark.off, size)
+		case num == mark.pack:
+			from = mark.off
+		}
+		var recs []recframe.Header
+		var committed int64
+		if err == nil {
+			recs, committed, err = packFormat.Scan(io.NewSectionReader(f, from, size-from), size-from, !last)
+		}
+		// Whatever lies between the records that verify, below the
+		// committed offset, is rot.
+		pos := int64(0)
+		gap := func(to int64) {
+			if pos != to && s.damaged == "" {
+				s.damaged = fmt.Sprintf("%s bytes [%d,%d)", f.Name(), from+pos, from+to)
+			}
+		}
+		for _, r := range recs {
+			gap(r.Off)
+			pos = r.Next()
+			r.Off += from
+			if err == nil {
+				err = s.replayLocked(f, num, r)
+			}
+		}
+		gap(committed)
+		if last && err == nil {
+			s.active, s.packSize = num, from+committed
+			if !s.ro && s.packSize < size {
+				err = f.Truncate(s.packSize)
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("blockstore: recovering %s: %w", f.Name(), err)
+		}
+	}
+	if mark.pack != 0 && s.packs[mark.pack] == nil {
+		return fmt.Errorf("%w: the index folds the log up to pack %d, which the directory does not hold", ErrCorrupt, mark.pack)
+	}
+	return nil
+}
+
+// replayLocked folds one verified record of pack num (handle f) into
+// the in-memory state. Counts clamp at zero rather than wrapping. A
+// reference to a block no record introduced means that record was lost
+// to rot: the block gets a location-less entry that carries the lost
+// record's own reference too (over-, never under-counting), fails Get
+// typed, and heals when the block is interned again.
+//
+//ckptlint:locked mu
+func (s *Store) replayLocked(f *os.File, num uint32, r recframe.Header) error {
+	n, blockLen := int64(r.Len), r.Len-idSize
+	if r.Kind == recBlock || r.Kind == recMoved {
+		n = idSize // the block's bytes stay on disk
+	}
+	raw := make([]byte, n)
+	if _, err := f.ReadAt(raw, r.Off+recframe.HdrSize); err != nil {
+		return err
+	}
+	for ; len(raw) > 0; raw = raw[idSize:] {
+		id := ID(raw[:idSize])
+		e, ok := s.entries[id]
+		switch {
+		case r.Kind == recBlock:
+			s.placeLocked(id, entry{off: r.Off, pack: num, len: blockLen, crc: r.CRC})
+			continue
+		case r.Kind == recMoved && e.pack != 0 && e.len == blockLen && e.crc == r.CRC:
+			e.pack, e.off = num, r.Off // a copy of the block the index holds
+		case r.Kind == recRef:
+			if !ok {
+				s.blocks++
+				e.refs = 1
+			}
+			e.refs++
+		case r.Kind == recRelease && e.refs > 0:
+			e.refs--
+		default:
+			continue
+		}
+		s.entries[id] = e
+	}
+	return nil
+}
+
+// placeLocked applies a block record: id now sits at at, and holds one
+// more reference.
+//
+//ckptlint:locked mu
+func (s *Store) placeLocked(id ID, at entry) {
+	e, ok := s.entries[id]
+	if !ok {
+		s.blocks++
+	}
+	s.bytes += int64(at.len) - int64(e.len)
+	at.refs = e.refs + 1
+	s.entries[id] = at
 }
 
 // Split cuts a payload into the store's chunk-sized slices (the last
@@ -598,194 +602,302 @@ func (s *Store) Split(p []byte) [][]byte {
 	return append(out, p)
 }
 
-// Intern stores every chunk that is not already present and takes one
-// reference on each (a chunk appearing twice in the batch takes two).
-// The batch is durable when Intern returns: payload files are fsynced
-// before their journal records, and the journal append is one fsynced
-// write — so a crash either keeps the whole reference batch or, if it
-// hits earlier, leaves only orphaned payload files the next open
-// sweeps. On error the journaled partial state keeps the leak-only
-// invariant (references may over-count, never under-count).
-func (s *Store) Intern(chunks [][]byte) ([]Ref, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if s.ro {
-		return nil, ErrReadOnly
-	}
-	refs := make([]Ref, 0, len(chunks))
-	s.jbuf = s.jbuf[:0]
-	for _, p := range chunks {
-		id := IDOf(p)
-		crc := crc32.Checksum(p, castagnoli)
-		if e, ok := s.entries[id]; ok {
-			if e.len != uint32(len(p)) || e.crc != crc {
-				return nil, fmt.Errorf("%w: id %s holds %d bytes crc %08x, interning %d bytes crc %08x",
-					ErrCollision, id, e.len, e.crc, len(p), crc)
-			}
-			s.dedupHits.Add(1)
-			s.savedB.Add(uint64(len(p)))
-		} else {
-			if err := s.writeBlock(id, p, crc); err != nil {
-				return nil, err
-			}
-			s.entries[id] = entry{len: uint32(len(p)), crc: crc}
-			s.interned.Add(1)
-		}
-		s.jbuf = appendJournalRec(s.jbuf, journalRec{op: opRef, id: id, len: uint32(len(p)), crc: crc})
-		e := s.entries[id]
-		e.refs++
-		s.entries[id] = e
-		refs = append(refs, Ref{ID: id, Len: uint32(len(p))})
-	}
-	if err := s.appendJournalLocked(); err != nil {
-		return nil, err
-	}
-	return refs, nil
-}
-
-// Release drops one reference per ref. Call it only after the
-// referencing file is durably gone: the journal append makes the
-// decrement permanent, and a block whose count reaches zero is
-// reclaimed by the next GC. Unknown IDs and zero counts are clamped
-// (and reported), never wrapped.
-func (s *Store) Release(refs []Ref) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.ro {
-		return ErrReadOnly
-	}
-	s.jbuf = s.jbuf[:0]
-	var clampErr error
-	for _, r := range refs {
-		e, ok := s.entries[r.ID]
-		if !ok || e.refs == 0 {
-			clampErr = fmt.Errorf("%w: release of %s", ErrUnderflow, r.ID)
-			continue
-		}
-		e.refs--
-		s.entries[r.ID] = e
-		s.jbuf = appendJournalRec(s.jbuf, journalRec{op: opRelease, id: r.ID})
-	}
-	if err := s.appendJournalLocked(); err != nil {
-		return err
-	}
-	return clampErr
-}
-
-// appendJournalLocked flushes s.jbuf to the journal with one fsync.
+// beginLocked reports why the store cannot be mutated, if it cannot,
+// and otherwise clears the write path's per-call scratch.
 //
 //ckptlint:locked mu
-func (s *Store) appendJournalLocked() error {
-	if len(s.jbuf) == 0 {
-		return nil
+func (s *Store) beginLocked() error {
+	switch {
+	case s.closed:
+		return ErrClosed
+	case s.ro:
+		return ErrReadOnly
 	}
-	if _, err := s.journal.Write(s.jbuf); err != nil {
-		return fmt.Errorf("blockstore: appending journal: %w", err)
-	}
-	if err := s.journal.Sync(); err != nil {
-		return fmt.Errorf("blockstore: syncing journal: %w", err)
-	}
+	clear(s.plan)
+	s.ids = s.ids[:0]
 	return nil
 }
 
-// writeBlock persists one payload file: temp, payload+footer, fsync,
-// rename, directory fsync.
-func (s *Store) writeBlock(id ID, p []byte, crc uint32) error {
-	path := s.BlockPath(id)
-	fan := filepath.Dir(path)
-	if err := os.MkdirAll(fan, 0o755); err != nil {
-		return fmt.Errorf("blockstore: creating fan dir: %w", err)
+// appendFrameLocked is the one write path of the pack log. The frame
+// is what emit, if given, stages with recLocked, then s.ids — if there
+// are any — as one committing record of kind idsKind. It goes to the
+// active pack (a new one if that is full or there is none yet) through
+// the store's fixed buffer and is made durable with one fsync. On
+// failure nothing of the frame stays: the pack is cut back to where the
+// frame began, and if that fails too, or the failure is a simulated
+// crash (which must leave the debris a dying process would), the store
+// is disabled. Callers apply the frame to the in-memory state only once
+// this returns nil.
+//
+//ckptlint:locked mu
+func (s *Store) appendFrameLocked(idsKind byte, emit func() error) error {
+	if s.active == 0 || s.packSize >= s.rollSize {
+		// Seal the active pack and start the next. A sealed pack is
+		// scanned to its end, so a cut of this one (a torn tail on open,
+		// a rolled-back frame) must be durable before it is left; the
+		// new file must survive power loss before a snapshot may point
+		// into it.
+		if s.active != 0 {
+			if err := s.syncLocked(s.packs[s.active], false); err != nil {
+				return err
+			}
+		}
+		path := s.packPath(s.active + 1)
+		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+		if err != nil {
+			return fmt.Errorf("blockstore: creating pack: %w", err)
+		}
+		if err := s.syncLocked(nil, true); err != nil {
+			f.Close()
+			if !s.closed {
+				os.Remove(path)
+			}
+			return err
+		}
+		s.active++
+		s.packs[s.active], s.packSize = f, 0
 	}
-	tmp, err := os.CreateTemp(fan, "blk-*"+tmpSuffix)
-	if err != nil {
-		return fmt.Errorf("blockstore: block temp: %w", err)
+	f, start := s.packs[s.active], s.packSize
+	var w io.Writer = io.NewOffsetWriter(f, start)
+	if s.hooks.WrapPackWrite != nil {
+		w = s.hooks.WrapPackWrite(w)
 	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
+	s.w.Reset(w)
+	var err error
+	if emit != nil {
+		err = emit()
 	}
-	var footer [blockFooterSize]byte
-	putU32(footer[0:], blockMagic)
-	putU32(footer[4:], crc)
-	if _, err := tmp.Write(p); err != nil {
-		return fail(fmt.Errorf("blockstore: writing block %s: %w", id, err))
+	if err == nil && len(s.ids) > 0 {
+		s.recLocked(idsKind, false, s.ids, nil, crc32.Checksum(s.ids, castagnoli))
 	}
-	if _, err := tmp.Write(footer[:]); err != nil {
-		return fail(fmt.Errorf("blockstore: writing block %s footer: %w", id, err))
+	if err == nil {
+		err = s.w.Flush()
 	}
-	if err := tmp.Sync(); err != nil {
-		return fail(fmt.Errorf("blockstore: syncing block %s: %w", id, err))
+	if err == nil {
+		err = s.syncLocked(f, false)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("blockstore: closing block temp: %w", err)
+	s.w.Reset(nil) // let go of the caller's last payload
+	if err == nil {
+		return nil
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("blockstore: publishing block %s: %w", id, err)
+	s.packSize = start
+	err = fmt.Errorf("blockstore: appending to %s: %w", f.Name(), err)
+	switch {
+	case s.closed: // crashed at the sync seam
+	case errors.Is(err, ErrSimulatedCrash):
+		err = s.failLocked(err)
+	default:
+		if terr := f.Truncate(start); terr != nil {
+			err = s.failLocked(fmt.Errorf("blockstore: rolling back a failed append: %v (append failed with: %w)", terr, err))
+		}
 	}
-	return syncDir(fan)
+	return err
 }
 
-// Get reads and verifies one block: footer CRC, payload length AND a
-// full digest recomputation must all agree with the reference before
-// any byte is returned. Every failure is typed (ErrCorrupt or
-// ErrNotFound) so a caller can quarantine or repair instead of
-// restoring garbage.
-func (s *Store) Get(ref Ref) ([]byte, error) {
+// recLocked stages one record of the frame being built — its IDs, then
+// data by reference — and returns the offset it will sit at. A write
+// error sticks to the buffer and surfaces when the frame is flushed.
+//
+//ckptlint:locked mu
+func (s *Store) recLocked(kind byte, more bool, ids, data []byte, crc uint32) (off int64) {
+	packFormat.Put(s.hdr[:], kind, more, 0, 0, uint32(len(ids)+len(data)), crc)
+	s.w.Write(s.hdr[:])
+	s.w.Write(ids)
+	s.w.Write(data)
+	off = s.packSize
+	s.packSize += recframe.HdrSize + int64(len(ids)+len(data))
+	return off
+}
+
+// countLocked applies the frame's ref (+1) or release (-1) record.
+//
+//ckptlint:locked mu
+func (s *Store) countLocked(d int32) {
+	for ids := s.ids; len(ids) > 0; ids = ids[idSize:] {
+		e := s.entries[ID(ids[:idSize])]
+		e.refs = uint32(int32(e.refs) + d)
+		s.entries[ID(ids[:idSize])] = e
+	}
+}
+
+// Intern stores every chunk that is not already present and takes one
+// reference on each (a chunk appearing twice in the batch takes two).
+// The whole batch is ONE frame — a block record per new chunk, which
+// is also its first reference, then a ref record naming the chunks
+// already present — written once and made durable by one fsync,
+// whatever the block count. It commits entirely or not at all: on any
+// error (a collision, a failed write or fsync) the store, in memory
+// and on disk, is as it was before the call.
+func (s *Store) Intern(chunks [][]byte) ([]Ref, error) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
+	defer s.mu.Unlock()
+	if err := s.beginLocked(); err != nil {
+		return nil, err
 	}
-	e, ok := s.entries[ref.ID]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, ref.ID)
+	refs := make([]Ref, len(chunks))
+	if len(chunks) == 0 {
+		return refs, nil
 	}
-	raw, err := os.ReadFile(s.BlockPath(ref.ID))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %s (payload file missing)", ErrCorrupt, ref.ID)
+	// Plan first, apply after the fsync: s.plan holds the entry of every
+	// block the frame adds, s.ids every further reference it takes.
+	var saved uint64
+	for i, p := range chunks {
+		if len(p) > math.MaxUint32-idSize {
+			return nil, fmt.Errorf("blockstore: chunk %d of %d bytes is beyond the record length limit", i, len(p))
 		}
+		id := IDOf(p)
+		refs[i] = Ref{ID: id, Len: uint32(len(p))}
+		want := entry{len: refs[i].Len, crc: blockCRC(id, p)}
+		have, ok := s.entries[id]
+		if !ok || have.pack == 0 {
+			have, ok = s.plan[id]
+		}
+		switch {
+		case !ok:
+			s.plan[id] = want
+		case have.len != want.len || have.crc != want.crc:
+			return nil, fmt.Errorf("%w: id %s holds %d bytes crc %08x, interning %d bytes crc %08x",
+				ErrCollision, id, have.len, have.crc, want.len, want.crc)
+		default:
+			s.ids = append(s.ids, id[:]...)
+			saved += uint64(len(p))
+		}
+	}
+	err := s.appendFrameLocked(recRef, func() error {
+		// A planned block is written where it first occurs in the batch.
+		for i, left := 0, len(s.plan); left > 0; i++ {
+			if at, ok := s.plan[refs[i].ID]; ok && at.pack == 0 {
+				left--
+				at.pack = s.active
+				at.off = s.recLocked(recBlock, left > 0 || len(s.ids) > 0, refs[i].ID[:], chunks[i], at.crc)
+				s.plan[refs[i].ID] = at
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for id, at := range s.plan {
+		s.placeLocked(id, at)
+	}
+	s.countLocked(+1)
+	s.interned.Add(uint64(len(s.plan)))
+	s.dedupHits.Add(uint64(len(s.ids) / idSize))
+	s.savedB.Add(saved)
+	return refs, nil
+}
+
+// Release drops one reference per ref: one frame holding one release
+// record, one fsync, applied to the counts only once it is durable.
+// Call it only after whatever held the references is durably gone; a
+// block whose count reaches zero is dropped by the next GC. Unknown
+// IDs and zero counts are clamped (and reported), never wrapped.
+func (s *Store) Release(refs []Ref) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.beginLocked(); err != nil {
+		return err
+	}
+	var clampErr error
+	for _, r := range refs {
+		dropped := s.plan[r.ID]
+		if s.entries[r.ID].refs == dropped.refs {
+			clampErr = fmt.Errorf("%w: release of %s", ErrUnderflow, r.ID)
+			continue
+		}
+		dropped.refs++
+		s.plan[r.ID] = dropped
+		s.ids = append(s.ids, r.ID[:]...)
+	}
+	if len(s.ids) == 0 {
+		return clampErr
+	}
+	if err := s.appendFrameLocked(recRelease, nil); err != nil {
+		return err
+	}
+	s.countLocked(-1)
+	return clampErr
+}
+
+// Get reads and verifies one block: record header, both CRCs, payload
+// length AND a full digest recomputation must all agree with the index
+// and the reference before any byte is returned; nothing read is
+// cached, so rot that sets in later is caught by the next read. Every
+// failure is typed (ErrCorrupt or ErrNotFound) so a caller can
+// quarantine or repair instead of restoring garbage.
+func (s *Store) Get(ref Ref) ([]byte, error) {
+	var tried entry
+	for {
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return nil, ErrClosed
+		}
+		e, ok := s.entries[ref.ID]
+		f := s.packs[e.pack]
+		s.mu.Unlock()
+		if !ok {
+			return nil, fmt.Errorf("%w: %s", ErrNotFound, ref.ID)
+		}
+		p, err := readBlock(f, e, ref)
+		// The read runs unlocked, so a GC may have moved the block and
+		// unlinked the pack under it: a failure only stands once the
+		// index still points where the read went.
+		if err == nil || e.pack == tried.pack && e.off == tried.off {
+			return p, err
+		}
+		tried = e
+	}
+}
+
+// readBlock reads the record e locates from f and verifies it.
+func readBlock(f *os.File, e entry, ref Ref) ([]byte, error) {
+	if f == nil {
+		return nil, fmt.Errorf("%w: block %s is referenced but no record of it survives", ErrCorrupt, ref.ID)
+	}
+	if ref.Len != 0 && ref.Len != e.len {
+		return nil, fmt.Errorf("%w: block %s holds %d bytes, reference says %d", ErrCorrupt, ref.ID, e.len, ref.Len)
+	}
+	raw := make([]byte, blockRecOverhead+int(e.len))
+	if n, err := f.ReadAt(raw, e.off); err == io.EOF {
+		return nil, fmt.Errorf("%w: block %s truncated at %d of %d record bytes", ErrCorrupt, ref.ID, n, len(raw))
+	} else if err != nil {
 		return nil, fmt.Errorf("blockstore: reading block %s: %w", ref.ID, err)
 	}
-	if len(raw) < blockFooterSize {
-		return nil, fmt.Errorf("%w: block %s truncated at %d bytes", ErrCorrupt, ref.ID, len(raw))
-	}
-	p := raw[:len(raw)-blockFooterSize]
-	if getU32(raw[len(raw)-blockFooterSize:]) != blockMagic {
-		return nil, fmt.Errorf("%w: block %s footer magic missing", ErrCorrupt, ref.ID)
-	}
-	want := getU32(raw[len(raw)-4:])
-	if uint32(len(p)) != e.len || (ref.Len != 0 && ref.Len != e.len) {
-		return nil, fmt.Errorf("%w: block %s holds %d bytes, reference says %d (index %d)",
-			ErrCorrupt, ref.ID, len(p), ref.Len, e.len)
-	}
-	if got := crc32.Checksum(p, castagnoli); got != want || got != e.crc {
-		return nil, fmt.Errorf("%w: block %s CRC %08x, footer %08x, index %08x",
-			ErrCorrupt, ref.ID, got, want, e.crc)
-	}
-	if IDOf(p) != ref.ID {
+	h, ok := packFormat.Parse(raw)
+	p := raw[blockRecOverhead:]
+	switch got := crc32.Checksum(raw[recframe.HdrSize:], castagnoli); {
+	case !ok || h.Kind != recBlock && h.Kind != recMoved || h.Len != idSize+e.len || ID(raw[recframe.HdrSize:blockRecOverhead]) != ref.ID:
+		return nil, fmt.Errorf("%w: block %s: record header at %s offset %d does not verify", ErrCorrupt, ref.ID, f.Name(), e.off)
+	case got != h.CRC || got != e.crc:
+		return nil, fmt.Errorf("%w: block %s CRC %08x, record %08x, index %08x", ErrCorrupt, ref.ID, got, h.CRC, e.crc)
+	case IDOf(p) != ref.ID:
 		return nil, fmt.Errorf("%w: block %s bytes hash to a different ID", ErrCorrupt, ref.ID)
 	}
 	return p, nil
+}
+
+// Locate returns where block id lives on disk: its pack file and the
+// extent of its record (header, ID and payload) within it — the seam
+// through which tests and drills damage a specific block, the analogue
+// of FileStore.Locate.
+func (s *Store) Locate(id ID) (path string, off, length int64, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.entries[id]
+	f := s.packs[e.pack]
+	if f == nil {
+		return "", 0, 0, fmt.Errorf("%w: %s", ErrNotFound, id)
+	}
+	return f.Name(), e.off, blockRecOverhead + int64(e.len), nil
 }
 
 // Contains reports whether the store holds a block for id.
 func (s *Store) Contains(id ID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.entries[id]
-	return ok
+	return s.entries[id].pack != 0
 }
 
 // Refcount returns the current reference count of id (0 if unknown).
@@ -799,108 +911,190 @@ func (s *Store) Refcount(id ID) uint32 {
 type GCStats struct {
 	// Live is how many referenced blocks the new snapshot retains.
 	Live int
-	// Reclaimed counts deleted zero-ref blocks; ReclaimedBytes their
-	// payload bytes.
+	// Reclaimed counts the zero-ref blocks dropped from the index;
+	// ReclaimedBytes their payload bytes. The pack space they occupy is
+	// returned when their pack, once sealed, is mostly dead.
 	Reclaimed      int
 	ReclaimedBytes int64
 }
 
-// GC folds the journal into a fresh index snapshot holding only
-// referenced blocks, commits it by atomic rename, resets the journal
-// to the new generation, and deletes the payload files of every
-// zero-ref block. Crash-safe at every point: before the rename the old
-// snapshot+journal still hold the full state; after it, recovery on
-// the next open discards the stale journal and finishes the deletions.
+// GC folds the log into a fresh index snapshot holding only referenced
+// blocks. Before the commit it empties every sealed pack that is
+// mostly dead, copying the live blocks to the end of the log as moved
+// records (one frame, one fsync per pack); the snapshot rename is the
+// one commit point; after it the zero-ref blocks are forgotten and the
+// emptied packs unlinked. Crash-safe at every point: before the rename
+// the old snapshot plus the log still hold the full state — a moved
+// record changes a location, never a count, so a crash between copy
+// and commit can neither over- nor under-count; after it, all that can
+// remain is a pack nothing points into, which the next GC unlinks. A
+// store whose replayed log holds a damaged region (see B2) refuses.
 func (s *Store) GC() (GCStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return GCStats{}, ErrClosed
-	}
-	if s.ro {
-		return GCStats{}, ErrReadOnly
-	}
 	var st GCStats
+	if err := s.beginLocked(); err != nil {
+		return st, err
+	}
+	if s.damaged != "" {
+		return st, fmt.Errorf("%w: %s is unreadable and may have held references; counts are lower bounds, nothing is reclaimed", ErrCorrupt, s.damaged)
+	}
 	live := make([]ID, 0, len(s.entries))
-	var dead []ID
+	liveBytes := make(map[uint32]int64)
 	for id, e := range s.entries {
 		if e.refs > 0 {
 			live = append(live, id)
-		} else {
-			dead = append(dead, id)
+			liveBytes[e.pack] += blockRecOverhead + int64(e.len)
 		}
 	}
 	sortIDs(live)
 	st.Live = len(live)
 
-	if s.hooks != nil && s.hooks.BeforeGCCommit != nil {
-		if err := s.hooks.BeforeGCCommit(); err != nil {
+	var sparse, emptied []uint32
+	for num, f := range s.packs {
+		if size, err := f.Seek(0, io.SeekEnd); err != nil {
+			return st, fmt.Errorf("blockstore: sizing pack %d: %w", num, err)
+		} else if num < s.active && liveBytes[num]*gcSparseDiv < size {
+			sparse = append(sparse, num)
+		}
+	}
+	slices.Sort(sparse)
+	for _, num := range sparse {
+		// A pack with a live block that no longer verifies is left
+		// alone, as evidence: copying the block would launder the rot.
+		if err := s.relocateLocked(num, live); err == nil {
+			emptied = append(emptied, num)
+		} else if !errors.Is(err, ErrCorrupt) || s.closed {
 			return st, err
 		}
 	}
 
-	// Commit point: the snapshot rename.
-	snap, err := encodeIndex(s.gen+1, live, s.entries)
+	err := s.seamLocked("gc-before", s.indexPath())
+	if err == nil {
+		err = s.commitIndexLocked(live)
+	}
 	if err != nil {
 		return st, err
 	}
-	if err := writeFileAtomic(s.dir, s.indexPath(), snap); err != nil {
-		return st, err
-	}
-	s.gen++
-
-	if s.hooks != nil && s.hooks.AfterGCCommit != nil {
-		if err := s.hooks.AfterGCCommit(); err != nil {
-			return st, err
+	for id, e := range s.entries {
+		if e.refs == 0 {
+			delete(s.entries, id)
+			s.blocks--
+			s.bytes -= int64(e.len)
+			st.Reclaimed++
+			st.ReclaimedBytes += int64(e.len)
 		}
-	}
-
-	// Reset the journal to the new generation; its old contents are
-	// folded into the committed snapshot. Reopen the handle on the new
-	// file. A failure anywhere in here is fatal for this handle: the
-	// snapshot is already committed, so further appends would land in a
-	// journal whose on-disk generation the next open discards wholesale
-	// — silently losing every post-GC intern and release. Fail stop
-	// instead: the store closes, mutations return ErrClosed, and the
-	// next Open recovers cleanly from the committed snapshot.
-	if err := s.resetJournal(); err != nil {
-		return st, s.failLocked(fmt.Errorf("blockstore: post-GC journal reset: %w", err))
-	}
-	if err := s.journal.Close(); err != nil {
-		s.journal = nil
-		return st, s.failLocked(fmt.Errorf("blockstore: closing journal: %w", err))
-	}
-	s.journal = nil
-	j, err := os.OpenFile(s.journalPath(), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return st, s.failLocked(fmt.Errorf("blockstore: reopening journal: %w", err))
-	}
-	s.journal = j
-
-	// Reclaim the dead blocks. A failure mid-loop leaves orphans the
-	// next open sweeps.
-	for _, id := range dead {
-		e := s.entries[id]
-		if err := os.Remove(s.BlockPath(id)); err != nil && !os.IsNotExist(err) {
-			return st, fmt.Errorf("blockstore: reclaiming block %s: %w", id, err)
-		}
-		delete(s.entries, id)
-		st.Reclaimed++
-		st.ReclaimedBytes += int64(e.len)
 	}
 	s.gcBlocks.Add(uint64(st.Reclaimed))
 	s.gcBytes.Add(uint64(st.ReclaimedBytes))
-	return st, nil
+	err = s.seamLocked("gc-after", s.indexPath())
+	for _, num := range emptied {
+		if err == nil {
+			err = s.seamLocked("unlink", s.packPath(num))
+		}
+		if err != nil {
+			return st, err
+		}
+		s.packs[num].Close()
+		delete(s.packs, num)
+		if err = os.Remove(s.packPath(num)); err != nil {
+			return st, fmt.Errorf("blockstore: unlinking emptied pack: %w", err)
+		}
+	}
+	return st, err
+}
+
+// relocateLocked copies the live blocks of sealed pack num to the end
+// of the log as one frame of moved records and, once that is durable,
+// points their entries at the copies. Each block is verified against
+// the index on the way, so one that rotted fails the relocation
+// (ErrCorrupt) instead of gaining a fresh checksum.
+//
+//ckptlint:locked mu
+func (s *Store) relocateLocked(num uint32, live []ID) error {
+	var ids []ID
+	for _, id := range live {
+		if s.entries[id].pack == num {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) == 0 {
+		return nil
+	}
+	slices.SortFunc(ids, func(a, b ID) int { return cmp.Compare(s.entries[a].off, s.entries[b].off) })
+	src, offs := s.packs[num], make([]int64, len(ids))
+	err := s.appendFrameLocked(recMoved, func() error {
+		for i, id := range ids {
+			p, err := readBlock(src, s.entries[id], Ref{ID: id})
+			if err != nil {
+				return err
+			}
+			offs[i] = s.recLocked(recMoved, i < len(ids)-1, ids[i][:], p, s.entries[id].crc)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for i, id := range ids {
+		e := s.entries[id]
+		e.pack, e.off = s.active, offs[i]
+		s.entries[id] = e
+	}
+	return nil
+}
+
+// commitIndexLocked publishes the next generation's index snapshot —
+// the live blocks as of the log's current end — by temp, fsync, rename
+// and directory fsync. A failure before the rename leaves the old
+// snapshot in force and is reported as is (a simulated crash leaves
+// the staged file behind); one after it — the commit stands but its
+// durability is unknown — disables the store until a reopen settles
+// which snapshot won.
+//
+//ckptlint:locked mu
+func (s *Store) commitIndexLocked(live []ID) error {
+	snap, err := encodeIndex(s.gen+1, logPos{s.active, s.packSize}, live, s.entries)
+	if err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(s.dir, indexFileName+"-*"+tmpSuffix)
+	if err != nil {
+		return fmt.Errorf("blockstore: staging index: %w", err)
+	}
+	_, err = tmp.Write(snap)
+	if err == nil {
+		err = s.syncLocked(tmp, false)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = s.seamLocked("before-rename", s.indexPath())
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), s.indexPath())
+	}
+	if err != nil {
+		if !s.closed {
+			os.Remove(tmp.Name())
+		}
+		return fmt.Errorf("blockstore: staging index: %w", err)
+	}
+	s.gen++
+	if err = s.seamLocked("after-rename", s.indexPath()); err == nil {
+		err = s.syncLocked(nil, true)
+	}
+	if err != nil && !s.closed {
+		err = s.failLocked(fmt.Errorf("blockstore: index renamed, durability unknown: %w", err))
+	}
+	return err
 }
 
 // Stats returns a snapshot of the store counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	blocks := len(s.entries)
-	var bytes int64
-	for _, e := range s.entries {
-		bytes += int64(e.len)
-	}
+	blocks, bytes := s.blocks, s.bytes
 	s.mu.Unlock()
 	return Stats{
 		Blocks:      blocks,
@@ -913,62 +1107,8 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// writeFileAtomic writes data to path via temp+fsync+rename+dir-fsync.
-func writeFileAtomic(dir, path string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+"-*"+tmpSuffix)
-	if err != nil {
-		return fmt.Errorf("blockstore: temp for %s: %w", path, err)
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return fail(fmt.Errorf("blockstore: writing %s: %w", path, err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(fmt.Errorf("blockstore: syncing %s: %w", path, err))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("blockstore: closing temp for %s: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("blockstore: publishing %s: %w", path, err)
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed file survives power
-// loss; filesystems that refuse directory fsync report EINVAL or
-// ENOTSUP, which is treated as success (same posture as the checkpoint
-// store). The raw errno values must be matched — a *PathError wrapping
-// syscall.EINVAL never matches os.ErrInvalid.
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("blockstore: opening %s for sync: %w", dir, err)
-	}
-	defer f.Close()
-	if err := f.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, errors.ErrUnsupported) {
-		return fmt.Errorf("blockstore: syncing %s: %w", dir, err)
-	}
-	return nil
-}
-
 // sortIDs orders ids ascending by their byte serialization, the
 // canonical order of index snapshots.
 func sortIDs(ids []ID) {
-	sort.Slice(ids, func(i, j int) bool { return bytes.Compare(ids[i][:], ids[j][:]) < 0 })
-}
-
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	slices.SortFunc(ids, func(a, b ID) int { return bytes.Compare(a[:], b[:]) })
 }

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"github.com/gpuckpt/gpuckpt/internal/recframe"
 )
 
 func testPayload(seed int64, n int) []byte {
@@ -76,16 +78,11 @@ func TestInternDeduplicates(t *testing.T) {
 	if rc := s.Refcount(refs1[0].ID); rc != 2 {
 		t.Fatalf("refcount %d, want 2", rc)
 	}
-	// Only one payload file exists on disk.
-	var files int
-	filepath.Walk(filepath.Join(s.Dir(), dataDirName), func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			files++
-		}
-		return nil
-	})
-	if files != 1 {
-		t.Fatalf("%d payload files on disk, want 1", files)
+	// The log holds the payload once: one block record, then one ref
+	// record naming it.
+	info, err := os.Stat(s.packPath(1))
+	if want := int64(blockRecOverhead + 4096 + recframe.HdrSize + idSize); err != nil || info.Size() != want {
+		t.Fatalf("pack holds %d bytes (err %v), want %d", info.Size(), err, want)
 	}
 }
 
@@ -96,7 +93,7 @@ func TestSplit(t *testing.T) {
 		chunks := s.Split(p)
 		var total int
 		for i, c := range chunks {
-			if i < len(chunks)-1 && len(c) != s.ChunkSize() {
+			if i < len(chunks)-1 && len(c) != s.chunk {
 				t.Fatalf("n=%d: chunk %d has %d bytes", n, i, len(c))
 			}
 			total += len(c)
@@ -135,8 +132,8 @@ func TestReleaseAndGC(t *testing.T) {
 	if err != nil || !bytes.Equal(got, keep) {
 		t.Fatalf("kept block after GC: %v", err)
 	}
-	if _, err := os.Stat(s.BlockPath(refs[1].ID)); !os.IsNotExist(err) {
-		t.Fatalf("reclaimed payload file still present: %v", err)
+	if _, _, _, err := s.Locate(refs[1].ID); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("reclaimed block still located: %v", err)
 	}
 }
 
@@ -157,7 +154,7 @@ func TestReleaseUnderflowClamps(t *testing.T) {
 	}
 }
 
-func TestReopenReplaysJournal(t *testing.T) {
+func TestReopenReplaysLog(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
 	p1, p2 := testPayload(1, 4096), testPayload(2, 4096)
@@ -199,7 +196,7 @@ func TestReopenAfterGCLoadsSnapshot(t *testing.T) {
 	if _, err := s.GC(); err != nil {
 		t.Fatalf("GC: %v", err)
 	}
-	// More journal traffic on the post-GC generation.
+	// More log traffic past the snapshot.
 	refs2, err := s.Intern([][]byte{testPayload(3, 100)})
 	if err != nil {
 		t.Fatalf("Intern post-GC: %v", err)
@@ -232,7 +229,7 @@ func TestCrashBeforeGCCommit(t *testing.T) {
 		t.Fatalf("Release: %v", err)
 	}
 	boom := errors.New("simulated crash")
-	s.SetHooks(&Hooks{BeforeGCCommit: func() error { return boom }})
+	s.SetHooks(failAt("gc-before", boom))
 	if _, err := s.GC(); !errors.Is(err, boom) {
 		t.Fatalf("GC: %v, want injected crash", err)
 	}
@@ -248,16 +245,15 @@ func TestCrashBeforeGCCommit(t *testing.T) {
 	if _, err := s2.Get(refs[0]); err != nil {
 		t.Fatalf("Get after aborted GC: %v", err)
 	}
-	// The zero-ref block is reclaimed by the orphan logic only after a
-	// COMMITTED GC removes it from the index; an aborted one keeps it.
+	// Only a COMMITTED GC drops the zero-ref block from the index; an
+	// aborted one keeps it.
 	if !s2.Contains(refs[1].ID) {
 		t.Fatal("aborted GC lost the zero-ref entry")
 	}
 }
 
-// TestCrashAfterGCCommit aborts GC after the snapshot rename but
-// before journal reset and file deletion: reopen must finish the
-// transaction (stale journal discarded, dead payload swept).
+// TestCrashAfterGCCommit aborts GC after the snapshot rename: the
+// reopen must see the committed transaction.
 func TestCrashAfterGCCommit(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -269,11 +265,11 @@ func TestCrashAfterGCCommit(t *testing.T) {
 		t.Fatalf("Release: %v", err)
 	}
 	boom := errors.New("simulated crash")
-	s.SetHooks(&Hooks{AfterGCCommit: func() error { return boom }})
+	s.SetHooks(failAt("gc-after", boom))
 	if _, err := s.GC(); !errors.Is(err, boom) {
 		t.Fatalf("GC: %v, want injected crash", err)
 	}
-	s.Close() // the "crash": snapshot committed, journal stale, file undeleted
+	s.Close() // the "crash": snapshot committed
 
 	s2 := mustOpen(t, dir)
 	if rc := s2.Refcount(refs[0].ID); rc != 1 {
@@ -282,40 +278,8 @@ func TestCrashAfterGCCommit(t *testing.T) {
 	if s2.Contains(refs[1].ID) {
 		t.Fatal("committed GC left the dead entry live after recovery")
 	}
-	if _, err := os.Stat(s2.BlockPath(refs[1].ID)); !os.IsNotExist(err) {
-		t.Fatalf("dead payload file not swept on recovery: %v", err)
-	}
 	if _, err := s2.Get(refs[0]); err != nil {
 		t.Fatalf("Get after recovered GC: %v", err)
-	}
-}
-
-func TestOrphanSweptOnOpen(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-	refs, err := s.Intern([][]byte{testPayload(1, 4096)})
-	if err != nil {
-		t.Fatalf("Intern: %v", err)
-	}
-	// Plant an orphan: a payload file with no index/journal entry, the
-	// residue of a torn intern.
-	orphan := testPayload(99, 512)
-	oid := IDOf(orphan)
-	opath := s.BlockPath(oid)
-	if err := os.MkdirAll(filepath.Dir(opath), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(opath, orphan, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	s2 := mustOpen(t, dir)
-	if _, err := os.Stat(opath); !os.IsNotExist(err) {
-		t.Fatalf("orphan not swept: %v", err)
-	}
-	if _, err := s2.Get(refs[0]); err != nil {
-		t.Fatalf("referenced block lost by sweep: %v", err)
 	}
 }
 
@@ -325,17 +289,31 @@ func TestGetDetectsBitRot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Intern: %v", err)
 	}
-	path := s.BlockPath(refs[0].ID)
-	raw, err := os.ReadFile(path)
+	path, off, _, err := s.Locate(refs[0].ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[100] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flipByte(t, path, off+100)
 	if _, err := s.Get(refs[0]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Get of rotten block: %v, want ErrCorrupt", err)
+	}
+}
+
+// flipByte inverts the byte at off of the file at path, in place.
+func flipByte(t *testing.T, path string, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -345,8 +323,11 @@ func TestGetDetectsTruncatedBlock(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Intern: %v", err)
 	}
-	path := s.BlockPath(refs[0].ID)
-	if err := os.Truncate(path, 10); err != nil {
+	path, off, _, err := s.Locate(refs[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, off+10); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get(refs[0]); !errors.Is(err, ErrCorrupt) {
@@ -379,136 +360,6 @@ func TestCorruptIndexFailsOpen(t *testing.T) {
 	}
 }
 
-func TestTornJournalTailRecovered(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-	refs, err := s.Intern([][]byte{testPayload(1, 4096)})
-	if err != nil {
-		t.Fatalf("Intern: %v", err)
-	}
-	s.Close()
-
-	// Simulate a crash mid-append: half a record of garbage at the end.
-	path := filepath.Join(dir, journalFileName)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(make([]byte, journalRecSize/2)); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	s2 := mustOpen(t, dir)
-	if rc := s2.Refcount(refs[0].ID); rc != 1 {
-		t.Fatalf("refcount %d after torn-tail recovery, want 1", rc)
-	}
-}
-
-// TestAppendAfterTornTailSurvivesReopen is the regression for the
-// torn-tail append hazard: recovery must REWRITE a journal whose tail
-// tore, not just skip the garbage in memory. The append handle is
-// O_APPEND, so without the rewrite this session's records land after
-// the torn bytes, misaligned; the next open would classify every one
-// of them as more torn tail, drop them, and sweep their payload files
-// — permanently corrupting committed diffs.
-func TestAppendAfterTornTailSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-	refs1, err := s.Intern([][]byte{testPayload(1, 4096)})
-	if err != nil {
-		t.Fatalf("Intern: %v", err)
-	}
-	s.Close()
-
-	// Crash mid-append: garbage shorter than one record at the end.
-	path := filepath.Join(dir, journalFileName)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(bytes.Repeat([]byte{0xff}, journalRecSize-3)); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	// The recovered session appends new, durably committed references.
-	s2 := mustOpen(t, dir)
-	refs2, err := s2.Intern([][]byte{testPayload(2, 4096)})
-	if err != nil {
-		t.Fatalf("Intern after torn-tail recovery: %v", err)
-	}
-	s2.Close()
-
-	// Both the pre-tear and post-recovery references must survive the
-	// NEXT open intact.
-	s3 := mustOpen(t, dir)
-	for i, r := range []Ref{refs1[0], refs2[0]} {
-		if rc := s3.Refcount(r.ID); rc != 1 {
-			t.Fatalf("ref %d: refcount %d after torn-tail+append+reopen, want 1", i, rc)
-		}
-		if _, err := s3.Get(r); err != nil {
-			t.Fatalf("ref %d: Get after torn-tail+append+reopen: %v", i, err)
-		}
-	}
-	// And the rewritten journal is canonical: header plus whole records.
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if (info.Size()-journalHdrSize)%journalRecSize != 0 {
-		t.Fatalf("journal not canonical after recovery: %d bytes", info.Size())
-	}
-}
-
-// TestGCJournalResetFailureFailsStop: once the GC snapshot is
-// committed, a journal reset failure must disable the store. Appending
-// to the old journal would write records under a stale generation that
-// the next open discards wholesale — silent loss of every post-GC
-// intern and release.
-func TestGCJournalResetFailureFailsStop(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-	refs, err := s.Intern([][]byte{testPayload(1, 4096), testPayload(2, 4096)})
-	if err != nil {
-		t.Fatalf("Intern: %v", err)
-	}
-	if err := s.Release(refs[1:]); err != nil {
-		t.Fatalf("Release: %v", err)
-	}
-	// Sabotage the post-commit reset: replace the journal path with a
-	// directory so the canonical rewrite's rename fails.
-	jpath := filepath.Join(dir, journalFileName)
-	s.SetHooks(&Hooks{AfterGCCommit: func() error {
-		if err := os.Remove(jpath); err != nil {
-			return err
-		}
-		return os.Mkdir(jpath, 0o755)
-	}})
-	if _, err := s.GC(); err == nil {
-		t.Fatal("GC with unresettable journal reported success")
-	}
-	if _, err := s.Intern([][]byte{testPayload(3, 64)}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Intern after failed post-commit reset: %v, want ErrClosed", err)
-	}
-	if err := s.Release(refs[:1]); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Release after failed post-commit reset: %v, want ErrClosed", err)
-	}
-
-	// Reopen recovers from the committed snapshot once the obstruction
-	// is gone (here: the empty directory squatting on the journal path).
-	if err := os.Remove(jpath); err != nil {
-		t.Fatal(err)
-	}
-	s2 := mustOpen(t, dir)
-	if _, err := s2.Get(refs[0]); err != nil {
-		t.Fatalf("Get after fail-stop and reopen: %v", err)
-	}
-	if s2.Contains(refs[1].ID) {
-		t.Fatal("dead block survived the committed GC snapshot")
-	}
-}
-
 // TestReadOnlyOpenCoexistsWithOwner: a writable owner excludes other
 // writable opens (ErrBusy) but not read-only ones, and a read-only
 // store serves reads while refusing every mutation.
@@ -530,9 +381,6 @@ func TestReadOnlyOpenCoexistsWithOwner(t *testing.T) {
 		t.Fatalf("read-only Open under a live owner: %v", err)
 	}
 	defer ro.Close()
-	if !ro.ReadOnly() {
-		t.Fatal("ReadOnly() false on a read-only store")
-	}
 	got, err := ro.Get(refs[0])
 	if err != nil || !bytes.Equal(got, p) {
 		t.Fatalf("read-only Get: %v", err)
@@ -569,25 +417,22 @@ func TestReadOnlyOpenLeavesDebris(t *testing.T) {
 	}
 	s.Close()
 
-	// Plant crash debris: an orphan payload and a torn journal tail.
-	orphan := testPayload(99, 512)
-	opath := s.BlockPath(IDOf(orphan))
-	if err := os.MkdirAll(filepath.Dir(opath), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(opath, orphan, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	jpath := filepath.Join(dir, journalFileName)
-	jf, err := os.OpenFile(jpath, os.O_WRONLY|os.O_APPEND, 0o644)
+	// Plant crash debris: a torn frame at the end of the log and a
+	// snapshot a dying GC staged.
+	ppath := s.packPath(1)
+	pf, err := os.OpenFile(ppath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := jf.Write([]byte{1, 2, 3}); err != nil {
+	if _, err := pf.Write([]byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	jf.Close()
-	before, err := os.Stat(jpath)
+	pf.Close()
+	staged := filepath.Join(dir, indexFileName+"-1"+tmpSuffix)
+	if err := os.WriteFile(staged, []byte("staged"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(ppath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,39 +445,34 @@ func TestReadOnlyOpenLeavesDebris(t *testing.T) {
 	if _, err := ro.Get(refs[0]); err != nil {
 		t.Fatalf("read-only Get over crash debris: %v", err)
 	}
-	if _, err := os.Stat(opath); err != nil {
-		t.Fatalf("read-only open swept the orphan payload: %v", err)
+	if _, err := os.Stat(staged); err != nil {
+		t.Fatalf("read-only open swept the staged snapshot: %v", err)
 	}
-	after, err := os.Stat(jpath)
+	after, err := os.Stat(ppath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after.Size() != before.Size() {
-		t.Fatalf("read-only open rewrote the journal: %d -> %d bytes", before.Size(), after.Size())
+		t.Fatalf("read-only open cut the torn tail: %d -> %d bytes", before.Size(), after.Size())
 	}
 }
 
-func TestRottenJournalMidFileFailsOpen(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-	if _, err := s.Intern([][]byte{testPayload(1, 64), testPayload(2, 64), testPayload(3, 64)}); err != nil {
-		t.Fatalf("Intern: %v", err)
-	}
-	s.Close()
-
-	path := filepath.Join(dir, journalFileName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a byte inside the FIRST record, leaving intact records after
-	// it — rot, not a torn tail.
-	raw[journalHdrSize+2] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open with rotten journal: %v, want ErrCorrupt", err)
+// TestOldLayoutRefused: a directory of the file-per-block layout gets
+// a typed refusal from both kinds of open, and nothing in it changes.
+func TestOldLayoutRefused(t *testing.T) {
+	for _, name := range []string{"data", "blockstore.journal"} {
+		dir := t.TempDir()
+		if err := os.Mkdir(filepath.Join(dir, name), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, ro := range []bool{false, true} {
+			if _, err := Open(dir, Options{ReadOnly: ro}); !errors.Is(err, ErrOldLayout) {
+				t.Fatalf("%s, read-only %v: Open returned %v, want ErrOldLayout", name, ro, err)
+			}
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+			t.Fatalf("%s: the refused open left %d entries in the directory, want 1", name, len(entries))
+		}
 	}
 }
 
@@ -705,20 +545,20 @@ func TestIndexEncodeDecodeRoundTrip(t *testing.T) {
 	var ids []ID
 	for i := 0; i < 50; i++ {
 		id := IDOf([]byte(fmt.Sprintf("block-%d", i)))
-		entries[id] = entry{len: uint32(i * 7), crc: uint32(i * 13), refs: uint32(i % 5)}
+		entries[id] = entry{off: int64(i) << 30, pack: uint32(i % 3), len: uint32(i * 7), crc: uint32(i * 13), refs: uint32(i % 5)}
 		ids = append(ids, id)
 	}
 	sortIDs(ids)
-	b, err := encodeIndex(99, ids, entries)
+	b, err := encodeIndex(99, logPos{pack: 3, off: 1 << 33}, ids, entries)
 	if err != nil {
 		t.Fatalf("encodeIndex: %v", err)
 	}
-	gen, got, err := DecodeIndex(b)
+	gen, mark, got, err := DecodeIndex(b)
 	if err != nil {
 		t.Fatalf("DecodeIndex: %v", err)
 	}
-	if gen != 99 || len(got) != len(entries) {
-		t.Fatalf("gen %d entries %d", gen, len(got))
+	if gen != 99 || mark != (logPos{pack: 3, off: 1 << 33}) || len(got) != len(entries) {
+		t.Fatalf("gen %d mark %+v entries %d", gen, mark, len(got))
 	}
 	for id, e := range entries {
 		if got[id] != e {
@@ -738,12 +578,13 @@ func TestIndexDecodeTruncationEveryBoundary(t *testing.T) {
 		entries[id] = entry{len: 100, crc: uint32(i), refs: 1}
 		ids = append(ids, id)
 	}
-	b, err := encodeIndex(7, ids, entries)
+	sortIDs(ids)
+	b, err := encodeIndex(7, logPos{pack: 1, off: 9}, ids, entries)
 	if err != nil {
 		t.Fatalf("encodeIndex: %v", err)
 	}
 	for cut := 0; cut < len(b); cut++ {
-		if _, _, err := DecodeIndex(b[:cut]); err == nil {
+		if _, _, _, err := DecodeIndex(b[:cut]); err == nil {
 			t.Fatalf("truncation at %d/%d decoded successfully", cut, len(b))
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncation at %d: untyped error %v", cut, err)
@@ -755,14 +596,14 @@ func TestIndexDecodeTruncationEveryBoundary(t *testing.T) {
 // must fail (CRC) and never panic.
 func TestIndexDecodeBitFlips(t *testing.T) {
 	id := IDOf([]byte("flip"))
-	b, err := encodeIndex(1, []ID{id}, map[ID]entry{id: {len: 8, crc: 9, refs: 1}})
+	b, err := encodeIndex(1, logPos{pack: 1, off: 44}, []ID{id}, map[ID]entry{id: {pack: 1, len: 8, crc: 9, refs: 1}})
 	if err != nil {
 		t.Fatalf("encodeIndex: %v", err)
 	}
 	for i := range b {
 		mut := append([]byte(nil), b...)
 		mut[i] ^= 0xff
-		if _, _, err := DecodeIndex(mut); err == nil {
+		if _, _, _, err := DecodeIndex(mut); err == nil {
 			t.Fatalf("bit flip at %d decoded successfully", i)
 		}
 	}

@@ -3,76 +3,115 @@ package blockstore
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"github.com/gpuckpt/gpuckpt/internal/recframe"
 )
 
-// On-disk formats of the two metadata planes, both little-endian and
-// decoded defensively (bounded counts, exact lengths, whole-file CRC)
+// On-disk formats of the two planes, both little-endian and decoded
+// defensively (bounded counts, exact lengths, checksums before use)
 // like every other untrusted surface in the repository.
+//
+// # Pack log (pack-NNNNNN.log)
+//
+// A pack is a log in the repository's one record framing
+// (internal/recframe) under the magic "GBPR"; the header's two user
+// fields are zero. Four kinds of record, whose payload is a run of
+// 16-byte block IDs followed, for the two kinds that carry one, by the
+// block's bytes:
+//
+//	block    ID + bytes  the block's location AND its first reference
+//	ref      IDs         one more reference each; the blocks were present
+//	release  IDs         one reference fewer each
+//	moved    ID + bytes  GC's copy of a live block: a new location, no
+//	                     reference — replaying it can change where a
+//	                     block is read from, never a count
 //
 // # Index snapshot (blockstore.index)
 //
 //	u32  magic "GBIX"
-//	u8   version (1)
+//	u8   version (2)
 //	u64  generation
+//	u32  pack, u64 offset: the log position the snapshot folds up to
 //	u32  entry count
-//	entries: {id [16]byte, len u32, crc u32, refs u32} x count
+//	entries: {id [16]byte, pack u32, off u64, len u32, crc u32, refs u32} x count
 //	u32  footer magic "GBIF"
 //	u32  CRC32C of every preceding byte
 //
 // The snapshot is the commit record of a GC transaction: it lists every
-// live block with its durable refcount, and its atomic rename is the
-// single commit point (mirroring the lineage manifest of PR 4).
-//
-// # Ref journal (blockstore.journal)
-//
-//	u32  magic "GBJL"
-//	u8   version (1)
-//	u64  generation (must equal the committed snapshot's)
-//	records: {op u8, id [16]byte, len u32, crc u32, reccrc u32} x N
-//
-// Every record carries its own CRC32C (of the record bytes before the
-// reccrc field), so a torn tail — the crash mode of an append-only
-// file — is distinguishable from mid-file rot: a short or CRC-bad
-// final record is dropped as a torn append, while a bad record with
-// bytes after it is corruption and fails the open.
+// referenced block with its location and durable refcount, and its
+// atomic rename is the single commit point (mirroring the lineage
+// manifest). An open replays only the log past the recorded position.
 const (
 	indexMagic       = 0x58_49_42_47 // "GBIX"
 	indexFooterMagic = 0x46_49_42_47 // "GBIF"
-	journalMagic     = 0x4c_4a_42_47 // "GBJL"
-	formatVersion    = 1
+	formatVersion    = 2
 
-	indexHdrSize    = 4 + 1 + 8 + 4
-	indexEntrySize  = idSize + 4 + 4 + 4
+	indexHdrSize    = 4 + 1 + 8 + 4 + 8 + 4
+	indexEntrySize  = idSize + 4 + 8 + 4 + 4 + 4
 	indexFooterSize = 4 + 4
-	journalHdrSize  = 4 + 1 + 8
-	journalRecSize  = 1 + idSize + 4 + 4 + 4
 
 	// maxIndexEntries bounds a declared entry count before any
 	// allocation; with 4 KiB blocks this is already a 4 TiB store.
 	maxIndexEntries = 1 << 30
-)
 
-// Journal operations.
-const (
-	opRef     = 1 // refcount++ (block data present on disk)
-	opRelease = 2 // refcount--
+	recBlock   = 1
+	recRef     = 2
+	recRelease = 3
+	recMoved   = 4
+
+	// blockRecOverhead is what a block record costs beyond the payload.
+	blockRecOverhead = recframe.HdrSize + idSize
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// entry is the in-memory state of one block.
+// packFormat is the pack log's framing: its magic and the shapes a
+// pack writer produces.
+var packFormat = recframe.Format{
+	Magic: [4]byte{'G', 'B', 'P', 'R'},
+	Accept: func(h recframe.Header) bool {
+		switch {
+		case h.A != 0 || h.B != 0:
+		case h.Kind == recBlock || h.Kind == recMoved:
+			return h.Len >= idSize
+		case h.Kind == recRef || h.Kind == recRelease:
+			return h.Len > 0 && h.Len%idSize == 0
+		}
+		return false
+	},
+}
+
+// blockCRC is the payload checksum of a block or moved record: over
+// the ID, then the block's bytes. It doubles as the index's second,
+// structurally independent check of the block.
+func blockCRC(id ID, p []byte) uint32 {
+	return crc32.Update(crc32.Checksum(id[:], castagnoli), castagnoli, p)
+}
+
+// entry is the in-memory state of one block: where its record sits
+// (the header's offset in pack number pack), the block's length, the
+// record's payload checksum and the reference count. pack 0 is no
+// pack: references to the block were replayed but its record was lost
+// to rot, so it cannot be read until it is interned again.
 type entry struct {
+	off  int64
+	pack uint32
 	len  uint32
 	crc  uint32
 	refs uint32
 }
 
+// logPos is a position in the pack log.
+type logPos struct {
+	pack uint32
+	off  int64
+}
+
 // encodeIndex serializes a snapshot. Entries are written in ascending
 // ID order so the byte stream is deterministic for a given state.
-func encodeIndex(gen uint64, ids []ID, entries map[ID]entry) ([]byte, error) {
+func encodeIndex(gen uint64, mark logPos, ids []ID, entries map[ID]entry) ([]byte, error) {
 	if len(ids) > maxIndexEntries {
 		return nil, fmt.Errorf("blockstore: %d entries exceed the index format limit", len(ids))
 	}
@@ -80,6 +119,8 @@ func encodeIndex(gen uint64, ids []ID, entries map[ID]entry) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint32(buf, indexMagic)
 	buf = append(buf, formatVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, gen)
+	buf = binary.LittleEndian.AppendUint32(buf, mark.pack)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(mark.off))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
 	for _, id := range ids {
 		e, ok := entries[id]
@@ -87,6 +128,8 @@ func encodeIndex(gen uint64, ids []ID, entries map[ID]entry) ([]byte, error) {
 			return nil, fmt.Errorf("blockstore: encoding unknown block %s", id)
 		}
 		buf = append(buf, id[:]...)
+		buf = binary.LittleEndian.AppendUint32(buf, e.pack)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.off))
 		buf = binary.LittleEndian.AppendUint32(buf, e.len)
 		buf = binary.LittleEndian.AppendUint32(buf, e.crc)
 		buf = binary.LittleEndian.AppendUint32(buf, e.refs)
@@ -99,146 +142,56 @@ func encodeIndex(gen uint64, ids []ID, entries map[ID]entry) ([]byte, error) {
 // DecodeIndex parses an index snapshot. The declared entry count is
 // bounded by the actual byte length before any allocation and the
 // whole-file CRC must verify; any mismatch is ErrCorrupt.
-func DecodeIndex(b []byte) (uint64, map[ID]entry, error) {
+func DecodeIndex(b []byte) (gen uint64, mark logPos, entries map[ID]entry, err error) {
+	fail := func(format string, args ...any) (uint64, logPos, map[ID]entry, error) {
+		return 0, logPos{}, nil, fmt.Errorf("%w: index "+format, append([]any{ErrCorrupt}, args...)...)
+	}
 	if len(b) < indexHdrSize+indexFooterSize {
-		return 0, nil, fmt.Errorf("%w: index truncated at %d bytes", ErrCorrupt, len(b))
+		return fail("truncated at %d bytes", len(b))
 	}
 	body, foot := b[:len(b)-indexFooterSize], b[len(b)-indexFooterSize:]
 	if binary.LittleEndian.Uint32(foot) != indexFooterMagic {
-		return 0, nil, fmt.Errorf("%w: index footer magic missing", ErrCorrupt)
+		return fail("footer magic missing")
 	}
 	want := binary.LittleEndian.Uint32(foot[4:])
-	got := crc32.Checksum(b[:len(b)-4], castagnoli)
-	if got != want {
-		return 0, nil, fmt.Errorf("%w: index footer records %08x, bytes hash to %08x", ErrCorrupt, want, got)
+	if got := crc32.Checksum(b[:len(b)-4], castagnoli); got != want {
+		return fail("footer records %08x, bytes hash to %08x", want, got)
 	}
 	if binary.LittleEndian.Uint32(body) != indexMagic {
-		return 0, nil, fmt.Errorf("%w: bad index magic", ErrCorrupt)
+		return fail("magic is wrong")
 	}
 	if body[4] != formatVersion {
-		return 0, nil, fmt.Errorf("blockstore: unsupported index version %d", body[4])
+		return 0, logPos{}, nil, fmt.Errorf("blockstore: unsupported index version %d", body[4])
 	}
-	gen := binary.LittleEndian.Uint64(body[5:])
-	count := binary.LittleEndian.Uint32(body[13:])
+	gen = binary.LittleEndian.Uint64(body[5:])
+	mark = logPos{pack: binary.LittleEndian.Uint32(body[13:]), off: int64(binary.LittleEndian.Uint64(body[17:]))}
+	count := binary.LittleEndian.Uint32(body[25:])
 	rest := body[indexHdrSize:]
-	if uint64(count) > maxIndexEntries || uint64(count)*indexEntrySize != uint64(len(rest)) {
-		return 0, nil, fmt.Errorf("%w: index declares %d entries but carries %d entry bytes",
-			ErrCorrupt, count, len(rest))
+	if uint64(count) > maxIndexEntries || uint64(count)*indexEntrySize != uint64(len(rest)) || mark.off < 0 {
+		return fail("declares %d entries up to offset %d but carries %d entry bytes", count, mark.off, len(rest))
 	}
-	entries := make(map[ID]entry, count)
+	entries = make(map[ID]entry, count)
 	var prev ID
 	for i := 0; i < int(count); i++ {
 		rec := rest[i*indexEntrySize:]
-		var id ID
-		copy(id[:], rec[:idSize])
+		id := ID(rec[:idSize])
 		// Snapshots are canonical: strictly ascending ID order. This both
 		// rejects duplicates and makes decode(encode(x)) byte-identical.
 		if i > 0 && bytes.Compare(prev[:], id[:]) >= 0 {
-			return 0, nil, fmt.Errorf("%w: index entry %d (%s) out of order", ErrCorrupt, i, id)
+			return fail("entry %d (%s) out of order", i, id)
 		}
 		prev = id
-		entries[id] = entry{
-			len:  binary.LittleEndian.Uint32(rec[idSize:]),
-			crc:  binary.LittleEndian.Uint32(rec[idSize+4:]),
-			refs: binary.LittleEndian.Uint32(rec[idSize+8:]),
+		e := entry{
+			pack: binary.LittleEndian.Uint32(rec[idSize:]),
+			off:  int64(binary.LittleEndian.Uint64(rec[idSize+4:])),
+			len:  binary.LittleEndian.Uint32(rec[idSize+12:]),
+			crc:  binary.LittleEndian.Uint32(rec[idSize+16:]),
+			refs: binary.LittleEndian.Uint32(rec[idSize+20:]),
 		}
-	}
-	return gen, entries, nil
-}
-
-// journalRec is one decoded journal record.
-type journalRec struct {
-	op  uint8
-	id  ID
-	len uint32
-	crc uint32
-}
-
-// encodeJournalHeader serializes the journal file header.
-func encodeJournalHeader(gen uint64) []byte {
-	buf := make([]byte, 0, journalHdrSize)
-	buf = binary.LittleEndian.AppendUint32(buf, journalMagic)
-	buf = append(buf, formatVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, gen)
-	return buf
-}
-
-// appendJournalRec serializes one record (with its per-record CRC)
-// onto buf.
-func appendJournalRec(buf []byte, r journalRec) []byte {
-	start := len(buf)
-	buf = append(buf, r.op)
-	buf = append(buf, r.id[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, r.len)
-	buf = binary.LittleEndian.AppendUint32(buf, r.crc)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], castagnoli))
-	return buf
-}
-
-// errTornJournal marks a journal whose final record is short or
-// CRC-bad: the signature of a crash mid-append, recovered by dropping
-// the torn tail rather than failing the open.
-var errTornJournal = errors.New("blockstore: torn journal tail")
-
-// DecodeJournal parses a journal file: generation from the header,
-// then every intact record. A short or CRC-bad FINAL record is dropped
-// (torn append); bad bytes with further records after them are
-// corruption.
-func DecodeJournal(b []byte) (uint64, []journalRec, error) {
-	if len(b) < journalHdrSize {
-		return 0, nil, fmt.Errorf("%w: journal truncated at %d bytes", ErrCorrupt, len(b))
-	}
-	if binary.LittleEndian.Uint32(b) != journalMagic {
-		return 0, nil, fmt.Errorf("%w: bad journal magic", ErrCorrupt)
-	}
-	if b[4] != formatVersion {
-		return 0, nil, fmt.Errorf("blockstore: unsupported journal version %d", b[4])
-	}
-	gen := binary.LittleEndian.Uint64(b[5:])
-	rest := b[journalHdrSize:]
-	var recs []journalRec
-	for len(rest) > 0 {
-		r, err := decodeJournalRec(rest)
-		if err != nil {
-			if errors.Is(err, errTornJournal) {
-				// A batch append tears at one point and everything after
-				// it is garbage from the same interrupted write; rot in
-				// the middle of the file leaves intact records after the
-				// bad one. Distinguish by scanning forward: any decodable
-				// record past this point means corruption, none means a
-				// torn tail that is safe to drop.
-				for probe := rest[min(journalRecSize, len(rest)):]; len(probe) >= journalRecSize; probe = probe[journalRecSize:] {
-					if _, perr := decodeJournalRec(probe); perr == nil {
-						return 0, nil, fmt.Errorf("%w: journal record %d bytes before end: %v",
-							ErrCorrupt, len(rest), err)
-					}
-				}
-				break // crash mid-append: drop the torn tail
-			}
-			return 0, nil, err
+		if e.off < 0 {
+			return fail("entry %d (%s) at a negative offset", i, id)
 		}
-		recs = append(recs, r)
-		rest = rest[journalRecSize:]
+		entries[id] = e
 	}
-	return gen, recs, nil
-}
-
-// decodeJournalRec parses the record at the head of b.
-func decodeJournalRec(b []byte) (journalRec, error) {
-	if len(b) < journalRecSize {
-		return journalRec{}, errTornJournal
-	}
-	want := binary.LittleEndian.Uint32(b[journalRecSize-4:])
-	if got := crc32.Checksum(b[:journalRecSize-4], castagnoli); got != want {
-		return journalRec{}, fmt.Errorf("%w: journal record CRC %08x, bytes hash to %08x",
-			errTornJournal, want, got)
-	}
-	r := journalRec{op: b[0]}
-	copy(r.id[:], b[1:1+idSize])
-	r.len = binary.LittleEndian.Uint32(b[1+idSize:])
-	r.crc = binary.LittleEndian.Uint32(b[1+idSize+4:])
-	if r.op != opRef && r.op != opRelease {
-		return journalRec{}, fmt.Errorf("%w: unknown journal op %d", ErrCorrupt, r.op)
-	}
-	return r, nil
+	return gen, mark, entries, nil
 }

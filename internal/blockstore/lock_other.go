@@ -9,9 +9,3 @@ import "os"
 const lockingSupported = false
 
 func acquireDirLock(path string) (*os.File, error) { return nil, nil }
-
-func releaseDirLock(f *os.File) {
-	if f != nil {
-		f.Close()
-	}
-}

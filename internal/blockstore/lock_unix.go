@@ -37,10 +37,3 @@ func acquireDirLock(path string) (*os.File, error) {
 	}
 	return f, nil
 }
-
-// releaseDirLock drops the flock by closing the handle. nil-safe.
-func releaseDirLock(f *os.File) {
-	if f != nil {
-		f.Close()
-	}
-}

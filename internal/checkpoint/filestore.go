@@ -345,8 +345,8 @@ func (fs *FileStore) Append(d *Diff) error {
 
 // AppendBatch appends a contiguous run of diffs as one frame: one
 // block-store call interns every data section (blocks and their
-// journal records are durable before the records that reference
-// them), one write adds the records to the segment, one fsync makes
+// references are durable before the records that reference them),
+// one write adds the records to the segment, one fsync makes
 // the whole batch durable — the group commit behind the server's
 // stream path, and the only append path there is.
 //

@@ -390,18 +390,42 @@ func TestBlockStoreRotSurfacesAsCorrupt(t *testing.T) {
 	if err != nil || len(refs) == 0 {
 		t.Fatal("no block refs recorded")
 	}
-	path := bs.BlockPath(refs[0].ID)
-	raw, err := os.ReadFile(path)
+	path, off, _, err := bs.Locate(refs[0].ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[10] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off+10); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := f.WriteAt(b[:], off+10); err != nil {
 		t.Fatal(err)
 	}
 	for i, fs := range stores {
 		if _, err := fs.Load(); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("lineage %d load with rotten shared block: %v, want ErrCorrupt", i, err)
 		}
+	}
+}
+
+// TestSiblingOldBlockLayoutRefused: the sibling auto-attach surfaces
+// the block store's refusal of the replaced file-per-block layout
+// unchanged, and leaves the directory alone.
+func TestSiblingOldBlockLayoutRefused(t *testing.T) {
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, blockstore.DirName, "data"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewFileStore(filepath.Join(root, "lin")); !errors.Is(err, blockstore.ErrOldLayout) {
+		t.Fatalf("NewFileStore beside an old-layout block store: %v, want blockstore.ErrOldLayout", err)
+	}
+	if entries, _ := os.ReadDir(filepath.Join(root, blockstore.DirName)); len(entries) != 1 {
+		t.Fatalf("refused block store now holds %v", entries)
 	}
 }

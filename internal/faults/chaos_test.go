@@ -990,7 +990,12 @@ func verifyBlockLineages(t *testing.T, root string, bs *blockstore.Store, images
 // still reclaims the garbage.
 func TestChaosBlockGCCrashBeforeCommit(t *testing.T) {
 	root, bs, images := blockChaosLineages(t, 901)
-	bs.SetHooks(&blockstore.Hooks{BeforeGCCommit: func() error { return faults.ErrInjected }})
+	bs.SetHooks(&blockstore.Hooks{Seam: func(point, _ string) error {
+		if point == "gc-before" {
+			return faults.ErrInjected
+		}
+		return nil
+	}})
 	if _, err := bs.GC(); !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("GC with pre-commit crash returned %v, want ErrInjected", err)
 	}
@@ -1019,20 +1024,24 @@ func TestChaosBlockGCCrashBeforeCommit(t *testing.T) {
 	}
 }
 
-// Scenario: the process dies right after the index snapshot rename —
-// GC committed, but the stale journal and the dead block files were
-// never cleaned. Recovery must discard the stale-generation journal,
-// sweep the unreferenced payload files, and leave both lineages
+// Scenario: the process dies right after the index snapshot is
+// committed, before any emptied pack is unlinked. Recovery must load
+// the committed snapshot, replay nothing twice, and leave both lineages
 // byte-exact.
 func TestChaosBlockGCCrashAfterCommit(t *testing.T) {
 	root, bs, images := blockChaosLineages(t, 902)
-	bs.SetHooks(&blockstore.Hooks{AfterGCCommit: func() error { return faults.ErrInjected }})
+	bs.SetHooks(&blockstore.Hooks{Seam: func(point, _ string) error {
+		if point == "gc-after" {
+			return faults.ErrInjected
+		}
+		return nil
+	}})
 	if _, err := bs.GC(); !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("GC with post-commit crash returned %v, want ErrInjected", err)
 	}
 
 	// Close stands in for process death: the owner lock is released, the
-	// committed-snapshot-plus-stale-journal state stays on disk.
+	// committed snapshot and every pack stay on disk.
 	if err := bs.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -1058,30 +1067,21 @@ func TestChaosBlockGCCrashAfterCommit(t *testing.T) {
 // where one lineage trusts a block another lineage already saw rot.
 func TestChaosBlockSharedRot(t *testing.T) {
 	root, bs, _ := blockChaosLineages(t, 903)
-	if err := bs.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Flip one bit in one stored payload block.
-	var blk string
-	dataDir := filepath.Join(root, blockstore.DirName, "data")
-	err := filepath.WalkDir(dataDir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if blk == "" && !d.IsDir() && filepath.Ext(path) == ".blk" {
-			blk = path
-		}
-		return nil
-	})
-	if err != nil || blk == "" {
-		t.Fatalf("no payload block found under %s (err %v)", dataDir, err)
-	}
-	raw, err := os.ReadFile(blk)
+	// The victim: the first block of the first diff, which both
+	// lineages hold.
+	fs, err := checkpoint.NewFileStoreWith(filepath.Join(root, "a"), bs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(blk, faults.New(903).FlipBit(raw), 0o644); err != nil {
+	rec, err := fs.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := blockstore.IDOf(bs.Split(rec.Diff(0).Data)[0])
+	if err := bs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := faults.New(903).RotStoredBlock(filepath.Join(root, blockstore.DirName), id); err != nil {
 		t.Fatal(err)
 	}
 

@@ -5,6 +5,7 @@ import (
 	"os"
 	"syscall"
 
+	"github.com/gpuckpt/gpuckpt/internal/blockstore"
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 )
 
@@ -134,20 +135,46 @@ func (in *Injector) RotStoredDiff(dir string, ck int) (rotten []byte, path strin
 	if err != nil {
 		return nil, "", 0, err
 	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	rotten, err = in.rotExtent(path, off, n)
+	return rotten, path, off, err
+}
+
+// RotStoredBlock is RotStoredDiff for the shared block store in dir:
+// it flips one bit of the on-disk record — header, ID and payload — of
+// block id, in place, finding the record through a throwaway read-only
+// open, which touches nothing and is safe beside a live owner. This is
+// the one seam through which tests and drills damage a specific block.
+func (in *Injector) RotStoredBlock(dir string, id blockstore.ID) (rotten []byte, path string, off int64, err error) {
+	bs, err := blockstore.Open(dir, blockstore.Options{ReadOnly: true})
 	if err != nil {
 		return nil, "", 0, err
+	}
+	path, off, n, err := bs.Locate(id)
+	bs.Close()
+	if err != nil {
+		return nil, "", 0, err
+	}
+	rotten, err = in.rotExtent(path, off, n)
+	return rotten, path, off, err
+}
+
+// rotExtent flips one bit (see FlipBit) of the n bytes at off of the
+// file at path, in place, and returns the rotten image.
+func (in *Injector) rotExtent(path string, off, n int64) ([]byte, error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return nil, err
 	}
 	defer f.Close()
 	raw := make([]byte, n)
 	if _, err := f.ReadAt(raw, off); err != nil {
-		return nil, "", 0, err
+		return nil, err
 	}
-	rotten = in.FlipBit(raw)
+	rotten := in.FlipBit(raw)
 	if _, err = f.WriteAt(rotten, off); err == nil {
 		err = f.Close()
 	}
-	return rotten, path, off, err
+	return rotten, err
 }
 
 // errWriter fails every write with err.

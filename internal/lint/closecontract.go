@@ -38,9 +38,9 @@ var closerConstructors = map[string][]string{
 	// A lifecycle.Manager owns a worker pool for its restore sweeps;
 	// leaking one leaks goroutine-pool capacity on every compaction.
 	"lifecycle.New": {"Close"},
-	// A blockstore.Store owns an append-mode journal handle; leaking
-	// one keeps the journal open past the store's life and blocks a
-	// clean reopen of the same directory.
+	// A blockstore.Store owns its pack handles and the directory's
+	// owner lock; leaking one keeps both past the store's life and
+	// blocks a clean reopen of the same directory.
 	"blockstore.New":  {"Close"},
 	"blockstore.Open": {"Close"},
 	// A connpool.Pool owns up to MaxActive sockets and a reaper

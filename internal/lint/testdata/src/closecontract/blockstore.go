@@ -1,5 +1,5 @@
 // Golden fixture for the blockstore closer constructors: a Store owns
-// an open journal handle, so every construction must Close on all
+// open pack handles and the owner lock, so every construction must Close on all
 // paths or hand ownership off. The `blockstore` qualifier is matched
 // by name only, so no import is needed.
 package closecontract

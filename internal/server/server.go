@@ -687,8 +687,8 @@ func (s *Server) compactLoop(ctx context.Context, stop <-chan struct{}) {
 			for _, ln := range s.snapshot() {
 				s.compactLineage(ln)
 			}
-			// Compactions released block references; fold the journal
-			// into a fresh snapshot and reclaim unreferenced payloads.
+			// Compactions released block references; fold the log into
+			// a fresh snapshot and reclaim unreferenced blocks.
 			if _, err := s.blocks.GC(); err != nil {
 				s.cfg.Logf("server: block store GC: %v", err)
 			}

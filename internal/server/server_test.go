@@ -202,6 +202,23 @@ func TestServerRefusesOldLayout(t *testing.T) {
 	}
 }
 
+// TestServerRefusesOldBlockLayout: a root whose _blocks directory is of
+// the replaced file-per-block layout is refused at startup with the
+// block store's own typed error, and nothing in it is touched.
+func TestServerRefusesOldBlockLayout(t *testing.T) {
+	root := t.TempDir()
+	old := filepath.Join(root, blockstore.DirName, "data", "ab")
+	if err := os.MkdirAll(old, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(quiet(Config{Root: root})); !errors.Is(err, blockstore.ErrOldLayout) {
+		t.Fatalf("server start over an old-layout block store: %v, want blockstore.ErrOldLayout", err)
+	}
+	if entries, _ := os.ReadDir(filepath.Join(root, blockstore.DirName)); len(entries) != 1 {
+		t.Fatalf("refused block store now holds %v", entries)
+	}
+}
+
 func TestServerRequestErrors(t *testing.T) {
 	_, addr, stop := startServer(t, Config{Root: t.TempDir()})
 	defer stop()
