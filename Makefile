@@ -16,6 +16,7 @@ FUZZ_TARGETS = \
 	FuzzSubscribeDecode:./internal/wire \
 	FuzzDigestDecode:./internal/wire \
 	FuzzDiffDecode:./internal/checkpoint \
+	FuzzDecodeBytes:./internal/checkpoint \
 	FuzzRestore:./internal/checkpoint \
 	FuzzManifestDecode:./internal/checkpoint \
 	FuzzSegmentScan:./internal/checkpoint \
@@ -137,7 +138,9 @@ fuzz-smoke:
 # and its Get-vs-relocating-GC race), plus the TestRace concurrency
 # regression tests guarding the bugs the guardedby/lockorder/goroleak
 # analyzers found (Serve worker join, locked pin reads, idle-session
-# pruning). Every schedule is
+# pruning) and the span stream's lock discipline (a pull parked on a
+# reader that is not reading blocks neither a push nor a compaction).
+# Every schedule is
 # deterministic — a failure reproduces by rerunning the named test, no
 # flake triage needed.
 chaos-smoke:

@@ -342,41 +342,67 @@ func (s *session) readResp(r io.Reader, wantType uint8) error {
 }
 
 // PullDiff downloads the encoded diff of checkpoint ckptID of the
-// named lineage.
+// named lineage: a span of one.
 func (c *Client) PullDiff(name string, ckptID int) ([]byte, error) {
-	return c.wc.Pull(name, ckptID)
+	var out []byte
+	err := c.wc.PullSpan(name, ckptID, ckptID+1, func(_ int, encoded []byte) error {
+		out = bytes.Clone(encoded)
+		return nil
+	})
+	return out, err
 }
 
 // Pull downloads the restorable span of the named lineage and
 // assembles it into a Record. After a server-side compaction the span
 // starts at the compaction baseline, not 0; Record.Base reports it and
 // Record.Restore keeps accepting the original absolute indices.
+//
+// The span is pulled as one stream over the connection that reported
+// it, served from one generation of the lineage: a compaction landing in
+// between fails the attempt with wire.ErrSpanMoved, and the retry opens
+// the lineage again.
 func (c *Client) Pull(name string) (*Record, error) {
-	n, base, err := c.wc.Open(name)
+	var rec *checkpoint.Record
+	var base int
+	err := c.wc.Do(context.Background(), name, func(cn *wireclient.Conn) error {
+		rec = nil // a replayed attempt starts over
+		h, n, b, err := cn.Open(name)
+		if err != nil || n == b {
+			return err
+		}
+		rec, base = checkpoint.NewRecord(), b
+		return cn.PullSpan(h, b, n, recordSink(rec, cn, name, b))
+	})
 	if err != nil {
 		return nil, err
 	}
-	if n == base {
+	if rec == nil {
 		return nil, fmt.Errorf("gpuckpt: lineage %q is empty on %s", name, c.wc.Addr())
 	}
-	rec := checkpoint.NewRecord()
-	for ck := base; ck < n; ck++ {
-		b, err := c.PullDiff(name, ck)
-		if err != nil {
-			return nil, err
-		}
-		d, err := checkpoint.Decode(bytes.NewReader(b))
-		if err != nil {
-			return nil, fmt.Errorf("gpuckpt: lineage %q diff %d: %w", name, ck, err)
-		}
-		if err := d.Rebase(-int64(base)); err != nil {
-			return nil, fmt.Errorf("gpuckpt: lineage %q diff %d: %w", name, ck, err)
-		}
-		if err := rec.Append(d); err != nil {
-			return nil, err
-		}
-	}
 	return &Record{rec: rec, base: base}, nil
+}
+
+// recordSink returns the consumer that assembles rec from the span cn
+// pulls. Every pulled byte is held once: a diff is parsed where it
+// arrived and its sections copied out to their exact size, except that
+// one carrying a whole image (the baseline) keeps the buffer it arrived
+// in — the diffs behind it are a fraction of its size.
+func recordSink(rec *checkpoint.Record, cn *wireclient.Conn, name string, base int) func(ck int, encoded []byte) error {
+	return func(ck int, encoded []byte) error {
+		d, err := checkpoint.DecodeCheckpoint(ck, encoded)
+		if err == nil {
+			err = d.Rebase(-int64(base))
+		}
+		if err != nil {
+			return fmt.Errorf("gpuckpt: lineage %q diff %d: %w", name, ck, err)
+		}
+		if len(encoded) >= cap(encoded)/2 && 2*uint64(len(d.Data)) >= d.DataLen {
+			cn.TakeScratch()
+		} else {
+			d.Own()
+		}
+		return rec.Append(d)
+	}
 }
 
 // PushRecord uploads every diff of rec that the server does not

@@ -3,9 +3,15 @@ package gpuckpt
 import (
 	"bytes"
 	"io"
+	"math/rand"
+	"net"
+	"runtime"
 	"testing"
+	"time"
 
+	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
+	"github.com/gpuckpt/gpuckpt/internal/wireclient"
 )
 
 // The allocation tests below exercise the session's frame machinery
@@ -92,5 +98,80 @@ func TestClientStreamPushZeroAlloc(t *testing.T) {
 	}
 	if frameErr != nil {
 		t.Fatal(frameErr)
+	}
+}
+
+// cannedConn replays canned response bytes and discards requests.
+type cannedConn struct {
+	net.Conn
+	r *bytes.Reader
+}
+
+func (c *cannedConn) Read(p []byte) (int, error)       { return c.r.Read(p) }
+func (c *cannedConn) Write(p []byte) (int, error)      { return len(p), nil }
+func (c *cannedConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *cannedConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestPullSpanAllocBudget pins what assembling a Record from a pulled
+// span may allocate: every pulled byte held once (a quarter on top for
+// the region index and decoded metadata), the arrival-bounded growth of
+// the connection's read buffer up to the largest frame, and a constant.
+// The span is a baseline followed by increments a sixteenth its size —
+// the shape that exercises both ways a diff takes ownership of its
+// bytes.
+func TestPullSpanAllocBudget(t *testing.T) {
+	const (
+		frames = 16
+		bufLen = 1 << 20
+		slack  = 256 << 10
+	)
+	ck, err := New(Config{Method: MethodTree, ChunkSize: 4096}, bufLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	rng := rand.New(rand.NewSource(11))
+	buf := make([]byte, bufLen)
+	rng.Read(buf)
+	var canned bytes.Buffer
+	var total, largest int
+	for k := 0; k < frames; k++ {
+		if k > 0 {
+			off := rng.Intn(bufLen - bufLen/16)
+			rng.Read(buf[off : off+bufLen/16])
+		}
+		if _, err := ck.Checkpoint(buf); err != nil {
+			t.Fatal(err)
+		}
+		var enc bytes.Buffer
+		if err := ck.WriteDiff(k, &enc); err != nil {
+			t.Fatal(err)
+		}
+		total, largest = total+enc.Len(), max(largest, enc.Len())
+		canned.Write(cannedFrame(t, &wire.Frame{Type: wire.TPull, Lineage: 1, Ckpt: uint32(k), Payload: enc.Bytes()}))
+	}
+
+	cn := &wireclient.Conn{NC: &cannedConn{r: bytes.NewReader(canned.Bytes())}}
+	rec := checkpoint.NewRecord()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = cn.PullSpan(1, 0, frames, recordSink(rec, cn, "lin", 0))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := uint64(total+total/4) + 2*uint64(largest) + slack
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("assembling %d frames (%d bytes, largest %d) allocated %d bytes, budget %d",
+			frames, total, largest, got, budget)
+	}
+	for _, k := range []int{0, frames / 2, frames - 1} {
+		want, err := ck.Restore(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := rec.Restore(k); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("checkpoint %d restored from the pulled record differs (%v)", k, err)
+		}
 	}
 }

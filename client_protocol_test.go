@@ -144,7 +144,9 @@ func TestResponseTypeCheckedEverywhere(t *testing.T) {
 					return op(peer), func() { peer.Close() }
 				}
 			}
-			pull := with(func(p antientropy.Peer) error { _, err := p.Pull("lin", 0); return err })
+			pull := with(func(p antientropy.Peer) error {
+				return p.PullSpan("lin", 0, 1, func(int, []byte) error { return nil })
+			})
 			return map[uint8]func(*testing.T, string) (error, func()){
 				wire.TOpen: pull,
 				wire.TPull: pull,

@@ -39,7 +39,10 @@ func chainCheckpointer(t *testing.T, n, bufLen int) *Checkpointer {
 
 // TestClientStreamPushUsed pins down that bulk pushes actually take the windowed streaming path — the server's
 // TPushStream counter must account for every diff — and that the
-// streamed bytes land bit-exactly.
+// streamed bytes land bit-exactly at every checkpoint. The server
+// parses each frame where it arrived and stages it for a group commit
+// while the next frame is read into the same buffer: a staged diff that
+// did not take its bytes along restores garbage here.
 func TestClientStreamPushUsed(t *testing.T) {
 	srv, addr, shutdown := startTestServerH(t, server.Config{Root: t.TempDir()})
 	defer shutdown()
@@ -49,7 +52,7 @@ func TestClientStreamPushUsed(t *testing.T) {
 	}
 	defer cl.Close()
 
-	const chain = 12
+	const chain = 16
 	ck := chainCheckpointer(t, chain, 32<<10)
 	if n, err := cl.PushCheckpointer("streamed", ck); err != nil || n != chain {
 		t.Fatalf("stream push: n=%d err=%v", n, err)
@@ -61,13 +64,15 @@ func TestClientStreamPushUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ck.RestoreLatest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rec.Restore(chain - 1)
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("streamed lineage restore mismatch (err %v)", err)
+	for k := 0; k < chain; k++ {
+		want, err := ck.Restore(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rec.Restore(k)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("streamed lineage restore of checkpoint %d mismatch (err %v)", k, err)
+		}
 	}
 	// Incremental sync over the stream path: only the missing suffix.
 	if n, err := cl.PushCheckpointer("streamed", ck); err != nil || n != 0 {

@@ -209,10 +209,10 @@ func TestClientServerEndToEnd(t *testing.T) {
 	}
 	// Exact request bookkeeping: each pusher sends 1 OPEN (first Push
 	// resolves the handle) + numCkpts PUSH. The restore client sends,
-	// per lineage, 1 OPEN (Pull re-opens for a fresh length) +
-	// numCkpts PULL, then 1 LIST and 2 STATS (the block-store sample
-	// above and this one).
-	wantRequests := uint64(numClients*(1+numCkpts) + numClients*(1+numCkpts) + 1 + 2)
+	// per lineage, 1 OPEN (Pull re-opens for a fresh length) + 1 PULL
+	// of the whole span, then 1 LIST and 2 STATS (the block-store
+	// sample above and this one).
+	wantRequests := uint64(numClients*(1+numCkpts) + numClients*(1+1) + 1 + 2)
 	if st.Requests != wantRequests {
 		t.Fatalf("server served %d requests, want %d", st.Requests, wantRequests)
 	}
@@ -543,7 +543,7 @@ func TestClientConnectionLimitError(t *testing.T) {
 // Bumping it is a flag day — update the handshake refusal tests and
 // the protocol description in internal/wire when it moves.
 func TestClientProtocolVersion(t *testing.T) {
-	if wire.Version != 6 {
+	if wire.Version != 7 {
 		t.Fatalf("protocol version bumped to %d: update the protocol notes", wire.Version)
 	}
 }

@@ -203,7 +203,7 @@ func storageRow(t *metrics.Table, seed int64, addr string, images, encoded [][]b
 	}
 	defer cl.Close()
 	for i, enc := range encoded {
-		d, err := checkpoint.Decode(bytes.NewReader(enc))
+		d, err := checkpoint.DecodeBytes(enc)
 		if err != nil {
 			return err
 		}

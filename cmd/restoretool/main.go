@@ -120,6 +120,7 @@ func run(args []string, stdout io.Writer) error {
 	// Collect the raw diff stream for the -info report. Ids in the
 	// stream are absolute: a compacted lineage starts at its baseline.
 	var raw []byte
+	var pulled *gpuckpt.Record // the remote lineage, pulled once for -info and -restore
 	switch {
 	case *recordPath != "":
 		var err error
@@ -128,22 +129,19 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 	case cl != nil:
-		base, n, err := cl.Span(*lineage)
-		if err != nil {
+		var err error
+		if pulled, err = cl.Pull(*lineage); err != nil {
 			return err
 		}
-		if n == base {
-			return fmt.Errorf("lineage %q on %s is empty", *lineage, *remote)
-		}
-		for ck := base; ck < n; ck++ {
-			b, err := cl.PullDiff(*lineage, ck)
-			if err != nil {
+		var stream bytes.Buffer
+		for ck := pulled.Base(); ck < pulled.Len(); ck++ {
+			if err := pulled.WriteDiff(ck, &stream); err != nil {
 				return err
 			}
-			raw = append(raw, b...)
 		}
+		raw = stream.Bytes()
 		fmt.Fprintf(stdout, "pulled lineage %q (checkpoints [%d,%d), %s) from %s\n",
-			*lineage, base, n, metrics.Bytes(int64(len(raw))), *remote)
+			*lineage, pulled.Base(), pulled.Len(), metrics.Bytes(int64(len(raw))), *remote)
 	default:
 		store, err := checkpoint.NewFileStore(*dirPath)
 		if err != nil {
@@ -220,7 +218,7 @@ func run(args []string, stdout io.Writer) error {
 	case *recordPath != "":
 		rec, err = gpuckpt.ReadRecord(bytes.NewReader(raw))
 	case cl != nil:
-		rec, err = cl.Pull(*lineage)
+		rec = pulled
 	default:
 		rec, err = gpuckpt.ReadRecordDir(*dirPath)
 	}

@@ -18,8 +18,11 @@ type Peer interface {
 	// alive but cannot verify its own span surfaces as a
 	// *wire.RemoteError.
 	Digest(lineage string, q wire.DigestReq) (wire.DigestResp, error)
-	// Pull fetches checkpoint ck's canonical encoded bytes.
-	Pull(lineage string, ck int) ([]byte, error)
+	// PullSpan pulls checkpoints [from, to) as one request and hands fn
+	// each canonical encoded diff in id order; encoded is valid until
+	// fn returns. A span the peer's compaction moved out from under the
+	// pull fails with wire.ErrSpanMoved.
+	PullSpan(lineage string, from, to int, fn func(ck int, encoded []byte) error) error
 }
 
 // DefaultPeerTimeout bounds a reconciler worker's dials and request

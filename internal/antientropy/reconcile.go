@@ -1,7 +1,6 @@
 package antientropy
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -343,7 +342,7 @@ func (r *Reconciler) round() (Result, error) {
 	}
 	for _, ck := range holes {
 		if ck < pLen {
-			if err := r.heal(ck, 0, false, &res); err != nil {
+			if err := r.heal(ck, ck+1, nil, &res); err != nil {
 				return res, err
 			}
 		}
@@ -354,8 +353,8 @@ func (r *Reconciler) round() (Result, error) {
 	if n, err = st.Len(); err != nil {
 		return res, err
 	}
-	for ck := n; ck < pLen; ck++ {
-		if err := r.heal(ck, 0, false, &res); err != nil {
+	if n < pLen {
+		if err := r.heal(n, pLen, nil, &res); err != nil {
 			return res, err
 		}
 	}
@@ -413,7 +412,7 @@ func (r *Reconciler) selfHeal(res *Result) error {
 		if !errors.As(err, &ce) {
 			return err
 		}
-		if err := r.heal(ce.Ckpt, 0, false, res); err != nil {
+		if err := r.heal(ce.Ckpt, ce.Ckpt+1, nil, res); err != nil {
 			return err
 		}
 	}
@@ -515,7 +514,7 @@ func (r *Reconciler) repairSpan(lo, hi int, res *Result) error {
 		case err == nil:
 			return &DivergenceError{Lineage: r.cfg.Lineage, Ckpt: ck}
 		case checkpoint.IsCorrupt(err):
-			if err := r.heal(ck, want, true, res); err != nil {
+			if err := r.heal(ck, ck+1, pd.Detail[ck-lo:ck-lo+1], res); err != nil {
 				return err
 			}
 		default:
@@ -525,80 +524,80 @@ func (r *Reconciler) repairSpan(lo, hi int, res *Result) error {
 	return nil
 }
 
-// heal pulls checkpoint ck from the peer, verifies it (against
-// wantCRC when haveCRC, plus a structural decode and id cross-check),
-// and installs it with one ReinstallDiff. Verification happens BEFORE
+// healErr classifies a failed pull-and-install of checkpoint ck: a span
+// the peer's compaction moved mid-pull ends the round as raced, anything
+// else is a *HealError.
+func (r *Reconciler) healErr(ck int, cause error) error {
+	if errors.Is(cause, wire.ErrSpanMoved) {
+		return errRaced
+	}
+	return &HealError{Lineage: r.cfg.Lineage, Ckpt: ck, Cause: cause}
+}
+
+// heal pulls checkpoints [from, to) from the peer as one span and, as
+// each arrives, verifies it (against want[k-from] when the peer's
+// per-diff checksums are in hand, plus a structural decode and id
+// cross-check) and installs it with one ReinstallDiff — parsed and
+// written where it arrived, never copied. Verification happens BEFORE
 // the store is touched, so a failed pull changes nothing. The store is
 // append-only: the replacement record supersedes whatever holds the id
 // now — a hole, or a rotten record whose bytes stay in the segment as
 // forensic evidence — and a crash mid-heal leaves either the old state
 // or the new one, never a half-written diff masquerading as healthy.
-func (r *Reconciler) heal(ck int, wantCRC uint32, haveCRC bool, res *Result) error {
-	fail := func(cause error) error {
-		return &HealError{Lineage: r.cfg.Lineage, Ckpt: ck, Cause: cause}
-	}
-	b, err := r.cfg.Peer.Pull(r.cfg.Lineage, ck)
+func (r *Reconciler) heal(from, to int, want []uint32, res *Result) error {
+	done := 0 // installed so far; a replayed span skips them
+	err := r.cfg.Peer.PullSpan(r.cfg.Lineage, from, to, func(ck int, b []byte) error {
+		if ck < from+done {
+			return nil
+		}
+		if want != nil && checkpoint.DiffChecksum(b) != want[ck-from] {
+			return errors.New("pulled bytes fail the peer's own checksum")
+		}
+		d, err := checkpoint.DecodeCheckpoint(ck, b)
+		if err != nil {
+			return fmt.Errorf("pulled bytes do not verify: %w", err)
+		}
+		if err := r.locked(func() error { return r.cfg.Store.ReinstallDiff(d) }); err != nil {
+			return err
+		}
+		done++
+		res.Healed++
+		res.BytesPulled += int64(len(b))
+		r.cfg.Logf("antientropy %s: healed checkpoint %d from %s (%d bytes)",
+			r.cfg.Lineage, ck, r.cfg.Peer.Addr(), len(b))
+		return nil
+	})
 	if err != nil {
-		return fail(err)
+		return r.healErr(from+done, err)
 	}
-	if haveCRC && checkpoint.DiffChecksum(b) != wantCRC {
-		return fail(fmt.Errorf("pulled bytes fail the peer's own checksum"))
-	}
-	d, err := checkpoint.Decode(bytes.NewReader(b))
-	if err != nil {
-		return fail(fmt.Errorf("pulled bytes do not decode: %w", err))
-	}
-	if int(d.CkptID) != ck {
-		return fail(fmt.Errorf("pull returned diff %d", d.CkptID))
-	}
-	if err := r.locked(func() error { return r.cfg.Store.ReinstallDiff(d) }); err != nil {
-		return fail(err)
-	}
-	res.Healed++
-	res.BytesPulled += int64(len(b))
-	r.cfg.Logf("antientropy %s: healed checkpoint %d from %s (%d bytes)",
-		r.cfg.Lineage, ck, r.cfg.Peer.Addr(), len(b))
 	return nil
 }
 
 // resync adopts the peer's authoritative span [pBase, pLen)
-// wholesale: pull and verify every diff, then one InstallSpan
+// wholesale: one span pull, every diff verified, then one InstallSpan
 // transaction. The fold-aware path — the peer's compaction rewrote
 // history below pBase, so patching individual diffs against it could
 // never converge.
 func (r *Reconciler) resync(pBase, pLen int, res *Result) error {
-	fail := func(ck int, cause error) error {
-		return &HealError{Lineage: r.cfg.Lineage, Ckpt: ck, Cause: cause}
-	}
 	if pLen <= pBase {
-		return fail(pBase, fmt.Errorf("peer advertises empty folded span [%d,%d)", pBase, pLen))
+		return r.healErr(pBase, fmt.Errorf("peer advertises empty folded span [%d,%d)", pBase, pLen))
 	}
 	diffs := make([]*checkpoint.Diff, 0, pLen-pBase)
-	var pulled int64
-	for ck := pBase; ck < pLen; ck++ {
-		b, err := r.cfg.Peer.Pull(r.cfg.Lineage, ck)
-		if err != nil {
-			return fail(ck, err)
-		}
-		d, err := checkpoint.Decode(bytes.NewReader(b))
-		if err != nil {
-			return fail(ck, fmt.Errorf("pulled bytes do not decode: %w", err))
-		}
-		if int(d.CkptID) != ck {
-			return fail(ck, fmt.Errorf("pull returned diff %d", d.CkptID))
-		}
-		diffs = append(diffs, d)
-		pulled += int64(len(b))
+	if err := r.cfg.Peer.PullSpan(r.cfg.Lineage, pBase, pLen, checkpoint.OwnedDiffs(&diffs)); err != nil {
+		return r.healErr(pBase+len(diffs), err)
 	}
 	if err := r.locked(func() error {
 		return r.cfg.Store.InstallSpan(pBase, diffs)
 	}); err != nil {
-		return fail(pBase, err)
+		return r.healErr(pBase, err)
+	}
+	before := res.BytesPulled
+	for _, d := range diffs {
+		res.BytesPulled += d.TotalBytes() // its encoded size
 	}
 	res.Healed += len(diffs)
-	res.BytesPulled += pulled
 	r.cfg.Logf("antientropy %s: resynced folded span [%d,%d) from %s (%d bytes)",
-		r.cfg.Lineage, pBase, pLen, r.cfg.Peer.Addr(), pulled)
+		r.cfg.Lineage, pBase, pLen, r.cfg.Peer.Addr(), res.BytesPulled-before)
 	return nil
 }
 

@@ -65,12 +65,20 @@ func (p *storePeer) Digest(lineage string, q wire.DigestReq) (wire.DigestResp, e
 	return resp, nil
 }
 
-func (p *storePeer) Pull(lineage string, ck int) ([]byte, error) {
-	b, err := p.st.DiffBytes(ck)
-	if err != nil {
-		return nil, &wire.RemoteError{Msg: err.Error()}
+func (p *storePeer) PullSpan(lineage string, from, to int, fn func(ck int, encoded []byte) error) error {
+	span, err := p.st.Span(from, to)
+	for ck := from; err == nil && ck < to; ck++ {
+		var b []byte
+		if b, err = span.AppendDiff(nil, ck, &checkpoint.ReadScratch{}); err == nil {
+			if err := fn(ck, b); err != nil {
+				return err
+			}
+		}
 	}
-	return b, nil
+	if err != nil {
+		return &wire.RemoteError{Msg: err.Error(), SpanMoved: errors.Is(err, checkpoint.ErrSpanMoved)}
+	}
+	return nil
 }
 
 func (p *storePeer) Close() error { return nil }

@@ -820,13 +820,25 @@ func (s *Store) Release(refs []Ref) error {
 	return clampErr
 }
 
-// Get reads and verifies one block: record header, both CRCs, payload
-// length AND a full digest recomputation must all agree with the index
-// and the reference before any byte is returned; nothing read is
-// cached, so rot that sets in later is caught by the next read. Every
+// Get reads and verifies one block into memory of its own: GetInto
+// with a throwaway scratch.
+func (s *Store) Get(ref Ref) ([]byte, error) {
+	var scratch []byte
+	return s.GetInto(ref, &scratch)
+}
+
+// GetInto reads and verifies one block: record header, both CRCs,
+// payload length AND a full digest recomputation must all agree with
+// the index and the reference before any byte is returned; nothing read
+// is cached, so rot that sets in later is caught by the next read. Every
 // failure is typed (ErrCorrupt or ErrNotFound) so a caller can
 // quarantine or repair instead of restoring garbage.
-func (s *Store) Get(ref Ref) ([]byte, error) {
+//
+// The record is read into *scratch, grown to the indexed record length
+// when it is shorter, and the returned payload aliases it: valid until
+// the next call with the same scratch. A reader walking a diff's
+// references reuses one scratch for all of them.
+func (s *Store) GetInto(ref Ref, scratch *[]byte) ([]byte, error) {
 	var tried entry
 	for {
 		s.mu.Lock()
@@ -840,7 +852,7 @@ func (s *Store) Get(ref Ref) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: %s", ErrNotFound, ref.ID)
 		}
-		p, err := readBlock(f, e, ref)
+		p, err := readBlock(f, e, ref, scratch)
 		// The read runs unlocked, so a GC may have moved the block and
 		// unlinked the pack under it: a failure only stands once the
 		// index still points where the read went.
@@ -851,15 +863,20 @@ func (s *Store) Get(ref Ref) ([]byte, error) {
 	}
 }
 
-// readBlock reads the record e locates from f and verifies it.
-func readBlock(f *os.File, e entry, ref Ref) ([]byte, error) {
+// readBlock reads the record e locates from f into *scratch and
+// verifies it.
+func readBlock(f *os.File, e entry, ref Ref, scratch *[]byte) ([]byte, error) {
 	if f == nil {
 		return nil, fmt.Errorf("%w: block %s is referenced but no record of it survives", ErrCorrupt, ref.ID)
 	}
 	if ref.Len != 0 && ref.Len != e.len {
 		return nil, fmt.Errorf("%w: block %s holds %d bytes, reference says %d", ErrCorrupt, ref.ID, e.len, ref.Len)
 	}
-	raw := make([]byte, blockRecOverhead+int(e.len))
+	need := blockRecOverhead + int(e.len)
+	if cap(*scratch) < need {
+		*scratch = make([]byte, need)
+	}
+	raw := (*scratch)[:need]
 	if n, err := f.ReadAt(raw, e.off); err == io.EOF {
 		return nil, fmt.Errorf("%w: block %s truncated at %d of %d record bytes", ErrCorrupt, ref.ID, n, len(raw))
 	} else if err != nil {
@@ -1023,9 +1040,10 @@ func (s *Store) relocateLocked(num uint32, live []ID) error {
 	}
 	slices.SortFunc(ids, func(a, b ID) int { return cmp.Compare(s.entries[a].off, s.entries[b].off) })
 	src, offs := s.packs[num], make([]int64, len(ids))
+	var scratch []byte // recLocked is done with a payload when it returns
 	err := s.appendFrameLocked(recMoved, func() error {
 		for i, id := range ids {
-			p, err := readBlock(src, s.entries[id], Ref{ID: id})
+			p, err := readBlock(src, s.entries[id], Ref{ID: id}, &scratch)
 			if err != nil {
 				return err
 			}

@@ -73,12 +73,14 @@ func appendBlockDiff(buf []byte, d *Diff, refs []blockstore.Ref) ([]byte, error)
 	return buf, nil
 }
 
-// decodeBlockDiff parses a container image. Validation is defensive in
-// the repository's usual style: counts are checked against the actual
-// byte length before any allocation, and the declared data length must
-// equal the sum of the reference lengths, so a corrupted container
-// fails here rather than reassembling a wrong-sized diff.
-func decodeBlockDiff(b []byte) (prefix []byte, refs []blockstore.Ref, dataLen uint64, err error) {
+// parseBlockDiff parses a container image in place: prefix is the
+// canonical diff prefix and refs the reference list, still encoded
+// (refAt reads one). Validation is defensive in the repository's usual
+// style: counts are checked against the actual byte length, and the
+// declared data length must equal the sum of the reference lengths, so a
+// corrupted container fails here rather than reassembling a wrong-sized
+// diff. Nothing is allocated.
+func parseBlockDiff(b []byte) (prefix, refs []byte, dataLen uint64, err error) {
 	if len(b) < blockDiffHdrSize {
 		return nil, nil, 0, fmt.Errorf("checkpoint: block container truncated at %d bytes", len(b))
 	}
@@ -96,24 +98,38 @@ func decodeBlockDiff(b []byte) (prefix []byte, refs []blockstore.Ref, dataLen ui
 		return nil, nil, 0, fmt.Errorf("checkpoint: block container declares %d prefix bytes, carries %d",
 			prefixLen, len(rest))
 	}
-	prefix = rest[:prefixLen]
-	rest = rest[prefixLen:]
-	if uint64(count) >= maxBlockRefs || uint64(count)*blockRefSize != uint64(len(rest)) {
+	prefix, refs = rest[:prefixLen], rest[prefixLen:]
+	if uint64(count) >= maxBlockRefs || uint64(count)*blockRefSize != uint64(len(refs)) {
 		return nil, nil, 0, fmt.Errorf("checkpoint: block container declares %d refs, carries %d ref bytes",
-			count, len(rest))
+			count, len(refs))
 	}
-	refs = make([]blockstore.Ref, count)
 	var sum uint64
-	for i := range refs {
-		rec := rest[i*blockRefSize:]
-		copy(refs[i].ID[:], rec[:blockstore.IDSize])
-		rl := binary.LittleEndian.Uint32(rec[blockstore.IDSize:])
-		refs[i].Len = rl
-		sum += uint64(rl)
+	for rec := refs; len(rec) > 0; rec = rec[blockRefSize:] {
+		sum += uint64(binary.LittleEndian.Uint32(rec[blockstore.IDSize:]))
 	}
 	if sum != dataLen {
 		return nil, nil, 0, fmt.Errorf("checkpoint: block container refs sum to %d bytes, header says %d",
 			sum, dataLen)
+	}
+	return prefix, refs, dataLen, nil
+}
+
+// refAt decodes reference i of a container's encoded reference list.
+func refAt(refs []byte, i int) blockstore.Ref {
+	rec := refs[i*blockRefSize:]
+	return blockstore.Ref{ID: blockstore.ID(rec[:blockstore.IDSize]), Len: binary.LittleEndian.Uint32(rec[blockstore.IDSize:])}
+}
+
+// decodeBlockDiff is parseBlockDiff with the references decoded into a
+// slice of their own, for callers that keep them.
+func decodeBlockDiff(b []byte) (prefix []byte, refs []blockstore.Ref, dataLen uint64, err error) {
+	prefix, enc, dataLen, err := parseBlockDiff(b)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	refs = make([]blockstore.Ref, len(enc)/blockRefSize)
+	for i := range refs {
+		refs[i] = refAt(enc, i)
 	}
 	return prefix, refs, dataLen, nil
 }

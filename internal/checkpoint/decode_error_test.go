@@ -3,6 +3,10 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -104,5 +108,121 @@ func TestDiffDecodeHeaderCorruption(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.wantSub) {
 			t.Errorf("%s: err=%v, want substring %q", tc.name, err, tc.wantSub)
 		}
+	}
+}
+
+// TestDecodeBytesMatchesDecode: the by-reference parser returns what
+// the stream parser returns, aliases the buffer it parsed, truncates
+// exactly as the stream form does, and — holding the whole input —
+// refuses trailing bytes.
+func TestDecodeBytesMatchesDecode(t *testing.T) {
+	for _, d := range sampleDiffs() {
+		var buf bytes.Buffer
+		if err := d.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		enc := buf.Bytes()
+		want, err := Decode(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeBytes(enc)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: DecodeBytes = %+v, %v; Decode = %+v", d.Method, got, err, want)
+		}
+		if _, err := DecodeCheckpoint(int(d.CkptID), enc); err != nil {
+			t.Fatalf("%v: DecodeCheckpoint with the right id: %v", d.Method, err)
+		}
+		if _, err := DecodeCheckpoint(int(d.CkptID)+1, enc); err == nil {
+			t.Fatalf("%v: DecodeCheckpoint accepted the wrong id", d.Method)
+		}
+		for i := 0; i < len(enc); i++ {
+			if _, err := DecodeBytes(enc[:i]); err == nil {
+				t.Errorf("%v diff truncated to %d/%d bytes parsed", d.Method, i, len(enc))
+			}
+		}
+		if _, err := DecodeBytes(append(enc[:len(enc):len(enc)], 0)); err == nil {
+			t.Errorf("%v diff with a trailing byte parsed", d.Method)
+		}
+
+		// By reference: the data section is the buffer's, until Own.
+		enc[len(enc)-1] ^= 0xFF
+		if got.Data[len(got.Data)-1] == want.Data[len(want.Data)-1] {
+			t.Fatalf("%v: DecodeBytes copied the data section", d.Method)
+		}
+		enc[len(enc)-1] ^= 0xFF
+		got.Own()
+		enc[len(enc)-1] ^= 0xFF
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: an owned diff still follows the buffer it was parsed from", d.Method)
+		}
+	}
+}
+
+// TestDecodeBytesLyingHeader: a header whose geometry makes huge
+// section counts plausible, in front of a body that holds none of them,
+// fails on the length check — before anything is sized from a count.
+func TestDecodeBytesLyingHeader(t *testing.T) {
+	base := &Diff{Method: MethodTree, CkptID: 1, DataLen: 1 << 32, ChunkSize: 16,
+		FirstOcur: []uint32{1}, ShiftDupl: []ShiftRegion{{Node: 6, SrcNode: 1}}, Data: make([]byte, 16)}
+	var buf bytes.Buffer
+	if err := base.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lies := []struct {
+		name string
+		lie  func(hdr []byte)
+	}{
+		{"nFirst", func(h []byte) { binary.LittleEndian.PutUint32(h[22:], 1<<26) }},
+		{"nShift", func(h []byte) { binary.LittleEndian.PutUint32(h[26:], 1<<26) }},
+		{"nBitmap", func(h []byte) { binary.LittleEndian.PutUint32(h[30:], 1<<24) }},
+		{"nData", func(h []byte) { binary.LittleEndian.PutUint64(h[34:], 1<<31) }},
+	}
+	for _, tc := range lies {
+		enc := bytes.Clone(buf.Bytes())
+		tc.lie(enc[:headerSize])
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeBytes(enc)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: err = %v, want a truncation error", tc.name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("%s: a lying count cost %d bytes of allocation", tc.name, grew)
+		}
+	}
+}
+
+// TestOwnedDiffsReplay: the collector owns what it keeps, and a span
+// handed over again from an earlier id replaces what was collected from
+// there on instead of piling up behind it.
+func TestOwnedDiffsReplay(t *testing.T) {
+	enc := func(ck int) []byte {
+		var buf bytes.Buffer
+		if err := storeDiff(ck, byte(ck)).Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var got []*Diff
+	collect := OwnedDiffs(&got)
+	for _, ck := range []int{3, 4, 5, 4, 5, 6} {
+		b := enc(ck)
+		if err := collect(ck, b); err != nil {
+			t.Fatal(err)
+		}
+		clear(b) // the buffer is reused
+	}
+	if len(got) != 4 {
+		t.Fatalf("collected %d diffs, want [3,7)", len(got))
+	}
+	for i, d := range got {
+		if int(d.CkptID) != 3+i || d.Data[0] != byte(3+i) {
+			t.Fatalf("slot %d holds diff %d with data %d", i, d.CkptID, d.Data[0])
+		}
+	}
+	if err := collect(9, enc(8)); err == nil {
+		t.Fatal("a diff under the wrong id was collected")
 	}
 }

@@ -1,6 +1,8 @@
 package checkpoint
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -140,5 +142,215 @@ func TestInstallSpanValidation(t *testing.T) {
 	}
 	if err := fs.InstallSpan(4, []*Diff{storeDiff(4, 1), storeDiff(5, 2)}); err == nil {
 		t.Fatal("backwards baseline accepted")
+	}
+}
+
+// TestSpanAppendDiff: a span serves exactly the bytes DiffBytes does,
+// for block-mapped and self-contained records alike, appended behind
+// whatever dst already holds.
+func TestSpanAppendDiff(t *testing.T) {
+	_, shared := openShared(t, t.TempDir(), "mapped")
+	plain, err := NewFileStore(filepath.Join(t.TempDir(), "plain"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	for _, fs := range []*FileStore{shared[0], plain} {
+		for ck := 0; ck < 4; ck++ {
+			if err := fs.Append(randomDiff(ck, int64(ck), 1000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sp, err := fs.Span(1, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if from, to := sp.Bounds(); from != 1 || to != 4 {
+			t.Fatalf("bounds [%d,%d)", from, to)
+		}
+		var sc ReadScratch
+		for ck := 1; ck < 4; ck++ {
+			want, err := fs.DiffBytes(ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sp.AppendDiff([]byte("head"), ck, &sc)
+			if err != nil || !bytes.Equal(got, append([]byte("head"), want...)) {
+				t.Fatalf("diff %d through the span: %d bytes, %v; want %d", ck, len(got), err, len(want)+4)
+			}
+		}
+		if _, err := sp.AppendDiff(nil, 0, &sc); err == nil {
+			t.Fatal("a diff outside the span was served")
+		}
+	}
+}
+
+// TestSpanRange: an empty span or one past Len is out of range; one
+// that starts below the baseline moved.
+func TestSpanRange(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	for ck := 0; ck < 4; ck++ {
+		if err := fs.Append(storeDiff(ck, byte(ck+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range [][2]int{{2, 2}, {3, 2}, {0, 5}, {4, 5}} {
+		if _, err := fs.Span(r[0], r[1]); err == nil || errors.Is(err, ErrSpanMoved) {
+			t.Fatalf("span [%d,%d): %v, want a plain range error", r[0], r[1], err)
+		}
+	}
+	if err := fs.InstallSpan(2, []*Diff{fullDiffAt(2), fullDiffAt(3)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Span(0, 4); !errors.Is(err, ErrSpanMoved) {
+		t.Fatalf("span below the baseline: %v, want ErrSpanMoved", err)
+	}
+	if _, err := fs.Span(2, 4); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fullDiffAt is a self-sufficient diff for checkpoint ck.
+func fullDiffAt(ck int) *Diff { return storeDiff(ck, byte(ck+1)) }
+
+// TestSpanMovesWithInstall: a span is one generation of the lineage. A
+// rewrite under it — even one that keeps the ids it covers — ends it
+// with ErrSpanMoved; it never serves diffs of two generations.
+func TestSpanMovesWithInstall(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	for ck := 0; ck < 4; ck++ {
+		if err := fs.Append(fullDiffAt(ck)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sp, err := fs.Span(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc ReadScratch
+	if _, err := sp.AppendDiff(nil, 1, &sc); err != nil {
+		t.Fatal(err)
+	}
+	// An append does not move the span...
+	if err := fs.Append(fullDiffAt(4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.AppendDiff(nil, 2, &sc); err != nil {
+		t.Fatalf("read after an append: %v", err)
+	}
+	// ...a rewrite does.
+	if err := fs.InstallSpan(1, []*Diff{fullDiffAt(1), fullDiffAt(2), fullDiffAt(3), fullDiffAt(4)}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sp.AppendDiff([]byte("kept"), 3, &sc); !errors.Is(err, ErrSpanMoved) || string(got) != "kept" {
+		t.Fatalf("read after a rewrite: %q, %v; want dst back and ErrSpanMoved", got, err)
+	}
+	if _, err := fs.DiffBytes(3); err != nil {
+		t.Fatalf("an unpinned read after the rewrite: %v", err)
+	}
+}
+
+// TestSpanRotNamesCheckpoint: damage under a span read is a
+// *CorruptError naming the checkpoint, the diffs before it stay
+// servable, and dst comes back as it went in.
+func TestSpanRotNamesCheckpoint(t *testing.T) {
+	bs, stores := openShared(t, t.TempDir(), "lin")
+	fs := stores[0]
+	for ck := 0; ck < 3; ck++ {
+		if err := fs.Append(randomDiff(ck, int64(ck+1), 640)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Rot the last block of checkpoint 1: the prefix and every block
+	// before it verify, so only full verification before sending catches it.
+	raw := make([]byte, 4096)
+	_, off, length, err := fs.Locate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.seg.ReadAt(raw[:length], off); err != nil {
+		t.Fatal(err)
+	}
+	_, refs, _, err := decodeBlockDiff(raw[recHdrSize:length])
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, boff, blen, err := bs.Locate(refs[len(refs)-1].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipByte(t, path, boff+blen-1)
+
+	sp, err := fs.Span(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc ReadScratch
+	if _, err := sp.AppendDiff(nil, 0, &sc); err != nil {
+		t.Fatalf("the diff before the damage: %v", err)
+	}
+	got, err := sp.AppendDiff([]byte("kept"), 1, &sc)
+	var ce *CorruptError
+	if !errors.As(err, &ce) || ce.Ckpt != 1 || string(got) != "kept" {
+		t.Fatalf("rotten diff: %q, %v; want dst back and a CorruptError naming checkpoint 1", got, err)
+	}
+}
+
+// flipByte inverts one byte of a file in place.
+func flipByte(t *testing.T, path string, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSpanAppendDiffAllocs: with a warm scratch and a destination that
+// has grown to the diff, a read allocates the same small constant
+// whether the diff maps to 2 blocks or 200.
+func TestSpanAppendDiffAllocs(t *testing.T) {
+	_, stores := openShared(t, t.TempDir(), "lin")
+	fs := stores[0]
+	if err := fs.Append(randomDiff(0, 1, 128)); err != nil { // 2 blocks of 64
+		t.Fatal(err)
+	}
+	if err := fs.Append(randomDiff(1, 2, 12800)); err != nil { // 200 blocks
+		t.Fatal(err)
+	}
+	sp, err := fs.Span(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc ReadScratch
+	var dst []byte
+	allocs := func(ck int) float64 {
+		read := func() {
+			if dst, err = sp.AppendDiff(dst[:0], ck, &sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read() // warm
+		return testing.AllocsPerRun(50, read)
+	}
+	large, small := allocs(1), allocs(0)
+	if large != small || large > 2 {
+		t.Fatalf("a read allocates %.0f times for 200 blocks, %.0f for 2; want equal and at most 2", large, small)
 	}
 }

@@ -235,92 +235,189 @@ func (d *Diff) encodePrefix(w io.Writer) error {
 	return nil
 }
 
-// Decode reads a Diff previously written by Encode.
-func Decode(r io.Reader) (*Diff, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("checkpoint: read header: %w", err)
-	}
+// sectionLens are the section lengths a diff header declares.
+type sectionLens struct {
+	nFirst, nShift, nBitmap uint32
+	nData                   uint64
+}
+
+// metaLen is the byte length of the region lists, tailLen that of the
+// bitmap and data sections behind them. The counts are bounded by
+// parseHeader, so neither sum can wrap.
+func (c sectionLens) metaLen() uint64 { return 4*uint64(c.nFirst) + 12*uint64(c.nShift) }
+func (c sectionLens) tailLen() uint64 { return uint64(c.nBitmap) + c.nData }
+
+// parseHeader parses the fixed-size header and validates the section
+// lengths it declares against the geometry it declares — before
+// anything is sized from them, so a corrupt or hostile header cannot
+// demand huge buffers (found by the decode-robustness fuzz test).
+func parseHeader(hdr []byte) (*Diff, sectionLens, error) {
+	var c sectionLens
 	if binary.LittleEndian.Uint32(hdr[0:]) != diffMagic {
-		return nil, errors.New("checkpoint: bad magic")
+		return nil, c, errors.New("checkpoint: bad magic")
 	}
 	if hdr[4] != formatVersion {
-		return nil, fmt.Errorf("checkpoint: unsupported version %d", hdr[4])
+		return nil, c, fmt.Errorf("checkpoint: unsupported version %d", hdr[4])
 	}
 	if Method(hdr[5]) > MethodTree {
-		return nil, fmt.Errorf("checkpoint: unknown method %d", hdr[5])
+		return nil, c, fmt.Errorf("checkpoint: unknown method %d", hdr[5])
 	}
 	d := &Diff{
-		Method:    Method(hdr[5]),
-		CkptID:    binary.LittleEndian.Uint32(hdr[6:]),
-		DataLen:   binary.LittleEndian.Uint64(hdr[10:]),
-		ChunkSize: binary.LittleEndian.Uint32(hdr[18:]),
+		Method:     Method(hdr[5]),
+		CkptID:     binary.LittleEndian.Uint32(hdr[6:]),
+		DataLen:    binary.LittleEndian.Uint64(hdr[10:]),
+		ChunkSize:  binary.LittleEndian.Uint32(hdr[18:]),
+		DataCodec:  hdr[42],
+		RawDataLen: binary.LittleEndian.Uint64(hdr[43:]),
 	}
-	nFirst := binary.LittleEndian.Uint32(hdr[22:])
-	nShift := binary.LittleEndian.Uint32(hdr[26:])
-	nBitmap := binary.LittleEndian.Uint32(hdr[30:])
-	nData := binary.LittleEndian.Uint64(hdr[34:])
-	d.DataCodec = hdr[42]
-	d.RawDataLen = binary.LittleEndian.Uint64(hdr[43:])
-
-	// Validate declared sizes against the geometry before allocating
-	// anything, so corrupt or hostile headers cannot demand huge
-	// buffers (found by the decode-robustness fuzz test).
+	c = sectionLens{
+		nFirst:  binary.LittleEndian.Uint32(hdr[22:]),
+		nShift:  binary.LittleEndian.Uint32(hdr[26:]),
+		nBitmap: binary.LittleEndian.Uint32(hdr[30:]),
+		nData:   binary.LittleEndian.Uint64(hdr[34:]),
+	}
 	const maxDataLen = 1 << 42
 	if d.DataLen > maxDataLen {
-		return nil, fmt.Errorf("checkpoint: implausible data length %d", d.DataLen)
+		return nil, c, fmt.Errorf("checkpoint: implausible data length %d", d.DataLen)
 	}
-	if d.ChunkSize == 0 && (nFirst > 0 || nShift > 0 || nBitmap > 0) {
-		return nil, errors.New("checkpoint: zero chunk size with chunk metadata")
+	if d.ChunkSize == 0 && (c.nFirst > 0 || c.nShift > 0 || c.nBitmap > 0) {
+		return nil, c, errors.New("checkpoint: zero chunk size with chunk metadata")
 	}
 	var numNodes uint64 = 1
 	if d.ChunkSize > 0 {
 		numNodes = 2*uint64(NumChunksU64(d.DataLen, uint64(d.ChunkSize))) - 1
 	}
-	if uint64(nFirst) > numNodes || uint64(nShift) > numNodes {
-		return nil, fmt.Errorf("checkpoint: %d+%d regions exceed %d tree nodes", nFirst, nShift, numNodes)
+	if uint64(c.nFirst) > numNodes || uint64(c.nShift) > numNodes {
+		return nil, c, fmt.Errorf("checkpoint: %d+%d regions exceed %d tree nodes", c.nFirst, c.nShift, numNodes)
 	}
 	if d.ChunkSize > 0 {
 		maxBitmap := (NumChunksU64(d.DataLen, uint64(d.ChunkSize)) + 7) / 8
-		if uint64(nBitmap) > maxBitmap {
-			return nil, fmt.Errorf("checkpoint: bitmap %d bytes exceeds %d chunks", nBitmap, maxBitmap*8)
+		if uint64(c.nBitmap) > maxBitmap {
+			return nil, c, fmt.Errorf("checkpoint: bitmap %d bytes exceeds %d chunks", c.nBitmap, maxBitmap*8)
 		}
 	}
-	if nData > d.DataLen+headerSize {
-		return nil, fmt.Errorf("checkpoint: data section %d exceeds buffer length %d", nData, d.DataLen)
+	if c.nData > d.DataLen+headerSize {
+		return nil, c, fmt.Errorf("checkpoint: data section %d exceeds buffer length %d", c.nData, d.DataLen)
 	}
 	if d.DataCodec != 0 && d.RawDataLen > d.DataLen {
-		return nil, fmt.Errorf("checkpoint: raw data length %d exceeds buffer length %d", d.RawDataLen, d.DataLen)
+		return nil, c, fmt.Errorf("checkpoint: raw data length %d exceeds buffer length %d", d.RawDataLen, d.DataLen)
 	}
+	return d, c, nil
+}
 
-	meta, err := readExactly(r, 4*uint64(nFirst)+12*uint64(nShift))
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: read metadata: %w", err)
-	}
-	d.FirstOcur = make([]uint32, nFirst)
+// setSections fills d's sections from meta and tail, which hold
+// exactly c.metaLen() and c.tailLen() bytes. The region lists are
+// decoded into memory of their own; Bitmap and Data alias tail.
+func (d *Diff) setSections(c sectionLens, meta, tail []byte) {
+	d.FirstOcur = make([]uint32, c.nFirst)
 	for i := range d.FirstOcur {
 		d.FirstOcur[i] = binary.LittleEndian.Uint32(meta[4*i:])
 	}
-	base := 4 * int(nFirst)
-	d.ShiftDupl = make([]ShiftRegion, nShift)
+	meta = meta[4*len(d.FirstOcur):]
+	d.ShiftDupl = make([]ShiftRegion, c.nShift)
 	for i := range d.ShiftDupl {
-		off := base + 12*i
 		d.ShiftDupl[i] = ShiftRegion{
-			Node:    binary.LittleEndian.Uint32(meta[off:]),
-			SrcNode: binary.LittleEndian.Uint32(meta[off+4:]),
-			SrcCkpt: binary.LittleEndian.Uint32(meta[off+8:]),
+			Node:    binary.LittleEndian.Uint32(meta[12*i:]),
+			SrcNode: binary.LittleEndian.Uint32(meta[12*i+4:]),
+			SrcCkpt: binary.LittleEndian.Uint32(meta[12*i+8:]),
 		}
 	}
-	if nBitmap > 0 {
-		d.Bitmap, err = readExactly(r, uint64(nBitmap))
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: read bitmap: %w", err)
-		}
+	if c.nBitmap > 0 {
+		d.Bitmap = tail[:c.nBitmap:c.nBitmap]
 	}
-	d.Data, err = readExactly(r, nData)
+	if c.nData > 0 {
+		d.Data = tail[c.nBitmap:]
+	}
+}
+
+// DecodeBytes parses b, the complete encoding of one diff, by
+// reference: the returned diff's Bitmap and Data alias b, so it is
+// valid only while b is — a caller that keeps it longer takes
+// ownership with Own. Every length the header declares is checked
+// against len(b) before anything is allocated, and b must hold the diff
+// and nothing else.
+func DecodeBytes(b []byte) (*Diff, error) {
+	if len(b) < headerSize {
+		return nil, fmt.Errorf("checkpoint: read header: %d bytes: %w", len(b), io.ErrUnexpectedEOF)
+	}
+	d, c, err := parseHeader(b[:headerSize])
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: read data: %w", err)
+		return nil, err
 	}
+	body, want := b[headerSize:], c.metaLen()+c.tailLen()
+	if uint64(len(body)) < want {
+		return nil, fmt.Errorf("checkpoint: read sections: header declares %d bytes, %d follow: %w", want, len(body), io.ErrUnexpectedEOF)
+	} else if uint64(len(body)) > want {
+		return nil, fmt.Errorf("checkpoint: %d trailing bytes after the diff", uint64(len(body))-want)
+	}
+	d.setSections(c, body[:c.metaLen()], body[c.metaLen():])
+	return d, nil
+}
+
+// DecodeCheckpoint is DecodeBytes for a caller that knows which
+// checkpoint b must hold: a diff carrying any other id is an error.
+func DecodeCheckpoint(ck int, b []byte) (*Diff, error) {
+	d, err := DecodeBytes(b)
+	if err == nil && int(d.CkptID) != ck {
+		err = fmt.Errorf("checkpoint: bytes of checkpoint %d hold diff %d", ck, d.CkptID)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// OwnedDiffs returns a consumer of encoded checkpoints, in the shape a
+// span pull hands them over, for a caller that keeps the diffs: each is
+// decoded where it lies, its id cross-checked, given memory of its own
+// (the buffer it arrived in is about to be reused) and appended to *out.
+// A pull replayed after a transport failure hands its span over from the
+// start again; what *out holds from that id on is dropped first.
+func OwnedDiffs(out *[]*Diff) func(ck int, encoded []byte) error {
+	return func(ck int, encoded []byte) error {
+		d, err := DecodeCheckpoint(ck, encoded)
+		if err != nil {
+			return err
+		}
+		d.Own()
+		if n := len(*out); n > 0 && ck <= int((*out)[n-1].CkptID) {
+			*out = (*out)[:max(0, ck-int((*out)[0].CkptID))]
+		}
+		*out = append(*out, d)
+		return nil
+	}
+}
+
+// Own gives d memory of its own: the sections DecodeBytes left aliasing
+// the decoded buffer are copied, each once and to its exact size, after
+// which that buffer may be reused.
+func (d *Diff) Own() {
+	d.Bitmap = bytes.Clone(d.Bitmap)
+	d.Data = bytes.Clone(d.Data)
+}
+
+// Decode reads a Diff previously written by Encode from a stream: the
+// header, then exactly the bytes it declares — read without trusting
+// the declaration for an allocation — parsed as DecodeBytes parses
+// them. The diff owns its memory.
+func Decode(r io.Reader) (*Diff, error) {
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("checkpoint: read header: %w", err)
+	}
+	d, c, err := parseHeader(hdr[:])
+	if err != nil {
+		return nil, err
+	}
+	meta, err := readExactly(r, c.metaLen())
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: read metadata: %w", err)
+	}
+	tail, err := readExactly(r, c.tailLen())
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: read bitmap and data: %w", err)
+	}
+	d.setSections(c, meta, tail)
 	return d, nil
 }
 

@@ -46,6 +46,38 @@ func FuzzDiffDecode(f *testing.F) {
 	})
 }
 
+// FuzzDecodeBytes is a differential test of the by-reference parser
+// against the stream parser, over the same seeds: on the bytes the
+// stream parser consumed both succeed with equal diffs, and where it
+// fails the by-reference parser fails too.
+func FuzzDecodeBytes(f *testing.F) {
+	for _, d := range sampleDiffs() {
+		f.Add(encodeSeed(f, d))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		want, err := Decode(r)
+		if err != nil {
+			if got, err := DecodeBytes(data); err == nil {
+				t.Fatalf("Decode failed, DecodeBytes parsed %+v", got)
+			}
+			return
+		}
+		got, err := DecodeBytes(data[:len(data)-r.Len()])
+		if err != nil {
+			t.Fatalf("Decode parsed %+v, DecodeBytes failed: %v", want, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("parsers disagree:\n %+v\n %+v", got, want)
+		}
+		if r.Len() > 0 {
+			if _, err := DecodeBytes(data); err == nil {
+				t.Fatalf("DecodeBytes accepted %d trailing bytes", r.Len())
+			}
+		}
+	})
+}
+
 // FuzzManifestDecode feeds arbitrary bytes to the lineage-manifest
 // decoder. A manifest that decodes must satisfy its own invariants
 // (validate) and survive an encode/decode round trip unchanged — the

@@ -26,7 +26,6 @@ package follower
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -421,19 +420,8 @@ func (f *Follower) resync(cn *wireclient.Conn, handle uint32, info wire.Resync) 
 		return fmt.Errorf("follower: resync span [%d,%d) is empty", info.Base, info.Len)
 	}
 	diffs := make([]*checkpoint.Diff, 0, info.Len-info.Base)
-	for k := info.Base; k < info.Len; k++ {
-		resp, err := cn.RoundTrip(&wire.Frame{Type: wire.TPull, Lineage: handle, Ckpt: k})
-		if err != nil {
-			return fmt.Errorf("follower: resync pull %d: %w", k, err)
-		}
-		d, err := checkpoint.Decode(bytes.NewReader(resp.Payload))
-		if err != nil {
-			return fmt.Errorf("follower: resync decode %d: %w", k, err)
-		}
-		if uint32(d.CkptID) != k {
-			return fmt.Errorf("follower: resync pull %d returned diff %d", k, d.CkptID)
-		}
-		diffs = append(diffs, d)
+	if err := cn.PullSpan(handle, int(info.Base), int(info.Len), checkpoint.OwnedDiffs(&diffs)); err != nil {
+		return fmt.Errorf("follower: resync pull [%d,%d): %w", info.Base, info.Len, err)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -485,15 +473,13 @@ func (f *Follower) reloadLocked() error {
 
 // applyEncoded applies one arrived diff: durable append to the mirror
 // first, then the live record and the materialized state buffer, then
-// the cursor. encoded may alias the connection's read buffer — Decode
-// copies what it keeps.
+// the cursor. encoded aliases the connection's read buffer, and so does
+// the decoded diff: the mirror append is done with it when it returns,
+// the live replica copies what it keeps.
 func (f *Follower) applyEncoded(k int, encoded []byte, crc uint32) error {
-	d, err := checkpoint.Decode(bytes.NewReader(encoded))
+	d, err := checkpoint.DecodeCheckpoint(k, encoded)
 	if err != nil {
-		return fmt.Errorf("follower: decoding diff %d: %w", k, err)
-	}
-	if int(d.CkptID) != k {
-		return fmt.Errorf("follower: frame ckpt %d carries diff %d", k, d.CkptID)
+		return fmt.Errorf("follower: tail frame %d: %w", k, err)
 	}
 	f.mu.Lock()
 	if f.closed || f.promoted {
@@ -541,6 +527,7 @@ func (f *Follower) applyEncoded(k int, encoded []byte, crc uint32) error {
 //ckptlint:locked mu
 func (f *Follower) applyLiveLocked(d *checkpoint.Diff, k int) error {
 	rd := d.CloneShallow()
+	rd.Own()
 	if f.base != 0 {
 		if err := rd.Rebase(-int64(f.base)); err != nil {
 			return err
@@ -706,8 +693,8 @@ func (f *Follower) Heal() (healed int, err error) {
 		if !errors.As(serr, &ce) {
 			return healed, serr
 		}
-		d, derr := f.healPull(ce.Ckpt)
-		if derr != nil {
+		var pulled []*checkpoint.Diff // one, structurally verified
+		if derr := f.wc.PullSpan(f.opts.Lineage, ce.Ckpt, ce.Ckpt+1, checkpoint.OwnedDiffs(&pulled)); derr != nil {
 			return healed, fmt.Errorf("follower: healing checkpoint %d: %w", ce.Ckpt, derr)
 		}
 		f.mu.Lock()
@@ -715,7 +702,7 @@ func (f *Follower) Heal() (healed int, err error) {
 			f.mu.Unlock()
 			return healed, nil
 		}
-		ierr := f.store.ReinstallDiff(d)
+		ierr := f.store.ReinstallDiff(pulled[0])
 		f.mu.Unlock()
 		if ierr != nil {
 			return healed, fmt.Errorf("follower: healing checkpoint %d: %w", ce.Ckpt, ierr)
@@ -724,22 +711,6 @@ func (f *Follower) Heal() (healed int, err error) {
 		f.healed.Add(1)
 		f.opts.Logf("follower %s: healed checkpoint %d from %s", f.opts.Lineage, ce.Ckpt, f.opts.Addr)
 	}
-}
-
-// healPull fetches and structurally verifies one diff for Heal.
-func (f *Follower) healPull(k int) (*checkpoint.Diff, error) {
-	b, err := f.wc.Pull(f.opts.Lineage, k)
-	if err != nil {
-		return nil, err
-	}
-	d, err := checkpoint.Decode(bytes.NewReader(b))
-	if err != nil {
-		return nil, fmt.Errorf("pulled bytes do not decode: %w", err)
-	}
-	if int(d.CkptID) != k {
-		return nil, fmt.Errorf("pull returned diff %d", d.CkptID)
-	}
-	return d, nil
 }
 
 // Lineages fetches the primary's lineage directory with one TList

@@ -28,7 +28,9 @@
 //   - onewire:       wire.Handshake / WriteHello / ReadHello are called
 //     only from internal/wireclient (the one client) and
 //     internal/server — a second dial+handshake implementation cannot
-//     grow back unnoticed.
+//     grow back unnoticed — and a wire.Frame literal of Type wire.TPull
+//     is written only in internal/wireclient, whose PullSpan is the one
+//     reader of a span stream.
 //   - guardedby:     struct fields tagged //ckptlint:guardedby <mu>
 //     are only read or written while <mu> is held — via a Lock/RLock
 //     in the same function, or inside a helper carrying a

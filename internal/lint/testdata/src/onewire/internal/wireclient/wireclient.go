@@ -11,3 +11,7 @@ import (
 func dial(nc net.Conn) error {
 	return wire.Handshake(nc)
 }
+
+func pull(nc net.Conn) error {
+	return wire.WriteFrame(nc, &wire.Frame{Type: wire.TPull, Lineage: 1, Ckpt: 3})
+}

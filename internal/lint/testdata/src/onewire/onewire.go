@@ -25,6 +25,22 @@ func goodFrames(nc net.Conn) error {
 	return wire.WriteFrame(nc, &wire.Frame{Type: wire.TList})
 }
 
+func badPull(nc net.Conn) error {
+	// A pull is answered by a stream of frames, not one: only
+	// wireclient's PullSpan knows how to read it.
+	return wire.WriteFrame(nc, &wire.Frame{Type: wire.TPull, Lineage: 1, Ckpt: 3}) // want:onewire
+}
+
+func goodErrorFrame(nc net.Conn, req *wire.Frame) error {
+	// Echoing a request's type is how a server answers it.
+	return wire.WriteFrame(nc, &wire.Frame{Type: req.Type, Status: wire.StatusErr})
+}
+
+func goodPositional(nc net.Conn) error {
+	// An unkeyed literal has no Type key to inspect.
+	return wire.WriteFrame(nc, &wire.Frame{wire.TList, wire.StatusOK, 0, 0, nil})
+}
+
 func goodWaived(nc net.Conn) error {
 	return wire.Handshake(nc) //ckptlint:ignore onewire deliberate exception with a reason
 }

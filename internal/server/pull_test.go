@@ -1,0 +1,318 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"io"
+	"net"
+	"os"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/gpuckpt/gpuckpt/internal/blockstore"
+	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
+	"github.com/gpuckpt/gpuckpt/internal/wire"
+)
+
+// pullSpan builds the TPull request for the span [from, to).
+func pullSpan(h, from, to uint32) *wire.Frame {
+	return &wire.Frame{Type: wire.TPull, Lineage: h, Ckpt: from, Payload: wire.AppendPullSpan(nil, to)}
+}
+
+// pushChain opens lineage name on conn and pushes n tagged diffs of
+// size bytes each, every 4 KiB block of a diff distinct; it returns the
+// handle and the encoded diffs.
+func pushChain(t *testing.T, conn net.Conn, name string, n, size int) (uint32, [][]byte) {
+	t.Helper()
+	open := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte(name)})
+	if open.Status != wire.StatusOK {
+		t.Fatalf("open: %s", open.Payload)
+	}
+	encs := make([][]byte, n)
+	for k := range encs {
+		data := make([]byte, size)
+		for i := range data {
+			data[i] = byte(k+1) + byte(i/4096)<<4
+		}
+		d := &checkpoint.Diff{Method: checkpoint.MethodFull, CkptID: uint32(k), DataLen: uint64(size), ChunkSize: 16, Data: data}
+		var buf bytes.Buffer
+		if err := d.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		encs[k] = buf.Bytes()
+		push := call(t, conn, &wire.Frame{Type: wire.TPush, Lineage: open.Lineage, Ckpt: uint32(k), Payload: wire.EncodePush(encs[k])})
+		if push.Status != wire.StatusOK {
+			t.Fatalf("push %d: %s", k, push.Payload)
+		}
+	}
+	return open.Lineage, encs
+}
+
+// readFrame reads the next frame of a span stream.
+func readFrame(t *testing.T, conn net.Conn) *wire.Frame {
+	t.Helper()
+	f, err := wire.ReadFrame(conn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestServerPullSpan: one request, one frame per checkpoint, in id
+// order and byte-exact; a malformed or unservable span is one typed
+// error frame; either way the connection is back in request mode.
+func TestServerPullSpan(t *testing.T) {
+	_, addr, stop := startServer(t, Config{Root: t.TempDir()})
+	defer stop()
+	conn := testConn(t, addr)
+	defer conn.Close()
+	h, encs := pushChain(t, conn, "lin", 6, 64)
+
+	if err := wire.WriteFrame(conn, pullSpan(h, 1, 5)); err != nil {
+		t.Fatal(err)
+	}
+	for ck := 1; ck < 5; ck++ {
+		f := readFrame(t, conn)
+		if f.Type != wire.TPull || f.Status != wire.StatusOK || f.Lineage != h || f.Ckpt != uint32(ck) || !bytes.Equal(f.Payload, encs[ck]) {
+			t.Fatalf("frame for checkpoint %d: %+v", ck, f)
+		}
+	}
+	for name, req := range map[string]*wire.Frame{
+		"no payload":      {Type: wire.TPull, Lineage: h, Ckpt: 0},
+		"empty span":      pullSpan(h, 3, 3),
+		"reversed span":   pullSpan(h, 4, 2),
+		"past the length": pullSpan(h, 4, 7),
+		"unknown handle":  pullSpan(99, 0, 1),
+	} {
+		resp := call(t, conn, req)
+		if resp.Type != wire.TPull || resp.Status == wire.StatusOK || resp.Status == wire.StatusSpanMoved {
+			t.Fatalf("%s: %+v", name, resp)
+		}
+	}
+	if open := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte("lin")}); open.Status != wire.StatusOK || open.Ckpt != 6 {
+		t.Fatalf("request after the streams: %+v", open)
+	}
+}
+
+// TestServerPullSpanRot: a diff is verified in full before any of its
+// bytes are sent. Rot in the last block of checkpoint 2 ends a span
+// stream with a typed error frame naming checkpoint 2; the frames
+// before it are whole and good, nothing of the damaged diff was sent,
+// and the connection keeps serving.
+func TestServerPullSpanRot(t *testing.T) {
+	srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
+	defer stop()
+	conn := testConn(t, addr)
+	defer conn.Close()
+	h, encs := pushChain(t, conn, "lin", 4, 3*4096)
+
+	// Every diff is three blocks of its own; flip the last byte of the
+	// last block checkpoint 2 references.
+	tail := encs[2][len(encs[2])-4096:]
+	path, off, length, err := srv.blocks.Locate(blockstore.IDOf(tail))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{^tail[4095]}, off+length-1); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	if err := wire.WriteFrame(conn, pullSpan(h, 0, 4)); err != nil {
+		t.Fatal(err)
+	}
+	for ck := 0; ck < 2; ck++ {
+		if f := readFrame(t, conn); f.Status != wire.StatusOK || f.Ckpt != uint32(ck) || !bytes.Equal(f.Payload, encs[ck]) {
+			t.Fatalf("frame before the damage, checkpoint %d: %+v", ck, f)
+		}
+	}
+	bad := readFrame(t, conn)
+	if bad.Type != wire.TPull || bad.Status != wire.StatusErr || bad.Ckpt != 2 ||
+		!strings.Contains(string(bad.Payload), "diff 2") || !strings.Contains(string(bad.Payload), "is corrupt") {
+		t.Fatalf("frame for the rotten checkpoint: %+v (%s)", bad, bad.Payload)
+	}
+	// The stream is over: the next frame on the wire answers the next
+	// request, and the undamaged diffs still serve.
+	if pull := call(t, conn, pullOne(h, 3)); pull.Status != wire.StatusOK || !bytes.Equal(pull.Payload, encs[3]) {
+		t.Fatalf("pull past the damage: %+v", pull)
+	}
+}
+
+// pipeListener hands the server in-memory connections. A net.Pipe has
+// no buffer, so a server write is parked exactly as long as the test
+// does not read — the deterministic stand-in for a reader whose socket
+// buffers are full.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+func (l *pipeListener) Close() error   { l.once.Do(func() { close(l.done) }); return nil }
+func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
+
+type pipeAddr struct{}
+
+func (pipeAddr) Network() string { return "pipe" }
+func (pipeAddr) String() string  { return "pipe" }
+
+// dial opens one handshaken connection to the server behind l.
+func (l *pipeListener) dial(t *testing.T) net.Conn {
+	t.Helper()
+	c, s := net.Pipe()
+	l.conns <- s
+	c.SetDeadline(time.Now().Add(20 * time.Second))
+	if err := wire.Handshake(c); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestRacePullDoesNotBlockPush: a span stream holds no lineage lock.
+// With a stream parked mid-frame on a reader that is not reading, a
+// push to the same lineage is durably acked, and so is a compaction —
+// after which the parked stream, resumed, finishes the frame it had
+// verified and then ends with StatusSpanMoved instead of mixing
+// generations.
+func TestRacePullDoesNotBlockPush(t *testing.T) {
+	srv, err := New(quiet(Config{Root: t.TempDir()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("Serve returned %v", err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Errorf("Close returned %v", err)
+		}
+	}()
+
+	writer := ln.dial(t)
+	defer writer.Close()
+	// Frames larger than the server's write buffer, so the first one
+	// already has to reach the (unbuffered) connection.
+	h, encs := pushChain(t, writer, "lin", 6, 2*connBufSize)
+
+	reader := ln.dial(t)
+	defer reader.Close()
+	if err := wire.WriteFrame(reader, pullSpan(h, 0, 6)); err != nil {
+		t.Fatal(err)
+	}
+	// Take the first frame's header and stop: the server is now parked
+	// in the write of that frame's payload, five frames still to go.
+	var hdr [wire.HeaderSize]byte
+	if _, err := io.ReadFull(reader, hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+
+	d := &checkpoint.Diff{Method: checkpoint.MethodFull, CkptID: 6, DataLen: uint64(2 * connBufSize), ChunkSize: 16,
+		Data: bytes.Repeat([]byte{7}, 2*connBufSize)}
+	var enc bytes.Buffer
+	if err := d.Encode(&enc); err != nil {
+		t.Fatal(err)
+	}
+	if push := call(t, writer, &wire.Frame{Type: wire.TPush, Lineage: h, Ckpt: 6, Payload: wire.EncodePush(enc.Bytes())}); push.Status != wire.StatusOK || push.Ckpt != 7 {
+		t.Fatalf("push while a span stream is parked: %+v (%s)", push, push.Payload)
+	}
+	if comp := call(t, writer, &wire.Frame{Type: wire.TCompact, Lineage: h, Ckpt: 3}); comp.Status != wire.StatusOK {
+		t.Fatalf("compaction while a span stream is parked: %s", comp.Payload)
+	}
+
+	// Resume. The parked frame was verified, whole, before its first
+	// byte left: it completes byte-exact.
+	payload := make([]byte, len(encs[0]))
+	if _, err := io.ReadFull(reader, payload); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(payload, encs[0]) {
+		t.Fatal("the frame parked across the compaction arrived damaged")
+	}
+	moved := readFrame(t, reader)
+	if moved.Type != wire.TPull || moved.Status != wire.StatusSpanMoved || moved.Ckpt != 1 {
+		t.Fatalf("frame after the fold: %+v (%s), want StatusSpanMoved for checkpoint 1", moved, moved.Payload)
+	}
+	// Request mode again: what the lineage holds now is pullable, and a
+	// span that starts below the new baseline is refused as moved.
+	if open := call(t, reader, &wire.Frame{Type: wire.TOpen, Payload: []byte("lin")}); open.Status != wire.StatusOK || open.Ckpt != 7 {
+		t.Fatalf("open after the stream: %+v", open)
+	}
+	if resp := call(t, reader, pullSpan(h, 0, 7)); resp.Status != wire.StatusSpanMoved {
+		t.Fatalf("span below the new baseline: %+v (%s)", resp, resp.Payload)
+	}
+	if pull := call(t, reader, pullOne(h, 3)); pull.Status != wire.StatusOK {
+		t.Fatalf("pull of the new baseline: %s", pull.Payload)
+	}
+}
+
+// TestPullFrameAllocs: with a warm buffer, serving diff k of a span —
+// reassemble, verify, frame, write — allocates a constant (the staged
+// frame header), whether the diff maps to 2 blocks or 200: the
+// references are walked in place and every block is read through one
+// scratch. (The pool the buffer comes from is bypassed: under the race
+// detector sync.Pool drops items at random.)
+func TestPullFrameAllocs(t *testing.T) {
+	srv, err := New(quiet(Config{Root: t.TempDir()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h, _, _, err := srv.open("lin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := srv.get(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ck, blocks := range []int{2, 200} {
+		data := make([]byte, blocks*4096)
+		for i := range data {
+			data[i] = byte(i/4096 + ck)
+		}
+		if err := ln.store.Append(&checkpoint.Diff{Method: checkpoint.MethodFull, CkptID: uint32(ck),
+			DataLen: uint64(len(data)), ChunkSize: 16, Data: data}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	span, err := ln.store.Span(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw := bufio.NewWriterSize(io.Discard, connBufSize)
+	pb := &pullBuf{frame: wire.Frame{Type: wire.TPull, Lineage: h}}
+	for ck, blocks := range []int{2, 200} {
+		frame := func() {
+			if err := pb.load(span, ck); err != nil {
+				t.Fatal(err)
+			}
+			if err := wire.WriteFrame(bw, &pb.frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frame() // warm the buffer
+		if avg := testing.AllocsPerRun(50, frame); avg > 1 {
+			t.Fatalf("serving a diff of %d blocks allocates %.0f times, want at most 1", blocks, avg)
+		}
+	}
+}

@@ -19,7 +19,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -657,13 +656,17 @@ func (s *Server) handleConn(ctx context.Context, stop <-chan struct{}, conn net.
 			s.cfg.Logf("server: %s: stream commit: %v", caddr, err)
 			return
 		}
-		resp := s.dispatch(&req)
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if err := wire.WriteFrame(bw, resp); err != nil {
-			s.cfg.Logf("server: %s: write: %v", caddr, err)
+		if req.Type == wire.TPull {
+			if err := s.servePull(&req, bw, conn); err != nil {
+				s.cfg.Logf("server: %s: pull: %v", caddr, err)
+				return
+			}
+			continue
+		}
+		if err := s.writeResp(bw, conn, s.dispatch(&req)); err != nil {
+			s.cfg.Logf("server: %s: %v", caddr, err)
 			return
 		}
-		s.bytesOut.Add(uint64(resp.WireSize()))
 	}
 	s.commitStream(&batch, bw, conn)
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
@@ -854,25 +857,43 @@ func (s *Server) accountCompaction(name string, st lifecycle.Stats) {
 func (s *Server) dispatch(req *wire.Frame) *wire.Frame {
 	resp, err := s.serve(req)
 	if err != nil {
-		if errors.Is(err, wire.ErrBusy) {
-			// Load shed: the request was NOT executed. The payload is a
-			// retry-after hint the client honors as backoff.
-			s.busyRejects.Add(1)
-			return &wire.Frame{Type: req.Type, Status: wire.StatusBusy,
-				Payload: wire.EncodeRetryAfter(s.cfg.RetryAfterHint)}
-		}
-		status := wire.StatusErr
-		switch {
-		case errors.Is(err, wire.ErrUnsupported):
-			status = wire.StatusUnsupported
-		case errors.Is(err, errUnknownHandle):
-			status = wire.StatusUnknownHandle
-		}
-		return &wire.Frame{Type: req.Type, Status: status, Payload: []byte(err.Error())}
+		return s.errFrame(req, err)
 	}
 	resp.Type = req.Type
 	resp.Status = wire.StatusOK
 	return resp
+}
+
+// errFrame builds the non-OK response to req that carries err, mapping
+// the typed failures onto their status bytes.
+func (s *Server) errFrame(req *wire.Frame, err error) *wire.Frame {
+	if errors.Is(err, wire.ErrBusy) {
+		// Load shed: the request was NOT executed. The payload is a
+		// retry-after hint the client honors as backoff.
+		s.busyRejects.Add(1)
+		return &wire.Frame{Type: req.Type, Status: wire.StatusBusy,
+			Payload: wire.EncodeRetryAfter(s.cfg.RetryAfterHint)}
+	}
+	status := wire.StatusErr
+	switch {
+	case errors.Is(err, wire.ErrUnsupported):
+		status = wire.StatusUnsupported
+	case errors.Is(err, errUnknownHandle):
+		status = wire.StatusUnknownHandle
+	case errors.Is(err, checkpoint.ErrSpanMoved):
+		status = wire.StatusSpanMoved
+	}
+	return &wire.Frame{Type: req.Type, Status: status, Payload: []byte(err.Error())}
+}
+
+// writeResp writes one response frame under the write deadline.
+func (s *Server) writeResp(bw *bufio.Writer, conn net.Conn, resp *wire.Frame) error {
+	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	if err := wire.WriteFrame(bw, resp); err != nil {
+		return fmt.Errorf("write: %w", err)
+	}
+	s.bytesOut.Add(uint64(resp.WireSize()))
+	return nil
 }
 
 // retryAfterMs clamps the configured busy backoff hint to the
@@ -933,13 +954,7 @@ func (s *Server) serveStream(b *streamBatch, req *wire.Frame, bw *bufio.Writer, 
 			return nil
 		}
 	}
-	resp := s.dispatchStream(req)
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	if err := wire.WriteFrame(bw, resp); err != nil {
-		return fmt.Errorf("write: %w", err)
-	}
-	s.bytesOut.Add(uint64(resp.WireSize()))
-	return nil
+	return s.writeResp(bw, conn, s.dispatchStream(req))
 }
 
 // tryStage outcomes: the frame was staged onto the batch, the open
@@ -967,7 +982,7 @@ func (s *Server) tryStage(b *streamBatch, req *wire.Frame) int {
 	if err != nil {
 		return stageSolo
 	}
-	d, err := checkpoint.Decode(bytes.NewReader(encoded))
+	d, err := checkpoint.DecodeBytes(encoded)
 	if err != nil || d.CkptID != req.Ckpt {
 		return stageSolo
 	}
@@ -992,6 +1007,9 @@ func (s *Server) tryStage(b *streamBatch, req *wire.Frame) int {
 	if len(b.diffs) == 0 {
 		b.ln, b.handle, b.start = ln, req.Lineage, next
 	}
+	// A staged diff outlives this frame: the next one is read into the
+	// same connection scratch its sections still alias.
+	d.Own()
 	b.diffs = append(b.diffs, d)
 	b.bytes += d.TotalBytes()
 	return stageOK
@@ -1087,8 +1105,9 @@ func (s *Server) servePush(req *wire.Frame) (uint32, error) {
 		return 0, fmt.Errorf("server: push lineage %q: %w", ln.name, err)
 	}
 	// Decode-validate before touching the store: a malformed diff
-	// must never become a lineage file.
-	d, err := checkpoint.Decode(bytes.NewReader(encoded))
+	// must never become a lineage file. The diff aliases the request
+	// payload, which outlives the append below.
+	d, err := checkpoint.DecodeBytes(encoded)
 	if err != nil {
 		return 0, fmt.Errorf("server: push lineage %q: %w", ln.name, err)
 	}
@@ -1141,22 +1160,6 @@ func (s *Server) serve(req *wire.Frame) (*wire.Frame, error) {
 			return nil, err
 		}
 		return &wire.Frame{Lineage: req.Lineage, Ckpt: newLen}, nil
-
-	case wire.TPull:
-		ln, err := s.get(req.Lineage)
-		if err != nil {
-			return nil, err
-		}
-		release, err := ln.acquire(s.cfg.MaxLineagePending)
-		if err != nil {
-			return nil, err
-		}
-		b, err := ln.store.DiffBytes(int(req.Ckpt))
-		release()
-		if err != nil {
-			return nil, fmt.Errorf("server: pull lineage %q: %w", ln.name, err)
-		}
-		return &wire.Frame{Lineage: req.Lineage, Ckpt: req.Ckpt, Payload: b}, nil
 
 	case wire.TList:
 		lineages := s.snapshot()

@@ -75,6 +75,12 @@ func call(t *testing.T, conn net.Conn, req *wire.Frame) *wire.Frame {
 	return resp
 }
 
+// pullOne builds the TPull request for the one-checkpoint span
+// [ck, ck+1), which is answered by exactly one frame.
+func pullOne(h, ck uint32) *wire.Frame {
+	return &wire.Frame{Type: wire.TPull, Lineage: h, Ckpt: ck, Payload: wire.AppendPullSpan(nil, ck+1)}
+}
+
 func encodedDiff(t *testing.T, ck int, tag byte) []byte {
 	t.Helper()
 	d := &checkpoint.Diff{Method: checkpoint.MethodFull, CkptID: uint32(ck),
@@ -105,7 +111,7 @@ func TestServerOpenPushPull(t *testing.T) {
 		t.Fatalf("push: %+v (%s)", push, push.Payload)
 	}
 
-	pull := call(t, conn, &wire.Frame{Type: wire.TPull, Lineage: h, Ckpt: 0})
+	pull := call(t, conn, pullOne(h, 0))
 	if pull.Status != wire.StatusOK || !bytes.Equal(pull.Payload, enc) {
 		t.Fatalf("pull returned %d bytes, want %d", len(pull.Payload), len(enc))
 	}
@@ -148,7 +154,7 @@ func TestServerReadOnlyOpenCreatesNothing(t *testing.T) {
 	if open.Status != wire.StatusOK || open.Ckpt != 0 {
 		t.Fatalf("open of an unknown name: %+v", open)
 	}
-	if pull := call(t, conn, &wire.Frame{Type: wire.TPull, Lineage: open.Lineage, Ckpt: 0}); pull.Status != wire.StatusErr {
+	if pull := call(t, conn, pullOne(open.Lineage, 0)); pull.Status != wire.StatusErr {
 		t.Fatalf("pull from an empty lineage: %+v", pull)
 	}
 	digest := call(t, conn, &wire.Frame{Type: wire.TDigest, Lineage: open.Lineage,
@@ -389,7 +395,7 @@ func TestServerStreamPush(t *testing.T) {
 
 	// Every slot restorable and byte-exact.
 	for i := 0; i < n; i++ {
-		pull := call(t, conn, &wire.Frame{Type: wire.TPull, Lineage: h, Ckpt: uint32(i)})
+		pull := call(t, conn, pullOne(h, uint32(i)))
 		if pull.Status != wire.StatusOK {
 			t.Fatalf("pull %d: %+v", i, pull)
 		}
@@ -646,10 +652,10 @@ func TestServerCompactAndPolicy(t *testing.T) {
 	}
 
 	// Folded checkpoints are gone; the baseline serves as a full diff.
-	if pull := call(t, conn, &wire.Frame{Type: wire.TPull, Lineage: h, Ckpt: 2}); pull.Status == wire.StatusOK {
+	if pull := call(t, conn, pullOne(h, 2)); pull.Status == wire.StatusOK {
 		t.Fatal("pull below the baseline succeeded")
 	}
-	if pull := call(t, conn, &wire.Frame{Type: wire.TPull, Lineage: h, Ckpt: 4}); pull.Status != wire.StatusOK {
+	if pull := call(t, conn, pullOne(h, 4)); pull.Status != wire.StatusOK {
 		t.Fatalf("pull at baseline: %s", pull.Payload)
 	}
 
@@ -734,7 +740,7 @@ func TestServerBackgroundCompaction(t *testing.T) {
 	}
 	// The retained span still pulls cleanly.
 	for k := uint32(4); k < 6; k++ {
-		if pull := call(t, conn, &wire.Frame{Type: wire.TPull, Lineage: h, Ckpt: k}); pull.Status != wire.StatusOK {
+		if pull := call(t, conn, pullOne(h, k)); pull.Status != wire.StatusOK {
 			t.Fatalf("pull %d after compaction: %s", k, pull.Payload)
 		}
 	}
@@ -766,7 +772,7 @@ func TestServerCrossLineageDedup(t *testing.T) {
 		}
 	}
 	for i := range handles {
-		pull := call(t, conn, &wire.Frame{Type: wire.TPull, Lineage: handles[i], Ckpt: 0})
+		pull := call(t, conn, pullOne(handles[i], 0))
 		if pull.Status != wire.StatusOK || !bytes.Equal(pull.Payload, enc) {
 			t.Fatalf("pull lineage %d: status %d, %d bytes", i, pull.Status, len(pull.Payload))
 		}

@@ -128,7 +128,7 @@ func TestSubscribeStaleCursorKeepsConnection(t *testing.T) {
 	}
 
 	// Same connection still serves requests: pull the span...
-	pull := call(t, sub, &wire.Frame{Type: wire.TPull, Lineage: h, Ckpt: 0})
+	pull := call(t, sub, pullOne(h, 0))
 	if pull.Status != wire.StatusOK || !bytes.Equal(pull.Payload, enc) {
 		t.Fatalf("pull on kept connection: %+v", pull)
 	}

@@ -16,9 +16,10 @@
 // carry the message in the payload). This keeps the server loop
 // trivial and makes the client's retry-on-transient-error logic safe:
 // a broken connection can always be replayed by re-sending the request
-// on a fresh connection. Two request types leave that mode: a run of
+// on a fresh connection. Three request types leave that mode: a run of
 // TPushStream frames is pipelined (acknowledgements return out of
-// order, keyed by checkpoint id), and an accepted TSubscribe switches
+// order, keyed by checkpoint id), a TPull is answered by one frame per
+// checkpoint of the span it names, and an accepted TSubscribe switches
 // the connection into a server-pushed tail stream of TTail frames
 // (see subscribe.go).
 package wire
@@ -43,7 +44,7 @@ const (
 	// peer is built from the same source tree, so there is nothing to
 	// negotiate: both ends refuse a hello advertising any other version
 	// with a *VersionError before a single frame is exchanged.
-	Version uint8 = 6
+	Version uint8 = 7
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 14
 	// HelloSize is the handshake message length in bytes.
@@ -63,8 +64,16 @@ const (
 	// TPush appends one encoded diff (payload) as checkpoint Ckpt of
 	// lineage Lineage; the response's Ckpt is the new length.
 	TPush
-	// TPull fetches the encoded diff of checkpoint Ckpt of lineage
-	// Lineage into the response payload.
+	// TPull (v7) fetches the span [Ckpt, to) of lineage Lineage; the
+	// 4-byte payload (EncodePullSpan) carries to. The server validates
+	// the span against one snapshot of the lineage and answers with
+	// to-Ckpt TPull/StatusOK frames in id order, header Ckpt the
+	// checkpoint id and payload its canonical encoded diff, each
+	// verified in full before its first byte is sent. A non-OK TPull
+	// frame (header Ckpt the id it could not serve) ends the stream
+	// early; either way the connection is back in request mode after
+	// the last frame. A fold that replaces the lineage under the stream
+	// ends it with StatusSpanMoved, never with diffs of two generations.
 	TPull
 	// TList returns the server's lineage directory (EncodeList).
 	TList
@@ -156,6 +165,12 @@ const (
 	// request was not executed; re-resolving the lineage name with
 	// TOpen and replaying is always safe.
 	StatusUnknownHandle uint8 = 4
+	// StatusSpanMoved (v7) marks a TPull whose span is not servable from
+	// one generation of the lineage: a compaction folded its start away,
+	// or replaced the lineage while the span was streaming. Nothing the
+	// frames before it carried is wrong; re-opening the lineage and
+	// pulling the span it reports now is always safe.
+	StatusSpanMoved uint8 = 5
 )
 
 // Errors.
@@ -183,6 +198,11 @@ var (
 	// client recovers by dropping its cached handle, re-opening the
 	// lineage by name and replaying.
 	ErrUnknownHandle = errors.New("wire: unknown lineage handle")
+	// ErrSpanMoved matches (via errors.Is) a RemoteError carried by a
+	// StatusSpanMoved response: a compaction moved the lineage out from
+	// under the pulled span. The client recovers by re-opening the
+	// lineage and pulling its current span.
+	ErrSpanMoved = errors.New("wire: pulled span moved")
 	// ErrUnexpectedResponse reports a response frame whose type does not
 	// answer the request that was sent. The stream is out of step with
 	// the peer, so the connection is discarded and the failure is
@@ -215,6 +235,7 @@ func (f *Frame) Err() error {
 		Msg:           string(f.Payload),
 		Unsupported:   f.Status == StatusUnsupported,
 		UnknownHandle: f.Status == StatusUnknownHandle,
+		SpanMoved:     f.Status == StatusSpanMoved,
 	}
 }
 
@@ -238,16 +259,21 @@ type RemoteError struct {
 	// handle belongs to a stale epoch and the request was not executed.
 	// errors.Is(err, ErrUnknownHandle) reports it.
 	UnknownHandle bool
+	// SpanMoved marks a StatusSpanMoved response: a compaction moved the
+	// lineage out from under a pulled span. errors.Is(err, ErrSpanMoved)
+	// reports it.
+	SpanMoved bool
 }
 
 func (e *RemoteError) Error() string { return "remote: " + e.Msg }
 
-// Is lets errors.Is match an unsupported-operation, busy or
-// unknown-handle RemoteError against its sentinel.
+// Is lets errors.Is match an unsupported-operation, busy,
+// unknown-handle or span-moved RemoteError against its sentinel.
 func (e *RemoteError) Is(target error) bool {
 	return (target == ErrUnsupported && e.Unsupported) ||
 		(target == ErrBusy && e.Busy) ||
-		(target == ErrUnknownHandle && e.UnknownHandle)
+		(target == ErrUnknownHandle && e.UnknownHandle) ||
+		(target == ErrSpanMoved && e.SpanMoved)
 }
 
 // EncodeRetryAfter serializes a StatusBusy retry-after hint as a
@@ -748,6 +774,23 @@ func DecodeList(b []byte) ([]LineageInfo, error) {
 		return nil, errors.New("wire: trailing bytes after lineage list")
 	}
 	return infos, nil
+}
+
+// PullSpanSize is the length of a TPull request payload.
+const PullSpanSize = 4
+
+// AppendPullSpan appends a TPull request payload: the exclusive end of
+// the span whose start rides in the frame header's Ckpt field.
+func AppendPullSpan(buf []byte, to uint32) []byte {
+	return binary.BigEndian.AppendUint32(buf, to)
+}
+
+// DecodePullSpan parses a TPull request payload.
+func DecodePullSpan(b []byte) (to uint32, err error) {
+	if len(b) != PullSpanSize {
+		return 0, fmt.Errorf("wire: pull span payload %d bytes, want %d", len(b), PullSpanSize)
+	}
+	return binary.BigEndian.Uint32(b), nil
 }
 
 // EncodeOpenInfo serializes the extra payload of a TOpen response: the

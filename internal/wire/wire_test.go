@@ -338,6 +338,41 @@ func TestUnknownHandleError(t *testing.T) {
 	}
 }
 
+// TestSpanMovedError: a StatusSpanMoved frame is a typed remote error.
+// Like an unknown handle it is not transport-transient — the fix is to
+// re-open and pull what the lineage holds now, which the client's
+// settle rule (not the redial loop) arranges.
+func TestSpanMovedError(t *testing.T) {
+	f := &Frame{Type: TPull, Status: StatusSpanMoved, Ckpt: 7, Payload: []byte("folded")}
+	err := f.Err()
+	var re *RemoteError
+	if !errors.Is(err, ErrSpanMoved) || !errors.As(err, &re) || re.Msg != "folded" {
+		t.Fatalf("span-moved status not matched: %v", err)
+	}
+	if errors.Is(err, ErrBusy) || errors.Is(err, ErrUnknownHandle) || errors.Is(err, ErrUnsupported) {
+		t.Fatalf("span-moved error matches another sentinel: %v", err)
+	}
+	if errors.Is((&Frame{Type: TPull, Status: StatusErr}).Err(), ErrSpanMoved) {
+		t.Fatal("a plain remote error matches ErrSpanMoved")
+	}
+	if Transient(err) {
+		t.Fatal("span-moved classified transient")
+	}
+}
+
+// TestPullSpanPayload: the TPull request payload is exactly four bytes.
+func TestPullSpanPayload(t *testing.T) {
+	b := AppendPullSpan(nil, 0xDEADBEEF)
+	if to, err := DecodePullSpan(b); err != nil || to != 0xDEADBEEF {
+		t.Fatalf("round trip: %d %v", to, err)
+	}
+	for _, bad := range [][]byte{nil, b[:3], append(b, 0)} {
+		if _, err := DecodePullSpan(bad); err == nil {
+			t.Fatalf("payload of %d bytes decoded", len(bad))
+		}
+	}
+}
+
 func TestChecksumAdd(t *testing.T) {
 	whole := []byte("the quick brown fox jumps over the lazy dog")
 	want := Checksum(whole)

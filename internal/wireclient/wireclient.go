@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -267,9 +268,21 @@ func (cn *Conn) Discard() { cn.pc.Discard() }
 // socket by reference, and the returned frame aliases the connection's
 // reused buffers: it is valid until the next round trip.
 func (cn *Conn) RoundTrip(req *wire.Frame) (*wire.Frame, error) {
+	if err := cn.send(req); err != nil {
+		return nil, err
+	}
+	if err := cn.recv(req.Type); err != nil {
+		return nil, err
+	}
+	return &cn.resp, nil
+}
+
+// send writes one request frame under the write deadline, header staged
+// and payload by reference in one writev.
+func (cn *Conn) send(req *wire.Frame) error {
 	stage, err := wire.AppendFrameHeader(cn.stage[:0], req.Type, req.Status, req.Lineage, req.Ckpt, len(req.Payload))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cn.stage = stage
 	cn.vec = append(cn.vec[:0], stage)
@@ -282,21 +295,74 @@ func (cn *Conn) RoundTrip(req *wire.Frame) (*wire.Frame, error) {
 	saved := cn.vec
 	err = wire.WriteFrameVec(cn.NC, &cn.vec)
 	cn.vec = saved[:0]
-	if err != nil {
-		return nil, err
-	}
+	return err
+}
+
+// recv reads one response frame to a request of type reqType into
+// cn.resp under the read deadline and checks it: status, then type.
+func (cn *Conn) recv(reqType uint8) error {
 	cn.NC.SetReadDeadline(time.Now().Add(cn.timeout))
 	if err := wire.ReadFrameInto(cn.NC, 0, &cn.resp, &cn.scratch); err != nil {
-		return nil, err
+		return err
 	}
 	if err := cn.resp.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	if cn.resp.Type != req.Type && !(req.Type == wire.TSubscribe && cn.resp.Type == wire.TResync) {
-		return nil, fmt.Errorf("%w: type 0x%02x to request 0x%02x", wire.ErrUnexpectedResponse, cn.resp.Type, req.Type)
+	if cn.resp.Type != reqType && !(reqType == wire.TSubscribe && cn.resp.Type == wire.TResync) {
+		return fmt.Errorf("%w: type 0x%02x to request 0x%02x", wire.ErrUnexpectedResponse, cn.resp.Type, reqType)
 	}
-	return &cn.resp, nil
+	return nil
 }
+
+// ConsumerError is a failure of the consumer a pulled span was handed
+// to (PullSpan's callback). The stream was abandoned with frames still
+// in flight, so the connection is discarded; but the transport did
+// nothing wrong, so the request is not replayed.
+type ConsumerError struct{ Err error }
+
+func (e *ConsumerError) Error() string { return e.Err.Error() }
+func (e *ConsumerError) Unwrap() error { return e.Err }
+
+// PullSpan pulls checkpoints [from, to) of the lineage behind handle
+// as one request and hands fn each canonical encoded diff in id order,
+// the frame's id cross-checked against the id it must carry. Every
+// frame is read into the connection's kept buffer, so encoded is valid
+// only until fn returns — unless fn calls TakeScratch. Each frame gets
+// the full read timeout.
+//
+// The server ends the stream early with a typed error frame (a
+// *wire.RemoteError: damage at the checkpoint the frame names, a busy
+// shed, wire.ErrSpanMoved when a compaction moved the lineage); the
+// diffs handed over before it were good and the connection stays
+// usable. An error from fn abandons the stream and comes back as a
+// *ConsumerError.
+func (cn *Conn) PullSpan(handle uint32, from, to int, fn func(ck int, encoded []byte) error) error {
+	if from < 0 || from >= to || int64(to) > math.MaxUint32 {
+		return fmt.Errorf("wireclient: pull span [%d,%d) is not a checkpoint range", from, to)
+	}
+	req := wire.Frame{Type: wire.TPull, Lineage: handle, Ckpt: uint32(from), Payload: wire.AppendPullSpan(nil, uint32(to))}
+	if err := cn.send(&req); err != nil {
+		return err
+	}
+	for ck := from; ck < to; ck++ {
+		if err := cn.recv(wire.TPull); err != nil {
+			return err
+		}
+		if cn.resp.Ckpt != uint32(ck) {
+			return fmt.Errorf("%w: pull frame carries checkpoint %d, want %d", wire.ErrUnexpectedResponse, cn.resp.Ckpt, ck)
+		}
+		if err := fn(ck, cn.resp.Payload); err != nil {
+			return &ConsumerError{err}
+		}
+	}
+	return nil
+}
+
+// TakeScratch hands the connection's read buffer — and with it the
+// payload of the frame read last — over to the caller; the connection
+// grows a fresh one on its next read. For a consumer that keeps a
+// payload which fills most of the buffer, cheaper than copying it out.
+func (cn *Conn) TakeScratch() { cn.scratch = nil }
 
 // Open resolves a lineage name with a TOpen round trip, refreshing the
 // connection's handle cache, and returns the handle plus the lineage's
@@ -326,10 +392,12 @@ func (cn *Conn) Handle(name string) (uint32, error) {
 
 // settle disposes of a connection after a failed attempt and reports
 // whether another attempt is worthwhile. Remote errors keep the
-// connection (the server answered); only busy sheds and unknown-handle
-// epochs among them retry — both assert the request was NOT executed.
-// Anything else taints the connection. cn is nil when the checkout
-// itself failed.
+// connection (the server answered); only busy sheds, unknown-handle
+// epochs and moved spans among them retry — all three assert the
+// request was NOT executed (a moved span: not to completion, and what
+// it did deliver was discarded with the attempt). Anything else taints
+// the connection; a consumer's own failure is not replayed. cn is nil
+// when the checkout itself failed.
 func (c *Client) settle(cn *Conn, name string, err error) bool {
 	if cn == nil {
 		return !errors.Is(err, connpool.ErrClosed) && wire.Transient(err)
@@ -343,9 +411,13 @@ func (c *Client) settle(cn *Conn, name string, err error) bool {
 			c.pool.ForEachIdle(func(_ net.Conn, s any) { delete(s.(*Conn).handles, name) })
 		}
 		cn.Release()
-		return re.Busy || re.UnknownHandle
+		return re.Busy || re.UnknownHandle || re.SpanMoved
 	}
 	cn.Discard()
+	var ce *ConsumerError
+	if errors.As(err, &ce) {
+		return false
+	}
 	// wire.Transient calls net.ErrClosed terminal (a server must not
 	// spin on its own closed listener), but here it can only mean the
 	// pooled socket died under us, and redialing is the right response.
@@ -424,10 +496,17 @@ func (c *Client) Open(name string) (length, base int, err error) {
 	return length, base, err
 }
 
-// Pull fetches checkpoint ck's canonical encoded bytes.
-func (c *Client) Pull(lineage string, ck int) ([]byte, error) {
-	resp, err := c.Call(context.Background(), lineage, &wire.Frame{Type: wire.TPull, Ckpt: uint32(ck)})
-	return resp.Payload, err
+// PullSpan pulls checkpoints [from, to) of lineage under Do: handle
+// resolve, then Conn.PullSpan. A replayed attempt hands fn the span
+// from its start again.
+func (c *Client) PullSpan(lineage string, from, to int, fn func(ck int, encoded []byte) error) error {
+	return c.Do(context.Background(), lineage, func(cn *Conn) error {
+		h, err := cn.Handle(lineage)
+		if err != nil {
+			return err
+		}
+		return cn.PullSpan(h, from, to, fn)
+	})
 }
 
 // Digest requests a span digest of lineage. A server that is alive

@@ -109,8 +109,8 @@ func startHelloPeer(t *testing.T, version uint8) *helloPeer {
 // the typed *wire.VersionError by the server and by the client alike,
 // without a retry, and is served (or sent) no frame.
 func TestVersionRefusal(t *testing.T) {
-	for _, version := range []uint8{wire.Version - 1, wire.Version + 1} {
-		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+	for name, version := range map[string]uint8{"older": wire.Version - 1, "newer": wire.Version + 1} {
+		t.Run(name, func(t *testing.T) {
 			// Server side: a raw client advertising the wrong version.
 			var logMu sync.Mutex
 			var logs []string
