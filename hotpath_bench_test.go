@@ -29,7 +29,8 @@ import (
 )
 
 // hotPathWorkers pins the worker count so results are comparable
-// across machines regardless of GOMAXPROCS.
+// across machines regardless of GOMAXPROCS (the 8M chains run with
+// one worker, as bench/ does; the report records both).
 const hotPathWorkers = 4
 
 // spawnForRange replicates the launch strategy the pool replaced: one
@@ -135,7 +136,7 @@ func hotPathSnapshots(seed int64, size, n int) [][]byte {
 	return out
 }
 
-func newBenchDedup(b *testing.B, method checkpoint.Method, size int) *dedup.Deduplicator {
+func newBenchDedup(b testing.TB, method checkpoint.Method, size int) *dedup.Deduplicator {
 	b.Helper()
 	pool := parallel.NewPool(hotPathWorkers)
 	b.Cleanup(pool.Close)
@@ -195,6 +196,81 @@ func BenchmarkHotPathTreeChurn(b *testing.B) {
 	}
 }
 
+// TestHotPathTreeChurnAllocs gates what BenchmarkHotPathTreeChurn
+// reports: a churned Tree checkpoint allocates nothing beyond the three
+// slices its diff keeps.
+func TestHotPathTreeChurnAllocs(t *testing.T) {
+	const size = 256 * 1024
+	snaps := hotPathSnapshots(23, size, 8)
+	d := newBenchDedup(t, checkpoint.MethodTree, size)
+	i := 0
+	step := func() {
+		if _, _, err := d.Checkpoint(snaps[i%len(snaps)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for i < 10*len(snaps) {
+		step()
+	}
+	if avg := testing.AllocsPerRun(20*len(snaps), step); avg > 3 {
+		t.Errorf("HotPathTreeChurn: %.0f allocs per checkpoint, want at most the diff's 3 slices", avg)
+	}
+}
+
+// benchTree8M walks the two churn chains of bench/ (dense_churn and
+// restore_read): an 8 MiB buffer in which share of the 64-byte units
+// are rewritten per step, default 128-byte chunks, one worker. The
+// deduplicator is rebuilt (baseline included) off the clock every 32
+// steps, so the historical record stays the size a bench chain leaves
+// it whatever b.N is.
+func benchTree8M(b *testing.B, share float64) {
+	const (
+		size  = 8 << 20
+		unit  = 64
+		steps = 32
+	)
+	rng := rand.New(rand.NewSource(31))
+	live := make([]byte, size)
+	rng.Read(live)
+	n := int(float64(size/unit) * share)
+	pool := parallel.NewPool(1)
+	defer pool.Close()
+	dev := device.New(device.A100(), pool, nil)
+	var d *dedup.Deduplicator
+	defer func() { d.Close() }()
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if i%steps == 0 {
+			if d != nil {
+				d.Close()
+			}
+			var err error
+			d, err = dedup.New(checkpoint.MethodTree, size, dev, dedup.Options{MapCapacity: 2*(size/128) + steps*2*n})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := d.Checkpoint(live); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for u := 0; u < n; u++ {
+			off := rng.Intn(size/unit) * unit
+			rng.Read(live[off : off+unit])
+		}
+		b.StartTimer()
+		if _, _, err := d.Checkpoint(live); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkHotPathTreeSparse8M(b *testing.B) { benchTree8M(b, 0.01) }
+func BenchmarkHotPathTreeDense8M(b *testing.B)  { benchTree8M(b, 0.06) }
+
 // The pipeline pair measures one checkpoint per op over the same
 // churned snapshots, sequential engine vs CheckpointAsync with one
 // result in flight.
@@ -242,23 +318,27 @@ func BenchmarkHotPathTreePipelined(b *testing.B) {
 // hotPathSuite is the fixed benchmark set serialized into
 // BENCH_hotpath.json, in reporting order.
 var hotPathSuite = []struct {
-	Name string
-	F    func(*testing.B)
+	Name    string
+	Workers int // pool workers the benchmark runs with
+	F       func(*testing.B)
 }{
-	{"HotPathLaunchTinyPool", BenchmarkHotPathLaunchTinyPool},
-	{"HotPathLaunchTinySpawn", BenchmarkHotPathLaunchTinySpawn},
-	{"HotPathLaunchSmallPool", BenchmarkHotPathLaunchSmallPool},
-	{"HotPathLaunchSmallSpawn", BenchmarkHotPathLaunchSmallSpawn},
-	{"HotPathBasicSteady", BenchmarkHotPathBasicSteady},
-	{"HotPathListSteady", BenchmarkHotPathListSteady},
-	{"HotPathTreeSteady", BenchmarkHotPathTreeSteady},
-	{"HotPathTreeChurn", BenchmarkHotPathTreeChurn},
-	{"HotPathTreeSequential", BenchmarkHotPathTreeSequential},
-	{"HotPathTreePipelined", BenchmarkHotPathTreePipelined},
+	{"HotPathLaunchTinyPool", hotPathWorkers, BenchmarkHotPathLaunchTinyPool},
+	{"HotPathLaunchTinySpawn", hotPathWorkers, BenchmarkHotPathLaunchTinySpawn},
+	{"HotPathLaunchSmallPool", hotPathWorkers, BenchmarkHotPathLaunchSmallPool},
+	{"HotPathLaunchSmallSpawn", hotPathWorkers, BenchmarkHotPathLaunchSmallSpawn},
+	{"HotPathBasicSteady", hotPathWorkers, BenchmarkHotPathBasicSteady},
+	{"HotPathListSteady", hotPathWorkers, BenchmarkHotPathListSteady},
+	{"HotPathTreeSteady", hotPathWorkers, BenchmarkHotPathTreeSteady},
+	{"HotPathTreeChurn", hotPathWorkers, BenchmarkHotPathTreeChurn},
+	{"HotPathTreeSparse8M", 1, BenchmarkHotPathTreeSparse8M},
+	{"HotPathTreeDense8M", 1, BenchmarkHotPathTreeDense8M},
+	{"HotPathTreeSequential", hotPathWorkers, BenchmarkHotPathTreeSequential},
+	{"HotPathTreePipelined", hotPathWorkers, BenchmarkHotPathTreePipelined},
 }
 
 type hotPathEntry struct {
 	Name        string  `json:"name"`
+	Workers     int     `json:"workers"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"b_per_op"`
@@ -270,7 +350,6 @@ type hotPathReport struct {
 	Note       string         `json:"note"`
 	GoVersion  string         `json:"go_version"`
 	GOMAXPROCS int            `json:"gomaxprocs"`
-	Workers    int            `json:"workers"`
 	Benchmarks []hotPathEntry `json:"benchmarks"`
 }
 
@@ -283,15 +362,15 @@ func TestWriteHotPathBenchJSON(t *testing.T) {
 		t.Skip("set GPUCKPT_BENCH_JSON=<file> to regenerate the hot-path benchmark report")
 	}
 	report := hotPathReport{
-		Note:       "real wall-clock hot path; regenerate with `make bench-json`",
+		Note:       "real wall-clock hot path; workers is each benchmark's pool size, gomaxprocs the cores they shared; regenerate with `make bench-json`",
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    hotPathWorkers,
 	}
 	for _, bm := range hotPathSuite {
 		r := testing.Benchmark(bm.F)
 		e := hotPathEntry{
 			Name:        bm.Name,
+			Workers:     bm.Workers,
 			Iterations:  r.N,
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			BytesPerOp:  r.AllocedBytesPerOp(),

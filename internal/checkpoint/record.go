@@ -196,8 +196,10 @@ func (r *Record) indexRegions(d *Diff, plain []byte) ([]storedRegion, error) {
 			return nil, fmt.Errorf("checkpoint: diff %d data section %d bytes, regions cover %d",
 				d.CkptID, len(plain), off)
 		}
-		if !sort.SliceIsSorted(idx, func(i, j int) bool { return idx[i].leafLo < idx[j].leafLo }) {
-			return nil, fmt.Errorf("checkpoint: diff %d regions not in chunk order", d.CkptID)
+		for i := 1; i < len(idx); i++ {
+			if idx[i].leafLo < idx[i-1].leafLo {
+				return nil, fmt.Errorf("checkpoint: diff %d regions not in chunk order", d.CkptID)
+			}
 		}
 		return idx, nil
 	default:

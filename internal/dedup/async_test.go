@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
@@ -199,5 +200,43 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 		if avg := steadyStateAllocs(t, method); avg >= 1 {
 			t.Errorf("%v: %.2f allocs per steady-state checkpoint, want < 1", method, avg)
 		}
+	}
+}
+
+// TestChurnAllocatesOnlyWhatIsKept is the allocation gate of the
+// changed-data path: a Tree checkpoint of fresh writes plus a moved
+// block allocates the three slices its diff keeps (FirstOcur,
+// ShiftDupl, Data) and the region index the record keeps for it —
+// nothing for collecting, ordering or growing the region lists. The
+// arena refill and the record's own growing slices amortize below one.
+func TestChurnAllocatesOnlyWhatIsKept(t *testing.T) {
+	const size = 256 * 1024
+	rng := rand.New(rand.NewSource(5))
+	buf := randBuf(rng, size)
+	// One worker, as in TestSteadyStateAllocationFree: under -race the
+	// pool's sync.Pool of launch states drops entries on purpose.
+	d := newTestDedup(t, checkpoint.MethodTree, size, 1, Options{})
+	step := func() {
+		for w := 0; w < 16; w++ {
+			off := rng.Intn(size - 64)
+			rng.Read(buf[off : off+64])
+		}
+		const blocks = size / 4096
+		src := rng.Intn(blocks)
+		dst := (src + 1 + rng.Intn(blocks-1)) % blocks
+		copy(buf[dst*4096:(dst+1)*4096], buf[src*4096:(src+1)*4096])
+		diff, _, err := d.Checkpoint(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(diff.FirstOcur) == 0 {
+			t.Fatal("churn step produced no first-occurrence region")
+		}
+	}
+	for i := 0; i < 70; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(100, step); avg > 4 {
+		t.Errorf("%.0f allocs per churned checkpoint, want the diff's 3 slices + the record's index", avg)
 	}
 }

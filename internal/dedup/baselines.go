@@ -17,7 +17,7 @@ func (d *Deduplicator) initBasicBodies() {
 		for c := lo; c < hi; c++ {
 			node := d.tree.LeafNode(c)
 			off, end := d.chunkSpan(c)
-			dig := d.hashChunk(data[off:end])
+			dig := d.hashOne(data[off:end])
 			if dig == d.tree.Digests[node] {
 				d.basicChanged[c] = 0
 				fx++
@@ -179,8 +179,8 @@ func (d *Deduplicator) checkpointList(data []byte) (*checkpoint.Diff, Stats, err
 	// Emit one region per non-fixed leaf, already in chunk order.
 	firsts := make([]uint32, 0, first)
 	shifts := make([]checkpoint.ShiftRegion, 0, shift)
-	for c := 0; c < d.nChunks; c++ {
-		node := d.tree.LeafNode(c)
+	for _, c := range d.changed {
+		node := d.tree.LeafNode(int(c))
 		switch d.labels[node] {
 		case LabelFirstOcur:
 			firsts = append(firsts, uint32(node))

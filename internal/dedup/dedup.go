@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -228,9 +229,9 @@ type Deduplicator struct {
 	record  *checkpoint.Record
 	ckptID  uint32
 
-	// hashChunk fingerprints one chunk. It defaults to Murmur3 with
-	// the configured seed; tests substitute weak hashes to exercise
-	// the collision-mitigation path.
+	// hashChunk is a test seam, nil in production: the sweeps call
+	// Murmur3 directly; tests plant weak hashes here to exercise the
+	// collision-mitigation path.
 	hashChunk func(data []byte) murmur3.Digest
 
 	devBytes int64 // device memory charged at construction
@@ -240,15 +241,24 @@ type Deduplicator struct {
 	// allocating inside each sweep) makes the steady-state hot path
 	// allocation-free: the kernel bodies below are created once in New
 	// and read their per-launch parameters from these fields.
-	levels  [][2]int // cached tree level intervals (static geometry)
-	l       launcher // front/sync kernel accounting
-	backL   launcher // pipelined-backend kernel accounting
-	gs      sweepScratch
-	regions regionCollector
-	arena   []checkpoint.Diff // batch-allocated Diffs handed out one at a time
+	levels [][2]int // cached tree level intervals (static geometry)
+	l      launcher // front/sync kernel accounting
+	backL  launcher // pipelined-backend kernel accounting
+	gs     sweepScratch
+	arena  []checkpoint.Diff // batch-allocated Diffs handed out one at a time
 
-	frontData  []byte // buffer being hashed/labeled by the front half
-	curLevelLo int    // first node index of the level being swept
+	// What the current checkpoint changed, the only nodes the sweeps
+	// after the leaf hash visit (and the only labels that are not
+	// FIXED_DUPL). All of it lives in storage sized by New for the case
+	// where everything changed.
+	changedBuf []uint32 // leaf-sweep output, one run per block (see leafBody)
+	changed    []uint32 // changed chunk ids, ascending: changedBuf packed
+	anc        []uint32 // ancestors of the changed leaves, one ascending run per level
+	ancEnd     []int    // the run of d.levels[k] is anc[ancEnd[k]:ancEnd[k+1]]
+	curLevel   []uint32 // the run being swept
+	walkStack  []uint32 // listRegions' descent stack
+
+	frontData []byte // buffer being hashed/labeled by the front half
 
 	// gather/scan scratch. Used by the Tree backend and by the
 	// Basic/List front halves — never both concurrently, since one
@@ -265,7 +275,6 @@ type Deduplicator struct {
 	zeroBitmap   []byte // shared all-zero bitmap for unchanged Basic checkpoints
 
 	// Kernel bodies stored once so launches do not allocate closures.
-	resetBody       func(lo, hi int)
 	leafBody        func(lo, hi int)
 	reconcileBody   func(lo, hi int)
 	firstLevelBody  func(lo, hi int)
@@ -286,69 +295,66 @@ type Deduplicator struct {
 }
 
 // sweepScratch holds the atomic counters the labeling sweeps
-// accumulate into, plus the sweep error slot, reused across
-// checkpoints.
+// accumulate into, plus what their blocks hand back under a lock: the
+// sweep error and the leaf sweep's runs of changed chunks. Reused
+// across checkpoints.
 type sweepScratch struct {
 	mapOps, fixedN, firstN, shiftN, verified atomic.Int64 //ckptlint:atomic
-	promoted, hashed, lookups, changedN      atomic.Int64 //ckptlint:atomic
+	hashed, changedN                         atomic.Int64 //ckptlint:atomic
 
-	errMu sync.Mutex
-	//ckptlint:guardedby errMu
+	mu sync.Mutex
+	//ckptlint:guardedby mu
 	err error
+	//ckptlint:guardedby mu
+	runs []changedRun // at most one per pool worker; capacity set by New
 }
+
+// changedRun is the output of one leaf-sweep block: n changed chunk
+// ids stored from index lo of the changed buffer.
+type changedRun struct{ lo, n int }
 
 // fail records the first error raised inside a parallel sweep.
 func (g *sweepScratch) fail(err error) {
-	g.errMu.Lock()
+	g.mu.Lock()
 	if g.err == nil {
 		g.err = err
 	}
-	g.errMu.Unlock()
+	g.mu.Unlock()
 }
 
 // takeErr returns and clears the recorded sweep error.
 func (g *sweepScratch) takeErr() error {
-	g.errMu.Lock()
+	g.mu.Lock()
 	err := g.err
 	g.err = nil
-	g.errMu.Unlock()
+	g.mu.Unlock()
 	return err
 }
 
-// regionCollector accumulates emitted region roots from concurrent
-// sweep blocks into one grow-only buffer reused across checkpoints.
-type regionCollector struct {
-	mu sync.Mutex
-	//ckptlint:guardedby mu
-	buf []emittedRegion
+// addRun records that a leaf-sweep block stored n changed chunk ids
+// from index lo of the changed buffer.
+//
+//ckptlint:noalloc
+func (g *sweepScratch) addRun(lo, n int) {
+	g.mu.Lock()
+	g.runs = append(g.runs, changedRun{lo, n})
+	g.mu.Unlock()
 }
 
-func (rc *regionCollector) add(rs []emittedRegion) {
-	rc.mu.Lock()
-	rc.buf = append(rc.buf, rs...)
-	rc.mu.Unlock()
-}
-
-func (rc *regionCollector) reset() {
-	rc.mu.Lock()
-	rc.buf = rc.buf[:0]
-	rc.mu.Unlock()
-}
-
-// appendOne adds a single region root (the tree root, emitted by the
-// orchestrating goroutine after the parallel sweep completes).
-func (rc *regionCollector) appendOne(r emittedRegion) {
-	rc.mu.Lock()
-	rc.buf = append(rc.buf, r)
-	rc.mu.Unlock()
-}
-
-// snapshot returns the collected regions. The returned slice aliases
-// the collector's buffer and is valid until the next reset.
-func (rc *regionCollector) snapshot() []emittedRegion {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.buf
+// packRuns moves the recorded runs to the front of buf in block order
+// — which is chunk order — forgets them, and returns the packed list.
+//
+//ckptlint:noalloc
+func (g *sweepScratch) packRuns(buf []uint32) []uint32 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	slices.SortFunc(g.runs, func(a, b changedRun) int { return a.lo - b.lo }) // blocks finish in any order
+	n := 0
+	for _, r := range g.runs {
+		n += copy(buf[n:], buf[r.lo:r.lo+r.n])
+	}
+	g.runs = g.runs[:0]
+	return buf[:n]
 }
 
 // diffArenaSize batches Diff allocations: the record retains every
@@ -417,9 +423,8 @@ func New(method checkpoint.Method, dataLen int, dev *device.Device, opts Options
 		dataLen: dataLen,
 		nChunks: merkle.NumChunks(dataLen, opts.ChunkSize),
 		record:  checkpoint.NewRecord(),
+		gs:      sweepScratch{runs: make([]changedRun, 0, dev.Pool().Workers())},
 	}
-	seed := opts.Seed
-	d.hashChunk = func(data []byte) murmur3.Digest { return murmur3.Sum128(data, seed) }
 	d.record.SetPool(dev.Pool())
 	d.tree = merkle.New(d.nChunks)
 	d.levels = d.tree.Levels()
@@ -429,6 +434,9 @@ func New(method checkpoint.Method, dataLen int, dev *device.Device, opts Options
 	devBytes += int64(d.tree.NumNodes) * 16 // digests
 	if method == checkpoint.MethodTree || method == checkpoint.MethodList || method == checkpoint.MethodBasic {
 		d.labels = make([]Label, d.tree.NumNodes)
+		for i := range d.labels {
+			d.labels[i] = LabelFixedDupl
+		}
 		devBytes += int64(d.tree.NumNodes)
 	}
 	if method == checkpoint.MethodBasic {
@@ -441,6 +449,11 @@ func New(method checkpoint.Method, dataLen int, dev *device.Device, opts Options
 		}
 		d.hmap = hashmap.New(capacity)
 		devBytes += int64(d.hmap.Capacity()) * 28
+		// Host-side sweep scratch; the modeled device holds none of it.
+		d.changedBuf = make([]uint32, d.nChunks)
+		d.anc = make([]uint32, 0, d.nChunks-1)
+		d.ancEnd = make([]int, len(d.levels)+1)
+		d.walkStack = make([]uint32, 0, len(d.levels)+2)
 	}
 	if err := dev.Malloc(devBytes); err != nil {
 		return nil, fmt.Errorf("dedup: reserving device memory: %w", err)

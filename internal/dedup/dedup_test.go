@@ -2,11 +2,15 @@ package dedup
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/device"
+	"github.com/gpuckpt/gpuckpt/internal/hashmap"
 	"github.com/gpuckpt/gpuckpt/internal/parallel"
 )
 
@@ -419,6 +423,47 @@ func TestMapFullReturnsError(t *testing.T) {
 	d := mustNew(t, checkpoint.MethodTree, 4096, Options{ChunkSize: 32, MapCapacity: 4})
 	if _, _, err := d.Checkpoint(randBuf(rand.New(rand.NewSource(9)), 4096)); err == nil {
 		t.Fatal("checkpoint with tiny map succeeded")
+	}
+}
+
+// TestMapFullAtEveryLevel fills the historical record to a chosen
+// number of free slots and then rewrites an aligned run of 8 chunks,
+// which inserts 8 leaves, then 4, 2 and 1 consolidated regions: the
+// checkpoint must fail with the same "raise Options.MapCapacity" error
+// whichever of those inserts finds the table full: dropping an interior
+// one would silently lose the de-duplication it registers.
+func TestMapFullAtEveryLevel(t *testing.T) {
+	const chunk, chunks = 32, 16
+	for _, tc := range []struct {
+		free int
+		fail string // "" = the checkpoint fits
+	}{
+		{7, "a leaf"}, {8, "the first interior level"}, {11, "the first interior level"},
+		{12, "the second interior level"}, {14, "the third interior level"}, {15, ""},
+	} {
+		rng := rand.New(rand.NewSource(int64(tc.free)))
+		d := mustNew(t, checkpoint.MethodTree, chunk*chunks, Options{ChunkSize: chunk, MapCapacity: 32})
+		buf := randBuf(rng, chunk*chunks)
+		for k := 0; d.hmap.Capacity()-d.hmap.Size() > tc.free; k++ {
+			if k > 0 { // one fresh chunk in the right half: exactly one insert
+				c := chunks/2 + k%(chunks/2)
+				rng.Read(buf[c*chunk : (c+1)*chunk])
+			}
+			if _, _, err := d.Checkpoint(buf); err != nil {
+				t.Fatalf("free=%d: filling checkpoint %d: %v", tc.free, k, err)
+			}
+		}
+		if free := d.hmap.Capacity() - d.hmap.Size(); free != tc.free {
+			t.Fatalf("filled to %d free slots, want %d", free, tc.free)
+		}
+		rng.Read(buf[:chunks/2*chunk])
+		_, _, err := d.Checkpoint(buf)
+		switch {
+		case tc.fail == "" && err != nil:
+			t.Errorf("free=%d: checkpoint that fits failed: %v", tc.free, err)
+		case tc.fail != "" && (!errors.Is(err, hashmap.ErrFull) || !strings.Contains(fmt.Sprint(err), "raise Options.MapCapacity")):
+			t.Errorf("free=%d: table full at %s: got %v, want the historical-record-full error", tc.free, tc.fail, err)
+		}
 	}
 }
 

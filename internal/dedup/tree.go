@@ -3,7 +3,6 @@ package dedup
 import (
 	"bytes"
 	"fmt"
-	"sort"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/device"
@@ -13,92 +12,70 @@ import (
 	"github.com/gpuckpt/gpuckpt/internal/parallel"
 )
 
-// emittedRegion is one region root saved by the labeling sweep.
-type emittedRegion struct {
-	node  uint32
-	label Label
-	src   hashmap.Entry // valid for LabelShiftDupl
-}
-
-// sortEmitted orders regions by their covered chunk range.
-func (d *Deduplicator) sortEmitted(regions []emittedRegion) {
-	sort.Slice(regions, func(i, j int) bool {
-		li, _ := d.tree.LeafRange(int(regions[i].node))
-		lj, _ := d.tree.LeafRange(int(regions[j].node))
-		return li < lj
-	})
-}
-
 // initBodies creates every kernel body once. The bodies read their
-// per-launch parameters (current buffer, current tree level, scratch
+// per-launch parameters (current buffer, current level list, scratch
 // slices) from Deduplicator fields, so launching them allocates no
 // closures — a requirement for the allocation-free steady state.
+//
+// The label array is FIXED_DUPL everywhere between checkpoints, so the
+// sweeps touch only what changed: the leaf sweep hashes every chunk but
+// labels only the ones whose digest moved, and every later sweep runs
+// over lists derived from those. The first checkpoint is simply the
+// case where every chunk is on the list.
 func (d *Deduplicator) initBodies() {
-	//ckptlint:noalloc
-	d.resetBody = func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d.labels[i] = LabelNone
-		}
-	}
-
-	// Lines 1-23 of Algorithm 1: hash every chunk and classify it as
-	// FIXED_DUPL / FIRST_OCUR / SHIFT_DUPL against the historical
-	// record of unique hashes, refreshing the leaf digests.
+	// Lines 1-23 of Algorithm 1: hash every chunk, two at a time so
+	// the two Murmur3 dependency chains overlap, and classify the ones
+	// whose digest moved as FIRST_OCUR / SHIFT_DUPL against the
+	// historical record of unique hashes, refreshing the leaf digests.
+	// A block's changed chunk ids land at d.changedBuf[lo:], in order.
 	//ckptlint:noalloc
 	d.leafBody = func(lo, hi int) {
-		g := &d.gs
 		data := d.frontData
-		var ops, fx int64
-		for c := lo; c < hi; c++ {
-			node := d.tree.LeafNode(c)
+		out := d.changedBuf[lo:lo:hi]
+		var ops int64
+		var digs [2]murmur3.Digest
+	sweep:
+		for c, n := lo, 0; c < hi; c += n {
 			off, end := d.chunkSpan(c)
-			dig := d.hashChunk(data[off:end])
-			if dig == d.tree.Digests[node] {
-				d.labels[node] = LabelFixedDupl
-				fx++
-				continue
-			}
-			entry := hashmap.Entry{Node: uint32(node), Ckpt: d.ckptID}
-			_, inserted, ierr := d.hmap.InsertIfAbsent(dig, entry)
-			ops++
-			if ierr != nil {
-				g.fail(fmt.Errorf("dedup: historical record full at checkpoint %d (capacity %d); raise Options.MapCapacity: %w",
-					d.ckptID, d.hmap.Capacity(), ierr))
-				return
-			}
-			if inserted {
-				d.labels[node] = LabelFirstOcur
+			if c+1 < hi && d.hashChunk == nil {
+				_, end2 := d.chunkSpan(c + 1)
+				digs[0], digs[1] = murmur3.Sum128x2(data[off:end], data[end:end2], d.opts.Seed)
+				n = 2
 			} else {
-				// Lines 13-16: the earliest same-checkpoint occurrence
-				// becomes canonical; later ones are shifted duplicates.
-				d.hmap.UpdateIfEarlier(dig, entry)
-				d.labels[node] = LabelShiftDupl
-				ops++
+				digs[0] = d.hashOne(data[off:end])
+				n = 1
 			}
-			d.tree.Digests[node] = dig
+			for j, dig := range digs[:n] {
+				node := d.tree.LeafNode(c + j)
+				if dig == d.tree.Digests[node] {
+					continue
+				}
+				out = append(out, uint32(c+j))
+				k, err := d.insertLeaf(node, dig)
+				ops += k
+				if err != nil {
+					d.gs.fail(err)
+					break sweep
+				}
+			}
 		}
-		g.mapOps.Add(ops)
-		g.fixedN.Add(fx)
+		d.gs.mapOps.Add(ops)
+		d.gs.addRun(lo, len(out))
 	}
 
-	// Reconciliation: align labels with the final map state. With
-	// VerifyDuplicates, every shifted leaf is additionally
-	// byte-compared against its recorded source (§2.4's hash-collision
-	// mitigation); a mismatching chunk is demoted to a first occurrence
-	// so its real bytes ship.
+	// Reconciliation: align the labels of the changed leaves with the
+	// final map state. With VerifyDuplicates, every shifted leaf is
+	// additionally byte-compared against its recorded source (§2.4's
+	// hash-collision mitigation); a mismatching chunk is demoted to a
+	// first occurrence so its real bytes ship.
 	//ckptlint:noalloc
 	d.reconcileBody = func(lo, hi int) {
 		g := &d.gs
 		data := d.frontData
-		var ops, fi, sh, vf int64
-		for c := lo; c < hi; c++ {
-			node := d.tree.LeafNode(c)
-			lbl := d.labels[node]
-			if lbl == LabelFixedDupl {
-				continue
-			}
+		var fi, sh, vf int64
+		for _, c := range d.changed[lo:hi] {
+			node := d.tree.LeafNode(int(c))
 			e, ok := d.hmap.Find(d.tree.Digests[node])
-			ops++
 			if ok && e.Node == uint32(node) && e.Ckpt == d.ckptID {
 				d.labels[node] = LabelFirstOcur
 				fi++
@@ -106,7 +83,7 @@ func (d *Deduplicator) initBodies() {
 			}
 			if d.opts.VerifyDuplicates {
 				vf++
-				off, end := d.chunkSpan(c)
+				off, end := d.chunkSpan(int(c))
 				if !d.sourceMatches(e, data, data[off:end]) {
 					d.labels[node] = LabelFirstOcur
 					fi++
@@ -116,41 +93,42 @@ func (d *Deduplicator) initBodies() {
 			d.labels[node] = LabelShiftDupl
 			sh++
 		}
-		g.mapOps.Add(ops)
+		g.mapOps.Add(int64(hi - lo))
 		g.firstN.Add(fi)
 		g.shiftN.Add(sh)
 		g.verified.Add(vf)
 	}
 
 	// Lines 24-32 of Algorithm 1: consolidate adjacent FIRST_OCUR
-	// regions one level at a time (level interval in d.curLevelLo).
+	// regions one level at a time (level list in d.curLevel).
 	//ckptlint:noalloc
 	d.firstLevelBody = func(lo, hi int) {
-		base := d.curLevelLo
-		var p int64
-		for i := lo; i < hi; i++ {
-			v := base + i
+		var h int64
+		for _, n := range d.curLevel[lo:hi] {
+			v := int(n)
 			left, right := merkle.Left(v), merkle.Right(v)
 			if d.labels[left] == LabelFirstOcur && d.labels[right] == LabelFirstOcur {
 				dig := murmur3.SumPair(d.tree.Digests[left], d.tree.Digests[right], d.opts.Seed)
 				d.tree.Digests[v] = dig
-				d.hmap.InsertIfAbsent(dig, hashmap.Entry{Node: uint32(v), Ckpt: d.ckptID})
+				if _, _, err := d.hmap.InsertIfAbsent(dig, hashmap.Entry{Node: n, Ckpt: d.ckptID}); err != nil {
+					d.gs.fail(d.errMapFull(err))
+					break
+				}
 				d.labels[v] = LabelFirstOcur
-				p++
+				h++
 			}
 		}
-		d.gs.promoted.Add(p)
+		d.gs.hashed.Add(h)
 	}
 
 	// Lines 33-46 of Algorithm 1: consolidate FIXED_DUPL and SHIFT_DUPL
-	// regions and save the roots of maximal uniform regions.
+	// regions. A node whose children cannot be consolidated becomes
+	// MIXED; listRegions finds the region roots under it afterwards.
 	//ckptlint:noalloc
 	d.consolidateBody = func(lo, hi int) {
-		base := d.curLevelLo
-		var buf []emittedRegion
-		var h, lk int64
-		for i := lo; i < hi; i++ {
-			v := base + i
+		var h int64
+		for _, n := range d.curLevel[lo:hi] {
+			v := int(n)
 			left, right := merkle.Left(v), merkle.Right(v)
 			la, lb := d.labels[left], d.labels[right]
 			switch {
@@ -163,27 +141,17 @@ func (d *Deduplicator) initBodies() {
 				d.tree.Digests[v] = dig
 				h++
 				e, ok := d.lookupShift(dig)
-				lk++
-				if ok && !(e.Node == uint32(v) && e.Ckpt == d.ckptID) {
+				if ok && !(e.Node == n && e.Ckpt == d.ckptID) {
 					d.labels[v] = LabelShiftDupl
 				} else {
-					buf = d.emitChild(buf, left)
-					buf = d.emitChild(buf, right)
 					d.labels[v] = LabelMixed
 				}
 			default:
-				// Differing labels (or a Mixed child): the
-				// consolidatable children become region roots.
-				buf = d.emitChild(buf, left)
-				buf = d.emitChild(buf, right)
+				// Differing labels (or a Mixed child).
 				d.labels[v] = LabelMixed
 			}
 		}
-		if len(buf) > 0 {
-			d.regions.add(buf)
-		}
 		d.gs.hashed.Add(h)
-		d.gs.lookups.Add(lk)
 	}
 
 	// Serialization bodies (§2.4): region sizes, then the gather copy,
@@ -212,26 +180,45 @@ func (d *Deduplicator) initBodies() {
 	d.initBasicBodies()
 }
 
-// emitChild appends node c to buf when its label makes it a diff
-// region root (FIRST_OCUR / SHIFT_DUPL).
+// hashOne fingerprints one chunk: Murmur3 with the configured seed,
+// unless a test planted a weak hash in the hashChunk seam.
 //
 //ckptlint:noalloc
-func (d *Deduplicator) emitChild(buf []emittedRegion, c int) []emittedRegion {
-	switch d.labels[c] {
-	case LabelFirstOcur:
-		return append(buf, emittedRegion{node: uint32(c), label: LabelFirstOcur})
-	case LabelShiftDupl:
-		src, ok := d.hmap.Find(d.tree.Digests[c])
-		if !ok {
-			// Unreachable by construction: every SHIFT_DUPL label
-			// was assigned after a successful map lookup.
-			//ckptlint:ignore noalloc unreachable panic path
-			panic(fmt.Sprintf("dedup: shifted region %d missing from historical record", c))
-		}
-		return append(buf, emittedRegion{node: uint32(c), label: LabelShiftDupl, src: src})
-	default: // LabelFixedDupl costs nothing; LabelMixed already emitted
-		return buf
+func (d *Deduplicator) hashOne(chunk []byte) murmur3.Digest {
+	if d.hashChunk != nil {
+		return d.hashChunk(chunk)
 	}
+	return murmur3.Sum128(chunk, d.opts.Seed)
+}
+
+// insertLeaf registers the moved digest of a leaf in the historical
+// record and gives the leaf its provisional label (lines 8-16 of
+// Algorithm 1). It returns the map operations it spent.
+//
+//ckptlint:noalloc
+func (d *Deduplicator) insertLeaf(node int, dig murmur3.Digest) (ops int64, err error) {
+	entry := hashmap.Entry{Node: uint32(node), Ckpt: d.ckptID}
+	_, inserted, err := d.hmap.InsertIfAbsent(dig, entry)
+	if err != nil {
+		return 1, d.errMapFull(err)
+	}
+	d.tree.Digests[node] = dig
+	if inserted {
+		d.labels[node] = LabelFirstOcur
+		return 1, nil
+	}
+	// Lines 13-16: the earliest same-checkpoint occurrence becomes
+	// canonical; later ones are shifted duplicates.
+	d.hmap.UpdateIfEarlier(dig, entry)
+	d.labels[node] = LabelShiftDupl
+	return 2, nil
+}
+
+// errMapFull wraps hashmap.ErrFull, raised by a leaf or an interior
+// insert alike, with the remedy.
+func (d *Deduplicator) errMapFull(err error) error {
+	return fmt.Errorf("dedup: historical record full at checkpoint %d (capacity %d); raise Options.MapCapacity: %w",
+		d.ckptID, d.hmap.Capacity(), err)
 }
 
 // leafPhase implements lines 1-23 of Algorithm 1 via the stored leaf
@@ -247,16 +234,16 @@ func (d *Deduplicator) leafPhase(data []byte, l *launcher) (fixed, first, shift 
 	g := &d.gs
 	d.frontData = data
 	g.mapOps.Store(0)
-	g.fixedN.Store(0)
 	g.firstN.Store(0)
 	g.shiftN.Store(0)
 	g.verified.Store(0)
 
 	pool.ForRange(d.nChunks, d.leafBody)
+	d.changed = g.packRuns(d.changedBuf)
 	if err := g.takeErr(); err != nil {
 		return 0, 0, 0, err
 	}
-	pool.ForRange(d.nChunks, d.reconcileBody)
+	pool.ForRange(len(d.changed), d.reconcileBody)
 
 	l.phase("leaf-hash", device.Cost{
 		HashBytes: int64(float64(d.dataLen) * d.opts.HashCostMultiplier),
@@ -264,7 +251,7 @@ func (d *Deduplicator) leafPhase(data []byte, l *launcher) (fixed, first, shift 
 		MapOps:    g.mapOps.Load(),
 		ChunkOps:  int64(d.nChunks),
 	})
-	return g.fixedN.Load(), g.firstN.Load(), g.shiftN.Load(), nil
+	return int64(d.nChunks - len(d.changed)), g.firstN.Load(), g.shiftN.Load(), nil
 }
 
 // sourceMatches byte-compares a chunk against the recorded source of
@@ -287,69 +274,131 @@ func (d *Deduplicator) sourceMatches(e hashmap.Entry, data, chunk []byte) bool {
 
 func bytesEqual(a, b []byte) bool { return bytes.Equal(a, b) }
 
-// resetLabels clears the label array before a sweep.
+// resetLabels returns the label array to all-FIXED_DUPL by undoing
+// exactly what the previous checkpoint labeled: its changed leaves and
+// their ancestors. The GPU model still pays for clearing the array.
 func (d *Deduplicator) resetLabels(l *launcher) {
-	d.dev.Pool().ForRange(len(d.labels), d.resetBody)
+	for _, c := range d.changed {
+		d.labels[d.tree.LeafNode(int(c))] = LabelFixedDupl
+	}
+	for _, v := range d.anc {
+		d.labels[v] = LabelFixedDupl
+	}
+	d.changed, d.anc = d.changed[:0], d.anc[:0]
 	l.phase("reset-labels", device.Cost{MemBytes: int64(len(d.labels))})
 }
 
-// buildFirstOcurSubtrees implements lines 24-32 of Algorithm 1: a
-// bottom-up level-parallel sweep that consolidates adjacent
-// FIRST_OCUR regions, registering every consolidated region in the
-// historical record. It runs to completion before the shifted
-// duplicates are consolidated — the two-stage parallelization of §2.2
-// that prevents shifted subtrees from missing first-occurrence entries
-// still being hashed.
-func (d *Deduplicator) buildFirstOcurSubtrees(l *launcher) {
-	pool := d.dev.Pool()
-	for _, lv := range d.levels {
-		width := lv[1] - lv[0]
-		d.curLevelLo = lv[0]
-		d.gs.promoted.Store(0)
-		pool.ForRange(width, d.firstLevelBody)
-		promoted := d.gs.promoted.Load()
-		l.phase("firstocur-level", device.Cost{
-			HashBytes: int64(float64(promoted*32) * d.opts.HashCostMultiplier),
-			MemBytes:  int64(width) * 2,
-			MapOps:    promoted,
-		})
+// listAncestors fills d.anc with the ancestors of the changed leaves,
+// one ascending run per level of d.levels (run k ends at d.ancEnd[k+1]):
+// every level is the previous one mapped to parents with repeats
+// dropped. In a tree that is not a power of two the last chunks sit
+// one level above the others; their parents join the second run, which
+// stays ascending because those leaves follow the interior nodes of
+// their level in both node and chunk order.
+//
+//ckptlint:noalloc
+func (d *Deduplicator) listAncestors() {
+	anc, from := d.anc[:0], 0
+	parent := func(v int) {
+		if p := uint32(merkle.Parent(v)); len(anc) == from || anc[len(anc)-1] != p {
+			anc = append(anc, p)
+		}
 	}
+	deep, i := d.tree.DeepLeaves(), 0
+	for ; i < len(d.changed) && int(d.changed[i]) < deep; i++ {
+		parent(d.tree.LeafNode(int(d.changed[i])))
+	}
+	for k := range d.levels {
+		d.ancEnd[k+1] = len(anc)
+		if k == len(d.levels)-1 {
+			break
+		}
+		run := anc[from:]
+		from = len(anc)
+		for _, v := range run {
+			parent(int(v))
+		}
+		for ; k == 0 && i < len(d.changed); i++ {
+			parent(d.tree.LeafNode(int(d.changed[i])))
+		}
+	}
+	d.anc = anc
 }
 
-// consolidateAndEmit implements lines 33-46 of Algorithm 1: the second
-// bottom-up sweep that consolidates FIXED_DUPL and SHIFT_DUPL regions
-// and saves the roots of maximal uniform regions. FIXED_DUPL roots
-// cost nothing and are dropped; FIRST_OCUR and SHIFT_DUPL roots are
-// emitted as diff regions.
-func (d *Deduplicator) consolidateAndEmit(l *launcher) []emittedRegion {
+// sweepLevels launches body over the changed ancestors of every tree
+// level, bottom-up, all nodes of a level in parallel. Each level is
+// charged what the dense GPU sweep of it costs whatever share of it the
+// CPU had to visit: two label bytes per node of the level, plus a pair
+// hash and a map operation per node body counted in d.gs.hashed.
+func (d *Deduplicator) sweepLevels(l *launcher, name string, body func(lo, hi int)) error {
 	pool := d.dev.Pool()
-	d.regions.reset()
-
-	for _, lv := range d.levels {
-		width := lv[1] - lv[0]
-		d.curLevelLo = lv[0]
+	for k, lv := range d.levels {
 		d.gs.hashed.Store(0)
-		d.gs.lookups.Store(0)
-		pool.ForRange(width, d.consolidateBody)
-		l.phase("consolidate-level", device.Cost{
-			HashBytes: int64(float64(d.gs.hashed.Load()*32) * d.opts.HashCostMultiplier),
-			MemBytes:  int64(width) * 2,
-			MapOps:    d.gs.lookups.Load(),
+		d.curLevel = d.anc[d.ancEnd[k]:d.ancEnd[k+1]]
+		pool.ForRange(len(d.curLevel), body)
+		if err := d.gs.takeErr(); err != nil {
+			return err
+		}
+		n := d.gs.hashed.Load()
+		l.phase(name, device.Cost{
+			HashBytes: int64(float64(n*32) * d.opts.HashCostMultiplier),
+			MemBytes:  int64(lv[1]-lv[0]) * 2,
+			MapOps:    n,
 		})
 	}
+	return nil
+}
 
-	// The root is the region when the whole buffer carries one label.
-	switch d.labels[0] {
-	case LabelFirstOcur:
-		d.regions.appendOne(emittedRegion{node: 0, label: LabelFirstOcur})
-	case LabelShiftDupl:
-		src, ok := d.hmap.Find(d.tree.Digests[0])
-		if !ok {
-			panic("dedup: shifted root missing from historical record")
+// walkRegions visits the roots of the maximal uniform regions left to
+// right — from the root down through MIXED nodes, which is chunk
+// order — and returns how many carry FIRST_OCUR and SHIFT_DUPL
+// (FIXED_DUPL roots cost nothing and are skipped). Non-nil firsts and
+// shifts are filled on the way; they must have exactly those lengths.
+//
+//ckptlint:noalloc
+func (d *Deduplicator) walkRegions(firsts []uint32, shifts []checkpoint.ShiftRegion) (nf, ns int) {
+	stack := append(d.walkStack[:0], 0)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		switch d.labels[v] {
+		case LabelMixed:
+			stack = append(stack, uint32(merkle.Right(int(v))), uint32(merkle.Left(int(v))))
+		case LabelFirstOcur:
+			if firsts != nil {
+				firsts[nf] = v
+			}
+			nf++
+		case LabelShiftDupl:
+			if shifts != nil {
+				src, ok := d.hmap.Find(d.tree.Digests[v])
+				if !ok {
+					// Unreachable by construction: every SHIFT_DUPL label
+					// was assigned after a successful map lookup.
+					panic("dedup: shifted region missing from historical record")
+				}
+				shifts[ns] = checkpoint.ShiftRegion{Node: v, SrcNode: src.Node, SrcCkpt: src.Ckpt}
+			}
+			ns++
 		}
-		d.regions.appendOne(emittedRegion{node: 0, label: LabelShiftDupl, src: src})
 	}
-	return d.regions.snapshot()
+	return nf, ns
+}
+
+// listRegions returns the diff's region lists in chunk order, which
+// makes the diff layout (and therefore the wire format) deterministic.
+// They are retained by the diff, so they are allocated — at exact
+// size: one walk counts, one fills.
+func (d *Deduplicator) listRegions() (firsts []uint32, shifts []checkpoint.ShiftRegion) {
+	nf, ns := d.walkRegions(nil, nil)
+	if nf > 0 {
+		firsts = make([]uint32, nf)
+	}
+	if ns > 0 {
+		shifts = make([]checkpoint.ShiftRegion, ns)
+	}
+	d.walkRegions(firsts, shifts)
+	return firsts, shifts
 }
 
 // lookupShift resolves a consolidated shifted-duplicate hash in the
@@ -400,30 +449,9 @@ func (d *Deduplicator) gather(data []byte, firstNodes []uint32, l *launcher) []b
 	return out
 }
 
-// sortRegions orders emitted regions by their covered chunk range so
-// the diff layout (and therefore the wire format) is deterministic.
-// The returned slices are freshly allocated (they are retained by the
-// diff); the regions slice itself is sorted in place and reused.
-func (d *Deduplicator) sortRegions(regions []emittedRegion) (firsts []uint32, shifts []checkpoint.ShiftRegion) {
-	d.sortEmitted(regions)
-	for _, r := range regions {
-		switch r.label {
-		case LabelFirstOcur:
-			firsts = append(firsts, r.node)
-		case LabelShiftDupl:
-			shifts = append(shifts, checkpoint.ShiftRegion{
-				Node:    r.node,
-				SrcNode: r.src.Node,
-				SrcCkpt: r.src.Ckpt,
-			})
-		}
-	}
-	return firsts, shifts
-}
-
 // treeFrontResult carries the hash/label outcome of one Tree
 // checkpoint from the front half to the (possibly pipelined) back
-// half: leaf statistics, the fast-path flag and the sorted regions.
+// half: leaf statistics, the fast-path flag and the region lists.
 type treeFrontResult struct {
 	st     Stats
 	fast   bool
@@ -454,9 +482,18 @@ func (d *Deduplicator) treeFront(data []byte, l *launcher) (treeFrontResult, err
 		return fr, nil
 	}
 
-	d.buildFirstOcurSubtrees(l)
-	regions := d.consolidateAndEmit(l)
-	fr.firsts, fr.shifts = d.sortRegions(regions)
+	// Two bottom-up sweeps (§2.2): every FIRST_OCUR subtree is built and
+	// registered in the historical record before any shifted duplicate
+	// is consolidated, so a shifted subtree cannot miss a
+	// first-occurrence entry that is still being hashed.
+	d.listAncestors()
+	if err := d.sweepLevels(l, "firstocur-level", d.firstLevelBody); err != nil {
+		return fr, err
+	}
+	if err := d.sweepLevels(l, "consolidate-level", d.consolidateBody); err != nil {
+		return fr, err
+	}
+	fr.firsts, fr.shifts = d.listRegions()
 	fr.st.NumFirstOcur = len(fr.firsts)
 	fr.st.NumShiftDupl = len(fr.shifts)
 	d.frontData = nil

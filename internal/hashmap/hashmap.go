@@ -47,14 +47,23 @@ const (
 // ErrFull is returned when an insert cannot find a free slot.
 var ErrFull = errors.New("hashmap: table full")
 
+// slot is one table entry: 32 bytes, so a 64-byte cache line holds two
+// and a probe that resolves in its home slot — state, both key words
+// and the value — costs one line however far the table outgrows the
+// cache ("Analysing the Performance of GPU Hash Tables" picks
+// one-cache-line buckets for the same reason; one array per field
+// would cost up to four misses a probe).
+type slot struct {
+	state  atomic.Uint32
+	h1, h2 uint64
+	val    atomic.Uint64
+}
+
 // Map is the concurrent digest table. All methods are safe for
 // concurrent use by any number of goroutines.
 type Map struct {
 	mask  uint64
-	state []atomic.Uint32
-	keyH1 []uint64
-	keyH2 []uint64
-	vals  []atomic.Uint64
+	slots []slot
 	size  atomic.Int64
 }
 
@@ -70,14 +79,7 @@ func New(n int) *Map {
 	if capacity < 8 {
 		capacity = 8
 	}
-	m := &Map{
-		mask:  uint64(capacity - 1),
-		state: make([]atomic.Uint32, capacity),
-		keyH1: make([]uint64, capacity),
-		keyH2: make([]uint64, capacity),
-		vals:  make([]atomic.Uint64, capacity),
-	}
-	return m
+	return &Map{mask: uint64(capacity - 1), slots: make([]slot, capacity)}
 }
 
 // Capacity returns the number of slots in the backing table.
@@ -99,15 +101,15 @@ func (m *Map) home(d murmur3.Digest) uint64 { return d.H1 & m.mask }
 func (m *Map) InsertIfAbsent(d murmur3.Digest, e Entry) (prev Entry, inserted bool, err error) {
 	idx := m.home(d)
 	for probes := uint64(0); probes <= m.mask; probes++ {
-		i := (idx + probes) & m.mask
+		s := &m.slots[(idx+probes)&m.mask]
 		for {
-			switch m.state[i].Load() {
+			switch s.state.Load() {
 			case slotEmpty:
-				if m.state[i].CompareAndSwap(slotEmpty, slotClaiming) {
-					m.keyH1[i] = d.H1
-					m.keyH2[i] = d.H2
-					m.vals[i].Store(e.pack())
-					m.state[i].Store(slotFull)
+				if s.state.CompareAndSwap(slotEmpty, slotClaiming) {
+					s.h1 = d.H1
+					s.h2 = d.H2
+					s.val.Store(e.pack())
+					s.state.Store(slotFull)
 					m.size.Add(1)
 					return e, true, nil
 				}
@@ -118,8 +120,8 @@ func (m *Map) InsertIfAbsent(d murmur3.Digest, e Entry) (prev Entry, inserted bo
 				runtime.Gosched()
 				continue
 			case slotFull:
-				if m.keyH1[i] == d.H1 && m.keyH2[i] == d.H2 {
-					return unpack(m.vals[i].Load()), false, nil
+				if s.h1 == d.H1 && s.h2 == d.H2 {
+					return unpack(s.val.Load()), false, nil
 				}
 			}
 			break // full with a different key: advance the probe
@@ -132,22 +134,22 @@ func (m *Map) InsertIfAbsent(d murmur3.Digest, e Entry) (prev Entry, inserted bo
 func (m *Map) Find(d murmur3.Digest) (Entry, bool) {
 	idx := m.home(d)
 	for probes := uint64(0); probes <= m.mask; probes++ {
-		i := (idx + probes) & m.mask
-		switch m.state[i].Load() {
+		s := &m.slots[(idx+probes)&m.mask]
+		switch s.state.Load() {
 		case slotEmpty:
 			return Entry{}, false
 		case slotClaiming:
 			// Key not yet visible; treat as a potential match being
 			// published and spin briefly by retrying the same slot.
-			for m.state[i].Load() == slotClaiming {
+			for s.state.Load() == slotClaiming {
 				runtime.Gosched()
 			}
-			if m.state[i].Load() == slotFull && m.keyH1[i] == d.H1 && m.keyH2[i] == d.H2 {
-				return unpack(m.vals[i].Load()), true
+			if s.state.Load() == slotFull && s.h1 == d.H1 && s.h2 == d.H2 {
+				return unpack(s.val.Load()), true
 			}
 		case slotFull:
-			if m.keyH1[i] == d.H1 && m.keyH2[i] == d.H2 {
-				return unpack(m.vals[i].Load()), true
+			if s.h1 == d.H1 && s.h2 == d.H2 {
+				return unpack(s.val.Load()), true
 			}
 		}
 	}
@@ -170,26 +172,26 @@ func (m *Map) Contains(d murmur3.Digest) bool {
 func (m *Map) UpdateIfEarlier(d murmur3.Digest, e Entry) (demoted Entry, swapped bool) {
 	idx := m.home(d)
 	for probes := uint64(0); probes <= m.mask; probes++ {
-		i := (idx + probes) & m.mask
-		switch m.state[i].Load() {
+		s := &m.slots[(idx+probes)&m.mask]
+		switch s.state.Load() {
 		case slotEmpty:
 			return Entry{}, false
 		case slotClaiming:
-			for m.state[i].Load() == slotClaiming {
+			for s.state.Load() == slotClaiming {
 				runtime.Gosched()
 			}
 			fallthrough
 		case slotFull:
-			if m.keyH1[i] != d.H1 || m.keyH2[i] != d.H2 {
+			if s.h1 != d.H1 || s.h2 != d.H2 {
 				continue
 			}
 			for {
-				cur := m.vals[i].Load()
+				cur := s.val.Load()
 				curE := unpack(cur)
 				if curE.Ckpt != e.Ckpt || e.Node >= curE.Node {
 					return curE, false
 				}
-				if m.vals[i].CompareAndSwap(cur, e.pack()) {
+				if s.val.CompareAndSwap(cur, e.pack()) {
 					return curE, true
 				}
 			}
@@ -201,10 +203,10 @@ func (m *Map) UpdateIfEarlier(d murmur3.Digest, e Entry) (demoted Entry, swapped
 // Range calls fn for every (digest, entry) pair. It must not run
 // concurrently with writers; it exists for tests and diagnostics.
 func (m *Map) Range(fn func(d murmur3.Digest, e Entry) bool) {
-	for i := range m.state {
-		if m.state[i].Load() == slotFull {
-			d := murmur3.Digest{H1: m.keyH1[i], H2: m.keyH2[i]}
-			if !fn(d, unpack(m.vals[i].Load())) {
+	for i := range m.slots {
+		s := &m.slots[i]
+		if s.state.Load() == slotFull {
+			if !fn(murmur3.Digest{H1: s.h1, H2: s.h2}, unpack(s.val.Load())) {
 				return
 			}
 		}

@@ -104,6 +104,10 @@ func (t *Tree) LeafNode(i int) int {
 	return t.NumLeaves - 1 + i - t.deep
 }
 
+// DeepLeaves returns how many leaves sit on the deepest level: chunks
+// [0, DeepLeaves) do, the remaining chunks sit one level up.
+func (t *Tree) DeepLeaves() int { return t.deep }
+
 // LeafIndex maps a leaf node index back to its chunk index.
 func (t *Tree) LeafIndex(v int) int {
 	if !t.IsLeaf(v) {

@@ -26,6 +26,24 @@ func TestSum128ZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSum128x2ZeroAlloc covers the paired leaf hash of the sweep.
+func TestSum128x2ZeroAlloc(t *testing.T) {
+	data := make([]byte, 256)
+	for i := range data {
+		data[i] = byte(i * 31)
+	}
+	var a, b Digest
+	avg := testing.AllocsPerRun(100, func() {
+		a, b = Sum128x2(data[:128], data[128:249], 42)
+	})
+	if avg != 0 {
+		t.Errorf("Sum128x2: %.2f allocs per run, want 0", avg)
+	}
+	if a.IsZero() || b.IsZero() {
+		t.Error("Sum128x2: zero digest")
+	}
+}
+
 // TestSumPairZeroAlloc covers the interior-node combine used by the
 // bottom-up consolidation sweeps.
 func TestSumPairZeroAlloc(t *testing.T) {

@@ -62,32 +62,66 @@ func fmix64(k uint64) uint64 {
 //
 //ckptlint:noalloc
 func Sum128(data []byte, seed uint32) Digest {
-	h1 := uint64(seed)
-	h2 := uint64(seed)
+	return finish(uint64(seed), uint64(seed), data, uint64(len(data)))
+}
 
-	n := len(data)
-	nblocks := n / 16
+// Sum128x2 hashes two independent messages at once and returns exactly
+// (Sum128(a, seed), Sum128(b, seed)). One Murmur3 stream is a serial
+// multiply-rotate chain, so on the 32-512 byte chunks Algorithm 1
+// hashes it is bound by latency, not by bandwidth; interleaving two
+// chains over their common 16-byte blocks lets the core overlap them.
+//
+//ckptlint:noalloc
+func Sum128x2(a, b []byte, seed uint32) (Digest, Digest) {
+	a1, a2 := uint64(seed), uint64(seed)
+	b1, b2 := a1, a2
+	common := min(len(a), len(b)) &^ 15
+	for i := 0; i < common; i += 16 {
+		ka1 := binary.LittleEndian.Uint64(a[i:])
+		ka2 := binary.LittleEndian.Uint64(a[i+8:])
+		kb1 := binary.LittleEndian.Uint64(b[i:])
+		kb2 := binary.LittleEndian.Uint64(b[i+8:])
+		a1, a2 = mixBlock(a1, a2, ka1, ka2)
+		b1, b2 = mixBlock(b1, b2, kb1, kb2)
+	}
+	return finish(a1, a2, a[common:], uint64(len(a))), finish(b1, b2, b[common:], uint64(len(b)))
+}
+
+// mixBlock folds one 16-byte block (k1, k2) into the state.
+//
+//ckptlint:noalloc
+func mixBlock(h1, h2, k1, k2 uint64) (uint64, uint64) {
+	k1 *= c1
+	k1 = bits.RotateLeft64(k1, 31)
+	k1 *= c2
+	h1 ^= k1
+
+	h1 = bits.RotateLeft64(h1, 27)
+	h1 += h2
+	h1 = h1*5 + 0x52dce729
+
+	k2 *= c2
+	k2 = bits.RotateLeft64(k2, 33)
+	k2 *= c1
+	h2 ^= k2
+
+	h2 = bits.RotateLeft64(h2, 31)
+	h2 += h1
+	h2 = h2*5 + 0x38495ab5
+	return h1, h2
+}
+
+// finish folds the not yet consumed part of a message (whole blocks,
+// then the tail) into the state and finalizes it; total is the length
+// of the whole message.
+//
+//ckptlint:noalloc
+func finish(h1, h2 uint64, data []byte, total uint64) Digest {
+	nblocks := len(data) / 16
 	for i := 0; i < nblocks; i++ {
 		k1 := binary.LittleEndian.Uint64(data[i*16:])
 		k2 := binary.LittleEndian.Uint64(data[i*16+8:])
-
-		k1 *= c1
-		k1 = bits.RotateLeft64(k1, 31)
-		k1 *= c2
-		h1 ^= k1
-
-		h1 = bits.RotateLeft64(h1, 27)
-		h1 += h2
-		h1 = h1*5 + 0x52dce729
-
-		k2 *= c2
-		k2 = bits.RotateLeft64(k2, 33)
-		k2 *= c1
-		h2 ^= k2
-
-		h2 = bits.RotateLeft64(h2, 31)
-		h2 += h1
-		h2 = h2*5 + 0x38495ab5
+		h1, h2 = mixBlock(h1, h2, k1, k2)
 	}
 
 	tail := data[nblocks*16:]
@@ -147,8 +181,8 @@ func Sum128(data []byte, seed uint32) Digest {
 		h1 ^= k1
 	}
 
-	h1 ^= uint64(n)
-	h2 ^= uint64(n)
+	h1 ^= total
+	h2 ^= total
 
 	h1 += h2
 	h2 += h1

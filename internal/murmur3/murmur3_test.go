@@ -2,6 +2,7 @@ package murmur3
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -133,6 +134,52 @@ func BenchmarkSum128(b *testing.B) {
 			}
 		})
 	}
+}
+
+func BenchmarkSum128x2(b *testing.B) {
+	for _, size := range []int{32, 64, 128, 256, 512, 4096} {
+		data := bytes.Repeat([]byte{0xa5}, 2*size)
+		b.Run(byteSizeName(size), func(b *testing.B) {
+			b.SetBytes(int64(2 * size))
+			for i := 0; i < b.N; i++ {
+				_, _ = Sum128x2(data[:size], data[size:], 0)
+			}
+		})
+	}
+}
+
+// TestSum128x2MatchesSum128 is the differential test of the paired
+// hash: every pair of lengths around the block and tail boundaries,
+// equal and unequal, must give exactly the two single digests.
+func TestSum128x2MatchesSum128(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	buf := make([]byte, 2*600)
+	rng.Read(buf)
+	lengths := []int{0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 64, 121, 128, 129, 512, 600}
+	for _, la := range lengths {
+		for _, lb := range lengths {
+			a, b := buf[:la], buf[600:600+lb]
+			seed := uint32(la*31 + lb)
+			da, db := Sum128x2(a, b, seed)
+			if da != Sum128(a, seed) || db != Sum128(b, seed) {
+				t.Fatalf("Sum128x2(len %d, len %d, seed %d) differs from Sum128", la, lb, seed)
+			}
+		}
+	}
+}
+
+// FuzzSum128x2 checks the paired hash against Sum128 on arbitrary
+// message pairs.
+func FuzzSum128x2(f *testing.F) {
+	f.Add([]byte(""), []byte("a"), uint32(0))
+	f.Add(bytes.Repeat([]byte{1}, 128), bytes.Repeat([]byte{2}, 121), uint32(42))
+	f.Add(bytes.Repeat([]byte{3}, 17), bytes.Repeat([]byte{4}, 64), uint32(1<<31))
+	f.Fuzz(func(t *testing.T, a, b []byte, seed uint32) {
+		da, db := Sum128x2(a, b, seed)
+		if da != Sum128(a, seed) || db != Sum128(b, seed) {
+			t.Fatalf("Sum128x2(%x, %x, %d) differs from Sum128", a, b, seed)
+		}
+	})
 }
 
 func byteSizeName(n int) string {

@@ -34,14 +34,16 @@ const inlineThreshold = 128
 // any helping workers claim blocks cooperatively. States are recycled
 // through a sync.Pool so steady-state launches allocate nothing.
 type launchState struct {
-	body    func(lo, hi int)
-	n       int
-	grain   int
-	nblocks int64
-	next    atomic.Int64 // next block index to claim
-	undone  atomic.Int64 // blocks not yet completed
-	refs    atomic.Int64 // goroutines holding a reference
-	done    chan struct{}
+	body     func(lo, hi int)
+	team     func(t Team) // a team-policy launch runs this once per index instead of body
+	teamSize int
+	n        int
+	grain    int
+	nblocks  int64
+	next     atomic.Int64 // next block index to claim
+	undone   atomic.Int64 // blocks not yet completed
+	refs     atomic.Int64 // goroutines holding a reference
+	done     chan struct{}
 }
 
 var statePool = sync.Pool{
@@ -61,7 +63,11 @@ func (ls *launchState) run() {
 		if hi > ls.n {
 			hi = ls.n
 		}
-		ls.body(lo, hi)
+		if ls.team != nil {
+			runTeams(ls.team, lo, hi, ls.n, ls.teamSize)
+		} else {
+			ls.body(lo, hi)
+		}
 		if ls.undone.Add(-1) == 0 {
 			ls.done <- struct{}{}
 		}
@@ -71,7 +77,7 @@ func (ls *launchState) run() {
 // release drops one reference; the final holder recycles the state.
 func (ls *launchState) release() {
 	if ls.refs.Add(-1) == 0 {
-		ls.body = nil
+		ls.body, ls.team = nil, nil
 		statePool.Put(ls)
 	}
 }
@@ -158,9 +164,16 @@ func (p *Pool) grainSize(n int) int {
 // workers as there are spare blocks. It returns when all blocks have
 // completed.
 func (p *Pool) launch(n, grain int, body func(lo, hi int)) {
-	nblocks := (n + grain - 1) / grain
 	ls := statePool.Get().(*launchState)
-	ls.body, ls.n, ls.grain, ls.nblocks = body, n, grain, int64(nblocks)
+	ls.body = body
+	p.submit(ls, n, grain)
+}
+
+// submit runs the launch ls describes (its body or team already set)
+// over [0, n) in blocks of grain.
+func (p *Pool) submit(ls *launchState, n, grain int) {
+	nblocks := (n + grain - 1) / grain
+	ls.n, ls.grain, ls.nblocks = n, grain, int64(nblocks)
 	ls.next.Store(0)
 	ls.undone.Store(int64(nblocks))
 	ls.refs.Store(1)

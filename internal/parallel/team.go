@@ -43,14 +43,20 @@ func (p *Pool) ForTeams(league, teamSize int, body func(t Team)) {
 	}
 	p.checkOpen()
 	grain := p.grainSize(league)
-	run := func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			body(Team{leagueRank: r, leagueSize: league, teamSize: teamSize})
-		}
-	}
 	if p.workers == 1 || league <= grain {
-		run(0, league)
+		runTeams(body, 0, league, league, teamSize)
 		return
 	}
-	p.launch(league, grain, run)
+	// The launch state carries body itself: wrapping it in a range
+	// closure would allocate on every launch.
+	ls := statePool.Get().(*launchState)
+	ls.team, ls.teamSize = body, teamSize
+	p.submit(ls, league, grain)
+}
+
+// runTeams executes body for the teams [lo, hi) of a league.
+func runTeams(body func(t Team), lo, hi, league, teamSize int) {
+	for r := lo; r < hi; r++ {
+		body(Team{leagueRank: r, leagueSize: league, teamSize: teamSize})
+	}
 }

@@ -19,6 +19,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -921,7 +922,11 @@ type streamBatch struct {
 	handle uint32 // wire handle, echoed in the acks
 	start  uint32 // checkpoint id of diffs[0]
 	diffs  []*checkpoint.Diff
-	bytes  int64
+	// payloads[i] is the staged copy of the frame payload diffs[i] was
+	// decoded from, and aliases: checksum prefix, then the encoded diff,
+	// exactly as verified — which is the TTail payload subscribers get.
+	payloads [][]byte
+	bytes    int64
 }
 
 // Caps on a single group commit: a batch holds at most
@@ -978,12 +983,7 @@ func (s *Server) tryStage(b *streamBatch, req *wire.Frame) int {
 	if len(b.diffs) > 0 && b.ln != ln {
 		return stageCommitFirst
 	}
-	_, encoded, err := wire.DecodePush(req.Payload)
-	if err != nil {
-		return stageSolo
-	}
-	d, err := checkpoint.DecodeBytes(encoded)
-	if err != nil || d.CkptID != req.Ckpt {
+	if _, _, err := wire.DecodePush(req.Payload); err != nil {
 		return stageSolo
 	}
 	var next uint32
@@ -1004,13 +1004,19 @@ func (s *Server) tryStage(b *streamBatch, req *wire.Frame) int {
 		}
 		return stageSolo // replay or conflict: answered per frame
 	}
+	// A staged diff outlives this frame — the next one is read into the
+	// same connection scratch — so the verified payload is copied, once,
+	// and the diff decoded where the copy lies.
+	payload := bytes.Clone(req.Payload)
+	d, err := checkpoint.DecodeBytes(payload[wire.PushChecksumSize:])
+	if err != nil || d.CkptID != req.Ckpt {
+		return stageSolo
+	}
 	if len(b.diffs) == 0 {
 		b.ln, b.handle, b.start = ln, req.Lineage, next
 	}
-	// A staged diff outlives this frame: the next one is read into the
-	// same connection scratch its sections still alias.
-	d.Own()
 	b.diffs = append(b.diffs, d)
+	b.payloads = append(b.payloads, payload)
 	b.bytes += d.TotalBytes()
 	return stageOK
 }
@@ -1025,15 +1031,15 @@ func (s *Server) commitStream(b *streamBatch, bw *bufio.Writer, conn net.Conn) e
 	if len(b.diffs) == 0 {
 		return nil
 	}
-	diffs, ln, handle, start := b.diffs, b.ln, b.handle, b.start
-	b.diffs, b.ln, b.bytes = nil, nil, 0
+	diffs, payloads, ln, handle, start := b.diffs, b.payloads, b.ln, b.handle, b.start
+	b.diffs, b.payloads, b.ln, b.bytes = nil, nil, nil, 0
 
 	release, err := ln.acquire(s.cfg.MaxLineagePending)
 	if err == nil {
 		if _, err = ln.store.AppendBatch(diffs); err == nil {
 			// Still under the lineage lock: subscribers must see the
 			// batch before any later append.
-			s.publishBatch(ln, start, diffs)
+			s.publishBatch(ln, start, payloads)
 		}
 		release()
 	}

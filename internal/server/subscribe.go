@@ -14,7 +14,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -23,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
 
@@ -289,12 +287,10 @@ func (s *Server) publishTail(ln *lineage, ckpt uint32, payload []byte) {
 	s.subSheds.Add(uint64(shed))
 }
 
-// publishBatch fans a just-committed stream batch out. The staged
-// diffs no longer carry their wire payloads, so each is re-encoded —
-// the canonical encoding is deterministic, hence byte- and
-// CRC-identical to what the pusher sent — and again only when a
-// subscriber exists.
-func (s *Server) publishBatch(ln *lineage, start uint32, diffs []*checkpoint.Diff) {
+// publishBatch fans a just-committed stream batch out: payloads are
+// the staged copies of the frames' payloads, already checksum-prefixed
+// and verified, so subscribers get the pusher's bytes as they arrived.
+func (s *Server) publishBatch(ln *lineage, start uint32, payloads [][]byte) {
 	if s.hub.count(ln) == 0 {
 		return
 	}
@@ -303,13 +299,8 @@ func (s *Server) publishBatch(ln *lineage, start uint32, diffs []*checkpoint.Dif
 		return
 	}
 	base := uint32(ln.store.Base())
-	for i, d := range diffs {
-		var buf bytes.Buffer
-		if err := d.Encode(&buf); err != nil {
-			s.cfg.Logf("server: lineage %q: re-encoding diff %d for subscribers: %v", ln.name, start+uint32(i), err)
-			return
-		}
-		shed := s.hub.publish(ln, start+uint32(i), wire.EncodePush(buf.Bytes()), base, uint32(n))
+	for i, payload := range payloads {
+		shed := s.hub.publish(ln, start+uint32(i), payload, base, uint32(n))
 		s.subSheds.Add(uint64(shed))
 	}
 }

@@ -2,10 +2,13 @@ package server
 
 import (
 	"bytes"
+	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
+	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
 
@@ -209,4 +212,105 @@ func TestHubShedSlowSubscriber(t *testing.T) {
 		t.Fatalf("count = %d after fold, want 0", h.count(ln))
 	}
 	h.unregister(ln, slow) // double-remove must be safe
+}
+
+// bigEncodedDiff is encodedDiff with a data section of size bytes.
+func bigEncodedDiff(t *testing.T, ck, size int) []byte {
+	t.Helper()
+	data := make([]byte, size)
+	rand.New(rand.NewSource(int64(ck))).Read(data)
+	d := &checkpoint.Diff{Method: checkpoint.MethodFull, CkptID: uint32(ck),
+		DataLen: uint64(size), ChunkSize: 128, Data: data}
+	var buf bytes.Buffer
+	if err := d.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestStreamFanOutRelaysPushedBytes: a group-committed stream batch
+// reaches a live subscriber as exactly the payloads the pusher sent —
+// checksum prefix included — not as a re-encoding of the decoded diffs.
+func TestStreamFanOutRelaysPushedBytes(t *testing.T) {
+	_, addr, stop := startServer(t, Config{Root: t.TempDir()})
+	defer stop()
+
+	sub := testConn(t, addr)
+	defer sub.Close()
+	if _, resp := subscribeOn(t, sub, "fan", wire.Cursor{}); resp.Status != wire.StatusOK {
+		t.Fatalf("subscribe: %+v", resp)
+	}
+
+	pusher := testConn(t, addr)
+	defer pusher.Close()
+	h := call(t, pusher, &wire.Frame{Type: wire.TOpen, Payload: []byte("fan")}).Lineage
+	const n = 8
+	want := make([][]byte, n)
+	var burst bytes.Buffer // one write, so the frames arrive back to back and batch
+	for ck := range want {
+		want[ck] = wire.EncodePush(bigEncodedDiff(t, ck, 4096))
+		if err := wire.WriteFrame(&burst, &wire.Frame{Type: wire.TPushStream, Lineage: h, Ckpt: uint32(ck), Payload: want[ck]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := pusher.Write(burst.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for ck := 0; ck < n; ck++ {
+		if ack, err := wire.ReadFrame(pusher, 0); err != nil || ack.Status != wire.StatusOK {
+			t.Fatalf("ack %d: %+v, %v", ck, ack, err)
+		}
+	}
+	for ck := 0; ck < n; ck++ {
+		fr := readTail(t, sub)
+		if fr.Type != wire.TTail || fr.Ckpt != uint32(ck) {
+			t.Fatalf("tail frame %d: type %#x ckpt %d", ck, fr.Type, fr.Ckpt)
+		}
+		if !bytes.Equal(fr.Payload, want[ck]) {
+			t.Fatalf("tail frame %d is not the pushed payload", ck)
+		}
+	}
+}
+
+// TestStreamFanOutCopiesOnce: staging a stream frame and fanning it out
+// to a subscriber costs one payload-sized allocation — the staged copy,
+// which both the decoded diff and the subscribers then share.
+func TestStreamFanOutCopiesOnce(t *testing.T) {
+	srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
+	defer stop()
+	conn := testConn(t, addr)
+	defer conn.Close()
+	h := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte("once")}).Lineage
+	ln, err := srv.get(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, size = 8, 1 << 20
+	sub := srv.hub.register(ln, n)
+	defer srv.hub.unregister(ln, sub)
+	frames := make([]*wire.Frame, n)
+	for ck := range frames {
+		frames[ck] = &wire.Frame{Type: wire.TPushStream, Lineage: h, Ckpt: uint32(ck),
+			Payload: wire.EncodePush(bigEncodedDiff(t, ck, size))}
+	}
+
+	var before, after runtime.MemStats
+	var b streamBatch
+	runtime.ReadMemStats(&before)
+	for ck, fr := range frames {
+		if got := srv.tryStage(&b, fr); got != stageOK {
+			t.Fatalf("frame %d: tryStage = %d", ck, got)
+		}
+	}
+	srv.publishBatch(ln, b.start, b.payloads)
+	runtime.ReadMemStats(&after)
+
+	if perFrame := float64(after.TotalAlloc-before.TotalAlloc) / n; perFrame > 1.1*size {
+		t.Fatalf("%.0f bytes allocated per staged %d-byte frame, want one copy", perFrame, size)
+	}
+	for ck := range frames {
+		if ev := <-sub.ch; ev.ckpt != uint32(ck) || !bytes.Equal(ev.payload, frames[ck].Payload) {
+			t.Fatalf("event %d is not the pushed payload", ck)
+		}
+	}
 }
