@@ -64,13 +64,11 @@ race:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
-
 # bench-smoke keeps every benchmark compiling and running (one
 # iteration each) so perf-tracking code cannot rot unnoticed; the
 # HotPathTreeSparse8M / HotPathTreeDense8M rows are the 1 % and 6 %
-# churn chains of bench/ at full size.
+# churn chains of bench/ at full size. `bench` is its alias.
+bench: bench-smoke
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
@@ -140,7 +138,7 @@ fuzz-smoke:
 # and of the block store (internal/blockstore, with its fsync budget
 # and its Get-vs-relocating-GC race), plus the TestRace concurrency
 # regression tests guarding the bugs the guardedby/lockorder/goroleak
-# analyzers found (Serve worker join, locked pin reads, idle-session
+# analyzers found (Serve worker join, locked pin reads, parked-handle
 # pruning) and the span stream's lock discipline (a pull parked on a
 # reader that is not reading blocks neither a push nor a compaction).
 # Every schedule is
@@ -151,7 +149,7 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail)$$' ./internal/checkpoint
 	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestRaceGetInternGC)$$' ./internal/blockstore
 	$(GO) test -race -count=1 -run '^TestRace' \
-		./internal/server ./internal/lifecycle ./internal/connpool
+		./internal/server ./internal/lifecycle ./internal/wireclient
 
 # race-chaos is the long variant: the same chaos schedules and race
 # regression tests, repeated so the scheduler explores more
@@ -161,7 +159,7 @@ RACE_COUNT ?= 5
 race-chaos:
 	$(GO) test -race -count=$(RACE_COUNT) -run '^TestChaos' ./internal/faults
 	$(GO) test -race -count=$(RACE_COUNT) -run '^TestRace' \
-		./internal/server ./internal/lifecycle ./internal/connpool
+		./internal/server ./internal/lifecycle ./internal/wireclient
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

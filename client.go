@@ -3,8 +3,6 @@ package gpuckpt
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -26,10 +24,9 @@ import (
 // mechanics — dial and handshake, the deadline-bounded round trip, the
 // per-connection lineage-handle cache, the retry loop — are
 // internal/wireclient's, shared with the replication follower and the
-// anti-entropy reconciler; this type adds the bulk push path on top.
-// Each pooled connection carries the reusable staging buffers of that
-// zero-copy path, so state cached against one socket can never leak
-// across a reconnect.
+// anti-entropy reconciler, as are the zero-copy push paths. Each pooled
+// connection carries its own reusable frame buffers, so state cached
+// against one socket can never leak across a reconnect.
 //
 // Bulk pushes (PushRecord, PushCheckpointer) stream: a window of
 // TPushStream frames rides the connection back-to-back and
@@ -49,18 +46,8 @@ import (
 // identical bytes idempotent on the server, and a streamed push
 // resumes from the server's authoritative lineage length.
 type Client struct {
-	wc      *wireclient.Client
-	timeout time.Duration
-	window  streamWindow
-}
-
-// streamWindow bounds how much of a streamed push may be in flight
-// (written but unacknowledged) at once. Both limits apply: the frame
-// bound caps ack-matching state, the byte bound caps the kernel-buffer
-// memory a slow server can pin on the client.
-type streamWindow struct {
-	frames int
-	bytes  int64
+	wc     *wireclient.Client
+	window wireclient.Window // how much of a streamed push may be in flight
 }
 
 // Streaming push window defaults (DialConfig zero values).
@@ -144,54 +131,6 @@ type CompactInfo struct {
 	FreedBytes int64
 }
 
-// session is the push path's per-connection state, parked in the
-// wireclient connection's Ext slot. It lives and dies with its socket.
-//
-// The buffers make the push path allocation-free in steady state:
-// stage holds each frame's [header|checksum|diff prefix] block, vec
-// carries the writev segment list, ack/ackBuf absorb responses, and
-// pending tracks the in-flight stream window. None of them need
-// locking — a session is only ever touched by the goroutine holding
-// its connection checked out.
-type session struct {
-	stage   []byte      // staged frame header + checksum (+ encoded prefix)
-	vec     net.Buffers // writev segment list over stage and diff sections
-	ack     wire.Frame  // response frame, payload aliasing ackBuf
-	ackBuf  []byte
-	pending []inflight    // unacknowledged stream frames
-	staged  []stagedFrame // coalesced frames staged but not yet written
-}
-
-// sessionOf returns the push session of a checked-out connection,
-// creating it on the connection's first push.
-func sessionOf(cn *wireclient.Conn) *session {
-	sess, ok := cn.Ext.(*session)
-	if !ok {
-		sess = &session{}
-		cn.Ext = sess
-	}
-	return sess
-}
-
-// inflight is one streamed push frame awaiting its ack.
-type inflight struct {
-	ckpt uint32
-	size int64 // full frame size, for the window byte budget
-}
-
-// stagedFrame is one coalesced stream frame awaiting the next writev:
-// its header+checksum+prefix block ends at stage[end] (frames pack
-// back-to-back, so it starts at the previous frame's end), and the
-// bitmap/data sections ride by reference. Offsets, not subslices,
-// because staging the next frame may grow — and move — the stage
-// buffer; the segment list is built only at flush time, when the
-// buffer has settled.
-type stagedFrame struct {
-	end    int
-	bitmap []byte
-	data   []byte
-}
-
 // Dial connects to a ckptd server. timeout bounds the dial and every
 // per-request network operation (0 selects 30s).
 func Dial(addr string, timeout time.Duration) (*Client, error) {
@@ -227,11 +166,7 @@ func DialConfigured(addr string, cfg DialConfig) (*Client, error) {
 		return nil, err
 	}
 	cn.Release()
-	return &Client{
-		wc:      wc,
-		timeout: cfg.Timeout,
-		window:  streamWindow{frames: cfg.WindowFrames, bytes: cfg.WindowBytes},
-	}, nil
+	return &Client{wc: wc, window: wireclient.Window{Frames: cfg.WindowFrames, Bytes: cfg.WindowBytes}}, nil
 }
 
 // Close releases every pooled connection.
@@ -269,7 +204,7 @@ func (c *Client) Span(name string) (base, length int, err error) {
 // idempotency key: a retried push whose response was lost lands as a
 // no-op OK instead of a duplicate-append error.
 //
-// The frame is staged zero-copy: the session's reused buffer holds
+// The frame is staged zero-copy: the connection's reused buffer holds
 // only the header and checksum, and encoded rides to the socket by
 // reference (writev), so the push path allocates nothing in steady
 // state.
@@ -287,58 +222,8 @@ func (c *Client) PushContext(ctx context.Context, name string, ckptID int, encod
 		if err != nil {
 			return err
 		}
-		sess := sessionOf(cn)
-		if err := sess.stagePush(wire.TPush, h, uint32(ckptID), encoded); err != nil {
-			return err
-		}
-		cn.NC.SetWriteDeadline(time.Now().Add(c.timeout))
-		if err := sess.writeStaged(cn.NC); err != nil {
-			return err
-		}
-		cn.NC.SetReadDeadline(time.Now().Add(c.timeout))
-		return sess.readResp(cn.NC, wire.TPush)
+		return cn.Push(h, uint32(ckptID), encoded)
 	})
-}
-
-// stagePush builds a push frame around encoded without copying it:
-// the reused stage buffer holds [header|checksum] and the vec ships
-// encoded by reference.
-func (s *session) stagePush(typ uint8, h, ckpt uint32, encoded []byte) error {
-	stage, err := wire.AppendFrameHeader(s.stage[:0], typ, 0, h, ckpt, wire.PushChecksumSize+len(encoded))
-	if err != nil {
-		return err
-	}
-	stage = binary.BigEndian.AppendUint32(stage, wire.Checksum(encoded))
-	s.stage = stage
-	s.vec = append(s.vec[:0], stage, encoded)
-	return nil
-}
-
-// writeStaged ships the staged segment list in one scatter/gather
-// write. WriteTo consumes s.vec in place (a stack copy's address
-// would escape and cost an allocation per frame), so the slice header
-// is restored afterwards to keep the backing array for the next
-// frame's re-append.
-func (s *session) writeStaged(w io.Writer) error {
-	saved := s.vec
-	err := wire.WriteFrameVec(w, &s.vec)
-	s.vec = saved[:0]
-	return err
-}
-
-// readResp reads one response into the session's reused frame and
-// checks it, allocation-free on the OK path.
-func (s *session) readResp(r io.Reader, wantType uint8) error {
-	if err := wire.ReadFrameInto(r, 0, &s.ack, &s.ackBuf); err != nil {
-		return err
-	}
-	if err := s.ack.Err(); err != nil {
-		return err
-	}
-	if s.ack.Type != wantType {
-		return fmt.Errorf("%w: type 0x%02x to request 0x%02x", wire.ErrUnexpectedResponse, s.ack.Type, wantType)
-	}
-	return nil
 }
 
 // PullDiff downloads the encoded diff of checkpoint ckptID of the
@@ -431,7 +316,8 @@ func (c *Client) PushCheckpointer(name string, ck *Checkpointer) (int, error) {
 // fresh open on the serving connection. Appends are contiguous, so
 // after ANY failure — torn stream, busy shed, handle epoch change —
 // the retry re-opens for a fresh length and resumes exactly at the
-// gap; diffs that landed before the failure are never re-sent.
+// gap; diffs that landed before the failure are never re-sent. The gap
+// streams as pipelined TPushStream frames (wireclient's Conn.StreamPush).
 // Returns the number of diffs newly acknowledged by the server.
 func (c *Client) pushDiffs(ctx context.Context, name string, total int, diffAt func(int) (*checkpoint.Diff, error)) (int, error) {
 	pushed := 0
@@ -440,195 +326,11 @@ func (c *Client) pushDiffs(ctx context.Context, name string, total int, diffAt f
 		if err != nil || have >= total {
 			return err
 		}
-		return c.streamPush(cn.NC, sessionOf(cn), h, have, total, diffAt, &pushed)
+		n, err := cn.StreamPush(h, have, total, diffAt, c.window)
+		pushed += n
+		return err
 	})
 	return pushed, err
-}
-
-// streamCoalesceFrames is how many staged frames ride one writev.
-// Small diffs make frame headers and syscalls the dominant per-frame
-// cost; packing a run of frames into a single scatter/gather write
-// amortizes both without copying any payload byte. The window still
-// governs how much is in flight — coalescing only changes how many
-// syscalls carry it.
-const streamCoalesceFrames = 16
-
-// streamPush ships diffs [have, total) as pipelined TPushStream
-// frames over one connection, keeping up to the configured window in
-// flight and matching acknowledgements by checkpoint id in whatever
-// order they return. A per-frame error ack stops new sends, drains
-// the window (frames behind the failure fail the server's contiguity
-// check and ack as errors too) and surfaces the lowest failed frame
-// as a StreamFrameError; a transport error tears the attempt and
-// leaves resumption to pushDiffs. The send path allocates nothing per
-// frame: headers, checksums and diff prefixes pack back-to-back into
-// the session's reused stage buffer, bitmap and data sections ride to
-// the socket by reference, and up to streamCoalesceFrames frames
-// leave in one writev. Anything staged is flushed before the stream
-// ever waits for an ack, so coalescing cannot deadlock the window.
-func (c *Client) streamPush(nc net.Conn, sess *session, h uint32, have, total int, diffAt func(int) (*checkpoint.Diff, error), pushed *int) error {
-	sess.pending = sess.pending[:0]
-	sess.stage = sess.stage[:0]
-	sess.staged = sess.staged[:0]
-	var inFlight int64
-	var frameErr error
-	k := have
-	for {
-		if len(sess.pending) > 0 && (frameErr != nil || k >= total ||
-			len(sess.pending) >= c.window.frames || inFlight >= c.window.bytes) {
-			nc.SetWriteDeadline(time.Now().Add(c.timeout))
-			if err := sess.flushStaged(nc); err != nil {
-				return err // transport: the stream is torn
-			}
-			nc.SetReadDeadline(time.Now().Add(c.timeout))
-			size, err := sess.consumeAck(nc, pushed, &frameErr)
-			if err != nil {
-				return err
-			}
-			inFlight -= size
-			continue
-		}
-		if k >= total || frameErr != nil {
-			break
-		}
-		d, err := diffAt(k)
-		if err == nil {
-			var size int64
-			if size, err = sess.stageStreamFrame(h, uint32(k), d); err == nil {
-				sess.pending = append(sess.pending, inflight{ckpt: uint32(k), size: size})
-				inFlight += size
-				k++
-				if len(sess.staged) >= streamCoalesceFrames {
-					nc.SetWriteDeadline(time.Now().Add(c.timeout))
-					if err = sess.flushStaged(nc); err != nil {
-						return err
-					}
-				}
-				continue
-			}
-		}
-		// Local failure producing frame k: ship what is staged so the
-		// server acks it, drain the window so the connection is left
-		// clean, then report it.
-		nc.SetWriteDeadline(time.Now().Add(c.timeout))
-		if ferr := sess.flushStaged(nc); ferr != nil {
-			return ferr
-		}
-		for len(sess.pending) > 0 {
-			nc.SetReadDeadline(time.Now().Add(c.timeout))
-			if _, derr := sess.consumeAck(nc, pushed, &frameErr); derr != nil {
-				return derr
-			}
-		}
-		return err
-	}
-	return frameErr
-}
-
-// stageStreamFrame builds one TPushStream frame for d and coalesces
-// it behind any frames already staged: [frame header | CRC32C | diff
-// header+metadata] appends to the shared stage buffer, the bitmap and
-// data sections are recorded by reference, and nothing touches the
-// socket until flushStaged. The checksum over the scattered segments
-// is computed incrementally — the encoded diff bytes are never
-// gathered on the client. On error the stage buffer is rolled back to
-// the previous frame boundary, so a half-built frame can never leak
-// into the next flush.
-func (s *session) stageStreamFrame(h, ckpt uint32, d *checkpoint.Diff) (int64, error) {
-	mark := len(s.stage)
-	payloadLen := int64(wire.PushChecksumSize) + d.TotalBytes()
-	stage, err := wire.AppendFrameHeader(s.stage, wire.TPushStream, 0, h, ckpt, int(payloadLen))
-	if err != nil {
-		return 0, err
-	}
-	crcOff := len(stage)
-	stage = append(stage, 0, 0, 0, 0)
-	metaOff := len(stage)
-	stage, err = d.AppendPrefix(stage)
-	if err != nil {
-		s.stage = stage[:mark]
-		return 0, err
-	}
-	sum := wire.ChecksumAdd(0, stage[metaOff:])
-	sum = wire.ChecksumAdd(sum, d.Bitmap)
-	sum = wire.ChecksumAdd(sum, d.Data)
-	binary.BigEndian.PutUint32(stage[crcOff:], sum)
-	s.stage = stage
-	s.staged = append(s.staged, stagedFrame{end: len(stage), bitmap: d.Bitmap, data: d.Data})
-	return wire.HeaderSize + payloadLen, nil
-}
-
-// flushStaged ships every coalesced frame in one scatter/gather write
-// and resets the staging state. The segment list is assembled here —
-// not at stage time — because only now is the stage buffer done
-// moving; each frame contributes its header block plus its referenced
-// bitmap/data sections, in order. A no-op when nothing is staged.
-func (s *session) flushStaged(w io.Writer) error {
-	if len(s.staged) == 0 {
-		return nil
-	}
-	vec := s.vec[:0]
-	start := 0
-	for i := range s.staged {
-		f := &s.staged[i]
-		vec = append(vec, s.stage[start:f.end])
-		if len(f.bitmap) > 0 {
-			vec = append(vec, f.bitmap)
-		}
-		if len(f.data) > 0 {
-			vec = append(vec, f.data)
-		}
-		start = f.end
-	}
-	saved := vec
-	s.vec = vec
-	err := wire.WriteFrameVec(w, &s.vec)
-	s.vec = saved[:0]
-	s.stage = s.stage[:0]
-	s.staged = s.staged[:0]
-	return err
-}
-
-// consumeAck reads one stream acknowledgement and settles it against
-// the pending window. An OK ack counts toward pushed; an error ack
-// records the lowest-numbered failed frame in *frameErr (the root
-// cause — later frames fail as contiguity collateral) and keeps
-// draining. The returned size is the acknowledged frame's wire size,
-// credited back to the window byte budget. Only a transport or
-// protocol failure returns a non-nil error.
-func (s *session) consumeAck(r io.Reader, pushed *int, frameErr *error) (int64, error) {
-	if err := wire.ReadFrameInto(r, 0, &s.ack, &s.ackBuf); err != nil {
-		return 0, err
-	}
-	if s.ack.Type != wire.TPushStream {
-		return 0, fmt.Errorf("gpuckpt: server answered type 0x%02x inside a push stream", s.ack.Type)
-	}
-	a, err := wire.DecodeStreamAck(s.ack.Payload)
-	if err != nil {
-		return 0, fmt.Errorf("gpuckpt: push stream ack: %w", err)
-	}
-	idx := -1
-	for i := range s.pending {
-		if s.pending[i].ckpt == a.Ckpt {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return 0, fmt.Errorf("gpuckpt: unsolicited stream ack for checkpoint %d", a.Ckpt)
-	}
-	size := s.pending[idx].size
-	s.pending[idx] = s.pending[len(s.pending)-1]
-	s.pending = s.pending[:len(s.pending)-1]
-	if ackErr := a.Err(s.ack.Status); ackErr != nil {
-		var cur *wire.StreamFrameError
-		if *frameErr == nil || (errors.As(*frameErr, &cur) && a.Ckpt < cur.Ckpt) {
-			*frameErr = &wire.StreamFrameError{Ckpt: a.Ckpt, Err: ackErr}
-		}
-		return size, nil
-	}
-	*pushed++
-	return size, nil
 }
 
 // List returns the lineages hosted by the server.

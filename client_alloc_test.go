@@ -2,7 +2,6 @@ package gpuckpt
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"net"
 	"runtime"
@@ -14,13 +13,13 @@ import (
 	"github.com/gpuckpt/gpuckpt/internal/wireclient"
 )
 
-// The allocation tests below exercise the session's frame machinery
-// hermetically — staged writes land in io.Discard and responses come
-// from canned byte slices — because any in-process server goroutine
-// would allocate concurrently and pollute the AllocsPerRun counter.
-// The end-to-end behavior of the same methods is covered by the
-// client tests; these pin down only the steady-state allocation
-// contract: ZERO allocations per frame on the push path.
+// The allocation tests below exercise the connection's frame machinery
+// hermetically — staged writes are discarded and responses come from
+// canned byte slices — because any in-process server goroutine would
+// allocate concurrently and pollute the AllocsPerRun counter. The
+// end-to-end behavior of the same methods is covered by the client
+// tests; these pin down only the steady-state allocation contract: ZERO
+// allocations per frame on the push path.
 
 // cannedFrame serializes one response frame for replay.
 func cannedFrame(t *testing.T, f *wire.Frame) []byte {
@@ -30,75 +29,6 @@ func cannedFrame(t *testing.T, f *wire.Frame) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// TestClientPushZeroAlloc measures the single-diff push round trip —
-// stage [header|checksum] around caller-owned encoded bytes, writev,
-// read the OK response — at zero allocations per frame once the
-// session's buffers are warm.
-func TestClientPushZeroAlloc(t *testing.T) {
-	encoded := encodeFullDiff(t, 0)
-	resp := cannedFrame(t, &wire.Frame{Type: wire.TPush})
-	s := &session{}
-	r := bytes.NewReader(resp)
-	roundTrip := func() {
-		if err := s.stagePush(wire.TPush, 1, 0, encoded); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.writeStaged(io.Discard); err != nil {
-			t.Fatal(err)
-		}
-		r.Reset(resp)
-		if err := s.readResp(r, wire.TPush); err != nil {
-			t.Fatal(err)
-		}
-	}
-	roundTrip() // warm the reusable buffers
-	if avg := testing.AllocsPerRun(100, roundTrip); avg != 0 {
-		t.Fatalf("push round trip allocates %.1f times per frame, want 0", avg)
-	}
-}
-
-// TestClientStreamPushZeroAlloc measures the v4 streaming frame path —
-// stage the diff prefix with an incremental checksum over the
-// scattered sections, writev, consume the out-of-band ack — at zero
-// allocations per frame.
-func TestClientStreamPushZeroAlloc(t *testing.T) {
-	ck := chainCheckpointer(t, 2, 32<<10)
-	d, err := ck.diffAt(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := wire.AppendStreamAck(nil, &wire.StreamAck{Ckpt: 5, NewLen: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ack := cannedFrame(t, &wire.Frame{Type: wire.TPushStream, Ckpt: 5, Payload: payload})
-	s := &session{}
-	r := bytes.NewReader(ack)
-	pushed := 0
-	var frameErr error
-	frame := func() {
-		size, err := s.stageStreamFrame(3, 5, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.writeStaged(io.Discard); err != nil {
-			t.Fatal(err)
-		}
-		s.pending = append(s.pending[:0], inflight{ckpt: 5, size: size})
-		r.Reset(ack)
-		if _, err := s.consumeAck(r, &pushed, &frameErr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	frame() // warm the reusable buffers
-	if avg := testing.AllocsPerRun(100, frame); avg != 0 {
-		t.Fatalf("stream frame allocates %.1f times per frame, want 0", avg)
-	}
-	if frameErr != nil {
-		t.Fatal(frameErr)
-	}
 }
 
 // cannedConn replays canned response bytes and discards requests.
@@ -111,6 +41,58 @@ func (c *cannedConn) Read(p []byte) (int, error)       { return c.r.Read(p) }
 func (c *cannedConn) Write(p []byte) (int, error)      { return len(p), nil }
 func (c *cannedConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *cannedConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestClientPushZeroAlloc measures the single-diff push round trip —
+// stage [header|checksum] around caller-owned encoded bytes, writev,
+// read the OK response — at zero allocations per frame once the
+// connection's buffers are warm.
+func TestClientPushZeroAlloc(t *testing.T) {
+	encoded := encodeFullDiff(t, 0)
+	resp := cannedFrame(t, &wire.Frame{Type: wire.TPush})
+	r := bytes.NewReader(resp)
+	cn := &wireclient.Conn{NC: &cannedConn{r: r}}
+	roundTrip := func() {
+		r.Reset(resp)
+		if err := cn.Push(1, 0, encoded); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip() // warm the reusable buffers
+	if avg := testing.AllocsPerRun(100, roundTrip); avg != 0 {
+		t.Fatalf("push round trip allocates %.1f times per frame, want 0", avg)
+	}
+}
+
+// TestClientStreamPushZeroAlloc measures the streaming frame path —
+// stage the diff prefix with an incremental checksum over the
+// scattered sections, writev, consume the out-of-band ack — at zero
+// allocations per frame.
+func TestClientStreamPushZeroAlloc(t *testing.T) {
+	ck := chainCheckpointer(t, 2, 32<<10)
+	d, err := ck.diffAt(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffAt := func(int) (*checkpoint.Diff, error) { return d, nil }
+	payload, err := wire.AppendStreamAck(nil, &wire.StreamAck{Ckpt: 5, NewLen: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack := cannedFrame(t, &wire.Frame{Type: wire.TPushStream, Ckpt: 5, Payload: payload})
+	r := bytes.NewReader(ack)
+	cn := &wireclient.Conn{NC: &cannedConn{r: r}}
+	window := wireclient.Window{Frames: DefaultWindowFrames, Bytes: DefaultWindowBytes}
+	frame := func() {
+		r.Reset(ack)
+		if n, err := cn.StreamPush(3, 5, 6, diffAt, window); err != nil || n != 1 {
+			t.Fatalf("stream of one frame: %d acknowledged, %v", n, err)
+		}
+	}
+	frame() // warm the reusable buffers
+	if avg := testing.AllocsPerRun(100, frame); avg != 0 {
+		t.Fatalf("stream frame allocates %.1f times per frame, want 0", avg)
+	}
+}
 
 // TestPullSpanAllocBudget pins what assembling a Record from a pulled
 // span may allocate: every pulled byte held once (a quarter on top for

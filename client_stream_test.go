@@ -12,6 +12,7 @@ import (
 
 	"github.com/gpuckpt/gpuckpt/internal/server"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
+	"github.com/gpuckpt/gpuckpt/internal/wireclient"
 )
 
 // chainCheckpointer builds a Checkpointer holding n tree-method
@@ -287,6 +288,23 @@ func errorContains(err error, substr string) bool {
 	return err != nil && bytes.Contains([]byte(err.Error()), []byte(substr))
 }
 
+// captureConn records what is written to it, and how much of that had
+// been written when the first response was read; responses are canned.
+type captureConn struct {
+	cannedConn
+	got         bytes.Buffer
+	atFirstRead int
+}
+
+func (c *captureConn) Write(p []byte) (int, error) { return c.got.Write(p) }
+
+func (c *captureConn) Read(p []byte) (int, error) {
+	if c.atFirstRead == 0 {
+		c.atFirstRead = c.got.Len()
+	}
+	return c.cannedConn.Read(p)
+}
+
 // TestClientStreamFrameBytes cross-checks the zero-copy frame stager
 // against the canonical encoder: all three frames coalesce into ONE
 // flush, and the scattered segments (staged prefixes, bitmap refs,
@@ -294,26 +312,23 @@ func errorContains(err error, substr string) bool {
 // [frame header | CRC32C(Encode bytes) | Encode bytes] frames.
 func TestClientStreamFrameBytes(t *testing.T) {
 	ck := chainCheckpointer(t, 3, 16<<10)
-	var s session
-	var sizes [3]int64
-	for k := 0; k < 3; k++ {
-		d, err := ck.diffAt(k)
+	var acks bytes.Buffer
+	for k := uint32(0); k < 3; k++ {
+		payload, err := wire.AppendStreamAck(nil, &wire.StreamAck{Ckpt: k, NewLen: k + 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sizes[k], err = s.stageStreamFrame(7, uint32(k), d); err != nil {
-			t.Fatal(err)
-		}
+		acks.Write(cannedFrame(t, &wire.Frame{Type: wire.TPushStream, Lineage: 7, Ckpt: k, Payload: payload}))
 	}
-	var got bytes.Buffer
-	if err := s.flushStaged(&got); err != nil {
-		t.Fatal(err)
+	conn := &captureConn{cannedConn: cannedConn{r: bytes.NewReader(acks.Bytes())}}
+	cn := &wireclient.Conn{NC: conn}
+	n, err := cn.StreamPush(7, 0, 3, ck.diffAt, wireclient.Window{Frames: DefaultWindowFrames, Bytes: DefaultWindowBytes})
+	if err != nil || n != 3 {
+		t.Fatalf("stream of three frames: %d acknowledged, %v", n, err)
 	}
-	if len(s.staged) != 0 || len(s.stage) != 0 {
-		t.Fatalf("flush left %d staged frames, %d stage bytes", len(s.staged), len(s.stage))
-	}
-	if want := sizes[0] + sizes[1] + sizes[2]; int64(got.Len()) != want {
-		t.Fatalf("flushed %d bytes, frames reported %d", got.Len(), want)
+	got := &conn.got
+	if conn.atFirstRead != got.Len() {
+		t.Fatalf("%d of %d bytes were written before the first ack was awaited; want one flush", conn.atFirstRead, got.Len())
 	}
 	r := bytes.NewReader(got.Bytes())
 	for k := 0; k < 3; k++ {
@@ -332,9 +347,6 @@ func TestClientStreamFrameBytes(t *testing.T) {
 		if f.Type != wire.TPushStream || f.Lineage != 7 || f.Ckpt != uint32(k) {
 			t.Fatalf("ckpt %d: staged header %+v", k, f)
 		}
-		if int64(wire.HeaderSize+len(f.Payload)) != sizes[k] {
-			t.Fatalf("ckpt %d: frame is %d bytes, stager reported %d", k, wire.HeaderSize+len(f.Payload), sizes[k])
-		}
 		wantSum := wire.Checksum(enc.Bytes())
 		gotSum := binary.BigEndian.Uint32(f.Payload)
 		if gotSum != wantSum {
@@ -343,6 +355,9 @@ func TestClientStreamFrameBytes(t *testing.T) {
 		if !bytes.Equal(f.Payload[wire.PushChecksumSize:], enc.Bytes()) {
 			t.Fatalf("ckpt %d: staged payload differs from Encode output", k)
 		}
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%d bytes flushed past the three frames", r.Len())
 	}
 }
 

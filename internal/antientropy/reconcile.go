@@ -300,7 +300,7 @@ func (r *Reconciler) round() (Result, error) {
 		// the typed fail-stop instead of a silent standoff.
 		r.cfg.Logf("antientropy %s: peer %s digest failed remotely: %v",
 			r.cfg.Lineage, r.cfg.Peer.Addr(), err)
-		if err := r.selfHeal(&res); err != nil {
+		if res, err = r.SelfHeal(); err != nil {
 			return res, err
 		}
 		if res.Healed > 0 {
@@ -390,30 +390,35 @@ func (r *Reconciler) round() (Result, error) {
 	return res, nil
 }
 
-// selfHeal scans the local stored span for rot and heals whatever it
-// finds from the peer — the fallback path used when the peer cannot
-// produce digests. Bounded: each iteration either heals the first
-// corrupt diff (shrinking the damage) or returns its HealError.
-func (r *Reconciler) selfHeal(res *Result) error {
+// SelfHeal scans the local stored span for rot and heals whatever it
+// finds from the peer, without exchanging a digest — the fallback path
+// of a round whose peer cannot produce digests, and the whole of a
+// standby's repair pass (its replication stream converges everything
+// else; called directly, a failure counts nothing toward fail-stop).
+// Bounded: each iteration either heals the first corrupt diff
+// (shrinking the damage) or returns its HealError. A clean pass costs
+// one checksum sweep and no network traffic.
+func (r *Reconciler) SelfHeal() (Result, error) {
+	var res Result
 	for {
 		n, err := r.cfg.Store.Len()
 		if err != nil {
-			return err
+			return res, err
 		}
 		base := int(r.cfg.Store.Manifest().Base)
 		if n <= base {
-			return nil
+			return res, nil
 		}
 		_, err = r.cfg.Store.SpanChecksums(base, n)
 		if err == nil {
-			return nil
+			return res, nil
 		}
 		var ce *checkpoint.CorruptError
 		if !errors.As(err, &ce) {
-			return err
+			return res, err
 		}
-		if err := r.heal(ce.Ckpt, ce.Ckpt+1, nil, res); err != nil {
-			return err
+		if err := r.heal(ce.Ckpt, ce.Ckpt+1, nil, &res); err != nil {
+			return res, err
 		}
 	}
 }

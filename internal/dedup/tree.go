@@ -263,16 +263,14 @@ func (d *Deduplicator) sourceMatches(e hashmap.Entry, data, chunk []byte) bool {
 		if end-off != len(chunk) {
 			return false
 		}
-		return bytesEqual(data[off:end], chunk)
+		return bytes.Equal(data[off:end], chunk)
 	}
 	src, err := d.record.RegionBytes(e.Ckpt, e.Node)
 	if err != nil || len(src) != len(chunk) {
 		return false
 	}
-	return bytesEqual(src, chunk)
+	return bytes.Equal(src, chunk)
 }
-
-func bytesEqual(a, b []byte) bool { return bytes.Equal(a, b) }
 
 // resetLabels returns the label array to all-FIXED_DUPL by undoing
 // exactly what the previous checkpoint labeled: its changed leaves and

@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/gpuckpt/gpuckpt/internal/antientropy"
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 	"github.com/gpuckpt/gpuckpt/internal/wireclient"
@@ -658,10 +659,10 @@ func (f *Follower) Close() error {
 }
 
 // Heal runs one anti-entropy pass of the standby against its primary:
-// scan the mirrored span for on-disk rot, and repair each damaged
-// diff by re-pulling its canonical bytes over a repair connection of
-// its own (the replication session holds the other one). The
-// verified replacement is appended to the mirror's segment and
+// the reconciler's rot scan (antientropy's SelfHeal) over the mirrored
+// span, each damaged diff re-pulled as canonical bytes over a repair
+// connection of its own (the replication session holds the other one).
+// The verified replacement is appended to the mirror's segment and
 // supersedes the rotten record, whose bytes survive as forensics; a
 // crash mid-heal leaves the old record or the new one, never a
 // half-written diff posing as healthy.
@@ -676,41 +677,38 @@ func (f *Follower) Close() error {
 //
 // Returns the number of diffs repaired. A clean pass costs one
 // checksum sweep of the mirror and no network traffic.
-func (f *Follower) Heal() (healed int, err error) {
-	for {
-		f.mu.Lock()
-		st, base, next := f.store, f.base, f.next
-		stopped := f.closed || f.promoted
-		f.mu.Unlock()
-		if stopped || next <= base {
-			return healed, nil
-		}
-		_, serr := st.SpanChecksums(base, next)
-		if serr == nil {
-			return healed, nil
-		}
-		var ce *checkpoint.CorruptError
-		if !errors.As(serr, &ce) {
-			return healed, serr
-		}
-		var pulled []*checkpoint.Diff // one, structurally verified
-		if derr := f.wc.PullSpan(f.opts.Lineage, ce.Ckpt, ce.Ckpt+1, checkpoint.OwnedDiffs(&pulled)); derr != nil {
-			return healed, fmt.Errorf("follower: healing checkpoint %d: %w", ce.Ckpt, derr)
-		}
-		f.mu.Lock()
-		if f.closed || f.promoted {
-			f.mu.Unlock()
-			return healed, nil
-		}
-		ierr := f.store.ReinstallDiff(pulled[0])
-		f.mu.Unlock()
-		if ierr != nil {
-			return healed, fmt.Errorf("follower: healing checkpoint %d: %w", ce.Ckpt, ierr)
-		}
-		healed++
-		f.healed.Add(1)
-		f.opts.Logf("follower %s: healed checkpoint %d from %s", f.opts.Lineage, ce.Ckpt, f.opts.Addr)
+func (f *Follower) Heal() (int, error) {
+	f.mu.Lock()
+	store, stopped := f.store, f.closed || f.promoted
+	f.mu.Unlock()
+	if stopped {
+		return 0, nil
 	}
+	rec, err := antientropy.NewReconciler(antientropy.Config{
+		Lineage: f.opts.Lineage,
+		Store:   store,
+		Peer:    f.wc,
+		Logf:    f.opts.Logf,
+		// Installs serialize with the apply pipeline, and a mirror that
+		// was closed or promoted meanwhile is no longer ours to write.
+		Locked: func(install func() error) error {
+			f.mu.Lock()
+			defer f.mu.Unlock()
+			if f.closed || f.promoted {
+				return errStopped
+			}
+			return install()
+		},
+	})
+	if err != nil {
+		return 0, err
+	}
+	res, err := rec.SelfHeal()
+	f.healed.Add(uint64(res.Healed))
+	if errors.Is(err, errStopped) {
+		err = nil
+	}
+	return res.Healed, err
 }
 
 // Lineages fetches the primary's lineage directory with one TList

@@ -43,10 +43,8 @@ var closerConstructors = map[string][]string{
 	// blocks a clean reopen of the same directory.
 	"blockstore.New":  {"Close"},
 	"blockstore.Open": {"Close"},
-	// A connpool.Pool owns up to MaxActive sockets and a reaper
-	// goroutine; leaking one leaks both.
-	"connpool.New": {"Close"},
-	// A wireclient.Client owns such a pool.
+	// A wireclient.Client owns a pool of up to MaxConns sockets;
+	// leaking one leaks them.
 	"wireclient.New": {"Close"},
 	// A follower.Follower owns a wire client and the mirror's
 	// FileStore; Promote hands serving state to the caller but the

@@ -10,8 +10,8 @@ import (
 )
 
 // goroleakCheck requires every `go` statement under internal/... to be
-// tied to a lifecycle, so background workers (compaction loop, pool
-// reaper, dedup backend, stream drain) provably join on shutdown. A
+// tied to a lifecycle, so background workers (compaction loop, dedup
+// backend, stream drain) provably join on shutdown. A
 // goroutine is considered tracked when:
 //
 //  1. its body calls Done on a sync.WaitGroup that the spawning
@@ -23,8 +23,7 @@ import (
 //     package. The field form is the Close/Stop contract: the
 //     closecontract check independently guarantees the owning type's
 //     release method runs on every path, and that release method is
-//     where the receive lives (connpool.Close draining reapDone,
-//     dedup.waitBackend draining backDone);
+//     where the receive lives (dedup.waitBackend draining backDone);
 //  3. it carries an explicit //ckptlint:detached <reason> waiver on
 //     the `go` line or the line above. A detached waiver without a
 //     reason is itself a finding — undocumented fire-and-forget is

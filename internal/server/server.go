@@ -865,26 +865,34 @@ func (s *Server) dispatch(req *wire.Frame) *wire.Frame {
 	return resp
 }
 
-// errFrame builds the non-OK response to req that carries err, mapping
-// the typed failures onto their status bytes.
+// statusOf maps an outcome onto its wire status byte — the one mapping,
+// shared by request/response error frames and stream acks.
+func statusOf(err error) uint8 {
+	switch {
+	case err == nil:
+		return wire.StatusOK
+	case errors.Is(err, wire.ErrBusy):
+		return wire.StatusBusy
+	case errors.Is(err, wire.ErrUnsupported):
+		return wire.StatusUnsupported
+	case errors.Is(err, errUnknownHandle):
+		return wire.StatusUnknownHandle
+	case errors.Is(err, checkpoint.ErrSpanMoved):
+		return wire.StatusSpanMoved
+	}
+	return wire.StatusErr
+}
+
+// errFrame builds the non-OK response to req that carries err.
 func (s *Server) errFrame(req *wire.Frame, err error) *wire.Frame {
-	if errors.Is(err, wire.ErrBusy) {
+	status, payload := statusOf(err), []byte(err.Error())
+	if status == wire.StatusBusy {
 		// Load shed: the request was NOT executed. The payload is a
 		// retry-after hint the client honors as backoff.
 		s.busyRejects.Add(1)
-		return &wire.Frame{Type: req.Type, Status: wire.StatusBusy,
-			Payload: wire.EncodeRetryAfter(s.cfg.RetryAfterHint)}
+		payload = wire.EncodeRetryAfter(s.cfg.RetryAfterHint)
 	}
-	status := wire.StatusErr
-	switch {
-	case errors.Is(err, wire.ErrUnsupported):
-		status = wire.StatusUnsupported
-	case errors.Is(err, errUnknownHandle):
-		status = wire.StatusUnknownHandle
-	case errors.Is(err, checkpoint.ErrSpanMoved):
-		status = wire.StatusSpanMoved
-	}
-	return &wire.Frame{Type: req.Type, Status: status, Payload: []byte(err.Error())}
+	return &wire.Frame{Type: req.Type, Status: status, Payload: payload}
 }
 
 // writeResp writes one response frame under the write deadline.
@@ -1056,25 +1064,16 @@ func (s *Server) commitStream(b *streamBatch, bw *bufio.Writer, conn net.Conn) e
 }
 
 // streamAckFrame builds the StreamAck response frame for one stream
-// push outcome, mapping err onto the status byte exactly as
-// dispatch does for request/response.
+// push outcome, err mapped onto the status byte exactly as errFrame
+// does for request/response.
 func (s *Server) streamAckFrame(handle, ckpt, newLen uint32, err error) *wire.Frame {
 	ack := wire.StreamAck{Ckpt: ckpt, NewLen: newLen}
-	status := wire.StatusOK
+	status := statusOf(err)
 	if err != nil {
-		ack.NewLen = 0
-		switch {
-		case errors.Is(err, wire.ErrBusy):
+		ack.NewLen, ack.Msg = 0, err.Error()
+		if status == wire.StatusBusy {
 			s.busyRejects.Add(1)
-			status = wire.StatusBusy
-			ack.RetryAfterMs = s.retryAfterMs()
-			ack.Msg = "server busy"
-		case errors.Is(err, errUnknownHandle):
-			status = wire.StatusUnknownHandle
-			ack.Msg = err.Error()
-		default:
-			status = wire.StatusErr
-			ack.Msg = err.Error()
+			ack.RetryAfterMs, ack.Msg = s.retryAfterMs(), "server busy"
 		}
 	}
 	payload, perr := wire.AppendStreamAck(nil, &ack)

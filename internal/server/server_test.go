@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -861,5 +862,62 @@ func TestRaceServeJoinsWorkersOnListenerError(t *testing.T) {
 			t.Fatalf("goroutines leaked past Serve: %d, want <= %d", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStatusOf pins the one error → status-byte mapping over every typed
+// error that crosses the server boundary, bare and wrapped, and that
+// both response shapes — a request/response error frame and a stream
+// ack — carry it, so the client decodes the same typed error either way.
+func TestStatusOf(t *testing.T) {
+	srv, err := New(quiet(Config{Root: t.TempDir()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	_, unknown := srv.get(12345)
+	cases := []struct {
+		err    error
+		status uint8
+		is     error // the sentinel the client's decoded error must match, if any
+	}{
+		{wire.ErrBusy, wire.StatusBusy, wire.ErrBusy},
+		{fmt.Errorf("lineage %q: %w", "lin", wire.ErrBusy), wire.StatusBusy, wire.ErrBusy},
+		{wire.ErrUnsupported, wire.StatusUnsupported, wire.ErrUnsupported},
+		{fmt.Errorf("request 0x7f: %w", wire.ErrUnsupported), wire.StatusUnsupported, wire.ErrUnsupported},
+		{unknown, wire.StatusUnknownHandle, wire.ErrUnknownHandle},
+		{checkpoint.ErrSpanMoved, wire.StatusSpanMoved, wire.ErrSpanMoved},
+		{fmt.Errorf("server: pull lineage %q: %w", "lin", checkpoint.ErrSpanMoved), wire.StatusSpanMoved, wire.ErrSpanMoved},
+		{&checkpoint.CorruptError{Ckpt: 3}, wire.StatusErr, nil},
+		{checkpoint.ErrOldLayout, wire.StatusErr, nil},
+		{errors.New("disk full"), wire.StatusErr, nil},
+	}
+	if got := statusOf(nil); got != wire.StatusOK {
+		t.Fatalf("statusOf(nil) = %d", got)
+	}
+	for _, c := range cases {
+		if got := statusOf(c.err); got != c.status {
+			t.Errorf("statusOf(%v) = %d, want %d", c.err, got, c.status)
+		}
+		resp := srv.errFrame(&wire.Frame{Type: wire.TPull}, c.err)
+		ackFrame := srv.streamAckFrame(1, 2, 3, c.err)
+		ack, err := wire.DecodeStreamAck(ackFrame.Payload)
+		if err != nil {
+			t.Fatalf("%v: stream ack undecodable: %v", c.err, err)
+		}
+		for shape, decoded := range map[string]error{"error frame": resp.Err(), "stream ack": ack.Err(ackFrame.Status)} {
+			var re *wire.RemoteError
+			if !errors.As(decoded, &re) {
+				t.Errorf("%v as %s decodes to %v, want a RemoteError", c.err, shape, decoded)
+			}
+			for _, sentinel := range []error{wire.ErrBusy, wire.ErrUnsupported, wire.ErrUnknownHandle, wire.ErrSpanMoved} {
+				if errors.Is(decoded, sentinel) != (sentinel == c.is) {
+					t.Errorf("%v as %s: errors.Is(%v) = %v", c.err, shape, sentinel, sentinel != c.is)
+				}
+			}
+		}
+		if resp.Status != c.status || ackFrame.Status != c.status {
+			t.Errorf("%v: error frame status %d, stream ack status %d, want %d", c.err, resp.Status, ackFrame.Status, c.status)
+		}
 	}
 }

@@ -673,8 +673,8 @@ func DecodeStreamAck(b []byte) (StreamAck, error) {
 
 // Err maps a stream ack received under the given frame status to the
 // same typed errors a TPush response would produce: nil for StatusOK,
-// a RemoteError (busy / unsupported / unknown-handle flags set from
-// the status, RetryAfter from the hint) otherwise.
+// a RemoteError (busy / unsupported / unknown-handle / span-moved flags
+// set from the status, RetryAfter from the hint) otherwise.
 func (a *StreamAck) Err(status uint8) error {
 	if status == StatusOK {
 		return nil
@@ -689,6 +689,7 @@ func (a *StreamAck) Err(status uint8) error {
 		Busy:          status == StatusBusy,
 		RetryAfter:    time.Duration(a.RetryAfterMs) * time.Millisecond,
 		UnknownHandle: status == StatusUnknownHandle,
+		SpanMoved:     status == StatusSpanMoved,
 	}
 }
 

@@ -1,0 +1,195 @@
+package wireclient
+
+import (
+	"fmt"
+	"math"
+	"net"
+	"time"
+
+	"github.com/gpuckpt/gpuckpt/internal/wire"
+)
+
+// Conn is one checked-out connection: the socket, its protocol state
+// and the one set of frame buffers everything sent or received on it
+// goes through. It belongs to the goroutine that checked it out, and
+// exactly one of Release or Discard must be called when that goroutine
+// is done with it.
+type Conn struct {
+	// NC is the underlying socket. Requests, push streams and span pulls
+	// never touch it directly; it is exported for the follower, which
+	// closes it to sever a blocked session and reads its tail
+	// subscription on short tick deadlines of its own.
+	NC net.Conn
+
+	pool   *pool
+	parked time.Time // when put parked it
+	out    bool      // checked out; cleared by the first Release/Discard
+
+	timeout time.Duration
+	handles map[string]uint32 // lineage name -> server handle (this connection epoch)
+
+	stage   []byte      // staged frame headers (+ push checksums and diff prefixes)
+	vec     net.Buffers // writev segment list: staged blocks, payload sections by reference
+	resp    wire.Frame  // the frame read last, payload aliasing scratch
+	scratch []byte
+	push    pushWindow
+}
+
+// Release returns a healthy connection to the pool.
+func (cn *Conn) Release() { cn.pool.put(cn, true) }
+
+// Discard closes a broken connection, dropping its cached state and
+// freeing its permit. Safe on a connection whose socket already errored.
+func (cn *Conn) Discard() { cn.pool.put(cn, false) }
+
+// writeVec ships the segment list in cn.vec as one scatter/gather write
+// under the write deadline — the one place bytes leave for a server.
+// WriteTo consumes cn.vec in place (a stack copy's address would escape
+// and cost an allocation per frame), so the slice header is restored
+// afterwards to keep the backing array for the next re-append.
+func (cn *Conn) writeVec() error {
+	cn.NC.SetWriteDeadline(time.Now().Add(cn.timeout))
+	saved := cn.vec
+	err := wire.WriteFrameVec(cn.NC, &cn.vec)
+	cn.vec = saved[:0]
+	return err
+}
+
+// read reads one frame into cn.resp under the read deadline — the one
+// place bytes arrive from a server. It checks nothing: a stream ack's
+// non-OK status is data, so the status check is the caller's.
+func (cn *Conn) read() error {
+	cn.NC.SetReadDeadline(time.Now().Add(cn.timeout))
+	return wire.ReadFrameInto(cn.NC, 0, &cn.resp, &cn.scratch)
+}
+
+// answers is the one response-type check: the frame read last must
+// carry the type of the request it answers (TResync answering
+// TSubscribe is the one declared exception).
+func (cn *Conn) answers(reqType uint8) error {
+	if cn.resp.Type != reqType && !(reqType == wire.TSubscribe && cn.resp.Type == wire.TResync) {
+		return fmt.Errorf("%w: type 0x%02x to request 0x%02x", wire.ErrUnexpectedResponse, cn.resp.Type, reqType)
+	}
+	return nil
+}
+
+// send writes one request frame, header staged and payload by
+// reference.
+func (cn *Conn) send(req *wire.Frame) error {
+	stage, err := wire.AppendFrameHeader(cn.stage[:0], req.Type, req.Status, req.Lineage, req.Ckpt, len(req.Payload))
+	if err != nil {
+		return err
+	}
+	cn.stage = stage
+	cn.vec = append(cn.vec[:0], stage)
+	if len(req.Payload) > 0 {
+		cn.vec = append(cn.vec, req.Payload)
+	}
+	return cn.writeVec()
+}
+
+// recv reads one response frame to a request of type reqType into
+// cn.resp and checks it: status (a non-OK one is its typed
+// *wire.RemoteError), then type.
+func (cn *Conn) recv(reqType uint8) error {
+	if err := cn.read(); err != nil {
+		return err
+	}
+	if err := cn.resp.Err(); err != nil {
+		return err
+	}
+	return cn.answers(reqType)
+}
+
+// RoundTrip performs one framed request/response. Deadlines arm per
+// phase — write before the request goes out, read after — so a slow
+// large pull gets the full timeout for its read. A non-OK status
+// surfaces as its typed *wire.RemoteError; a response of any type but
+// the request's is wire.ErrUnexpectedResponse. The payload rides to the
+// socket by reference, and the returned frame aliases the connection's
+// reused buffers: it is valid until the next frame is read.
+func (cn *Conn) RoundTrip(req *wire.Frame) (*wire.Frame, error) {
+	if err := cn.send(req); err != nil {
+		return nil, err
+	}
+	if err := cn.recv(req.Type); err != nil {
+		return nil, err
+	}
+	return &cn.resp, nil
+}
+
+// ConsumerError is a failure of the consumer a pulled span was handed
+// to (PullSpan's callback). The stream was abandoned with frames still
+// in flight, so the connection is discarded; but the transport did
+// nothing wrong, so the request is not replayed.
+type ConsumerError struct{ Err error }
+
+func (e *ConsumerError) Error() string { return e.Err.Error() }
+func (e *ConsumerError) Unwrap() error { return e.Err }
+
+// PullSpan pulls checkpoints [from, to) of the lineage behind handle
+// as one request and hands fn each canonical encoded diff in id order,
+// the frame's id cross-checked against the id it must carry. Every
+// frame is read into the connection's kept buffer, so encoded is valid
+// only until fn returns — unless fn calls TakeScratch. Each frame gets
+// the full read timeout.
+//
+// The server ends the stream early with a typed error frame (a
+// *wire.RemoteError: damage at the checkpoint the frame names, a busy
+// shed, wire.ErrSpanMoved when a compaction moved the lineage); the
+// diffs handed over before it were good and the connection stays
+// usable. An error from fn abandons the stream and comes back as a
+// *ConsumerError.
+func (cn *Conn) PullSpan(handle uint32, from, to int, fn func(ck int, encoded []byte) error) error {
+	if from < 0 || from >= to || int64(to) > math.MaxUint32 {
+		return fmt.Errorf("wireclient: pull span [%d,%d) is not a checkpoint range", from, to)
+	}
+	req := wire.Frame{Type: wire.TPull, Lineage: handle, Ckpt: uint32(from), Payload: wire.AppendPullSpan(nil, uint32(to))}
+	if err := cn.send(&req); err != nil {
+		return err
+	}
+	for ck := from; ck < to; ck++ {
+		if err := cn.recv(wire.TPull); err != nil {
+			return err
+		}
+		if cn.resp.Ckpt != uint32(ck) {
+			return fmt.Errorf("%w: pull frame carries checkpoint %d, want %d", wire.ErrUnexpectedResponse, cn.resp.Ckpt, ck)
+		}
+		if err := fn(ck, cn.resp.Payload); err != nil {
+			return &ConsumerError{err}
+		}
+	}
+	return nil
+}
+
+// TakeScratch hands the connection's read buffer — and with it the
+// payload of the frame read last — over to the caller; the connection
+// grows a fresh one on its next read. For a consumer that keeps a
+// payload which fills most of the buffer, cheaper than copying it out.
+func (cn *Conn) TakeScratch() { cn.scratch = nil }
+
+// Open resolves a lineage name with a TOpen round trip, refreshing the
+// connection's handle cache, and returns the handle plus the lineage's
+// current length and compaction baseline.
+func (cn *Conn) Open(name string) (handle uint32, length, base int, err error) {
+	resp, err := cn.RoundTrip(&wire.Frame{Type: wire.TOpen, Payload: []byte(name)})
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	b, err := wire.DecodeOpenInfo(resp.Payload)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("wireclient: open %q: %w", name, err)
+	}
+	cn.handles[name] = resp.Lineage
+	return resp.Lineage, int(resp.Ckpt), int(b), nil
+}
+
+// Handle returns name's lineage handle on this connection, opening it
+// if the connection has not cached it yet.
+func (cn *Conn) Handle(name string) (uint32, error) {
+	if h, ok := cn.handles[name]; ok {
+		return h, nil
+	}
+	h, _, _, err := cn.Open(name)
+	return h, err
+}

@@ -2,13 +2,14 @@
 // (internal/wire). Everything that talks to a server — gpuckpt.Client,
 // the replication follower, the anti-entropy reconciler — goes through
 // it and so inherits the same checks: the only dial+handshake, the
-// only request/response round trip (per-operation deadlines, typed
-// remote errors, response-type match), the per-connection handle
-// cache, one retry rule and one seeded jittered backoff.
+// only write and the only read of a frame (per-operation deadlines),
+// with the round trip, the push paths and the span pull built on them
+// (typed remote errors, response-type match), the per-connection
+// handle cache, one retry rule and one seeded jittered backoff.
 //
-// A Client multiplexes over a bounded connpool.Pool and is safe for
-// concurrent use. A checked-out Conn belongs to one goroutine; its
-// state (handle cache, frame buffers, the caller's Ext) dies with its
+// A Client multiplexes over a bounded pool of connections and is safe
+// for concurrent use. A checked-out Conn belongs to one goroutine; its
+// state (handle cache, frame buffers, push window) dies with its
 // socket, so nothing cached against one server epoch can be replayed
 // against another.
 package wireclient
@@ -17,13 +18,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net"
 	"sync"
 	"time"
 
-	"github.com/gpuckpt/gpuckpt/internal/connpool"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
 
@@ -163,7 +162,7 @@ type Client struct {
 	timeout time.Duration
 	dialer  Dialer
 	backoff *Backoff // also carries the filled RetryPolicy
-	pool    *connpool.Pool
+	pool    *pool
 }
 
 // New builds a client for the server at addr. No connection is dialed
@@ -184,15 +183,7 @@ func New(addr string, opts Options) (*Client, error) {
 		opts.MaxConns = DefaultMaxConns
 	}
 	c := &Client{addr: addr, timeout: opts.Timeout, dialer: opts.Dialer, backoff: NewBackoff(opts.Retry)}
-	pool, err := connpool.New(connpool.Options{
-		Dial:        c.dial,
-		MaxActive:   opts.MaxConns,
-		WaitTimeout: opts.Timeout,
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.pool = pool
+	c.pool = newPool(opts.MaxConns, opts.Timeout, c.dial)
 	return c, nil
 }
 
@@ -200,195 +191,28 @@ func New(addr string, opts Options) (*Client, error) {
 func (c *Client) Addr() string { return c.addr }
 
 // Close releases every pooled connection. Idempotent.
-func (c *Client) Close() error { return c.pool.Close() }
+func (c *Client) Close() error { return c.pool.close() }
 
 // dial opens one pooled connection: dial, handshake, fresh protocol
 // state. The deadline covers only the handshake — each operation then
 // arms its own read/write deadlines, so a long-lived pooled connection
 // never runs on a stale connect-time deadline.
-func (c *Client) dial() (net.Conn, any, error) {
+func (c *Client) dial() (*Conn, error) {
 	nc, err := c.dialer(c.addr, c.timeout)
 	if err != nil {
-		return nil, nil, fmt.Errorf("wireclient: dial %s: %w", c.addr, err)
+		return nil, fmt.Errorf("wireclient: dial %s: %w", c.addr, err)
 	}
 	nc.SetDeadline(time.Now().Add(c.timeout))
 	if err := wire.Handshake(nc); err != nil {
 		nc.Close()
-		return nil, nil, fmt.Errorf("wireclient: handshake with %s: %w", c.addr, err)
+		return nil, fmt.Errorf("wireclient: handshake with %s: %w", c.addr, err)
 	}
 	nc.SetDeadline(time.Time{})
-	return nc, &Conn{NC: nc, timeout: c.timeout, handles: make(map[string]uint32)}, nil
-}
-
-// Conn is one checked-out connection and its protocol state. Exactly
-// one of Release or Discard must be called when the caller is done
-// with it.
-type Conn struct {
-	// NC is the underlying socket, for callers that take the
-	// connection out of request/response mode (push streams, tail
-	// subscriptions) and arm their own deadlines.
-	NC net.Conn
-	// Ext is caller-owned state that must share the socket's lifetime
-	// (the public client parks its push-stream staging buffers here).
-	Ext any
-
-	pc      *connpool.Conn
-	timeout time.Duration
-	handles map[string]uint32 // lineage name -> server handle (this connection epoch)
-
-	stage   []byte      // staged request header
-	vec     net.Buffers // writev segment list: header, then payload by reference
-	resp    wire.Frame  // response frame, payload aliasing scratch
-	scratch []byte
+	return &Conn{NC: nc, timeout: c.timeout, handles: make(map[string]uint32)}, nil
 }
 
 // Get checks out a connection, dialing one if the pool has none idle.
-func (c *Client) Get() (*Conn, error) {
-	pc, err := c.pool.Get()
-	if err != nil {
-		return nil, err
-	}
-	cn := pc.Session.(*Conn)
-	cn.pc = pc
-	return cn, nil
-}
-
-// Release returns a healthy connection to the pool.
-func (cn *Conn) Release() { cn.pc.Release() }
-
-// Discard closes a broken connection, dropping its cached state.
-func (cn *Conn) Discard() { cn.pc.Discard() }
-
-// RoundTrip performs one framed request/response. Deadlines arm per
-// phase — write before the request goes out, read after — so a slow
-// large pull gets the full timeout for its read. A non-OK status
-// surfaces as its typed *wire.RemoteError; a response of any type but
-// the request's is wire.ErrUnexpectedResponse (TResync answering
-// TSubscribe is the one declared exception). The payload rides to the
-// socket by reference, and the returned frame aliases the connection's
-// reused buffers: it is valid until the next round trip.
-func (cn *Conn) RoundTrip(req *wire.Frame) (*wire.Frame, error) {
-	if err := cn.send(req); err != nil {
-		return nil, err
-	}
-	if err := cn.recv(req.Type); err != nil {
-		return nil, err
-	}
-	return &cn.resp, nil
-}
-
-// send writes one request frame under the write deadline, header staged
-// and payload by reference in one writev.
-func (cn *Conn) send(req *wire.Frame) error {
-	stage, err := wire.AppendFrameHeader(cn.stage[:0], req.Type, req.Status, req.Lineage, req.Ckpt, len(req.Payload))
-	if err != nil {
-		return err
-	}
-	cn.stage = stage
-	cn.vec = append(cn.vec[:0], stage)
-	if len(req.Payload) > 0 {
-		cn.vec = append(cn.vec, req.Payload)
-	}
-	cn.NC.SetWriteDeadline(time.Now().Add(cn.timeout))
-	// WriteTo consumes cn.vec in place; restore the header afterwards
-	// to keep the backing array for the next request.
-	saved := cn.vec
-	err = wire.WriteFrameVec(cn.NC, &cn.vec)
-	cn.vec = saved[:0]
-	return err
-}
-
-// recv reads one response frame to a request of type reqType into
-// cn.resp under the read deadline and checks it: status, then type.
-func (cn *Conn) recv(reqType uint8) error {
-	cn.NC.SetReadDeadline(time.Now().Add(cn.timeout))
-	if err := wire.ReadFrameInto(cn.NC, 0, &cn.resp, &cn.scratch); err != nil {
-		return err
-	}
-	if err := cn.resp.Err(); err != nil {
-		return err
-	}
-	if cn.resp.Type != reqType && !(reqType == wire.TSubscribe && cn.resp.Type == wire.TResync) {
-		return fmt.Errorf("%w: type 0x%02x to request 0x%02x", wire.ErrUnexpectedResponse, cn.resp.Type, reqType)
-	}
-	return nil
-}
-
-// ConsumerError is a failure of the consumer a pulled span was handed
-// to (PullSpan's callback). The stream was abandoned with frames still
-// in flight, so the connection is discarded; but the transport did
-// nothing wrong, so the request is not replayed.
-type ConsumerError struct{ Err error }
-
-func (e *ConsumerError) Error() string { return e.Err.Error() }
-func (e *ConsumerError) Unwrap() error { return e.Err }
-
-// PullSpan pulls checkpoints [from, to) of the lineage behind handle
-// as one request and hands fn each canonical encoded diff in id order,
-// the frame's id cross-checked against the id it must carry. Every
-// frame is read into the connection's kept buffer, so encoded is valid
-// only until fn returns — unless fn calls TakeScratch. Each frame gets
-// the full read timeout.
-//
-// The server ends the stream early with a typed error frame (a
-// *wire.RemoteError: damage at the checkpoint the frame names, a busy
-// shed, wire.ErrSpanMoved when a compaction moved the lineage); the
-// diffs handed over before it were good and the connection stays
-// usable. An error from fn abandons the stream and comes back as a
-// *ConsumerError.
-func (cn *Conn) PullSpan(handle uint32, from, to int, fn func(ck int, encoded []byte) error) error {
-	if from < 0 || from >= to || int64(to) > math.MaxUint32 {
-		return fmt.Errorf("wireclient: pull span [%d,%d) is not a checkpoint range", from, to)
-	}
-	req := wire.Frame{Type: wire.TPull, Lineage: handle, Ckpt: uint32(from), Payload: wire.AppendPullSpan(nil, uint32(to))}
-	if err := cn.send(&req); err != nil {
-		return err
-	}
-	for ck := from; ck < to; ck++ {
-		if err := cn.recv(wire.TPull); err != nil {
-			return err
-		}
-		if cn.resp.Ckpt != uint32(ck) {
-			return fmt.Errorf("%w: pull frame carries checkpoint %d, want %d", wire.ErrUnexpectedResponse, cn.resp.Ckpt, ck)
-		}
-		if err := fn(ck, cn.resp.Payload); err != nil {
-			return &ConsumerError{err}
-		}
-	}
-	return nil
-}
-
-// TakeScratch hands the connection's read buffer — and with it the
-// payload of the frame read last — over to the caller; the connection
-// grows a fresh one on its next read. For a consumer that keeps a
-// payload which fills most of the buffer, cheaper than copying it out.
-func (cn *Conn) TakeScratch() { cn.scratch = nil }
-
-// Open resolves a lineage name with a TOpen round trip, refreshing the
-// connection's handle cache, and returns the handle plus the lineage's
-// current length and compaction baseline.
-func (cn *Conn) Open(name string) (handle uint32, length, base int, err error) {
-	resp, err := cn.RoundTrip(&wire.Frame{Type: wire.TOpen, Payload: []byte(name)})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	b, err := wire.DecodeOpenInfo(resp.Payload)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("wireclient: open %q: %w", name, err)
-	}
-	cn.handles[name] = resp.Lineage
-	return resp.Lineage, int(resp.Ckpt), int(b), nil
-}
-
-// Handle returns name's lineage handle on this connection, opening it
-// if the connection has not cached it yet.
-func (cn *Conn) Handle(name string) (uint32, error) {
-	if h, ok := cn.handles[name]; ok {
-		return h, nil
-	}
-	h, _, _, err := cn.Open(name)
-	return h, err
-}
+func (c *Client) Get() (*Conn, error) { return c.pool.get() }
 
 // settle disposes of a connection after a failed attempt and reports
 // whether another attempt is worthwhile. Remote errors keep the
@@ -400,7 +224,7 @@ func (cn *Conn) Handle(name string) (uint32, error) {
 // when the checkout itself failed.
 func (c *Client) settle(cn *Conn, name string, err error) bool {
 	if cn == nil {
-		return !errors.Is(err, connpool.ErrClosed) && wire.Transient(err)
+		return !errors.Is(err, ErrClosed) && wire.Transient(err)
 	}
 	var re *wire.RemoteError
 	if errors.As(err, &re) {
@@ -408,7 +232,7 @@ func (c *Client) settle(cn *Conn, name string, err error) bool {
 			// Prune the stale handle here and from every idle sibling
 			// that cached it in the same dead epoch.
 			delete(cn.handles, name)
-			c.pool.ForEachIdle(func(_ net.Conn, s any) { delete(s.(*Conn).handles, name) })
+			c.pool.forget(name)
 		}
 		cn.Release()
 		return re.Busy || re.UnknownHandle || re.SpanMoved
