@@ -26,7 +26,7 @@ FUZZ_TARGETS = \
 FUZZTIME ?= 5s
 FUZZTIME_LONG ?= 5m
 
-.PHONY: ci fmt vet lint build test race bench-test bench bench-smoke bench-json bench-wire bench-failover bench-heal saturate-smoke failover-smoke heal-smoke fuzz fuzz-smoke chaos-smoke race-chaos
+.PHONY: ci fmt vet lint loc build test race bench-test bench bench-smoke bench-json bench-wire bench-failover bench-heal saturate-smoke failover-smoke heal-smoke fuzz fuzz-smoke chaos-smoke race-chaos
 
 ci: fmt vet lint build race bench-test bench-smoke saturate-smoke failover-smoke heal-smoke fuzz-smoke chaos-smoke
 
@@ -39,14 +39,23 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# lint runs the eleven repo-specific checks — noalloc, clockguard,
+# lint runs the twelve repo-specific checks — noalloc, clockguard,
 # closecontract, wireerr, retryable, nowallclock, bufreuse, onewire,
-# and the whole-repo concurrency-contract analyses guardedby,
+# layering, and the whole-repo concurrency-contract analyses guardedby,
 # lockorder, and goroleak; see internal/lint and
 # `go run ./cmd/ckptlint -list`.
 # Add -json for machine-readable output.
 lint:
 	$(GO) run ./cmd/ckptlint .
+
+# loc prints the roadmap's "lines deleted with all gates green" for the
+# working tree against BASE (a commit; `make loc BASE=f130f1d`): added,
+# deleted and net lines of non-test Go outside bench/ and testdata/.
+# New files count once they are staged (`git add -A`).
+BASE ?= HEAD
+loc:
+	@git diff --numstat $(BASE) -- '*.go' ':!*_test.go' ':!bench/' ':!**/testdata/**' | \
+		awk '{a += $$1; d += $$2} END {printf "non-test Go outside bench/ and testdata/ vs $(BASE): +%d -%d = %+d\n", a, d, a - d}'
 
 build:
 	$(GO) build ./...
@@ -138,8 +147,7 @@ fuzz-smoke:
 # and of the block store (internal/blockstore, with its fsync budget
 # and its Get-vs-relocating-GC race), plus the TestRace concurrency
 # regression tests guarding the bugs the guardedby/lockorder/goroleak
-# analyzers found (Serve worker join, locked pin reads, parked-handle
-# pruning) and the span stream's lock discipline (a pull parked on a
+# analyzers found (Serve worker join, parked-handle pruning) and the span stream's lock discipline (a pull parked on a
 # reader that is not reading blocks neither a push nor a compaction).
 # Every schedule is
 # deterministic — a failure reproduces by rerunning the named test, no
@@ -149,7 +157,7 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail)$$' ./internal/checkpoint
 	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestRaceGetInternGC)$$' ./internal/blockstore
 	$(GO) test -race -count=1 -run '^TestRace' \
-		./internal/server ./internal/lifecycle ./internal/wireclient
+		./internal/server ./internal/wireclient
 
 # race-chaos is the long variant: the same chaos schedules and race
 # regression tests, repeated so the scheduler explores more
@@ -159,7 +167,7 @@ RACE_COUNT ?= 5
 race-chaos:
 	$(GO) test -race -count=$(RACE_COUNT) -run '^TestChaos' ./internal/faults
 	$(GO) test -race -count=$(RACE_COUNT) -run '^TestRace' \
-		./internal/server ./internal/lifecycle ./internal/wireclient
+		./internal/server ./internal/wireclient
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

@@ -62,8 +62,8 @@ const DefaultMaxConns = wireclient.DefaultMaxConns
 
 // RetryPolicy bounds and paces the client's retries of transiently
 // failed requests. The delay before attempt k (k≥2) is
-// BaseDelay·Multiplier^(k-2) clamped to MaxDelay, spread by ±Jitter,
-// and floored at a load-shedding server's retry-after hint.
+// BaseDelay·2^(k-2) clamped to MaxDelay, spread by ±20 %, and floored
+// at a load-shedding server's retry-after hint.
 type RetryPolicy = wireclient.RetryPolicy
 
 // DialConfig parameterizes DialConfigured.

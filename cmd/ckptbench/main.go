@@ -55,7 +55,7 @@ func parseInts(s string) ([]int, error) {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("ckptbench", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "experiment: table1, fig4, fig5, fig6, overhead, ablation, extensions, adjoint, headline, compact, faults, dedupx, failover, all")
+		exp      = fs.String("exp", "all", "experiment: table1, fig4, fig5, fig6, overhead, ablation, extensions, adjoint, headline, compact, dedupx, failover, all")
 		vertices = fs.Int("vertices", 20000, "target vertices per input graph (paper: 11-18 M)")
 		maxK     = fs.Int("maxk", 4, "largest graphlet size for ORANGES (paper: 5)")
 		chunks   = fs.String("chunks", "32,64,128,256,512", "chunk sizes for fig4")
@@ -245,13 +245,6 @@ func run(args []string, stdout io.Writer) error {
 			}
 			return emit("compact", t)
 		},
-		"faults": func() error {
-			t, err := faultsExperiment(cfg)
-			if err != nil {
-				return err
-			}
-			return emit("faults", t)
-		},
 		"saturate": func() error {
 			t, err := saturateExperiment(cfg, *chainLen, *frames, *frameB, *jsonPath)
 			if t != nil {
@@ -289,8 +282,8 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		},
 	}
-	// "push" needs a live ckptd server, and "faults"/"failover"/"heal"
-	// are resilience drills rather than paper experiments, so "all"
+	// "push" needs a live ckptd server, and "failover"/"heal" are
+	// resilience drills rather than paper experiments, so "all"
 	// (the offline reproduction pass) includes none of them.
 	order := []string{"table1", "fig4", "fig5", "fig6", "overhead", "ablation", "extensions", "adjoint", "headline", "compact"}
 

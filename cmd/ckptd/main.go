@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -90,6 +91,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *root == "" {
 		return fmt.Errorf("-root is required")
 	}
+	if uint64(*maxPayload) > math.MaxUint32 {
+		return fmt.Errorf("-max-payload %d exceeds the frame format's limit of %d bytes", *maxPayload, uint32(math.MaxUint32))
+	}
 
 	cfg := server.Config{
 		Root:                *root,
@@ -125,6 +129,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
+		srv.Close() // or the root's block-store lock and segment files stay held
 		return err
 	}
 	// The resolved address (meaningful with ":0") goes to stdout so

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"io"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -68,12 +69,37 @@ func TestCkptdServesClients(t *testing.T) {
 }
 
 func TestCkptdFlagValidation(t *testing.T) {
-	if err := run(context.Background(), []string{"-listen", "127.0.0.1:0"}, io.Discard); err == nil {
-		t.Fatal("missing -root accepted")
+	for name, args := range map[string][]string{
+		"missing -root": {"-listen", "127.0.0.1:0"},
+		"unknown flag":  {"-bogus"},
+		// 2^32+1 used to be narrowed to a one-byte payload limit.
+		"-max-payload beyond the frame format": {"-listen", "127.0.0.1:0", "-root", t.TempDir(), "-max-payload", "4294967297"},
+	} {
+		// An accepted flag set starts the daemon; the deadline turns that
+		// into a nil return instead of a hung test.
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		if err := run(ctx, args, io.Discard); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+		cancel()
 	}
-	if err := run(context.Background(), []string{"-bogus"}, io.Discard); err == nil {
-		t.Fatal("unknown flag accepted")
+}
+
+// TestRunListenFailureReleasesRoot: a run that cannot listen gives the
+// root back — its block-store owner lock above all — so the same process
+// can open it again.
+func TestRunListenFailureReleasesRoot(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer busy.Close()
+	root := t.TempDir()
+	if err := run(context.Background(), []string{"-listen", busy.Addr().String(), "-root", root, "-quiet"}, io.Discard); err == nil {
+		t.Fatal("run listened on an occupied port")
+	}
+	_, stop := startDaemon(t, []string{"-listen", "127.0.0.1:0", "-root", root, "-quiet"})
+	stop()
 }
 
 func TestCkptdGracefulShutdown(t *testing.T) {

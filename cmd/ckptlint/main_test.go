@@ -76,14 +76,14 @@ func TestRunList(t *testing.T) {
 	}
 	for _, name := range []string{
 		"noalloc", "clockguard", "closecontract", "wireerr", "nowallclock",
-		"retryable", "bufreuse", "onewire", "guardedby", "lockorder", "goroleak",
+		"retryable", "bufreuse", "onewire", "layering", "guardedby", "lockorder", "goroleak",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s", name)
 		}
 	}
-	if n := strings.Count(strings.TrimRight(out.String(), "\n"), "\n") + 1; n != 11 {
-		t.Errorf("-list printed %d checks, want 11:\n%s", n, out.String())
+	if n := strings.Count(strings.TrimRight(out.String(), "\n"), "\n") + 1; n != 12 {
+		t.Errorf("-list printed %d checks, want 12:\n%s", n, out.String())
 	}
 }
 

@@ -165,9 +165,8 @@ func run(args []string, stdout io.Writer) error {
 			}
 			raw = append(raw, b...)
 		}
-		if man := store.Manifest(); man.Base > 0 || len(man.Pins) > 0 {
-			fmt.Fprintf(stdout, "manifest: baseline %d, generation %d, pins %v\n",
-				man.Base, man.Generation, man.Pins)
+		if man := store.Manifest(); man.Base > 0 {
+			fmt.Fprintf(stdout, "manifest: baseline %d, generation %d\n", man.Base, man.Generation)
 		}
 	}
 

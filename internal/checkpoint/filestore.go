@@ -226,7 +226,7 @@ func (fs *FileStore) indexLocked(f *os.File) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: scanning %s: %w", f.Name(), err)
 	}
-	recs, committed, err := scanSegment(f, st.Size())
+	recs, committed, err := segFormat.Scan(f, st.Size(), false)
 	if err != nil {
 		return fmt.Errorf("checkpoint: scanning %s: %w", f.Name(), err)
 	}
@@ -235,14 +235,14 @@ func (fs *FileStore) indexLocked(f *os.File) error {
 	for _, r := range recs {
 		// Every id in [base, end) was written to this segment at least
 		// once, which bounds end by what the file can hold.
-		if r.id < base || int64(r.end-base) > committed/recHdrSize {
+		if r.A < base || int64(r.B-base) > committed/recHdrSize {
 			return fmt.Errorf("checkpoint: %s: record of checkpoint %d (end %d) does not belong to a segment of %d bytes at baseline %d",
-				f.Name(), r.id, r.end, committed, base)
+				f.Name(), r.A, r.B, committed, base)
 		}
-		for len(fs.recs) < int(r.end-base) {
+		for len(fs.recs) < int(r.B-base) {
 			fs.recs = append(fs.recs, recLoc{})
 		}
-		fs.recs[r.id-base] = recLoc{off: r.off, len: r.len, state: stateOf(r.kind)}
+		fs.recs[r.A-base] = recLoc{off: r.Off, len: r.Len, state: stateOf(r.Kind)}
 	}
 	fs.n = int(base)
 	fs.growLocked()
@@ -302,7 +302,7 @@ func (fs *FileStore) Base() int {
 func (fs *FileStore) Manifest() Manifest {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.man.Clone()
+	return fs.man
 }
 
 // Len returns one past the last restorable checkpoint index: the
@@ -506,7 +506,7 @@ func (fs *FileStore) writeRecords(w io.Writer, kind byte, ds []*Diff, refs []blo
 			return nil, n, fmt.Errorf("checkpoint: diff %d encodes to %d bytes, beyond the record length limit", d.CkptID, size)
 		}
 		crc := crc32.Update(crc32.Checksum(staged, castagnoli), castagnoli, data)
-		putRecHeader(buf[hdrAt:], kind, frame && i < len(ds)-1, d.CkptID, end, uint32(size), crc)
+		segFormat.Put(buf[hdrAt:], kind, frame && i < len(ds)-1, d.CkptID, end, uint32(size), crc)
 		locs = append(locs, recLoc{off: n + int64(hdrAt), len: uint32(size), state: stateOf(kind)})
 		if len(data) > 0 {
 			if err = flush(buf); err == nil {
@@ -592,32 +592,6 @@ func (fs *FileStore) releaseRefs(refs []blockstore.Ref) error {
 	return nil
 }
 
-// CommitManifest atomically publishes m as the lineage manifest: the
-// way pins change. The generation must advance, every pin must lie in
-// the stored range, and the baseline must stay where it is — it moves
-// only together with the diffs that make it restorable, in
-// InstallSpan.
-func (fs *FileStore) CommitManifest(m Manifest) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if m.Base != fs.man.Base {
-		return fmt.Errorf("checkpoint: manifest baseline %d differs from committed %d; the baseline moves only by installing a span",
-			m.Base, fs.man.Base)
-	}
-	if m.Generation <= fs.man.Generation {
-		return fmt.Errorf("checkpoint: manifest generation %d does not advance %d",
-			m.Generation, fs.man.Generation)
-	}
-	for _, p := range m.Pins {
-		if int(p) >= fs.n {
-			return fmt.Errorf("checkpoint: pin %d beyond stored range [%d,%d)", p, m.Base, fs.n)
-		}
-	}
-	m = m.Clone()
-	m.segment = fs.man.segment
-	return fs.commitManifestLocked(m)
-}
-
 // commitManifestLocked publishes m and adopts it. A failure before the
 // rename leaves the old manifest in force and is reported as is; a
 // simulated crash, or a failure after the rename (the commit stands
@@ -648,8 +622,8 @@ func (fs *FileStore) commitManifestLocked(m Manifest) error {
 // diffs appended since, so it is refused.
 //
 // The span is written to a fresh segment and fsynced; the manifest
-// rename that names the new segment (baseline base, next generation,
-// pins below base dropped) is the commit point; then the old segment
+// rename that names the new segment (baseline base, next generation)
+// is the commit point; then the old segment
 // is deleted and the block references of its records are released. A
 // crash leaves the old lineage plus an unnamed segment, or the new
 // lineage plus the old segment; the next write removes either, and a
@@ -674,17 +648,10 @@ func (fs *FileStore) InstallSpan(base int, diffs []*Diff) error {
 		return err
 	}
 
-	m := fs.man.Clone()
+	m := fs.man
 	m.Base = uint32(base)
 	m.Generation++
 	m.segment++
-	kept := m.Pins[:0]
-	for _, p := range m.Pins {
-		if int(p) >= base {
-			kept = append(kept, p)
-		}
-	}
-	m.Pins = kept
 
 	oldRefs, err := fs.segmentRefsLocked()
 	if err != nil {
@@ -742,17 +709,17 @@ func (fs *FileStore) segmentRefsLocked() ([]blockstore.Ref, error) {
 	if fs.blocks == nil {
 		return nil, nil
 	}
-	recs, _, err := scanSegment(fs.seg, fs.segSize)
+	recs, _, err := segFormat.Scan(fs.seg, fs.segSize, false)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: scanning %s: %w", fs.seg.Name(), err)
 	}
 	var out []blockstore.Ref
 	for _, r := range recs {
-		if r.kind != recDiff {
+		if r.Kind != recDiff {
 			continue
 		}
-		payload := make([]byte, r.len)
-		if _, err := fs.seg.ReadAt(payload, r.off+recHdrSize); err != nil || !IsBlockMapped(payload) {
+		payload := make([]byte, r.Len)
+		if _, err := fs.seg.ReadAt(payload, r.Off+recHdrSize); err != nil || !IsBlockMapped(payload) {
 			continue
 		}
 		if _, refs, _, err := decodeBlockDiff(payload); err == nil {
@@ -880,13 +847,13 @@ func (fs *FileStore) appendDiff(dst []byte, ck int, segment *uint32, sc *ReadScr
 	if hooks != nil && hooks.OnDiffRead != nil {
 		raw = hooks.OnDiffRead(ck, raw)
 	}
-	h, ok := parseRecHeader(raw)
-	if !ok || h.kind != recDiff || int(h.id) != ck || h.len != loc.len {
+	h, ok := segFormat.Parse(raw)
+	if !ok || h.Kind != recDiff || int(h.A) != ck || h.Len != loc.len {
 		return corrupt(fmt.Errorf("%w: record header at offset %d does not verify", ErrChecksumMismatch, loc.off))
 	}
 	payload := raw[recHdrSize:]
-	if got := crc32.Checksum(payload, castagnoli); got != h.crc {
-		return corrupt(fmt.Errorf("%w: record says %08x, payload hashes to %08x", ErrChecksumMismatch, h.crc, got))
+	if got := crc32.Checksum(payload, castagnoli); got != h.CRC {
+		return corrupt(fmt.Errorf("%w: record says %08x, payload hashes to %08x", ErrChecksumMismatch, h.CRC, got))
 	}
 	if !IsBlockMapped(payload) {
 		return append(dst, payload...), nil

@@ -309,53 +309,6 @@ func TestFileStoreAppendRejectsPrunedReference(t *testing.T) {
 	}
 }
 
-func TestFileStoreCommitManifestValidation(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ck := 0; ck < 3; ck++ {
-		if err := fs.Append(storeDiff(ck, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	foldTo(t, fs, 1)
-	cases := []struct {
-		name string
-		m    Manifest
-	}{
-		{"backward baseline", Manifest{Base: 0, Generation: 99}},
-		{"forward baseline", Manifest{Base: 2, Generation: 99}},
-		{"stale generation", Manifest{Base: 1, Generation: 1}},
-		{"pin out of range", Manifest{Base: 1, Generation: 99, Pins: []uint32{7}}},
-	}
-	for _, tc := range cases {
-		if err := fs.CommitManifest(tc.m); err == nil {
-			t.Errorf("%s: committed", tc.name)
-		}
-	}
-	// Validation failures must not have moved the baseline.
-	if fs.Base() != 1 {
-		t.Fatalf("failed commits moved the baseline to %d", fs.Base())
-	}
-	// A pin commit survives a reopen and keeps the segment the
-	// manifest names.
-	if err := fs.CommitManifest(Manifest{Base: 1, Generation: 99, Pins: []uint32{2}}); err != nil {
-		t.Fatal(err)
-	}
-	fs2, err := NewFileStore(fs.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs2.Close()
-	if m := fs2.Manifest(); len(m.Pins) != 1 || m.Pins[0] != 2 || m.Generation != 99 {
-		t.Fatalf("reopened manifest %+v", m)
-	}
-	if n, _ := fs2.Len(); n != 3 {
-		t.Fatalf("reopened len %d, want 3", n)
-	}
-}
-
 // BenchmarkFileStoreLen measures the O(1) cached Len/TotalBytes path,
 // guarding it against regressing to I/O.
 func BenchmarkFileStoreLen(b *testing.B) {

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"github.com/gpuckpt/gpuckpt/internal/recframe"
 )
 
 // encodeSeed returns the encoding of d for use as a fuzz seed.
@@ -79,26 +81,22 @@ func FuzzDecodeBytes(f *testing.F) {
 }
 
 // FuzzManifestDecode feeds arbitrary bytes to the lineage-manifest
-// decoder. A manifest that decodes must satisfy its own invariants
-// (validate) and survive an encode/decode round trip unchanged — the
+// decoder. A manifest that decodes must re-encode to exactly the bytes
+// it was decoded from (the format has one spelling per value) — the
 // manifest is the commit record of the compaction transaction, so a
 // corrupted file must never decode into an inconsistent baseline.
 func FuzzManifestDecode(f *testing.F) {
 	seeds := []Manifest{
 		{},
 		{Base: 0, Generation: 1},
-		{Base: 8, Generation: 3, Pins: []uint32{8, 12, 60}},
-		{Base: 1, Generation: 1 << 40, Pins: []uint32{1}},
+		{Base: 8, Generation: 3, segment: 2},
+		{Base: 1, Generation: 1 << 40},
 	}
 	for _, m := range seeds {
-		b, err := m.Encode()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
+		f.Add(m.Encode())
 	}
 	// Invalid-by-construction seeds steer the fuzzer at the validation
-	// paths: wrong magic, truncated header, unsorted pins.
+	// paths: wrong magic, truncated header.
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0x4d, 0x4c, 0x43, 0x47, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -106,19 +104,8 @@ func FuzzManifestDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := m.validate(); err != nil {
-			t.Fatalf("decoded manifest violates invariants: %v (%+v)", err, m)
-		}
-		b, err := m.Encode()
-		if err != nil {
-			t.Fatalf("re-encode of decoded manifest failed: %v", err)
-		}
-		m2, err := DecodeManifest(b)
-		if err != nil {
-			t.Fatalf("decode of re-encoded manifest failed: %v", err)
-		}
-		if !reflect.DeepEqual(m, m2) {
-			t.Fatalf("round trip diverged:\n %+v\n %+v", m, m2)
+		if b := m.Encode(); !bytes.Equal(b, data) {
+			t.Fatalf("decoded manifest %+v re-encodes to %x, not the %x it came from", m, b, data)
 		}
 	})
 }
@@ -169,9 +156,9 @@ func FuzzSegmentScan(f *testing.F) {
 			return
 		}
 		img := make([]byte, recHdrSize, recHdrSize+len(data))
-		putRecHeader(img, recDiff, false, 7, 8, uint32(len(data)), DiffChecksum(data))
+		segFormat.Put(img, recDiff, false, 7, 8, uint32(len(data)), DiffChecksum(data))
 		img = append(img, data...)
-		if recs := checkScan(t, img); len(recs) == 0 || recs[0].off != 0 || recs[0].len != uint32(len(data)) {
+		if recs := checkScan(t, img); len(recs) == 0 || recs[0].Off != 0 || recs[0].Len != uint32(len(data)) {
 			t.Fatalf("valid record not scanned: %+v", recs)
 		}
 		if mask == 0 {
@@ -179,7 +166,7 @@ func FuzzSegmentScan(f *testing.F) {
 		}
 		img[int(pos)%len(img)] ^= mask
 		for _, r := range checkScan(t, img) {
-			if r.off == 0 {
+			if r.Off == 0 {
 				t.Fatalf("flip of byte %d (mask %02x) verified with altered content", int(pos)%len(img), mask)
 			}
 		}
@@ -188,9 +175,9 @@ func FuzzSegmentScan(f *testing.F) {
 
 // checkScan scans img and fails the test if any reported record does
 // not verify against the bytes it points at.
-func checkScan(t *testing.T, img []byte) []segRecord {
+func checkScan(t *testing.T, img []byte) []recframe.Header {
 	t.Helper()
-	recs, committed, err := scanSegment(bytes.NewReader(img), int64(len(img)))
+	recs, committed, err := segFormat.Scan(bytes.NewReader(img), int64(len(img)), false)
 	if err != nil {
 		t.Fatalf("scan of an in-memory image failed: %v", err)
 	}
@@ -199,18 +186,18 @@ func checkScan(t *testing.T, img []byte) []segRecord {
 	}
 	prev := int64(0)
 	for _, r := range recs {
-		if r.off < prev || r.next() > committed {
+		if r.Off < prev || r.Next() > committed {
 			t.Fatalf("record %+v overlaps its predecessor (ends %d) or the committed offset %d", r, prev, committed)
 		}
-		h, ok := parseRecHeader(img[r.off:])
-		h.off = r.off
+		h, ok := segFormat.Parse(img[r.Off:])
+		h.Off = r.Off
 		if !ok || h != r {
 			t.Fatalf("record %+v reported over header %+v (ok=%v)", r, h, ok)
 		}
-		if DiffChecksum(img[r.off+recHdrSize:r.next()]) != r.crc {
+		if DiffChecksum(img[r.Off+recHdrSize:r.Next()]) != r.CRC {
 			t.Fatalf("record %+v reported with a failing payload checksum", r)
 		}
-		prev = r.next()
+		prev = r.Next()
 	}
 	return recs
 }

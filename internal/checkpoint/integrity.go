@@ -85,7 +85,7 @@ type IOHooks struct {
 	// BeforeSync runs before a segment or a staged manifest is fsynced.
 	BeforeSync func(path string) error
 	// BeforeRename runs between a staged manifest's fsync+close and
-	// the rename that publishes it (CommitManifest, InstallSpan).
+	// the rename that publishes it (InstallSpan).
 	BeforeRename func(tmp, final string) error
 	// AfterRename runs between that rename and the directory fsync
 	// that makes it crash-durable.

@@ -11,16 +11,15 @@ import (
 
 // Manifest is the on-disk lifecycle state of one lineage directory: the
 // index of the materialized baseline (the first stored diff, a
-// consolidated full checkpoint after the first compaction), the
-// explicitly pinned checkpoint indices that retention policies must not
-// prune, and the name of the live segment. It is the commit record of
+// consolidated full checkpoint after the first compaction) and the name
+// of the live segment. It is the commit record of
 // every span install: a lineage's restorable range is [Base, Len), and
 // the one rename that publishes a new manifest is what switches the
 // lineage from its old segment to a freshly written one.
 //
 // The manifest is written atomically (temp file + rename) and decoded
-// defensively (bounded counts, exact length), the same posture as the
-// wire and diff formats: a corrupt manifest must fail loudly, never
+// defensively (exact length, reserved bytes zero), the same posture as
+// the wire and diff formats: a corrupt manifest must fail loudly, never
 // silently move the baseline.
 type Manifest struct {
 	// Base is the absolute index of the baseline checkpoint. Diffs
@@ -30,21 +29,16 @@ type Manifest struct {
 	// Generation counts committed manifest rewrites; it only moves
 	// forward.
 	Generation uint64
-	// Pins lists explicitly pinned checkpoint indices in strictly
-	// ascending order. A pinned index is never folded away: retention
-	// policies clamp the baseline to the smallest pin.
-	Pins []uint32
 
 	// segment numbers the live segment file (see segmentName). It
-	// belongs to the FileStore: InstallSpan advances it, CommitManifest
-	// carries the current value over whatever the caller passed.
+	// belongs to the FileStore: InstallSpan advances it.
 	segment uint32
 }
 
 const (
 	manifestMagic   = 0x4d_4c_43_47 // "GCLM" little-endian
 	manifestVersion = 2
-	manifestHdrSize = 4 + 1 + 4 + 8 + 4 + 4 // magic, version, base, generation, segment, pin count
+	manifestSize    = 4 + 1 + 4 + 8 + 4 + 4 // magic, version, base, generation, segment, reserved
 
 	// ManifestFileName is the manifest's name inside a lineage
 	// directory; manifestTmpName is where a new one is staged.
@@ -52,48 +46,29 @@ const (
 	manifestTmpName  = ManifestFileName + ".tmp"
 )
 
-// validate checks the structural invariants shared by Encode and
-// DecodeManifest.
-func (m *Manifest) validate() error {
-	prev := int64(-1)
-	for _, p := range m.Pins {
-		if p < m.Base {
-			return fmt.Errorf("checkpoint: manifest pin %d below baseline %d", p, m.Base)
-		}
-		if int64(p) <= prev {
-			return fmt.Errorf("checkpoint: manifest pins not strictly ascending at %d", p)
-		}
-		prev = int64(p)
-	}
-	return nil
-}
-
-// Encode returns the canonical little-endian serialization of m.
-func (m *Manifest) Encode() ([]byte, error) {
-	if uint64(len(m.Pins)) > math.MaxUint32 {
-		return nil, errors.New("checkpoint: manifest pin count exceeds format limit")
-	}
-	if err := m.validate(); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, manifestHdrSize, manifestHdrSize+4*len(m.Pins))
+// Encode returns the canonical little-endian serialization of m. The
+// last four bytes (offset 21) are reserved and zero: format version 2
+// counted pinned checkpoints there, a capability nothing could reach,
+// so every manifest ever written carries zero.
+func (m *Manifest) Encode() []byte {
+	buf := make([]byte, manifestSize)
 	binary.LittleEndian.PutUint32(buf[0:], manifestMagic)
 	buf[4] = manifestVersion
 	binary.LittleEndian.PutUint32(buf[5:], m.Base)
 	binary.LittleEndian.PutUint64(buf[9:], m.Generation)
 	binary.LittleEndian.PutUint32(buf[17:], m.segment)
-	binary.LittleEndian.PutUint32(buf[21:], uint32(len(m.Pins)))
-	for _, p := range m.Pins {
-		buf = binary.LittleEndian.AppendUint32(buf, p)
-	}
-	return buf, nil
+	return buf
 }
 
-// DecodeManifest parses a manifest previously written by Encode. The
-// declared pin count is bounded by the actual byte length before any
-// allocation, and the payload must be exactly consumed.
+// ErrManifestReserved reports a manifest whose reserved bytes are not
+// zero: it names state this build does not hold, so it is refused
+// rather than silently dropped.
+var ErrManifestReserved = errors.New("checkpoint: manifest reserved field is not zero")
+
+// DecodeManifest parses a manifest previously written by Encode; the
+// input must be exactly one manifest.
 func DecodeManifest(b []byte) (*Manifest, error) {
-	if len(b) < manifestHdrSize {
+	if len(b) < manifestSize {
 		return nil, errors.New("checkpoint: truncated manifest")
 	}
 	if binary.LittleEndian.Uint32(b[0:]) != manifestMagic {
@@ -102,27 +77,17 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	if b[4] != manifestVersion {
 		return nil, fmt.Errorf("checkpoint: unsupported manifest version %d", b[4])
 	}
-	m := &Manifest{
+	if v := binary.LittleEndian.Uint32(b[21:]); v != 0 {
+		return nil, fmt.Errorf("%w: %#x", ErrManifestReserved, v)
+	}
+	if len(b) != manifestSize {
+		return nil, fmt.Errorf("checkpoint: manifest carries %d trailing bytes", len(b)-manifestSize)
+	}
+	return &Manifest{
 		Base:       binary.LittleEndian.Uint32(b[5:]),
 		Generation: binary.LittleEndian.Uint64(b[9:]),
 		segment:    binary.LittleEndian.Uint32(b[17:]),
-	}
-	nPins := binary.LittleEndian.Uint32(b[21:])
-	rest := b[manifestHdrSize:]
-	if uint64(nPins)*4 != uint64(len(rest)) {
-		return nil, fmt.Errorf("checkpoint: manifest declares %d pins but carries %d trailing bytes",
-			nPins, len(rest))
-	}
-	if nPins > 0 {
-		m.Pins = make([]uint32, nPins)
-		for i := range m.Pins {
-			m.Pins[i] = binary.LittleEndian.Uint32(rest[4*i:])
-		}
-	}
-	if err := m.validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	}, nil
 }
 
 // ReadManifestFile loads and decodes a manifest file.
@@ -147,10 +112,7 @@ func ReadManifestFile(path string) (*Manifest, error) {
 // reports whether the new manifest was published: an error after that
 // point leaves the commit standing but of unknown durability.
 func writeManifestFile(path string, m *Manifest, hooks *IOHooks) (renamed bool, err error) {
-	b, err := m.Encode()
-	if err != nil {
-		return false, err
-	}
+	b := m.Encode()
 	dir := filepath.Dir(path)
 	tmpName := filepath.Join(dir, manifestTmpName)
 	tmp, err := os.OpenFile(tmpName, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -181,15 +143,6 @@ func writeManifestFile(path string, m *Manifest, hooks *IOHooks) (renamed bool, 
 		}
 	}
 	return true, syncDir(dir)
-}
-
-// Clone returns a deep copy of m.
-func (m *Manifest) Clone() Manifest {
-	out := *m
-	if m.Pins != nil {
-		out.Pins = append([]uint32(nil), m.Pins...)
-	}
-	return out
 }
 
 // Rebase shifts every checkpoint id carried by d — its CkptID and the

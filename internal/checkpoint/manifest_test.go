@@ -1,7 +1,10 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,14 +16,10 @@ func TestManifestRoundTrip(t *testing.T) {
 		{},
 		{Base: 0, Generation: 1},
 		{Base: 7, Generation: 42},
-		{Base: 8, Generation: 3, Pins: []uint32{8, 12, 60}, segment: 2},
+		{Base: 8, Generation: 3, segment: 2},
 	}
 	for _, m := range cases {
-		b, err := m.Encode()
-		if err != nil {
-			t.Fatalf("%+v: %v", m, err)
-		}
-		got, err := DecodeManifest(b)
+		got, err := DecodeManifest(m.Encode())
 		if err != nil {
 			t.Fatalf("%+v: %v", m, err)
 		}
@@ -30,27 +29,33 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestManifestEncodeRejectsInvalid(t *testing.T) {
-	cases := []struct {
-		name string
-		m    Manifest
-	}{
-		{"pin below base", Manifest{Base: 10, Pins: []uint32{5}}},
-		{"unsorted pins", Manifest{Pins: []uint32{9, 3}}},
-		{"duplicate pins", Manifest{Pins: []uint32{3, 3}}},
+// TestManifestParentCommitBytes pins the v2 manifest bytes across the
+// removal of pins: a pin-less manifest as the parent commit wrote it
+// (pin count 0 at offset 21) decodes and re-encodes byte-identically,
+// and one that does carry pins — only a test could ever write it — is
+// refused typed, not read as if the pins were not there.
+func TestManifestParentCommitBytes(t *testing.T) {
+	// (&Manifest{Base: 8, Generation: 3, segment: 2}).Encode() at f130f1d,
+	// and the same with Pins: []uint32{8, 12, 60}.
+	plain, _ := hex.DecodeString("47434c4d020800000003000000000000000200000000000000")
+	pinned, _ := hex.DecodeString("47434c4d020800000003000000000000000200000003000000080000000c0000003c000000")
+	m, err := DecodeManifest(plain)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		if _, err := tc.m.Encode(); err == nil {
-			t.Errorf("%s: encoded", tc.name)
-		}
+	if want := (Manifest{Base: 8, Generation: 3, segment: 2}); *m != want {
+		t.Fatalf("decoded %+v, want %+v", *m, want)
+	}
+	if got := m.Encode(); !bytes.Equal(got, plain) {
+		t.Fatalf("re-encoded %x, want %x", got, plain)
+	}
+	if _, err := DecodeManifest(pinned); !errors.Is(err, ErrManifestReserved) {
+		t.Fatalf("pinned manifest: %v, want ErrManifestReserved", err)
 	}
 }
 
 func TestManifestDecodeDefensive(t *testing.T) {
-	valid, err := (&Manifest{Base: 2, Generation: 1, Pins: []uint32{4}}).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	valid := (&Manifest{Base: 2, Generation: 1}).Encode()
 	mutate := func(f func(b []byte) []byte) []byte {
 		b := append([]byte(nil), valid...)
 		return f(b)
@@ -60,18 +65,14 @@ func TestManifestDecodeDefensive(t *testing.T) {
 		b    []byte
 	}{
 		{"empty", nil},
-		{"truncated header", valid[:manifestHdrSize-1]},
+		{"truncated header", valid[:manifestSize-1]},
 		{"bad magic", mutate(func(b []byte) []byte { b[0] ^= 0xFF; return b })},
 		{"bad version", mutate(func(b []byte) []byte { b[4] = 99; return b })},
-		{"pin count over payload", mutate(func(b []byte) []byte {
+		{"reserved field set", mutate(func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[21:], 1<<30)
 			return b
 		})},
 		{"trailing garbage", append(append([]byte(nil), valid...), 0)},
-		{"pin below base", mutate(func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[manifestHdrSize:], 1)
-			return b
-		})},
 	}
 	for _, tc := range cases {
 		if _, err := DecodeManifest(tc.b); err == nil {
@@ -83,7 +84,7 @@ func TestManifestDecodeDefensive(t *testing.T) {
 func TestManifestFileIO(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, ManifestFileName)
-	want := &Manifest{Base: 5, Generation: 2, Pins: []uint32{6, 9}, segment: 1}
+	want := &Manifest{Base: 5, Generation: 2, segment: 1}
 	if renamed, err := writeManifestFile(path, want, nil); err != nil || !renamed {
 		t.Fatal(renamed, err)
 	}

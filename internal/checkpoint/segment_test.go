@@ -12,24 +12,24 @@ import (
 func TestRecordHeaderTruncated(t *testing.T) {
 	payload := []byte("payload bytes")
 	diff := make([]byte, recHdrSize)
-	putRecHeader(diff, recDiff, false, 3, 4, uint32(len(payload)), DiffChecksum(payload))
+	segFormat.Put(diff, recDiff, false, 3, 4, uint32(len(payload)), DiffChecksum(payload))
 	diff = append(diff, payload...)
 	tomb := make([]byte, recHdrSize)
-	putRecHeader(tomb, recTombstone, false, 3, 4, 0, 0)
+	segFormat.Put(tomb, recTombstone, false, 3, 4, 0, 0)
 
 	for name, img := range map[string][]byte{"diff": diff, "tombstone": tomb} {
 		for i := 0; i < len(img); i++ {
 			if i < recHdrSize {
-				if r, ok := parseRecHeader(img[:i]); ok {
+				if r, ok := segFormat.Parse(img[:i]); ok {
 					t.Errorf("%s header truncated to %d/%d bytes parsed: %+v", name, i, recHdrSize, r)
 				}
 			}
-			recs, committed, err := scanSegment(bytes.NewReader(img[:i]), int64(i))
+			recs, committed, err := segFormat.Scan(bytes.NewReader(img[:i]), int64(i), false)
 			if err != nil || len(recs) != 0 || committed != 0 {
 				t.Errorf("%s truncated to %d/%d bytes scanned to %+v, committed %d, err %v", name, i, len(img), recs, committed, err)
 			}
 		}
-		recs, committed, err := scanSegment(bytes.NewReader(img), int64(len(img)))
+		recs, committed, err := segFormat.Scan(bytes.NewReader(img), int64(len(img)), false)
 		if err != nil || len(recs) != 1 || committed != int64(len(img)) {
 			t.Errorf("valid %s rejected: %+v, committed %d, err %v", name, recs, committed, err)
 		}
@@ -54,10 +54,10 @@ func TestRecordHeaderRejectsInconsistentFields(t *testing.T) {
 	}
 	for _, tc := range cases {
 		b := make([]byte, recHdrSize)
-		putRecHeader(b, tc.kind, false, tc.id, tc.end, tc.n, 0)
+		segFormat.Put(b, tc.kind, false, tc.id, tc.end, tc.n, 0)
 		b[5], b[6] = tc.moreValue, tc.reserved
 		putU32(b[24:], DiffChecksum(b[:24]))
-		if r, ok := parseRecHeader(b); ok {
+		if r, ok := segFormat.Parse(b); ok {
 			t.Errorf("%s: parsed %+v", tc.name, r)
 		}
 	}

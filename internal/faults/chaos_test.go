@@ -19,6 +19,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -335,7 +336,20 @@ func TestChaosStorageCrashAfterRename(t *testing.T) {
 // Repair must refetch it from a ckptd peer holding the same lineage,
 // after which every restore is byte-exact again.
 func TestChaosBitRotScrubRepair(t *testing.T) {
-	for mi, m := range chaosMethods {
+	cases := []struct {
+		name    string
+		method  checkpoint.Method
+		victims []int
+	}{
+		{"Basic", checkpoint.MethodBasic, []int{2}},
+		{"List", checkpoint.MethodList, []int{3}},
+		{"Tree", checkpoint.MethodTree, []int{4}},
+		// Two diffs of one store rot together: one scrub quarantines
+		// both (the stored range stops at the first), one repair pass
+		// refills both holes.
+		{"TreeTwoVictims", checkpoint.MethodTree, []int{1, chaosCkpts - 2}},
+	}
+	for _, m := range cases {
 		t.Run(m.name, func(t *testing.T) {
 			images := seededImages(606, chaosCkpts)
 			rec, encoded := buildLineage(t, m.method, images, dedup.Options{})
@@ -361,10 +375,11 @@ func TestChaosBitRotScrubRepair(t *testing.T) {
 				}
 			}
 
-			// Rot: flip one bit of diff #victim's record on disk.
-			victim := 2 + mi
-			if _, _, _, err := faults.New(606).RotStoredDiff(dir, victim); err != nil {
-				t.Fatal(err)
+			// Rot: flip one bit of each victim's record on disk.
+			for _, victim := range m.victims {
+				if _, _, _, err := faults.New(606).RotStoredDiff(dir, victim); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			// Never silent: a full load fails typed.
@@ -372,20 +387,20 @@ func TestChaosBitRotScrubRepair(t *testing.T) {
 				t.Fatalf("load of rotten store returned %v, want ErrCorrupt", err)
 			}
 
-			// Scrub quarantines exactly the victim.
+			// Scrub quarantines exactly the victims.
 			rep, err := gpuckpt.ScrubDir(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rep.Corrupt) != 1 || rep.Corrupt[0] != victim {
-				t.Fatalf("scrub found corrupt %v, want [%d]", rep.Corrupt, victim)
+			if !slices.Equal(rep.Corrupt, m.victims) {
+				t.Fatalf("scrub found corrupt %v, want %v", rep.Corrupt, m.victims)
 			}
 			q, err := checkpoint.NewFileStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if qs, err := q.QuarantinedIDs(); err != nil || len(qs) != 1 {
-				t.Fatalf("quarantined diffs %v (err %v), want exactly one", qs, err)
+			if qs, err := q.QuarantinedIDs(); err != nil || !slices.Equal(qs, m.victims) {
+				t.Fatalf("quarantined diffs %v (err %v), want %v", qs, err, m.victims)
 			}
 			q.Close()
 
@@ -394,7 +409,7 @@ func TestChaosBitRotScrubRepair(t *testing.T) {
 			if err != nil {
 				t.Fatalf("repair: %v", err)
 			}
-			if !rrep.OK() || len(rrep.Repaired) != 1 || rrep.Repaired[0] != victim {
+			if !rrep.OK() || !slices.Equal(rrep.Repaired, m.victims) {
 				t.Fatalf("repair report %+v", rrep)
 			}
 			verifyStore(t, dir, images)
@@ -446,6 +461,7 @@ func TestChaosNetworkMidFrameReset(t *testing.T) {
 			if n, err := cl.Len(name); err != nil || n != len(encoded) {
 				t.Fatalf("server holds %d checkpoints (err %v), want %d", n, err, len(encoded))
 			}
+			verifyLineage(t, addr, name, images)
 			if _, err := cl.CompactTo(name, 3); err != nil {
 				t.Fatalf("compact: %v", err)
 			}
@@ -519,6 +535,7 @@ func TestChaosNetworkDialFlaps(t *testing.T) {
 	if n, err := cl.Len("flap"); err != nil || n != len(encoded) {
 		t.Fatalf("server holds %d (err %v), want %d", n, err, len(encoded))
 	}
+	verifyLineage(t, addr, "flap", images)
 }
 
 // Scenario 9: slow-loris peers. The client writes one byte per
@@ -776,10 +793,22 @@ func TestChaosStreamStallInsideWindow(t *testing.T) {
 // the pipeline (every later call reports it); the record keeps only
 // fully-committed checkpoints and restores them byte-exactly.
 func TestChaosPipelineKernelFailure(t *testing.T) {
+	frontAndBack := faults.PipelinePlan{
+		Front: faults.On(2), // second checkpoint dies on the spot
+		Back:  faults.On(4), // fourth *attempted* back stage poisons
+	}
 	for _, m := range []struct {
 		name   string
 		method checkpoint.Method
-	}{{"Basic", checkpoint.MethodBasic}, {"Tree", checkpoint.MethodTree}} {
+		plan   faults.PipelinePlan
+		retry  bool // an image the front stage refused is submitted again
+	}{
+		{"Basic", checkpoint.MethodBasic, frontAndBack, false},
+		{"Tree", checkpoint.MethodTree, frontAndBack, false},
+		// The front stage fails before any state changes, so the same
+		// image submitted again is exact: every image commits.
+		{"TreeFrontRetry", checkpoint.MethodTree, faults.PipelinePlan{Front: faults.On(2, 5)}, true},
+	} {
 		t.Run(m.name, func(t *testing.T) {
 			images := seededImages(113, 5)
 			pool := parallel.NewPool(2)
@@ -788,11 +817,8 @@ func TestChaosPipelineKernelFailure(t *testing.T) {
 
 			in := faults.New(113)
 			d, err := dedup.New(m.method, chaosDataLen, dev, dedup.Options{
-				ChunkSize: chaosChunk,
-				FaultInjector: in.PipelineInjector(faults.PipelinePlan{
-					Front: faults.On(2), // second checkpoint dies on the spot
-					Back:  faults.On(4), // fourth *attempted* back stage poisons
-				}),
+				ChunkSize:     chaosChunk,
+				FaultInjector: in.PipelineInjector(m.plan),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -801,14 +827,17 @@ func TestChaosPipelineKernelFailure(t *testing.T) {
 
 			var committed []int
 			var sawFront, sawBack bool
-			for i, img := range images {
-				ch, err := d.CheckpointAsync(img)
+			for i := 0; i < len(images); i++ {
+				ch, err := d.CheckpointAsync(images[i])
 				if err != nil {
 					if !errors.Is(err, faults.ErrKernel) {
 						t.Fatalf("checkpoint %d: untyped pipeline error %v", i, err)
 					}
 					if !sawBack {
 						sawFront = true
+					}
+					if m.retry {
+						i--
 					}
 					continue
 				}
@@ -822,8 +851,11 @@ func TestChaosPipelineKernelFailure(t *testing.T) {
 				}
 				committed = append(committed, i)
 			}
-			if !sawFront || !sawBack {
+			if !sawFront || sawBack != (m.plan.Back != nil) {
 				t.Fatalf("schedule incomplete: front=%v back=%v trace=%v", sawFront, sawBack, in.Trace())
+			}
+			if m.retry && len(committed) != len(images) {
+				t.Fatalf("retries committed images %v of %d", committed, len(images))
 			}
 			// Everything the record admitted restores byte-exactly.
 			rec := d.Record()

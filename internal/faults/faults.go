@@ -1,6 +1,6 @@
 // Package faults is the repository's deterministic fault-injection
 // framework: the machinery behind the chaos suite (chaos_test.go,
-// `make chaos-smoke`) and `ckptbench -exp faults`.
+// `make chaos-smoke`).
 //
 // An Injector is seeded once and then consulted at three seams of the
 // stack, each of which the production code exposes explicitly rather

@@ -39,10 +39,9 @@ type StoragePlan struct {
 	SyncErr Hits
 	// CrashBeforeRename simulates the process dying after a staged
 	// manifest is durable but before the rename that commits it
-	// (CommitManifest, InstallSpan): the store propagates
-	// checkpoint.ErrSimulatedCrash without cleanup, leaving the staged
-	// manifest — and for InstallSpan the unnamed new segment — for the
-	// next open to ignore and the next write to remove.
+	// (InstallSpan): the store propagates checkpoint.ErrSimulatedCrash
+	// without cleanup, leaving the staged manifest and the unnamed new
+	// segment for the next open to ignore and the next write to remove.
 	CrashBeforeRename Hits
 	// CrashAfterRename simulates the process dying right after that
 	// rename, before the directory fsync.

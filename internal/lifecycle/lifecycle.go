@@ -52,7 +52,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -69,7 +68,7 @@ type Policy interface {
 	Name() string
 	// Baseline returns the desired baseline for a lineage whose stored
 	// diffs span [base, length). It must return a value in
-	// [base, length); explicit pins are applied by the Manager on top.
+	// [base, length).
 	Baseline(base, length int) int
 }
 
@@ -163,8 +162,8 @@ type Options struct {
 	OnFold func(oldBase, newBase int)
 }
 
-// Manager runs the lifecycle of one lineage: policy decisions,
-// explicit pins and the compaction transaction. Its methods serialize
+// Manager runs the lifecycle of one lineage: policy decisions and the
+// compaction transaction. Its methods serialize
 // on an internal mutex; coordination with concurrent writers of the
 // same FileStore (the ckptd server's push path) is the caller's
 // responsibility — the server holds its per-lineage lock around
@@ -234,62 +233,6 @@ func (m *Manager) PolicyName() string {
 	return m.policy.Name()
 }
 
-// Pin marks checkpoint ck as immune to compaction: no baseline may
-// advance past it until it is unpinned.
-func (m *Manager) Pin(ck int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return errors.New("lifecycle: manager is closed")
-	}
-	base, length, err := m.span()
-	if err != nil {
-		return err
-	}
-	if ck < base || ck >= length {
-		return fmt.Errorf("lifecycle: pin %d outside stored range [%d,%d)", ck, base, length)
-	}
-	man := m.store.Manifest()
-	i := sort.Search(len(man.Pins), func(i int) bool { return man.Pins[i] >= uint32(ck) })
-	if i < len(man.Pins) && int(man.Pins[i]) == ck {
-		return nil // already pinned
-	}
-	man.Pins = append(man.Pins, 0)
-	copy(man.Pins[i+1:], man.Pins[i:])
-	man.Pins[i] = uint32(ck)
-	man.Generation++
-	return m.store.CommitManifest(man)
-}
-
-// Unpin removes the pin on checkpoint ck (a no-op if not pinned).
-func (m *Manager) Unpin(ck int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return errors.New("lifecycle: manager is closed")
-	}
-	man := m.store.Manifest()
-	i := sort.Search(len(man.Pins), func(i int) bool { return man.Pins[i] >= uint32(ck) })
-	if ck < 0 || i >= len(man.Pins) || int(man.Pins[i]) != ck {
-		return nil
-	}
-	man.Pins = append(man.Pins[:i], man.Pins[i+1:]...)
-	man.Generation++
-	return m.store.CommitManifest(man)
-}
-
-// Pins returns the pinned checkpoint indices in ascending order.
-func (m *Manager) Pins() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	pins := m.store.Manifest().Pins
-	out := make([]int, len(pins))
-	for i, p := range pins {
-		out[i] = int(p)
-	}
-	return out
-}
-
 // span returns the stored range [base, length) of the store.
 //
 //ckptlint:locked mu
@@ -301,32 +244,9 @@ func (m *Manager) span() (int, int, error) {
 	return m.store.Base(), length, nil
 }
 
-// Target returns the baseline the current policy and pins would select
-// for the lineage as stored, without writing anything.
-func (m *Manager) Target() (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	base, length, err := m.span()
-	if err != nil {
-		return 0, err
-	}
-	return m.clampTarget(m.policy.Baseline(base, length), base), nil
-}
-
-// clampTarget applies pins (and the no-backwards rule) to a desired
-// baseline.
-//
-//ckptlint:locked mu
-func (m *Manager) clampTarget(target, base int) int {
-	for _, p := range m.store.Manifest().Pins {
-		target = min(target, int(p))
-	}
-	return max(target, base)
-}
-
-// Compact advances the baseline to the policy's target (clamped by
-// pins) and garbage-collects the folded prefix. A target at or below
-// the current baseline is a successful no-op.
+// Compact advances the baseline to the policy's target and
+// garbage-collects the folded prefix. A target at or below the current
+// baseline is a successful no-op.
 func (m *Manager) Compact() (Stats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -337,12 +257,11 @@ func (m *Manager) Compact() (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	target := m.clampTarget(m.policy.Baseline(base, length), base)
-	return m.compactLocked(target, base, length)
+	return m.compactLocked(m.policy.Baseline(base, length), base, length)
 }
 
 // MaterializeTo folds the lineage up to the explicit baseline k,
-// ignoring the policy but still refusing to fold past a pin.
+// ignoring the policy.
 func (m *Manager) MaterializeTo(k int) (Stats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -355,11 +274,6 @@ func (m *Manager) MaterializeTo(k int) (Stats, error) {
 	}
 	if k < base || k >= length {
 		return Stats{}, fmt.Errorf("lifecycle: target %d outside stored range [%d,%d)", k, base, length)
-	}
-	for _, p := range m.store.Manifest().Pins {
-		if int(p) < k {
-			return Stats{}, fmt.Errorf("lifecycle: target %d would fold pinned checkpoint %d", k, p)
-		}
 	}
 	return m.compactLocked(k, base, length)
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"os"
-	"sync"
 	"testing"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
@@ -230,7 +229,7 @@ func TestCompactCrashAfterCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr2.Close()
-	if err := mgr2.Pin(30); err != nil {
+	if _, err := mgr2.MaterializeTo(25); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -328,72 +327,6 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-func TestPinsClampCompaction(t *testing.T) {
-	images := buildImages(24)
-	dir := buildLineage(t, checkpoint.MethodTree, images)
-	store, err := checkpoint.NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := New(store, KeepLastN(4), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Close()
-	if err := mgr.Pin(10); err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Pin(10); err != nil {
-		t.Fatal(err) // idempotent
-	}
-	if err := mgr.Pin(99); err == nil {
-		t.Fatal("pin outside range accepted")
-	}
-	if got := mgr.Pins(); len(got) != 1 || got[0] != 10 {
-		t.Fatalf("pins %v, want [10]", got)
-	}
-	// Policy wants baseline 20; the pin clamps it to 10.
-	if target, err := mgr.Target(); err != nil || target != 10 {
-		t.Fatalf("target %d (%v), want 10", target, err)
-	}
-	st, err := mgr.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.NewBase != 10 {
-		t.Fatalf("compacted to %d, want pin-clamped 10", st.NewBase)
-	}
-	// An explicit target past the pin is refused.
-	if _, err := mgr.MaterializeTo(15); err == nil {
-		t.Fatal("materialize past pin accepted")
-	}
-	// Pins survive reopen (they live in the manifest).
-	store2, err := checkpoint.NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr2, err := New(store2, KeepLastN(4), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr2.Close()
-	if got := mgr2.Pins(); len(got) != 1 || got[0] != 10 {
-		t.Fatalf("pins after reopen %v, want [10]", got)
-	}
-	// Unpinning releases the clamp.
-	if err := mgr2.Unpin(10); err != nil {
-		t.Fatal(err)
-	}
-	st, err = mgr2.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.NewBase != 20 {
-		t.Fatalf("compacted to %d after unpin, want 20", st.NewBase)
-	}
-	restoreAll(t, dir, images)
-}
-
 func TestMaterializeTo(t *testing.T) {
 	images := buildImages(16)
 	dir := buildLineage(t, checkpoint.MethodList, images)
@@ -448,8 +381,8 @@ func TestManagerClosed(t *testing.T) {
 	if _, err := mgr.Compact(); err == nil {
 		t.Fatal("closed manager compacted")
 	}
-	if err := mgr.Pin(0); err == nil {
-		t.Fatal("closed manager pinned")
+	if _, err := mgr.MaterializeTo(1); err == nil {
+		t.Fatal("closed manager materialized")
 	}
 }
 
@@ -487,68 +420,6 @@ func TestRewriteBasic(t *testing.T) {
 	if _, err := RewriteBasic(prev, cur, 0, 1); err == nil {
 		t.Fatal("zero chunk size accepted")
 	}
-}
-
-// TestRacePinsDuringCompaction reads the pin set concurrently with pin
-// churn and a compaction. Pins used to read the manifest without the
-// manager lock, so a reader could observe the mid-transaction state a
-// compaction commits in pieces; now every accessor serializes on m.mu
-// and the reader can only ever see complete pin sets.
-func TestRacePinsDuringCompaction(t *testing.T) {
-	images := buildImages(24)
-	dir := buildLineage(t, checkpoint.MethodTree, images)
-	store, err := checkpoint.NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := New(store, KeepLastN(4), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Close()
-	if err := mgr.Pin(2); err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for _, p := range mgr.Pins() {
-				if p != 2 && p != 10 {
-					t.Errorf("Pins returned unexpected checkpoint %d", p)
-				}
-			}
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			if err := mgr.Pin(10); err != nil {
-				t.Errorf("pin: %v", err)
-				return
-			}
-			if err := mgr.Unpin(10); err != nil {
-				t.Errorf("unpin: %v", err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < 3; i++ {
-		if _, err := mgr.Compact(); err != nil {
-			t.Errorf("compact: %v", err)
-		}
-	}
-	close(stop)
-	wg.Wait()
 }
 
 // TestOnFoldHookFiresAfterCommit: the replication barrier hook runs

@@ -31,6 +31,11 @@
 //     grow back unnoticed — and a wire.Frame literal of Type wire.TPull
 //     is written only in internal/wireclient, whose PullSpan is the one
 //     reader of a span stream.
+//   - layering:      cmd/ckptd and the internal packages it links
+//     (the service stratum) import none of the paper-repro packages —
+//     device, dedup, experiments, workload, oranges, graph, storage,
+//     stencil, hashmap — so the daemon cannot start linking the modeled
+//     device or the kernels unnoticed.
 //   - guardedby:     struct fields tagged //ckptlint:guardedby <mu>
 //     are only read or written while <mu> is held — via a Lock/RLock
 //     in the same function, or inside a helper carrying a
@@ -144,6 +149,7 @@ func Checks() []Check {
 		nowallclockCheck{},
 		bufreuseCheck{},
 		onewireCheck{},
+		layeringCheck{},
 		guardedbyCheck{},
 		lockorderCheck{},
 		goroleakCheck{},

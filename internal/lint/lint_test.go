@@ -50,23 +50,20 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// collectWantMarkers scans the fixture sources for `// want:<check>`
-// markers, keyed file:line:check.
+// collectWantMarkers scans the fixture sources under dir, nested
+// packages included, for `// want:<check>` markers, keyed file:line:check.
 func collectWantMarkers(t *testing.T, dir string) map[string]bool {
 	t.Helper()
 	out := map[string]bool{}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+	err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
 		}
-		f, err := os.Open(filepath.Join(dir, e.Name()))
+		f, err := os.Open(path)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
+		defer f.Close()
 		sc := bufio.NewScanner(f)
 		for line := 1; sc.Scan(); line++ {
 			for _, field := range strings.Fields(sc.Text()) {
@@ -75,15 +72,15 @@ func collectWantMarkers(t *testing.T, dir string) map[string]bool {
 					continue
 				}
 				if !knownCheck(check) {
-					t.Fatalf("%s:%d: marker names unknown check %q", e.Name(), line, check)
+					t.Fatalf("%s:%d: marker names unknown check %q", path, line, check)
 				}
 				out[fmt.Sprintf("%s:%d:%s", e.Name(), line, check)] = true
 			}
 		}
-		if err := sc.Err(); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
+		return sc.Err()
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }

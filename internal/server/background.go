@@ -1,0 +1,193 @@
+// The server's background workers — the compaction sweep and one
+// anti-entropy reconciler per peer — and the accounting of what they
+// did. Both are started by Serve and joined before it returns; both
+// reach a lineage only through its lock, like any request.
+
+package server
+
+import (
+	"context"
+	"errors"
+	"time"
+
+	"github.com/gpuckpt/gpuckpt/internal/antientropy"
+	"github.com/gpuckpt/gpuckpt/internal/lifecycle"
+	"github.com/gpuckpt/gpuckpt/internal/wireclient"
+)
+
+// compactLoop periodically applies every lineage's retention policy —
+// the background GC of the lifecycle subsystem. It shares the
+// per-lineage mutex with the request path, so it is safe against
+// concurrent Push/Pull.
+func (s *Server) compactLoop(ctx context.Context, stop <-chan struct{}) {
+	tick := time.NewTicker(s.cfg.CompactInterval)
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-stop:
+			return
+		case <-tick.C:
+			for _, ln := range s.snapshot() {
+				s.compactLineage(ln)
+			}
+			// Compactions released block references; fold the log into
+			// a fresh snapshot and reclaim unreferenced blocks.
+			if _, err := s.blocks.GC(); err != nil {
+				s.cfg.Logf("server: block store GC: %v", err)
+			}
+		}
+	}
+}
+
+// antiEntropyLoop is one peer's reconciler worker: every interval it
+// runs a reconciliation round for every open lineage against addr,
+// healing local damage by pulling verified diffs. An unreachable
+// peer switches the loop onto a jittered exponential backoff and
+// raises the Degraded gauge until contact resumes; a lineage whose
+// heals keep failing is fail-stopped by its Reconciler and only
+// reports its standing quarantine from then on.
+func (s *Server) antiEntropyLoop(ctx context.Context, stop <-chan struct{}, addr string, seed int64) {
+	// Sequential, sparse traffic: one connection, one replay when the
+	// parked socket was severed by a peer restart. Pacing an unreachable
+	// peer is this loop's job, not the client's.
+	peer, err := wireclient.New(addr, wireclient.Options{
+		Timeout:  antientropy.DefaultPeerTimeout,
+		Dialer:   s.cfg.PeerDialer,
+		MaxConns: 1,
+		Retry:    wireclient.RetryPolicy{MaxAttempts: 2, Seed: seed},
+	})
+	if err != nil {
+		s.cfg.Logf("server: anti-entropy peer %s: %v", addr, err)
+		return
+	}
+	defer peer.Close()
+	// Reconcilers persist across rounds so the per-lineage fail-stop
+	// budget and quarantine verdicts survive between sweeps. The map
+	// is confined to this goroutine.
+	recs := make(map[string]*antientropy.Reconciler)
+	quarantined := make(map[string]bool)
+	backoff := wireclient.NewBackoff(wireclient.RetryPolicy{
+		BaseDelay: s.cfg.AntiEntropyInterval, MaxDelay: 8 * s.cfg.AntiEntropyInterval, Seed: seed})
+	unreachable := 0 // consecutive sweeps that could not reach the peer
+	degraded := false
+	setDegraded := func(d bool) {
+		if d == degraded {
+			return
+		}
+		degraded = d
+		if d {
+			s.degraded.Add(1)
+		} else {
+			s.degraded.Add(^uint64(0))
+		}
+	}
+	defer setDegraded(false)
+	for {
+		delay := s.cfg.AntiEntropyInterval
+		if s.reconcilePeer(peer, recs, quarantined) {
+			setDegraded(false)
+			unreachable = 0
+		} else {
+			setDegraded(true)
+			unreachable++
+			delay = backoff.Delay(1+unreachable, 0)
+		}
+		timer := time.NewTimer(delay)
+		select {
+		case <-ctx.Done():
+			timer.Stop()
+			return
+		case <-stop:
+			timer.Stop()
+			return
+		case <-timer.C:
+		}
+	}
+}
+
+// reconcilePeer runs one reconciliation sweep of every open lineage
+// against one peer and reports whether the peer was reachable.
+func (s *Server) reconcilePeer(peer antientropy.Peer, recs map[string]*antientropy.Reconciler,
+	quarantined map[string]bool) bool {
+	reachable := true
+	for _, ln := range s.snapshot() {
+		rec, ok := recs[ln.name]
+		if !ok {
+			var err error
+			ln := ln
+			rec, err = antientropy.NewReconciler(antientropy.Config{
+				Lineage: ln.name,
+				Store:   ln.store,
+				Peer:    peer,
+				// Heals serialize with pushes and compactions through
+				// the lineage queue; a saturated lineage sheds the heal
+				// like any other request and the next round retries.
+				Locked: func(fn func() error) error {
+					release, err := ln.acquire()
+					if err != nil {
+						return err
+					}
+					defer release()
+					return fn()
+				},
+				Logf: s.cfg.Logf,
+			})
+			if err != nil {
+				s.cfg.Logf("server: anti-entropy lineage %q: %v", ln.name, err)
+				continue
+			}
+			recs[ln.name] = rec
+		}
+		res, err := rec.Round()
+		s.digestRounds.Add(1)
+		s.spansHealed.Add(uint64(res.Healed))
+		s.bytesRefetched.Add(uint64(res.BytesPulled))
+		switch {
+		case err == nil:
+		case errors.Is(err, antientropy.ErrQuarantined):
+			if !quarantined[ln.name] {
+				quarantined[ln.name] = true
+				s.healQuarantines.Add(1)
+				s.cfg.Logf("server: anti-entropy: %v", err)
+			}
+		case errors.Is(err, antientropy.ErrHealFailed):
+			s.cfg.Logf("server: anti-entropy lineage %q vs %s: %v", ln.name, peer.Addr(), err)
+		default:
+			// Transport-level failure: the peer (or the local disk)
+			// did not answer. Degrade this worker onto its backoff.
+			s.cfg.Logf("server: anti-entropy peer %s unreachable: %v", peer.Addr(), err)
+			reachable = false
+		}
+	}
+	return reachable
+}
+
+// compactLineage runs one policy-driven compaction under the lineage
+// lock and folds the outcome into the server counters.
+func (s *Server) compactLineage(ln *lineage) (lifecycle.Stats, error) {
+	ln.mu.Lock()
+	st, err := ln.mgr.Compact()
+	ln.mu.Unlock()
+	if err != nil {
+		s.cfg.Logf("server: compacting lineage %q: %v", ln.name, err)
+		return st, err
+	}
+	s.accountCompaction(ln.name, st)
+	return st, nil
+}
+
+// accountCompaction folds a committed compaction into the counters.
+func (s *Server) accountCompaction(name string, st lifecycle.Stats) {
+	if st.NewBase <= st.OldBase {
+		return
+	}
+	s.compactions.Add(1)
+	s.compactedDiffs.Add(uint64(st.PrunedDiffs))
+	if st.FreedBytes > 0 {
+		s.reclaimedBytes.Add(uint64(st.FreedBytes))
+	}
+	s.cfg.Logf("server: lineage %q compacted: baseline %d -> %d, %d diffs pruned, %d rewritten, %d bytes freed",
+		name, st.OldBase, st.NewBase, st.PrunedDiffs, st.RewrittenDiffs, st.FreedBytes)
+}

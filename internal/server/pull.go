@@ -68,7 +68,7 @@ func (s *Server) openPull(req *wire.Frame) (name string, span checkpoint.Span, e
 	if err != nil {
 		return "", span, fmt.Errorf("server: pull lineage %q: %w", ln.name, err)
 	}
-	release, err := ln.acquire(s.cfg.MaxLineagePending)
+	release, err := ln.acquire()
 	if err != nil {
 		return "", span, err
 	}

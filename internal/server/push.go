@@ -1,0 +1,259 @@
+// The push intake: how a pushed diff becomes a committed, published
+// lineage entry — written once. TPush and TPushStream differ only in
+// how many checked diffs reach commit together and in the frame that
+// answers them:
+//
+//	check    no lock        handle → CRC → decode → id agreement
+//	commit   lineage lock   replay/conflict → AppendBatch → publish
+//	ack                     a TPush response, or one StreamAck a frame
+//
+// The copy rule: a checked diff aliases the payload it was decoded
+// from, and a request payload lives in the connection's read buffer
+// until the next frame is read. A stream frame that is staged outlives
+// that, so check copies its payload — once, after the CRC has vouched
+// for it and before the diff is decoded where the copy lies — and the
+// copy is what subscribers are sent, as it arrived. A diff that commits
+// within its own request is copied only if a subscriber exists to keep
+// it.
+
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"math"
+	"net"
+	"time"
+
+	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
+	"github.com/gpuckpt/gpuckpt/internal/wire"
+)
+
+// pushed is one diff that passed check.
+type pushed struct {
+	diff    *checkpoint.Diff
+	crc     uint32 // of the encoded diff, as the pusher computed it
+	payload []byte // CRC prefix + encoded diff: a TTail payload as is
+	owned   bool   // payload is the server's copy, not the read buffer
+}
+
+// stagedRun is one connection's run of contiguous TPushStream frames
+// awaiting a group commit: checked diffs of a single lineage, starting
+// at the lineage's length when the first was staged. Only frames that
+// arrived back-to-back are staged; the run settles the moment the
+// connection would otherwise block, so staging never delays an ack the
+// client is waiting on.
+type stagedRun struct {
+	ln     *lineage
+	handle uint32 // wire handle, echoed in the acks
+	start  uint32 // checkpoint id of batch[0]
+	batch  []pushed
+	bytes  int64
+}
+
+// Caps on a single group commit: a run holds at most streamBatchFrames
+// diffs or streamBatchBytes of decoded payload, whichever trips first,
+// bounding both ack latency and the memory a fast pusher can pin on the
+// server.
+const (
+	streamBatchFrames = 64
+	streamBatchBytes  = 16 << 20
+)
+
+// extendedBy reports whether checkpoint ckpt of ln is the next frame of
+// the run — or, for an empty run, the lineage's next id, which starts
+// one. A nil run (TPush) stages nothing.
+func (r *stagedRun) extendedBy(ln *lineage, ckpt uint32) bool {
+	if r == nil {
+		return false
+	}
+	if len(r.batch) > 0 {
+		return ln == r.ln && ckpt == r.start+uint32(len(r.batch))
+	}
+	n, err := ln.store.Len()
+	return err == nil && int(ckpt) == n
+}
+
+// check is the lock-free half of the intake. It resolves the handle,
+// verifies the payload's CRC32C — the bytes survived the wire —
+// decode-validates the diff before the store sees it (a malformed diff
+// must never become a lineage record) and holds the frame to the id it
+// names. A frame that extends run comes back owned, ready to stage.
+func (s *Server) check(req *wire.Frame, run *stagedRun) (*lineage, pushed, error) {
+	ln, err := s.get(req.Lineage)
+	if err != nil {
+		return nil, pushed{}, err
+	}
+	crc, encoded, err := wire.DecodePush(req.Payload)
+	if err != nil {
+		return nil, pushed{}, fmt.Errorf("server: push lineage %q: %w", ln.name, err)
+	}
+	p := pushed{crc: crc, payload: req.Payload}
+	if run.extendedBy(ln, req.Ckpt) {
+		p.payload, p.owned = bytes.Clone(req.Payload), true
+		encoded = p.payload[wire.PushChecksumSize:]
+	}
+	if p.diff, err = checkpoint.DecodeBytes(encoded); err != nil {
+		return nil, pushed{}, fmt.Errorf("server: push lineage %q: %w", ln.name, err)
+	}
+	if p.diff.CkptID != req.Ckpt {
+		return nil, pushed{}, fmt.Errorf("server: push frame ckpt %d but diff id %d", req.Ckpt, p.diff.CkptID)
+	}
+	return ln, p, nil
+}
+
+// commit is the locked half: batch, whose ids run from start, becomes
+// durable with one store append and is published to the lineage's
+// subscribers, or none of it is. It returns the lineage length the
+// commit left. A saturated lineage sheds the batch with wire.ErrBusy.
+func (s *Server) commit(ln *lineage, start uint32, batch []pushed) (uint32, error) {
+	release, err := ln.acquire()
+	if err != nil {
+		return 0, err
+	}
+	defer release()
+	// Idempotent replay: if this id is already stored, a retried push
+	// whose content hash matches the stored bytes is the same write
+	// arriving twice (the client's response was lost) — answer OK
+	// without re-appending. A mismatching hash is a genuine conflict
+	// with the one-winner append guarantee.
+	if n, _ := ln.store.Len(); len(batch) == 1 && int(start) < n && int(start) >= ln.store.Base() {
+		if !ln.holds(int(start), batch[0].crc) {
+			return 0, fmt.Errorf("server: push %d conflicts with already-stored diff (lineage %q)", start, ln.name)
+		}
+		if int64(n) > math.MaxUint32 {
+			return 0, fmt.Errorf("server: lineage length %d does not fit the frame header", n)
+		}
+		return uint32(n), nil
+	}
+	diffs := make([]*checkpoint.Diff, len(batch))
+	for i := range batch {
+		diffs[i] = batch[i].diff
+	}
+	if _, err := ln.store.AppendBatch(diffs); err != nil {
+		return 0, err
+	}
+	// Still under the lineage lock: subscribers must see the batch
+	// before any later append.
+	s.publish(ln, start, batch)
+	return start + uint32(len(batch)), nil
+}
+
+// publish fans a just-committed batch out to the lineage's subscribers,
+// in order; the caller holds the lineage lock. With no subscriber it
+// costs the hub's count and copies nothing.
+func (s *Server) publish(ln *lineage, start uint32, batch []pushed) {
+	if s.hub.count(ln) == 0 {
+		return
+	}
+	n, err := ln.store.Len()
+	if err != nil || int64(n) > math.MaxUint32 {
+		return
+	}
+	base := uint32(ln.store.Base())
+	for i, p := range batch {
+		if !p.owned {
+			p.payload = bytes.Clone(p.payload)
+		}
+		shed := s.hub.publish(ln, start+uint32(i), p.payload, base, uint32(n))
+		s.subSheds.Add(uint64(shed))
+	}
+}
+
+// serveStream handles one TPushStream frame: it joins the connection's
+// staged run, or the run settles and the frame commits alone — a
+// replay, a conflict, another lineage, a stale handle, a malformed
+// payload — so its ack carries the precise typed outcome. Every outcome
+// is an ack on the same connection: a failed frame must not tear the
+// stream, because the client has a window of later frames in flight
+// behind it. The returned error is transport-only.
+func (s *Server) serveStream(run *stagedRun, req *wire.Frame, bw *bufio.Writer, conn net.Conn) error {
+	s.streamPushes.Add(1)
+	ln, p, err := s.check(req, run)
+	if err == nil && p.owned {
+		if len(run.batch) == 0 {
+			run.ln, run.handle, run.start = ln, req.Lineage, req.Ckpt
+		}
+		run.batch = append(run.batch, p)
+		run.bytes += p.diff.TotalBytes()
+		if len(run.batch) < streamBatchFrames && run.bytes < streamBatchBytes {
+			return nil
+		}
+		return s.settle(run, bw, conn)
+	}
+	if serr := s.settle(run, bw, conn); serr != nil {
+		return serr
+	}
+	var newLen uint32
+	if err == nil {
+		newLen, err = s.commit(ln, req.Ckpt, []pushed{p})
+	}
+	return s.ackStream(bw, conn, req.Lineage, req.Ckpt, 1, newLen, err)
+}
+
+// settle commits the staged run and acks every frame of it. The run
+// commits as a whole or not at all: a store failure fails every staged
+// frame with a typed error ack, and the client's retry resumes from the
+// length the server reports. The returned error is transport-only;
+// store errors travel inside the acks.
+func (s *Server) settle(run *stagedRun, bw *bufio.Writer, conn net.Conn) error {
+	if len(run.batch) == 0 {
+		return nil
+	}
+	newLen, err := s.commit(run.ln, run.start, run.batch)
+	handle, start, count := run.handle, run.start, len(run.batch)
+	*run = stagedRun{}
+	return s.ackStream(bw, conn, handle, start, count, newLen, err)
+}
+
+// ackStream writes the StreamAck of each of the count frames from start
+// that one commit settled. newLen is the length that commit left; the
+// frames landed together, but each ack reports the length as of its own
+// frame.
+func (s *Server) ackStream(bw *bufio.Writer, conn net.Conn, handle, start uint32, count int, newLen uint32, err error) error {
+	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	for i := 0; i < count; i++ {
+		resp := s.streamAckFrame(handle, start+uint32(i), newLen-uint32(count-1-i), err)
+		if werr := wire.WriteFrame(bw, resp); werr != nil {
+			return fmt.Errorf("stream ack write: %w", werr)
+		}
+		s.bytesOut.Add(uint64(resp.WireSize()))
+	}
+	return nil
+}
+
+// streamAckFrame builds the StreamAck response frame for one stream
+// push outcome, err mapped onto the status byte exactly as errFrame
+// does for request/response.
+func (s *Server) streamAckFrame(handle, ckpt, newLen uint32, err error) *wire.Frame {
+	ack := wire.StreamAck{Ckpt: ckpt, NewLen: newLen}
+	status := statusOf(err)
+	if err != nil {
+		ack.NewLen, ack.Msg = 0, err.Error()
+		if status == wire.StatusBusy {
+			s.busyRejects.Add(1)
+			ack.RetryAfterMs, ack.Msg = s.retryAfterMs(), "server busy"
+		}
+	}
+	payload, perr := wire.AppendStreamAck(nil, &ack)
+	if perr != nil { // error message beyond the format limit: truncate it
+		ack.Msg = ack.Msg[:math.MaxUint16]
+		payload, _ = wire.AppendStreamAck(nil, &ack)
+	}
+	return &wire.Frame{Type: wire.TPushStream, Status: status,
+		Lineage: handle, Ckpt: ckpt, Payload: payload}
+}
+
+// retryAfterMs clamps the configured busy backoff hint to the
+// StreamAck millisecond field.
+func (s *Server) retryAfterMs() uint32 {
+	ms := s.cfg.RetryAfterHint.Milliseconds()
+	if ms < 0 {
+		ms = 0
+	}
+	if ms > math.MaxUint32 {
+		ms = math.MaxUint32
+	}
+	return uint32(ms)
+}

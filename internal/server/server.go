@@ -19,7 +19,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -59,11 +58,6 @@ type Config struct {
 	// DrainTimeout bounds how long shutdown waits for in-flight
 	// requests before force-closing connections (default 5s).
 	DrainTimeout time.Duration
-	// MaxLineagePending bounds how many requests may queue on one
-	// lineage's lock before further arrivals are shed with StatusBusy
-	// instead of piling onto the mutex (default 32; <0 disables
-	// shedding).
-	MaxLineagePending int
 	// RetryAfterHint is the backoff hint attached to every StatusBusy
 	// response — how long a shed client should wait before retrying
 	// (default 100ms).
@@ -116,9 +110,6 @@ func (c *Config) fill() {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
 	}
-	if c.MaxLineagePending == 0 {
-		c.MaxLineagePending = 32
-	}
 	if c.RetryAfterHint <= 0 {
 		c.RetryAfterHint = 100 * time.Millisecond
 	}
@@ -148,17 +139,22 @@ type lineage struct {
 	//ckptlint:guardedby mu
 	mgr *lifecycle.Manager
 	// pending counts requests queued on (or holding) mu; arrivals
-	// beyond Config.MaxLineagePending are shed with StatusBusy.
+	// beyond maxLineagePending are shed with StatusBusy.
 	pending atomic.Int64 //ckptlint:atomic
 }
+
+// maxLineagePending bounds how many requests may queue on one lineage's
+// lock before further arrivals are shed with StatusBusy instead of
+// piling onto the mutex.
+const maxLineagePending = 32
 
 // acquire takes ln.mu unless the lineage queue is saturated, in which
 // case it sheds the request with wire.ErrBusy — the caller turns that
 // into a StatusBusy response with a retry-after hint rather than an
-// error, and the client backs off. limit<0 disables shedding.
-func (ln *lineage) acquire(limit int) (release func(), err error) {
+// error, and the client backs off.
+func (ln *lineage) acquire() (release func(), err error) {
 	n := ln.pending.Add(1)
-	if limit >= 0 && n > int64(limit) {
+	if n > maxLineagePending {
 		ln.pending.Add(-1)
 		return nil, fmt.Errorf("server: lineage %q queue saturated (%d pending): %w",
 			ln.name, n-1, wire.ErrBusy)
@@ -168,6 +164,14 @@ func (ln *lineage) acquire(limit int) (release func(), err error) {
 		ln.mu.Unlock()
 		ln.pending.Add(-1)
 	}, nil
+}
+
+// holds reports whether stored checkpoint ck reads back verified and
+// hashes to crc: how a replayed push and a subscriber's resume cursor
+// are told from a conflicting history.
+func (ln *lineage) holds(ck int, crc uint32) bool {
+	stored, err := ln.store.DiffBytes(ck)
+	return err == nil && wire.Checksum(stored) == crc
 }
 
 // Server hosts checkpoint lineages over the wire protocol.
@@ -391,11 +395,9 @@ func (s *Server) FoldBarriers() uint64    { return s.foldBarriers.Load() }
 // the holes — quarantined diffs not yet reinstalled — across every
 // open lineage: the operator's rot alarm.
 func (s *Server) Stats() wire.Stats {
-	s.mu.Lock()
-	nLineages := len(s.lineages)
-	s.mu.Unlock()
+	lineages := s.snapshot()
 	var quarantined uint64
-	for _, ln := range s.snapshot() {
+	for _, ln := range lineages {
 		if holes, err := ln.store.QuarantinedIDs(); err == nil {
 			quarantined += uint64(len(holes))
 		}
@@ -407,7 +409,7 @@ func (s *Server) Stats() wire.Stats {
 		BytesOut:        s.bytesOut.Load(),
 		ActiveConns:     s.activeConns.Load(),
 		Conns:           s.conns.Load(),
-		Lineages:        uint64(nLineages),
+		Lineages:        uint64(len(lineages)),
 		Compactions:     s.compactions.Load(),
 		CompactedDiffs:  s.compactedDiffs.Load(),
 		ReclaimedBytes:  s.reclaimedBytes.Load(),
@@ -594,25 +596,27 @@ func (s *Server) handleConn(ctx context.Context, stop <-chan struct{}, conn net.
 	// socket, so a request/response client still sees every response
 	// before the server waits for its next request.
 	//
-	// TPushStream frames additionally group-commit: contiguous frames
-	// that arrived back-to-back are staged into batch and appended
-	// with one store durability point (FileStore.AppendBatch), their
-	// acks written together. The batch only ever holds frames that
-	// were ALREADY buffered — the loop never waits for more input
-	// while acks are owed, so a client blocked on its window always
-	// drains: as soon as the read side would block, the batch commits
-	// and every pending ack is flushed.
+	// TPushStream frames additionally group-commit (push.go): frames
+	// that arrived back-to-back are staged into run and appended with
+	// one store durability point, their acks written together. The run
+	// ends where the next frame is not a stream push — responses never
+	// jump their pushes — or is not there yet: the loop never waits for
+	// input while acks are owed, so a client blocked on its window
+	// always drains.
 	br := bufio.NewReaderSize(conn, connBufSize)
 	bw := bufio.NewWriterSize(conn, connBufSize)
 	var req wire.Frame
 	var scratch []byte
-	var batch streamBatch
+	var run stagedRun
 	for ctx.Err() == nil {
-		if br.Buffered() == 0 {
-			if err := s.commitStream(&batch, bw, conn); err != nil {
-				s.cfg.Logf("server: %s: stream commit: %v", caddr, err)
+		next, _ := br.Peek(min(1, br.Buffered())) // the next frame's type byte, if it is here
+		if len(next) == 0 || next[0] != wire.TPushStream {
+			if err := s.settle(&run, bw, conn); err != nil {
+				s.cfg.Logf("server: %s: %v", caddr, err)
 				return
 			}
+		}
+		if len(next) == 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 			if err := bw.Flush(); err != nil {
 				s.cfg.Logf("server: %s: flush: %v", caddr, err)
@@ -632,223 +636,27 @@ func (s *Server) handleConn(ctx context.Context, stop <-chan struct{}, conn net.
 		s.requests.Add(1)
 		s.bytesIn.Add(uint64(req.WireSize()))
 
-		if req.Type == wire.TPushStream {
-			if err := s.serveStream(&batch, &req, bw, conn); err != nil {
-				s.cfg.Logf("server: %s: stream: %v", caddr, err)
-				return
-			}
-			continue
-		}
-		if req.Type == wire.TSubscribe {
-			// Settle staged stream frames first, as for any
-			// non-stream request.
-			if err := s.commitStream(&batch, bw, conn); err != nil {
-				s.cfg.Logf("server: %s: stream commit: %v", caddr, err)
-				return
-			}
+		var err error
+		switch req.Type {
+		case wire.TPushStream:
+			err = s.serveStream(&run, &req, bw, conn)
+		case wire.TSubscribe:
 			if !s.serveSubscribe(ctx, stop, conn, br, bw, &req) {
 				return
 			}
-			continue
+		case wire.TPull:
+			err = s.servePull(&req, bw, conn)
+		default:
+			err = s.writeResp(bw, conn, s.dispatch(&req))
 		}
-		// A non-stream request inside a stream burst: settle the
-		// staged frames first so responses never jump their pushes.
-		if err := s.commitStream(&batch, bw, conn); err != nil {
-			s.cfg.Logf("server: %s: stream commit: %v", caddr, err)
-			return
-		}
-		if req.Type == wire.TPull {
-			if err := s.servePull(&req, bw, conn); err != nil {
-				s.cfg.Logf("server: %s: pull: %v", caddr, err)
-				return
-			}
-			continue
-		}
-		if err := s.writeResp(bw, conn, s.dispatch(&req)); err != nil {
+		if err != nil {
 			s.cfg.Logf("server: %s: %v", caddr, err)
 			return
 		}
 	}
-	s.commitStream(&batch, bw, conn)
+	s.settle(&run, bw, conn)
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	bw.Flush()
-}
-
-// compactLoop periodically applies every lineage's retention policy —
-// the background GC of the lifecycle subsystem. It shares the
-// per-lineage mutex with the request path, so it is safe against
-// concurrent Push/Pull.
-func (s *Server) compactLoop(ctx context.Context, stop <-chan struct{}) {
-	tick := time.NewTicker(s.cfg.CompactInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-stop:
-			return
-		case <-tick.C:
-			for _, ln := range s.snapshot() {
-				s.compactLineage(ln)
-			}
-			// Compactions released block references; fold the log into
-			// a fresh snapshot and reclaim unreferenced blocks.
-			if _, err := s.blocks.GC(); err != nil {
-				s.cfg.Logf("server: block store GC: %v", err)
-			}
-		}
-	}
-}
-
-// antiEntropyLoop is one peer's reconciler worker: every interval it
-// runs a reconciliation round for every open lineage against addr,
-// healing local damage by pulling verified diffs. An unreachable
-// peer switches the loop onto a jittered exponential backoff and
-// raises the Degraded gauge until contact resumes; a lineage whose
-// heals keep failing is fail-stopped by its Reconciler and only
-// reports its standing quarantine from then on.
-func (s *Server) antiEntropyLoop(ctx context.Context, stop <-chan struct{}, addr string, seed int64) {
-	// Sequential, sparse traffic: one connection, one replay when the
-	// parked socket was severed by a peer restart. Pacing an unreachable
-	// peer is this loop's job, not the client's.
-	peer, err := wireclient.New(addr, wireclient.Options{
-		Timeout:  antientropy.DefaultPeerTimeout,
-		Dialer:   s.cfg.PeerDialer,
-		MaxConns: 1,
-		Retry:    wireclient.RetryPolicy{MaxAttempts: 2, Seed: seed},
-	})
-	if err != nil {
-		s.cfg.Logf("server: anti-entropy peer %s: %v", addr, err)
-		return
-	}
-	defer peer.Close()
-	// Reconcilers persist across rounds so the per-lineage fail-stop
-	// budget and quarantine verdicts survive between sweeps. The map
-	// is confined to this goroutine.
-	recs := make(map[string]*antientropy.Reconciler)
-	quarantined := make(map[string]bool)
-	backoff := wireclient.NewBackoff(wireclient.RetryPolicy{
-		BaseDelay: s.cfg.AntiEntropyInterval, MaxDelay: 8 * s.cfg.AntiEntropyInterval, Seed: seed})
-	unreachable := 0 // consecutive sweeps that could not reach the peer
-	degraded := false
-	setDegraded := func(d bool) {
-		if d == degraded {
-			return
-		}
-		degraded = d
-		if d {
-			s.degraded.Add(1)
-		} else {
-			s.degraded.Add(^uint64(0))
-		}
-	}
-	defer setDegraded(false)
-	for {
-		delay := s.cfg.AntiEntropyInterval
-		if s.reconcilePeer(peer, recs, quarantined) {
-			setDegraded(false)
-			unreachable = 0
-		} else {
-			setDegraded(true)
-			unreachable++
-			delay = backoff.Delay(1+unreachable, 0)
-		}
-		timer := time.NewTimer(delay)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return
-		case <-stop:
-			timer.Stop()
-			return
-		case <-timer.C:
-		}
-	}
-}
-
-// reconcilePeer runs one reconciliation sweep of every open lineage
-// against one peer and reports whether the peer was reachable.
-func (s *Server) reconcilePeer(peer antientropy.Peer, recs map[string]*antientropy.Reconciler,
-	quarantined map[string]bool) bool {
-	reachable := true
-	for _, ln := range s.snapshot() {
-		rec, ok := recs[ln.name]
-		if !ok {
-			var err error
-			ln := ln
-			rec, err = antientropy.NewReconciler(antientropy.Config{
-				Lineage: ln.name,
-				Store:   ln.store,
-				Peer:    peer,
-				// Heals serialize with pushes and compactions through
-				// the lineage queue; a saturated lineage sheds the heal
-				// like any other request and the next round retries.
-				Locked: func(fn func() error) error {
-					release, err := ln.acquire(s.cfg.MaxLineagePending)
-					if err != nil {
-						return err
-					}
-					defer release()
-					return fn()
-				},
-				Logf: s.cfg.Logf,
-			})
-			if err != nil {
-				s.cfg.Logf("server: anti-entropy lineage %q: %v", ln.name, err)
-				continue
-			}
-			recs[ln.name] = rec
-		}
-		res, err := rec.Round()
-		s.digestRounds.Add(1)
-		s.spansHealed.Add(uint64(res.Healed))
-		s.bytesRefetched.Add(uint64(res.BytesPulled))
-		switch {
-		case err == nil:
-		case errors.Is(err, antientropy.ErrQuarantined):
-			if !quarantined[ln.name] {
-				quarantined[ln.name] = true
-				s.healQuarantines.Add(1)
-				s.cfg.Logf("server: anti-entropy: %v", err)
-			}
-		case errors.Is(err, antientropy.ErrHealFailed):
-			s.cfg.Logf("server: anti-entropy lineage %q vs %s: %v", ln.name, peer.Addr(), err)
-		default:
-			// Transport-level failure: the peer (or the local disk)
-			// did not answer. Degrade this worker onto its backoff.
-			s.cfg.Logf("server: anti-entropy peer %s unreachable: %v", peer.Addr(), err)
-			reachable = false
-		}
-	}
-	return reachable
-}
-
-// compactLineage runs one policy-driven compaction under the lineage
-// lock and folds the outcome into the server counters.
-func (s *Server) compactLineage(ln *lineage) (lifecycle.Stats, error) {
-	ln.mu.Lock()
-	st, err := ln.mgr.Compact()
-	ln.mu.Unlock()
-	if err != nil {
-		s.cfg.Logf("server: compacting lineage %q: %v", ln.name, err)
-		return st, err
-	}
-	s.accountCompaction(ln.name, st)
-	return st, nil
-}
-
-// accountCompaction folds a committed compaction into the counters.
-func (s *Server) accountCompaction(name string, st lifecycle.Stats) {
-	if st.NewBase <= st.OldBase {
-		return
-	}
-	s.compactions.Add(1)
-	s.compactedDiffs.Add(uint64(st.PrunedDiffs))
-	if st.FreedBytes > 0 {
-		s.reclaimedBytes.Add(uint64(st.FreedBytes))
-	}
-	s.cfg.Logf("server: lineage %q compacted: baseline %d -> %d, %d diffs pruned, %d rewritten, %d bytes freed",
-		name, st.OldBase, st.NewBase, st.PrunedDiffs, st.RewrittenDiffs, st.FreedBytes)
 }
 
 // dispatch serves one request and returns the response frame. Request
@@ -905,248 +713,6 @@ func (s *Server) writeResp(bw *bufio.Writer, conn net.Conn, resp *wire.Frame) er
 	return nil
 }
 
-// retryAfterMs clamps the configured busy backoff hint to the
-// StreamAck millisecond field.
-func (s *Server) retryAfterMs() uint32 {
-	ms := s.cfg.RetryAfterHint.Milliseconds()
-	if ms < 0 {
-		ms = 0
-	}
-	if ms > math.MaxUint32 {
-		ms = math.MaxUint32
-	}
-	return uint32(ms)
-}
-
-// streamBatch is one connection's staged run of contiguous
-// TPushStream frames awaiting a group commit: decoded, validated
-// diffs for a single lineage, starting at the lineage's current
-// length. Frames are only staged when they arrived back-to-back on
-// the socket; the batch commits (and acks) the moment the connection
-// would otherwise block, so staging never delays an ack the client is
-// waiting on.
-type streamBatch struct {
-	ln     *lineage
-	handle uint32 // wire handle, echoed in the acks
-	start  uint32 // checkpoint id of diffs[0]
-	diffs  []*checkpoint.Diff
-	// payloads[i] is the staged copy of the frame payload diffs[i] was
-	// decoded from, and aliases: checksum prefix, then the encoded diff,
-	// exactly as verified — which is the TTail payload subscribers get.
-	payloads [][]byte
-	bytes    int64
-}
-
-// Caps on a single group commit: a batch holds at most
-// streamBatchFrames diffs or streamBatchBytes of decoded payload,
-// whichever trips first, bounding both ack latency and the memory a
-// fast pusher can pin on the server.
-const (
-	streamBatchFrames = 64
-	streamBatchBytes  = 16 << 20
-)
-
-// serveStream handles one TPushStream frame:
-// frames that extend the connection's staged batch are buffered for
-// the next group commit; everything else — replays, conflicts, stale
-// handles, malformed payloads — takes the per-frame dispatchStream
-// path so its ack carries the precise typed failure.
-func (s *Server) serveStream(b *streamBatch, req *wire.Frame, bw *bufio.Writer, conn net.Conn) error {
-	s.streamPushes.Add(1)
-	switch s.tryStage(b, req) {
-	case stageOK:
-		if len(b.diffs) >= streamBatchFrames || b.bytes >= streamBatchBytes {
-			return s.commitStream(b, bw, conn)
-		}
-		return nil
-	case stageCommitFirst:
-		if err := s.commitStream(b, bw, conn); err != nil {
-			return err
-		}
-		if s.tryStage(b, req) == stageOK {
-			return nil
-		}
-	}
-	return s.writeResp(bw, conn, s.dispatchStream(req))
-}
-
-// tryStage outcomes: the frame was staged onto the batch, the open
-// batch must commit before this frame can be reconsidered, or the
-// frame needs the individual servePush path.
-const (
-	stageOK = iota
-	stageCommitFirst
-	stageSolo
-)
-
-// tryStage decodes and validates req and stages it if it contiguously
-// extends the connection's batch (or starts a fresh one at the
-// lineage's current length). Validation failures are NOT staged: the
-// per-frame path reruns them to produce the typed error ack.
-func (s *Server) tryStage(b *streamBatch, req *wire.Frame) int {
-	ln, err := s.get(req.Lineage)
-	if err != nil {
-		return stageSolo
-	}
-	if len(b.diffs) > 0 && b.ln != ln {
-		return stageCommitFirst
-	}
-	if _, _, err := wire.DecodePush(req.Payload); err != nil {
-		return stageSolo
-	}
-	var next uint32
-	if len(b.diffs) > 0 {
-		next = b.start + uint32(len(b.diffs))
-	} else {
-		n, err := ln.store.Len()
-		if err != nil || n < 0 || int64(n) >= math.MaxUint32 {
-			return stageSolo
-		}
-		next = uint32(n)
-	}
-	if req.Ckpt != next {
-		if len(b.diffs) > 0 {
-			// The id does not extend the staged run, but it may be
-			// exactly right once the run has committed.
-			return stageCommitFirst
-		}
-		return stageSolo // replay or conflict: answered per frame
-	}
-	// A staged diff outlives this frame — the next one is read into the
-	// same connection scratch — so the verified payload is copied, once,
-	// and the diff decoded where the copy lies.
-	payload := bytes.Clone(req.Payload)
-	d, err := checkpoint.DecodeBytes(payload[wire.PushChecksumSize:])
-	if err != nil || d.CkptID != req.Ckpt {
-		return stageSolo
-	}
-	if len(b.diffs) == 0 {
-		b.ln, b.handle, b.start = ln, req.Lineage, next
-	}
-	b.diffs = append(b.diffs, d)
-	b.payloads = append(b.payloads, payload)
-	b.bytes += d.TotalBytes()
-	return stageOK
-}
-
-// commitStream appends the staged batch with one store durability
-// point and writes one ack per staged frame. The batch commits as a
-// whole or not at all: a store failure fails every staged frame with
-// a typed error ack, and the client's retry resumes from the length
-// the server reports. The returned error is transport-only (ack write
-// failure); store errors travel inside the acks.
-func (s *Server) commitStream(b *streamBatch, bw *bufio.Writer, conn net.Conn) error {
-	if len(b.diffs) == 0 {
-		return nil
-	}
-	diffs, payloads, ln, handle, start := b.diffs, b.payloads, b.ln, b.handle, b.start
-	b.diffs, b.payloads, b.ln, b.bytes = nil, nil, nil, 0
-
-	release, err := ln.acquire(s.cfg.MaxLineagePending)
-	if err == nil {
-		if _, err = ln.store.AppendBatch(diffs); err == nil {
-			// Still under the lineage lock: subscribers must see the
-			// batch before any later append.
-			s.publishBatch(ln, start, payloads)
-		}
-		release()
-	}
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	for i := range diffs {
-		ckpt := start + uint32(i)
-		resp := s.streamAckFrame(handle, ckpt, ckpt+1, err)
-		if werr := wire.WriteFrame(bw, resp); werr != nil {
-			return fmt.Errorf("ack write: %w", werr)
-		}
-		s.bytesOut.Add(uint64(resp.WireSize()))
-	}
-	return nil
-}
-
-// streamAckFrame builds the StreamAck response frame for one stream
-// push outcome, err mapped onto the status byte exactly as errFrame
-// does for request/response.
-func (s *Server) streamAckFrame(handle, ckpt, newLen uint32, err error) *wire.Frame {
-	ack := wire.StreamAck{Ckpt: ckpt, NewLen: newLen}
-	status := statusOf(err)
-	if err != nil {
-		ack.NewLen, ack.Msg = 0, err.Error()
-		if status == wire.StatusBusy {
-			s.busyRejects.Add(1)
-			ack.RetryAfterMs, ack.Msg = s.retryAfterMs(), "server busy"
-		}
-	}
-	payload, perr := wire.AppendStreamAck(nil, &ack)
-	if perr != nil { // error message beyond the format limit: truncate it
-		ack.Msg = ack.Msg[:math.MaxUint16]
-		payload, _ = wire.AppendStreamAck(nil, &ack)
-	}
-	return &wire.Frame{Type: wire.TPushStream, Status: status,
-		Lineage: handle, Ckpt: ckpt, Payload: payload}
-}
-
-// dispatchStream serves one TPushStream frame individually — the slow
-// path for replays, conflicts, and malformed frames that cannot join
-// a group commit. Every outcome is answered with a StreamAck on the
-// same connection: a failed frame must not tear the stream, because
-// the client has a window of later frames already in flight behind
-// it.
-func (s *Server) dispatchStream(req *wire.Frame) *wire.Frame {
-	newLen, err := s.servePush(req)
-	return s.streamAckFrame(req.Lineage, req.Ckpt, newLen, err)
-}
-
-// servePush appends one pushed diff — the body shared by TPush and
-// TPushStream — and returns the lineage length after the append.
-func (s *Server) servePush(req *wire.Frame) (uint32, error) {
-	ln, err := s.get(req.Lineage)
-	if err != nil {
-		return 0, err
-	}
-	// The push payload carries a CRC32C of the encoded diff: verify
-	// the bytes survived the wire before anything else.
-	crc, encoded, err := wire.DecodePush(req.Payload)
-	if err != nil {
-		return 0, fmt.Errorf("server: push lineage %q: %w", ln.name, err)
-	}
-	// Decode-validate before touching the store: a malformed diff
-	// must never become a lineage file. The diff aliases the request
-	// payload, which outlives the append below.
-	d, err := checkpoint.DecodeBytes(encoded)
-	if err != nil {
-		return 0, fmt.Errorf("server: push lineage %q: %w", ln.name, err)
-	}
-	if d.CkptID != req.Ckpt {
-		return 0, fmt.Errorf("server: push frame ckpt %d but diff id %d", req.Ckpt, d.CkptID)
-	}
-	release, err := ln.acquire(s.cfg.MaxLineagePending)
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	// Idempotent replay: if this id is already stored, a retried
-	// push whose content hash matches the stored bytes is the same
-	// write arriving twice (the client's response was lost) — answer
-	// OK without re-appending. A mismatching hash is a genuine
-	// conflict with the one-winner append guarantee.
-	if n, _ := ln.store.Len(); int(req.Ckpt) < n && int(req.Ckpt) >= ln.store.Base() {
-		stored, err := ln.store.DiffBytes(int(req.Ckpt))
-		if err == nil && wire.Checksum(stored) == crc {
-			if n < 0 || int64(n) > math.MaxUint32 {
-				return 0, fmt.Errorf("server: lineage length %d does not fit the frame header", n)
-			}
-			return uint32(n), nil
-		}
-		return 0, fmt.Errorf("server: push %d conflicts with already-stored diff (lineage %q)",
-			req.Ckpt, ln.name)
-	}
-	if err := ln.store.Append(d); err != nil {
-		return 0, err
-	}
-	s.publishTail(ln, req.Ckpt, req.Payload)
-	return req.Ckpt + 1, nil
-}
-
 func (s *Server) serve(req *wire.Frame) (*wire.Frame, error) {
 	switch req.Type {
 	case wire.TOpen:
@@ -1160,7 +726,11 @@ func (s *Server) serve(req *wire.Frame) (*wire.Frame, error) {
 		return &wire.Frame{Lineage: h, Ckpt: uint32(n), Payload: wire.EncodeOpenInfo(uint32(base))}, nil
 
 	case wire.TPush:
-		newLen, err := s.servePush(req)
+		ln, p, err := s.check(req, nil)
+		if err != nil {
+			return nil, err
+		}
+		newLen, err := s.commit(ln, req.Ckpt, []pushed{p})
 		if err != nil {
 			return nil, err
 		}
@@ -1260,7 +830,7 @@ func (s *Server) serve(req *wire.Frame) (*wire.Frame, error) {
 		// consistent committed state, never a half-replaced compaction
 		// suffix. Shed with StatusBusy when the queue is saturated,
 		// like any other lineage request.
-		release, err := ln.acquire(s.cfg.MaxLineagePending)
+		release, err := ln.acquire()
 		if err != nil {
 			return nil, err
 		}

@@ -32,34 +32,35 @@ import (
 func (s *Server) serveSubscribe(ctx context.Context, stop <-chan struct{}, conn net.Conn,
 	br *bufio.Reader, bw *bufio.Writer, req *wire.Frame) bool {
 	caddr := conn.RemoteAddr().String()
-	refuse := func(status uint8, payload []byte) bool {
-		resp := &wire.Frame{Type: wire.TSubscribe, Status: status, Lineage: req.Lineage, Payload: payload}
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if err := wire.WriteFrame(bw, resp); err != nil {
-			s.cfg.Logf("server: %s: subscribe refuse: %v", caddr, err)
+	respond := func(resp *wire.Frame) bool {
+		if err := s.writeResp(bw, conn, resp); err != nil {
+			s.cfg.Logf("server: %s: subscribe: %v", caddr, err)
 			return false
 		}
-		s.bytesOut.Add(uint64(resp.WireSize()))
 		return true
+	}
+	refuse := func(err error) bool {
+		resp := s.errFrame(req, err)
+		resp.Lineage = req.Lineage
+		return respond(resp)
 	}
 
 	cur, err := wire.DecodeSubscribe(req.Payload)
 	if err != nil {
-		return refuse(wire.StatusErr, []byte(err.Error()))
+		return refuse(err)
 	}
 	ln, err := s.get(req.Lineage)
 	if err != nil {
-		return refuse(wire.StatusUnknownHandle, []byte(err.Error()))
+		return refuse(err)
 	}
-	release, err := ln.acquire(s.cfg.MaxLineagePending)
+	release, err := ln.acquire()
 	if err != nil {
-		s.busyRejects.Add(1)
-		return refuse(wire.StatusBusy, wire.EncodeRetryAfter(s.cfg.RetryAfterHint))
+		return refuse(err)
 	}
 	n, err := ln.store.Len()
 	if err != nil || int64(n) > math.MaxUint32 {
 		release()
-		return refuse(wire.StatusErr, []byte(fmt.Sprintf("lineage length unusable: %v", err)))
+		return refuse(fmt.Errorf("lineage length unusable: %v", err))
 	}
 	base := ln.store.Base()
 	if !s.cursorContinuable(ln, cur, base, n) {
@@ -67,15 +68,8 @@ func (s *Server) serveSubscribe(ctx context.Context, stop <-chan struct{}, conn 
 		// The cursor cannot be resumed: answer with a TResync response
 		// carrying the authoritative span. The connection stays in
 		// request mode so the subscriber can pull it right here.
-		resp := &wire.Frame{Type: wire.TResync, Status: wire.StatusOK, Lineage: req.Lineage,
-			Payload: wire.EncodeResync(wire.Resync{Reason: wire.ResyncFold, Base: uint32(base), Len: uint32(n)})}
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if err := wire.WriteFrame(bw, resp); err != nil {
-			s.cfg.Logf("server: %s: subscribe resync: %v", caddr, err)
-			return false
-		}
-		s.bytesOut.Add(uint64(resp.WireSize()))
-		return true
+		return respond(&wire.Frame{Type: wire.TResync, Status: wire.StatusOK, Lineage: req.Lineage,
+			Payload: wire.EncodeResync(wire.Resync{Reason: wire.ResyncFold, Base: uint32(base), Len: uint32(n)})})
 	}
 	// Registration happens under the lineage lock: every append after
 	// this point reaches sub.ch, every earlier diff is in the store —
@@ -113,8 +107,7 @@ func (s *Server) cursorContinuable(ln *lineage, cur wire.Cursor, base, n int) bo
 	if cur.Next == cur.Base {
 		return true // subscriber holds nothing past the baseline
 	}
-	stored, err := ln.store.DiffBytes(int(cur.Next) - 1)
-	return err == nil && wire.Checksum(stored) == cur.CRC
+	return ln.holds(int(cur.Next)-1, cur.CRC)
 }
 
 // runSubscription owns the connection from ack to teardown: replay
@@ -266,42 +259,6 @@ func (s *Server) runSubscription(ctx context.Context, stop <-chan struct{}, conn
 			sendResyncNow(wire.ResyncShutdown)
 			return
 		}
-	}
-}
-
-// publishTail fans one just-appended diff out to the lineage's
-// subscribers. Called with the lineage lock held so subscribers see
-// appends in order. payload is the crc-prefixed push payload; it
-// aliases the connection's scratch buffer, so it is copied — but only
-// when a subscriber exists, keeping the non-replicated push path
-// copy-free.
-func (s *Server) publishTail(ln *lineage, ckpt uint32, payload []byte) {
-	if s.hub.count(ln) == 0 {
-		return
-	}
-	n, err := ln.store.Len()
-	if err != nil || int64(n) > math.MaxUint32 {
-		return
-	}
-	shed := s.hub.publish(ln, ckpt, append([]byte(nil), payload...), uint32(ln.store.Base()), uint32(n))
-	s.subSheds.Add(uint64(shed))
-}
-
-// publishBatch fans a just-committed stream batch out: payloads are
-// the staged copies of the frames' payloads, already checksum-prefixed
-// and verified, so subscribers get the pusher's bytes as they arrived.
-func (s *Server) publishBatch(ln *lineage, start uint32, payloads [][]byte) {
-	if s.hub.count(ln) == 0 {
-		return
-	}
-	n, err := ln.store.Len()
-	if err != nil || int64(n) > math.MaxUint32 {
-		return
-	}
-	base := uint32(ln.store.Base())
-	for i, payload := range payloads {
-		shed := s.hub.publish(ln, start+uint32(i), payload, base, uint32(n))
-		s.subSheds.Add(uint64(shed))
 	}
 }
 

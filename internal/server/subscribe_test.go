@@ -295,14 +295,16 @@ func TestStreamFanOutCopiesOnce(t *testing.T) {
 	}
 
 	var before, after runtime.MemStats
-	var b streamBatch
+	var run stagedRun
 	runtime.ReadMemStats(&before)
 	for ck, fr := range frames {
-		if got := srv.tryStage(&b, fr); got != stageOK {
-			t.Fatalf("frame %d: tryStage = %d", ck, got)
+		_, p, err := srv.check(fr, &run)
+		if err != nil || !p.owned {
+			t.Fatalf("frame %d: check = %+v, %v; want it staged", ck, p, err)
 		}
+		run.ln, run.batch = ln, append(run.batch, p)
 	}
-	srv.publishBatch(ln, b.start, b.payloads)
+	srv.publish(ln, run.start, run.batch)
 	runtime.ReadMemStats(&after)
 
 	if perFrame := float64(after.TotalAlloc-before.TotalAlloc) / n; perFrame > 1.1*size {

@@ -52,8 +52,9 @@ type Options struct {
 
 // RetryPolicy bounds and paces the client's retries of transiently
 // failed requests. The delay before attempt k (k≥2) is
-// BaseDelay·Multiplier^(k-2) clamped to MaxDelay, spread by ±Jitter,
-// and floored at a load-shedding server's retry-after hint.
+// BaseDelay·2^(k-2) clamped to MaxDelay, spread by ±20 % so lock-step
+// clients don't retry in convoy, and floored at a load-shedding
+// server's retry-after hint.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per request, first
 	// attempt included (default 4).
@@ -62,12 +63,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the grown backoff (default 2s).
 	MaxDelay time.Duration
-	// Multiplier grows the delay between consecutive attempts
-	// (default 2).
-	Multiplier float64
-	// Jitter spreads each delay uniformly over ±Jitter·delay so
-	// lock-step clients don't retry in convoy (default 0.2).
-	Jitter float64
 	// Seed seeds the jitter RNG; 0 selects a fixed default. Tests use
 	// distinct seeds for reproducible-yet-decorrelated schedules.
 	Seed int64
@@ -88,12 +83,6 @@ func (p *RetryPolicy) fill() {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 2 * time.Second
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	if p.Jitter <= 0 || p.Jitter > 1 {
-		p.Jitter = 0.2
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
@@ -125,10 +114,10 @@ func NewBackoff(p RetryPolicy) *Backoff {
 func (b *Backoff) Delay(attempt int, floor time.Duration) time.Duration {
 	d := float64(b.p.BaseDelay)
 	for i := 2; i < attempt && d < float64(b.p.MaxDelay); i++ {
-		d *= b.p.Multiplier
+		d *= 2
 	}
 	b.mu.Lock()
-	spread := 1 + b.p.Jitter*(2*b.rng.Float64()-1)
+	spread := 1 + 0.2*(2*b.rng.Float64()-1)
 	b.mu.Unlock()
 	return max(time.Duration(min(d, float64(b.p.MaxDelay))*spread), floor)
 }
