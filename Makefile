@@ -26,7 +26,7 @@ FUZZ_TARGETS = \
 FUZZTIME ?= 5s
 FUZZTIME_LONG ?= 5m
 
-.PHONY: ci fmt vet lint loc build test race bench-test bench bench-smoke bench-json bench-wire bench-failover bench-heal saturate-smoke failover-smoke heal-smoke fuzz fuzz-smoke chaos-smoke race-chaos
+.PHONY: ci fmt vet lint loc pairs build test race bench-test bench bench-smoke bench-json bench-wire bench-failover bench-heal saturate-smoke failover-smoke heal-smoke fuzz fuzz-smoke chaos-smoke race-chaos
 
 ci: fmt vet lint build race bench-test bench-smoke saturate-smoke failover-smoke heal-smoke fuzz-smoke chaos-smoke
 
@@ -56,6 +56,20 @@ BASE ?= HEAD
 loc:
 	@git diff --numstat $(BASE) -- '*.go' ':!*_test.go' ':!bench/' ':!**/testdata/**' | \
 		awk '{a += $$1; d += $$2} END {printf "non-test Go outside bench/ and testdata/ vs $(BASE): +%d -%d = %+d\n", a, d, a - d}'
+
+# pairs is the parent-vs-change report every performance claim needs
+# (`make pairs BASE=5c2615a WORKLOAD=restore_read N=10`): BASE unpacked
+# under .bench_build/pairs/, bench/run.sh on it and on the working tree
+# in N alternating pairs (seeds SEED, SEED+1, …), then each side's median
+# and quartiles and the win count per gated metric. ARGS goes to
+# bench/run.sh on both sides (ARGS='-trace 1' for per-layer metrics),
+# ALSO names metrics to report beside the gated ones.
+WORKLOAD ?= restore_read
+N ?= 10
+SEED ?= 1
+ALSO ?= restore_ms_p50
+pairs:
+	$(GO) run ./cmd/benchpairs -base $(BASE) -workload $(WORKLOAD) -n $(N) -seed $(SEED) -also '$(ALSO)' -- $(ARGS)
 
 build:
 	$(GO) build ./...
@@ -144,8 +158,8 @@ fuzz-smoke:
 # chaos-smoke runs the seeded fault-injection suite (internal/faults)
 # under the race detector, the crash-point enumeration and torn-tail /
 # rot classification tests of the lineage store (internal/checkpoint)
-# and of the block store (internal/blockstore, with its fsync budget
-# and its Get-vs-relocating-GC race), plus the TestRace concurrency
+# and of the block store (internal/blockstore, with its fsync and read
+# budgets and its reads-vs-relocating-GC race, raced and forced), plus the TestRace concurrency
 # regression tests guarding the bugs the guardedby/lockorder/goroleak
 # analyzers found (Serve worker join, parked-handle pruning) and the span stream's lock discipline (a pull parked on a
 # reader that is not reading blocks neither a push nor a compaction).
@@ -155,7 +169,7 @@ fuzz-smoke:
 chaos-smoke:
 	$(GO) test -race -count=1 -run '^TestChaos' ./internal/faults
 	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail)$$' ./internal/checkpoint
-	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestRaceGetInternGC)$$' ./internal/blockstore
+	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestReadBudget|TestReadAcrossRelocation|TestRaceGetInternGC)$$' ./internal/blockstore
 	$(GO) test -race -count=1 -run '^TestRace' \
 		./internal/server ./internal/wireclient
 

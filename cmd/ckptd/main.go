@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -43,6 +42,7 @@ import (
 	"time"
 
 	"github.com/gpuckpt/gpuckpt/internal/server"
+	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
 
 func main() {
@@ -72,7 +72,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		listen       = fs.String("listen", ":9090", "TCP listen address")
 		root         = fs.String("root", "", "directory holding one sub-directory per lineage (required)")
 		maxConns     = fs.Int("max-conns", 64, "maximum concurrently served connections")
-		maxPayload   = fs.Uint("max-payload", 0, "maximum frame payload bytes (0 = default 256 MiB)")
+		maxPayload   = fs.Uint("max-payload", 0, "maximum frame payload bytes (0 = 256 MiB, which is also the most it can be)")
 		readTimeout  = fs.Duration("read-timeout", 30*time.Second, "per-request read deadline")
 		writeTimeout = fs.Duration("write-timeout", 30*time.Second, "per-response write deadline")
 		drainTimeout = fs.Duration("drain-timeout", 5*time.Second, "shutdown drain budget for in-flight requests")
@@ -91,8 +91,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *root == "" {
 		return fmt.Errorf("-root is required")
 	}
-	if uint64(*maxPayload) > math.MaxUint32 {
-		return fmt.Errorf("-max-payload %d exceeds the frame format's limit of %d bytes", *maxPayload, uint32(math.MaxUint32))
+	if *maxPayload > wire.DefaultMaxPayload {
+		return fmt.Errorf("-max-payload %d exceeds %d, the largest frame a client or a standby reads: a diff above it would be acked and never read back", *maxPayload, wire.DefaultMaxPayload)
 	}
 
 	cfg := server.Config{

@@ -74,6 +74,10 @@ func TestCkptdFlagValidation(t *testing.T) {
 		"unknown flag":  {"-bogus"},
 		// 2^32+1 used to be narrowed to a one-byte payload limit.
 		"-max-payload beyond the frame format": {"-listen", "127.0.0.1:0", "-root", t.TempDir(), "-max-payload", "4294967297"},
+		// One byte over what a client reads: a diff that size would be
+		// acked and never pulled back — by a primary or a standby.
+		"-max-payload beyond what readers accept":         {"-listen", "127.0.0.1:0", "-root", t.TempDir(), "-max-payload", "268435457"},
+		"standby -max-payload beyond what readers accept": {"-listen", "127.0.0.1:0", "-root", t.TempDir(), "-follow", "127.0.0.1:1", "-max-payload", "268435457"},
 	} {
 		// An accepted flag set starts the daemon; the deadline turns that
 		// into a nil return instead of a hung test.

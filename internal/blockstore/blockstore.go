@@ -178,8 +178,8 @@ var (
 	ErrSimulatedCrash = errors.New("blockstore: simulated crash")
 )
 
-// Hooks intercepts the store's write side at its failure points; tests
-// count I/O through them and inject failures and crashes (see
+// Hooks intercepts the store's I/O at its failure points; tests count
+// I/O through them and inject failures and crashes (see
 // ErrSimulatedCrash). Both fields are optional.
 type Hooks struct {
 	// WrapPackWrite wraps the writer one frame goes through.
@@ -190,7 +190,9 @@ type Hooks struct {
 	// will, before the new snapshot is staged; "before-rename" and
 	// "after-rename" around that snapshot's rename; "gc-after" once it
 	// is durable, before emptied packs are unlinked; "unlink" before GC
-	// unlinks the named pack.
+	// unlinks the named pack; "read" before a run of block records is
+	// read from the named pack, where an error fails that read and
+	// nothing else.
 	Seam func(point, path string) error
 }
 
@@ -382,8 +384,7 @@ func (s *Store) seamLocked(point, path string) error {
 	return err
 }
 
-// SetHooks installs the write-side hooks; nil removes them. Test-only
-// seam.
+// SetHooks installs the hooks; nil removes them. Test-only seam.
 func (s *Store) SetHooks(h *Hooks) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -820,77 +821,207 @@ func (s *Store) Release(refs []Ref) error {
 	return clampErr
 }
 
-// Get reads and verifies one block into memory of its own: GetInto
-// with a throwaway scratch.
-func (s *Store) Get(ref Ref) ([]byte, error) {
-	var scratch []byte
-	return s.GetInto(ref, &scratch)
+// Get reads and verifies one block into memory of its own: the read
+// path of AppendBlocks with a list of one and a scratch it keeps.
+func (s *Store) Get(ref Ref) (p []byte, err error) {
+	err = s.read([]Ref{ref}, &ReadScratch{}, func(b []byte) { p = b })
+	return p, err
 }
 
-// GetInto reads and verifies one block: record header, both CRCs,
-// payload length AND a full digest recomputation must all agree with
-// the index and the reference before any byte is returned; nothing read
-// is cached, so rot that sets in later is caught by the next read. Every
-// failure is typed (ErrCorrupt or ErrNotFound) so a caller can
-// quarantine or repair instead of restoring garbage.
+// runCap bounds the bytes one pack read fetches, and so the read
+// scratch: records that sit back to back in a pack are read together up
+// to this many bytes (a single record larger than it is read alone).
+const runCap = 256 << 10
+
+// ReadScratch is the reusable memory of a read: where each reference
+// resolved to, and the records of one run. The zero value is
+// ready; a reader walking many diffs keeps one, so that reads allocate
+// nothing once it has grown to the longest reference list and run.
+type ReadScratch struct {
+	locs []loc
+	run  []byte
+}
+
+// loc is what one reference of a read resolved to: the block's entry
+// (ok false: the index holds none) and the handle of the pack it names
+// (nil: no record of the block survives).
+type loc struct {
+	f  *os.File
+	e  entry
+	ok bool
+}
+
+// resolveLocked fills locs with where the index places each of refs.
 //
-// The record is read into *scratch, grown to the indexed record length
-// when it is shorter, and the returned payload aliases it: valid until
-// the next call with the same scratch. A reader walking a diff's
-// references reuses one scratch for all of them.
-func (s *Store) GetInto(ref Ref, scratch *[]byte) ([]byte, error) {
-	var tried entry
+//ckptlint:locked mu
+func (s *Store) resolveLocked(refs []Ref, locs []loc) {
+	for i, r := range refs {
+		e, ok := s.entries[r.ID]
+		locs[i] = loc{f: s.packs[e.pack], e: e, ok: ok}
+	}
+}
+
+// AppendBlocks appends the payloads of refs, in order, to dst and
+// returns the extended slice; on error dst is returned as it was and the
+// error names the first block that could not be served. sc carries the
+// read's scratch memory between calls.
+func (s *Store) AppendBlocks(dst []byte, refs []Ref, sc *ReadScratch) ([]byte, error) {
+	out := dst
+	if err := s.read(refs, sc, func(p []byte) { out = append(out, p...) }); err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+// read is the one read path of the store: it hands emit the payload of
+// every one of refs, in order, each valid until the next. All of refs are
+// resolved under one acquisition of the store's lock; records the index
+// places back to back in one pack — what Intern writes for the new
+// blocks of a batch — are fetched by one read per run of at most runCap
+// bytes; and every record is verified before its bytes are handed out:
+// record header, both CRCs, payload length AND a full digest
+// recomputation must all agree with the index and the reference. Nothing
+// read is cached, so rot that sets in later is caught by the next read.
+// Every failure is typed (ErrCorrupt or ErrNotFound) so a caller can
+// quarantine or repair instead of restoring garbage.
+func (s *Store) read(refs []Ref, sc *ReadScratch, emit func(p []byte)) error {
+	if len(refs) == 0 {
+		return nil
+	}
+	r := sc.reader(refs)
+	var failed error
+	var was entry
 	for {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			return nil, ErrClosed
+			return ErrClosed
 		}
-		e, ok := s.entries[ref.ID]
-		f := s.packs[e.pack]
+		s.resolveLocked(refs[r.i:], r.locs[r.i:])
+		r.seam = s.hooks.Seam
 		s.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, ref.ID)
-		}
-		p, err := readBlock(f, e, ref, scratch)
-		// The read runs unlocked, so a GC may have moved the block and
-		// unlinked the pack under it: a failure only stands once the
+		// The reads run unlocked, so a GC may have moved a block and
+		// unlinked the pack under one: a failure only stands once the
 		// index still points where the read went.
-		if err == nil || e.pack == tried.pack && e.off == tried.off {
-			return p, err
+		if at := r.locs[r.i].e; failed != nil && at.pack == was.pack && at.off == was.off {
+			return failed
 		}
-		tried = e
+		for failed = nil; r.i < len(refs) && failed == nil; {
+			var p []byte
+			if p, failed = r.next(); failed == nil {
+				emit(p)
+			}
+		}
+		if failed == nil {
+			return nil
+		}
+		was = r.locs[r.i].e
 	}
 }
 
-// readBlock reads the record e locates from f into *scratch and
-// verifies it.
-func readBlock(f *os.File, e entry, ref Ref, scratch *[]byte) ([]byte, error) {
-	if f == nil {
-		return nil, fmt.Errorf("%w: block %s is referenced but no record of it survives", ErrCorrupt, ref.ID)
+// reader returns a runReader over refs that works in sc; the caller
+// resolves its locs.
+func (sc *ReadScratch) reader(refs []Ref) runReader {
+	if cap(sc.locs) < len(refs) {
+		sc.locs = make([]loc, len(refs))
 	}
-	if ref.Len != 0 && ref.Len != e.len {
-		return nil, fmt.Errorf("%w: block %s holds %d bytes, reference says %d", ErrCorrupt, ref.ID, e.len, ref.Len)
+	return runReader{refs: refs, locs: sc.locs[:len(refs)], sc: sc}
+}
+
+// runReader hands out the verified payloads of refs in order, reading
+// the records locs places them at one run at a time.
+type runReader struct {
+	refs []Ref
+	locs []loc
+	sc   *ReadScratch
+	seam func(point, path string) error
+	// i is the reference next hands out next. run holds what is left of
+	// the run being handed out, of which the read delivered the first
+	// got bytes before it ended with err.
+	i   int
+	run []byte
+	got int
+	err error
+}
+
+// next returns the payload of reference i, valid until the next call,
+// and steps past it; on error it stays where it is.
+func (r *runReader) next() ([]byte, error) {
+	ref, at := r.refs[r.i], r.locs[r.i]
+	if len(r.run) == 0 {
+		if err := r.readRun(); err != nil {
+			return nil, err
+		}
 	}
-	need := blockRecOverhead + int(e.len)
-	if cap(*scratch) < need {
-		*scratch = make([]byte, need)
+	need := blockRecOverhead + int(at.e.len)
+	if r.got < need {
+		r.run = nil
+		if r.err == io.EOF {
+			return nil, fmt.Errorf("%w: block %s truncated at %d of %d record bytes", ErrCorrupt, ref.ID, r.got, need)
+		}
+		return nil, fmt.Errorf("blockstore: reading block %s: %w", ref.ID, r.err)
 	}
-	raw := (*scratch)[:need]
-	if n, err := f.ReadAt(raw, e.off); err == io.EOF {
-		return nil, fmt.Errorf("%w: block %s truncated at %d of %d record bytes", ErrCorrupt, ref.ID, n, len(raw))
-	} else if err != nil {
-		return nil, fmt.Errorf("blockstore: reading block %s: %w", ref.ID, err)
+	p, err := verifyRecord(r.run[:need], at, ref.ID)
+	if err != nil {
+		r.run = nil
+		return nil, err
 	}
+	r.run, r.got = r.run[need:], r.got-need
+	r.i++
+	return p, nil
+}
+
+// readRun reads the run that starts at reference i: its record and
+// those of the references after it for as long as each sits where the
+// one before it ends and the run stays under runCap.
+func (r *runReader) readRun() error {
+	switch ref, at := r.refs[r.i], r.locs[r.i]; {
+	case !at.ok:
+		return fmt.Errorf("%w: %s", ErrNotFound, ref.ID)
+	case at.f == nil:
+		return fmt.Errorf("%w: block %s is referenced but no record of it survives", ErrCorrupt, ref.ID)
+	case ref.Len != 0 && ref.Len != at.e.len:
+		return fmt.Errorf("%w: block %s holds %d bytes, reference says %d", ErrCorrupt, ref.ID, at.e.len, ref.Len)
+	}
+	first := r.locs[r.i]
+	size := blockRecOverhead + int(first.e.len)
+	for j := r.i + 1; j < len(r.refs); j++ {
+		// A reference the index cannot place resolves to pack 0, which
+		// no run is in; one that disagrees about the length starts a run
+		// of its own, to fail there.
+		ref, at := r.refs[j], r.locs[j]
+		rec := blockRecOverhead + int(at.e.len)
+		if at.e.pack != first.e.pack || at.e.off != first.e.off+int64(size) || ref.Len != 0 && ref.Len != at.e.len || size+rec > runCap {
+			break
+		}
+		size += rec
+	}
+	if cap(r.sc.run) < size {
+		r.sc.run = make([]byte, size)
+	}
+	r.run, r.got, r.err = r.sc.run[:size], 0, nil
+	if r.seam != nil {
+		r.err = r.seam("read", first.f.Name())
+	}
+	if r.err == nil {
+		r.got, r.err = first.f.ReadAt(r.run, first.e.off)
+	}
+	return nil
+}
+
+// verifyRecord checks raw, the bytes read from where at places block
+// id, against the index and the reference — the one place a block
+// record is judged — and returns the block's bytes within it.
+func verifyRecord(raw []byte, at loc, id ID) ([]byte, error) {
 	h, ok := packFormat.Parse(raw)
 	p := raw[blockRecOverhead:]
 	switch got := crc32.Checksum(raw[recframe.HdrSize:], castagnoli); {
-	case !ok || h.Kind != recBlock && h.Kind != recMoved || h.Len != idSize+e.len || ID(raw[recframe.HdrSize:blockRecOverhead]) != ref.ID:
-		return nil, fmt.Errorf("%w: block %s: record header at %s offset %d does not verify", ErrCorrupt, ref.ID, f.Name(), e.off)
-	case got != h.CRC || got != e.crc:
-		return nil, fmt.Errorf("%w: block %s CRC %08x, record %08x, index %08x", ErrCorrupt, ref.ID, got, h.CRC, e.crc)
-	case IDOf(p) != ref.ID:
-		return nil, fmt.Errorf("%w: block %s bytes hash to a different ID", ErrCorrupt, ref.ID)
+	case !ok || h.Kind != recBlock && h.Kind != recMoved || h.Len != idSize+at.e.len || ID(raw[recframe.HdrSize:blockRecOverhead]) != id:
+		return nil, fmt.Errorf("%w: block %s: record header at %s offset %d does not verify", ErrCorrupt, id, at.f.Name(), at.e.off)
+	case got != h.CRC || got != at.e.crc:
+		return nil, fmt.Errorf("%w: block %s CRC %08x, record %08x, index %08x", ErrCorrupt, id, got, h.CRC, at.e.crc)
+	case IDOf(p) != id:
+		return nil, fmt.Errorf("%w: block %s bytes hash to a different ID", ErrCorrupt, id)
 	}
 	return p, nil
 }
@@ -1029,35 +1160,37 @@ func (s *Store) GC() (GCStats, error) {
 //
 //ckptlint:locked mu
 func (s *Store) relocateLocked(num uint32, live []ID) error {
-	var ids []ID
+	var refs []Ref
 	for _, id := range live {
 		if s.entries[id].pack == num {
-			ids = append(ids, id)
+			refs = append(refs, Ref{ID: id})
 		}
 	}
-	if len(ids) == 0 {
+	if len(refs) == 0 {
 		return nil
 	}
-	slices.SortFunc(ids, func(a, b ID) int { return cmp.Compare(s.entries[a].off, s.entries[b].off) })
-	src, offs := s.packs[num], make([]int64, len(ids))
-	var scratch []byte // recLocked is done with a payload when it returns
+	slices.SortFunc(refs, func(a, b Ref) int { return cmp.Compare(s.entries[a.ID].off, s.entries[b.ID].off) })
+	var sc ReadScratch // recLocked is done with a payload when it returns
+	r := sc.reader(refs)
+	r.seam = s.hooks.Seam
+	s.resolveLocked(refs, r.locs)
+	offs := make([]int64, len(refs))
 	err := s.appendFrameLocked(recMoved, func() error {
-		for i, id := range ids {
-			p, err := readBlock(src, s.entries[id], Ref{ID: id}, &scratch)
+		for i := range refs {
+			p, err := r.next()
 			if err != nil {
 				return err
 			}
-			offs[i] = s.recLocked(recMoved, i < len(ids)-1, ids[i][:], p, s.entries[id].crc)
+			offs[i] = s.recLocked(recMoved, i < len(refs)-1, refs[i].ID[:], p, r.locs[i].e.crc)
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	for i, id := range ids {
-		e := s.entries[id]
-		e.pack, e.off = s.active, offs[i]
-		s.entries[id] = e
+	for i, at := range r.locs {
+		at.e.pack, at.e.off = s.active, offs[i]
+		s.entries[refs[i].ID] = at.e
 	}
 	return nil
 }

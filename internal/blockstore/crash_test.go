@@ -741,9 +741,10 @@ func TestPostCommitFailureFailsStop(t *testing.T) {
 	}
 }
 
-// TestRaceGetInternGC runs Get and Intern against a GC that relocates
-// and unlinks packs: a live block must never read back as ErrCorrupt
-// or ErrNotFound, however the read interleaves with its move.
+// TestRaceGetInternGC runs Get, AppendBlocks and Intern against a GC
+// that relocates and unlinks packs: a live block must never read back as
+// ErrCorrupt or ErrNotFound, however the read interleaves with its move
+// — alone, or in the middle of a run the relocation splits.
 func TestRaceGetInternGC(t *testing.T) {
 	s := openRoll(t, t.TempDir())
 	defer s.Close()
@@ -754,12 +755,14 @@ func TestRaceGetInternGC(t *testing.T) {
 	if _, err := s.Intern(keep); err != nil {
 		t.Fatal(err)
 	}
+	all, allRefs := bytes.Join(keep, nil), refsOf(keep...)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var sc ReadScratch
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -769,6 +772,10 @@ func TestRaceGetInternGC(t *testing.T) {
 				p := keep[i%len(keep)]
 				if got, err := s.Get(Ref{ID: IDOf(p), Len: uint32(len(p))}); err != nil || !bytes.Equal(got, p) {
 					t.Errorf("Get of a live block during GC: %v", err)
+					return
+				}
+				if got, err := s.AppendBlocks(nil, allRefs, &sc); err != nil || !bytes.Equal(got, all) {
+					t.Errorf("AppendBlocks of the live blocks during GC: %v", err)
 					return
 				}
 			}

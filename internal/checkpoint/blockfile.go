@@ -75,7 +75,7 @@ func appendBlockDiff(buf []byte, d *Diff, refs []blockstore.Ref) ([]byte, error)
 
 // parseBlockDiff parses a container image in place: prefix is the
 // canonical diff prefix and refs the reference list, still encoded
-// (refAt reads one). Validation is defensive in the repository's usual
+// (appendRefs decodes it). Validation is defensive in the repository's usual
 // style: counts are checked against the actual byte length, and the
 // declared data length must equal the sum of the reference lengths, so a
 // corrupted container fails here rather than reassembling a wrong-sized
@@ -114,10 +114,12 @@ func parseBlockDiff(b []byte) (prefix, refs []byte, dataLen uint64, err error) {
 	return prefix, refs, dataLen, nil
 }
 
-// refAt decodes reference i of a container's encoded reference list.
-func refAt(refs []byte, i int) blockstore.Ref {
-	rec := refs[i*blockRefSize:]
-	return blockstore.Ref{ID: blockstore.ID(rec[:blockstore.IDSize]), Len: binary.LittleEndian.Uint32(rec[blockstore.IDSize:])}
+// appendRefs decodes a container's encoded reference list onto dst.
+func appendRefs(dst []blockstore.Ref, enc []byte) []blockstore.Ref {
+	for ; len(enc) > 0; enc = enc[blockRefSize:] {
+		dst = append(dst, blockstore.Ref{ID: blockstore.ID(enc[:blockstore.IDSize]), Len: binary.LittleEndian.Uint32(enc[blockstore.IDSize:])})
+	}
+	return dst
 }
 
 // decodeBlockDiff is parseBlockDiff with the references decoded into a
@@ -127,9 +129,5 @@ func decodeBlockDiff(b []byte) (prefix []byte, refs []blockstore.Ref, dataLen ui
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	refs = make([]blockstore.Ref, len(enc)/blockRefSize)
-	for i := range refs {
-		refs[i] = refAt(enc, i)
-	}
-	return prefix, refs, dataLen, nil
+	return prefix, appendRefs(make([]blockstore.Ref, 0, len(enc)/blockRefSize), enc), dataLen, nil
 }

@@ -30,9 +30,13 @@ func (fs *FileStore) SpanChecksums(lo, hi int) ([]uint32, error) {
 		return nil, fmt.Errorf("checkpoint: digest span [%d,%d) outside stored [%d,%d)", lo, hi, base, length)
 	}
 	out := make([]uint32, 0, hi-lo)
+	// Nothing keeps a diff past its checksum: one buffer and one scratch
+	// serve the whole span.
+	var encoded []byte
+	var sc ReadScratch
 	for ck := lo; ck < hi; ck++ {
-		encoded, err := fs.DiffBytes(ck)
-		if err != nil {
+		var err error
+		if encoded, err = fs.appendDiff(encoded[:0], ck, nil, &sc); err != nil {
 			return nil, err
 		}
 		out = append(out, DiffChecksum(encoded))
@@ -49,8 +53,9 @@ func (fs *FileStore) SpanChecksums(lo, hi int) ([]uint32, error) {
 func (fs *FileStore) VerifySpan() error {
 	base := fs.Base()
 	length, _ := fs.Len()
+	var sc ReadScratch
 	for ck := base; ck < length; ck++ {
-		if _, err := fs.decodeVerified(ck); err != nil {
+		if _, err := fs.decodeVerified(ck, &sc); err != nil {
 			return err
 		}
 	}

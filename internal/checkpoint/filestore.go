@@ -744,10 +744,15 @@ var errNoBlockStore = errors.New("checkpoint: block-mapped diff but no block sto
 var ErrSpanMoved = errors.New("checkpoint: span moved")
 
 // ReadScratch is the reusable memory of the diff read path: the raw
-// record, and one block record at a time. The zero value is ready; a
-// reader serving many diffs keeps one, so that reads allocate nothing
-// once it has grown to the largest record.
-type ReadScratch struct{ rec, block []byte }
+// record, its block references decoded, and the block store's own read
+// scratch. The zero value is ready; a reader serving many diffs keeps
+// one, so that reads allocate nothing once it has grown to the largest
+// record.
+type ReadScratch struct {
+	rec    []byte
+	refs   []blockstore.Ref
+	blocks blockstore.ReadScratch
+}
 
 // Span is a consistent view of the stored checkpoints [from, to): every
 // diff read through it comes from the one generation of the lineage the
@@ -802,8 +807,8 @@ func (fs *FileStore) DiffBytes(ck int) ([]byte, error) {
 // record checksums and the header against the index; a self-contained
 // payload is appended to dst as is, a block-mapped container is
 // reassembled — prefix verbatim, then every referenced block fetched
-// from the shared store, which verifies each one — so callers never see
-// container bytes. Damage of either kind is a *CorruptError (errors.Is
+// from the shared store by one AppendBlocks, which verifies each one —
+// so callers never see container bytes. Damage of either kind is a *CorruptError (errors.Is
 // ErrCorrupt) naming ck. Only the read itself happens under the lock: a
 // reader never sees a half-installed segment, and verification and
 // block fetches do not hold up appends. With segment set, the read is
@@ -865,23 +870,20 @@ func (fs *FileStore) appendDiff(dst []byte, ck int, segment *uint32, sc *ReadScr
 	if fs.blocks == nil {
 		return dst, errNoBlockStore
 	}
+	sc.refs = appendRefs(sc.refs[:0], refs)
 	out := append(slices.Grow(dst, len(prefix)+int(dataLen)), prefix...)
-	for i := 0; i < len(refs)/blockRefSize; i++ {
-		p, err := fs.blocks.GetInto(refAt(refs, i), &sc.block)
-		if err != nil {
-			return corrupt(err)
-		}
-		out = append(out, p...)
+	if out, err = fs.blocks.AppendBlocks(out, sc.refs, &sc.blocks); err != nil {
+		return corrupt(err)
 	}
 	return out, nil
 }
 
-// decodeVerified decodes the verified bytes of checkpoint ck and
-// cross-checks the embedded id. Structural decode failures and id
-// mismatches are *CorruptError like checksum failures: all three mean
-// the diff cannot be restored.
-func (fs *FileStore) decodeVerified(ck int) (*Diff, error) {
-	encoded, err := fs.DiffBytes(ck)
+// decodeVerified decodes the verified bytes of checkpoint ck, read into
+// memory of their own through sc, and cross-checks the embedded id.
+// Structural decode failures and id mismatches are *CorruptError like
+// checksum failures: all three mean the diff cannot be restored.
+func (fs *FileStore) decodeVerified(ck int, sc *ReadScratch) (*Diff, error) {
+	encoded, err := fs.appendDiff(nil, ck, nil, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -903,8 +905,9 @@ func (fs *FileStore) Load() (*Record, error) {
 		return nil, fmt.Errorf("checkpoint: store %s is empty", fs.dir)
 	}
 	rec := NewRecord()
+	var sc ReadScratch
 	for ck := base; ck < length; ck++ {
-		d, err := fs.decodeVerified(ck)
+		d, err := fs.decodeVerified(ck, &sc)
 		if err != nil {
 			return nil, err
 		}
@@ -953,9 +956,10 @@ func (fs *FileStore) Scrub() (*ScrubReport, error) {
 	length, _ := fs.Len()
 	rep := &ScrubReport{}
 	var holes []*Diff
+	var sc ReadScratch
 	for ck := base; ck < length; ck++ {
 		rep.Checked++
-		_, err := fs.decodeVerified(ck)
+		_, err := fs.decodeVerified(ck, &sc)
 		if err == nil {
 			continue
 		}

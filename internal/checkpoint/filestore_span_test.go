@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/gpuckpt/gpuckpt/internal/blockstore"
 )
 
 // TestInstallSpanAdoptsForwardBase covers the replication resync
@@ -259,8 +261,10 @@ func TestSpanMovesWithInstall(t *testing.T) {
 }
 
 // TestSpanRotNamesCheckpoint: damage under a span read is a
-// *CorruptError naming the checkpoint, the diffs before it stay
-// servable, and dst comes back as it went in.
+// *CorruptError naming the checkpoint and the block, the diffs before it
+// stay servable, and dst comes back as it went in — for every byte of
+// the run the diff's blocks are read as, header, ID and payload alike, so
+// only full verification of every record before sending catches it.
 func TestSpanRotNamesCheckpoint(t *testing.T) {
 	bs, stores := openShared(t, t.TempDir(), "lin")
 	fs := stores[0]
@@ -269,8 +273,6 @@ func TestSpanRotNamesCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Rot the last block of checkpoint 1: the prefix and every block
-	// before it verify, so only full verification before sending catches it.
 	raw := make([]byte, 4096)
 	_, off, length, err := fs.Locate(1)
 	if err != nil {
@@ -283,24 +285,39 @@ func TestSpanRotNamesCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, boff, blen, err := bs.Locate(refs[len(refs)-1].ID)
+	// The ten blocks of checkpoint 1 went into the pack in one frame:
+	// one run on the way back.
+	path, start, blen, err := bs.Locate(refs[0].ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flipByte(t, path, boff+blen-1)
-
+	for i, r := range refs {
+		if _, boff, _, err := bs.Locate(r.ID); err != nil || boff != start+int64(i)*blen {
+			t.Fatalf("block %d of checkpoint 1 sits at %d (%v), want %d: not one run", i, boff, err, start+int64(i)*blen)
+		}
+	}
 	sp, err := fs.Span(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sc ReadScratch
-	if _, err := sp.AppendDiff(nil, 0, &sc); err != nil {
-		t.Fatalf("the diff before the damage: %v", err)
+	for at := int64(0); at < int64(len(refs))*blen; at++ {
+		flipByte(t, path, start+at)
+		if _, err := sp.AppendDiff(nil, 0, &sc); err != nil {
+			t.Fatalf("byte %d: the diff before the damage: %v", at, err)
+		}
+		got, err := sp.AppendDiff([]byte("kept"), 1, &sc)
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.Ckpt != 1 || !errors.Is(err, blockstore.ErrCorrupt) || string(got) != "kept" {
+			t.Fatalf("byte %d: %q, %v; want dst back and a CorruptError naming checkpoint 1", at, got, err)
+		}
+		if want := refs[at/blen].ID.String(); !strings.Contains(err.Error(), want) {
+			t.Fatalf("byte %d lies in the record of block %s; the error names another: %v", at, want, err)
+		}
+		flipByte(t, path, start+at)
 	}
-	got, err := sp.AppendDiff([]byte("kept"), 1, &sc)
-	var ce *CorruptError
-	if !errors.As(err, &ce) || ce.Ckpt != 1 || string(got) != "kept" {
-		t.Fatalf("rotten diff: %q, %v; want dst back and a CorruptError naming checkpoint 1", got, err)
+	if _, err := sp.AppendDiff(nil, 1, &sc); err != nil {
+		t.Fatalf("with every byte put back: %v", err)
 	}
 }
 

@@ -213,7 +213,7 @@ func foldTo(t *testing.T, fs *FileStore, base int) {
 	n, _ := fs.Len()
 	var span []*Diff
 	for ck := base; ck < n; ck++ {
-		d, err := fs.decodeVerified(ck)
+		d, err := fs.decodeVerified(ck, &ReadScratch{})
 		if err != nil {
 			t.Fatal(err)
 		}

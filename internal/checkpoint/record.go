@@ -11,10 +11,11 @@ import (
 )
 
 // storedRegion locates the bytes of one first-occurrence region inside
-// a diff's data section.
+// a diff's data section. Chunk indices are 32-bit like the node ids of
+// FirstOcur that name regions; indexRegions refuses a wider geometry.
 type storedRegion struct {
-	leafLo, leafHi int   // chunk range [lo, hi)
-	dataOff        int64 // byte offset in Diff.Data
+	leafLo, leafHi uint32 // chunk range [lo, hi)
+	dataOff        int64  // byte offset in Diff.Data
 }
 
 // Record is the checkpoint lineage of one process: the ordered
@@ -143,7 +144,10 @@ func (r *Record) indexRegions(d *Diff, plain []byte) ([]storedRegion, error) {
 		if r.geom == nil {
 			return nil, nil
 		}
-		return []storedRegion{{leafLo: 0, leafHi: r.geom.NumLeaves, dataOff: 0}}, nil
+		if uint64(r.geom.NumLeaves) > math.MaxUint32 {
+			return nil, fmt.Errorf("checkpoint: full diff %d spans %d chunks, beyond the 32-bit chunk range", d.CkptID, r.geom.NumLeaves)
+		}
+		return []storedRegion{{leafLo: 0, leafHi: uint32(r.geom.NumLeaves), dataOff: 0}}, nil
 	case MethodBasic:
 		// Basic diffs are never referenced by shifted duplicates, but
 		// Apply walks the bitmap, so its length and the bytes it claims
@@ -188,8 +192,11 @@ func (r *Record) indexRegions(d *Diff, plain []byte) ([]storedRegion, error) {
 				return nil, fmt.Errorf("checkpoint: diff %d region node %d out of range", d.CkptID, node)
 			}
 			lo, hi := r.geom.LeafRange(int(node))
+			if uint64(hi) > math.MaxUint32 {
+				return nil, fmt.Errorf("checkpoint: diff %d region node %d reaches chunk %d, beyond the 32-bit chunk range", d.CkptID, node, hi)
+			}
 			spanOff, spanEnd := r.geom.NodeSpan(int(node), r.chunkSize, r.dataLen)
-			idx = append(idx, storedRegion{leafLo: lo, leafHi: hi, dataOff: off})
+			idx = append(idx, storedRegion{leafLo: uint32(lo), leafHi: uint32(hi), dataOff: off})
 			off += int64(spanEnd - spanOff)
 		}
 		if off != int64(len(plain)) {
@@ -219,17 +226,17 @@ func (r *Record) resolve(ck, node uint32) ([]byte, error) {
 	lo, _ := r.geom.LeafRange(int(node))
 	regions := r.regions[ck]
 	// Find the last region with leafLo <= lo.
-	i := sort.Search(len(regions), func(i int) bool { return regions[i].leafLo > lo }) - 1
+	i := sort.Search(len(regions), func(i int) bool { return int(regions[i].leafLo) > lo }) - 1
 	if i < 0 {
 		return nil, fmt.Errorf("checkpoint: node %d not stored in checkpoint %d", node, ck)
 	}
 	reg := regions[i]
 	_, hi := r.geom.LeafRange(int(node))
-	if hi > reg.leafHi {
+	if hi > int(reg.leafHi) {
 		return nil, fmt.Errorf("checkpoint: node %d (chunks [%d,%d)) exceeds stored region [%d,%d) of checkpoint %d",
 			node, lo, hi, reg.leafLo, reg.leafHi, ck)
 	}
-	byteOff := reg.dataOff + int64((lo-reg.leafLo)*r.chunkSize)
+	byteOff := reg.dataOff + int64((lo-int(reg.leafLo))*r.chunkSize)
 	n := int64(spanEnd - spanOff)
 	data := r.plain[ck]
 	if byteOff+n > int64(len(data)) {

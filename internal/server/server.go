@@ -47,8 +47,9 @@ type Config struct {
 	Root string
 	// MaxConns bounds concurrently served connections (default 64).
 	MaxConns int
-	// MaxPayload bounds a request/response payload in bytes
-	// (default wire.DefaultMaxPayload).
+	// MaxPayload bounds a request/response payload in bytes (default
+	// and ceiling wire.DefaultMaxPayload, which is what every reader of
+	// a served diff — client, follower, peer — accepts).
 	MaxPayload uint32
 	// ReadTimeout is the per-frame read deadline: how long a connected
 	// client may stay idle between requests (default 30s).
@@ -94,12 +95,15 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-func (c *Config) fill() {
+func (c *Config) fill() error {
 	if c.MaxConns <= 0 {
 		c.MaxConns = 64
 	}
 	if c.MaxPayload == 0 {
 		c.MaxPayload = wire.DefaultMaxPayload
+	}
+	if c.MaxPayload > wire.DefaultMaxPayload {
+		return fmt.Errorf("server: MaxPayload %d exceeds %d, the largest frame a client or a follower reads: a diff above it would be acked and never read back", c.MaxPayload, wire.DefaultMaxPayload)
 	}
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = 30 * time.Second
@@ -125,6 +129,7 @@ func (c *Config) fill() {
 	if c.Logf == nil {
 		c.Logf = log.Printf
 	}
+	return nil
 }
 
 // lineage is one named checkpoint lineage: a FileStore plus the mutex
@@ -229,7 +234,9 @@ type Server struct {
 // New creates a Server over cfg.Root, reopening any lineages already
 // on disk (each sub-directory of Root is a lineage).
 func New(cfg Config) (*Server, error) {
-	cfg.fill()
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
 	if cfg.Root == "" {
 		return nil, errors.New("server: Root directory is required")
 	}

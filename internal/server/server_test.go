@@ -584,6 +584,22 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 	}
 }
 
+// TestNewRefusesPayloadNoReaderAccepts: every reader of a served diff
+// reads with wire.DefaultMaxPayload, so a server that accepted more
+// would durably ack diffs nothing can pull back.
+func TestNewRefusesPayloadNoReaderAccepts(t *testing.T) {
+	root := t.TempDir()
+	if srv, err := New(Config{Root: root, MaxPayload: wire.DefaultMaxPayload + 1}); err == nil {
+		srv.Close()
+		t.Fatal("a MaxPayload above what clients and followers read was accepted")
+	}
+	srv, err := New(Config{Root: root, MaxPayload: wire.DefaultMaxPayload})
+	if err != nil {
+		t.Fatalf("the readers' own limit was refused (or the refusal held the root): %v", err)
+	}
+	srv.Close()
+}
+
 func TestServerBadHandshake(t *testing.T) {
 	_, addr, stop := startServer(t, Config{Root: t.TempDir()})
 	defer stop()

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -95,16 +96,76 @@ func TestReadFrameOversizedPayload(t *testing.T) {
 	}
 }
 
+// readFrameCost reads one frame from b into a fresh scratch and reports
+// what that allocated (TotalAlloc, superseded buffers included) and the
+// buffer the scratch was left holding.
+func readFrameCost(b []byte) (allocated uint64, held int, f Frame, err error) {
+	r := bytes.NewReader(b)
+	var scratch []byte
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = ReadFrameInto(r, 0, &f, &scratch)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, cap(scratch), f, err
+}
+
+// growthSlack is what a measured TotalAlloc may exceed a sum of buffer
+// lengths by: the runtime rounds each large allocation up to whole
+// 8 KiB pages, and a frame of total bytes grows in at most
+// log_c(total/initialPayloadCap) + 2 steps.
+func growthSlack(total int) uint64 {
+	steps := 2
+	for n := initialPayloadCap; n < total; n *= growthFactor {
+		steps++
+	}
+	return uint64(steps) * 8 << 10
+}
+
 // TestReadFrameLyingLength declares a large (but in-limit) payload and
-// supplies few bytes: the reader must fail with ErrUnexpectedEOF while
-// only ever allocating proportionally to the bytes that arrived.
+// supplies few bytes: the reader must fail with ErrUnexpectedEOF having
+// allocated in proportion to the bytes that arrived, not to the length
+// declared — measured, with c = growthFactor: the buffer it is left
+// holding is at most c x arrived (or initialPayloadCap), and everything
+// it allocated on the way at most c²/(c-1) x arrived + initialPayloadCap.
 func TestReadFrameLyingLength(t *testing.T) {
-	hdr := make([]byte, HeaderSize)
-	hdr[0] = TPush
-	binary.BigEndian.PutUint32(hdr[10:], 128<<20)
-	b := append(hdr, bytes.Repeat([]byte{9}, 100)...)
-	if _, err := ReadFrame(bytes.NewReader(b), 0); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("err=%v, want ErrUnexpectedEOF", err)
+	const c = growthFactor
+	for _, arrived := range []int{100, initialPayloadCap + 1, 1<<20 + 300, 3 << 20} {
+		hdr := make([]byte, HeaderSize)
+		hdr[0] = TPush
+		binary.BigEndian.PutUint32(hdr[10:], 128<<20)
+		allocated, held, _, err := readFrameCost(append(hdr, bytes.Repeat([]byte{9}, arrived)...))
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%d bytes of a declared 128 MiB: err=%v, want ErrUnexpectedEOF", arrived, err)
+		}
+		if held > max(c*arrived, initialPayloadCap) {
+			t.Errorf("%d bytes arrived, the reader holds a %d-byte buffer: more than %d x arrived", arrived, held, c)
+		}
+		if budget := uint64(c*c*arrived/(c-1)+initialPayloadCap) + growthSlack(c*arrived); allocated > budget {
+			t.Errorf("%d bytes arrived, the reader allocated %d, budget %d", arrived, allocated, budget)
+		}
+	}
+}
+
+// TestReadFrameGrowthBound: a frame that arrives whole costs its own
+// bytes plus at most total/(c-1) + initialPayloadCap in superseded
+// buffers, wherever total falls between two powers of c — the doubling
+// this replaced paid up to 2 x total for a frame just past a power of
+// two, which is what a baseline image of 2^k bytes plus its header is.
+func TestReadFrameGrowthBound(t *testing.T) {
+	const c = growthFactor
+	for _, total := range []int{initialPayloadCap - 1, initialPayloadCap, initialPayloadCap + 1, 1<<20 + 300, 8<<20 + 300} {
+		var buf bytes.Buffer
+		want := &Frame{Type: TPull, Lineage: 3, Ckpt: 9, Payload: bytes.Repeat([]byte{0xa5, 7, 0}, total/3+1)[:total]}
+		if err := WriteFrame(&buf, want); err != nil {
+			t.Fatal(err)
+		}
+		allocated, _, got, err := readFrameCost(buf.Bytes())
+		if err != nil || got.Ckpt != 9 || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("frame of %d bytes: read back %d bytes, %v", total, len(got.Payload), err)
+		}
+		if budget := uint64(total*c/(c-1)+initialPayloadCap) + growthSlack(total); allocated > budget {
+			t.Errorf("frame of %d bytes: the reader allocated %d, budget %d (%d x total/(%d-1) + %d)", total, allocated, budget, c, c, initialPayloadCap)
+		}
 	}
 }
 

@@ -483,6 +483,12 @@ func WriteFrameVec(w io.Writer, vec *net.Buffers) error {
 // large allocation for data that never shows up.
 const initialPayloadCap = 64 << 10
 
+// growthFactor is c in ReadFrameInto's bound: the payload buffer is
+// never larger than c times the bytes that have arrived. A larger c
+// wastes less on an honest frame (total/(c-1)) and lets a lying one
+// hold more; 2 is what the doubling it replaces allowed.
+const growthFactor = 2
+
 // ReadFrame reads one frame, rejecting payloads larger than maxPayload
 // (0 selects DefaultMaxPayload) before allocating anything. The
 // payload buffer starts small and grows as bytes arrive, so the
@@ -506,7 +512,18 @@ func ReadFrame(r io.Reader, maxPayload uint32) (*Frame, error) {
 // The same untrusted-length discipline as ReadFrame applies: a
 // declared length is capped by maxPayload (0 selects
 // DefaultMaxPayload) before any growth, and the buffer grows only as
-// bytes actually arrive.
+// bytes actually arrive. Growth is planned from the declared length
+// total downward — a full buffer is replaced by the largest of total,
+// total/c, total/c², … that is at most c = growthFactor times the bytes
+// it holds — so with a fresh scratch:
+//
+//   - no buffer is ever larger than c x the bytes that have arrived, or
+//     initialPayloadCap, whichever is more, however the frame ends;
+//   - a frame that arrives whole costs its own total bytes plus at most
+//     total/(c-1) + initialPayloadCap in superseded buffers, wherever
+//     total falls between two powers of c;
+//   - a frame that stops after n bytes has cost at most
+//     n x c²/(c-1) + initialPayloadCap in all.
 func ReadFrameInto(r io.Reader, maxPayload uint32, f *Frame, scratch *[]byte) error {
 	if maxPayload == 0 {
 		maxPayload = DefaultMaxPayload
@@ -559,7 +576,11 @@ func ReadFrameInto(r io.Reader, maxPayload uint32, f *Frame, scratch *[]byte) er
 		if filled == total {
 			break
 		}
-		next := make([]byte, min(total, 2*filled))
+		size := total
+		for size > growthFactor*filled {
+			size = (size + growthFactor - 1) / growthFactor
+		}
+		next := make([]byte, size)
 		copy(next, buf)
 		buf = next
 	}
