@@ -41,7 +41,8 @@ vet:
 
 # lint runs the twelve repo-specific checks — noalloc, clockguard,
 # closecontract, wireerr, retryable, nowallclock, bufreuse, onewire,
-# layering, and the whole-repo concurrency-contract analyses guardedby,
+# layering (which also holds the service stratum's 1,000-line file
+# gate), and the whole-repo concurrency-contract analyses guardedby,
 # lockorder, and goroleak; see internal/lint and
 # `go run ./cmd/ckptlint -list`.
 # Add -json for machine-readable output.
@@ -156,7 +157,8 @@ fuzz-smoke:
 	done
 
 # chaos-smoke runs the seeded fault-injection suite (internal/faults)
-# under the race detector, the crash-point enumeration and torn-tail /
+# under the race detector, the append ladder and rename commit both
+# stores write by (internal/recframe), the crash-point enumeration and torn-tail /
 # rot classification tests of the lineage store (internal/checkpoint)
 # and of the block store (internal/blockstore, with its fsync and read
 # budgets and its reads-vs-relocating-GC race, raced and forced), plus the TestRace concurrency
@@ -168,7 +170,8 @@ fuzz-smoke:
 # flake triage needed.
 chaos-smoke:
 	$(GO) test -race -count=1 -run '^TestChaos' ./internal/faults
-	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail)$$' ./internal/checkpoint
+	$(GO) test -race -count=1 -run '^(TestAppendLadder|TestCommit)$$' ./internal/recframe
+	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestManifestNamingMissingSegmentFailsOpen)$$' ./internal/checkpoint
 	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestReadBudget|TestReadAcrossRelocation|TestRaceGetInternGC)$$' ./internal/blockstore
 	$(GO) test -race -count=1 -run '^TestRace' \
 		./internal/server ./internal/wireclient

@@ -126,7 +126,7 @@ func TestStandbyFailover(t *testing.T) {
 			return false
 		}
 		defer mirror.Close()
-		n, _ := mirror.Len()
+		n := mirror.Len()
 		return n == chain
 	}
 	deadline := time.Now().Add(10 * time.Second)

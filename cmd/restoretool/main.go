@@ -148,10 +148,7 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		defer store.Close()
-		n, err := store.Len()
-		if err != nil {
-			return err
-		}
+		n := store.Len()
 		if n == store.Base() {
 			return fmt.Errorf("lineage directory %s is empty", *dirPath)
 		}

@@ -232,7 +232,7 @@ func New(cfg Config, dataLen int) (*Checkpointer, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n, _ := store.Len(); n != 0 {
+		if n := store.Len(); n != 0 {
 			store.Close()
 			return nil, fmt.Errorf("gpuckpt: persist dir %s already holds %d diffs", cfg.PersistDir, n)
 		}

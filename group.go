@@ -85,7 +85,7 @@ func (g *Group) Protect(name string, dataLen int) error {
 			d.Close()
 			return err
 		}
-		if n, _ := store.Len(); n != 0 {
+		if n := store.Len(); n != 0 {
 			store.Close()
 			d.Close()
 			return fmt.Errorf("gpuckpt: member dir for %q already holds %d diffs", name, n)

@@ -29,29 +29,6 @@ import (
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
 
-// Store is the slice of checkpoint.FileStore the reconciler depends
-// on; *checkpoint.FileStore satisfies it directly. An interface so
-// the reconciler tests can interpose failure-injecting wrappers
-// without touching the store implementation.
-type Store interface {
-	// Manifest returns the committed manifest (baseline, compaction
-	// generation).
-	Manifest() checkpoint.Manifest
-	// Len returns the contiguous stored length.
-	Len() (int, error)
-	// SpanChecksums returns per-diff content CRCs for [lo, hi);
-	// *checkpoint.CorruptError on rot.
-	SpanChecksums(lo, hi int) ([]uint32, error)
-	// QuarantinedIDs lists the holes still open.
-	QuarantinedIDs() ([]int, error)
-	// ReinstallDiff stores a verified diff at its absolute id:
-	// filling a hole, superseding a rotten record, or extending the
-	// stored suffix.
-	ReinstallDiff(d *checkpoint.Diff) error
-	// InstallSpan atomically adopts a peer's authoritative span.
-	InstallSpan(base int, diffs []*checkpoint.Diff) error
-}
-
 // SpanRoot computes the murmur3-128 merkle root over a span's
 // per-diff content checksums: leaf i hashes the pair (absolute
 // checkpoint id lo+i, crcs[i]) so a span that slid by one diff never
@@ -106,11 +83,8 @@ func FoldCRCs(crcs []uint32) uint32 {
 // cannot verify. The server turns that into a StatusErr the remote
 // reconciler reports as a damaged peer; the local reconciler treats
 // it as the signal to bisect and heal.
-func BuildResp(st Store, q wire.DigestReq) (wire.DigestResp, error) {
-	n, err := st.Len()
-	if err != nil {
-		return wire.DigestResp{}, err
-	}
+func BuildResp(st *checkpoint.FileStore, q wire.DigestReq) (wire.DigestResp, error) {
+	n := st.Len()
 	man := st.Manifest()
 	base := int(man.Base)
 	lo, hi := int(q.Lo), int(q.Hi)

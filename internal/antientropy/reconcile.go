@@ -156,7 +156,7 @@ type Config struct {
 	// Lineage names the lineage under reconciliation. Required.
 	Lineage string
 	// Store is the local replica. Required.
-	Store Store
+	Store *checkpoint.FileStore
 	// Peer is the remote replica. Required.
 	Peer Peer
 	// Locked serializes store mutations with the store's owner — the
@@ -312,11 +312,7 @@ func (r *Reconciler) round() (Result, error) {
 	}
 	pBase, pLen := int(pd.Base), int(pd.Len)
 
-	n, err := st.Len()
-	if err != nil {
-		return res, err
-	}
-	base := int(st.Manifest().Base)
+	n, base := st.Len(), int(st.Manifest().Base)
 
 	switch {
 	case pBase > base:
@@ -336,11 +332,7 @@ func (r *Reconciler) round() (Result, error) {
 	}
 
 	// Refill the holes the peer can cover.
-	holes, err := st.QuarantinedIDs()
-	if err != nil {
-		return res, err
-	}
-	for _, ck := range holes {
+	for _, ck := range st.QuarantinedIDs() {
 		if ck < pLen {
 			if err := r.heal(ck, ck+1, nil, &res); err != nil {
 				return res, err
@@ -350,16 +342,11 @@ func (r *Reconciler) round() (Result, error) {
 
 	// Pull the missing suffix: every checkpoint the peer stores past
 	// our length. ReinstallDiff at the tail extends the stored span.
-	if n, err = st.Len(); err != nil {
-		return res, err
-	}
-	if n < pLen {
+	if n = st.Len(); n < pLen {
 		if err := r.heal(n, pLen, nil, &res); err != nil {
 			return res, err
 		}
-	}
-	if n, err = st.Len(); err != nil {
-		return res, err
+		n = st.Len()
 	}
 
 	// Compare the common span against the summary we already hold.
@@ -401,15 +388,11 @@ func (r *Reconciler) round() (Result, error) {
 func (r *Reconciler) SelfHeal() (Result, error) {
 	var res Result
 	for {
-		n, err := r.cfg.Store.Len()
-		if err != nil {
-			return res, err
-		}
-		base := int(r.cfg.Store.Manifest().Base)
+		n, base := r.cfg.Store.Len(), int(r.cfg.Store.Manifest().Base)
 		if n <= base {
 			return res, nil
 		}
-		_, err = r.cfg.Store.SpanChecksums(base, n)
+		_, err := r.cfg.Store.SpanChecksums(base, n)
 		if err == nil {
 			return res, nil
 		}

@@ -25,10 +25,7 @@ func newStore(t *testing.T) *checkpoint.FileStore {
 // tagOf lets a test plant divergent content at chosen ids.
 func appendChain(t *testing.T, st *checkpoint.FileStore, n int, tagOf func(ck int) byte) {
 	t.Helper()
-	start, err := st.Len()
-	if err != nil {
-		t.Fatal(err)
-	}
+	start := st.Len()
 	for ck := start; ck < n; ck++ {
 		d := &checkpoint.Diff{Method: checkpoint.MethodFull, CkptID: uint32(ck),
 			DataLen: 64, ChunkSize: 16, Data: bytes.Repeat([]byte{tagOf(ck)}, 64)}
@@ -100,14 +97,8 @@ func newReconciler(t *testing.T, local, peer *checkpoint.FileStore, cfg Config) 
 // over the same span.
 func verifyConverged(t *testing.T, a, b *checkpoint.FileStore) {
 	t.Helper()
-	na, err := a.Len()
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb, err := b.Len()
-	if err != nil {
-		t.Fatal(err)
-	}
+	na := a.Len()
+	nb := b.Len()
 	if na != nb || a.Base() != b.Base() {
 		t.Fatalf("spans differ: [%d,%d) vs [%d,%d)", a.Base(), na, b.Base(), nb)
 	}
@@ -225,9 +216,8 @@ func TestRoundHealsLocalRot(t *testing.T) {
 		t.Fatalf("rot heal: %+v", res)
 	}
 	verifyConverged(t, local, peer)
-	holes, err := local.QuarantinedIDs()
-	if err != nil || len(holes) != 0 {
-		t.Fatalf("quarantine not cleared after heal: %v %v", holes, err)
+	if holes := local.QuarantinedIDs(); len(holes) != 0 {
+		t.Fatalf("quarantine not cleared after heal: %v", holes)
 	}
 	if res, err := r.Round(); err != nil || res.Outcome != OutcomeClean {
 		t.Fatalf("second round after heal: %+v %v", res, err)
@@ -241,8 +231,8 @@ func TestRoundRefillsQuarantineHole(t *testing.T) {
 	if err := local.QuarantineDiff(4); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := local.Len(); err != nil || n != 4 {
-		t.Fatalf("quarantine should shrink length to the hole: n=%d err=%v", n, err)
+	if n := local.Len(); n != 4 {
+		t.Fatalf("quarantine should shrink length to the hole: n=%d", n)
 	}
 
 	r := newReconciler(t, local, peer, Config{})
@@ -321,7 +311,7 @@ func TestRoundPeerBehind(t *testing.T) {
 	if res.Outcome != OutcomePeerBehind || res.Healed != 0 {
 		t.Fatalf("peer behind: %+v", res)
 	}
-	if n, _ := local.Len(); n != 9 {
+	if n := local.Len(); n != 9 {
 		t.Fatalf("local span mutated: %d", n)
 	}
 }

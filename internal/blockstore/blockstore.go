@@ -26,17 +26,20 @@
 //
 // # Crash safety
 //
-// Intern and Release each append ONE frame — the records of the call,
-// all but the last flagged more — with one write and one fsync,
-// whatever the block count, and touch the in-memory index only after
-// that fsync.
+// The store writes by the protocol of internal/recframe: Intern and
+// Release each append ONE frame — the records of the call, all but the
+// last flagged more — with one recframe.Log.Append (one write, one
+// fsync, whatever the block count) and touch the in-memory index only
+// after it; GC's snapshot is published by recframe.Commit; tests reach
+// every failure point through one recframe.Hooks (SetHooks).
 //
 // B1. A crash, failed write or failed fsync loses exactly the un-acked
 // frame: the next open cuts a frame without its committing record off
-// before anything is appended after it, so a reopen yields the state
-// before the call — no orphan block, no partial reference batch. A
-// failure that is not a crash cuts the pack back itself, or fail-stops
-// the store if even that fails.
+// before anything is appended after it (recframe.Resume), so a reopen
+// yields the state before the call — no orphan block, no partial
+// reference batch. A failure that is not a crash cuts the pack back
+// itself; if the log fail-stops instead, the store drops its handles
+// and its lock and refuses everything until it is reopened.
 //
 // B2. Rot in a committed record is never mistaken for a torn tail. A
 // bad region followed by any record that verifies is rot: nothing after
@@ -61,8 +64,6 @@ package blockstore
 
 import (
 	"bufio"
-	"bytes"
-	"cmp"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -74,7 +75,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"syscall"
 
 	"github.com/gpuckpt/gpuckpt/internal/metrics"
 	"github.com/gpuckpt/gpuckpt/internal/murmur3"
@@ -101,7 +101,6 @@ const (
 
 	indexFileName = "blockstore.index"
 	lockFileName  = "blockstore.lock"
-	tmpSuffix     = ".tmp"
 
 	// packRollSize seals the active pack: the first frame that finds it
 	// at least this long goes to a new one. A frame never spans packs.
@@ -171,30 +170,13 @@ var (
 	// layout (a data/ fan-out plus blockstore.journal). There is no
 	// migration and no second reader; nothing in it is touched.
 	ErrOldLayout = errors.New("blockstore: directory holds the file-per-block layout, which this store does not read")
-	// ErrSimulatedCrash is what a Hooks seam returns (wrapped) to kill
-	// the process there: the store leaves the debris a dying process
-	// would and refuses everything until it is reopened. Any other
-	// error from a seam is an I/O failure the store rolls back from.
-	ErrSimulatedCrash = errors.New("blockstore: simulated crash")
+	// ErrSimulatedCrash is recframe.ErrSimulatedCrash: what a hook seam
+	// returns (wrapped) to kill the process there. The store leaves the
+	// debris a dying process would and refuses everything until it is
+	// reopened; any other error from a seam is an I/O failure the store
+	// rolls back from.
+	ErrSimulatedCrash = recframe.ErrSimulatedCrash
 )
-
-// Hooks intercepts the store's I/O at its failure points; tests count
-// I/O through them and inject failures and crashes (see
-// ErrSimulatedCrash). Both fields are optional.
-type Hooks struct {
-	// WrapPackWrite wraps the writer one frame goes through.
-	WrapPackWrite func(w io.Writer) io.Writer
-	// Seam runs at every other failure point, with the path about to be
-	// acted on: "sync" before a pack, a staged snapshot or the store
-	// directory is fsynced; "gc-before" once GC has relocated what it
-	// will, before the new snapshot is staged; "before-rename" and
-	// "after-rename" around that snapshot's rename; "gc-after" once it
-	// is durable, before emptied packs are unlinked; "unlink" before GC
-	// unlinks the named pack; "read" before a run of block records is
-	// read from the named pack, where an error fails that read and
-	// nothing else.
-	Seam func(point, path string) error
-}
 
 // Options parameterizes Open.
 type Options struct {
@@ -258,13 +240,14 @@ type Store struct {
 	// the counts are lower bounds from then on and GC reclaims nothing.
 	damaged string //ckptlint:guardedby mu
 	// packs holds one handle per pack file, by number: what Get reads
-	// through and, for the active pack, what frames are written to.
-	// active is the number of the pack appends go to (0: none yet) and
-	// packSize the offset its next record goes to — between frames, its
-	// committed length.
-	packs    map[uint32]*os.File //ckptlint:guardedby mu
-	active   uint32              //ckptlint:guardedby mu
-	packSize int64               //ckptlint:guardedby mu
+	// through. active is the number of the pack appends go to (0: none
+	// yet) and log its write handle — the same file and its committed
+	// length (nil while there is no pack, and in a read-only store). at is
+	// the offset the next record of the frame being staged will sit at.
+	packs  map[uint32]*os.File //ckptlint:guardedby mu
+	active uint32              //ckptlint:guardedby mu
+	log    *recframe.Log       //ckptlint:guardedby mu
+	at     int64               //ckptlint:guardedby mu
 	// The write path's fixed scratch: the staging buffer, a record
 	// header, the IDs (end to end) of the frame's ref or release
 	// records, and what the call plans per ID (Intern: a new block's
@@ -274,7 +257,7 @@ type Store struct {
 	ids    []byte                 //ckptlint:guardedby mu
 	plan   map[ID]entry           //ckptlint:guardedby mu
 	closed bool                   //ckptlint:guardedby mu
-	hooks  Hooks                  //ckptlint:guardedby mu
+	hooks  *recframe.Hooks        //ckptlint:guardedby mu
 	// lock is the held writable-owner lock file handle (nil in
 	// read-only mode or where the platform offers no flock).
 	lock *os.File //ckptlint:guardedby mu
@@ -369,29 +352,33 @@ func (s *Store) failLocked(err error) error {
 	return fmt.Errorf("%w (store disabled; reopen to recover)", err)
 }
 
-// seamLocked runs the Seam hook, if any, at point. A simulated crash there disables
-// the store, debris and all.
+// diedLocked passes err through; a simulated crash — at any seam, or
+// inside the log — disables the store, debris and all.
 //
 //ckptlint:locked mu
-func (s *Store) seamLocked(point, path string) error {
-	if s.hooks.Seam == nil {
-		return nil
-	}
-	err := s.hooks.Seam(point, path)
-	if errors.Is(err, ErrSimulatedCrash) {
+func (s *Store) diedLocked(err error) error {
+	if errors.Is(err, ErrSimulatedCrash) && !s.closed {
 		return s.failLocked(err)
 	}
 	return err
 }
 
-// SetHooks installs the hooks; nil removes them. Test-only seam.
-func (s *Store) SetHooks(h *Hooks) {
+// seamLocked runs the hooks' seam at point: the store's own points
+// "gc-before" (GC has relocated what it will, the new snapshot is not
+// staged yet), "gc-after" (the snapshot is durable, emptied packs are
+// not unlinked yet) and "unlink" (before GC unlinks the named pack).
+//
+//ckptlint:locked mu
+func (s *Store) seamLocked(point, path string) error {
+	return s.diedLocked(s.hooks.At(point, path))
+}
+
+// SetHooks installs the fault seam the store's I/O runs through (see
+// recframe.Hooks); nil removes it. Test-only.
+func (s *Store) SetHooks(h *recframe.Hooks) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.hooks = Hooks{}
-	if h != nil {
-		s.hooks = *h
-	}
+	s.hooks = h
 }
 
 // LockingSupported reports whether this platform enforces the writable
@@ -403,33 +390,6 @@ func (s *Store) indexPath() string { return filepath.Join(s.dir, indexFileName) 
 
 func (s *Store) packPath(num uint32) string {
 	return filepath.Join(s.dir, fmt.Sprintf("pack-%06d.log", num))
-}
-
-// syncLocked makes f — a pack, a staged snapshot, or with dir set the
-// store directory, so that a just-created or just-renamed file
-// survives power loss — durable, through the "sync" seam.
-// Filesystems that refuse directory fsync report EINVAL or ENOTSUP,
-// which is treated as success (same posture as the checkpoint store);
-// the raw errno values must be matched — a *PathError wrapping
-// syscall.EINVAL never matches os.ErrInvalid.
-//
-//ckptlint:locked mu
-func (s *Store) syncLocked(f *os.File, dir bool) error {
-	if dir {
-		d, err := os.Open(s.dir)
-		if err != nil {
-			return fmt.Errorf("blockstore: opening %s for sync: %w", s.dir, err)
-		}
-		defer d.Close()
-		f = d
-	}
-	if err := s.seamLocked("sync", f.Name()); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil && !(dir && (errors.Is(err, syscall.EINVAL) || errors.Is(err, errors.ErrUnsupported))) {
-		return fmt.Errorf("blockstore: syncing %s: %w", f.Name(), err)
-	}
-	return nil
 }
 
 // recoverLocked builds the in-memory state from the directory: the
@@ -451,7 +411,7 @@ func (s *Store) recoverLocked() error {
 	for _, e := range names {
 		var num uint32
 		switch name := e.Name(); {
-		case strings.HasSuffix(name, tmpSuffix) && !s.ro:
+		case strings.HasSuffix(name, recframe.TmpSuffix) && !s.ro:
 			if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
 				return fmt.Errorf("blockstore: removing stale temp %s: %w", name, err)
 			}
@@ -518,9 +478,9 @@ func (s *Store) recoverLocked() error {
 		}
 		gap(committed)
 		if last && err == nil {
-			s.active, s.packSize = num, from+committed
-			if !s.ro && s.packSize < size {
-				err = f.Truncate(s.packSize)
+			s.active = num
+			if !s.ro {
+				s.log, err = recframe.Resume(f, from+committed)
 			}
 		}
 		if err != nil {
@@ -623,76 +583,62 @@ func (s *Store) beginLocked() error {
 // is what emit, if given, stages with recLocked, then s.ids — if there
 // are any — as one committing record of kind idsKind. It goes to the
 // active pack (a new one if that is full or there is none yet) through
-// the store's fixed buffer and is made durable with one fsync. On
-// failure nothing of the frame stays: the pack is cut back to where the
-// frame began, and if that fails too, or the failure is a simulated
-// crash (which must leave the debris a dying process would), the store
-// is disabled. Callers apply the frame to the in-memory state only once
+// the store's fixed buffer as ONE recframe.Log.Append: one write, one
+// fsync, and on failure nothing of the frame stays — or the log has
+// fail-stopped (the cut failed, or a simulated crash) and the store is
+// disabled. Callers apply the frame to the in-memory state only once
 // this returns nil.
 //
 //ckptlint:locked mu
 func (s *Store) appendFrameLocked(idsKind byte, emit func() error) error {
-	if s.active == 0 || s.packSize >= s.rollSize {
-		// Seal the active pack and start the next. A sealed pack is
-		// scanned to its end, so a cut of this one (a torn tail on open,
-		// a rolled-back frame) must be durable before it is left; the
-		// new file must survive power loss before a snapshot may point
-		// into it.
-		if s.active != 0 {
-			if err := s.syncLocked(s.packs[s.active], false); err != nil {
+	if s.log == nil || s.log.Size() >= s.rollSize {
+		if err := s.rollLocked(); err != nil {
+			return s.diedLocked(fmt.Errorf("blockstore: rolling the pack log: %w", err))
+		}
+	}
+	s.at = s.log.Size()
+	err := s.log.Append(s.hooks, func(w io.Writer) error {
+		s.w.Reset(w)
+		defer s.w.Reset(nil) // let go of the caller's last payload
+		if emit != nil {
+			if err := emit(); err != nil {
 				return err
 			}
 		}
-		path := s.packPath(s.active + 1)
-		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return fmt.Errorf("blockstore: creating pack: %w", err)
+		if len(s.ids) > 0 {
+			s.recLocked(idsKind, false, s.ids, nil, crc32.Checksum(s.ids, castagnoli))
 		}
-		if err := s.syncLocked(nil, true); err != nil {
-			f.Close()
-			if !s.closed {
-				os.Remove(path)
-			}
-			return err
-		}
-		s.active++
-		s.packs[s.active], s.packSize = f, 0
-	}
-	f, start := s.packs[s.active], s.packSize
-	var w io.Writer = io.NewOffsetWriter(f, start)
-	if s.hooks.WrapPackWrite != nil {
-		w = s.hooks.WrapPackWrite(w)
-	}
-	s.w.Reset(w)
-	var err error
-	if emit != nil {
-		err = emit()
-	}
-	if err == nil && len(s.ids) > 0 {
-		s.recLocked(idsKind, false, s.ids, nil, crc32.Checksum(s.ids, castagnoli))
-	}
-	if err == nil {
-		err = s.w.Flush()
-	}
-	if err == nil {
-		err = s.syncLocked(f, false)
-	}
-	s.w.Reset(nil) // let go of the caller's last payload
-	if err == nil {
-		return nil
-	}
-	s.packSize = start
-	err = fmt.Errorf("blockstore: appending to %s: %w", f.Name(), err)
-	switch {
-	case s.closed: // crashed at the sync seam
-	case errors.Is(err, ErrSimulatedCrash):
-		err = s.failLocked(err)
-	default:
-		if terr := f.Truncate(start); terr != nil {
-			err = s.failLocked(fmt.Errorf("blockstore: rolling back a failed append: %v (append failed with: %w)", terr, err))
+		return s.w.Flush()
+	})
+	if err != nil {
+		err = fmt.Errorf("blockstore: %w", err)
+		if s.log.Failed() != nil {
+			err = s.failLocked(err)
 		}
 	}
 	return err
+}
+
+// rollLocked seals the active pack, if there is one, and starts the
+// next. A sealed pack is scanned to its end, so a cut of this one (a
+// torn tail on open, a rolled-back frame) must be durable before it is
+// left; the new file must survive power loss before a snapshot may
+// point into it (recframe.Create).
+//
+//ckptlint:locked mu
+func (s *Store) rollLocked() error {
+	if s.log != nil {
+		if err := s.hooks.Sync(s.log.File()); err != nil {
+			return err
+		}
+	}
+	log, err := recframe.Create(s.hooks, s.packPath(s.active+1))
+	if err != nil {
+		return err
+	}
+	s.active++
+	s.packs[s.active], s.log = log.File(), log
+	return nil
 }
 
 // recLocked stages one record of the frame being built — its IDs, then
@@ -705,8 +651,8 @@ func (s *Store) recLocked(kind byte, more bool, ids, data []byte, crc uint32) (o
 	s.w.Write(s.hdr[:])
 	s.w.Write(ids)
 	s.w.Write(data)
-	off = s.packSize
-	s.packSize += recframe.HdrSize + int64(len(ids)+len(data))
+	off = s.at
+	s.at += recframe.HdrSize + int64(len(ids)+len(data))
 	return off
 }
 
@@ -821,226 +767,6 @@ func (s *Store) Release(refs []Ref) error {
 	return clampErr
 }
 
-// Get reads and verifies one block into memory of its own: the read
-// path of AppendBlocks with a list of one and a scratch it keeps.
-func (s *Store) Get(ref Ref) (p []byte, err error) {
-	err = s.read([]Ref{ref}, &ReadScratch{}, func(b []byte) { p = b })
-	return p, err
-}
-
-// runCap bounds the bytes one pack read fetches, and so the read
-// scratch: records that sit back to back in a pack are read together up
-// to this many bytes (a single record larger than it is read alone).
-const runCap = 256 << 10
-
-// ReadScratch is the reusable memory of a read: where each reference
-// resolved to, and the records of one run. The zero value is
-// ready; a reader walking many diffs keeps one, so that reads allocate
-// nothing once it has grown to the longest reference list and run.
-type ReadScratch struct {
-	locs []loc
-	run  []byte
-}
-
-// loc is what one reference of a read resolved to: the block's entry
-// (ok false: the index holds none) and the handle of the pack it names
-// (nil: no record of the block survives).
-type loc struct {
-	f  *os.File
-	e  entry
-	ok bool
-}
-
-// resolveLocked fills locs with where the index places each of refs.
-//
-//ckptlint:locked mu
-func (s *Store) resolveLocked(refs []Ref, locs []loc) {
-	for i, r := range refs {
-		e, ok := s.entries[r.ID]
-		locs[i] = loc{f: s.packs[e.pack], e: e, ok: ok}
-	}
-}
-
-// AppendBlocks appends the payloads of refs, in order, to dst and
-// returns the extended slice; on error dst is returned as it was and the
-// error names the first block that could not be served. sc carries the
-// read's scratch memory between calls.
-func (s *Store) AppendBlocks(dst []byte, refs []Ref, sc *ReadScratch) ([]byte, error) {
-	out := dst
-	if err := s.read(refs, sc, func(p []byte) { out = append(out, p...) }); err != nil {
-		return dst, err
-	}
-	return out, nil
-}
-
-// read is the one read path of the store: it hands emit the payload of
-// every one of refs, in order, each valid until the next. All of refs are
-// resolved under one acquisition of the store's lock; records the index
-// places back to back in one pack — what Intern writes for the new
-// blocks of a batch — are fetched by one read per run of at most runCap
-// bytes; and every record is verified before its bytes are handed out:
-// record header, both CRCs, payload length AND a full digest
-// recomputation must all agree with the index and the reference. Nothing
-// read is cached, so rot that sets in later is caught by the next read.
-// Every failure is typed (ErrCorrupt or ErrNotFound) so a caller can
-// quarantine or repair instead of restoring garbage.
-func (s *Store) read(refs []Ref, sc *ReadScratch, emit func(p []byte)) error {
-	if len(refs) == 0 {
-		return nil
-	}
-	r := sc.reader(refs)
-	var failed error
-	var was entry
-	for {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return ErrClosed
-		}
-		s.resolveLocked(refs[r.i:], r.locs[r.i:])
-		r.seam = s.hooks.Seam
-		s.mu.Unlock()
-		// The reads run unlocked, so a GC may have moved a block and
-		// unlinked the pack under one: a failure only stands once the
-		// index still points where the read went.
-		if at := r.locs[r.i].e; failed != nil && at.pack == was.pack && at.off == was.off {
-			return failed
-		}
-		for failed = nil; r.i < len(refs) && failed == nil; {
-			var p []byte
-			if p, failed = r.next(); failed == nil {
-				emit(p)
-			}
-		}
-		if failed == nil {
-			return nil
-		}
-		was = r.locs[r.i].e
-	}
-}
-
-// reader returns a runReader over refs that works in sc; the caller
-// resolves its locs.
-func (sc *ReadScratch) reader(refs []Ref) runReader {
-	if cap(sc.locs) < len(refs) {
-		sc.locs = make([]loc, len(refs))
-	}
-	return runReader{refs: refs, locs: sc.locs[:len(refs)], sc: sc}
-}
-
-// runReader hands out the verified payloads of refs in order, reading
-// the records locs places them at one run at a time.
-type runReader struct {
-	refs []Ref
-	locs []loc
-	sc   *ReadScratch
-	seam func(point, path string) error
-	// i is the reference next hands out next. run holds what is left of
-	// the run being handed out, of which the read delivered the first
-	// got bytes before it ended with err.
-	i   int
-	run []byte
-	got int
-	err error
-}
-
-// next returns the payload of reference i, valid until the next call,
-// and steps past it; on error it stays where it is.
-func (r *runReader) next() ([]byte, error) {
-	ref, at := r.refs[r.i], r.locs[r.i]
-	if len(r.run) == 0 {
-		if err := r.readRun(); err != nil {
-			return nil, err
-		}
-	}
-	need := blockRecOverhead + int(at.e.len)
-	if r.got < need {
-		r.run = nil
-		if r.err == io.EOF {
-			return nil, fmt.Errorf("%w: block %s truncated at %d of %d record bytes", ErrCorrupt, ref.ID, r.got, need)
-		}
-		return nil, fmt.Errorf("blockstore: reading block %s: %w", ref.ID, r.err)
-	}
-	p, err := verifyRecord(r.run[:need], at, ref.ID)
-	if err != nil {
-		r.run = nil
-		return nil, err
-	}
-	r.run, r.got = r.run[need:], r.got-need
-	r.i++
-	return p, nil
-}
-
-// readRun reads the run that starts at reference i: its record and
-// those of the references after it for as long as each sits where the
-// one before it ends and the run stays under runCap.
-func (r *runReader) readRun() error {
-	switch ref, at := r.refs[r.i], r.locs[r.i]; {
-	case !at.ok:
-		return fmt.Errorf("%w: %s", ErrNotFound, ref.ID)
-	case at.f == nil:
-		return fmt.Errorf("%w: block %s is referenced but no record of it survives", ErrCorrupt, ref.ID)
-	case ref.Len != 0 && ref.Len != at.e.len:
-		return fmt.Errorf("%w: block %s holds %d bytes, reference says %d", ErrCorrupt, ref.ID, at.e.len, ref.Len)
-	}
-	first := r.locs[r.i]
-	size := blockRecOverhead + int(first.e.len)
-	for j := r.i + 1; j < len(r.refs); j++ {
-		// A reference the index cannot place resolves to pack 0, which
-		// no run is in; one that disagrees about the length starts a run
-		// of its own, to fail there.
-		ref, at := r.refs[j], r.locs[j]
-		rec := blockRecOverhead + int(at.e.len)
-		if at.e.pack != first.e.pack || at.e.off != first.e.off+int64(size) || ref.Len != 0 && ref.Len != at.e.len || size+rec > runCap {
-			break
-		}
-		size += rec
-	}
-	if cap(r.sc.run) < size {
-		r.sc.run = make([]byte, size)
-	}
-	r.run, r.got, r.err = r.sc.run[:size], 0, nil
-	if r.seam != nil {
-		r.err = r.seam("read", first.f.Name())
-	}
-	if r.err == nil {
-		r.got, r.err = first.f.ReadAt(r.run, first.e.off)
-	}
-	return nil
-}
-
-// verifyRecord checks raw, the bytes read from where at places block
-// id, against the index and the reference — the one place a block
-// record is judged — and returns the block's bytes within it.
-func verifyRecord(raw []byte, at loc, id ID) ([]byte, error) {
-	h, ok := packFormat.Parse(raw)
-	p := raw[blockRecOverhead:]
-	switch got := crc32.Checksum(raw[recframe.HdrSize:], castagnoli); {
-	case !ok || h.Kind != recBlock && h.Kind != recMoved || h.Len != idSize+at.e.len || ID(raw[recframe.HdrSize:blockRecOverhead]) != id:
-		return nil, fmt.Errorf("%w: block %s: record header at %s offset %d does not verify", ErrCorrupt, id, at.f.Name(), at.e.off)
-	case got != h.CRC || got != at.e.crc:
-		return nil, fmt.Errorf("%w: block %s CRC %08x, record %08x, index %08x", ErrCorrupt, id, got, h.CRC, at.e.crc)
-	case IDOf(p) != id:
-		return nil, fmt.Errorf("%w: block %s bytes hash to a different ID", ErrCorrupt, id)
-	}
-	return p, nil
-}
-
-// Locate returns where block id lives on disk: its pack file and the
-// extent of its record (header, ID and payload) within it — the seam
-// through which tests and drills damage a specific block, the analogue
-// of FileStore.Locate.
-func (s *Store) Locate(id ID) (path string, off, length int64, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.entries[id]
-	f := s.packs[e.pack]
-	if f == nil {
-		return "", 0, 0, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	return f.Name(), e.off, blockRecOverhead + int64(e.len), nil
-}
-
 // Contains reports whether the store holds a block for id.
 func (s *Store) Contains(id ID) bool {
 	s.mu.Lock()
@@ -1053,193 +779,6 @@ func (s *Store) Refcount(id ID) uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.entries[id].refs
-}
-
-// GCStats reports one committed GC transaction.
-type GCStats struct {
-	// Live is how many referenced blocks the new snapshot retains.
-	Live int
-	// Reclaimed counts the zero-ref blocks dropped from the index;
-	// ReclaimedBytes their payload bytes. The pack space they occupy is
-	// returned when their pack, once sealed, is mostly dead.
-	Reclaimed      int
-	ReclaimedBytes int64
-}
-
-// GC folds the log into a fresh index snapshot holding only referenced
-// blocks. Before the commit it empties every sealed pack that is
-// mostly dead, copying the live blocks to the end of the log as moved
-// records (one frame, one fsync per pack); the snapshot rename is the
-// one commit point; after it the zero-ref blocks are forgotten and the
-// emptied packs unlinked. Crash-safe at every point: before the rename
-// the old snapshot plus the log still hold the full state — a moved
-// record changes a location, never a count, so a crash between copy
-// and commit can neither over- nor under-count; after it, all that can
-// remain is a pack nothing points into, which the next GC unlinks. A
-// store whose replayed log holds a damaged region (see B2) refuses.
-func (s *Store) GC() (GCStats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var st GCStats
-	if err := s.beginLocked(); err != nil {
-		return st, err
-	}
-	if s.damaged != "" {
-		return st, fmt.Errorf("%w: %s is unreadable and may have held references; counts are lower bounds, nothing is reclaimed", ErrCorrupt, s.damaged)
-	}
-	live := make([]ID, 0, len(s.entries))
-	liveBytes := make(map[uint32]int64)
-	for id, e := range s.entries {
-		if e.refs > 0 {
-			live = append(live, id)
-			liveBytes[e.pack] += blockRecOverhead + int64(e.len)
-		}
-	}
-	sortIDs(live)
-	st.Live = len(live)
-
-	var sparse, emptied []uint32
-	for num, f := range s.packs {
-		if size, err := f.Seek(0, io.SeekEnd); err != nil {
-			return st, fmt.Errorf("blockstore: sizing pack %d: %w", num, err)
-		} else if num < s.active && liveBytes[num]*gcSparseDiv < size {
-			sparse = append(sparse, num)
-		}
-	}
-	slices.Sort(sparse)
-	for _, num := range sparse {
-		// A pack with a live block that no longer verifies is left
-		// alone, as evidence: copying the block would launder the rot.
-		if err := s.relocateLocked(num, live); err == nil {
-			emptied = append(emptied, num)
-		} else if !errors.Is(err, ErrCorrupt) || s.closed {
-			return st, err
-		}
-	}
-
-	err := s.seamLocked("gc-before", s.indexPath())
-	if err == nil {
-		err = s.commitIndexLocked(live)
-	}
-	if err != nil {
-		return st, err
-	}
-	for id, e := range s.entries {
-		if e.refs == 0 {
-			delete(s.entries, id)
-			s.blocks--
-			s.bytes -= int64(e.len)
-			st.Reclaimed++
-			st.ReclaimedBytes += int64(e.len)
-		}
-	}
-	s.gcBlocks.Add(uint64(st.Reclaimed))
-	s.gcBytes.Add(uint64(st.ReclaimedBytes))
-	err = s.seamLocked("gc-after", s.indexPath())
-	for _, num := range emptied {
-		if err == nil {
-			err = s.seamLocked("unlink", s.packPath(num))
-		}
-		if err != nil {
-			return st, err
-		}
-		s.packs[num].Close()
-		delete(s.packs, num)
-		if err = os.Remove(s.packPath(num)); err != nil {
-			return st, fmt.Errorf("blockstore: unlinking emptied pack: %w", err)
-		}
-	}
-	return st, err
-}
-
-// relocateLocked copies the live blocks of sealed pack num to the end
-// of the log as one frame of moved records and, once that is durable,
-// points their entries at the copies. Each block is verified against
-// the index on the way, so one that rotted fails the relocation
-// (ErrCorrupt) instead of gaining a fresh checksum.
-//
-//ckptlint:locked mu
-func (s *Store) relocateLocked(num uint32, live []ID) error {
-	var refs []Ref
-	for _, id := range live {
-		if s.entries[id].pack == num {
-			refs = append(refs, Ref{ID: id})
-		}
-	}
-	if len(refs) == 0 {
-		return nil
-	}
-	slices.SortFunc(refs, func(a, b Ref) int { return cmp.Compare(s.entries[a.ID].off, s.entries[b.ID].off) })
-	var sc ReadScratch // recLocked is done with a payload when it returns
-	r := sc.reader(refs)
-	r.seam = s.hooks.Seam
-	s.resolveLocked(refs, r.locs)
-	offs := make([]int64, len(refs))
-	err := s.appendFrameLocked(recMoved, func() error {
-		for i := range refs {
-			p, err := r.next()
-			if err != nil {
-				return err
-			}
-			offs[i] = s.recLocked(recMoved, i < len(refs)-1, refs[i].ID[:], p, r.locs[i].e.crc)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for i, at := range r.locs {
-		at.e.pack, at.e.off = s.active, offs[i]
-		s.entries[refs[i].ID] = at.e
-	}
-	return nil
-}
-
-// commitIndexLocked publishes the next generation's index snapshot —
-// the live blocks as of the log's current end — by temp, fsync, rename
-// and directory fsync. A failure before the rename leaves the old
-// snapshot in force and is reported as is (a simulated crash leaves
-// the staged file behind); one after it — the commit stands but its
-// durability is unknown — disables the store until a reopen settles
-// which snapshot won.
-//
-//ckptlint:locked mu
-func (s *Store) commitIndexLocked(live []ID) error {
-	snap, err := encodeIndex(s.gen+1, logPos{s.active, s.packSize}, live, s.entries)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(s.dir, indexFileName+"-*"+tmpSuffix)
-	if err != nil {
-		return fmt.Errorf("blockstore: staging index: %w", err)
-	}
-	_, err = tmp.Write(snap)
-	if err == nil {
-		err = s.syncLocked(tmp, false)
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = s.seamLocked("before-rename", s.indexPath())
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), s.indexPath())
-	}
-	if err != nil {
-		if !s.closed {
-			os.Remove(tmp.Name())
-		}
-		return fmt.Errorf("blockstore: staging index: %w", err)
-	}
-	s.gen++
-	if err = s.seamLocked("after-rename", s.indexPath()); err == nil {
-		err = s.syncLocked(nil, true)
-	}
-	if err != nil && !s.closed {
-		err = s.failLocked(fmt.Errorf("blockstore: index renamed, durability unknown: %w", err))
-	}
-	return err
 }
 
 // Stats returns a snapshot of the store counters.
@@ -1256,10 +795,4 @@ func (s *Store) Stats() Stats {
 		GCBlocks:    s.gcBlocks.Load(),
 		GCBytes:     s.gcBytes.Load(),
 	}
-}
-
-// sortIDs orders ids ascending by their byte serialization, the
-// canonical order of index snapshots.
-func sortIDs(ids []ID) {
-	slices.SortFunc(ids, func(a, b ID) int { return bytes.Compare(a[:], b[:]) })
 }

@@ -228,7 +228,7 @@ func TestCrashBeforeGCCommit(t *testing.T) {
 	if err := s.Release(refs[1:]); err != nil {
 		t.Fatalf("Release: %v", err)
 	}
-	boom := errors.New("simulated crash")
+	boom := errors.New("injected failure")
 	s.SetHooks(failAt("gc-before", boom))
 	if _, err := s.GC(); !errors.Is(err, boom) {
 		t.Fatalf("GC: %v, want injected crash", err)
@@ -264,7 +264,7 @@ func TestCrashAfterGCCommit(t *testing.T) {
 	if err := s.Release(refs[1:]); err != nil {
 		t.Fatalf("Release: %v", err)
 	}
-	boom := errors.New("simulated crash")
+	boom := errors.New("injected failure")
 	s.SetHooks(failAt("gc-after", boom))
 	if _, err := s.GC(); !errors.Is(err, boom) {
 		t.Fatalf("GC: %v, want injected crash", err)
@@ -428,7 +428,7 @@ func TestReadOnlyOpenLeavesDebris(t *testing.T) {
 		t.Fatal(err)
 	}
 	pf.Close()
-	staged := filepath.Join(dir, indexFileName+"-1"+tmpSuffix)
+	staged := filepath.Join(dir, indexFileName+"-1"+recframe.TmpSuffix)
 	if err := os.WriteFile(staged, []byte("staged"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ var crashSeams = []string{"write", "sync", "gc-before", "before-rename", "after-
 // seam pass and simulate a crash at the next; fired reports how often
 // the seam was reached. A write crashes mid-stream: half of the first
 // write goes through, the way a dying process tears a frame.
-func crashHooks(seam string, ordinal int) (h *Hooks, fired *int) {
+func crashHooks(seam string, ordinal int) (h *recframe.Hooks, fired *int) {
 	fired = new(int)
 	hit := func(s string) bool {
 		if s != seam {
@@ -144,8 +144,8 @@ func crashHooks(seam string, ordinal int) (h *Hooks, fired *int) {
 		*fired++
 		return *fired == ordinal
 	}
-	return &Hooks{
-		WrapPackWrite: func(w io.Writer) io.Writer {
+	return &recframe.Hooks{
+		WrapWrite: func(_ string, w io.Writer) io.Writer {
 			if hit("write") {
 				return &tearingWriter{w: w}
 			}
@@ -161,8 +161,8 @@ func crashHooks(seam string, ordinal int) (h *Hooks, fired *int) {
 }
 
 // failAt returns hooks that fail every occurrence of one seam with err.
-func failAt(seam string, err error) *Hooks {
-	return &Hooks{Seam: func(point, _ string) error {
+func failAt(seam string, err error) *recframe.Hooks {
+	return &recframe.Hooks{Seam: func(point, _ string) error {
 		if point == seam {
 			return err
 		}
@@ -279,7 +279,7 @@ func TestCrashPoints(t *testing.T) {
 				t.Fatalf("%s: the write after recovery disturbed the history's blocks", label)
 			}
 			for _, e := range mustReadDir(t, dir) {
-				if filepath.Ext(e.Name()) == tmpSuffix {
+				if filepath.Ext(e.Name()) == recframe.TmpSuffix {
 					t.Fatalf("%s: staged snapshot %s survived recovery", label, e.Name())
 				}
 			}
@@ -514,15 +514,15 @@ type countingHooks struct {
 	written int64
 }
 
-func (c *countingHooks) hooks() *Hooks {
-	return &Hooks{
+func (c *countingHooks) hooks() *recframe.Hooks {
+	return &recframe.Hooks{
 		Seam: func(point, path string) error {
 			if point == "sync" {
 				c.syncs = append(c.syncs, filepath.Base(path))
 			}
 			return nil
 		},
-		WrapPackWrite: func(w io.Writer) io.Writer {
+		WrapWrite: func(_ string, w io.Writer) io.Writer {
 			return writerFunc(func(p []byte) (int, error) {
 				n, err := w.Write(p)
 				c.written += int64(n)
@@ -658,7 +658,7 @@ func TestFailedInternLeavesNoTrace(t *testing.T) {
 			s.entries[IDOf(chunks[2])] = e
 			s.mu.Unlock()
 		case "write":
-			s.SetHooks(&Hooks{WrapPackWrite: func(w io.Writer) io.Writer {
+			s.SetHooks(&recframe.Hooks{WrapWrite: func(_ string, w io.Writer) io.Writer {
 				return writerFunc(func(p []byte) (int, error) {
 					n, _ := w.Write(p[:len(p)/2])
 					return n, boom

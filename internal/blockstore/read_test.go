@@ -3,6 +3,7 @@ package blockstore
 import (
 	"bytes"
 	"errors"
+	"github.com/gpuckpt/gpuckpt/internal/recframe"
 	"math/rand"
 	"os"
 	"strings"
@@ -10,8 +11,8 @@ import (
 )
 
 // readCounter counts the pack reads of the read path at the hooks seam.
-func readCounter(n *int) *Hooks {
-	return &Hooks{Seam: func(point, _ string) error {
+func readCounter(n *int) *recframe.Hooks {
+	return &recframe.Hooks{Seam: func(point, _ string) error {
 		if point == "read" {
 			*n++
 		}
@@ -181,7 +182,7 @@ func TestReadAcrossRelocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	reads, moved := 0, false
-	s.SetHooks(&Hooks{Seam: func(point, _ string) error {
+	s.SetHooks(&recframe.Hooks{Seam: func(point, _ string) error {
 		if point != "read" {
 			return nil
 		}

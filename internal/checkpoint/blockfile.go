@@ -121,13 +121,3 @@ func appendRefs(dst []blockstore.Ref, enc []byte) []blockstore.Ref {
 	}
 	return dst
 }
-
-// decodeBlockDiff is parseBlockDiff with the references decoded into a
-// slice of their own, for callers that keep them.
-func decodeBlockDiff(b []byte) (prefix []byte, refs []blockstore.Ref, dataLen uint64, err error) {
-	prefix, enc, dataLen, err := parseBlockDiff(b)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return prefix, appendRefs(make([]blockstore.Ref, 0, len(enc)/blockRefSize), enc), dataLen, nil
-}

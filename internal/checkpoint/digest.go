@@ -26,7 +26,7 @@ import (
 // signal.
 func (fs *FileStore) SpanChecksums(lo, hi int) ([]uint32, error) {
 	base := fs.Base()
-	if length, _ := fs.Len(); lo < base || hi > length || hi < lo {
+	if length := fs.Len(); lo < base || hi > length || hi < lo {
 		return nil, fmt.Errorf("checkpoint: digest span [%d,%d) outside stored [%d,%d)", lo, hi, base, length)
 	}
 	out := make([]uint32, 0, hi-lo)
@@ -52,7 +52,7 @@ func (fs *FileStore) SpanChecksums(lo, hi int) ([]uint32, error) {
 // runs before agreeing to be promoted.
 func (fs *FileStore) VerifySpan() error {
 	base := fs.Base()
-	length, _ := fs.Len()
+	length := fs.Len()
 	var sc ReadScratch
 	for ck := base; ck < length; ck++ {
 		if _, err := fs.decodeVerified(ck, &sc); err != nil {

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"github.com/gpuckpt/gpuckpt/internal/blockstore"
+	"github.com/gpuckpt/gpuckpt/internal/recframe"
 )
 
 // FileStore persists a checkpoint lineage as a directory holding ONE
@@ -24,13 +25,16 @@ import (
 // section lives in that store. The log IS the store: there are no
 // per-checkpoint files and nothing is written twice.
 //
-// Every mutation is one of two primitives. Appends (Append,
-// AppendBatch, ReinstallDiff, QuarantineDiff, Scrub) add one frame of
-// records to the end of the segment with one write and one fsync; a
-// frame that did not complete is rolled back, or dropped by the next
-// open, as a whole. InstallSpan — compaction and replica resync —
-// writes a complete fresh segment and switches to it with the manifest
-// rename; whichever segment the manifest does not name is debris.
+// Every mutation is one of two primitives, both written by the
+// protocol of internal/recframe. Appends (Append, AppendBatch,
+// ReinstallDiff, QuarantineDiff, Scrub) add one frame of records to the
+// end of the segment with one recframe.Log.Append — one write, one
+// fsync; a frame that did not complete is rolled back, or dropped by
+// the next open, as a whole. InstallSpan — compaction and replica
+// resync — writes a complete fresh segment, created durably, and
+// switches to it with the manifest rename (recframe.Commit); whichever
+// segment the manifest does not name is debris. Tests reach every
+// failure point through one recframe.Hooks (SetHooks).
 //
 // An in-memory index, checkpoint id -> record extent, is built by
 // scanning the segment on open; per id the last record wins. The
@@ -58,34 +62,35 @@ import (
 type FileStore struct {
 	dir string
 
-	// Everything below is protected by mu. The *Locked helpers (callers
-	// hold mu) and newFileStore (before the store is shared) touch it
-	// too, which is why the fields carry no ckptlint guardedby
-	// directive — that check requires the Lock call to be in the same
-	// function body.
+	// mu protects everything below but blocks. Helpers that run with it
+	// held carry a //ckptlint:locked mu precondition, which the guardedby
+	// analyzer verifies at every call site.
 	mu  sync.Mutex
-	man Manifest
+	man Manifest //ckptlint:guardedby mu
 
-	// seg is the live segment (nil while the lineage has none) and
-	// segSize its committed length, where the next frame goes. Until
-	// the first write sets ready, seg is open read-only and the
-	// directory may still hold debris.
-	seg     *os.File
-	segSize int64
-	ready   bool
+	// seg is the live segment's file, what reads go through (nil while
+	// the lineage has none), and segSize its committed length. Until the
+	// first write, seg is open read-only, the directory may still hold
+	// debris and log is nil; from then on log is the segment's write
+	// handle — the same file — and segSize follows its committed length.
+	seg     *os.File      //ckptlint:guardedby mu
+	segSize int64         //ckptlint:guardedby mu
+	log     *recframe.Log //ckptlint:guardedby mu
 
 	// recs[i] is the index entry of checkpoint man.Base+i; n is one
 	// past the last id before the first quarantined one.
-	recs []recLoc
-	n    int
+	recs []recLoc //ckptlint:guardedby mu
+	n    int      //ckptlint:guardedby mu
 
 	// failed, once set, fails every later write: the store was closed,
-	// hit an error it could not roll back, or a simulated crash, and
-	// the directory is only trustworthy again after a reopen.
-	failed error
+	// its log fail-stopped, a commit's durability is unknown, or a
+	// simulated crash hit it or its block store, and the directory is
+	// only trustworthy again after a reopen. Reads keep being served.
+	failed error //ckptlint:guardedby mu
 
-	// hooks intercepts I/O for fault injection; nil in production.
-	hooks *IOHooks
+	// hooks is the fault seam the store's I/O runs through; nil in
+	// production.
+	hooks *recframe.Hooks //ckptlint:guardedby mu
 
 	// blocks, when non-nil, is the shared content-addressed block store
 	// the data sections of new diffs are interned into; nil means new
@@ -93,7 +98,7 @@ type FileStore struct {
 	// either way. Immutable once the store is shared. ownBlocks says
 	// Close should close it (NewFileStore auto-attached it).
 	blocks    *blockstore.Store
-	ownBlocks bool
+	ownBlocks bool //ckptlint:guardedby mu
 }
 
 // recLoc is one index entry: the state of a checkpoint id and, while
@@ -123,12 +128,25 @@ const oldLayoutSuffix = ".gckp"
 // segmentName returns the file name of segment number seq.
 func segmentName(seq uint32) string { return fmt.Sprintf("segment-%06d.log", seq) }
 
-// SetIOHooks installs fault-injection hooks. Pass nil to remove them.
-// Test-only seam; production stores never call it.
-func (fs *FileStore) SetIOHooks(h *IOHooks) {
+// SetHooks installs the fault seam the store's I/O runs through (see
+// recframe.Hooks); nil removes it. The attached block store takes its
+// own. Test-only; production stores never call it.
+func (fs *FileStore) SetHooks(h *recframe.Hooks) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.hooks = h
+}
+
+// diedLocked passes err through; a simulated crash — at one of the
+// lineage's own seams or inside its block store: a dead process is dead
+// in both — stops the store, debris and all.
+//
+//ckptlint:locked mu
+func (fs *FileStore) diedLocked(err error) error {
+	if fs.failed == nil && errors.Is(err, ErrSimulatedCrash) {
+		fs.failed = err
+	}
+	return err
 }
 
 // NewFileStore opens a lineage directory, which need not exist yet.
@@ -186,9 +204,17 @@ func NewFileStoreWith(dir string, bs *blockstore.Store) (*FileStore, error) {
 // newFileStore loads the manifest, scans the segment it names and
 // builds the index. It writes nothing, and a directory that does not
 // exist is an empty lineage. A directory of the replaced
-// file-per-checkpoint layout is refused with ErrOldLayout.
+// file-per-checkpoint layout is refused with ErrOldLayout, and one
+// whose manifest names a segment it does not hold with ErrCorrupt: a
+// manifest exists only once an InstallSpan wrote the segment it names,
+// so that is damage, never an empty lineage.
 func newFileStore(dir string, bs *blockstore.Store, own bool) (*FileStore, error) {
-	fs := &FileStore{dir: dir, blocks: bs, ownBlocks: own}
+	fs := &FileStore{dir: dir, blocks: bs}
+	// Nothing shares the store yet; holding mu keeps the precondition of
+	// the locked helpers the scan runs through true.
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.ownBlocks = own
 	entries, _ := os.ReadDir(dir) // a missing directory has none
 	for _, e := range entries {
 		if strings.HasSuffix(e.Name(), oldLayoutSuffix) {
@@ -204,10 +230,13 @@ func newFileStore(dir string, bs *blockstore.Store, own bool) (*FileStore, error
 	}
 	fs.n = int(fs.man.Base)
 	f, err := os.Open(filepath.Join(dir, segmentName(fs.man.segment)))
-	if os.IsNotExist(err) {
+	switch {
+	case os.IsNotExist(err) && man != nil:
+		return nil, fmt.Errorf("%w: the manifest of %s names %s at baseline %d, which the directory does not hold",
+			ErrCorrupt, dir, segmentName(fs.man.segment), fs.man.Base)
+	case os.IsNotExist(err):
 		return fs, nil
-	}
-	if err != nil {
+	case err != nil:
 		return nil, fmt.Errorf("checkpoint: opening store %s: %w", dir, err)
 	}
 	if err := fs.indexLocked(f); err != nil {
@@ -221,6 +250,8 @@ func newFileStore(dir string, bs *blockstore.Store, own bool) (*FileStore, error
 // indexLocked scans segment f and rebuilds the index from it: in file
 // order the last record of an id wins, and an id below the highest end
 // any record declares that no surviving record covers is damaged.
+//
+//ckptlint:locked mu
 func (fs *FileStore) indexLocked(f *os.File) error {
 	st, err := f.Stat()
 	if err != nil {
@@ -258,6 +289,8 @@ func stateOf(kind byte) recState {
 }
 
 // growLocked advances n up to the next quarantined id.
+//
+//ckptlint:locked mu
 func (fs *FileStore) growLocked() {
 	base := int(fs.man.Base)
 	for fs.n-base < len(fs.recs) && fs.recs[fs.n-base].state != recQuarantined {
@@ -307,20 +340,18 @@ func (fs *FileStore) Manifest() Manifest {
 
 // Len returns one past the last restorable checkpoint index: the
 // stored diffs span [Base(), Len()), and a quarantined id (see
-// QuarantineDiff) ends the span until it is reinstalled. The error
-// return is kept for interface stability; the cached value cannot
-// fail.
-func (fs *FileStore) Len() (int, error) {
+// QuarantineDiff) ends the span until it is reinstalled.
+func (fs *FileStore) Len() int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.n, nil
+	return fs.n
 }
 
 // TotalBytes returns the on-disk size of the lineage's segment.
-func (fs *FileStore) TotalBytes() (int64, error) {
+func (fs *FileStore) TotalBytes() int64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.segSize, nil
+	return fs.segSize
 }
 
 // Locate returns where stored checkpoint ck lives on disk: the segment
@@ -392,20 +423,23 @@ func checkRun(ds []*Diff, first int, base uint32) error {
 }
 
 // prepareLocked readies the directory for its first write since the
-// open: it creates directory and live segment, opens the segment for
-// writing, and removes what an interrupted mutation can have left — a
-// staged manifest, the segment an uncommitted install was writing (the
-// next number), the one a committed install had not deleted yet (the
-// previous number), a torn frame at the end of the live one.
+// open: it creates the directory, removes what an interrupted mutation
+// can have left — a staged manifest, the segment an uncommitted install
+// was writing (the next number), the one a committed install had not
+// deleted yet (the previous number) — and takes the live segment over
+// for writing: created durably if the lineage has none (recframe.Create),
+// else with a torn frame at its end cut off (recframe.Resume).
+//
+//ckptlint:locked mu
 func (fs *FileStore) prepareLocked() error {
-	if fs.failed != nil || fs.ready {
+	if fs.failed != nil || fs.log != nil {
 		return fs.failed
 	}
 	if err := os.MkdirAll(fs.dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: creating store %s: %w", fs.dir, err)
 	}
 	seq := fs.man.segment
-	debris := []string{manifestTmpName, segmentName(seq + 1)}
+	debris := []string{ManifestFileName + recframe.TmpSuffix, segmentName(seq + 1)}
 	if seq > 0 {
 		debris = append(debris, segmentName(seq-1))
 	}
@@ -414,29 +448,34 @@ func (fs *FileStore) prepareLocked() error {
 			return fmt.Errorf("checkpoint: removing stale %s: %w", name, err)
 		}
 	}
-	f, err := os.OpenFile(filepath.Join(fs.dir, segmentName(seq)), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("checkpoint: opening segment for writing: %w", err)
+	path := filepath.Join(fs.dir, segmentName(seq))
+	var log *recframe.Log
+	var err error
+	if fs.seg == nil {
+		log, err = recframe.Create(fs.hooks, path)
+	} else {
+		var f *os.File
+		if f, err = os.OpenFile(path, os.O_RDWR, 0); err == nil {
+			if log, err = recframe.Resume(f, fs.segSize); err != nil {
+				f.Close()
+			}
+		}
 	}
-	// Never append after garbage: cut a torn frame off first.
-	if err = f.Truncate(fs.segSize); err == nil && fs.seg == nil {
-		// Just created: its existence must survive power loss too.
-		err = syncDir(fs.dir)
-	}
 	if err != nil {
-		f.Close()
-		return fmt.Errorf("checkpoint: preparing segment for writing: %w", err)
+		return fs.diedLocked(fmt.Errorf("checkpoint: preparing segment for writing: %w", err))
 	}
 	if fs.seg != nil {
 		fs.seg.Close()
 	}
-	fs.seg, fs.ready = f, true
+	fs.seg, fs.log = log.File(), log
 	return nil
 }
 
 // internLocked interns the data sections of ds into the attached block
 // store with one call and returns the references, all of them, and how
 // many belong to each diff. Without a block store both are nil.
+//
+//ckptlint:locked mu
 func (fs *FileStore) internLocked(ds []*Diff) (refs []blockstore.Ref, counts []int, err error) {
 	if fs.blocks == nil {
 		return nil, nil, nil
@@ -449,7 +488,7 @@ func (fs *FileStore) internLocked(ds []*Diff) (refs []blockstore.Ref, counts []i
 		chunks = append(chunks, cs...)
 	}
 	if refs, err = fs.blocks.Intern(chunks); err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: interning diffs [%d,%d): %w", ds[0].CkptID, int(ds[0].CkptID)+len(ds), err)
+		return nil, nil, fs.diedLocked(fmt.Errorf("checkpoint: interning diffs [%d,%d): %w", ds[0].CkptID, int(ds[0].CkptID)+len(ds), err))
 	}
 	return refs, counts, nil
 }
@@ -457,7 +496,7 @@ func (fs *FileStore) internLocked(ds []*Diff) (refs []blockstore.Ref, counts []i
 // writeRecords is the one encoder of segment records: it writes one
 // record of the given kind per diff to w — for a tombstone only the
 // diff's id matters — and returns where each landed relative to w's
-// start, plus the byte count. With frame set the records form ONE
+// start. With frame set the records form ONE
 // frame; otherwise each is a frame of its own, which is how a whole
 // segment is laid out so damage to its tail cannot take the rest with
 // it. Headers and containers are staged in a pooled buffer (the one
@@ -465,7 +504,7 @@ func (fs *FileStore) internLocked(ds []*Diff) (refs []blockstore.Ref, counts []i
 // one allocation, not a chain of append growths); the data section of
 // a self-contained diff is written straight from the diff, never
 // copied.
-func (fs *FileStore) writeRecords(w io.Writer, kind byte, ds []*Diff, refs []blockstore.Ref, counts []int, end uint32, frame bool) (locs []recLoc, n int64, err error) {
+func (fs *FileStore) writeRecords(w io.Writer, kind byte, ds []*Diff, refs []blockstore.Ref, counts []int, end uint32, frame bool) (locs []recLoc, err error) {
 	bp, _ := encodeBufPool.Get().(*[]byte)
 	if bp == nil {
 		bp = new([]byte)
@@ -475,6 +514,7 @@ func (fs *FileStore) writeRecords(w io.Writer, kind byte, ds []*Diff, refs []blo
 		*bp = buf
 		encodeBufPool.Put(bp)
 	}()
+	var n int64 // bytes written so far
 	flush := func(p []byte) error {
 		m, werr := w.Write(p)
 		n += int64(m)
@@ -490,20 +530,20 @@ func (fs *FileStore) writeRecords(w io.Writer, kind byte, ds []*Diff, refs []blo
 		case fs.blocks != nil:
 			buf = slices.Grow(buf, blockDiffHdrSize+int(d.PrefixBytes())+blockRefSize*counts[i])
 			if buf, err = appendBlockDiff(buf, d, refs[:counts[i]]); err != nil {
-				return nil, n, err
+				return nil, err
 			}
 			refs = refs[counts[i]:]
 		default:
 			buf = slices.Grow(buf, int(d.PrefixBytes()))
 			if buf, err = d.AppendPrefix(buf); err != nil {
-				return nil, n, err
+				return nil, err
 			}
 			buf, data = append(buf, d.Bitmap...), d.Data
 		}
 		staged := buf[hdrAt+recHdrSize:]
 		size := uint64(len(staged)) + uint64(len(data))
 		if size > math.MaxUint32 {
-			return nil, n, fmt.Errorf("checkpoint: diff %d encodes to %d bytes, beyond the record length limit", d.CkptID, size)
+			return nil, fmt.Errorf("checkpoint: diff %d encodes to %d bytes, beyond the record length limit", d.CkptID, size)
 		}
 		crc := crc32.Update(crc32.Checksum(staged, castagnoli), castagnoli, data)
 		segFormat.Put(buf[hdrAt:], kind, frame && i < len(ds)-1, d.CkptID, end, uint32(size), crc)
@@ -513,24 +553,27 @@ func (fs *FileStore) writeRecords(w io.Writer, kind byte, ds []*Diff, refs []blo
 				err = flush(data)
 			}
 			if err != nil {
-				return nil, n, fmt.Errorf("checkpoint: writing diff %d: %w", d.CkptID, err)
+				return nil, fmt.Errorf("checkpoint: writing diff %d: %w", d.CkptID, err)
 			}
 			buf = buf[:0]
 		}
 	}
 	if err = flush(buf); err != nil {
-		return nil, n, fmt.Errorf("checkpoint: writing records: %w", err)
+		return nil, fmt.Errorf("checkpoint: writing records: %w", err)
 	}
-	return locs, n, nil
+	return locs, nil
 }
 
 // appendFrameLocked is the one write path of the live segment: it adds
 // one frame — a diff record per element of ds, or a tombstone per
-// element when kind says so — with one write and one fsync, then
-// indexes it. On failure the segment is cut back to its previous
-// length and the block references just taken are released; if even
-// that fails, or the failure is a simulated crash (which must leave
-// the debris a dying process would), the store stops accepting writes.
+// element when kind says so — as ONE recframe.Log.Append (one write,
+// one fsync), then indexes it. A failed append that was rolled back
+// releases the block references just taken; one that fail-stopped the
+// log (the cut failed too, or a simulated crash, which must leave the
+// debris a dying process would) keeps them — the frame may still be on
+// disk — and the store stops accepting writes.
+//
+//ckptlint:locked mu
 func (fs *FileStore) appendFrameLocked(kind byte, ds []*Diff) error {
 	if err := fs.prepareLocked(); err != nil {
 		return err
@@ -548,19 +591,14 @@ func (fs *FileStore) appendFrameLocked(kind byte, ds []*Diff) error {
 	for _, d := range ds {
 		end = max(end, int(d.CkptID)+1)
 	}
-	w := fs.hooks.wrapWrite(int(ds[0].CkptID), io.NewOffsetWriter(fs.seg, fs.segSize))
-	locs, size, err := fs.writeRecords(w, kind, ds, refs, counts, uint32(end), true)
-	if err == nil {
-		err = fs.hooks.sync(fs.seg)
-	}
-	if errors.Is(err, ErrSimulatedCrash) {
-		fs.failed = err
+	var locs []recLoc
+	err := fs.log.Append(fs.hooks, func(w io.Writer) (err error) {
+		locs, err = fs.writeRecords(w, kind, ds, refs, counts, uint32(end), true)
 		return err
-	}
+	})
 	if err != nil {
-		fs.releaseRefs(refs)
-		if terr := fs.seg.Truncate(fs.segSize); terr != nil {
-			fs.failed = fmt.Errorf("checkpoint: store %s stopped: rolling back a failed append: %v (append failed with: %w)", fs.dir, terr, err)
+		if fs.failed = fs.log.Failed(); fs.failed == nil {
+			fs.releaseRefsLocked(refs)
 		}
 		return err
 	}
@@ -574,41 +612,23 @@ func (fs *FileStore) appendFrameLocked(kind byte, ds []*Diff) error {
 			fs.n = min(fs.n, int(d.CkptID))
 		}
 	}
-	fs.segSize += size
+	fs.segSize = fs.log.Size()
 	fs.growLocked()
 	return nil
 }
 
-// releaseRefs drops refs from the attached block store, tolerating
-// underflow (a foreign or already-released reference) as the
+// releaseRefsLocked drops refs from the attached block store,
+// tolerating underflow (a foreign or already-released reference) as the
 // documented soft failure of best-effort cleanup.
-func (fs *FileStore) releaseRefs(refs []blockstore.Ref) error {
+//
+//ckptlint:locked mu
+func (fs *FileStore) releaseRefsLocked(refs []blockstore.Ref) error {
 	if fs.blocks == nil || len(refs) == 0 {
 		return nil
 	}
 	if err := fs.blocks.Release(refs); err != nil && !errors.Is(err, blockstore.ErrUnderflow) {
-		return err
+		return fs.diedLocked(err)
 	}
-	return nil
-}
-
-// commitManifestLocked publishes m and adopts it. A failure before the
-// rename leaves the old manifest in force and is reported as is; a
-// simulated crash, or a failure after the rename (the commit stands
-// but its durability is unknown), stops the store until a reopen
-// settles which manifest won.
-func (fs *FileStore) commitManifestLocked(m Manifest) error {
-	if err := fs.prepareLocked(); err != nil {
-		return err
-	}
-	renamed, err := writeManifestFile(filepath.Join(fs.dir, ManifestFileName), &m, fs.hooks)
-	if err != nil {
-		if renamed || errors.Is(err, ErrSimulatedCrash) {
-			fs.failed = err
-		}
-		return err
-	}
-	fs.man = m
 	return nil
 }
 
@@ -621,13 +641,18 @@ func (fs *FileStore) commitManifestLocked(m Manifest) error {
 // does — a span planned from an older Load would silently drop the
 // diffs appended since, so it is refused.
 //
-// The span is written to a fresh segment and fsynced; the manifest
-// rename that names the new segment (baseline base, next generation)
-// is the commit point; then the old segment
-// is deleted and the block references of its records are released. A
-// crash leaves the old lineage plus an unnamed segment, or the new
-// lineage plus the old segment; the next write removes either, and a
-// crash can only leak block references, never drop a needed one.
+// The span is written to a fresh segment — created durably, directory
+// entry included, then written and fsynced (recframe.Create, one
+// Log.Append); the manifest rename that names the new segment (baseline
+// base, next generation; recframe.Commit) is the commit point; then the
+// old segment is deleted and the block references of its records are
+// released. A failure before the rename leaves the old lineage in force
+// and nothing of the attempt; a simulated crash, or a failure after the
+// rename (the commit stands but its durability is unknown), stops the
+// store until a reopen settles which manifest won. A crash leaves the
+// old lineage plus an unnamed segment, or the new lineage plus the old
+// segment; the next write removes either, and a crash can only leak
+// block references, never drop a needed one.
 func (fs *FileStore) InstallSpan(base int, diffs []*Diff) error {
 	if len(diffs) == 0 {
 		return fmt.Errorf("checkpoint: install span at %d with no diffs", base)
@@ -661,43 +686,61 @@ func (fs *FileStore) InstallSpan(base int, diffs []*Diff) error {
 	if err != nil {
 		return err
 	}
-	f, locs, size, err := fs.writeSegment(filepath.Join(fs.dir, segmentName(m.segment)), diffs, refs, counts)
+	path := filepath.Join(fs.dir, segmentName(m.segment))
+	log, locs, err := fs.writeSegmentLocked(path, diffs, refs, counts)
 	if err == nil {
 		err = fs.commitManifestLocked(m)
 	}
 	if err != nil {
-		if f != nil {
-			f.Close()
+		if log != nil {
+			log.File().Close()
 		}
 		if fs.failed == nil { // not committed, and not pretending to have crashed
-			os.Remove(filepath.Join(fs.dir, segmentName(m.segment)))
-			fs.releaseRefs(refs)
+			os.Remove(path)
+			fs.releaseRefsLocked(refs)
 		}
 		return err
 	}
 	fs.seg.Close()
 	os.Remove(fs.seg.Name())
-	fs.seg, fs.segSize, fs.recs, fs.n = f, size, locs, base+len(diffs)
-	return fs.releaseRefs(oldRefs)
+	fs.seg, fs.log, fs.segSize, fs.recs, fs.n = log.File(), log, log.Size(), locs, base+len(diffs)
+	return fs.releaseRefsLocked(oldRefs)
 }
 
-// writeSegment is the one writer of whole segments: it creates path,
-// writes one record per diff, and fsyncs. The open file is returned
-// (also on error, for the caller to dispose of) together with the
-// index of what it holds.
-func (fs *FileStore) writeSegment(path string, diffs []*Diff, refs []blockstore.Ref, counts []int) (f *os.File, locs []recLoc, size int64, err error) {
-	if f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644); err != nil {
-		return nil, nil, 0, fmt.Errorf("checkpoint: creating segment: %w", err)
+// commitManifestLocked publishes m by recframe.Commit and adopts it. A
+// failure after the rename stops the store: memory can no longer be
+// known to match what a crash would leave.
+//
+//ckptlint:locked mu
+func (fs *FileStore) commitManifestLocked(m Manifest) error {
+	renamed, err := recframe.Commit(fs.hooks, filepath.Join(fs.dir, ManifestFileName), m.Encode())
+	if err != nil {
+		err = fmt.Errorf("checkpoint: publishing manifest: %w", err)
+		if renamed {
+			fs.failed = err
+		}
+		return fs.diedLocked(err)
+	}
+	fs.man = m
+	return nil
+}
+
+// writeSegmentLocked is the one writer of whole segments: it creates
+// path durably and writes one record per diff, each a frame of its own,
+// with one write and one fsync. The log is returned also on error, for
+// the caller to dispose of, together with the index of what it holds.
+//
+//ckptlint:locked mu
+func (fs *FileStore) writeSegmentLocked(path string, diffs []*Diff, refs []blockstore.Ref, counts []int) (log *recframe.Log, locs []recLoc, err error) {
+	if log, err = recframe.Create(fs.hooks, path); err != nil {
+		return nil, nil, fs.diedLocked(fmt.Errorf("checkpoint: creating segment: %w", err))
 	}
 	first := int(diffs[0].CkptID)
-	locs, size, err = fs.writeRecords(fs.hooks.wrapWrite(first, f), recDiff, diffs, refs, counts, uint32(first+len(diffs)), false)
-	if err == nil {
-		err = fs.hooks.sync(f)
-	}
-	if errors.Is(err, ErrSimulatedCrash) {
-		fs.failed = err
-	}
-	return f, locs, size, err
+	err = log.Append(fs.hooks, func(w io.Writer) (err error) {
+		locs, err = fs.writeRecords(w, recDiff, diffs, refs, counts, uint32(first+len(diffs)), false)
+		return err
+	})
+	return log, locs, fs.diedLocked(err)
 }
 
 // segmentRefsLocked returns the block references held by the live
@@ -705,6 +748,8 @@ func (fs *FileStore) writeSegment(path string, diffs []*Diff, refs []blockstore.
 // superseded ones included — each took its references when it was
 // written and nothing has released them since. References of records
 // that no longer verify are leaked rather than guessed at.
+//
+//ckptlint:locked mu
 func (fs *FileStore) segmentRefsLocked() ([]blockstore.Ref, error) {
 	if fs.blocks == nil {
 		return nil, nil
@@ -722,209 +767,17 @@ func (fs *FileStore) segmentRefsLocked() ([]blockstore.Ref, error) {
 		if _, err := fs.seg.ReadAt(payload, r.Off+recHdrSize); err != nil || !IsBlockMapped(payload) {
 			continue
 		}
-		if _, refs, _, err := decodeBlockDiff(payload); err == nil {
-			out = append(out, refs...)
+		if _, refs, _, err := parseBlockDiff(payload); err == nil {
+			out = appendRefs(out, refs)
 		}
 	}
 	return out, nil
-}
-
-// errNoBlockStore reports a block-mapped record in a store opened
-// without a block store — a configuration problem (the `_blocks`
-// sibling was moved or the wrong constructor was used), not data
-// corruption, so it is deliberately NOT a *CorruptError: a scrub must
-// abort rather than quarantine every diff it cannot resolve.
-var errNoBlockStore = errors.New("checkpoint: block-mapped diff but no block store attached")
-
-// ErrSpanMoved reports a read through a Span whose lineage has been
-// rewritten since the span was taken (InstallSpan: a compaction, or a
-// replica resync), or a span that starts below the baseline such a
-// rewrite left. Nothing is wrong with the store; a reader recovers by
-// taking a span of what the lineage holds now.
-var ErrSpanMoved = errors.New("checkpoint: span moved")
-
-// ReadScratch is the reusable memory of the diff read path: the raw
-// record, its block references decoded, and the block store's own read
-// scratch. The zero value is ready; a reader serving many diffs keeps
-// one, so that reads allocate nothing once it has grown to the largest
-// record.
-type ReadScratch struct {
-	rec    []byte
-	refs   []blockstore.Ref
-	blocks blockstore.ReadScratch
-}
-
-// Span is a consistent view of the stored checkpoints [from, to): every
-// diff read through it comes from the one generation of the lineage the
-// span was taken from, or fails with ErrSpanMoved. It holds no lock and
-// no file, so a reader can take its time — a network stream to a slow
-// peer — without holding up appends or compactions.
-type Span struct {
-	fs       *FileStore
-	segment  uint32
-	from, to int
-}
-
-// Span validates [from, to) against the lineage as it stands and pins
-// the view to its current generation. A span that starts below the
-// baseline is ErrSpanMoved (a fold took its start away); one that is
-// empty or reaches past Len is out of range.
-func (fs *FileStore) Span(from, to int) (Span, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	base := int(fs.man.Base)
-	if from >= to || to > fs.n {
-		return Span{}, fmt.Errorf("checkpoint: span [%d,%d) out of range [%d,%d)", from, to, base, fs.n)
-	}
-	if from < base {
-		return Span{}, fmt.Errorf("%w: span [%d,%d) starts below the baseline of [%d,%d)", ErrSpanMoved, from, to, base, fs.n)
-	}
-	return Span{fs: fs, segment: fs.man.segment, from: from, to: to}, nil
-}
-
-// Bounds returns the checkpoint range [from, to) the span covers.
-func (sp Span) Bounds() (from, to int) { return sp.from, sp.to }
-
-// AppendDiff appends the canonical encoded bytes of checkpoint ck of the
-// span to dst, verified in full as DiffBytes verifies them, and returns
-// the extended slice; on error dst is returned as it was. sc carries the
-// read's scratch memory between calls.
-func (sp Span) AppendDiff(dst []byte, ck int, sc *ReadScratch) ([]byte, error) {
-	if ck < sp.from || ck >= sp.to {
-		return dst, fmt.Errorf("checkpoint: diff %d outside span [%d,%d)", ck, sp.from, sp.to)
-	}
-	return sp.fs.appendDiff(dst, ck, &sp.segment, sc)
-}
-
-// DiffBytes returns the canonical encoded bytes of stored checkpoint ck
-// in memory of their own — the single-diff form of Span.AppendDiff.
-func (fs *FileStore) DiffBytes(ck int) ([]byte, error) {
-	return fs.appendDiff(nil, ck, nil, &ReadScratch{})
-}
-
-// appendDiff is the one read path of stored diffs. It reads the record
-// of checkpoint ck back from the segment into sc and verifies both
-// record checksums and the header against the index; a self-contained
-// payload is appended to dst as is, a block-mapped container is
-// reassembled — prefix verbatim, then every referenced block fetched
-// from the shared store by one AppendBlocks, which verifies each one —
-// so callers never see container bytes. Damage of either kind is a *CorruptError (errors.Is
-// ErrCorrupt) naming ck. Only the read itself happens under the lock: a
-// reader never sees a half-installed segment, and verification and
-// block fetches do not hold up appends. With segment set, the read is
-// refused with ErrSpanMoved unless that is still the live segment.
-//
-// dst grows at most once, to a length taken from the record the index
-// located (self-contained) or from a container whose checksum verified:
-// never from a length nothing vouches for.
-func (fs *FileStore) appendDiff(dst []byte, ck int, segment *uint32, sc *ReadScratch) ([]byte, error) {
-	fs.mu.Lock()
-	base := int(fs.man.Base)
-	if segment != nil && *segment != fs.man.segment {
-		fs.mu.Unlock()
-		return dst, fmt.Errorf("%w: the lineage was rewritten under the read of diff %d; it now holds [%d,%d)", ErrSpanMoved, ck, base, fs.n)
-	}
-	if ck < base || ck >= fs.n {
-		fs.mu.Unlock()
-		return dst, fmt.Errorf("checkpoint: diff %d out of range [%d,%d)", ck, base, fs.n)
-	}
-	if fs.seg == nil {
-		fs.mu.Unlock()
-		return dst, fs.failed
-	}
-	corrupt := func(err error) ([]byte, error) {
-		return dst, &CorruptError{Path: fs.dir, Ckpt: ck, Err: err}
-	}
-	loc, hooks := fs.recs[ck-base], fs.hooks
-	if loc.state != recLive {
-		fs.mu.Unlock()
-		return corrupt(fmt.Errorf("%w: no record of the diff verified when the segment was opened", ErrChecksumMismatch))
-	}
-	if need := recHdrSize + int(loc.len); cap(sc.rec) < need {
-		sc.rec = make([]byte, need)
-	}
-	raw := sc.rec[:recHdrSize+int(loc.len)]
-	_, err := fs.seg.ReadAt(raw, loc.off)
-	fs.mu.Unlock()
-	if err != nil && err != io.EOF { // a short read fails verification below
-		return dst, fmt.Errorf("checkpoint: reading diff %d: %w", ck, err)
-	}
-	if hooks != nil && hooks.OnDiffRead != nil {
-		raw = hooks.OnDiffRead(ck, raw)
-	}
-	h, ok := segFormat.Parse(raw)
-	if !ok || h.Kind != recDiff || int(h.A) != ck || h.Len != loc.len {
-		return corrupt(fmt.Errorf("%w: record header at offset %d does not verify", ErrChecksumMismatch, loc.off))
-	}
-	payload := raw[recHdrSize:]
-	if got := crc32.Checksum(payload, castagnoli); got != h.CRC {
-		return corrupt(fmt.Errorf("%w: record says %08x, payload hashes to %08x", ErrChecksumMismatch, h.CRC, got))
-	}
-	if !IsBlockMapped(payload) {
-		return append(dst, payload...), nil
-	}
-	prefix, refs, dataLen, err := parseBlockDiff(payload)
-	if err != nil {
-		return corrupt(err)
-	}
-	if fs.blocks == nil {
-		return dst, errNoBlockStore
-	}
-	sc.refs = appendRefs(sc.refs[:0], refs)
-	out := append(slices.Grow(dst, len(prefix)+int(dataLen)), prefix...)
-	if out, err = fs.blocks.AppendBlocks(out, sc.refs, &sc.blocks); err != nil {
-		return corrupt(err)
-	}
-	return out, nil
-}
-
-// decodeVerified decodes the verified bytes of checkpoint ck, read into
-// memory of their own through sc, and cross-checks the embedded id.
-// Structural decode failures and id mismatches are *CorruptError like
-// checksum failures: all three mean the diff cannot be restored.
-func (fs *FileStore) decodeVerified(ck int, sc *ReadScratch) (*Diff, error) {
-	encoded, err := fs.appendDiff(nil, ck, nil, sc)
-	if err != nil {
-		return nil, err
-	}
-	d, err := DecodeCheckpoint(ck, encoded)
-	if err != nil {
-		return nil, &CorruptError{Path: fs.dir, Ckpt: ck, Err: err}
-	}
-	return d, nil
-}
-
-// Load reads the stored lineage [Base, Len) into a restorable Record.
-// Stored diffs carry absolute ids; Load rebases them to the 0-based
-// contiguous ids the Record requires, so Record index i is absolute
-// checkpoint Base()+i.
-func (fs *FileStore) Load() (*Record, error) {
-	base := fs.Base()
-	length, _ := fs.Len()
-	if length == base {
-		return nil, fmt.Errorf("checkpoint: store %s is empty", fs.dir)
-	}
-	rec := NewRecord()
-	var sc ReadScratch
-	for ck := base; ck < length; ck++ {
-		d, err := fs.decodeVerified(ck, &sc)
-		if err != nil {
-			return nil, err
-		}
-		if err := d.Rebase(-int64(base)); err != nil {
-			return nil, fmt.Errorf("checkpoint: diff %d: %w", ck, err)
-		}
-		if err := rec.Append(d); err != nil {
-			return nil, err
-		}
-	}
-	return rec, nil
 }
 
 // WriteRecord persists an in-memory record into an empty store, as one
 // batch.
 func (fs *FileStore) WriteRecord(rec *Record) error {
-	if n, _ := fs.Len(); n != 0 {
+	if n := fs.Len(); n != 0 {
 		return fmt.Errorf("checkpoint: store %s already holds diffs up to %d", fs.dir, n)
 	}
 	ds := make([]*Diff, rec.Len())
@@ -953,7 +806,7 @@ type ScrubReport struct {
 // client's Repair) to bring them back and reconnect the suffix.
 func (fs *FileStore) Scrub() (*ScrubReport, error) {
 	base := fs.Base()
-	length, _ := fs.Len()
+	length := fs.Len()
 	rep := &ScrubReport{}
 	var holes []*Diff
 	var sc ReadScratch
@@ -999,7 +852,7 @@ func (fs *FileStore) QuarantineDiff(ck int) error {
 // cannot serve: quarantined ones, and ones whose record the scan on
 // open found damaged, not reinstalled since — what a repair pass
 // (possibly in a later process than the scrub) still needs to fill.
-func (fs *FileStore) QuarantinedIDs() ([]int, error) {
+func (fs *FileStore) QuarantinedIDs() []int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	var out []int
@@ -1008,7 +861,7 @@ func (fs *FileStore) QuarantinedIDs() ([]int, error) {
 			out = append(out, int(fs.man.Base)+i)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // ReinstallDiff stores d at its absolute checkpoint id, whatever is

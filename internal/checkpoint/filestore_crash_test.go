@@ -8,9 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/gpuckpt/gpuckpt/internal/blockstore"
+	"github.com/gpuckpt/gpuckpt/internal/recframe"
 )
 
 // refChain is the 12-diff reference chain of the crash tests. Every
@@ -70,7 +72,7 @@ type storeState struct {
 func snapshot(t *testing.T, fs *FileStore) storeState {
 	t.Helper()
 	st := storeState{Base: fs.Base()}
-	st.Len, _ = fs.Len()
+	st.Len = fs.Len()
 	fs.mu.Lock()
 	for _, r := range fs.recs {
 		st.States = append(st.States, r.state)
@@ -125,7 +127,7 @@ var crashSeams = []string{"write", "sync", "before-rename", "after-rename"}
 // seam pass and simulate a crash at the next; fired reports how often
 // the seam was reached. A write crashes mid-stream: half of the first
 // write goes through, the way a dying process tears a frame.
-func crashHooks(seam string, ordinal int) (h *IOHooks, fired *int) {
+func crashHooks(seam string, ordinal int) (h *recframe.Hooks, fired *int) {
 	fired = new(int)
 	hit := func(s string) bool {
 		if s != seam {
@@ -134,22 +136,19 @@ func crashHooks(seam string, ordinal int) (h *IOHooks, fired *int) {
 		*fired++
 		return *fired == ordinal
 	}
-	crash := func(s string) error {
-		if hit(s) {
-			return fmt.Errorf("%s #%d: %w", s, ordinal, ErrSimulatedCrash)
-		}
-		return nil
-	}
-	return &IOHooks{
-		WrapDiffWrite: func(_ int, w io.Writer) io.Writer {
+	return &recframe.Hooks{
+		WrapWrite: func(_ string, w io.Writer) io.Writer {
 			if hit("write") {
 				return &tearingWriter{w: w}
 			}
 			return w
 		},
-		BeforeSync:   func(string) error { return crash("sync") },
-		BeforeRename: func(_, _ string) error { return crash("before-rename") },
-		AfterRename:  func(string) error { return crash("after-rename") },
+		Seam: func(point, _ string) error {
+			if hit(point) {
+				return fmt.Errorf("%s #%d: %w", point, ordinal, ErrSimulatedCrash)
+			}
+			return nil
+		},
 	}, fired
 }
 
@@ -174,6 +173,7 @@ func (tw *tearingWriter) Write(p []byte) (int, error) {
 func TestCrashPoints(t *testing.T) {
 	chain := refChain()
 	steps := crashScript(chain)
+	var counted []int
 	for _, blocks := range []bool{false, true} {
 		// want[i] is the state after the first i steps, fault-free.
 		clean := lineageEnv{root: t.TempDir(), blocks: blocks}
@@ -193,7 +193,10 @@ func TestCrashPoints(t *testing.T) {
 				env := lineageEnv{root: t.TempDir(), blocks: blocks}
 				fs, bs := env.open(t)
 				hooks, fired := crashHooks(seam, ordinal)
-				fs.SetIOHooks(hooks)
+				fs.SetHooks(hooks)
+				if bs != nil {
+					bs.SetHooks(hooks) // a dead process is dead in both
+				}
 				crashed := -1
 				for i, st := range steps {
 					if err := st.run(fs); err != nil {
@@ -263,6 +266,13 @@ func TestCrashPoints(t *testing.T) {
 			}
 		}
 		t.Logf("blocks=%v: %d crash points recovered", blocks, points)
+		counted = append(counted, points)
+	}
+	// Every fsync is a crash point — the lineage's directory fsyncs, and
+	// with a block store every seam of the Intern and Release under a
+	// lineage call.
+	if counted[0] < 26 || counted[1] <= counted[0] {
+		t.Fatalf("%d crash points without a block store, %d with one: want at least 26, and more with one", counted[0], counted[1])
 	}
 }
 
@@ -357,7 +367,7 @@ func TestTornFinalFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n, _ := fs.Len(); n != 3 {
+		if n := fs.Len(); n != 3 {
 			t.Fatalf("cut at %d: len %d after re-append, want 3", cut, n)
 		}
 		fs.Close()
@@ -397,13 +407,13 @@ func TestRotIsNotATornTail(t *testing.T) {
 				t.Fatalf("diff %d %s: reopened to [0,%d) states %v, want damage at exactly %d",
 					victim, field, got.Len, got.States, victim)
 			}
-			if holes, _ := fs.QuarantinedIDs(); !reflect.DeepEqual(holes, []int{victim}) {
+			if holes := fs.QuarantinedIDs(); !reflect.DeepEqual(holes, []int{victim}) {
 				t.Fatalf("diff %d %s: unservable ids %v", victim, field, holes)
 			}
 			if err := fs.QuarantineDiff(victim); err != nil {
 				t.Fatal(err)
 			}
-			if n, _ := fs.Len(); n != victim {
+			if n := fs.Len(); n != victim {
 				t.Fatalf("diff %d %s: len %d after quarantine, want %d", victim, field, n, victim)
 			}
 			if err := fs.ReinstallDiff(chain[victim]); err != nil {
@@ -465,8 +475,8 @@ func TestRotAfterOpenIsCaughtOnRead(t *testing.T) {
 
 // TestWriteBudget counts what an append costs through the hook seams:
 // one fsync of the segment per frame whatever its size (the append
-// that creates the segment also fsyncs the directory, which is not a
-// hooked seam), and every container byte written to the lineage
+// that creates the segment also fsyncs the directory, once), and every
+// container byte written to the lineage
 // directory exactly once — what went through the write seam is what
 // the segment holds.
 func TestWriteBudget(t *testing.T) {
@@ -476,9 +486,14 @@ func TestWriteBudget(t *testing.T) {
 	fs := stores[0]
 	var syncs []string
 	var written int64
-	fs.SetIOHooks(&IOHooks{
-		BeforeSync: func(path string) error { syncs = append(syncs, filepath.Base(path)); return nil },
-		WrapDiffWrite: func(_ int, w io.Writer) io.Writer {
+	fs.SetHooks(&recframe.Hooks{
+		Seam: func(point, path string) error {
+			if point == "sync" {
+				syncs = append(syncs, filepath.Base(path))
+			}
+			return nil
+		},
+		WrapWrite: func(_ string, w io.Writer) io.Writer {
 			return writerFunc(func(p []byte) (int, error) {
 				n, err := w.Write(p)
 				written += int64(n)
@@ -489,7 +504,7 @@ func TestWriteBudget(t *testing.T) {
 	if err := fs.Append(randomDiff(0, 1, 640)); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{segmentName(0)}; !reflect.DeepEqual(syncs, want) {
+	if want := []string{"lin", segmentName(0)}; !reflect.DeepEqual(syncs, want) {
 		t.Fatalf("first append fsynced %v, want %v", syncs, want)
 	}
 	syncs = nil
@@ -541,9 +556,14 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 func TestFailedAppendRollsBack(t *testing.T) {
 	chain := refChain()
 	boom := errors.New("injected")
-	for name, hooks := range map[string]*IOHooks{
-		"fsync": {BeforeSync: func(string) error { return boom }},
-		"write": {WrapDiffWrite: func(_ int, w io.Writer) io.Writer {
+	for name, hooks := range map[string]*recframe.Hooks{
+		"fsync": {Seam: func(point, _ string) error {
+			if point == "sync" {
+				return boom
+			}
+			return nil
+		}},
+		"write": {WrapWrite: func(_ string, w io.Writer) io.Writer {
 			return writerFunc(func(p []byte) (int, error) {
 				n, _ := w.Write(p[:len(p)/2])
 				return n, boom
@@ -558,12 +578,12 @@ func TestFailedAppendRollsBack(t *testing.T) {
 		if err := fs.Append(chain[0]); err != nil {
 			t.Fatal(err)
 		}
-		before, _ := fs.TotalBytes()
-		fs.SetIOHooks(hooks)
+		before := fs.TotalBytes()
+		fs.SetHooks(hooks)
 		if n, err := fs.AppendBatch(chain[1:4]); !errors.Is(err, boom) || n != 0 {
 			t.Fatalf("%s: failed batch reported %d appended, err %v", name, n, err)
 		}
-		fs.SetIOHooks(nil)
+		fs.SetHooks(nil)
 		if st, _ := os.Stat(filepath.Join(dir, segmentName(0))); st.Size() != before {
 			t.Fatalf("%s: segment is %d bytes after the rollback, want %d", name, st.Size(), before)
 		}
@@ -592,7 +612,7 @@ func TestOpenCreatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	if n, _ := fs.Len(); n != 0 {
+	if n := fs.Len(); n != 0 {
 		t.Fatalf("missing directory opened with %d diffs", n)
 	}
 	if _, err := fs.Load(); err == nil {
@@ -652,5 +672,73 @@ func TestInstallSpanRefusesShortSpan(t *testing.T) {
 	}
 	if got := snapshot(t, fs); got.Base != 0 || got.Len != 6 {
 		t.Fatalf("refused span changed the store to [%d,%d)", got.Base, got.Len)
+	}
+}
+
+// TestManifestNamingMissingSegmentFailsOpen: a manifest exists only once
+// an InstallSpan wrote the segment it names, so a manifest without its
+// segment is damage — the open fails typed and names the segment,
+// instead of presenting an empty lineage at the manifest's baseline.
+func TestManifestNamingMissingSegmentFailsOpen(t *testing.T) {
+	chain := refChain()
+	dir := filepath.Join(t.TempDir(), "lin")
+	fs, err := NewFileStoreWith(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.AppendBatch(chain[:6]); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.InstallSpan(2, chain[2:6]); err != nil {
+		t.Fatal(err)
+	}
+	fs.Close()
+	if err := os.Remove(filepath.Join(dir, segmentName(1))); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func() (*FileStore, error){
+		"NewFileStore":     func() (*FileStore, error) { return NewFileStore(dir) },
+		"NewFileStoreWith": func() (*FileStore, error) { return NewFileStoreWith(dir, nil) },
+	} {
+		fs, err := open()
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(fmt.Sprint(err), segmentName(1)) {
+			t.Fatalf("%s of a manifest without its segment: store %v, err %v; want ErrCorrupt naming %s", name, fs, err, segmentName(1))
+		}
+	}
+	if entries := mustReadDir(t, dir); len(entries) != 1 || entries[0].Name() != ManifestFileName {
+		t.Fatalf("the refused open changed the directory to %v", entries)
+	}
+}
+
+// TestInstallSpanMakesTheSegmentDurableFirst closes the window that
+// could produce a manifest without its segment: the new segment's
+// directory entry and its bytes are fsynced before the rename that
+// names it — one directory fsync per install on top of the segment's,
+// the staged manifest's and the rename's.
+func TestInstallSpanMakesTheSegmentDurableFirst(t *testing.T) {
+	chain := refChain()
+	fs, err := NewFileStoreWith(filepath.Join(t.TempDir(), "lin"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if _, err := fs.AppendBatch(chain[:6]); err != nil {
+		t.Fatal(err)
+	}
+	var seams []string
+	fs.SetHooks(&recframe.Hooks{Seam: func(point, path string) error {
+		seams = append(seams, point+" "+filepath.Base(path))
+		return nil
+	}})
+	if err := fs.InstallSpan(2, chain[2:6]); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"sync lin", "sync " + segmentName(1),
+		"sync " + ManifestFileName + recframe.TmpSuffix, "before-rename " + ManifestFileName,
+		"after-rename " + ManifestFileName, "sync lin",
+	}
+	if !reflect.DeepEqual(seams, want) {
+		t.Fatalf("InstallSpan passed %v, want %v", seams, want)
 	}
 }

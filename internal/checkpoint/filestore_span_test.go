@@ -36,9 +36,8 @@ func TestInstallSpanAdoptsForwardBase(t *testing.T) {
 		if got := fs.Base(); got != 5 {
 			t.Fatalf("%s: base = %d, want 5", label, got)
 		}
-		n, err := fs.Len()
-		if err != nil || n != 8 {
-			t.Fatalf("%s: len = %d (%v), want 8", label, n, err)
+		if n := fs.Len(); n != 8 {
+			t.Fatalf("%s: len = %d, want 8", label, n)
 		}
 		rec, err := fs.Load()
 		if err != nil {
@@ -71,7 +70,7 @@ func TestInstallSpanAdoptsForwardBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs2.Close()
-	if n, _ := fs2.Len(); n != 9 {
+	if n := fs2.Len(); n != 9 {
 		t.Fatalf("reopened len = %d, want 9", n)
 	}
 	if fs2.Base() != 5 {
@@ -281,10 +280,11 @@ func TestSpanRotNamesCheckpoint(t *testing.T) {
 	if _, err := fs.seg.ReadAt(raw[:length], off); err != nil {
 		t.Fatal(err)
 	}
-	_, refs, _, err := decodeBlockDiff(raw[recHdrSize:length])
+	_, enc, _, err := parseBlockDiff(raw[recHdrSize:length])
 	if err != nil {
 		t.Fatal(err)
 	}
+	refs := appendRefs(nil, enc)
 	// The ten blocks of checkpoint 1 went into the pack in one frame:
 	// one run on the way back.
 	path, start, blen, err := bs.Locate(refs[0].ID)

@@ -137,11 +137,11 @@ func FuzzSegmentScan(f *testing.F) {
 		}
 		if fs, err := NewFileStoreWith(dir, nil); err == nil {
 			damaged := map[int]bool{}
-			unservable, _ := fs.QuarantinedIDs()
+			unservable := fs.QuarantinedIDs()
 			for _, ck := range unservable {
 				damaged[ck] = true
 			}
-			n, _ := fs.Len()
+			n := fs.Len()
 			for ck := 0; ck < n; ck++ {
 				if _, err := fs.DiffBytes(ck); (err != nil) != damaged[ck] || err != nil && !IsCorrupt(err) {
 					t.Fatalf("diff %d (reported damaged: %v) read back as: %v", ck, damaged[ck], err)
@@ -213,7 +213,7 @@ func segmentSeeds(tb testing.TB) [][]byte {
 	var fs FileStore
 	frame := func(kind byte, end uint32, ds ...*Diff) []byte {
 		var buf bytes.Buffer
-		if _, _, err := fs.writeRecords(&buf, kind, ds, nil, nil, end, true); err != nil {
+		if _, err := fs.writeRecords(&buf, kind, ds, nil, nil, end, true); err != nil {
 			tb.Fatal(err)
 		}
 		return buf.Bytes()

@@ -4,9 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"os"
-	"syscall"
+
+	"github.com/gpuckpt/gpuckpt/internal/recframe"
 )
 
 // On-disk integrity: every record of a lineage segment carries a
@@ -37,13 +36,13 @@ var (
 	// not cover its bytes. It wraps into a *CorruptError at the
 	// FileStore surface.
 	ErrChecksumMismatch = errors.New("checkpoint: diff checksum mismatch")
-	// ErrSimulatedCrash marks an error injected by a fault-injection
-	// hook that models the process dying at that instant: the FileStore
-	// propagates it WITHOUT running its usual cleanup (a half-written
-	// frame stays, block references stay taken) and refuses every later
-	// write, exactly as a real crash would leave the directory until
-	// the next open. Only fault-injection seams return it.
-	ErrSimulatedCrash = errors.New("checkpoint: simulated crash")
+	// ErrSimulatedCrash is recframe.ErrSimulatedCrash: an error injected
+	// by a fault-injection seam that models the process dying at that
+	// instant. The FileStore propagates it WITHOUT running its usual
+	// cleanup (a half-written frame stays, block references stay taken)
+	// and refuses every later write, exactly as a real crash would leave
+	// the directory until the next open.
+	ErrSimulatedCrash = recframe.ErrSimulatedCrash
 	// ErrOldLayout reports a lineage directory written by the
 	// file-per-checkpoint store this one replaced. There is no reader
 	// for that layout and nothing in the directory is touched.
@@ -69,63 +68,3 @@ func (e *CorruptError) Unwrap() error { return e.Err }
 
 // Is lets errors.Is match any CorruptError against ErrCorrupt.
 func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
-
-// IOHooks intercepts FileStore I/O at its failure points. Every field
-// is optional; a nil hook struct (the default) costs one nil check per
-// operation. This is the storage seam of the fault-injection framework
-// (internal/faults): short and torn writes, fsync failures, crashes
-// around the manifest rename and read-time bit rot are all injected
-// here rather than by patching the filesystem.
-type IOHooks struct {
-	// WrapDiffWrite wraps the writer records go through — an appended
-	// frame (ck is its first id) or a whole new segment (ck is its
-	// baseline); the returned writer can truncate, error (ENOSPC) or
-	// tear the stream.
-	WrapDiffWrite func(ck int, w io.Writer) io.Writer
-	// BeforeSync runs before a segment or a staged manifest is fsynced.
-	BeforeSync func(path string) error
-	// BeforeRename runs between a staged manifest's fsync+close and
-	// the rename that publishes it (InstallSpan).
-	BeforeRename func(tmp, final string) error
-	// AfterRename runs between that rename and the directory fsync
-	// that makes it crash-durable.
-	AfterRename func(final string) error
-	// OnDiffRead may transform (corrupt) the raw record bytes — header
-	// and payload — read from the segment before verification sees
-	// them.
-	OnDiffRead func(ck int, raw []byte) []byte
-}
-
-func (h *IOHooks) wrapWrite(ck int, w io.Writer) io.Writer {
-	if h == nil || h.WrapDiffWrite == nil {
-		return w
-	}
-	return h.WrapDiffWrite(ck, w)
-}
-
-// sync makes f durable, through the BeforeSync seam.
-func (h *IOHooks) sync(f *os.File) error {
-	if h != nil && h.BeforeSync != nil {
-		if err := h.BeforeSync(f.Name()); err != nil {
-			return err
-		}
-	}
-	return f.Sync()
-}
-
-// syncDir fsyncs a directory, making a just-renamed file durable
-// across power loss. Filesystems that refuse directory fsync (some
-// network mounts) report EINVAL or ENOTSUP, which is treated as
-// success. The raw errno values must be matched — a *PathError
-// wrapping syscall.EINVAL never matches os.ErrInvalid.
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("checkpoint: opening %s for sync: %w", dir, err)
-	}
-	defer f.Close()
-	if err := f.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, errors.ErrUnsupported) {
-		return fmt.Errorf("checkpoint: syncing %s: %w", dir, err)
-	}
-	return nil
-}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 )
 
 // Manifest is the on-disk lifecycle state of one lineage directory: the
@@ -17,7 +16,7 @@ import (
 // the one rename that publishes a new manifest is what switches the
 // lineage from its old segment to a freshly written one.
 //
-// The manifest is written atomically (temp file + rename) and decoded
+// The manifest is written atomically (recframe.Commit) and decoded
 // defensively (exact length, reserved bytes zero), the same posture as
 // the wire and diff formats: a corrupt manifest must fail loudly, never
 // silently move the baseline.
@@ -41,9 +40,8 @@ const (
 	manifestSize    = 4 + 1 + 4 + 8 + 4 + 4 // magic, version, base, generation, segment, reserved
 
 	// ManifestFileName is the manifest's name inside a lineage
-	// directory; manifestTmpName is where a new one is staged.
+	// directory.
 	ManifestFileName = "lineage.manifest"
-	manifestTmpName  = ManifestFileName + ".tmp"
 )
 
 // Encode returns the canonical little-endian serialization of m. The
@@ -101,48 +99,6 @@ func ReadManifestFile(path string) (*Manifest, error) {
 		return nil, fmt.Errorf("checkpoint: manifest %s: %w", path, err)
 	}
 	return m, nil
-}
-
-// writeManifestFile atomically replaces the manifest at path with m:
-// staged in manifestTmpName, fsynced, renamed over path, and the
-// directory fsynced so the rename itself survives power loss (a rename
-// alone only orders against other renames, not against the disk). The
-// rename is the commit point of every span install, so hooks can fail
-// or crash each step; a crash leaves at most the staging file. renamed
-// reports whether the new manifest was published: an error after that
-// point leaves the commit standing but of unknown durability.
-func writeManifestFile(path string, m *Manifest, hooks *IOHooks) (renamed bool, err error) {
-	b := m.Encode()
-	dir := filepath.Dir(path)
-	tmpName := filepath.Join(dir, manifestTmpName)
-	tmp, err := os.OpenFile(tmpName, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return false, fmt.Errorf("checkpoint: staging manifest: %w", err)
-	}
-	if _, err = tmp.Write(b); err == nil {
-		err = hooks.sync(tmp)
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil && hooks != nil && hooks.BeforeRename != nil {
-		err = hooks.BeforeRename(tmpName, path)
-	}
-	if err == nil {
-		err = os.Rename(tmpName, path)
-	}
-	if err != nil {
-		if !errors.Is(err, ErrSimulatedCrash) {
-			os.Remove(tmpName)
-		}
-		return false, fmt.Errorf("checkpoint: publishing manifest: %w", err)
-	}
-	if hooks != nil && hooks.AfterRename != nil {
-		if err := hooks.AfterRename(path); err != nil {
-			return true, err
-		}
-	}
-	return true, syncDir(dir)
 }
 
 // Rebase shifts every checkpoint id carried by d — its CkptID and the

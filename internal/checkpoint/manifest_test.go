@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"github.com/gpuckpt/gpuckpt/internal/recframe"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -85,7 +86,7 @@ func TestManifestFileIO(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, ManifestFileName)
 	want := &Manifest{Base: 5, Generation: 2, segment: 1}
-	if renamed, err := writeManifestFile(path, want, nil); err != nil || !renamed {
+	if renamed, err := recframe.Commit(nil, path, want.Encode()); err != nil || !renamed {
 		t.Fatal(renamed, err)
 	}
 	got, err := ReadManifestFile(path)

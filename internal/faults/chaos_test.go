@@ -184,14 +184,14 @@ func TestChaosStorageTornWrite(t *testing.T) {
 				t.Fatal(err)
 			}
 			in := faults.New(101)
-			fs.SetIOHooks(in.StorageHooks(faults.StoragePlan{
+			fs.SetHooks(in.StorageHooks(faults.StoragePlan{
 				TornWrite: faults.On(3), TornAfter: 40,
 			}))
 			appendWithRetry(t, fs, rec, 0, 1)
 			if got := in.Fired(faults.EvTornWrite); got != 1 {
 				t.Fatalf("torn write fired %d times, want 1", got)
 			}
-			fs.SetIOHooks(nil)
+			fs.SetHooks(nil)
 			verifyStore(t, dir, images)
 		})
 	}
@@ -210,11 +210,11 @@ func TestChaosStorageENOSPCRetry(t *testing.T) {
 				t.Fatal(err)
 			}
 			in := faults.New(202)
-			fs.SetIOHooks(in.StorageHooks(faults.StoragePlan{
+			fs.SetHooks(in.StorageHooks(faults.StoragePlan{
 				WriteErr: faults.And(faults.Every(2), faults.Upto(6)),
 			}))
 			appendWithRetry(t, fs, rec, 0, 2)
-			fs.SetIOHooks(nil)
+			fs.SetHooks(nil)
 			verifyStore(t, dir, images)
 		})
 	}
@@ -232,7 +232,7 @@ func TestChaosStorageSyncFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := faults.New(303)
-	fs.SetIOHooks(in.StorageHooks(faults.StoragePlan{SyncErr: faults.On(2)}))
+	fs.SetHooks(in.StorageHooks(faults.StoragePlan{SyncErr: faults.On(2)}))
 	if err := fs.Append(rec.Diff(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestChaosStorageSyncFailure(t *testing.T) {
 		t.Fatalf("sync failure surfaced as %v", err)
 	}
 	appendWithRetry(t, fs, rec, 1, 1)
-	fs.SetIOHooks(nil)
+	fs.SetHooks(nil)
 	verifyStore(t, dir, images)
 }
 
@@ -267,7 +267,7 @@ func crashScenario(t *testing.T, method checkpoint.Method, seed int64, plan faul
 	for i := range span {
 		span[i] = rec.Diff(i)
 	}
-	fs.SetIOHooks(faults.New(seed).StorageHooks(plan))
+	fs.SetHooks(faults.New(seed).StorageHooks(plan))
 	if err := fs.InstallSpan(0, span); !errors.Is(err, checkpoint.ErrSimulatedCrash) {
 		t.Fatalf("crashed install surfaced as %v", err)
 	}
@@ -278,8 +278,8 @@ func crashScenario(t *testing.T, method checkpoint.Method, seed int64, plan faul
 		t.Fatalf("reopen after crash: %v", err)
 	}
 	defer fs2.Close()
-	if n, err := fs2.Len(); err != nil || n != rec.Len() {
-		t.Fatalf("store holds %d diffs after crash recovery, want %d (err %v)", n, rec.Len(), err)
+	if n := fs2.Len(); n != rec.Len() {
+		t.Fatalf("store holds %d diffs after crash recovery, want %d", n, rec.Len())
 	}
 	if g := fs2.Manifest().Generation; g != wantGeneration {
 		t.Fatalf("manifest generation %d after crash recovery, want %d", g, wantGeneration)
@@ -399,8 +399,8 @@ func TestChaosBitRotScrubRepair(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if qs, err := q.QuarantinedIDs(); err != nil || !slices.Equal(qs, m.victims) {
-				t.Fatalf("quarantined diffs %v (err %v), want %v", qs, err, m.victims)
+			if qs := q.QuarantinedIDs(); !slices.Equal(qs, m.victims) {
+				t.Fatalf("quarantined diffs %v, want %v", qs, m.victims)
 			}
 			q.Close()
 
@@ -786,6 +786,62 @@ func TestChaosStreamStallInsideWindow(t *testing.T) {
 	verifyLineage(t, addr, "stream-stall", images)
 }
 
+// Scenario 15: the storage seam reaches the PACK. During a streamed
+// push the block store's pack write tears, or its fsync fails: the
+// batch is refused typed, nothing acked before it is lost, the pack is
+// cut back to its previous length, and the next push commits the rest.
+func TestChaosStreamPackFailure(t *testing.T) {
+	for name, plan := range map[string]faults.StoragePlan{
+		"sync-err":   {SyncErr: faults.On(1)},
+		"torn-write": {TornWrite: faults.On(1), TornAfter: 40},
+	} {
+		t.Run(name, func(t *testing.T) {
+			images := seededImages(151, chaosCkpts)
+			half := len(images) / 2
+			root := t.TempDir()
+			srv, addr, stop := startServer(t, server.Config{Root: root})
+			defer stop()
+			cl, err := gpuckpt.Dial(addr, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if _, err := cl.PushCheckpointer("pack-fail", streamCheckpointer(t, images[:half])); err != nil {
+				t.Fatal(err)
+			}
+			pack := filepath.Join(root, blockstore.DirName, "pack-000001.log")
+			before, err := os.Stat(pack)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			in := faults.New(151)
+			srv.SetStorageHooks(in.StorageHooks(plan))
+			all := streamCheckpointer(t, images)
+			var re *wire.RemoteError
+			if n, err := cl.PushCheckpointer("pack-fail", all); !errors.As(err, &re) || n != 0 {
+				t.Fatalf("push over a failing pack acked %d diffs and returned %v, want a typed refusal of all of them", n, err)
+			}
+			if len(in.Trace()) != 1 {
+				t.Fatalf("the fault fired %v, want exactly once", in.Trace())
+			}
+			if after, err := os.Stat(pack); err != nil || after.Size() != before.Size() {
+				t.Fatalf("the refused batch left the pack at %d bytes (%v), want its previous %d", after.Size(), err, before.Size())
+			}
+			verifyLineage(t, addr, "pack-fail", images[:half])
+
+			if n, err := cl.PushCheckpointer("pack-fail", all); err != nil || n != len(images)-half {
+				t.Fatalf("the push after the failure acked %d diffs and returned %v, want the remaining %d", n, err, len(images)-half)
+			}
+			if srv.StreamPushes() == 0 {
+				t.Fatal("push never took the streaming path")
+			}
+			srv.SetStorageHooks(nil)
+			verifyLineage(t, addr, "pack-fail", images)
+		})
+	}
+}
+
 // --- pipeline seam ------------------------------------------------------
 
 // Scenario 12: kernel failures inside the async pipeline. A front
@@ -890,7 +946,7 @@ func TestChaosSameSeedReproducible(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := faults.New(seed)
-		fs.SetIOHooks(in.StorageHooks(faults.StoragePlan{
+		fs.SetHooks(in.StorageHooks(faults.StoragePlan{
 			WriteErr:  in.Prob(0.4),
 			TornWrite: faults.On(5),
 			BitRot:    faults.Every(3),
@@ -1022,12 +1078,7 @@ func verifyBlockLineages(t *testing.T, root string, bs *blockstore.Store, images
 // still reclaims the garbage.
 func TestChaosBlockGCCrashBeforeCommit(t *testing.T) {
 	root, bs, images := blockChaosLineages(t, 901)
-	bs.SetHooks(&blockstore.Hooks{Seam: func(point, _ string) error {
-		if point == "gc-before" {
-			return faults.ErrInjected
-		}
-		return nil
-	}})
+	bs.SetHooks(faults.New(0).StorageHooks(faults.StoragePlan{SeamErr: map[string]faults.Hits{"gc-before": faults.From(1)}}))
 	if _, err := bs.GC(); !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("GC with pre-commit crash returned %v, want ErrInjected", err)
 	}
@@ -1062,12 +1113,7 @@ func TestChaosBlockGCCrashBeforeCommit(t *testing.T) {
 // byte-exact.
 func TestChaosBlockGCCrashAfterCommit(t *testing.T) {
 	root, bs, images := blockChaosLineages(t, 902)
-	bs.SetHooks(&blockstore.Hooks{Seam: func(point, _ string) error {
-		if point == "gc-after" {
-			return faults.ErrInjected
-		}
-		return nil
-	}})
+	bs.SetHooks(faults.New(0).StorageHooks(faults.StoragePlan{SeamErr: map[string]faults.Hits{"gc-after": faults.From(1)}}))
 	if _, err := bs.GC(); !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("GC with post-commit crash returned %v, want ErrInjected", err)
 	}

@@ -6,10 +6,10 @@
 // stack, each of which the production code exposes explicitly rather
 // than being monkey-patched:
 //
-//   - storage: checkpoint.IOHooks built by StorageHooks intercepts
-//     FileStore I/O — short/torn diff writes, ENOSPC, fsync failures,
-//     simulated crashes on either side of the publishing rename, and
-//     bit rot on read.
+//   - storage: the recframe.Hooks built by StorageHooks intercepts the
+//     I/O of a FileStore, a block store or both — short/torn frame
+//     writes, ENOSPC, fsync failures, simulated crashes on either side
+//     of the publishing rename, and bit rot on read.
 //   - network: WrapConn (plus the Dialer and Listener conveniences)
 //     wraps a net.Conn on either end of the wire protocol — mid-frame
 //     connection resets, stalls past the peer's deadline, short reads,

@@ -7,6 +7,7 @@ import (
 
 	"github.com/gpuckpt/gpuckpt/internal/blockstore"
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
+	"github.com/gpuckpt/gpuckpt/internal/recframe"
 )
 
 // Storage seam event names, as they appear in Trace.
@@ -17,16 +18,20 @@ const (
 	EvCrashBefore = "storage.crash-before-rename"
 	EvCrashAfter  = "storage.crash-after-rename"
 	EvBitRot      = "storage.bit-rot"
+	// EvSeamErr is the prefix of a SeamErr event: "storage.seam-err:"
+	// followed by the seam point.
+	EvSeamErr = "storage.seam-err:"
 )
 
-// StoragePlan schedules faults at the FileStore I/O seam. Each field
-// is a Hits predicate over that event's occurrence ordinal; nil never
-// fires.
+// StoragePlan schedules faults at the storage seam (recframe.Hooks)
+// under a FileStore, a block store, or both. Each field is a Hits
+// predicate over that event's occurrence ordinal; nil never fires.
 type StoragePlan struct {
-	// TornWrite truncates the selected record write — an appended
-	// frame or a whole new segment — after TornAfter bytes and then
-	// fails it: a torn write, as when the disk fills mid-frame. The
-	// store rolls the segment back; nothing of the frame commits.
+	// TornWrite truncates the selected frame write — a frame appended
+	// to a segment or a pack, or a whole new segment — after TornAfter
+	// bytes and then fails it: a torn write, as when the disk fills
+	// mid-frame. The store rolls the log back; nothing of the frame
+	// commits.
 	TornWrite Hits
 	// TornAfter is how many bytes a torn write lets through
 	// (default 64).
@@ -34,9 +39,15 @@ type StoragePlan struct {
 	// WriteErr fails the selected record write immediately with an
 	// injected ENOSPC.
 	WriteErr Hits
-	// SyncErr fails the selected segment or staged-manifest fsync with
-	// an injected EIO.
+	// SyncErr fails the selected file fsync — of a segment, a pack, a
+	// staged manifest or snapshot — with an injected EIO. Directory
+	// fsyncs pass through the same seam point and are not counted.
 	SyncErr Hits
+	// SeamErr fails the named seam point — any point of the
+	// recframe.Hooks.Seam vocabulary, the block store's "gc-before",
+	// "gc-after" and "unlink" included — at the selected occurrences
+	// with a bare ErrInjected: an I/O failure there, not a crash.
+	SeamErr map[string]Hits
 	// CrashBeforeRename simulates the process dying after a staged
 	// manifest is durable but before the rename that commits it
 	// (InstallSpan): the store propagates checkpoint.ErrSimulatedCrash
@@ -60,16 +71,17 @@ var ErrNoSpace = inject("disk full", syscall.ENOSPC)
 // both ErrInjected and syscall.EIO via errors.Is.
 var ErrIO = inject("i/o error", syscall.EIO)
 
-// StorageHooks builds the checkpoint.IOHooks implementing plan,
-// sharing the injector's seed and trace. Install with
-// FileStore.SetIOHooks.
-func (in *Injector) StorageHooks(plan StoragePlan) *checkpoint.IOHooks {
+// StorageHooks builds the recframe.Hooks implementing plan, sharing the
+// injector's seed and trace. Install with FileStore.SetHooks, with
+// blockstore.Store.SetHooks, or — one value, one ordinal count per
+// event — with both.
+func (in *Injector) StorageHooks(plan StoragePlan) *recframe.Hooks {
 	tornAfter := plan.TornAfter
 	if tornAfter <= 0 {
 		tornAfter = 64
 	}
-	return &checkpoint.IOHooks{
-		WrapDiffWrite: func(ck int, w io.Writer) io.Writer {
+	return &recframe.Hooks{
+		WrapWrite: func(_ string, w io.Writer) io.Writer {
 			if in.fire(EvWriteErr, plan.WriteErr) {
 				return errWriter{err: ErrNoSpace}
 			}
@@ -78,31 +90,31 @@ func (in *Injector) StorageHooks(plan StoragePlan) *checkpoint.IOHooks {
 			}
 			return w
 		},
-		BeforeSync: func(path string) error {
-			if in.fire(EvSyncErr, plan.SyncErr) {
+		Seam: func(point, path string) error {
+			switch h, planned := plan.SeamErr[point]; {
+			case planned && in.fire(EvSeamErr+point, h):
+				return inject("failure at "+point, nil)
+			case point == recframe.SeamSync && !isDir(path) && in.fire(EvSyncErr, plan.SyncErr):
 				return ErrIO
+			case point == recframe.SeamBeforeRename && in.fire(EvCrashBefore, plan.CrashBeforeRename):
+				return inject("crash before rename", recframe.ErrSimulatedCrash)
+			case point == recframe.SeamAfterRename && in.fire(EvCrashAfter, plan.CrashAfterRename):
+				return inject("crash after rename", recframe.ErrSimulatedCrash)
 			}
 			return nil
 		},
-		BeforeRename: func(tmp, final string) error {
-			if in.fire(EvCrashBefore, plan.CrashBeforeRename) {
-				return inject("crash before rename", checkpoint.ErrSimulatedCrash)
-			}
-			return nil
-		},
-		AfterRename: func(final string) error {
-			if in.fire(EvCrashAfter, plan.CrashAfterRename) {
-				return inject("crash after rename", checkpoint.ErrSimulatedCrash)
-			}
-			return nil
-		},
-		OnDiffRead: func(ck int, raw []byte) []byte {
-			if !in.fire(EvBitRot, plan.BitRot) || len(raw) == 0 {
+		OnRead: func(_ string, raw []byte) []byte {
+			if !in.fire(EvBitRot, plan.BitRot) {
 				return raw
 			}
 			return in.FlipBit(raw)
 		},
 	}
+}
+
+func isDir(path string) bool {
+	st, err := os.Stat(path)
+	return err == nil && st.IsDir()
 }
 
 // FlipBit returns a copy of raw with one bit flipped at a position

@@ -213,16 +213,15 @@ func New(opts Options) (*Follower, error) {
 		store.Close()
 		return nil, err
 	}
-	n, lerr := store.Len()
-	if lerr == nil && (n > 0 || store.Base() > 0) {
+	if store.Len() > 0 || store.Base() > 0 {
 		f.mu.Lock()
-		lerr = f.reloadLocked()
+		err := f.reloadLocked()
 		f.mu.Unlock()
-	}
-	if lerr != nil {
-		f.wc.Close()
-		store.Close()
-		return nil, fmt.Errorf("follower: mirror %s unusable: %w", opts.Dir, lerr)
+		if err != nil {
+			f.wc.Close()
+			store.Close()
+			return nil, fmt.Errorf("follower: mirror %s unusable: %w", opts.Dir, err)
+		}
 	}
 	return f, nil
 }
@@ -445,11 +444,7 @@ func (f *Follower) resync(cn *wireclient.Conn, handle uint32, info wire.Resync) 
 //
 //ckptlint:locked mu
 func (f *Follower) reloadLocked() error {
-	n, err := f.store.Len()
-	if err != nil {
-		return err
-	}
-	base := f.store.Base()
+	n, base := f.store.Len(), f.store.Base()
 	if n == base {
 		f.rec, f.state = nil, nil
 		f.base, f.next, f.lastCRC = base, n, 0

@@ -233,17 +233,6 @@ func (m *Manager) PolicyName() string {
 	return m.policy.Name()
 }
 
-// span returns the stored range [base, length) of the store.
-//
-//ckptlint:locked mu
-func (m *Manager) span() (int, int, error) {
-	length, err := m.store.Len()
-	if err != nil {
-		return 0, 0, err
-	}
-	return m.store.Base(), length, nil
-}
-
 // Compact advances the baseline to the policy's target and
 // garbage-collects the folded prefix. A target at or below the current
 // baseline is a successful no-op.
@@ -253,10 +242,7 @@ func (m *Manager) Compact() (Stats, error) {
 	if m.closed {
 		return Stats{}, errors.New("lifecycle: manager is closed")
 	}
-	base, length, err := m.span()
-	if err != nil {
-		return Stats{}, err
-	}
+	base, length := m.store.Base(), m.store.Len()
 	return m.compactLocked(m.policy.Baseline(base, length), base, length)
 }
 
@@ -268,10 +254,7 @@ func (m *Manager) MaterializeTo(k int) (Stats, error) {
 	if m.closed {
 		return Stats{}, errors.New("lifecycle: manager is closed")
 	}
-	base, length, err := m.span()
-	if err != nil {
-		return Stats{}, err
-	}
+	base, length := m.store.Base(), m.store.Len()
 	if k < base || k >= length {
 		return Stats{}, fmt.Errorf("lifecycle: target %d outside stored range [%d,%d)", k, base, length)
 	}
@@ -360,21 +343,14 @@ func (m *Manager) compactLocked(k, base, length int) (Stats, error) {
 		return st, err
 	}
 
-	before, err := m.store.TotalBytes()
-	if err != nil {
-		return st, err
-	}
+	before := m.store.TotalBytes()
 	if err := m.store.InstallSpan(k, span); err != nil {
-		return st, err
-	}
-	after, err := m.store.TotalBytes()
-	if err != nil {
 		return st, err
 	}
 	st.NewBase = k
 	st.RewrittenDiffs = len(dirty)
 	st.PrunedDiffs = k - base
-	st.FreedBytes = before - after
+	st.FreedBytes = before - m.store.TotalBytes()
 	if m.onFold != nil {
 		m.onFold(base, k)
 	}

@@ -11,7 +11,18 @@ import (
 	"github.com/gpuckpt/gpuckpt/internal/dedup"
 	"github.com/gpuckpt/gpuckpt/internal/device"
 	"github.com/gpuckpt/gpuckpt/internal/parallel"
+	"github.com/gpuckpt/gpuckpt/internal/recframe"
 )
+
+// crashAt returns store hooks that simulate a crash at seam point.
+func crashAt(point string) *recframe.Hooks {
+	return &recframe.Hooks{Seam: func(p, _ string) error {
+		if p == point {
+			return checkpoint.ErrSimulatedCrash
+		}
+		return nil
+	}}
+}
 
 const (
 	testChunk  = 64
@@ -87,10 +98,7 @@ func restoreAll(t *testing.T, dir string, images [][]byte) {
 		t.Fatal(err)
 	}
 	base := store.Base()
-	length, err := store.Len()
-	if err != nil {
-		t.Fatal(err)
-	}
+	length := store.Len()
 	if length != len(images) {
 		t.Fatalf("store len %d, want %d", length, len(images))
 	}
@@ -131,10 +139,7 @@ func TestCompactKeepLastNProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before, err := store.TotalBytes()
-			if err != nil {
-				t.Fatal(err)
-			}
+			before := store.TotalBytes()
 			mgr, err := New(store, KeepLastN(8), Options{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
@@ -156,10 +161,7 @@ func TestCompactKeepLastNProperty(t *testing.T) {
 			if !tc.rewrite && st.RewrittenDiffs != 0 {
 				t.Fatalf("%d Basic diffs rewritten; Basic diffs are self-contained", st.RewrittenDiffs)
 			}
-			after, err := store.TotalBytes()
-			if err != nil {
-				t.Fatal(err)
-			}
+			after := store.TotalBytes()
 			if after >= before {
 				t.Fatalf("disk grew: %d -> %d bytes", before, after)
 			}
@@ -207,9 +209,7 @@ func TestCompactCrashAfterCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	store.SetIOHooks(&checkpoint.IOHooks{
-		AfterRename: func(string) error { return checkpoint.ErrSimulatedCrash },
-	})
+	store.SetHooks(crashAt(recframe.SeamAfterRename))
 	if _, err := mgr.Compact(); !errors.Is(err, checkpoint.ErrSimulatedCrash) {
 		t.Fatalf("compact: %v, want injected crash", err)
 	}
@@ -256,9 +256,7 @@ func TestCompactCrashBeforeCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	store.SetIOHooks(&checkpoint.IOHooks{
-		BeforeRename: func(_, _ string) error { return checkpoint.ErrSimulatedCrash },
-	})
+	store.SetHooks(crashAt(recframe.SeamBeforeRename))
 	if _, err := mgr.Compact(); !errors.Is(err, checkpoint.ErrSimulatedCrash) {
 		t.Fatalf("compact: %v, want injected crash", err)
 	}

@@ -16,12 +16,20 @@ import (
 // service. The reverse direction is the point of the repository and is
 // free. Test files are never loaded, so a service package's tests may
 // build their inputs with the kernels.
+//
+// The same stratum carries a size gate: no non-test Go file in it runs
+// over maxServiceFileLines. A file that long holds more than one
+// concern — split it by concern (as server.go, blockstore.go and
+// filestore.go were) rather than waive the finding.
 type layeringCheck struct{}
+
+// maxServiceFileLines is the longest a service-stratum file may be.
+const maxServiceFileLines = 1000
 
 func (layeringCheck) Name() string { return "layering" }
 
 func (layeringCheck) Doc() string {
-	return "cmd/ckptd and the internal packages it links import none of the paper-repro packages (device, dedup, experiments, workload, oranges, graph, storage, stencil, hashmap)"
+	return "cmd/ckptd and the internal packages it links import none of the paper-repro packages (device, dedup, experiments, workload, oranges, graph, storage, stencil, hashmap), and none of their non-test files runs over 1,000 lines"
 }
 
 // serviceStratum lists the module-relative directories of cmd/ckptd and
@@ -49,6 +57,14 @@ func (layeringCheck) CheckPackage(pkg *Package) []Diagnostic {
 	}
 	var diags []Diagnostic
 	for _, f := range pkg.Files {
+		if n := pkg.Fset.File(f.Pos()).LineCount(); n > maxServiceFileLines {
+			diags = append(diags, Diagnostic{
+				Pos:   pkg.Fset.Position(f.Package),
+				Check: "layering",
+				Message: fmt.Sprintf("%s is in the service stratum and this file runs to %d lines, over the %d-line gate: split it by concern",
+					pkg.Rel, n, maxServiceFileLines),
+			})
+		}
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {

@@ -35,7 +35,8 @@
 //     (the service stratum) import none of the paper-repro packages —
 //     device, dedup, experiments, workload, oranges, graph, storage,
 //     stencil, hashmap — so the daemon cannot start linking the modeled
-//     device or the kernels unnoticed.
+//     device or the kernels unnoticed; and no non-test file of that
+//     stratum runs over 1,000 lines.
 //   - guardedby:     struct fields tagged //ckptlint:guardedby <mu>
 //     are only read or written while <mu> is held — via a Lock/RLock
 //     in the same function, or inside a helper carrying a

@@ -1,9 +1,16 @@
-// Package recframe is the repository's one record framing: the header
-// put/parse and the verifying, resynchronising scan shared by the
-// lineage segments of internal/checkpoint and the pack log of
-// internal/blockstore. A log is a plain concatenation of records — no
-// file header, so an empty file is an empty log. Every record is a
-// fixed header followed by its payload, little-endian:
+// Package recframe is what the repository's two logs — the lineage
+// segments of internal/checkpoint and the pack log of
+// internal/blockstore — are written by: one record framing (this file:
+// the header put/parse and the verifying, resynchronising scan) and one
+// durability protocol (durable.go: the append-or-leave-no-trace frame
+// write, the torn-tail cut, durable file creation, the rename commit,
+// and the fault seam all of it runs through). What a frame contains,
+// when a log rolls and what a store does once its log has fail-stopped
+// belong to the stores.
+//
+// A log is a plain concatenation of records — no file header, so an
+// empty file is an empty log. Every record is a fixed header followed
+// by its payload, little-endian:
 //
 //	u32  magic (the user's, e.g. "GCKR" for a lineage segment)
 //	u8   kind (the user's)

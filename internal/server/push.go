@@ -71,8 +71,7 @@ func (r *stagedRun) extendedBy(ln *lineage, ckpt uint32) bool {
 	if len(r.batch) > 0 {
 		return ln == r.ln && ckpt == r.start+uint32(len(r.batch))
 	}
-	n, err := ln.store.Len()
-	return err == nil && int(ckpt) == n
+	return int(ckpt) == ln.store.Len()
 }
 
 // check is the lock-free half of the intake. It resolves the handle,
@@ -118,7 +117,7 @@ func (s *Server) commit(ln *lineage, start uint32, batch []pushed) (uint32, erro
 	// arriving twice (the client's response was lost) — answer OK
 	// without re-appending. A mismatching hash is a genuine conflict
 	// with the one-winner append guarantee.
-	if n, _ := ln.store.Len(); len(batch) == 1 && int(start) < n && int(start) >= ln.store.Base() {
+	if n := ln.store.Len(); len(batch) == 1 && int(start) < n && int(start) >= ln.store.Base() {
 		if !ln.holds(int(start), batch[0].crc) {
 			return 0, fmt.Errorf("server: push %d conflicts with already-stored diff (lineage %q)", start, ln.name)
 		}
@@ -147,8 +146,8 @@ func (s *Server) publish(ln *lineage, start uint32, batch []pushed) {
 	if s.hub.count(ln) == 0 {
 		return
 	}
-	n, err := ln.store.Len()
-	if err != nil || int64(n) > math.MaxUint32 {
+	n := ln.store.Len()
+	if int64(n) > math.MaxUint32 {
 		return
 	}
 	base := uint32(ln.store.Base())

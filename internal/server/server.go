@@ -36,6 +36,7 @@ import (
 	"github.com/gpuckpt/gpuckpt/internal/blockstore"
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/lifecycle"
+	"github.com/gpuckpt/gpuckpt/internal/recframe"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 	"github.com/gpuckpt/gpuckpt/internal/wireclient"
 )
@@ -350,12 +351,12 @@ func (s *Server) open(name string) (uint32, int, int, error) {
 	}
 	ln := s.lineages[h]
 	s.mu.Unlock()
-	n, err := ln.store.Len()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return h, n, ln.store.Base(), nil
+	return h, ln.store.Len(), ln.store.Base(), nil
 }
+
+// SetStorageHooks installs the fault seam on the server's block store
+// (see blockstore.Store.SetHooks); nil removes it. Test-only.
+func (s *Server) SetStorageHooks(h *recframe.Hooks) { s.blocks.SetHooks(h) }
 
 // errUnknownHandle marks a request naming a handle this server never
 // issued — a pooled client replaying against a restarted server. It
@@ -405,9 +406,7 @@ func (s *Server) Stats() wire.Stats {
 	lineages := s.snapshot()
 	var quarantined uint64
 	for _, ln := range lineages {
-		if holes, err := ln.store.QuarantinedIDs(); err == nil {
-			quarantined += uint64(len(holes))
-		}
+		quarantined += uint64(len(ln.store.QuarantinedIDs()))
 	}
 	bst := s.blocks.Stats()
 	return wire.Stats{
@@ -748,16 +747,8 @@ func (s *Server) serve(req *wire.Frame) (*wire.Frame, error) {
 		infos := make([]wire.LineageInfo, 0, len(lineages))
 		for _, ln := range lineages {
 			ln.mu.Lock()
-			n, err := ln.store.Len()
-			base := ln.store.Base()
-			var total int64
-			if err == nil {
-				total, err = ln.store.TotalBytes()
-			}
+			n, base, total := ln.store.Len(), ln.store.Base(), ln.store.TotalBytes()
 			ln.mu.Unlock()
-			if err != nil {
-				return nil, fmt.Errorf("server: list lineage %q: %w", ln.name, err)
-			}
 			if n < 0 || int64(n) > math.MaxUint32 {
 				return nil, fmt.Errorf("server: lineage %q length %d does not fit the list format", ln.name, n)
 			}

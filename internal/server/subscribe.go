@@ -57,10 +57,10 @@ func (s *Server) serveSubscribe(ctx context.Context, stop <-chan struct{}, conn 
 	if err != nil {
 		return refuse(err)
 	}
-	n, err := ln.store.Len()
-	if err != nil || int64(n) > math.MaxUint32 {
+	n := ln.store.Len()
+	if int64(n) > math.MaxUint32 {
 		release()
-		return refuse(fmt.Errorf("lineage length unusable: %v", err))
+		return refuse(fmt.Errorf("lineage length %d does not fit the stream format", n))
 	}
 	base := ln.store.Base()
 	if !s.cursorContinuable(ln, cur, base, n) {
@@ -170,11 +170,7 @@ func (s *Server) runSubscription(ctx context.Context, stop <-chan struct{}, conn
 	// concurrent fold — harmless: the reported span only seeds the
 	// subscriber's next subscribe attempt, which revalidates.
 	sendResyncNow := func(reason uint8) {
-		length, err := ln.store.Len()
-		if err != nil {
-			return
-		}
-		sendResync(reason, uint32(ln.store.Base()), uint32(length))
+		sendResync(reason, uint32(ln.store.Base()), uint32(ln.store.Len()))
 	}
 
 	// Backlog: serve [next, n) from the store without the lineage
@@ -270,8 +266,8 @@ func (s *Server) foldBarrier(ln *lineage, newBase int) {
 	if s.hub.count(ln) == 0 {
 		return
 	}
-	n, err := ln.store.Len()
-	if err != nil || int64(n) > math.MaxUint32 {
+	n := ln.store.Len()
+	if int64(n) > math.MaxUint32 {
 		return
 	}
 	shed := s.hub.fold(ln, uint32(newBase), uint32(n))

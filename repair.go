@@ -46,11 +46,7 @@ func scrub(fs *checkpoint.FileStore) (*RepairReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	holes, err := fs.QuarantinedIDs()
-	if err != nil {
-		return nil, err
-	}
-	return &RepairReport{Checked: sr.Checked, Corrupt: holes}, nil
+	return &RepairReport{Checked: sr.Checked, Corrupt: fs.QuarantinedIDs()}, nil
 }
 
 // Repair converges the local checkpoint directory dir with the
@@ -93,12 +89,8 @@ func (c *Client) Repair(dir, name string) (*RepairReport, error) {
 	// Repaired is whatever stopped being an open hole: the scrub's
 	// damage list minus the quarantines still standing afterwards.
 	still := map[int]bool{}
-	if after, qerr := fs.QuarantinedIDs(); qerr == nil {
-		for _, ck := range after {
-			still[ck] = true
-		}
-	} else if roundErr == nil {
-		roundErr = qerr
+	for _, ck := range fs.QuarantinedIDs() {
+		still[ck] = true
 	}
 	for _, ck := range rep.Corrupt {
 		if !still[ck] {
