@@ -30,8 +30,11 @@ FUZZTIME_LONG ?= 5m
 
 ci: fmt vet lint build race bench-test bench-smoke saturate-smoke failover-smoke heal-smoke fuzz-smoke chaos-smoke
 
+# fmt checks tracked files only: `gofmt -l .` descends into
+# dot-directories, so after a `make pairs` it would also judge the
+# parent tree unpacked under .bench_build/pairs/<sha>/.
 fmt:
-	@out="$$(gofmt -l .)"; \
+	@out="$$(git ls-files -z '*.go' | xargs -0 gofmt -l)"; \
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi

@@ -248,15 +248,14 @@ func (c *Client) PullDiff(name string, ckptID int) ([]byte, error) {
 // the lineage again.
 func (c *Client) Pull(name string) (*Record, error) {
 	var rec *checkpoint.Record
-	var base int
 	err := c.wc.Do(context.Background(), name, func(cn *wireclient.Conn) error {
 		rec = nil // a replayed attempt starts over
 		h, n, b, err := cn.Open(name)
 		if err != nil || n == b {
 			return err
 		}
-		rec, base = checkpoint.NewRecord(), b
-		return cn.PullSpan(h, b, n, recordSink(rec, cn, name, b))
+		rec = checkpoint.NewRecord()
+		return cn.PullSpan(h, b, n, recordSink(rec, cn, name))
 	})
 	if err != nil {
 		return nil, err
@@ -264,7 +263,7 @@ func (c *Client) Pull(name string) (*Record, error) {
 	if rec == nil {
 		return nil, fmt.Errorf("gpuckpt: lineage %q is empty on %s", name, c.wc.Addr())
 	}
-	return &Record{rec: rec, base: base}, nil
+	return &Record{rec: rec}, nil
 }
 
 // recordSink returns the consumer that assembles rec from the span cn
@@ -272,12 +271,9 @@ func (c *Client) Pull(name string) (*Record, error) {
 // arrived and its sections copied out to their exact size, except that
 // one carrying a whole image (the baseline) keeps the buffer it arrived
 // in — the diffs behind it are a fraction of its size.
-func recordSink(rec *checkpoint.Record, cn *wireclient.Conn, name string, base int) func(ck int, encoded []byte) error {
+func recordSink(rec *checkpoint.Record, cn *wireclient.Conn, name string) func(ck int, encoded []byte) error {
 	return func(ck int, encoded []byte) error {
 		d, err := checkpoint.DecodeCheckpoint(ck, encoded)
-		if err == nil {
-			err = d.Rebase(-int64(base))
-		}
 		if err != nil {
 			return fmt.Errorf("gpuckpt: lineage %q diff %d: %w", name, ck, err)
 		}
@@ -461,23 +457,14 @@ func (c *Client) Retention(name string) (string, error) {
 	return string(resp.Payload), nil
 }
 
-// diffAt returns checkpoint k (absolute index) of the record in its
-// canonical absolute form — the Diff handed to the zero-copy push
-// path. For a record loaded from a compacted lineage (Base > 0) the
-// ids are rewritten back to absolute form on a shallow clone, so the
-// bytes on the wire match what the originating store holds.
+// diffAt returns checkpoint k of the record by reference — the Diff
+// handed to the zero-copy push path, the bytes the originating store
+// holds.
 func (r *Record) diffAt(k int) (*checkpoint.Diff, error) {
-	if k < r.base || k >= r.Len() {
-		return nil, fmt.Errorf("gpuckpt: checkpoint %d out of range [%d,%d)", k, r.base, r.Len())
+	if k < r.Base() || k >= r.Len() {
+		return nil, fmt.Errorf("gpuckpt: checkpoint %d out of range [%d,%d)", k, r.Base(), r.Len())
 	}
-	d := r.rec.Diff(k - r.base)
-	if r.base > 0 {
-		d = d.CloneShallow()
-		if err := d.Rebase(int64(r.base)); err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
+	return r.rec.Diff(k), nil
 }
 
 // WriteDiff serializes checkpoint k (absolute index) of the record to

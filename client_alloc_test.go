@@ -139,7 +139,7 @@ func TestPullSpanAllocBudget(t *testing.T) {
 	rec := checkpoint.NewRecord()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err = cn.PullSpan(1, 0, frames, recordSink(rec, cn, "lin", 0))
+	err = cn.PullSpan(1, 0, frames, recordSink(rec, cn, "lin"))
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -361,9 +361,9 @@ func TestClientStreamFrameBytes(t *testing.T) {
 	}
 }
 
-// TestRecordDiffAtRebase verifies diffAt restores absolute checkpoint
-// ids for records pulled from a compacted lineage, without mutating
-// the record's own diffs.
+// TestRecordDiffAtRebase verifies diffAt hands out the absolute
+// checkpoint ids of a record pulled from a compacted lineage, and only
+// those in [Base, Len).
 func TestRecordDiffAtRebase(t *testing.T) {
 	addr, shutdown := startTestServer(t, server.Config{Root: t.TempDir()})
 	defer shutdown()

@@ -35,7 +35,6 @@ func dedupxExperiment(cfg experiments.Config, nLineages int, jsonPath string) (*
 	if nLineages < 2 {
 		return nil, fmt.Errorf("-lineages must be >= 2 to measure cross-lineage sharing, got %d", nLineages)
 	}
-	const bufLen = 256 << 10
 	numCkpts := cfg.NumCheckpoints
 	if numCkpts <= 0 || numCkpts > 8 {
 		numCkpts = 5
@@ -46,15 +45,15 @@ func dedupxExperiment(cfg experiments.Config, nLineages int, jsonPath string) (*
 	// set), then all lineages evolve in parallel with small per-step
 	// mutations.
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	base := make([]byte, bufLen)
+	base := make([]byte, serviceBufLen)
 	rng.Read(base)
 	bufs := make(map[string][]byte, nLineages)
 	names := make([]string, nLineages)
-	head := bufLen / 50
+	head := serviceBufLen / 50
 	for i := range names {
 		names[i] = fmt.Sprintf("tenant-%02d", i)
 		b := append([]byte(nil), base...)
-		off := rng.Intn(bufLen - head)
+		off := rng.Intn(serviceBufLen - head)
 		rng.Read(b[off : off+head])
 		bufs[names[i]] = b
 	}
@@ -80,17 +79,14 @@ func dedupxExperiment(cfg experiments.Config, nLineages int, jsonPath string) (*
 		work := make(map[string][]byte, nLineages)
 		for _, n := range names {
 			work[n] = append([]byte(nil), bufs[n]...)
-			if err := g.Protect(n, bufLen); err != nil {
+			if err := g.Protect(n, serviceBufLen); err != nil {
 				return nil, 0, err
 			}
 		}
 		for k := 0; k < numCkpts; k++ {
 			if k > 0 {
 				for _, n := range names {
-					for s := 0; s < 4; s++ {
-						off := mrng.Intn(bufLen - 64)
-						mrng.Read(work[n][off : off+64])
-					}
+					splotch(mrng, work[n], 4)
 				}
 			}
 			if _, err := g.Checkpoint(work); err != nil {
@@ -170,7 +166,7 @@ func dedupxExperiment(cfg experiments.Config, nLineages int, jsonPath string) (*
 			Note: "cross-lineage dedup via the shared block store; " +
 				"regenerate with `go run ./cmd/ckptbench -exp dedupx -json BENCH_dedupx.json`",
 			Lineages: nLineages, Checkpoints: numCkpts,
-			ChunkSize: cfg.ChunkSize, BufLen: bufLen,
+			ChunkSize: cfg.ChunkSize, BufLen: serviceBufLen,
 			SelfContainedBytes: totalSolo, SharedBytes: sharedTotal,
 			BlockStoreBytes: blockBytes, Ratio: ratio,
 		}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"sort"
@@ -16,11 +15,12 @@ import (
 	"github.com/gpuckpt/gpuckpt/internal/experiments"
 	"github.com/gpuckpt/gpuckpt/internal/metrics"
 	"github.com/gpuckpt/gpuckpt/internal/server"
+	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
 
 // failoverExperiment measures the hot-standby promise end to end: a
 // loopback primary receives a checkpoint chain one diff at a time
-// while a live follower tails its v5 subscription stream; then the
+// while a live follower tails its subscription stream; then the
 // primary is killed and the follower promoted. Three numbers matter:
 //
 //   - replication lag: push-commit to standby-applied-and-durable, per
@@ -40,19 +40,6 @@ func failoverExperiment(cfg experiments.Config, chain int, jsonPath string) (*me
 	if chain < 2 {
 		return nil, fmt.Errorf("-chain must be >= 2, got %d", chain)
 	}
-	const bufLen = 256 << 10
-	chunk := cfg.ChunkSize
-	if chunk <= 0 {
-		chunk = 128
-	}
-
-	ck, err := gpuckpt.New(gpuckpt.Config{
-		Method: gpuckpt.MethodTree, ChunkSize: chunk, Workers: cfg.Workers,
-	}, bufLen)
-	if err != nil {
-		return nil, err
-	}
-	defer ck.Close()
 
 	// Primary on tmpfs-backed loopback, like the saturate experiment:
 	// this measures replication and promotion, not disk latency.
@@ -61,23 +48,17 @@ func failoverExperiment(cfg experiments.Config, chain int, jsonPath string) (*me
 		return nil, err
 	}
 	defer os.RemoveAll(root)
-	srv, err := server.New(server.Config{Root: root, Logf: func(string, ...any) {}})
-	if err != nil {
-		return nil, err
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		srv.Close()
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ctx, ln) }()
+	_, stopPrimary, err := startServer(server.Config{Root: root}, ln)
+	if err != nil {
+		return nil, err
+	}
 	primaryDown := false
 	killPrimary := func() {
-		cancel()
-		<-done
-		srv.Close()
+		stopPrimary()
 		primaryDown = true
 	}
 	defer func() {
@@ -125,32 +106,21 @@ func failoverExperiment(cfg experiments.Config, chain int, jsonPath string) (*me
 
 	// Push the chain one diff at a time, timestamping each commit —
 	// the live regime a training job's checkpoint loop produces.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	buf := make([]byte, bufLen)
-	rng.Read(buf)
 	pushAt := make([]time.Time, chain)
-	for k := 0; k < chain; k++ {
-		if k > 0 {
-			for s := 0; s < 8; s++ {
-				off := rng.Intn(bufLen - 64)
-				rng.Read(buf[off : off+64])
-			}
-		}
-		if _, err := ck.Checkpoint(buf); err != nil {
-			return nil, err
-		}
+	ck, chunk, want, err := buildChain(cfg, chain, func(ck *gpuckpt.Checkpointer, k int) error {
 		// Timestamp the push START: the standby's fan-out runs inside
 		// the commit, so it usually applies before the ack drains back —
 		// lag measured from the ack would always clamp to zero.
 		pushAt[k] = time.Now()
 		if _, err := cl.PushCheckpointer("failover", ck); err != nil {
-			return nil, fmt.Errorf("push %d: %w", k, err)
+			return fmt.Errorf("push %d: %w", k, err)
 		}
-	}
-	want, err := ck.RestoreLatest()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	defer ck.Close()
 
 	// Let the standby catch up fully, then kill the primary.
 	deadline := time.Now().Add(30 * time.Second)
@@ -209,7 +179,7 @@ func failoverExperiment(cfg experiments.Config, chain int, jsonPath string) (*me
 	p99 := lags[(len(lags)*99)/100]
 
 	t := metrics.NewTable(
-		fmt.Sprintf("failover: %d-diff chain, live v5 tail, kill-primary promotion", chain),
+		fmt.Sprintf("failover: %d-diff chain, live wire v%d tail, kill-primary promotion", chain, wire.Version),
 		"chain", "lag p50", "lag p99", "promote", "kill->serving", "replayed", "state")
 	t.Add(fmt.Sprint(chain),
 		p50.Round(time.Microsecond).String(),
@@ -232,9 +202,9 @@ func failoverExperiment(cfg experiments.Config, chain int, jsonPath string) (*me
 			TailFrames      uint64  `json:"tail_frames"`
 			KillToServingS  float64 `json:"kill_to_serving_s"`
 		}{
-			Note: "hot-standby failover over loopback: live wire v5 tail, primary killed, " +
-				"follower promoted; regenerate with `make bench-failover`",
-			Chain: chain, ChunkSize: chunk, BufLen: bufLen,
+			Note: fmt.Sprintf("hot-standby failover over loopback: live wire v%d tail, primary killed, "+
+				"follower promoted; regenerate with `make bench-failover`", wire.Version),
+			Chain: chain, ChunkSize: chunk, BufLen: serviceBufLen,
 			LagP50Ns: p50.Nanoseconds(), LagP99Ns: p99.Nanoseconds(),
 			PromoteWallNs: promoteWall.Nanoseconds(), KillToServingNs: killToServing.Nanoseconds(),
 			ReplayedDiffs: 0, TailFrames: postStats.TailFrames,

@@ -2,10 +2,8 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
@@ -42,45 +40,19 @@ func healExperiment(cfg experiments.Config, chain int, jsonPath string) (*metric
 	if chain < 4 {
 		return nil, fmt.Errorf("-chain must be >= 4, got %d", chain)
 	}
-	const bufLen = 256 << 10
-	chunk := cfg.ChunkSize
-	if chunk <= 0 {
-		chunk = 128
-	}
 
-	ck, err := gpuckpt.New(gpuckpt.Config{
-		Method: gpuckpt.MethodTree, ChunkSize: chunk, Workers: cfg.Workers,
-	}, bufLen)
+	// Build the chain once, offline.
+	encoded := make([][]byte, chain)
+	ck, chunk, want, err := buildChain(cfg, chain, func(ck *gpuckpt.Checkpointer, k int) error {
+		var bb bytes.Buffer
+		err := ck.WriteDiff(k, &bb)
+		encoded[k] = bb.Bytes()
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
 	defer ck.Close()
-
-	// Build the chain once, offline.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	buf := make([]byte, bufLen)
-	rng.Read(buf)
-	encoded := make([][]byte, chain)
-	for k := 0; k < chain; k++ {
-		if k > 0 {
-			for s := 0; s < 8; s++ {
-				off := rng.Intn(bufLen - 64)
-				rng.Read(buf[off : off+64])
-			}
-		}
-		if _, err := ck.Checkpoint(buf); err != nil {
-			return nil, err
-		}
-		var bb bytes.Buffer
-		if err := ck.WriteDiff(k, &bb); err != nil {
-			return nil, err
-		}
-		encoded[k] = append([]byte(nil), bb.Bytes()...)
-	}
-	want, err := ck.RestoreLatest()
-	if err != nil {
-		return nil, err
-	}
 
 	rootA, err := benchTempDir("ckptbench-heal-a-")
 	if err != nil {
@@ -92,24 +64,6 @@ func healExperiment(cfg experiments.Config, chain int, jsonPath string) (*metric
 		return nil, err
 	}
 	defer os.RemoveAll(rootB)
-
-	silent := func(string, ...any) {}
-	start := func(cfg server.Config, ln net.Listener) (*server.Server, func(), error) {
-		cfg.Logf = silent
-		srv, err := server.New(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() { done <- srv.Serve(ctx, ln) }()
-		stop := func() {
-			cancel()
-			<-done
-			srv.Close()
-		}
-		return srv, stop, nil
-	}
 
 	// Seed both replicas, then stop the seeders so the rot can be
 	// injected under the servers' feet.
@@ -123,7 +77,7 @@ func healExperiment(cfg experiments.Config, chain int, jsonPath string) (*metric
 	}
 	addrA, addrB := lnA.Addr().String(), lnB.Addr().String()
 	seed := func(cfg server.Config, ln net.Listener, addr string) error {
-		_, stop, err := start(cfg, ln)
+		_, stop, err := startServer(cfg, ln)
 		if err != nil {
 			return err
 		}
@@ -172,14 +126,14 @@ func healExperiment(cfg experiments.Config, chain int, jsonPath string) (*metric
 	}
 	const interval = 10 * time.Millisecond
 	tStart := time.Now()
-	srvA, stopA, err := start(server.Config{
+	srvA, stopA, err := startServer(server.Config{
 		Root: rootA, Peers: []string{addrB}, AntiEntropyInterval: interval,
 	}, lnA2)
 	if err != nil {
 		return nil, err
 	}
 	defer stopA()
-	srvB, stopB, err := start(server.Config{
+	srvB, stopB, err := startServer(server.Config{
 		Root: rootB, Peers: []string{addrA}, AntiEntropyInterval: interval,
 	}, lnB2)
 	if err != nil {
@@ -254,7 +208,7 @@ func healExperiment(cfg experiments.Config, chain int, jsonPath string) (*metric
 		}{
 			Note: "two peered ckptd replicas, one bit-rotted, background anti-entropy " +
 				"convergence over loopback; regenerate with `make bench-heal`",
-			Chain: chain, Rotted: rotted, ChunkSize: chunk, BufLen: bufLen,
+			Chain: chain, Rotted: rotted, ChunkSize: chunk, BufLen: serviceBufLen,
 			HealWallNs: healWall.Nanoseconds(), SpansHealed: stA.SpansHealed,
 			BytesRefetched: stA.BytesRefetched, ThroughputBps: throughput,
 			DigestRounds: stA.DigestRounds, HealQuarantines: stA.HealQuarantines,

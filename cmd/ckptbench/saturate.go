@@ -2,10 +2,8 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"sort"
@@ -46,41 +44,14 @@ func saturateExperiment(cfg experiments.Config, chain, windowFrames int, windowB
 	if chain < 2 {
 		return nil, fmt.Errorf("-chain must be >= 2, got %d", chain)
 	}
-	const bufLen = 256 << 10
-	chunk := cfg.ChunkSize
-	if chunk <= 0 {
-		chunk = 128
-	}
 
-	// One chain, shared by both modes: a seeded buffer with a few
-	// chunk-sized splotches rewritten per step, so each incremental
-	// diff is small and the per-frame wire overhead actually shows.
-	ck, err := gpuckpt.New(gpuckpt.Config{
-		Method: gpuckpt.MethodTree, ChunkSize: chunk, Workers: cfg.Workers,
-	}, bufLen)
+	// One chain, shared by both modes.
+	ck, chunk, want, err := buildChain(cfg, chain, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer ck.Close()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	buf := make([]byte, bufLen)
-	rng.Read(buf)
-	for k := 0; k < chain; k++ {
-		if k > 0 {
-			for s := 0; s < 8; s++ {
-				off := rng.Intn(bufLen - 64)
-				rng.Read(buf[off : off+64])
-			}
-		}
-		if _, err := ck.Checkpoint(buf); err != nil {
-			return nil, err
-		}
-	}
 	payload := ck.RecordBytes()
-	want, err := ck.RestoreLatest()
-	if err != nil {
-		return nil, err
-	}
 
 	type mode struct {
 		name     string
@@ -164,7 +135,7 @@ func saturateExperiment(cfg experiments.Config, chain, windowFrames int, windowB
 		}{
 			Note: "windowed streaming push vs per-diff request/response over loopback; " +
 				"regenerate with `make bench-wire`",
-			Chain: chain, ChunkSize: chunk, BufLen: bufLen,
+			Chain: chain, ChunkSize: chunk, BufLen: serviceBufLen,
 			WindowFrames: windowFrames, WindowBytes: windowBytes,
 			PayloadBytes: payload,
 			SeqWallNs:    walls[0].Nanoseconds(), StreamWallNs: walls[1].Nanoseconds(),
@@ -224,13 +195,11 @@ func saturateRepsFor(chain int) int {
 // pulls the last rep's lineage back and byte-compares its final
 // restore.
 type saturateRunner struct {
-	root   string
-	srv    *server.Server
-	cancel context.CancelFunc
-	done   chan error
-	cl     *gpuckpt.Client
-	last   string       // lineage name of the most recent rep
-	enc    bytes.Buffer // per-diff mode's reused encode buffer
+	root string
+	stop func() // ends the server
+	cl   *gpuckpt.Client
+	last string       // lineage name of the most recent rep
+	enc  bytes.Buffer // per-diff mode's reused encode buffer
 }
 
 func newSaturateRunner(windowFrames int, windowBytes int64) (*saturateRunner, error) {
@@ -238,22 +207,16 @@ func newSaturateRunner(windowFrames int, windowBytes int64) (*saturateRunner, er
 	if err != nil {
 		return nil, err
 	}
-	r := &saturateRunner{root: root, done: make(chan error, 1)}
-	srv, err := server.New(server.Config{Root: root, Logf: func(string, ...any) {}})
-	if err != nil {
-		os.RemoveAll(root)
-		return nil, err
-	}
+	r := &saturateRunner{root: root}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		srv.Close()
-		os.RemoveAll(root)
+		r.close()
 		return nil, err
 	}
-	r.srv = srv
-	var ctx context.Context
-	ctx, r.cancel = context.WithCancel(context.Background())
-	go func() { r.done <- srv.Serve(ctx, ln) }()
+	if _, r.stop, err = startServer(server.Config{Root: root}, ln); err != nil {
+		r.close()
+		return nil, err
+	}
 	r.cl, err = gpuckpt.DialConfigured(ln.Addr().String(), gpuckpt.DialConfig{
 		Timeout:      30 * time.Second,
 		WindowFrames: windowFrames,
@@ -317,11 +280,9 @@ func (r *saturateRunner) close() {
 		r.cl.Close()
 		r.cl = nil
 	}
-	if r.cancel != nil {
-		r.cancel()
-		<-r.done
-		r.cancel = nil
-		r.srv.Close()
+	if r.stop != nil {
+		r.stop()
+		r.stop = nil
 	}
 	os.RemoveAll(r.root)
 }

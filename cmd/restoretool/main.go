@@ -203,23 +203,12 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	// Restore goes through the base-aware loaders, not the raw stream:
-	// a compacted lineage's diffs carry absolute ids that only the
-	// store/client know how to rebase.
-	var (
-		rec *gpuckpt.Record
-		err error
-	)
-	switch {
-	case *recordPath != "":
-		rec, err = gpuckpt.ReadRecord(bytes.NewReader(raw))
-	case cl != nil:
-		rec = pulled
-	default:
-		rec, err = gpuckpt.ReadRecordDir(*dirPath)
-	}
-	if err != nil {
-		return err
+	rec := pulled
+	if rec == nil {
+		var err error
+		if rec, err = gpuckpt.ReadRecord(bytes.NewReader(raw)); err != nil {
+			return err
+		}
 	}
 	rec.Parallel(*parallel)
 	state, err := rec.Restore(*restore)

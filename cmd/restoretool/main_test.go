@@ -98,6 +98,43 @@ func TestRestoreAndVerify(t *testing.T) {
 	}
 }
 
+// A flat stream written from a compacted lineage starts at the
+// baseline's id; -record restores it by the same absolute indices.
+func TestRestoreFromCompactedStream(t *testing.T) {
+	_, dir, golden := buildLineage(t)
+	var out bytes.Buffer
+	if err := run([]string{"-dir", dir, "-compact", "keep-last=2"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := gpuckpt.ReadRecordDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Base() != 1 {
+		t.Fatalf("compacted base %d, want 1", rec.Base())
+	}
+	var streamBuf bytes.Buffer
+	for k := rec.Base(); k < rec.Len(); k++ {
+		if err := rec.WriteDiff(k, &streamBuf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream := filepath.Join(t.TempDir(), "compacted.bin")
+	if err := os.WriteFile(stream, streamBuf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"-record", stream, "-restore", "2", "-verify", golden}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "verification OK") {
+		t.Fatalf("verification not reported:\n%s", out.String())
+	}
+	if err := run([]string{"-record", stream, "-restore", "0"}, &out); err == nil {
+		t.Fatal("restore below the stream's baseline served")
+	}
+}
+
 func TestVerifyMismatchFails(t *testing.T) {
 	stream, _, golden := buildLineage(t)
 	var out bytes.Buffer

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"time"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
@@ -443,12 +444,13 @@ func (c *Checkpointer) Close() {
 // keeps the original absolute indexing: its checkpoints are
 // [Base, Len), and Restore takes those absolute indices.
 type Record struct {
-	rec  *checkpoint.Record
-	base int
+	rec     *checkpoint.Record
+	workers int // region-assembly parallelism of Restore; <= 1 is sequential
 }
 
-// ReadRecord decodes consecutive diffs (checkpoint 0, 1, ...) from r
-// until EOF and returns the restorable record.
+// ReadRecord decodes consecutive diffs from r until EOF and returns the
+// restorable record — the inverse of Record.WriteDiff over [Base, Len):
+// the first diff's id is the record's Base.
 func ReadRecord(r io.Reader) (*Record, error) {
 	rec := checkpoint.NewRecord()
 	for {
@@ -472,27 +474,36 @@ func ReadRecord(r io.Reader) (*Record, error) {
 // §5 "scalable reconstruction" extension). workers <= 0 selects
 // GOMAXPROCS. Restored bytes are identical either way.
 func (r *Record) Parallel(workers int) {
-	r.rec.SetPool(parallel.NewPool(workers))
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	r.workers = workers
 }
 
 // Len returns one past the highest checkpoint index in the record.
 // The restorable range is [Base(), Len()).
-func (r *Record) Len() int { return r.base + r.rec.Len() }
+func (r *Record) Len() int { return r.rec.Len() }
 
 // Base returns the record's first restorable checkpoint index — the
 // compaction baseline of the lineage it was loaded from, or 0 for a
 // never-compacted lineage.
-func (r *Record) Base() int { return r.base }
+func (r *Record) Base() int { return r.rec.Base() }
 
 // Restore reconstructs the buffer as of checkpoint k. k is an
 // absolute lineage index: for a record pulled from a compacted
 // lineage it must lie in [Base(), Len()), and restores the same bytes
 // that index restored before compaction.
 func (r *Record) Restore(k int) ([]byte, error) {
-	if k < r.base || k >= r.Len() {
-		return nil, fmt.Errorf("gpuckpt: checkpoint %d out of range [%d,%d)", k, r.base, r.Len())
+	if r.workers <= 1 {
+		return r.rec.Restore(k)
 	}
-	return r.rec.Restore(k - r.base)
+	// The workers live for this call only: a Record has no Close that
+	// could release a pool it kept.
+	pool := parallel.NewPool(r.workers)
+	defer pool.Close()
+	rec := *r.rec // the same diffs, assembled on this call's pool
+	rec.SetPool(pool)
+	return rec.Restore(k)
 }
 
 // TotalBytes returns the cumulative serialized size of the record.
@@ -527,7 +538,7 @@ func ReadRecordDir(dir string) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Record{rec: rec, base: store.Base()}, nil
+	return &Record{rec: rec}, nil
 }
 
 // CompactStats reports one committed lineage compaction.

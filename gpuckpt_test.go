@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/device"
@@ -167,6 +169,88 @@ func TestWriteDiffAndReadRecord(t *testing.T) {
 	// Empty stream must error.
 	if _, err := ReadRecord(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty record accepted")
+	}
+}
+
+// savedChain saves an n-checkpoint chain into a fresh lineage directory
+// and returns it with the checkpointer that restores the expected
+// images.
+func savedChain(t *testing.T, n int) (dir string, ck *Checkpointer) {
+	t.Helper()
+	ck = chainCheckpointer(t, n, 16<<10)
+	dir = filepath.Join(t.TempDir(), "lineage")
+	if err := ck.SaveRecordDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	return dir, ck
+}
+
+// ReadRecord is the inverse of Record.WriteDiff over [Base, Len) for a
+// compacted lineage too: the stream's first diff carries the baseline's
+// id and the record read back restores by the same absolute indices.
+func TestReadRecordInvertsWriteDiffAfterCompaction(t *testing.T) {
+	dir, ck := savedChain(t, 6)
+	if _, err := CompactDir(dir, "keep-last=3", 1); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := ReadRecordDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Base() != 3 || rec.Len() != 6 {
+		t.Fatalf("compacted record [%d,%d), want [3,6)", rec.Base(), rec.Len())
+	}
+	var stream bytes.Buffer
+	for k := rec.Base(); k < rec.Len(); k++ {
+		if err := rec.WriteDiff(k, &stream); err != nil {
+			t.Fatal(err)
+		}
+	}
+	back, err := ReadRecord(&stream)
+	if err != nil {
+		t.Fatalf("reading back what WriteDiff wrote: %v", err)
+	}
+	if back.Base() != rec.Base() || back.Len() != rec.Len() {
+		t.Fatalf("read back [%d,%d), wrote [%d,%d)", back.Base(), back.Len(), rec.Base(), rec.Len())
+	}
+	for k := back.Base(); k < back.Len(); k++ {
+		want, err := ck.Restore(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := back.Restore(k); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("restore %d from the read-back record differs (%v)", k, err)
+		}
+	}
+	if _, err := back.Restore(back.Base() - 1); err == nil {
+		t.Fatal("restore below the baseline served")
+	}
+}
+
+// Parallel must not park workers nothing can release: a Record has no
+// Close, so each Restore stops the workers it started.
+func TestRecordParallelReleasesWorkers(t *testing.T) {
+	dir, ck := savedChain(t, 3)
+	want, err := ck.Restore(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for round := 0; round < 8; round++ {
+		rec, err := ReadRecordDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Parallel(4)
+		if got, err := rec.Restore(2); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("parallel restore differs (%v)", err)
+		}
+	}
+	// A stopped worker may still be unwinding when Close returns.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 8 Parallel+Restore rounds, %d before", runtime.NumGoroutine(), before)
+		}
 	}
 }
 

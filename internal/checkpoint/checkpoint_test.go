@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -299,6 +300,79 @@ func TestRecordAppendValidation(t *testing.T) {
 	}
 	if r.Len() != 1 {
 		t.Fatalf("record grew on failed appends: %d", r.Len())
+	}
+}
+
+// TestRecordAppendContract pins the id space of a Record: the first
+// diff's own id is the baseline, ids are contiguous from there, and no
+// diff may read below the baseline.
+func TestRecordAppendContract(t *testing.T) {
+	full := func(id uint32) *Diff {
+		return &Diff{Method: MethodFull, CkptID: id, DataLen: 40, ChunkSize: 8, Data: bytes.Repeat([]byte{byte(id)}, 40)}
+	}
+	// Node 5 is a leaf chunk; a Full diff stores every node.
+	shift := func(id, src uint32) *Diff {
+		return &Diff{Method: MethodTree, CkptID: id, DataLen: 40, ChunkSize: 8,
+			ShiftDupl: []ShiftRegion{{Node: 5, SrcNode: 5, SrcCkpt: src}}}
+	}
+	for _, tc := range []struct {
+		name      string
+		first     uint32
+		next      *Diff
+		wantErr   string // substring; "" = accepted
+		base, len int
+	}{
+		{name: "first id 0", first: 0, next: full(1), base: 0, len: 2},
+		{name: "first id sets base", first: 7, next: full(8), base: 7, len: 9},
+		{name: "gap", first: 7, next: full(9), wantErr: "out of order", base: 7, len: 8},
+		{name: "repeat", first: 7, next: full(7), wantErr: "out of order", base: 7, len: 8},
+		{name: "relative id", first: 7, next: full(1), wantErr: "out of order", base: 7, len: 8},
+		{name: "source at base", first: 7, next: shift(8, 7), base: 7, len: 9},
+		{name: "source below base", first: 7, next: shift(8, 6), wantErr: "below the record's baseline 7", base: 7, len: 8},
+		{name: "source in the future", first: 7, next: shift(8, 9), wantErr: "in the future", base: 7, len: 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRecord()
+			if err := r.Append(full(tc.first)); err != nil {
+				t.Fatal(err)
+			}
+			err := r.Append(tc.next)
+			if tc.wantErr == "" && err != nil {
+				t.Fatal(err)
+			}
+			if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Fatalf("Append = %v, want an error naming %q", err, tc.wantErr)
+			}
+			if r.Base() != tc.base || r.Len() != tc.len {
+				t.Fatalf("record [%d,%d), want [%d,%d)", r.Base(), r.Len(), tc.base, tc.len)
+			}
+			for k := r.Base(); k < r.Len(); k++ {
+				if r.Diff(k).CkptID != uint32(k) {
+					t.Fatalf("Diff(%d) carries id %d", k, r.Diff(k).CkptID)
+				}
+				if _, err := r.Restore(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Ids outside [Base, Len) are errors everywhere, never an
+			// index panic.
+			for _, k := range []int{r.Base() - 1, r.Len(), 0} {
+				if k >= r.Base() && k < r.Len() {
+					continue
+				}
+				if _, err := r.Restore(k); err == nil {
+					t.Fatalf("restore %d outside [%d,%d) served", k, r.Base(), r.Len())
+				}
+				if err := r.Apply(make([]byte, 40), k); err == nil {
+					t.Fatalf("apply %d outside [%d,%d) served", k, r.Base(), r.Len())
+				}
+				if k >= 0 {
+					if _, err := r.RegionBytes(uint32(k), 5); err == nil {
+						t.Fatalf("region of checkpoint %d outside [%d,%d) served", k, r.Base(), r.Len())
+					}
+				}
+			}
+		})
 	}
 }
 

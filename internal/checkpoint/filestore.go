@@ -780,9 +780,9 @@ func (fs *FileStore) WriteRecord(rec *Record) error {
 	if n := fs.Len(); n != 0 {
 		return fmt.Errorf("checkpoint: store %s already holds diffs up to %d", fs.dir, n)
 	}
-	ds := make([]*Diff, rec.Len())
-	for i := range ds {
-		ds[i] = rec.Diff(i)
+	ds := make([]*Diff, 0, rec.Len()-rec.Base())
+	for k := rec.Base(); k < rec.Len(); k++ {
+		ds = append(ds, rec.Diff(k))
 	}
 	_, err := fs.AppendBatch(ds)
 	return err

@@ -48,7 +48,7 @@ func TestBlockStoreCrossLineageDedup(t *testing.T) {
 	for ck := 0; ck < 4; ck++ {
 		d := randomDiff(ck, int64(ck), 640) // identical bytes per ckpt in both lineages
 		for _, fs := range stores {
-			if err := fs.Append(d.CloneShallow()); err != nil {
+			if err := fs.Append(d); err != nil {
 				t.Fatalf("append ckpt %d: %v", ck, err)
 			}
 		}
@@ -91,10 +91,10 @@ func TestBlockStoreDiffBytesCanonical(t *testing.T) {
 	}
 	defer plain.Close()
 	d := randomDiff(0, 42, 333)
-	if err := stores[0].Append(d.CloneShallow()); err != nil {
+	if err := stores[0].Append(d); err != nil {
 		t.Fatal(err)
 	}
-	if err := plain.Append(d.CloneShallow()); err != nil {
+	if err := plain.Append(d); err != nil {
 		t.Fatal(err)
 	}
 	b1, err := stores[0].DiffBytes(0)
@@ -126,7 +126,7 @@ func TestBlockStoreReleaseOnPrune(t *testing.T) {
 	bs, stores := openShared(t, root, "a", "b")
 	shared := randomDiff(0, 1, 640)
 	for _, fs := range stores {
-		if err := fs.Append(shared.CloneShallow()); err != nil {
+		if err := fs.Append(shared); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func TestBlockStoreReleaseOnPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gota, err := reca.Restore(0)
+	gota, err := reca.Restore(reca.Base())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestBlockStoreAutoAttach(t *testing.T) {
 	root := t.TempDir()
 	bs, stores := openShared(t, root, "lineage")
 	d := randomDiff(0, 5, 640)
-	if err := stores[0].Append(d.CloneShallow()); err != nil {
+	if err := stores[0].Append(d); err != nil {
 		t.Fatal(err)
 	}
 	bs.Close() // single-owner rule: release before the tool opens it
@@ -298,7 +298,7 @@ func TestBlockStoreAutoAttachReadOnlyFallback(t *testing.T) {
 	root := t.TempDir()
 	bs, stores := openShared(t, root, "lineage")
 	d := randomDiff(0, 5, 640)
-	if err := stores[0].Append(d.CloneShallow()); err != nil {
+	if err := stores[0].Append(d); err != nil {
 		t.Fatal(err)
 	}
 	// The owner stays open — the live-server case.
@@ -381,7 +381,7 @@ func TestBlockStoreRotSurfacesAsCorrupt(t *testing.T) {
 	bs, stores := openShared(t, root, "a", "b")
 	d := randomDiff(0, 7, 640)
 	for _, fs := range stores {
-		if err := fs.Append(d.CloneShallow()); err != nil {
+		if err := fs.Append(d); err != nil {
 			t.Fatal(err)
 		}
 	}

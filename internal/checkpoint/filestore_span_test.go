@@ -44,12 +44,12 @@ func TestInstallSpanAdoptsForwardBase(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, tag := range []byte{50, 60, 70} {
-			got, err := rec.Restore(i)
+			got, err := rec.Restore(5 + i)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got[0] != tag {
-				t.Fatalf("%s: restore %d = tag %d, want %d", label, i, got[0], tag)
+				t.Fatalf("%s: restore %d = tag %d, want %d", label, 5+i, got[0], tag)
 			}
 		}
 	}

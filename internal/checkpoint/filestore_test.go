@@ -244,22 +244,24 @@ func TestFileStoreBaseline(t *testing.T) {
 	if _, err := fs.DiffBytes(1); err == nil {
 		t.Fatal("DiffBytes below baseline served")
 	}
-	// Load rebases to 0-based record indices: record index i holds
-	// absolute checkpoint base+i.
+	// Load returns the store's own span, indexed by the same ids.
 	rec, err := fs.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Len() != 3 {
-		t.Fatalf("record len %d, want 3", rec.Len())
+	if rec.Base() != fs.Base() || rec.Len() != fs.Len() {
+		t.Fatalf("record [%d,%d), store [%d,%d)", rec.Base(), rec.Len(), fs.Base(), fs.Len())
 	}
-	for i := 0; i < 3; i++ {
-		state, err := rec.Restore(i)
+	if _, err := rec.Restore(1); err == nil {
+		t.Fatal("restore below the baseline served")
+	}
+	for ck := 2; ck < 5; ck++ {
+		state, err := rec.Restore(ck)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if state[0] != byte(2+i+1) {
-			t.Fatalf("record index %d restored tag %d", i, state[0])
+		if state[0] != byte(ck+1) {
+			t.Fatalf("checkpoint %d restored tag %d", ck, state[0])
 		}
 	}
 	// Appends continue at the absolute length.

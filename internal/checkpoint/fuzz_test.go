@@ -235,26 +235,31 @@ const fuzzRestoreMaxData = 1 << 22
 // geometry, bitmaps and shift references, so any input that survives it
 // must replay without a panic or out-of-range access.
 func FuzzRestore(f *testing.F) {
-	var lineage bytes.Buffer
-	full := &Diff{Method: MethodFull, CkptID: 0, DataLen: 40, ChunkSize: 8,
-		Data: bytes.Repeat([]byte{1}, 40)}
-	if err := full.Encode(&lineage); err != nil {
-		f.Fatal(err)
+	// A lineage from checkpoint 0, and one compacted to baseline 7: the
+	// second diff reads both itself and the baseline.
+	for _, base := range []uint32{0, 7} {
+		var lineage bytes.Buffer
+		full := &Diff{Method: MethodFull, CkptID: base, DataLen: 40, ChunkSize: 8,
+			Data: bytes.Repeat([]byte{1}, 40)}
+		if err := full.Encode(&lineage); err != nil {
+			f.Fatal(err)
+		}
+		tree := &Diff{Method: MethodTree, CkptID: base + 1, DataLen: 40, ChunkSize: 8,
+			FirstOcur: []uint32{1},
+			ShiftDupl: []ShiftRegion{{Node: 6, SrcNode: 1, SrcCkpt: base + 1}, {Node: 5, SrcNode: 5, SrcCkpt: base}},
+			Data:      bytes.Repeat([]byte{4}, 24)}
+		if err := tree.Encode(&lineage); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(lineage.Bytes())
 	}
-	tree := &Diff{Method: MethodTree, CkptID: 1, DataLen: 40, ChunkSize: 8,
-		FirstOcur: []uint32{1}, ShiftDupl: []ShiftRegion{{Node: 6, SrcNode: 1, SrcCkpt: 1}},
-		Data: bytes.Repeat([]byte{4}, 24)}
-	if err := tree.Encode(&lineage); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(lineage.Bytes())
 	for _, d := range sampleDiffs() {
 		f.Add(encodeSeed(f, d))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		rec := NewRecord()
-		for rec.Len() < 8 {
+		for rec.Len()-rec.Base() < 8 {
 			d, err := Decode(r)
 			if err != nil {
 				break
@@ -271,7 +276,7 @@ func FuzzRestore(f *testing.F) {
 				break
 			}
 		}
-		if rec.Len() == 0 {
+		if rec.Len() == rec.Base() {
 			return
 		}
 		state, err := rec.RestoreLatest()

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 )
 
@@ -99,49 +98,4 @@ func ReadManifestFile(path string) (*Manifest, error) {
 		return nil, fmt.Errorf("checkpoint: manifest %s: %w", path, err)
 	}
 	return m, nil
-}
-
-// Rebase shifts every checkpoint id carried by d — its CkptID and the
-// SrcCkpt of every shifted-duplicate region — by delta. The FileStore
-// keeps absolute ids on disk (the record of checkpoint 57 holds CkptID
-// 57 even after compaction moved the baseline to 50) and rebases to the
-// 0-based ids Record.Append requires at load time; clients rebase the
-// other way when re-encoding a pulled diff for push. A shift that
-// would take any id out of uint32 range — in particular a SrcCkpt
-// referencing a checkpoint below the subtracted baseline — is an
-// error and leaves d unchanged.
-func (d *Diff) Rebase(delta int64) error {
-	shifted := func(v uint32) (uint32, error) {
-		s := int64(v) + delta
-		if s < 0 || s > math.MaxUint32 {
-			return 0, fmt.Errorf("checkpoint: rebase of id %d by %d leaves uint32 range", v, delta)
-		}
-		return uint32(s), nil
-	}
-	id, err := shifted(d.CkptID)
-	if err != nil {
-		return err
-	}
-	srcs := make([]uint32, len(d.ShiftDupl))
-	for i, s := range d.ShiftDupl {
-		if srcs[i], err = shifted(s.SrcCkpt); err != nil {
-			return fmt.Errorf("checkpoint: diff %d shift region %d: %w", d.CkptID, i, err)
-		}
-	}
-	d.CkptID = id
-	for i := range d.ShiftDupl {
-		d.ShiftDupl[i].SrcCkpt = srcs[i]
-	}
-	return nil
-}
-
-// CloneShallow returns a copy of d whose ShiftDupl slice is freshly
-// allocated, so the copy can be Rebased without mutating the original;
-// the (immutable) Bitmap and Data sections stay shared.
-func (d *Diff) CloneShallow() *Diff {
-	cp := *d
-	if d.ShiftDupl != nil {
-		cp.ShiftDupl = append([]ShiftRegion(nil), d.ShiftDupl...)
-	}
-	return &cp
 }

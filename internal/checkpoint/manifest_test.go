@@ -110,52 +110,3 @@ func TestManifestFileIO(t *testing.T) {
 		t.Fatalf("missing manifest: got %v, want not-exist", err)
 	}
 }
-
-func TestDiffRebase(t *testing.T) {
-	d := &Diff{
-		Method: MethodTree, CkptID: 57, DataLen: 64, ChunkSize: 8,
-		ShiftDupl: []ShiftRegion{{Node: 1, SrcNode: 2, SrcCkpt: 50}, {Node: 3, SrcNode: 4, SrcCkpt: 57}},
-	}
-	if err := d.Rebase(-50); err != nil {
-		t.Fatal(err)
-	}
-	if d.CkptID != 7 || d.ShiftDupl[0].SrcCkpt != 0 || d.ShiftDupl[1].SrcCkpt != 7 {
-		t.Fatalf("rebase result wrong: %+v", d)
-	}
-	if err := d.Rebase(50); err != nil {
-		t.Fatal(err)
-	}
-	if d.CkptID != 57 || d.ShiftDupl[0].SrcCkpt != 50 {
-		t.Fatalf("rebase not symmetric: %+v", d)
-	}
-
-	// A shift out of uint32 range fails atomically: no field changes.
-	bad := &Diff{
-		CkptID:    10,
-		ShiftDupl: []ShiftRegion{{SrcCkpt: 10}, {SrcCkpt: 3}},
-	}
-	if err := bad.Rebase(-5); err == nil {
-		t.Fatal("out-of-range rebase accepted")
-	}
-	if bad.CkptID != 10 || bad.ShiftDupl[0].SrcCkpt != 10 || bad.ShiftDupl[1].SrcCkpt != 3 {
-		t.Fatalf("failed rebase mutated the diff: %+v", bad)
-	}
-}
-
-func TestDiffCloneShallow(t *testing.T) {
-	d := &Diff{
-		CkptID:    4,
-		ShiftDupl: []ShiftRegion{{SrcCkpt: 2}},
-		Data:      []byte{1, 2, 3},
-	}
-	cp := d.CloneShallow()
-	if err := cp.Rebase(10); err != nil {
-		t.Fatal(err)
-	}
-	if d.CkptID != 4 || d.ShiftDupl[0].SrcCkpt != 2 {
-		t.Fatalf("rebase of clone mutated original: %+v", d)
-	}
-	if &cp.Data[0] != &d.Data[0] {
-		t.Fatal("clone copied the data section")
-	}
-}

@@ -21,7 +21,11 @@ type storedRegion struct {
 // Record is the checkpoint lineage of one process: the ordered
 // sequence of diffs for a fixed buffer geometry, with an index that
 // resolves shifted-duplicate references (ckpt, node) to stored bytes.
+// It speaks the checkpoint ids its diffs carry: a record whose first
+// diff is checkpoint 50 — a lineage compacted to that baseline — holds
+// [50, Len) and is indexed by those ids.
 type Record struct {
+	base      int // CkptID of diffs[0]
 	chunkSize int
 	dataLen   int
 	geom      *merkle.Tree
@@ -53,11 +57,16 @@ func (r *Record) forRegions(n int, body func(i int)) {
 	r.pool.For(n, body)
 }
 
-// Len returns the number of checkpoints in the lineage.
-func (r *Record) Len() int { return len(r.diffs) }
+// Base returns the id of the record's first checkpoint, fixed by the
+// first Append (0 when empty).
+func (r *Record) Base() int { return r.base }
 
-// Diff returns the i-th stored diff.
-func (r *Record) Diff(i int) *Diff { return r.diffs[i] }
+// Len returns one past the id of the record's last checkpoint: the
+// record holds [Base, Len).
+func (r *Record) Len() int { return r.base + len(r.diffs) }
+
+// Diff returns the stored diff of checkpoint k in [Base, Len).
+func (r *Record) Diff(k int) *Diff { return r.diffs[k-r.base] }
 
 // ChunkSize returns the chunk geometry of the lineage (0 when empty).
 func (r *Record) ChunkSize() int { return r.chunkSize }
@@ -77,6 +86,8 @@ func (r *Record) TotalBytes() int64 {
 
 // Append adds the next diff to the lineage and indexes its
 // first-occurrence regions so later checkpoints can reference them.
+// The first diff fixes the geometry and, by its own CkptID, the
+// baseline; every later one must carry the id Len.
 func (r *Record) Append(d *Diff) error {
 	// Geometry sanity first: every index, span and allocation below is
 	// derived from DataLen and ChunkSize, so a decoded diff must not be
@@ -92,6 +103,7 @@ func (r *Record) Append(d *Diff) error {
 		if d.DataLen == 0 && d.Method != MethodFull {
 			return fmt.Errorf("checkpoint: first diff has zero data length")
 		}
+		r.base = int(d.CkptID)
 		r.chunkSize = int(d.ChunkSize)
 		r.dataLen = int(d.DataLen)
 		if r.chunkSize > 0 {
@@ -107,9 +119,9 @@ func (r *Record) Append(d *Diff) error {
 				d.CkptID, d.ChunkSize, r.chunkSize)
 		}
 	}
-	if int(d.CkptID) != len(r.diffs) {
-		return fmt.Errorf("checkpoint: diff id %d out of order (have %d diffs)",
-			d.CkptID, len(r.diffs))
+	if int(d.CkptID) != r.Len() {
+		return fmt.Errorf("checkpoint: diff id %d out of order (record holds [%d,%d))",
+			d.CkptID, r.base, r.Len())
 	}
 	plain := d.Data
 	if d.DataCodec != 0 {
@@ -173,8 +185,9 @@ func (r *Record) indexRegions(d *Diff, plain []byte) ([]storedRegion, error) {
 		return nil, nil
 	case MethodList, MethodTree:
 		// Shift references are resolved lazily during Apply; reject
-		// out-of-range nodes and future sources now so replay can only
-		// fail with an error, never an out-of-bounds copy.
+		// out-of-range nodes and sources outside [Base, CkptID] now so
+		// replay can only fail with an error, never an out-of-bounds
+		// copy.
 		for _, sr := range d.ShiftDupl {
 			if int(sr.Node) >= r.geom.NumNodes || int(sr.SrcNode) >= r.geom.NumNodes {
 				return nil, fmt.Errorf("checkpoint: diff %d shift region node %d<-%d out of range",
@@ -183,6 +196,10 @@ func (r *Record) indexRegions(d *Diff, plain []byte) ([]storedRegion, error) {
 			if sr.SrcCkpt > d.CkptID {
 				return nil, fmt.Errorf("checkpoint: diff %d shift source checkpoint %d is in the future",
 					d.CkptID, sr.SrcCkpt)
+			}
+			if int(sr.SrcCkpt) < r.base {
+				return nil, fmt.Errorf("checkpoint: diff %d shift source checkpoint %d is below the record's baseline %d",
+					d.CkptID, sr.SrcCkpt, r.base)
 			}
 		}
 		idx := make([]storedRegion, 0, len(d.FirstOcur))
@@ -219,12 +236,12 @@ func (r *Record) indexRegions(d *Diff, plain []byte) ([]storedRegion, error) {
 // that checkpoint — which Algorithm 1 guarantees for every entry of
 // the historical record of unique hashes.
 func (r *Record) resolve(ck, node uint32) ([]byte, error) {
-	if int(ck) >= len(r.diffs) {
-		return nil, fmt.Errorf("checkpoint: reference to future checkpoint %d", ck)
+	if int(ck) < r.base || int(ck) >= r.Len() {
+		return nil, fmt.Errorf("checkpoint: reference to checkpoint %d outside the record's [%d,%d)", ck, r.base, r.Len())
 	}
 	spanOff, spanEnd := r.geom.NodeSpan(int(node), r.chunkSize, r.dataLen)
 	lo, _ := r.geom.LeafRange(int(node))
-	regions := r.regions[ck]
+	regions := r.regions[int(ck)-r.base]
 	// Find the last region with leafLo <= lo.
 	i := sort.Search(len(regions), func(i int) bool { return int(regions[i].leafLo) > lo }) - 1
 	if i < 0 {
@@ -238,7 +255,7 @@ func (r *Record) resolve(ck, node uint32) ([]byte, error) {
 	}
 	byteOff := reg.dataOff + int64((lo-int(reg.leafLo))*r.chunkSize)
 	n := int64(spanEnd - spanOff)
-	data := r.plain[ck]
+	data := r.plain[int(ck)-r.base]
 	if byteOff+n > int64(len(data)) {
 		return nil, fmt.Errorf("checkpoint: region bytes [%d,%d) beyond data section of checkpoint %d",
 			byteOff, byteOff+n, ck)
@@ -254,25 +271,26 @@ func (r *Record) RegionBytes(ck, node uint32) ([]byte, error) {
 	return r.resolve(ck, node)
 }
 
-// Apply replays diff i onto state, which must hold the reconstruction
-// of checkpoint i-1 (or anything, for i==0 with MethodFull/first-ckpt
-// diffs that cover the whole buffer).
-func (r *Record) Apply(state []byte, i int) error {
-	if i < 0 || i >= len(r.diffs) {
-		return fmt.Errorf("checkpoint: apply index %d out of range [0,%d)", i, len(r.diffs))
+// Apply replays checkpoint k's diff onto state, which must hold the
+// reconstruction of checkpoint k-1 (or anything, for a diff that covers
+// the whole buffer: a MethodFull baseline, or the first checkpoint of a
+// lineage).
+func (r *Record) Apply(state []byte, k int) error {
+	if k < r.base || k >= r.Len() {
+		return fmt.Errorf("checkpoint: apply index %d out of range [%d,%d)", k, r.base, r.Len())
 	}
 	if len(state) != r.dataLen {
 		return fmt.Errorf("checkpoint: state length %d != record %d", len(state), r.dataLen)
 	}
-	d := r.diffs[i]
+	i := k - r.base
+	d, data := r.diffs[i], r.plain[i]
 	switch d.Method {
 	case MethodFull:
-		copy(state, r.plain[i])
+		copy(state, data)
 		return nil
 	case MethodBasic:
 		var off int
 		nChunks := merkle.NumChunks(r.dataLen, r.chunkSize)
-		data := r.plain[i]
 		for c := 0; c < nChunks; c++ {
 			if !BitmapGet(d.Bitmap, c) {
 				continue
@@ -286,13 +304,12 @@ func (r *Record) Apply(state []byte, i int) error {
 			off += n
 		}
 		if off != len(data) {
-			return fmt.Errorf("checkpoint: basic diff %d consumed %d of %d data bytes", i, off, len(d.Data))
+			return fmt.Errorf("checkpoint: basic diff %d consumed %d of %d data bytes", k, off, len(data))
 		}
 		return nil
 	case MethodList, MethodTree:
 		// Pass 1: first occurrences (new bytes). Regions are disjoint,
 		// so the copies parallelize.
-		data := r.plain[i]
 		r.forRegions(len(d.FirstOcur), func(j int) {
 			node := d.FirstOcur[j]
 			reg := r.regions[i][j]
@@ -312,7 +329,7 @@ func (r *Record) Apply(state []byte, i int) error {
 				srcOff, srcEnd := r.geom.NodeSpan(int(s.SrcNode), r.chunkSize, r.dataLen)
 				if srcEnd-srcOff < dstEnd-dstOff {
 					errs[j] = fmt.Errorf("checkpoint: diff %d shift source node %d shorter than destination %d",
-						i, s.SrcNode, s.Node)
+						k, s.SrcNode, s.Node)
 					return
 				}
 				copy(state[dstOff:dstEnd], state[srcOff:srcOff+(dstEnd-dstOff)])
@@ -320,12 +337,12 @@ func (r *Record) Apply(state []byte, i int) error {
 			}
 			src, err := r.resolve(s.SrcCkpt, s.SrcNode)
 			if err != nil {
-				errs[j] = fmt.Errorf("checkpoint: diff %d shift region node %d: %w", i, s.Node, err)
+				errs[j] = fmt.Errorf("checkpoint: diff %d shift region node %d: %w", k, s.Node, err)
 				return
 			}
 			if len(src) < dstEnd-dstOff {
 				errs[j] = fmt.Errorf("checkpoint: diff %d shift source %d bytes < destination %d",
-					i, len(src), dstEnd-dstOff)
+					k, len(src), dstEnd-dstOff)
 				return
 			}
 			copy(state[dstOff:dstEnd], src[:dstEnd-dstOff])
@@ -344,14 +361,14 @@ func (r *Record) Apply(state []byte, i int) error {
 }
 
 // Restore reconstructs the buffer as of checkpoint k by replaying
-// diffs 0..k ("start from the first-time occurrences, then fill the
+// diffs Base..k ("start from the first-time occurrences, then fill the
 // fixed duplicates and finally assemble the shifted duplicates", §2.2).
 func (r *Record) Restore(k int) ([]byte, error) {
-	if k < 0 || k >= len(r.diffs) {
-		return nil, fmt.Errorf("checkpoint: restore index %d out of range [0,%d)", k, len(r.diffs))
+	if k < r.base || k >= r.Len() {
+		return nil, fmt.Errorf("checkpoint: restore index %d out of range [%d,%d)", k, r.base, r.Len())
 	}
 	state := make([]byte, r.dataLen)
-	for i := 0; i <= k; i++ {
+	for i := r.base; i <= k; i++ {
 		if err := r.Apply(state, i); err != nil {
 			return nil, err
 		}
@@ -361,5 +378,5 @@ func (r *Record) Restore(k int) ([]byte, error) {
 
 // RestoreLatest reconstructs the most recent checkpoint.
 func (r *Record) RestoreLatest() ([]byte, error) {
-	return r.Restore(len(r.diffs) - 1)
+	return r.Restore(r.Len() - 1)
 }

@@ -171,10 +171,8 @@ func (fs *FileStore) decodeVerified(ck int, sc *ReadScratch) (*Diff, error) {
 	return d, nil
 }
 
-// Load reads the stored lineage [Base, Len) into a restorable Record.
-// Stored diffs carry absolute ids; Load rebases them to the 0-based
-// contiguous ids the Record requires, so Record index i is absolute
-// checkpoint Base()+i.
+// Load reads the stored lineage into a restorable Record holding the
+// same [Base, Len).
 func (fs *FileStore) Load() (*Record, error) {
 	base := fs.Base()
 	length := fs.Len()
@@ -187,9 +185,6 @@ func (fs *FileStore) Load() (*Record, error) {
 		d, err := fs.decodeVerified(ck, &sc)
 		if err != nil {
 			return nil, err
-		}
-		if err := d.Rebase(-int64(base)); err != nil {
-			return nil, fmt.Errorf("checkpoint: diff %d: %w", ck, err)
 		}
 		if err := rec.Append(d); err != nil {
 			return nil, err

@@ -111,7 +111,7 @@ func verifyPromoted(t *testing.T, fl *follower.Follower, images [][]byte, base i
 		t.Fatal("promoted state diverges from the last pushed image")
 	}
 	for k := base; k < len(images); k++ {
-		got, err := p.Record.Restore(k - base)
+		got, err := p.Record.Restore(k)
 		if err != nil {
 			t.Fatalf("promoted restore %d: %v", k, err)
 		}

@@ -123,8 +123,8 @@ type Promotion struct {
 	// Base and Len delimit the promoted span: checkpoints [Base, Len)
 	// are restorable. Len == Base means the lineage was empty.
 	Base, Len int
-	// Record is the live in-memory record (indices relative to Base).
-	// Nil when the lineage was empty.
+	// Record is the live in-memory record of [Base, Len). Nil when the
+	// lineage was empty.
 	Record *checkpoint.Record
 	// State is the materialized buffer of checkpoint Len-1 — current
 	// BEFORE Promote was called; no replay happened. Nil when empty.
@@ -155,8 +155,8 @@ type Follower struct {
 	mu sync.Mutex
 	//ckptlint:guardedby mu
 	store *checkpoint.FileStore
-	// rec/state are the live serving replica: rec holds diffs rebased
-	// to the mirror baseline, state is the materialized buffer of
+	// rec/state are the live serving replica: rec holds the mirrored
+	// diffs [base, next), state is the materialized buffer of
 	// checkpoint next-1. Maintained incrementally by every apply.
 	//ckptlint:guardedby mu
 	rec *checkpoint.Record
@@ -494,8 +494,7 @@ func (f *Follower) applyEncoded(k int, encoded []byte, crc uint32) error {
 		f.mu.Unlock()
 		return fmt.Errorf("follower: mirroring diff %d: %w", k, err)
 	}
-	// Mirror is durable; extend the live replica. The record gets a
-	// rebased shallow clone (the mirror stored the absolute original).
+	// Mirror is durable; extend the live replica.
 	if err := f.applyLiveLocked(d, k); err != nil {
 		// The store accepted what the replica rejected (or apply
 		// failed mid-flight): rebuild the replica from the store
@@ -522,23 +521,17 @@ func (f *Follower) applyEncoded(k int, encoded []byte, crc uint32) error {
 
 //ckptlint:locked mu
 func (f *Follower) applyLiveLocked(d *checkpoint.Diff, k int) error {
-	rd := d.CloneShallow()
-	rd.Own()
-	if f.base != 0 {
-		if err := rd.Rebase(-int64(f.base)); err != nil {
-			return err
-		}
-	}
+	d.Own() // the mirror append is done with the read buffer d aliases
 	if f.rec == nil {
 		f.rec = checkpoint.NewRecord()
 	}
-	if err := f.rec.Append(rd); err != nil {
+	if err := f.rec.Append(d); err != nil {
 		return err
 	}
 	if f.state == nil {
 		f.state = make([]byte, f.rec.DataLen())
 	}
-	return f.rec.Apply(f.state, k-f.base)
+	return f.rec.Apply(f.state, k)
 }
 
 // Stats snapshots replication progress.

@@ -141,7 +141,7 @@ func verifyPromotion(t *testing.T, p *follower.Promotion, images [][]byte, base 
 		t.Fatal("promoted state diverges from the final image")
 	}
 	for k := base; k < len(images); k++ {
-		got, err := p.Record.Restore(k - base)
+		got, err := p.Record.Restore(k)
 		if err != nil {
 			t.Fatalf("restore %d from promoted record: %v", k, err)
 		}

@@ -271,7 +271,7 @@ func (m *Manager) compactLocked(k, base, length int) (Stats, error) {
 		return st, nil
 	}
 
-	rec, err := m.store.Load() // record index i = absolute checkpoint base+i
+	rec, err := m.store.Load()
 	if err != nil {
 		return st, err
 	}
@@ -290,9 +290,8 @@ func (m *Manager) compactLocked(k, base, length int) (Stats, error) {
 	// baseline is a full image.
 	dirty := make(map[int]bool)
 	for j := k + 1; j < length; j++ {
-		for _, s := range rec.Diff(j - base).ShiftDupl {
-			src := base + int(s.SrcCkpt)
-			if src < k || dirty[src] {
+		for _, s := range rec.Diff(j).ShiftDupl {
+			if src := int(s.SrcCkpt); src < k || dirty[src] {
 				dirty[j] = true
 				break
 			}
@@ -301,13 +300,12 @@ func (m *Manager) compactLocked(k, base, length int) (Stats, error) {
 
 	// Materialize state k and sweep forward once, capturing the
 	// pre/post states of every dirty diff for its Basic rewrite.
-	state, err := rec.Restore(k - base)
+	state, err := rec.Restore(k)
 	if err != nil {
 		return st, fmt.Errorf("lifecycle: materializing checkpoint %d: %w", k, err)
 	}
-	// The post-compaction span [k, length) in absolute ids: the full
-	// baseline, then each retained diff as rewritten or as stored
-	// (record ids are base-relative).
+	// The post-compaction span [k, length): the full baseline, then
+	// each retained diff as rewritten or, clean, the stored diff itself.
 	span := []*checkpoint.Diff{{
 		Method:    checkpoint.MethodFull,
 		CkptID:    uint32(k),
@@ -320,18 +318,14 @@ func (m *Manager) compactLocked(k, base, length int) (Stats, error) {
 		if dirty[j] {
 			prev = append(prev[:0], state...)
 		}
-		if err := rec.Apply(state, j-base); err != nil {
+		if err := rec.Apply(state, j); err != nil {
 			return st, fmt.Errorf("lifecycle: replaying checkpoint %d: %w", j, err)
 		}
-		var d *checkpoint.Diff
+		d := rec.Diff(j)
 		if dirty[j] {
-			d, err = RewriteBasic(prev, state, chunk, uint32(j))
-		} else {
-			d = rec.Diff(j - base).CloneShallow()
-			err = d.Rebase(int64(base))
-		}
-		if err != nil {
-			return st, fmt.Errorf("lifecycle: rewriting checkpoint %d: %w", j, err)
+			if d, err = RewriteBasic(prev, state, chunk, uint32(j)); err != nil {
+				return st, fmt.Errorf("lifecycle: rewriting checkpoint %d: %w", j, err)
+			}
 		}
 		span = append(span, d)
 	}
@@ -339,7 +333,7 @@ func (m *Manager) compactLocked(k, base, length int) (Stats, error) {
 	// Prove byte-identical restores before touching the disk: replay
 	// the span next to the original record, comparing every retained
 	// state.
-	if err := m.verify(rec, span, k, base); err != nil {
+	if err := m.verify(rec, span); err != nil {
 		return st, err
 	}
 
@@ -357,21 +351,16 @@ func (m *Manager) compactLocked(k, base, length int) (Stats, error) {
 	return st, nil
 }
 
-// verify replays span — the post-compaction lineage [k, k+len(span))
-// in absolute ids — next to the original record and byte-compares
-// every retained restore.
+// verify replays span — the post-compaction lineage — next to the
+// original record and byte-compares every retained restore.
 //
 //ckptlint:locked mu
-func (m *Manager) verify(rec *checkpoint.Record, span []*checkpoint.Diff, k, base int) error {
+func (m *Manager) verify(rec *checkpoint.Record, span []*checkpoint.Diff) error {
 	newRec := checkpoint.NewRecord()
 	if m.pool != nil {
 		newRec.SetPool(m.pool)
 	}
 	for _, d := range span {
-		d = d.CloneShallow()
-		if err := d.Rebase(-int64(k)); err != nil {
-			return fmt.Errorf("lifecycle: verify checkpoint %d: %w", d.CkptID, err)
-		}
 		if err := newRec.Append(d); err != nil {
 			return fmt.Errorf("lifecycle: verify checkpoint %d: %w", d.CkptID, err)
 		}
@@ -380,22 +369,16 @@ func (m *Manager) verify(rec *checkpoint.Record, span []*checkpoint.Diff, k, bas
 	dataLen := rec.DataLen()
 	oldState := make([]byte, dataLen)
 	newState := make([]byte, dataLen)
-	for i := 0; i <= k-base; i++ {
-		if err := rec.Apply(oldState, i); err != nil {
+	for j := rec.Base(); j < newRec.Base(); j++ {
+		if err := rec.Apply(oldState, j); err != nil {
 			return err
 		}
 	}
-	if err := newRec.Apply(newState, 0); err != nil {
-		return err
-	}
-	if !bytes.Equal(oldState, newState) {
-		return fmt.Errorf("lifecycle: baseline at %d diverges from original restore; refusing to compact", k)
-	}
-	for j := k + 1; j < k+len(span); j++ {
-		if err := rec.Apply(oldState, j-base); err != nil {
+	for j := newRec.Base(); j < newRec.Len(); j++ {
+		if err := rec.Apply(oldState, j); err != nil {
 			return err
 		}
-		if err := newRec.Apply(newState, j-k); err != nil {
+		if err := newRec.Apply(newState, j); err != nil {
 			return err
 		}
 		if !bytes.Equal(oldState, newState) {

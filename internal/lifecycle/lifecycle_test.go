@@ -97,7 +97,6 @@ func restoreAll(t *testing.T, dir string, images [][]byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := store.Base()
 	length := store.Len()
 	if length != len(images) {
 		t.Fatalf("store len %d, want %d", length, len(images))
@@ -106,8 +105,8 @@ func restoreAll(t *testing.T, dir string, images [][]byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := base; k < length; k++ {
-		state, err := rec.Restore(k - base)
+	for k := store.Base(); k < length; k++ {
+		state, err := rec.Restore(k)
 		if err != nil {
 			t.Fatalf("restore %d: %v", k, err)
 		}

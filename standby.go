@@ -96,7 +96,7 @@ func (f *Follower) Promote() (*Promotion, error) {
 	}
 	out := &Promotion{Lineage: p.Lineage, Dir: p.Dir, Base: p.Base, Len: p.Len, State: p.State}
 	if p.Record != nil {
-		out.Record = &Record{rec: p.Record, base: p.Base}
+		out.Record = &Record{rec: p.Record}
 	}
 	return out, nil
 }
