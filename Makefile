@@ -161,20 +161,25 @@ fuzz-smoke:
 
 # chaos-smoke runs the seeded fault-injection suite (internal/faults)
 # under the race detector, the append ladder and rename commit both
-# stores write by (internal/recframe), the crash-point enumeration and torn-tail /
-# rot classification tests of the lineage store (internal/checkpoint)
-# and of the block store (internal/blockstore, with its fsync and read
-# budgets and its reads-vs-relocating-GC race, raced and forced), plus the TestRace concurrency
-# regression tests guarding the bugs the guardedby/lockorder/goroleak
-# analyzers found (Serve worker join, parked-handle pruning) and the span stream's lock discipline (a pull parked on a
-# reader that is not reading blocks neither a push nor a compaction).
-# Every schedule is
-# deterministic — a failure reproduces by rerunning the named test, no
-# flake triage needed.
+# stores write by (internal/recframe), the crash-point enumeration and
+# torn-tail / rot classification tests of the lineage store
+# (internal/checkpoint) and of the block store (internal/blockstore,
+# with its fsync and read budgets and its reads-vs-relocating-GC race,
+# raced and forced), the scrub regressions — a scrub writes nothing
+# (TestScrubIsReadOnly), and no foreign diff is spliced in at a rotten
+# id, neither by an append after Scrub (TestScrubLeavesNoHoleToSplice)
+# nor by a push after ScrubDir (TestScrubbedRotRefusesForeignPush) —
+# plus the TestRace concurrency regression tests guarding the bugs the
+# guardedby/lockorder/goroleak analyzers found (Serve worker join,
+# parked-handle pruning) and the span stream's lock discipline (a pull
+# parked on a reader that is not reading blocks neither a push nor a
+# compaction). Every schedule is deterministic — a failure reproduces
+# by rerunning the named test, no flake triage needed.
 chaos-smoke:
 	$(GO) test -race -count=1 -run '^TestChaos' ./internal/faults
 	$(GO) test -race -count=1 -run '^(TestAppendLadder|TestCommit)$$' ./internal/recframe
-	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestManifestNamingMissingSegmentFailsOpen)$$' ./internal/checkpoint
+	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestScrubLeavesNoHoleToSplice|TestTombstoneReadsAsDamage|TestManifestNamingMissingSegmentFailsOpen)$$' ./internal/checkpoint
+	$(GO) test -race -count=1 -run '^(TestScrubIsReadOnly|TestScrubbedRotRefusesForeignPush)$$' .
 	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestReadBudget|TestReadAcrossRelocation|TestRaceGetInternGC)$$' ./internal/blockstore
 	$(GO) test -race -count=1 -run '^TestRace' \
 		./internal/server ./internal/wireclient

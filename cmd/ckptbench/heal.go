@@ -226,6 +226,6 @@ func healExperiment(cfg experiments.Config, chain int, jsonPath string) (*metric
 }
 
 // healMaxConverge is the convergence gate: replica start to a fully
-// healed, quarantine-free span. Loopback pulls of a quarter of the
+// healed span with no damaged diff. Loopback pulls of a quarter of the
 // chain are milliseconds of work; the budget absorbs loaded CI hosts.
 const healMaxConverge = 30 * time.Second

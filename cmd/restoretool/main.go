@@ -152,6 +152,11 @@ func run(args []string, stdout io.Writer) error {
 		if n == store.Base() {
 			return fmt.Errorf("lineage directory %s is empty", *dirPath)
 		}
+		// A restore alone reads only the diffs it replays, [Base, k], so
+		// a damaged diff above k does not stand in its way.
+		if *restore >= 0 && !*info {
+			n = min(n, max(*restore, store.Base())+1)
+		}
 		// DiffBytes verifies each stored record's checksums and
 		// reassembles block-mapped containers from the shared block
 		// store, so raw is always the canonical diff stream.

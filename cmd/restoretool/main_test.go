@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"os"
@@ -11,12 +13,22 @@ import (
 	"testing"
 
 	gpuckpt "github.com/gpuckpt/gpuckpt"
+	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
+	"github.com/gpuckpt/gpuckpt/internal/faults"
 	"github.com/gpuckpt/gpuckpt/internal/server"
 )
 
 // buildLineage writes a 3-checkpoint Tree lineage and returns the
 // stream file, the lineage dir, and the final golden state file.
 func buildLineage(t *testing.T) (stream, dir, golden string) {
+	t.Helper()
+	stream, dir, goldens := buildChain(t, 3)
+	return stream, dir, goldens[2]
+}
+
+// buildChain writes an n-checkpoint Tree lineage and returns the stream
+// file, the lineage dir, and the golden state file of every checkpoint.
+func buildChain(t *testing.T, n int) (stream, dir string, goldens []string) {
 	t.Helper()
 	base := t.TempDir()
 	dir = filepath.Join(base, "lineage")
@@ -33,7 +45,7 @@ func buildLineage(t *testing.T) (stream, dir, golden string) {
 	}
 	defer ck.Close()
 	var streamBuf bytes.Buffer
-	for i := 0; i < 3; i++ {
+	for i := 0; i < n; i++ {
 		if i > 0 {
 			off := rng.Intn(len(buf) - 256)
 			rng.Read(buf[off : off+256])
@@ -44,16 +56,17 @@ func buildLineage(t *testing.T) (stream, dir, golden string) {
 		if err := ck.WriteDiff(i, &streamBuf); err != nil {
 			t.Fatal(err)
 		}
+		golden := filepath.Join(base, fmt.Sprintf("golden-%d.bin", i))
+		if err := os.WriteFile(golden, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		goldens = append(goldens, golden)
 	}
 	stream = filepath.Join(base, "lineage.bin")
 	if err := os.WriteFile(stream, streamBuf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	golden = filepath.Join(base, "golden.bin")
-	if err := os.WriteFile(golden, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return stream, dir, golden
+	return stream, dir, goldens
 }
 
 func TestInfoFromStreamAndDir(t *testing.T) {
@@ -132,6 +145,22 @@ func TestRestoreFromCompactedStream(t *testing.T) {
 	}
 	if err := run([]string{"-record", stream, "-restore", "0"}, &out); err == nil {
 		t.Fatal("restore below the stream's baseline served")
+	}
+}
+
+// A restore from a directory reads only the diffs it replays: one below
+// a damaged diff verifies, one above it fails typed.
+func TestRestoreBelowDamage(t *testing.T) {
+	_, dir, goldens := buildChain(t, 8)
+	if _, _, _, err := faults.New(5).RotStoredDiff(dir, 5); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-dir", dir, "-restore", "3", "-verify", goldens[3]}, &out); err != nil {
+		t.Fatalf("restore below the damage: %v", err)
+	}
+	if err := run([]string{"-dir", dir, "-restore", "6"}, &out); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("restore above the damage: %v, want ErrCorrupt", err)
 	}
 }
 

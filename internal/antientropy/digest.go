@@ -3,15 +3,17 @@
 // compact span digests with a peer (wire v6 TDigest), bisects any
 // mismatch down to the diverging checkpoints, classifies the damage
 // (local rot, missing suffix, stale fold) and heals by pulling
-// verified diffs from the healthy side. Replicas never exchange bulk
-// data while they agree — a clean round costs one 48-byte digest.
+// verified diffs from the healthy side. Local rot has one shape: a
+// stored id whose diff fails verification stays in range and fails its
+// checksum, so the span compare finds it and a pulled, verified diff
+// supersedes it. Replicas never exchange bulk data while they agree —
+// a clean round costs one 48-byte digest.
 //
 // The safety posture is deliberately asymmetric, pull-only: a
 // reconciler only ever repairs its OWN store from a peer, never
-// pushes repairs at the peer. A damaged peer is reported
-// (OutcomePeerDamaged) and left to its own reconciler, which sees the
-// rot as local and heals it. That asymmetry is what rules out
-// repair ping-pong: no node ever overwrites remote state, so two
+// pushes repairs at the peer. A damaged peer is left to its own
+// reconciler, which sees the rot as local and heals it. That asymmetry
+// is what rules out repair ping-pong: no node ever overwrites remote state, so two
 // replicas can never take turns "fixing" each other with conflicting
 // bytes. When healing cannot make progress — the peer's copy is
 // rotten too, or both copies verify but disagree — the reconciler

@@ -89,56 +89,13 @@ func (e *QuarantineError) Unwrap() error { return e.Cause }
 // Is matches a QuarantineError against ErrQuarantined.
 func (e *QuarantineError) Is(target error) bool { return target == ErrQuarantined }
 
-// Outcome classifies one completed reconciliation round.
-type Outcome int
-
-const (
-	// OutcomeClean: the digests matched; nothing moved.
-	OutcomeClean Outcome = iota
-	// OutcomeHealed: this round repaired local damage or pulled a
-	// missing suffix (Result.Healed / BytesPulled say how much).
-	OutcomeHealed
-	// OutcomePeerBehind: the peer stores a strict subset of local
-	// state. Pull-only repair means nothing to do here — the peer's
-	// own reconciler pulls the difference from us.
-	OutcomePeerBehind
-	// OutcomePeerDamaged: the peer answered a digest with a remote
-	// verification failure; its reconciler heals it from us.
-	OutcomePeerDamaged
-	// OutcomeRaced: a compaction or append moved a span mid-round;
-	// nothing was concluded, the next round starts over.
-	OutcomeRaced
-)
-
-// String names an outcome for logs.
-func (o Outcome) String() string {
-	switch o {
-	case OutcomeClean:
-		return "clean"
-	case OutcomeHealed:
-		return "healed"
-	case OutcomePeerBehind:
-		return "peer-behind"
-	case OutcomePeerDamaged:
-		return "peer-damaged"
-	case OutcomeRaced:
-		return "raced"
-	default:
-		return fmt.Sprintf("outcome(%d)", int(o))
-	}
-}
-
 // Result summarizes one reconciliation round.
 type Result struct {
-	Outcome Outcome
 	// Healed counts diffs repaired or installed this round (partial
 	// progress is reported even when the round then failed).
 	Healed int
 	// BytesPulled counts encoded diff bytes fetched from the peer.
 	BytesPulled int64
-	// Resynced reports that the round adopted the peer's folded span
-	// wholesale (InstallSpan) instead of patching diffs.
-	Resynced bool
 }
 
 // Defaults applied by NewReconciler for zero Config fields.
@@ -217,7 +174,7 @@ func (r *Reconciler) Quarantined() error {
 	return r.stopped
 }
 
-// Round runs one reconciliation round and classifies its outcome.
+// Round runs one reconciliation round.
 //
 // Error contract: a transport failure (peer unreachable) comes back
 // as-is — the caller backs off and flags the peer degraded; it does
@@ -245,11 +202,9 @@ func (r *Reconciler) Round() (Result, error) {
 	case err == nil:
 		r.failures = 0
 		return res, nil
-	case errors.Is(err, errRaced):
-		res.Outcome = OutcomeRaced
-		return res, nil
-	case errors.Is(err, errPeerDamaged):
-		res.Outcome = OutcomePeerDamaged
+	case errors.Is(err, errRaced), errors.Is(err, errPeerDamaged):
+		// Nothing was concluded: the next round starts over, and a
+		// damaged peer's own reconciler heals it from us.
 		return res, nil
 	case errors.Is(err, ErrDiverged):
 		r.stopped = &QuarantineError{Lineage: r.cfg.Lineage, Cause: err}
@@ -276,10 +231,10 @@ func (r *Reconciler) Round() (Result, error) {
 //     a clean round costs);
 //  2. fold awareness — a peer whose baseline advanced past ours is
 //     adopted wholesale via InstallSpan, never patched diff-by-diff;
-//  3. pre-existing quarantine holes are refilled from the peer;
-//  4. a missing suffix is pulled;
-//  5. the common span is compared against the summary and bisected
-//     down to per-diff detail on mismatch, healing local rot and
+//  3. a missing suffix is pulled;
+//  4. the common span is compared against the summary and bisected
+//     down to per-diff detail on mismatch, healing local rot — a
+//     damaged id fails its checksum like any other — and
 //     fail-stopping on true divergence.
 func (r *Reconciler) round() (Result, error) {
 	var res Result
@@ -300,49 +255,28 @@ func (r *Reconciler) round() (Result, error) {
 		// the typed fail-stop instead of a silent standoff.
 		r.cfg.Logf("antientropy %s: peer %s digest failed remotely: %v",
 			r.cfg.Lineage, r.cfg.Peer.Addr(), err)
-		if res, err = r.SelfHeal(); err != nil {
-			return res, err
-		}
-		if res.Healed > 0 {
-			res.Outcome = OutcomeHealed
-		} else {
-			res.Outcome = OutcomePeerDamaged
-		}
-		return res, nil
+		return r.SelfHeal()
 	}
 	pBase, pLen := int(pd.Base), int(pd.Len)
 
-	n, base := st.Len(), int(st.Manifest().Base)
+	base := int(st.Manifest().Base)
 
 	switch {
 	case pBase > base:
 		// The peer folded past us: its manifest generation advanced
 		// with its baseline, and diffs below pBase no longer exist
 		// there. Patching cannot converge — adopt the span wholesale.
-		if err := r.resync(pBase, pLen, &res); err != nil {
-			return res, err
-		}
-		res.Outcome = OutcomeHealed
-		res.Resynced = true
-		return res, nil
+		err := r.resync(pBase, pLen, &res)
+		return res, err
 	case pBase < base:
 		// We folded past the peer; its reconciler resyncs from us.
-		res.Outcome = OutcomePeerBehind
 		return res, nil
-	}
-
-	// Refill the holes the peer can cover.
-	for _, ck := range st.QuarantinedIDs() {
-		if ck < pLen {
-			if err := r.heal(ck, ck+1, nil, &res); err != nil {
-				return res, err
-			}
-		}
 	}
 
 	// Pull the missing suffix: every checkpoint the peer stores past
 	// our length. ReinstallDiff at the tail extends the stored span.
-	if n = st.Len(); n < pLen {
+	n := st.Len()
+	if n < pLen {
 		if err := r.heal(n, pLen, nil, &res); err != nil {
 			return res, err
 		}
@@ -360,19 +294,9 @@ func (r *Reconciler) round() (Result, error) {
 			return res, err
 		}
 		if !match {
-			if err := r.bisect(base, hi, &res); err != nil {
-				return res, err
-			}
+			err := r.bisect(base, hi, &res)
+			return res, err
 		}
-	}
-
-	switch {
-	case res.Healed > 0:
-		res.Outcome = OutcomeHealed
-	case n > pLen:
-		res.Outcome = OutcomePeerBehind
-	default:
-		res.Outcome = OutcomeClean
 	}
 	return res, nil
 }

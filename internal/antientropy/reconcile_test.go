@@ -3,6 +3,7 @@ package antientropy
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
@@ -93,6 +94,16 @@ func newReconciler(t *testing.T, local, peer *checkpoint.FileStore, cfg Config) 
 	return r
 }
 
+// sizes returns the segment size of each store: a round that leaves
+// them all unchanged wrote nothing.
+func sizes(sts ...*checkpoint.FileStore) []int64 {
+	out := make([]int64, len(sts))
+	for i, st := range sts {
+		out[i] = st.TotalBytes()
+	}
+	return out
+}
+
 // verifyConverged asserts both stores hold byte-identical content
 // over the same span.
 func verifyConverged(t *testing.T, a, b *checkpoint.FileStore) {
@@ -180,13 +191,14 @@ func TestRoundCleanReplicas(t *testing.T) {
 	local, peer := newStore(t), newStore(t)
 	appendChain(t, local, 8, defaultTag)
 	appendChain(t, peer, 8, defaultTag)
+	before := sizes(local, peer)
 	r := newReconciler(t, local, peer, Config{})
 	res, err := r.Round()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != OutcomeClean || res.Healed != 0 || res.BytesPulled != 0 {
-		t.Fatalf("clean replicas: %+v", res)
+	if res != (Result{}) || !slices.Equal(sizes(local, peer), before) {
+		t.Fatalf("clean replicas: %+v, segments %v -> %v", res, before, sizes(local, peer))
 	}
 }
 
@@ -196,7 +208,7 @@ func TestRoundEmptyReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != OutcomeClean {
+	if res != (Result{}) {
 		t.Fatalf("empty replicas: %+v", res)
 	}
 }
@@ -212,27 +224,37 @@ func TestRoundHealsLocalRot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != OutcomeHealed || res.Healed != 1 || res.BytesPulled == 0 {
+	if res.Healed != 1 || res.BytesPulled == 0 {
 		t.Fatalf("rot heal: %+v", res)
 	}
 	verifyConverged(t, local, peer)
-	if holes := local.QuarantinedIDs(); len(holes) != 0 {
-		t.Fatalf("quarantine not cleared after heal: %v", holes)
-	}
-	if res, err := r.Round(); err != nil || res.Outcome != OutcomeClean {
+	if res, err := r.Round(); err != nil || res != (Result{}) {
 		t.Fatalf("second round after heal: %+v %v", res, err)
 	}
 }
 
-func TestRoundRefillsQuarantineHole(t *testing.T) {
-	local, peer := newStore(t), newStore(t)
-	appendChain(t, local, 8, defaultTag)
-	appendChain(t, peer, 8, defaultTag)
-	if err := local.QuarantineDiff(4); err != nil {
+// TestRoundHealsDamagedID: rot the open-time scan finds — the id stays
+// in range, listed damaged — heals in one round, through the same span
+// compare as rot that sets in later.
+func TestRoundHealsDamagedID(t *testing.T) {
+	dir := t.TempDir()
+	local, err := checkpoint.NewFileStore(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := local.Len(); n != 4 {
-		t.Fatalf("quarantine should shrink length to the hole: n=%d", n)
+	peer := newStore(t)
+	appendChain(t, local, 8, defaultTag)
+	appendChain(t, peer, 8, defaultTag)
+	local.Close()
+	if _, _, _, err := faults.New(4).RotStoredDiff(dir, 4); err != nil {
+		t.Fatal(err)
+	}
+	if local, err = checkpoint.NewFileStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { local.Close() })
+	if n, damaged := local.Len(), local.DamagedIDs(); n != 8 || !slices.Equal(damaged, []int{4}) {
+		t.Fatalf("reopened rotten store: len %d, damaged %v", n, damaged)
 	}
 
 	r := newReconciler(t, local, peer, Config{})
@@ -240,8 +262,8 @@ func TestRoundRefillsQuarantineHole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != OutcomeHealed || res.Healed != 1 {
-		t.Fatalf("hole refill: %+v", res)
+	if res.Healed != 1 || len(local.DamagedIDs()) != 0 {
+		t.Fatalf("damaged id heal: %+v, still damaged %v", res, local.DamagedIDs())
 	}
 	verifyConverged(t, local, peer)
 }
@@ -256,7 +278,7 @@ func TestRoundPullsMissingSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != OutcomeHealed || res.Healed != 6 {
+	if res.Healed != 6 {
 		t.Fatalf("suffix pull: %+v", res)
 	}
 	verifyConverged(t, local, peer)
@@ -289,7 +311,7 @@ func TestRoundResyncsAfterPeerFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != OutcomeHealed || !res.Resynced {
+	if res.Healed != 4 || res.BytesPulled == 0 {
 		t.Fatalf("fold resync: %+v", res)
 	}
 	if local.Base() != 2 {
@@ -303,16 +325,14 @@ func TestRoundPeerBehind(t *testing.T) {
 	appendChain(t, local, 9, defaultTag)
 	appendChain(t, peer, 4, defaultTag)
 
+	before := sizes(local, peer)
 	r := newReconciler(t, local, peer, Config{})
 	res, err := r.Round()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != OutcomePeerBehind || res.Healed != 0 {
-		t.Fatalf("peer behind: %+v", res)
-	}
-	if n := local.Len(); n != 9 {
-		t.Fatalf("local span mutated: %d", n)
+	if res != (Result{}) || !slices.Equal(sizes(local, peer), before) {
+		t.Fatalf("peer behind: %+v, segments %v -> %v", res, before, sizes(local, peer))
 	}
 }
 
@@ -322,17 +342,18 @@ func TestRoundPeerDamagedLocalHealthy(t *testing.T) {
 	appendChain(t, peer, 8, defaultTag)
 	rot(t, peer, 5)
 
+	before := sizes(local, peer)
 	r := newReconciler(t, local, peer, Config{})
 	res, err := r.Round()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != OutcomePeerDamaged || res.Healed != 0 {
-		t.Fatalf("damaged peer: %+v", res)
+	// Pull-only repair: neither replica is touched.
+	if res != (Result{}) || !slices.Equal(sizes(local, peer), before) {
+		t.Fatalf("damaged peer: %+v, segments %v -> %v", res, before, sizes(local, peer))
 	}
-	// Pull-only repair: the local replica must be untouched.
-	if err := local.VerifySpan(); err != nil {
-		t.Fatalf("local span mutated: %v", err)
+	if rep, err := local.Scrub(); err != nil || rep.First != nil {
+		t.Fatalf("local span after the round: %+v %v", rep, err)
 	}
 }
 
@@ -400,11 +421,10 @@ func TestRoundDivergence(t *testing.T) {
 		t.Fatalf("divergence error shape: %v", err)
 	}
 	// Neither replica's content moved.
-	if err := local.VerifySpan(); err != nil {
-		t.Fatal(err)
-	}
-	if err := peer.VerifySpan(); err != nil {
-		t.Fatal(err)
+	for _, st := range []*checkpoint.FileStore{local, peer} {
+		if rep, err := st.Scrub(); err != nil || rep.First != nil {
+			t.Fatalf("replica after divergence: %+v %v", rep, err)
+		}
 	}
 }
 
@@ -429,7 +449,7 @@ func TestRoundHealFailureResets(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := r.Round()
-	if err != nil || res.Outcome != OutcomeHealed {
+	if err != nil || res.Healed != 1 {
 		t.Fatalf("recovery round: %+v %v", res, err)
 	}
 	verifyConverged(t, local, peer)
@@ -457,7 +477,7 @@ func TestRoundBisection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != OutcomeHealed || res.Healed != 1 {
+	if res.Healed != 1 {
 		t.Fatalf("bisected heal: %+v", res)
 	}
 	verifyConverged(t, local, peer)

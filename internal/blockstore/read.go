@@ -71,7 +71,7 @@ func (s *Store) AppendBlocks(dst []byte, refs []Ref, sc *ReadScratch) ([]byte, e
 // recomputation must all agree with the index and the reference. Nothing
 // read is cached, so rot that sets in later is caught by the next read.
 // Every failure is typed (ErrCorrupt or ErrNotFound) so a caller can
-// quarantine or repair instead of restoring garbage.
+// report or repair instead of restoring garbage.
 func (s *Store) read(refs []Ref, sc *ReadScratch, emit func(p []byte)) error {
 	if len(refs) == 0 {
 		return nil

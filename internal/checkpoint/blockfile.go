@@ -28,7 +28,7 @@ import (
 //
 // The container is the payload of a segment record exactly like a
 // self-contained diff encoding, so the record checksums and the
-// scrub/quarantine machinery treat both identically; the block
+// scrub and repair machinery treat both identically; the block
 // payloads themselves are verified by the block store on every read
 // (footer CRC plus a full digest recomputation).
 const (

@@ -44,22 +44,44 @@ func (fs *FileStore) SpanChecksums(lo, hi int) ([]uint32, error) {
 	return out, nil
 }
 
-// VerifySpan re-reads and verifies every stored diff — record
-// checksums, block reassembly, structural decode, id cross-check —
-// without mutating anything (unlike Scrub, nothing is quarantined).
-// It returns the first *CorruptError found, or nil when the whole
-// stored span is intact. This is the read-only health gate a standby
-// runs before agreeing to be promoted.
-func (fs *FileStore) VerifySpan() error {
+// ScrubReport summarizes a Scrub pass.
+type ScrubReport struct {
+	// Checked is how many stored diffs were read and verified.
+	Checked int
+	// Corrupt lists, in ascending order, the absolute checkpoint ids
+	// that failed verification.
+	Corrupt []int
+	// First is the *CorruptError of Corrupt[0]; nil when nothing failed.
+	First error
+}
+
+// Scrub reads and verifies every stored diff of [Base, Len): record
+// checksums, block reassembly, structural decode and id agreement. It
+// writes nothing. A corrupt diff stays in range and keeps failing its
+// reads typed until ReinstallDiff supersedes it — e.g. with bytes
+// refetched from a ckptd peer, see the client's Repair. A failure that
+// is not corruption (an I/O error, a missing block store) aborts the
+// pass.
+func (fs *FileStore) Scrub() (*ScrubReport, error) {
 	base := fs.Base()
 	length := fs.Len()
+	rep := &ScrubReport{}
 	var sc ReadScratch
 	for ck := base; ck < length; ck++ {
-		if _, err := fs.decodeVerified(ck, &sc); err != nil {
-			return err
+		rep.Checked++
+		_, err := fs.decodeVerified(ck, &sc)
+		if err == nil {
+			continue
 		}
+		if !errors.Is(err, ErrCorrupt) {
+			return rep, err
+		}
+		if rep.First == nil {
+			rep.First = err
+		}
+		rep.Corrupt = append(rep.Corrupt, ck)
 	}
-	return nil
+	return rep, nil
 }
 
 // IsCorrupt reports whether err marks data that failed an integrity

@@ -27,14 +27,14 @@ import (
 //
 // Every mutation is one of two primitives, both written by the
 // protocol of internal/recframe. Appends (Append, AppendBatch,
-// ReinstallDiff, QuarantineDiff, Scrub) add one frame of records to the
-// end of the segment with one recframe.Log.Append — one write, one
-// fsync; a frame that did not complete is rolled back, or dropped by
-// the next open, as a whole. InstallSpan — compaction and replica
-// resync — writes a complete fresh segment, created durably, and
-// switches to it with the manifest rename (recframe.Commit); whichever
-// segment the manifest does not name is debris. Tests reach every
-// failure point through one recframe.Hooks (SetHooks).
+// ReinstallDiff) add one frame of diff records to the end of the
+// segment with one recframe.Log.Append — one write, one fsync; a frame
+// that did not complete is rolled back, or dropped by the next open, as
+// a whole. InstallSpan — compaction and replica resync — writes a
+// complete fresh segment, created durably, and switches to it with the
+// manifest rename (recframe.Commit); whichever segment the manifest
+// does not name is debris. Tests reach every failure point through one
+// recframe.Hooks (SetHooks).
 //
 // An in-memory index, checkpoint id -> record extent, is built by
 // scanning the segment on open; per id the last record wins. The
@@ -77,10 +77,8 @@ type FileStore struct {
 	segSize int64         //ckptlint:guardedby mu
 	log     *recframe.Log //ckptlint:guardedby mu
 
-	// recs[i] is the index entry of checkpoint man.Base+i; n is one
-	// past the last id before the first quarantined one.
+	// recs[i] is the index entry of checkpoint man.Base+i.
 	recs []recLoc //ckptlint:guardedby mu
-	n    int      //ckptlint:guardedby mu
 
 	// failed, once set, fails every later write: the store was closed,
 	// its log fail-stopped, a commit's durability is unknown, or a
@@ -116,9 +114,8 @@ const (
 	// recDamaged (the zero value): later records say the id was stored,
 	// but no record of it verifies. It stays in range and its reads
 	// fail with a *CorruptError.
-	recDamaged     recState = iota
-	recLive                 // a verified diff record holds the id
-	recQuarantined          // a tombstone holds the id; Len stops here
+	recDamaged recState = iota
+	recLive             // a verified diff record holds the id
 )
 
 // oldLayoutSuffix is the per-checkpoint diff file extension of the
@@ -228,7 +225,6 @@ func newFileStore(dir string, bs *blockstore.Store, own bool) (*FileStore, error
 	case !os.IsNotExist(err):
 		return nil, err
 	}
-	fs.n = int(fs.man.Base)
 	f, err := os.Open(filepath.Join(dir, segmentName(fs.man.segment)))
 	switch {
 	case os.IsNotExist(err) && man != nil:
@@ -249,7 +245,9 @@ func newFileStore(dir string, bs *blockstore.Store, own bool) (*FileStore, error
 
 // indexLocked scans segment f and rebuilds the index from it: in file
 // order the last record of an id wins, and an id below the highest end
-// any record declares that no surviving record covers is damaged.
+// any record declares that no surviving record covers is damaged — as
+// is one whose last record is a tombstone, which earlier builds wrote
+// and this one only reads.
 //
 //ckptlint:locked mu
 func (fs *FileStore) indexLocked(f *os.File) error {
@@ -273,30 +271,19 @@ func (fs *FileStore) indexLocked(f *os.File) error {
 		for len(fs.recs) < int(r.B-base) {
 			fs.recs = append(fs.recs, recLoc{})
 		}
-		fs.recs[r.A-base] = recLoc{off: r.Off, len: r.Len, state: stateOf(r.Kind)}
+		loc := recLoc{off: r.Off, len: r.Len, state: recLive}
+		if r.Kind == recTombstone {
+			loc = recLoc{}
+		}
+		fs.recs[r.A-base] = loc
 	}
-	fs.n = int(base)
-	fs.growLocked()
 	return nil
 }
 
-// stateOf returns the state a record of the given kind puts its id in.
-func stateOf(kind byte) recState {
-	if kind == recTombstone {
-		return recQuarantined
-	}
-	return recLive
-}
-
-// growLocked advances n up to the next quarantined id.
+// endLocked returns one past the highest stored id: Len.
 //
 //ckptlint:locked mu
-func (fs *FileStore) growLocked() {
-	base := int(fs.man.Base)
-	for fs.n-base < len(fs.recs) && fs.recs[fs.n-base].state != recQuarantined {
-		fs.n++
-	}
-}
+func (fs *FileStore) endLocked() int { return int(fs.man.Base) + len(fs.recs) }
 
 // Close releases the segment and the auto-attached block store, if
 // any. A FileStore opened with NewFileStoreWith leaves the shared
@@ -338,13 +325,12 @@ func (fs *FileStore) Manifest() Manifest {
 	return fs.man
 }
 
-// Len returns one past the last restorable checkpoint index: the
-// stored diffs span [Base(), Len()), and a quarantined id (see
-// QuarantineDiff) ends the span until it is reinstalled.
+// Len returns one past the last stored checkpoint index: the stored
+// diffs span [Base(), Len()), damaged ones included.
 func (fs *FileStore) Len() int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.n
+	return fs.endLocked()
 }
 
 // TotalBytes returns the on-disk size of the lineage's segment.
@@ -362,7 +348,7 @@ func (fs *FileStore) Locate(ck int) (path string, off, length int64, err error) 
 	defer fs.mu.Unlock()
 	i := ck - int(fs.man.Base)
 	if i < 0 || i >= len(fs.recs) || fs.recs[i].state != recLive || fs.seg == nil {
-		return "", 0, 0, fmt.Errorf("checkpoint: no stored diff %d in [%d,%d)", ck, fs.man.Base, int(fs.man.Base)+len(fs.recs))
+		return "", 0, 0, fmt.Errorf("checkpoint: no stored diff %d in [%d,%d)", ck, fs.man.Base, fs.endLocked())
 	}
 	return fs.seg.Name(), fs.recs[i].off, recHdrSize + int64(fs.recs[i].len), nil
 }
@@ -397,10 +383,10 @@ func (fs *FileStore) AppendBatch(ds []*Diff) (appended int, err error) {
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := checkRun(ds, fs.n, fs.man.Base); err != nil {
-		return 0, fmt.Errorf("checkpoint: append to [%d,%d): %w", fs.man.Base, fs.n, err)
+	if err := checkRun(ds, fs.endLocked(), fs.man.Base); err != nil {
+		return 0, fmt.Errorf("checkpoint: append to [%d,%d): %w", fs.man.Base, fs.endLocked(), err)
 	}
-	if err := fs.appendFrameLocked(recDiff, ds); err != nil {
+	if err := fs.appendFrameLocked(ds); err != nil {
 		return 0, err
 	}
 	return len(ds), nil
@@ -494,9 +480,8 @@ func (fs *FileStore) internLocked(ds []*Diff) (refs []blockstore.Ref, counts []i
 }
 
 // writeRecords is the one encoder of segment records: it writes one
-// record of the given kind per diff to w — for a tombstone only the
-// diff's id matters — and returns where each landed relative to w's
-// start. With frame set the records form ONE
+// diff record per diff to w and returns where each landed relative to
+// w's start. With frame set the records form ONE
 // frame; otherwise each is a frame of its own, which is how a whole
 // segment is laid out so damage to its tail cannot take the rest with
 // it. Headers and containers are staged in a pooled buffer (the one
@@ -504,7 +489,7 @@ func (fs *FileStore) internLocked(ds []*Diff) (refs []blockstore.Ref, counts []i
 // one allocation, not a chain of append growths); the data section of
 // a self-contained diff is written straight from the diff, never
 // copied.
-func (fs *FileStore) writeRecords(w io.Writer, kind byte, ds []*Diff, refs []blockstore.Ref, counts []int, end uint32, frame bool) (locs []recLoc, err error) {
+func (fs *FileStore) writeRecords(w io.Writer, ds []*Diff, refs []blockstore.Ref, counts []int, end uint32, frame bool) (locs []recLoc, err error) {
 	bp, _ := encodeBufPool.Get().(*[]byte)
 	if bp == nil {
 		bp = new([]byte)
@@ -525,15 +510,13 @@ func (fs *FileStore) writeRecords(w io.Writer, kind byte, ds []*Diff, refs []blo
 		hdrAt := len(buf)
 		buf = append(buf, make([]byte, recHdrSize)...)
 		var data []byte // written after buf, by reference
-		switch {
-		case kind == recTombstone:
-		case fs.blocks != nil:
+		if fs.blocks != nil {
 			buf = slices.Grow(buf, blockDiffHdrSize+int(d.PrefixBytes())+blockRefSize*counts[i])
 			if buf, err = appendBlockDiff(buf, d, refs[:counts[i]]); err != nil {
 				return nil, err
 			}
 			refs = refs[counts[i]:]
-		default:
+		} else {
 			buf = slices.Grow(buf, int(d.PrefixBytes()))
 			if buf, err = d.AppendPrefix(buf); err != nil {
 				return nil, err
@@ -546,8 +529,8 @@ func (fs *FileStore) writeRecords(w io.Writer, kind byte, ds []*Diff, refs []blo
 			return nil, fmt.Errorf("checkpoint: diff %d encodes to %d bytes, beyond the record length limit", d.CkptID, size)
 		}
 		crc := crc32.Update(crc32.Checksum(staged, castagnoli), castagnoli, data)
-		segFormat.Put(buf[hdrAt:], kind, frame && i < len(ds)-1, d.CkptID, end, uint32(size), crc)
-		locs = append(locs, recLoc{off: n + int64(hdrAt), len: uint32(size), state: stateOf(kind)})
+		segFormat.Put(buf[hdrAt:], recDiff, frame && i < len(ds)-1, d.CkptID, end, uint32(size), crc)
+		locs = append(locs, recLoc{off: n + int64(hdrAt), len: uint32(size), state: recLive})
 		if len(data) > 0 {
 			if err = flush(buf); err == nil {
 				err = flush(data)
@@ -565,35 +548,30 @@ func (fs *FileStore) writeRecords(w io.Writer, kind byte, ds []*Diff, refs []blo
 }
 
 // appendFrameLocked is the one write path of the live segment: it adds
-// one frame — a diff record per element of ds, or a tombstone per
-// element when kind says so — as ONE recframe.Log.Append (one write,
-// one fsync), then indexes it. A failed append that was rolled back
-// releases the block references just taken; one that fail-stopped the
-// log (the cut failed too, or a simulated crash, which must leave the
-// debris a dying process would) keeps them — the frame may still be on
-// disk — and the store stops accepting writes.
+// one frame — a diff record per element of ds — as ONE
+// recframe.Log.Append (one write, one fsync), then indexes it. A failed
+// append that was rolled back releases the block references just taken;
+// one that fail-stopped the log (the cut failed too, or a simulated
+// crash, which must leave the debris a dying process would) keeps them —
+// the frame may still be on disk — and the store stops accepting writes.
 //
 //ckptlint:locked mu
-func (fs *FileStore) appendFrameLocked(kind byte, ds []*Diff) error {
+func (fs *FileStore) appendFrameLocked(ds []*Diff) error {
 	if err := fs.prepareLocked(); err != nil {
 		return err
 	}
-	var refs []blockstore.Ref
-	var counts []int
-	if kind == recDiff {
-		var err error
-		if refs, counts, err = fs.internLocked(ds); err != nil {
-			return err
-		}
+	refs, counts, err := fs.internLocked(ds)
+	if err != nil {
+		return err
 	}
 	base := int(fs.man.Base)
-	end := base + len(fs.recs)
+	end := fs.endLocked()
 	for _, d := range ds {
 		end = max(end, int(d.CkptID)+1)
 	}
 	var locs []recLoc
-	err := fs.log.Append(fs.hooks, func(w io.Writer) (err error) {
-		locs, err = fs.writeRecords(w, kind, ds, refs, counts, uint32(end), true)
+	err = fs.log.Append(fs.hooks, func(w io.Writer) (err error) {
+		locs, err = fs.writeRecords(w, ds, refs, counts, uint32(end), true)
 		return err
 	})
 	if err != nil {
@@ -608,12 +586,8 @@ func (fs *FileStore) appendFrameLocked(kind byte, ds []*Diff) error {
 	for i, d := range ds {
 		locs[i].off += fs.segSize
 		fs.recs[int(d.CkptID)-base] = locs[i]
-		if kind == recTombstone {
-			fs.n = min(fs.n, int(d.CkptID))
-		}
 	}
 	fs.segSize = fs.log.Size()
-	fs.growLocked()
 	return nil
 }
 
@@ -662,7 +636,7 @@ func (fs *FileStore) InstallSpan(base int, diffs []*Diff) error {
 	if base < int(fs.man.Base) {
 		return fmt.Errorf("checkpoint: span baseline %d behind committed %d", base, fs.man.Base)
 	}
-	if end := int(fs.man.Base) + len(fs.recs); base+len(diffs) < end {
+	if end := fs.endLocked(); base+len(diffs) < end {
 		return fmt.Errorf("checkpoint: span [%d,%d) stops short of the stored diffs, which reach %d",
 			base, base+len(diffs), end)
 	}
@@ -703,7 +677,7 @@ func (fs *FileStore) InstallSpan(base int, diffs []*Diff) error {
 	}
 	fs.seg.Close()
 	os.Remove(fs.seg.Name())
-	fs.seg, fs.log, fs.segSize, fs.recs, fs.n = log.File(), log, log.Size(), locs, base+len(diffs)
+	fs.seg, fs.log, fs.segSize, fs.recs = log.File(), log, log.Size(), locs
 	return fs.releaseRefsLocked(oldRefs)
 }
 
@@ -737,7 +711,7 @@ func (fs *FileStore) writeSegmentLocked(path string, diffs []*Diff, refs []block
 	}
 	first := int(diffs[0].CkptID)
 	err = log.Append(fs.hooks, func(w io.Writer) (err error) {
-		locs, err = fs.writeRecords(w, recDiff, diffs, refs, counts, uint32(first+len(diffs)), false)
+		locs, err = fs.writeRecords(w, diffs, refs, counts, uint32(first+len(diffs)), false)
 		return err
 	})
 	return log, locs, fs.diedLocked(err)
@@ -760,10 +734,7 @@ func (fs *FileStore) segmentRefsLocked() ([]blockstore.Ref, error) {
 	}
 	var out []blockstore.Ref
 	for _, r := range recs {
-		if r.Kind != recDiff {
-			continue
-		}
-		payload := make([]byte, r.Len)
+		payload := make([]byte, r.Len) // empty for a tombstone: no refs
 		if _, err := fs.seg.ReadAt(payload, r.Off+recHdrSize); err != nil || !IsBlockMapped(payload) {
 			continue
 		}
@@ -788,76 +759,16 @@ func (fs *FileStore) WriteRecord(rec *Record) error {
 	return err
 }
 
-// ScrubReport summarizes a Scrub pass.
-type ScrubReport struct {
-	// Checked is how many stored diffs were read and verified.
-	Checked int
-	// Corrupt lists, in ascending order, the absolute checkpoint ids
-	// that failed verification and were quarantined.
-	Corrupt []int
-}
-
-// Scrub reads and verifies every stored diff of [Base, Len): record
-// checksums, block reassembly, structural decode, and id agreement.
-// The corrupt ones are quarantined together (see QuarantineDiff), so
-// the stored range shrinks to the contiguous prefix before the first
-// of them, exactly as if the rest had never been written. Use
-// ReinstallDiff (e.g. with bytes refetched from a ckptd peer, see the
-// client's Repair) to bring them back and reconnect the suffix.
-func (fs *FileStore) Scrub() (*ScrubReport, error) {
-	base := fs.Base()
-	length := fs.Len()
-	rep := &ScrubReport{}
-	var holes []*Diff
-	var sc ReadScratch
-	for ck := base; ck < length; ck++ {
-		rep.Checked++
-		_, err := fs.decodeVerified(ck, &sc)
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, ErrCorrupt) {
-			return rep, err // I/O failure, not corruption: abort the pass
-		}
-		rep.Corrupt = append(rep.Corrupt, ck)
-		holes = append(holes, &Diff{CkptID: uint32(ck)})
-	}
-	if len(holes) == 0 {
-		return rep, nil
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return rep, fs.appendFrameLocked(recTombstone, holes)
-}
-
-// QuarantineDiff takes stored checkpoint ck out of the restorable
-// range: it appends a durable tombstone record, after which Len stops
-// at ck until ReinstallDiff brings the id back. The superseded record
-// stays in the segment as forensic evidence until the next InstallSpan
-// rewrites it away.
-func (fs *FileStore) QuarantineDiff(ck int) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	i := ck - int(fs.man.Base)
-	if i < 0 || i >= len(fs.recs) {
-		return fmt.Errorf("checkpoint: quarantine %d outside stored [%d,%d)", ck, fs.man.Base, int(fs.man.Base)+len(fs.recs))
-	}
-	if fs.recs[i].state == recQuarantined {
-		return nil
-	}
-	return fs.appendFrameLocked(recTombstone, []*Diff{{CkptID: uint32(ck)}})
-}
-
-// QuarantinedIDs returns, ascending, the ids the lineage has stored but
-// cannot serve: quarantined ones, and ones whose record the scan on
-// open found damaged, not reinstalled since — what a repair pass
-// (possibly in a later process than the scrub) still needs to fill.
-func (fs *FileStore) QuarantinedIDs() []int {
+// DamagedIDs returns, ascending, the stored ids whose record failed
+// verification when the segment was opened (or that a tombstone of an
+// earlier build names) and that no write has superseded since. Rot that
+// sets in after the open is not listed; reads and Scrub find it.
+func (fs *FileStore) DamagedIDs() []int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	var out []int
 	for i, r := range fs.recs {
-		if r.state != recLive {
+		if r.state == recDamaged {
 			out = append(out, int(fs.man.Base)+i)
 		}
 	}
@@ -865,17 +776,15 @@ func (fs *FileStore) QuarantinedIDs() []int {
 }
 
 // ReinstallDiff stores d at its absolute checkpoint id, whatever is
-// there now: it brings back a quarantined id (reconnecting the suffix
-// stranded beyond it, so Len grows back), supersedes a stored or
-// damaged record, or — at the end of the stored ids — extends the
-// lineage by one. The id must lie at or above the baseline and may not
-// skip ahead.
+// there now: it supersedes a stored or damaged record, or — at the end
+// of the stored ids — extends the lineage by one. The id must lie at or
+// above the baseline and may not skip ahead.
 func (fs *FileStore) ReinstallDiff(d *Diff) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	base, ck := int(fs.man.Base), int(d.CkptID)
-	if ck < base || ck > base+len(fs.recs) || d.CkptID == math.MaxUint32 {
-		return fmt.Errorf("checkpoint: reinstall %d outside [%d,%d]", ck, base, base+len(fs.recs))
+	base, ck, end := int(fs.man.Base), int(d.CkptID), fs.endLocked()
+	if ck < base || ck > end || d.CkptID == math.MaxUint32 {
+		return fmt.Errorf("checkpoint: reinstall %d outside [%d,%d]", ck, base, end)
 	}
-	return fs.appendFrameLocked(recDiff, []*Diff{d})
+	return fs.appendFrameLocked([]*Diff{d})
 }

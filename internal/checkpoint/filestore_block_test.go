@@ -330,7 +330,7 @@ func TestBlockStoreAutoAttachReadOnlyFallback(t *testing.T) {
 
 // TestBlockStoreMissingStoreIsConfigError: a block-mapped lineage
 // moved away from its _blocks sibling fails with a plain error, not
-// corruption — scrub must not quarantine files it cannot resolve.
+// corruption — scrub must not report diffs it cannot resolve as corrupt.
 func TestBlockStoreMissingStoreIsConfigError(t *testing.T) {
 	root := t.TempDir()
 	bs, stores := openShared(t, root, "lineage")

@@ -100,8 +100,8 @@ type crashStep struct {
 
 // crashScript drives the reference chain through every mutation the
 // store has: Append, AppendBatch, InstallSpan as a forward-base resync
-// (the span starts past everything stored) and as a compaction,
-// QuarantineDiff and ReinstallDiff.
+// (the span starts past everything stored) and as a compaction, and
+// ReinstallDiff.
 func crashScript(c []*Diff) []crashStep {
 	batch := func(ds ...*Diff) func(*FileStore) error {
 		return func(fs *FileStore) error { _, err := fs.AppendBatch(ds); return err }
@@ -113,7 +113,6 @@ func crashScript(c []*Diff) []crashStep {
 		{"InstallSpan [5,7) past the end", func(fs *FileStore) error { return fs.InstallSpan(5, c[5:7]) }},
 		{"Append 7", func(fs *FileStore) error { return fs.Append(c[7]) }},
 		{"AppendBatch 8-9", batch(c[8], c[9])},
-		{"QuarantineDiff 8", func(fs *FileStore) error { return fs.QuarantineDiff(8) }},
 		{"ReinstallDiff 8", func(fs *FileStore) error { return fs.ReinstallDiff(c[8]) }},
 		{"InstallSpan [6,10) compaction", func(fs *FileStore) error { return fs.InstallSpan(6, c[6:10]) }},
 		{"AppendBatch 10-11", batch(c[10], c[11])},
@@ -379,8 +378,7 @@ func TestTornFinalFrame(t *testing.T) {
 // batch, a frame of its own, the very first record — damages exactly
 // that id: it stays in range, its reads fail with a typed
 // *CorruptError, nothing after it is dropped, and reinstalling the
-// diff heals it. Quarantining it instead ends the range there until
-// the reinstall reconnects the suffix. The same flip in the LAST
+// diff heals it. The same flip in the LAST
 // record is the one ambiguity: it cannot be told from an append that
 // died mid-write, and is cut off as one.
 func TestRotIsNotATornTail(t *testing.T) {
@@ -407,14 +405,8 @@ func TestRotIsNotATornTail(t *testing.T) {
 				t.Fatalf("diff %d %s: reopened to [0,%d) states %v, want damage at exactly %d",
 					victim, field, got.Len, got.States, victim)
 			}
-			if holes := fs.QuarantinedIDs(); !reflect.DeepEqual(holes, []int{victim}) {
-				t.Fatalf("diff %d %s: unservable ids %v", victim, field, holes)
-			}
-			if err := fs.QuarantineDiff(victim); err != nil {
-				t.Fatal(err)
-			}
-			if n := fs.Len(); n != victim {
-				t.Fatalf("diff %d %s: len %d after quarantine, want %d", victim, field, n, victim)
+			if holes := fs.DamagedIDs(); !reflect.DeepEqual(holes, []int{victim}) {
+				t.Fatalf("diff %d %s: damaged ids %v", victim, field, holes)
 			}
 			if err := fs.ReinstallDiff(chain[victim]); err != nil {
 				t.Fatalf("diff %d %s: reinstall: %v", victim, field, err)
@@ -468,8 +460,72 @@ func TestRotAfterOpenIsCaughtOnRead(t *testing.T) {
 	if _, err := fs.SpanChecksums(0, 6); !errors.As(err, &ce) || ce.Ckpt != 2 {
 		t.Fatalf("digest over rot that set in after a good read: %v", err)
 	}
-	if err := fs.VerifySpan(); !errors.As(err, &ce) || ce.Ckpt != 2 {
-		t.Fatalf("VerifySpan over the same rot: %v", err)
+	if rep, err := fs.Scrub(); err != nil || !errors.As(rep.First, &ce) || ce.Ckpt != 2 || !reflect.DeepEqual(rep.Corrupt, []int{2}) {
+		t.Fatalf("scrub over the same rot: %+v %v", rep, err)
+	}
+}
+
+// TestScrubLeavesNoHoleToSplice: a scrub over rot reports it and writes
+// nothing, so the lineage keeps its length, an append of a foreign diff
+// at the damaged id is refused instead of being spliced in under the
+// diffs stored after it, and those diffs read back unchanged.
+func TestScrubLeavesNoHoleToSplice(t *testing.T) {
+	chain := refChain()
+	dir, off, _ := buildFrames(t, chain)
+	rotten := damagedCopy(t, dir, func(seg []byte) []byte {
+		seg[off[2]+recHdrSize+40] ^= 0x10
+		return seg
+	})
+	fs, err := NewFileStoreWith(rotten, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	rep, err := fs.Scrub()
+	if err != nil || rep.Checked != 6 || !reflect.DeepEqual(rep.Corrupt, []int{2}) {
+		t.Fatalf("scrub: %+v %v", rep, err)
+	}
+	if n, err := fs.AppendBatch([]*Diff{randomDiff(2, 99, 200)}); err == nil || n != 0 {
+		t.Fatalf("a foreign diff 2 was appended over the scrubbed lineage: appended=%d err=%v", n, err)
+	}
+	if n := fs.Len(); n != 6 {
+		t.Fatalf("len %d after scrub and refused append, want 6", n)
+	}
+	for ck := 3; ck < 6; ck++ {
+		if b, err := fs.DiffBytes(ck); err != nil || !bytes.Equal(b, encodeDiff(t, chain[ck])) {
+			t.Fatalf("diff %d after scrub and refused append: %v", ck, err)
+		}
+	}
+}
+
+// TestTombstoneReadsAsDamage: a tombstone an earlier build appended
+// marks its id damaged — in range, reads failing typed — and
+// ReinstallDiff heals it like any other damage.
+func TestTombstoneReadsAsDamage(t *testing.T) {
+	chain := refChain()
+	dir, _, _ := buildFrames(t, chain)
+	tomb := make([]byte, recHdrSize)
+	segFormat.Put(tomb, recTombstone, false, 2, 6, 0, 0)
+	old := damagedCopy(t, dir, func(seg []byte) []byte { return append(seg, tomb...) })
+	fs, err := NewFileStoreWith(old, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { fs.Close() }()
+	got := snapshot(t, fs) // checks the typed read failure
+	want := []recState{recLive, recLive, recDamaged, recLive, recLive, recLive}
+	if got.Len != 6 || !reflect.DeepEqual(got.States, want) || !reflect.DeepEqual(fs.DamagedIDs(), []int{2}) {
+		t.Fatalf("tombstoned lineage opened to [0,%d) states %v, damaged %v", got.Len, got.States, fs.DamagedIDs())
+	}
+	if err := fs.ReinstallDiff(chain[2]); err != nil {
+		t.Fatal(err)
+	}
+	fs.Close()
+	if fs, err = NewFileStoreWith(old, nil); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := fs.DiffBytes(2); err != nil || !bytes.Equal(b, encodeDiff(t, chain[2])) || len(fs.DamagedIDs()) != 0 {
+		t.Fatalf("diff 2 after the reinstall: %v, damaged %v", err, fs.DamagedIDs())
 	}
 }
 

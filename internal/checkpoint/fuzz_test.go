@@ -137,8 +137,7 @@ func FuzzSegmentScan(f *testing.F) {
 		}
 		if fs, err := NewFileStoreWith(dir, nil); err == nil {
 			damaged := map[int]bool{}
-			unservable := fs.QuarantinedIDs()
-			for _, ck := range unservable {
+			for _, ck := range fs.DamagedIDs() {
 				damaged[ck] = true
 			}
 			n := fs.Len()
@@ -203,7 +202,8 @@ func checkScan(t *testing.T, img []byte) []recframe.Header {
 }
 
 // segmentSeeds returns segment images for the fuzz corpus: appended
-// frames, a tombstone and its replacement, and a torn tail.
+// frames, a tombstone (which earlier builds wrote) and its replacement,
+// and a torn tail.
 func segmentSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	diffs := sampleDiffs()
@@ -211,17 +211,18 @@ func segmentSeeds(tb testing.TB) [][]byte {
 		d.CkptID = uint32(i)
 	}
 	var fs FileStore
-	frame := func(kind byte, end uint32, ds ...*Diff) []byte {
+	frame := func(end uint32, ds ...*Diff) []byte {
 		var buf bytes.Buffer
-		if _, err := fs.writeRecords(&buf, kind, ds, nil, nil, end, true); err != nil {
+		if _, err := fs.writeRecords(&buf, ds, nil, nil, end, true); err != nil {
 			tb.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	one := frame(recDiff, 1, diffs[0])
-	batch := append(one, frame(recDiff, 4, diffs[1], diffs[2], diffs[3])...)
-	healed := append(append([]byte(nil), batch...), frame(recTombstone, 4, diffs[2])...)
-	healed = append(healed, frame(recDiff, 4, diffs[2])...)
+	tomb := make([]byte, recHdrSize)
+	segFormat.Put(tomb, recTombstone, false, 2, 4, 0, 0)
+	one := frame(1, diffs[0])
+	batch := append(one, frame(4, diffs[1], diffs[2], diffs[3])...)
+	healed := append(append(append([]byte(nil), batch...), tomb...), frame(4, diffs[2])...)
 	return [][]byte{one, batch, healed, batch[:len(batch)-5]}
 }
 

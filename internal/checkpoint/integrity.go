@@ -51,8 +51,9 @@ var (
 
 // CorruptError is a stored diff that failed verification: a checksum
 // mismatch, an undecodable payload, or an id that does not match its
-// record. It matches ErrCorrupt via errors.Is. Scrub quarantines the
-// diff; a client can then repair it from a ckptd peer.
+// record. It matches ErrCorrupt via errors.Is. Scrub reports the diff,
+// which stays in range failing its reads; a client can repair it from a
+// ckptd peer.
 type CorruptError struct {
 	Path string
 	Ckpt int

@@ -8,7 +8,7 @@ import "github.com/gpuckpt/gpuckpt/internal/recframe"
 // scan that resynchronizes after damage). The lineage's use of it:
 //
 //	magic "GCKR"
-//	kind  1 diff, 2 tombstone
+//	kind  1 diff, 2 tombstone (read only)
 //	A     id: the checkpoint the record holds
 //	B     end: one past the highest checkpoint id the segment has held
 //	      once this record's frame is committed
@@ -18,7 +18,9 @@ import "github.com/gpuckpt/gpuckpt/internal/recframe"
 // end lets the records AFTER a damaged region testify which ids
 // existed before it, so a rotten record whose own header is unreadable
 // still becomes a typed hole instead of silently shortening the
-// lineage.
+// lineage. Earlier builds wrote tombstones to take an id out of range;
+// this one writes only diff records and reads a tombstone as marking
+// its id damaged.
 const (
 	recHdrSize = recframe.HdrSize
 

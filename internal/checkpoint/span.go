@@ -14,7 +14,7 @@ import (
 // without a block store — a configuration problem (the `_blocks`
 // sibling was moved or the wrong constructor was used), not data
 // corruption, so it is deliberately NOT a *CorruptError: a scrub must
-// abort rather than quarantine every diff it cannot resolve.
+// abort rather than report every diff it cannot resolve as corrupt.
 var errNoBlockStore = errors.New("checkpoint: block-mapped diff but no block store attached")
 
 // ErrSpanMoved reports a read through a Span whose lineage has been
@@ -53,12 +53,12 @@ type Span struct {
 func (fs *FileStore) Span(from, to int) (Span, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	base := int(fs.man.Base)
-	if from >= to || to > fs.n {
-		return Span{}, fmt.Errorf("checkpoint: span [%d,%d) out of range [%d,%d)", from, to, base, fs.n)
+	base, end := int(fs.man.Base), fs.endLocked()
+	if from >= to || to > end {
+		return Span{}, fmt.Errorf("checkpoint: span [%d,%d) out of range [%d,%d)", from, to, base, end)
 	}
 	if from < base {
-		return Span{}, fmt.Errorf("%w: span [%d,%d) starts below the baseline of [%d,%d)", ErrSpanMoved, from, to, base, fs.n)
+		return Span{}, fmt.Errorf("%w: span [%d,%d) starts below the baseline of [%d,%d)", ErrSpanMoved, from, to, base, end)
 	}
 	return Span{fs: fs, segment: fs.man.segment, from: from, to: to}, nil
 }
@@ -100,14 +100,14 @@ func (fs *FileStore) DiffBytes(ck int) ([]byte, error) {
 // never from a length nothing vouches for.
 func (fs *FileStore) appendDiff(dst []byte, ck int, segment *uint32, sc *ReadScratch) ([]byte, error) {
 	fs.mu.Lock()
-	base := int(fs.man.Base)
+	base, end := int(fs.man.Base), fs.endLocked()
 	if segment != nil && *segment != fs.man.segment {
 		fs.mu.Unlock()
-		return dst, fmt.Errorf("%w: the lineage was rewritten under the read of diff %d; it now holds [%d,%d)", ErrSpanMoved, ck, base, fs.n)
+		return dst, fmt.Errorf("%w: the lineage was rewritten under the read of diff %d; it now holds [%d,%d)", ErrSpanMoved, ck, base, end)
 	}
-	if ck < base || ck >= fs.n {
+	if ck < base || ck >= end {
 		fs.mu.Unlock()
-		return dst, fmt.Errorf("checkpoint: diff %d out of range [%d,%d)", ck, base, fs.n)
+		return dst, fmt.Errorf("checkpoint: diff %d out of range [%d,%d)", ck, base, end)
 	}
 	if fs.seg == nil {
 		fs.mu.Unlock()

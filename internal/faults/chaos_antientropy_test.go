@@ -141,8 +141,8 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 
 // Scenario 20: one replica of a two-peer pair rots on disk. The
 // damaged replica's own reconciler must detect the divergence via
-// span digests, bisect to the victim, quarantine it and re-pull the
-// verified bytes from its healthy peer — with ZERO manual Repair
+// span digests, bisect to the victim and re-pull the verified bytes
+// from its healthy peer — with ZERO manual Repair
 // calls — until both replicas restore byte-exactly. The healthy peer
 // must never be mutated by the damaged one (pull-only repair).
 func TestChaosAntiEntropyOneReplicaRot(t *testing.T) {

@@ -332,9 +332,9 @@ func TestChaosStorageCrashAfterRename(t *testing.T) {
 
 // Scenario 6 (the acceptance scenario): one bit flips on disk. The
 // store must refuse to restore (typed ErrCorrupt — never silent
-// corruption), Scrub must quarantine exactly the rotten diff, and
-// Repair must refetch it from a ckptd peer holding the same lineage,
-// after which every restore is byte-exact again.
+// corruption), Scrub must report exactly the rotten diff and write
+// nothing, and Repair must refetch it from a ckptd peer holding the
+// same lineage, after which every restore is byte-exact again.
 func TestChaosBitRotScrubRepair(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -344,9 +344,8 @@ func TestChaosBitRotScrubRepair(t *testing.T) {
 		{"Basic", checkpoint.MethodBasic, []int{2}},
 		{"List", checkpoint.MethodList, []int{3}},
 		{"Tree", checkpoint.MethodTree, []int{4}},
-		// Two diffs of one store rot together: one scrub quarantines
-		// both (the stored range stops at the first), one repair pass
-		// refills both holes.
+		// Two diffs of one store rot together: one scrub reports both,
+		// one repair pass heals both.
 		{"TreeTwoVictims", checkpoint.MethodTree, []int{1, chaosCkpts - 2}},
 	}
 	for _, m := range cases {
@@ -387,7 +386,8 @@ func TestChaosBitRotScrubRepair(t *testing.T) {
 				t.Fatalf("load of rotten store returned %v, want ErrCorrupt", err)
 			}
 
-			// Scrub quarantines exactly the victims.
+			// Scrub reports exactly the victims; a reopen finds them
+			// damaged, still in range.
 			rep, err := gpuckpt.ScrubDir(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -399,8 +399,8 @@ func TestChaosBitRotScrubRepair(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if qs := q.QuarantinedIDs(); !slices.Equal(qs, m.victims) {
-				t.Fatalf("quarantined diffs %v, want %v", qs, m.victims)
+			if qs := q.DamagedIDs(); !slices.Equal(qs, m.victims) || q.Len() != chaosCkpts {
+				t.Fatalf("damaged diffs %v of [0,%d), want %v of [0,%d)", qs, q.Len(), m.victims, chaosCkpts)
 			}
 			q.Close()
 

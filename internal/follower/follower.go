@@ -613,7 +613,11 @@ func (f *Follower) Promote() (*Promotion, error) {
 	if f.closed {
 		return nil, errors.New("follower: promote after close")
 	}
-	if err := f.store.VerifySpan(); err != nil {
+	rep, err := f.store.Scrub()
+	if err == nil {
+		err = rep.First
+	}
+	if err != nil {
 		return nil, &MirrorCorruptError{Lineage: f.opts.Lineage, Dir: f.opts.Dir, Err: err}
 	}
 	f.promoted = true

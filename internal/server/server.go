@@ -400,13 +400,13 @@ func (s *Server) SubscriberSheds() uint64 { return s.subSheds.Load() }
 func (s *Server) FoldBarriers() uint64    { return s.foldBarriers.Load() }
 
 // Stats returns the current counters. The Quarantined gauge counts
-// the holes — quarantined diffs not yet reinstalled — across every
+// the damaged diffs (FileStore.DamagedIDs) not yet healed across every
 // open lineage: the operator's rot alarm.
 func (s *Server) Stats() wire.Stats {
 	lineages := s.snapshot()
 	var quarantined uint64
 	for _, ln := range lineages {
-		quarantined += uint64(len(ln.store.QuarantinedIDs()))
+		quarantined += uint64(len(ln.store.DamagedIDs()))
 	}
 	bst := s.blocks.Stats()
 	return wire.Stats{

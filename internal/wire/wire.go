@@ -911,8 +911,9 @@ type Stats struct {
 	// BlockGCBlocks / BlockGCBytes count blocks and payload bytes
 	// reclaimed by committed block-store GC transactions.
 	BlockGCBlocks, BlockGCBytes uint64
-	// Quarantined (v6) is a gauge: diff files currently sitting in
-	// quarantine across every open lineage — the operator's rot alarm.
+	// Quarantined (v6) is a gauge: the stored diffs found damaged when
+	// their lineage was opened and not healed since, summed over every
+	// open lineage (FileStore.DamagedIDs) — the operator's rot alarm.
 	Quarantined uint64
 	// DigestRounds (v6) counts completed anti-entropy digest rounds
 	// (one round = one digest comparison against one peer, per

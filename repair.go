@@ -2,6 +2,7 @@ package gpuckpt
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/gpuckpt/gpuckpt/internal/antientropy"
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
@@ -12,12 +13,11 @@ import (
 type RepairReport struct {
 	// Checked is how many stored diffs were read and verified.
 	Checked int
-	// Corrupt lists the absolute checkpoint ids that are quarantined:
-	// those that failed verification in this pass, plus the holes an
-	// earlier pass (or damage found when the store was opened) left.
+	// Corrupt lists, ascending, the absolute checkpoint ids that failed
+	// verification. A corrupt id stays in range; its reads fail typed.
 	Corrupt []int
-	// Repaired lists the quarantined ids that were refetched from the
-	// server and reinstalled; on a successful repair it equals Corrupt.
+	// Repaired lists the corrupt ids that verify after the repair; on a
+	// successful repair it equals Corrupt.
 	Repaired []int
 }
 
@@ -26,38 +26,30 @@ type RepairReport struct {
 func (r *RepairReport) OK() bool { return len(r.Corrupt) == len(r.Repaired) }
 
 // ScrubDir verifies every diff in the checkpoint directory dir:
-// record checksums, structural decode, id agreement. Corrupt diffs
-// are quarantined (tombstoned in the lineage's segment, removed from
-// the restorable range) but not repaired — use Client.Repair to
-// refetch them from a ckptd server holding the same lineage.
+// record checksums, structural decode, id agreement. It writes
+// nothing: corrupt diffs are reported, not repaired — use Client.Repair
+// to refetch them from a ckptd server holding the same lineage.
 func ScrubDir(dir string) (*RepairReport, error) {
 	fs, err := checkpoint.NewFileStore(dir)
 	if err != nil {
 		return nil, err
 	}
 	defer fs.Close()
-	return scrub(fs)
-}
-
-// scrub runs a scrub pass over fs and reports every hole it leaves
-// open, old and new.
-func scrub(fs *checkpoint.FileStore) (*RepairReport, error) {
 	sr, err := fs.Scrub()
 	if err != nil {
 		return nil, err
 	}
-	return &RepairReport{Checked: sr.Checked, Corrupt: fs.QuarantinedIDs()}, nil
+	return &RepairReport{Checked: sr.Checked, Corrupt: sr.Corrupt}, nil
 }
 
 // Repair converges the local checkpoint directory dir with the
 // server's lineage name — the recovery path for bit rot on a node's
-// local store when a ckptd peer holds a replica. It runs one
+// local store when a ckptd peer holds a replica. It scrubs, runs one
 // anti-entropy reconciliation round (internal/antientropy, the same
-// machinery ckptd peers use continuously): scrub and quarantine local
-// rot, refill quarantine holes from the server, pull any missing
-// suffix, and bisect span digests down to whatever damage the scrub's
-// checksum pass cannot see. Every refetched diff is verified before it
-// is reinstalled; after a full repair every restore is byte-exact
+// machinery ckptd peers use continuously): pull any missing suffix,
+// and bisect span digests down to every diff that fails verification or
+// differs — and scrubs again. Every refetched diff is verified before
+// it is reinstalled; after a full repair every restore is byte-exact
 // again. A local diff that verifies but disagrees with the server's
 // equally-verified copy is divergence and comes back as an error
 // matching antientropy.ErrDiverged — Repair never overwrites good
@@ -72,10 +64,11 @@ func (c *Client) Repair(dir, name string) (*RepairReport, error) {
 		return nil, err
 	}
 	defer fs.Close()
-	rep, err := scrub(fs)
+	before, err := fs.Scrub()
 	if err != nil {
 		return nil, err
 	}
+	rep := &RepairReport{Checked: before.Checked, Corrupt: before.Corrupt}
 
 	rec, err := antientropy.NewReconciler(antientropy.Config{
 		Lineage: name,
@@ -86,14 +79,13 @@ func (c *Client) Repair(dir, name string) (*RepairReport, error) {
 		return rep, err
 	}
 	_, roundErr := rec.Round()
-	// Repaired is whatever stopped being an open hole: the scrub's
-	// damage list minus the quarantines still standing afterwards.
-	still := map[int]bool{}
-	for _, ck := range fs.QuarantinedIDs() {
-		still[ck] = true
+	after, err := fs.Scrub()
+	if err != nil {
+		return rep, err
 	}
+	// Repaired: corrupt before the round, in range and verified after it.
 	for _, ck := range rep.Corrupt {
-		if !still[ck] {
+		if ck >= fs.Base() && !slices.Contains(after.Corrupt, ck) {
 			rep.Repaired = append(rep.Repaired, ck)
 		}
 	}
