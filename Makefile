@@ -163,9 +163,12 @@ fuzz-smoke:
 # under the race detector, the append ladder and rename commit both
 # stores write by (internal/recframe), the crash-point enumeration and
 # torn-tail / rot classification tests of the lineage store
-# (internal/checkpoint) and of the block store (internal/blockstore,
-# with its fsync and read budgets and its reads-vs-relocating-GC race,
-# raced and forced), the scrub regressions — a scrub writes nothing
+# (internal/checkpoint, with the span install that crashes after its
+# rename and must leak no block) and of the block store
+# (internal/blockstore, with its fsync and read budgets, its
+# reads-vs-relocating-GC race, raced and forced, GC's mark racing pushes
+# and lineage opens, forced and raced, and the packs and snapshots of
+# the builds that counted references), the scrub regressions — a scrub writes nothing
 # (TestScrubIsReadOnly), and no foreign diff is spliced in at a rotten
 # id, neither by an append after Scrub (TestScrubLeavesNoHoleToSplice)
 # nor by a push after ScrubDir (TestScrubbedRotRefusesForeignPush) —
@@ -178,9 +181,9 @@ fuzz-smoke:
 chaos-smoke:
 	$(GO) test -race -count=1 -run '^TestChaos' ./internal/faults
 	$(GO) test -race -count=1 -run '^(TestAppendLadder|TestCommit)$$' ./internal/recframe
-	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestScrubLeavesNoHoleToSplice|TestTombstoneReadsAsDamage|TestManifestNamingMissingSegmentFailsOpen)$$' ./internal/checkpoint
+	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestInstallCrashLeaksNothing|TestScrubLeavesNoHoleToSplice|TestTombstoneReadsAsDamage|TestManifestNamingMissingSegmentFailsOpen)$$' ./internal/checkpoint
 	$(GO) test -race -count=1 -run '^(TestScrubIsReadOnly|TestScrubbedRotRefusesForeignPush)$$' .
-	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestReadBudget|TestReadAcrossRelocation|TestRaceGetInternGC)$$' ./internal/blockstore
+	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestReadBudget|TestReadAcrossRelocation|TestRaceGetInternGC|TestGCMarkThenPush|TestGCMarkThenOpen|TestRaceGCMarkPush|TestCountedPackOpens|TestCountedIndexOpens)$$' ./internal/blockstore
 	$(GO) test -race -count=1 -run '^TestRace' \
 		./internal/server ./internal/wireclient
 

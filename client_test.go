@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/gpuckpt/gpuckpt/internal/blockstore"
 	"github.com/gpuckpt/gpuckpt/internal/server"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
@@ -674,6 +676,76 @@ func TestClientCompactionLifecycle(t *testing.T) {
 	}
 	if st.Compactions < 2 || st.CompactedDiffs < uint64(numCkpts-2) {
 		t.Fatalf("stats after compactions: %+v", st)
+	}
+}
+
+// TestClientCompactReclaimsBlocks: a client-requested compaction on a
+// server that runs no background compaction (CompactInterval 0, ckptd's
+// default) still returns the blocks the fold left unreferenced — the
+// server runs the block-store GC after a compaction that moved the
+// baseline — and the folded lineage restores byte-exact.
+func TestClientCompactReclaimsBlocks(t *testing.T) {
+	const (
+		bufLen   = 32 << 10
+		numCkpts = 10
+	)
+	root := t.TempDir()
+	addr, shutdown := startTestServer(t, server.Config{Root: root})
+	defer shutdown()
+	cl, err := Dial(addr, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ck, err := New(Config{Method: MethodTree, ChunkSize: 128}, bufLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	rng := rand.New(rand.NewSource(12))
+	buf := make([]byte, bufLen)
+	rng.Read(buf)
+	goldens := make([][]byte, numCkpts)
+	for k := 0; k < numCkpts; k++ {
+		if k > 0 {
+			mutate(rng, buf)
+		}
+		if _, err := ck.Checkpoint(buf); err != nil {
+			t.Fatal(err)
+		}
+		goldens[k] = append([]byte(nil), buf...)
+	}
+	if _, err := cl.PushCheckpointer("lin", ck); err != nil {
+		t.Fatal(err)
+	}
+	// A read-only open sees the store as the owner last committed it.
+	blocks := func() int {
+		t.Helper()
+		bs, err := blockstore.Open(filepath.Join(root, blockstore.DirName), blockstore.Options{ReadOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer bs.Close()
+		return bs.Stats().Blocks
+	}
+	before := blocks()
+	if err := cl.SetRetention("lin", "keep-last=2"); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := cl.Compact("lin"); err != nil || info.NewBase != numCkpts-2 {
+		t.Fatalf("compact: %+v (%v)", info, err)
+	}
+	if after := blocks(); after >= before {
+		t.Fatalf("the block store holds %d blocks after the compaction, %d before: nothing was reclaimed", after, before)
+	}
+	rec, err := cl.Pull("lin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := rec.Base(); k < rec.Len(); k++ {
+		if got, err := rec.Restore(k); err != nil || !bytes.Equal(got, goldens[k]) {
+			t.Fatalf("restore %d after the compaction and GC: %v", k, err)
+		}
 	}
 }
 

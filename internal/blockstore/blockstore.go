@@ -1,5 +1,5 @@
 // Package blockstore is a shared, content-addressed immutable block
-// store with refcounted, crash-safe garbage collection — the storage
+// store with mark-and-sweep, crash-safe garbage collection — the storage
 // plane that lets de-duplication cross lineage and tenant boundaries.
 //
 // A block is addressed by the 128-bit Murmur3 digest of its payload
@@ -16,50 +16,40 @@
 // keeps two planes under one directory (formats in format.go):
 //
 //   - the pack log, pack-NNNNNN.log: append-only files of CRC-framed
-//     records holding the blocks AND every refcount change. The log is
-//     the store; the highest-numbered pack takes appends, the others
-//     are sealed.
-//   - the index snapshot, blockstore.index: every referenced block's
-//     {pack, offset, length, CRC, refcount} as of one log position — the
-//     commit record of GC and a cache of the log up to that position.
-//     An open loads it and replays only the log past it.
+//     block records. The log is the store; the highest-numbered pack
+//     takes appends, the others are sealed.
+//   - the index snapshot, blockstore.index: every live block's
+//     {pack, offset, length, CRC} as of one log position — the commit
+//     record of GC and a cache of the log up to that position. An open
+//     loads it and replays only the log past it.
+//
+// The store counts no references: GC marks from the records that hold
+// them (see GC), so a dedup hit writes nothing and a record that leaves
+// a lineage owes the store no call.
 //
 // # Crash safety
 //
-// The store writes by the protocol of internal/recframe: Intern and
-// Release each append ONE frame — the records of the call, all but the
-// last flagged more — with one recframe.Log.Append (one write, one
-// fsync, whatever the block count) and touch the in-memory index only
+// The store writes by the protocol of internal/recframe: an Intern that
+// adds blocks appends ONE frame — a block record per new block, all but
+// the last flagged more — with one recframe.Log.Append (one write, one
+// fsync, whatever the block count) and touches the in-memory index only
 // after it; GC's snapshot is published by recframe.Commit; tests reach
 // every failure point through one recframe.Hooks (SetHooks).
 //
 // B1. A crash, failed write or failed fsync loses exactly the un-acked
 // frame: the next open cuts a frame without its committing record off
 // before anything is appended after it (recframe.Resume), so a reopen
-// yields the state before the call — no orphan block, no partial
-// reference batch. A failure that is not a crash cuts the pack back
-// itself; if the log fail-stops instead, the store drops its handles
-// and its lock and refuses everything until it is reopened.
+// yields the state before the call. A failure that is not a crash cuts
+// the pack back itself; if the log fail-stops instead, the store drops
+// its handles and its lock and refuses everything until it is reopened.
 //
 // B2. Rot in a committed record is never mistaken for a torn tail. A
 // bad region followed by any record that verifies is rot: nothing after
-// it is dropped, every other block keeps its location and every
-// reference a surviving record states, and Get of the damaged block
-// fails typed (ErrCorrupt while later records
-// still name it, ErrNotFound when nothing does) in every lineage that
-// references it. Only a bad region that reaches the end of the last
-// pack is a torn commit — the one ambiguity: rot inside the very last
-// frame reads as a torn append and is cut off with it. What rot can take
-// that no later record restores is a count: the damaged region may have
-// been a ref record. A store that finds one in the log it replays
-// therefore treats its counts as lower bounds — GC refuses (ErrCorrupt)
-// and reclaims nothing, so the leak-only rule below holds under rot too.
-//
-// GC keeps one commit point, the snapshot rename; see GC. Refcounts err
-// on the side of leaking: a caller releases a reference only after the
-// record that held it is durably gone, so a crash in between leaves an
-// over-count (a leak no later GC reclaims), never an under-count that
-// would let GC drop a block a restore needs.
+// it is dropped, every other block keeps its location, and Get of the
+// rotten block fails typed (ErrNotFound) until it is interned again.
+// Only a bad region that reaches the end of the last pack is a torn
+// commit — the one ambiguity: rot inside the very last frame reads as a
+// torn append and is cut off with it.
 package blockstore
 
 import (
@@ -67,7 +57,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -155,10 +144,6 @@ var (
 	ErrCollision = errors.New("blockstore: block ID collision")
 	// ErrClosed reports use after Close.
 	ErrClosed = errors.New("blockstore: store is closed")
-	// ErrUnderflow reports a Release of a reference the store does not
-	// hold. The count clamps at zero instead of wrapping; callers doing
-	// best-effort cleanup treat it as a soft failure.
-	ErrUnderflow = errors.New("blockstore: refcount underflow")
 	// ErrReadOnly reports a mutating operation on a store opened with
 	// Options.ReadOnly.
 	ErrReadOnly = errors.New("blockstore: store is read-only")
@@ -188,7 +173,7 @@ type Options struct {
 
 	// ReadOnly opens the store without mutating anything (no temp
 	// sweep, no cut of a torn tail) and without taking the directory
-	// lock: Intern, Release, and GC return ErrReadOnly. This is the safe
+	// lock: Intern and GC return ErrReadOnly. This is the safe
 	// way for tooling to inspect a store whose writable lock a live
 	// ckptd server holds — the reader sees the log as of its open (the
 	// owner's later interns are invisible).
@@ -225,6 +210,8 @@ type Store struct {
 	ro       bool
 	rollSize int64
 
+	gcMu sync.Mutex // serializes GCs; taken before mu
+
 	// mu protects everything below. Helpers that run with it held carry
 	// a //ckptlint:locked mu precondition, which the guardedby analyzer
 	// verifies at every call site.
@@ -235,10 +222,9 @@ type Store struct {
 	blocks int    //ckptlint:guardedby mu
 	bytes  int64  //ckptlint:guardedby mu
 	gen    uint64 //ckptlint:guardedby mu
-	// damaged names the first committed region of the replayed log that
-	// no longer verifies ("" if none). It may have held a ref record, so
-	// the counts are lower bounds from then on and GC reclaims nothing.
-	damaged string //ckptlint:guardedby mu
+	// touched holds every ID Intern returned since a running GC began
+	// (nil when none runs): live, whatever the GC's mark reports.
+	touched map[ID]struct{} //ckptlint:guardedby mu
 	// packs holds one handle per pack file, by number: what Get reads
 	// through. active is the number of the pack appends go to (0: none
 	// yet) and log its write handle — the same file and its committed
@@ -249,12 +235,9 @@ type Store struct {
 	log    *recframe.Log       //ckptlint:guardedby mu
 	at     int64               //ckptlint:guardedby mu
 	// The write path's fixed scratch: the staging buffer, a record
-	// header, the IDs (end to end) of the frame's ref or release
-	// records, and what the call plans per ID (Intern: a new block's
-	// entry; Release: how many references it drops).
+	// header, and the entry Intern plans for each new block.
 	w      *bufio.Writer          //ckptlint:guardedby mu
 	hdr    [recframe.HdrSize]byte //ckptlint:guardedby mu
-	ids    []byte                 //ckptlint:guardedby mu
 	plan   map[ID]entry           //ckptlint:guardedby mu
 	closed bool                   //ckptlint:guardedby mu
 	hooks  *recframe.Hooks        //ckptlint:guardedby mu
@@ -460,23 +443,12 @@ func (s *Store) recoverLocked() error {
 		if err == nil {
 			recs, committed, err = packFormat.Scan(io.NewSectionReader(f, from, size-from), size-from, !last)
 		}
-		// Whatever lies between the records that verify, below the
-		// committed offset, is rot.
-		pos := int64(0)
-		gap := func(to int64) {
-			if pos != to && s.damaged == "" {
-				s.damaged = fmt.Sprintf("%s bytes [%d,%d)", f.Name(), from+pos, from+to)
-			}
-		}
 		for _, r := range recs {
-			gap(r.Off)
-			pos = r.Next()
 			r.Off += from
 			if err == nil {
 				err = s.replayLocked(f, num, r)
 			}
 		}
-		gap(committed)
 		if last && err == nil {
 			s.active = num
 			if !s.ro {
@@ -494,49 +466,27 @@ func (s *Store) recoverLocked() error {
 }
 
 // replayLocked folds one verified record of pack num (handle f) into
-// the in-memory state. Counts clamp at zero rather than wrapping. A
-// reference to a block no record introduced means that record was lost
-// to rot: the block gets a location-less entry that carries the lost
-// record's own reference too (over-, never under-counting), fails Get
-// typed, and heals when the block is interned again.
+// the in-memory state: a block record places its block, a moved record
+// moves one the index holds, and an earlier build's ref or release
+// record changes nothing.
 //
 //ckptlint:locked mu
 func (s *Store) replayLocked(f *os.File, num uint32, r recframe.Header) error {
-	n, blockLen := int64(r.Len), r.Len-idSize
-	if r.Kind == recBlock || r.Kind == recMoved {
-		n = idSize // the block's bytes stay on disk
+	if r.Kind != recBlock && r.Kind != recMoved {
+		return nil
 	}
-	raw := make([]byte, n)
-	if _, err := f.ReadAt(raw, r.Off+recframe.HdrSize); err != nil {
+	var id ID // the block's bytes stay on disk
+	if _, err := f.ReadAt(id[:], r.Off+recframe.HdrSize); err != nil {
 		return err
 	}
-	for ; len(raw) > 0; raw = raw[idSize:] {
-		id := ID(raw[:idSize])
-		e, ok := s.entries[id]
-		switch {
-		case r.Kind == recBlock:
-			s.placeLocked(id, entry{off: r.Off, pack: num, len: blockLen, crc: r.CRC})
-			continue
-		case r.Kind == recMoved && e.pack != 0 && e.len == blockLen && e.crc == r.CRC:
-			e.pack, e.off = num, r.Off // a copy of the block the index holds
-		case r.Kind == recRef:
-			if !ok {
-				s.blocks++
-				e.refs = 1
-			}
-			e.refs++
-		case r.Kind == recRelease && e.refs > 0:
-			e.refs--
-		default:
-			continue
-		}
-		s.entries[id] = e
+	at := entry{off: r.Off, pack: num, len: r.Len - idSize, crc: r.CRC}
+	if e, ok := s.entries[id]; r.Kind == recBlock || ok && e.len == at.len && e.crc == at.crc {
+		s.placeLocked(id, at)
 	}
 	return nil
 }
 
-// placeLocked applies a block record: id now sits at at, and holds one
-// more reference.
+// placeLocked records that block id sits at at.
 //
 //ckptlint:locked mu
 func (s *Store) placeLocked(id ID, at entry) {
@@ -545,7 +495,6 @@ func (s *Store) placeLocked(id ID, at entry) {
 		s.blocks++
 	}
 	s.bytes += int64(at.len) - int64(e.len)
-	at.refs = e.refs + 1
 	s.entries[id] = at
 }
 
@@ -575,22 +524,19 @@ func (s *Store) beginLocked() error {
 		return ErrReadOnly
 	}
 	clear(s.plan)
-	s.ids = s.ids[:0]
 	return nil
 }
 
 // appendFrameLocked is the one write path of the pack log. The frame
-// is what emit, if given, stages with recLocked, then s.ids — if there
-// are any — as one committing record of kind idsKind. It goes to the
-// active pack (a new one if that is full or there is none yet) through
-// the store's fixed buffer as ONE recframe.Log.Append: one write, one
-// fsync, and on failure nothing of the frame stays — or the log has
-// fail-stopped (the cut failed, or a simulated crash) and the store is
-// disabled. Callers apply the frame to the in-memory state only once
-// this returns nil.
+// is what emit stages with recLocked. It goes to the active pack (a new
+// one if that is full or there is none yet) through the store's fixed
+// buffer as ONE recframe.Log.Append: one write, one fsync, and on
+// failure nothing of the frame stays — or the log has fail-stopped (the
+// cut failed, or a simulated crash) and the store is disabled. Callers
+// apply the frame to the in-memory state only once this returns nil.
 //
 //ckptlint:locked mu
-func (s *Store) appendFrameLocked(idsKind byte, emit func() error) error {
+func (s *Store) appendFrameLocked(emit func() error) error {
 	if s.log == nil || s.log.Size() >= s.rollSize {
 		if err := s.rollLocked(); err != nil {
 			return s.diedLocked(fmt.Errorf("blockstore: rolling the pack log: %w", err))
@@ -600,13 +546,8 @@ func (s *Store) appendFrameLocked(idsKind byte, emit func() error) error {
 	err := s.log.Append(s.hooks, func(w io.Writer) error {
 		s.w.Reset(w)
 		defer s.w.Reset(nil) // let go of the caller's last payload
-		if emit != nil {
-			if err := emit(); err != nil {
-				return err
-			}
-		}
-		if len(s.ids) > 0 {
-			s.recLocked(idsKind, false, s.ids, nil, crc32.Checksum(s.ids, castagnoli))
+		if err := emit(); err != nil {
+			return err
 		}
 		return s.w.Flush()
 	})
@@ -641,40 +582,29 @@ func (s *Store) rollLocked() error {
 	return nil
 }
 
-// recLocked stages one record of the frame being built — its IDs, then
-// data by reference — and returns the offset it will sit at. A write
-// error sticks to the buffer and surfaces when the frame is flushed.
+// recLocked stages one block record of the frame being built — the ID,
+// then the bytes by reference — and returns the offset it will sit at.
+// A write error sticks to the buffer and surfaces when the frame is
+// flushed.
 //
 //ckptlint:locked mu
-func (s *Store) recLocked(kind byte, more bool, ids, data []byte, crc uint32) (off int64) {
-	packFormat.Put(s.hdr[:], kind, more, 0, 0, uint32(len(ids)+len(data)), crc)
+func (s *Store) recLocked(kind byte, more bool, id, p []byte, crc uint32) (off int64) {
+	packFormat.Put(s.hdr[:], kind, more, 0, 0, uint32(idSize+len(p)), crc)
 	s.w.Write(s.hdr[:])
-	s.w.Write(ids)
-	s.w.Write(data)
+	s.w.Write(id)
+	s.w.Write(p)
 	off = s.at
-	s.at += recframe.HdrSize + int64(len(ids)+len(data))
+	s.at += blockRecOverhead + int64(len(p))
 	return off
 }
 
-// countLocked applies the frame's ref (+1) or release (-1) record.
-//
-//ckptlint:locked mu
-func (s *Store) countLocked(d int32) {
-	for ids := s.ids; len(ids) > 0; ids = ids[idSize:] {
-		e := s.entries[ID(ids[:idSize])]
-		e.refs = uint32(int32(e.refs) + d)
-		s.entries[ID(ids[:idSize])] = e
-	}
-}
-
-// Intern stores every chunk that is not already present and takes one
-// reference on each (a chunk appearing twice in the batch takes two).
-// The whole batch is ONE frame — a block record per new chunk, which
-// is also its first reference, then a ref record naming the chunks
-// already present — written once and made durable by one fsync,
-// whatever the block count. It commits entirely or not at all: on any
-// error (a collision, a failed write or fsync) the store, in memory
-// and on disk, is as it was before the call.
+// Intern stores every chunk that is not already present and returns
+// the reference of each, in order. The new chunks are ONE frame — a
+// block record each, where the chunk first occurs in the batch — made
+// durable by one fsync whatever the block count; a dedup hit writes
+// nothing. It commits entirely or not at all: on any error (a
+// collision, a failed write or fsync) the store, in memory and on disk,
+// is as it was before the call.
 func (s *Store) Intern(chunks [][]byte) ([]Ref, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -682,12 +612,9 @@ func (s *Store) Intern(chunks [][]byte) ([]Ref, error) {
 		return nil, err
 	}
 	refs := make([]Ref, len(chunks))
-	if len(chunks) == 0 {
-		return refs, nil
-	}
 	// Plan first, apply after the fsync: s.plan holds the entry of every
-	// block the frame adds, s.ids every further reference it takes.
-	var saved uint64
+	// block the frame adds.
+	var hits, saved uint64
 	for i, p := range chunks {
 		if len(p) > math.MaxUint32-idSize {
 			return nil, fmt.Errorf("blockstore: chunk %d of %d bytes is beyond the record length limit", i, len(p))
@@ -696,7 +623,7 @@ func (s *Store) Intern(chunks [][]byte) ([]Ref, error) {
 		refs[i] = Ref{ID: id, Len: uint32(len(p))}
 		want := entry{len: refs[i].Len, crc: blockCRC(id, p)}
 		have, ok := s.entries[id]
-		if !ok || have.pack == 0 {
+		if !ok {
 			have, ok = s.plan[id]
 		}
 		switch {
@@ -706,79 +633,38 @@ func (s *Store) Intern(chunks [][]byte) ([]Ref, error) {
 			return nil, fmt.Errorf("%w: id %s holds %d bytes crc %08x, interning %d bytes crc %08x",
 				ErrCollision, id, have.len, have.crc, want.len, want.crc)
 		default:
-			s.ids = append(s.ids, id[:]...)
+			hits++
 			saved += uint64(len(p))
 		}
 	}
-	err := s.appendFrameLocked(recRef, func() error {
-		// A planned block is written where it first occurs in the batch.
-		for i, left := 0, len(s.plan); left > 0; i++ {
-			if at, ok := s.plan[refs[i].ID]; ok && at.pack == 0 {
-				left--
-				at.pack = s.active
-				at.off = s.recLocked(recBlock, left > 0 || len(s.ids) > 0, refs[i].ID[:], chunks[i], at.crc)
-				s.plan[refs[i].ID] = at
+	if len(s.plan) > 0 {
+		err := s.appendFrameLocked(func() error {
+			for i, left := 0, len(s.plan); left > 0; i++ {
+				if at, ok := s.plan[refs[i].ID]; ok && at.pack == 0 {
+					left--
+					at.pack = s.active
+					at.off = s.recLocked(recBlock, left > 0, refs[i].ID[:], chunks[i], at.crc)
+					s.plan[refs[i].ID] = at
+				}
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		for id, at := range s.plan {
+			s.placeLocked(id, at)
+		}
 	}
-	for id, at := range s.plan {
-		s.placeLocked(id, at)
+	if s.touched != nil {
+		for _, r := range refs {
+			s.touched[r.ID] = struct{}{}
+		}
 	}
-	s.countLocked(+1)
 	s.interned.Add(uint64(len(s.plan)))
-	s.dedupHits.Add(uint64(len(s.ids) / idSize))
+	s.dedupHits.Add(hits)
 	s.savedB.Add(saved)
 	return refs, nil
-}
-
-// Release drops one reference per ref: one frame holding one release
-// record, one fsync, applied to the counts only once it is durable.
-// Call it only after whatever held the references is durably gone; a
-// block whose count reaches zero is dropped by the next GC. Unknown
-// IDs and zero counts are clamped (and reported), never wrapped.
-func (s *Store) Release(refs []Ref) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.beginLocked(); err != nil {
-		return err
-	}
-	var clampErr error
-	for _, r := range refs {
-		dropped := s.plan[r.ID]
-		if s.entries[r.ID].refs == dropped.refs {
-			clampErr = fmt.Errorf("%w: release of %s", ErrUnderflow, r.ID)
-			continue
-		}
-		dropped.refs++
-		s.plan[r.ID] = dropped
-		s.ids = append(s.ids, r.ID[:]...)
-	}
-	if len(s.ids) == 0 {
-		return clampErr
-	}
-	if err := s.appendFrameLocked(recRelease, nil); err != nil {
-		return err
-	}
-	s.countLocked(-1)
-	return clampErr
-}
-
-// Contains reports whether the store holds a block for id.
-func (s *Store) Contains(id ID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.entries[id].pack != 0
-}
-
-// Refcount returns the current reference count of id (0 if unknown).
-func (s *Store) Refcount(id ID) uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.entries[id].refs
 }
 
 // Stats returns a snapshot of the store counters.

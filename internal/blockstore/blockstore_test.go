@@ -2,8 +2,10 @@ package blockstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -18,6 +20,36 @@ func testPayload(seed int64, n int) []byte {
 	p := make([]byte, n)
 	rng.Read(p)
 	return p
+}
+
+// markOf is a GC mark that finds the blocks of ps, and only those, live.
+func markOf(ps ...[]byte) func(live func(ID)) error {
+	return func(live func(ID)) error {
+		for _, p := range ps {
+			live(IDOf(p))
+		}
+		return nil
+	}
+}
+
+// markAll is a GC mark that finds every block s holds live.
+func markAll(s *Store) func(live func(ID)) error {
+	return func(live func(ID)) error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for id := range s.entries {
+			live(id)
+		}
+		return nil
+	}
+}
+
+// held reports whether s indexes a block for id.
+func held(s *Store, id ID) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.entries[id]
+	return ok
 }
 
 func mustOpen(t *testing.T, dir string) *Store {
@@ -75,13 +107,9 @@ func TestInternDeduplicates(t *testing.T) {
 	if st.DedupHits != 1 || st.SavedBytes != 4096 {
 		t.Fatalf("dedup hits %d saved %d, want 1/4096", st.DedupHits, st.SavedBytes)
 	}
-	if rc := s.Refcount(refs1[0].ID); rc != 2 {
-		t.Fatalf("refcount %d, want 2", rc)
-	}
-	// The log holds the payload once: one block record, then one ref
-	// record naming it.
+	// The log holds the payload once, and the hit wrote nothing.
 	info, err := os.Stat(s.packPath(1))
-	if want := int64(blockRecOverhead + 4096 + recframe.HdrSize + idSize); err != nil || info.Size() != want {
+	if want := int64(blockRecOverhead + 4096); err != nil || info.Size() != want {
 		t.Fatalf("pack holds %d bytes (err %v), want %d", info.Size(), err, want)
 	}
 }
@@ -107,6 +135,8 @@ func TestSplit(t *testing.T) {
 	}
 }
 
+// TestReleaseAndGC: a block the mark does not find, and no Intern
+// returned during the GC, is reclaimed; a marked one stays readable.
 func TestReleaseAndGC(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	keep := testPayload(1, 4096)
@@ -115,10 +145,7 @@ func TestReleaseAndGC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Intern: %v", err)
 	}
-	if err := s.Release(refs[1:]); err != nil {
-		t.Fatalf("Release: %v", err)
-	}
-	st, err := s.GC()
+	st, err := s.GC(markOf(keep))
 	if err != nil {
 		t.Fatalf("GC: %v", err)
 	}
@@ -137,20 +164,23 @@ func TestReleaseAndGC(t *testing.T) {
 	}
 }
 
-func TestReleaseUnderflowClamps(t *testing.T) {
+// TestGCMarkFailureReclaimsNothing: a mark that fails leaves every
+// block in place, and the next GC whose mark succeeds reclaims.
+func TestGCMarkFailureReclaimsNothing(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
-	refs, err := s.Intern([][]byte{testPayload(1, 64)})
-	if err != nil {
-		t.Fatalf("Intern: %v", err)
+	keep, drop := testPayload(1, 64), testPayload(2, 64)
+	if _, err := s.Intern([][]byte{keep, drop}); err != nil {
+		t.Fatal(err)
 	}
-	if err := s.Release(refs); err != nil {
-		t.Fatalf("first Release: %v", err)
+	boom := errors.New("unreadable lineage")
+	if gc, err := s.GC(func(func(ID)) error { return boom }); !errors.Is(err, boom) || gc.Reclaimed != 0 {
+		t.Fatalf("GC with a failed mark: %+v, %v", gc, err)
 	}
-	if err := s.Release(refs); err == nil {
-		t.Fatal("second Release reported no underflow")
+	if !held(s, IDOf(keep)) || !held(s, IDOf(drop)) {
+		t.Fatal("a GC whose mark failed reclaimed a block")
 	}
-	if rc := s.Refcount(refs[0].ID); rc != 0 {
-		t.Fatalf("refcount %d after underflow, want 0", rc)
+	if gc, err := s.GC(markOf(keep)); err != nil || gc.Reclaimed != 1 {
+		t.Fatalf("GC after the failed one: %+v, %v", gc, err)
 	}
 }
 
@@ -162,23 +192,18 @@ func TestReopenReplaysLog(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Intern: %v", err)
 	}
-	if err := s.Release(refs[1:2]); err != nil {
-		t.Fatalf("Release: %v", err)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
 	s2 := mustOpen(t, dir)
-	if rc := s2.Refcount(refs[0].ID); rc != 2 {
-		t.Fatalf("p1 refcount %d after reopen, want 2", rc)
+	if st := s2.Stats(); st.Blocks != 2 || st.StoredBytes != 2*4096 {
+		t.Fatalf("reopened store holds %d blocks of %d bytes, want 2 of %d", st.Blocks, st.StoredBytes, 2*4096)
 	}
-	if rc := s2.Refcount(refs[1].ID); rc != 0 {
-		t.Fatalf("p2 refcount %d after reopen, want 0", rc)
-	}
-	got, err := s2.Get(refs[0])
-	if err != nil || !bytes.Equal(got, p1) {
-		t.Fatalf("Get after reopen: %v", err)
+	for i, p := range [][]byte{p1, p2} {
+		if got, err := s2.Get(refs[i]); err != nil || !bytes.Equal(got, p) {
+			t.Fatalf("Get %d after reopen: %v", i, err)
+		}
 	}
 }
 
@@ -190,10 +215,7 @@ func TestReopenAfterGCLoadsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Intern: %v", err)
 	}
-	if err := s.Release(refs[1:]); err != nil {
-		t.Fatalf("Release: %v", err)
-	}
-	if _, err := s.GC(); err != nil {
+	if _, err := s.GC(markOf(p)); err != nil {
 		t.Fatalf("GC: %v", err)
 	}
 	// More log traffic past the snapshot.
@@ -211,7 +233,7 @@ func TestReopenAfterGCLoadsSnapshot(t *testing.T) {
 			t.Fatalf("Get(%s) after GC+reopen: %v", r.ID, err)
 		}
 	}
-	if s2.Contains(refs[1].ID) {
+	if held(s2, refs[1].ID) {
 		t.Fatal("reclaimed block resurrected by reopen")
 	}
 }
@@ -221,34 +243,26 @@ func TestReopenAfterGCLoadsSnapshot(t *testing.T) {
 func TestCrashBeforeGCCommit(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	refs, err := s.Intern([][]byte{testPayload(1, 4096), testPayload(2, 4096)})
+	keep := testPayload(1, 4096)
+	refs, err := s.Intern([][]byte{keep, testPayload(2, 4096)})
 	if err != nil {
 		t.Fatalf("Intern: %v", err)
 	}
-	if err := s.Release(refs[1:]); err != nil {
-		t.Fatalf("Release: %v", err)
-	}
 	boom := errors.New("injected failure")
 	s.SetHooks(failAt("gc-before", boom))
-	if _, err := s.GC(); !errors.Is(err, boom) {
+	if _, err := s.GC(markOf(keep)); !errors.Is(err, boom) {
 		t.Fatalf("GC: %v, want injected crash", err)
 	}
 	s.Close() // the "crash"
 
 	s2 := mustOpen(t, dir)
-	if rc := s2.Refcount(refs[0].ID); rc != 1 {
-		t.Fatalf("live refcount %d, want 1", rc)
-	}
-	if rc := s2.Refcount(refs[1].ID); rc != 0 {
-		t.Fatalf("released refcount %d, want 0", rc)
-	}
 	if _, err := s2.Get(refs[0]); err != nil {
 		t.Fatalf("Get after aborted GC: %v", err)
 	}
-	// Only a COMMITTED GC drops the zero-ref block from the index; an
+	// Only a COMMITTED GC drops the dead block from the index; an
 	// aborted one keeps it.
-	if !s2.Contains(refs[1].ID) {
-		t.Fatal("aborted GC lost the zero-ref entry")
+	if !held(s2, refs[1].ID) {
+		t.Fatal("aborted GC lost the dead entry")
 	}
 }
 
@@ -257,25 +271,20 @@ func TestCrashBeforeGCCommit(t *testing.T) {
 func TestCrashAfterGCCommit(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	refs, err := s.Intern([][]byte{testPayload(1, 4096), testPayload(2, 4096)})
+	keep := testPayload(1, 4096)
+	refs, err := s.Intern([][]byte{keep, testPayload(2, 4096)})
 	if err != nil {
 		t.Fatalf("Intern: %v", err)
 	}
-	if err := s.Release(refs[1:]); err != nil {
-		t.Fatalf("Release: %v", err)
-	}
 	boom := errors.New("injected failure")
 	s.SetHooks(failAt("gc-after", boom))
-	if _, err := s.GC(); !errors.Is(err, boom) {
+	if _, err := s.GC(markOf(keep)); !errors.Is(err, boom) {
 		t.Fatalf("GC: %v, want injected crash", err)
 	}
 	s.Close() // the "crash": snapshot committed
 
 	s2 := mustOpen(t, dir)
-	if rc := s2.Refcount(refs[0].ID); rc != 1 {
-		t.Fatalf("live refcount %d, want 1", rc)
-	}
-	if s2.Contains(refs[1].ID) {
+	if held(s2, refs[1].ID) {
 		t.Fatal("committed GC left the dead entry live after recovery")
 	}
 	if _, err := s2.Get(refs[0]); err != nil {
@@ -341,7 +350,7 @@ func TestCorruptIndexFailsOpen(t *testing.T) {
 	if _, err := s.Intern([][]byte{testPayload(1, 64)}); err != nil {
 		t.Fatalf("Intern: %v", err)
 	}
-	if _, err := s.GC(); err != nil {
+	if _, err := s.GC(markAll(s)); err != nil {
 		t.Fatalf("GC: %v", err)
 	}
 	s.Close()
@@ -388,10 +397,7 @@ func TestReadOnlyOpenCoexistsWithOwner(t *testing.T) {
 	if _, err := ro.Intern([][]byte{testPayload(2, 64)}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("read-only Intern: %v, want ErrReadOnly", err)
 	}
-	if err := ro.Release(refs); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("read-only Release: %v, want ErrReadOnly", err)
-	}
-	if _, err := ro.GC(); !errors.Is(err, ErrReadOnly) {
+	if _, err := ro.GC(markAll(ro)); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("read-only GC: %v, want ErrReadOnly", err)
 	}
 	// Closing the owner frees the lock for the next writable open.
@@ -494,10 +500,7 @@ func TestClosedStoreRejectsOps(t *testing.T) {
 	if _, err := s.Get(refs[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Get after Close: %v", err)
 	}
-	if err := s.Release(refs); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Release after Close: %v", err)
-	}
-	if _, err := s.GC(); !errors.Is(err, ErrClosed) {
+	if _, err := s.GC(markAll(s)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("GC after Close: %v", err)
 	}
 }
@@ -531,9 +534,6 @@ func TestConcurrentIntern(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
 	}
-	if rc := s.Refcount(IDOf(shared)); rc != 8*20 {
-		t.Fatalf("shared refcount %d, want %d", rc, 8*20)
-	}
 	st := s.Stats()
 	if st.DedupHits != 8*20-1 {
 		t.Fatalf("dedup hits %d, want %d", st.DedupHits, 8*20-1)
@@ -545,7 +545,7 @@ func TestIndexEncodeDecodeRoundTrip(t *testing.T) {
 	var ids []ID
 	for i := 0; i < 50; i++ {
 		id := IDOf([]byte(fmt.Sprintf("block-%d", i)))
-		entries[id] = entry{off: int64(i) << 30, pack: uint32(i % 3), len: uint32(i * 7), crc: uint32(i * 13), refs: uint32(i % 5)}
+		entries[id] = entry{off: int64(i) << 30, pack: uint32(i % 3), len: uint32(i * 7), crc: uint32(i * 13)}
 		ids = append(ids, id)
 	}
 	sortIDs(ids)
@@ -575,7 +575,7 @@ func TestIndexDecodeTruncationEveryBoundary(t *testing.T) {
 	var ids []ID
 	for i := 0; i < 5; i++ {
 		id := IDOf([]byte(fmt.Sprintf("t-%d", i)))
-		entries[id] = entry{len: 100, crc: uint32(i), refs: 1}
+		entries[id] = entry{len: 100, crc: uint32(i)}
 		ids = append(ids, id)
 	}
 	sortIDs(ids)
@@ -596,7 +596,7 @@ func TestIndexDecodeTruncationEveryBoundary(t *testing.T) {
 // must fail (CRC) and never panic.
 func TestIndexDecodeBitFlips(t *testing.T) {
 	id := IDOf([]byte("flip"))
-	b, err := encodeIndex(1, logPos{pack: 1, off: 44}, []ID{id}, map[ID]entry{id: {pack: 1, len: 8, crc: 9, refs: 1}})
+	b, err := encodeIndex(1, logPos{pack: 1, off: 44}, []ID{id}, map[ID]entry{id: {pack: 1, len: 8, crc: 9}})
 	if err != nil {
 		t.Fatalf("encodeIndex: %v", err)
 	}
@@ -606,6 +606,98 @@ func TestIndexDecodeBitFlips(t *testing.T) {
 		if _, _, _, err := DecodeIndex(mut); err == nil {
 			t.Fatalf("bit flip at %d decoded successfully", i)
 		}
+	}
+}
+
+// TestCountedPackOpens: a pack written by the builds that counted
+// references — ref and release records among the blocks, and its last
+// frame committed by a ref record — opens with every block readable and
+// nothing cut off, and takes appends after it.
+func TestCountedPackOpens(t *testing.T) {
+	a, b, c := []byte("block a"), bytes.Repeat([]byte{0xB}, 300), testPayload(3, 100)
+	ia, ib, ic := IDOf(a), IDOf(b), IDOf(c)
+	img := appendRec(nil, recBlock, false, []ID{ia}, a)
+	img = appendRec(img, recBlock, true, []ID{ib}, b)
+	img = appendRec(img, recRef, false, []ID{ia, ib}, nil)
+	img = appendRec(img, recRelease, false, []ID{ia}, nil)
+	img = appendRec(img, recBlock, true, []ID{ic}, c)
+	img = appendRec(img, recRef, false, []ID{ia}, nil)
+	s := openPackImage(t, img)
+	if st, _ := os.Stat(s.packPath(1)); st.Size() != int64(len(img)) {
+		t.Fatalf("the open cut the pack to %d of %d bytes", st.Size(), len(img))
+	}
+	d := testPayload(4, 64)
+	if _, err := s.Intern([][]byte{d}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s = mustOpen(t, s.dir)
+	for i, p := range [][]byte{a, b, c, d} {
+		if got, err := s.Get(Ref{ID: IDOf(p), Len: uint32(len(p))}); err != nil || !bytes.Equal(got, p) {
+			t.Fatalf("block %d of the counted pack: %v", i, err)
+		}
+	}
+	if st := s.Stats(); st.Blocks != 4 {
+		t.Fatalf("the counted pack opened to %d blocks, want 4", st.Blocks)
+	}
+}
+
+// encodeCountedIndex is encodeIndex as the builds that counted
+// references wrote it: version 2, a refcount after each entry's crc.
+func encodeCountedIndex(gen uint64, mark logPos, ids []ID, entries map[ID]entry) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, indexMagic)
+	buf = append(buf, countedVersion)
+	buf = binary.LittleEndian.AppendUint64(buf, gen)
+	buf = binary.LittleEndian.AppendUint32(buf, mark.pack)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(mark.off))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
+	for i, id := range ids {
+		e := entries[id]
+		buf = append(buf, id[:]...)
+		buf = binary.LittleEndian.AppendUint32(buf, e.pack)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.off))
+		buf = binary.LittleEndian.AppendUint32(buf, e.len)
+		buf = binary.LittleEndian.AppendUint32(buf, e.crc)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(1+i))
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, indexFooterMagic)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+}
+
+// TestCountedIndexOpens: a version 2 snapshot opens with its refcount
+// column skipped, and the next GC replaces it with a version 3 one.
+func TestCountedIndexOpens(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	keep, drop := testPayload(1, 4096), testPayload(2, 100)
+	if _, err := s.Intern([][]byte{keep, drop}); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	ids := []ID{IDOf(keep), IDOf(drop)}
+	sortIDs(ids)
+	old := encodeCountedIndex(4, logPos{pack: s.active, off: s.log.Size()}, ids, s.entries)
+	s.mu.Unlock()
+	s.Close()
+	if err := os.WriteFile(filepath.Join(dir, indexFileName), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s = mustOpen(t, dir)
+	for _, p := range [][]byte{keep, drop} {
+		if got, err := s.Get(Ref{ID: IDOf(p), Len: uint32(len(p))}); err != nil || !bytes.Equal(got, p) {
+			t.Fatalf("block of a version 2 snapshot: %v", err)
+		}
+	}
+	if gc, err := s.GC(markOf(keep)); err != nil || gc.Live != 1 || gc.Reclaimed != 1 {
+		t.Fatalf("GC over a version 2 snapshot: %+v, %v", gc, err)
+	}
+	s.Close()
+	if b, err := os.ReadFile(filepath.Join(dir, indexFileName)); err != nil || b[4] != formatVersion {
+		t.Fatalf("the GC left a snapshot of version %d (%v), want %d", b[4], err, formatVersion)
+	}
+	s = mustOpen(t, dir)
+	if got, err := s.Get(Ref{ID: IDOf(keep)}); err != nil || !bytes.Equal(got, keep) || held(s, IDOf(drop)) {
+		t.Fatalf("reopen after the GC: %v, dead block held %v", err, held(s, IDOf(drop)))
 	}
 }
 

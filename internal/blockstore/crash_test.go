@@ -46,69 +46,66 @@ func refsOf(ps ...[]byte) []Ref {
 	return refs
 }
 
-// crashStep is one operation of the reference history.
+// crashStep is one operation of the reference history, and the blocks
+// the history's records reference once it has run: what a GC's mark
+// finds live.
 type crashStep struct {
 	name string
 	run  func(s *Store) error
+	refs [][]byte
 }
 
 // crashHistory drives a store through every mutation it has: an intern
 // of all-new blocks (which seals the first pack), an intern mixing new
-// blocks, hits and an in-batch duplicate, a release, a GC that only
-// folds, a release that leaves the sealed pack one quarter live, the
-// GC that relocates and unlinks it, and an intern after that.
+// blocks, a hit and an in-batch duplicate, a GC that only folds, a GC
+// whose mark leaves the sealed pack one quarter live — which relocates
+// and unlinks it — and an intern after that.
 func crashHistory() []crashStep {
 	a, b, c := refBlocks()
 	intern := func(ps ...[]byte) func(*Store) error {
 		return func(s *Store) error { _, err := s.Intern(ps); return err }
 	}
-	release := func(ps ...[]byte) func(*Store) error {
-		return func(s *Store) error { return s.Release(refsOf(ps...)) }
+	gc := func(ps ...[]byte) func(*Store) error {
+		return func(s *Store) error { _, err := s.GC(markOf(ps...)); return err }
 	}
-	gc := func(s *Store) error { _, err := s.GC(); return err }
+	all := append(append([][]byte(nil), a...), b...)
+	kept := [][]byte{a[1], b[0], b[1]}
 	return []crashStep{
-		{"intern A0-A3, all new", intern(a...)},
-		{"intern B0 A1 B1 B0: new, hit, in-batch duplicate", intern(b[0], a[1], b[1], b[0])},
-		{"release B1", release(b[1])},
-		{"GC that folds", gc},
-		{"release A0 A2 A3", release(a[0], a[2], a[3])},
-		{"GC that relocates the sealed pack", gc},
-		{"intern C0 A1 after GC", intern(c, a[1])},
+		{"intern A0-A3, all new", intern(a...), a},
+		{"intern B0 A1 B1 B0: new, hit, in-batch duplicate", intern(b[0], a[1], b[1], b[0]), all},
+		{"GC that folds", gc(all...), all},
+		{"GC that relocates the sealed pack", gc(kept...), kept},
+		{"intern C0 A1 after GC", intern(c, a[1]), append(kept, c)},
 	}
-}
-
-// blockState is what a caller can observe of one block.
-type blockState struct {
-	Refs uint32
-	Held bool
 }
 
 // storeState is everything a caller can observe of a store over the
-// history's blocks. Snapshotting it also checks that every held block
-// reads back byte-exact and every other one fails typed.
+// history's blocks: the totals and which blocks it holds. Snapshotting
+// it also checks that every held block reads back byte-exact and every
+// other one fails typed.
 type storeState struct {
 	Blocks int
 	Bytes  int64
-	IDs    map[ID]blockState
+	Held   map[ID]bool
 }
 
 func snapshot(t *testing.T, s *Store) storeState {
 	t.Helper()
 	a, b, c := refBlocks()
-	st := storeState{IDs: map[ID]blockState{}}
+	st := storeState{Held: map[ID]bool{}}
 	stats := s.Stats()
 	st.Blocks, st.Bytes = stats.Blocks, stats.StoredBytes
 	for _, p := range append(append(a, b...), c) {
 		id := IDOf(p)
-		bs := blockState{Refs: s.Refcount(id), Held: s.Contains(id)}
+		held := held(s, id)
 		got, err := s.Get(Ref{ID: id, Len: uint32(len(p))})
 		switch {
-		case bs.Held && err == nil && bytes.Equal(got, p):
-		case !bs.Held && errors.Is(err, ErrNotFound):
+		case held && err == nil && bytes.Equal(got, p):
+		case !held && errors.Is(err, ErrNotFound):
 		default:
-			t.Fatalf("block %s (held %v, refs %d) read back as %d bytes, %v", id, bs.Held, bs.Refs, len(got), err)
+			t.Fatalf("block %s (held %v) read back as %d bytes, %v", id, held, len(got), err)
 		}
-		st.IDs[id] = bs
+		st.Held[id] = held
 	}
 	recountStats(t, s)
 	return st
@@ -182,10 +179,11 @@ func (tw *tearingWriter) Write(p []byte) (int, error) {
 // EVERY write-side hook seam while the reference history runs. After
 // each crash the directory must reopen — twice, to the same state — to
 // exactly the state before the interrupted step or exactly the state
-// after it: every acked block reads back byte-exact, no reference
-// batch is half-applied, no count is below what was acked. A GC after
-// the crash must not take a block that is still referenced, and the
-// recovered store must accept the next write and keep it across one
+// after it: every acked block reads back byte-exact and no batch is
+// half-applied. A GC after the crash, marking what the history
+// references once the interrupted step has run, must keep exactly the
+// referenced blocks the store holds and reclaim every other one, and
+// the recovered store must accept the next write and keep it across one
 // more reopen.
 func TestCrashPoints(t *testing.T) {
 	steps := crashHistory()
@@ -255,13 +253,17 @@ func TestCrashPoints(t *testing.T) {
 			if again := snapshot(t, s); !reflect.DeepEqual(again, got) {
 				t.Fatalf("%s: second reopen changed the state to %+v from %+v", label, again, got)
 			}
-			if _, err := s.GC(); err != nil {
+			if _, err := s.GC(markOf(steps[crashed].refs...)); err != nil {
 				t.Fatalf("%s: gc: %v", label, err)
 			}
 			afterGC := snapshot(t, s)
-			for id, b := range got.IDs {
-				if b.Refs > 0 && afterGC.IDs[id] != b {
-					t.Fatalf("%s: a GC after the crash changed referenced block %s from %+v to %+v", label, id, b, afterGC.IDs[id])
+			referenced := map[ID]bool{}
+			for _, p := range steps[crashed].refs {
+				referenced[IDOf(p)] = true
+			}
+			for id, held := range got.Held {
+				if afterGC.Held[id] != (held && referenced[id]) {
+					t.Fatalf("%s: a GC after the crash left block %s (held %v, referenced %v) held: %v", label, id, held, referenced[id], afterGC.Held[id])
 				}
 			}
 			// The first write after the crash lands on clean ground.
@@ -275,7 +277,7 @@ func TestCrashPoints(t *testing.T) {
 			if p, err := s.Get(refs[0]); err != nil || !bytes.Equal(p, fresh) {
 				t.Fatalf("%s: block written after recovery reads back wrong: %v", label, err)
 			}
-			if again := snapshot(t, s); !reflect.DeepEqual(again.IDs, afterGC.IDs) {
+			if again := snapshot(t, s); !reflect.DeepEqual(again.Held, afterGC.Held) {
 				t.Fatalf("%s: the write after recovery disturbed the history's blocks", label)
 			}
 			for _, e := range mustReadDir(t, dir) {
@@ -299,9 +301,9 @@ func mustReadDir(t *testing.T, dir string) []os.DirEntry {
 }
 
 // buildFrames interns, into a fresh store under a new directory, the
-// frames [A0] [A1 A2 A3 + ref A0] [B0] [B1], all in one pack, closes
-// the store and returns the directory, the blocks and the extent of
-// each block's record.
+// frames [A0] [A1 A2 A3] [B0] [B1], all in one pack — the second batch
+// also hits A0, which writes nothing — closes the store and returns the
+// directory, the blocks and the extent of each block's record.
 func buildFrames(t *testing.T) (dir string, blocks [][]byte, off, size []int64) {
 	t.Helper()
 	dir = t.TempDir()
@@ -341,23 +343,23 @@ func damagedCopy(t *testing.T, dir string, damage func(pack []byte) []byte) stri
 }
 
 // TestTornFinalFrame is B1 at every byte: however far a dying Intern
-// got into its frame — here three new blocks and a ref record — the
-// reopen yields exactly the state before it: none of the frame's
-// blocks, no partial reference batch. A read-only open leaves the torn
+// got into its frame — here three new blocks — the reopen yields
+// exactly the state before it: none of the frame's blocks. A read-only
+// open leaves the torn
 // bytes alone; a writable one cuts them off, so what is interned next
 // survives the reopen after (the ports of the torn-journal-tail and
 // orphan-sweep tests of the layout this one replaced).
 func TestTornFinalFrame(t *testing.T) {
 	dir, blocks, off, size := buildFrames(t)
 	frameStart := off[1]
-	frameEnd := off[3] + size[3] + recframe.HdrSize + idSize // the ref record ends the frame
+	frameEnd := off[3] + size[3]
 	check := func(s *Store, cut int64) {
 		t.Helper()
-		if rc := s.Refcount(IDOf(blocks[0])); rc != 1 {
-			t.Fatalf("cut at %d: A0 holds %d references, want the 1 from before the torn frame", cut, rc)
+		if !held(s, IDOf(blocks[0])) {
+			t.Fatalf("cut at %d: A0, interned before the torn frame, is gone", cut)
 		}
 		for _, p := range blocks[1:] {
-			if id := IDOf(p); s.Contains(id) || s.Refcount(id) != 0 {
+			if id := IDOf(p); held(s, id) {
 				t.Fatalf("cut at %d: block %s of the torn frame (or after it) survived", cut, id)
 			}
 		}
@@ -389,8 +391,8 @@ func TestTornFinalFrame(t *testing.T) {
 		s.Close()
 		s = mustOpen(t, torn)
 		for i, r := range refs {
-			if p, err := s.Get(r); err != nil || !bytes.Equal(p, blocks[1+i]) || s.Refcount(r.ID) != 1 {
-				t.Fatalf("cut at %d: block interned after the torn tail: refs %d, %v", cut, s.Refcount(r.ID), err)
+			if p, err := s.Get(r); err != nil || !bytes.Equal(p, blocks[1+i]) {
+				t.Fatalf("cut at %d: block interned after the torn tail: %v", cut, err)
 			}
 		}
 		s.Close()
@@ -400,53 +402,59 @@ func TestTornFinalFrame(t *testing.T) {
 // TestRotIsNotATornTail is B2: one flipped bit in any header field, in
 // the ID or in the payload of a block record that is NOT in the last
 // frame — a frame of its own, the middle of a batch — damages exactly
-// that block: nothing after it is dropped, every other block keeps its
-// count and reads back, and Get of the damaged one fails typed
-// (ErrCorrupt while a later ref record still names it, ErrNotFound
-// when nothing does). Interning the block again heals it; GC refuses a
-// log with such a region in it, because the region may as well have
-// been a ref record — the second table. The same flip in the LAST frame is the one ambiguity: it cannot be told from
-// an append that died mid-write, and is cut off as one.
+// that block: nothing after it is dropped, every other block reads back,
+// and Get of the damaged one fails typed (ErrNotFound). Interning the
+// block again heals it. The rot does not stop GC: once nothing live is
+// in the rotten region, a GC that relocates the sealed pack around it
+// unlinks the pack, rot and all, and every live block still reads. The
+// same flip in the LAST frame is the one ambiguity: it cannot be told
+// from an append that died mid-write, and is cut off as one.
 func TestRotIsNotATornTail(t *testing.T) {
 	dir, blocks, off, size := buildFrames(t)
 	fields := map[string]int64{
 		"magic": 0, "kind": 4, "more": 5, "reserved": 6, "A": 8, "B": 12,
 		"length": 16, "payload crc": 20, "header crc": 24, "id": recframe.HdrSize + 3, "payload": blockRecOverhead + 40,
 	}
-	wantRefs := []uint32{2, 1, 1, 1, 1, 1}
 	for _, victim := range []int{0, 2, 4} {
 		for field, at := range fields {
 			rotten := damagedCopy(t, dir, func(pack []byte) []byte {
 				pack[off[victim]+at] ^= 0x10
 				return pack
 			})
-			s := mustOpen(t, rotten)
-			for i, p := range blocks {
-				r := Ref{ID: IDOf(p), Len: uint32(len(p))}
-				got, err := s.Get(r)
-				switch {
-				case i != victim:
-					if err != nil || !bytes.Equal(got, p) || s.Refcount(r.ID) != wantRefs[i] {
-						t.Fatalf("block %d %s rotten: block %d reads %v with %d references, want intact with %d",
-							victim, field, i, err, s.Refcount(r.ID), wantRefs[i])
-					}
-				case victim == 0:
-					// The ref record of the next frame still names A0: its
-					// entry survives, location-less, counting that reference
-					// and the lost record's own.
-					if !errors.Is(err, ErrCorrupt) || s.Refcount(r.ID) != 2 {
-						t.Fatalf("block 0 %s rotten: Get %v with %d references, want ErrCorrupt with 2", field, err, s.Refcount(r.ID))
-					}
-				default:
-					if !errors.Is(err, ErrNotFound) || s.Refcount(r.ID) != 0 {
-						t.Fatalf("block %d %s rotten: Get %v with %d references, want ErrNotFound", victim, field, err, s.Refcount(r.ID))
+			s := openRoll(t, rotten)
+			readsBack := func(when string, want func(i int) bool) {
+				t.Helper()
+				for i, p := range blocks {
+					got, err := s.Get(Ref{ID: IDOf(p), Len: uint32(len(p))})
+					switch {
+					case want(i):
+						if err != nil || !bytes.Equal(got, p) {
+							t.Fatalf("block %d %s rotten, %s: block %d reads %v, want intact", victim, field, when, i, err)
+						}
+					case !errors.Is(err, ErrNotFound):
+						t.Fatalf("block %d %s rotten, %s: block %d reads %v, want ErrNotFound", victim, field, when, i, err)
 					}
 				}
+				recountStats(t, s)
 			}
+			readsBack("after the open", func(i int) bool { return i != victim })
 			if st, _ := os.Stat(s.packPath(1)); st.Size() != off[5]+size[5] {
 				t.Fatalf("block %d %s rotten: the open cut the pack to %d bytes", victim, field, st.Size())
 			}
-			recountStats(t, s)
+			// What the rotten region held is dead: only the last block is
+			// live, so the pack — sealed by this Intern — is relocated
+			// around the rot and unlinked.
+			if _, err := s.Intern([][]byte{testPayload(400, 64)}); err != nil {
+				t.Fatal(err)
+			}
+			gc, err := s.GC(markOf(blocks[5]))
+			if err != nil || gc.Live != 1 || gc.Reclaimed != len(blocks)-1 {
+				t.Fatalf("block %d %s rotten: GC returned %+v, %v; want 1 live and %d reclaimed", victim, field, gc, err, len(blocks)-1)
+			}
+			if _, err := os.Stat(s.packPath(1)); !os.IsNotExist(err) {
+				t.Fatalf("block %d %s rotten: the rotten pack survived a GC that found it one block live: %v", victim, field, err)
+			}
+			readsBack("after GC", func(i int) bool { return i == 5 })
 			refs, err := s.Intern(blocks[victim : victim+1])
 			if err != nil {
 				t.Fatal(err)
@@ -454,44 +462,8 @@ func TestRotIsNotATornTail(t *testing.T) {
 			if got, err := s.Get(refs[0]); err != nil || !bytes.Equal(got, blocks[victim]) {
 				t.Fatalf("block %d %s rotten: not healed by interning it again: %v", victim, field, err)
 			}
-			recountStats(t, s)
-			// What the damaged bytes held is unknowable, so no count can
-			// be trusted to have reached zero.
-			if gc, err := s.GC(); !errors.Is(err, ErrCorrupt) || gc.Reclaimed != 0 {
-				t.Fatalf("block %d %s rotten: GC over a damaged log returned %+v, %v; want a refusal", victim, field, gc, err)
-			}
 			s.Close()
 		}
-	}
-
-	// The same flips in the ref record that ends the second frame take a
-	// reference to A0 with them and nothing can tell: A0 now counts 1 with
-	// two holders. One holder releasing must not let GC drop the block
-	// under the other.
-	refRec := off[3] + size[3]
-	for field, at := range fields {
-		if at >= blockRecOverhead {
-			continue // a ref record's payload is its one ID
-		}
-		rotten := damagedCopy(t, dir, func(pack []byte) []byte {
-			pack[refRec+at] ^= 0x10
-			return pack
-		})
-		s := mustOpen(t, rotten)
-		if err := s.Release(refsOf(blocks[0])); err != nil {
-			t.Fatalf("ref record %s rotten: release: %v", field, err)
-		}
-		if gc, err := s.GC(); !errors.Is(err, ErrCorrupt) || gc.Reclaimed != 0 {
-			t.Fatalf("ref record %s rotten: GC returned %+v, %v; want a refusal", field, gc, err)
-		}
-		s.Close()
-		s = mustOpen(t, rotten)
-		for i, p := range blocks {
-			if got, err := s.Get(Ref{ID: IDOf(p), Len: uint32(len(p))}); err != nil || !bytes.Equal(got, p) {
-				t.Fatalf("ref record %s rotten: block %d lost after release + GC: %v", field, i, err)
-			}
-		}
-		s.Close()
 	}
 
 	rotten := damagedCopy(t, dir, func(pack []byte) []byte {
@@ -499,7 +471,7 @@ func TestRotIsNotATornTail(t *testing.T) {
 		return pack
 	})
 	s := mustOpen(t, rotten)
-	if s.Contains(IDOf(blocks[5])) || !s.Contains(IDOf(blocks[4])) {
+	if held(s, IDOf(blocks[5])) || !held(s, IDOf(blocks[4])) {
 		t.Fatal("rot in the last frame: want the torn-tail reading, the last block gone and the one before it kept")
 	}
 	if st, _ := os.Stat(s.packPath(1)); st.Size() != off[5] {
@@ -539,10 +511,10 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 // TestFsyncBudget counts what the store's calls cost through the hook
 // seams: opening a fresh directory syncs nothing and creates no pack;
 // an Intern is exactly one fsync of the pack whether it adds 1, 16 or
-// 4096 blocks or only takes references (the call that creates a pack
-// also fsyncs the directory, once); a Release is one; and every byte
-// goes through the write seam exactly once — what was written is what
-// the pack holds.
+// 4096 blocks (the call that creates a pack also fsyncs the directory,
+// once); an Intern of blocks that are all present is none, and writes
+// nothing; and every byte goes through the write seam exactly once —
+// what was written is what the pack holds.
 func TestFsyncBudget(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "_blocks")
 	var c countingHooks
@@ -581,17 +553,8 @@ func TestFsyncBudget(t *testing.T) {
 	if _, err := s.Intern(all); err != nil {
 		t.Fatal(err)
 	}
-	want += int64(len(all))*idSize + recframe.HdrSize // one ref record
-	if !reflect.DeepEqual(c.syncs, []string{pack}) {
-		t.Fatalf("Intern of %d present blocks fsynced %v, want one of the pack", len(all), c.syncs)
-	}
-	c.syncs = nil
-	if err := s.Release(refsOf(all[:100]...)); err != nil {
-		t.Fatal(err)
-	}
-	want += 100*idSize + recframe.HdrSize
-	if !reflect.DeepEqual(c.syncs, []string{pack}) {
-		t.Fatalf("Release fsynced %v, want one of the pack", c.syncs)
+	if len(c.syncs) != 0 || c.written != want {
+		t.Fatalf("Intern of %d present blocks fsynced %v and wrote %d bytes, want neither", len(all), c.syncs, c.written-want)
 	}
 	st, err := os.Stat(s.packPath(1))
 	if err != nil {
@@ -626,9 +589,9 @@ func TestSealSyncsThePackItLeaves(t *testing.T) {
 
 // TestFailedInternLeavesNoTrace: an Intern that fails at its third
 // chunk of five — a collision, or a write or fsync error — must leave
-// memory exactly where disk is: the first two chunks keep their
-// counts, GC neither reclaims a live block nor leaks the failed ones,
-// and a reopen agrees with the live store.
+// memory exactly where disk is: the first two chunks stay held, none of
+// the failed batch's new chunks is, GC with a mark of the first two
+// keeps exactly those, and a reopen agrees with the live store.
 func TestFailedInternLeavesNoTrace(t *testing.T) {
 	boom := errors.New("injected")
 	for _, mode := range []string{"collision", "write", "sync"} {
@@ -647,9 +610,6 @@ func TestFailedInternLeavesNoTrace(t *testing.T) {
 			// The index disagrees with the third chunk about its CRC.
 			wantErr = ErrCollision
 			if _, err := s.Intern(chunks[2:3]); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Release(refsOf(chunks[2])); err != nil {
 				t.Fatal(err)
 			}
 			s.mu.Lock()
@@ -675,34 +635,28 @@ func TestFailedInternLeavesNoTrace(t *testing.T) {
 		if after, _ := os.Stat(s.packPath(1)); after.Size() != before.Size() {
 			t.Fatalf("%s: the failed Intern left the pack at %d bytes, was %d", mode, after.Size(), before.Size())
 		}
-		check := func(s *Store, when string) {
+		check := func(s *Store, when string, first int) {
 			t.Helper()
 			for i, p := range chunks {
-				want := uint32(0)
-				if i < 2 {
-					want = 1
-				}
-				if rc := s.Refcount(IDOf(p)); rc != want {
-					t.Fatalf("%s, %s: chunk %d holds %d references, want %d", mode, when, i, rc, want)
+				if held(s, IDOf(p)) != (i < first) {
+					t.Fatalf("%s, %s: chunk %d held %v, want the first %d held", mode, when, i, held(s, IDOf(p)), first)
 				}
 			}
 			recountStats(t, s)
 		}
-		check(s, "after the failure")
-		gc, err := s.GC()
+		interned := map[string]int{"collision": 3}[mode]
+		check(s, "after the failure", max(interned, 2))
+		gc, err := s.GC(markOf(chunks[:2]...))
 		if err != nil {
 			t.Fatalf("%s: gc: %v", mode, err)
 		}
-		if wantDead := map[string]int{"collision": 1}[mode]; gc.Live != 2 || gc.Reclaimed != wantDead {
+		if wantDead := max(interned-2, 0); gc.Live != 2 || gc.Reclaimed != wantDead {
 			t.Fatalf("%s: gc kept %d and reclaimed %d, want 2 and %d", mode, gc.Live, gc.Reclaimed, wantDead)
 		}
-		check(s, "after gc")
+		check(s, "after gc", 2)
 		s.Close()
 		s = mustOpen(t, dir)
-		check(s, "after reopen")
-		if st := s.Stats(); st.Blocks != 2 {
-			t.Fatalf("%s: reopened store holds %d blocks, want 2", mode, st.Blocks)
-		}
+		check(s, "after reopen", 2)
 		s.Close()
 	}
 }
@@ -715,28 +669,26 @@ func TestFailedInternLeavesNoTrace(t *testing.T) {
 func TestPostCommitFailureFailsStop(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	refs, err := s.Intern([][]byte{testPayload(1, 4096), testPayload(2, 4096)})
+	keep := testPayload(1, 4096)
+	refs, err := s.Intern([][]byte{keep, testPayload(2, 4096)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Release(refs[1:]); err != nil {
-		t.Fatal(err)
-	}
 	s.SetHooks(failAt("after-rename", errors.New("injected")))
-	if _, err := s.GC(); err == nil {
+	if _, err := s.GC(markOf(keep)); err == nil {
 		t.Fatal("GC whose commit could not be made durable reported success")
 	}
 	if _, err := s.Intern([][]byte{testPayload(3, 64)}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Intern after the failed commit: %v, want ErrClosed", err)
 	}
-	if err := s.Release(refs[:1]); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Release after the failed commit: %v, want ErrClosed", err)
+	if _, err := s.GC(markOf(keep)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("GC after the failed commit: %v, want ErrClosed", err)
 	}
 	s2 := mustOpen(t, dir)
 	if _, err := s2.Get(refs[0]); err != nil {
 		t.Fatalf("Get after fail-stop and reopen: %v", err)
 	}
-	if s2.Contains(refs[1].ID) {
+	if held(s2, refs[1].ID) {
 		t.Fatal("dead block survived the committed GC snapshot")
 	}
 }
@@ -781,21 +733,18 @@ func TestRaceGetInternGC(t *testing.T) {
 			}
 		}()
 	}
-	// Each round fills packs with short-lived blocks, drops them, and
-	// lets GC move the survivors out of the sparse packs it unlinks.
+	// Each round fills packs with short-lived blocks the mark does not
+	// find, and lets GC move the survivors out of the sparse packs it
+	// unlinks.
 	for round := 0; round < 30; round++ {
 		junk := make([][]byte, 6)
 		for i := range junk {
 			junk[i] = testPayload(int64(1000+round*10+i), 300)
 		}
-		refs, err := s.Intern(append(junk, keep[round%len(keep)]))
-		if err != nil {
+		if _, err := s.Intern(append(junk, keep[round%len(keep)])); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Release(refs); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.GC(); err != nil {
+		if _, err := s.GC(markOf(keep...)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -17,39 +17,42 @@ import (
 //
 // A pack is a log in the repository's one record framing
 // (internal/recframe) under the magic "GBPR"; the header's two user
-// fields are zero. Four kinds of record, whose payload is a run of
-// 16-byte block IDs followed, for the two kinds that carry one, by the
-// block's bytes:
+// fields are zero. Two kinds of record are written, both an ID followed
+// by the block's bytes:
 //
-//	block    ID + bytes  the block's location AND its first reference
-//	ref      IDs         one more reference each; the blocks were present
-//	release  IDs         one reference fewer each
-//	moved    ID + bytes  GC's copy of a live block: a new location, no
-//	                     reference — replaying it can change where a
-//	                     block is read from, never a count
+//	block    ID + bytes  the block's location
+//	moved    ID + bytes  GC's copy of a live block: a new location
+//
+// Kinds 2 and 3 (a run of IDs each) are the ref and release records of
+// earlier builds, which counted references in the log. They are still
+// accepted, so a frame one of them commits is not cut off as a torn
+// tail, and replay ignores them.
 //
 // # Index snapshot (blockstore.index)
 //
 //	u32  magic "GBIX"
-//	u8   version (2)
+//	u8   version (3)
 //	u64  generation
 //	u32  pack, u64 offset: the log position the snapshot folds up to
 //	u32  entry count
-//	entries: {id [16]byte, pack u32, off u64, len u32, crc u32, refs u32} x count
+//	entries: {id [16]byte, pack u32, off u64, len u32, crc u32} x count
 //	u32  footer magic "GBIF"
 //	u32  CRC32C of every preceding byte
 //
 // The snapshot is the commit record of a GC transaction: it lists every
-// referenced block with its location and durable refcount, and its
-// atomic rename is the single commit point (mirroring the lineage
-// manifest). An open replays only the log past the recorded position.
+// live block with its location, and its atomic rename is the single
+// commit point (mirroring the lineage manifest). An open replays only
+// the log past the recorded position. A version 2 snapshot, written by
+// the builds that counted references, opens too: each of its entries
+// carries a trailing u32 refcount, which is skipped.
 const (
 	indexMagic       = 0x58_49_42_47 // "GBIX"
 	indexFooterMagic = 0x46_49_42_47 // "GBIF"
-	formatVersion    = 2
+	formatVersion    = 3
+	countedVersion   = 2 // entries carry a refcount after the crc
 
 	indexHdrSize    = 4 + 1 + 8 + 4 + 8 + 4
-	indexEntrySize  = idSize + 4 + 8 + 4 + 4 + 4
+	indexEntrySize  = idSize + 4 + 8 + 4 + 4
 	indexFooterSize = 4 + 4
 
 	// maxIndexEntries bounds a declared entry count before any
@@ -57,8 +60,8 @@ const (
 	maxIndexEntries = 1 << 30
 
 	recBlock   = 1
-	recRef     = 2
-	recRelease = 3
+	recRef     = 2 // written by earlier builds only
+	recRelease = 3 // written by earlier builds only
 	recMoved   = 4
 
 	// blockRecOverhead is what a block record costs beyond the payload.
@@ -68,7 +71,7 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // packFormat is the pack log's framing: its magic and the shapes a
-// pack writer produces.
+// pack writer produces, now or in an earlier build.
 var packFormat = recframe.Format{
 	Magic: [4]byte{'G', 'B', 'P', 'R'},
 	Accept: func(h recframe.Header) bool {
@@ -91,16 +94,13 @@ func blockCRC(id ID, p []byte) uint32 {
 }
 
 // entry is the in-memory state of one block: where its record sits
-// (the header's offset in pack number pack), the block's length, the
-// record's payload checksum and the reference count. pack 0 is no
-// pack: references to the block were replayed but its record was lost
-// to rot, so it cannot be read until it is interned again.
+// (the header's offset in pack number pack), the block's length and the
+// record's payload checksum.
 type entry struct {
 	off  int64
 	pack uint32
 	len  uint32
 	crc  uint32
-	refs uint32
 }
 
 // logPos is a position in the pack log.
@@ -132,16 +132,16 @@ func encodeIndex(gen uint64, mark logPos, ids []ID, entries map[ID]entry) ([]byt
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.off))
 		buf = binary.LittleEndian.AppendUint32(buf, e.len)
 		buf = binary.LittleEndian.AppendUint32(buf, e.crc)
-		buf = binary.LittleEndian.AppendUint32(buf, e.refs)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, indexFooterMagic)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	return buf, nil
 }
 
-// DecodeIndex parses an index snapshot. The declared entry count is
-// bounded by the actual byte length before any allocation and the
-// whole-file CRC must verify; any mismatch is ErrCorrupt.
+// DecodeIndex parses an index snapshot of either version. The declared
+// entry count is bounded by the actual byte length before any
+// allocation and the whole-file CRC must verify; any mismatch is
+// ErrCorrupt.
 func DecodeIndex(b []byte) (gen uint64, mark logPos, entries map[ID]entry, err error) {
 	fail := func(format string, args ...any) (uint64, logPos, map[ID]entry, error) {
 		return 0, logPos{}, nil, fmt.Errorf("%w: index "+format, append([]any{ErrCorrupt}, args...)...)
@@ -160,20 +160,23 @@ func DecodeIndex(b []byte) (gen uint64, mark logPos, entries map[ID]entry, err e
 	if binary.LittleEndian.Uint32(body) != indexMagic {
 		return fail("magic is wrong")
 	}
-	if body[4] != formatVersion {
+	size := indexEntrySize
+	if body[4] == countedVersion {
+		size += 4
+	} else if body[4] != formatVersion {
 		return 0, logPos{}, nil, fmt.Errorf("blockstore: unsupported index version %d", body[4])
 	}
 	gen = binary.LittleEndian.Uint64(body[5:])
 	mark = logPos{pack: binary.LittleEndian.Uint32(body[13:]), off: int64(binary.LittleEndian.Uint64(body[17:]))}
 	count := binary.LittleEndian.Uint32(body[25:])
 	rest := body[indexHdrSize:]
-	if uint64(count) > maxIndexEntries || uint64(count)*indexEntrySize != uint64(len(rest)) || mark.off < 0 {
+	if uint64(count) > maxIndexEntries || uint64(count)*uint64(size) != uint64(len(rest)) || mark.off < 0 {
 		return fail("declares %d entries up to offset %d but carries %d entry bytes", count, mark.off, len(rest))
 	}
 	entries = make(map[ID]entry, count)
 	var prev ID
 	for i := 0; i < int(count); i++ {
-		rec := rest[i*indexEntrySize:]
+		rec := rest[i*size:]
 		id := ID(rec[:idSize])
 		// Snapshots are canonical: strictly ascending ID order. This both
 		// rejects duplicates and makes decode(encode(x)) byte-identical.
@@ -186,7 +189,6 @@ func DecodeIndex(b []byte) (gen uint64, mark logPos, entries map[ID]entry, err e
 			off:  int64(binary.LittleEndian.Uint64(rec[idSize+4:])),
 			len:  binary.LittleEndian.Uint32(rec[idSize+12:]),
 			crc:  binary.LittleEndian.Uint32(rec[idSize+16:]),
-			refs: binary.LittleEndian.Uint32(rec[idSize+20:]),
 		}
 		if e.off < 0 {
 			return fail("entry %d (%s) at a negative offset", i, id)

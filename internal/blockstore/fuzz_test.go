@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"reflect"
 	"testing"
 
 	"github.com/gpuckpt/gpuckpt/internal/recframe"
@@ -21,7 +22,7 @@ func fuzzIndexSeeds(f *testing.F) [][]byte {
 		var ids []ID
 		for i := 0; i < n; i++ {
 			id := IDOf([]byte(fmt.Sprintf("seed-%d-%d", n, i)))
-			entries[id] = entry{off: int64(i) * 4140, pack: uint32(1 + i%2), len: uint32(4096), crc: uint32(i * 31), refs: uint32(i)}
+			entries[id] = entry{off: int64(i) * 4140, pack: uint32(1 + i%2), len: uint32(4096), crc: uint32(i * 31)}
 			ids = append(ids, id)
 		}
 		sortIDs(ids)
@@ -37,10 +38,11 @@ func fuzzIndexSeeds(f *testing.F) [][]byte {
 // FuzzBlockIndexDecode feeds arbitrary bytes to the index-snapshot
 // decoder. An input that decodes must re-encode to the identical byte
 // stream (the encoding is canonical: ascending-ID order, whole-file
-// CRC) — log position and block locations included — and the decoder
-// must never panic or allocate unboundedly on garbage: the snapshot is
-// the commit record of GC, so a corrupted one must fail typed, not
-// half-load.
+// CRC) — log position and block locations included — or, for a
+// snapshot of the earlier version, to one that decodes to the same
+// state; and the decoder must never panic or allocate unboundedly on
+// garbage: the snapshot is the commit record of GC, so a corrupted one
+// must fail typed, not half-load.
 func FuzzBlockIndexDecode(f *testing.F) {
 	for _, s := range fuzzIndexSeeds(f) {
 		f.Add(s)
@@ -63,8 +65,12 @@ func FuzzBlockIndexDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of decoded index failed: %v", err)
 		}
-		if !bytes.Equal(b, data) {
+		if data[4] == formatVersion && !bytes.Equal(b, data) {
 			t.Fatalf("decoded index is not canonical: %d vs %d bytes", len(b), len(data))
+		}
+		gen2, mark2, entries2, err := DecodeIndex(b)
+		if err != nil || gen2 != gen || mark2 != mark || !reflect.DeepEqual(entries2, entries) {
+			t.Fatalf("re-encoded index decodes differently: %v", err)
 		}
 	})
 }
@@ -82,8 +88,8 @@ func appendRec(img []byte, kind byte, more bool, ids []ID, data []byte) []byte {
 }
 
 // packSeeds returns pack images for the fuzz corpus: an intern of new
-// blocks, a mixed frame with a ref record, a release, a relocation,
-// and a torn tail.
+// blocks, a frame an earlier build committed with a ref record, that
+// build's release, a relocation, and a torn tail.
 func packSeeds() [][]byte {
 	a, b, c := []byte("block a"), bytes.Repeat([]byte{0xB}, 300), []byte{}
 	ia, ib, ic := IDOf(a), IDOf(b), IDOf(c)
@@ -115,10 +121,11 @@ func openPackImage(t *testing.T, img []byte) *Store {
 // The open must not panic, must index only records both of whose
 // checksums verify (so it never sizes anything from a length or ID
 // count it has not checked), and must keep its running totals exact.
-// Then the bytes become a block of a valid pack with one corrupted
-// byte somewhere: the block reads back exactly or fails typed — never
-// with altered bytes — and its count is exact or the store knows it is
-// damaged.
+// Then the bytes become a block of a valid pack — written the way an
+// earlier build did, its frame committed by a ref record and two ref
+// records after it — with one corrupted byte somewhere: a block whose
+// record still verifies reads back exactly, and one whose record does
+// not fails typed, never with altered bytes.
 func FuzzPackScan(f *testing.F) {
 	for _, img := range packSeeds() {
 		f.Add(img, uint16(0), byte(0))
@@ -131,9 +138,6 @@ func FuzzPackScan(f *testing.F) {
 		var total int64
 		for id, e := range s.entries {
 			total += int64(e.len)
-			if e.pack == 0 {
-				continue
-			}
 			rec := data[e.off:]
 			h, ok := packFormat.Parse(rec)
 			if !ok || h.Len != e.len+idSize || int(h.Next()) > len(rec) ||
@@ -161,18 +165,12 @@ func FuzzPackScan(f *testing.F) {
 		}
 		at := int(pos) % len(img)
 		img[at] ^= mask
-		s = openPackImage(t, img)
-		p, err := s.Get(Ref{ID: id})
+		p, err := openPackImage(t, img).Get(Ref{ID: id})
 		switch {
 		case err == nil && bytes.Equal(p, data):
-		case errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNotFound):
+		case at < blockRecOverhead+len(data) && (errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNotFound)):
 		default:
 			t.Fatalf("flip of byte %d (mask %02x): block read back as %d bytes, %v", at, mask, len(p), err)
-		}
-		// A count may fall short only where GC is told so — or in the
-		// last frame, where the flip reads as a torn append.
-		if lastFrame := len(img) - recframe.HdrSize - idSize; at < lastFrame && s.Refcount(id) < 3 && s.damaged == "" {
-			t.Fatalf("flip of byte %d (mask %02x): count fell to %d in a store that reports no damage", at, mask, s.Refcount(id))
 		}
 	})
 }

@@ -14,40 +14,63 @@ import (
 
 // GCStats reports one committed GC transaction.
 type GCStats struct {
-	// Live is how many referenced blocks the new snapshot retains.
+	// Live is how many live blocks the new snapshot retains.
 	Live int
-	// Reclaimed counts the zero-ref blocks dropped from the index;
-	// ReclaimedBytes their payload bytes. The pack space they occupy is
-	// returned when their pack, once sealed, is mostly dead.
+	// Reclaimed counts the blocks dropped from the index; ReclaimedBytes
+	// their payload bytes. The pack space they occupy is returned when
+	// their pack, once sealed, is mostly dead.
 	Reclaimed      int
 	ReclaimedBytes int64
 }
 
-// GC folds the log into a fresh index snapshot holding only referenced
-// blocks. Before the commit it empties every sealed pack that is
-// mostly dead, copying the live blocks to the end of the log as moved
-// records (one frame, one fsync per pack); the snapshot rename is the
-// one commit point; after it the zero-ref blocks are forgotten and the
-// emptied packs unlinked. Crash-safe at every point: before the rename
-// the old snapshot plus the log still hold the full state — a moved
-// record changes a location, never a count, so a crash between copy
-// and commit can neither over- nor under-count; after it, all that can
-// remain is a pack nothing points into, which the next GC unlinks. A
-// store whose replayed log holds a damaged region (see B2) refuses.
-func (s *Store) GC() (GCStats, error) {
+// GC reclaims every block that is not live and folds the log into a
+// fresh index snapshot of the rest. mark must report through live, from
+// one goroutine, every block named by a record that existed when GC was
+// called, and must not call GC. It runs without the store's lock, so a
+// push may reference a block it has gone past: every ID Intern returns
+// while GC runs is live too. A mark error fails the GC with nothing
+// reclaimed. GCs serialize.
+//
+// GC then empties every sealed pack that is mostly dead, copying the
+// live blocks to the end of the log as moved records (one frame, one
+// fsync per pack); the snapshot rename is the one commit point; after
+// it the dead blocks are forgotten and the emptied packs unlinked.
+// Crash-safe at every point: before the rename the old snapshot plus
+// the log still hold the full state — a moved record only changes
+// where a block is read from; after it, all that can remain is a pack
+// nothing points into, which the next GC unlinks.
+func (s *Store) GC(mark func(live func(ID)) error) (GCStats, error) {
+	s.gcMu.Lock()
+	defer s.gcMu.Unlock()
+	s.mu.Lock()
+	err := s.beginLocked()
+	if err == nil {
+		s.touched = make(map[ID]struct{})
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return GCStats{}, err
+	}
+	marked := make(map[ID]struct{})
+	err = mark(func(id ID) { marked[id] = struct{}{} })
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var st GCStats
+	for id := range s.touched {
+		marked[id] = struct{}{}
+	}
+	s.touched = nil
+	if err != nil {
+		return st, fmt.Errorf("blockstore: GC mark: %w", err)
+	}
 	if err := s.beginLocked(); err != nil {
 		return st, err
 	}
-	if s.damaged != "" {
-		return st, fmt.Errorf("%w: %s is unreadable and may have held references; counts are lower bounds, nothing is reclaimed", ErrCorrupt, s.damaged)
-	}
-	live := make([]ID, 0, len(s.entries))
+	live := make([]ID, 0, len(marked))
 	liveBytes := make(map[uint32]int64)
 	for id, e := range s.entries {
-		if e.refs > 0 {
+		if _, ok := marked[id]; ok {
 			live = append(live, id)
 			liveBytes[e.pack] += blockRecOverhead + int64(e.len)
 		}
@@ -74,7 +97,7 @@ func (s *Store) GC() (GCStats, error) {
 		}
 	}
 
-	err := s.seamLocked("gc-before", s.indexPath())
+	err = s.seamLocked("gc-before", s.indexPath())
 	if err == nil {
 		err = s.commitIndexLocked(live)
 	}
@@ -82,7 +105,7 @@ func (s *Store) GC() (GCStats, error) {
 		return st, err
 	}
 	for id, e := range s.entries {
-		if e.refs == 0 {
+		if _, ok := marked[id]; !ok {
 			delete(s.entries, id)
 			s.blocks--
 			s.bytes -= int64(e.len)
@@ -132,7 +155,7 @@ func (s *Store) relocateLocked(num uint32, live []ID) error {
 	r.hooks = s.hooks
 	s.resolveLocked(refs, r.locs)
 	offs := make([]int64, len(refs))
-	err := s.appendFrameLocked(recMoved, func() error {
+	err := s.appendFrameLocked(func() error {
 		for i := range refs {
 			p, err := r.next()
 			if err != nil {

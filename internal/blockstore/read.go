@@ -32,7 +32,7 @@ type ReadScratch struct {
 
 // loc is what one reference of a read resolved to: the block's entry
 // (ok false: the index holds none) and the handle of the pack it names
-// (nil: no record of the block survives).
+// (nil: the directory does not hold that pack).
 type loc struct {
 	f  *os.File
 	e  entry
@@ -166,7 +166,7 @@ func (r *runReader) readRun() error {
 	case !at.ok:
 		return fmt.Errorf("%w: %s", ErrNotFound, ref.ID)
 	case at.f == nil:
-		return fmt.Errorf("%w: block %s is referenced but no record of it survives", ErrCorrupt, ref.ID)
+		return fmt.Errorf("%w: block %s is indexed in pack %d, which the directory does not hold", ErrCorrupt, ref.ID, at.e.pack)
 	case ref.Len != 0 && ref.Len != at.e.len:
 		return fmt.Errorf("%w: block %s holds %d bytes, reference says %d", ErrCorrupt, ref.ID, at.e.len, ref.Len)
 	}

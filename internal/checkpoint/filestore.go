@@ -375,8 +375,8 @@ func (fs *FileStore) Append(d *Diff) error {
 // The batch commits atomically: appended is len(ds) and every diff is
 // durable, or it is 0 and nothing was committed — the segment is
 // rolled back to its previous length (a crash instead leaves a torn
-// frame the next open discards) and the block references just taken
-// are released again.
+// frame the next open discards); a block-store GC reclaims the blocks
+// just interned.
 func (fs *FileStore) AppendBatch(ds []*Diff) (appended int, err error) {
 	if len(ds) == 0 {
 		return 0, nil
@@ -549,11 +549,10 @@ func (fs *FileStore) writeRecords(w io.Writer, ds []*Diff, refs []blockstore.Ref
 
 // appendFrameLocked is the one write path of the live segment: it adds
 // one frame — a diff record per element of ds — as ONE
-// recframe.Log.Append (one write, one fsync), then indexes it. A failed
-// append that was rolled back releases the block references just taken;
-// one that fail-stopped the log (the cut failed too, or a simulated
-// crash, which must leave the debris a dying process would) keeps them —
-// the frame may still be on disk — and the store stops accepting writes.
+// recframe.Log.Append (one write, one fsync), then indexes it. An append
+// that fail-stopped the log (the cut failed too, or a simulated crash,
+// which must leave the debris a dying process would) stops the store
+// accepting writes.
 //
 //ckptlint:locked mu
 func (fs *FileStore) appendFrameLocked(ds []*Diff) error {
@@ -575,9 +574,7 @@ func (fs *FileStore) appendFrameLocked(ds []*Diff) error {
 		return err
 	})
 	if err != nil {
-		if fs.failed = fs.log.Failed(); fs.failed == nil {
-			fs.releaseRefsLocked(refs)
-		}
+		fs.failed = fs.log.Failed()
 		return err
 	}
 	for len(fs.recs) < end-base {
@@ -588,21 +585,6 @@ func (fs *FileStore) appendFrameLocked(ds []*Diff) error {
 		fs.recs[int(d.CkptID)-base] = locs[i]
 	}
 	fs.segSize = fs.log.Size()
-	return nil
-}
-
-// releaseRefsLocked drops refs from the attached block store,
-// tolerating underflow (a foreign or already-released reference) as the
-// documented soft failure of best-effort cleanup.
-//
-//ckptlint:locked mu
-func (fs *FileStore) releaseRefsLocked(refs []blockstore.Ref) error {
-	if fs.blocks == nil || len(refs) == 0 {
-		return nil
-	}
-	if err := fs.blocks.Release(refs); err != nil && !errors.Is(err, blockstore.ErrUnderflow) {
-		return fs.diedLocked(err)
-	}
 	return nil
 }
 
@@ -619,14 +601,13 @@ func (fs *FileStore) releaseRefsLocked(refs []blockstore.Ref) error {
 // entry included, then written and fsynced (recframe.Create, one
 // Log.Append); the manifest rename that names the new segment (baseline
 // base, next generation; recframe.Commit) is the commit point; then the
-// old segment is deleted and the block references of its records are
-// released. A failure before the rename leaves the old lineage in force
-// and nothing of the attempt; a simulated crash, or a failure after the
-// rename (the commit stands but its durability is unknown), stops the
-// store until a reopen settles which manifest won. A crash leaves the
-// old lineage plus an unnamed segment, or the new lineage plus the old
-// segment; the next write removes either, and a crash can only leak
-// block references, never drop a needed one.
+// old segment is deleted. A failure before the rename leaves the old
+// lineage in force and nothing of the attempt; a simulated crash, or a
+// failure after the rename (the commit stands but its durability is
+// unknown), stops the store until a reopen settles which manifest won.
+// A crash leaves the old lineage plus an unnamed segment, or the new
+// lineage plus the old segment; the next write removes either, and the
+// next block-store GC reclaims what only the loser referenced.
 func (fs *FileStore) InstallSpan(base int, diffs []*Diff) error {
 	if len(diffs) == 0 {
 		return fmt.Errorf("checkpoint: install span at %d with no diffs", base)
@@ -652,10 +633,6 @@ func (fs *FileStore) InstallSpan(base int, diffs []*Diff) error {
 	m.Generation++
 	m.segment++
 
-	oldRefs, err := fs.segmentRefsLocked()
-	if err != nil {
-		return err
-	}
 	refs, counts, err := fs.internLocked(diffs)
 	if err != nil {
 		return err
@@ -671,14 +648,13 @@ func (fs *FileStore) InstallSpan(base int, diffs []*Diff) error {
 		}
 		if fs.failed == nil { // not committed, and not pretending to have crashed
 			os.Remove(path)
-			fs.releaseRefsLocked(refs)
 		}
 		return err
 	}
 	fs.seg.Close()
 	os.Remove(fs.seg.Name())
 	fs.seg, fs.log, fs.segSize, fs.recs = log.File(), log, log.Size(), locs
-	return fs.releaseRefsLocked(oldRefs)
+	return nil
 }
 
 // commitManifestLocked publishes m by recframe.Commit and adopts it. A
@@ -717,32 +693,40 @@ func (fs *FileStore) writeSegmentLocked(path string, diffs []*Diff, refs []block
 	return log, locs, fs.diedLocked(err)
 }
 
-// segmentRefsLocked returns the block references held by the live
-// segment: those of EVERY diff record in it that still verifies,
-// superseded ones included — each took its references when it was
-// written and nothing has released them since. References of records
-// that no longer verify are leaked rather than guessed at.
-//
-//ckptlint:locked mu
-func (fs *FileStore) segmentRefsLocked() ([]blockstore.Ref, error) {
-	if fs.blocks == nil {
-		return nil, nil
+// MarkBlocks is a block-store GC's mark for this lineage: it reports to
+// live every block that a diff record of the segment references, if the
+// record verifies — superseded records included, since the index falls
+// back to one when a later record rots. A read error fails the mark, and
+// so does a stopped store: a frame past its committed length may still
+// be on disk. It holds the lineage's lock, which every write holds from
+// its Intern to its durable write, so a block interned before the GC
+// began is in a record it reads.
+func (fs *FileStore) MarkBlocks(live func(blockstore.ID)) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.failed != nil {
+		return fmt.Errorf("checkpoint: marking the blocks of %s: %w", fs.dir, fs.failed)
+	}
+	if fs.blocks == nil || fs.seg == nil {
+		return nil
 	}
 	recs, _, err := segFormat.Scan(fs.seg, fs.segSize, false)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: scanning %s: %w", fs.seg.Name(), err)
+		return fmt.Errorf("checkpoint: marking the blocks of %s: %w", fs.seg.Name(), err)
 	}
-	var out []blockstore.Ref
+	var payload []byte
 	for _, r := range recs {
-		payload := make([]byte, r.Len) // empty for a tombstone: no refs
-		if _, err := fs.seg.ReadAt(payload, r.Off+recHdrSize); err != nil || !IsBlockMapped(payload) {
-			continue
+		payload = slices.Grow(payload[:0], int(r.Len))[:r.Len]
+		if _, err := fs.seg.ReadAt(payload, r.Off+recHdrSize); err != nil {
+			return fmt.Errorf("checkpoint: marking the blocks of %s: %w", fs.seg.Name(), err)
 		}
-		if _, refs, _, err := parseBlockDiff(payload); err == nil {
-			out = appendRefs(out, refs)
+		if _, refs, _, err := parseBlockDiff(payload); err == nil { // else self-contained
+			for ; len(refs) > 0; refs = refs[blockRefSize:] {
+				live(blockstore.ID(refs[:blockstore.IDSize]))
+			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // WriteRecord persists an in-memory record into an empty store, as one

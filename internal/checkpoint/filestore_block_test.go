@@ -31,6 +31,18 @@ func openShared(t *testing.T, root string, lineages ...string) (*blockstore.Stor
 	return bs, stores
 }
 
+// markStores is a block-store GC mark over the given lineages.
+func markStores(stores ...*FileStore) func(live func(blockstore.ID)) error {
+	return func(live func(blockstore.ID)) error {
+		for _, fs := range stores {
+			if err := fs.MarkBlocks(live); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 func randomDiff(ck int, seed int64, n int) *Diff {
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]byte, n)
@@ -118,9 +130,9 @@ func TestBlockStoreDiffBytesCanonical(t *testing.T) {
 	}
 }
 
-// TestBlockStoreReleaseOnPrune: folding history away releases block
-// references; blocks shared with a surviving lineage survive GC,
-// blocks referenced by no one are reclaimed.
+// TestBlockStoreReleaseOnPrune: folding history away leaves its blocks
+// unreferenced; a GC marking from the lineages keeps the blocks shared
+// with a surviving lineage and reclaims the ones no one references.
 func TestBlockStoreReleaseOnPrune(t *testing.T) {
 	root := t.TempDir()
 	bs, stores := openShared(t, root, "a", "b")
@@ -136,13 +148,12 @@ func TestBlockStoreReleaseOnPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Move a's baseline to 3: the old segment's records are gone and
-	// their refs released.
+	// Move a's baseline to 3: the old segment's records are gone.
 	base := randomDiff(3, 999, 640)
 	if err := stores[0].InstallSpan(3, []*Diff{base}); err != nil {
 		t.Fatal(err)
 	}
-	gc, err := bs.GC()
+	gc, err := bs.GC(markStores(stores...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,11 +397,11 @@ func TestBlockStoreRotSurfacesAsCorrupt(t *testing.T) {
 		}
 	}
 	// Rot one shared block on disk.
-	refs, err := stores[0].segmentRefsLocked()
-	if err != nil || len(refs) == 0 {
-		t.Fatal("no block refs recorded")
+	var ids []blockstore.ID
+	if err := stores[0].MarkBlocks(func(id blockstore.ID) { ids = append(ids, id) }); err != nil || len(ids) == 0 {
+		t.Fatalf("no block refs recorded: %v", err)
 	}
-	path, off, _, err := bs.Locate(refs[0].ID)
+	path, off, _, err := bs.Locate(ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}

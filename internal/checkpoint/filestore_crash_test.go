@@ -166,9 +166,9 @@ func (tw *tearingWriter) Write(p []byte) (int, error) {
 // interrupted step or exactly the state after it: every acked diff
 // serves its bytes, nothing that was never attempted exists, no hole
 // appears that the script did not make. With a block store a GC pass
-// after the crash must not take a block a stored diff still needs
-// (references may leak, never under-count), and the recovered store
-// must accept the next write.
+// marking from the lineage after the crash must not take a block a
+// stored diff still needs, and the recovered store must accept the next
+// write.
 func TestCrashPoints(t *testing.T) {
 	chain := refChain()
 	steps := crashScript(chain)
@@ -238,7 +238,7 @@ func TestCrashPoints(t *testing.T) {
 					t.Fatalf("%s: second reopen changed the state", label)
 				}
 				if bs != nil {
-					if _, err := bs.GC(); err != nil {
+					if _, err := bs.GC(markStores(fs)); err != nil {
 						t.Fatalf("%s: gc: %v", label, err)
 					}
 					if afterGC := snapshot(t, fs); !reflect.DeepEqual(afterGC, got) {
@@ -268,10 +268,47 @@ func TestCrashPoints(t *testing.T) {
 		counted = append(counted, points)
 	}
 	// Every fsync is a crash point — the lineage's directory fsyncs, and
-	// with a block store every seam of the Intern and Release under a
-	// lineage call.
+	// with a block store every seam of the Intern under a lineage call.
 	if counted[0] < 26 || counted[1] <= counted[0] {
 		t.Fatalf("%d crash points without a block store, %d with one: want at least 26, and more with one", counted[0], counted[1])
+	}
+}
+
+// TestInstallCrashLeaksNothing: a crash right after the manifest rename
+// of a span install — the old segment's records gone, nothing else done
+// — leaks no block: a GC after the reopen leaves exactly the blocks a
+// crash-free install and GC leave, and the folded lineage reads back.
+func TestInstallCrashLeaksNothing(t *testing.T) {
+	chain := refChain()
+	run := func(crash bool) blockstore.Stats {
+		env := lineageEnv{root: t.TempDir(), blocks: true}
+		fs, bs := env.open(t)
+		if _, err := fs.AppendBatch(chain[:6]); err != nil {
+			t.Fatal(err)
+		}
+		if crash {
+			hooks, _ := crashHooks("after-rename", 1)
+			fs.SetHooks(hooks)
+			bs.SetHooks(hooks)
+		}
+		if err := fs.InstallSpan(4, chain[4:6]); crash != errors.Is(err, ErrSimulatedCrash) {
+			t.Fatalf("crash %v: install: %v", crash, err)
+		}
+		closeEnv(fs, bs)
+		fs, bs = env.open(t)
+		defer closeEnv(fs, bs)
+		if _, err := bs.GC(markStores(fs)); err != nil {
+			t.Fatalf("crash %v: gc: %v", crash, err)
+		}
+		if got := snapshot(t, fs); got.Base != 4 || got.Len != 6 || got.Diffs[0] != string(encodeDiff(t, chain[4])) {
+			t.Fatalf("crash %v: reopened to [%d,%d), want the folded [4,6)", crash, got.Base, got.Len)
+		}
+		return bs.Stats()
+	}
+	clean, crashed := run(false), run(true)
+	if crashed.Blocks != clean.Blocks || crashed.StoredBytes != clean.StoredBytes {
+		t.Fatalf("after a crash at the install's rename and a GC the store holds %d blocks (%d bytes), a crash-free run %d (%d bytes)",
+			crashed.Blocks, crashed.StoredBytes, clean.Blocks, clean.StoredBytes)
 	}
 }
 
@@ -530,25 +567,25 @@ func TestTombstoneReadsAsDamage(t *testing.T) {
 }
 
 // TestWriteBudget counts what an append costs through the hook seams:
-// one fsync of the segment per frame whatever its size (the append
-// that creates the segment also fsyncs the directory, once), and every
-// container byte written to the lineage
-// directory exactly once — what went through the write seam is what
-// the segment holds.
+// one fsync of the segment per frame whatever its size (the append that
+// creates the segment also fsyncs the directory, once) — and nothing
+// else when every block of the frame was already in the block store —
+// and every container byte written to the lineage directory exactly
+// once: what went through the write seam is what the segment holds.
 func TestWriteBudget(t *testing.T) {
 	root := t.TempDir()
 	bs, stores := openShared(t, root, "lin")
-	_ = bs
 	fs := stores[0]
 	var syncs []string
 	var written int64
+	countSyncs := func(point, path string) error {
+		if point == "sync" {
+			syncs = append(syncs, filepath.Base(path))
+		}
+		return nil
+	}
 	fs.SetHooks(&recframe.Hooks{
-		Seam: func(point, path string) error {
-			if point == "sync" {
-				syncs = append(syncs, filepath.Base(path))
-			}
-			return nil
-		},
+		Seam: countSyncs,
 		WrapWrite: func(_ string, w io.Writer) io.Writer {
 			return writerFunc(func(p []byte) (int, error) {
 				n, err := w.Write(p)
@@ -581,7 +618,16 @@ func TestWriteBudget(t *testing.T) {
 	if want := []string{segmentName(0)}; !reflect.DeepEqual(syncs, want) {
 		t.Fatalf("batch of 16 fsynced %v, want %v", syncs, want)
 	}
-	for ck := 0; ck < 18; ck++ {
+	syncs = nil
+	bs.SetHooks(&recframe.Hooks{Seam: countSyncs})
+	if err := fs.Append(randomDiff(18, 1, 640)); err != nil { // diff 0's bytes: every block a hit
+		t.Fatal(err)
+	}
+	bs.SetHooks(nil)
+	if want := []string{segmentName(0)}; !reflect.DeepEqual(syncs, want) {
+		t.Fatalf("an append of present blocks fsynced %v, want %v", syncs, want)
+	}
+	for ck := 0; ck < 19; ck++ {
 		if _, err := fs.DiffBytes(ck); err != nil {
 			t.Fatal(err)
 		}

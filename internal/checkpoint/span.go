@@ -93,15 +93,18 @@ func (fs *FileStore) DiffBytes(ck int) ([]byte, error) {
 // ErrCorrupt) naming ck. Only the read itself happens under the lock: a
 // reader never sees a half-installed segment, and verification and
 // block fetches do not hold up appends. With segment set, the read is
-// refused with ErrSpanMoved unless that is still the live segment.
+// refused with ErrSpanMoved unless that is still the live segment. A
+// rewrite and a block-store GC can reclaim a record's blocks under the
+// unlocked fetch, so a failed fetch stands only while the record's
+// segment is still the live one; otherwise the read starts over.
 //
 // dst grows at most once, to a length taken from the record the index
 // located (self-contained) or from a container whose checksum verified:
 // never from a length nothing vouches for.
 func (fs *FileStore) appendDiff(dst []byte, ck int, segment *uint32, sc *ReadScratch) ([]byte, error) {
 	fs.mu.Lock()
-	base, end := int(fs.man.Base), fs.endLocked()
-	if segment != nil && *segment != fs.man.segment {
+	base, end, live := int(fs.man.Base), fs.endLocked(), fs.man.segment
+	if segment != nil && *segment != live {
 		fs.mu.Unlock()
 		return dst, fmt.Errorf("%w: the lineage was rewritten under the read of diff %d; it now holds [%d,%d)", ErrSpanMoved, ck, base, end)
 	}
@@ -150,6 +153,9 @@ func (fs *FileStore) appendDiff(dst []byte, ck int, segment *uint32, sc *ReadScr
 	sc.refs = appendRefs(sc.refs[:0], refs)
 	out := append(slices.Grow(dst, len(prefix)+int(dataLen)), prefix...)
 	if out, err = fs.blocks.AppendBlocks(out, sc.refs, &sc.blocks); err != nil {
+		if fs.Manifest().segment != live {
+			return fs.appendDiff(dst, ck, segment, sc)
+		}
 		return corrupt(err)
 	}
 	return out, nil

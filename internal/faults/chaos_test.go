@@ -1019,10 +1019,8 @@ func blockChaosLineages(t *testing.T, seed int64) (string, *blockstore.Store, []
 		}
 	}
 
-	// Fold a's prefix: a full baseline at index 3 replaces the chain,
-	// the pruned diffs release their block references, and since b
-	// still holds every block, only blocks unique to the replaced
-	// diff... none — the fold instead ADDS a's baseline blocks. Give
+	// Folding a's prefix would leave nothing dead — b still references
+	// every block, and the fold instead ADDS a's baseline blocks. Give
 	// GC genuinely dead blocks by pruning a scratch lineage outright.
 	scratch, err := checkpoint.NewFileStoreWith(filepath.Join(root, "scratch"), bs)
 	if err != nil {
@@ -1044,6 +1042,33 @@ func blockChaosLineages(t *testing.T, seed int64) (string, *blockstore.Store, []
 		t.Fatal(err)
 	}
 	return root, bs, images
+}
+
+// rootMark is a block-store GC mark over every lineage directory of
+// root, each opened on bs for the mark, the way a server marks over the
+// lineages it holds open.
+func rootMark(root string, bs *blockstore.Store) func(live func(blockstore.ID)) error {
+	return func(live func(blockstore.ID)) error {
+		entries, err := os.ReadDir(root)
+		if err != nil {
+			return err
+		}
+		for _, e := range entries {
+			if !e.IsDir() || e.Name() == blockstore.DirName {
+				continue
+			}
+			fs, err := checkpoint.NewFileStoreWith(filepath.Join(root, e.Name()), bs)
+			if err != nil {
+				return err
+			}
+			err = fs.MarkBlocks(live)
+			fs.Close()
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // verifyBlockLineages restores both shared-store lineages byte-exact
@@ -1079,7 +1104,7 @@ func verifyBlockLineages(t *testing.T, root string, bs *blockstore.Store, images
 func TestChaosBlockGCCrashBeforeCommit(t *testing.T) {
 	root, bs, images := blockChaosLineages(t, 901)
 	bs.SetHooks(faults.New(0).StorageHooks(faults.StoragePlan{SeamErr: map[string]faults.Hits{"gc-before": faults.From(1)}}))
-	if _, err := bs.GC(); !errors.Is(err, faults.ErrInjected) {
+	if _, err := bs.GC(rootMark(root, bs)); !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("GC with pre-commit crash returned %v, want ErrInjected", err)
 	}
 
@@ -1094,7 +1119,7 @@ func TestChaosBlockGCCrashBeforeCommit(t *testing.T) {
 		t.Fatalf("reopen after pre-commit crash: %v", err)
 	}
 	verifyBlockLineages(t, root, re, images)
-	gc, err := re.GC()
+	gc, err := re.GC(rootMark(root, re))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1114,7 +1139,7 @@ func TestChaosBlockGCCrashBeforeCommit(t *testing.T) {
 func TestChaosBlockGCCrashAfterCommit(t *testing.T) {
 	root, bs, images := blockChaosLineages(t, 902)
 	bs.SetHooks(faults.New(0).StorageHooks(faults.StoragePlan{SeamErr: map[string]faults.Hits{"gc-after": faults.From(1)}}))
-	if _, err := bs.GC(); !errors.Is(err, faults.ErrInjected) {
+	if _, err := bs.GC(rootMark(root, bs)); !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("GC with post-commit crash returned %v, want ErrInjected", err)
 	}
 
@@ -1130,7 +1155,7 @@ func TestChaosBlockGCCrashAfterCommit(t *testing.T) {
 	verifyBlockLineages(t, root, re, images)
 	// The committed snapshot already dropped the dead blocks; a rerun
 	// finds nothing more to reclaim and the store stays consistent.
-	if _, err := re.GC(); err != nil {
+	if _, err := re.GC(rootMark(root, re)); err != nil {
 		t.Fatal(err)
 	}
 	verifyBlockLineages(t, root, re, images)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/gpuckpt/gpuckpt/internal/antientropy"
+	"github.com/gpuckpt/gpuckpt/internal/blockstore"
 	"github.com/gpuckpt/gpuckpt/internal/lifecycle"
 	"github.com/gpuckpt/gpuckpt/internal/wireclient"
 )
@@ -32,12 +33,26 @@ func (s *Server) compactLoop(ctx context.Context, stop <-chan struct{}) {
 			for _, ln := range s.snapshot() {
 				s.compactLineage(ln)
 			}
-			// Compactions released block references; fold the log into
-			// a fresh snapshot and reclaim unreferenced blocks.
-			if _, err := s.blocks.GC(); err != nil {
-				s.cfg.Logf("server: block store GC: %v", err)
+			s.collectBlocks()
+		}
+	}
+}
+
+// collectBlocks runs the block-store GC, which reclaims every block no
+// lineage references any more, with no lineage lock held. It marks from
+// s.snapshot(), which is every lineage of the root: New opens each
+// lineage directory and open is the only way to create one.
+func (s *Server) collectBlocks() {
+	_, err := s.blocks.GC(func(live func(blockstore.ID)) error {
+		for _, ln := range s.snapshot() {
+			if err := ln.store.MarkBlocks(live); err != nil {
+				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		s.cfg.Logf("server: block store GC: %v", err)
 	}
 }
 

@@ -70,8 +70,9 @@ type Config struct {
 	Retention string
 	// CompactInterval enables the background compaction worker: every
 	// interval, each lineage is compacted to its retention policy's
-	// target. 0 (the default) disables background compaction; COMPACT
-	// requests still work.
+	// target, then the block store is GCed. 0 (the default) disables
+	// background compaction; COMPACT requests still work, and one that
+	// moves a baseline runs the block-store GC.
 	CompactInterval time.Duration
 	// SubscriberQueue bounds the per-subscriber event queue of the
 	// tail-stream hub (default 64). A subscriber that falls further
@@ -782,6 +783,9 @@ func (s *Server) serve(req *wire.Frame) (*wire.Frame, error) {
 				return nil, fmt.Errorf("server: compact lineage %q: %w", ln.name, err)
 			}
 			s.accountCompaction(ln.name, st)
+		}
+		if st.NewBase > st.OldBase {
+			s.collectBlocks()
 		}
 		res := wire.CompactResult{
 			OldBase:    uint32(st.OldBase),
