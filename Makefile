@@ -172,6 +172,9 @@ fuzz-smoke:
 # (TestScrubIsReadOnly), and no foreign diff is spliced in at a rotten
 # id, neither by an append after Scrub (TestScrubLeavesNoHoleToSplice)
 # nor by a push after ScrubDir (TestScrubbedRotRefusesForeignPush) —
+# the fold barrier a compaction sends its lineage's subscribers before
+# releasing the lineage lock (TestFoldBarrier), a heal pulling each run
+# of adjacent rotten ids as one span (TestHealPullsRuns),
 # plus the TestRace concurrency regression tests guarding the bugs the
 # guardedby/lockorder/goroleak analyzers found (Serve worker join,
 # parked-handle pruning) and the span stream's lock discipline (a pull
@@ -184,8 +187,9 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestInstallCrashLeaksNothing|TestScrubLeavesNoHoleToSplice|TestTombstoneReadsAsDamage|TestManifestNamingMissingSegmentFailsOpen)$$' ./internal/checkpoint
 	$(GO) test -race -count=1 -run '^(TestScrubIsReadOnly|TestScrubbedRotRefusesForeignPush)$$' .
 	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestReadBudget|TestReadAcrossRelocation|TestRaceGetInternGC|TestGCMarkThenPush|TestGCMarkThenOpen|TestRaceGCMarkPush|TestCountedPackOpens|TestCountedIndexOpens)$$' ./internal/blockstore
-	$(GO) test -race -count=1 -run '^TestRace' \
-		./internal/server ./internal/wireclient
+	$(GO) test -race -count=1 -run '^TestHealPullsRuns$$' ./internal/antientropy
+	$(GO) test -race -count=1 -run '^(TestRace|TestFoldBarrier$$)' ./internal/server
+	$(GO) test -race -count=1 -run '^TestRace' ./internal/wireclient
 
 # race-chaos is the long variant: the same chaos schedules and race
 # regression tests, repeated so the scheduler explores more

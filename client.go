@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
+	"github.com/gpuckpt/gpuckpt/internal/lifecycle"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 	"github.com/gpuckpt/gpuckpt/internal/wireclient"
 )
@@ -118,18 +119,10 @@ type LineageInfo struct {
 // STATS layout.
 type ServerStats = wire.Stats
 
-// CompactInfo reports one server-side compaction transaction.
-type CompactInfo struct {
-	// OldBase and NewBase are the lineage baseline before and after;
-	// equal when the retention policy had nothing to fold.
-	OldBase, NewBase int
-	// Pruned counts the diffs folded away; Rewritten counts retained
-	// diffs rewritten to drop references into the folded prefix.
-	Pruned, Rewritten int
-	// FreedBytes is the net on-disk change (can be negative for short
-	// chains, where the full baseline outweighs the folded diffs).
-	FreedBytes int64
-}
+// CompactInfo reports one compaction, a server's (Client.Compact) or a
+// local directory's (CompactDir); see the field docs on the lifecycle
+// type, which is the one definition of a fold's report.
+type CompactInfo = lifecycle.Stats
 
 // Dial connects to a ckptd server. timeout bounds the dial and every
 // per-request network operation (0 selects 30s).
@@ -430,8 +423,7 @@ func (c *Client) Compact(name string) (CompactInfo, error) {
 }
 
 // CompactTo is Compact with an explicit target baseline k, overriding
-// the server's retention policy (but still refusing to fold past a
-// pinned checkpoint).
+// the server's retention policy.
 func (c *Client) CompactTo(name string, k int) (CompactInfo, error) {
 	if k < 0 || uint32(k) == wire.CompactAuto {
 		return CompactInfo{}, fmt.Errorf("gpuckpt: compact target %d out of range", k)

@@ -115,8 +115,8 @@ func compactOne(cfg experiments.Config, t *metrics.Table, name string, method gp
 		fmt.Sprintf("%v", rawLat.Round(time.Microsecond)),
 		metrics.Bytes(compBytes),
 		fmt.Sprintf("%v", compLat.Round(time.Microsecond)),
-		fmt.Sprintf("%d", cs.PrunedDiffs),
-		fmt.Sprintf("%d", cs.RewrittenDiffs),
+		fmt.Sprintf("%d", cs.Pruned),
+		fmt.Sprintf("%d", cs.Rewritten),
 		signedBytes(cs.FreedBytes),
 	)
 	return nil

@@ -89,31 +89,21 @@ func run(args []string, stdout io.Writer) error {
 	// Compaction runs first so -info and -restore report the state the
 	// tool leaves behind.
 	if *compact != "" {
-		var (
-			oldBase, newBase, pruned, rewritten int
-			freed                               int64
-		)
-		if cl != nil {
-			if err := cl.SetRetention(*lineage, *compact); err != nil {
-				return err
-			}
-			ci, err := cl.Compact(*lineage)
-			if err != nil {
-				return err
-			}
-			oldBase, newBase, pruned, rewritten, freed = ci.OldBase, ci.NewBase, ci.Pruned, ci.Rewritten, ci.FreedBytes
-		} else {
-			cs, err := gpuckpt.CompactDir(*dirPath, *compact, *parallel)
-			if err != nil {
-				return err
-			}
-			oldBase, newBase, pruned, rewritten, freed = cs.OldBase, cs.NewBase, cs.PrunedDiffs, cs.RewrittenDiffs, cs.FreedBytes
+		var ci gpuckpt.CompactInfo
+		var err error
+		if cl == nil {
+			ci, err = gpuckpt.CompactDir(*dirPath, *compact, *parallel)
+		} else if err = cl.SetRetention(*lineage, *compact); err == nil {
+			ci, err = cl.Compact(*lineage)
 		}
-		if newBase == oldBase {
-			fmt.Fprintf(stdout, "compaction (%s): nothing to fold, baseline stays %d\n", *compact, oldBase)
+		if err != nil {
+			return err
+		}
+		if ci.NewBase == ci.OldBase {
+			fmt.Fprintf(stdout, "compaction (%s): nothing to fold, baseline stays %d\n", *compact, ci.OldBase)
 		} else {
 			fmt.Fprintf(stdout, "compacted (%s): baseline %d -> %d, pruned %d diffs, rewrote %d, freed %s\n",
-				*compact, oldBase, newBase, pruned, rewritten, metrics.Bytes(freed))
+				*compact, ci.OldBase, ci.NewBase, ci.Pruned, ci.Rewritten, metrics.Bytes(ci.FreedBytes))
 		}
 	}
 

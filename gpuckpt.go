@@ -541,20 +541,6 @@ func ReadRecordDir(dir string) (*Record, error) {
 	return &Record{rec: rec}, nil
 }
 
-// CompactStats reports one committed lineage compaction.
-type CompactStats struct {
-	// OldBase and NewBase are the restorable-range start before and
-	// after; equal when the policy had nothing to fold.
-	OldBase, NewBase int
-	// PrunedDiffs counts the diffs folded away; RewrittenDiffs counts
-	// retained diffs rewritten to drop references into the folded
-	// prefix.
-	PrunedDiffs, RewrittenDiffs int
-	// FreedBytes is the net on-disk change (negative when the new full
-	// baseline outweighs the folded diffs, as happens on short chains).
-	FreedBytes int64
-}
-
 // CompactDir folds the prefix of the lineage directory dir into a full
 // baseline at the index chosen by policy ("keep-all", "keep-last=N",
 // "keep-every=K") and drops the folded diffs. The fold is one
@@ -562,30 +548,17 @@ type CompactStats struct {
 // lineage or the folded one, every retained checkpoint restorable, and
 // the next write to the directory removes the loser's leftovers.
 // workers bounds the restore worker pool (0 = GOMAXPROCS).
-func CompactDir(dir, policy string, workers int) (CompactStats, error) {
+func CompactDir(dir, policy string, workers int) (CompactInfo, error) {
 	pol, err := lifecycle.ParsePolicy(policy)
 	if err != nil {
-		return CompactStats{}, err
+		return CompactInfo{}, err
 	}
 	store, err := checkpoint.NewFileStore(dir)
 	if err != nil {
-		return CompactStats{}, err
+		return CompactInfo{}, err
 	}
 	defer store.Close()
-	mgr, err := lifecycle.New(store, pol, lifecycle.Options{Workers: workers})
-	if err != nil {
-		return CompactStats{}, err
-	}
-	defer mgr.Close()
-	st, err := mgr.Compact()
-	if err != nil {
-		return CompactStats{}, err
-	}
-	return CompactStats{
-		OldBase:        st.OldBase,
-		NewBase:        st.NewBase,
-		PrunedDiffs:    st.PrunedDiffs,
-		RewrittenDiffs: st.RewrittenDiffs,
-		FreedBytes:     st.FreedBytes,
-	}, nil
+	pool := parallel.NewPool(workers)
+	defer pool.Close()
+	return lifecycle.Fold(store, pol.Baseline(store.Base(), store.Len()), pool)
 }

@@ -227,6 +227,41 @@ func TestReadRecordInvertsWriteDiffAfterCompaction(t *testing.T) {
 	}
 }
 
+// CompactDir's workers size only the pool its restores run on: 0
+// (GOMAXPROCS) and 1 leave byte-identical lineage directories.
+func TestCompactDirWorkers(t *testing.T) {
+	var files [2]map[string][]byte
+	var infos [2]CompactInfo
+	for i, workers := range []int{0, 1} {
+		dir, _ := savedChain(t, 8)
+		ci, err := CompactDir(dir, "keep-last=3", workers)
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i], infos[i] = make(map[string][]byte), ci
+		for _, e := range entries {
+			if files[i][e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if infos[0] != infos[1] || infos[0].NewBase != 5 || infos[0].Pruned != 5 {
+		t.Fatalf("compactions differ or missed the policy: %+v vs %+v", infos[0], infos[1])
+	}
+	if len(files[0]) != len(files[1]) {
+		t.Fatalf("directories hold %d vs %d files", len(files[0]), len(files[1]))
+	}
+	for name, b := range files[0] {
+		if !bytes.Equal(b, files[1][name]) {
+			t.Fatalf("%s differs between 0 and 1 workers", name)
+		}
+	}
+}
+
 // Parallel must not park workers nothing can release: a Record has no
 // Close, so each Restore stops the workers it started.
 func TestRecordParallelReleasesWorkers(t *testing.T) {

@@ -98,14 +98,14 @@ type Result struct {
 	BytesPulled int64
 }
 
-// Defaults applied by NewReconciler for zero Config fields.
 const (
-	// DefaultMaxHealFailures is the consecutive failed-heal-round
-	// budget before a lineage fail-stops.
-	DefaultMaxHealFailures = 3
-	// DefaultDetailWindow is the bisection leaf width: spans at or
-	// below it are compared per-diff instead of split further.
-	DefaultDetailWindow = 256
+	// MaxHealFailures is the consecutive failed-heal-round budget
+	// before a lineage fail-stops.
+	MaxHealFailures = 3
+	// DetailWindow is the bisection leaf width: spans at or below it
+	// are compared per-diff instead of split further. At most
+	// wire.DigestMaxDetail.
+	DetailWindow = 256
 )
 
 // Config parameterizes a Reconciler.
@@ -121,12 +121,6 @@ type Config struct {
 	// never interleaves with a concurrent push or compaction. nil
 	// runs mutations directly (single-owner stores: tests, Repair).
 	Locked func(fn func() error) error
-	// MaxHealFailures bounds consecutive failed heal rounds before
-	// the lineage fail-stops (default DefaultMaxHealFailures).
-	MaxHealFailures int
-	// DetailWindow is the bisection leaf width (default
-	// DefaultDetailWindow, capped at wire.DigestMaxDetail).
-	DetailWindow int
 	// Logf sinks reconciler logs (default: silent).
 	Logf func(format string, args ...any)
 }
@@ -153,12 +147,6 @@ type Reconciler struct {
 func NewReconciler(cfg Config) (*Reconciler, error) {
 	if cfg.Lineage == "" || cfg.Store == nil || cfg.Peer == nil {
 		return nil, errors.New("antientropy: Lineage, Store and Peer are required")
-	}
-	if cfg.MaxHealFailures <= 0 {
-		cfg.MaxHealFailures = DefaultMaxHealFailures
-	}
-	if cfg.DetailWindow <= 0 || cfg.DetailWindow > wire.DigestMaxDetail {
-		cfg.DetailWindow = DefaultDetailWindow
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -212,7 +200,7 @@ func (r *Reconciler) Round() (Result, error) {
 		return res, r.stopped
 	case errors.Is(err, ErrHealFailed):
 		r.failures++
-		if r.failures >= r.cfg.MaxHealFailures {
+		if r.failures >= MaxHealFailures {
 			r.stopped = &QuarantineError{Lineage: r.cfg.Lineage, Cause: err}
 			r.cfg.Logf("antientropy %s: %v", r.cfg.Lineage, r.stopped)
 			return res, r.stopped
@@ -306,28 +294,27 @@ func (r *Reconciler) round() (Result, error) {
 // of a round whose peer cannot produce digests, and the whole of a
 // standby's repair pass (its replication stream converges everything
 // else; called directly, a failure counts nothing toward fail-stop).
-// Bounded: each iteration either heals the first corrupt diff
-// (shrinking the damage) or returns its HealError. A clean pass costs
-// one checksum sweep and no network traffic.
+// One Scrub pass finds the rot, then each run of adjacent corrupt ids
+// is healed by one span pull; the first failure returns its HealError.
+// A clean pass costs one read of the span and no network traffic.
 func (r *Reconciler) SelfHeal() (Result, error) {
 	var res Result
-	for {
-		n, base := r.cfg.Store.Len(), int(r.cfg.Store.Manifest().Base)
-		if n <= base {
-			return res, nil
-		}
-		_, err := r.cfg.Store.SpanChecksums(base, n)
-		if err == nil {
-			return res, nil
-		}
-		var ce *checkpoint.CorruptError
-		if !errors.As(err, &ce) {
-			return res, err
-		}
-		if err := r.heal(ce.Ckpt, ce.Ckpt+1, nil, &res); err != nil {
-			return res, err
-		}
+	rep, err := r.cfg.Store.Scrub()
+	if err != nil {
+		return res, err
 	}
+	bad := rep.Corrupt
+	for len(bad) > 0 {
+		n := 1
+		for n < len(bad) && bad[n] == bad[0]+n {
+			n++
+		}
+		if err := r.heal(bad[0], bad[0]+n, nil, &res); err != nil {
+			return res, err
+		}
+		bad = bad[n:]
+	}
+	return res, nil
 }
 
 // matchesSummary compares the local digest of [lo, hi) against a
@@ -380,7 +367,7 @@ func (r *Reconciler) spanMatches(lo, hi int) (bool, error) {
 // single rotten diff in a long lineage costs O(log n) summary
 // digests plus one detail request.
 func (r *Reconciler) bisect(lo, hi int, res *Result) error {
-	if hi-lo <= r.cfg.DetailWindow {
+	if hi-lo <= DetailWindow {
 		return r.repairSpan(lo, hi, res)
 	}
 	mid := lo + (hi-lo)/2
@@ -401,9 +388,10 @@ func (r *Reconciler) bisect(lo, hi int, res *Result) error {
 // repairSpan fetches the peer's per-diff detail for a narrow span and
 // walks it against local per-diff checksums. Each local diff is
 // checksummed individually so one rotten file cannot mask damage
-// behind it. A local verification failure is rot to heal; a local
-// diff that verifies but disagrees with a peer diff that also
-// verified is divergence, and divergence fail-stops.
+// behind it. A local verification failure is rot to heal, each run of
+// adjacent rotten ids with one span pull; a local diff that verifies
+// but disagrees with a peer diff that also verified is divergence, and
+// divergence fail-stops — after the rot before it is healed.
 func (r *Reconciler) repairSpan(lo, hi int, res *Result) error {
 	pd, err := r.cfg.Peer.Digest(r.cfg.Lineage,
 		wire.DigestReq{Lo: uint32(lo), Hi: uint32(hi), Detail: true})
@@ -417,23 +405,30 @@ func (r *Reconciler) repairSpan(lo, hi int, res *Result) error {
 	if int(pd.SpanLo) != lo || int(pd.SpanHi) != hi || len(pd.Detail) != hi-lo {
 		return errRaced
 	}
+	run := lo // the rotten ids [run, ck) await their heal
+	healRun := func(end int) error {
+		if run == end {
+			return nil
+		}
+		return r.heal(run, end, pd.Detail[run-lo:end-lo], res)
+	}
 	for ck := lo; ck < hi; ck++ {
-		want := pd.Detail[ck-lo]
 		crcs, err := r.cfg.Store.SpanChecksums(ck, ck+1)
-		switch {
-		case err == nil && crcs[0] == want:
+		if checkpoint.IsCorrupt(err) {
 			continue
-		case err == nil:
-			return &DivergenceError{Lineage: r.cfg.Lineage, Ckpt: ck}
-		case checkpoint.IsCorrupt(err):
-			if err := r.heal(ck, ck+1, pd.Detail[ck-lo:ck-lo+1], res); err != nil {
-				return err
-			}
-		default:
+		}
+		if herr := healRun(ck); herr != nil {
+			return herr
+		}
+		run = ck + 1
+		switch {
+		case err != nil:
 			return err
+		case crcs[0] != pd.Detail[ck-lo]:
+			return &DivergenceError{Lineage: r.cfg.Lineage, Ckpt: ck}
 		}
 	}
-	return nil
+	return healRun(hi)
 }
 
 // healErr classifies a failed pull-and-install of checkpoint ck: a span

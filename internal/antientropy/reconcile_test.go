@@ -357,6 +357,20 @@ func TestRoundPeerDamagedLocalHealthy(t *testing.T) {
 	}
 }
 
+// failRounds runs n rounds that must each fail a heal without
+// exhausting the fail-stop budget.
+func failRounds(t *testing.T, r *Reconciler, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := r.Round(); !errors.Is(err, ErrHealFailed) || errors.Is(err, ErrQuarantined) {
+			t.Fatalf("failing round %d: %v", i+1, err)
+		}
+	}
+	if r.Quarantined() != nil {
+		t.Fatal("quarantined before the failure budget")
+	}
+}
+
 // TestRoundBothRotten: the same diff rots on BOTH replicas. Healing
 // must fail typed (the pulled replacement is rotten too), never
 // ping-pong, and repeated failures must fail-stop the lineage with a
@@ -368,16 +382,11 @@ func TestRoundBothRotten(t *testing.T) {
 	rot(t, local, 3)
 	rot(t, peer, 3)
 
-	r := newReconciler(t, local, peer, Config{MaxHealFailures: 2})
-	if _, err := r.Round(); !errors.Is(err, ErrHealFailed) {
-		t.Fatalf("first failing round: %v", err)
-	}
-	if r.Quarantined() != nil {
-		t.Fatal("quarantined before the failure budget")
-	}
+	r := newReconciler(t, local, peer, Config{})
+	failRounds(t, r, MaxHealFailures-1)
 	_, err := r.Round()
 	if !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("second failing round must quarantine: %v", err)
+		t.Fatalf("failing round %d must quarantine: %v", MaxHealFailures, err)
 	}
 	var qe *QuarantineError
 	if !errors.As(err, &qe) || qe.Lineage != "lin" {
@@ -437,10 +446,8 @@ func TestRoundHealFailureResets(t *testing.T) {
 	rot(t, local, 2)
 	rot(t, peer, 2)
 
-	r := newReconciler(t, local, peer, Config{MaxHealFailures: 2})
-	if _, err := r.Round(); !errors.Is(err, ErrHealFailed) {
-		t.Fatalf("failing round: %v", err)
-	}
+	r := newReconciler(t, local, peer, Config{})
+	failRounds(t, r, MaxHealFailures-1)
 	// The peer recovers (its own reconciler healed it, here simulated
 	// by rewriting the healthy bytes).
 	d := &checkpoint.Diff{Method: checkpoint.MethodFull, CkptID: 2,
@@ -453,26 +460,23 @@ func TestRoundHealFailureResets(t *testing.T) {
 		t.Fatalf("recovery round: %+v %v", res, err)
 	}
 	verifyConverged(t, local, peer)
-	// Budget reset: a later single failure must not quarantine.
+	// Budget reset: a whole budget's worth of failures but one must
+	// not quarantine again.
 	rot(t, local, 4)
 	rot(t, peer, 4)
-	if _, err := r.Round(); !errors.Is(err, ErrHealFailed) {
-		t.Fatalf("post-reset failing round: %v", err)
-	}
-	if r.Quarantined() != nil {
-		t.Fatal("failure budget did not reset after a clean round")
-	}
+	failRounds(t, r, MaxHealFailures-1)
 }
 
-// TestRoundBisectionNarrow: a single rotten diff in a longer lineage
-// must be found through bisection with a small detail window.
+// TestRoundBisection: a single rotten diff in a lineage longer than the
+// detail window must be found through bisection.
 func TestRoundBisection(t *testing.T) {
+	const n = 300
 	local, peer := newStore(t), newStore(t)
-	appendChain(t, local, 40, defaultTag)
-	appendChain(t, peer, 40, defaultTag)
-	rot(t, local, 29)
+	appendChain(t, local, n, defaultTag)
+	appendChain(t, peer, n, defaultTag)
+	rot(t, local, 229)
 
-	r := newReconciler(t, local, peer, Config{DetailWindow: 4})
+	r := newReconciler(t, local, peer, Config{})
 	res, err := r.Round()
 	if err != nil {
 		t.Fatal(err)
@@ -481,4 +485,50 @@ func TestRoundBisection(t *testing.T) {
 		t.Fatalf("bisected heal: %+v", res)
 	}
 	verifyConverged(t, local, peer)
+}
+
+// countingPeer is a storePeer that counts its span pulls.
+type countingPeer struct {
+	storePeer
+	pulls int
+}
+
+func (p *countingPeer) PullSpan(lineage string, from, to int, fn func(ck int, encoded []byte) error) error {
+	p.pulls++
+	return p.storePeer.PullSpan(lineage, from, to, fn)
+}
+
+// TestHealPullsRuns: a heal pulls each run of adjacent rotten ids as
+// one span — SelfHeal after one scrub, a round after its per-diff
+// compare.
+func TestHealPullsRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		heal func(*Reconciler) (Result, error)
+	}{
+		{"SelfHeal", (*Reconciler).SelfHeal},
+		{"Round", (*Reconciler).Round},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			local, peer := newStore(t), newStore(t)
+			appendChain(t, local, 40, defaultTag)
+			appendChain(t, peer, 40, defaultTag)
+			for _, ck := range []int{3, 4, 5, 20} {
+				rot(t, local, ck)
+			}
+			cp := &countingPeer{storePeer: storePeer{st: peer}}
+			r, err := NewReconciler(Config{Lineage: "lin", Store: local, Peer: cp, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := tc.heal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Healed != 4 || cp.pulls != 2 {
+				t.Fatalf("healed %d ids with %d pulls, want 4 with 2", res.Healed, cp.pulls)
+			}
+			verifyConverged(t, local, peer)
+		})
+	}
 }

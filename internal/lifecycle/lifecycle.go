@@ -1,5 +1,5 @@
-// Package lifecycle bounds the growth of checkpoint lineages: it
-// materializes consolidated baselines, applies retention policies and
+// Package lifecycle bounds the growth of checkpoint lineages: a
+// retention Policy chooses a baseline, and Fold materializes it and
 // drops the folded history through one crash-safe span install on a
 // checkpoint.FileStore.
 //
@@ -7,11 +7,17 @@
 // diffs (§1, §2.3): a lineage is an ever-growing chain, so restore
 // latency and disk footprint grow linearly with checkpoint count.
 // Production systems consolidate — a restore must replay a bounded
-// chain, not the full history. The Manager folds the base checkpoint
-// plus diffs [0..k] into one full baseline at index k by replaying
-// them through checkpoint.Record (the same Apply used for restores,
-// so the baseline is byte-identical to a restore at k by
-// construction), and replaces the stored lineage with the folded one.
+// chain, not the full history. Fold folds the base checkpoint plus
+// diffs [0..k] into one full baseline at index k by replaying them
+// through checkpoint.Record (the same Apply used for restores, so the
+// baseline is byte-identical to a restore at k by construction), and
+// replaces the stored lineage with the folded one.
+//
+// Fold is a function, not an object: it holds no lock and no state.
+// Its caller serializes it with every other writer of the store — the
+// ckptd server calls it under the lineage lock its pushes take, and
+// CompactDir owns its store outright — and supplies the worker pool,
+// if any, that its restores assemble regions on.
 //
 // # Suffix rewriting
 //
@@ -20,7 +26,7 @@
 // that resolves against the data section of an EARLIER diff — often
 // checkpoint 0, because the historical record of unique hashes keeps
 // first occurrences forever (§2.2). Folding [0..k] would strand those
-// references. The Manager therefore classifies every retained diff:
+// references. Fold therefore classifies every retained diff:
 //
 //   - clean: every SrcCkpt >= k and no referenced source was itself
 //     rewritten. References to exactly k stay valid because the new
@@ -35,7 +41,7 @@
 //
 // # One span install
 //
-// The Manager never edits stored diffs in place. It plans the whole
+// Fold never edits stored diffs in place. It plans the whole
 // post-compaction span [k, n) — the full baseline at k, the Basic
 // rewrites of dirty diffs, the clean diffs unchanged — rebuilds it in
 // memory, byte-compares every retained restore against the original (a
@@ -50,11 +56,9 @@ package lifecycle
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/merkle"
@@ -129,154 +133,47 @@ func ParsePolicy(s string) (Policy, error) {
 	return nil, fmt.Errorf("lifecycle: unknown policy %q (want keep-all, keep-last=N or keep-every=K)", s)
 }
 
-// Stats reports one compaction transaction.
+// Stats reports one fold.
 type Stats struct {
 	// OldBase and NewBase are the baseline before and after; equal for
 	// a no-op.
 	OldBase, NewBase int
-	// PrunedDiffs counts the diffs folded away below the new baseline.
-	PrunedDiffs int
-	// RewrittenDiffs counts retained diffs rewritten as self-contained
-	// Basic diffs because they referenced pruned history.
-	RewrittenDiffs int
+	// Pruned counts the diffs folded away below the new baseline.
+	Pruned int
+	// Rewritten counts retained diffs rewritten as self-contained Basic
+	// diffs because they referenced pruned history.
+	Rewritten int
 	// FreedBytes is the net on-disk change of the lineage directory:
 	// the old segment's size minus the new one's. Negative when
 	// consolidation costs more than it frees (short chains).
 	FreedBytes int64
 }
 
-// Options parameterizes a Manager.
-type Options struct {
-	// Workers enables a dedicated worker pool for parallel region
-	// assembly during materialization restores (0 = sequential). The
-	// pool is owned by the Manager and released by Close.
-	Workers int
-
-	// OnFold, when set, runs after a compaction commits a baseline
-	// move (the span install has returned), with the old and new
-	// baselines. The
-	// ckptd server uses it to push TResync barriers at live
-	// subscribers whose resume cursors the fold just invalidated. It
-	// runs with the Manager lock held — it must not call back into
-	// the Manager — and cannot veto the transaction.
-	OnFold func(oldBase, newBase int)
-}
-
-// Manager runs the lifecycle of one lineage: policy decisions and the
-// compaction transaction. Its methods serialize
-// on an internal mutex; coordination with concurrent writers of the
-// same FileStore (the ckptd server's push path) is the caller's
-// responsibility — the server holds its per-lineage lock around
-// Compact, as it does around Append.
+// Fold advances the baseline of store to k and drops the folded
+// prefix: plan the span [k, Len), rewrite the diffs that reference
+// folded history, verify every retained restore byte-exact, then
+// InstallSpan. A target at or below the current baseline is a
+// successful no-op; one at or past Len is an error. pool, when not
+// nil, assembles the restores' regions in parallel.
 //
-// A Manager must be Closed when no longer needed (enforced by
-// ckptlint's closecontract check).
-type Manager struct {
-	mu sync.Mutex
-	//ckptlint:guardedby mu
-	store *checkpoint.FileStore
-	//ckptlint:guardedby mu
-	policy Policy
-	//ckptlint:guardedby mu
-	pool *parallel.Pool
-	//ckptlint:guardedby mu
-	closed bool
-
-	// onFold is Options.OnFold; set once at New and never mutated.
-	onFold func(oldBase, newBase int)
-}
-
-// New creates a Manager over store. policy may be nil (KeepAll).
-func New(store *checkpoint.FileStore, policy Policy, opts Options) (*Manager, error) {
-	if store == nil {
-		return nil, errors.New("lifecycle: nil store")
-	}
-	if policy == nil {
-		policy = KeepAll()
-	}
-	var pool *parallel.Pool
-	if opts.Workers > 0 {
-		pool = parallel.NewPool(opts.Workers)
-	}
-	return &Manager{store: store, policy: policy, pool: pool, onFold: opts.OnFold}, nil
-}
-
-// Close releases the Manager's worker pool. Idempotent; a closed
-// Manager rejects further compactions.
-func (m *Manager) Close() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return
-	}
-	m.closed = true
-	if m.pool != nil {
-		m.pool.Close()
-		m.pool = nil
-	}
-}
-
-// SetPolicy replaces the retention policy (nil selects KeepAll).
-func (m *Manager) SetPolicy(p Policy) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if p == nil {
-		p = KeepAll()
-	}
-	m.policy = p
-}
-
-// PolicyName returns the canonical spelling of the current policy.
-func (m *Manager) PolicyName() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.policy.Name()
-}
-
-// Compact advances the baseline to the policy's target and
-// garbage-collects the folded prefix. A target at or below the current
-// baseline is a successful no-op.
-func (m *Manager) Compact() (Stats, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return Stats{}, errors.New("lifecycle: manager is closed")
-	}
-	base, length := m.store.Base(), m.store.Len()
-	return m.compactLocked(m.policy.Baseline(base, length), base, length)
-}
-
-// MaterializeTo folds the lineage up to the explicit baseline k,
-// ignoring the policy.
-func (m *Manager) MaterializeTo(k int) (Stats, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return Stats{}, errors.New("lifecycle: manager is closed")
-	}
-	base, length := m.store.Base(), m.store.Len()
-	if k < base || k >= length {
-		return Stats{}, fmt.Errorf("lifecycle: target %d outside stored range [%d,%d)", k, base, length)
-	}
-	return m.compactLocked(k, base, length)
-}
-
-// compactLocked folds the lineage to baseline k. The caller guarantees
-// base <= k < length.
-//
-//ckptlint:locked mu
-func (m *Manager) compactLocked(k, base, length int) (Stats, error) {
+// Fold takes no lock of its own: the caller serializes it with every
+// other writer of store.
+func Fold(store *checkpoint.FileStore, k int, pool *parallel.Pool) (Stats, error) {
+	base, length := store.Base(), store.Len()
 	st := Stats{OldBase: base, NewBase: base}
 	if k <= base {
 		return st, nil
 	}
+	if k >= length {
+		return st, fmt.Errorf("lifecycle: target %d outside stored range [%d,%d)", k, base, length)
+	}
 
-	rec, err := m.store.Load()
+	rec, err := store.Load()
 	if err != nil {
 		return st, err
 	}
-	if m.pool != nil {
-		rec.SetPool(m.pool)
+	if pool != nil {
+		rec.SetPool(pool)
 	}
 	dataLen := rec.DataLen()
 	if dataLen <= 0 {
@@ -333,32 +230,27 @@ func (m *Manager) compactLocked(k, base, length int) (Stats, error) {
 	// Prove byte-identical restores before touching the disk: replay
 	// the span next to the original record, comparing every retained
 	// state.
-	if err := m.verify(rec, span); err != nil {
+	if err := verify(rec, span, pool); err != nil {
 		return st, err
 	}
 
-	before := m.store.TotalBytes()
-	if err := m.store.InstallSpan(k, span); err != nil {
+	before := store.TotalBytes()
+	if err := store.InstallSpan(k, span); err != nil {
 		return st, err
 	}
 	st.NewBase = k
-	st.RewrittenDiffs = len(dirty)
-	st.PrunedDiffs = k - base
-	st.FreedBytes = before - m.store.TotalBytes()
-	if m.onFold != nil {
-		m.onFold(base, k)
-	}
+	st.Rewritten = len(dirty)
+	st.Pruned = k - base
+	st.FreedBytes = before - store.TotalBytes()
 	return st, nil
 }
 
 // verify replays span — the post-compaction lineage — next to the
 // original record and byte-compares every retained restore.
-//
-//ckptlint:locked mu
-func (m *Manager) verify(rec *checkpoint.Record, span []*checkpoint.Diff) error {
+func verify(rec *checkpoint.Record, span []*checkpoint.Diff, pool *parallel.Pool) error {
 	newRec := checkpoint.NewRecord()
-	if m.pool != nil {
-		newRec.SetPool(m.pool)
+	if pool != nil {
+		newRec.SetPool(pool)
 	}
 	for _, d := range span {
 		if err := newRec.Append(d); err != nil {

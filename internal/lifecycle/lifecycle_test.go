@@ -116,6 +116,11 @@ func restoreAll(t *testing.T, dir string, images [][]byte) {
 	}
 }
 
+// compact folds store to where policy puts its baseline.
+func compact(store *checkpoint.FileStore, policy Policy, pool *parallel.Pool) (Stats, error) {
+	return Fold(store, policy.Baseline(store.Base(), store.Len()), pool)
+}
+
 // TestCompactKeepLastNProperty is the subsystem's acceptance property:
 // a 64-checkpoint lineage compacted under keep-last=8 keeps every
 // retained index restoring byte-identically, shrinks the on-disk
@@ -139,26 +144,23 @@ func TestCompactKeepLastNProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := store.TotalBytes()
-			mgr, err := New(store, KeepLastN(8), Options{Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer mgr.Close()
-			st, err := mgr.Compact()
+			pool := parallel.NewPool(2)
+			defer pool.Close()
+			st, err := compact(store, KeepLastN(8), pool)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if st.OldBase != 0 || st.NewBase != 56 {
 				t.Fatalf("baseline moved %d -> %d, want 0 -> 56", st.OldBase, st.NewBase)
 			}
-			if st.PrunedDiffs != 56 {
-				t.Fatalf("pruned %d diffs, want 56", st.PrunedDiffs)
+			if st.Pruned != 56 {
+				t.Fatalf("pruned %d diffs, want 56", st.Pruned)
 			}
-			if tc.rewrite && st.RewrittenDiffs == 0 {
+			if tc.rewrite && st.Rewritten == 0 {
 				t.Fatal("no suffix diffs rewritten despite references to pruned history")
 			}
-			if !tc.rewrite && st.RewrittenDiffs != 0 {
-				t.Fatalf("%d Basic diffs rewritten; Basic diffs are self-contained", st.RewrittenDiffs)
+			if !tc.rewrite && st.Rewritten != 0 {
+				t.Fatalf("%d Basic diffs rewritten; Basic diffs are self-contained", st.Rewritten)
 			}
 			after := store.TotalBytes()
 			if after >= before {
@@ -171,11 +173,11 @@ func TestCompactKeepLastNProperty(t *testing.T) {
 			// through the live store and a fresh reopen.
 			restoreAll(t, dir, images)
 			// Idempotent: a second compaction is a no-op.
-			st2, err := mgr.Compact()
+			st2, err := compact(store, KeepLastN(8), pool)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st2.NewBase != st2.OldBase || st2.PrunedDiffs != 0 {
+			if st2.NewBase != st2.OldBase || st2.Pruned != 0 {
 				t.Fatalf("second compaction not a no-op: %+v", st2)
 			}
 			// The lineage keeps growing after compaction: appends resume
@@ -203,13 +205,8 @@ func TestCompactCrashAfterCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := New(store, KeepLastN(8), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Close()
 	store.SetHooks(crashAt(recframe.SeamAfterRename))
-	if _, err := mgr.Compact(); !errors.Is(err, checkpoint.ErrSimulatedCrash) {
+	if _, err := compact(store, KeepLastN(8), nil); !errors.Is(err, checkpoint.ErrSimulatedCrash) {
 		t.Fatalf("compact: %v, want injected crash", err)
 	}
 	store.Close()
@@ -223,12 +220,7 @@ func TestCompactCrashAfterCommit(t *testing.T) {
 		t.Fatalf("baseline %d after the committed crash, want 24", reopened.Base())
 	}
 	restoreAll(t, dir, images)
-	mgr2, err := New(reopened, KeepLastN(8), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr2.Close()
-	if _, err := mgr2.MaterializeTo(25); err != nil {
+	if _, err := Fold(reopened, 25, nil); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -241,7 +233,7 @@ func TestCompactCrashAfterCommit(t *testing.T) {
 // was written to its new segment but before the manifest rename: the
 // old manifest still governs, so EVERY original checkpoint — including
 // the ones that were about to be folded — must still restore
-// byte-identically on reopen, and a reopened manager runs the
+// byte-identically on reopen, and a fold of the reopened store runs the
 // compaction to completion.
 func TestCompactCrashBeforeCommit(t *testing.T) {
 	images := buildImages(32)
@@ -250,13 +242,8 @@ func TestCompactCrashBeforeCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := New(store, KeepLastN(8), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Close()
 	store.SetHooks(crashAt(recframe.SeamBeforeRename))
-	if _, err := mgr.Compact(); !errors.Is(err, checkpoint.ErrSimulatedCrash) {
+	if _, err := compact(store, KeepLastN(8), nil); !errors.Is(err, checkpoint.ErrSimulatedCrash) {
 		t.Fatalf("compact: %v, want injected crash", err)
 	}
 	if store.Base() != 0 {
@@ -269,12 +256,7 @@ func TestCompactCrashBeforeCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	mgr2, err := New(store2, KeepLastN(8), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr2.Close()
-	st, err := mgr2.Compact()
+	st, err := compact(store2, KeepLastN(8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,63 +306,37 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-func TestMaterializeTo(t *testing.T) {
+// TestFoldRange: a target at or below the baseline is a no-op, one at
+// or past Len is refused, and anything between folds.
+func TestFoldRange(t *testing.T) {
 	images := buildImages(16)
 	dir := buildLineage(t, checkpoint.MethodList, images)
 	store, err := checkpoint.NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := New(store, KeepAll(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Close()
+	defer store.Close()
 	// keep-all never moves the baseline on its own.
-	st, err := mgr.Compact()
+	st, err := compact(store, KeepAll(), nil)
 	if err != nil || st.NewBase != 0 {
 		t.Fatalf("keep-all compacted to %d (%v)", st.NewBase, err)
 	}
-	if _, err := mgr.MaterializeTo(16); err == nil {
+	if _, err := Fold(store, 16, nil); err == nil {
 		t.Fatal("target beyond range accepted")
 	}
-	st, err = mgr.MaterializeTo(12)
+	st, err = Fold(store, 12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.NewBase != 12 || st.PrunedDiffs != 12 {
-		t.Fatalf("materialize: %+v", st)
+	if st.NewBase != 12 || st.Pruned != 12 {
+		t.Fatalf("fold: %+v", st)
 	}
-	if _, err := mgr.MaterializeTo(5); err == nil {
-		t.Fatal("backwards target accepted")
+	size := store.TotalBytes()
+	st, err = Fold(store, 5, nil)
+	if err != nil || st != (Stats{OldBase: 12, NewBase: 12}) || store.TotalBytes() != size {
+		t.Fatalf("backwards target: %+v (%v), want a no-op", st, err)
 	}
 	restoreAll(t, dir, images)
-}
-
-func TestManagerClosed(t *testing.T) {
-	store, err := checkpoint.NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := New(store, nil, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mgr.PolicyName() != "keep-all" {
-		t.Fatalf("nil policy resolved to %q", mgr.PolicyName())
-	}
-	mgr.SetPolicy(KeepLastN(3))
-	if mgr.PolicyName() != "keep-last=3" {
-		t.Fatalf("policy %q after SetPolicy", mgr.PolicyName())
-	}
-	mgr.Close()
-	mgr.Close() // idempotent
-	if _, err := mgr.Compact(); err == nil {
-		t.Fatal("closed manager compacted")
-	}
-	if _, err := mgr.MaterializeTo(1); err == nil {
-		t.Fatal("closed manager materialized")
-	}
 }
 
 func TestRewriteBasic(t *testing.T) {
@@ -417,48 +373,4 @@ func TestRewriteBasic(t *testing.T) {
 	if _, err := RewriteBasic(prev, cur, 0, 1); err == nil {
 		t.Fatal("zero chunk size accepted")
 	}
-}
-
-// TestOnFoldHookFiresAfterCommit: the replication barrier hook runs
-// exactly when a compaction moves the baseline — after the manifest
-// commit (the store already reports the new base inside the hook) and
-// never for a no-op compaction.
-func TestOnFoldHookFiresAfterCommit(t *testing.T) {
-	images := buildImages(12)
-	dir := buildLineage(t, checkpoint.MethodBasic, images)
-	store, err := checkpoint.NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	var folds [][2]int
-	var baseInHook int
-	mgr, err := New(store, KeepLastN(4), Options{
-		OnFold: func(oldBase, newBase int) {
-			folds = append(folds, [2]int{oldBase, newBase})
-			baseInHook = store.Base()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Close()
-	st, err := mgr.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(folds) != 1 || folds[0] != [2]int{0, st.NewBase} {
-		t.Fatalf("folds = %v, want one (0 -> %d)", folds, st.NewBase)
-	}
-	if baseInHook != st.NewBase {
-		t.Fatalf("store base inside hook = %d, want committed base %d", baseInHook, st.NewBase)
-	}
-	// Idempotent re-compaction moves nothing and must not fire.
-	if _, err := mgr.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if len(folds) != 1 {
-		t.Fatalf("no-op compaction fired OnFold: %v", folds)
-	}
-	restoreAll(t, dir, images)
 }

@@ -35,9 +35,6 @@ var closerConstructors = map[string][]string{
 	"dedup.New":        {"Close"},
 	"server.New":       {"Shutdown", "Serve"},
 	"gpuckpt.New":      {"Close"},
-	// A lifecycle.Manager owns a worker pool for its restore sweeps;
-	// leaking one leaks goroutine-pool capacity on every compaction.
-	"lifecycle.New": {"Close"},
 	// A blockstore.Store owns its pack handles and the directory's
 	// owner lock; leaking one keeps both past the store's life and
 	// blocks a clean reopen of the same directory.

@@ -68,44 +68,44 @@ func goodStored(h *holder, n int) error {
 	return nil
 }
 
-// Manager and the lifecycle variable mimic the qualified
-// lifecycle.New spelling used by the rest of the repository, so the
-// fixture also pins the contract on lifecycle managers.
-type Manager struct{}
+// Store and the blockstore variable mimic the qualified
+// blockstore.Open spelling used by the rest of the repository, so the
+// fixture also pins the contract on qualified constructors.
+type Store struct{}
 
-func (m *Manager) Close() error { return nil }
+func (st *Store) Close() error { return nil }
 
-func (m *Manager) Compact() error { return nil }
+func (st *Store) GC() error { return nil }
 
-type lifecycleAPI struct{}
+type blockstoreAPI struct{}
 
-func (lifecycleAPI) New(n int) (*Manager, error) { return &Manager{}, nil }
+func (blockstoreAPI) Open(n int) (*Store, error) { return &Store{}, nil }
 
-var lifecycle lifecycleAPI
+var blockstore blockstoreAPI
 
-func badManagerLeak(n int) error {
-	m, err := lifecycle.New(n) // want:closecontract
+func badStoreLeak(n int) error {
+	st, err := blockstore.Open(n) // want:closecontract
 	if err != nil {
 		return err
 	}
-	return m.Compact()
+	return st.GC()
 }
 
-func goodManagerDefer(n int) error {
-	m, err := lifecycle.New(n)
+func goodStoreDefer(n int) error {
+	st, err := blockstore.Open(n)
 	if err != nil {
 		return err
 	}
-	defer m.Close()
-	return m.Compact()
+	defer st.Close()
+	return st.GC()
 }
 
-type lineage struct{ mgr *Manager }
+type server struct{ blocks *Store }
 
-func goodManagerStored(n int) (*lineage, error) {
-	m, err := lifecycle.New(n)
+func goodStoreStored(n int) (*server, error) {
+	st, err := blockstore.Open(n)
 	if err != nil {
 		return nil, err
 	}
-	return &lineage{mgr: m}, nil
+	return &server{blocks: st}, nil
 }

@@ -8,11 +8,13 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
 	"github.com/gpuckpt/gpuckpt/internal/antientropy"
 	"github.com/gpuckpt/gpuckpt/internal/blockstore"
 	"github.com/gpuckpt/gpuckpt/internal/lifecycle"
+	"github.com/gpuckpt/gpuckpt/internal/wire"
 	"github.com/gpuckpt/gpuckpt/internal/wireclient"
 )
 
@@ -31,7 +33,9 @@ func (s *Server) compactLoop(ctx context.Context, stop <-chan struct{}) {
 			return
 		case <-tick.C:
 			for _, ln := range s.snapshot() {
-				s.compactLineage(ln)
+				if _, err := s.compactLineage(ln, wire.CompactAuto); err != nil {
+					s.cfg.Logf("server: compacting lineage %q: %v", ln.name, err)
+				}
 			}
 			s.collectBlocks()
 		}
@@ -179,30 +183,35 @@ func (s *Server) reconcilePeer(peer antientropy.Peer, recs map[string]*antientro
 	return reachable
 }
 
-// compactLineage runs one policy-driven compaction under the lineage
-// lock and folds the outcome into the server counters.
-func (s *Server) compactLineage(ln *lineage) (lifecycle.Stats, error) {
+// compactLineage folds ln to baseline target — for wire.CompactAuto,
+// to where its retention policy puts it — and counts a fold that moved
+// the baseline. Such a fold sheds the lineage's subscribers before the
+// lineage lock is released, so no push lands on the folded base ahead
+// of the barrier (DESIGN §15).
+func (s *Server) compactLineage(ln *lineage, target uint32) (lifecycle.Stats, error) {
+	var st lifecycle.Stats
+	var err error
 	ln.mu.Lock()
-	st, err := ln.mgr.Compact()
+	base, length := ln.store.Base(), ln.store.Len()
+	k := int(target)
+	if target == wire.CompactAuto {
+		k = ln.policy.Baseline(base, length)
+	}
+	if k < base {
+		err = fmt.Errorf("lifecycle: target %d outside stored range [%d,%d)", k, base, length)
+	} else if st, err = lifecycle.Fold(ln.store, k, nil); err == nil && st.NewBase > st.OldBase {
+		s.foldBarrier(ln, st.NewBase)
+	}
 	ln.mu.Unlock()
-	if err != nil {
-		s.cfg.Logf("server: compacting lineage %q: %v", ln.name, err)
+	if err != nil || st.NewBase == st.OldBase {
 		return st, err
 	}
-	s.accountCompaction(ln.name, st)
-	return st, nil
-}
-
-// accountCompaction folds a committed compaction into the counters.
-func (s *Server) accountCompaction(name string, st lifecycle.Stats) {
-	if st.NewBase <= st.OldBase {
-		return
-	}
 	s.compactions.Add(1)
-	s.compactedDiffs.Add(uint64(st.PrunedDiffs))
+	s.compactedDiffs.Add(uint64(st.Pruned))
 	if st.FreedBytes > 0 {
 		s.reclaimedBytes.Add(uint64(st.FreedBytes))
 	}
 	s.cfg.Logf("server: lineage %q compacted: baseline %d -> %d, %d diffs pruned, %d rewritten, %d bytes freed",
-		name, st.OldBase, st.NewBase, st.PrunedDiffs, st.RewrittenDiffs, st.FreedBytes)
+		ln.name, st.OldBase, st.NewBase, st.Pruned, st.Rewritten, st.FreedBytes)
+	return st, nil
 }

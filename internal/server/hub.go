@@ -15,9 +15,8 @@
 //     where it stopped.
 //   - hub.mu is a strict leaf lock: hub methods take no other lock
 //     and call into no other subsystem, so the hub can be invoked
-//     from under any combination of lineage/lifecycle locks without
-//     adding lock-order edges (the ckptlint lockorder analyzer checks
-//     this holds).
+//     from under the lineage lock without adding lock-order edges
+//     (the ckptlint lockorder analyzer checks this holds).
 
 package server
 

@@ -143,8 +143,9 @@ type lineage struct {
 	name  string
 	mu    sync.Mutex
 	store *checkpoint.FileStore
+	// policy is the retention policy a CompactAuto fold applies.
 	//ckptlint:guardedby mu
-	mgr *lifecycle.Manager
+	policy lifecycle.Policy
 	// pending counts requests queued on (or holding) mu; arrivals
 	// beyond maxLineagePending are shed with StatusBusy.
 	pending atomic.Int64 //ckptlint:atomic
@@ -312,8 +313,8 @@ func validName(name string) error {
 }
 
 // open resolves a lineage name to its handle, creating the backing
-// store (and its lifecycle manager) on first use, and returns the
-// current lineage length and baseline.
+// store on first use, and returns the current lineage length and
+// baseline.
 func (s *Server) open(name string) (uint32, int, int, error) {
 	if err := validName(name); err != nil {
 		return 0, 0, 0, err
@@ -326,29 +327,13 @@ func (s *Server) open(name string) (uint32, int, int, error) {
 			s.mu.Unlock()
 			return 0, 0, 0, err
 		}
-		// The OnFold hook captures the lineage pointer created a few
-		// lines below; by the time any compaction can run, newLn has
-		// long been published (under s.mu, then ln.mu).
-		var newLn *lineage
-		mgr, err := lifecycle.New(store, s.retention, lifecycle.Options{
-			OnFold: func(oldBase, newBase int) {
-				if newLn != nil {
-					s.foldBarrier(newLn, newBase)
-				}
-			},
-		})
-		if err != nil {
-			s.mu.Unlock()
-			return 0, 0, 0, err
-		}
 		if uint64(len(s.lineages)) >= math.MaxUint32 {
 			s.mu.Unlock()
 			return 0, 0, 0, errors.New("server: lineage handle space exhausted")
 		}
 		h = uint32(len(s.lineages))
 		s.byName[name] = h
-		newLn = &lineage{name: name, store: store, mgr: mgr}
-		s.lineages = append(s.lineages, newLn)
+		s.lineages = append(s.lineages, &lineage{name: name, store: store, policy: s.retention})
 	}
 	ln := s.lineages[h]
 	s.mu.Unlock()
@@ -770,19 +755,9 @@ func (s *Server) serve(req *wire.Frame) (*wire.Frame, error) {
 		if err != nil {
 			return nil, err
 		}
-		var st lifecycle.Stats
-		if req.Ckpt == wire.CompactAuto {
-			if st, err = s.compactLineage(ln); err != nil {
-				return nil, fmt.Errorf("server: compact lineage %q: %w", ln.name, err)
-			}
-		} else {
-			ln.mu.Lock()
-			st, err = ln.mgr.MaterializeTo(int(req.Ckpt))
-			ln.mu.Unlock()
-			if err != nil {
-				return nil, fmt.Errorf("server: compact lineage %q: %w", ln.name, err)
-			}
-			s.accountCompaction(ln.name, st)
+		st, err := s.compactLineage(ln, req.Ckpt)
+		if err != nil {
+			return nil, fmt.Errorf("server: compact lineage %q: %w", ln.name, err)
 		}
 		if st.NewBase > st.OldBase {
 			s.collectBlocks()
@@ -790,8 +765,8 @@ func (s *Server) serve(req *wire.Frame) (*wire.Frame, error) {
 		res := wire.CompactResult{
 			OldBase:    uint32(st.OldBase),
 			NewBase:    uint32(st.NewBase),
-			Pruned:     uint32(st.PrunedDiffs),
-			Rewritten:  uint32(st.RewrittenDiffs),
+			Pruned:     uint32(st.Pruned),
+			Rewritten:  uint32(st.Rewritten),
 			FreedBytes: st.FreedBytes,
 		}
 		return &wire.Frame{Lineage: req.Lineage, Ckpt: res.NewBase, Payload: res.Encode()}, nil
@@ -809,9 +784,9 @@ func (s *Server) serve(req *wire.Frame) (*wire.Frame, error) {
 		}
 		ln.mu.Lock()
 		if policy != nil {
-			ln.mgr.SetPolicy(policy)
+			ln.policy = policy
 		}
-		name := ln.mgr.PolicyName()
+		name := ln.policy.Name()
 		base := ln.store.Base()
 		ln.mu.Unlock()
 		if base < 0 || int64(base) > math.MaxUint32 {

@@ -258,10 +258,11 @@ func (s *Server) runSubscription(ctx context.Context, stop <-chan struct{}, conn
 	}
 }
 
-// foldBarrier is the lifecycle OnFold hook of a lineage: a compaction
-// just committed a baseline move, so every live subscriber's cursor
-// is stale. Runs under the lineage and manager locks; the hub is a
-// leaf, so the barrier is delivered without new lock-order edges.
+// foldBarrier sheds every live subscriber of ln with the fold verdict
+// [newBase, Len): a compaction just committed a baseline move, so every
+// resume cursor is stale. Runs under the lineage lock the fold held;
+// the hub is a leaf, so the barrier is delivered without new lock-order
+// edges.
 func (s *Server) foldBarrier(ln *lineage, newBase int) {
 	if s.hub.count(ln) == 0 {
 		return

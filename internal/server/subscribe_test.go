@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
+	"github.com/gpuckpt/gpuckpt/internal/recframe"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
 
@@ -314,5 +316,177 @@ func TestStreamFanOutCopiesOnce(t *testing.T) {
 		if ev := <-sub.ch; ev.ckpt != uint32(ck) || !bytes.Equal(ev.payload, frames[ck].Payload) {
 			t.Fatalf("event %d is not the pushed payload", ck)
 		}
+	}
+}
+
+// callAsync sends req on conn and delivers the response, or nil on a
+// transport error, on the returned channel.
+func callAsync(conn net.Conn, req *wire.Frame) <-chan *wire.Frame {
+	ch := make(chan *wire.Frame, 1)
+	go func() {
+		var resp *wire.Frame
+		if err := wire.WriteFrame(conn, req); err == nil {
+			resp, _ = wire.ReadFrame(conn, 0)
+		}
+		ch <- resp
+	}()
+	return ch
+}
+
+// recv waits for the response of a callAsync.
+func recv(t *testing.T, ch <-chan *wire.Frame, what string) *wire.Frame {
+	t.Helper()
+	select {
+	case resp := <-ch:
+		if resp == nil || resp.Status != wire.StatusOK {
+			t.Fatalf("%s: %+v", what, resp)
+		}
+		return resp
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: no response", what)
+	}
+	return nil
+}
+
+// TestFoldBarrier: a fold that moves the baseline — an explicit
+// TCompact, a CompactAuto one, or a background compactLoop sweep —
+// sheds a live subscriber with a ResyncFold barrier carrying the
+// committed [base, len), and sends it before the lineage lock is
+// released. The fold is held just past its manifest rename while a push
+// queues on the lineage lock; the barrier still excludes that push,
+// and the subscriber never sees it as a TTail. A no-op TCompact sheds
+// nobody: a subscription resumed on the folded span keeps receiving
+// TTail frames.
+func TestFoldBarrier(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		interval time.Duration // of the background compactLoop; 0 = off
+		policy   string        // set before the fold, if any
+		target   uint32        // of the TCompact request; 0 = none sent
+	}{
+		{name: "TCompact", target: 4},
+		{name: "CompactAuto", policy: "keep-last=2", target: wire.CompactAuto},
+		{name: "compactLoop", interval: 5 * time.Millisecond, policy: "keep-last=2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, addr, stop := startServer(t, Config{Root: t.TempDir(), CompactInterval: tc.interval})
+			defer stop()
+			pusher, ctl, sub := testConn(t, addr), testConn(t, addr), testConn(t, addr)
+			defer pusher.Close()
+			defer ctl.Close()
+			defer sub.Close()
+
+			h := call(t, pusher, &wire.Frame{Type: wire.TOpen, Payload: []byte("fold")}).Lineage
+			push := func(ck int) *wire.Frame {
+				enc := encodedDiff(t, ck, byte(0x20+ck))
+				return &wire.Frame{Type: wire.TPush, Lineage: h, Ckpt: uint32(ck), Payload: wire.EncodePush(enc)}
+			}
+			for ck := 0; ck < 6; ck++ {
+				if resp := call(t, pusher, push(ck)); resp.Status != wire.StatusOK {
+					t.Fatalf("push %d: %s", ck, resp.Payload)
+				}
+			}
+			ln, err := srv.get(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur := wire.Cursor{Next: 6, CRC: wire.Checksum(encodedDiff(t, 5, 0x25))}
+			if _, resp := subscribeOn(t, sub, "fold", cur); resp.Status != wire.StatusOK {
+				t.Fatalf("subscribe: %+v", resp)
+			}
+
+			// Hold the fold just past its commit point, with the lineage
+			// lock held.
+			entered, release := make(chan struct{}), make(chan struct{})
+			var once sync.Once
+			ln.store.SetHooks(&recframe.Hooks{Seam: func(point, _ string) error {
+				if point == recframe.SeamAfterRename {
+					once.Do(func() {
+						close(entered)
+						<-release
+					})
+				}
+				return nil
+			}})
+			if tc.policy != "" {
+				if resp := call(t, ctl, &wire.Frame{Type: wire.TPolicy, Lineage: h, Payload: []byte(tc.policy)}); resp.Status != wire.StatusOK {
+					t.Fatalf("policy: %s", resp.Payload)
+				}
+			}
+			var compacted <-chan *wire.Frame
+			if tc.target != 0 {
+				compacted = callAsync(ctl, &wire.Frame{Type: wire.TCompact, Lineage: h, Ckpt: tc.target})
+			}
+			select {
+			case <-entered:
+			case <-time.After(10 * time.Second):
+				t.Fatal("no fold reached its commit")
+			}
+			pushed := callAsync(pusher, push(6))
+			for deadline := time.Now().Add(10 * time.Second); ln.pending.Load() == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("push never queued on the lineage lock")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			// Let the fold finish while the hub is held: a fold that keeps
+			// the lineage lock until its barrier is sent stalls on the hub
+			// with the push still queued behind it, so the lineage stays at
+			// six diffs for as long as the hub is held.
+			srv.hub.mu.Lock()
+			close(release)
+			for end := time.Now().Add(50 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+				if n := ln.store.Len(); n != 6 {
+					srv.hub.mu.Unlock()
+					t.Fatalf("push landed (length %d) before the fold barrier was sent", n)
+				}
+			}
+			srv.hub.mu.Unlock()
+
+			fr := readTail(t, sub)
+			if fr.Type != wire.TResync {
+				t.Fatalf("subscriber got frame type %#x ckpt %d, want the fold barrier", fr.Type, fr.Ckpt)
+			}
+			if info, err := wire.DecodeResync(fr.Payload); err != nil || info != (wire.Resync{Reason: wire.ResyncFold, Base: 4, Len: 6}) {
+				t.Fatalf("barrier %+v (%v), want fold [4,6)", info, err)
+			}
+			if resp := recv(t, pushed, "push 6"); resp.Ckpt != 7 {
+				t.Fatalf("push 6 left length %d", resp.Ckpt)
+			}
+			if compacted != nil {
+				res, err := wire.DecodeCompactResult(recv(t, compacted, "compact").Payload)
+				if err != nil || res.OldBase != 0 || res.NewBase != 4 {
+					t.Fatalf("compact result %+v (%v)", res, err)
+				}
+			}
+			if n := srv.FoldBarriers(); n != 1 {
+				t.Fatalf("FoldBarriers = %d, want 1", n)
+			}
+			if tc.interval != 0 {
+				return // the sweep keeps folding; the no-op case needs a still lineage
+			}
+
+			// A no-op TCompact sheds nobody.
+			ln.store.SetHooks(nil)
+			sub2 := testConn(t, addr)
+			defer sub2.Close()
+			cur = wire.Cursor{Base: 4, Next: 7, CRC: wire.Checksum(encodedDiff(t, 6, 0x26))}
+			if _, resp := subscribeOn(t, sub2, "fold", cur); resp.Status != wire.StatusOK {
+				t.Fatalf("resubscribe: %+v", resp)
+			}
+			res, err := wire.DecodeCompactResult(call(t, ctl, &wire.Frame{Type: wire.TCompact, Lineage: h, Ckpt: 4}).Payload)
+			if err != nil || res.OldBase != 4 || res.NewBase != 4 {
+				t.Fatalf("no-op compact %+v (%v)", res, err)
+			}
+			if resp := call(t, pusher, push(7)); resp.Status != wire.StatusOK {
+				t.Fatalf("push 7: %s", resp.Payload)
+			}
+			if fr := readTail(t, sub2); fr.Type != wire.TTail || fr.Ckpt != 7 {
+				t.Fatalf("after a no-op compact: frame type %#x ckpt %d, want TTail 7", fr.Type, fr.Ckpt)
+			}
+			if n := srv.FoldBarriers(); n != 1 {
+				t.Fatalf("FoldBarriers = %d after a no-op compact, want 1", n)
+			}
+		})
 	}
 }
