@@ -67,7 +67,8 @@ loc:
 # in N alternating pairs (seeds SEED, SEED+1, …), then each side's median
 # and quartiles and the win count per gated metric. ARGS goes to
 # bench/run.sh on both sides (ARGS='-trace 1' for per-layer metrics),
-# ALSO names metrics to report beside the gated ones.
+# ALSO names per_layer metrics of BENCHMARK.json to report beside the
+# gated ones, each judged by its declared `better`.
 WORKLOAD ?= restore_read
 N ?= 10
 SEED ?= 1

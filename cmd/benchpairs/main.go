@@ -10,10 +10,12 @@
 //
 // The base side is `git archive` of the commit unpacked under
 // .bench_build/pairs/, so each side builds and runs in a directory of
-// its own, the way the PR driver runs them. Metrics named by -also are
-// read from the run's text lines and reported beside the gated ones, not
-// counted as gated; arguments after the flags go to bench/run.sh on both
-// sides (`-trace 1` for the per-layer metrics).
+// its own, the way the PR driver runs them. Metrics named by -also must
+// be per_layer entries of BENCHMARK.json, whose `better` says which way
+// a pair is won; they are read from the run's text lines and reported
+// beside the gated ones, not counted as gated. Arguments after the flags
+// go to bench/run.sh on both sides (`-trace 1` for the per-layer
+// metrics).
 package main
 
 import (
@@ -24,15 +26,39 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// gated is one end_to_end entry of BENCHMARK.json.
-type gated struct {
+// metric is one end_to_end or per_layer entry of BENCHMARK.json.
+type metric struct {
 	Name   string `json:"name"`
 	Better string `json:"better"`
+}
+
+// decl is what BENCHMARK.json declares about the metrics.
+type decl struct {
+	EndToEnd []metric `json:"end_to_end"`
+	PerLayer []metric `json:"per_layer"`
+}
+
+// metrics lists the end-to-end metrics, then each comma-separated name
+// of also as BENCHMARK.json declares it among the per-layer ones.
+func (d decl) metrics(also string) ([]metric, error) {
+	out := append([]metric(nil), d.EndToEnd...)
+	for _, name := range strings.Split(also, ",") {
+		if name == "" {
+			continue
+		}
+		i := slices.IndexFunc(d.PerLayer, func(m metric) bool { return m.Name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("-also %q is not a per_layer metric of BENCHMARK.json", name)
+		}
+		out = append(out, d.PerLayer[i])
+	}
+	return out, nil
 }
 
 func main() {
@@ -47,24 +73,20 @@ func run() error {
 	workload := flag.String("workload", "restore_read", "benchmark workload to run")
 	n := flag.Int("n", 10, "pairs to run (a claim needs at least ten)")
 	seed := flag.Int64("seed", 1, "seed of the first pair; pair i runs seed+i on both sides")
-	also := flag.String("also", "restore_ms_p50", "comma-separated metrics to report beside the gated ones (lower is better)")
+	also := flag.String("also", "restore_ms_p50", "comma-separated per_layer metrics to report beside the gated ones")
 	flag.Parse()
 
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
 		return fmt.Errorf("run from the repository root: %w", err)
 	}
-	var decl struct {
-		EndToEnd []gated `json:"end_to_end"`
-	}
-	if err := json.Unmarshal(raw, &decl); err != nil {
+	var bench decl
+	if err := json.Unmarshal(raw, &bench); err != nil {
 		return fmt.Errorf("BENCHMARK.json: %w", err)
 	}
-	metrics := decl.EndToEnd
-	for _, name := range strings.Split(*also, ",") {
-		if name != "" {
-			metrics = append(metrics, gated{Name: name, Better: "lower"})
-		}
+	metrics, err := bench.metrics(*also)
+	if err != nil {
+		return err
 	}
 
 	rev, err := exec.Command("git", "rev-parse", "--short=12", *base+"^{commit}").Output()
@@ -132,7 +154,7 @@ func run() error {
 			}
 		}
 		kind := "gated"
-		if i >= len(decl.EndToEnd) {
+		if i >= len(bench.EndToEnd) {
 			kind = "also "
 		}
 		bm, cm := quantile(b, 0.5), quantile(c, 0.5)

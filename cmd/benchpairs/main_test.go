@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"slices"
 	"testing"
 )
 
@@ -25,6 +28,43 @@ restore_read    alloc_mb_per_op                                 1.32768 MB     s
 	}
 	if _, _, err := parseRun([]byte(`{"correct":false,"failed":0,"metrics":{}}`)); err == nil {
 		t.Fatal("an incorrect run was accepted")
+	}
+}
+
+// TestMetrics: an -also metric is judged the way BENCHMARK.json's
+// per_layer entry says, and a name it does not declare is refused.
+func TestMetrics(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench decl
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		t.Fatal(err)
+	}
+	e2e := len(bench.EndToEnd)
+	for _, tc := range []struct {
+		also string
+		want []metric // after the end-to-end ones
+		err  bool
+	}{
+		{also: "", want: nil},
+		{also: "restore_ms_p50", want: []metric{{"restore_ms_p50", "lower"}}},
+		{also: "push_ack_ms_p50,durable_mbps", want: []metric{{"push_ack_ms_p50", "lower"}, {"durable_mbps", "higher"}}},
+		{also: "blockstore.dedup_hit_ratio,", want: []metric{{"blockstore.dedup_hit_ratio", "higher"}}},
+		{also: "durable_mbps,no_such_metric", err: true},
+		{also: "alloc_mb_per_op", err: true}, // gated already, not per_layer
+	} {
+		got, err := bench.metrics(tc.also)
+		if tc.err {
+			if err == nil {
+				t.Errorf("-also %q: accepted %v", tc.also, got)
+			}
+			continue
+		}
+		if err != nil || len(got) != e2e+len(tc.want) || !slices.Equal(got[e2e:], tc.want) {
+			t.Errorf("-also %q: %v, %v; want the %d end-to-end metrics, then %v", tc.also, got, err, e2e, tc.want)
+		}
 	}
 }
 

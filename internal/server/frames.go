@@ -1,0 +1,89 @@
+// The server's frame memory: one free list of byte buffers, owned by
+// the Server, that the stream intake stages pushed frames in and span
+// streams reassemble diffs in. A buffer goes back when its user is done
+// with it — a staged run once it has settled, a span stream once it has
+// ended — so a warm server ingests and serves frames without allocating
+// for them, and unlike a sync.Pool the list is not emptied by a GC.
+//
+// What the list retains is capped server-wide by frameMemCap; a buffer
+// that would take it past the cap is left to the GC. The cap is not per
+// connection: MaxConns connections each pinning a full staged run would
+// be 64 × 16 MiB.
+
+package server
+
+import (
+	"math/bits"
+	"sync"
+)
+
+// frameMemCap bounds the bytes of free buffers the server retains: four
+// staged runs at their byte cap.
+const frameMemCap = 4 * streamBatchBytes
+
+// frameMem is the free list. Buffers are kept by capacity class — class
+// k holds capacities of bit length k, [2^(k-1), 2^k) — so a get looks at
+// the top of at most one class that may not fit before it finds one
+// that must.
+type frameMem struct {
+	mu sync.Mutex
+	//ckptlint:guardedby mu
+	free [bits.UintSize + 1][][]byte
+	//ckptlint:guardedby mu
+	held int // bytes of capacity on the list
+}
+
+// get returns a buffer of length n: a free one from the smallest class
+// holding one that fits, or else a new one.
+func (m *frameMem) get(n int) []byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for k := bits.Len(uint(n)); k < len(m.free); k++ {
+		if top := len(m.free[k]) - 1; top >= 0 && cap(m.free[k][top]) >= n {
+			return m.takeLocked(k)[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+// largest returns the largest free buffer, emptied, or nil if there is
+// none. A span stream takes it: it cannot know its largest frame before
+// it has read it.
+func (m *frameMem) largest() []byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for k := len(m.free) - 1; k > 0; k-- {
+		if len(m.free[k]) > 0 {
+			return m.takeLocked(k)[:0]
+		}
+	}
+	return nil
+}
+
+// takeLocked pops the top buffer of class k.
+//
+//ckptlint:locked mu
+func (m *frameMem) takeLocked(k int) []byte {
+	top := len(m.free[k]) - 1
+	b := m.free[k][top]
+	m.free[k][top] = nil
+	m.free[k] = m.free[k][:top]
+	m.held -= cap(b)
+	return b
+}
+
+// put hands b back to the list. Its user must hold no slice of it any
+// longer.
+func (m *frameMem) put(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.held+cap(b) > frameMemCap {
+		return
+	}
+	k := bits.Len(uint(cap(b)))
+	m.free[k] = append(m.free[k], b)
+	m.held += cap(b)
+}

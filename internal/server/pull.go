@@ -9,6 +9,13 @@
 // fold that replaces the lineage mid-stream) is a typed non-OK frame
 // that ends the stream with the connection back in request mode; the
 // frames before it stay good.
+//
+// Memory: the frame a stream reassembles its diffs in is the largest
+// buffer on the server's free list (frames.go), grown at most once per
+// diff that outgrows it and handed back when the stream ends, so a
+// server that has served a frame that size serves the next span without
+// allocating for its frames — GCs in between or not. The read scratch
+// (reference lists and one run of at most 256 KiB) is the stream's own.
 
 package server
 
@@ -16,7 +23,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"sync"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
@@ -24,14 +30,11 @@ import (
 
 // pullBuf is the memory one span stream works in: the frame being sent,
 // whose payload is the diff reassembled in place, and the store's read
-// scratch. Pooled across connections, so a warm server serves a diff
-// without allocating for it, whatever its block count.
+// scratch.
 type pullBuf struct {
 	frame wire.Frame
 	sc    checkpoint.ReadScratch
 }
-
-var pullBufs = sync.Pool{New: func() any { return new(pullBuf) }}
 
 // servePull handles one TPull request. The returned error is
 // transport-only (a frame could not be written, the connection is
@@ -41,9 +44,10 @@ func (s *Server) servePull(req *wire.Frame, bw *bufio.Writer, conn net.Conn) err
 	if err != nil {
 		return s.writeResp(bw, conn, s.errFrame(req, err))
 	}
-	pb := pullBufs.Get().(*pullBuf)
-	defer pullBufs.Put(pb)
-	pb.frame = wire.Frame{Type: req.Type, Status: wire.StatusOK, Lineage: req.Lineage, Payload: pb.frame.Payload}
+	// writeResp copies the frame out before it returns, so the payload
+	// is free again once the stream ends.
+	pb := &pullBuf{frame: wire.Frame{Type: req.Type, Status: wire.StatusOK, Lineage: req.Lineage, Payload: s.frames.largest()}}
+	defer func() { s.frames.put(pb.frame.Payload) }()
 	for ck, to := span.Bounds(); ck < to; ck++ {
 		if err := pb.load(span, ck); err != nil {
 			f := s.errFrame(req, fmt.Errorf("server: pull lineage %q: %w", name, err))

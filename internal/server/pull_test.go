@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -171,6 +172,30 @@ type pipeAddr struct{}
 func (pipeAddr) Network() string { return "pipe" }
 func (pipeAddr) String() string  { return "pipe" }
 
+// startPipeServer serves a new server on a pipeListener until the test
+// ends.
+func startPipeServer(t *testing.T, cfg Config) *pipeListener {
+	t.Helper()
+	srv, err := New(quiet(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln) }()
+	t.Cleanup(func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("Serve returned %v", err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Errorf("Close returned %v", err)
+		}
+	})
+	return ln
+}
+
 // dial opens one handshaken connection to the server behind l.
 func (l *pipeListener) dial(t *testing.T) net.Conn {
 	t.Helper()
@@ -190,24 +215,7 @@ func (l *pipeListener) dial(t *testing.T) net.Conn {
 // verified and then ends with StatusSpanMoved instead of mixing
 // generations.
 func TestRacePullDoesNotBlockPush(t *testing.T) {
-	srv, err := New(quiet(Config{Root: t.TempDir()}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
-	ctx, cancel := context.WithCancel(context.Background())
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ctx, ln) }()
-	defer func() {
-		cancel()
-		if err := <-served; err != nil {
-			t.Errorf("Serve returned %v", err)
-		}
-		if err := srv.Close(); err != nil {
-			t.Errorf("Close returned %v", err)
-		}
-	}()
-
+	ln := startPipeServer(t, Config{Root: t.TempDir()})
 	writer := ln.dial(t)
 	defer writer.Close()
 	// Frames larger than the server's write buffer, so the first one
@@ -265,18 +273,15 @@ func TestRacePullDoesNotBlockPush(t *testing.T) {
 	}
 }
 
-// TestPullFrameAllocs: with a warm buffer, serving diff k of a span —
-// reassemble, verify, frame, write — allocates a constant (the staged
-// frame header), whether the diff maps to 2 blocks or 200: the
-// references are walked in place and every block is read through one
-// scratch. (The pool the buffer comes from is bypassed: under the race
-// detector sync.Pool drops items at random.)
-func TestPullFrameAllocs(t *testing.T) {
+// pullServer is a server, not serving, holding lineage "lin" with one
+// diff per entry of blocks, diff k mapping to blocks[k] 4 KiB blocks.
+func pullServer(t *testing.T, blocks ...int) (*Server, uint32, *lineage) {
+	t.Helper()
 	srv, err := New(quiet(Config{Root: t.TempDir()}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	t.Cleanup(func() { srv.Close() })
 	h, _, _, err := srv.open("lin")
 	if err != nil {
 		t.Fatal(err)
@@ -285,8 +290,8 @@ func TestPullFrameAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ck, blocks := range []int{2, 200} {
-		data := make([]byte, blocks*4096)
+	for ck, n := range blocks {
+		data := make([]byte, n*4096)
 		for i := range data {
 			data[i] = byte(i/4096 + ck)
 		}
@@ -295,12 +300,60 @@ func TestPullFrameAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return srv, h, ln
+}
+
+// TestPullBufferSurvivesGC: the frame a span stream reassembles its
+// diffs in goes back to the server's free list when the stream ends,
+// and a GC does not empty that list — so serving the span again after
+// two GCs allocates less than one frame (the read scratch is the
+// stream's own), where a buffer pooled in a sync.Pool is gone by then.
+func TestPullBufferSurvivesGC(t *testing.T) {
+	const blocks = 512
+	srv, h, _ := pullServer(t, blocks)
+	conn, peer := net.Pipe() // for the write deadline: the frames go to bw
+	defer conn.Close()
+	defer peer.Close()
+	bw := bufio.NewWriterSize(io.Discard, connBufSize)
+	serve := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := srv.servePull(pullSpan(h, 0, 1), bw, conn); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	serve()
+	runtime.GC()
+	runtime.GC()
+	if alloc := serve(); alloc >= blocks*4096 {
+		t.Fatalf("serving a %d-byte frame again after two GCs allocated %d bytes, want less than the frame", blocks*4096, alloc)
+	}
+}
+
+// TestPullFrameAllocs: with a buffer from the free list, serving diff k
+// of a span — reassemble, verify, frame, write — allocates a constant
+// (the staged frame header), whether the diff maps to 2 blocks or 200:
+// the references are walked in place and every block is read through
+// one scratch.
+func TestPullFrameAllocs(t *testing.T) {
+	srv, h, ln := pullServer(t, 2, 200)
 	span, err := ln.store.Span(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	conn, peer := net.Pipe()
+	defer conn.Close()
+	defer peer.Close()
 	bw := bufio.NewWriterSize(io.Discard, connBufSize)
-	pb := &pullBuf{frame: wire.Frame{Type: wire.TPull, Lineage: h}}
+	if err := srv.servePull(pullSpan(h, 0, 2), bw, conn); err != nil { // leaves its buffer on the list
+		t.Fatal(err)
+	}
+	pb := &pullBuf{frame: wire.Frame{Type: wire.TPull, Lineage: h, Payload: srv.frames.largest()}}
+	if cap(pb.frame.Payload) < 200*4096 {
+		t.Fatalf("the free list holds no buffer the span's frames fit: largest is %d bytes", cap(pb.frame.Payload))
+	}
 	for ck, blocks := range []int{2, 200} {
 		frame := func() {
 			if err := pb.load(span, ck); err != nil {
@@ -310,7 +363,7 @@ func TestPullFrameAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		frame() // warm the buffer
+		frame() // warm the scratch
 		if avg := testing.AllocsPerRun(50, frame); avg > 1 {
 			t.Fatalf("serving a diff of %d blocks allocates %.0f times, want at most 1", blocks, avg)
 		}

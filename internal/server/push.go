@@ -11,10 +11,15 @@
 // from, and a request payload lives in the connection's read buffer
 // until the next frame is read. A stream frame that is staged outlives
 // that, so check copies its payload — once, after the CRC has vouched
-// for it and before the diff is decoded where the copy lies — and the
-// copy is what subscribers are sent, as it arrived. A diff that commits
-// within its own request is copied only if a subscriber exists to keep
-// it.
+// for it and before the diff is decoded where the copy lies. With no
+// subscriber the copy goes into staging from the server's free list
+// (frames.go), which settle hands back once the commit is done with it:
+// neither AppendBatch nor the block store keeps a slice of a diff. With
+// a subscriber it is an exact-size copy of its own, and that copy is
+// what subscribers are sent, as it arrived. publish copies whatever else
+// meets a subscriber — a diff committed within its own request, or
+// staging that a subscriber registered after check finds — so neither
+// the read buffer nor recycled memory ever reaches a hub queue.
 
 package server
 
@@ -35,8 +40,17 @@ type pushed struct {
 	diff    *checkpoint.Diff
 	crc     uint32 // of the encoded diff, as the pusher computed it
 	payload []byte // CRC prefix + encoded diff: a TTail payload as is
-	owned   bool   // payload is the server's copy, not the read buffer
+	mem     payloadMem
 }
+
+// payloadMem says whose memory a checked payload lies in.
+type payloadMem uint8
+
+const (
+	inReadBuf payloadMem = iota // the connection's read buffer, until the next frame is read
+	inStaging                   // free-list staging, handed back when its run settles
+	inOwnCopy                   // an exact-size copy subscribers may keep
+)
 
 // stagedRun is one connection's run of contiguous TPushStream frames
 // awaiting a group commit: checked diffs of a single lineage, starting
@@ -78,7 +92,8 @@ func (r *stagedRun) extendedBy(ln *lineage, ckpt uint32) bool {
 // verifies the payload's CRC32C — the bytes survived the wire —
 // decode-validates the diff before the store sees it (a malformed diff
 // must never become a lineage record) and holds the frame to the id it
-// names. A frame that extends run comes back owned, ready to stage.
+// names. A frame that extends run comes back copied out of the read
+// buffer, ready to stage.
 func (s *Server) check(req *wire.Frame, run *stagedRun) (*lineage, pushed, error) {
 	ln, err := s.get(req.Lineage)
 	if err != nil {
@@ -90,16 +105,31 @@ func (s *Server) check(req *wire.Frame, run *stagedRun) (*lineage, pushed, error
 	}
 	p := pushed{crc: crc, payload: req.Payload}
 	if run.extendedBy(ln, req.Ckpt) {
-		p.payload, p.owned = bytes.Clone(req.Payload), true
+		if s.hub.count(ln) > 0 {
+			p.payload, p.mem = bytes.Clone(req.Payload), inOwnCopy
+		} else {
+			p.payload, p.mem = s.frames.get(len(req.Payload)), inStaging
+			copy(p.payload, req.Payload)
+		}
 		encoded = p.payload[wire.PushChecksumSize:]
 	}
 	if p.diff, err = checkpoint.DecodeBytes(encoded); err != nil {
+		s.unstage(p)
 		return nil, pushed{}, fmt.Errorf("server: push lineage %q: %w", ln.name, err)
 	}
 	if p.diff.CkptID != req.Ckpt {
+		s.unstage(p)
 		return nil, pushed{}, fmt.Errorf("server: push frame ckpt %d but diff id %d", req.Ckpt, p.diff.CkptID)
 	}
 	return ln, p, nil
+}
+
+// unstage hands p's staging, if it has any, back to the free list; p's
+// diff aliases it, so p is dead after the call.
+func (s *Server) unstage(p pushed) {
+	if p.mem == inStaging {
+		s.frames.put(p.payload)
+	}
 }
 
 // commit is the locked half: batch, whose ids run from start, becomes
@@ -152,7 +182,7 @@ func (s *Server) publish(ln *lineage, start uint32, batch []pushed) {
 	}
 	base := uint32(ln.store.Base())
 	for i, p := range batch {
-		if !p.owned {
+		if p.mem != inOwnCopy {
 			p.payload = bytes.Clone(p.payload)
 		}
 		shed := s.hub.publish(ln, start+uint32(i), p.payload, base, uint32(n))
@@ -170,7 +200,7 @@ func (s *Server) publish(ln *lineage, start uint32, batch []pushed) {
 func (s *Server) serveStream(run *stagedRun, req *wire.Frame, bw *bufio.Writer, conn net.Conn) error {
 	s.streamPushes.Add(1)
 	ln, p, err := s.check(req, run)
-	if err == nil && p.owned {
+	if err == nil && p.mem != inReadBuf {
 		if len(run.batch) == 0 {
 			run.ln, run.handle, run.start = ln, req.Lineage, req.Ckpt
 		}
@@ -194,13 +224,17 @@ func (s *Server) serveStream(run *stagedRun, req *wire.Frame, bw *bufio.Writer, 
 // settle commits the staged run and acks every frame of it. The run
 // commits as a whole or not at all: a store failure fails every staged
 // frame with a typed error ack, and the client's retry resumes from the
-// length the server reports. The returned error is transport-only;
-// store errors travel inside the acks.
+// length the server reports. Either way the run's staging goes back to
+// the free list. The returned error is transport-only; store errors
+// travel inside the acks.
 func (s *Server) settle(run *stagedRun, bw *bufio.Writer, conn net.Conn) error {
 	if len(run.batch) == 0 {
 		return nil
 	}
 	newLen, err := s.commit(run.ln, run.start, run.batch)
+	for _, p := range run.batch {
+		s.unstage(p)
+	}
 	handle, start, count := run.handle, run.start, len(run.batch)
 	*run = stagedRun{}
 	return s.ackStream(bw, conn, handle, start, count, newLen, err)

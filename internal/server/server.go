@@ -228,6 +228,10 @@ type Server struct {
 	// hub fans appended diffs out to subscribers.
 	hub *hub
 
+	// frames is the free list staged stream frames and span streams
+	// draw their buffers from (frames.go).
+	frames frameMem
+
 	// conn tracking for forced shutdown
 	connMu sync.Mutex
 	//ckptlint:guardedby connMu

@@ -275,8 +275,9 @@ func TestStreamFanOutRelaysPushedBytes(t *testing.T) {
 }
 
 // TestStreamFanOutCopiesOnce: staging a stream frame and fanning it out
-// to a subscriber costs one payload-sized allocation — the staged copy,
-// which both the decoded diff and the subscribers then share.
+// to a subscriber who was there when it was checked costs one
+// payload-sized allocation — the staged copy, which both the decoded
+// diff and the subscribers then share.
 func TestStreamFanOutCopiesOnce(t *testing.T) {
 	srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
 	defer stop()
@@ -301,8 +302,8 @@ func TestStreamFanOutCopiesOnce(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for ck, fr := range frames {
 		_, p, err := srv.check(fr, &run)
-		if err != nil || !p.owned {
-			t.Fatalf("frame %d: check = %+v, %v; want it staged", ck, p, err)
+		if err != nil || p.mem != inOwnCopy {
+			t.Fatalf("frame %d: check = %+v, %v; want it staged in a copy of its own", ck, p, err)
 		}
 		run.ln, run.batch = ln, append(run.batch, p)
 	}

@@ -13,8 +13,9 @@ import (
 // without ever writing, plus the dial function a pool under test uses
 // (no handshake: the pool never looks inside a connection).
 type harness struct {
-	ln    net.Listener
-	dials atomic.Int64
+	ln     net.Listener
+	dials  atomic.Int64
+	closed atomic.Bool // closeAll has run: dials are refused
 
 	mu       sync.Mutex
 	accepted []net.Conn
@@ -52,8 +53,12 @@ func newHarness(t *testing.T) *harness {
 }
 
 // closeAll tears down the server side: the listener and every
-// accepted connection.
+// accepted connection. Later dials are refused by the harness itself:
+// a dial to the closed ephemeral port is not sure to fail — on Linux it
+// can connect to itself, or to a listener a parallel test has bound to
+// the same port since.
 func (h *harness) closeAll() {
+	h.closed.Store(true)
 	h.ln.Close()
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -63,8 +68,13 @@ func (h *harness) closeAll() {
 	h.accepted = nil
 }
 
+var errHarnessClosed = errors.New("harness: dial after closeAll")
+
 func (h *harness) dial() (*Conn, error) {
 	h.dials.Add(1)
+	if h.closed.Load() {
+		return nil, errHarnessClosed
+	}
 	c, err := net.Dial("tcp", h.ln.Addr().String())
 	if err != nil {
 		return nil, err
@@ -178,8 +188,8 @@ func TestPoolProbeDropsDeadConn(t *testing.T) {
 	h.closeAll()
 	time.Sleep(20 * time.Millisecond)
 	p.age(2 * probeAfter)
-	if _, err := p.get(); err == nil {
-		t.Fatal("checkout dialed through a closed listener")
+	if _, err := p.get(); !errors.Is(err, errHarnessClosed) {
+		t.Fatalf("checkout after the server side closed: %v, want the probe to drop the parked conn and dial", err)
 	}
 	if p.idleCount() != 0 {
 		t.Fatal("dead connection still parked")
