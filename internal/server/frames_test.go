@@ -15,7 +15,8 @@ import (
 )
 
 // TestFrameMem: get hands out the smallest free buffer that fits and
-// largest the largest; put keeps what it is given up to frameMemCap.
+// largest the largest; put keeps what it is given up to frameMemCap; a
+// shared frame goes back with its last release.
 func TestFrameMem(t *testing.T) {
 	var m frameMem
 	small, mid, big := make([]byte, 100), make([]byte, 3000), make([]byte, 5000)
@@ -38,6 +39,26 @@ func TestFrameMem(t *testing.T) {
 	if m.held != cap(small) {
 		t.Fatalf("put past the cap was kept: held %d", m.held)
 	}
+
+	// A shared frame goes back with its last release, and a release too
+	// many panics rather than hand the buffer out twice.
+	f := m.share([]byte("frame"))
+	held := m.held
+	f.retain()
+	f.release()
+	if m.held != held || m.shared.Load() != 1 {
+		t.Fatalf("a held frame went back: held %d, %d references", m.held, m.shared.Load())
+	}
+	f.release()
+	if m.held != held+cap(f.buf) || m.shared.Load() != 0 {
+		t.Fatalf("the last release did not put the frame back: held %d, %d references", m.held, m.shared.Load())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("releasing a frame once more than it was retained did not panic")
+		}
+	}()
+	f.release()
 }
 
 // streamBurst frames payloads as the TPushStream frames of checkpoints
@@ -52,6 +73,28 @@ func streamBurst(t *testing.T, h uint32, first int, payloads [][]byte) []byte {
 		}
 	}
 	return burst.Bytes()
+}
+
+// runPayloads returns the push payloads of checkpoints first, first+1,
+// … first+n-1: full diffs of size random bytes that depend only on the
+// position in the run, so every run of the same shape carries the same
+// data — a second run is all block-store hits, and allocates nothing
+// for new blocks.
+func runPayloads(t *testing.T, first, n, size int) [][]byte {
+	t.Helper()
+	payloads := make([][]byte, n)
+	for i := range payloads {
+		data := make([]byte, size)
+		rand.New(rand.NewSource(int64(i))).Read(data)
+		d := &checkpoint.Diff{Method: checkpoint.MethodFull, CkptID: uint32(first + i),
+			DataLen: uint64(size), ChunkSize: 128, Data: data}
+		var enc bytes.Buffer
+		if err := d.Encode(&enc); err != nil {
+			t.Fatal(err)
+		}
+		payloads[i] = wire.EncodePush(enc.Bytes())
+	}
+	return payloads
 }
 
 // sendRun writes a burst of n frames from checkpoint first while it
@@ -85,24 +128,12 @@ func TestStreamIntakeRecyclesStaging(t *testing.T) {
 	defer conn.Close()
 	h := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte("recycle")}).Lineage
 	const n, size = 16, 256 << 10
-	run := func(first int) (burst []byte, payloadBytes int) {
-		payloads := make([][]byte, n)
-		for i := range payloads {
-			data := make([]byte, size)
-			rand.New(rand.NewSource(int64(i))).Read(data)
-			d := &checkpoint.Diff{Method: checkpoint.MethodFull, CkptID: uint32(first + i),
-				DataLen: uint64(size), ChunkSize: 128, Data: data}
-			var enc bytes.Buffer
-			if err := d.Encode(&enc); err != nil {
-				t.Fatal(err)
-			}
-			payloads[i] = wire.EncodePush(enc.Bytes())
-			payloadBytes += len(payloads[i])
-		}
-		return streamBurst(t, h, first, payloads), payloadBytes
+	first := streamBurst(t, h, 0, runPayloads(t, 0, n, size))
+	payloads := runPayloads(t, n, n, size)
+	second, payloadBytes := streamBurst(t, h, n, payloads), 0
+	for _, p := range payloads {
+		payloadBytes += len(p)
 	}
-	first, _ := run(0)
-	second, payloadBytes := run(n)
 
 	sendRun(t, conn, first, 0, n)
 	var before, after runtime.MemStats
@@ -114,13 +145,14 @@ func TestStreamIntakeRecyclesStaging(t *testing.T) {
 	}
 }
 
-// TestRaceStagingRecycle: staging is reused from run to run, and none of
-// it reaches a subscriber. The first runs are staged in process with a
-// subscriber registered between check and publish — check chose staging,
-// publish meets a subscriber; the rest stream over one connection while
-// subscribers register and unregister beside them, each checking what it
-// got as it gets it. Every payload a subscriber got and every stored
-// diff must be the pushed bytes once all runs have reused the staging.
+// TestRaceStagingRecycle: staging reaches subscribers by reference and
+// is reused only once nobody holds it. The first runs are staged in
+// process with a subscriber registered between check and publish, which
+// keeps every event it gets; the rest stream over one connection while
+// subscribers register and unregister beside them, each checking and
+// releasing what it got as it gets it. The kept payloads must still be
+// the pushed bytes after all later runs have reused the staging, and
+// every stored diff must be too.
 func TestRaceStagingRecycle(t *testing.T) {
 	srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
 	defer stop()
@@ -150,22 +182,21 @@ func TestRaceStagingRecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if len(run.batch) != n || run.batch[0].mem != inStaging {
+		if len(run.batch) != n || run.batch[0].staged == nil {
 			t.Fatalf("run %d: %d frames staged, want %d in free-list staging", r, len(run.batch), n)
 		}
 		sub := srv.hub.register(ln, n)
 		if err := srv.settle(&run, bw, sink); err != nil {
 			t.Fatal(err)
 		}
-		srv.hub.unregister(ln, sub)
 		for i := 0; i < n; i++ {
 			got = append(got, <-sub.ch)
 		}
+		srv.hub.unregister(ln, sub)
 	}
 
 	// Over the connection, with subscribers coming and going.
 	done := make(chan struct{})
-	var churned []tailEvent
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -178,14 +209,14 @@ func TestRaceStagingRecycle(t *testing.T) {
 			}
 			sub := srv.hub.register(ln, len(want)) // never full: nothing is shed
 			runtime.Gosched()
-			srv.hub.unregister(ln, sub)
 			for len(sub.ch) > 0 {
 				ev := <-sub.ch
-				if !bytes.Equal(ev.payload, want[ev.ckpt]) {
+				if !bytes.Equal(ev.frame.buf, want[ev.ckpt]) {
 					t.Errorf("checkpoint %d reached a subscriber damaged", ev.ckpt)
 				}
-				churned = append(churned, ev)
+				ev.frame.release()
 			}
+			srv.hub.unregister(ln, sub)
 		}
 	}()
 	stopChurn := sync.OnceFunc(func() {
@@ -198,10 +229,14 @@ func TestRaceStagingRecycle(t *testing.T) {
 	}
 	stopChurn()
 
-	for _, ev := range append(got, churned...) {
-		if !bytes.Equal(ev.payload, want[ev.ckpt]) {
-			t.Fatalf("checkpoint %d: the subscriber's payload changed after it was published", ev.ckpt)
+	for _, ev := range got {
+		if !bytes.Equal(ev.frame.buf, want[ev.ckpt]) {
+			t.Fatalf("checkpoint %d: the subscriber's payload changed while it held it", ev.ckpt)
 		}
+		ev.frame.release()
+	}
+	if refs := srv.frames.shared.Load(); refs != 0 {
+		t.Fatalf("%d references to staging still held", refs)
 	}
 	for ck := range want {
 		stored, err := ln.store.DiffBytes(ck)

@@ -13,10 +13,18 @@
 //     subscriber instead, and the resume cursor (wire.Cursor) makes
 //     shedding safe — the follower reconnects and resumes exactly
 //     where it stopped.
-//   - hub.mu is a strict leaf lock: hub methods take no other lock
-//     and call into no other subsystem, so the hub can be invoked
-//     from under the lineage lock without adding lock-order edges
-//     (the ckptlint lockorder analyzer checks this holds).
+//   - An event is a reference, not a copy: the frame the intake staged
+//     (frames.go), retained once for each queue it enters. Whoever
+//     takes an event off a queue releases it — the subscription loop
+//     once its write returns, or unregister, which drains the queue of
+//     a subscriber that is gone — so a slow subscriber pins at most
+//     its queue's worth of frames, and the last release recycles one.
+//   - hub.mu is a strict leaf lock: while it is held, hub methods take
+//     no other lock and call into no other subsystem, so the hub can
+//     be invoked from under the lineage lock without adding lock-order
+//     edges (the ckptlint lockorder analyzer checks this holds).
+//     Taking a reference is an atomic add; every release, which may
+//     take the free list's lock, runs after hub.mu is released.
 
 package server
 
@@ -28,11 +36,12 @@ import (
 )
 
 // tailEvent is one appended diff on its way to a subscriber: the
-// absolute checkpoint id and the crc-prefixed encoded bytes (the
-// TTail payload, shared read-only between subscribers).
+// absolute checkpoint id and one reference to the shared frame holding
+// its crc-prefixed encoded bytes (the TTail payload). Whoever takes the
+// event off its queue releases the reference.
 type tailEvent struct {
-	ckpt    uint32
-	payload []byte
+	ckpt  uint32
+	frame *sharedFrame
 }
 
 // tailSub is one live subscriber of one lineage. The serving
@@ -95,12 +104,22 @@ func (h *hub) register(ln *lineage, queue int) *tailSub {
 }
 
 // unregister removes a subscriber if it is still registered (a shed
-// already removed it). Safe to call exactly once per register, from
-// the serving goroutine's defer.
+// already removed it), then releases every event left in its queue —
+// once it is out of the map, nothing enqueues to it again. Called once
+// per register, when the subscription is over; a second call finds
+// nothing to do.
 func (h *hub) unregister(ln *lineage, sub *tailSub) {
 	h.mu.Lock()
 	h.removeLocked(ln, sub)
 	h.mu.Unlock()
+	for {
+		select {
+		case ev := <-sub.ch:
+			ev.frame.release()
+		default:
+			return
+		}
+	}
 }
 
 //ckptlint:locked mu
@@ -120,25 +139,28 @@ func (h *hub) removeLocked(ln *lineage, sub *tailSub) {
 }
 
 // count reports the number of live subscribers of ln — the publish
-// path's zero-cost guard before it copies anything.
+// path's zero-cost guard before it stages anything.
 func (h *hub) count(ln *lineage) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.subs[ln])
 }
 
-// publish fans one appended diff out to every subscriber of ln.
-// payload must be owned by the hub (no aliasing of per-connection
-// scratch). A subscriber whose queue is full is shed with a lag
-// barrier carrying the current [base, n) span; it returns how many
-// were shed. Called with the lineage lock held — that lock, not the
-// hub's, is what orders events.
-func (h *hub) publish(ln *lineage, ckpt uint32, payload []byte, base, n uint32) int {
+// publish fans one appended diff, held in f, out to every subscriber
+// of ln. Each queue gets a reference of its own, taken before the send
+// — its subscriber may release it at once — and given back when the
+// send would block; the caller keeps its reference throughout. A
+// subscriber whose queue is full is shed with a lag barrier carrying
+// the current [base, n) span; it returns how many were shed. Called
+// with the lineage lock held — that lock, not the hub's, is what
+// orders events.
+func (h *hub) publish(ln *lineage, ckpt uint32, f *sharedFrame, base, n uint32) int {
 	h.mu.Lock()
 	var shed []*tailSub
 	for _, sub := range h.subs[ln] {
+		f.retain()
 		select {
-		case sub.ch <- tailEvent{ckpt: ckpt, payload: payload}:
+		case sub.ch <- tailEvent{ckpt: ckpt, frame: f}:
 		default:
 			shed = append(shed, sub)
 		}
@@ -148,6 +170,7 @@ func (h *hub) publish(ln *lineage, ckpt uint32, payload []byte, base, n uint32) 
 	}
 	h.mu.Unlock()
 	for _, sub := range shed {
+		f.release() // the reference its full queue did not take
 		sub.shed(wire.ResyncLag, base, n)
 	}
 	return len(shed)

@@ -151,9 +151,11 @@ func TestServerPullSpanRot(t *testing.T) {
 // does not read — the deterministic stand-in for a reader whose socket
 // buffers are full.
 type pipeListener struct {
-	conns chan net.Conn
-	done  chan struct{}
-	once  sync.Once
+	srv      *Server
+	shutdown func() // stops Serve and closes srv; at cleanup if not before
+	conns    chan net.Conn
+	done     chan struct{}
+	once     sync.Once
 }
 
 func (l *pipeListener) Accept() (net.Conn, error) {
@@ -180,11 +182,11 @@ func startPipeServer(t *testing.T, cfg Config) *pipeListener {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+	ln := &pipeListener{srv: srv, conns: make(chan net.Conn), done: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ctx, ln) }()
-	t.Cleanup(func() {
+	ln.shutdown = sync.OnceFunc(func() {
 		cancel()
 		if err := <-served; err != nil {
 			t.Errorf("Serve returned %v", err)
@@ -193,6 +195,7 @@ func startPipeServer(t *testing.T, cfg Config) *pipeListener {
 			t.Errorf("Close returned %v", err)
 		}
 	})
+	t.Cleanup(ln.shutdown)
 	return ln
 }
 

@@ -11,21 +11,22 @@
 // from, and a request payload lives in the connection's read buffer
 // until the next frame is read. A stream frame that is staged outlives
 // that, so check copies its payload — once, after the CRC has vouched
-// for it and before the diff is decoded where the copy lies. With no
-// subscriber the copy goes into staging from the server's free list
-// (frames.go), which settle hands back once the commit is done with it:
-// neither AppendBatch nor the block store keeps a slice of a diff. With
-// a subscriber it is an exact-size copy of its own, and that copy is
-// what subscribers are sent, as it arrived. publish copies whatever else
-// meets a subscriber — a diff committed within its own request, or
-// staging that a subscriber registered after check finds — so neither
-// the read buffer nor recycled memory ever reaches a hub queue.
+// for it and before the diff is decoded where the copy lies — into
+// staging from the server's free list (frames.go). The staging is a
+// shared frame: the run holds one reference until it settles, and
+// publish gives each subscriber queue one more, so subscribers are sent
+// the staged bytes themselves, as they arrived, and the buffer goes
+// back to the list when the last holder is done with it. Neither
+// AppendBatch nor the block store keeps a slice of a diff. A diff that
+// commits within its own request is still in the read buffer when it is
+// published; publish copies it into staging that only the queues hold,
+// so the read buffer never reaches a hub queue, and a push nobody
+// subscribes to that commits within its own request copies nothing.
 
 package server
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"math"
 	"net"
@@ -40,17 +41,10 @@ type pushed struct {
 	diff    *checkpoint.Diff
 	crc     uint32 // of the encoded diff, as the pusher computed it
 	payload []byte // CRC prefix + encoded diff: a TTail payload as is
-	mem     payloadMem
+	// staged holds payload once check has staged it, the run's
+	// reference; nil while payload lies in the read buffer.
+	staged *sharedFrame
 }
-
-// payloadMem says whose memory a checked payload lies in.
-type payloadMem uint8
-
-const (
-	inReadBuf payloadMem = iota // the connection's read buffer, until the next frame is read
-	inStaging                   // free-list staging, handed back when its run settles
-	inOwnCopy                   // an exact-size copy subscribers may keep
-)
 
 // stagedRun is one connection's run of contiguous TPushStream frames
 // awaiting a group commit: checked diffs of a single lineage, starting
@@ -105,12 +99,8 @@ func (s *Server) check(req *wire.Frame, run *stagedRun) (*lineage, pushed, error
 	}
 	p := pushed{crc: crc, payload: req.Payload}
 	if run.extendedBy(ln, req.Ckpt) {
-		if s.hub.count(ln) > 0 {
-			p.payload, p.mem = bytes.Clone(req.Payload), inOwnCopy
-		} else {
-			p.payload, p.mem = s.frames.get(len(req.Payload)), inStaging
-			copy(p.payload, req.Payload)
-		}
+		p.staged = s.frames.share(req.Payload)
+		p.payload = p.staged.buf
 		encoded = p.payload[wire.PushChecksumSize:]
 	}
 	if p.diff, err = checkpoint.DecodeBytes(encoded); err != nil {
@@ -124,11 +114,11 @@ func (s *Server) check(req *wire.Frame, run *stagedRun) (*lineage, pushed, error
 	return ln, p, nil
 }
 
-// unstage hands p's staging, if it has any, back to the free list; p's
-// diff aliases it, so p is dead after the call.
+// unstage releases the run's reference to p's staging, if it has any;
+// p's diff aliases it, so p is dead after the call.
 func (s *Server) unstage(p pushed) {
-	if p.mem == inStaging {
-		s.frames.put(p.payload)
+	if p.staged != nil {
+		p.staged.release()
 	}
 }
 
@@ -170,8 +160,10 @@ func (s *Server) commit(ln *lineage, start uint32, batch []pushed) (uint32, erro
 }
 
 // publish fans a just-committed batch out to the lineage's subscribers,
-// in order; the caller holds the lineage lock. With no subscriber it
-// costs the hub's count and copies nothing.
+// in order; the caller holds the lineage lock. A staged frame goes out
+// by reference; a payload still in the read buffer is staged first, and
+// only the queues hold that staging. With no subscriber it costs the
+// hub's count and copies nothing.
 func (s *Server) publish(ln *lineage, start uint32, batch []pushed) {
 	if s.hub.count(ln) == 0 {
 		return
@@ -182,10 +174,14 @@ func (s *Server) publish(ln *lineage, start uint32, batch []pushed) {
 	}
 	base := uint32(ln.store.Base())
 	for i, p := range batch {
-		if p.mem != inOwnCopy {
-			p.payload = bytes.Clone(p.payload)
+		f := p.staged
+		if f == nil {
+			f = s.frames.share(p.payload)
 		}
-		shed := s.hub.publish(ln, start+uint32(i), p.payload, base, uint32(n))
+		shed := s.hub.publish(ln, start+uint32(i), f, base, uint32(n))
+		if p.staged == nil {
+			f.release()
+		}
 		s.subSheds.Add(uint64(shed))
 	}
 }
@@ -200,7 +196,7 @@ func (s *Server) publish(ln *lineage, start uint32, batch []pushed) {
 func (s *Server) serveStream(run *stagedRun, req *wire.Frame, bw *bufio.Writer, conn net.Conn) error {
 	s.streamPushes.Add(1)
 	ln, p, err := s.check(req, run)
-	if err == nil && p.mem != inReadBuf {
+	if err == nil && p.staged != nil {
 		if len(run.batch) == 0 {
 			run.ln, run.handle, run.start = ln, req.Lineage, req.Ckpt
 		}
@@ -224,20 +220,27 @@ func (s *Server) serveStream(run *stagedRun, req *wire.Frame, bw *bufio.Writer, 
 // settle commits the staged run and acks every frame of it. The run
 // commits as a whole or not at all: a store failure fails every staged
 // frame with a typed error ack, and the client's retry resumes from the
-// length the server reports. Either way the run's staging goes back to
-// the free list. The returned error is transport-only; store errors
-// travel inside the acks.
+// length the server reports. Either way the run lets go of its staging.
+// The returned error is transport-only; store errors travel inside the
+// acks.
 func (s *Server) settle(run *stagedRun, bw *bufio.Writer, conn net.Conn) error {
 	if len(run.batch) == 0 {
 		return nil
 	}
 	newLen, err := s.commit(run.ln, run.start, run.batch)
+	handle, start, count := run.handle, run.start, len(run.batch)
+	s.drop(run)
+	return s.ackStream(bw, conn, handle, start, count, newLen, err)
+}
+
+// drop empties run and releases its references to its staging. settle
+// calls it once the run has committed; a connection that tears mid-run
+// drops the run uncommitted.
+func (s *Server) drop(run *stagedRun) {
 	for _, p := range run.batch {
 		s.unstage(p)
 	}
-	handle, start, count := run.handle, run.start, len(run.batch)
 	*run = stagedRun{}
-	return s.ackStream(bw, conn, handle, start, count, newLen, err)
 }
 
 // ackStream writes the StreamAck of each of the count frames from start

@@ -604,6 +604,7 @@ func (s *Server) handleConn(ctx context.Context, stop <-chan struct{}, conn net.
 	var req wire.Frame
 	var scratch []byte
 	var run stagedRun
+	defer s.drop(&run) // empty unless a read tore mid-run
 	for ctx.Err() == nil {
 		next, _ := br.Peek(min(1, br.Buffered())) // the next frame's type byte, if it is here
 		if len(next) == 0 || next[0] != wire.TPushStream {

@@ -24,7 +24,7 @@ func quiet(cfg Config) Config {
 
 // startServer runs a server on an ephemeral port and returns its
 // address plus a shutdown func that waits for Serve to return.
-func startServer(t *testing.T, cfg Config) (*Server, string, func()) {
+func startServer(t testing.TB, cfg Config) (*Server, string, func()) {
 	t.Helper()
 	srv, err := New(quiet(cfg))
 	if err != nil {
@@ -50,7 +50,7 @@ func startServer(t *testing.T, cfg Config) (*Server, string, func()) {
 }
 
 // testConn dials and handshakes a raw protocol connection.
-func testConn(t *testing.T, addr string) net.Conn {
+func testConn(t testing.TB, addr string) net.Conn {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
@@ -64,7 +64,7 @@ func testConn(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
-func call(t *testing.T, conn net.Conn, req *wire.Frame) *wire.Frame {
+func call(t testing.TB, conn net.Conn, req *wire.Frame) *wire.Frame {
 	t.Helper()
 	if err := wire.WriteFrame(conn, req); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,12 @@
 // the server shuts down, or a barrier (fold, lag) ends the stream
 // with a final TResync — after which the server closes the
 // connection, so a mid-stream TResync is always terminal.
+//
+// A live TTail payload is the pushed frame as the intake staged it,
+// shared with the run and every other subscriber (hub.go): the loop
+// writes it straight from that buffer and releases its reference once
+// the write returns, or without writing it for an event it skips. When
+// the subscription ends, unregister releases what is still queued.
 
 package server
 
@@ -115,7 +121,8 @@ func (s *Server) cursorContinuable(ln *lineage, cur wire.Cursor, base, n int) bo
 // are written straight to the socket (bypassing bw, which was flushed
 // before this call) with the v4 zero-copy staging: header — plus CRC
 // prefix for backlog frames — staged into a reused buffer, payload
-// bytes handed to writev untouched.
+// bytes handed to writev untouched. Its deferred unregister releases
+// the events left in the queue.
 func (s *Server) runSubscription(ctx context.Context, stop <-chan struct{}, conn net.Conn,
 	br *bufio.Reader, sub *tailSub, ln *lineage, handle, next, n uint32) {
 	caddr := conn.RemoteAddr().String()
@@ -222,19 +229,23 @@ func (s *Server) runSubscription(ctx context.Context, stop <-chan struct{}, conn
 		select {
 		case ev := <-sub.ch:
 			if ev.ckpt < next {
+				ev.frame.release()
 				continue // already served from the backlog
 			}
 			if ev.ckpt != next {
+				ev.frame.release()
 				sendResyncNow(wire.ResyncLag)
 				return
 			}
+			// The write returns once the payload has left the buffer, so
+			// the reference goes back right after it.
+			payload := ev.frame.buf
 			var err error
-			stage, err = wire.AppendFrameHeader(stage[:0], wire.TTail, wire.StatusOK, handle, ev.ckpt, len(ev.payload))
-			if err != nil {
-				s.cfg.Logf("server: %s: tail frame: %v", caddr, err)
-				return
+			if stage, err = wire.AppendFrameHeader(stage[:0], wire.TTail, wire.StatusOK, handle, ev.ckpt, len(payload)); err == nil {
+				err = writeVec(len(payload), payload)
 			}
-			if err := writeVec(len(ev.payload), ev.payload); err != nil {
+			ev.frame.release()
+			if err != nil {
 				if !wire.IsClean(err) {
 					s.cfg.Logf("server: %s: tail write: %v", caddr, err)
 				}

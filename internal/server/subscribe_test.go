@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +15,7 @@ import (
 
 // subscribeOn opens name on conn and issues a TSubscribe with cur,
 // returning the handle and the raw response frame.
-func subscribeOn(t *testing.T, conn net.Conn, name string, cur wire.Cursor) (uint32, *wire.Frame) {
+func subscribeOn(t testing.TB, conn net.Conn, name string, cur wire.Cursor) (uint32, *wire.Frame) {
 	t.Helper()
 	open := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte(name)})
 	if open.Status != wire.StatusOK {
@@ -172,20 +171,31 @@ func TestSubscribeRefusals(t *testing.T) {
 
 // TestHubShedSlowSubscriber drives the hub directly: a full queue
 // sheds the subscriber with a lag verdict instead of blocking the
-// publisher, and a fold sheds everyone with a fold verdict.
+// publisher, and a fold sheds everyone with a fold verdict. Each queue
+// holds one reference to each event it took, the shed one none, and
+// unregister releases them all.
 func TestHubShedSlowSubscriber(t *testing.T) {
 	h := newHub()
 	ln := &lineage{name: "x"}
 	slow := h.register(ln, 1)
 	fast := h.register(ln, 4)
+	var mem frameMem
+	publish := func(ckpt uint32, n uint32) int {
+		f := mem.share([]byte{byte(ckpt)})
+		defer f.release()
+		return h.publish(ln, ckpt, f, 0, n)
+	}
 
-	if shed := h.publish(ln, 0, []byte{1}, 0, 1); shed != 0 {
+	if shed := publish(0, 1); shed != 0 {
 		t.Fatalf("first publish shed %d", shed)
 	}
 	// slow's queue (cap 1) is full; the next publish must shed it and
 	// deliver to fast regardless.
-	if shed := h.publish(ln, 1, []byte{2}, 0, 2); shed != 1 {
+	if shed := publish(1, 2); shed != 1 {
 		t.Fatalf("overflow publish shed %d, want 1", shed)
+	}
+	if refs := mem.shared.Load(); refs != 3 {
+		t.Fatalf("%d references held, want one per queued event (3)", refs)
 	}
 	select {
 	case <-slow.stop:
@@ -213,7 +223,12 @@ func TestHubShedSlowSubscriber(t *testing.T) {
 	if h.count(ln) != 0 {
 		t.Fatalf("count = %d after fold, want 0", h.count(ln))
 	}
+	h.unregister(ln, slow)
+	h.unregister(ln, fast)
 	h.unregister(ln, slow) // double-remove must be safe
+	if refs := mem.shared.Load(); refs != 0 {
+		t.Fatalf("%d references held after every subscriber left", refs)
+	}
 }
 
 // bigEncodedDiff is encodedDiff with a data section of size bytes.
@@ -270,52 +285,6 @@ func TestStreamFanOutRelaysPushedBytes(t *testing.T) {
 		}
 		if !bytes.Equal(fr.Payload, want[ck]) {
 			t.Fatalf("tail frame %d is not the pushed payload", ck)
-		}
-	}
-}
-
-// TestStreamFanOutCopiesOnce: staging a stream frame and fanning it out
-// to a subscriber who was there when it was checked costs one
-// payload-sized allocation — the staged copy, which both the decoded
-// diff and the subscribers then share.
-func TestStreamFanOutCopiesOnce(t *testing.T) {
-	srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
-	defer stop()
-	conn := testConn(t, addr)
-	defer conn.Close()
-	h := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte("once")}).Lineage
-	ln, err := srv.get(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n, size = 8, 1 << 20
-	sub := srv.hub.register(ln, n)
-	defer srv.hub.unregister(ln, sub)
-	frames := make([]*wire.Frame, n)
-	for ck := range frames {
-		frames[ck] = &wire.Frame{Type: wire.TPushStream, Lineage: h, Ckpt: uint32(ck),
-			Payload: wire.EncodePush(bigEncodedDiff(t, ck, size))}
-	}
-
-	var before, after runtime.MemStats
-	var run stagedRun
-	runtime.ReadMemStats(&before)
-	for ck, fr := range frames {
-		_, p, err := srv.check(fr, &run)
-		if err != nil || p.mem != inOwnCopy {
-			t.Fatalf("frame %d: check = %+v, %v; want it staged in a copy of its own", ck, p, err)
-		}
-		run.ln, run.batch = ln, append(run.batch, p)
-	}
-	srv.publish(ln, run.start, run.batch)
-	runtime.ReadMemStats(&after)
-
-	if perFrame := float64(after.TotalAlloc-before.TotalAlloc) / n; perFrame > 1.1*size {
-		t.Fatalf("%.0f bytes allocated per staged %d-byte frame, want one copy", perFrame, size)
-	}
-	for ck := range frames {
-		if ev := <-sub.ch; ev.ckpt != uint32(ck) || !bytes.Equal(ev.payload, frames[ck].Payload) {
-			t.Fatalf("event %d is not the pushed payload", ck)
 		}
 	}
 }

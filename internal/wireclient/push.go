@@ -157,6 +157,12 @@ func (cn *Conn) stageStreamFrame(h, ckpt uint32, d *checkpoint.Diff) (int64, err
 	crcOff := len(stage)
 	stage = append(stage, 0, 0, 0, 0)
 	metaOff := len(stage)
+	// Grown once: a baseline's region metadata runs to megabytes, which
+	// appends would reach through a chain of superseded buffers. At
+	// least doubled, so a reused buffer still grows geometrically.
+	if need := len(stage) + int(d.PrefixBytes()); cap(stage) < need {
+		stage = append(make([]byte, 0, max(need, 2*cap(stage))), stage...)
+	}
 	stage, err = d.AppendPrefix(stage)
 	if err != nil {
 		cn.stage = stage[:mark]
