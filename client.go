@@ -261,19 +261,18 @@ func (c *Client) Pull(name string) (*Record, error) {
 
 // recordSink returns the consumer that assembles rec from the span cn
 // pulls. Every pulled byte is held once: a diff is parsed where it
-// arrived and its sections copied out to their exact size, except that
-// one carrying a whole image (the baseline) keeps the buffer it arrived
-// in — the diffs behind it are a fraction of its size.
+// arrived and kept by rec (Record.Keep) — the baseline in the buffer it
+// arrived in, taken from the connection, the increments behind it in
+// the buffers the connection's reads outgrew, donated to rec.
 func recordSink(rec *checkpoint.Record, cn *wireclient.Conn, name string) func(ck int, encoded []byte) error {
 	return func(ck int, encoded []byte) error {
 		d, err := checkpoint.DecodeCheckpoint(ck, encoded)
 		if err != nil {
 			return fmt.Errorf("gpuckpt: lineage %q diff %d: %w", name, ck, err)
 		}
-		if len(encoded) >= cap(encoded)/2 && 2*uint64(len(d.Data)) >= d.DataLen {
+		rec.Donate(cn.Spare()...)
+		if rec.Keep(d, encoded) {
 			cn.TakeScratch()
-		} else {
-			d.Own()
 		}
 		return rec.Append(d)
 	}

@@ -95,14 +95,17 @@ func TestClientStreamPushZeroAlloc(t *testing.T) {
 }
 
 // TestPullSpanAllocBudget pins what assembling a Record from a pulled
-// span may allocate: every pulled byte held once (a quarter on top for
-// the region index and decoded metadata), the arrival-bounded growth of
-// the connection's read buffer up to the largest frame — the buffers
-// superseded on the way, largest/(c-1) at wire.ReadFrameInto's c = 2 —
-// and a constant.
+// span may allocate: every pulled byte held once, a quarter on top for
+// the region index, the decoded metadata and what the increments do not
+// fit into the record's slabs, and a constant. The connection's read
+// buffer grows up to the largest frame by way of buffers it supersedes
+// (largest/(c-1) at wire.ReadFrameInto's c = 2); they are not on top,
+// because the record keeps them as the slabs the increments are carved
+// from. Measured: 1.23 x the encoded bytes (1.65 x when the superseded
+// buffers were dropped and every increment got an allocation of its
+// own).
 // The span is a baseline followed by increments a sixteenth its size —
-// the shape that exercises both ways a diff takes ownership of its
-// bytes.
+// the shape that exercises both ways a diff is kept.
 func TestPullSpanAllocBudget(t *testing.T) {
 	const (
 		frames = 16
@@ -118,7 +121,7 @@ func TestPullSpanAllocBudget(t *testing.T) {
 	buf := make([]byte, bufLen)
 	rng.Read(buf)
 	var canned bytes.Buffer
-	var total, largest int
+	var total int
 	for k := 0; k < frames; k++ {
 		if k > 0 {
 			off := rng.Intn(bufLen - bufLen/16)
@@ -131,7 +134,7 @@ func TestPullSpanAllocBudget(t *testing.T) {
 		if err := ck.WriteDiff(k, &enc); err != nil {
 			t.Fatal(err)
 		}
-		total, largest = total+enc.Len(), max(largest, enc.Len())
+		total += enc.Len()
 		canned.Write(cannedFrame(t, &wire.Frame{Type: wire.TPull, Lineage: 1, Ckpt: uint32(k), Payload: enc.Bytes()}))
 	}
 
@@ -144,10 +147,10 @@ func TestPullSpanAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := uint64(total+total/4) + uint64(largest) + slack
+	budget := uint64(total+total/4) + slack
 	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
-		t.Fatalf("assembling %d frames (%d bytes, largest %d) allocated %d bytes, budget %d",
-			frames, total, largest, got, budget)
+		t.Fatalf("assembling %d frames (%d bytes) allocated %d bytes (%.2f x), budget %d",
+			frames, total, got, float64(got)/float64(total), budget)
 	}
 	for _, k := range []int{0, frames / 2, frames - 1} {
 		want, err := ck.Restore(k)

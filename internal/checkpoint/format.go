@@ -333,9 +333,9 @@ func (d *Diff) setSections(c sectionLens, meta, tail []byte) {
 // DecodeBytes parses b, the complete encoding of one diff, by
 // reference: the returned diff's Bitmap and Data alias b, so it is
 // valid only while b is — a caller that keeps it longer takes
-// ownership with Own. Every length the header declares is checked
-// against len(b) before anything is allocated, and b must hold the diff
-// and nothing else.
+// ownership with Own or Record.Keep. Every length the header declares
+// is checked against len(b) before anything is allocated, and b must
+// hold the diff and nothing else.
 func DecodeBytes(b []byte) (*Diff, error) {
 	if len(b) < headerSize {
 		return nil, fmt.Errorf("checkpoint: read header: %d bytes: %w", len(b), io.ErrUnexpectedEOF)

@@ -10,14 +10,6 @@ import (
 	"github.com/gpuckpt/gpuckpt/internal/parallel"
 )
 
-// storedRegion locates the bytes of one first-occurrence region inside
-// a diff's data section. Chunk indices are 32-bit like the node ids of
-// FirstOcur that name regions; indexRegions refuses a wider geometry.
-type storedRegion struct {
-	leafLo, leafHi uint32 // chunk range [lo, hi)
-	dataOff        int64  // byte offset in Diff.Data
-}
-
 // Record is the checkpoint lineage of one process: the ordered
 // sequence of diffs for a fixed buffer geometry, with an index that
 // resolves shifted-duplicate references (ckpt, node) to stored bytes.
@@ -30,9 +22,15 @@ type Record struct {
 	dataLen   int
 	geom      *merkle.Tree
 	diffs     []*Diff
-	regions   [][]storedRegion
-	plain     [][]byte // decompressed data sections (alias Diff.Data when raw)
-	pool      *parallel.Pool
+	// regions holds, for each FirstOcur entry of a List or Tree diff,
+	// the chunks its data section holds before that region. Every region
+	// but the last covers whole chunks (indexRegions checks it), so the
+	// count times chunkSize is the region's byte offset; its chunk range
+	// is FirstOcur's node, recomputed when a shift needs it.
+	regions [][]uint32
+	plain   [][]byte // decompressed data sections (alias Diff.Data when raw)
+	slabs   [][]byte // donated memory Keep carves from; len is the part carved
+	pool    *parallel.Pool
 }
 
 // NewRecord creates an empty lineage.
@@ -82,6 +80,48 @@ func (r *Record) TotalBytes() int64 {
 		total += d.TotalBytes()
 	}
 	return total
+}
+
+// Donate gives the record buffers nothing else references any more — a
+// reader's outgrown frame buffers (wire.ReadFrameSpare) — for Keep to
+// carve sections from.
+func (r *Record) Donate(bufs ...[]byte) {
+	for _, b := range bufs {
+		r.slabs = append(r.slabs, b[:0])
+	}
+}
+
+// Keep makes d, decoded by reference from encoded in a reader's buffer
+// that is about to be reused, last as long as the record, and reports
+// whether it kept that buffer. A diff carrying a whole image that fills
+// at least half the buffer (a baseline) keeps it, and the caller gives
+// the buffer up; the increments behind it are a fraction of its size.
+// Any other diff has its bitmap and data copied into the first donated
+// slab with room for both, or into one exact-size allocation when none
+// has, each section capped at its length so an append to one never
+// writes into its neighbour.
+func (r *Record) Keep(d *Diff, encoded []byte) bool {
+	if len(encoded) >= cap(encoded)/2 && 2*uint64(len(d.Data)) >= d.DataLen {
+		return true
+	}
+	nb, n := len(d.Bitmap), len(d.Bitmap)+len(d.Data)
+	mem := r.carve(n)
+	copy(mem, d.Bitmap)
+	copy(mem[nb:], d.Data)
+	d.Bitmap, d.Data = mem[:nb:nb], mem[nb:n:n]
+	return false
+}
+
+// carve returns n bytes of the first slab with room for them, bumping
+// its carved length, or a fresh allocation of exactly n.
+func (r *Record) carve(n int) []byte {
+	for i, s := range r.slabs {
+		if off := len(s); cap(s)-off >= n {
+			r.slabs[i] = s[:off+n]
+			return s[off : off+n : off+n]
+		}
+	}
+	return make([]byte, n)
 }
 
 // Append adds the next diff to the lineage and indexes its
@@ -144,22 +184,16 @@ func (r *Record) Append(d *Diff) error {
 	return nil
 }
 
-// indexRegions builds the (sorted) first-occurrence region index of d
-// and validates that the data section has exactly the declared bytes.
-func (r *Record) indexRegions(d *Diff, plain []byte) ([]storedRegion, error) {
+// indexRegions builds the first-occurrence region index of d and
+// validates that the data section has exactly the declared bytes.
+func (r *Record) indexRegions(d *Diff, plain []byte) ([]uint32, error) {
 	switch d.Method {
 	case MethodFull:
 		if int(d.DataLen) != len(plain) {
 			return nil, fmt.Errorf("checkpoint: full diff %d has %d data bytes, want %d",
 				d.CkptID, len(plain), d.DataLen)
 		}
-		if r.geom == nil {
-			return nil, nil
-		}
-		if uint64(r.geom.NumLeaves) > math.MaxUint32 {
-			return nil, fmt.Errorf("checkpoint: full diff %d spans %d chunks, beyond the 32-bit chunk range", d.CkptID, r.geom.NumLeaves)
-		}
-		return []storedRegion{{leafLo: 0, leafHi: uint32(r.geom.NumLeaves), dataOff: 0}}, nil
+		return nil, nil
 	case MethodBasic:
 		// Basic diffs are never referenced by shifted duplicates, but
 		// Apply walks the bitmap, so its length and the bytes it claims
@@ -202,28 +236,33 @@ func (r *Record) indexRegions(d *Diff, plain []byte) ([]storedRegion, error) {
 					d.CkptID, sr.SrcCkpt, r.base)
 			}
 		}
-		idx := make([]storedRegion, 0, len(d.FirstOcur))
-		var off int64
-		for _, node := range d.FirstOcur {
+		idx := make([]uint32, len(d.FirstOcur))
+		var chunks, off int64
+		prevLo := 0
+		for i, node := range d.FirstOcur {
 			if int(node) >= r.geom.NumNodes {
 				return nil, fmt.Errorf("checkpoint: diff %d region node %d out of range", d.CkptID, node)
 			}
 			lo, hi := r.geom.LeafRange(int(node))
-			if uint64(hi) > math.MaxUint32 {
-				return nil, fmt.Errorf("checkpoint: diff %d region node %d reaches chunk %d, beyond the 32-bit chunk range", d.CkptID, node, hi)
+			if lo < prevLo {
+				return nil, fmt.Errorf("checkpoint: diff %d regions not in chunk order", d.CkptID)
 			}
+			// A region after the one holding the short tail chunk would
+			// sit at a byte offset its chunk count does not give.
+			if off != chunks*int64(r.chunkSize) {
+				return nil, fmt.Errorf("checkpoint: diff %d region node %d follows a short chunk", d.CkptID, node)
+			}
+			if chunks > math.MaxUint32 {
+				return nil, fmt.Errorf("checkpoint: diff %d region node %d starts past chunk %d, beyond the 32-bit chunk range", d.CkptID, node, uint32(math.MaxUint32))
+			}
+			idx[i], prevLo = uint32(chunks), lo
 			spanOff, spanEnd := r.geom.NodeSpan(int(node), r.chunkSize, r.dataLen)
-			idx = append(idx, storedRegion{leafLo: uint32(lo), leafHi: uint32(hi), dataOff: off})
+			chunks += int64(hi - lo)
 			off += int64(spanEnd - spanOff)
 		}
 		if off != int64(len(plain)) {
 			return nil, fmt.Errorf("checkpoint: diff %d data section %d bytes, regions cover %d",
 				d.CkptID, len(plain), off)
-		}
-		for i := 1; i < len(idx); i++ {
-			if idx[i].leafLo < idx[i-1].leafLo {
-				return nil, fmt.Errorf("checkpoint: diff %d regions not in chunk order", d.CkptID)
-			}
 		}
 		return idx, nil
 	default:
@@ -234,28 +273,36 @@ func (r *Record) indexRegions(d *Diff, plain []byte) ([]storedRegion, error) {
 // resolve returns the stored bytes of tree node `node` as of
 // checkpoint ck. The node must lie inside a first-occurrence region of
 // that checkpoint — which Algorithm 1 guarantees for every entry of
-// the historical record of unique hashes.
+// the historical record of unique hashes — or ck must be a whole image.
 func (r *Record) resolve(ck, node uint32) ([]byte, error) {
 	if int(ck) < r.base || int(ck) >= r.Len() {
 		return nil, fmt.Errorf("checkpoint: reference to checkpoint %d outside the record's [%d,%d)", ck, r.base, r.Len())
 	}
+	if r.geom == nil || int(node) >= r.geom.NumNodes {
+		return nil, fmt.Errorf("checkpoint: node %d not stored in checkpoint %d", node, ck)
+	}
 	spanOff, spanEnd := r.geom.NodeSpan(int(node), r.chunkSize, r.dataLen)
-	lo, _ := r.geom.LeafRange(int(node))
+	d, data := r.diffs[int(ck)-r.base], r.plain[int(ck)-r.base]
+	if d.Method == MethodFull {
+		return data[spanOff:spanEnd], nil
+	}
+	lo, hi := r.geom.LeafRange(int(node))
 	regions := r.regions[int(ck)-r.base]
-	// Find the last region with leafLo <= lo.
-	i := sort.Search(len(regions), func(i int) bool { return int(regions[i].leafLo) > lo }) - 1
+	// Find the last region starting at or before chunk lo.
+	i := sort.Search(len(regions), func(i int) bool {
+		regLo, _ := r.geom.LeafRange(int(d.FirstOcur[i]))
+		return regLo > lo
+	}) - 1
 	if i < 0 {
 		return nil, fmt.Errorf("checkpoint: node %d not stored in checkpoint %d", node, ck)
 	}
-	reg := regions[i]
-	_, hi := r.geom.LeafRange(int(node))
-	if hi > int(reg.leafHi) {
+	regLo, regHi := r.geom.LeafRange(int(d.FirstOcur[i]))
+	if hi > regHi {
 		return nil, fmt.Errorf("checkpoint: node %d (chunks [%d,%d)) exceeds stored region [%d,%d) of checkpoint %d",
-			node, lo, hi, reg.leafLo, reg.leafHi, ck)
+			node, lo, hi, regLo, regHi, ck)
 	}
-	byteOff := reg.dataOff + int64((lo-int(reg.leafLo))*r.chunkSize)
+	byteOff := (int64(regions[i]) + int64(lo-regLo)) * int64(r.chunkSize)
 	n := int64(spanEnd - spanOff)
-	data := r.plain[int(ck)-r.base]
 	if byteOff+n > int64(len(data)) {
 		return nil, fmt.Errorf("checkpoint: region bytes [%d,%d) beyond data section of checkpoint %d",
 			byteOff, byteOff+n, ck)
@@ -311,10 +358,9 @@ func (r *Record) Apply(state []byte, k int) error {
 		// Pass 1: first occurrences (new bytes). Regions are disjoint,
 		// so the copies parallelize.
 		r.forRegions(len(d.FirstOcur), func(j int) {
-			node := d.FirstOcur[j]
-			reg := r.regions[i][j]
-			spanOff, spanEnd := r.geom.NodeSpan(int(node), r.chunkSize, r.dataLen)
-			copy(state[spanOff:spanEnd], data[reg.dataOff:reg.dataOff+int64(spanEnd-spanOff)])
+			spanOff, spanEnd := r.geom.NodeSpan(int(d.FirstOcur[j]), r.chunkSize, r.dataLen)
+			off := int(r.regions[i][j]) * r.chunkSize
+			copy(state[spanOff:spanEnd], data[off:off+spanEnd-spanOff])
 		})
 		// Pass 2: shifted duplicates. Same-checkpoint references read
 		// from the state (their source regions were written in pass

@@ -342,6 +342,7 @@ func (f *Follower) tail(ctx context.Context, nc net.Conn) (bool, error) {
 	br := bufio.NewReaderSize(nc, connBufSize)
 	var frame wire.Frame
 	var scratch []byte
+	var spare [][]byte // what scratch outgrew reading frame
 	progress := false
 	var stalled time.Duration
 	prevBuffered := 0
@@ -370,7 +371,9 @@ func (f *Follower) tail(ctx context.Context, nc net.Conn) (bool, error) {
 		}
 		stalled, prevBuffered = 0, 0
 		nc.SetReadDeadline(time.Now().Add(f.opts.Timeout))
-		if err := wire.ReadFrameInto(br, wire.DefaultMaxPayload, &frame, &scratch); err != nil {
+		clear(spare)
+		spare = spare[:0]
+		if err := wire.ReadFrameSpare(br, wire.DefaultMaxPayload, &frame, &scratch, &spare); err != nil {
 			return progress, err
 		}
 		fr := &frame
@@ -381,7 +384,11 @@ func (f *Follower) tail(ctx context.Context, nc net.Conn) (bool, error) {
 				return progress, err
 			}
 			f.tailFrames.Add(1)
-			if err := f.applyEncoded(int(fr.Ckpt), encoded, crc); err != nil {
+			took, err := f.applyEncoded(int(fr.Ckpt), encoded, crc, spare)
+			if took {
+				scratch = nil
+			}
+			if err != nil {
 				if errors.Is(err, errStopped) {
 					return progress, nil
 				}
@@ -469,33 +476,36 @@ func (f *Follower) reloadLocked() error {
 
 // applyEncoded applies one arrived diff: durable append to the mirror
 // first, then the live record and the materialized state buffer, then
-// the cursor. encoded aliases the connection's read buffer, and so does
+// the cursor. encoded aliases the tail loop's read buffer, and so does
 // the decoded diff: the mirror append is done with it when it returns,
-// the live replica copies what it keeps.
-func (f *Follower) applyEncoded(k int, encoded []byte, crc uint32) error {
+// and the live replica keeps it (Record.Keep) — in the buffers the
+// read outgrew, spare, which are donated to the replica, or in the
+// read buffer itself, which it then reports taken.
+func (f *Follower) applyEncoded(k int, encoded []byte, crc uint32, spare [][]byte) (took bool, err error) {
 	d, err := checkpoint.DecodeCheckpoint(k, encoded)
 	if err != nil {
-		return fmt.Errorf("follower: tail frame %d: %w", k, err)
+		return false, fmt.Errorf("follower: tail frame %d: %w", k, err)
 	}
 	f.mu.Lock()
 	if f.closed || f.promoted {
 		f.mu.Unlock()
-		return errStopped
+		return false, errStopped
 	}
 	if k < f.next {
 		f.mu.Unlock()
-		return nil // replay of an already-applied diff
+		return false, nil // replay of an already-applied diff
 	}
 	if k != f.next {
 		f.mu.Unlock()
-		return fmt.Errorf("follower: gap: got diff %d, cursor at %d", k, f.next)
+		return false, fmt.Errorf("follower: gap: got diff %d, cursor at %d", k, f.next)
 	}
 	if err := f.store.Append(d); err != nil {
 		f.mu.Unlock()
-		return fmt.Errorf("follower: mirroring diff %d: %w", k, err)
+		return false, fmt.Errorf("follower: mirroring diff %d: %w", k, err)
 	}
 	// Mirror is durable; extend the live replica.
-	if err := f.applyLiveLocked(d, k); err != nil {
+	took, err = f.applyLiveLocked(d, k, encoded, spare)
+	if err != nil {
 		// The store accepted what the replica rejected (or apply
 		// failed mid-flight): rebuild the replica from the store
 		// rather than serving a diverged state. Rare enough that the
@@ -503,7 +513,7 @@ func (f *Follower) applyEncoded(k int, encoded []byte, crc uint32) error {
 		f.opts.Logf("follower %s: live apply %d failed (%v); reloading replica", f.opts.Lineage, k, err)
 		if rerr := f.reloadLocked(); rerr != nil {
 			f.mu.Unlock()
-			return fmt.Errorf("follower: replica reload after failed apply %d: %w", k, rerr)
+			return took, fmt.Errorf("follower: replica reload after failed apply %d: %w", k, rerr)
 		}
 	} else {
 		f.next = k + 1
@@ -516,22 +526,26 @@ func (f *Follower) applyEncoded(k int, encoded []byte, crc uint32) error {
 	if f.opts.OnApply != nil {
 		f.opts.OnApply(k)
 	}
-	return nil
+	return took, nil
 }
 
+// applyLiveLocked extends the live replica with d, decoded from
+// encoded; took reports that the replica kept encoded's buffer.
+//
 //ckptlint:locked mu
-func (f *Follower) applyLiveLocked(d *checkpoint.Diff, k int) error {
-	d.Own() // the mirror append is done with the read buffer d aliases
+func (f *Follower) applyLiveLocked(d *checkpoint.Diff, k int, encoded []byte, spare [][]byte) (took bool, err error) {
 	if f.rec == nil {
 		f.rec = checkpoint.NewRecord()
 	}
+	f.rec.Donate(spare...)
+	took = f.rec.Keep(d, encoded)
 	if err := f.rec.Append(d); err != nil {
-		return err
+		return took, err
 	}
 	if f.state == nil {
 		f.state = make([]byte, f.rec.DataLen())
 	}
-	return f.rec.Apply(f.state, k)
+	return took, f.rec.Apply(f.state, k)
 }
 
 // Stats snapshots replication progress.

@@ -9,8 +9,8 @@ import (
 )
 
 // bufreuseCheck enforces the reuse contract of the zero-copy wire
-// APIs. wire.AppendFrameHeader, wire.ReadFrameInto and
-// wire.WriteFrameVec exist so a connection can stage, send and receive
+// APIs. wire.AppendFrameHeader, wire.ReadFrameInto (and ReadFrameSpare)
+// and wire.WriteFrameVec exist so a connection can stage, send and receive
 // frames out of per-connection buffers that persist across frames;
 // handing them a buffer that is re-created on every loop iteration
 // silently reintroduces the per-frame allocation the API was built to
@@ -39,9 +39,10 @@ func (bufreuseCheck) Doc() string {
 // reuseArgs maps each reuse-oriented wire function to the indices of
 // its buffer arguments.
 var reuseArgs = map[string][]int{
-	"AppendFrameHeader": {0},    // buf
-	"ReadFrameInto":     {2, 3}, // *Frame, *scratch
-	"WriteFrameVec":     {1},    // *net.Buffers
+	"AppendFrameHeader": {0},       // buf
+	"ReadFrameInto":     {2, 3},    // *Frame, *scratch
+	"ReadFrameSpare":    {2, 3, 4}, // *Frame, *scratch, *spare
+	"WriteFrameVec":     {1},       // *net.Buffers
 }
 
 func (c bufreuseCheck) CheckPackage(pkg *Package) []Diagnostic {

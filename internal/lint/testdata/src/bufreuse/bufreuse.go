@@ -15,6 +15,7 @@ type conn struct {
 	vec     net.Buffers
 	resp    wire.Frame
 	scratch []byte
+	spare   [][]byte
 }
 
 // goodFieldBuffers stages every frame out of the session's persistent
@@ -31,6 +32,10 @@ func (c *conn) goodFieldBuffers(w io.Writer, r io.Reader, frames int) error {
 			return err
 		}
 		if err := wire.ReadFrameInto(r, 0, &c.resp, &c.scratch); err != nil {
+			return err
+		}
+		c.spare = c.spare[:0]
+		if err := wire.ReadFrameSpare(r, 0, &c.resp, &c.scratch, &c.spare); err != nil {
 			return err
 		}
 	}
@@ -116,6 +121,22 @@ func badNilScratch(r io.Reader, frames int) error {
 	for k := 0; k < frames; k++ {
 		_ = k
 		if err := wire.ReadFrameInto(r, 0, &resp, nil); err != nil { // want:bufreuse
+			return err
+		}
+	}
+	return nil
+}
+
+// badLoopSpare keeps the frame buffers but collects outgrown ones into
+// a list re-created per frame: the list's backing array is allocated
+// again on every iteration that outgrows anything.
+func badLoopSpare(r io.Reader, frames int) error {
+	var resp wire.Frame
+	var scratch []byte
+	for k := 0; k < frames; k++ {
+		_ = k
+		var spare [][]byte
+		if err := wire.ReadFrameSpare(r, 0, &resp, &scratch, &spare); err != nil { // want:bufreuse
 			return err
 		}
 	}

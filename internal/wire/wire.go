@@ -525,6 +525,17 @@ func ReadFrame(r io.Reader, maxPayload uint32) (*Frame, error) {
 //   - a frame that stops after n bytes has cost at most
 //     n x c²/(c-1) + initialPayloadCap in all.
 func ReadFrameInto(r io.Reader, maxPayload uint32, f *Frame, scratch *[]byte) error {
+	return ReadFrameSpare(r, maxPayload, f, scratch, nil)
+}
+
+// ReadFrameSpare is ReadFrameInto that hands back the buffers *scratch
+// outgrows instead of dropping them: each one it replaces — the buffer
+// it held before the frame, then every one the payload's growth
+// supersedes — is appended to *spare once, in the order it was
+// outgrown, and never read into again. A consumer that keeps memory
+// (checkpoint.Record.Donate) can own them, so the superseded growth
+// stops being waste. A nil spare drops them, as ReadFrameInto does.
+func ReadFrameSpare(r io.Reader, maxPayload uint32, f *Frame, scratch *[]byte, spare *[][]byte) error {
 	if maxPayload == 0 {
 		maxPayload = DefaultMaxPayload
 	}
@@ -534,6 +545,7 @@ func ReadFrameInto(r io.Reader, maxPayload uint32, f *Frame, scratch *[]byte) er
 	// payload read reuses the same bytes.
 	buf := *scratch
 	if cap(buf) < HeaderSize {
+		handBack(spare, buf)
 		buf = make([]byte, HeaderSize)
 	}
 	hdr := buf[:HeaderSize]
@@ -556,6 +568,7 @@ func ReadFrameInto(r io.Reader, maxPayload uint32, f *Frame, scratch *[]byte) er
 	}
 	total := int(n)
 	if cap(buf) < min(total, initialPayloadCap) {
+		handBack(spare, buf)
 		buf = make([]byte, min(total, initialPayloadCap))
 	} else {
 		buf = buf[:min(total, cap(buf))]
@@ -582,11 +595,20 @@ func ReadFrameInto(r io.Reader, maxPayload uint32, f *Frame, scratch *[]byte) er
 		}
 		next := make([]byte, size)
 		copy(next, buf)
+		handBack(spare, buf)
 		buf = next
 	}
 	*scratch = buf
 	f.Payload = buf[:total]
 	return nil
+}
+
+// handBack appends an outgrown buffer to *spare, when the caller keeps
+// them.
+func handBack(spare *[][]byte, b []byte) {
+	if spare != nil && cap(b) > 0 {
+		*spare = append(*spare, b[:0])
+	}
 }
 
 // PushChecksumSize is the length of the CRC32C prefix a v3 TPush

@@ -473,6 +473,77 @@ func TestReadFrameIntoReusesScratch(t *testing.T) {
 	}
 }
 
+// TestReadFrameSpareHandsBackOutgrown: every buffer the scratch
+// outgrows — the one it held before the frame and each one the growth
+// plan supersedes — is handed back once, in order, and is never the
+// scratch again; a frame that fits hands back nothing.
+func TestReadFrameSpareHandsBackOutgrown(t *testing.T) {
+	// outgrown replays the growth plan: the capacities a read of a
+	// total-byte payload into a scratch of capacity have supersedes.
+	outgrown := func(have, total int) (caps []int) {
+		if have < HeaderSize {
+			if have > 0 {
+				caps = append(caps, have)
+			}
+			have = HeaderSize
+		}
+		if total == 0 {
+			return caps
+		}
+		if have < min(total, initialPayloadCap) {
+			caps, have = append(caps, have), min(total, initialPayloadCap)
+		}
+		for filled := min(total, have); filled < total; filled = have {
+			size := total
+			for size > growthFactor*filled {
+				size = (size + growthFactor - 1) / growthFactor
+			}
+			caps, have = append(caps, have), size
+		}
+		return caps
+	}
+	var buf bytes.Buffer
+	sizes := []int{0, 10, 100 << 10, 50, 1<<20 + 300, 1 << 20, 3<<20 + 7}
+	for i, n := range sizes {
+		if err := WriteFrame(&buf, &Frame{Type: TPull, Ckpt: uint32(i), Payload: bytes.Repeat([]byte{byte(i)}, n)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var f Frame
+	var scratch []byte
+	var spare [][]byte
+	seen := map[*byte]int{} // every buffer handed back, by frame
+	for i, n := range sizes {
+		want := outgrown(cap(scratch), n)
+		spare = spare[:0]
+		if err := ReadFrameSpare(&buf, 0, &f, &scratch, &spare); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if f.Ckpt != uint32(i) || len(f.Payload) != n || (n > 0 && f.Payload[n-1] != byte(i)) {
+			t.Fatalf("frame %d read back wrong", i)
+		}
+		if len(spare) != len(want) {
+			t.Fatalf("frame %d of %d bytes handed back %d buffers, want %d", i, n, len(spare), len(want))
+		}
+		for j, b := range spare {
+			p := &b[:1][0]
+			if cap(b) != want[j] {
+				t.Fatalf("frame %d: buffer %d handed back has capacity %d, want %d", i, j, cap(b), want[j])
+			}
+			if at, dup := seen[p]; dup {
+				t.Fatalf("frame %d handed back a buffer already handed back at frame %d", i, at)
+			}
+			seen[p] = i
+		}
+		if at, dup := seen[&scratch[:1][0]]; dup {
+			t.Fatalf("frame %d was read into a buffer handed back at frame %d", i, at)
+		}
+	}
+	if len(seen) == 0 {
+		t.Fatal("no buffer was outgrown")
+	}
+}
+
 func TestUnsupportedError(t *testing.T) {
 	f := &Frame{Type: 0x77, Status: StatusUnsupported, Payload: []byte("unknown request type 0x77")}
 	err := f.Err()

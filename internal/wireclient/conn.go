@@ -32,6 +32,7 @@ type Conn struct {
 	vec     net.Buffers // writev segment list: staged blocks, payload sections by reference
 	resp    wire.Frame  // the frame read last, payload aliasing scratch
 	scratch []byte
+	spare   [][]byte // the buffers scratch outgrew reading resp
 	push    pushWindow
 }
 
@@ -59,8 +60,15 @@ func (cn *Conn) writeVec() error {
 // place bytes arrive from a server. It checks nothing: a stream ack's
 // non-OK status is data, so the status check is the caller's.
 func (cn *Conn) read() error {
+	cn.dropSpare()
 	cn.NC.SetReadDeadline(time.Now().Add(cn.timeout))
-	return wire.ReadFrameInto(cn.NC, 0, &cn.resp, &cn.scratch)
+	return wire.ReadFrameSpare(cn.NC, 0, &cn.resp, &cn.scratch, &cn.spare)
+}
+
+// dropSpare lets go of the buffers the read before outgrew.
+func (cn *Conn) dropSpare() {
+	clear(cn.spare)
+	cn.spare = cn.spare[:0]
 }
 
 // answers is the one response-type check: the frame read last must
@@ -131,8 +139,9 @@ func (e *ConsumerError) Unwrap() error { return e.Err }
 // as one request and hands fn each canonical encoded diff in id order,
 // the frame's id cross-checked against the id it must carry. Every
 // frame is read into the connection's kept buffer, so encoded is valid
-// only until fn returns — unless fn calls TakeScratch. Each frame gets
-// the full read timeout.
+// only until fn returns — unless fn calls TakeScratch — while the
+// buffers that one outgrew reading it (Spare) are fn's to keep. Each
+// frame gets the full read timeout.
 //
 // The server ends the stream early with a typed error frame (a
 // *wire.RemoteError: damage at the checkpoint the frame names, a busy
@@ -167,6 +176,12 @@ func (cn *Conn) PullSpan(handle uint32, from, to int, fn func(ck int, encoded []
 // grows a fresh one on its next read. For a consumer that keeps a
 // payload which fills most of the buffer, cheaper than copying it out.
 func (cn *Conn) TakeScratch() { cn.scratch = nil }
+
+// Spare returns the buffers the connection's read buffer outgrew while
+// reading the frame read last. The connection never reads into them
+// again, so a consumer may keep them (checkpoint.Record.Donate); the
+// list itself is valid until the next read.
+func (cn *Conn) Spare() [][]byte { return cn.spare }
 
 // Open resolves a lineage name with a TOpen round trip, refreshing the
 // connection's handle cache, and returns the handle plus the lineage's

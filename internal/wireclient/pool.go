@@ -173,6 +173,7 @@ func (p *pool) put(cn *Conn, ok bool) {
 		return
 	}
 	cn.out = false
+	cn.dropSpare()
 	park := ok && !p.closed
 	if park {
 		cn.parked = time.Now()
