@@ -128,7 +128,8 @@ saturate-smoke:
 # bench-failover regenerates BENCH_failover.json from the hot-standby
 # drill: a follower tails a live primary's subscription stream, the
 # primary is killed, and the follower promotes. The run enforces the
-# byte-exact-state, zero-replay and sub-second kill->serving gates.
+# byte-exact-state, no-tail-apply-during-promotion and sub-second
+# kill->serving gates.
 bench-failover:
 	$(GO) run ./cmd/ckptbench -exp failover -chain 64 -json BENCH_failover.json
 

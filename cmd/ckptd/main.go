@@ -23,9 +23,10 @@
 // primary: it discovers the primary's lineages, tails each one's diff
 // stream, and mirrors them under -root. When the primary stays unreachable for
 // -failover-after (0 disables automatic promotion), the standby
-// promotes: replication stops, and the same process starts serving
-// the mirrored root on -listen. Promotion applies no diffs — every
-// mirror is kept serving-ready while the primary is alive.
+// promotes: replication stops, every mirror is read back once and
+// verified, and the same process starts serving the mirrored root on
+// -listen. No diff is replayed into memory: the server restores from
+// the mirrors on request, as a primary does.
 package main
 
 import (

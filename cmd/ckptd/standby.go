@@ -2,10 +2,11 @@
 // discovers the primary's lineages, runs one follower per lineage
 // (each mirroring into the same per-lineage directory layout a primary
 // uses), and — when the primary stays unreachable past the configured
-// grace — promotes: every follower's serving-ready state is sealed,
+// grace — promotes: every follower's mirror is verified in one read,
 // the mirrors are handed to a regular server, and the process starts
-// listening. Promotion replays nothing; the followers kept every
-// lineage applied to its newest checkpoint while the primary lived.
+// listening. The followers hold no state in memory, so none is thrown
+// away: the server opens the mirrors from disk, as a restarted primary
+// opens its root.
 package main
 
 import (
@@ -136,7 +137,7 @@ func runStandby(ctx context.Context, stdout io.Writer, cfg standbyConfig) error 
 		}
 	}
 
-	// Promotion: seal every mirror, then serve the root. The followers
+	// Promotion: verify every mirror, then serve the root. The followers
 	// must be closed before the server opens the same directories.
 	stopReplication()
 	for _, name := range order {

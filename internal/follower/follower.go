@@ -1,13 +1,13 @@
 // Package follower implements the hot-standby side of live
 // replication: a subscriber that dials a ckptd primary, tails the
-// server-pushed diff stream of one lineage (TSubscribe), and
-// applies every diff as it arrives into both a local FileStore mirror
-// (durability) and a live in-memory Record plus materialized state
-// buffer (serving readiness). Because the state buffer is advanced on
-// every arrival, Promote is O(1) — it returns the already-current
-// state without replaying the chain, which is the paper's restore
-// cost moved off the failure path (ROADMAP item 4; the PhoenixOS /
-// CRIUgpu "keep the standby warm" model).
+// server-pushed diff stream of one lineage (TSubscribe), and appends
+// every diff as it arrives to a local FileStore mirror. The mirror is
+// the standby's only copy of the lineage: a tail frame is decoded,
+// written once and dropped, so a follower holds one frame of memory
+// however long the chain grows. State is built only when asked, as in
+// the paper's restore (§2): Promote reads the whole mirror back
+// through its record checksums, which is both the verification a
+// failover needs and the load of the Record it returns.
 //
 // # Resume cursors
 //
@@ -77,7 +77,7 @@ type Options struct {
 	Dialer wireclient.Dialer
 	// Logf sinks follower logs (default: silent).
 	Logf func(format string, args ...any)
-	// OnApply, when set, runs after checkpoint ckpt is applied and
+	// OnApply, when set, runs after checkpoint ckpt is appended and
 	// durable in the mirror — without internal locks held, so it may
 	// call Stats. The failover experiment uses it to timestamp
 	// replication lag.
@@ -100,9 +100,9 @@ func (o *Options) fill() error {
 // Stats is a snapshot of a follower's replication progress.
 type Stats struct {
 	// Base and Next delimit the mirrored cursor: diffs [Base, Next)
-	// are applied and durable locally.
+	// are durable locally.
 	Base, Next int
-	// Applied counts diffs applied since New.
+	// Applied counts diffs appended to the mirror since New.
 	Applied uint64
 	// TailFrames counts diffs that arrived via the tail stream.
 	TailFrames uint64
@@ -116,24 +116,16 @@ type Stats struct {
 	Promoted bool
 }
 
-// Promotion is the serving-ready outcome of Promote.
+// Promotion is the outcome of Promote: the verified mirror, loaded.
 type Promotion struct {
 	// Lineage and Dir identify the mirror.
 	Lineage, Dir string
 	// Base and Len delimit the promoted span: checkpoints [Base, Len)
 	// are restorable. Len == Base means the lineage was empty.
 	Base, Len int
-	// Record is the live in-memory record of [Base, Len). Nil when the
-	// lineage was empty.
+	// Record holds [Base, Len), read from the mirror by Promote's
+	// verification pass. Nil when the lineage was empty.
 	Record *checkpoint.Record
-	// State is the materialized buffer of checkpoint Len-1 — current
-	// BEFORE Promote was called; no replay happened. Nil when empty.
-	State []byte
-	// Store is the mirror's FileStore, still open and owned by the
-	// Follower: it remains valid until Close. A promoted daemon that
-	// wants to serve the directory with its own store must Close the
-	// follower first.
-	Store *checkpoint.FileStore
 }
 
 // errStopped ends a session loop because Close or Promote was called.
@@ -155,13 +147,8 @@ type Follower struct {
 	mu sync.Mutex
 	//ckptlint:guardedby mu
 	store *checkpoint.FileStore
-	// rec/state are the live serving replica: rec holds the mirrored
-	// diffs [base, next), state is the materialized buffer of
-	// checkpoint next-1. Maintained incrementally by every apply.
-	//ckptlint:guardedby mu
-	rec *checkpoint.Record
-	//ckptlint:guardedby mu
-	state []byte
+	// base, next and lastCRC are the resume cursor: the mirror holds
+	// [base, next), and lastCRC is the checksum of diff next-1.
 	//ckptlint:guardedby mu
 	base int
 	//ckptlint:guardedby mu
@@ -213,15 +200,13 @@ func New(opts Options) (*Follower, error) {
 		store.Close()
 		return nil, err
 	}
-	if store.Len() > 0 || store.Base() > 0 {
-		f.mu.Lock()
-		err := f.reloadLocked()
-		f.mu.Unlock()
-		if err != nil {
-			f.wc.Close()
-			store.Close()
-			return nil, fmt.Errorf("follower: mirror %s unusable: %w", opts.Dir, err)
-		}
+	f.mu.Lock()
+	err = f.reloadLocked()
+	f.mu.Unlock()
+	if err != nil {
+		f.wc.Close()
+		store.Close()
+		return nil, fmt.Errorf("follower: mirror %s unusable: %w", opts.Dir, err)
 	}
 	return f, nil
 }
@@ -342,7 +327,6 @@ func (f *Follower) tail(ctx context.Context, nc net.Conn) (bool, error) {
 	br := bufio.NewReaderSize(nc, connBufSize)
 	var frame wire.Frame
 	var scratch []byte
-	var spare [][]byte // what scratch outgrew reading frame
 	progress := false
 	var stalled time.Duration
 	prevBuffered := 0
@@ -371,9 +355,7 @@ func (f *Follower) tail(ctx context.Context, nc net.Conn) (bool, error) {
 		}
 		stalled, prevBuffered = 0, 0
 		nc.SetReadDeadline(time.Now().Add(f.opts.Timeout))
-		clear(spare)
-		spare = spare[:0]
-		if err := wire.ReadFrameSpare(br, wire.DefaultMaxPayload, &frame, &scratch, &spare); err != nil {
+		if err := wire.ReadFrameInto(br, wire.DefaultMaxPayload, &frame, &scratch); err != nil {
 			return progress, err
 		}
 		fr := &frame
@@ -384,11 +366,7 @@ func (f *Follower) tail(ctx context.Context, nc net.Conn) (bool, error) {
 				return progress, err
 			}
 			f.tailFrames.Add(1)
-			took, err := f.applyEncoded(int(fr.Ckpt), encoded, crc, spare)
-			if took {
-				scratch = nil
-			}
-			if err != nil {
+			if err := f.applyEncoded(int(fr.Ckpt), encoded, crc); err != nil {
 				if errors.Is(err, errStopped) {
 					return progress, nil
 				}
@@ -413,8 +391,8 @@ func (f *Follower) tail(ctx context.Context, nc net.Conn) (bool, error) {
 }
 
 // resync pulls the authoritative span [info.Base, info.Len) and
-// installs it atomically over the mirror, then rebuilds the live
-// replica. O(span), but only runs when a fold invalidated the cursor.
+// installs it atomically over the mirror, then resets the cursor.
+// O(span), but only runs when a fold invalidated the cursor.
 func (f *Follower) resync(cn *wireclient.Conn, handle uint32, info wire.Resync) error {
 	if info.Len == info.Base {
 		if info.Base == 0 {
@@ -445,80 +423,52 @@ func (f *Follower) resync(cn *wireclient.Conn, handle uint32, info wire.Resync) 
 	return nil
 }
 
-// reloadLocked rebuilds the in-memory replica (record, materialized
-// state, cursor) from the mirror store — the slow path used at
-// startup with a non-empty mirror and after a resync install.
+// reloadLocked sets the cursor from the mirror store, at New and after
+// a resync install. It reads one diff, the last, for its checksum: rot
+// anywhere before it is Heal's to find and Promote's to refuse.
 //
 //ckptlint:locked mu
 func (f *Follower) reloadLocked() error {
 	n, base := f.store.Len(), f.store.Base()
-	if n == base {
-		f.rec, f.state = nil, nil
-		f.base, f.next, f.lastCRC = base, n, 0
-		return nil
+	var crc uint32
+	if n > base {
+		last, err := f.store.DiffBytes(n - 1)
+		if err != nil {
+			return err
+		}
+		crc = wire.Checksum(last)
 	}
-	rec, err := f.store.Load()
-	if err != nil {
-		return err
-	}
-	state, err := rec.RestoreLatest()
-	if err != nil {
-		return err
-	}
-	last, err := f.store.DiffBytes(n - 1)
-	if err != nil {
-		return err
-	}
-	f.rec, f.state = rec, state
-	f.base, f.next, f.lastCRC = base, n, wire.Checksum(last)
+	f.base, f.next, f.lastCRC = base, n, crc
 	return nil
 }
 
-// applyEncoded applies one arrived diff: durable append to the mirror
-// first, then the live record and the materialized state buffer, then
-// the cursor. encoded aliases the tail loop's read buffer, and so does
-// the decoded diff: the mirror append is done with it when it returns,
-// and the live replica keeps it (Record.Keep) — in the buffers the
-// read outgrew, spare, which are donated to the replica, or in the
-// read buffer itself, which it then reports taken.
-func (f *Follower) applyEncoded(k int, encoded []byte, crc uint32, spare [][]byte) (took bool, err error) {
+// applyEncoded mirrors one arrived diff: a durable append to the
+// mirror, then the cursor. encoded aliases the tail loop's read buffer,
+// and so does the decoded diff; the append is done with both when it
+// returns.
+func (f *Follower) applyEncoded(k int, encoded []byte, crc uint32) error {
 	d, err := checkpoint.DecodeCheckpoint(k, encoded)
 	if err != nil {
-		return false, fmt.Errorf("follower: tail frame %d: %w", k, err)
+		return fmt.Errorf("follower: tail frame %d: %w", k, err)
 	}
 	f.mu.Lock()
 	if f.closed || f.promoted {
 		f.mu.Unlock()
-		return false, errStopped
+		return errStopped
 	}
 	if k < f.next {
 		f.mu.Unlock()
-		return false, nil // replay of an already-applied diff
+		return nil // replay of an already-mirrored diff
 	}
 	if k != f.next {
 		f.mu.Unlock()
-		return false, fmt.Errorf("follower: gap: got diff %d, cursor at %d", k, f.next)
+		return fmt.Errorf("follower: gap: got diff %d, cursor at %d", k, f.next)
 	}
 	if err := f.store.Append(d); err != nil {
 		f.mu.Unlock()
-		return false, fmt.Errorf("follower: mirroring diff %d: %w", k, err)
+		return fmt.Errorf("follower: mirroring diff %d: %w", k, err)
 	}
-	// Mirror is durable; extend the live replica.
-	took, err = f.applyLiveLocked(d, k, encoded, spare)
-	if err != nil {
-		// The store accepted what the replica rejected (or apply
-		// failed mid-flight): rebuild the replica from the store
-		// rather than serving a diverged state. Rare enough that the
-		// O(chain) reload is acceptable.
-		f.opts.Logf("follower %s: live apply %d failed (%v); reloading replica", f.opts.Lineage, k, err)
-		if rerr := f.reloadLocked(); rerr != nil {
-			f.mu.Unlock()
-			return took, fmt.Errorf("follower: replica reload after failed apply %d: %w", k, rerr)
-		}
-	} else {
-		f.next = k + 1
-		f.lastCRC = crc
-	}
+	f.next, f.lastCRC = k+1, crc
 	// Counted before the unlock so a Stats() that already observes the
 	// advanced cursor also observes the count.
 	f.applied.Add(1)
@@ -526,26 +476,7 @@ func (f *Follower) applyEncoded(k int, encoded []byte, crc uint32, spare [][]byt
 	if f.opts.OnApply != nil {
 		f.opts.OnApply(k)
 	}
-	return took, nil
-}
-
-// applyLiveLocked extends the live replica with d, decoded from
-// encoded; took reports that the replica kept encoded's buffer.
-//
-//ckptlint:locked mu
-func (f *Follower) applyLiveLocked(d *checkpoint.Diff, k int, encoded []byte, spare [][]byte) (took bool, err error) {
-	if f.rec == nil {
-		f.rec = checkpoint.NewRecord()
-	}
-	f.rec.Donate(spare...)
-	took = f.rec.Keep(d, encoded)
-	if err := f.rec.Append(d); err != nil {
-		return took, err
-	}
-	if f.state == nil {
-		f.state = make([]byte, f.rec.DataLen())
-	}
-	return took, f.rec.Apply(f.state, k)
+	return nil
 }
 
 // Stats snapshots replication progress.
@@ -607,44 +538,35 @@ func (e *MirrorCorruptError) Unwrap() error { return e.Err }
 // Is matches a MirrorCorruptError against ErrMirrorCorrupt.
 func (e *MirrorCorruptError) Is(target error) bool { return target == ErrMirrorCorrupt }
 
-// Promote ends replication and returns the serving-ready replica:
-// the state buffer is already materialized at the last applied
-// checkpoint, so this performs ZERO diff applies — promotion cost is
-// O(last diff), paid incrementally before the failure. The returned
-// resources stay owned by the Follower; call Close when the promoted
-// state has been handed off (and before reopening Dir elsewhere).
+// Promote ends replication and returns the mirrored span. It reads
+// every mirrored diff back and verifies it against its record
+// checksums (FileStore.Load), once: that pass is the verification a
+// failover needs and the load of the returned Record. No tail frame is
+// applied on the way. The mirror stays open in the Follower; Close it
+// before reopening Dir elsewhere.
 //
-// Promote re-verifies every mirrored diff against its record
-// checksums before sealing. Bit rot accumulated on the standby's disk
-// while it idled must surface here as a typed *MirrorCorruptError
-// refusal — a failover must never trade a dead primary for a replica
-// serving silently corrupt state. A refused Promote does NOT end
-// replication: the follower keeps running so the caller can Heal and
-// retry.
+// Bit rot accumulated on the standby's disk while it idled surfaces
+// here as a typed *MirrorCorruptError refusal — a failover must never
+// trade a dead primary for a replica serving silently corrupt state. A
+// refused Promote does NOT end replication: the follower keeps running
+// so the caller can Heal and retry.
 func (f *Follower) Promote() (*Promotion, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return nil, errors.New("follower: promote after close")
 	}
-	rep, err := f.store.Scrub()
-	if err == nil {
-		err = rep.First
-	}
-	if err != nil {
-		return nil, &MirrorCorruptError{Lineage: f.opts.Lineage, Dir: f.opts.Dir, Err: err}
+	p := &Promotion{Lineage: f.opts.Lineage, Dir: f.opts.Dir, Base: f.base, Len: f.next}
+	if p.Len > p.Base {
+		rec, err := f.store.Load()
+		if err != nil {
+			return nil, &MirrorCorruptError{Lineage: f.opts.Lineage, Dir: f.opts.Dir, Err: err}
+		}
+		p.Record = rec
 	}
 	f.promoted = true
 	f.severLocked()
-	return &Promotion{
-		Lineage: f.opts.Lineage,
-		Dir:     f.opts.Dir,
-		Base:    f.base,
-		Len:     f.next,
-		Record:  f.rec,
-		State:   f.state,
-		Store:   f.store,
-	}, nil
+	return p, nil
 }
 
 // Close ends replication and releases the connections and the mirror
@@ -673,13 +595,11 @@ func (f *Follower) Close() error {
 // crash mid-heal leaves the old record or the new one, never a
 // half-written diff posing as healthy.
 //
-// The in-memory replica needs no rebuild afterwards: every mirrored
-// diff was decode-verified when it arrived, so rot is strictly an
-// on-disk phenomenon and the live record/state stay correct
-// throughout. Missing suffixes and fold barriers are likewise NOT
-// Heal's job — the replication stream converges those. Heal covers
-// exactly the damage the stream cannot see: bytes that rotted after
-// they were applied.
+// The cursor needs no reset afterwards: the replacement carries the
+// same canonical bytes, so the checksum of the last diff still holds.
+// Missing suffixes and fold barriers are NOT Heal's job — the
+// replication stream converges those. Heal covers exactly the damage
+// the stream cannot see: bytes that rotted after they were mirrored.
 //
 // Returns the number of diffs repaired. A clean pass costs one
 // checksum sweep of the mirror and no network traffic.

@@ -10,15 +10,20 @@ package follower_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	gpuckpt "github.com/gpuckpt/gpuckpt"
+	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
+	"github.com/gpuckpt/gpuckpt/internal/faults"
 	"github.com/gpuckpt/gpuckpt/internal/follower"
 	"github.com/gpuckpt/gpuckpt/internal/server"
+	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
 
 const (
@@ -129,16 +134,12 @@ func waitNext(t *testing.T, fl *follower.Follower, want int) {
 	t.Fatalf("follower stuck at %+v, want Next >= %d", fl.Stats(), want)
 }
 
-// verifyPromotion checks the promoted replica byte-for-byte: the
-// materialized state against the final image, and every restorable
-// checkpoint against its source.
+// verifyPromotion checks the promoted record byte-for-byte: every
+// restorable checkpoint against its source.
 func verifyPromotion(t *testing.T, p *follower.Promotion, images [][]byte, base int) {
 	t.Helper()
 	if p.Base != base || p.Len != len(images) {
 		t.Fatalf("promotion span [%d,%d), want [%d,%d)", p.Base, p.Len, base, len(images))
-	}
-	if !bytes.Equal(p.State, images[len(images)-1]) {
-		t.Fatal("promoted state diverges from the final image")
 	}
 	for k := base; k < len(images); k++ {
 		got, err := p.Record.Restore(k)
@@ -152,7 +153,7 @@ func verifyPromotion(t *testing.T, p *follower.Promotion, images [][]byte, base 
 }
 
 // The happy path: subscribe on v5, receive the backlog, then live
-// frames as the primary keeps pushing, and promote with zero applies.
+// frames as the primary keeps pushing, and promote from the mirror.
 func TestFollowerLiveTailAndPromote(t *testing.T) {
 	images := testImages(901, 6)
 	_, addr, stop := startServer(t, server.Config{Root: t.TempDir()})
@@ -201,8 +202,7 @@ func TestFollowerLiveTailAndPromote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Promotion performs zero diff applies: the state was materialized
-	// before the call.
+	// Promotion reads the mirror and takes in no tail frame.
 	if after := fl.Stats().Applied; after != appliedBefore {
 		t.Fatalf("promote replayed diffs: applied %d -> %d", appliedBefore, after)
 	}
@@ -320,6 +320,176 @@ func TestFollowerRestartResumesFromMirror(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyPromotion(t, p, images, 0)
+}
+
+// A standby whose mirror rotted inside the chain while it was down must
+// still come back and replicate: New reads only the last diff for its
+// cursor, Promote refuses the mirror until the first Heal re-pulls the
+// rotten diff from the primary, and the promoted record then restores
+// every image byte-exact.
+func TestFollowerRestartWithRottenMirror(t *testing.T) {
+	images := testImages(907, 6)
+	_, addr, stop := startServer(t, server.Config{Root: t.TempDir()})
+	defer stop()
+	cl, err := gpuckpt.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.PushCheckpointer("rot", checkpointer(t, images)); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	fl := runFollower(t, addr, "rot", func(o *follower.Options) { o.Dir = dir })
+	waitNext(t, fl, len(images))
+	if err := fl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := faults.New(907).RotStoredDiff(dir, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	fl2 := runFollower(t, addr, "rot", func(o *follower.Options) { o.Dir = dir })
+	if _, err := fl2.Promote(); !errors.Is(err, follower.ErrMirrorCorrupt) {
+		t.Fatalf("promote of the rotten mirror: %v, want ErrMirrorCorrupt", err)
+	}
+	if healed, err := fl2.Heal(); err != nil || healed != 1 {
+		t.Fatalf("heal repaired %d diffs (err %v), want 1", healed, err)
+	}
+	p, err := fl2.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyPromotion(t, p, images, 0)
+	// Release the repair connection before the server drains.
+	if err := fl2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A tail frame is decoded, mirrored and dropped, and the next one is
+// read into the same buffer: the follower holds no chain. A scripted
+// primary feeds it pre-built frames, so the only allocations are the
+// follower's. After a warm-up, each frame costs a small multiple of
+// what decoding its diff costs, and far less than the frame itself — a
+// copy of each increment, or a fresh read buffer per frame, would cost
+// at least that.
+func TestFollowerTailHoldsNoChain(t *testing.T) {
+	const (
+		dataLen = 256 << 10
+		warm    = 4
+		n       = 16
+	)
+	// Every step rewrites an eighth of the image: increments of ~32 KiB.
+	rng := rand.New(rand.NewSource(908))
+	img := make([]byte, dataLen)
+	rng.Read(img)
+	ck, err := gpuckpt.New(gpuckpt.Config{Method: gpuckpt.MethodTree, ChunkSize: testChunk}, dataLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	encoded := make([][]byte, warm+n)
+	frames := make([][]byte, warm+n)
+	for k := range frames {
+		if k > 0 {
+			off := rng.Intn(dataLen - dataLen/8)
+			rng.Read(img[off : off+dataLen/8])
+		}
+		if _, err := ck.Checkpoint(img); err != nil {
+			t.Fatal(err)
+		}
+		var enc, fr bytes.Buffer
+		if err := ck.WriteDiff(k, &enc); err != nil {
+			t.Fatal(err)
+		}
+		encoded[k] = enc.Bytes()
+		tail := &wire.Frame{Type: wire.TTail, Ckpt: uint32(k), Payload: wire.EncodePush(encoded[k])}
+		if err := wire.WriteFrame(&fr, tail); err != nil {
+			t.Fatal(err)
+		}
+		frames[k] = fr.Bytes()
+	}
+
+	decodeCost := allocated(func() {
+		for k := warm; k < warm+n; k++ {
+			if _, err := checkpoint.DecodeCheckpoint(k, encoded[k]); err != nil {
+				t.Error(err)
+			}
+		}
+	}) / n
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	burst, done := make(chan struct{}), make(chan struct{})
+	defer close(done)
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		if wire.ReadHello(nc) != nil || wire.WriteHello(nc) != nil {
+			return
+		}
+		for _, resp := range []wire.Frame{
+			{Type: wire.TOpen, Payload: wire.EncodeOpenInfo(0)},
+			{Type: wire.TSubscribe, Payload: wire.EncodeSubscribeAck(wire.SubscribeAck{})},
+		} {
+			if req, err := wire.ReadFrame(nc, 0); err != nil || req.Type != resp.Type {
+				return
+			}
+			if wire.WriteFrame(nc, &resp) != nil {
+				return
+			}
+		}
+		for k, fr := range frames {
+			if k == warm {
+				select {
+				case <-burst:
+				case <-done:
+					return
+				}
+			}
+			if _, err := nc.Write(fr); err != nil {
+				return
+			}
+		}
+		<-done
+	}()
+
+	fl := runFollower(t, ln.Addr().String(), "tail", nil)
+	waitNext(t, fl, warm)
+	perFrame := allocated(func() {
+		close(burst)
+		waitNext(t, fl, warm+n)
+	}) / n
+	if st := fl.Stats(); st.TailFrames != warm+n || st.Reconnects != 0 {
+		t.Fatalf("the scripted stream did not arrive whole: %+v", st)
+	}
+	smallest := len(frames[warm])
+	for _, fr := range frames[warm:] {
+		smallest = min(smallest, len(fr))
+	}
+	t.Logf("per tail frame: %d B allocated, decode %d B, frame >= %d B", perFrame, decodeCost, smallest)
+	if perFrame > 4*decodeCost+2048 || perFrame > uint64(smallest)/4 {
+		t.Fatalf("a tail frame allocates %d B: decoding its diff costs %d B and the smallest frame is %d B",
+			perFrame, decodeCost, smallest)
+	}
+}
+
+// allocated reports the bytes the process allocated while fn ran.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // A fresh follower joining an already folded lineage has no local

@@ -31,10 +31,9 @@ type FollowerConfig struct {
 // field docs on the internal type for exact semantics.
 type FollowerStats = follower.Stats
 
-// Promotion is the serving-ready result of Follower.Promote: the
-// mirrored span plus the already-materialized state of its newest
-// checkpoint. No diff was applied on the way here — the standby paid
-// that cost incrementally while the primary was alive.
+// Promotion is the result of Follower.Promote: the mirrored span,
+// loaded by the pass that verified it, and the state of its newest
+// checkpoint, restored from that load.
 type Promotion struct {
 	// Lineage and Dir identify the promoted mirror.
 	Lineage, Dir string
@@ -49,10 +48,10 @@ type Promotion struct {
 }
 
 // Follower is a live hot standby: it tails a primary's diff stream
-// for one lineage (a TSubscribe subscription) and keeps both a
-// durable local mirror and an applied in-memory image current.
-// Promote turns it into a serving-ready replica in O(1). A Follower
-// must be Closed.
+// for one lineage (a TSubscribe subscription) into a durable local
+// mirror, and holds nothing of the lineage in memory. Promote verifies
+// the mirror and loads it, in one read of the chain. A Follower must
+// be Closed.
 type Follower struct {
 	fl *follower.Follower
 }
@@ -85,17 +84,21 @@ func (f *Follower) Run(ctx context.Context) error { return f.fl.Run(ctx) }
 // Stats snapshots replication progress.
 func (f *Follower) Stats() FollowerStats { return f.fl.Stats() }
 
-// Promote stops replication and returns the serving-ready replica.
-// The mirror directory stays owned by the Follower until Close; a
-// caller that wants to serve Dir with its own store (e.g. a promoted
-// ckptd) must Close first.
+// Promote stops replication, verifies and loads the mirror, and
+// restores its newest checkpoint into State. The mirror directory
+// stays owned by the Follower until Close; a caller that wants to
+// serve Dir with its own store (e.g. a promoted ckptd) must Close
+// first.
 func (f *Follower) Promote() (*Promotion, error) {
 	p, err := f.fl.Promote()
 	if err != nil {
 		return nil, err
 	}
-	out := &Promotion{Lineage: p.Lineage, Dir: p.Dir, Base: p.Base, Len: p.Len, State: p.State}
+	out := &Promotion{Lineage: p.Lineage, Dir: p.Dir, Base: p.Base, Len: p.Len}
 	if p.Record != nil {
+		if out.State, err = p.Record.RestoreLatest(); err != nil {
+			return nil, err
+		}
 		out.Record = &Record{rec: p.Record}
 	}
 	return out, nil
