@@ -169,13 +169,19 @@ fuzz-smoke:
 # rename and must leak no block) and of the block store
 # (internal/blockstore, with its fsync and read budgets, its
 # reads-vs-relocating-GC race, raced and forced, GC's mark racing pushes
-# and lineage opens, forced and raced, and the packs and snapshots of
-# the builds that counted references), the scrub regressions — a scrub writes nothing
+# and lineage opens, forced and raced, and the refusal, writing nothing,
+# of the packs and snapshots of the builds that counted references),
+# the scrub regressions — a scrub writes nothing
 # (TestScrubIsReadOnly), and no foreign diff is spliced in at a rotten
 # id, neither by an append after Scrub (TestScrubLeavesNoHoleToSplice)
 # nor by a push after ScrubDir (TestScrubbedRotRefusesForeignPush) —
 # the fold barrier a compaction sends its lineage's subscribers before
-# releasing the lineage lock (TestFoldBarrier), a heal pulling each run
+# releasing the lineage lock (TestFoldBarrier), the subscription's
+# generation pin (TestSubscribeFoldMidBacklog: no diff of a folded
+# lineage is relayed) and its rot rule (TestSubscribeRotEndsWithoutBarrier:
+# a diff that fails verification ends the stream with no fold barrier),
+# a subscriber that reads nothing and is never dropped
+# (TestSubscriberNeverShed), a heal pulling each run
 # of adjacent rotten ids as one span (TestHealPullsRuns),
 # plus the TestRace concurrency regression tests guarding the bugs the
 # guardedby/lockorder/goroleak analyzers found (Serve worker join,
@@ -188,9 +194,9 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run '^(TestAppendLadder|TestCommit)$$' ./internal/recframe
 	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestInstallCrashLeaksNothing|TestScrubLeavesNoHoleToSplice|TestTombstoneReadsAsDamage|TestManifestNamingMissingSegmentFailsOpen)$$' ./internal/checkpoint
 	$(GO) test -race -count=1 -run '^(TestScrubIsReadOnly|TestScrubbedRotRefusesForeignPush)$$' .
-	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestReadBudget|TestReadAcrossRelocation|TestRaceGetInternGC|TestGCMarkThenPush|TestGCMarkThenOpen|TestRaceGCMarkPush|TestCountedPackOpens|TestCountedIndexOpens)$$' ./internal/blockstore
+	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestReadBudget|TestReadAcrossRelocation|TestRaceGetInternGC|TestGCMarkThenPush|TestGCMarkThenOpen|TestRaceGCMarkPush|TestCountedPackRefused|TestCountedIndexRefused)$$' ./internal/blockstore
 	$(GO) test -race -count=1 -run '^TestHealPullsRuns$$' ./internal/antientropy
-	$(GO) test -race -count=1 -run '^(TestRace|TestFoldBarrier$$)' ./internal/server
+	$(GO) test -race -count=1 -run '^(TestRace|(TestFoldBarrier|TestSubscribeFoldMidBacklog|TestSubscribeRotEndsWithoutBarrier|TestSubscriberNeverShed)$$)' ./internal/server
 	$(GO) test -race -count=1 -run '^TestRace' ./internal/wireclient
 
 # race-chaos is the long variant: the same chaos schedules and race

@@ -151,10 +151,12 @@ var (
 	// live Store holds (typically a running ckptd server). Retry later,
 	// or open with Options.ReadOnly to inspect alongside the owner.
 	ErrBusy = errors.New("blockstore: store directory is locked by another owner")
-	// ErrOldLayout reports a directory written by the file-per-block
-	// layout (a data/ fan-out plus blockstore.journal). There is no
-	// migration and no second reader; nothing in it is touched.
-	ErrOldLayout = errors.New("blockstore: directory holds the file-per-block layout, which this store does not read")
+	// ErrOldLayout reports a directory written by a layout this store
+	// does not read: the file-per-block layout (a data/ fan-out plus
+	// blockstore.journal), or the builds that counted references (ref
+	// and release records in a pack, a version 2 index snapshot). There
+	// is no migration and no second reader; nothing in it is touched.
+	ErrOldLayout = errors.New("blockstore: directory holds an old layout, which this store does not read")
 	// ErrSimulatedCrash is recframe.ErrSimulatedCrash: what a hook seam
 	// returns (wrapped) to kill the process there. The store leaves the
 	// debris a dying process would and refuses everything until it is
@@ -391,13 +393,12 @@ func (s *Store) recoverLocked() error {
 	}
 	var mark logPos
 	var nums []uint32
+	var tmps []string
 	for _, e := range names {
 		var num uint32
 		switch name := e.Name(); {
 		case strings.HasSuffix(name, recframe.TmpSuffix) && !s.ro:
-			if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("blockstore: removing stale temp %s: %w", name, err)
-			}
+			tmps = append(tmps, name)
 		case name == indexFileName:
 			b, err := os.ReadFile(s.indexPath())
 			if err == nil {
@@ -462,18 +463,24 @@ func (s *Store) recoverLocked() error {
 	if mark.pack != 0 && s.packs[mark.pack] == nil {
 		return fmt.Errorf("%w: the index folds the log up to pack %d, which the directory does not hold", ErrCorrupt, mark.pack)
 	}
+	// Only a directory this store reads loses its stale temps.
+	for _, name := range tmps {
+		if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("blockstore: removing stale temp %s: %w", name, err)
+		}
+	}
 	return nil
 }
 
 // replayLocked folds one verified record of pack num (handle f) into
-// the in-memory state: a block record places its block, a moved record
-// moves one the index holds, and an earlier build's ref or release
-// record changes nothing.
+// the in-memory state: a block record places its block, and a moved
+// record moves one the index holds. An earlier build's ref or release
+// record is ErrOldLayout.
 //
 //ckptlint:locked mu
 func (s *Store) replayLocked(f *os.File, num uint32, r recframe.Header) error {
 	if r.Kind != recBlock && r.Kind != recMoved {
-		return nil
+		return fmt.Errorf("%w: a reference-count record (kind %d) at offset %d", ErrOldLayout, r.Kind, r.Off)
 	}
 	var id ID // the block's bytes stay on disk
 	if _, err := f.ReadAt(id[:], r.Off+recframe.HdrSize); err != nil {

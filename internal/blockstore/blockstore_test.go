@@ -609,11 +609,56 @@ func TestIndexDecodeBitFlips(t *testing.T) {
 	}
 }
 
-// TestCountedPackOpens: a pack written by the builds that counted
-// references — ref and release records among the blocks, and its last
-// frame committed by a ref record — opens with every block readable and
-// nothing cut off, and takes appends after it.
-func TestCountedPackOpens(t *testing.T) {
+// dirImage returns the contents of every file in dir but the owner
+// lock, by name.
+func dirImage(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	img := map[string][]byte{}
+	for _, e := range mustReadDir(t, dir) {
+		if e.Name() == lockFileName {
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		img[e.Name()] = b
+	}
+	return img
+}
+
+// refusesOldLayout opens dir writable and requires ErrOldLayout, with
+// every file in dir — a stale GC temp included — left as it was and
+// none added but the owner lock.
+func refusesOldLayout(t *testing.T, dir string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, indexFileName+recframe.TmpSuffix), []byte("staged"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirImage(t, dir)
+	if s, err := New(dir); !errors.Is(err, ErrOldLayout) {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("open: %v, want ErrOldLayout", err)
+	}
+	after := dirImage(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("the refused open left %d files, want %d", len(after), len(before))
+	}
+	for name, b := range before {
+		if !bytes.Equal(after[name], b) {
+			t.Fatalf("the refused open changed %s", name)
+		}
+	}
+}
+
+// TestCountedPackRefused: a pack written by the builds that counted
+// references — ref and release records among the blocks, its last frame
+// committed by a ref record — is refused typed, and nothing in the
+// directory is written: not the frame a ref record commits, which a
+// store that did not recognise it would cut off as a torn tail.
+func TestCountedPackRefused(t *testing.T) {
 	a, b, c := []byte("block a"), bytes.Repeat([]byte{0xB}, 300), testPayload(3, 100)
 	ia, ib, ic := IDOf(a), IDOf(b), IDOf(c)
 	img := appendRec(nil, recBlock, false, []ID{ia}, a)
@@ -622,24 +667,11 @@ func TestCountedPackOpens(t *testing.T) {
 	img = appendRec(img, recRelease, false, []ID{ia}, nil)
 	img = appendRec(img, recBlock, true, []ID{ic}, c)
 	img = appendRec(img, recRef, false, []ID{ia}, nil)
-	s := openPackImage(t, img)
-	if st, _ := os.Stat(s.packPath(1)); st.Size() != int64(len(img)) {
-		t.Fatalf("the open cut the pack to %d of %d bytes", st.Size(), len(img))
-	}
-	d := testPayload(4, 64)
-	if _, err := s.Intern([][]byte{d}); err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile((&Store{dir: dir}).packPath(1), img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	s = mustOpen(t, s.dir)
-	for i, p := range [][]byte{a, b, c, d} {
-		if got, err := s.Get(Ref{ID: IDOf(p), Len: uint32(len(p))}); err != nil || !bytes.Equal(got, p) {
-			t.Fatalf("block %d of the counted pack: %v", i, err)
-		}
-	}
-	if st := s.Stats(); st.Blocks != 4 {
-		t.Fatalf("the counted pack opened to %d blocks, want 4", st.Blocks)
-	}
+	refusesOldLayout(t, dir)
 }
 
 // encodeCountedIndex is encodeIndex as the builds that counted
@@ -664,9 +696,9 @@ func encodeCountedIndex(gen uint64, mark logPos, ids []ID, entries map[ID]entry)
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
 
-// TestCountedIndexOpens: a version 2 snapshot opens with its refcount
-// column skipped, and the next GC replaces it with a version 3 one.
-func TestCountedIndexOpens(t *testing.T) {
+// TestCountedIndexRefused: a version 2 snapshot is refused typed, by
+// DecodeIndex and by an open, which writes nothing.
+func TestCountedIndexRefused(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
 	keep, drop := testPayload(1, 4096), testPayload(2, 100)
@@ -679,26 +711,13 @@ func TestCountedIndexOpens(t *testing.T) {
 	old := encodeCountedIndex(4, logPos{pack: s.active, off: s.log.Size()}, ids, s.entries)
 	s.mu.Unlock()
 	s.Close()
+	if _, _, _, err := DecodeIndex(old); !errors.Is(err, ErrOldLayout) {
+		t.Fatalf("decoding a version 2 snapshot: %v, want ErrOldLayout", err)
+	}
 	if err := os.WriteFile(filepath.Join(dir, indexFileName), old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s = mustOpen(t, dir)
-	for _, p := range [][]byte{keep, drop} {
-		if got, err := s.Get(Ref{ID: IDOf(p), Len: uint32(len(p))}); err != nil || !bytes.Equal(got, p) {
-			t.Fatalf("block of a version 2 snapshot: %v", err)
-		}
-	}
-	if gc, err := s.GC(markOf(keep)); err != nil || gc.Live != 1 || gc.Reclaimed != 1 {
-		t.Fatalf("GC over a version 2 snapshot: %+v, %v", gc, err)
-	}
-	s.Close()
-	if b, err := os.ReadFile(filepath.Join(dir, indexFileName)); err != nil || b[4] != formatVersion {
-		t.Fatalf("the GC left a snapshot of version %d (%v), want %d", b[4], err, formatVersion)
-	}
-	s = mustOpen(t, dir)
-	if got, err := s.Get(Ref{ID: IDOf(keep)}); err != nil || !bytes.Equal(got, keep) || held(s, IDOf(drop)) {
-		t.Fatalf("reopen after the GC: %v, dead block held %v", err, held(s, IDOf(drop)))
-	}
+	refusesOldLayout(t, dir)
 }
 
 func TestIDStability(t *testing.T) {

@@ -24,9 +24,9 @@ import (
 //	moved    ID + bytes  GC's copy of a live block: a new location
 //
 // Kinds 2 and 3 (a run of IDs each) are the ref and release records of
-// earlier builds, which counted references in the log. They are still
-// accepted, so a frame one of them commits is not cut off as a torn
-// tail, and replay ignores them.
+// earlier builds, which counted references in the log. The framing
+// still recognises them, so a pack holding one is not mistaken for
+// damage and cut; an open refuses it with ErrOldLayout.
 //
 // # Index snapshot (blockstore.index)
 //
@@ -43,13 +43,12 @@ import (
 // live block with its location, and its atomic rename is the single
 // commit point (mirroring the lineage manifest). An open replays only
 // the log past the recorded position. A version 2 snapshot, written by
-// the builds that counted references, opens too: each of its entries
-// carries a trailing u32 refcount, which is skipped.
+// the builds that counted references, is refused with ErrOldLayout.
 const (
 	indexMagic       = 0x58_49_42_47 // "GBIX"
 	indexFooterMagic = 0x46_49_42_47 // "GBIF"
 	formatVersion    = 3
-	countedVersion   = 2 // entries carry a refcount after the crc
+	countedVersion   = 2 // of the builds that counted references
 
 	indexHdrSize    = 4 + 1 + 8 + 4 + 8 + 4
 	indexEntrySize  = idSize + 4 + 8 + 4 + 4
@@ -60,8 +59,8 @@ const (
 	maxIndexEntries = 1 << 30
 
 	recBlock   = 1
-	recRef     = 2 // written by earlier builds only
-	recRelease = 3 // written by earlier builds only
+	recRef     = 2 // written by earlier builds only; refused
+	recRelease = 3 // written by earlier builds only; refused
 	recMoved   = 4
 
 	// blockRecOverhead is what a block record costs beyond the payload.
@@ -138,10 +137,10 @@ func encodeIndex(gen uint64, mark logPos, ids []ID, entries map[ID]entry) ([]byt
 	return buf, nil
 }
 
-// DecodeIndex parses an index snapshot of either version. The declared
-// entry count is bounded by the actual byte length before any
-// allocation and the whole-file CRC must verify; any mismatch is
-// ErrCorrupt.
+// DecodeIndex parses an index snapshot. The declared entry count is
+// bounded by the actual byte length before any allocation and the
+// whole-file CRC must verify; any mismatch is ErrCorrupt. A snapshot of
+// the counting builds is ErrOldLayout.
 func DecodeIndex(b []byte) (gen uint64, mark logPos, entries map[ID]entry, err error) {
 	fail := func(format string, args ...any) (uint64, logPos, map[ID]entry, error) {
 		return 0, logPos{}, nil, fmt.Errorf("%w: index "+format, append([]any{ErrCorrupt}, args...)...)
@@ -160,23 +159,24 @@ func DecodeIndex(b []byte) (gen uint64, mark logPos, entries map[ID]entry, err e
 	if binary.LittleEndian.Uint32(body) != indexMagic {
 		return fail("magic is wrong")
 	}
-	size := indexEntrySize
-	if body[4] == countedVersion {
-		size += 4
-	} else if body[4] != formatVersion {
+	switch body[4] {
+	case formatVersion:
+	case countedVersion:
+		return 0, logPos{}, nil, fmt.Errorf("%w: index version %d, written by a build that counted references", ErrOldLayout, countedVersion)
+	default:
 		return 0, logPos{}, nil, fmt.Errorf("blockstore: unsupported index version %d", body[4])
 	}
 	gen = binary.LittleEndian.Uint64(body[5:])
 	mark = logPos{pack: binary.LittleEndian.Uint32(body[13:]), off: int64(binary.LittleEndian.Uint64(body[17:]))}
 	count := binary.LittleEndian.Uint32(body[25:])
 	rest := body[indexHdrSize:]
-	if uint64(count) > maxIndexEntries || uint64(count)*uint64(size) != uint64(len(rest)) || mark.off < 0 {
+	if uint64(count) > maxIndexEntries || uint64(count)*indexEntrySize != uint64(len(rest)) || mark.off < 0 {
 		return fail("declares %d entries up to offset %d but carries %d entry bytes", count, mark.off, len(rest))
 	}
 	entries = make(map[ID]entry, count)
 	var prev ID
 	for i := 0; i < int(count); i++ {
-		rec := rest[i*size:]
+		rec := rest[i*indexEntrySize:]
 		id := ID(rec[:idSize])
 		// Snapshots are canonical: strictly ascending ID order. This both
 		// rejects duplicates and makes decode(encode(x)) byte-identical.

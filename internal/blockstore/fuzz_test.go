@@ -38,21 +38,27 @@ func fuzzIndexSeeds(f *testing.F) [][]byte {
 // FuzzBlockIndexDecode feeds arbitrary bytes to the index-snapshot
 // decoder. An input that decodes must re-encode to the identical byte
 // stream (the encoding is canonical: ascending-ID order, whole-file
-// CRC) — log position and block locations included — or, for a
-// snapshot of the earlier version, to one that decodes to the same
-// state; and the decoder must never panic or allocate unboundedly on
-// garbage: the snapshot is the commit record of GC, so a corrupted one
-// must fail typed, not half-load.
+// CRC) — log position and block locations included; a snapshot of the
+// counting builds must be refused with ErrOldLayout; and the decoder
+// must never panic or allocate unboundedly on garbage: the snapshot is
+// the commit record of GC, so a corrupted one must fail typed, not
+// half-load.
 func FuzzBlockIndexDecode(f *testing.F) {
 	for _, s := range fuzzIndexSeeds(f) {
 		f.Add(s)
 	}
+	one := IDOf([]byte("seed-counted"))
+	f.Add(encodeCountedIndex(1, logPos{pack: 1}, []ID{one}, map[ID]entry{one: {pack: 1, len: 4096}}))
 	// Invalid-by-construction seeds steer the fuzzer at the validation
 	// paths: wrong magic, absurd count, truncated footer.
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0x47, 0x42, 0x49, 0x58, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		gen, mark, entries, err := DecodeIndex(data)
+		counted := len(data) > 4 && data[4] == countedVersion
+		if errors.Is(err, ErrOldLayout) != counted && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("snapshot of the counting builds %v: %v", counted, err)
+		}
 		if err != nil {
 			return
 		}
@@ -65,7 +71,7 @@ func FuzzBlockIndexDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of decoded index failed: %v", err)
 		}
-		if data[4] == formatVersion && !bytes.Equal(b, data) {
+		if !bytes.Equal(b, data) {
 			t.Fatalf("decoded index is not canonical: %d vs %d bytes", len(b), len(data))
 		}
 		gen2, mark2, entries2, err := DecodeIndex(b)
@@ -88,44 +94,51 @@ func appendRec(img []byte, kind byte, more bool, ids []ID, data []byte) []byte {
 }
 
 // packSeeds returns pack images for the fuzz corpus: an intern of new
-// blocks, a frame an earlier build committed with a ref record, that
-// build's release, a relocation, and a torn tail.
+// blocks, a frame of three, a relocation, a torn tail, and two images
+// of the builds that counted references — a frame one of them committed
+// with a ref record, and that build's release — which are refused.
 func packSeeds() [][]byte {
 	a, b, c := []byte("block a"), bytes.Repeat([]byte{0xB}, 300), []byte{}
 	ia, ib, ic := IDOf(a), IDOf(b), IDOf(c)
 	one := appendRec(nil, recBlock, false, []ID{ia}, a)
-	mixed := appendRec(one, recBlock, true, []ID{ib}, b)
-	mixed = appendRec(mixed, recBlock, true, []ID{ic}, c)
-	mixed = appendRec(mixed, recRef, false, []ID{ia, ib}, nil)
-	moved := appendRec(mixed, recRelease, false, []ID{ia, ic}, nil)
-	moved = appendRec(moved, recMoved, false, []ID{ib}, b)
-	return [][]byte{one, mixed, moved, moved[:len(moved)-9]}
+	three := appendRec(one, recBlock, true, []ID{ib}, b)
+	three = appendRec(three, recBlock, false, []ID{ic}, c)
+	moved := appendRec(three, recMoved, false, []ID{ib}, b)
+	counted := appendRec(appendRec(one, recBlock, true, []ID{ib}, b), recRef, false, []ID{ia, ib}, nil)
+	released := appendRec(counted, recRelease, false, []ID{ia}, nil)
+	return [][]byte{one, three, moved, moved[:len(moved)-9], counted, released}
 }
 
-// openPackImage opens a store whose only pack is img.
-func openPackImage(t *testing.T, img []byte) *Store {
+// openPackImage opens a store whose only pack is img. A pack of the
+// counting builds is refused with ErrOldLayout, and left as it was.
+func openPackImage(t *testing.T, img []byte) (*Store, error) {
 	t.Helper()
 	dir := t.TempDir()
-	if err := os.WriteFile((&Store{dir: dir}).packPath(1), img, 0o644); err != nil {
+	path := (&Store{dir: dir}).packPath(1)
+	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(dir, Options{})
 	if err != nil {
-		t.Fatalf("open over a pack image: %v", err)
+		if after, rerr := os.ReadFile(path); !errors.Is(err, ErrOldLayout) || rerr != nil || !bytes.Equal(after, img) {
+			t.Fatalf("open over a pack image: %v; the pack is unchanged: %v", err, rerr == nil && bytes.Equal(after, img))
+		}
+		return nil, err
 	}
 	t.Cleanup(func() { s.Close() })
-	return s
+	return s, nil
 }
 
 // FuzzPackScan hands arbitrary bytes to the open-time scan as a pack.
-// The open must not panic, must index only records both of whose
-// checksums verify (so it never sizes anything from a length or ID
-// count it has not checked), and must keep its running totals exact.
-// Then the bytes become a block of a valid pack — written the way an
-// earlier build did, its frame committed by a ref record and two ref
-// records after it — with one corrupted byte somewhere: a block whose
-// record still verifies reads back exactly, and one whose record does
-// not fails typed, never with altered bytes.
+// The open must not panic, must refuse a pack of the counting builds
+// with ErrOldLayout and write nothing, and otherwise must index only
+// records both of whose checksums verify (so it never sizes anything
+// from a length or ID count it has not checked) and keep its running
+// totals exact. Then the bytes become a block of a valid pack — its
+// frame committed by a second block's record, and a third block's
+// frame after it — with one corrupted byte somewhere: a block whose record still verifies reads
+// back exactly, and one whose record does not fails typed, never with
+// altered bytes.
 func FuzzPackScan(f *testing.F) {
 	for _, img := range packSeeds() {
 		f.Add(img, uint16(0), byte(0))
@@ -134,7 +147,10 @@ func FuzzPackScan(f *testing.F) {
 	f.Add([]byte{}, uint16(3), byte(0xFF))
 	f.Add(bytes.Repeat([]byte{0x5A}, 64), uint16(70), byte(1))
 	f.Fuzz(func(t *testing.T, data []byte, pos uint16, mask byte) {
-		s := openPackImage(t, data)
+		s, err := openPackImage(t, data)
+		if err != nil {
+			return
+		}
 		var total int64
 		for id, e := range s.entries {
 			total += int64(e.len)
@@ -153,11 +169,15 @@ func FuzzPackScan(f *testing.F) {
 			t.Fatalf("stats %+v over %d entries of %d bytes", st, len(s.entries), total)
 		}
 
-		id := IDOf(data)
+		id, next, last := IDOf(data), []byte("the next block"), []byte("the last block")
 		img := appendRec(nil, recBlock, true, []ID{id}, data)
-		img = appendRec(img, recRef, false, []ID{id}, nil)
-		img = appendRec(img, recRef, false, []ID{id}, nil)
-		if p, err := openPackImage(t, img).Get(Ref{ID: id}); err != nil || !bytes.Equal(p, data) {
+		img = appendRec(img, recBlock, false, []ID{IDOf(next)}, next)
+		img = appendRec(img, recBlock, false, []ID{IDOf(last)}, last)
+		s, err = openPackImage(t, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, err := s.Get(Ref{ID: id}); err != nil || !bytes.Equal(p, data) {
 			t.Fatalf("valid pack: block read back as %d bytes, %v", len(p), err)
 		}
 		if mask == 0 {
@@ -165,7 +185,10 @@ func FuzzPackScan(f *testing.F) {
 		}
 		at := int(pos) % len(img)
 		img[at] ^= mask
-		p, err := openPackImage(t, img).Get(Ref{ID: id})
+		if s, err = openPackImage(t, img); err != nil {
+			t.Fatal(err)
+		}
+		p, err := s.Get(Ref{ID: id})
 		switch {
 		case err == nil && bytes.Equal(p, data):
 		case at < blockRecOverhead+len(data) && (errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNotFound)):

@@ -440,3 +440,49 @@ func TestSiblingOldBlockLayoutRefused(t *testing.T) {
 		t.Fatalf("refused block store now holds %v", entries)
 	}
 }
+
+// TestAppendDiffReadsInPlace: a record that fits in dst's spare
+// capacity is read there, not into the scratch, and the diff written
+// over it follows dst's own bytes exactly — block-mapped or
+// self-contained. A dst without room reads through the scratch.
+func TestAppendDiffReadsInPlace(t *testing.T) {
+	_, stores := openShared(t, t.TempDir(), "mapped")
+	plain, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	for i, fs := range []*FileStore{stores[0], plain} {
+		if err := fs.Append(randomDiff(0, 1, 4096)); err != nil {
+			t.Fatal(err)
+		}
+		path, off, size, err := fs.Locate(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if IsBlockMapped(seg[off+recHdrSize:off+size]) != (i == 0) {
+			t.Fatalf("store %d: record block-mapped %v", i, i != 0)
+		}
+		want, err := fs.DiffBytes(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := fs.Span(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sc ReadScratch
+		got, err := sp.AppendDiff(append(make([]byte, 0, 2*len(want)), "kept"...), 0, &sc)
+		if err != nil || string(got[:4]) != "kept" || !bytes.Equal(got[4:], want) || sc.rec != nil {
+			t.Fatalf("store %d, dst with room: %v; scratch used %v", i, err, sc.rec != nil)
+		}
+		got, err = sp.AppendDiff([]byte("kept"), 0, &sc)
+		if err != nil || string(got[:4]) != "kept" || !bytes.Equal(got[4:], want) || sc.rec == nil {
+			t.Fatalf("store %d, dst without room: %v; scratch used %v", i, err, sc.rec != nil)
+		}
+	}
+}

@@ -259,6 +259,61 @@ func TestSpanMovesWithInstall(t *testing.T) {
 	}
 }
 
+// TestTailFollows: a tail may start empty at Len, Follow grows it with
+// every append of its generation and ends it with ErrSpanMoved once the
+// lineage is rewritten; a tail cannot start below the baseline or past
+// the end.
+func TestTailFollows(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	tail, err := fs.Tail(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if from, to := tail.Bounds(); from != 0 || to != 0 {
+		t.Fatalf("tail of an empty lineage covers [%d,%d)", from, to)
+	}
+	for ck := 0; ck < 3; ck++ {
+		if err := fs.Append(fullDiffAt(ck)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, to := tail.Bounds(); to != 0 {
+		t.Fatal("a tail grew without Follow")
+	}
+	if tail, err = tail.Follow(); err != nil {
+		t.Fatal(err)
+	}
+	var sc ReadScratch
+	for ck := 0; ck < 3; ck++ {
+		got, err := tail.AppendDiff(nil, ck, &sc)
+		if want, _ := fs.DiffBytes(ck); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("diff %d through the followed tail: %v", ck, err)
+		}
+	}
+	if _, err := fs.Tail(4); err == nil || errors.Is(err, ErrSpanMoved) {
+		t.Fatalf("tail past the end: %v, want a plain range error", err)
+	}
+	if err := fs.InstallSpan(1, []*Diff{fullDiffAt(1), fullDiffAt(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tail.Follow(); !errors.Is(err, ErrSpanMoved) {
+		t.Fatalf("follow after a rewrite: %v, want ErrSpanMoved", err)
+	}
+	if _, err := fs.Tail(0); !errors.Is(err, ErrSpanMoved) {
+		t.Fatalf("tail below the baseline: %v, want ErrSpanMoved", err)
+	}
+	if tail, err = fs.Tail(3); err != nil {
+		t.Fatal(err)
+	}
+	if from, to := tail.Bounds(); from != 3 || to != 3 {
+		t.Fatalf("tail at the end covers [%d,%d)", from, to)
+	}
+}
+
 // TestSpanRotNamesCheckpoint: damage under a span read is a
 // *CorruptError naming the checkpoint and the block, the diffs before it
 // stay servable, and dst comes back as it went in — for every byte of

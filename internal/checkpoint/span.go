@@ -63,6 +63,35 @@ func (fs *FileStore) Span(from, to int) (Span, error) {
 	return Span{fs: fs, segment: fs.man.segment, from: from, to: to}, nil
 }
 
+// Tail is the span [from, Len) of a reader that follows the lineage as
+// it grows — empty when from is Len — pinned to the current generation
+// like Span's. Follow extends it to each later length.
+func (fs *FileStore) Tail(from int) (Span, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	base, end := int(fs.man.Base), fs.endLocked()
+	if from < base {
+		return Span{}, fmt.Errorf("%w: tail from %d starts below the baseline of [%d,%d)", ErrSpanMoved, from, base, end)
+	}
+	if from > end {
+		return Span{}, fmt.Errorf("checkpoint: tail from %d out of range [%d,%d)", from, base, end)
+	}
+	return Span{fs: fs, segment: fs.man.segment, from: from, to: end}, nil
+}
+
+// Follow extends sp to the lineage's current length, still pinned to
+// the generation sp was taken from: once the lineage has been rewritten
+// since, it is ErrSpanMoved.
+func (sp Span) Follow() (Span, error) {
+	sp.fs.mu.Lock()
+	defer sp.fs.mu.Unlock()
+	if sp.fs.man.segment != sp.segment {
+		return sp, fmt.Errorf("%w: the lineage was rewritten; it now holds [%d,%d)", ErrSpanMoved, sp.fs.man.Base, sp.fs.endLocked())
+	}
+	sp.to = sp.fs.endLocked()
+	return sp, nil
+}
+
 // Bounds returns the checkpoint range [from, to) the span covers.
 func (sp Span) Bounds() (from, to int) { return sp.from, sp.to }
 
@@ -100,7 +129,10 @@ func (fs *FileStore) DiffBytes(ck int) ([]byte, error) {
 //
 // dst grows at most once, to a length taken from the record the index
 // located (self-contained) or from a container whose checksum verified:
-// never from a length nothing vouches for.
+// never from a length nothing vouches for. A record that fits in dst's
+// spare capacity is read there, where the diff will be written over
+// it, and not into sc: a reader whose frame has room needs no scratch
+// the size of a record.
 func (fs *FileStore) appendDiff(dst []byte, ck int, segment *uint32, sc *ReadScratch) ([]byte, error) {
 	fs.mu.Lock()
 	base, end, live := int(fs.man.Base), fs.endLocked(), fs.man.segment
@@ -124,10 +156,15 @@ func (fs *FileStore) appendDiff(dst []byte, ck int, segment *uint32, sc *ReadScr
 		fs.mu.Unlock()
 		return corrupt(fmt.Errorf("%w: no record of the diff verified when the segment was opened", ErrChecksumMismatch))
 	}
-	if need := recHdrSize + int(loc.len); cap(sc.rec) < need {
-		sc.rec = make([]byte, need)
+	need := recHdrSize + int(loc.len)
+	buf := dst[len(dst):cap(dst)]
+	if len(buf) < need {
+		if cap(sc.rec) < need {
+			sc.rec = make([]byte, need)
+		}
+		buf = sc.rec
 	}
-	raw, err := fs.hooks.ReadAt(fs.seg, sc.rec[:recHdrSize+int(loc.len)], loc.off)
+	raw, err := fs.hooks.ReadAt(fs.seg, buf[:need], loc.off)
 	fs.mu.Unlock()
 	if err != nil && err != io.EOF { // a short read fails verification below
 		return dst, fmt.Errorf("checkpoint: reading diff %d: %w", ck, err)

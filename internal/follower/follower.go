@@ -19,9 +19,10 @@
 // with a TResync barrier naming the authoritative [base, len) span,
 // which the follower pulls over the same connection and installs
 // atomically (FileStore.InstallSpan — the PR 4 manifest transaction),
-// then re-subscribes. Being shed for lag, a primary crash mid-frame,
-// and a compaction fold racing the stream all collapse into the same
-// loop: reconnect, re-subscribe, maybe resync.
+// then re-subscribes. A primary crash mid-frame, a stream the primary
+// ended at a diff that failed its verification, and a compaction fold
+// racing the stream all collapse into the same loop: reconnect,
+// re-subscribe, maybe resync.
 package follower
 
 import (
@@ -375,7 +376,7 @@ func (f *Follower) tail(ctx context.Context, nc net.Conn) (bool, error) {
 			progress = true
 		case wire.TResync:
 			// Mid-stream barrier: terminal for this connection. The
-			// next session's subscribe resolves it (a lag shed resumes
+			// next session's subscribe resolves it (a shutdown resumes
 			// via cursor; a fold triggers the resync response path).
 			info, err := wire.DecodeResync(fr.Payload)
 			if err != nil {

@@ -185,7 +185,7 @@ func (s *Server) reconcilePeer(peer antientropy.Peer, recs map[string]*antientro
 
 // compactLineage folds ln to baseline target — for wire.CompactAuto,
 // to where its retention policy puts it — and counts a fold that moved
-// the baseline. Such a fold sheds the lineage's subscribers before the
+// the baseline. Such a fold stops the lineage's subscribers before the
 // lineage lock is released, so no push lands on the folded base ahead
 // of the barrier (DESIGN §15).
 func (s *Server) compactLineage(ln *lineage, target uint32) (lifecycle.Stats, error) {

@@ -13,28 +13,46 @@ import (
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
 
-// waitReleased waits until every reference to a shared frame of srv has
-// been given back.
-func waitReleased(t testing.TB, srv *Server) {
+// warmFrames puts n buffers of size bytes on srv's free list and
+// returns the bytes the list then holds: what a run of n frames of that
+// size leaves there, however its frames were grouped into commits.
+func warmFrames(srv *Server, n, size int) int {
+	for i := 0; i < n; i++ {
+		srv.frames.put(make([]byte, size))
+	}
+	srv.frames.mu.Lock()
+	defer srv.frames.mu.Unlock()
+	return srv.frames.held
+}
+
+// waitFree waits until srv's free list holds want bytes again: every
+// buffer a run staged in or a subscription borrowed is back.
+func waitFree(t testing.TB, srv *Server, want int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.frames.shared.Load() != 0 {
+	for {
+		srv.frames.mu.Lock()
+		held := srv.frames.held
+		srv.frames.mu.Unlock()
+		if held == want {
+			return
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d references to shared frames were never released", srv.frames.shared.Load())
+			t.Fatalf("the free list holds %d bytes, want %d", held, want)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
 // TestReplicatedIntakeRecyclesStaging: with a live subscriber, a staged
-// run is published by reference — the subscriber is sent the staging
-// itself — and the staging goes back to the free list once the run and
-// the subscriber are both done with it. The second of two 16-frame runs
-// over TCP therefore allocates next to nothing for its payload bytes,
-// where a copy per replicated frame would allocate all of them again.
-// During the first run an in-process subscriber holds every frame until
-// the run is over, so the list ends it holding one buffer per frame
-// however quickly the live subscriber drains.
+// run goes back to the free list when it settles, and the subscriber
+// reads each diff back from the store into a buffer it borrows from the
+// same list for one wake. On a warm server the second of two 16-frame
+// runs over TCP therefore allocates next to nothing for its payload
+// bytes, where a copy per replicated frame would allocate all of them
+// again. The list starts as a first run leaves it, one buffer per
+// frame, so how TCP groups the frames into commits does not matter: a
+// subscriber borrows only after a commit has handed its staging back.
 func TestReplicatedIntakeRecyclesStaging(t *testing.T) {
 	srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
 	defer stop()
@@ -46,10 +64,6 @@ func TestReplicatedIntakeRecyclesStaging(t *testing.T) {
 	pusher := testConn(t, addr)
 	defer pusher.Close()
 	h := call(t, pusher, &wire.Frame{Type: wire.TOpen, Payload: []byte("replicated")}).Lineage
-	ln, err := srv.get(h)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	const n, size = 16, 256 << 10
 	want := append(runPayloads(t, 0, n, size), runPayloads(t, n, n, size)...)
@@ -72,15 +86,14 @@ func TestReplicatedIntakeRecyclesStaging(t *testing.T) {
 		}
 	}
 
-	holder := srv.hub.register(ln, n)
+	warm := warmFrames(srv, n, len(want[0]))
 	relay(first, 0)
-	srv.hub.unregister(ln, holder)
-	waitReleased(t, srv)
+	waitFree(t, srv, warm)
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	relay(second, n)
-	waitReleased(t, srv)
+	waitFree(t, srv, warm)
 	runtime.ReadMemStats(&after)
 	alloc := after.TotalAlloc - before.TotalAlloc
 	if alloc >= uint64(payloadBytes)/20 {
@@ -110,13 +123,13 @@ func readTails(t *testing.T, sub net.Conn, want [][]byte, from int) (int, wire.R
 	}
 }
 
-// TestRaceFanOutReleases: however a subscription's events end — written,
-// skipped, shed, or left queued by a fold, a disconnect or a shutdown —
-// every TTail payload that reaches the wire is the pushed bytes, and
-// every reference to shared staging is released exactly once: the count
-// of held references returns to 0, and a release too many would panic.
+// TestRaceFanOutReleases: however a subscription goes — delivered,
+// left behind by a reader that stops reading, or ended by a fold, a
+// disconnect or a shutdown — every TTail payload that reaches the wire
+// is the pushed bytes, and the free list ends where it started: the
+// run's staging and the buffer the subscription borrowed are all back.
 // The subscribers are on unbuffered pipes, so while the test does not
-// read, the server is parked in a write with the other events queued.
+// read, the server is parked in a write with the buffer borrowed.
 func TestRaceFanOutReleases(t *testing.T) {
 	const n, size = 6, 16 << 10
 	want := make([][]byte, n)
@@ -124,111 +137,120 @@ func TestRaceFanOutReleases(t *testing.T) {
 		want[ck] = wire.EncodePush(bigEncodedDiff(t, ck, size))
 	}
 	// start serves cfg and returns a pusher connection, its handle of
-	// lineage "fan" and a subscriber connection, not yet subscribed.
-	start := func(t *testing.T, cfg Config) (l *pipeListener, pusher net.Conn, h uint32, sub net.Conn) {
+	// lineage "fan", a subscriber connection, not yet subscribed, and
+	// the bytes the warmed free list holds.
+	start := func(t *testing.T, cfg Config) (l *pipeListener, pusher net.Conn, h uint32, sub net.Conn, warm int) {
 		cfg.Root = t.TempDir()
 		l = startPipeServer(t, cfg)
 		pusher, sub = l.dial(t), l.dial(t)
 		t.Cleanup(func() { pusher.Close(); sub.Close() })
 		h = call(t, pusher, &wire.Frame{Type: wire.TOpen, Payload: []byte("fan")}).Lineage
-		return l, pusher, h, sub
+		return l, pusher, h, sub, warmFrames(l.srv, n, len(want[0]))
 	}
 	subscribe := func(t *testing.T, sub net.Conn) {
 		if _, resp := subscribeOn(t, sub, "fan", wire.Cursor{}); resp.Type != wire.TSubscribe || resp.Status != wire.StatusOK {
 			t.Fatalf("subscribe: %+v", resp)
 		}
 	}
-	pushAll := func(t *testing.T, pusher net.Conn, h uint32, upto int) {
-		sendRun(t, pusher, streamBurst(t, h, 0, want[:upto]), 0, upto)
+	pushAll := func(t *testing.T, pusher net.Conn, h uint32) {
+		sendRun(t, pusher, streamBurst(t, h, 0, want), 0, n)
 	}
-
-	t.Run("delivery", func(t *testing.T) {
-		l, pusher, h, sub := start(t, Config{})
-		subscribe(t, sub)
-		pushAll(t, pusher, h, n)
+	readAll := func(t *testing.T, sub net.Conn) {
 		for ck := 0; ck < n; ck++ {
 			if fr := readTail(t, sub); fr.Type != wire.TTail || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, want[ck]) {
 				t.Fatalf("tail frame %d is not the pushed payload", ck)
 			}
 		}
-		waitReleased(t, l.srv)
+	}
+
+	t.Run("delivery", func(t *testing.T) {
+		// Each diff is read as soon as it is acked.
+		l, pusher, h, sub, warm := start(t, Config{})
+		subscribe(t, sub)
+		for ck := 0; ck < n; ck++ {
+			sendRun(t, pusher, streamBurst(t, h, ck, want[ck:ck+1]), ck, 1)
+			if fr := readTail(t, sub); fr.Type != wire.TTail || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, want[ck]) {
+				t.Fatalf("tail frame %d is not the pushed payload", ck)
+			}
+		}
+		waitFree(t, l.srv, warm)
 	})
 
 	t.Run("lag", func(t *testing.T) {
-		l, pusher, h, sub := start(t, Config{SubscriberQueue: 1})
+		// The subscriber reads nothing until every push has been acked,
+		// and is still not dropped: it is sent the whole run once it
+		// reads.
+		l, pusher, h, sub, warm := start(t, Config{})
 		subscribe(t, sub)
-		pushAll(t, pusher, h, n)
-		if _, info := readTails(t, sub, want, 0); info.Reason != wire.ResyncLag {
-			t.Fatalf("barrier %+v, want a lag shed", info)
-		}
-		if sheds := l.srv.SubscriberSheds(); sheds != 1 {
-			t.Fatalf("%d subscribers shed, want 1", sheds)
-		}
-		waitReleased(t, l.srv)
+		pushAll(t, pusher, h)
+		readAll(t, sub)
+		waitFree(t, l.srv, warm)
 	})
 
 	t.Run("fold", func(t *testing.T) {
-		l, pusher, h, sub := start(t, Config{})
+		l, pusher, h, sub, warm := start(t, Config{})
 		subscribe(t, sub)
-		pushAll(t, pusher, h, n)
+		pushAll(t, pusher, h)
 		if resp := call(t, pusher, &wire.Frame{Type: wire.TCompact, Lineage: h, Ckpt: 3}); resp.Status != wire.StatusOK {
 			t.Fatalf("compact: %s", resp.Payload)
 		}
 		if _, info := readTails(t, sub, want, 0); info != (wire.Resync{Reason: wire.ResyncFold, Base: 3, Len: n}) {
 			t.Fatalf("barrier %+v, want fold [3,%d)", info, n)
 		}
-		waitReleased(t, l.srv)
+		waitFree(t, l.srv, warm)
 	})
 
 	t.Run("disconnect", func(t *testing.T) {
-		l, pusher, h, sub := start(t, Config{})
+		l, pusher, h, sub, warm := start(t, Config{})
 		subscribe(t, sub)
-		pushAll(t, pusher, h, n)
+		pushAll(t, pusher, h)
 		if fr := readTail(t, sub); fr.Type != wire.TTail || fr.Ckpt != 0 || !bytes.Equal(fr.Payload, want[0]) {
 			t.Fatal("the first tail frame is not the pushed payload")
 		}
 		sub.Close()
-		waitReleased(t, l.srv)
-	})
-
-	t.Run("gap", func(t *testing.T) {
-		// Two stored diffs make the backlog; then a checkpoint the backlog
-		// already served and one past a gap are queued behind it. The first
-		// is skipped, the second ends the stream with a lag barrier.
-		l, pusher, h, sub := start(t, Config{})
-		pushAll(t, pusher, h, 2)
-		subscribe(t, sub)
-		ln, err := l.srv.get(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.srv.hub.mu.Lock()
-		subs := append([]*tailSub(nil), l.srv.hub.subs[ln]...)
-		l.srv.hub.mu.Unlock()
-		if len(subs) != 1 {
-			t.Fatalf("%d subscribers registered, want 1", len(subs))
-		}
-		for _, ck := range []int{0, 5} {
-			subs[0].ch <- tailEvent{ckpt: uint32(ck), frame: l.srv.frames.share(want[ck])}
-		}
-		if got, info := readTails(t, sub, want, 0); got != 2 || info.Reason != wire.ResyncLag {
-			t.Fatalf("%d tail frames then %+v, want the 2 of the backlog then a lag barrier", got, info)
-		}
-		waitReleased(t, l.srv)
+		waitFree(t, l.srv, warm)
 	})
 
 	t.Run("shutdown", func(t *testing.T) {
-		l, pusher, h, sub := start(t, Config{DrainTimeout: 50 * time.Millisecond})
+		l, pusher, h, sub, warm := start(t, Config{DrainTimeout: 50 * time.Millisecond})
 		subscribe(t, sub)
-		pushAll(t, pusher, h, n)
+		pushAll(t, pusher, h)
 		if fr := readTail(t, sub); fr.Type != wire.TTail || fr.Ckpt != 0 || !bytes.Equal(fr.Payload, want[0]) {
 			t.Fatal("the first tail frame is not the pushed payload")
 		}
-		// The subscription is parked writing checkpoint 1 with the rest
-		// queued; the drain times out and closes its connection.
+		// The subscription is parked writing checkpoint 1; the drain
+		// times out and closes its connection.
 		l.shutdown()
-		waitReleased(t, l.srv)
+		waitFree(t, l.srv, warm)
 	})
+}
+
+// TestSubscriberNeverShed: a subscriber that reads nothing while 200
+// diffs are pushed holds up no push and is not dropped; once it reads,
+// it is sent every diff, in order. Its connection is an unbuffered
+// pipe, so the server is parked in its first write the whole time.
+func TestSubscriberNeverShed(t *testing.T) {
+	const n = 200
+	l := startPipeServer(t, Config{Root: t.TempDir()})
+	pusher, sub := l.dial(t), l.dial(t)
+	defer pusher.Close()
+	defer sub.Close()
+	if _, resp := subscribeOn(t, sub, "slow", wire.Cursor{}); resp.Status != wire.StatusOK {
+		t.Fatalf("subscribe: %+v", resp)
+	}
+	h := call(t, pusher, &wire.Frame{Type: wire.TOpen, Payload: []byte("slow")}).Lineage
+	want := make([][]byte, n)
+	for ck := range want {
+		want[ck] = wire.EncodePush(encodedDiff(t, ck, byte(ck)))
+		if resp := call(t, pusher, &wire.Frame{Type: wire.TPush, Lineage: h, Ckpt: uint32(ck), Payload: want[ck]}); resp.Status != wire.StatusOK {
+			t.Fatalf("push %d: %s", ck, resp.Payload)
+		}
+	}
+	for ck := 0; ck < n; ck++ {
+		if fr := readTail(t, sub); fr.Type != wire.TTail || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, want[ck]) {
+			t.Fatalf("frame %d: type %#x ckpt %d, want the pushed diff", ck, fr.Type, fr.Ckpt)
+		}
+	}
 }
 
 // BenchmarkReplicatedPush measures the replicated intake on its own:
@@ -236,7 +258,7 @@ func TestRaceFanOutReleases(t *testing.T) {
 // subscriber drains its tail over TCP, and waits for the frame's ack.
 // One frame pushed and drained before the timer starts fills the free
 // list and both read buffers, so B/op is what the intake and the
-// fan-out allocate per replicated frame on a warm server, even at
+// subscription allocate per replicated frame on a warm server, even at
 // -benchtime 1x.
 func BenchmarkReplicatedPush(b *testing.B) {
 	srv, addr, stop := startServer(b, Config{Root: b.TempDir()})
@@ -277,7 +299,7 @@ func BenchmarkReplicatedPush(b *testing.B) {
 	if err := wire.ReadFrameInto(sub, 0, &tail, &tailScratch); err != nil {
 		b.Fatal(err)
 	}
-	waitReleased(b, srv)
+	waitFree(b, srv, len(payload))
 
 	drained := make(chan error, 1)
 	go func() {
@@ -299,5 +321,4 @@ func BenchmarkReplicatedPush(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.StopTimer()
-	waitReleased(b, srv)
 }

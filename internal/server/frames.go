@@ -1,28 +1,25 @@
 // The server's frame memory: one free list of byte buffers, owned by
 // the Server, that the stream intake stages pushed frames in and span
-// streams reassemble diffs in. A buffer goes back when its users are
-// done with it — a span stream once it has ended; a staged frame once
-// its run has settled and every subscriber queue it was published to
-// has let go of it — so a warm server ingests, replicates and serves
+// streams and subscriptions read diffs back into. A buffer has one user
+// at a time and goes back when that user is done with it — staging once
+// its run has settled, a span stream once it has ended, a subscription
+// after each wake — so a warm server ingests, replicates and serves
 // frames without allocating for them, and unlike a sync.Pool the list
 // is not emptied by a GC.
 //
-// A staged frame is shared, not copied: the intake and each hub queue
-// hold one reference to its sharedFrame, and the last release puts the
-// buffer back. What the list retains is capped server-wide by
-// frameMemCap; a buffer that would take it past the cap is left to the
-// GC. The cap bounds idle buffers only. Buffers in use are bounded by
-// their users: a staged run by streamBatchBytes per connection, a
-// subscriber by SubscriberQueue frames plus the one it is writing. The
-// cap is not per connection: MaxConns connections each pinning a full
-// staged run would be 64 × 16 MiB.
+// What the list retains is capped server-wide by frameMemCap; a buffer
+// that would take it past the cap is left to the GC. The cap bounds
+// idle buffers only. Buffers in use are bounded by their users: a
+// staged run by streamBatchBytes per connection, a span stream or a
+// subscription by the one frame it is writing. The cap is not per
+// connection: MaxConns connections each pinning a full staged run would
+// be 64 × 16 MiB.
 
 package server
 
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 // frameMemCap bounds the bytes of free buffers the server retains: four
@@ -39,50 +36,6 @@ type frameMem struct {
 	free [bits.UintSize + 1][][]byte
 	//ckptlint:guardedby mu
 	held int // bytes of capacity on the list
-
-	// shared counts the references held to shared frames, all frames
-	// together: zero once every run has settled and every subscriber
-	// has let go.
-	shared atomic.Int64 //ckptlint:atomic
-}
-
-// sharedFrame is a free-list buffer that more than one user reads: a
-// staged stream frame, held by its run and by each hub queue it was
-// published to. Whoever holds a reference may read buf; none may write
-// it. The last release hands buf back to the list.
-type sharedFrame struct {
-	mem  *frameMem
-	buf  []byte
-	refs atomic.Int32 //ckptlint:atomic
-}
-
-// share copies src into a buffer from the list and returns it as a
-// shared frame holding one reference, the caller's.
-func (m *frameMem) share(src []byte) *sharedFrame {
-	f := &sharedFrame{mem: m, buf: m.get(len(src))}
-	copy(f.buf, src)
-	f.retain()
-	return f
-}
-
-// retain takes one more reference to f; its holder must release it.
-func (f *sharedFrame) retain() {
-	f.refs.Add(1)
-	f.mem.shared.Add(1)
-}
-
-// release gives one reference back; the last one puts the buffer back
-// on the list, after which no holder may touch buf. Releasing more
-// references than were taken would hand one buffer to two users, so it
-// panics instead.
-func (f *sharedFrame) release() {
-	f.mem.shared.Add(-1)
-	switch n := f.refs.Add(-1); {
-	case n == 0:
-		f.mem.put(f.buf)
-	case n < 0:
-		panic("server: shared frame released more often than retained")
-	}
 }
 
 // get returns a buffer of length n: a free one from the smallest class
@@ -99,8 +52,8 @@ func (m *frameMem) get(n int) []byte {
 }
 
 // largest returns the largest free buffer, emptied, or nil if there is
-// none. A span stream takes it: it cannot know its largest frame before
-// it has read it.
+// none. A span stream or a subscription takes it: neither can know its
+// largest frame before it has read it.
 func (m *frameMem) largest() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()

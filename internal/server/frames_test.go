@@ -3,20 +3,21 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
 
 // TestFrameMem: get hands out the smallest free buffer that fits and
-// largest the largest; put keeps what it is given up to frameMemCap; a
-// shared frame goes back with its last release.
+// largest the largest; put keeps what it is given up to frameMemCap.
 func TestFrameMem(t *testing.T) {
 	var m frameMem
 	small, mid, big := make([]byte, 100), make([]byte, 3000), make([]byte, 5000)
@@ -39,26 +40,10 @@ func TestFrameMem(t *testing.T) {
 	if m.held != cap(small) {
 		t.Fatalf("put past the cap was kept: held %d", m.held)
 	}
-
-	// A shared frame goes back with its last release, and a release too
-	// many panics rather than hand the buffer out twice.
-	f := m.share([]byte("frame"))
-	held := m.held
-	f.retain()
-	f.release()
-	if m.held != held || m.shared.Load() != 1 {
-		t.Fatalf("a held frame went back: held %d, %d references", m.held, m.shared.Load())
+	m.put(nil)
+	if m.held != cap(small) {
+		t.Fatalf("put of nothing changed held to %d", m.held)
 	}
-	f.release()
-	if m.held != held+cap(f.buf) || m.shared.Load() != 0 {
-		t.Fatalf("the last release did not put the frame back: held %d, %d references", m.held, m.shared.Load())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("releasing a frame once more than it was retained did not panic")
-		}
-	}()
-	f.release()
 }
 
 // streamBurst frames payloads as the TPushStream frames of checkpoints
@@ -145,14 +130,15 @@ func TestStreamIntakeRecyclesStaging(t *testing.T) {
 	}
 }
 
-// TestRaceStagingRecycle: staging reaches subscribers by reference and
-// is reused only once nobody holds it. The first runs are staged in
-// process with a subscriber registered between check and publish, which
-// keeps every event it gets; the rest stream over one connection while
-// subscribers register and unregister beside them, each checking and
-// releasing what it got as it gets it. The kept payloads must still be
-// the pushed bytes after all later runs have reused the staging, and
-// every stored diff must be too.
+// TestRaceStagingRecycle: a run's staging goes back to the free list
+// when the run settles, before the lineage's subscribers are woken, and
+// the next run reuses it at once. The first runs are staged in process
+// with a subscriber registered between check and settle: once settle
+// returns, the subscriber holds a wake and the list holds every buffer
+// of the run. The rest stream over one connection while subscriptions
+// come and go beside them, each checking what it is sent against the
+// pushed bytes while later runs reuse the staging; every stored diff
+// must still be the pushed bytes too.
 func TestRaceStagingRecycle(t *testing.T) {
 	srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
 	defer stop()
@@ -168,9 +154,13 @@ func TestRaceStagingRecycle(t *testing.T) {
 	for ck := range want {
 		want[ck] = wire.EncodePush(bigEncodedDiff(t, ck, size))
 	}
-	var got []tailEvent
+	held := func() int {
+		srv.frames.mu.Lock()
+		defer srv.frames.mu.Unlock()
+		return srv.frames.held
+	}
 
-	// In process: the subscriber arrives between check and publish.
+	// In process: the subscriber arrives between check and settle.
 	sink, peer := net.Pipe()
 	defer sink.Close()
 	defer peer.Close()
@@ -182,20 +172,60 @@ func TestRaceStagingRecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if len(run.batch) != n || run.batch[0].staged == nil {
+		if len(run.batch) != n || run.batch[0].staging == nil {
 			t.Fatalf("run %d: %d frames staged, want %d in free-list staging", r, len(run.batch), n)
 		}
-		sub := srv.hub.register(ln, n)
+		sub := srv.hub.register(ln)
+		before := held()
 		if err := srv.settle(&run, bw, sink); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			got = append(got, <-sub.ch)
+		if got := held() - before; got != n*len(want[0]) || len(run.batch) != 0 {
+			t.Fatalf("run %d: settling gave the list %d bytes and left %d frames staged, want %d and none", r, got, len(run.batch), n*len(want[0]))
+		}
+		select {
+		case <-sub.wake:
+		default:
+			t.Fatalf("run %d settled without waking its subscriber", r)
 		}
 		srv.hub.unregister(ln, sub)
 	}
 
-	// Over the connection, with subscribers coming and going.
+	// Over the connection, with subscriptions coming and going.
+	churn := func() error {
+		sc, err := net.DialTimeout("tcp", addr, 5*time.Second)
+		if err != nil {
+			return err
+		}
+		defer sc.Close()
+		sc.SetDeadline(time.Now().Add(10 * time.Second))
+		if err := wire.Handshake(sc); err != nil {
+			return err
+		}
+		open, err := roundTrip(sc, &wire.Frame{Type: wire.TOpen, Payload: []byte("recycle")})
+		if err != nil {
+			return err
+		}
+		cur := wire.Cursor{Next: open.Ckpt}
+		if cur.Next > 0 {
+			cur.CRC = wire.Checksum(want[cur.Next-1][wire.PushChecksumSize:])
+		}
+		resp, err := roundTrip(sc, &wire.Frame{Type: wire.TSubscribe, Lineage: open.Lineage, Payload: wire.EncodeSubscribe(cur)})
+		if err != nil || resp.Type != wire.TSubscribe || resp.Status != wire.StatusOK {
+			return fmt.Errorf("subscribe at %d: %+v, %v", cur.Next, resp, err)
+		}
+		for i := 0; i < 3; i++ {
+			sc.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+			fr, err := wire.ReadFrame(sc, 0)
+			if err != nil {
+				return nil // nothing more arrived in time
+			}
+			if fr.Type != wire.TTail || int(fr.Ckpt) >= len(want) || !bytes.Equal(fr.Payload, want[fr.Ckpt]) {
+				return fmt.Errorf("frame type %#x ckpt %d reached a subscriber damaged", fr.Type, fr.Ckpt)
+			}
+		}
+		return nil
+	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -207,16 +237,10 @@ func TestRaceStagingRecycle(t *testing.T) {
 				return
 			default:
 			}
-			sub := srv.hub.register(ln, len(want)) // never full: nothing is shed
-			runtime.Gosched()
-			for len(sub.ch) > 0 {
-				ev := <-sub.ch
-				if !bytes.Equal(ev.frame.buf, want[ev.ckpt]) {
-					t.Errorf("checkpoint %d reached a subscriber damaged", ev.ckpt)
-				}
-				ev.frame.release()
+			if err := churn(); err != nil {
+				t.Error(err)
+				return
 			}
-			srv.hub.unregister(ln, sub)
 		}
 	}()
 	stopChurn := sync.OnceFunc(func() {
@@ -229,19 +253,18 @@ func TestRaceStagingRecycle(t *testing.T) {
 	}
 	stopChurn()
 
-	for _, ev := range got {
-		if !bytes.Equal(ev.frame.buf, want[ev.ckpt]) {
-			t.Fatalf("checkpoint %d: the subscriber's payload changed while it held it", ev.ckpt)
-		}
-		ev.frame.release()
-	}
-	if refs := srv.frames.shared.Load(); refs != 0 {
-		t.Fatalf("%d references to staging still held", refs)
-	}
 	for ck := range want {
 		stored, err := ln.store.DiffBytes(ck)
 		if err != nil || !bytes.Equal(stored, want[ck][wire.PushChecksumSize:]) {
 			t.Fatalf("stored diff %d: %v", ck, err)
 		}
 	}
+}
+
+// roundTrip writes req on conn and reads the frame that answers it.
+func roundTrip(conn net.Conn, req *wire.Frame) (*wire.Frame, error) {
+	if err := wire.WriteFrame(conn, req); err != nil {
+		return nil, err
+	}
+	return wire.ReadFrame(conn, 0)
 }

@@ -1,10 +1,10 @@
-// The push intake: how a pushed diff becomes a committed, published
-// lineage entry — written once. TPush and TPushStream differ only in
-// how many checked diffs reach commit together and in the frame that
-// answers them:
+// The push intake: how a pushed diff becomes a committed lineage entry
+// — written once. TPush and TPushStream differ only in how many checked
+// diffs reach commit together and in the frame that answers them:
 //
 //	check    no lock        handle → CRC → decode → id agreement
-//	commit   lineage lock   replay/conflict → AppendBatch → publish
+//	commit   lineage lock   replay/conflict → AppendBatch
+//	         no lock        staging back to the free list → wake subscribers
 //	ack                     a TPush response, or one StreamAck a frame
 //
 // The copy rule: a checked diff aliases the payload it was decoded
@@ -12,16 +12,13 @@
 // until the next frame is read. A stream frame that is staged outlives
 // that, so check copies its payload — once, after the CRC has vouched
 // for it and before the diff is decoded where the copy lies — into
-// staging from the server's free list (frames.go). The staging is a
-// shared frame: the run holds one reference until it settles, and
-// publish gives each subscriber queue one more, so subscribers are sent
-// the staged bytes themselves, as they arrived, and the buffer goes
-// back to the list when the last holder is done with it. Neither
-// AppendBatch nor the block store keeps a slice of a diff. A diff that
-// commits within its own request is still in the read buffer when it is
-// published; publish copies it into staging that only the queues hold,
-// so the read buffer never reaches a hub queue, and a push nobody
-// subscribes to that commits within its own request copies nothing.
+// staging from the server's free list (frames.go). Neither AppendBatch
+// nor the block store keeps a slice of a diff, so the staging goes back
+// to the list as soon as the run's append returns; only then are the
+// lineage's subscribers woken, and each reads what it sends back from
+// the store — into a buffer from the same list, which can be the one
+// the run just gave back. A diff that commits within its own request
+// copies nothing.
 
 package server
 
@@ -38,12 +35,11 @@ import (
 
 // pushed is one diff that passed check.
 type pushed struct {
-	diff    *checkpoint.Diff
-	crc     uint32 // of the encoded diff, as the pusher computed it
-	payload []byte // CRC prefix + encoded diff: a TTail payload as is
-	// staged holds payload once check has staged it, the run's
-	// reference; nil while payload lies in the read buffer.
-	staged *sharedFrame
+	diff *checkpoint.Diff
+	crc  uint32 // of the encoded diff, as the pusher computed it
+	// staging is the free-list buffer check copied the frame into, which
+	// diff aliases; nil while the frame lies in the read buffer.
+	staging []byte
 }
 
 // stagedRun is one connection's run of contiguous TPushStream frames
@@ -97,11 +93,11 @@ func (s *Server) check(req *wire.Frame, run *stagedRun) (*lineage, pushed, error
 	if err != nil {
 		return nil, pushed{}, fmt.Errorf("server: push lineage %q: %w", ln.name, err)
 	}
-	p := pushed{crc: crc, payload: req.Payload}
+	p := pushed{crc: crc}
 	if run.extendedBy(ln, req.Ckpt) {
-		p.staged = s.frames.share(req.Payload)
-		p.payload = p.staged.buf
-		encoded = p.payload[wire.PushChecksumSize:]
+		p.staging = s.frames.get(len(req.Payload))
+		copy(p.staging, req.Payload)
+		encoded = p.staging[wire.PushChecksumSize:]
 	}
 	if p.diff, err = checkpoint.DecodeBytes(encoded); err != nil {
 		s.unstage(p)
@@ -114,19 +110,30 @@ func (s *Server) check(req *wire.Frame, run *stagedRun) (*lineage, pushed, error
 	return ln, p, nil
 }
 
-// unstage releases the run's reference to p's staging, if it has any;
-// p's diff aliases it, so p is dead after the call.
+// unstage hands p's staging, if it has any, back to the free list; p's
+// diff aliases it, so p is dead after the call.
 func (s *Server) unstage(p pushed) {
-	if p.staged != nil {
-		p.staged.release()
-	}
+	s.frames.put(p.staging)
 }
 
-// commit is the locked half: batch, whose ids run from start, becomes
-// durable with one store append and is published to the lineage's
-// subscribers, or none of it is. It returns the lineage length the
-// commit left. A saturated lineage sheds the batch with wire.ErrBusy.
+// commit makes batch, whose ids run from start, durable with one store
+// append, or none of it. Either way the batch is dead after the call:
+// its staging goes back to the free list, and only then are the
+// lineage's subscribers woken. It returns the lineage length the commit
+// left. A saturated lineage sheds the batch with wire.ErrBusy.
 func (s *Server) commit(ln *lineage, start uint32, batch []pushed) (uint32, error) {
+	n, err := s.appendBatch(ln, start, batch)
+	for _, p := range batch {
+		s.unstage(p)
+	}
+	if err == nil {
+		s.hub.wake(ln)
+	}
+	return n, err
+}
+
+// appendBatch is commit's store append, under the lineage lock.
+func (s *Server) appendBatch(ln *lineage, start uint32, batch []pushed) (uint32, error) {
 	release, err := ln.acquire()
 	if err != nil {
 		return 0, err
@@ -153,37 +160,7 @@ func (s *Server) commit(ln *lineage, start uint32, batch []pushed) (uint32, erro
 	if _, err := ln.store.AppendBatch(diffs); err != nil {
 		return 0, err
 	}
-	// Still under the lineage lock: subscribers must see the batch
-	// before any later append.
-	s.publish(ln, start, batch)
 	return start + uint32(len(batch)), nil
-}
-
-// publish fans a just-committed batch out to the lineage's subscribers,
-// in order; the caller holds the lineage lock. A staged frame goes out
-// by reference; a payload still in the read buffer is staged first, and
-// only the queues hold that staging. With no subscriber it costs the
-// hub's count and copies nothing.
-func (s *Server) publish(ln *lineage, start uint32, batch []pushed) {
-	if s.hub.count(ln) == 0 {
-		return
-	}
-	n := ln.store.Len()
-	if int64(n) > math.MaxUint32 {
-		return
-	}
-	base := uint32(ln.store.Base())
-	for i, p := range batch {
-		f := p.staged
-		if f == nil {
-			f = s.frames.share(p.payload)
-		}
-		shed := s.hub.publish(ln, start+uint32(i), f, base, uint32(n))
-		if p.staged == nil {
-			f.release()
-		}
-		s.subSheds.Add(uint64(shed))
-	}
 }
 
 // serveStream handles one TPushStream frame: it joins the connection's
@@ -196,7 +173,7 @@ func (s *Server) publish(ln *lineage, start uint32, batch []pushed) {
 func (s *Server) serveStream(run *stagedRun, req *wire.Frame, bw *bufio.Writer, conn net.Conn) error {
 	s.streamPushes.Add(1)
 	ln, p, err := s.check(req, run)
-	if err == nil && p.staged != nil {
+	if err == nil && p.staging != nil {
 		if len(run.batch) == 0 {
 			run.ln, run.handle, run.start = ln, req.Lineage, req.Ckpt
 		}
@@ -220,22 +197,21 @@ func (s *Server) serveStream(run *stagedRun, req *wire.Frame, bw *bufio.Writer, 
 // settle commits the staged run and acks every frame of it. The run
 // commits as a whole or not at all: a store failure fails every staged
 // frame with a typed error ack, and the client's retry resumes from the
-// length the server reports. Either way the run lets go of its staging.
-// The returned error is transport-only; store errors travel inside the
-// acks.
+// length the server reports. Either way commit returns the run's
+// staging. The returned error is transport-only; store errors travel
+// inside the acks.
 func (s *Server) settle(run *stagedRun, bw *bufio.Writer, conn net.Conn) error {
 	if len(run.batch) == 0 {
 		return nil
 	}
 	newLen, err := s.commit(run.ln, run.start, run.batch)
 	handle, start, count := run.handle, run.start, len(run.batch)
-	s.drop(run)
+	*run = stagedRun{}
 	return s.ackStream(bw, conn, handle, start, count, newLen, err)
 }
 
-// drop empties run and releases its references to its staging. settle
-// calls it once the run has committed; a connection that tears mid-run
-// drops the run uncommitted.
+// drop empties run and returns its staging, uncommitted: a connection
+// that tears mid-run drops it.
 func (s *Server) drop(run *stagedRun) {
 	for _, p := range run.batch {
 		s.unstage(p)

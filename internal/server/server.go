@@ -74,11 +74,6 @@ type Config struct {
 	// background compaction; COMPACT requests still work, and one that
 	// moves a baseline runs the block-store GC.
 	CompactInterval time.Duration
-	// SubscriberQueue bounds the per-subscriber event queue of the
-	// tail-stream hub (default 64). A subscriber that falls further
-	// behind than this many appends beyond its store backlog is shed
-	// with a lag barrier and resumes via its cursor.
-	SubscriberQueue int
 	// Peers lists replica addresses (host:port) this server runs
 	// anti-entropy reconciliation against: every interval, each open
 	// lineage's digest is compared with each peer's and local damage
@@ -121,9 +116,6 @@ func (c *Config) fill() error {
 	}
 	if c.Retention == "" {
 		c.Retention = "keep-all"
-	}
-	if c.SubscriberQueue <= 0 {
-		c.SubscriberQueue = 64
 	}
 	if c.AntiEntropyInterval <= 0 {
 		c.AntiEntropyInterval = 5 * time.Second
@@ -214,7 +206,6 @@ type Server struct {
 	streamPushes   atomic.Uint64 //ckptlint:atomic
 	subscribes     atomic.Uint64 //ckptlint:atomic
 	tailFrames     atomic.Uint64 //ckptlint:atomic
-	subSheds       atomic.Uint64 //ckptlint:atomic
 	foldBarriers   atomic.Uint64 //ckptlint:atomic
 
 	// Anti-entropy counters. degraded is a gauge:
@@ -225,11 +216,11 @@ type Server struct {
 	healQuarantines atomic.Uint64 //ckptlint:atomic
 	degraded        atomic.Uint64 //ckptlint:atomic
 
-	// hub fans appended diffs out to subscribers.
+	// hub wakes subscribers when their lineage grows.
 	hub *hub
 
-	// frames is the free list staged stream frames and span streams
-	// draw their buffers from (frames.go).
+	// frames is the free list staged stream frames, span streams and
+	// subscriptions draw their buffers from (frames.go).
 	frames frameMem
 
 	// conn tracking for forced shutdown
@@ -380,14 +371,12 @@ func (s *Server) snapshot() []*lineage {
 func (s *Server) StreamPushes() uint64 { return s.streamPushes.Load() }
 
 // Subscribes reports accepted subscriptions; TailFrames the TTail
-// frames pushed; SubscriberSheds subscribers shed for lag (bounded
-// queue overflow); FoldBarriers subscribers shed because a compaction
+// frames pushed; FoldBarriers subscribers stopped because a compaction
 // fold moved their lineage's baseline. Like StreamPushes these are
 // server-side counters, not part of the wire.Stats payload.
-func (s *Server) Subscribes() uint64      { return s.subscribes.Load() }
-func (s *Server) TailFrames() uint64      { return s.tailFrames.Load() }
-func (s *Server) SubscriberSheds() uint64 { return s.subSheds.Load() }
-func (s *Server) FoldBarriers() uint64    { return s.foldBarriers.Load() }
+func (s *Server) Subscribes() uint64   { return s.subscribes.Load() }
+func (s *Server) TailFrames() uint64   { return s.tailFrames.Load() }
+func (s *Server) FoldBarriers() uint64 { return s.foldBarriers.Load() }
 
 // Stats returns the current counters. The Quarantined gauge counts
 // the damaged diffs (FileStore.DamagedIDs) not yet healed across every

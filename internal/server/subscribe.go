@@ -1,20 +1,21 @@
-// The v5 TSubscribe serving path: cursor validation, store-backlog
-// replay, and the live tail loop fed by the hub.
+// The v5 TSubscribe serving path: cursor validation, then one loop
+// that serves the lineage from the store.
 //
 // Protocol contract (DESIGN.md §15): a rejected cursor is answered
 // with a TResync RESPONSE and the connection stays in request mode —
 // the subscriber pulls the authoritative span over the same
 // connection and re-subscribes. An accepted subscription consumes the
 // connection: the server pushes TTail frames until the client closes,
-// the server shuts down, or a barrier (fold, lag) ends the stream
+// the server shuts down, or a barrier (fold, shutdown) ends the stream
 // with a final TResync — after which the server closes the
 // connection, so a mid-stream TResync is always terminal.
 //
-// A live TTail payload is the pushed frame as the intake staged it,
-// shared with the run and every other subscriber (hub.go): the loop
-// writes it straight from that buffer and releases its reference once
-// the write returns, or without writing it for an event it skips. When
-// the subscription ends, unregister releases what is still queued.
+// The backlog and the live tail are one thing: the diffs [next, Len)
+// of the generation the subscriber registered at, read back from the
+// store, verified, each into a frame buffer borrowed from the free list
+// (frames.go) for one wake and handed back before the loop waits for
+// the next. A stalled subscriber costs one goroutine and at most that
+// one buffer.
 
 package server
 
@@ -22,12 +23,14 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"net"
 	"sync"
 	"time"
 
+	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
 
@@ -77,10 +80,15 @@ func (s *Server) serveSubscribe(ctx context.Context, stop <-chan struct{}, conn 
 		return respond(&wire.Frame{Type: wire.TResync, Status: wire.StatusOK, Lineage: req.Lineage,
 			Payload: wire.EncodeResync(wire.Resync{Reason: wire.ResyncFold, Base: uint32(base), Len: uint32(n)})})
 	}
-	// Registration happens under the lineage lock: every append after
-	// this point reaches sub.ch, every earlier diff is in the store —
-	// the backlog [cur.Next, n) plus the queue is gap-free.
-	sub := s.hub.register(ln, s.cfg.SubscriberQueue)
+	// The tail is pinned and the subscriber registered under the lineage
+	// lock: every diff of this generation from cur.Next on is either in
+	// the store now or followed by a wake.
+	span, err := ln.store.Tail(int(cur.Next))
+	if err != nil {
+		release()
+		return refuse(err)
+	}
+	sub := s.hub.register(ln)
 	release()
 	s.subscribes.Add(1)
 
@@ -97,7 +105,7 @@ func (s *Server) serveSubscribe(ctx context.Context, stop <-chan struct{}, conn 
 		return false
 	}
 	s.bytesOut.Add(uint64(ack.WireSize()))
-	s.runSubscription(ctx, stop, conn, br, sub, ln, req.Lineage, cur.Next, uint32(n))
+	s.runSubscription(ctx, stop, conn, br, sub, ln, span, req.Lineage)
 	return false
 }
 
@@ -116,15 +124,16 @@ func (s *Server) cursorContinuable(ln *lineage, cur wire.Cursor, base, n int) bo
 	return ln.holds(int(cur.Next)-1, cur.CRC)
 }
 
-// runSubscription owns the connection from ack to teardown: replay
-// the store backlog [next, n), then relay live hub events. Frames
-// are written straight to the socket (bypassing bw, which was flushed
-// before this call) with the v4 zero-copy staging: header — plus CRC
-// prefix for backlog frames — staged into a reused buffer, payload
-// bytes handed to writev untouched. Its deferred unregister releases
-// the events left in the queue.
+// runSubscription owns the connection from ack to teardown. It is one
+// loop: serve what span reaches — [next, Len) of the generation the
+// subscriber registered at — then wait for a wake, a barrier or the
+// end. Frames are written straight to the socket (bypassing bw, which
+// was flushed before this call): header and CRC prefix staged into a
+// reused buffer, the diff handed to writev untouched. A diff that fails
+// verification ends the stream without a barrier: the cursor is still
+// good, and a later subscription resumes once the diff is healed.
 func (s *Server) runSubscription(ctx context.Context, stop <-chan struct{}, conn net.Conn,
-	br *bufio.Reader, sub *tailSub, ln *lineage, handle, next, n uint32) {
+	br *bufio.Reader, sub *tailSub, ln *lineage, span checkpoint.Span, handle uint32) {
 	caddr := conn.RemoteAddr().String()
 	defer s.hub.unregister(ln, sub)
 
@@ -161,13 +170,13 @@ func (s *Server) runSubscription(ctx context.Context, stop <-chan struct{}, conn
 		s.bytesOut.Add(uint64(wire.HeaderSize + payloadLen))
 		return nil
 	}
-	sendResync := func(reason uint8, base, length uint32) {
+	sendResync := func(r wire.Resync) {
 		var err error
 		stage, err = wire.AppendFrameHeader(stage[:0], wire.TResync, wire.StatusOK, handle, 0, wire.ResyncSize)
 		if err != nil {
 			return
 		}
-		stage = wire.AppendResync(stage, wire.Resync{Reason: reason, Base: base, Len: length})
+		stage = wire.AppendResync(stage, r)
 		if err := writeVec(wire.ResyncSize); err != nil && !wire.IsClean(err) {
 			s.cfg.Logf("server: %s: resync write: %v", caddr, err)
 		}
@@ -177,111 +186,95 @@ func (s *Server) runSubscription(ctx context.Context, stop <-chan struct{}, conn
 	// concurrent fold — harmless: the reported span only seeds the
 	// subscriber's next subscribe attempt, which revalidates.
 	sendResyncNow := func(reason uint8) {
-		sendResync(reason, uint32(ln.store.Base()), uint32(ln.store.Len()))
+		sendResync(wire.Resync{Reason: reason, Base: uint32(ln.store.Base()), Len: uint32(ln.store.Len())})
 	}
-
-	// Backlog: serve [next, n) from the store without the lineage
-	// lock — DiffBytes is internally consistent, and if a concurrent
-	// fold prunes a diff out from under us the read error is exactly
-	// the fold barrier the subscriber would have received anyway.
-	for next < n {
+	// over reports whether the subscription has ended — a fold barrier,
+	// a stopping server, a reader that is gone — and sends the barrier
+	// that ends it, if any.
+	over := func() bool {
 		select {
 		case <-sub.stop:
-			reason, base, length := sub.verdict()
-			sendResync(reason, base, length)
-			return
-		case <-readerGone:
-			return
+			sendResync(sub.verdict())
 		case <-stop:
 			sendResyncNow(wire.ResyncShutdown)
-			return
 		case <-ctx.Done():
 			sendResyncNow(wire.ResyncShutdown)
-			return
+		case <-readerGone:
 		default:
+			return false
 		}
-		encoded, err := ln.store.DiffBytes(int(next))
-		if err != nil {
-			sendResyncNow(wire.ResyncFold)
-			return
-		}
-		payloadLen := wire.PushChecksumSize + len(encoded)
-		stage, err = wire.AppendFrameHeader(stage[:0], wire.TTail, wire.StatusOK, handle, next, payloadLen)
-		if err != nil {
-			s.cfg.Logf("server: %s: tail frame: %v", caddr, err)
-			return
-		}
-		stage = binary.BigEndian.AppendUint32(stage, wire.Checksum(encoded))
-		if err := writeVec(payloadLen, encoded); err != nil {
-			if !wire.IsClean(err) {
-				s.cfg.Logf("server: %s: tail write: %v", caddr, err)
-			}
-			return
-		}
-		s.tailFrames.Add(1)
-		next++
+		return true
 	}
 
-	// Live loop: relay hub events in order. A gap means the bounded
-	// queue dropped events after the registration snapshot — the
-	// cursor is still valid, so it is a lag barrier, not a fold.
-	for {
-		select {
-		case ev := <-sub.ch:
-			if ev.ckpt < next {
-				ev.frame.release()
-				continue // already served from the backlog
+	var pb pullBuf
+	next, _ := span.Bounds()
+	// catchUp sends the TTail frames of [next, Len) and reports whether
+	// the subscription goes on. The frame buffer is the free list's for
+	// the length of the call.
+	catchUp := func() bool {
+		var err error
+		if span, err = span.Follow(); err != nil {
+			sendResyncNow(wire.ResyncFold)
+			return false
+		}
+		_, to := span.Bounds()
+		if next == to {
+			return true
+		}
+		pb.frame.Payload = s.frames.largest()
+		defer func() {
+			s.frames.put(pb.frame.Payload)
+			pb.frame.Payload = nil
+		}()
+		for ; next < to; next++ {
+			if over() {
+				return false
 			}
-			if ev.ckpt != next {
-				ev.frame.release()
-				sendResyncNow(wire.ResyncLag)
-				return
+			if err := pb.load(span, next); err != nil {
+				if errors.Is(err, checkpoint.ErrSpanMoved) {
+					sendResyncNow(wire.ResyncFold)
+				} else {
+					s.cfg.Logf("server: %s: tail of lineage %q: %v", caddr, ln.name, err)
+				}
+				return false
 			}
-			// The write returns once the payload has left the buffer, so
-			// the reference goes back right after it.
-			payload := ev.frame.buf
-			var err error
-			if stage, err = wire.AppendFrameHeader(stage[:0], wire.TTail, wire.StatusOK, handle, ev.ckpt, len(payload)); err == nil {
-				err = writeVec(len(payload), payload)
+			encoded := pb.frame.Payload
+			payloadLen := wire.PushChecksumSize + len(encoded)
+			if stage, err = wire.AppendFrameHeader(stage[:0], wire.TTail, wire.StatusOK, handle, uint32(next), payloadLen); err == nil {
+				stage = binary.BigEndian.AppendUint32(stage, wire.Checksum(encoded))
+				err = writeVec(payloadLen, encoded)
 			}
-			ev.frame.release()
 			if err != nil {
 				if !wire.IsClean(err) {
 					s.cfg.Logf("server: %s: tail write: %v", caddr, err)
 				}
-				return
+				return false
 			}
 			s.tailFrames.Add(1)
-			next++
+		}
+		return true
+	}
+	for !over() && catchUp() {
+		select {
+		case <-sub.wake:
 		case <-sub.stop:
-			reason, base, length := sub.verdict()
-			sendResync(reason, base, length)
-			return
-		case <-readerGone:
-			return
 		case <-stop:
-			sendResyncNow(wire.ResyncShutdown)
-			return
 		case <-ctx.Done():
-			sendResyncNow(wire.ResyncShutdown)
-			return
+		case <-readerGone:
 		}
 	}
 }
 
-// foldBarrier sheds every live subscriber of ln with the fold verdict
+// foldBarrier stops every live subscriber of ln with the fold verdict
 // [newBase, Len): a compaction just committed a baseline move, so every
 // resume cursor is stale. Runs under the lineage lock the fold held;
 // the hub is a leaf, so the barrier is delivered without new lock-order
 // edges.
 func (s *Server) foldBarrier(ln *lineage, newBase int) {
-	if s.hub.count(ln) == 0 {
-		return
-	}
 	n := ln.store.Len()
 	if int64(n) > math.MaxUint32 {
 		return
 	}
-	shed := s.hub.fold(ln, uint32(newBase), uint32(n))
-	s.foldBarriers.Add(uint64(shed))
+	stopped := s.hub.fold(ln, uint32(newBase), uint32(n))
+	s.foldBarriers.Add(uint64(stopped))
 }

@@ -2,13 +2,17 @@ package server
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
+	"github.com/gpuckpt/gpuckpt/internal/lifecycle"
 	"github.com/gpuckpt/gpuckpt/internal/recframe"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
@@ -166,68 +170,6 @@ func TestSubscribeRefusals(t *testing.T) {
 	// The connection survived both refusals.
 	if resp := call(t, conn, &wire.Frame{Type: wire.TList}); resp.Status != wire.StatusOK {
 		t.Fatalf("list after refusals: %+v", resp)
-	}
-}
-
-// TestHubShedSlowSubscriber drives the hub directly: a full queue
-// sheds the subscriber with a lag verdict instead of blocking the
-// publisher, and a fold sheds everyone with a fold verdict. Each queue
-// holds one reference to each event it took, the shed one none, and
-// unregister releases them all.
-func TestHubShedSlowSubscriber(t *testing.T) {
-	h := newHub()
-	ln := &lineage{name: "x"}
-	slow := h.register(ln, 1)
-	fast := h.register(ln, 4)
-	var mem frameMem
-	publish := func(ckpt uint32, n uint32) int {
-		f := mem.share([]byte{byte(ckpt)})
-		defer f.release()
-		return h.publish(ln, ckpt, f, 0, n)
-	}
-
-	if shed := publish(0, 1); shed != 0 {
-		t.Fatalf("first publish shed %d", shed)
-	}
-	// slow's queue (cap 1) is full; the next publish must shed it and
-	// deliver to fast regardless.
-	if shed := publish(1, 2); shed != 1 {
-		t.Fatalf("overflow publish shed %d, want 1", shed)
-	}
-	if refs := mem.shared.Load(); refs != 3 {
-		t.Fatalf("%d references held, want one per queued event (3)", refs)
-	}
-	select {
-	case <-slow.stop:
-	default:
-		t.Fatal("slow subscriber not stopped")
-	}
-	reason, base, n := slow.verdict()
-	if reason != wire.ResyncLag || base != 0 || n != 2 {
-		t.Fatalf("verdict %d [%d,%d), want lag [0,2)", reason, base, n)
-	}
-	if got := len(fast.ch); got != 2 {
-		t.Fatalf("fast subscriber holds %d events, want 2", got)
-	}
-	if h.count(ln) != 1 {
-		t.Fatalf("count = %d after shed, want 1", h.count(ln))
-	}
-
-	if shed := h.fold(ln, 3, 5); shed != 1 {
-		t.Fatalf("fold shed %d, want 1", shed)
-	}
-	reason, base, n = fast.verdict()
-	if reason != wire.ResyncFold || base != 3 || n != 5 {
-		t.Fatalf("fold verdict %d [%d,%d)", reason, base, n)
-	}
-	if h.count(ln) != 0 {
-		t.Fatalf("count = %d after fold, want 0", h.count(ln))
-	}
-	h.unregister(ln, slow)
-	h.unregister(ln, fast)
-	h.unregister(ln, slow) // double-remove must be safe
-	if refs := mem.shared.Load(); refs != 0 {
-		t.Fatalf("%d references held after every subscriber left", refs)
 	}
 }
 
@@ -458,5 +400,213 @@ func TestFoldBarrier(t *testing.T) {
 				t.Fatalf("FoldBarriers = %d after a no-op compact, want 1", n)
 			}
 		})
+	}
+}
+
+// basicChain returns the push payloads of an n-diff chain over an image
+// of size bytes: a Full baseline, then Basic increments, each rewriting
+// a different chunk. A fold rewrites its new baseline as a Full diff, so
+// the folded lineage holds other bytes at that id than were pushed.
+func basicChain(t *testing.T, n, size, chunk int) [][]byte {
+	t.Helper()
+	state := make([]byte, size)
+	rand.New(rand.NewSource(7)).Read(state)
+	payloads := make([][]byte, n)
+	var prev []byte
+	for ck := range payloads {
+		d := &checkpoint.Diff{Method: checkpoint.MethodFull, CkptID: 0, DataLen: uint64(size), ChunkSize: uint32(chunk), Data: state}
+		if ck > 0 {
+			prev = append(prev[:0], state...)
+			state[ck*chunk] ^= 0xFF
+			var err error
+			if d, err = lifecycle.RewriteBasic(prev, state, chunk, uint32(ck)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := d.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		payloads[ck] = wire.EncodePush(buf.Bytes())
+	}
+	return payloads
+}
+
+// TestSubscribeFoldMidBacklog: a subscription never relays a diff of a
+// generation other than its own. The subscriber is mid-backlog, parked
+// on an unbuffered pipe in the write of checkpoint 3, when a fold to
+// baseline 4 commits; the fold is held just past its manifest rename
+// and then kept from sending its barrier. The next diff the subscription
+// reads — checkpoint 4, which the fold rewrote as a Full baseline — is
+// of the new generation, so instead of it the stream ends with a fold
+// barrier naming the folded span.
+func TestSubscribeFoldMidBacklog(t *testing.T) {
+	const n = 6
+	want := basicChain(t, n, 4096, 64)
+	l := startPipeServer(t, Config{Root: t.TempDir()})
+	pusher, ctl, sub := l.dial(t), l.dial(t), l.dial(t)
+	defer pusher.Close()
+	defer ctl.Close()
+	defer sub.Close()
+	h := call(t, pusher, &wire.Frame{Type: wire.TOpen, Payload: []byte("fold")}).Lineage
+	for ck, p := range want {
+		if resp := call(t, pusher, &wire.Frame{Type: wire.TPush, Lineage: h, Ckpt: uint32(ck), Payload: p}); resp.Status != wire.StatusOK {
+			t.Fatalf("push %d: %s", ck, resp.Payload)
+		}
+	}
+	ln, err := l.srv.get(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, resp := subscribeOn(t, sub, "fold", wire.Cursor{}); resp.Status != wire.StatusOK {
+		t.Fatalf("subscribe: %+v", resp)
+	}
+	for ck := 0; ck < 3; ck++ {
+		if fr := readTail(t, sub); fr.Type != wire.TTail || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, want[ck]) {
+			t.Fatalf("backlog frame %d: type %#x ckpt %d", ck, fr.Type, fr.Ckpt)
+		}
+	}
+	// The header of checkpoint 3: the subscription has read it from the
+	// store and is parked writing its payload.
+	var hdr [wire.HeaderSize]byte
+	if _, err := io.ReadFull(sub, hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	ln.store.SetHooks(&recframe.Hooks{Seam: func(point, _ string) error {
+		if point == recframe.SeamAfterRename {
+			once.Do(func() {
+				close(entered)
+				<-release
+			})
+		}
+		return nil
+	}})
+	compacted := callAsync(ctl, &wire.Frame{Type: wire.TCompact, Lineage: h, Ckpt: 4})
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the fold never reached its commit")
+	}
+	rest := make([]byte, len(want[3]))
+	if _, err := io.ReadFull(sub, rest); err != nil || !bytes.Equal(rest, want[3]) {
+		t.Fatalf("payload of checkpoint 3: %v", err)
+	}
+	// Let the fold finish with the hub held, so its barrier waits: what
+	// the subscriber reads next comes from the subscription alone.
+	l.srv.hub.mu.Lock()
+	close(release)
+	sub.SetReadDeadline(time.Now().Add(5 * time.Second))
+	fr, err := wire.ReadFrame(sub, 0)
+	l.srv.hub.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Type != wire.TResync {
+		t.Fatalf("after checkpoint 3 the subscriber got frame type %#x ckpt %d (payload is the pushed diff: %v), want the fold barrier",
+			fr.Type, fr.Ckpt, fr.Ckpt < n && bytes.Equal(fr.Payload, want[fr.Ckpt]))
+	}
+	if info, err := wire.DecodeResync(fr.Payload); err != nil || info != (wire.Resync{Reason: wire.ResyncFold, Base: 4, Len: n}) {
+		t.Fatalf("barrier %+v (%v), want fold [4,%d)", info, err, n)
+	}
+	if res, err := wire.DecodeCompactResult(recv(t, compacted, "compact").Payload); err != nil || res.NewBase != 4 {
+		t.Fatalf("compact result %+v (%v)", res, err)
+	}
+}
+
+// TestSubscribeRotEndsWithoutBarrier: a diff that fails verification is
+// not a fold. The subscription sends the diffs before it, then ends the
+// stream without a barrier and without a byte of the rotten diff; the
+// subscriber's cursor stays good, and once the diff is reinstalled a
+// subscription resumed from that cursor is sent it byte-exact.
+func TestSubscribeRotEndsWithoutBarrier(t *testing.T) {
+	srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
+	defer stop()
+	pusher := testConn(t, addr)
+	defer pusher.Close()
+	h := call(t, pusher, &wire.Frame{Type: wire.TOpen, Payload: []byte("rot")}).Lineage
+	want := make([][]byte, 4)
+	for ck := range want {
+		want[ck] = encodedDiff(t, ck, byte(0x30+ck))
+		if resp := call(t, pusher, &wire.Frame{Type: wire.TPush, Lineage: h, Ckpt: uint32(ck), Payload: wire.EncodePush(want[ck])}); resp.Status != wire.StatusOK {
+			t.Fatalf("push %d: %s", ck, resp.Payload)
+		}
+	}
+	ln, err := srv.get(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, off, length, err := ln.store.Locate(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, off+length-1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{^last[0]}, off+length-1); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	// tails subscribes from cur and returns the frames sent until the
+	// stream ends or reaches the lineage's end.
+	tails := func(cur wire.Cursor) []*wire.Frame {
+		sub := testConn(t, addr)
+		defer sub.Close()
+		if _, resp := subscribeOn(t, sub, "rot", cur); resp.Type != wire.TSubscribe || resp.Status != wire.StatusOK {
+			t.Fatalf("subscribe from %d: %+v", cur.Next, resp)
+		}
+		var got []*wire.Frame
+		for {
+			sub.SetReadDeadline(time.Now().Add(5 * time.Second))
+			fr, err := wire.ReadFrame(sub, 0)
+			if errors.Is(err, io.EOF) {
+				return got
+			}
+			if err != nil {
+				t.Fatalf("after %d frames: %v", len(got), err)
+			}
+			got = append(got, fr)
+			if fr.Ckpt == uint32(len(want)-1) {
+				return got
+			}
+		}
+	}
+	got := tails(wire.Cursor{})
+	if len(got) != 2 {
+		t.Fatalf("%d frames before the stream ended, want checkpoints 0 and 1 only", len(got))
+	}
+	for ck, fr := range got {
+		if fr.Type != wire.TTail || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, wire.EncodePush(want[ck])) {
+			t.Fatalf("frame %d: type %#x ckpt %d, want the pushed diff", ck, fr.Type, fr.Ckpt)
+		}
+	}
+	if n := srv.FoldBarriers(); n != 0 {
+		t.Fatalf("%d fold barriers sent", n)
+	}
+
+	d, err := checkpoint.DecodeBytes(want[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ln.store.ReinstallDiff(d); err != nil {
+		t.Fatal(err)
+	}
+	got = tails(wire.Cursor{Next: 2, CRC: wire.Checksum(want[1])})
+	if len(got) != 2 {
+		t.Fatalf("%d frames after the reinstall, want checkpoints 2 and 3", len(got))
+	}
+	for i, fr := range got {
+		ck := 2 + i
+		if fr.Type != wire.TTail || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, wire.EncodePush(want[ck])) {
+			t.Fatalf("frame %d after the reinstall: type %#x ckpt %d, want the pushed diff", i, fr.Type, fr.Ckpt)
+		}
 	}
 }

@@ -144,7 +144,8 @@ func FuzzSubscribeDecode(f *testing.F) {
 	f.Add(EncodeResync(Resync{Reason: ResyncFold, Base: 5, Len: 12}))
 	f.Add(EncodeResync(Resync{Reason: ResyncShutdown, Base: 0, Len: 0}))
 	f.Add(EncodeSubscribe(Cursor{Base: 9, Next: 3})[:SubscribeSize]) // next below base
-	f.Add(EncodeResync(Resync{Reason: ResyncLag, Base: 1, Len: 4})[:ResyncSize-1])
+	f.Add(EncodeResync(Resync{Reason: ResyncShutdown, Base: 1, Len: 4})[:ResyncSize-1])
+	f.Add(EncodeResync(Resync{Reason: 2, Base: 1, Len: 4})) // the retired lag reason
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -165,7 +166,7 @@ func FuzzSubscribeDecode(f *testing.F) {
 			}
 		}
 		if r, err := DecodeResync(data); err == nil {
-			if r.Reason < ResyncFold || r.Reason > ResyncShutdown {
+			if r.Reason != ResyncFold && r.Reason != ResyncShutdown {
 				t.Fatalf("decoded resync with unknown reason: %+v", r)
 			}
 			if r.Len < r.Base {

@@ -2,12 +2,12 @@
 // with TSubscribe, the acknowledgement an accepted subscription gets
 // back, and the resync barrier that ends or refuses a tail stream.
 //
-// The cursor is what makes shedding safe: a server may drop a slow
-// subscriber at any moment, because the subscriber can always come
-// back with {base, next, crc} and either resume exactly where it
-// stopped (the server re-verifies continuity by hashing its stored
-// copy of diff next-1) or learn via TResync that the baseline moved
-// and it must re-pull the authoritative span first.
+// The cursor is what makes a dropped stream safe: a connection may end
+// at any moment, because the subscriber can always come back with
+// {base, next, crc} and either resume exactly where it stopped (the
+// server re-verifies continuity by hashing its stored copy of diff
+// next-1) or learn via TResync that the baseline moved and it must
+// re-pull the authoritative span first.
 
 package wire
 
@@ -29,17 +29,14 @@ const (
 	ResyncSize = 9
 )
 
-// Resync reasons.
+// Resync reasons. Reason 2 is retired and not reused: a frame that
+// carries it is refused like any unknown reason.
 const (
 	// ResyncFold: a compaction fold moved the lineage baseline (or the
 	// cursor was otherwise not continuable — wrong base, a gap, or a
 	// CRC mismatch against the stored diff). The subscriber must
 	// re-pull [Base, Len) before resuming.
 	ResyncFold uint8 = 1
-	// ResyncLag: the subscriber's bounded queue overflowed and the
-	// server shed it. Its cursor is still valid — reconnecting and
-	// re-subscribing resumes from next without a re-pull.
-	ResyncLag uint8 = 2
 	// ResyncShutdown: the server is draining. Nothing is wrong with
 	// the cursor; retry against the restarted (or promoted) peer.
 	ResyncShutdown uint8 = 3
@@ -151,7 +148,7 @@ func DecodeResync(b []byte) (Resync, error) {
 		Base:   binary.BigEndian.Uint32(b[1:]),
 		Len:    binary.BigEndian.Uint32(b[5:]),
 	}
-	if r.Reason < ResyncFold || r.Reason > ResyncShutdown {
+	if r.Reason != ResyncFold && r.Reason != ResyncShutdown {
 		return Resync{}, fmt.Errorf("wire: unknown resync reason %d", r.Reason)
 	}
 	if r.Len < r.Base {
@@ -165,8 +162,6 @@ func ResyncReasonString(reason uint8) string {
 	switch reason {
 	case ResyncFold:
 		return "fold"
-	case ResyncLag:
-		return "lag"
 	case ResyncShutdown:
 		return "shutdown"
 	default:

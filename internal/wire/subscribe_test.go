@@ -57,7 +57,7 @@ func TestResyncRoundTrip(t *testing.T) {
 	for _, r := range []Resync{
 		{Reason: ResyncFold, Base: 0, Len: 0},
 		{Reason: ResyncFold, Base: 8, Len: 20},
-		{Reason: ResyncLag, Base: 0, Len: 64},
+		{Reason: ResyncShutdown, Base: 0, Len: 64},
 		{Reason: ResyncShutdown, Base: 3, Len: 3},
 	} {
 		enc := EncodeResync(r)
@@ -87,7 +87,7 @@ func TestSubscribeDecodeTruncated(t *testing.T) {
 			func(b []byte) error { _, err := DecodeSubscribe(b); return err }},
 		{"subscribe-ack", EncodeSubscribeAck(SubscribeAck{Base: 2, Len: 9}),
 			func(b []byte) error { _, err := DecodeSubscribeAck(b); return err }},
-		{"resync", EncodeResync(Resync{Reason: ResyncLag, Base: 2, Len: 9}),
+		{"resync", EncodeResync(Resync{Reason: ResyncShutdown, Base: 2, Len: 9}),
 			func(b []byte) error { _, err := DecodeResync(b); return err }},
 	}
 	for _, tc := range cases {
@@ -127,6 +127,11 @@ func TestSubscribeDecodeRejectsInvariantViolations(t *testing.T) {
 	if _, err := DecodeResync(AppendResync(nil, Resync{Reason: ResyncShutdown + 1, Base: 1, Len: 2})); err == nil {
 		t.Fatal("resync with out-of-range reason decoded without error")
 	}
+	// Reason 2, the lag shed of earlier servers, is not a barrier any
+	// longer.
+	if _, err := DecodeResync(AppendResync(nil, Resync{Reason: 2, Base: 1, Len: 2})); err == nil {
+		t.Fatal("resync with the retired lag reason decoded without error")
+	}
 	if _, err := DecodeResync(AppendResync(nil, Resync{Reason: ResyncFold, Base: 5, Len: 4})); err == nil {
 		t.Fatal("resync with len < base decoded without error")
 	}
@@ -135,7 +140,7 @@ func TestSubscribeDecodeRejectsInvariantViolations(t *testing.T) {
 func TestResyncReasonString(t *testing.T) {
 	for reason, want := range map[uint8]string{
 		ResyncFold:     "fold",
-		ResyncLag:      "lag",
+		2:              "reason(2)",
 		ResyncShutdown: "shutdown",
 		77:             "reason(77)",
 	} {
