@@ -175,14 +175,17 @@ fuzz-smoke:
 # (TestScrubIsReadOnly), and no foreign diff is spliced in at a rotten
 # id, neither by an append after Scrub (TestScrubLeavesNoHoleToSplice)
 # nor by a push after ScrubDir (TestScrubbedRotRefusesForeignPush) —
-# the fold barrier a compaction sends its lineage's subscribers before
-# releasing the lineage lock (TestFoldBarrier), the subscription's
-# generation pin (TestSubscribeFoldMidBacklog: no diff of a folded
-# lineage is relayed) and its rot rule (TestSubscribeRotEndsWithoutBarrier:
-# a diff that fails verification ends the stream with no fold barrier),
-# a subscriber that reads nothing and is never dropped
-# (TestSubscriberNeverShed), a heal pulling each run
-# of adjacent rotten ids as one span (TestHealPullsRuns),
+# a fold ending its lineage's subscriptions by closing them while a push
+# queued across it lands unsent (TestFoldEndsSubscription), the
+# subscription's generation pin (TestSubscribeFoldMidBacklog: no diff of
+# a folded lineage is relayed) and its rot rule
+# (TestSubscribeRotEndsWithoutBarrier: a diff that fails verification
+# closes the stream and is not counted as a moved span), the
+# reconciler's installs waking the lineage's subscribers
+# (TestAntiEntropyWakesSubscribers), a subscriber that reads nothing and
+# is never dropped (TestSubscriberNeverShed), the pinned frame-type
+# bytes with the retired one unused (TestFrameTypeBytes), a heal
+# pulling each run of adjacent rotten ids as one span (TestHealPullsRuns),
 # plus the TestRace concurrency regression tests guarding the bugs the
 # guardedby/lockorder/goroleak analyzers found (Serve worker join,
 # parked-handle pruning) and the span stream's lock discipline (a pull
@@ -196,8 +199,9 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run '^(TestScrubIsReadOnly|TestScrubbedRotRefusesForeignPush)$$' .
 	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestReadBudget|TestReadAcrossRelocation|TestRaceGetInternGC|TestGCMarkThenPush|TestGCMarkThenOpen|TestRaceGCMarkPush|TestCountedPackRefused|TestCountedIndexRefused)$$' ./internal/blockstore
 	$(GO) test -race -count=1 -run '^TestHealPullsRuns$$' ./internal/antientropy
-	$(GO) test -race -count=1 -run '^(TestRace|(TestFoldBarrier|TestSubscribeFoldMidBacklog|TestSubscribeRotEndsWithoutBarrier|TestSubscriberNeverShed)$$)' ./internal/server
+	$(GO) test -race -count=1 -run '^(TestRace|(TestFoldEndsSubscription|TestSubscribeFoldMidBacklog|TestSubscribeRotEndsWithoutBarrier|TestAntiEntropyWakesSubscribers|TestSubscriberNeverShed)$$)' ./internal/server
 	$(GO) test -race -count=1 -run '^TestRace' ./internal/wireclient
+	$(GO) test -race -count=1 -run '^TestFrameTypeBytes$$' ./internal/wire
 
 # race-chaos is the long variant: the same chaos schedules and race
 # regression tests, repeated so the scheduler explores more

@@ -199,10 +199,11 @@ func TestChaosFollowerLagResume(t *testing.T) {
 
 // Scenario 16 (the acceptance scenario): the follower straddles a
 // compaction fold. Mid-tail, the retained prefix folds to a baseline;
-// the hub's fold barrier sheds the subscriber with a fold verdict, the
+// the fold ends the subscription (the server closes the stream), the
 // follower's next dial is refused (the injected flap), and the retry's
-// re-subscribe is refused with the corrected span — forcing a manifest
-// resync that re-pulls [newBase, len) and converges byte-exactly.
+// re-subscribe is refused with StatusSpanMoved — forcing a manifest
+// resync that re-opens the lineage, re-pulls [newBase, len) and
+// converges byte-exactly.
 func TestChaosFollowerMidFoldResync(t *testing.T) {
 	images := seededImages(252, chaosCkpts)
 	_, encoded := buildLineage(t, checkpoint.MethodTree, images, dedup.Options{})
@@ -224,8 +225,8 @@ func TestChaosFollowerMidFoldResync(t *testing.T) {
 	fl := runChaosFollower(t, follower.Options{
 		Addr: addr, Lineage: "fold", Dir: t.TempDir(),
 		// Dial 1 carries the pre-fold tail; dial 2 — the reconnect the
-		// fold barrier forces — is refused, so recovery also rides the
-		// backoff path before dial 3 resyncs.
+		// fold's close of the stream forces — is refused, so recovery
+		// also rides the backoff path before dial 3 resyncs.
 		Dialer: in.Dialer(faults.ConnPlan{FailDial: faults.On(2)}),
 	})
 	waitFollower(t, fl, 4)
@@ -247,8 +248,8 @@ func TestChaosFollowerMidFoldResync(t *testing.T) {
 	if st.Resyncs == 0 {
 		t.Fatalf("fold never forced a resync: %+v", st)
 	}
-	if srv.FoldBarriers() == 0 {
-		t.Fatal("server never shed the subscriber at the fold barrier")
+	if srv.FoldEnds() == 0 {
+		t.Fatal("the fold never ended the subscription")
 	}
 	if got := in.Fired(faults.EvDialFail); got != 1 {
 		t.Fatalf("dial flap fired %d times, want 1; trace %v", got, in.Trace())

@@ -15,13 +15,14 @@
 // baseline it mirrors, the next checkpoint id it needs, and the
 // CRC32C of the last diff it holds. Every reconnect re-subscribes
 // with the cursor; the primary either resumes the stream exactly
-// there (re-verifying continuity against its stored bytes) or answers
-// with a TResync barrier naming the authoritative [base, len) span,
-// which the follower pulls over the same connection and installs
-// atomically (FileStore.InstallSpan — the PR 4 manifest transaction),
-// then re-subscribes. A primary crash mid-frame, a stream the primary
-// ended at a diff that failed its verification, and a compaction fold
-// racing the stream all collapse into the same loop: reconnect,
+// there (re-verifying continuity against its stored bytes) or refuses
+// the cursor with StatusSpanMoved. Then the follower re-opens the
+// lineage for its current [base, len), pulls that span over the same
+// connection, installs it atomically (FileStore.InstallSpan, the
+// manifest transaction) and re-subscribes. A stream ends only by
+// closing, whatever ended it: a primary crash mid-frame, a diff that
+// failed its verification on the primary, a server stop and a
+// compaction fold all collapse into the same loop: reconnect,
 // re-subscribe, maybe resync.
 package follower
 
@@ -107,8 +108,8 @@ type Stats struct {
 	Applied uint64
 	// TailFrames counts diffs that arrived via the tail stream.
 	TailFrames uint64
-	// Resyncs counts span re-pulls after a fold barrier; Reconnects
-	// counts sessions ended by any error or barrier.
+	// Resyncs counts span re-pulls after a refused cursor; Reconnects
+	// counts sessions ended, whatever ended them.
 	Resyncs, Reconnects uint64
 	// Healed counts mirror diffs repaired by Heal — rot detected on
 	// the standby's own disk and re-pulled from the primary.
@@ -283,8 +284,8 @@ func (f *Follower) cursor() wire.Cursor {
 	return wire.Cursor{Base: uint32(f.base), Next: uint32(f.next), CRC: f.lastCRC}
 }
 
-// subscribe drives one connection: subscribe (resync and retry on a
-// barrier response), then tail the stream.
+// subscribe drives one connection: subscribe (resync and retry while
+// the cursor is refused as moved), then tail the stream.
 func (f *Follower) subscribe(ctx context.Context, cn *wireclient.Conn, handle uint32) (bool, error) {
 	progress := false
 	for attempt := 0; attempt < resubscribeAttempts; attempt++ {
@@ -293,25 +294,18 @@ func (f *Follower) subscribe(ctx context.Context, cn *wireclient.Conn, handle ui
 		}
 		req := &wire.Frame{Type: wire.TSubscribe, Lineage: handle,
 			Payload: wire.EncodeSubscribe(f.cursor())}
-		resp, err := cn.RoundTrip(req)
-		if err != nil {
-			return progress, err
-		}
-		if resp.Type == wire.TResync {
-			// Cursor rejected; the connection is still in request
-			// mode. Pull the authoritative span right here, then
+		_, err := cn.RoundTrip(req)
+		if errors.Is(err, wire.ErrSpanMoved) {
+			// Cursor refused; the connection is still in request
+			// mode. Pull the lineage's current span right here, then
 			// re-subscribe with the fresh cursor.
-			info, err := wire.DecodeResync(resp.Payload)
-			if err != nil {
-				return progress, err
-			}
-			if err := f.resync(cn, handle, info); err != nil {
+			if err := f.resync(cn); err != nil {
 				return progress, err
 			}
 			progress = true
 			continue
 		}
-		if _, err := wire.DecodeSubscribeAck(resp.Payload); err != nil {
+		if err != nil {
 			return progress, err
 		}
 		tailed, err := f.tail(ctx, cn.NC)
@@ -320,10 +314,10 @@ func (f *Follower) subscribe(ctx context.Context, cn *wireclient.Conn, handle ui
 	return progress, fmt.Errorf("follower: cursor not settled after %d resyncs", resubscribeAttempts)
 }
 
-// tail reads server-pushed frames until the stream ends. Reads use
-// short deadlines as idle ticks so cancellation is noticed between
-// frames; bufio.Peek keeps partially arrived bytes buffered across
-// ticks, so a frame straddling a tick is never torn.
+// tail reads server-pushed TTail frames until the primary closes the
+// stream. Reads use short deadlines as idle ticks so cancellation is
+// noticed between frames; bufio.Peek keeps partially arrived bytes
+// buffered across ticks, so a frame straddling a tick is never torn.
 func (f *Follower) tail(ctx context.Context, nc net.Conn) (bool, error) {
 	br := bufio.NewReaderSize(nc, connBufSize)
 	var frame wire.Frame
@@ -359,62 +353,53 @@ func (f *Follower) tail(ctx context.Context, nc net.Conn) (bool, error) {
 		if err := wire.ReadFrameInto(br, wire.DefaultMaxPayload, &frame, &scratch); err != nil {
 			return progress, err
 		}
-		fr := &frame
-		switch fr.Type {
-		case wire.TTail:
-			crc, encoded, err := wire.DecodePush(fr.Payload)
-			if err != nil {
-				return progress, err
-			}
-			f.tailFrames.Add(1)
-			if err := f.applyEncoded(int(fr.Ckpt), encoded, crc); err != nil {
-				if errors.Is(err, errStopped) {
-					return progress, nil
-				}
-				return progress, err
-			}
-			progress = true
-		case wire.TResync:
-			// Mid-stream barrier: terminal for this connection. The
-			// next session's subscribe resolves it (a shutdown resumes
-			// via cursor; a fold triggers the resync response path).
-			info, err := wire.DecodeResync(fr.Payload)
-			if err != nil {
-				return progress, err
-			}
-			f.opts.Logf("follower %s: stream barrier: %s [%d,%d)",
-				f.opts.Lineage, wire.ResyncReasonString(info.Reason), info.Base, info.Len)
-			return progress, nil
-		default:
-			return progress, fmt.Errorf("follower: unexpected frame %#x in tail stream", fr.Type)
+		if frame.Type != wire.TTail {
+			return progress, fmt.Errorf("follower: unexpected frame %#x in tail stream", frame.Type)
 		}
+		crc, encoded, err := wire.DecodePush(frame.Payload)
+		if err != nil {
+			return progress, err
+		}
+		f.tailFrames.Add(1)
+		if err := f.applyEncoded(int(frame.Ckpt), encoded, crc); err != nil {
+			if errors.Is(err, errStopped) {
+				return progress, nil
+			}
+			return progress, err
+		}
+		progress = true
 	}
 }
 
-// resync pulls the authoritative span [info.Base, info.Len) and
-// installs it atomically over the mirror, then resets the cursor.
-// O(span), but only runs when a fold invalidated the cursor.
-func (f *Follower) resync(cn *wireclient.Conn, handle uint32, info wire.Resync) error {
-	if info.Len == info.Base {
-		if info.Base == 0 {
+// resync re-opens the lineage for its current span [base, len), pulls
+// it and installs it atomically over the mirror, then resets the
+// cursor. O(span), but only runs when the primary refused the cursor.
+func (f *Follower) resync(cn *wireclient.Conn) error {
+	handle, n, base, err := cn.Open(f.opts.Lineage)
+	if err != nil {
+		return err
+	}
+	if n == base {
+		if base == 0 {
 			cur := f.cursor()
 			if cur.Next > 0 {
 				return errors.New("follower: mirror is ahead of an empty primary (diverged lineage?)")
 			}
 			return nil // both empty: nothing to do
 		}
-		return fmt.Errorf("follower: resync span [%d,%d) is empty", info.Base, info.Len)
+		return fmt.Errorf("follower: resync span [%d,%d) is empty", base, n)
 	}
-	diffs := make([]*checkpoint.Diff, 0, info.Len-info.Base)
-	if err := cn.PullSpan(handle, int(info.Base), int(info.Len), checkpoint.OwnedDiffs(&diffs)); err != nil {
-		return fmt.Errorf("follower: resync pull [%d,%d): %w", info.Base, info.Len, err)
+	f.opts.Logf("follower %s: cursor refused; re-pulling [%d,%d)", f.opts.Lineage, base, n)
+	diffs := make([]*checkpoint.Diff, 0, n-base)
+	if err := cn.PullSpan(handle, base, n, checkpoint.OwnedDiffs(&diffs)); err != nil {
+		return fmt.Errorf("follower: resync pull [%d,%d): %w", base, n, err)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed || f.promoted {
 		return errStopped
 	}
-	if err := f.store.InstallSpan(int(info.Base), diffs); err != nil {
+	if err := f.store.InstallSpan(base, diffs); err != nil {
 		return fmt.Errorf("follower: installing resync span: %w", err)
 	}
 	if err := f.reloadLocked(); err != nil {
@@ -598,7 +583,7 @@ func (f *Follower) Close() error {
 //
 // The cursor needs no reset afterwards: the replacement carries the
 // same canonical bytes, so the checksum of the last diff still holds.
-// Missing suffixes and fold barriers are NOT Heal's job — the
+// Missing suffixes and folded spans are NOT Heal's job — the
 // replication stream converges those. Heal covers exactly the damage
 // the stream cannot see: bytes that rotted after they were mirrored.
 //

@@ -222,8 +222,9 @@ func TestFollowerLiveTailAndPromote(t *testing.T) {
 }
 
 // A compaction fold on the primary invalidates the follower's cursor
-// mid-stream. The follower must receive the barrier, re-pull the
-// folded span, and converge byte-exactly on the new baseline.
+// mid-stream. The stream ends; the follower's cursor is refused on
+// re-subscribe, and it must re-pull the folded span and converge
+// byte-exactly on the new baseline.
 func TestFollowerResyncAcrossFold(t *testing.T) {
 	images := testImages(903, 8)
 	_, addr, stop := startServer(t, server.Config{Root: t.TempDir()})
@@ -438,7 +439,7 @@ func TestFollowerTailHoldsNoChain(t *testing.T) {
 		}
 		for _, resp := range []wire.Frame{
 			{Type: wire.TOpen, Payload: wire.EncodeOpenInfo(0)},
-			{Type: wire.TSubscribe, Payload: wire.EncodeSubscribeAck(wire.SubscribeAck{})},
+			{Type: wire.TSubscribe},
 		} {
 			if req, err := wire.ReadFrame(nc, 0); err != nil || req.Type != resp.Type {
 				return

@@ -143,13 +143,18 @@ func (s *Server) reconcilePeer(peer antientropy.Peer, recs map[string]*antientro
 				// Heals serialize with pushes and compactions through
 				// the lineage queue; a saturated lineage sheds the heal
 				// like any other request and the next round retries.
+				// Whatever fn installed — a suffix reinstalled at the
+				// tail, a peer's folded span — then wakes the lineage's
+				// subscribers, as a push or a fold does.
 				Locked: func(fn func() error) error {
 					release, err := ln.acquire()
 					if err != nil {
 						return err
 					}
 					defer release()
-					return fn()
+					err = fn()
+					s.hub.wake(ln)
+					return err
 				},
 				Logf: s.cfg.Logf,
 			})
@@ -185,9 +190,8 @@ func (s *Server) reconcilePeer(peer antientropy.Peer, recs map[string]*antientro
 
 // compactLineage folds ln to baseline target — for wire.CompactAuto,
 // to where its retention policy puts it — and counts a fold that moved
-// the baseline. Such a fold stops the lineage's subscribers before the
-// lineage lock is released, so no push lands on the folded base ahead
-// of the barrier (DESIGN §15).
+// the baseline. Such a fold wakes the lineage's subscribers: the span
+// each one pinned has moved, so its next look ends it (DESIGN §15).
 func (s *Server) compactLineage(ln *lineage, target uint32) (lifecycle.Stats, error) {
 	var st lifecycle.Stats
 	var err error
@@ -200,7 +204,7 @@ func (s *Server) compactLineage(ln *lineage, target uint32) (lifecycle.Stats, er
 	if k < base {
 		err = fmt.Errorf("lifecycle: target %d outside stored range [%d,%d)", k, base, length)
 	} else if st, err = lifecycle.Fold(ln.store, k, nil); err == nil && st.NewBase > st.OldBase {
-		s.foldBarrier(ln, st.NewBase)
+		s.hub.wake(ln)
 	}
 	ln.mu.Unlock()
 	if err != nil || st.NewBase == st.OldBase {

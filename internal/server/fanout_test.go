@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"runtime"
@@ -104,18 +106,17 @@ func TestReplicatedIntakeRecyclesStaging(t *testing.T) {
 
 // readTails reads the frames a subscription sends from checkpoint from
 // on: TTail frames, each of which must carry the pushed payload of the
-// next checkpoint, up to the TResync that ends the stream, which it
-// returns with the number of TTail frames read.
-func readTails(t *testing.T, sub net.Conn, want [][]byte, from int) (int, wire.Resync) {
+// next checkpoint, until the server closes the stream.
+func readTails(t *testing.T, sub net.Conn, want [][]byte, from int) {
 	t.Helper()
 	for ck := from; ; ck++ {
-		fr := readTail(t, sub)
-		if fr.Type == wire.TResync {
-			info, err := wire.DecodeResync(fr.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ck - from, info
+		sub.SetReadDeadline(time.Now().Add(5 * time.Second))
+		fr, err := wire.ReadFrame(sub, 0)
+		if errors.Is(err, io.EOF) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("after %d tail frames: %v", ck-from, err)
 		}
 		if fr.Type != wire.TTail || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, want[ck]) {
 			t.Fatalf("frame type %#x ckpt %d is not the pushed payload of checkpoint %d", fr.Type, fr.Ckpt, ck)
@@ -194,8 +195,9 @@ func TestRaceFanOutReleases(t *testing.T) {
 		if resp := call(t, pusher, &wire.Frame{Type: wire.TCompact, Lineage: h, Ckpt: 3}); resp.Status != wire.StatusOK {
 			t.Fatalf("compact: %s", resp.Payload)
 		}
-		if _, info := readTails(t, sub, want, 0); info != (wire.Resync{Reason: wire.ResyncFold, Base: 3, Len: n}) {
-			t.Fatalf("barrier %+v, want fold [3,%d)", info, n)
+		readTails(t, sub, want, 0)
+		if ends := l.srv.FoldEnds(); ends != 1 {
+			t.Fatalf("FoldEnds = %d, want 1", ends)
 		}
 		waitFree(t, l.srv, warm)
 	})

@@ -184,7 +184,7 @@ func TestRaceStagingRecycle(t *testing.T) {
 			t.Fatalf("run %d: settling gave the list %d bytes and left %d frames staged, want %d and none", r, got, len(run.batch), n*len(want[0]))
 		}
 		select {
-		case <-sub.wake:
+		case <-sub:
 		default:
 			t.Fatalf("run %d settled without waking its subscriber", r)
 		}

@@ -1,8 +1,9 @@
-// The per-lineage subscription hub: who to wake when a lineage grows,
-// and who to stop when a fold moves its baseline.
+// The per-lineage subscription hub: who to wake when a lineage changes.
 //
 // The hub holds no frames. A subscription reads what it sends from the
-// store (subscribe.go); the hub only tells it when to look again.
+// store (subscribe.go); the hub only tells it when to look again. What
+// it finds is either more diffs of its generation, which it sends, or
+// a lineage a fold or span install rewrote, which ends it.
 //
 // Design constraints, in order:
 //
@@ -20,73 +21,36 @@
 
 package server
 
-import (
-	"sync"
-	"sync/atomic"
+import "sync"
 
-	"github.com/gpuckpt/gpuckpt/internal/wire"
-)
-
-// tailSub is one live subscriber of one lineage. The serving goroutine
-// selects on wake (the lineage grew) and stop (fold barrier); after stop
-// is closed the verdict fields say what span to report in the final
-// TResync frame.
-type tailSub struct {
-	wake chan struct{}
-	stop chan struct{}
-	once sync.Once
-
-	// Verdict, stored before stop closes (the channel close is the
-	// happens-before edge that publishes them to the serving
-	// goroutine).
-	newBase atomic.Uint32 //ckptlint:atomic
-	newLen  atomic.Uint32 //ckptlint:atomic
-}
-
-// fold records the fold verdict and releases the serving goroutine.
-// Idempotent: the first verdict wins.
-func (t *tailSub) fold(base, n uint32) {
-	t.once.Do(func() {
-		t.newBase.Store(base)
-		t.newLen.Store(n)
-		close(t.stop)
-	})
-}
-
-// verdict reads the fold barrier after stop closed.
-func (t *tailSub) verdict() wire.Resync {
-	return wire.Resync{Reason: wire.ResyncFold, Base: t.newBase.Load(), Len: t.newLen.Load()}
-}
-
-// hub tracks the subscribers of every lineage.
+// hub tracks the subscribers of every lineage. A subscriber is its
+// wake channel: capacity one, so a wake is a token that is either
+// waiting for it or not.
 type hub struct {
 	mu sync.Mutex
 	//ckptlint:guardedby mu
-	subs map[*lineage][]*tailSub
+	subs map[*lineage][]chan struct{}
 }
 
 func newHub() *hub {
-	return &hub{subs: make(map[*lineage][]*tailSub)}
+	return &hub{subs: make(map[*lineage][]chan struct{})}
 }
 
 // register adds a subscriber. Called with the lineage lock held, so the
-// registration point is a consistent cut: every diff appended after it
-// is followed by a wake, every earlier one is in the store already.
-func (h *hub) register(ln *lineage) *tailSub {
-	sub := &tailSub{
-		wake: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-	}
+// registration point is a consistent cut: every change to the lineage
+// after it is followed by a wake, every earlier one is in the store
+// already.
+func (h *hub) register(ln *lineage) chan struct{} {
+	sub := make(chan struct{}, 1)
 	h.mu.Lock()
 	h.subs[ln] = append(h.subs[ln], sub)
 	h.mu.Unlock()
 	return sub
 }
 
-// unregister removes a subscriber if it is still registered (a fold
-// already removed it). Called once per register, when the subscription
-// is over; a second call finds nothing to do.
-func (h *hub) unregister(ln *lineage, sub *tailSub) {
+// unregister removes a subscriber. Called once per register, when the
+// subscription is over.
+func (h *hub) unregister(ln *lineage, sub chan struct{}) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	subs := h.subs[ln]
@@ -103,30 +67,17 @@ func (h *hub) unregister(ln *lineage, sub *tailSub) {
 	}
 }
 
-// wake tells every subscriber of ln that the lineage grew. A subscriber
-// that has not taken its last token yet keeps that one: it reads the
-// store to its end, so one token covers any number of appends.
+// wake tells every subscriber of ln that the lineage changed. A
+// subscriber that has not taken its last token yet keeps that one: it
+// reads the store to its end, so one token covers any number of
+// changes.
 func (h *hub) wake(ln *lineage) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, sub := range h.subs[ln] {
 		select {
-		case sub.wake <- struct{}{}:
+		case sub <- struct{}{}:
 		default:
 		}
 	}
-}
-
-// fold stops every subscriber of ln with a fold barrier: the baseline
-// moved, so their resume cursors are stale and they must re-pull
-// [base, n) before re-subscribing. Returns how many were stopped.
-func (h *hub) fold(ln *lineage, base, n uint32) int {
-	h.mu.Lock()
-	stopped := h.subs[ln]
-	delete(h.subs, ln)
-	h.mu.Unlock()
-	for _, sub := range stopped {
-		sub.fold(base, n)
-	}
-	return len(stopped)
 }

@@ -206,7 +206,7 @@ type Server struct {
 	streamPushes   atomic.Uint64 //ckptlint:atomic
 	subscribes     atomic.Uint64 //ckptlint:atomic
 	tailFrames     atomic.Uint64 //ckptlint:atomic
-	foldBarriers   atomic.Uint64 //ckptlint:atomic
+	foldEnds       atomic.Uint64 //ckptlint:atomic
 
 	// Anti-entropy counters. degraded is a gauge:
 	// the number of peers currently unreachable.
@@ -371,12 +371,13 @@ func (s *Server) snapshot() []*lineage {
 func (s *Server) StreamPushes() uint64 { return s.streamPushes.Load() }
 
 // Subscribes reports accepted subscriptions; TailFrames the TTail
-// frames pushed; FoldBarriers subscribers stopped because a compaction
-// fold moved their lineage's baseline. Like StreamPushes these are
-// server-side counters, not part of the wire.Stats payload.
-func (s *Server) Subscribes() uint64   { return s.subscribes.Load() }
-func (s *Server) TailFrames() uint64   { return s.tailFrames.Load() }
-func (s *Server) FoldBarriers() uint64 { return s.foldBarriers.Load() }
+// frames pushed; FoldEnds the subscriptions that ended because a fold
+// or span install rewrote their lineage (checkpoint.ErrSpanMoved). Like
+// StreamPushes these are server-side counters, not part of the
+// wire.Stats payload.
+func (s *Server) Subscribes() uint64 { return s.subscribes.Load() }
+func (s *Server) TailFrames() uint64 { return s.tailFrames.Load() }
+func (s *Server) FoldEnds() uint64   { return s.foldEnds.Load() }
 
 // Stats returns the current counters. The Quarantined gauge counts
 // the damaged diffs (FileStore.DamagedIDs) not yet healed across every
@@ -562,8 +563,8 @@ func (s *Server) handshake(conn net.Conn) error {
 const connBufSize = 64 << 10
 
 // handleConn runs the request loop of one connection. stop fires when
-// Serve begins draining; subscriptions use it to end their tail
-// streams with a shutdown barrier instead of waiting out the drain.
+// Serve begins draining; subscriptions use it to close their tail
+// streams instead of waiting out the drain.
 func (s *Server) handleConn(ctx context.Context, stop <-chan struct{}, conn net.Conn) {
 	defer conn.Close()
 	caddr := conn.RemoteAddr().String()

@@ -11,10 +11,12 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gpuckpt/gpuckpt/internal/antientropy"
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/lifecycle"
 	"github.com/gpuckpt/gpuckpt/internal/recframe"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
+	"github.com/gpuckpt/gpuckpt/internal/wireclient"
 )
 
 // subscribeOn opens name on conn and issues a TSubscribe with cur,
@@ -40,6 +42,16 @@ func readTail(t *testing.T, conn net.Conn) *wire.Frame {
 		t.Fatalf("reading tail stream: %v", err)
 	}
 	return fr
+}
+
+// readClosed reads off a subscribed connection and fails unless the
+// server closed the stream, sending nothing first.
+func readClosed(t *testing.T, conn net.Conn) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if fr, err := wire.ReadFrame(conn, 0); !errors.Is(err, io.EOF) {
+		t.Fatalf("read %+v (%v), want the stream closed", fr, err)
+	}
 }
 
 // TestSubscribeBacklogThenLive is the core subscription contract: an accepted
@@ -69,9 +81,8 @@ func TestSubscribeBacklogThenLive(t *testing.T) {
 	if resp.Type != wire.TSubscribe || resp.Status != wire.StatusOK {
 		t.Fatalf("subscribe: %+v", resp)
 	}
-	ack, err := wire.DecodeSubscribeAck(resp.Payload)
-	if err != nil || ack.Base != 0 || ack.Len != 2 {
-		t.Fatalf("ack %+v (%v), want [0,2)", ack, err)
+	if resp.Ckpt != 2 || len(resp.Payload) != 0 {
+		t.Fatalf("ack %+v, want an empty payload and length 2", resp)
 	}
 
 	// A third diff pushed while the subscription is live.
@@ -110,8 +121,9 @@ func TestSubscribeBacklogThenLive(t *testing.T) {
 }
 
 // TestSubscribeStaleCursorKeepsConnection: a rejected cursor answers
-// with a TResync RESPONSE and leaves the connection in request mode —
-// the subscriber pulls the span and re-subscribes on the same socket.
+// with a StatusSpanMoved error frame and leaves the connection in
+// request mode — the subscriber pulls the span and re-subscribes on the
+// same socket.
 func TestSubscribeStaleCursorKeepsConnection(t *testing.T) {
 	_, addr, stop := startServer(t, Config{Root: t.TempDir()})
 	defer stop()
@@ -127,12 +139,11 @@ func TestSubscribeStaleCursorKeepsConnection(t *testing.T) {
 	defer sub.Close()
 	// CRC does not match the stored diff 0: continuity is unprovable.
 	h, resp := subscribeOn(t, sub, "stale", wire.Cursor{Base: 0, Next: 1, CRC: 0xDEAD})
-	if resp.Type != wire.TResync || resp.Status != wire.StatusOK {
-		t.Fatalf("stale cursor: %+v, want TResync response", resp)
+	if resp.Type != wire.TSubscribe || resp.Status != wire.StatusSpanMoved {
+		t.Fatalf("stale cursor: %+v, want a StatusSpanMoved error frame", resp)
 	}
-	info, err := wire.DecodeResync(resp.Payload)
-	if err != nil || info.Reason != wire.ResyncFold || info.Base != 0 || info.Len != 1 {
-		t.Fatalf("resync info %+v (%v)", info, err)
+	if err := resp.Err(); !errors.Is(err, wire.ErrSpanMoved) {
+		t.Fatalf("stale cursor: %v, want wire.ErrSpanMoved", err)
 	}
 
 	// Same connection still serves requests: pull the span...
@@ -260,16 +271,18 @@ func recv(t *testing.T, ch <-chan *wire.Frame, what string) *wire.Frame {
 	return nil
 }
 
-// TestFoldBarrier: a fold that moves the baseline — an explicit
-// TCompact, a CompactAuto one, or a background compactLoop sweep —
-// sheds a live subscriber with a ResyncFold barrier carrying the
-// committed [base, len), and sends it before the lineage lock is
-// released. The fold is held just past its manifest rename while a push
-// queues on the lineage lock; the barrier still excludes that push,
-// and the subscriber never sees it as a TTail. A no-op TCompact sheds
-// nobody: a subscription resumed on the folded span keeps receiving
-// TTail frames.
-func TestFoldBarrier(t *testing.T) {
+// TestFoldEndsSubscription: a fold that moves the baseline — an
+// explicit TCompact, a CompactAuto one, or a background compactLoop
+// sweep — ends a live subscription: the server closes the stream. The
+// fold is held just past its manifest rename while a push queues on the
+// lineage lock; the push lands once the fold is done, before the
+// subscriber reads, and still never reaches it as a TTail, because the
+// subscription serves only the generation it registered at. The old
+// cursor is then refused with StatusSpanMoved, and TOpen reports the
+// folded span. A no-op TCompact ends nobody: a subscription resumed on
+// the folded span keeps receiving TTail frames, until a fold with no
+// push after it ends that one too.
+func TestFoldEndsSubscription(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		interval time.Duration // of the background compactLoop; 0 = off
@@ -308,12 +321,14 @@ func TestFoldBarrier(t *testing.T) {
 			}
 
 			// Hold the fold just past its commit point, with the lineage
-			// lock held.
+			// lock held. The hold also sets the lineage to keep-all, under
+			// that lock, so that no later sweep folds it again.
 			entered, release := make(chan struct{}), make(chan struct{})
 			var once sync.Once
 			ln.store.SetHooks(&recframe.Hooks{Seam: func(point, _ string) error {
 				if point == recframe.SeamAfterRename {
 					once.Do(func() {
+						ln.policy = lifecycle.KeepAll()
 						close(entered)
 						<-release
 					})
@@ -341,27 +356,7 @@ func TestFoldBarrier(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 			}
-			// Let the fold finish while the hub is held: a fold that keeps
-			// the lineage lock until its barrier is sent stalls on the hub
-			// with the push still queued behind it, so the lineage stays at
-			// six diffs for as long as the hub is held.
-			srv.hub.mu.Lock()
 			close(release)
-			for end := time.Now().Add(50 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
-				if n := ln.store.Len(); n != 6 {
-					srv.hub.mu.Unlock()
-					t.Fatalf("push landed (length %d) before the fold barrier was sent", n)
-				}
-			}
-			srv.hub.mu.Unlock()
-
-			fr := readTail(t, sub)
-			if fr.Type != wire.TResync {
-				t.Fatalf("subscriber got frame type %#x ckpt %d, want the fold barrier", fr.Type, fr.Ckpt)
-			}
-			if info, err := wire.DecodeResync(fr.Payload); err != nil || info != (wire.Resync{Reason: wire.ResyncFold, Base: 4, Len: 6}) {
-				t.Fatalf("barrier %+v (%v), want fold [4,6)", info, err)
-			}
 			if resp := recv(t, pushed, "push 6"); resp.Ckpt != 7 {
 				t.Fatalf("push 6 left length %d", resp.Ckpt)
 			}
@@ -371,14 +366,20 @@ func TestFoldBarrier(t *testing.T) {
 					t.Fatalf("compact result %+v (%v)", res, err)
 				}
 			}
-			if n := srv.FoldBarriers(); n != 1 {
-				t.Fatalf("FoldBarriers = %d, want 1", n)
+
+			readClosed(t, sub)
+			if _, resp := subscribeOn(t, ctl, "fold", cur); resp.Status != wire.StatusSpanMoved {
+				t.Fatalf("re-subscribe with the old cursor: %+v, want StatusSpanMoved", resp)
 			}
-			if tc.interval != 0 {
-				return // the sweep keeps folding; the no-op case needs a still lineage
+			open := call(t, ctl, &wire.Frame{Type: wire.TOpen, Payload: []byte("fold")})
+			if base, err := wire.DecodeOpenInfo(open.Payload); err != nil || base != 4 || open.Ckpt != 7 {
+				t.Fatalf("open after the fold: base %d (%v) length %d, want [4,7)", base, err, open.Ckpt)
+			}
+			if n := srv.FoldEnds(); n != 1 {
+				t.Fatalf("FoldEnds = %d, want 1", n)
 			}
 
-			// A no-op TCompact sheds nobody.
+			// A no-op TCompact ends nobody.
 			ln.store.SetHooks(nil)
 			sub2 := testConn(t, addr)
 			defer sub2.Close()
@@ -396,9 +397,16 @@ func TestFoldBarrier(t *testing.T) {
 			if fr := readTail(t, sub2); fr.Type != wire.TTail || fr.Ckpt != 7 {
 				t.Fatalf("after a no-op compact: frame type %#x ckpt %d, want TTail 7", fr.Type, fr.Ckpt)
 			}
-			if n := srv.FoldBarriers(); n != 1 {
-				t.Fatalf("FoldBarriers = %d after a no-op compact, want 1", n)
+			if n := srv.FoldEnds(); n != 1 {
+				t.Fatalf("FoldEnds = %d after a no-op compact, want 1", n)
 			}
+
+			// A fold with no push after it ends the idle subscription by
+			// itself.
+			if res, err := wire.DecodeCompactResult(call(t, ctl, &wire.Frame{Type: wire.TCompact, Lineage: h, Ckpt: 6}).Payload); err != nil || res.NewBase != 6 {
+				t.Fatalf("second compact %+v (%v)", res, err)
+			}
+			readClosed(t, sub2)
 		})
 	}
 }
@@ -436,10 +444,9 @@ func basicChain(t *testing.T, n, size, chunk int) [][]byte {
 // generation other than its own. The subscriber is mid-backlog, parked
 // on an unbuffered pipe in the write of checkpoint 3, when a fold to
 // baseline 4 commits; the fold is held just past its manifest rename
-// and then kept from sending its barrier. The next diff the subscription
+// and then kept from waking anyone. The next diff the subscription
 // reads — checkpoint 4, which the fold rewrote as a Full baseline — is
-// of the new generation, so instead of it the stream ends with a fold
-// barrier naming the folded span.
+// of the new generation, so instead of it the stream ends.
 func TestSubscribeFoldMidBacklog(t *testing.T) {
 	const n = 6
 	want := basicChain(t, n, 4096, 64)
@@ -494,22 +501,16 @@ func TestSubscribeFoldMidBacklog(t *testing.T) {
 	if _, err := io.ReadFull(sub, rest); err != nil || !bytes.Equal(rest, want[3]) {
 		t.Fatalf("payload of checkpoint 3: %v", err)
 	}
-	// Let the fold finish with the hub held, so its barrier waits: what
+	// Let the fold finish with the hub held, so its wake waits: what
 	// the subscriber reads next comes from the subscription alone.
 	l.srv.hub.mu.Lock()
 	close(release)
 	sub.SetReadDeadline(time.Now().Add(5 * time.Second))
 	fr, err := wire.ReadFrame(sub, 0)
 	l.srv.hub.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr.Type != wire.TResync {
-		t.Fatalf("after checkpoint 3 the subscriber got frame type %#x ckpt %d (payload is the pushed diff: %v), want the fold barrier",
-			fr.Type, fr.Ckpt, fr.Ckpt < n && bytes.Equal(fr.Payload, want[fr.Ckpt]))
-	}
-	if info, err := wire.DecodeResync(fr.Payload); err != nil || info != (wire.Resync{Reason: wire.ResyncFold, Base: 4, Len: n}) {
-		t.Fatalf("barrier %+v (%v), want fold [4,%d)", info, err, n)
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("after checkpoint 3 the subscriber read %+v (%v; payload is the pushed diff: %v), want the stream closed",
+			fr, err, fr != nil && fr.Ckpt < n && bytes.Equal(fr.Payload, want[fr.Ckpt]))
 	}
 	if res, err := wire.DecodeCompactResult(recv(t, compacted, "compact").Payload); err != nil || res.NewBase != 4 {
 		t.Fatalf("compact result %+v (%v)", res, err)
@@ -517,8 +518,8 @@ func TestSubscribeFoldMidBacklog(t *testing.T) {
 }
 
 // TestSubscribeRotEndsWithoutBarrier: a diff that fails verification is
-// not a fold. The subscription sends the diffs before it, then ends the
-// stream without a barrier and without a byte of the rotten diff; the
+// not a fold. The subscription sends the diffs before it, then closes
+// the stream without a byte of the rotten diff, uncounted by FoldEnds; the
 // subscriber's cursor stays good, and once the diff is reinstalled a
 // subscription resumed from that cursor is sent it byte-exact.
 func TestSubscribeRotEndsWithoutBarrier(t *testing.T) {
@@ -588,8 +589,8 @@ func TestSubscribeRotEndsWithoutBarrier(t *testing.T) {
 			t.Fatalf("frame %d: type %#x ckpt %d, want the pushed diff", ck, fr.Type, fr.Ckpt)
 		}
 	}
-	if n := srv.FoldBarriers(); n != 0 {
-		t.Fatalf("%d fold barriers sent", n)
+	if n := srv.FoldEnds(); n != 0 {
+		t.Fatalf("%d subscriptions ended as moved by rot", n)
 	}
 
 	d, err := checkpoint.DecodeBytes(want[2])
@@ -608,5 +609,76 @@ func TestSubscribeRotEndsWithoutBarrier(t *testing.T) {
 		if fr.Type != wire.TTail || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, wire.EncodePush(want[ck])) {
 			t.Fatalf("frame %d after the reinstall: type %#x ckpt %d, want the pushed diff", i, fr.Type, fr.Ckpt)
 		}
+	}
+}
+
+// TestAntiEntropyWakesSubscribers: what the server's own reconciler
+// installs reaches the lineage's subscribers without a push. Server A
+// is one round behind its peer B, and a subscriber on A waits at
+// Len(A). When B holds a longer suffix, the round reinstalls it on A
+// and the subscriber is sent every pulled id as a TTail; when B folded
+// past A, the round adopts B's span, the subscriber's stream ends, and
+// its cursor is refused with StatusSpanMoved.
+func TestAntiEntropyWakesSubscribers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fold bool
+	}{{"suffix", false}, {"fold", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srvA, addrA, stopA := startServer(t, Config{Root: t.TempDir()})
+			defer stopA()
+			_, addrB, stopB := startServer(t, Config{Root: t.TempDir()})
+			defer stopB()
+			a, b, sub := testConn(t, addrA), testConn(t, addrB), testConn(t, addrA)
+			defer a.Close()
+			defer b.Close()
+			defer sub.Close()
+
+			hA := call(t, a, &wire.Frame{Type: wire.TOpen, Payload: []byte("ae")}).Lineage
+			hB := call(t, b, &wire.Frame{Type: wire.TOpen, Payload: []byte("ae")}).Lineage
+			want := make([][]byte, 6)
+			for ck := range want {
+				want[ck] = wire.EncodePush(encodedDiff(t, ck, byte(0x40+ck)))
+				if ck < 3 {
+					if resp := call(t, a, &wire.Frame{Type: wire.TPush, Lineage: hA, Ckpt: uint32(ck), Payload: want[ck]}); resp.Status != wire.StatusOK {
+						t.Fatalf("push %d to A: %s", ck, resp.Payload)
+					}
+				}
+				if resp := call(t, b, &wire.Frame{Type: wire.TPush, Lineage: hB, Ckpt: uint32(ck), Payload: want[ck]}); resp.Status != wire.StatusOK {
+					t.Fatalf("push %d to B: %s", ck, resp.Payload)
+				}
+			}
+			if tc.fold {
+				if resp := call(t, b, &wire.Frame{Type: wire.TCompact, Lineage: hB, Ckpt: 4}); resp.Status != wire.StatusOK {
+					t.Fatalf("compact B: %s", resp.Payload)
+				}
+			}
+			cur := wire.Cursor{Next: 3, CRC: wire.Checksum(encodedDiff(t, 2, 0x42))}
+			if _, resp := subscribeOn(t, sub, "ae", cur); resp.Status != wire.StatusOK {
+				t.Fatalf("subscribe: %+v", resp)
+			}
+
+			peer, err := wireclient.New(addrB, wireclient.Options{Timeout: 5 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer peer.Close()
+			if !srvA.reconcilePeer(peer, map[string]*antientropy.Reconciler{}, map[string]bool{}) {
+				t.Fatal("peer B unreachable")
+			}
+
+			if !tc.fold {
+				for ck := 3; ck < len(want); ck++ {
+					if fr := readTail(t, sub); fr.Type != wire.TTail || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, want[ck]) {
+						t.Fatalf("frame type %#x ckpt %d, want the pulled diff %d", fr.Type, fr.Ckpt, ck)
+					}
+				}
+				return
+			}
+			readClosed(t, sub)
+			if _, resp := subscribeOn(t, a, "ae", cur); resp.Status != wire.StatusSpanMoved {
+				t.Fatalf("re-subscribe after the adopted fold: %+v, want StatusSpanMoved", resp)
+			}
+		})
 	}
 }

@@ -20,8 +20,8 @@
 // TPushStream frames is pipelined (acknowledgements return out of
 // order, keyed by checkpoint id), a TPull is answered by one frame per
 // checkpoint of the span it names, and an accepted TSubscribe switches
-// the connection into a server-pushed tail stream of TTail frames
-// (see subscribe.go).
+// the connection into a server-pushed tail stream of TTail frames that
+// ends when the server closes it (see subscribe.go).
 package wire
 
 import (
@@ -44,7 +44,7 @@ const (
 	// peer is built from the same source tree, so there is nothing to
 	// negotiate: both ends refuse a hello advertising any other version
 	// with a *VersionError before a single frame is exchanged.
-	Version uint8 = 7
+	Version uint8 = 8
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 14
 	// HelloSize is the handshake message length in bytes.
@@ -102,25 +102,24 @@ const (
 	// lineage Lineage to this connection. The payload is a resume
 	// cursor (EncodeSubscribe): the subscriber's view of the baseline,
 	// the next checkpoint id it needs, and the CRC32C of the last diff
-	// it holds. An accepted subscription answers with a TSubscribe/
-	// StatusOK frame (SubscribeAck payload) and the connection leaves
-	// request/response mode: from then on the server pushes TTail
-	// frames until either side closes or a TResync barrier ends the
-	// stream. A rejected cursor answers with a TResync frame and the
-	// connection STAYS in request mode, so the subscriber can pull the
-	// authoritative span over the same connection and re-subscribe.
+	// it holds. It is answered like any request (v8). An accepted
+	// subscription gets a TSubscribe/StatusOK frame with an empty
+	// payload and header Ckpt the lineage length, and the connection
+	// leaves request/response mode: the server pushes TTail frames
+	// until the stream ends, and ends it by closing the connection. A
+	// cursor the server cannot continue gets a StatusSpanMoved error
+	// frame and the connection stays in request mode, so the
+	// subscriber can pull the lineage's current span over it and
+	// re-subscribe.
 	TSubscribe
 	// TTail (v5) is one server-pushed diff on a subscribed
 	// connection: header Ckpt is the absolute checkpoint id and the
 	// payload uses the TPush layout (CRC32C prefix + encoded diff).
 	TTail
-	// TResync (v5) tells a subscriber its cursor is not continuable;
-	// the payload (EncodeResync) carries the reason and the
-	// authoritative [base, len) span to re-sync from. As a response to
-	// TSubscribe it keeps the connection in request mode; pushed
-	// mid-stream it is a terminal barrier — the server closes the
-	// connection after sending it.
-	TResync
+	// Type byte 11 carried the subscription barrier of v5-v7. It is
+	// retired in place, so every later type keeps its byte, and it is
+	// never reused.
+	_
 	// TDigest (v6) asks for a divergence digest of lineage Lineage.
 	// The request payload (EncodeDigestReq) names a checkpoint span
 	// and whether per-diff detail is wanted; the response carries a
@@ -169,7 +168,8 @@ const (
 	// one generation of the lineage: a compaction folded its start away,
 	// or replaced the lineage while the span was streaming. Nothing the
 	// frames before it carried is wrong; re-opening the lineage and
-	// pulling the span it reports now is always safe.
+	// pulling the span it reports now is always safe. Since v8 it also
+	// refuses a TSubscribe cursor the server cannot continue.
 	StatusSpanMoved uint8 = 5
 )
 
@@ -200,8 +200,8 @@ var (
 	ErrUnknownHandle = errors.New("wire: unknown lineage handle")
 	// ErrSpanMoved matches (via errors.Is) a RemoteError carried by a
 	// StatusSpanMoved response: a compaction moved the lineage out from
-	// under the pulled span. The client recovers by re-opening the
-	// lineage and pulling its current span.
+	// under the pulled span or the subscribe cursor. The client recovers
+	// by re-opening the lineage and pulling its current span.
 	ErrSpanMoved = errors.New("wire: pulled span moved")
 	// ErrUnexpectedResponse reports a response frame whose type does not
 	// answer the request that was sent. The stream is out of step with

@@ -110,7 +110,7 @@ func TestHandshake(t *testing.T) {
 // a *VersionError naming the peer's version, and the refusal is
 // terminal.
 func TestHandshakeExactVersion(t *testing.T) {
-	for _, theirs := range []uint8{0, 3, Version - 1, Version + 1, 255} {
+	for _, theirs := range []uint8{0, 3, 7, Version - 1, Version + 1, 255} {
 		peer := bytes.NewBuffer([]byte{0x43, 0x4b, 0x50, 0x44, theirs, 0})
 		var out bytes.Buffer
 		err := Handshake(pipeRW{peer, &out})
@@ -120,6 +120,34 @@ func TestHandshakeExactVersion(t *testing.T) {
 		}
 		if Transient(err) {
 			t.Fatalf("version mismatch %v classified transient", err)
+		}
+	}
+}
+
+// TestFrameTypeBytes pins the type byte of every frame type. A type
+// keeps its byte for as long as the protocol has it, and a retired byte
+// is never handed out again: 11 was TResync until v8.
+func TestFrameTypeBytes(t *testing.T) {
+	const retired = 11
+	for name, c := range map[string]struct{ got, want uint8 }{
+		"TOpen":       {TOpen, 1},
+		"TPush":       {TPush, 2},
+		"TPull":       {TPull, 3},
+		"TList":       {TList, 4},
+		"TStats":      {TStats, 5},
+		"TCompact":    {TCompact, 6},
+		"TPolicy":     {TPolicy, 7},
+		"TPushStream": {TPushStream, 8},
+		"TSubscribe":  {TSubscribe, 9},
+		"TTail":       {TTail, 10},
+		"TDigest":     {TDigest, 12},
+		"TErr":        {TErr, 0xFF},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is type byte %d, want %d", name, c.got, c.want)
+		}
+		if c.got == retired {
+			t.Errorf("%s uses the retired type byte %d", name, retired)
 		}
 	}
 }

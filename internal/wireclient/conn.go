@@ -72,10 +72,9 @@ func (cn *Conn) dropSpare() {
 }
 
 // answers is the one response-type check: the frame read last must
-// carry the type of the request it answers (TResync answering
-// TSubscribe is the one declared exception).
+// carry the type of the request it answers.
 func (cn *Conn) answers(reqType uint8) error {
-	if cn.resp.Type != reqType && !(reqType == wire.TSubscribe && cn.resp.Type == wire.TResync) {
+	if cn.resp.Type != reqType {
 		return fmt.Errorf("%w: type 0x%02x to request 0x%02x", wire.ErrUnexpectedResponse, cn.resp.Type, reqType)
 	}
 	return nil
