@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 	"github.com/gpuckpt/gpuckpt/internal/wireclient"
 )
@@ -179,6 +180,42 @@ func TestPulledRecordSurvivesNextPull(t *testing.T) {
 			if got, err := tc.rec.Restore(k); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("lineage %q checkpoint %d restored wrong after later pulls (%v)", tc.name, k, err)
 			}
+		}
+	}
+}
+
+// TestRecordSinkAliasAudit: recordSink gives every pulled increment —
+// region lists included — memory of its own, so the connection's read
+// buffer, overwritten with 0xA5 after each diff, takes nothing of the
+// record with it.
+func TestRecordSinkAliasAudit(t *testing.T) {
+	ck, chain := encodedChain(t, 3, 8)
+	largest := 0
+	for _, enc := range chain {
+		largest = max(largest, len(enc))
+	}
+	rec := checkpoint.NewRecord()
+	sink := recordSink(rec, &wireclient.Conn{}, "audit")
+	rb := make([]byte, 0, 4*largest) // never half full: nothing is kept in place
+	for k, enc := range chain {
+		if err := sink(k, append(rb[:0], enc...)); err != nil {
+			t.Fatal(err)
+		}
+		for i, all := 0, rb[:cap(rb)]; i < len(all); i++ {
+			all[i] = 0xA5
+		}
+	}
+	for k, enc := range chain {
+		var got bytes.Buffer
+		if err := rec.Diff(k).Encode(&got); err != nil || !bytes.Equal(got.Bytes(), enc) {
+			t.Fatalf("kept diff %d re-encodes to other bytes (%v)", k, err)
+		}
+		want, err := ck.Restore(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if img, err := rec.Restore(k); err != nil || !bytes.Equal(img, want) {
+			t.Fatalf("checkpoint %d restores wrong from the kept record (%v)", k, err)
 		}
 	}
 }

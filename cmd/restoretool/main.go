@@ -183,7 +183,7 @@ func run(args []string, stdout io.Writer) error {
 				metrics.Bytes(d.MetadataBytes()),
 				metrics.Bytes(int64(len(d.Data))),
 				codec,
-				fmt.Sprintf("%d+%d", len(d.FirstOcur), len(d.ShiftDupl)),
+				fmt.Sprintf("%d+%d", d.FirstOcur.Len(), d.ShiftDupl.Len()),
 			)
 		}
 		if err := t.Render(stdout); err != nil {

@@ -49,28 +49,27 @@ func IsBlockMapped(encoded []byte) bool {
 	return len(encoded) >= 4 && binary.LittleEndian.Uint32(encoded) == blockDiffMagic
 }
 
-// appendBlockDiff appends the container of d to buf: the canonical
-// prefix of d, then refs — the interned blocks of its data section.
-func appendBlockDiff(buf []byte, d *Diff, refs []blockstore.Ref) ([]byte, error) {
+// appendBlockHeader appends the header of d's container to buf: the
+// canonical prefix of d and nrefs block references follow it.
+func appendBlockHeader(buf []byte, d *Diff, nrefs int) ([]byte, error) {
 	prefixLen := d.PrefixBytes()
-	if prefixLen > math.MaxUint32 || uint64(len(refs)) > math.MaxUint32 {
+	if prefixLen > math.MaxUint32 || uint64(nrefs) > math.MaxUint32 {
 		return buf, errors.New("checkpoint: block container metadata exceeds format limits")
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, blockDiffMagic)
 	buf = append(buf, blockDiffVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(prefixLen))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(refs)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(d.Data)))
-	buf, err := d.AppendPrefix(buf)
-	if err != nil {
-		return buf, err
-	}
-	buf = append(buf, d.Bitmap...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(nrefs))
+	return binary.LittleEndian.AppendUint64(buf, uint64(len(d.Data))), nil
+}
+
+// appendRefBytes appends the encoded reference list refs to buf.
+func appendRefBytes(buf []byte, refs []blockstore.Ref) []byte {
 	for _, r := range refs {
 		buf = append(buf, r.ID[:]...)
 		buf = binary.LittleEndian.AppendUint32(buf, r.Len)
 	}
-	return buf, nil
+	return buf
 }
 
 // parseBlockDiff parses a container image in place: prefix is the

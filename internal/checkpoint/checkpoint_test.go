@@ -34,8 +34,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		CkptID:    3,
 		DataLen:   1000,
 		ChunkSize: 64,
-		FirstOcur: []uint32{1, 7, 9},
-		ShiftDupl: []ShiftRegion{{Node: 12, SrcNode: 4, SrcCkpt: 1}, {Node: 20, SrcNode: 20, SrcCkpt: 0}},
+		FirstOcur: Firsts(1, 7, 9),
+		ShiftDupl: Shifts(ShiftRegion{Node: 12, SrcNode: 4, SrcCkpt: 1}, ShiftRegion{Node: 20, SrcNode: 20, SrcCkpt: 0}),
 		Data:      bytes.Repeat([]byte{0xee}, 100),
 	}
 	var buf bytes.Buffer
@@ -53,10 +53,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		got.ChunkSize != d.ChunkSize {
 		t.Fatalf("header mismatch: %+v", got)
 	}
-	if len(got.FirstOcur) != 3 || got.FirstOcur[1] != 7 {
+	if got.FirstOcur.Len() != 3 || got.FirstOcur.At(1) != 7 {
 		t.Fatalf("first-ocur mismatch: %v", got.FirstOcur)
 	}
-	if len(got.ShiftDupl) != 2 || got.ShiftDupl[0] != d.ShiftDupl[0] {
+	if got.ShiftDupl.Len() != 2 || got.ShiftDupl.At(0) != d.ShiftDupl.At(0) {
 		t.Fatalf("shift-dupl mismatch: %v", got.ShiftDupl)
 	}
 	if !bytes.Equal(got.Data, d.Data) {
@@ -216,7 +216,7 @@ func TestRecordTreeMethodWithShifts(t *testing.T) {
 	r := NewRecord()
 	// Checkpoint 0: one first-ocur region at the root (node 0).
 	d0 := &Diff{Method: MethodTree, CkptID: 0, DataLen: n, ChunkSize: chunk,
-		FirstOcur: []uint32{0}, Data: append([]byte(nil), base...)}
+		FirstOcur: Firsts(0), Data: append([]byte(nil), base...)}
 	if err := r.Append(d0); err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +228,8 @@ func TestRecordTreeMethodWithShifts(t *testing.T) {
 	copy(next[0:16], newBytes)
 	copy(next[16:32], base[0:16])
 	d1 := &Diff{Method: MethodTree, CkptID: 1, DataLen: n, ChunkSize: chunk,
-		FirstOcur: []uint32{3},
-		ShiftDupl: []ShiftRegion{{Node: 4, SrcNode: 3, SrcCkpt: 0}},
+		FirstOcur: Firsts(3),
+		ShiftDupl: Shifts(ShiftRegion{Node: 4, SrcNode: 3, SrcCkpt: 0}),
 		Data:      newBytes}
 	if err := r.Append(d1); err != nil {
 		t.Fatal(err)
@@ -248,8 +248,8 @@ func TestRecordTreeMethodWithShifts(t *testing.T) {
 	copy(third[48:64], newTail)
 	copy(third[32:48], newTail)
 	d2 := &Diff{Method: MethodTree, CkptID: 2, DataLen: n, ChunkSize: chunk,
-		FirstOcur: []uint32{6},
-		ShiftDupl: []ShiftRegion{{Node: 5, SrcNode: 6, SrcCkpt: 2}},
+		FirstOcur: Firsts(6),
+		ShiftDupl: Shifts(ShiftRegion{Node: 5, SrcNode: 6, SrcCkpt: 2}),
 		Data:      newTail}
 	if err := r.Append(d2); err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestRecordTreeMethodWithShifts(t *testing.T) {
 	fourth := append([]byte(nil), third...)
 	copy(fourth[0:8], base[8:16])
 	d3 := &Diff{Method: MethodTree, CkptID: 3, DataLen: n, ChunkSize: chunk,
-		ShiftDupl: []ShiftRegion{{Node: 7, SrcNode: 8, SrcCkpt: 0}}}
+		ShiftDupl: Shifts(ShiftRegion{Node: 7, SrcNode: 8, SrcCkpt: 0})}
 	if err := r.Append(d3); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestRecordAppendValidation(t *testing.T) {
 		{Method: MethodFull, CkptID: 1, DataLen: 99, ChunkSize: 16, Data: make([]byte, 99)},   // wrong length
 		{Method: MethodFull, CkptID: 1, DataLen: 100, ChunkSize: 8, Data: make([]byte, 100)},  // wrong chunk
 		{Method: MethodFull, CkptID: 1, DataLen: 100, ChunkSize: 16, Data: make([]byte, 50)},  // short data
-		{Method: MethodTree, CkptID: 1, DataLen: 100, ChunkSize: 16, FirstOcur: []uint32{999}},
+		{Method: MethodTree, CkptID: 1, DataLen: 100, ChunkSize: 16, FirstOcur: Firsts(999)},
 		{Method: Method(42), CkptID: 1, DataLen: 100, ChunkSize: 16},
 	}
 	for i, d := range bad {
@@ -313,7 +313,7 @@ func TestRecordAppendContract(t *testing.T) {
 	// Node 5 is a leaf chunk; a Full diff stores every node.
 	shift := func(id, src uint32) *Diff {
 		return &Diff{Method: MethodTree, CkptID: id, DataLen: 40, ChunkSize: 8,
-			ShiftDupl: []ShiftRegion{{Node: 5, SrcNode: 5, SrcCkpt: src}}}
+			ShiftDupl: Shifts(ShiftRegion{Node: 5, SrcNode: 5, SrcCkpt: src})}
 	}
 	for _, tc := range []struct {
 		name      string
@@ -397,7 +397,7 @@ func TestRecordRestoreErrors(t *testing.T) {
 	// A shift referencing a future checkpoint is rejected at Append
 	// time, so a poisoned diff can never enter the lineage.
 	d1 := &Diff{Method: MethodTree, CkptID: 1, DataLen: 10, ChunkSize: 4,
-		ShiftDupl: []ShiftRegion{{Node: 3, SrcNode: 3, SrcCkpt: 9}}}
+		ShiftDupl: Shifts(ShiftRegion{Node: 3, SrcNode: 3, SrcCkpt: 9})}
 	if err := r.Append(d1); err == nil {
 		t.Fatal("diff with dangling shift reference accepted")
 	}
@@ -405,7 +405,7 @@ func TestRecordRestoreErrors(t *testing.T) {
 	// Restore, where resolution happens: node 0 is the root (10 bytes),
 	// node 3 a single leaf chunk.
 	d1 = &Diff{Method: MethodTree, CkptID: 1, DataLen: 10, ChunkSize: 4,
-		ShiftDupl: []ShiftRegion{{Node: 0, SrcNode: 3, SrcCkpt: 0}}}
+		ShiftDupl: Shifts(ShiftRegion{Node: 0, SrcNode: 3, SrcCkpt: 0})}
 	if err := r.Append(d1); err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestDecodeRobustness(t *testing.T) {
 	// land in data) but must never panic.
 	valid := &Diff{
 		Method: MethodTree, CkptID: 0, DataLen: 600, ChunkSize: 64,
-		FirstOcur: []uint32{0},
+		FirstOcur: Firsts(0),
 		Data:      bytes.Repeat([]byte{7}, 600),
 	}
 	var enc bytes.Buffer
@@ -465,17 +465,17 @@ func TestRecordParallelRestoreMatchesSequential(t *testing.T) {
 		rng := rand.New(rand.NewSource(78)) // same bytes for both builds
 		r := NewRecord()
 		d0 := &Diff{Method: MethodTree, CkptID: 0, DataLen: n, ChunkSize: chunk,
-			FirstOcur: []uint32{0}, Data: append([]byte(nil), base...)}
+			FirstOcur: Firsts(0), Data: append([]byte(nil), base...)}
 		if err := r.Append(d0); err != nil {
 			t.Fatal(err)
 		}
 		// A diff with many single-leaf regions to exercise the
 		// parallel path (>= 16 regions).
 		geom := merkle.NewGeometry(64)
-		var firsts []uint32
+		var firsts FirstList
 		var data []byte
 		for c := 0; c < 32; c++ {
-			firsts = append(firsts, uint32(geom.LeafNode(c*2)))
+			firsts = firsts.Append(uint32(geom.LeafNode(c * 2)))
 			piece := make([]byte, chunk)
 			rng.Read(piece)
 			data = append(data, piece...)
@@ -506,7 +506,7 @@ func TestRecordParallelRestoreMatchesSequential(t *testing.T) {
 func BenchmarkEncodeDecode(b *testing.B) {
 	d := &Diff{
 		Method: MethodTree, CkptID: 0, DataLen: 1 << 20, ChunkSize: 128,
-		FirstOcur: []uint32{0},
+		FirstOcur: Firsts(0),
 		Data:      bytes.Repeat([]byte{0x5a}, 1<<20),
 	}
 	b.SetBytes(d.TotalBytes())
@@ -531,15 +531,15 @@ func BenchmarkRestoreParallelVsSequential(b *testing.B) {
 	build := func() *Record {
 		r := NewRecord()
 		d0 := &Diff{Method: MethodTree, CkptID: 0, DataLen: n, ChunkSize: chunk,
-			FirstOcur: []uint32{0}, Data: append([]byte(nil), base...)}
+			FirstOcur: Firsts(0), Data: append([]byte(nil), base...)}
 		if err := r.Append(d0); err != nil {
 			b.Fatal(err)
 		}
 		geom := merkle.NewGeometry(8192)
-		var firsts []uint32
+		var firsts FirstList
 		var data []byte
 		for c := 0; c < 2048; c++ {
-			firsts = append(firsts, uint32(geom.LeafNode(c*4)))
+			firsts = firsts.Append(uint32(geom.LeafNode(c * 4)))
 			piece := make([]byte, chunk)
 			rng.Read(piece)
 			data = append(data, piece...)

@@ -20,10 +20,10 @@ func sampleDiffs() []*Diff {
 		{Method: MethodBasic, CkptID: 1, DataLen: 40, ChunkSize: 8,
 			Bitmap: []byte{0b00011}, Data: bytes.Repeat([]byte{2}, 16)},
 		{Method: MethodList, CkptID: 1, DataLen: 40, ChunkSize: 8,
-			FirstOcur: []uint32{4}, ShiftDupl: []ShiftRegion{{Node: 5, SrcNode: 4, SrcCkpt: 0}},
+			FirstOcur: Firsts(4), ShiftDupl: Shifts(ShiftRegion{Node: 5, SrcNode: 4, SrcCkpt: 0}),
 			Data: bytes.Repeat([]byte{3}, 8)},
 		{Method: MethodTree, CkptID: 1, DataLen: 40, ChunkSize: 8,
-			FirstOcur: []uint32{1}, ShiftDupl: []ShiftRegion{{Node: 6, SrcNode: 1, SrcCkpt: 1}},
+			FirstOcur: Firsts(1), ShiftDupl: Shifts(ShiftRegion{Node: 6, SrcNode: 1, SrcCkpt: 1}),
 			Data: bytes.Repeat([]byte{4}, 24)},
 	}
 }
@@ -98,6 +98,9 @@ func TestDiffDecodeHeaderCorruption(t *testing.T) {
 			h[42] = 1 // pretend a codec
 			binary.LittleEndian.PutUint64(h[43:], 1<<40)
 		}, "raw data length"},
+		{"raw length with no codec", func(h []byte) {
+			binary.LittleEndian.PutUint64(h[43:], 1)
+		}, "canonical"},
 	}
 	for _, tc := range cases {
 		err := corruptHeader(t, base, tc.mutate)
@@ -164,7 +167,7 @@ func TestDecodeBytesMatchesDecode(t *testing.T) {
 // fails on the length check — before anything is sized from a count.
 func TestDecodeBytesLyingHeader(t *testing.T) {
 	base := &Diff{Method: MethodTree, CkptID: 1, DataLen: 1 << 32, ChunkSize: 16,
-		FirstOcur: []uint32{1}, ShiftDupl: []ShiftRegion{{Node: 6, SrcNode: 1}}, Data: make([]byte, 16)}
+		FirstOcur: Firsts(1), ShiftDupl: Shifts(ShiftRegion{Node: 6, SrcNode: 1}), Data: make([]byte, 16)}
 	var buf bytes.Buffer
 	if err := base.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -176,7 +179,10 @@ func TestDecodeBytesLyingHeader(t *testing.T) {
 		{"nFirst", func(h []byte) { binary.LittleEndian.PutUint32(h[22:], 1<<26) }},
 		{"nShift", func(h []byte) { binary.LittleEndian.PutUint32(h[26:], 1<<26) }},
 		{"nBitmap", func(h []byte) { binary.LittleEndian.PutUint32(h[30:], 1<<24) }},
-		{"nData", func(h []byte) { binary.LittleEndian.PutUint64(h[34:], 1<<31) }},
+		{"nData", func(h []byte) { // and the raw length, which must agree with no codec
+			binary.LittleEndian.PutUint64(h[34:], 1<<31)
+			binary.LittleEndian.PutUint64(h[43:], 1<<31)
+		}},
 	}
 	for _, tc := range lies {
 		enc := bytes.Clone(buf.Bytes())

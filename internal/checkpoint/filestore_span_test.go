@@ -133,7 +133,7 @@ func TestInstallSpanValidation(t *testing.T) {
 	// Shift reference below the span baseline.
 	d := storeDiff(4, 1)
 	d.Method = MethodList
-	d.ShiftDupl = []ShiftRegion{{SrcCkpt: 2}}
+	d.ShiftDupl = Shifts(ShiftRegion{SrcCkpt: 2})
 	if err := fs.InstallSpan(4, []*Diff{d}); err == nil {
 		t.Fatal("span with sub-baseline shift reference accepted")
 	}

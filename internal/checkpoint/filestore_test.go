@@ -297,13 +297,13 @@ func TestFileStoreAppendRejectsPrunedReference(t *testing.T) {
 	// A diff whose shifted duplicate references checkpoint 1 (< base 2)
 	// would be unrestorable; the store must refuse it.
 	bad := &Diff{Method: MethodTree, CkptID: 3, DataLen: 100, ChunkSize: 16,
-		FirstOcur: []uint32{6}, ShiftDupl: []ShiftRegion{{Node: 7, SrcNode: 6, SrcCkpt: 1}},
+		FirstOcur: Firsts(6), ShiftDupl: Shifts(ShiftRegion{Node: 7, SrcNode: 6, SrcCkpt: 1}),
 		Data: bytes.Repeat([]byte{9}, 100)}
 	if err := fs.Append(bad); err == nil {
 		t.Fatal("append referencing pruned checkpoint accepted")
 	}
 	ok := &Diff{Method: MethodTree, CkptID: 3, DataLen: 100, ChunkSize: 16,
-		FirstOcur: []uint32{6}, ShiftDupl: []ShiftRegion{{Node: 7, SrcNode: 6, SrcCkpt: 2}},
+		FirstOcur: Firsts(6), ShiftDupl: Shifts(ShiftRegion{Node: 7, SrcNode: 6, SrcCkpt: 2}),
 		Data: bytes.Repeat([]byte{9}, 100)}
 	if err := fs.Append(ok); err != nil {
 		t.Fatal(err)

@@ -75,6 +75,58 @@ type ShiftRegion struct {
 	SrcCkpt uint32
 }
 
+// FirstList is a list of first-occurrence nodes in its wire form: 4
+// little-endian bytes per node, exactly as the format lays the list
+// out. A decoded diff's list aliases the bytes it was decoded from, and
+// every hop writes it by reference.
+type FirstList []byte
+
+// Len returns the number of nodes in l.
+//
+//ckptlint:noalloc
+func (l FirstList) Len() int { return len(l) / 4 }
+
+// At returns node i of l.
+//
+//ckptlint:noalloc
+func (l FirstList) At(i int) uint32 { return binary.LittleEndian.Uint32(l[4*i:]) }
+
+// Append appends node to l.
+//
+//ckptlint:noalloc
+func (l FirstList) Append(node uint32) FirstList { return binary.LittleEndian.AppendUint32(l, node) }
+
+// ShiftList is a list of shifted-duplicate regions in its wire form: 12
+// little-endian bytes per region (node, source node, source checkpoint),
+// held like FirstList.
+type ShiftList []byte
+
+// Len returns the number of regions in l.
+//
+//ckptlint:noalloc
+func (l ShiftList) Len() int { return len(l) / 12 }
+
+// At returns region i of l.
+//
+//ckptlint:noalloc
+func (l ShiftList) At(i int) ShiftRegion {
+	b := l[12*i : 12*i+12]
+	return ShiftRegion{
+		Node:    binary.LittleEndian.Uint32(b),
+		SrcNode: binary.LittleEndian.Uint32(b[4:]),
+		SrcCkpt: binary.LittleEndian.Uint32(b[8:]),
+	}
+}
+
+// Append appends s to l.
+//
+//ckptlint:noalloc
+func (l ShiftList) Append(s ShiftRegion) ShiftList {
+	l = binary.LittleEndian.AppendUint32(l, s.Node)
+	l = binary.LittleEndian.AppendUint32(l, s.SrcNode)
+	return binary.LittleEndian.AppendUint32(l, s.SrcCkpt)
+}
+
 // Diff is one incremental checkpoint difference.
 type Diff struct {
 	Method    Method
@@ -86,11 +138,11 @@ type Diff struct {
 	// ascending chunk order; Data holds their bytes in the same order.
 	// For MethodFull it is empty and Data is the whole buffer. For
 	// MethodBasic it is empty and Bitmap+Data describe changed chunks.
-	FirstOcur []uint32
+	FirstOcur FirstList
 
 	// ShiftDupl lists shifted-duplicate regions (MethodList and
 	// MethodTree), in ascending chunk order.
-	ShiftDupl []ShiftRegion
+	ShiftDupl ShiftList
 
 	// Bitmap marks changed chunks for MethodBasic, one bit per chunk,
 	// LSB-first within each byte.
@@ -121,7 +173,7 @@ const (
 // (everything except the header and the data payload). This is the
 // quantity whose "explosion" the Tree method exists to prevent (§2.2).
 func (d *Diff) MetadataBytes() int64 {
-	return int64(4*len(d.FirstOcur) + 12*len(d.ShiftDupl) + len(d.Bitmap))
+	return int64(len(d.FirstOcur) + len(d.ShiftDupl) + len(d.Bitmap))
 }
 
 // TotalBytes returns the full serialized size of the diff: header,
@@ -131,26 +183,46 @@ func (d *Diff) TotalBytes() int64 {
 	return headerSize + d.MetadataBytes() + int64(len(d.Data))
 }
 
-// encodeBufPool recycles the header+metadata staging buffers of
-// Encode, making steady-state encoding allocation-free. Pointers to
-// slices are pooled (not slices) so Put does not itself allocate.
+// encodeBufPool recycles the staging buffers of encoded headers: Encode
+// stages a diff's fixed-size header in one, the stores their record and
+// container headers. Pointers to slices are pooled (not slices) so Put
+// does not itself allocate.
 var encodeBufPool sync.Pool
 
-// errMetadataTooLarge reports a Diff whose region metadata cannot be
-// expressed in the format's 32-bit counts.
-var errMetadataTooLarge = errors.New("checkpoint: region metadata exceeds format limits")
+// errBadMetadata reports a Diff whose region lists hold a part of an
+// entry or cannot be expressed in the format's 32-bit counts.
+var errBadMetadata = errors.New("checkpoint: region metadata is ragged or exceeds format limits")
+
+// ErrNonCanonical reports a diff header that spells a value in a form
+// the encoder never writes: a raw data length other than the data
+// section's with no codec set. Each diff has one encoding, so the
+// bytes a store holds are the bytes that arrived, and a checksum of
+// either names both.
+var ErrNonCanonical = errors.New("checkpoint: diff header is not in canonical form")
 
 // Encode writes the canonical little-endian serialization of d: the
-// prefix (header, region metadata, bitmap) followed by the data
-// section.
+// header, then the region lists, the bitmap and the data section, each
+// written from where it lies.
 //
 //ckptlint:noalloc
 func (d *Diff) Encode(w io.Writer) error {
-	if err := d.encodePrefix(w); err != nil {
+	bp, _ := encodeBufPool.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	defer encodeBufPool.Put(bp)
+	hdr, err := d.AppendHeader((*bp)[:0])
+	*bp = hdr
+	if err != nil {
 		return err
 	}
-	if _, err := w.Write(d.Data); err != nil {
-		return fmt.Errorf("checkpoint: write data: %w", err)
+	for _, sec := range [...][]byte{hdr, d.FirstOcur, d.ShiftDupl, d.Bitmap, d.Data} {
+		if len(sec) == 0 {
+			continue
+		}
+		if _, err := w.Write(sec); err != nil {
+			return fmt.Errorf("checkpoint: write diff %d: %w", d.CkptID, err)
+		}
 	}
 	return nil
 }
@@ -161,20 +233,19 @@ func (d *Diff) Encode(w io.Writer) error {
 // references.
 func (d *Diff) PrefixBytes() int64 { return headerSize + d.MetadataBytes() }
 
-// AppendPrefix appends the serialization of d up to (excluding) the
-// bitmap and data sections — the header and region metadata — to buf
-// and returns the extended slice. It is the zero-copy counterpart of
-// encodePrefix: the streaming push path stages these bytes behind a
-// frame header in a reused buffer and ships Bitmap and Data by
-// reference (writev), so the full encoding AppendPrefix+Bitmap+Data
-// is byte-identical to Encode's output without gathering it.
+// AppendHeader appends d's fixed-size header to buf and returns the
+// extended slice. The sections follow it in the encoding exactly as d
+// holds them — FirstOcur, ShiftDupl, Bitmap, Data — so a writer stages
+// these bytes and writes the sections behind them by reference: the
+// streaming push (writev), the stores' records.
 //
 //ckptlint:noalloc
-func (d *Diff) AppendPrefix(buf []byte) ([]byte, error) {
-	if uint64(len(d.FirstOcur)) > math.MaxUint32 ||
-		uint64(len(d.ShiftDupl)) > math.MaxUint32 ||
+func (d *Diff) AppendHeader(buf []byte) ([]byte, error) {
+	if len(d.FirstOcur)%4 != 0 || len(d.ShiftDupl)%12 != 0 ||
+		uint64(d.FirstOcur.Len()) > math.MaxUint32 ||
+		uint64(d.ShiftDupl.Len()) > math.MaxUint32 ||
 		uint64(len(d.Bitmap)) > math.MaxUint32 {
-		return buf, errMetadataTooLarge
+		return buf, errBadMetadata
 	}
 	var hdr [headerSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:], diffMagic)
@@ -183,56 +254,13 @@ func (d *Diff) AppendPrefix(buf []byte) ([]byte, error) {
 	binary.LittleEndian.PutUint32(hdr[6:], d.CkptID)
 	binary.LittleEndian.PutUint64(hdr[10:], d.DataLen)
 	binary.LittleEndian.PutUint32(hdr[18:], d.ChunkSize)
-	binary.LittleEndian.PutUint32(hdr[22:], uint32(len(d.FirstOcur)))
-	binary.LittleEndian.PutUint32(hdr[26:], uint32(len(d.ShiftDupl)))
+	binary.LittleEndian.PutUint32(hdr[22:], uint32(d.FirstOcur.Len()))
+	binary.LittleEndian.PutUint32(hdr[26:], uint32(d.ShiftDupl.Len()))
 	binary.LittleEndian.PutUint32(hdr[30:], uint32(len(d.Bitmap)))
 	binary.LittleEndian.PutUint64(hdr[34:], uint64(len(d.Data)))
 	hdr[42] = d.DataCodec
 	binary.LittleEndian.PutUint64(hdr[43:], d.rawLen())
-	buf = append(buf, hdr[:]...)
-	for _, n := range d.FirstOcur {
-		buf = binary.LittleEndian.AppendUint32(buf, n)
-	}
-	for _, s := range d.ShiftDupl {
-		buf = binary.LittleEndian.AppendUint32(buf, s.Node)
-		buf = binary.LittleEndian.AppendUint32(buf, s.SrcNode)
-		buf = binary.LittleEndian.AppendUint32(buf, s.SrcCkpt)
-	}
-	return buf, nil
-}
-
-// encodePrefix writes the serialization of d up to (excluding) the
-// data section. The header and region metadata are staged in one
-// pooled buffer and written together; the byte stream is unchanged.
-//
-//ckptlint:noalloc
-func (d *Diff) encodePrefix(w io.Writer) error {
-	bp, _ := encodeBufPool.Get().(*[]byte)
-	if bp == nil {
-		bp = new([]byte)
-	}
-	// Pre-size for the whole prefix so a pool miss costs one
-	// allocation, not a chain of append growths.
-	if need := headerSize + 4*len(d.FirstOcur) + 12*len(d.ShiftDupl); cap(*bp) < need {
-		*bp = make([]byte, 0, need)
-	}
-	buf, perr := d.AppendPrefix((*bp)[:0])
-	if perr != nil {
-		encodeBufPool.Put(bp)
-		return perr
-	}
-	_, err := w.Write(buf)
-	*bp = buf
-	encodeBufPool.Put(bp)
-	if err != nil {
-		return fmt.Errorf("checkpoint: write header/metadata: %w", err)
-	}
-	if len(d.Bitmap) > 0 {
-		if _, err := w.Write(d.Bitmap); err != nil {
-			return fmt.Errorf("checkpoint: write bitmap: %w", err)
-		}
-	}
-	return nil
+	return append(buf, hdr[:]...), nil
 }
 
 // sectionLens are the section lengths a diff header declares.
@@ -302,36 +330,33 @@ func parseHeader(hdr []byte) (*Diff, sectionLens, error) {
 	if d.DataCodec != 0 && d.RawDataLen > d.DataLen {
 		return nil, c, fmt.Errorf("checkpoint: raw data length %d exceeds buffer length %d", d.RawDataLen, d.DataLen)
 	}
+	if d.DataCodec == 0 && d.RawDataLen != c.nData {
+		return nil, c, fmt.Errorf("%w: raw data length %d but a %d-byte data section and no codec", ErrNonCanonical, d.RawDataLen, c.nData)
+	}
 	return d, c, nil
 }
 
 // setSections fills d's sections from meta and tail, which hold
-// exactly c.metaLen() and c.tailLen() bytes. The region lists are
-// decoded into memory of their own; Bitmap and Data alias tail.
+// exactly c.metaLen() and c.tailLen() bytes. Every section aliases
+// them, capped at its length.
 func (d *Diff) setSections(c sectionLens, meta, tail []byte) {
-	d.FirstOcur = make([]uint32, c.nFirst)
-	for i := range d.FirstOcur {
-		d.FirstOcur[i] = binary.LittleEndian.Uint32(meta[4*i:])
+	nf, nb := 4*int(c.nFirst), int(c.nBitmap)
+	if nf > 0 {
+		d.FirstOcur = FirstList(meta[:nf:nf])
 	}
-	meta = meta[4*len(d.FirstOcur):]
-	d.ShiftDupl = make([]ShiftRegion, c.nShift)
-	for i := range d.ShiftDupl {
-		d.ShiftDupl[i] = ShiftRegion{
-			Node:    binary.LittleEndian.Uint32(meta[12*i:]),
-			SrcNode: binary.LittleEndian.Uint32(meta[12*i+4:]),
-			SrcCkpt: binary.LittleEndian.Uint32(meta[12*i+8:]),
-		}
+	if len(meta) > nf {
+		d.ShiftDupl = ShiftList(meta[nf:len(meta):len(meta)])
 	}
-	if c.nBitmap > 0 {
-		d.Bitmap = tail[:c.nBitmap:c.nBitmap]
+	if nb > 0 {
+		d.Bitmap = tail[:nb:nb]
 	}
-	if c.nData > 0 {
-		d.Data = tail[c.nBitmap:]
+	if len(tail) > nb {
+		d.Data = tail[nb:len(tail):len(tail)]
 	}
 }
 
 // DecodeBytes parses b, the complete encoding of one diff, by
-// reference: the returned diff's Bitmap and Data alias b, so it is
+// reference: every section of the returned diff aliases b, so it is
 // valid only while b is — a caller that keeps it longer takes
 // ownership with Own or Record.Keep. Every length the header declares
 // is checked against len(b) before anything is allocated, and b must
@@ -389,11 +414,35 @@ func OwnedDiffs(out *[]*Diff) func(ck int, encoded []byte) error {
 }
 
 // Own gives d memory of its own: the sections DecodeBytes left aliasing
-// the decoded buffer are copied, each once and to its exact size, after
-// which that buffer may be reused.
+// the decoded buffer are copied, all four into one exact-size
+// allocation, after which that buffer may be reused.
 func (d *Diff) Own() {
-	d.Bitmap = bytes.Clone(d.Bitmap)
-	d.Data = bytes.Clone(d.Data)
+	d.moveSections(make([]byte, d.sectionBytes()))
+}
+
+// sectionBytes is the total length of d's variable-size sections.
+func (d *Diff) sectionBytes() int {
+	return len(d.FirstOcur) + len(d.ShiftDupl) + len(d.Bitmap) + len(d.Data)
+}
+
+// moveSections copies d's sections back to back into mem, which holds
+// exactly sectionBytes, each capped at its length so that an append to
+// one never writes into its neighbour.
+func (d *Diff) moveSections(mem []byte) {
+	mem, d.FirstOcur = moveSection(mem, d.FirstOcur)
+	mem, d.ShiftDupl = moveSection(mem, d.ShiftDupl)
+	mem, d.Bitmap = moveSection(mem, d.Bitmap)
+	_, d.Data = moveSection(mem, d.Data)
+}
+
+// moveSection copies s to the front of mem and returns the rest of mem
+// and the copy.
+func moveSection[S ~[]byte](mem []byte, s S) ([]byte, S) {
+	n := copy(mem, s)
+	if n == 0 {
+		return mem, s[:0:0]
+	}
+	return mem[n:], S(mem[:n:n])
 }
 
 // Decode reads a Diff previously written by Encode from a stream: the

@@ -7,15 +7,15 @@ import (
 )
 
 func benchDiff() *Diff {
-	firsts := make([]uint32, 96)
-	shifts := make([]ShiftRegion, 32)
+	var firsts FirstList
+	var shifts ShiftList
 	var dataLen int
-	for i := range firsts {
-		firsts[i] = uint32(1023 + 4*i) // leaves of a 1024-leaf tree
+	for i := range 96 {
+		firsts = firsts.Append(uint32(1023 + 4*i)) // leaves of a 1024-leaf tree
 		dataLen += 128
 	}
-	for i := range shifts {
-		shifts[i] = ShiftRegion{Node: uint32(1023 + 4*96 + i), SrcNode: 1023, SrcCkpt: 0}
+	for i := range 32 {
+		shifts = shifts.Append(ShiftRegion{Node: uint32(1023 + 4*96 + i), SrcNode: 1023, SrcCkpt: 0})
 	}
 	data := make([]byte, dataLen)
 	for i := range data {
@@ -79,7 +79,7 @@ func BenchmarkDiffRoundTrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if got.CkptID != d.CkptID || len(got.FirstOcur) != len(d.FirstOcur) {
+		if got.CkptID != d.CkptID || got.FirstOcur.Len() != d.FirstOcur.Len() {
 			b.Fatal("round trip mismatch")
 		}
 	}

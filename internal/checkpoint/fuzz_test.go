@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -20,42 +21,52 @@ func encodeSeed(f *testing.F, d *Diff) []byte {
 	return buf.Bytes()
 }
 
-// FuzzDiffDecode feeds arbitrary bytes to the diff decoder and, when a
-// diff decodes, checks that encode(decode(x)) survives a second decode
-// with identical content. RawDataLen is excluded from the comparison:
-// with no codec set the encoder canonicalizes it to len(Data).
-func FuzzDiffDecode(f *testing.F) {
+// diffSeeds adds the fuzz seeds of the diff decoders: every method's
+// encoding, and one whose header spells the raw data length of an
+// uncompressed data section wrong — a second spelling of the same diff,
+// which decode refuses.
+func diffSeeds(f *testing.F) {
 	for _, d := range sampleDiffs() {
 		f.Add(encodeSeed(f, d))
 	}
+	odd := encodeSeed(f, sampleDiffs()[3])
+	binary.LittleEndian.PutUint64(odd[43:], 5)
+	f.Add(odd)
+}
+
+// reencodes reports whether d encodes to exactly b: a diff has one
+// encoding, so the stores can keep the bytes that arrived.
+func reencodes(t *testing.T, d *Diff, b []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.Encode(&buf); err != nil {
+		t.Fatalf("re-encode of decoded diff failed: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), b) {
+		t.Fatalf("decoded diff %+v re-encodes to %x, not the %x it came from", d, buf.Bytes(), b)
+	}
+}
+
+// FuzzDiffDecode feeds arbitrary bytes to the diff decoder: a diff that
+// decodes re-encodes to exactly the bytes the decoder consumed.
+func FuzzDiffDecode(f *testing.F) {
+	diffSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := Decode(bytes.NewReader(data))
+		r := bytes.NewReader(data)
+		d, err := Decode(r)
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
-		if err := d.Encode(&buf); err != nil {
-			t.Fatalf("re-encode of decoded diff failed: %v", err)
-		}
-		d2, err := Decode(&buf)
-		if err != nil {
-			t.Fatalf("decode of re-encoded diff failed: %v", err)
-		}
-		d.RawDataLen, d2.RawDataLen = 0, 0
-		if !reflect.DeepEqual(d, d2) {
-			t.Fatalf("round trip diverged:\n %+v\n %+v", d, d2)
-		}
+		reencodes(t, d, data[:len(data)-r.Len()])
 	})
 }
 
 // FuzzDecodeBytes is a differential test of the by-reference parser
 // against the stream parser, over the same seeds: on the bytes the
-// stream parser consumed both succeed with equal diffs, and where it
-// fails the by-reference parser fails too.
+// stream parser consumed both succeed with equal diffs that re-encode
+// to those bytes, and where it fails the by-reference parser fails too.
 func FuzzDecodeBytes(f *testing.F) {
-	for _, d := range sampleDiffs() {
-		f.Add(encodeSeed(f, d))
-	}
+	diffSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		want, err := Decode(r)
@@ -65,13 +76,15 @@ func FuzzDecodeBytes(f *testing.F) {
 			}
 			return
 		}
-		got, err := DecodeBytes(data[:len(data)-r.Len()])
+		consumed := data[:len(data)-r.Len()]
+		got, err := DecodeBytes(consumed)
 		if err != nil {
 			t.Fatalf("Decode parsed %+v, DecodeBytes failed: %v", want, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("parsers disagree:\n %+v\n %+v", got, want)
 		}
+		reencodes(t, got, consumed)
 		if r.Len() > 0 {
 			if _, err := DecodeBytes(data); err == nil {
 				t.Fatalf("DecodeBytes accepted %d trailing bytes", r.Len())
@@ -246,8 +259,8 @@ func FuzzRestore(f *testing.F) {
 			f.Fatal(err)
 		}
 		tree := &Diff{Method: MethodTree, CkptID: base + 1, DataLen: 40, ChunkSize: 8,
-			FirstOcur: []uint32{1},
-			ShiftDupl: []ShiftRegion{{Node: 6, SrcNode: 1, SrcCkpt: base + 1}, {Node: 5, SrcNode: 5, SrcCkpt: base}},
+			FirstOcur: Firsts(1),
+			ShiftDupl: Shifts(ShiftRegion{Node: 6, SrcNode: 1, SrcCkpt: base + 1}, ShiftRegion{Node: 5, SrcNode: 5, SrcCkpt: base}),
 			Data:      bytes.Repeat([]byte{4}, 24)}
 		if err := tree.Encode(&lineage); err != nil {
 			f.Fatal(err)

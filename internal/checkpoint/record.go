@@ -96,19 +96,15 @@ func (r *Record) Donate(bufs ...[]byte) {
 // whether it kept that buffer. A diff carrying a whole image that fills
 // at least half the buffer (a baseline) keeps it, and the caller gives
 // the buffer up; the increments behind it are a fraction of its size.
-// Any other diff has its bitmap and data copied into the first donated
-// slab with room for both, or into one exact-size allocation when none
-// has, each section capped at its length so an append to one never
-// writes into its neighbour.
+// Any other diff has its sections — region lists, bitmap and data —
+// copied into the first donated slab with room for all of them, or into
+// one exact-size allocation when none has, each section capped at its
+// length so an append to one never writes into its neighbour.
 func (r *Record) Keep(d *Diff, encoded []byte) bool {
 	if len(encoded) >= cap(encoded)/2 && 2*uint64(len(d.Data)) >= d.DataLen {
 		return true
 	}
-	nb, n := len(d.Bitmap), len(d.Bitmap)+len(d.Data)
-	mem := r.carve(n)
-	copy(mem, d.Bitmap)
-	copy(mem[nb:], d.Data)
-	d.Bitmap, d.Data = mem[:nb:nb], mem[nb:n:n]
+	d.moveSections(r.carve(d.sectionBytes()))
 	return false
 }
 
@@ -222,7 +218,8 @@ func (r *Record) indexRegions(d *Diff, plain []byte) ([]uint32, error) {
 		// out-of-range nodes and sources outside [Base, CkptID] now so
 		// replay can only fail with an error, never an out-of-bounds
 		// copy.
-		for _, sr := range d.ShiftDupl {
+		for j := range d.ShiftDupl.Len() {
+			sr := d.ShiftDupl.At(j)
 			if int(sr.Node) >= r.geom.NumNodes || int(sr.SrcNode) >= r.geom.NumNodes {
 				return nil, fmt.Errorf("checkpoint: diff %d shift region node %d<-%d out of range",
 					d.CkptID, sr.Node, sr.SrcNode)
@@ -236,10 +233,11 @@ func (r *Record) indexRegions(d *Diff, plain []byte) ([]uint32, error) {
 					d.CkptID, sr.SrcCkpt, r.base)
 			}
 		}
-		idx := make([]uint32, len(d.FirstOcur))
+		idx := make([]uint32, d.FirstOcur.Len())
 		var chunks, off int64
 		prevLo := 0
-		for i, node := range d.FirstOcur {
+		for i := range idx {
+			node := d.FirstOcur.At(i)
 			if int(node) >= r.geom.NumNodes {
 				return nil, fmt.Errorf("checkpoint: diff %d region node %d out of range", d.CkptID, node)
 			}
@@ -290,13 +288,13 @@ func (r *Record) resolve(ck, node uint32) ([]byte, error) {
 	regions := r.regions[int(ck)-r.base]
 	// Find the last region starting at or before chunk lo.
 	i := sort.Search(len(regions), func(i int) bool {
-		regLo, _ := r.geom.LeafRange(int(d.FirstOcur[i]))
+		regLo, _ := r.geom.LeafRange(int(d.FirstOcur.At(i)))
 		return regLo > lo
 	}) - 1
 	if i < 0 {
 		return nil, fmt.Errorf("checkpoint: node %d not stored in checkpoint %d", node, ck)
 	}
-	regLo, regHi := r.geom.LeafRange(int(d.FirstOcur[i]))
+	regLo, regHi := r.geom.LeafRange(int(d.FirstOcur.At(i)))
 	if hi > regHi {
 		return nil, fmt.Errorf("checkpoint: node %d (chunks [%d,%d)) exceeds stored region [%d,%d) of checkpoint %d",
 			node, lo, hi, regLo, regHi, ck)
@@ -357,8 +355,8 @@ func (r *Record) Apply(state []byte, k int) error {
 	case MethodList, MethodTree:
 		// Pass 1: first occurrences (new bytes). Regions are disjoint,
 		// so the copies parallelize.
-		r.forRegions(len(d.FirstOcur), func(j int) {
-			spanOff, spanEnd := r.geom.NodeSpan(int(d.FirstOcur[j]), r.chunkSize, r.dataLen)
+		r.forRegions(d.FirstOcur.Len(), func(j int) {
+			spanOff, spanEnd := r.geom.NodeSpan(int(d.FirstOcur.At(j)), r.chunkSize, r.dataLen)
 			off := int(r.regions[i][j]) * r.chunkSize
 			copy(state[spanOff:spanEnd], data[off:off+spanEnd-spanOff])
 		})
@@ -367,9 +365,9 @@ func (r *Record) Apply(state []byte, k int) error {
 		// 1); older references read from the stored diff bytes.
 		// Destinations are disjoint and sources are never shifted
 		// destinations, so this pass parallelizes too.
-		errs := make([]error, len(d.ShiftDupl))
-		r.forRegions(len(d.ShiftDupl), func(j int) {
-			s := d.ShiftDupl[j]
+		errs := make([]error, d.ShiftDupl.Len())
+		r.forRegions(d.ShiftDupl.Len(), func(j int) {
+			s := d.ShiftDupl.At(j)
 			dstOff, dstEnd := r.geom.NodeSpan(int(s.Node), r.chunkSize, r.dataLen)
 			if s.SrcCkpt == d.CkptID {
 				srcOff, srcEnd := r.geom.NodeSpan(int(s.SrcNode), r.chunkSize, r.dataLen)

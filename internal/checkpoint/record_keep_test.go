@@ -132,7 +132,7 @@ func TestResolveChunkIndex(t *testing.T) {
 	r := NewRecord()
 	for _, d := range []*Diff{
 		{Method: MethodFull, CkptID: 0, DataLen: n, ChunkSize: chunk, Data: append([]byte(nil), s0...)},
-		{Method: MethodTree, CkptID: 1, DataLen: n, ChunkSize: chunk, FirstOcur: regions, Data: data},
+		{Method: MethodTree, CkptID: 1, DataLen: n, ChunkSize: chunk, FirstOcur: Firsts(regions...), Data: data},
 	} {
 		if err := r.Append(d); err != nil {
 			t.Fatal(err)
@@ -182,7 +182,7 @@ func TestResolveChunkIndex(t *testing.T) {
 		slo, _ := span(s.SrcNode)
 		copy(want[dlo:dhi], src[slo:slo+dhi-dlo])
 	}
-	if err := r.Append(&Diff{Method: MethodTree, CkptID: 2, DataLen: n, ChunkSize: chunk, ShiftDupl: shifts}); err != nil {
+	if err := r.Append(&Diff{Method: MethodTree, CkptID: 2, DataLen: n, ChunkSize: chunk, ShiftDupl: Shifts(shifts...)}); err != nil {
 		t.Fatal(err)
 	}
 	for k, s := range [][]byte{s0, s1, want} {
@@ -195,7 +195,7 @@ func TestResolveChunkIndex(t *testing.T) {
 	// after it is not a whole number of chunks.
 	tail := nodeFor(t, g, 6, 7)
 	err := r.Append(&Diff{Method: MethodTree, CkptID: 3, DataLen: n, ChunkSize: chunk,
-		FirstOcur: []uint32{tail, tail}, Data: make([]byte, 8)})
+		FirstOcur: Firsts(tail, tail), Data: make([]byte, 8)})
 	if err == nil || !strings.Contains(err.Error(), "follows a short chunk") {
 		t.Fatalf("a region after the short tail chunk: %v", err)
 	}

@@ -229,7 +229,7 @@ func TestChurnAllocatesOnlyWhatIsKept(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(diff.FirstOcur) == 0 {
+		if diff.FirstOcur.Len() == 0 {
 			t.Fatal("churn step produced no first-occurrence region")
 		}
 	}

@@ -177,19 +177,19 @@ func (d *Deduplicator) checkpointList(data []byte) (*checkpoint.Diff, Stats, err
 	st.ShiftLeaves = int(shift)
 
 	// Emit one region per non-fixed leaf, already in chunk order.
-	firsts := make([]uint32, 0, first)
-	shifts := make([]checkpoint.ShiftRegion, 0, shift)
+	firsts := make(checkpoint.FirstList, 0, 4*first)
+	shifts := make(checkpoint.ShiftList, 0, 12*shift)
 	for _, c := range d.changed {
 		node := d.tree.LeafNode(int(c))
 		switch d.labels[node] {
 		case LabelFirstOcur:
-			firsts = append(firsts, uint32(node))
+			firsts = firsts.Append(uint32(node))
 		case LabelShiftDupl:
 			src, ok := d.hmap.Find(d.tree.Digests[node])
 			if !ok {
 				panic("dedup: shifted leaf missing from historical record")
 			}
-			shifts = append(shifts, checkpoint.ShiftRegion{
+			shifts = shifts.Append(checkpoint.ShiftRegion{
 				Node:    uint32(node),
 				SrcNode: src.Node,
 				SrcCkpt: src.Ckpt,
@@ -197,16 +197,16 @@ func (d *Deduplicator) checkpointList(data []byte) (*checkpoint.Diff, Stats, err
 		}
 	}
 	l.phase("emit-list", device.Cost{
-		MemBytes: int64(4*len(firsts) + 12*len(shifts)),
-		MapOps:   int64(len(shifts)),
+		MemBytes: int64(len(firsts) + len(shifts)),
+		MapOps:   int64(shifts.Len()),
 	})
 
 	gathered := d.gather(data, firsts, l)
 	l.flush()
 	d.frontData = nil
 
-	st.NumFirstOcur = len(firsts)
-	st.NumShiftDupl = len(shifts)
+	st.NumFirstOcur = firsts.Len()
+	st.NumShiftDupl = shifts.Len()
 	diff := d.newDiff()
 	*diff = checkpoint.Diff{
 		Method:    checkpoint.MethodList,

@@ -264,7 +264,7 @@ type Deduplicator struct {
 	// Basic/List front halves — never both concurrently, since one
 	// Deduplicator runs exactly one method.
 	gatherData    []byte
-	gatherFirsts  []uint32
+	gatherFirsts  checkpoint.FirstList
 	gatherOut     []byte
 	gatherSizes   []int64
 	gatherOffsets []int64

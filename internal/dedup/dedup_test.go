@@ -81,7 +81,7 @@ func TestFirstCheckpointIsFull(t *testing.T) {
 			t.Errorf("%v: first checkpoint stored %d data bytes, want %d", m, st.DataBytes, len(data))
 		}
 		if m == checkpoint.MethodTree {
-			if len(diff.FirstOcur) != 1 || diff.FirstOcur[0] != 0 {
+			if diff.FirstOcur.Len() != 1 || diff.FirstOcur.At(0) != 0 {
 				t.Errorf("Tree first checkpoint regions = %v, want [0] (root)", diff.FirstOcur)
 			}
 		}
@@ -110,9 +110,9 @@ func TestUnchangedCheckpointIsTiny(t *testing.T) {
 		if st.DataBytes != 0 {
 			t.Errorf("%v: unchanged checkpoint stored %d data bytes", m, st.DataBytes)
 		}
-		if m == checkpoint.MethodTree && (len(diff.FirstOcur)+len(diff.ShiftDupl)) != 0 {
+		if m == checkpoint.MethodTree && (diff.FirstOcur.Len()+diff.ShiftDupl.Len()) != 0 {
 			t.Errorf("Tree: unchanged checkpoint emitted %d+%d regions",
-				len(diff.FirstOcur), len(diff.ShiftDupl))
+				diff.FirstOcur.Len(), diff.ShiftDupl.Len())
 		}
 		if got, err := d.Restore(1); err != nil || !bytes.Equal(got, data) {
 			t.Errorf("%v: unchanged restore failed: %v", m, err)
@@ -166,14 +166,15 @@ func TestPaperFigure2(t *testing.T) {
 		t.Fatalf("regions = %d first + %d shift, want 1 + 2 (paper: 3 entries total)",
 			st.NumFirstOcur, st.NumShiftDupl)
 	}
-	if len(diff.FirstOcur) != 1 || diff.FirstOcur[0] != 1 {
+	if diff.FirstOcur.Len() != 1 || diff.FirstOcur.At(0) != 1 {
 		t.Fatalf("first-ocur regions = %v, want [1]", diff.FirstOcur)
 	}
 	wantShifts := map[uint32]checkpoint.ShiftRegion{
 		12: {Node: 12, SrcNode: 9, SrcCkpt: 0},
 		6:  {Node: 6, SrcNode: 3, SrcCkpt: 1},
 	}
-	for _, s := range diff.ShiftDupl {
+	for i := range diff.ShiftDupl.Len() {
+		s := diff.ShiftDupl.At(i)
 		w, ok := wantShifts[s.Node]
 		if !ok {
 			t.Fatalf("unexpected shift region %+v", s)

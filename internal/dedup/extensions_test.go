@@ -295,7 +295,7 @@ func TestFastPathOnUnchangedCheckpoint(t *testing.T) {
 	if !st1.FastPath {
 		t.Fatal("unchanged checkpoint missed the fast path")
 	}
-	if len(diff.FirstOcur)+len(diff.ShiftDupl)+len(diff.Data) != 0 {
+	if diff.FirstOcur.Len()+diff.ShiftDupl.Len()+len(diff.Data) != 0 {
 		t.Fatal("fast-path diff not empty")
 	}
 	if st1.DedupTime >= st0.DedupTime {

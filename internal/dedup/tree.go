@@ -159,20 +159,20 @@ func (d *Deduplicator) initBodies() {
 	//ckptlint:noalloc
 	d.gatherSizesBody = func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			off, end := d.tree.NodeSpan(int(d.gatherFirsts[i]), d.opts.ChunkSize, d.dataLen)
+			off, end := d.tree.NodeSpan(int(d.gatherFirsts.At(i)), d.opts.ChunkSize, d.dataLen)
 			d.gatherSizes[i] = int64(end - off)
 		}
 	}
 	//ckptlint:noalloc
 	d.gatherTeamBody = func(t parallel.Team) {
 		i := t.LeagueRank()
-		off, end := d.tree.NodeSpan(int(d.gatherFirsts[i]), d.opts.ChunkSize, d.dataLen)
+		off, end := d.tree.NodeSpan(int(d.gatherFirsts.At(i)), d.opts.ChunkSize, d.dataLen)
 		copy(d.gatherOut[d.gatherOffsets[i]:d.gatherOffsets[i]+d.gatherSizes[i]], d.gatherData[off:end])
 	}
 	//ckptlint:noalloc
 	d.gatherPerThread = func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			off, end := d.tree.NodeSpan(int(d.gatherFirsts[i]), d.opts.ChunkSize, d.dataLen)
+			off, end := d.tree.NodeSpan(int(d.gatherFirsts.At(i)), d.opts.ChunkSize, d.dataLen)
 			copy(d.gatherOut[d.gatherOffsets[i]:d.gatherOffsets[i]+d.gatherSizes[i]], d.gatherData[off:end])
 		}
 	}
@@ -351,10 +351,10 @@ func (d *Deduplicator) sweepLevels(l *launcher, name string, body func(lo, hi in
 // right — from the root down through MIXED nodes, which is chunk
 // order — and returns how many carry FIRST_OCUR and SHIFT_DUPL
 // (FIXED_DUPL roots cost nothing and are skipped). Non-nil firsts and
-// shifts are filled on the way; they must have exactly those lengths.
+// shifts are appended to on the way, in their wire form.
 //
 //ckptlint:noalloc
-func (d *Deduplicator) walkRegions(firsts []uint32, shifts []checkpoint.ShiftRegion) (nf, ns int) {
+func (d *Deduplicator) walkRegions(firsts *checkpoint.FirstList, shifts *checkpoint.ShiftList) (nf, ns int) {
 	stack := append(d.walkStack[:0], 0)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
@@ -364,7 +364,7 @@ func (d *Deduplicator) walkRegions(firsts []uint32, shifts []checkpoint.ShiftReg
 			stack = append(stack, uint32(merkle.Right(int(v))), uint32(merkle.Left(int(v))))
 		case LabelFirstOcur:
 			if firsts != nil {
-				firsts[nf] = v
+				*firsts = firsts.Append(v)
 			}
 			nf++
 		case LabelShiftDupl:
@@ -375,7 +375,7 @@ func (d *Deduplicator) walkRegions(firsts []uint32, shifts []checkpoint.ShiftReg
 					// was assigned after a successful map lookup.
 					panic("dedup: shifted region missing from historical record")
 				}
-				shifts[ns] = checkpoint.ShiftRegion{Node: v, SrcNode: src.Node, SrcCkpt: src.Ckpt}
+				*shifts = shifts.Append(checkpoint.ShiftRegion{Node: v, SrcNode: src.Node, SrcCkpt: src.Ckpt})
 			}
 			ns++
 		}
@@ -387,15 +387,15 @@ func (d *Deduplicator) walkRegions(firsts []uint32, shifts []checkpoint.ShiftReg
 // makes the diff layout (and therefore the wire format) deterministic.
 // They are retained by the diff, so they are allocated — at exact
 // size: one walk counts, one fills.
-func (d *Deduplicator) listRegions() (firsts []uint32, shifts []checkpoint.ShiftRegion) {
+func (d *Deduplicator) listRegions() (firsts checkpoint.FirstList, shifts checkpoint.ShiftList) {
 	nf, ns := d.walkRegions(nil, nil)
 	if nf > 0 {
-		firsts = make([]uint32, nf)
+		firsts = make(checkpoint.FirstList, 0, 4*nf)
 	}
 	if ns > 0 {
-		shifts = make([]checkpoint.ShiftRegion, ns)
+		shifts = make(checkpoint.ShiftList, 0, 12*ns)
 	}
-	d.walkRegions(firsts, shifts)
+	d.walkRegions(&firsts, &shifts)
 	return firsts, shifts
 }
 
@@ -420,12 +420,12 @@ func (d *Deduplicator) lookupShift(dig murmur3.Digest) (hashmap.Entry, bool) {
 // throughput serialization of scattered chunks"). The returned buffer
 // is freshly allocated — it is retained by the diff — but the sizes
 // and offsets scratch is reused across checkpoints.
-func (d *Deduplicator) gather(data []byte, firstNodes []uint32, l *launcher) []byte {
+func (d *Deduplicator) gather(data []byte, firstNodes checkpoint.FirstList, l *launcher) []byte {
 	if len(firstNodes) == 0 {
 		return nil
 	}
 	pool := d.dev.Pool()
-	n := len(firstNodes)
+	n := firstNodes.Len()
 	d.gatherData, d.gatherFirsts = data, firstNodes
 	d.gatherSizes = growInt64(d.gatherSizes, n)
 	d.gatherOffsets = growInt64(d.gatherOffsets, n)
@@ -453,8 +453,8 @@ func (d *Deduplicator) gather(data []byte, firstNodes []uint32, l *launcher) []b
 type treeFrontResult struct {
 	st     Stats
 	fast   bool
-	firsts []uint32
-	shifts []checkpoint.ShiftRegion
+	firsts checkpoint.FirstList
+	shifts checkpoint.ShiftList
 }
 
 // treeFront runs the hash/label/consolidate phases of Algorithm 1
@@ -492,8 +492,8 @@ func (d *Deduplicator) treeFront(data []byte, l *launcher) (treeFrontResult, err
 		return fr, err
 	}
 	fr.firsts, fr.shifts = d.listRegions()
-	fr.st.NumFirstOcur = len(fr.firsts)
-	fr.st.NumShiftDupl = len(fr.shifts)
+	fr.st.NumFirstOcur = fr.firsts.Len()
+	fr.st.NumShiftDupl = fr.shifts.Len()
 	d.frontData = nil
 	return fr, nil
 }

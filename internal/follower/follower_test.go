@@ -22,6 +22,7 @@ import (
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/faults"
 	"github.com/gpuckpt/gpuckpt/internal/follower"
+	"github.com/gpuckpt/gpuckpt/internal/merkle"
 	"github.com/gpuckpt/gpuckpt/internal/server"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
@@ -421,13 +422,85 @@ func TestFollowerTailHoldsNoChain(t *testing.T) {
 		}
 	}) / n
 
+	perFrame, _ := scriptedTail(t, frames, warm)
+	smallest := len(frames[warm])
+	for _, fr := range frames[warm:] {
+		smallest = min(smallest, len(fr))
+	}
+	t.Logf("per tail frame: %d B allocated, decode %d B, frame >= %d B", perFrame, decodeCost, smallest)
+	if perFrame > 4*decodeCost+2048 || perFrame > uint64(smallest)/4 {
+		t.Fatalf("a tail frame allocates %d B: decoding its diff costs %d B and the smallest frame is %d B",
+			perFrame, decodeCost, smallest)
+	}
+}
+
+// A tail frame's region lists are mirrored from the frame they arrived
+// in: a frame carrying 1.5 MiB of shifted-duplicate regions allocates
+// next to nothing to decode and append, and the mirror holds the bytes
+// the primary sent, although the tail loop reads the next frame over
+// them.
+func TestFollowerMirrorsRegionListsInPlace(t *testing.T) {
+	const chunks, warm, n = 128 << 10, 2, 3
+	g := merkle.NewGeometry(chunks)
+	base := make([]byte, 8*chunks)
+	rand.New(rand.NewSource(911)).Read(base)
+	encoded := make([][]byte, warm+n)
+	frames := make([][]byte, warm+n)
+	for k := range frames {
+		d := &checkpoint.Diff{Method: checkpoint.MethodFull, DataLen: 8 * chunks, ChunkSize: 8, Data: base}
+		if k > 0 { // chunk c is chunk c+k of the baseline
+			d = &checkpoint.Diff{Method: checkpoint.MethodList, CkptID: uint32(k), DataLen: 8 * chunks, ChunkSize: 8}
+			for c := range chunks {
+				d.ShiftDupl = d.ShiftDupl.Append(checkpoint.ShiftRegion{
+					Node: uint32(g.LeafNode(c)), SrcNode: uint32(g.LeafNode((c + k) % chunks))})
+			}
+		}
+		var enc, fr bytes.Buffer
+		if err := d.Encode(&enc); err != nil {
+			t.Fatal(err)
+		}
+		encoded[k] = enc.Bytes()
+		if err := wire.WriteFrame(&fr, &wire.Frame{Type: wire.TTail, Ckpt: uint32(k), Payload: wire.EncodePush(encoded[k])}); err != nil {
+			t.Fatal(err)
+		}
+		frames[k] = fr.Bytes()
+	}
+	perFrame, fl := scriptedTail(t, frames, warm)
+	t.Logf("per %d-byte tail frame: %d B allocated", len(frames[warm]), perFrame)
+	if perFrame >= 64<<10 {
+		t.Fatalf("a tail frame of %d bytes allocates %d B, want under 64 KiB", len(frames[warm]), perFrame)
+	}
+	p, err := fl.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, enc := range encoded {
+		var got bytes.Buffer
+		if err := p.Record.Diff(k).Encode(&got); err != nil || !bytes.Equal(got.Bytes(), enc) {
+			t.Fatalf("mirrored diff %d is not the bytes the primary sent (%v)", k, err)
+		}
+		img, err := p.Record.Restore(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append(bytes.Clone(base[8*k:]), base[:8*k]...); !bytes.Equal(img, want) {
+			t.Fatalf("checkpoint %d restores wrong from the mirror", k)
+		}
+	}
+}
+
+// scriptedTail runs a follower against a scripted primary that answers
+// its open and subscribe and then writes frames, and returns what the
+// follower allocated per frame after the first warm ones had arrived.
+func scriptedTail(t *testing.T, frames [][]byte, warm int) (uint64, *follower.Follower) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	burst, done := make(chan struct{}), make(chan struct{})
-	defer close(done)
+	t.Cleanup(func() { close(done) })
 	go func() {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -465,22 +538,15 @@ func TestFollowerTailHoldsNoChain(t *testing.T) {
 
 	fl := runFollower(t, ln.Addr().String(), "tail", nil)
 	waitNext(t, fl, warm)
+	n := len(frames) - warm
 	perFrame := allocated(func() {
 		close(burst)
-		waitNext(t, fl, warm+n)
-	}) / n
-	if st := fl.Stats(); st.TailFrames != warm+n || st.Reconnects != 0 {
+		waitNext(t, fl, len(frames))
+	}) / uint64(n)
+	if st := fl.Stats(); st.TailFrames != uint64(len(frames)) || st.Reconnects != 0 {
 		t.Fatalf("the scripted stream did not arrive whole: %+v", st)
 	}
-	smallest := len(frames[warm])
-	for _, fr := range frames[warm:] {
-		smallest = min(smallest, len(fr))
-	}
-	t.Logf("per tail frame: %d B allocated, decode %d B, frame >= %d B", perFrame, decodeCost, smallest)
-	if perFrame > 4*decodeCost+2048 || perFrame > uint64(smallest)/4 {
-		t.Fatalf("a tail frame allocates %d B: decoding its diff costs %d B and the smallest frame is %d B",
-			perFrame, decodeCost, smallest)
-	}
+	return perFrame, fl
 }
 
 // allocated reports the bytes the process allocated while fn ran.

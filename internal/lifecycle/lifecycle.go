@@ -187,8 +187,9 @@ func Fold(store *checkpoint.FileStore, k int, pool *parallel.Pool) (Stats, error
 	// baseline is a full image.
 	dirty := make(map[int]bool)
 	for j := k + 1; j < length; j++ {
-		for _, s := range rec.Diff(j).ShiftDupl {
-			if src := int(s.SrcCkpt); src < k || dirty[src] {
+		shifts := rec.Diff(j).ShiftDupl
+		for i := range shifts.Len() {
+			if src := int(shifts.At(i).SrcCkpt); src < k || dirty[src] {
 				dirty[j] = true
 				break
 			}

@@ -286,7 +286,7 @@ func BenchmarkReplicatedPush(b *testing.B) {
 	push := func(ck int) {
 		d.CkptID = uint32(ck)
 		payload = append(payload[:0], 0, 0, 0, 0)
-		payload, _ = d.AppendPrefix(payload)
+		payload, _ = d.AppendHeader(payload)
 		payload = append(payload, d.Data...)
 		binary.BigEndian.PutUint32(payload, wire.Checksum(payload[wire.PushChecksumSize:]))
 		req.Ckpt, req.Payload = uint32(ck), payload

@@ -8,12 +8,13 @@
 //	ack                     a TPush response, or one StreamAck a frame
 //
 // The copy rule: a checked diff aliases the payload it was decoded
-// from, and a request payload lives in the connection's read buffer
-// until the next frame is read. A stream frame that is staged outlives
+// from — every section, region lists included — and a request payload
+// lives in the connection's read buffer until the next frame is read. A stream frame that is staged outlives
 // that, so check copies its payload — once, after the CRC has vouched
 // for it and before the diff is decoded where the copy lies — into
-// staging from the server's free list (frames.go). Neither AppendBatch
-// nor the block store keeps a slice of a diff, so the staging goes back
+// staging from the server's free list (frames.go). AppendBatch writes
+// the diff's sections from there by reference and neither it nor the
+// block store keeps a slice of a diff, so the staging goes back
 // to the list as soon as the run's append returns; only then are the
 // lineage's subscribers woken, and each reads what it sends back from
 // the store — into a buffer from the same list, which can be the one

@@ -32,16 +32,15 @@ type inflight struct {
 }
 
 // stagedFrame is one coalesced stream frame awaiting the next writev:
-// its header+checksum+prefix block ends at stage[end] (frames pack
+// its header+checksum+diff header block ends at stage[end] (frames pack
 // back-to-back, so it starts at the previous frame's end), and the
-// bitmap/data sections ride by reference. Offsets, not subslices,
-// because staging the next frame may grow — and move — the stage
-// buffer; the segment list is built only at flush time, when the
-// buffer has settled.
+// diff's sections — region lists, bitmap, data — ride by reference.
+// Offsets, not subslices, because staging the next frame may grow — and
+// move — the stage buffer; the segment list is built only at flush
+// time, when the buffer has settled.
 type stagedFrame struct {
-	end    int
-	bitmap []byte
-	data   []byte
+	end  int
+	secs [4][]byte
 }
 
 // Push uploads one encoded diff as checkpoint ckpt of the lineage
@@ -78,9 +77,9 @@ const streamCoalesceFrames = 16
 // the server's contiguity check and ack as errors too) and surfaces the
 // lowest failed frame as a *wire.StreamFrameError; a transport error
 // tears the attempt and leaves resumption to the caller's retry. The
-// send path allocates nothing per frame: headers, checksums and diff
-// prefixes pack back-to-back into the connection's reused stage buffer,
-// bitmap and data sections ride to the socket by reference, and up to
+// send path allocates nothing per frame: frame headers, checksums and
+// diff headers pack back-to-back into the connection's reused stage
+// buffer, a diff's sections ride to the socket by reference, and up to
 // streamCoalesceFrames frames leave in one writev. Anything staged is
 // flushed before the stream ever waits for an ack, so coalescing cannot
 // deadlock the window.
@@ -140,13 +139,13 @@ func (cn *Conn) StreamPush(handle uint32, from, to int, diffAt func(int) (*check
 
 // stageStreamFrame builds one TPushStream frame for d and coalesces
 // it behind any frames already staged: [frame header | CRC32C | diff
-// header+metadata] appends to the stage buffer, the bitmap and data
-// sections are recorded by reference, and nothing touches the socket
-// until flushStaged. The checksum over the scattered segments is
-// computed incrementally — the encoded diff bytes are never gathered on
-// the client. On error the stage buffer is rolled back to the previous
-// frame boundary, so a half-built frame can never leak into the next
-// flush.
+// header] appends to the stage buffer — a few dozen bytes, whatever the
+// diff holds — the region lists, bitmap and data sections are recorded
+// by reference, and nothing touches the socket until flushStaged. The
+// checksum over the scattered segments is computed incrementally — the
+// encoded diff bytes are never gathered on the client. On error the
+// stage buffer is rolled back to the previous frame boundary, so a
+// half-built frame can never leak into the next flush.
 func (cn *Conn) stageStreamFrame(h, ckpt uint32, d *checkpoint.Diff) (int64, error) {
 	mark := len(cn.stage)
 	payloadLen := int64(wire.PushChecksumSize) + d.TotalBytes()
@@ -156,24 +155,20 @@ func (cn *Conn) stageStreamFrame(h, ckpt uint32, d *checkpoint.Diff) (int64, err
 	}
 	crcOff := len(stage)
 	stage = append(stage, 0, 0, 0, 0)
-	metaOff := len(stage)
-	// Grown once: a baseline's region metadata runs to megabytes, which
-	// appends would reach through a chain of superseded buffers. At
-	// least doubled, so a reused buffer still grows geometrically.
-	if need := len(stage) + int(d.PrefixBytes()); cap(stage) < need {
-		stage = append(make([]byte, 0, max(need, 2*cap(stage))), stage...)
-	}
-	stage, err = d.AppendPrefix(stage)
+	hdrOff := len(stage)
+	stage, err = d.AppendHeader(stage)
 	if err != nil {
 		cn.stage = stage[:mark]
 		return 0, err
 	}
-	sum := wire.ChecksumAdd(0, stage[metaOff:])
-	sum = wire.ChecksumAdd(sum, d.Bitmap)
-	sum = wire.ChecksumAdd(sum, d.Data)
+	f := stagedFrame{end: len(stage), secs: [4][]byte{d.FirstOcur, d.ShiftDupl, d.Bitmap, d.Data}}
+	sum := wire.ChecksumAdd(0, stage[hdrOff:])
+	for _, sec := range f.secs {
+		sum = wire.ChecksumAdd(sum, sec)
+	}
 	binary.BigEndian.PutUint32(stage[crcOff:], sum)
 	cn.stage = stage
-	cn.push.staged = append(cn.push.staged, stagedFrame{end: len(stage), bitmap: d.Bitmap, data: d.Data})
+	cn.push.staged = append(cn.push.staged, f)
 	return wire.HeaderSize + payloadLen, nil
 }
 
@@ -181,7 +176,7 @@ func (cn *Conn) stageStreamFrame(h, ckpt uint32, d *checkpoint.Diff) (int64, err
 // and resets the staging state. The segment list is assembled here —
 // not at stage time — because only now is the stage buffer done
 // moving; each frame contributes its header block plus its referenced
-// bitmap/data sections, in order. A no-op when nothing is staged.
+// sections, in order. A no-op when nothing is staged.
 func (cn *Conn) flushStaged() error {
 	if len(cn.push.staged) == 0 {
 		return nil
@@ -191,11 +186,10 @@ func (cn *Conn) flushStaged() error {
 	for i := range cn.push.staged {
 		f := &cn.push.staged[i]
 		vec = append(vec, cn.stage[start:f.end])
-		if len(f.bitmap) > 0 {
-			vec = append(vec, f.bitmap)
-		}
-		if len(f.data) > 0 {
-			vec = append(vec, f.data)
+		for _, sec := range f.secs {
+			if len(sec) > 0 {
+				vec = append(vec, sec)
+			}
 		}
 		start = f.end
 	}
