@@ -183,8 +183,14 @@ fuzz-smoke:
 # closes the stream and is not counted as a moved span), the
 # reconciler's installs waking the lineage's subscribers
 # (TestAntiEntropyWakesSubscribers), a subscriber that reads nothing and
-# is never dropped (TestSubscriberNeverShed), the pinned frame-type
-# bytes with the retired one unused (TestFrameTypeBytes), a heal
+# is never dropped (TestSubscriberNeverShed), the intake's buffer
+# handover — a staged frame is the buffer it was read into
+# (TestStagedFrameIsTheReadBuffer), a run is bounded by the capacity it
+# stages (TestStagedRunCountsCapacity), a request connection takes no
+# buffer from the free list (TestRequestConnTakesNoListBuffer) and a
+# torn run hands every buffer back once (TestTornRunReturnsBuffers) —
+# the pinned frame-type bytes with the retired one unused
+# (TestFrameTypeBytes), a heal
 # pulling each run of adjacent rotten ids as one span (TestHealPullsRuns),
 # plus the TestRace concurrency regression tests guarding the bugs the
 # guardedby/lockorder/goroleak analyzers found (Serve worker join,
@@ -199,7 +205,7 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run '^(TestScrubIsReadOnly|TestScrubbedRotRefusesForeignPush)$$' .
 	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestReadBudget|TestReadAcrossRelocation|TestRaceGetInternGC|TestGCMarkThenPush|TestGCMarkThenOpen|TestRaceGCMarkPush|TestCountedPackRefused|TestCountedIndexRefused)$$' ./internal/blockstore
 	$(GO) test -race -count=1 -run '^TestHealPullsRuns$$' ./internal/antientropy
-	$(GO) test -race -count=1 -run '^(TestRace|(TestFoldEndsSubscription|TestSubscribeFoldMidBacklog|TestSubscribeRotEndsWithoutBarrier|TestAntiEntropyWakesSubscribers|TestSubscriberNeverShed)$$)' ./internal/server
+	$(GO) test -race -count=1 -run '^(TestRace|(TestFoldEndsSubscription|TestSubscribeFoldMidBacklog|TestSubscribeRotEndsWithoutBarrier|TestAntiEntropyWakesSubscribers|TestSubscriberNeverShed|TestStagedFrameIsTheReadBuffer|TestStagedRunCountsCapacity|TestRequestConnTakesNoListBuffer|TestTornRunReturnsBuffers)$$)' ./internal/server
 	$(GO) test -race -count=1 -run '^TestRace' ./internal/wireclient
 	$(GO) test -race -count=1 -run '^TestFrameTypeBytes$$' ./internal/wire
 

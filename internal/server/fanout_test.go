@@ -28,7 +28,8 @@ func warmFrames(srv *Server, n, size int) int {
 }
 
 // waitFree waits until srv's free list holds want bytes again: every
-// buffer a run staged in or a subscription borrowed is back.
+// buffer a run staged in or a subscription borrowed is back. It then
+// walks the list (freeBytes), so no buffer is on it twice.
 func waitFree(t testing.TB, srv *Server, want int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -37,6 +38,9 @@ func waitFree(t testing.TB, srv *Server, want int) {
 		held := srv.frames.held
 		srv.frames.mu.Unlock()
 		if held == want {
+			if listed := freeBytes(t, srv); listed != want {
+				t.Fatalf("the free list's classes hold %d bytes, its count %d", listed, want)
+			}
 			return
 		}
 		if time.Now().After(deadline) {
@@ -46,15 +50,59 @@ func waitFree(t testing.TB, srv *Server, want int) {
 	}
 }
 
+// freeBytes walks srv's free list class by class and returns the bytes
+// of capacity on it. A backing array listed twice — one buffer with two
+// users to come — fails t.
+func freeBytes(t testing.TB, srv *Server) int {
+	t.Helper()
+	srv.frames.mu.Lock()
+	defer srv.frames.mu.Unlock()
+	seen, n := make(map[*byte]bool), 0
+	for _, class := range srv.frames.free {
+		for _, b := range class {
+			if first := &b[:1][0]; seen[first] {
+				t.Fatalf("a %d-byte buffer is on the free list twice", cap(b))
+			} else {
+				seen[first] = true
+			}
+			n += cap(b)
+		}
+	}
+	return n
+}
+
+// outgrown returns the bytes a connection's first read of frame leaves
+// on the free list: the buffers wire.ReadFrameSpare outgrows on its way
+// to the frame's size, those the list keeps.
+func outgrown(t testing.TB, frame []byte) int {
+	t.Helper()
+	var f wire.Frame
+	var scratch []byte
+	var spare [][]byte
+	if err := wire.ReadFrameSpare(bytes.NewReader(frame), 0, &f, &scratch, &spare); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, b := range spare {
+		if cap(b) >= frameMemMin {
+			n += cap(b)
+		}
+	}
+	return n
+}
+
 // TestReplicatedIntakeRecyclesStaging: with a live subscriber, a staged
 // run goes back to the free list when it settles, and the subscriber
 // reads each diff back from the store into a buffer it borrows from the
 // same list for one wake. On a warm server the second of two 16-frame
 // runs over TCP therefore allocates next to nothing for its payload
 // bytes, where a copy per replicated frame would allocate all of them
-// again. The list starts as a first run leaves it, one buffer per
-// frame, so how TCP groups the frames into commits does not matter: a
-// subscriber borrows only after a commit has handed its staging back.
+// again. The list starts with one buffer per frame, which with the
+// buffer the pusher reads its first frame into is one more than a run
+// can stage, so how TCP groups the frames into commits does not matter:
+// a subscriber borrows only after a commit has handed its staging back.
+// After each run the list holds those buffers but the one the pusher
+// reads on into, plus what the pusher's first read outgrew.
 func TestReplicatedIntakeRecyclesStaging(t *testing.T) {
 	srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
 	defer stop()
@@ -88,7 +136,7 @@ func TestReplicatedIntakeRecyclesStaging(t *testing.T) {
 		}
 	}
 
-	warm := warmFrames(srv, n, len(want[0]))
+	warm := warmFrames(srv, n, len(want[0])) + outgrown(t, first)
 	relay(first, 0)
 	waitFree(t, srv, warm)
 
@@ -128,9 +176,12 @@ func readTails(t *testing.T, sub net.Conn, want [][]byte, from int) {
 // left behind by a reader that stops reading, or ended by a fold, a
 // disconnect or a shutdown — every TTail payload that reaches the wire
 // is the pushed bytes, and the free list ends where it started: the
-// run's staging and the buffer the subscription borrowed are all back.
-// The subscribers are on unbuffered pipes, so while the test does not
-// read, the server is parked in a write with the buffer borrowed.
+// run's staging and the buffer the subscription borrowed are all back,
+// and the pusher reads on into one of them. Once the connections close,
+// the list also holds the pusher's read buffer; the subscriber's, a few
+// bytes, it does not keep. The subscribers are on unbuffered pipes, so
+// while the test does not read, the server is parked in a write with
+// the buffer borrowed.
 func TestRaceFanOutReleases(t *testing.T) {
 	const n, size = 6, 16 << 10
 	want := make([][]byte, n)
@@ -156,6 +207,13 @@ func TestRaceFanOutReleases(t *testing.T) {
 	pushAll := func(t *testing.T, pusher net.Conn, h uint32) {
 		sendRun(t, pusher, streamBurst(t, h, 0, want), 0, n)
 	}
+	// hangUp closes both connections and waits for the pusher's read
+	// buffer to join the warm list.
+	hangUp := func(t *testing.T, l *pipeListener, pusher, sub net.Conn, warm int) {
+		pusher.Close()
+		sub.Close()
+		waitFree(t, l.srv, warm+len(want[0]))
+	}
 	readAll := func(t *testing.T, sub net.Conn) {
 		for ck := 0; ck < n; ck++ {
 			if fr := readTail(t, sub); fr.Type != wire.TTail || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, want[ck]) {
@@ -175,6 +233,7 @@ func TestRaceFanOutReleases(t *testing.T) {
 			}
 		}
 		waitFree(t, l.srv, warm)
+		hangUp(t, l, pusher, sub, warm)
 	})
 
 	t.Run("lag", func(t *testing.T) {
@@ -186,6 +245,7 @@ func TestRaceFanOutReleases(t *testing.T) {
 		pushAll(t, pusher, h)
 		readAll(t, sub)
 		waitFree(t, l.srv, warm)
+		hangUp(t, l, pusher, sub, warm)
 	})
 
 	t.Run("fold", func(t *testing.T) {
@@ -200,6 +260,7 @@ func TestRaceFanOutReleases(t *testing.T) {
 			t.Fatalf("FoldEnds = %d, want 1", ends)
 		}
 		waitFree(t, l.srv, warm)
+		hangUp(t, l, pusher, sub, warm)
 	})
 
 	t.Run("disconnect", func(t *testing.T) {
@@ -211,6 +272,7 @@ func TestRaceFanOutReleases(t *testing.T) {
 		}
 		sub.Close()
 		waitFree(t, l.srv, warm)
+		hangUp(t, l, pusher, sub, warm)
 	})
 
 	t.Run("shutdown", func(t *testing.T) {
@@ -223,7 +285,7 @@ func TestRaceFanOutReleases(t *testing.T) {
 		// The subscription is parked writing checkpoint 1; the drain
 		// times out and closes its connection.
 		l.shutdown()
-		waitFree(t, l.srv, warm)
+		waitFree(t, l.srv, warm+len(want[0]))
 	})
 }
 
@@ -258,10 +320,11 @@ func TestSubscriberNeverShed(t *testing.T) {
 // BenchmarkReplicatedPush measures the replicated intake on its own:
 // each op pushes one 1 MiB stream frame to a lineage whose one live
 // subscriber drains its tail over TCP, and waits for the frame's ack.
-// One frame pushed and drained before the timer starts fills the free
-// list and both read buffers, so B/op is what the intake and the
-// subscription allocate per replicated frame on a warm server, even at
-// -benchtime 1x.
+// Two frames pushed and drained before the timer starts grow the
+// pusher's read buffer and put a second full-size buffer on the free
+// list, for the run to hand back and forth with the pusher, so B/op is
+// what the intake and the subscription allocate per replicated frame
+// on a warm server, even at -benchtime 1x.
 func BenchmarkReplicatedPush(b *testing.B) {
 	srv, addr, stop := startServer(b, Config{Root: b.TempDir()})
 	defer stop()
@@ -297,11 +360,20 @@ func BenchmarkReplicatedPush(b *testing.B) {
 			b.Fatalf("ack %d: %+v, %v", ck, ack, err)
 		}
 	}
-	push(0)
-	if err := wire.ReadFrameInto(sub, 0, &tail, &tailScratch); err != nil {
-		b.Fatal(err)
+	for ck := 0; ck < 2; ck++ {
+		push(ck)
+		if err := wire.ReadFrameInto(sub, 0, &tail, &tailScratch); err != nil {
+			b.Fatal(err)
+		}
 	}
-	waitFree(b, srv, len(payload))
+	for { // until the subscription has handed back the second frame's staging
+		buf := srv.frames.largest()
+		srv.frames.put(buf)
+		if cap(buf) >= len(payload) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	drained := make(chan error, 1)
 	go func() {
@@ -316,7 +388,7 @@ func BenchmarkReplicatedPush(b *testing.B) {
 	b.SetBytes(size)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 1; i <= b.N; i++ {
+	for i := 2; i < b.N+2; i++ {
 		push(i)
 	}
 	if err := <-drained; err != nil {

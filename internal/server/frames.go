@@ -1,11 +1,12 @@
 // The server's frame memory: one free list of byte buffers, owned by
-// the Server, that the stream intake stages pushed frames in and span
-// streams and subscriptions read diffs back into. A buffer has one user
-// at a time and goes back when that user is done with it — staging once
-// its run has settled, a span stream once it has ended, a subscription
-// after each wake — so a warm server ingests, replicates and serves
-// frames without allocating for them, and unlike a sync.Pool the list
-// is not emptied by a GC.
+// the Server, that connections read pushed frames into and span streams
+// and subscriptions read diffs back into. A buffer has one user at a
+// time and goes back when that user is done with it — a connection's
+// read buffer when the connection outgrows it or closes, a staged
+// frame's once its run has settled, a span stream's once it has ended, a
+// subscription's after each wake — so a warm server ingests, replicates
+// and serves frames without allocating for them, and unlike a sync.Pool
+// the list is not emptied by a GC.
 //
 // What the list retains is capped server-wide by frameMemCap; a buffer
 // that would take it past the cap is left to the GC. The cap bounds
@@ -18,6 +19,7 @@
 package server
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 )
@@ -25,6 +27,11 @@ import (
 // frameMemCap bounds the bytes of free buffers the server retains: four
 // staged runs at their byte cap.
 const frameMemCap = 4 * streamBatchBytes
+
+// frameMemMin is the smallest buffer the list keeps: every connection
+// reads its first header into a few bytes of its own and hands them
+// back when it closes.
+const frameMemMin = 4 << 10
 
 // frameMem is the free list. Buffers are kept by capacity class — class
 // k holds capacities of bit length k, [2^(k-1), 2^k) — so a get looks at
@@ -38,32 +45,31 @@ type frameMem struct {
 	held int // bytes of capacity on the list
 }
 
-// get returns a buffer of length n: a free one from the smallest class
-// holding one that fits, or else a new one.
+// get returns a free buffer, emptied, for the next read of a
+// connection that has just staged an n-byte frame: the smallest that
+// holds n, else the largest, or nil if the list is empty. It never
+// allocates: a read that outgrows what it returns grows its own
+// (wire.ReadFrameSpare).
 func (m *frameMem) get(n int) []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for k := bits.Len(uint(n)); k < len(m.free); k++ {
 		if top := len(m.free[k]) - 1; top >= 0 && cap(m.free[k][top]) >= n {
-			return m.takeLocked(k)[:n]
+			return m.takeLocked(k)
 		}
 	}
-	return make([]byte, n)
+	for k := len(m.free) - 1; k > 0; k-- {
+		if len(m.free[k]) > 0 {
+			return m.takeLocked(k)
+		}
+	}
+	return nil
 }
 
 // largest returns the largest free buffer, emptied, or nil if there is
 // none. A span stream or a subscription takes it: neither can know its
 // largest frame before it has read it.
-func (m *frameMem) largest() []byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for k := len(m.free) - 1; k > 0; k-- {
-		if len(m.free[k]) > 0 {
-			return m.takeLocked(k)[:0]
-		}
-	}
-	return nil
-}
+func (m *frameMem) largest() []byte { return m.get(math.MaxInt) }
 
 // takeLocked pops the top buffer of class k.
 //
@@ -74,13 +80,13 @@ func (m *frameMem) takeLocked(k int) []byte {
 	m.free[k][top] = nil
 	m.free[k] = m.free[k][:top]
 	m.held -= cap(b)
-	return b
+	return b[:0]
 }
 
 // put hands b back to the list. Its user must hold no slice of it any
 // longer.
 func (m *frameMem) put(b []byte) {
-	if cap(b) == 0 {
+	if cap(b) < frameMemMin {
 		return
 	}
 	m.mu.Lock()

@@ -8,18 +8,18 @@
 //	ack                     a TPush response, or one StreamAck a frame
 //
 // The copy rule: a checked diff aliases the payload it was decoded
-// from — every section, region lists included — and a request payload
-// lives in the connection's read buffer until the next frame is read. A stream frame that is staged outlives
-// that, so check copies its payload — once, after the CRC has vouched
-// for it and before the diff is decoded where the copy lies — into
-// staging from the server's free list (frames.go). AppendBatch writes
-// the diff's sections from there by reference and neither it nor the
-// block store keeps a slice of a diff, so the staging goes back
-// to the list as soon as the run's append returns; only then are the
-// lineage's subscribers woken, and each reads what it sends back from
-// the store — into a buffer from the same list, which can be the one
-// the run just gave back. A diff that commits within its own request
-// copies nothing.
+// from — every section, region lists included — and a payload lives in
+// the connection's read buffer, which the next read overwrites. A stream
+// frame that is staged outlives that, so the connection hands the buffer
+// over: it becomes the frame's staging, and the connection takes its
+// next read buffer from the server's free list (frames.go). No byte is
+// copied. AppendBatch writes the diff's sections from there by reference
+// and neither it nor the block store keeps a slice of a diff, so the
+// staging goes back to the list as soon as the run's append returns;
+// only then are the lineage's subscribers woken, and each reads what it
+// sends back from the store — into a buffer from the same list, which
+// can be the one the run just gave back. A diff that commits within its
+// own request is never staged.
 
 package server
 
@@ -38,8 +38,9 @@ import (
 type pushed struct {
 	diff *checkpoint.Diff
 	crc  uint32 // of the encoded diff, as the pusher computed it
-	// staging is the free-list buffer check copied the frame into, which
-	// diff aliases; nil while the frame lies in the read buffer.
+	// staging is the read buffer the frame arrived in, handed over to
+	// the run, which diff aliases; nil while the connection still reads
+	// into it.
 	staging []byte
 }
 
@@ -54,13 +55,14 @@ type stagedRun struct {
 	handle uint32 // wire handle, echoed in the acks
 	start  uint32 // checkpoint id of batch[0]
 	batch  []pushed
-	bytes  int64
+	bytes  int64 // capacity of the batch's staging
 }
 
 // Caps on a single group commit: a run holds at most streamBatchFrames
-// diffs or streamBatchBytes of decoded payload, whichever trips first,
+// diffs or streamBatchBytes of staging capacity, whichever trips first,
 // bounding both ack latency and the memory a fast pusher can pin on the
-// server.
+// server. Capacity, not payload: a frame read into a larger recycled
+// buffer pins all of it.
 const (
 	streamBatchFrames = 64
 	streamBatchBytes  = 16 << 20
@@ -83,9 +85,11 @@ func (r *stagedRun) extendedBy(ln *lineage, ckpt uint32) bool {
 // verifies the payload's CRC32C — the bytes survived the wire —
 // decode-validates the diff before the store sees it (a malformed diff
 // must never become a lineage record) and holds the frame to the id it
-// names. A frame that extends run comes back copied out of the read
-// buffer, ready to stage.
-func (s *Server) check(req *wire.Frame, run *stagedRun) (*lineage, pushed, error) {
+// names. A frame that extends run is staged where it lies: *scratch,
+// the read buffer req.Payload was read into, becomes its staging, and
+// the connection reads on into a buffer from the free list, sized for
+// another frame like this one.
+func (s *Server) check(req *wire.Frame, run *stagedRun, scratch *[]byte) (*lineage, pushed, error) {
 	ln, err := s.get(req.Lineage)
 	if err != nil {
 		return nil, pushed{}, err
@@ -95,18 +99,14 @@ func (s *Server) check(req *wire.Frame, run *stagedRun) (*lineage, pushed, error
 		return nil, pushed{}, fmt.Errorf("server: push lineage %q: %w", ln.name, err)
 	}
 	p := pushed{crc: crc}
-	if run.extendedBy(ln, req.Ckpt) {
-		p.staging = s.frames.get(len(req.Payload))
-		copy(p.staging, req.Payload)
-		encoded = p.staging[wire.PushChecksumSize:]
-	}
 	if p.diff, err = checkpoint.DecodeBytes(encoded); err != nil {
-		s.unstage(p)
 		return nil, pushed{}, fmt.Errorf("server: push lineage %q: %w", ln.name, err)
 	}
 	if p.diff.CkptID != req.Ckpt {
-		s.unstage(p)
 		return nil, pushed{}, fmt.Errorf("server: push frame ckpt %d but diff id %d", req.Ckpt, p.diff.CkptID)
+	}
+	if run.extendedBy(ln, req.Ckpt) {
+		p.staging, *scratch = *scratch, s.frames.get(len(req.Payload))
 	}
 	return ln, p, nil
 }
@@ -170,16 +170,18 @@ func (s *Server) appendBatch(ln *lineage, start uint32, batch []pushed) (uint32,
 // payload — so its ack carries the precise typed outcome. Every outcome
 // is an ack on the same connection: a failed frame must not tear the
 // stream, because the client has a window of later frames in flight
-// behind it. The returned error is transport-only.
-func (s *Server) serveStream(run *stagedRun, req *wire.Frame, bw *bufio.Writer, conn net.Conn) error {
+// behind it. req.Payload lies in *scratch, the connection's read
+// buffer, which a staged frame takes over (check). The returned error is
+// transport-only.
+func (s *Server) serveStream(run *stagedRun, req *wire.Frame, scratch *[]byte, bw *bufio.Writer, conn net.Conn) error {
 	s.streamPushes.Add(1)
-	ln, p, err := s.check(req, run)
+	ln, p, err := s.check(req, run, scratch)
 	if err == nil && p.staging != nil {
 		if len(run.batch) == 0 {
 			run.ln, run.handle, run.start = ln, req.Lineage, req.Ckpt
 		}
 		run.batch = append(run.batch, p)
-		run.bytes += p.diff.TotalBytes()
+		run.bytes += int64(cap(p.staging))
 		if len(run.batch) < streamBatchFrames && run.bytes < streamBatchBytes {
 			return nil
 		}

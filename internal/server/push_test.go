@@ -61,10 +61,12 @@ func TestIntakeWritesRegionListsInPlace(t *testing.T) {
 	defer sink.Close()
 	defer peer.Close()
 	bw := bufio.NewWriter(io.Discard)
-	push := func(ck int) {
+	var scratch []byte
+	read := func(ck int) { scratch = append(scratch[:0], payloads[ck]...) }
+	stage := func(ck int) {
 		var run stagedRun
-		req := &wire.Frame{Type: wire.TPushStream, Lineage: h, Ckpt: uint32(ck), Payload: payloads[ck]}
-		if err := srv.serveStream(&run, req, bw, sink); err != nil {
+		req := &wire.Frame{Type: wire.TPushStream, Lineage: h, Ckpt: uint32(ck), Payload: scratch}
+		if err := srv.serveStream(&run, req, &scratch, bw, sink); err != nil {
 			t.Fatal(err)
 		}
 		if len(run.batch) != 1 || run.batch[0].staging == nil {
@@ -74,12 +76,15 @@ func TestIntakeWritesRegionListsInPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	push(0)
-	push(1) // the free list now holds staging the size of diff 2
+	read(0)
+	stage(0)
+	read(1)
+	stage(1)
+	read(2) // outside the measurement: the connection's read of the frame
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	push(2)
+	stage(2)
 	runtime.ReadMemStats(&after)
 	alloc := after.TotalAlloc - before.TotalAlloc
 	t.Logf("check and commit of a %d-byte diff: %d B allocated", len(want[2]), alloc)
@@ -98,6 +103,83 @@ func TestIntakeWritesRegionListsInPlace(t *testing.T) {
 	srv.frames.put(staging)
 	for ck, enc := range want {
 		if got, err := ln.store.DiffBytes(ck); err != nil || !bytes.Equal(got, enc) {
+			t.Fatalf("stored diff %d is not the pushed bytes (%v)", ck, err)
+		}
+	}
+}
+
+// TestStagedFrameIsTheReadBuffer: a staged stream frame is the buffer
+// the connection read it into, handed over, not a copy: its staging
+// starts at the read buffer's first byte, check and commit of a 1 MiB
+// frame on a warm server allocate next to nothing, and whatever the
+// connection reads next — 0xA5 over the whole buffer it reads on into —
+// leaves the committed bytes the pushed ones.
+func TestStagedFrameIsTheReadBuffer(t *testing.T) {
+	srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
+	defer stop()
+	conn := testConn(t, addr)
+	defer conn.Close()
+	h := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte("handover")}).Lineage
+	ln, err := srv.get(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A baseline, then two 1 MiB diffs of shifted duplicates only: region
+	// metadata, which the store writes with no block to intern.
+	const chunks = (1 << 20) / 12
+	payloads := [][]byte{
+		wire.EncodePush(bigEncodedDiff(t, 0, 8*chunks)),
+		wire.EncodePush(rotatedDiff(t, 1, chunks)),
+		wire.EncodePush(rotatedDiff(t, 2, chunks)),
+	}
+
+	sink, peer := net.Pipe()
+	defer sink.Close()
+	defer peer.Close()
+	bw := bufio.NewWriter(io.Discard)
+	var run stagedRun
+	var scratch []byte
+	serve := func(ck int) {
+		req := &wire.Frame{Type: wire.TPushStream, Lineage: h, Ckpt: uint32(ck), Payload: scratch}
+		if err := srv.serveStream(&run, req, &scratch, bw, sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle := func() {
+		if err := srv.settle(&run, bw, sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ck := range 2 {
+		readInto(&scratch, payloads[ck])
+		serve(ck)
+		settle() // the frame's buffer is on the free list now
+	}
+
+	read := readInto(&scratch, payloads[2])
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	serve(2)
+	if len(run.batch) != 1 || &run.batch[0].staging[0] != &read[0] {
+		t.Fatal("the staged frame is not the buffer it was read into")
+	}
+	next := scratch[:cap(scratch)]
+	if len(next) < len(payloads[2]) || &next[0] == &read[0] {
+		t.Fatalf("the connection reads on into %d bytes, want a buffer of its own that holds %d", len(next), len(payloads[2]))
+	}
+	for i := range next {
+		next[i] = 0xA5
+	}
+	settle()
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("check and commit of a %d-byte stream frame: %d B allocated", len(payloads[2]), alloc)
+	if alloc >= 4<<10 {
+		t.Fatalf("check and commit of a %d-byte stream frame allocated %d bytes, want under 4 KiB", len(payloads[2]), alloc)
+	}
+	for ck, p := range payloads {
+		if got, err := ln.store.DiffBytes(ck); err != nil || !bytes.Equal(got, p[wire.PushChecksumSize:]) {
 			t.Fatalf("stored diff %d is not the pushed bytes (%v)", ck, err)
 		}
 	}

@@ -219,8 +219,8 @@ type Server struct {
 	// hub wakes subscribers when their lineage grows.
 	hub *hub
 
-	// frames is the free list staged stream frames, span streams and
-	// subscriptions draw their buffers from (frames.go).
+	// frames is the free list connections that stage stream frames,
+	// span streams and subscriptions draw their buffers from (frames.go).
 	frames frameMem
 
 	// conn tracking for forced shutdown
@@ -591,10 +591,16 @@ func (s *Server) handleConn(ctx context.Context, stop <-chan struct{}, conn net.
 	// always drains.
 	br := bufio.NewReaderSize(conn, connBufSize)
 	bw := bufio.NewWriterSize(conn, connBufSize)
+	// A staged frame takes over the read buffer, scratch (push.go); what
+	// a read outgrows, and scratch at the end, go to the free list.
 	var req wire.Frame
 	var scratch []byte
+	var spare [][]byte
 	var run stagedRun
-	defer s.drop(&run) // empty unless a read tore mid-run
+	defer func() {
+		s.drop(&run) // empty unless a read tore mid-run
+		s.frames.put(scratch)
+	}()
 	for ctx.Err() == nil {
 		next, _ := br.Peek(min(1, br.Buffered())) // the next frame's type byte, if it is here
 		if len(next) == 0 || next[0] != wire.TPushStream {
@@ -611,7 +617,12 @@ func (s *Server) handleConn(ctx context.Context, stop <-chan struct{}, conn net.
 			}
 		}
 		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		if err := wire.ReadFrameInto(br, s.cfg.MaxPayload, &req, &scratch); err != nil {
+		err := wire.ReadFrameSpare(br, s.cfg.MaxPayload, &req, &scratch, &spare)
+		for _, b := range spare {
+			s.frames.put(b)
+		}
+		spare = spare[:0]
+		if err != nil {
 			// A clean disconnect (EOF between frames, or our own
 			// shutdown closing the socket) is normal teardown; anything
 			// else — torn frames, deadline expiry — is worth a log line.
@@ -623,10 +634,9 @@ func (s *Server) handleConn(ctx context.Context, stop <-chan struct{}, conn net.
 		s.requests.Add(1)
 		s.bytesIn.Add(uint64(req.WireSize()))
 
-		var err error
 		switch req.Type {
 		case wire.TPushStream:
-			err = s.serveStream(&run, &req, bw, conn)
+			err = s.serveStream(&run, &req, &scratch, bw, conn)
 		case wire.TSubscribe:
 			if !s.serveSubscribe(ctx, stop, conn, br, bw, &req) {
 				return
@@ -713,7 +723,7 @@ func (s *Server) serve(req *wire.Frame) (*wire.Frame, error) {
 		return &wire.Frame{Lineage: h, Ckpt: uint32(n), Payload: wire.EncodeOpenInfo(uint32(base))}, nil
 
 	case wire.TPush:
-		ln, p, err := s.check(req, nil)
+		ln, p, err := s.check(req, nil, nil)
 		if err != nil {
 			return nil, err
 		}
