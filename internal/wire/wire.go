@@ -210,35 +210,6 @@ var (
 	ErrUnexpectedResponse = errors.New("wire: response does not answer the request")
 )
 
-// Frame is one protocol message in either direction.
-type Frame struct {
-	Type    uint8
-	Status  uint8
-	Lineage uint32 // lineage handle (TPush/TPull) or assigned handle (TOpen response)
-	Ckpt    uint32 // checkpoint id or lineage length, per Type
-	Payload []byte
-}
-
-// WireSize returns the number of bytes the frame occupies on the wire.
-func (f *Frame) WireSize() int64 { return HeaderSize + int64(len(f.Payload)) }
-
-// Err returns the error carried by a non-OK frame, or nil.
-func (f *Frame) Err() error {
-	if f.Status == StatusOK {
-		return nil
-	}
-	if f.Status == StatusBusy {
-		hint, _ := DecodeRetryAfter(f.Payload)
-		return &RemoteError{Msg: "server busy", Busy: true, RetryAfter: hint}
-	}
-	return &RemoteError{
-		Msg:           string(f.Payload),
-		Unsupported:   f.Status == StatusUnsupported,
-		UnknownHandle: f.Status == StatusUnknownHandle,
-		SpanMoved:     f.Status == StatusSpanMoved,
-	}
-}
-
 // RemoteError is a failure reported by the peer through a StatusErr,
 // StatusUnsupported or StatusBusy frame. It is a clean protocol-level
 // outcome — the connection is still usable — so clients must not treat
@@ -415,200 +386,6 @@ func Handshake(rw io.ReadWriter) error {
 		return err
 	}
 	return ReadHello(rw)
-}
-
-// WriteFrame writes f as header + payload. The header and payload are
-// written separately; both sides buffer their connections, so this
-// does not translate into small packets.
-func WriteFrame(w io.Writer, f *Frame) error {
-	if uint64(len(f.Payload)) > math.MaxUint32 {
-		return fmt.Errorf("%w: %d bytes cannot be framed", ErrPayloadTooLarge, len(f.Payload))
-	}
-	var hdr [HeaderSize]byte
-	hdr[0] = f.Type
-	hdr[1] = f.Status
-	binary.BigEndian.PutUint32(hdr[2:], f.Lineage)
-	binary.BigEndian.PutUint32(hdr[6:], f.Ckpt)
-	binary.BigEndian.PutUint32(hdr[10:], uint32(len(f.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write frame header: %w", err)
-	}
-	if len(f.Payload) > 0 {
-		if _, err := w.Write(f.Payload); err != nil {
-			return fmt.Errorf("wire: write frame payload: %w", err)
-		}
-	}
-	return nil
-}
-
-// AppendFrameHeader appends the 14-byte frame header for a payload of
-// payloadLen bytes to buf and returns the extended slice. It is the
-// zero-copy counterpart of WriteFrame's header block: the caller
-// stages the header (and any payload prefix) in a reused buffer and
-// ships the payload segments themselves by reference through
-// WriteFrameVec, so large diff bytes are never copied between their
-// producer and the socket.
-func AppendFrameHeader(buf []byte, typ, status uint8, lineage, ckpt uint32, payloadLen int) ([]byte, error) {
-	if payloadLen < 0 || uint64(payloadLen) > math.MaxUint32 {
-		return buf, fmt.Errorf("%w: %d bytes cannot be framed", ErrPayloadTooLarge, payloadLen)
-	}
-	buf = append(buf, typ, status)
-	buf = binary.BigEndian.AppendUint32(buf, lineage)
-	buf = binary.BigEndian.AppendUint32(buf, ckpt)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(payloadLen))
-	return buf, nil
-}
-
-// WriteFrameVec writes one or more pre-assembled frames as a single
-// scatter/gather operation. On a *net.TCPConn, net.Buffers.WriteTo
-// lowers to writev(2), so the segments — typically a staged
-// [header|checksum|diff prefix] buffer followed by bitmap and data
-// slices referenced straight out of the encoder — reach the socket
-// without ever being copied into one contiguous payload.
-//
-// WriteTo consumes vec: on return (success or failure) the slice
-// header and its entries have been advanced past whatever was
-// written. Callers reusing a persistent vec must re-append segments
-// for the next frame rather than re-slicing the old ones.
-func WriteFrameVec(w io.Writer, vec *net.Buffers) error {
-	if _, err := vec.WriteTo(w); err != nil {
-		return fmt.Errorf("wire: writev frame: %w", err)
-	}
-	return nil
-}
-
-// initialPayloadCap bounds the upfront payload allocation of
-// ReadFrame: anything larger is grown only as bytes actually arrive,
-// so a lying length field below maxPayload still cannot demand a
-// large allocation for data that never shows up.
-const initialPayloadCap = 64 << 10
-
-// growthFactor is c in ReadFrameInto's bound: the payload buffer is
-// never larger than c times the bytes that have arrived. A larger c
-// wastes less on an honest frame (total/(c-1)) and lets a lying one
-// hold more; 2 is what the doubling it replaces allowed.
-const growthFactor = 2
-
-// ReadFrame reads one frame, rejecting payloads larger than maxPayload
-// (0 selects DefaultMaxPayload) before allocating anything. The
-// payload buffer starts small and grows as bytes arrive, so the
-// declared length is never trusted for the allocation.
-func ReadFrame(r io.Reader, maxPayload uint32) (*Frame, error) {
-	f := new(Frame)
-	var scratch []byte
-	if err := ReadFrameInto(r, maxPayload, f, &scratch); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// ReadFrameInto reads one frame into f, reusing *scratch as the
-// payload buffer. It is the allocation-free form of ReadFrame for hot
-// receive loops (streaming acks, pooled connections): once *scratch
-// has grown to the connection's steady-state payload size, subsequent
-// calls allocate nothing. f.Payload aliases *scratch and is only
-// valid until the next call with the same scratch.
-//
-// The same untrusted-length discipline as ReadFrame applies: a
-// declared length is capped by maxPayload (0 selects
-// DefaultMaxPayload) before any growth, and the buffer grows only as
-// bytes actually arrive. Growth is planned from the declared length
-// total downward — a full buffer is replaced by the largest of total,
-// total/c, total/c², … that is at most c = growthFactor times the bytes
-// it holds — so with a fresh scratch:
-//
-//   - no buffer is ever larger than c x the bytes that have arrived, or
-//     initialPayloadCap, whichever is more, however the frame ends;
-//   - a frame that arrives whole costs its own total bytes plus at most
-//     total/(c-1) + initialPayloadCap in superseded buffers, wherever
-//     total falls between two powers of c;
-//   - a frame that stops after n bytes has cost at most
-//     n x c²/(c-1) + initialPayloadCap in all.
-func ReadFrameInto(r io.Reader, maxPayload uint32, f *Frame, scratch *[]byte) error {
-	return ReadFrameSpare(r, maxPayload, f, scratch, nil)
-}
-
-// ReadFrameSpare is ReadFrameInto that hands back the buffers *scratch
-// outgrows instead of dropping them: each one it replaces — the buffer
-// it held before the frame, then every one the payload's growth
-// supersedes — is appended to *spare once, in the order it was
-// outgrown, and never read into again. A consumer that keeps memory
-// (checkpoint.Record.Donate) can own them, so the superseded growth
-// stops being waste. A nil spare drops them, as ReadFrameInto does.
-func ReadFrameSpare(r io.Reader, maxPayload uint32, f *Frame, scratch *[]byte, spare *[][]byte) error {
-	if maxPayload == 0 {
-		maxPayload = DefaultMaxPayload
-	}
-	// The header is staged in the scratch buffer too: a stack array
-	// would escape through the io.Reader interface call and cost one
-	// allocation per frame. The parsed fields are extracted before the
-	// payload read reuses the same bytes.
-	buf := *scratch
-	if cap(buf) < HeaderSize {
-		handBack(spare, buf)
-		buf = make([]byte, HeaderSize)
-	}
-	hdr := buf[:HeaderSize]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		*scratch = buf
-		return err
-	}
-	f.Type = hdr[0]
-	f.Status = hdr[1]
-	f.Lineage = binary.BigEndian.Uint32(hdr[2:])
-	f.Ckpt = binary.BigEndian.Uint32(hdr[6:])
-	f.Payload = nil
-	n := binary.BigEndian.Uint32(hdr[10:])
-	*scratch = buf
-	if n > maxPayload {
-		return fmt.Errorf("%w: %d > %d", ErrPayloadTooLarge, n, maxPayload)
-	}
-	if n == 0 {
-		return nil
-	}
-	total := int(n)
-	if cap(buf) < min(total, initialPayloadCap) {
-		handBack(spare, buf)
-		buf = make([]byte, min(total, initialPayloadCap))
-	} else {
-		buf = buf[:min(total, cap(buf))]
-	}
-	filled := 0
-	for {
-		m, err := io.ReadFull(r, buf[filled:])
-		filled += m
-		if err != nil {
-			if err == io.EOF {
-				// The header promised payload bytes: EOF here is
-				// a truncated frame, not a clean end of stream.
-				err = io.ErrUnexpectedEOF
-			}
-			*scratch = buf
-			return fmt.Errorf("wire: read frame payload: %w", err)
-		}
-		if filled == total {
-			break
-		}
-		size := total
-		for size > growthFactor*filled {
-			size = (size + growthFactor - 1) / growthFactor
-		}
-		next := make([]byte, size)
-		copy(next, buf)
-		handBack(spare, buf)
-		buf = next
-	}
-	*scratch = buf
-	f.Payload = buf[:total]
-	return nil
-}
-
-// handBack appends an outgrown buffer to *spare, when the caller keeps
-// them.
-func handBack(spare *[][]byte, b []byte) {
-	if spare != nil && cap(b) > 0 {
-		*spare = append(*spare, b[:0])
-	}
 }
 
 // PushChecksumSize is the length of the CRC32C prefix a v3 TPush
@@ -933,25 +710,25 @@ type Stats struct {
 	// BlockGCBlocks / BlockGCBytes count blocks and payload bytes
 	// reclaimed by committed block-store GC transactions.
 	BlockGCBlocks, BlockGCBytes uint64
-	// Quarantined (v6) is a gauge: the stored diffs found damaged when
+	// Quarantined is a gauge: the stored diffs found damaged when
 	// their lineage was opened and not healed since, summed over every
 	// open lineage (FileStore.DamagedIDs) — the operator's rot alarm.
 	Quarantined uint64
-	// DigestRounds (v6) counts completed anti-entropy digest rounds
+	// DigestRounds counts completed anti-entropy digest rounds
 	// (one round = one digest comparison against one peer, per
 	// lineage, whether or not it found divergence).
 	DigestRounds uint64
-	// SpansHealed (v6) counts diffs repaired or re-installed from a
+	// SpansHealed counts diffs repaired or re-installed from a
 	// peer by the anti-entropy reconciler.
 	SpansHealed uint64
-	// BytesRefetched (v6) sums the encoded diff bytes pulled from
+	// BytesRefetched sums the encoded diff bytes pulled from
 	// peers by anti-entropy heals.
 	BytesRefetched uint64
-	// HealQuarantines (v6) counts lineages the reconciler fail-stopped
+	// HealQuarantines counts lineages the reconciler fail-stopped
 	// — divergence it could not heal (both replicas rotten, content
 	// conflict, repeated heal failure) — never silently ignored.
 	HealQuarantines uint64
-	// Degraded (v6) is a gauge: peers currently unreachable (the
+	// Degraded is a gauge: peers currently unreachable (the
 	// reconciler is backing off and the cluster is running with less
 	// redundancy than configured).
 	Degraded uint64
