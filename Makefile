@@ -11,6 +11,7 @@ GO ?= go
 # -fuzz target per invocation, hence the loop.
 FUZZ_TARGETS = \
 	FuzzFrameDecode:./internal/wire \
+	FuzzReadFrameSpare:./internal/wire \
 	FuzzHandshake:./internal/wire \
 	FuzzStreamAck:./internal/wire \
 	FuzzSubscribeDecode:./internal/wire \

@@ -98,12 +98,13 @@ func TestClientStreamPushZeroAlloc(t *testing.T) {
 // span may allocate: every pulled byte held once, a quarter on top for
 // the region index, the decoded metadata and what the increments do not
 // fit into the record's slabs, and a constant. The connection's read
-// buffer grows up to the largest frame by way of buffers it supersedes
-// (largest/(c-1) at wire.ReadFrameInto's c = 2); they are not on top,
-// because the record keeps them as the slabs the increments are carved
-// from. Measured: 1.23 x the encoded bytes (1.65 x when the superseded
-// buffers were dropped and every increment got an allocation of its
-// own).
+// buffer grows up to the largest frame by way of segments it supersedes
+// (at most largest/c at wire.ReadFrameInto's c = 2); they are not on
+// top, because the record keeps them as the slabs the increments are
+// carved from. Measured: 1.21 x the encoded bytes (1.23 x under the
+// doubling growth plan, which superseded largest/(c-1); 1.65 x when the
+// superseded buffers were dropped and every increment got an allocation
+// of its own).
 // The span is a baseline followed by increments a sixteenth its size —
 // the shape that exercises both ways a diff is kept.
 func TestPullSpanAllocBudget(t *testing.T) {

@@ -3,10 +3,11 @@
 // and subscriptions read diffs back into. A buffer has one user at a
 // time and goes back when that user is done with it — a connection's
 // read buffer when the connection outgrows it or closes, a staged
-// frame's once its run has settled, a span stream's once it has ended, a
-// subscription's after each wake — so a warm server ingests, replicates
-// and serves frames without allocating for them, and unlike a sync.Pool
-// the list is not emptied by a GC.
+// frame's once its run has settled, a span stream's or a subscription's
+// once a diff outgrows it, and after the stream ends or each wake — so
+// a warm server ingests, replicates and serves frames without
+// allocating for them, and unlike a sync.Pool the list is not emptied
+// by a GC.
 //
 // What the list retains is capped server-wide by frameMemCap; a buffer
 // that would take it past the cap is left to the GC. The cap bounds

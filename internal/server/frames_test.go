@@ -441,3 +441,35 @@ func TestTornRunReturnsBuffers(t *testing.T) {
 		t.Fatalf("the torn run left the lineage %d long, want 0", n)
 	}
 }
+
+// TestPullHandsBackOutgrownBuffer: a span stream whose diff outgrows the
+// buffer it took from the free list hands that buffer back, beside the
+// one the diff was reassembled in once the stream ends, and the list
+// holds neither twice.
+func TestPullHandsBackOutgrownBuffer(t *testing.T) {
+	const blocks = 64
+	srv, h, _ := pullServer(t, blocks)
+	small := make([]byte, frameMemMin)
+	srv.frames.put(small)
+	conn, peer := net.Pipe() // for the write deadline: the frames go to bw
+	defer conn.Close()
+	defer peer.Close()
+	bw := bufio.NewWriterSize(io.Discard, connBufSize)
+	if err := srv.servePull(pullSpan(h, 0, 1), bw, conn); err != nil {
+		t.Fatal(err)
+	}
+	listed := freeBytes(t, srv) // fails on a buffer listed twice
+	var caps []int
+	hasSmall := false
+	srv.frames.mu.Lock()
+	for _, class := range srv.frames.free {
+		for _, b := range class {
+			caps = append(caps, cap(b))
+			hasSmall = hasSmall || &b[:1][0] == &small[0]
+		}
+	}
+	srv.frames.mu.Unlock()
+	if len(caps) != 2 || !hasSmall || max(caps[0], caps[1]) < blocks*4096 || listed != caps[0]+caps[1] {
+		t.Fatalf("after pulling a %d-byte diff the free list holds buffers of %v bytes, want the %d-byte one it lent and the frame's", blocks*4096, caps, len(small))
+	}
+}

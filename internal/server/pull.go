@@ -12,10 +12,11 @@
 //
 // Memory: the frame a stream reassembles its diffs in is the largest
 // buffer on the server's free list (frames.go), grown at most once per
-// diff that outgrows it and handed back when the stream ends, so a
-// server that has served a frame that size serves the next span without
-// allocating for its frames — GCs in between or not. The read scratch
-// (reference lists and one run of at most 256 KiB) is the stream's own.
+// diff that outgrows it, the outgrown buffer going back to the list at
+// once, and handed back when the stream ends. So a server that has
+// served a frame that size serves the next span without allocating for
+// its frames, GCs in between or not. The read scratch (reference lists
+// and one run of at most 256 KiB) is the stream's own.
 
 package server
 
@@ -49,7 +50,7 @@ func (s *Server) servePull(req *wire.Frame, bw *bufio.Writer, conn net.Conn) err
 	pb := &pullBuf{frame: wire.Frame{Type: req.Type, Status: wire.StatusOK, Lineage: req.Lineage, Payload: s.frames.largest()}}
 	defer func() { s.frames.put(pb.frame.Payload) }()
 	for ck, to := span.Bounds(); ck < to; ck++ {
-		if err := pb.load(span, ck); err != nil {
+		if err := pb.load(span, ck, &s.frames); err != nil {
 			f := s.errFrame(req, fmt.Errorf("server: pull lineage %q: %w", name, err))
 			f.Lineage, f.Ckpt = req.Lineage, uint32(ck)
 			return s.writeResp(bw, conn, f)
@@ -85,11 +86,14 @@ func (s *Server) openPull(req *wire.Frame) (name string, span checkpoint.Span, e
 }
 
 // load makes pb.frame the frame that carries checkpoint ck of span,
-// complete and verified.
-func (pb *pullBuf) load(span checkpoint.Span, ck int) error {
+// complete and verified. A buffer the diff outgrows goes back to frames.
+func (pb *pullBuf) load(span checkpoint.Span, ck int, frames *frameMem) error {
 	out, err := span.AppendDiff(pb.frame.Payload[:0], ck, &pb.sc)
 	if err != nil {
 		return err
+	}
+	if cap(out) != cap(pb.frame.Payload) {
+		frames.put(pb.frame.Payload)
 	}
 	pb.frame.Ckpt, pb.frame.Payload = uint32(ck), out
 	return nil

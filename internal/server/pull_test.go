@@ -359,7 +359,7 @@ func TestPullFrameAllocs(t *testing.T) {
 	}
 	for ck, blocks := range []int{2, 200} {
 		frame := func() {
-			if err := pb.load(span, ck); err != nil {
+			if err := pb.load(span, ck, &srv.frames); err != nil {
 				t.Fatal(err)
 			}
 			if err := wire.WriteFrame(bw, &pb.frame); err != nil {

@@ -194,7 +194,7 @@ func (s *Server) runSubscription(ctx context.Context, stop <-chan struct{}, conn
 			if over() {
 				return false
 			}
-			if err := pb.load(span, next); err != nil {
+			if err := pb.load(span, next, &s.frames); err != nil {
 				return ended(err)
 			}
 			encoded := pb.frame.Payload

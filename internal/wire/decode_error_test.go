@@ -7,6 +7,7 @@ import (
 	"io"
 	"runtime"
 	"testing"
+	"testing/iotest"
 )
 
 // validFrameBytes returns the encoding of a representative frame.
@@ -96,12 +97,10 @@ func TestReadFrameOversizedPayload(t *testing.T) {
 	}
 }
 
-// readFrameCost reads one frame from b into a fresh scratch and reports
-// what that allocated (TotalAlloc, superseded buffers included) and the
+// readFrameCost reads one frame from r into scratch and reports what
+// that allocated (TotalAlloc, superseded buffers included) and the
 // buffer the scratch was left holding.
-func readFrameCost(b []byte) (allocated uint64, held int, f Frame, err error) {
-	r := bytes.NewReader(b)
-	var scratch []byte
+func readFrameCost(r io.Reader, scratch []byte) (allocated uint64, held int, f Frame, err error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	err = ReadFrameInto(r, 0, &f, &scratch)
@@ -109,10 +108,24 @@ func readFrameCost(b []byte) (allocated uint64, held int, f Frame, err error) {
 	return after.TotalAlloc - before.TotalAlloc, cap(scratch), f, err
 }
 
+// shortReaders are the ways a frame's bytes can arrive: all at once, in
+// halves of what each read asks for, and one byte a read. The last is
+// slow, so it is used for frames up to oneByteMax only.
+var shortReaders = []struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}{
+	{"whole", func(r io.Reader) io.Reader { return r }},
+	{"half", iotest.HalfReader},
+	{"one-byte", iotest.OneByteReader},
+}
+
+const oneByteMax = 2 << 20
+
 // growthSlack is what a measured TotalAlloc may exceed a sum of buffer
 // lengths by: the runtime rounds each large allocation up to whole
-// 8 KiB pages, and a frame of total bytes grows in at most
-// log_c(total/initialPayloadCap) + 2 steps.
+// 8 KiB pages, and a frame of total bytes is read into at most
+// log_c(total/initialPayloadCap) + 2 buffers.
 func growthSlack(total int) uint64 {
 	steps := 2
 	for n := initialPayloadCap; n < total; n *= growthFactor {
@@ -122,49 +135,68 @@ func growthSlack(total int) uint64 {
 }
 
 // TestReadFrameLyingLength declares a large (but in-limit) payload and
-// supplies few bytes: the reader must fail with ErrUnexpectedEOF having
-// allocated in proportion to the bytes that arrived, not to the length
-// declared — measured, with c = growthFactor: the buffer it is left
-// holding is at most c x arrived (or initialPayloadCap), and everything
-// it allocated on the way at most c²/(c-1) x arrived + initialPayloadCap.
+// supplies few bytes, all at once or in short reads: the reader must
+// fail with ErrUnexpectedEOF having allocated in proportion to the
+// bytes that arrived, not to the length declared — measured, with c =
+// growthFactor: the buffer it is left holding is at most c x arrived
+// (or initialPayloadCap), and everything it allocated on the way at
+// most (1+c) x arrived + initialPayloadCap.
 func TestReadFrameLyingLength(t *testing.T) {
 	const c = growthFactor
 	for _, arrived := range []int{100, initialPayloadCap + 1, 1<<20 + 300, 3 << 20} {
 		hdr := make([]byte, HeaderSize)
 		hdr[0] = TPush
 		binary.BigEndian.PutUint32(hdr[10:], 128<<20)
-		allocated, held, _, err := readFrameCost(append(hdr, bytes.Repeat([]byte{9}, arrived)...))
-		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("%d bytes of a declared 128 MiB: err=%v, want ErrUnexpectedEOF", arrived, err)
-		}
-		if held > max(c*arrived, initialPayloadCap) {
-			t.Errorf("%d bytes arrived, the reader holds a %d-byte buffer: more than %d x arrived", arrived, held, c)
-		}
-		if budget := uint64(c*c*arrived/(c-1)+initialPayloadCap) + growthSlack(c*arrived); allocated > budget {
-			t.Errorf("%d bytes arrived, the reader allocated %d, budget %d", arrived, allocated, budget)
+		frame := append(hdr, bytes.Repeat([]byte{9}, arrived)...)
+		for _, sr := range shortReaders {
+			if sr.name == "one-byte" && arrived > oneByteMax {
+				continue
+			}
+			allocated, held, _, err := readFrameCost(sr.wrap(bytes.NewReader(frame)), nil)
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("%s: %d bytes of a declared 128 MiB: err=%v, want ErrUnexpectedEOF", sr.name, arrived, err)
+			}
+			if held > max(c*arrived, initialPayloadCap) {
+				t.Errorf("%s: %d bytes arrived, the reader holds a %d-byte buffer: more than %d x arrived", sr.name, arrived, held, c)
+			}
+			if budget := uint64((1+c)*arrived+initialPayloadCap) + growthSlack(c*arrived); allocated > budget {
+				t.Errorf("%s: %d bytes arrived, the reader allocated %d, budget %d ((1+%d) x arrived + %d)", sr.name, arrived, allocated, budget, c, initialPayloadCap)
+			}
 		}
 	}
 }
 
-// TestReadFrameGrowthBound: a frame that arrives whole costs its own
-// bytes plus at most total/(c-1) + initialPayloadCap in superseded
-// buffers, wherever total falls between two powers of c — the doubling
-// this replaced paid up to 2 x total for a frame just past a power of
-// two, which is what a baseline image of 2^k bytes plus its header is.
+// TestReadFrameGrowthBound: a frame that arrives whole, at once or in
+// short reads, costs its own bytes plus at most total/c +
+// initialPayloadCap in superseded segments, wherever total falls
+// between two powers of c — from a fresh scratch, and from a reused one
+// larger than initialPayloadCap but smaller than the frame, the buffer
+// a server's connection takes from its free list.
 func TestReadFrameGrowthBound(t *testing.T) {
 	const c = growthFactor
-	for _, total := range []int{initialPayloadCap - 1, initialPayloadCap, initialPayloadCap + 1, 1<<20 + 300, 8<<20 + 300} {
+	const reused = 100 << 10
+	for _, total := range []int{initialPayloadCap - 1, initialPayloadCap, initialPayloadCap + 1, reused + 1, 1<<20 + 300, 8<<20 + 300} {
 		var buf bytes.Buffer
 		want := &Frame{Type: TPull, Lineage: 3, Ckpt: 9, Payload: bytes.Repeat([]byte{0xa5, 7, 0}, total/3+1)[:total]}
 		if err := WriteFrame(&buf, want); err != nil {
 			t.Fatal(err)
 		}
-		allocated, _, got, err := readFrameCost(buf.Bytes())
-		if err != nil || got.Ckpt != 9 || !bytes.Equal(got.Payload, want.Payload) {
-			t.Fatalf("frame of %d bytes: read back %d bytes, %v", total, len(got.Payload), err)
-		}
-		if budget := uint64(total*c/(c-1)+initialPayloadCap) + growthSlack(total); allocated > budget {
-			t.Errorf("frame of %d bytes: the reader allocated %d, budget %d (%d x total/(%d-1) + %d)", total, allocated, budget, c, c, initialPayloadCap)
+		for _, sr := range shortReaders {
+			if sr.name == "one-byte" && total > oneByteMax {
+				continue
+			}
+			for _, have := range []int{0, reused} {
+				if have >= total {
+					continue
+				}
+				allocated, _, got, err := readFrameCost(sr.wrap(bytes.NewReader(buf.Bytes())), make([]byte, 0, have))
+				if err != nil || got.Ckpt != 9 || !bytes.Equal(got.Payload, want.Payload) {
+					t.Fatalf("%s: frame of %d bytes into a %d-byte scratch: read back %d bytes, %v", sr.name, total, have, len(got.Payload), err)
+				}
+				if budget := uint64(total+total/c+initialPayloadCap) + growthSlack(total); allocated > budget {
+					t.Errorf("%s: frame of %d bytes into a %d-byte scratch: the reader allocated %d, budget %d (total + total/%d + %d)", sr.name, total, have, allocated, budget, c, initialPayloadCap)
+				}
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -501,39 +502,102 @@ func TestReadFrameIntoReusesScratch(t *testing.T) {
 	}
 }
 
-// TestReadFrameSpareHandsBackOutgrown: every buffer the scratch
-// outgrows — the one it held before the frame and each one the growth
-// plan supersedes — is handed back once, in order, and is never the
-// scratch again; a frame that fits hands back nothing.
-func TestReadFrameSpareHandsBackOutgrown(t *testing.T) {
-	// outgrown replays the growth plan: the capacities a read of a
-	// total-byte payload into a scratch of capacity have supersedes.
-	outgrown := func(have, total int) (caps []int) {
-		if have < HeaderSize {
-			if have > 0 {
-				caps = append(caps, have)
-			}
-			have = HeaderSize
-		}
-		if total == 0 {
-			return caps
-		}
-		if have < min(total, initialPayloadCap) {
-			caps, have = append(caps, have), min(total, initialPayloadCap)
-		}
-		for filled := min(total, have); filled < total; filled = have {
-			size := total
-			for size > growthFactor*filled {
-				size = (size + growthFactor - 1) / growthFactor
-			}
-			caps, have = append(caps, have), size
-		}
-		return caps
+// payloadOf returns n bytes that differ with their position and with
+// seed, so a buffer holding the wrong stretch of a payload shows.
+func payloadOf(seed, n int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(seed + i + i>>8)
 	}
+	return p
+}
+
+// checkHandBack checks what one ReadFrameSpare call handed back. The
+// call started from the scratch before, left the scratch after, and
+// was sent arrived, the first bytes of a payload declared total bytes
+// long (0 when its header did not arrive or was refused). First come
+// the buffers it replaced: before, when too small for the header or
+// for the payload's first stretch, then the header buffer it made in
+// its place, when that was too small too. Then, when the payload
+// outgrew its first buffer, the segments it was read into: in order,
+// holding its first bytes, each no larger than the bytes before it,
+// and none read into once total/c had arrived; a frame that arrived
+// whole had at least total/c in them. No buffer comes back twice, is
+// the scratch, or shares a byte with it.
+func checkHandBack(before, after []byte, spare [][]byte, arrived []byte, total int) error {
+	const c = growthFactor
+	replaced, have := 0, cap(before)
+	if have < HeaderSize {
+		if have > 0 {
+			replaced++
+		}
+		have = HeaderSize
+	}
+	if total > 0 && have < min(total, initialPayloadCap) {
+		replaced, have = replaced+1, min(total, initialPayloadCap)
+	}
+	if len(spare) < replaced {
+		return fmt.Errorf("%d buffers handed back, want the %d replaced first", len(spare), replaced)
+	}
+	if replaced > 0 && cap(before) > 0 && &spare[0][:1][0] != &before[:1][0] {
+		return errors.New("the first buffer handed back is not the scratch the read started from")
+	}
+	segs := spare[replaced:]
+	if total <= have && len(segs) > 0 {
+		return fmt.Errorf("a %d-byte payload that fits a %d-byte buffer handed back %d segments", total, have, len(segs))
+	}
+	need := (total + c - 1) / c
+	filled := 0
+	for i, s := range segs {
+		switch {
+		case i == 0 && cap(s) != have:
+			return fmt.Errorf("the first segment holds %d bytes, not the %d of the payload's first buffer", cap(s), have)
+		case i > 0 && cap(s) > filled:
+			return fmt.Errorf("segment %d holds %d bytes, more than the %d before it", i, cap(s), filled)
+		case i > 0 && filled >= need:
+			return fmt.Errorf("segment %d was read into after %d of %d bytes had arrived", i, filled, total)
+		case filled+cap(s) > len(arrived) || !bytes.Equal(s[:cap(s)], arrived[filled:filled+cap(s)]):
+			return fmt.Errorf("segment %d does not hold payload bytes [%d, %d)", i, filled, filled+cap(s))
+		}
+		filled += cap(s)
+	}
+	if len(arrived) == total && total > have && c*filled < total {
+		return fmt.Errorf("a whole %d-byte payload left its segments at %d bytes, short of total/c", total, filled)
+	}
+	seen := map[*byte]bool{}
+	if cap(after) > 0 {
+		seen[&after[:1][0]] = true
+	}
+	for i, s := range spare {
+		p := &s[:1][0]
+		if seen[p] {
+			return fmt.Errorf("buffer %d handed back is handed back twice or is the scratch", i)
+		}
+		seen[p] = true
+	}
+	kept := append([]byte(nil), after[:cap(after)]...)
+	for _, s := range spare {
+		s = s[:cap(s)]
+		for i := range s {
+			s[i] ^= 0xff
+		}
+	}
+	if !bytes.Equal(kept, after[:cap(after)]) {
+		return errors.New("a buffer handed back shares bytes with the scratch")
+	}
+	return nil
+}
+
+// TestReadFrameSpareHandsBackOutgrown: every buffer the scratch
+// outgrows — the one it held before the frame and each segment a
+// payload that outgrew it was read into — is handed back once, in
+// order, never aliases the payload and is never read into again; a
+// frame that fits hands back nothing.
+func TestReadFrameSpareHandsBackOutgrown(t *testing.T) {
 	var buf bytes.Buffer
 	sizes := []int{0, 10, 100 << 10, 50, 1<<20 + 300, 1 << 20, 3<<20 + 7}
 	for i, n := range sizes {
-		if err := WriteFrame(&buf, &Frame{Type: TPull, Ckpt: uint32(i), Payload: bytes.Repeat([]byte{byte(i)}, n)}); err != nil {
+		if err := WriteFrame(&buf, &Frame{Type: TPull, Ckpt: uint32(i), Payload: payloadOf(i, n)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -542,22 +606,20 @@ func TestReadFrameSpareHandsBackOutgrown(t *testing.T) {
 	var spare [][]byte
 	seen := map[*byte]int{} // every buffer handed back, by frame
 	for i, n := range sizes {
-		want := outgrown(cap(scratch), n)
+		before := scratch
 		spare = spare[:0]
 		if err := ReadFrameSpare(&buf, 0, &f, &scratch, &spare); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if f.Ckpt != uint32(i) || len(f.Payload) != n || (n > 0 && f.Payload[n-1] != byte(i)) {
+		want := payloadOf(i, n)
+		if f.Ckpt != uint32(i) || !bytes.Equal(f.Payload, want) {
 			t.Fatalf("frame %d read back wrong", i)
 		}
-		if len(spare) != len(want) {
-			t.Fatalf("frame %d of %d bytes handed back %d buffers, want %d", i, n, len(spare), len(want))
+		if err := checkHandBack(before, scratch, spare, want, n); err != nil {
+			t.Fatalf("frame %d of %d bytes: %v", i, n, err)
 		}
-		for j, b := range spare {
+		for _, b := range spare {
 			p := &b[:1][0]
-			if cap(b) != want[j] {
-				t.Fatalf("frame %d: buffer %d handed back has capacity %d, want %d", i, j, cap(b), want[j])
-			}
 			if at, dup := seen[p]; dup {
 				t.Fatalf("frame %d handed back a buffer already handed back at frame %d", i, at)
 			}
@@ -567,8 +629,8 @@ func TestReadFrameSpareHandsBackOutgrown(t *testing.T) {
 			t.Fatalf("frame %d was read into a buffer handed back at frame %d", i, at)
 		}
 	}
-	if len(seen) == 0 {
-		t.Fatal("no buffer was outgrown")
+	if len(seen) < 4 {
+		t.Fatalf("%d buffers were outgrown, want the growth of two frames", len(seen))
 	}
 }
 
