@@ -23,7 +23,8 @@ FUZZ_TARGETS = \
 	FuzzSegmentScan:./internal/checkpoint \
 	FuzzBlockIndexDecode:./internal/blockstore \
 	FuzzPackScan:./internal/blockstore \
-	FuzzSum128x2:./internal/murmur3
+	FuzzSum128x2:./internal/murmur3 \
+	FuzzMapModel:./internal/hashmap
 FUZZTIME ?= 5s
 FUZZTIME_LONG ?= 5m
 
@@ -197,8 +198,16 @@ fuzz-smoke:
 # guardedby/lockorder/goroleak analyzers found (Serve worker join,
 # parked-handle pruning) and the span stream's lock discipline (a pull
 # parked on a reader that is not reading blocks neither a push nor a
-# compaction). Every schedule is deterministic — a failure reproduces
-# by rerunning the named test, no flake triage needed.
+# compaction), and the lock-free protocol of the historical record
+# (internal/hashmap): concurrent distinct inserts
+# (TestConcurrentDistinctInserts), one winner among racing inserts of a
+# digest (TestConcurrentRacingInserts), racing updates converging on
+# the earliest node (TestConcurrentUpdateConvergesToMinimum), probes
+# wrapping past the end of a slot count that is not a power of two
+# (TestProbeWraparound) and ErrFull only once every slot is taken
+# (TestFullTable). Every
+# schedule is deterministic — a failure reproduces by rerunning the
+# named test, no flake triage needed.
 chaos-smoke:
 	$(GO) test -race -count=1 -run '^TestChaos' ./internal/faults
 	$(GO) test -race -count=1 -run '^(TestAppendLadder|TestCommit)$$' ./internal/recframe
@@ -209,6 +218,7 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run '^(TestRace|(TestFoldEndsSubscription|TestSubscribeFoldMidBacklog|TestSubscribeRotEndsWithoutBarrier|TestAntiEntropyWakesSubscribers|TestSubscriberNeverShed|TestStagedFrameIsTheReadBuffer|TestStagedRunCountsCapacity|TestRequestConnTakesNoListBuffer|TestTornRunReturnsBuffers)$$)' ./internal/server
 	$(GO) test -race -count=1 -run '^TestRace' ./internal/wireclient
 	$(GO) test -race -count=1 -run '^TestFrameTypeBytes$$' ./internal/wire
+	$(GO) test -race -count=1 -run '^(TestConcurrentDistinctInserts|TestConcurrentRacingInserts|TestConcurrentUpdateConvergesToMinimum|TestProbeWraparound|TestFullTable)$$' ./internal/hashmap
 
 # race-chaos is the long variant: the same chaos schedules and race
 # regression tests, repeated so the scheduler explores more

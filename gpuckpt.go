@@ -128,8 +128,10 @@ type Config struct {
 	// Workers bounds the CPU worker pool that executes the kernels
 	// (0 = GOMAXPROCS).
 	Workers int
-	// MapCapacity overrides the sizing of the historical record of
-	// unique hashes (entries). Default: 3x the Merkle tree node count.
+	// MapCapacity is the number of entries the historical record of
+	// unique hashes holds: a table of 2 × capacity slots. Default: a
+	// table of the next power of two of 6x the Merkle tree node count
+	// slots.
 	MapCapacity int
 	// Seed is the Murmur3 hash seed.
 	Seed uint32

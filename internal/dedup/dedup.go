@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -89,9 +90,10 @@ type Options struct {
 	ChunkSize int
 	// Seed is the Murmur3 seed.
 	Seed uint32
-	// MapCapacity overrides the historical-record hash-table sizing
-	// (default: 3x the node count, which accommodates several
-	// checkpoints of moderate change rate).
+	// MapCapacity is the number of entries the historical record
+	// holds: a table of 2 × capacity slots. The default (0) is a table
+	// of the next power of two of 6 × the node count slots, room for
+	// several checkpoints of moderate change rate.
 	MapCapacity int
 	// SingleStage disables the two-stage parallelization of §2.2
 	// (first-occurrence subtrees before shifted-duplicate subtrees).
@@ -445,7 +447,7 @@ func New(method checkpoint.Method, dataLen int, dev *device.Device, opts Options
 	if method == checkpoint.MethodTree || method == checkpoint.MethodList {
 		capacity := opts.MapCapacity
 		if capacity <= 0 {
-			capacity = 3 * d.tree.NumNodes
+			capacity = defaultMapCapacity(d.tree.NumNodes)
 		}
 		d.hmap = hashmap.New(capacity)
 		devBytes += int64(d.hmap.Capacity()) * 28
@@ -460,6 +462,14 @@ func New(method checkpoint.Method, dataLen int, dev *device.Device, opts Options
 	}
 	d.devBytes = devBytes
 	return d, nil
+}
+
+// defaultMapCapacity is the capacity of a table of nextpow2(6·numNodes)
+// slots, the default's slot count from when the table rounded 2n up to
+// a power of two. Default-capacity chains go past 3·numNodes entries
+// and rely on that headroom.
+func defaultMapCapacity(numNodes int) int {
+	return 1 << (bits.Len(uint(6*numNodes-1)) - 1)
 }
 
 // Method returns the de-duplication method of this instance.

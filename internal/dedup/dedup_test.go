@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -424,6 +425,22 @@ func TestMapFullReturnsError(t *testing.T) {
 	d := mustNew(t, checkpoint.MethodTree, 4096, Options{ChunkSize: 32, MapCapacity: 4})
 	if _, _, err := d.Checkpoint(randBuf(rand.New(rand.NewSource(9)), 4096)); err == nil {
 		t.Fatal("checkpoint with tiny map succeeded")
+	}
+}
+
+// TestDefaultTableUnchanged: with the default capacity the historical
+// record keeps the slot count it had when the table rounded 2 × 3 ×
+// NumNodes up to a power of two; default-capacity chains rely on that
+// headroom.
+func TestDefaultTableUnchanged(t *testing.T) {
+	for _, n := range []int{1, 100, 4096, 100_000, 1 << 20, 3_000_017} {
+		for _, m := range []checkpoint.Method{checkpoint.MethodTree, checkpoint.MethodList} {
+			d := mustNew(t, m, n, Options{ChunkSize: 128})
+			want := max(1<<bits.Len64(uint64(6*d.tree.NumNodes-1)), 8)
+			if got := d.hmap.Capacity(); got != want {
+				t.Errorf("%v, %d bytes (%d nodes): %d slots, want %d", m, n, d.tree.NumNodes, got, want)
+			}
+		}
 	}
 }
 

@@ -197,6 +197,10 @@ func (d *Deduplicator) hashOne(chunk []byte) murmur3.Digest {
 //
 //ckptlint:noalloc
 func (d *Deduplicator) insertLeaf(node int, dig murmur3.Digest) (ops int64, err error) {
+	// No entry is one the table reserves (hashmap.ErrReservedEntry):
+	// node indices are below NumNodes = 2·nChunks − 1, which is odd, so
+	// while every index fits a uint32 (NumNodes ≤ 2³²) none is
+	// MaxUint32.
 	entry := hashmap.Entry{Node: uint32(node), Ckpt: d.ckptID}
 	_, inserted, err := d.hmap.InsertIfAbsent(dig, entry)
 	if err != nil {
@@ -209,7 +213,9 @@ func (d *Deduplicator) insertLeaf(node int, dig murmur3.Digest) (ops int64, err 
 	}
 	// Lines 13-16: the earliest same-checkpoint occurrence becomes
 	// canonical; later ones are shifted duplicates.
-	d.hmap.UpdateIfEarlier(dig, entry)
+	// Its only error is ErrReservedEntry, which InsertIfAbsent just
+	// ruled out for this entry.
+	_, _, _ = d.hmap.UpdateIfEarlier(dig, entry)
 	d.labels[node] = LabelShiftDupl
 	return 2, nil
 }

@@ -11,8 +11,9 @@
 // insert succeeds.
 //
 // The table never rehashes: like its Kokkos counterpart it is sized up
-// front (the dedup layer sizes it to hold every tree node of the
-// checkpoint record) and reports failure when full.
+// front, to exactly 2 slots per requested entry (the dedup layer sizes
+// it to hold every tree node of the checkpoint record), and reports
+// failure when full.
 package hashmap
 
 import (
@@ -36,25 +37,45 @@ func (e Entry) pack() uint64   { return uint64(e.Node)<<32 | uint64(e.Ckpt) }
 func unpack(v uint64) Entry    { return Entry{Node: uint32(v >> 32), Ckpt: uint32(v)} }
 func (e Entry) String() string { return fmt.Sprintf("(node=%d,ckpt=%d)", e.Node, e.Ckpt) }
 
-// slot states. A slot moves empty -> claiming -> full exactly once;
-// keys are immutable after publication, values may be CAS-updated.
+// Slot states, folded into the value word. A slot moves empty ->
+// claiming -> full exactly once; keys are immutable after publication,
+// values may be CAS-updated from one full value to another.
 const (
-	slotEmpty uint32 = iota
-	slotClaiming
-	slotFull
+	valEmpty    uint64 = iota // no key
+	valClaiming               // key being written by the claiming inserter
+	valFull                   // values >= valFull hold pack() + valFull
 )
+
+// encode returns the value word of a full slot holding e. The entries
+// Node = MaxUint32 with Ckpt >= MaxUint32-1 would wrap onto the state
+// codes and are refused.
+func (e Entry) encode() (uint64, error) {
+	v := e.pack() + valFull
+	if v < valFull {
+		return 0, fmt.Errorf("%w: %v", ErrReservedEntry, e)
+	}
+	return v, nil
+}
+
+func decode(v uint64) Entry { return unpack(v - valFull) }
 
 // ErrFull is returned when an insert cannot find a free slot.
 var ErrFull = errors.New("hashmap: table full")
 
-// slot is one table entry: 32 bytes, so a 64-byte cache line holds two
-// and a probe that resolves in its home slot — state, both key words
-// and the value — costs one line however far the table outgrows the
-// cache ("Analysing the Performance of GPU Hash Tables" picks
-// one-cache-line buckets for the same reason; one array per field
-// would cost up to four misses a probe).
+// ErrReservedEntry is returned for an entry whose encoding collides
+// with a slot state: Node = MaxUint32 with Ckpt >= MaxUint32-1.
+var ErrReservedEntry = errors.New("hashmap: entry encodes to a reserved slot state")
+
+// minSlots is the smallest table New builds.
+const minSlots = 8
+
+// slot is one table entry: 24 bytes, the state folded into the value
+// word. A probe that resolves in its home slot reads one cache line,
+// or two for the quarter of slots that straddle a 64-byte line
+// ("Analysing the Performance of GPU Hash Tables" argues for compact
+// slots sized to the load factor; one array per field would cost up
+// to three misses a probe).
 type slot struct {
-	state  atomic.Uint32
 	h1, h2 uint64
 	val    atomic.Uint64
 }
@@ -62,98 +83,111 @@ type slot struct {
 // Map is the concurrent digest table. All methods are safe for
 // concurrent use by any number of goroutines.
 type Map struct {
-	mask  uint64
 	slots []slot
 	size  atomic.Int64
 }
 
-// New creates a map with capacity for at least n entries. The backing
-// table is sized to the next power of two of 2n to keep the load
-// factor at or below 0.5, matching the sizing discipline of GPU open
-// addressing tables.
+// New creates a map with capacity for n entries at a load factor of at
+// most 0.5: a table of exactly max(2n, 8) slots, allocated whole here
+// so that no insert allocates.
 func New(n int) *Map {
-	if n < 1 {
-		n = 1
-	}
-	capacity := 1 << bits.Len64(uint64(2*n-1))
-	if capacity < 8 {
-		capacity = 8
-	}
-	return &Map{mask: uint64(capacity - 1), slots: make([]slot, capacity)}
+	return &Map{slots: make([]slot, max(2*n, minSlots))}
 }
 
 // Capacity returns the number of slots in the backing table.
-func (m *Map) Capacity() int { return int(m.mask + 1) }
+func (m *Map) Capacity() int { return len(m.slots) }
 
 // Size returns the number of entries currently stored.
 func (m *Map) Size() int { return int(m.size.Load()) }
 
-// probe start: the digest is already a high-quality hash, so its low
-// bits index directly; linear probing keeps neighboring probes in
-// cache, the CPU analog of coalesced accesses.
-func (m *Map) home(d murmur3.Digest) uint64 { return d.H1 & m.mask }
+// home is the probe start: the digest is already a high-quality hash,
+// so the high word of H1 × slots maps it uniformly onto any slot count
+// without a power-of-two mask; linear probing keeps neighboring probes
+// in cache, the CPU analog of coalesced accesses.
+func (m *Map) home(d murmur3.Digest) int {
+	hi, _ := bits.Mul64(d.H1, uint64(len(m.slots)))
+	return int(hi)
+}
+
+// next advances a linear probe, wrapping at the slot count.
+func (m *Map) next(i int) int {
+	if i++; i == len(m.slots) {
+		return 0
+	}
+	return i
+}
+
+// lookup returns the slot holding d and its value word, or nil when a
+// probe reaches an empty slot or has visited every slot.
+func (m *Map) lookup(d murmur3.Digest) (*slot, uint64) {
+	i := m.home(d)
+	for range m.slots {
+		s := &m.slots[i]
+		v := s.val.Load()
+		for v == valClaiming {
+			// Another goroutine is publishing this slot; yield until
+			// the key is visible.
+			runtime.Gosched()
+			v = s.val.Load()
+		}
+		if v == valEmpty {
+			return nil, 0
+		}
+		if s.h1 == d.H1 && s.h2 == d.H2 {
+			return s, v
+		}
+		i = m.next(i)
+	}
+	return nil, 0
+}
 
 // InsertIfAbsent inserts (d, e) if d is not present. It returns the
 // entry now associated with d and inserted=true when this call
 // performed the insert. When d was already present (or became present
 // concurrently), inserted is false and prev holds the existing entry.
-// Returns ErrFull when no slot is available.
+// Returns ErrFull when no slot is available and ErrReservedEntry for
+// an entry the table cannot store.
 func (m *Map) InsertIfAbsent(d murmur3.Digest, e Entry) (prev Entry, inserted bool, err error) {
-	idx := m.home(d)
-	for probes := uint64(0); probes <= m.mask; probes++ {
-		s := &m.slots[(idx+probes)&m.mask]
+	ev, err := e.encode()
+	if err != nil {
+		return Entry{}, false, err
+	}
+	i := m.home(d)
+	for range m.slots {
+		s := &m.slots[i]
 		for {
-			switch s.state.Load() {
-			case slotEmpty:
-				if s.state.CompareAndSwap(slotEmpty, slotClaiming) {
+			v := s.val.Load()
+			switch v {
+			case valEmpty:
+				if s.val.CompareAndSwap(valEmpty, valClaiming) {
 					s.h1 = d.H1
 					s.h2 = d.H2
-					s.val.Store(e.pack())
-					s.state.Store(slotFull)
+					s.val.Store(ev)
 					m.size.Add(1)
 					return e, true, nil
 				}
 				continue // lost the race; re-inspect the slot
-			case slotClaiming:
-				// Another goroutine is publishing this slot; yield
-				// until the key is visible.
+			case valClaiming:
 				runtime.Gosched()
 				continue
-			case slotFull:
-				if s.h1 == d.H1 && s.h2 == d.H2 {
-					return unpack(s.val.Load()), false, nil
-				}
+			}
+			if s.h1 == d.H1 && s.h2 == d.H2 {
+				return decode(v), false, nil
 			}
 			break // full with a different key: advance the probe
 		}
+		i = m.next(i)
 	}
 	return Entry{}, false, ErrFull
 }
 
 // Find returns the entry associated with d.
 func (m *Map) Find(d murmur3.Digest) (Entry, bool) {
-	idx := m.home(d)
-	for probes := uint64(0); probes <= m.mask; probes++ {
-		s := &m.slots[(idx+probes)&m.mask]
-		switch s.state.Load() {
-		case slotEmpty:
-			return Entry{}, false
-		case slotClaiming:
-			// Key not yet visible; treat as a potential match being
-			// published and spin briefly by retrying the same slot.
-			for s.state.Load() == slotClaiming {
-				runtime.Gosched()
-			}
-			if s.state.Load() == slotFull && s.h1 == d.H1 && s.h2 == d.H2 {
-				return unpack(s.val.Load()), true
-			}
-		case slotFull:
-			if s.h1 == d.H1 && s.h2 == d.H2 {
-				return unpack(s.val.Load()), true
-			}
-		}
+	s, v := m.lookup(d)
+	if s == nil {
+		return Entry{}, false
 	}
-	return Entry{}, false
+	return decode(v), true
 }
 
 // Contains reports whether d is present.
@@ -168,36 +202,27 @@ func (m *Map) Contains(d murmur3.Digest) bool {
 // identical chunks appear in the same checkpoint, the earliest offset
 // is canonical and the later one becomes a shifted duplicate. Returns
 // the entry that lost the comparison (the one demoted to SHIFT_DUPL)
-// and whether a swap occurred.
-func (m *Map) UpdateIfEarlier(d murmur3.Digest, e Entry) (demoted Entry, swapped bool) {
-	idx := m.home(d)
-	for probes := uint64(0); probes <= m.mask; probes++ {
-		s := &m.slots[(idx+probes)&m.mask]
-		switch s.state.Load() {
-		case slotEmpty:
-			return Entry{}, false
-		case slotClaiming:
-			for s.state.Load() == slotClaiming {
-				runtime.Gosched()
-			}
-			fallthrough
-		case slotFull:
-			if s.h1 != d.H1 || s.h2 != d.H2 {
-				continue
-			}
-			for {
-				cur := s.val.Load()
-				curE := unpack(cur)
-				if curE.Ckpt != e.Ckpt || e.Node >= curE.Node {
-					return curE, false
-				}
-				if s.val.CompareAndSwap(cur, e.pack()) {
-					return curE, true
-				}
-			}
-		}
+// and whether a swap occurred, or ErrReservedEntry for an entry the
+// table cannot store.
+func (m *Map) UpdateIfEarlier(d murmur3.Digest, e Entry) (demoted Entry, swapped bool, err error) {
+	ev, err := e.encode()
+	if err != nil {
+		return Entry{}, false, err
 	}
-	return Entry{}, false
+	s, v := m.lookup(d)
+	if s == nil {
+		return Entry{}, false, nil
+	}
+	for {
+		cur := decode(v)
+		if cur.Ckpt != e.Ckpt || e.Node >= cur.Node {
+			return cur, false, nil
+		}
+		if s.val.CompareAndSwap(v, ev) {
+			return cur, true, nil
+		}
+		v = s.val.Load()
+	}
 }
 
 // Range calls fn for every (digest, entry) pair. It must not run
@@ -205,8 +230,8 @@ func (m *Map) UpdateIfEarlier(d murmur3.Digest, e Entry) (demoted Entry, swapped
 func (m *Map) Range(fn func(d murmur3.Digest, e Entry) bool) {
 	for i := range m.slots {
 		s := &m.slots[i]
-		if s.state.Load() == slotFull {
-			if !fn(murmur3.Digest{H1: s.h1, H2: s.h2}, unpack(s.val.Load())) {
+		if v := s.val.Load(); v >= valFull {
+			if !fn(murmur3.Digest{H1: s.h1, H2: s.h2}, decode(v)) {
 				return
 			}
 		}

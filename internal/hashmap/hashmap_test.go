@@ -1,10 +1,13 @@
 package hashmap
 
 import (
+	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/gpuckpt/gpuckpt/internal/murmur3"
 )
@@ -84,24 +87,24 @@ func TestUpdateIfEarlier(t *testing.T) {
 	m.InsertIfAbsent(d, Entry{Node: 50, Ckpt: 2})
 
 	// Later node in same checkpoint: no swap.
-	if _, swapped := m.UpdateIfEarlier(d, Entry{Node: 60, Ckpt: 2}); swapped {
+	if _, swapped, _ := m.UpdateIfEarlier(d, Entry{Node: 60, Ckpt: 2}); swapped {
 		t.Fatal("swapped with a later node")
 	}
 	// Different checkpoint: no swap even if node is earlier.
-	if _, swapped := m.UpdateIfEarlier(d, Entry{Node: 10, Ckpt: 3}); swapped {
+	if _, swapped, _ := m.UpdateIfEarlier(d, Entry{Node: 10, Ckpt: 3}); swapped {
 		t.Fatal("swapped across checkpoints")
 	}
 	// Earlier node, same checkpoint: swap and report demoted entry.
-	demoted, swapped := m.UpdateIfEarlier(d, Entry{Node: 20, Ckpt: 2})
-	if !swapped || demoted.Node != 50 {
-		t.Fatalf("swap failed: demoted=%v swapped=%v", demoted, swapped)
+	demoted, swapped, err := m.UpdateIfEarlier(d, Entry{Node: 20, Ckpt: 2})
+	if !swapped || demoted.Node != 50 || err != nil {
+		t.Fatalf("swap failed: demoted=%v swapped=%v err=%v", demoted, swapped, err)
 	}
 	got, _ := m.Find(d)
 	if got.Node != 20 {
 		t.Fatalf("entry after swap = %v, want node 20", got)
 	}
 	// Missing digest: no swap.
-	if _, swapped := m.UpdateIfEarlier(digestOf(999), Entry{}); swapped {
+	if _, swapped, _ := m.UpdateIfEarlier(digestOf(999), Entry{}); swapped {
 		t.Fatal("swapped a missing digest")
 	}
 }
@@ -216,20 +219,75 @@ func TestRange(t *testing.T) {
 }
 
 func TestEntryPackRoundTrip(t *testing.T) {
-	f := func(node, ckpt uint32) bool {
+	roundTrips := func(node, ckpt uint32) bool {
 		e := Entry{Node: node, Ckpt: ckpt}
-		return unpack(e.pack()) == e
+		v, err := e.encode()
+		return unpack(e.pack()) == e && err == nil && v >= valFull && decode(v) == e
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(roundTrips, nil); err != nil {
 		t.Fatal(err)
+	}
+	// quick.Check never draws the extremes: the largest storable
+	// entries sit just below the ones that wrap onto the state codes.
+	for _, e := range []Entry{
+		{0, 0}, {0, math.MaxUint32}, {math.MaxUint32, 0},
+		{math.MaxUint32 - 1, math.MaxUint32}, {math.MaxUint32, math.MaxUint32 - 2},
+	} {
+		if !roundTrips(e.Node, e.Ckpt) {
+			t.Errorf("%v does not round-trip", e)
+		}
+	}
+	for _, e := range []Entry{{math.MaxUint32, math.MaxUint32 - 1}, {math.MaxUint32, math.MaxUint32}} {
+		if _, err := e.encode(); !errors.Is(err, ErrReservedEntry) {
+			t.Errorf("encode(%v) = %v, want ErrReservedEntry", e, err)
+		}
 	}
 }
 
+// TestReservedEntryRefused: an entry that would encode to the empty or
+// claiming state is refused by both writers and leaves the table as it
+// was.
+func TestReservedEntryRefused(t *testing.T) {
+	m := New(4)
+	d := digestOf(1)
+	for _, e := range []Entry{{math.MaxUint32, math.MaxUint32 - 1}, {math.MaxUint32, math.MaxUint32}} {
+		if _, inserted, err := m.InsertIfAbsent(d, e); inserted || !errors.Is(err, ErrReservedEntry) {
+			t.Fatalf("InsertIfAbsent(%v): inserted=%v err=%v, want ErrReservedEntry", e, inserted, err)
+		}
+		if m.Size() != 0 || m.Contains(d) {
+			t.Fatalf("refused insert of %v left size %d", e, m.Size())
+		}
+	}
+	stored := Entry{Node: 7, Ckpt: math.MaxUint32 - 1}
+	if _, _, err := m.InsertIfAbsent(d, stored); err != nil {
+		t.Fatal(err)
+	}
+	if _, swapped, err := m.UpdateIfEarlier(d, Entry{math.MaxUint32, math.MaxUint32 - 1}); swapped || !errors.Is(err, ErrReservedEntry) {
+		t.Fatalf("UpdateIfEarlier: swapped=%v err=%v, want ErrReservedEntry", swapped, err)
+	}
+	if got, _ := m.Find(d); got != stored {
+		t.Fatalf("entry after refused update = %v, want %v", got, stored)
+	}
+}
+
+// TestNewSmall: a request for no entries still gets the minimum table.
 func TestNewSmall(t *testing.T) {
 	for _, n := range []int{-1, 0, 1} {
-		m := New(n)
-		if m.Capacity() < 2 {
-			t.Fatalf("New(%d) capacity %d too small", n, m.Capacity())
+		if c := New(n).Capacity(); c != minSlots {
+			t.Fatalf("New(%d) capacity %d, want %d", n, c, minSlots)
+		}
+	}
+}
+
+// TestTableIsTwiceCapacity: the table is exactly 2n slots of 24
+// bytes, not rounded up to a power of two.
+func TestTableIsTwiceCapacity(t *testing.T) {
+	if size := unsafe.Sizeof(slot{}); size != 24 {
+		t.Fatalf("slot is %d bytes, want 24", size)
+	}
+	for _, n := range []int{3, 4, 5, 7, 100, 1000, 374_123} {
+		if got, want := New(n).Capacity(), max(2*n, minSlots); got != want {
+			t.Errorf("New(%d).Capacity() = %d, want %d", n, got, want)
 		}
 	}
 }
@@ -263,7 +321,7 @@ func BenchmarkFindHit(b *testing.B) {
 // TestProbeWraparound fills a small table so probes must wrap past the
 // end of the slot array and still find/insert correctly.
 func TestProbeWraparound(t *testing.T) {
-	m := New(4) // capacity 8 or 16
+	m := New(5) // 10 slots: the probe wraps at the slot count, not at a mask
 	capacity := m.Capacity()
 	inserted := 0
 	for i := 0; inserted < capacity; i++ {
@@ -287,7 +345,9 @@ func TestProbeWraparound(t *testing.T) {
 		t.Fatalf("found %d of %d keys in a full table", found, capacity)
 	}
 	// Updates work at full load too.
-	m.UpdateIfEarlier(digestOf(0), Entry{Node: 0, Ckpt: 0})
+	if _, _, err := m.UpdateIfEarlier(digestOf(0), Entry{Node: 0, Ckpt: 0}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestFindMissingInFullTable(t *testing.T) {
@@ -303,7 +363,7 @@ func TestFindMissingInFullTable(t *testing.T) {
 	if _, ok := m.Find(digestOf(1 << 20)); ok {
 		t.Fatal("found key that was never inserted")
 	}
-	if _, ok := m.UpdateIfEarlier(digestOf(1<<20), Entry{}); ok {
+	if _, ok, _ := m.UpdateIfEarlier(digestOf(1<<20), Entry{}); ok {
 		t.Fatal("updated key that was never inserted")
 	}
 }
