@@ -401,16 +401,41 @@ func TestRecordRestoreErrors(t *testing.T) {
 	if err := r.Append(d1); err == nil {
 		t.Fatal("diff with dangling shift reference accepted")
 	}
-	// A source region shorter than its destination still fails at
-	// Restore, where resolution happens: node 0 is the root (10 bytes),
-	// node 3 a single leaf chunk.
+	// A source region shorter than its destination that does not divide
+	// it cannot be tiled, so it is refused at Append too: node 0 is the
+	// root (10 bytes), node 3 a single leaf chunk (4 bytes).
 	d1 = &Diff{Method: MethodTree, CkptID: 1, DataLen: 10, ChunkSize: 4,
 		ShiftDupl: Shifts(ShiftRegion{Node: 0, SrcNode: 3, SrcCkpt: 0})}
-	if err := r.Append(d1); err != nil {
+	if err := r.Append(d1); err == nil || !strings.Contains(err.Error(), "does not tile") {
+		t.Fatalf("diff with untileable source region: err = %v", err)
+	}
+}
+
+// TestFillRestore: a shifted region whose source divides it is a fill,
+// restored by repeating the source, whether the source lies in the same
+// checkpoint or an older one.
+func TestFillRestore(t *testing.T) {
+	// 5 chunks of 8 bytes: nodes 7, 8 hold chunks 0, 1 (node 3 both);
+	// nodes 4, 5, 6 hold chunks 2, 3, 4 (node 2 chunks 3 and 4).
+	base := bytes.Repeat([]byte{1}, 40)
+	copy(base, "abcdefgh")
+	r := NewRecord()
+	if err := r.Append(&Diff{Method: MethodFull, CkptID: 0, DataLen: 40, ChunkSize: 8, Data: base}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Restore(1); err == nil {
-		t.Fatal("restore with undersized source region succeeded")
+	fill := &Diff{Method: MethodTree, CkptID: 1, DataLen: 40, ChunkSize: 8,
+		FirstOcur: Firsts(4),
+		ShiftDupl: Shifts(ShiftRegion{Node: 3, SrcNode: 4, SrcCkpt: 1}, ShiftRegion{Node: 2, SrcNode: 7, SrcCkpt: 0}),
+		Data:      []byte("zzzzzzzz")}
+	if err := r.Append(fill); err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Restore(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "zzzzzzzz" + "zzzzzzzz" + "zzzzzzzz" + "abcdefgh" + "abcdefgh"; string(got) != want {
+		t.Fatalf("restored %q, want %q", got, want)
 	}
 }
 

@@ -68,7 +68,11 @@ func Methods() []Method {
 
 // ShiftRegion describes one shifted-duplicate region: the tree node it
 // covers in the current checkpoint and the (node, checkpoint) of the
-// identical region recorded in the historical record of unique hashes.
+// region recorded in the historical record of unique hashes that it
+// repeats. The source is either at least as long as the destination,
+// whose bytes are its prefix, or — a fill, a run of identical chunks —
+// shorter and a whole divisor of it, the destination being the source
+// repeated.
 type ShiftRegion struct {
 	Node    uint32
 	SrcNode uint32
@@ -141,7 +145,8 @@ type Diff struct {
 	FirstOcur FirstList
 
 	// ShiftDupl lists shifted-duplicate regions (MethodList and
-	// MethodTree), in ascending chunk order.
+	// MethodTree), in ascending chunk order. A Tree diff's may include
+	// fills, whose source tiles a longer destination (see ShiftRegion).
 	ShiftDupl ShiftList
 
 	// Bitmap marks changed chunks for MethodBasic, one bit per chunk,

@@ -267,6 +267,26 @@ func FuzzRestore(f *testing.F) {
 		}
 		f.Add(lineage.Bytes())
 	}
+	// Two fills over the same 5-chunk geometry (node 3 is chunks 0-1,
+	// node 4 chunk 2, node 7 chunk 0, node 1 chunks 0-2): a valid one
+	// whose 8-byte sources tile 16-byte destinations, and one whose
+	// 16-byte source does not divide its 24-byte destination.
+	for _, shifts := range []ShiftList{
+		Shifts(ShiftRegion{Node: 3, SrcNode: 4, SrcCkpt: 1}, ShiftRegion{Node: 2, SrcNode: 7, SrcCkpt: 0}),
+		Shifts(ShiftRegion{Node: 1, SrcNode: 3, SrcCkpt: 0}),
+	} {
+		var lineage bytes.Buffer
+		for _, d := range []*Diff{
+			{Method: MethodFull, CkptID: 0, DataLen: 40, ChunkSize: 8, Data: bytes.Repeat([]byte{1}, 40)},
+			{Method: MethodTree, CkptID: 1, DataLen: 40, ChunkSize: 8, FirstOcur: Firsts(4), ShiftDupl: shifts,
+				Data: bytes.Repeat([]byte{4}, 8)},
+		} {
+			if err := d.Encode(&lineage); err != nil {
+				f.Fatal(err)
+			}
+		}
+		f.Add(lineage.Bytes())
+	}
 	for _, d := range sampleDiffs() {
 		f.Add(encodeSeed(f, d))
 	}

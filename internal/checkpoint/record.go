@@ -232,6 +232,12 @@ func (r *Record) indexRegions(d *Diff, plain []byte) ([]uint32, error) {
 				return nil, fmt.Errorf("checkpoint: diff %d shift source checkpoint %d is below the record's baseline %d",
 					d.CkptID, sr.SrcCkpt, r.base)
 			}
+			srcOff, srcEnd := r.geom.NodeSpan(int(sr.SrcNode), r.chunkSize, r.dataLen)
+			dstOff, dstEnd := r.geom.NodeSpan(int(sr.Node), r.chunkSize, r.dataLen)
+			if n, m := srcEnd-srcOff, dstEnd-dstOff; n < m && (n == 0 || m%n != 0) {
+				return nil, fmt.Errorf("checkpoint: diff %d shift source node %d (%d bytes) does not tile destination %d (%d bytes)",
+					d.CkptID, sr.SrcNode, n, sr.Node, m)
+			}
 		}
 		idx := make([]uint32, d.FirstOcur.Len())
 		var chunks, off int64
@@ -362,34 +368,29 @@ func (r *Record) Apply(state []byte, k int) error {
 		})
 		// Pass 2: shifted duplicates. Same-checkpoint references read
 		// from the state (their source regions were written in pass
-		// 1); older references read from the stored diff bytes.
-		// Destinations are disjoint and sources are never shifted
+		// 1); older references read from the stored diff bytes. A
+		// source shorter than its destination is a fill, tiled across
+		// it. Destinations are disjoint and sources are never shifted
 		// destinations, so this pass parallelizes too.
 		errs := make([]error, d.ShiftDupl.Len())
 		r.forRegions(d.ShiftDupl.Len(), func(j int) {
 			s := d.ShiftDupl.At(j)
 			dstOff, dstEnd := r.geom.NodeSpan(int(s.Node), r.chunkSize, r.dataLen)
+			var src []byte
 			if s.SrcCkpt == d.CkptID {
 				srcOff, srcEnd := r.geom.NodeSpan(int(s.SrcNode), r.chunkSize, r.dataLen)
-				if srcEnd-srcOff < dstEnd-dstOff {
-					errs[j] = fmt.Errorf("checkpoint: diff %d shift source node %d shorter than destination %d",
-						k, s.SrcNode, s.Node)
+				src = state[srcOff:srcEnd]
+			} else {
+				var err error
+				if src, err = r.resolve(s.SrcCkpt, s.SrcNode); err != nil {
+					errs[j] = fmt.Errorf("checkpoint: diff %d shift region node %d: %w", k, s.Node, err)
 					return
 				}
-				copy(state[dstOff:dstEnd], state[srcOff:srcOff+(dstEnd-dstOff)])
-				return
 			}
-			src, err := r.resolve(s.SrcCkpt, s.SrcNode)
-			if err != nil {
-				errs[j] = fmt.Errorf("checkpoint: diff %d shift region node %d: %w", k, s.Node, err)
-				return
+			if !tile(state[dstOff:dstEnd], src) {
+				errs[j] = fmt.Errorf("checkpoint: diff %d shift source node %d (%d bytes) does not tile destination %d (%d bytes)",
+					k, s.SrcNode, len(src), s.Node, dstEnd-dstOff)
 			}
-			if len(src) < dstEnd-dstOff {
-				errs[j] = fmt.Errorf("checkpoint: diff %d shift source %d bytes < destination %d",
-					k, len(src), dstEnd-dstOff)
-				return
-			}
-			copy(state[dstOff:dstEnd], src[:dstEnd-dstOff])
 		})
 		for _, err := range errs {
 			if err != nil {
@@ -402,6 +403,26 @@ func (r *Record) Apply(state []byte, k int) error {
 	default:
 		return fmt.Errorf("checkpoint: unknown method %v", d.Method)
 	}
+}
+
+// tile writes src over dst: its prefix when src is at least as long,
+// else src repeated — one copy, then the written part doubled until dst
+// is full. It writes nothing and reports false when a shorter src does
+// not divide dst.
+//
+//ckptlint:noalloc
+func tile(dst, src []byte) bool {
+	if len(src) >= len(dst) {
+		copy(dst, src)
+		return true
+	}
+	if len(src) == 0 || len(dst)%len(src) != 0 {
+		return false
+	}
+	for n := copy(dst, src); n < len(dst); n *= 2 {
+		copy(dst[n:], dst[:n])
+	}
+	return true
 }
 
 // Restore reconstructs the buffer as of checkpoint k by replaying

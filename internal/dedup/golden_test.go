@@ -137,30 +137,17 @@ func TestGoldenDiffs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, chunks := range goldenChunkCounts {
-		snaps := goldenChain(chunks)
-		for _, o := range goldenOptions {
-			key := fmt.Sprintf("%s/%d", o.name, chunks)
-			if update {
-				diffs, stats := goldenDigests(t, snaps, 1, o.opts, false)
-				golden[key] = goldenEntry{Diffs: diffs, Stats: stats}
-			}
-			want, ok := golden[key]
-			if !ok {
-				t.Fatalf("%s: no golden entry", key)
-			}
-			for _, workers := range []int{1, 2, 4} {
-				diffs, stats := goldenDigests(t, snaps, workers, o.opts, false)
-				if diffs != want.Diffs {
-					t.Errorf("%s workers=%d: encoded diffs differ from the golden chain", key, workers)
-				}
-				if stats != want.Stats {
-					t.Errorf("%s workers=%d: Stats differ from the golden chain", key, workers)
-				}
-			}
-			if diffs, _ := goldenDigests(t, snaps, 2, o.opts, true); diffs != want.Diffs {
-				t.Errorf("%s: CheckpointAsync diffs differ from Checkpoint's", key)
-			}
+	chains := []struct {
+		prefix string
+		build  func(chunks int) [][]byte
+	}{
+		{"", goldenChain},
+		// Run-heavy chains, whose shifted regions are mostly fills.
+		{"runs/", func(chunks int) [][]byte { return runSnapshots(int64(2000+chunks), chunks, 9) }},
+	}
+	for _, chain := range chains {
+		for _, chunks := range goldenChunkCounts {
+			goldenCheck(t, golden, update, chain.prefix, chunks, chain.build(chunks))
 		}
 	}
 	if update {
@@ -173,6 +160,35 @@ func TestGoldenDiffs(t *testing.T) {
 		}
 		if err := os.WriteFile(goldenFile, append(blob, '\n'), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// goldenCheck compares (or, updating, records) the digests of one chain
+// under every golden option set.
+func goldenCheck(t *testing.T, golden map[string]goldenEntry, update bool, prefix string, chunks int, snaps [][]byte) {
+	t.Helper()
+	for _, o := range goldenOptions {
+		key := fmt.Sprintf("%s%s/%d", prefix, o.name, chunks)
+		if update {
+			diffs, stats := goldenDigests(t, snaps, 1, o.opts, false)
+			golden[key] = goldenEntry{Diffs: diffs, Stats: stats}
+		}
+		want, ok := golden[key]
+		if !ok {
+			t.Fatalf("%s: no golden entry", key)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			diffs, stats := goldenDigests(t, snaps, workers, o.opts, false)
+			if diffs != want.Diffs {
+				t.Errorf("%s workers=%d: encoded diffs differ from the golden chain", key, workers)
+			}
+			if stats != want.Stats {
+				t.Errorf("%s workers=%d: Stats differ from the golden chain", key, workers)
+			}
+		}
+		if diffs, _ := goldenDigests(t, snaps, 2, o.opts, true); diffs != want.Diffs {
+			t.Errorf("%s: CheckpointAsync diffs differ from Checkpoint's", key)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/compress"
+	"github.com/gpuckpt/gpuckpt/internal/merkle"
 )
 
 // workloadSnapshots builds a deterministic mutation workload with a
@@ -156,6 +157,135 @@ func TestMetamorphicQuickSeeds(t *testing.T) {
 				}
 			}
 			prevRestored = restored
+		}
+	}
+}
+
+// runSnapshots builds a run-heavy chain over a buffer of chunks 64-byte
+// chunks, the last one short: zero pages under sparse writes, a written
+// range zeroed again one step later (a fill whose source is an older
+// checkpoint), and a repeated chunk written across the boundary between
+// the tree's deep and shallow leaves.
+func runSnapshots(seed int64, chunks, n int) [][]byte {
+	const cs = 64
+	rng := rand.New(rand.NewSource(seed))
+	size := chunks*cs - 7
+	buf := make([]byte, size)
+	snaps := [][]byte{append([]byte(nil), buf...)}
+	var lo, hi int // the range written at the last k%4 == 1 step
+	for k := 1; k < n; k++ {
+		switch k % 4 {
+		case 0: // unchanged checkpoint
+		case 1: // sparse writes, then one written range
+			for i := 0; i < 3; i++ {
+				off := rng.Intn(size - 40)
+				rng.Read(buf[off : off+1+rng.Intn(40)])
+			}
+			lo = rng.Intn(chunks) * cs
+			hi = min(size, lo+(1+rng.Intn(max(1, chunks/4)))*cs)
+			rng.Read(buf[lo:hi])
+		case 2: // zero the written range again
+			clear(buf[lo:hi])
+		case 3: // one chunk repeated across the deep/shallow boundary
+			p := 1
+			for p < chunks {
+				p *= 2
+			}
+			deep := 2*chunks - p
+			r := 1 + rng.Intn(max(1, chunks/8))
+			from, to := max(0, deep-r)*cs, min(chunks-1, deep+r)*cs
+			pat := make([]byte, cs)
+			rng.Read(pat)
+			for off := from; off < to; off += cs {
+				copy(buf[off:off+cs], pat)
+			}
+		}
+		snaps = append(snaps, append([]byte(nil), buf...))
+	}
+	return snaps
+}
+
+// TestMetamorphicRuns: on run-heavy chains, where Tree's shifted
+// regions become fills, every method restores the input exactly under
+// every option that changes how Algorithm 1 runs — single-stage,
+// verified duplicates, unfused, pipelined — and Tree still stores no
+// more than List, with far fewer shifted regions.
+func TestMetamorphicRuns(t *testing.T) {
+	optionSets := []Options{
+		{ChunkSize: 64},
+		{ChunkSize: 64, SingleStage: true},
+		{ChunkSize: 64, VerifyDuplicates: true},
+		{ChunkSize: 64, Unfused: true},
+	}
+	for _, chunks := range []int{5, 100, 1000, 1025} {
+		snaps := runSnapshots(int64(chunks), chunks, 12)
+		for oi, opts := range optionSets {
+			stored := map[checkpoint.Method]int64{}
+			shifts := map[checkpoint.Method]int{}
+			fills := map[bool]int{} // by whether the source is older
+			for _, m := range checkpoint.Methods() {
+				for _, pipelined := range []bool{false, true} {
+					d := newTestDedup(t, m, len(snaps[0]), 2, opts)
+					chans := make([]<-chan AsyncResult, 0, len(snaps))
+					for k, img := range snaps {
+						if pipelined {
+							ch, err := d.CheckpointAsync(img)
+							if err != nil {
+								t.Fatalf("chunks %d opts %d %v ckpt %d: %v", chunks, oi, m, k, err)
+							}
+							chans = append(chans, ch)
+							continue
+						}
+						diff, st, err := d.Checkpoint(img)
+						if err != nil {
+							t.Fatalf("chunks %d opts %d %v ckpt %d: %v", chunks, oi, m, k, err)
+						}
+						stored[m] += diff.TotalBytes()
+						shifts[m] += st.NumShiftDupl
+						if m == checkpoint.MethodTree {
+							countFills(diff, fills)
+						}
+					}
+					for k, ch := range chans {
+						if res := <-ch; res.Err != nil {
+							t.Fatalf("chunks %d opts %d %v ckpt %d pipelined: %v", chunks, oi, m, k, res.Err)
+						}
+					}
+					for k, want := range snaps {
+						got, err := d.Restore(k)
+						if err != nil || !bytes.Equal(got, want) {
+							t.Fatalf("chunks %d opts %d %v pipelined=%v: restore %d differs (err %v)",
+								chunks, oi, m, pipelined, k, err)
+						}
+					}
+				}
+			}
+			tree, list := checkpoint.MethodTree, checkpoint.MethodList
+			if stored[tree] > stored[list] {
+				t.Errorf("chunks %d opts %d: Tree stored %d B, List %d B", chunks, oi, stored[tree], stored[list])
+			}
+			if chunks >= 100 && 4*shifts[tree] > shifts[list] {
+				t.Errorf("chunks %d opts %d: Tree %d shifted regions, List %d", chunks, oi, shifts[tree], shifts[list])
+			}
+			if chunks >= 100 && (fills[false] == 0 || fills[true] == 0) {
+				t.Errorf("chunks %d opts %d: %d fills from the same checkpoint, %d from older ones; want both",
+					chunks, oi, fills[false], fills[true])
+			}
+		}
+	}
+}
+
+// countFills counts the shifted regions of a diff whose source is
+// shorter than their destination, by whether the source is older.
+func countFills(d *checkpoint.Diff, fills map[bool]int) {
+	geom := merkle.NewGeometry(merkle.NumChunks(int(d.DataLen), int(d.ChunkSize)))
+	span := func(v uint32) int {
+		off, end := geom.NodeSpan(int(v), int(d.ChunkSize), int(d.DataLen))
+		return end - off
+	}
+	for j := range d.ShiftDupl.Len() {
+		if s := d.ShiftDupl.At(j); span(s.SrcNode) < span(s.Node) {
+			fills[s.SrcCkpt < d.CkptID]++
 		}
 	}
 }

@@ -124,6 +124,11 @@ func (d *Deduplicator) initBodies() {
 	// Lines 33-46 of Algorithm 1: consolidate FIXED_DUPL and SHIFT_DUPL
 	// regions. A node whose children cannot be consolidated becomes
 	// MIXED; listRegions finds the region roots under it afterwards.
+	// Two shifted children whose parent misses the record still
+	// consolidate when they are the same bytes (equal digests, equal
+	// spans): the parent is a fill, its left half repeated, and
+	// walkRegions finds its source below it. Nothing is registered, so
+	// every record entry still points into a first-occurrence region.
 	//ckptlint:noalloc
 	d.consolidateBody = func(lo, hi int) {
 		var h int64
@@ -141,9 +146,12 @@ func (d *Deduplicator) initBodies() {
 				d.tree.Digests[v] = dig
 				h++
 				e, ok := d.lookupShift(dig)
-				if ok && !(e.Node == n && e.Ckpt == d.ckptID) {
+				switch {
+				case ok && !(e.Node == n && e.Ckpt == d.ckptID):
 					d.labels[v] = LabelShiftDupl
-				} else {
+				case !ok && d.sameBytes(left, right):
+					d.labels[v] = LabelShiftDupl // a fill
+				default:
 					d.labels[v] = LabelMixed
 				}
 			default:
@@ -375,10 +383,16 @@ func (d *Deduplicator) walkRegions(firsts *checkpoint.FirstList, shifts *checkpo
 			nf++
 		case LabelShiftDupl:
 			if shifts != nil {
+				// A fill's own digest misses the record; its source is
+				// that of its leftmost descendant that hits, repeated.
 				src, ok := d.hmap.Find(d.tree.Digests[v])
+				for u := int(v); !ok && !d.tree.IsLeaf(u); {
+					u = merkle.Left(u)
+					src, ok = d.hmap.Find(d.tree.Digests[u])
+				}
 				if !ok {
-					// Unreachable by construction: every SHIFT_DUPL label
-					// was assigned after a successful map lookup.
+					// Unreachable by construction: every shifted leaf
+					// was labeled after a successful map lookup.
 					panic("dedup: shifted region missing from historical record")
 				}
 				*shifts = shifts.Append(checkpoint.ShiftRegion{Node: v, SrcNode: src.Node, SrcCkpt: src.Ckpt})
@@ -403,6 +417,19 @@ func (d *Deduplicator) listRegions() (firsts checkpoint.FirstList, shifts checkp
 	}
 	d.walkRegions(&firsts, &shifts)
 	return firsts, shifts
+}
+
+// sameBytes reports whether sibling subtrees hold the same bytes:
+// equal digests over equal spans.
+//
+//ckptlint:noalloc
+func (d *Deduplicator) sameBytes(left, right int) bool {
+	if d.tree.Digests[left] != d.tree.Digests[right] {
+		return false
+	}
+	lo, le := d.tree.NodeSpan(left, d.opts.ChunkSize, d.dataLen)
+	ro, re := d.tree.NodeSpan(right, d.opts.ChunkSize, d.dataLen)
+	return le-lo == re-ro
 }
 
 // lookupShift resolves a consolidated shifted-duplicate hash in the

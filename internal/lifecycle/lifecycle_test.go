@@ -10,6 +10,7 @@ import (
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/dedup"
 	"github.com/gpuckpt/gpuckpt/internal/device"
+	"github.com/gpuckpt/gpuckpt/internal/merkle"
 	"github.com/gpuckpt/gpuckpt/internal/parallel"
 	"github.com/gpuckpt/gpuckpt/internal/recframe"
 )
@@ -373,4 +374,74 @@ func TestRewriteBasic(t *testing.T) {
 	if _, err := RewriteBasic(prev, cur, 0, 1); err == nil {
 		t.Fatal("zero chunk size accepted")
 	}
+}
+
+// TestFoldFills folds a Tree chain whose diffs hold fills — shifted
+// regions that repeat a shorter source. Fills sourced at the new
+// baseline survive it unchanged, since a full image resolves any
+// source node; one sourced below it is rewritten; every retained
+// checkpoint restores byte-exact.
+func TestFoldFills(t *testing.T) {
+	const chunks = testLen / testChunk
+	rng := rand.New(rand.NewSource(11))
+	run := func(buf, pat []byte, lo, hi int) {
+		for c := lo; c < hi; c++ {
+			copy(buf[c*testChunk:], pat)
+		}
+	}
+	pat := make([]byte, testChunk)
+	rng.Read(pat)
+	cur := make([]byte, testLen)
+	rng.Read(cur[:chunks/2*testChunk]) // chunks 32..63 are a zero run
+	var images [][]byte
+	for k := 0; k < 8; k++ {
+		switch k {
+		case 1, 2, 5: // fresh bytes only
+			rng.Read(cur[(k-1)*4*testChunk : k*4*testChunk])
+		case 3: // a new chunk and, in the same diff, a run of it
+			copy(cur[33*testChunk:], pat)
+			run(cur, pat, 48, 56)
+		case 4: // a run of the chunk first stored at 3
+			run(cur, pat, 16, 24)
+		case 6: // a zero run, sourced at 0
+			clear(cur[8*testChunk : 16*testChunk])
+		case 7: // another run sourced at 3
+			run(cur, pat, 56, 64)
+		}
+		images = append(images, append([]byte(nil), cur...))
+	}
+	dir := buildLineage(t, checkpoint.MethodTree, images)
+	store, err := checkpoint.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	st, err := Fold(store, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.NewBase != 3 || st.Rewritten != 1 {
+		t.Fatalf("fold: %+v, want baseline 3 and diff 6 alone rewritten", st)
+	}
+	rec, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	geom := merkle.NewGeometry(chunks)
+	span := func(v uint32) int {
+		off, end := geom.NodeSpan(int(v), testChunk, testLen)
+		return end - off
+	}
+	for _, k := range []int{4, 7} {
+		shifts, fills := rec.Diff(k).ShiftDupl, 0
+		for j := range shifts.Len() {
+			if s := shifts.At(j); s.SrcCkpt == 3 && span(s.SrcNode) < span(s.Node) {
+				fills++
+			}
+		}
+		if fills == 0 {
+			t.Errorf("retained diff %d holds no fill sourced at the baseline", k)
+		}
+	}
+	restoreAll(t, dir, images)
 }

@@ -35,7 +35,14 @@ func newHarness(t *testing.T) *harness {
 			if err != nil {
 				return
 			}
+			// A connection accepted after closeAll swept the list would
+			// stay open: close it here instead, under the same lock.
 			h.mu.Lock()
+			if h.closed.Load() {
+				h.mu.Unlock()
+				c.Close()
+				return
+			}
 			h.accepted = append(h.accepted, c)
 			h.mu.Unlock()
 			go func() {
