@@ -23,6 +23,8 @@ FUZZ_TARGETS = \
 	FuzzSegmentScan:./internal/checkpoint \
 	FuzzBlockIndexDecode:./internal/blockstore \
 	FuzzPackScan:./internal/blockstore \
+	FuzzDecompress:./internal/compress \
+	FuzzPack:./internal/compress \
 	FuzzSum128x2:./internal/murmur3 \
 	FuzzMapModel:./internal/hashmap
 FUZZTIME ?= 5s
@@ -169,10 +171,14 @@ fuzz-smoke:
 # torn-tail / rot classification tests of the lineage store
 # (internal/checkpoint, with the span install that crashes after its
 # rename and must leak no block) and of the block store
-# (internal/blockstore, with its fsync and read budgets, its
-# reads-vs-relocating-GC race, raced and forced, GC's mark racing pushes
-# and lineage opens, forced and raced, and the refusal, writing nothing,
-# of the packs and snapshots of the builds that counted references),
+# (internal/blockstore, over raw and packed blocks alike, with its fsync
+# and read budgets, its reads-vs-relocating-GC race, raced and forced,
+# GC's mark racing pushes and lineage opens, forced and raced, GC moving
+# a packed block as the packed record it is, rot in what a packed record
+# stores failing typed, the refusal, writing nothing, of the packs and
+# snapshots of the builds that counted references, a raw-only store
+# opening unchanged, and the version record that makes the raw-only
+# builds refuse a pack holding packed records instead of cutting it),
 # the scrub regressions — a scrub writes nothing
 # (TestScrubIsReadOnly), and no foreign diff is spliced in at a rotten
 # id, neither by an append after Scrub (TestScrubLeavesNoHoleToSplice)
@@ -213,7 +219,7 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run '^(TestAppendLadder|TestCommit)$$' ./internal/recframe
 	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestInstallCrashLeaksNothing|TestScrubLeavesNoHoleToSplice|TestTombstoneReadsAsDamage|TestManifestNamingMissingSegmentFailsOpen)$$' ./internal/checkpoint
 	$(GO) test -race -count=1 -run '^(TestScrubIsReadOnly|TestScrubbedRotRefusesForeignPush)$$' .
-	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestReadBudget|TestReadAcrossRelocation|TestRaceGetInternGC|TestGCMarkThenPush|TestGCMarkThenOpen|TestRaceGCMarkPush|TestCountedPackRefused|TestCountedIndexRefused)$$' ./internal/blockstore
+	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestReadBudget|TestReadAcrossRelocation|TestRaceGetInternGC|TestGCMarkThenPush|TestGCMarkThenOpen|TestRaceGCMarkPush|TestCountedPackRefused|TestCountedIndexRefused|TestGCMovesPackedBlock|TestPackedRecordRot|TestRawStoreOpensUnchanged|TestPackedPackRefusedByRawBuilds)$$' ./internal/blockstore
 	$(GO) test -race -count=1 -run '^TestHealPullsRuns$$' ./internal/antientropy
 	$(GO) test -race -count=1 -run '^(TestRace|(TestFoldEndsSubscription|TestSubscribeFoldMidBacklog|TestSubscribeRotEndsWithoutBarrier|TestAntiEntropyWakesSubscribers|TestSubscriberNeverShed|TestStagedFrameIsTheReadBuffer|TestStagedRunCountsCapacity|TestRequestConnTakesNoListBuffer|TestTornRunReturnsBuffers)$$)' ./internal/server
 	$(GO) test -race -count=1 -run '^TestRace' ./internal/wireclient

@@ -5,10 +5,13 @@
 // A block is addressed by the 128-bit Murmur3 digest of its payload
 // (the same hash family the paper's GPU kernels use to fingerprint
 // chunks, §2.4), so identical chunks produced by ANY lineage resolve
-// to the same stored record and are stored exactly once. Every read
-// re-verifies two CRC32Cs and re-derives the digest, so bit rot
-// surfaces as a typed ErrCorrupt, never as silently wrong restore
-// bytes.
+// to the same stored record and are stored exactly once. A block whose
+// little-endian uint32 words pack shorter than it (the Bitcomp layout
+// of internal/compress: small counters, such as a sparse GDV's) is
+// stored packed; any other block is stored as it is. Every read
+// re-verifies two CRC32Cs and re-derives the digest from the block's
+// bytes, unpacked if need be, so bit rot surfaces as a typed
+// ErrCorrupt, never as silently wrong restore bytes.
 //
 // # Planes
 //
@@ -65,6 +68,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/gpuckpt/gpuckpt/internal/compress"
 	"github.com/gpuckpt/gpuckpt/internal/metrics"
 	"github.com/gpuckpt/gpuckpt/internal/murmur3"
 	"github.com/gpuckpt/gpuckpt/internal/recframe"
@@ -138,9 +142,9 @@ var (
 	// ErrNotFound reports a Get of a block the store does not hold.
 	ErrNotFound = errors.New("blockstore: block not found")
 	// ErrCollision reports an intern whose payload hashes to an
-	// existing ID but disagrees with the stored length or CRC — the
+	// existing ID but disagrees with the block's length or CRC — the
 	// astronomically unlikely 128-bit collision, refused rather than
-	// silently aliased.
+	// silently aliased. Both are the block's, however it is stored.
 	ErrCollision = errors.New("blockstore: block ID collision")
 	// ErrClosed reports use after Close.
 	ErrClosed = errors.New("blockstore: store is closed")
@@ -184,16 +188,18 @@ type Options struct {
 
 // Stats is a snapshot of the store counters.
 type Stats struct {
-	// Blocks and StoredBytes describe the indexed blocks.
+	// Blocks counts the indexed blocks and StoredBytes what their
+	// records store: a packed block's packed layout, any other block's
+	// bytes. Neither counts record headers and IDs.
 	Blocks      int
 	StoredBytes int64
 	// Interned counts unique blocks written since open; DedupHits
 	// counts interns resolved to an already-present block; SavedBytes
-	// sums the payload bytes those hits avoided writing — the
-	// cross-producer de-duplication win.
+	// sums the bytes of the blocks those hits avoided writing — the
+	// cross-producer de-duplication win, before packing.
 	Interned, DedupHits, SavedBytes uint64
-	// GCBlocks / GCBytes count blocks and payload bytes reclaimed by
-	// committed GC transactions since open.
+	// GCBlocks / GCBytes count the blocks reclaimed by committed GC
+	// transactions since open, and what their records stored.
 	GCBlocks, GCBytes uint64
 }
 
@@ -219,8 +225,8 @@ type Store struct {
 	// verifies at every call site.
 	mu      sync.Mutex
 	entries map[ID]entry //ckptlint:guardedby mu
-	// blocks and bytes are len(entries) and the sum of their lengths,
-	// kept as running totals so Stats is O(1).
+	// blocks and bytes are len(entries) and the sum of their stored
+	// lengths, kept as running totals so Stats is O(1).
 	blocks int    //ckptlint:guardedby mu
 	bytes  int64  //ckptlint:guardedby mu
 	gen    uint64 //ckptlint:guardedby mu
@@ -232,15 +238,22 @@ type Store struct {
 	// yet) and log its write handle — the same file and its committed
 	// length (nil while there is no pack, and in a read-only store). at is
 	// the offset the next record of the frame being staged will sit at.
-	packs  map[uint32]*os.File //ckptlint:guardedby mu
-	active uint32              //ckptlint:guardedby mu
-	log    *recframe.Log       //ckptlint:guardedby mu
-	at     int64               //ckptlint:guardedby mu
+	// versioned says the active pack holds a version record, which a
+	// packed record written to it needs before it. An open that finds
+	// it only in the part of the pack a snapshot folds leaves it false,
+	// and the next packed frame writes a second one: harmless.
+	packs     map[uint32]*os.File //ckptlint:guardedby mu
+	active    uint32              //ckptlint:guardedby mu
+	log       *recframe.Log       //ckptlint:guardedby mu
+	at        int64               //ckptlint:guardedby mu
+	versioned bool                //ckptlint:guardedby mu
 	// The write path's fixed scratch: the staging buffer, a record
-	// header, and the entry Intern plans for each new block.
+	// header, the entry Intern plans for each new block, and the packed
+	// layout of the block being staged.
 	w      *bufio.Writer          //ckptlint:guardedby mu
 	hdr    [recframe.HdrSize]byte //ckptlint:guardedby mu
 	plan   map[ID]entry           //ckptlint:guardedby mu
+	packed []byte                 //ckptlint:guardedby mu
 	closed bool                   //ckptlint:guardedby mu
 	hooks  *recframe.Hooks        //ckptlint:guardedby mu
 	// lock is the held writable-owner lock file handle (nil in
@@ -415,7 +428,7 @@ func (s *Store) recoverLocked() error {
 	}
 	for _, e := range s.entries {
 		s.blocks++
-		s.bytes += int64(e.len)
+		s.bytes += int64(e.stored)
 	}
 	slices.Sort(nums)
 	for i, num := range nums {
@@ -444,6 +457,7 @@ func (s *Store) recoverLocked() error {
 		if err == nil {
 			recs, committed, err = packFormat.Scan(io.NewSectionReader(f, from, size-from), size-from, !last)
 		}
+		s.versioned = false
 		for _, r := range recs {
 			r.Off += from
 			if err == nil {
@@ -473,20 +487,25 @@ func (s *Store) recoverLocked() error {
 }
 
 // replayLocked folds one verified record of pack num (handle f) into
-// the in-memory state: a block record places its block, and a moved
-// record moves one the index holds. An earlier build's ref or release
-// record is ErrOldLayout.
+// the in-memory state: a block record places its block, a moved record
+// moves one the index holds, and a version record says the pack may
+// hold packed records. An earlier build's ref or release record is
+// ErrOldLayout.
 //
 //ckptlint:locked mu
 func (s *Store) replayLocked(f *os.File, num uint32, r recframe.Header) error {
-	if r.Kind != recBlock && r.Kind != recMoved {
-		return fmt.Errorf("%w: a reference-count record (kind %d) at offset %d", ErrOldLayout, r.Kind, r.Off)
-	}
 	var id ID // the block's bytes stay on disk
 	if _, err := f.ReadAt(id[:], r.Off+recframe.HdrSize); err != nil {
 		return err
 	}
-	at := entry{off: r.Off, pack: num, len: r.Len - idSize, crc: r.CRC}
+	switch {
+	case r.Kind == recRef && r.Len == idSize && id == packVersion:
+		s.versioned = true
+		return nil
+	case r.Kind != recBlock && r.Kind != recMoved:
+		return fmt.Errorf("%w: a reference-count record (kind %d) at offset %d", ErrOldLayout, r.Kind, r.Off)
+	}
+	at := recordEntry(r, num)
 	if e, ok := s.entries[id]; r.Kind == recBlock || ok && e.len == at.len && e.crc == at.crc {
 		s.placeLocked(id, at)
 	}
@@ -501,7 +520,7 @@ func (s *Store) placeLocked(id ID, at entry) {
 	if !ok {
 		s.blocks++
 	}
-	s.bytes += int64(at.len) - int64(e.len)
+	s.bytes += int64(at.stored) - int64(e.stored)
 	s.entries[id] = at
 }
 
@@ -535,30 +554,39 @@ func (s *Store) beginLocked() error {
 }
 
 // appendFrameLocked is the one write path of the pack log. The frame
-// is what emit stages with recLocked. It goes to the active pack (a new
-// one if that is full or there is none yet) through the store's fixed
-// buffer as ONE recframe.Log.Append: one write, one fsync, and on
-// failure nothing of the frame stays — or the log has fail-stopped (the
-// cut failed, or a simulated crash) and the store is disabled. Callers
-// apply the frame to the in-memory state only once this returns nil.
+// is what emit stages with recLocked; packed says it holds a packed
+// record, which a pack without a version record gets one for first, in
+// a frame of its own: a tear after it leaves a version record and no
+// block. It goes to the active pack (a new one if that is full or there
+// is none yet) through the store's fixed buffer as ONE
+// recframe.Log.Append: one write, one fsync, and on failure nothing of
+// the frame stays — or the log has fail-stopped (the cut failed, or a
+// simulated crash) and the store is disabled. Callers apply the frame
+// to the in-memory state only once this returns nil.
 //
 //ckptlint:locked mu
-func (s *Store) appendFrameLocked(emit func() error) error {
+func (s *Store) appendFrameLocked(packed bool, emit func() error) error {
 	if s.log == nil || s.log.Size() >= s.rollSize {
 		if err := s.rollLocked(); err != nil {
 			return s.diedLocked(fmt.Errorf("blockstore: rolling the pack log: %w", err))
 		}
 	}
 	s.at = s.log.Size()
+	version := packed && !s.versioned
 	err := s.log.Append(s.hooks, func(w io.Writer) error {
 		s.w.Reset(w)
 		defer s.w.Reset(nil) // let go of the caller's last payload
+		if version {
+			s.recLocked(recRef, false, packVersion[:], nil, entry{}, blockCRC(packVersion[:], nil))
+		}
 		if err := emit(); err != nil {
 			return err
 		}
 		return s.w.Flush()
 	})
-	if err != nil {
+	if err == nil {
+		s.versioned = s.versioned || version
+	} else {
 		err = fmt.Errorf("blockstore: %w", err)
 		if s.log.Failed() != nil {
 			err = s.failLocked(err)
@@ -585,18 +613,23 @@ func (s *Store) rollLocked() error {
 		return err
 	}
 	s.active++
-	s.packs[s.active], s.log = log.File(), log
+	s.packs[s.active], s.log, s.versioned = log.File(), log, false
 	return nil
 }
 
-// recLocked stages one block record of the frame being built — the ID,
-// then the bytes by reference — and returns the offset it will sit at.
-// A write error sticks to the buffer and surfaces when the frame is
-// flushed.
+// recLocked stages one record of the frame being built — the ID, then
+// what it stores, p, by reference, with payload checksum crc; when e is
+// packed its header carries e's length and CRC — and returns the offset
+// it will sit at. A write error sticks to the buffer and surfaces when
+// the frame is flushed.
 //
 //ckptlint:locked mu
-func (s *Store) recLocked(kind byte, more bool, id, p []byte, crc uint32) (off int64) {
-	packFormat.Put(s.hdr[:], kind, more, 0, 0, uint32(idSize+len(p)), crc)
+func (s *Store) recLocked(kind byte, more bool, id, p []byte, e entry, crc uint32) (off int64) {
+	var a, b uint32
+	if e.packed() {
+		a, b = e.len, e.crc
+	}
+	packFormat.Put(s.hdr[:], kind, more, a, b, uint32(idSize+len(p)), crc)
 	s.w.Write(s.hdr[:])
 	s.w.Write(id)
 	s.w.Write(p)
@@ -605,13 +638,25 @@ func (s *Store) recLocked(kind byte, more bool, id, p []byte, crc uint32) (off i
 	return off
 }
 
+// blockLocked stages the record of block p, planned as e: its bytes, or
+// their packed layout when e is packed.
+//
+//ckptlint:locked mu
+func (s *Store) blockLocked(more bool, id, p []byte, e entry) (off int64) {
+	if !e.packed() {
+		return s.recLocked(recBlock, more, id, p, e, e.crc)
+	}
+	s.packed = compress.AppendPacked(s.packed[:0], p)
+	return s.recLocked(recBlock, more, id, s.packed, e, blockCRC(id, s.packed))
+}
+
 // Intern stores every chunk that is not already present and returns
 // the reference of each, in order. The new chunks are ONE frame — a
-// block record each, where the chunk first occurs in the batch — made
-// durable by one fsync whatever the block count; a dedup hit writes
-// nothing. It commits entirely or not at all: on any error (a
-// collision, a failed write or fsync) the store, in memory and on disk,
-// is as it was before the call.
+// block record each, where the chunk first occurs in the batch, packed
+// if that is shorter — made durable by one fsync whatever the block
+// count; a dedup hit writes nothing. It commits entirely or not at all:
+// on any error (a collision, a failed write or fsync) the store, in
+// memory and on disk, is as it was before the call.
 func (s *Store) Intern(chunks [][]byte) ([]Ref, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -622,19 +667,24 @@ func (s *Store) Intern(chunks [][]byte) ([]Ref, error) {
 	// Plan first, apply after the fsync: s.plan holds the entry of every
 	// block the frame adds.
 	var hits, saved uint64
+	packed := false
 	for i, p := range chunks {
 		if len(p) > math.MaxUint32-idSize {
 			return nil, fmt.Errorf("blockstore: chunk %d of %d bytes is beyond the record length limit", i, len(p))
 		}
 		id := IDOf(p)
 		refs[i] = Ref{ID: id, Len: uint32(len(p))}
-		want := entry{len: refs[i].Len, crc: blockCRC(id, p)}
+		want := entry{len: refs[i].Len, crc: blockCRC(refs[i].ID[:], p)}
 		have, ok := s.entries[id]
 		if !ok {
 			have, ok = s.plan[id]
 		}
 		switch {
 		case !ok:
+			want.stored = want.len
+			if n := compress.PackedLen(p); n < len(p) {
+				want.stored, packed = uint32(n), true
+			}
 			s.plan[id] = want
 		case have.len != want.len || have.crc != want.crc:
 			return nil, fmt.Errorf("%w: id %s holds %d bytes crc %08x, interning %d bytes crc %08x",
@@ -645,12 +695,12 @@ func (s *Store) Intern(chunks [][]byte) ([]Ref, error) {
 		}
 	}
 	if len(s.plan) > 0 {
-		err := s.appendFrameLocked(func() error {
+		err := s.appendFrameLocked(packed, func() error {
 			for i, left := 0, len(s.plan); left > 0; i++ {
 				if at, ok := s.plan[refs[i].ID]; ok && at.pack == 0 {
 					left--
 					at.pack = s.active
-					at.off = s.recLocked(recBlock, left > 0, refs[i].ID[:], chunks[i], at.crc)
+					at.off = s.blockLocked(left > 0, refs[i].ID[:], chunks[i], at)
 					s.plan[refs[i].ID] = at
 				}
 			}

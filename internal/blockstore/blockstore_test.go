@@ -22,6 +22,26 @@ func testPayload(seed int64, n int) []byte {
 	return p
 }
 
+// counterPayload returns n bytes of little-endian uint32 counters under
+// 2^12, which a store packs to about three eighths of their size.
+func counterPayload(seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	p := make([]byte, n)
+	for i := 0; i+4 <= n; i += 4 {
+		binary.LittleEndian.PutUint32(p[i:], uint32(rng.Intn(1<<12)))
+	}
+	return p
+}
+
+// mixedPayload is counterPayload for an even seed and testPayload for
+// an odd one: a run of seeds makes blocks of both kinds.
+func mixedPayload(seed int64, n int) []byte {
+	if seed%2 == 0 {
+		return counterPayload(seed, n)
+	}
+	return testPayload(seed, n)
+}
+
 // markOf is a GC mark that finds the blocks of ps, and only those, live.
 func markOf(ps ...[]byte) func(live func(ID)) error {
 	return func(live func(ID)) error {

@@ -29,13 +29,40 @@ func openRoll(t *testing.T, dir string) *Store {
 	return s
 }
 
-// refBlocks are the payloads of the reference history: A0..A3 fill and
-// seal the first pack, B0, B1 and C0 land in the second.
-func refBlocks() (a, b [][]byte, c []byte) {
+// shape is how the blocks of the reference history are made. Raw blocks
+// are random bytes, which a store keeps as they are. Packed ones
+// alternate small counters, which it packs, with random blocks, so that
+// frames hold both kinds of record. roll is a pack roll size at which
+// the history's first intern seals the first pack.
+type shape struct {
+	name    string
+	payload func(seed int64, n int) []byte
+	roll    int64
+}
+
+var shapes = []shape{{"raw", testPayload, testRoll}, {"packed", mixedPayload, 1000}}
+
+// open opens dir with the shape's roll size.
+func (sh shape) open(t *testing.T, dir string) *Store {
+	t.Helper()
+	s := openRoll(t, dir)
+	s.rollSize = sh.roll
+	return s
+}
+
+// blocks returns the payloads of the reference history: A0..A3 fill
+// and seal the first pack, B0, B1 and C0 land after it.
+func (sh shape) blocks() (a, b [][]byte, c []byte) {
 	for i := 0; i < 4; i++ {
-		a = append(a, testPayload(int64(100+i), 400))
+		a = append(a, sh.payload(int64(100+i), 400))
 	}
-	return a, [][]byte{testPayload(200, 400), testPayload(201, 300)}, testPayload(300, 64)
+	return a, [][]byte{sh.payload(200, 400), sh.payload(201, 300)}, sh.payload(300, 64)
+}
+
+// all returns every block of the reference history.
+func (sh shape) all() [][]byte {
+	a, b, c := sh.blocks()
+	return append(append(a, b...), c)
 }
 
 func refsOf(ps ...[]byte) []Ref {
@@ -59,9 +86,10 @@ type crashStep struct {
 // of all-new blocks (which seals the first pack), an intern mixing new
 // blocks, a hit and an in-batch duplicate, a GC that only folds, a GC
 // whose mark leaves the sealed pack one quarter live — which relocates
-// and unlinks it — and an intern after that.
-func crashHistory() []crashStep {
-	a, b, c := refBlocks()
+// its one live block, packed if the shape packs A0, and unlinks it —
+// and an intern after that.
+func crashHistory(sh shape) []crashStep {
+	a, b, c := sh.blocks()
 	intern := func(ps ...[]byte) func(*Store) error {
 		return func(s *Store) error { _, err := s.Intern(ps); return err }
 	}
@@ -69,13 +97,13 @@ func crashHistory() []crashStep {
 		return func(s *Store) error { _, err := s.GC(markOf(ps...)); return err }
 	}
 	all := append(append([][]byte(nil), a...), b...)
-	kept := [][]byte{a[1], b[0], b[1]}
+	kept := [][]byte{a[0], b[0], b[1]}
 	return []crashStep{
 		{"intern A0-A3, all new", intern(a...), a},
 		{"intern B0 A1 B1 B0: new, hit, in-batch duplicate", intern(b[0], a[1], b[1], b[0]), all},
 		{"GC that folds", gc(all...), all},
 		{"GC that relocates the sealed pack", gc(kept...), kept},
-		{"intern C0 A1 after GC", intern(c, a[1]), append(kept, c)},
+		{"intern C0 A0 after GC", intern(c, a[0]), append(kept, c)},
 	}
 }
 
@@ -89,13 +117,12 @@ type storeState struct {
 	Held   map[ID]bool
 }
 
-func snapshot(t *testing.T, s *Store) storeState {
+func snapshot(t *testing.T, s *Store, sh shape) storeState {
 	t.Helper()
-	a, b, c := refBlocks()
 	st := storeState{Held: map[ID]bool{}}
 	stats := s.Stats()
 	st.Blocks, st.Bytes = stats.Blocks, stats.StoredBytes
-	for _, p := range append(append(a, b...), c) {
+	for _, p := range sh.all() {
 		id := IDOf(p)
 		held := held(s, id)
 		got, err := s.Get(Ref{ID: id, Len: uint32(len(p))})
@@ -118,7 +145,7 @@ func recountStats(t *testing.T, s *Store) {
 	defer s.mu.Unlock()
 	var bytes int64
 	for _, e := range s.entries {
-		bytes += int64(e.len)
+		bytes += int64(e.stored)
 	}
 	if s.blocks != len(s.entries) || s.bytes != bytes {
 		t.Fatalf("running totals %d blocks %d bytes, recount %d blocks %d bytes", s.blocks, s.bytes, len(s.entries), bytes)
@@ -184,25 +211,39 @@ func (tw *tearingWriter) Write(p []byte) (int, error) {
 // references once the interrupted step has run, must keep exactly the
 // referenced blocks the store holds and reclaim every other one, and
 // the recovered store must accept the next write and keep it across one
-// more reopen.
+// more reopen. It runs over both shapes of block: with packed ones,
+// every frame that packs a block also starts with a version record.
 func TestCrashPoints(t *testing.T) {
-	steps := crashHistory()
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) { crashPoints(t, sh) })
+	}
+}
+
+func crashPoints(t *testing.T, sh shape) {
+	steps := crashHistory(sh)
 	// want[i] is the state after the first i steps, fault-free.
 	clean := t.TempDir()
-	s := openRoll(t, clean)
-	want := []storeState{snapshot(t, s)}
+	s := sh.open(t, clean)
+	want := []storeState{snapshot(t, s, sh)}
 	for _, st := range steps {
 		if err := st.run(s); err != nil {
 			t.Fatalf("fault-free %s: %v", st.name, err)
 		}
-		want = append(want, snapshot(t, s))
+		want = append(want, snapshot(t, s, sh))
 	}
 	if _, err := os.Stat(s.packPath(1)); !os.IsNotExist(err) {
 		t.Fatalf("the history did not relocate and unlink the first pack: %v", err)
 	}
+	a, _, _ := sh.blocks()
+	s.mu.Lock()
+	moved := s.entries[IDOf(a[0])]
+	s.mu.Unlock()
+	if moved.packed() != (sh.name == "packed") {
+		t.Fatalf("A0, moved to pack %d, is stored packed %v", moved.pack, moved.packed())
+	}
 	s.Close()
-	s = openRoll(t, clean)
-	if got := snapshot(t, s); !reflect.DeepEqual(got, want[len(steps)]) {
+	s = sh.open(t, clean)
+	if got := snapshot(t, s, sh); !reflect.DeepEqual(got, want[len(steps)]) {
 		t.Fatalf("fault-free reopen changed the state: %+v, want %+v", got, want[len(steps)])
 	}
 	s.Close()
@@ -211,7 +252,7 @@ func TestCrashPoints(t *testing.T) {
 	for _, seam := range crashSeams {
 		for ordinal := 1; ; ordinal++ {
 			dir := t.TempDir()
-			s := openRoll(t, dir)
+			s := sh.open(t, dir)
 			hooks, fired := crashHooks(seam, ordinal)
 			s.SetHooks(hooks)
 			crashed := -1
@@ -241,22 +282,22 @@ func TestCrashPoints(t *testing.T) {
 			label := fmt.Sprintf("crash at %s #%d (%s)", seam, ordinal, steps[crashed].name)
 			points++
 
-			s = openRoll(t, dir)
-			got := snapshot(t, s)
+			s = sh.open(t, dir)
+			got := snapshot(t, s, sh)
 			if !reflect.DeepEqual(got, want[crashed]) && !reflect.DeepEqual(got, want[crashed+1]) {
 				t.Fatalf("%s: reopened to %+v — neither the state before the step (%+v) nor after it (%+v)",
 					label, got, want[crashed], want[crashed+1])
 			}
 			s.Close()
 
-			s = openRoll(t, dir)
-			if again := snapshot(t, s); !reflect.DeepEqual(again, got) {
+			s = sh.open(t, dir)
+			if again := snapshot(t, s, sh); !reflect.DeepEqual(again, got) {
 				t.Fatalf("%s: second reopen changed the state to %+v from %+v", label, again, got)
 			}
 			if _, err := s.GC(markOf(steps[crashed].refs...)); err != nil {
 				t.Fatalf("%s: gc: %v", label, err)
 			}
-			afterGC := snapshot(t, s)
+			afterGC := snapshot(t, s, sh)
 			referenced := map[ID]bool{}
 			for _, p := range steps[crashed].refs {
 				referenced[IDOf(p)] = true
@@ -273,11 +314,11 @@ func TestCrashPoints(t *testing.T) {
 				t.Fatalf("%s: write after recovery: %v", label, err)
 			}
 			s.Close()
-			s = openRoll(t, dir)
+			s = sh.open(t, dir)
 			if p, err := s.Get(refs[0]); err != nil || !bytes.Equal(p, fresh) {
 				t.Fatalf("%s: block written after recovery reads back wrong: %v", label, err)
 			}
-			if again := snapshot(t, s); !reflect.DeepEqual(again.Held, afterGC.Held) {
+			if again := snapshot(t, s, sh); !reflect.DeepEqual(again.Held, afterGC.Held) {
 				t.Fatalf("%s: the write after recovery disturbed the history's blocks", label)
 			}
 			for _, e := range mustReadDir(t, dir) {
@@ -301,13 +342,14 @@ func mustReadDir(t *testing.T, dir string) []os.DirEntry {
 }
 
 // buildFrames interns, into a fresh store under a new directory, the
-// frames [A0] [A1 A2 A3] [B0] [B1], all in one pack — the second batch
-// also hits A0, which writes nothing — closes the store and returns the
-// directory, the blocks and the extent of each block's record.
-func buildFrames(t *testing.T) (dir string, blocks [][]byte, off, size []int64) {
+// frames [A0] [A1 A2 A3] [B0] [B1] of blocks of shape sh, all in one
+// pack — the second batch also hits A0, which writes nothing — closes
+// the store and returns the directory, the blocks and the extent of
+// each block's record.
+func buildFrames(t *testing.T, sh shape) (dir string, blocks [][]byte, off, size []int64) {
 	t.Helper()
 	dir = t.TempDir()
-	a, b, _ := refBlocks()
+	a, b, _ := sh.blocks()
 	blocks = append(a, b...)
 	s := mustOpen(t, dir)
 	for _, frame := range [][][]byte{{a[0]}, {a[1], a[2], a[3], a[0]}, {b[0]}, {b[1]}} {
@@ -348,9 +390,16 @@ func damagedCopy(t *testing.T, dir string, damage func(pack []byte) []byte) stri
 // open leaves the torn
 // bytes alone; a writable one cuts them off, so what is interned next
 // survives the reopen after (the ports of the torn-journal-tail and
-// orphan-sweep tests of the layout this one replaced).
+// orphan-sweep tests of the layout this one replaced). It runs over
+// both shapes of block.
 func TestTornFinalFrame(t *testing.T) {
-	dir, blocks, off, size := buildFrames(t)
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) { tornFinalFrame(t, sh) })
+	}
+}
+
+func tornFinalFrame(t *testing.T, sh shape) {
+	dir, blocks, off, size := buildFrames(t, sh)
 	frameStart := off[1]
 	frameEnd := off[3] + size[3]
 	check := func(s *Store, cut int64) {
@@ -363,7 +412,7 @@ func TestTornFinalFrame(t *testing.T) {
 				t.Fatalf("cut at %d: block %s of the torn frame (or after it) survived", cut, id)
 			}
 		}
-		if st := s.Stats(); st.Blocks != 1 || st.StoredBytes != int64(len(blocks[0])) {
+		if st := s.Stats(); st.Blocks != 1 || st.StoredBytes != size[0]-blockRecOverhead {
 			t.Fatalf("cut at %d: stats %+v, want exactly A0", cut, st)
 		}
 	}
@@ -408,9 +457,17 @@ func TestTornFinalFrame(t *testing.T) {
 // in the rotten region, a GC that relocates the sealed pack around it
 // unlinks the pack, rot and all, and every live block still reads. The
 // same flip in the LAST frame is the one ambiguity: it cannot be told
-// from an append that died mid-write, and is cut off as one.
+// from an append that died mid-write, and is cut off as one. It runs
+// over both shapes of block; with packed ones, what GC moves out of the
+// rotten pack is a packed record, copied as it is.
 func TestRotIsNotATornTail(t *testing.T) {
-	dir, blocks, off, size := buildFrames(t)
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) { rotIsNotATornTail(t, sh) })
+	}
+}
+
+func rotIsNotATornTail(t *testing.T, sh shape) {
+	dir, blocks, off, size := buildFrames(t, sh)
 	fields := map[string]int64{
 		"magic": 0, "kind": 4, "more": 5, "reserved": 6, "A": 8, "B": 12,
 		"length": 16, "payload crc": 20, "header crc": 24, "id": recframe.HdrSize + 3, "payload": blockRecOverhead + 40,
@@ -422,6 +479,7 @@ func TestRotIsNotATornTail(t *testing.T) {
 				return pack
 			})
 			s := openRoll(t, rotten)
+			s.rollSize = off[5] + size[5] // the next intern seals the pack
 			readsBack := func(when string, want func(i int) bool) {
 				t.Helper()
 				for i, p := range blocks {
@@ -572,7 +630,7 @@ func TestFsyncBudget(t *testing.T) {
 func TestSealSyncsThePackItLeaves(t *testing.T) {
 	s := openRoll(t, t.TempDir())
 	defer s.Close()
-	a, b, _ := refBlocks()
+	a, b, _ := shapes[0].blocks()
 	if _, err := s.Intern(a); err != nil {
 		t.Fatal(err)
 	}

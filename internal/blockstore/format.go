@@ -16,42 +16,63 @@ import (
 // # Pack log (pack-NNNNNN.log)
 //
 // A pack is a log in the repository's one record framing
-// (internal/recframe) under the magic "GBPR"; the header's two user
-// fields are zero. Two kinds of record are written, both an ID followed
-// by the block's bytes:
+// (internal/recframe) under the magic "GBPR". Two kinds of record hold
+// a block, both an ID followed by the block as stored:
 //
-//	block    ID + bytes  the block's location
-//	moved    ID + bytes  GC's copy of a live block: a new location
+//	block    ID + stored  the block's location
+//	moved    ID + stored  GC's copy of a live block: a new location
+//
+// A raw record stores the block's bytes and its header's two user
+// fields are zero. A packed record stores the packed layout of
+// internal/compress (AppendPacked) of a block it is shorter than; its
+// header carries the block's length in A and the block's CRC (blockCRC,
+// over the ID and the block's bytes) in B, so that the index learns
+// both without reading the payload. The record's own CRC covers what
+// it stores, as for every record.
 //
 // Kinds 2 and 3 (a run of IDs each) are the ref and release records of
 // earlier builds, which counted references in the log. The framing
 // still recognises them, so a pack holding one is not mistaken for
-// damage and cut; an open refuses it with ErrOldLayout.
+// damage and cut; an open refuses it with ErrOldLayout. One kind 2
+// record is this build's own: the version record, whose payload is
+// packVersion. It commits a frame of its own at the head of the first
+// frame that puts a packed record in a pack. A build that predates
+// packed records reads it as a ref record and refuses the pack with its
+// ErrOldLayout, touching nothing — where it would otherwise have taken
+// the packed records, whose A and B it does not accept, for damage and
+// cut them off as a torn tail.
 //
 // # Index snapshot (blockstore.index)
 //
 //	u32  magic "GBIX"
-//	u8   version (3)
+//	u8   version (4)
 //	u64  generation
 //	u32  pack, u64 offset: the log position the snapshot folds up to
 //	u32  entry count
-//	entries: {id [16]byte, pack u32, off u64, len u32, crc u32} x count
+//	entries: {id [16]byte, pack u32, off u64, len u32, stored u32, crc u32} x count
 //	u32  footer magic "GBIF"
 //	u32  CRC32C of every preceding byte
 //
-// The snapshot is the commit record of a GC transaction: it lists every
-// live block with its location, and its atomic rename is the single
-// commit point (mirroring the lineage manifest). An open replays only
-// the log past the recorded position. A version 2 snapshot, written by
-// the builds that counted references, is refused with ErrOldLayout.
+// len is the block's length, stored the length of what its record
+// stores (less than len for a packed record, else equal) and crc the
+// block's CRC. The snapshot is the commit record of a GC transaction:
+// it lists every live block with its location, and its atomic rename
+// is the single commit point (mirroring the lineage manifest). An open
+// replays only the log past the recorded position. A version 3
+// snapshot, whose entries have no stored length because every record
+// was raw, is read as one whose stored lengths equal their lengths; a
+// version 2 snapshot, written by the builds that counted references, is
+// refused with ErrOldLayout.
 const (
 	indexMagic       = 0x58_49_42_47 // "GBIX"
 	indexFooterMagic = 0x46_49_42_47 // "GBIF"
-	formatVersion    = 3
+	formatVersion    = 4
+	rawVersion       = 3 // of the builds that wrote raw records only
 	countedVersion   = 2 // of the builds that counted references
 
 	indexHdrSize    = 4 + 1 + 8 + 4 + 8 + 4
-	indexEntrySize  = idSize + 4 + 8 + 4 + 4
+	indexEntrySize  = idSize + 4 + 8 + 4 + 4 + 4
+	rawEntrySize    = indexEntrySize - 4
 	indexFooterSize = 4 + 4
 
 	// maxIndexEntries bounds a declared entry count before any
@@ -59,13 +80,18 @@ const (
 	maxIndexEntries = 1 << 30
 
 	recBlock   = 1
-	recRef     = 2 // written by earlier builds only; refused
+	recRef     = 2 // written by earlier builds only; refused. Also the version record.
 	recRelease = 3 // written by earlier builds only; refused
 	recMoved   = 4
 
-	// blockRecOverhead is what a block record costs beyond the payload.
+	// blockRecOverhead is what a block record costs beyond what it
+	// stores.
 	blockRecOverhead = recframe.HdrSize + idSize
 )
+
+// packVersion is the payload of the version record: "GBPV", the pack
+// format version, zeros to the length of an ID.
+var packVersion = [idSize]byte{'G', 'B', 'P', 'V', 2}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -75,9 +101,10 @@ var packFormat = recframe.Format{
 	Magic: [4]byte{'G', 'B', 'P', 'R'},
 	Accept: func(h recframe.Header) bool {
 		switch {
-		case h.A != 0 || h.B != 0:
 		case h.Kind == recBlock || h.Kind == recMoved:
-			return h.Len >= idSize
+			// A packed record stores less than the block's length.
+			return h.Len >= idSize && (h.A == 0 && h.B == 0 || h.Len-idSize < h.A)
+		case h.A != 0 || h.B != 0:
 		case h.Kind == recRef || h.Kind == recRelease:
 			return h.Len > 0 && h.Len%idSize == 0
 		}
@@ -85,21 +112,36 @@ var packFormat = recframe.Format{
 	},
 }
 
-// blockCRC is the payload checksum of a block or moved record: over
-// the ID, then the block's bytes. It doubles as the index's second,
-// structurally independent check of the block.
-func blockCRC(id ID, p []byte) uint32 {
-	return crc32.Update(crc32.Checksum(id[:], castagnoli), castagnoli, p)
+// blockCRC is the block's CRC: over the ID, then the block's bytes —
+// the payload checksum of a raw record, and the B field of a packed
+// one. It doubles as the index's second, structurally independent check
+// of the block.
+func blockCRC(id, p []byte) uint32 {
+	return crc32.Update(crc32.Checksum(id, castagnoli), castagnoli, p)
 }
 
 // entry is the in-memory state of one block: where its record sits
-// (the header's offset in pack number pack), the block's length and the
-// record's payload checksum.
+// (the header's offset in pack number pack), the block's length, the
+// length of what the record stores, and the block's CRC.
 type entry struct {
-	off  int64
-	pack uint32
-	len  uint32
-	crc  uint32
+	off    int64
+	pack   uint32
+	len    uint32
+	stored uint32
+	crc    uint32
+}
+
+// packed reports whether the record stores the block packed.
+func (e entry) packed() bool { return e.stored != e.len }
+
+// recordEntry returns the entry of the block record h, which sits in
+// pack number pack.
+func recordEntry(h recframe.Header, pack uint32) entry {
+	e := entry{off: h.Off, pack: pack, len: h.Len - idSize, stored: h.Len - idSize, crc: h.CRC}
+	if h.A != 0 {
+		e.len, e.crc = h.A, h.B
+	}
+	return e
 }
 
 // logPos is a position in the pack log.
@@ -130,6 +172,7 @@ func encodeIndex(gen uint64, mark logPos, ids []ID, entries map[ID]entry) ([]byt
 		buf = binary.LittleEndian.AppendUint32(buf, e.pack)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.off))
 		buf = binary.LittleEndian.AppendUint32(buf, e.len)
+		buf = binary.LittleEndian.AppendUint32(buf, e.stored)
 		buf = binary.LittleEndian.AppendUint32(buf, e.crc)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, indexFooterMagic)
@@ -140,7 +183,8 @@ func encodeIndex(gen uint64, mark logPos, ids []ID, entries map[ID]entry) ([]byt
 // DecodeIndex parses an index snapshot. The declared entry count is
 // bounded by the actual byte length before any allocation and the
 // whole-file CRC must verify; any mismatch is ErrCorrupt. A snapshot of
-// the counting builds is ErrOldLayout.
+// the raw-only builds (version 3) is read; one of the counting builds is
+// ErrOldLayout.
 func DecodeIndex(b []byte) (gen uint64, mark logPos, entries map[ID]entry, err error) {
 	fail := func(format string, args ...any) (uint64, logPos, map[ID]entry, error) {
 		return 0, logPos{}, nil, fmt.Errorf("%w: index "+format, append([]any{ErrCorrupt}, args...)...)
@@ -159,8 +203,11 @@ func DecodeIndex(b []byte) (gen uint64, mark logPos, entries map[ID]entry, err e
 	if binary.LittleEndian.Uint32(body) != indexMagic {
 		return fail("magic is wrong")
 	}
+	size := indexEntrySize
 	switch body[4] {
 	case formatVersion:
+	case rawVersion:
+		size = rawEntrySize
 	case countedVersion:
 		return 0, logPos{}, nil, fmt.Errorf("%w: index version %d, written by a build that counted references", ErrOldLayout, countedVersion)
 	default:
@@ -170,13 +217,13 @@ func DecodeIndex(b []byte) (gen uint64, mark logPos, entries map[ID]entry, err e
 	mark = logPos{pack: binary.LittleEndian.Uint32(body[13:]), off: int64(binary.LittleEndian.Uint64(body[17:]))}
 	count := binary.LittleEndian.Uint32(body[25:])
 	rest := body[indexHdrSize:]
-	if uint64(count) > maxIndexEntries || uint64(count)*indexEntrySize != uint64(len(rest)) || mark.off < 0 {
+	if uint64(count) > maxIndexEntries || uint64(count)*uint64(size) != uint64(len(rest)) || mark.off < 0 {
 		return fail("declares %d entries up to offset %d but carries %d entry bytes", count, mark.off, len(rest))
 	}
 	entries = make(map[ID]entry, count)
 	var prev ID
 	for i := 0; i < int(count); i++ {
-		rec := rest[i*indexEntrySize:]
+		rec := rest[i*size:]
 		id := ID(rec[:idSize])
 		// Snapshots are canonical: strictly ascending ID order. This both
 		// rejects duplicates and makes decode(encode(x)) byte-identical.
@@ -188,10 +235,13 @@ func DecodeIndex(b []byte) (gen uint64, mark logPos, entries map[ID]entry, err e
 			pack: binary.LittleEndian.Uint32(rec[idSize:]),
 			off:  int64(binary.LittleEndian.Uint64(rec[idSize+4:])),
 			len:  binary.LittleEndian.Uint32(rec[idSize+12:]),
-			crc:  binary.LittleEndian.Uint32(rec[idSize+16:]),
 		}
-		if e.off < 0 {
-			return fail("entry %d (%s) at a negative offset", i, id)
+		e.stored, e.crc = e.len, binary.LittleEndian.Uint32(rec[idSize+16:])
+		if size == indexEntrySize {
+			e.stored, e.crc = e.crc, binary.LittleEndian.Uint32(rec[idSize+20:])
+		}
+		if e.off < 0 || e.stored > e.len {
+			return fail("entry %d (%s) at offset %d stores %d bytes of %d", i, id, e.off, e.stored, e.len)
 		}
 		entries[id] = e
 	}

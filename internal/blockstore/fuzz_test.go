@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/gpuckpt/gpuckpt/internal/compress"
 	"github.com/gpuckpt/gpuckpt/internal/recframe"
 )
 
@@ -38,7 +39,9 @@ func fuzzIndexSeeds(f *testing.F) [][]byte {
 // FuzzBlockIndexDecode feeds arbitrary bytes to the index-snapshot
 // decoder. An input that decodes must re-encode to the identical byte
 // stream (the encoding is canonical: ascending-ID order, whole-file
-// CRC) — log position and block locations included; a snapshot of the
+// CRC) — log position and block locations included — unless it is a
+// snapshot of the raw-only builds, whose re-encoding in the current
+// version must decode to the same state; a snapshot of the
 // counting builds must be refused with ErrOldLayout; and the decoder
 // must never panic or allocate unboundedly on garbage: the snapshot is
 // the commit record of GC, so a corrupted one must fail typed, not
@@ -49,6 +52,7 @@ func FuzzBlockIndexDecode(f *testing.F) {
 	}
 	one := IDOf([]byte("seed-counted"))
 	f.Add(encodeCountedIndex(1, logPos{pack: 1}, []ID{one}, map[ID]entry{one: {pack: 1, len: 4096}}))
+	f.Add(encodeRawIndex(1, logPos{pack: 1}, []ID{one}, map[ID]entry{one: {pack: 1, len: 4096, stored: 4096}}))
 	// Invalid-by-construction seeds steer the fuzzer at the validation
 	// paths: wrong magic, absurd count, truncated footer.
 	f.Add([]byte{0, 0, 0, 0})
@@ -71,7 +75,7 @@ func FuzzBlockIndexDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of decoded index failed: %v", err)
 		}
-		if !bytes.Equal(b, data) {
+		if data[4] == formatVersion && !bytes.Equal(b, data) {
 			t.Fatalf("decoded index is not canonical: %d vs %d bytes", len(b), len(data))
 		}
 		gen2, mark2, entries2, err := DecodeIndex(b)
@@ -87,16 +91,27 @@ func appendRec(img []byte, kind byte, more bool, ids []ID, data []byte) []byte {
 	for _, id := range ids {
 		payload = append(payload, id[:]...)
 	}
-	payload = append(payload, data...)
+	return appendRecAB(img, kind, more, append(payload, data...), 0, 0)
+}
+
+// appendPackedRec appends one packed block record — the ID, then the
+// packed layout — whose header carries the block's length a and CRC b.
+func appendPackedRec(img []byte, kind byte, more bool, id ID, packed []byte, a, b uint32) []byte {
+	return appendRecAB(img, kind, more, append(id[:], packed...), a, b)
+}
+
+func appendRecAB(img []byte, kind byte, more bool, payload []byte, a, b uint32) []byte {
 	hdr := make([]byte, recframe.HdrSize)
-	packFormat.Put(hdr, kind, more, 0, 0, uint32(len(payload)), crc32.Checksum(payload, castagnoli))
+	packFormat.Put(hdr, kind, more, a, b, uint32(len(payload)), crc32.Checksum(payload, castagnoli))
 	return append(append(img, hdr...), payload...)
 }
 
 // packSeeds returns pack images for the fuzz corpus: an intern of new
-// blocks, a frame of three, a relocation, a torn tail, and two images
-// of the builds that counted references — a frame one of them committed
-// with a ref record, and that build's release — which are refused.
+// blocks, a frame of three, a relocation, a torn tail, two images of
+// the builds that counted references — a frame one of them committed
+// with a ref record, and that build's release — which are refused, and
+// packed records: a version record, a frame packing one block of two,
+// and GC's packed copy of it.
 func packSeeds() [][]byte {
 	a, b, c := []byte("block a"), bytes.Repeat([]byte{0xB}, 300), []byte{}
 	ia, ib, ic := IDOf(a), IDOf(b), IDOf(c)
@@ -106,7 +121,14 @@ func packSeeds() [][]byte {
 	moved := appendRec(three, recMoved, false, []ID{ib}, b)
 	counted := appendRec(appendRec(one, recBlock, true, []ID{ib}, b), recRef, false, []ID{ia, ib}, nil)
 	released := appendRec(counted, recRelease, false, []ID{ia}, nil)
-	return [][]byte{one, three, moved, moved[:len(moved)-9], counted, released}
+
+	d := counterPayload(1, 400)
+	id := IDOf(d)
+	version := appendRec(one, recRef, false, []ID{packVersion}, nil)
+	packed := appendPackedRec(version, recBlock, true, id, compress.AppendPacked(nil, d), uint32(len(d)), blockCRC(id[:], d))
+	packed = appendRec(packed, recBlock, false, []ID{ib}, b)
+	packedMoved := appendPackedRec(packed, recMoved, false, id, compress.AppendPacked(nil, d), uint32(len(d)), blockCRC(id[:], d))
+	return [][]byte{one, three, moved, moved[:len(moved)-9], counted, released, packed, packedMoved}
 }
 
 // openPackImage opens a store whose only pack is img. A pack of the
@@ -153,11 +175,12 @@ func FuzzPackScan(f *testing.F) {
 		}
 		var total int64
 		for id, e := range s.entries {
-			total += int64(e.len)
+			total += int64(e.stored)
 			rec := data[e.off:]
 			h, ok := packFormat.Parse(rec)
-			if !ok || h.Len != e.len+idSize || int(h.Next()) > len(rec) ||
-				crc32.Checksum(rec[recframe.HdrSize:h.Next()], castagnoli) != e.crc || h.CRC != e.crc ||
+			h.Off = e.off
+			if !ok || recordEntry(h, e.pack) != e || int(h.Next()-h.Off) > len(rec) ||
+				crc32.Checksum(rec[recframe.HdrSize:h.Next()-h.Off], castagnoli) != h.CRC ||
 				ID(rec[recframe.HdrSize:blockRecOverhead]) != id {
 				t.Fatalf("block %s indexed at %d over a record that does not verify", id, e.off)
 			}

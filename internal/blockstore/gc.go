@@ -17,8 +17,8 @@ type GCStats struct {
 	// Live is how many live blocks the new snapshot retains.
 	Live int
 	// Reclaimed counts the blocks dropped from the index; ReclaimedBytes
-	// their payload bytes. The pack space they occupy is returned when
-	// their pack, once sealed, is mostly dead.
+	// what their records stored (Stats.StoredBytes). The pack space they
+	// occupy is returned when their pack, once sealed, is mostly dead.
 	Reclaimed      int
 	ReclaimedBytes int64
 }
@@ -72,7 +72,7 @@ func (s *Store) GC(mark func(live func(ID)) error) (GCStats, error) {
 	for id, e := range s.entries {
 		if _, ok := marked[id]; ok {
 			live = append(live, id)
-			liveBytes[e.pack] += blockRecOverhead + int64(e.len)
+			liveBytes[e.pack] += blockRecOverhead + int64(e.stored)
 		}
 	}
 	sortIDs(live)
@@ -108,9 +108,9 @@ func (s *Store) GC(mark func(live func(ID)) error) (GCStats, error) {
 		if _, ok := marked[id]; !ok {
 			delete(s.entries, id)
 			s.blocks--
-			s.bytes -= int64(e.len)
+			s.bytes -= int64(e.stored)
 			st.Reclaimed++
-			st.ReclaimedBytes += int64(e.len)
+			st.ReclaimedBytes += int64(e.stored)
 		}
 	}
 	s.gcBlocks.Add(uint64(st.Reclaimed))
@@ -134,16 +134,19 @@ func (s *Store) GC(mark func(live func(ID)) error) (GCStats, error) {
 
 // relocateLocked copies the live blocks of sealed pack num to the end
 // of the log as one frame of moved records and, once that is durable,
-// points their entries at the copies. Each block is verified against
-// the index on the way, so one that rotted fails the relocation
+// points their entries at the copies. A moved record stores what the
+// record it copies stores, packed or not. Each block is verified
+// against the index on the way, so one that rotted fails the relocation
 // (ErrCorrupt) instead of gaining a fresh checksum.
 //
 //ckptlint:locked mu
 func (s *Store) relocateLocked(num uint32, live []ID) error {
 	var refs []Ref
+	packed := false
 	for _, id := range live {
-		if s.entries[id].pack == num {
+		if e := s.entries[id]; e.pack == num {
 			refs = append(refs, Ref{ID: id})
+			packed = packed || e.packed()
 		}
 	}
 	if len(refs) == 0 {
@@ -155,13 +158,13 @@ func (s *Store) relocateLocked(num uint32, live []ID) error {
 	r.hooks = s.hooks
 	s.resolveLocked(refs, r.locs)
 	offs := make([]int64, len(refs))
-	err := s.appendFrameLocked(func() error {
+	err := s.appendFrameLocked(packed, func() error {
 		for i := range refs {
-			p, err := r.next()
-			if err != nil {
+			if _, err := r.next(); err != nil {
 				return err
 			}
-			offs[i] = s.recLocked(recMoved, i < len(refs)-1, refs[i].ID[:], p, r.locs[i].e.crc)
+			rec := r.rec[blockRecOverhead:]
+			offs[i] = s.recLocked(recMoved, i < len(refs)-1, refs[i].ID[:], rec, r.locs[i].e, blockCRC(refs[i].ID[:], rec))
 		}
 		return nil
 	})

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 
+	"github.com/gpuckpt/gpuckpt/internal/compress"
 	"github.com/gpuckpt/gpuckpt/internal/recframe"
 )
 
@@ -22,12 +23,14 @@ func (s *Store) Get(ref Ref) (p []byte, err error) {
 const runCap = 256 << 10
 
 // ReadScratch is the reusable memory of a read: where each reference
-// resolved to, and the records of one run. The zero value is
-// ready; a reader walking many diffs keeps one, so that reads allocate
-// nothing once it has grown to the longest reference list and run.
+// resolved to, the records of one run, and the bytes of the packed
+// block being handed out. The zero value is ready; a reader walking
+// many diffs keeps one, so that reads allocate nothing once it has
+// grown to the longest reference list, run and block.
 type ReadScratch struct {
-	locs []loc
-	run  []byte
+	locs  []loc
+	run   []byte
+	block []byte
 }
 
 // loc is what one reference of a read resolved to: the block's entry
@@ -67,9 +70,10 @@ func (s *Store) AppendBlocks(dst []byte, refs []Ref, sc *ReadScratch) ([]byte, e
 // places back to back in one pack — what Intern writes for the new
 // blocks of a batch — are fetched by one read per run of at most runCap
 // bytes; and every record is verified before its bytes are handed out:
-// record header, both CRCs, payload length AND a full digest
-// recomputation must all agree with the index and the reference. Nothing
-// read is cached, so rot that sets in later is caught by the next read.
+// record header, both CRCs, lengths AND a full digest recomputation
+// over the block's bytes, unpacked first if the record is packed, must
+// all agree with the index and the reference. Nothing read is cached,
+// so rot that sets in later is caught by the next read.
 // Every failure is typed (ErrCorrupt or ErrNotFound) so a caller can
 // report or repair instead of restoring garbage.
 func (s *Store) read(refs []Ref, sc *ReadScratch, emit func(p []byte)) error {
@@ -125,10 +129,12 @@ type runReader struct {
 	hooks *recframe.Hooks
 	// i is the reference next hands out next. run holds what is left of
 	// the run being handed out, as far as the read delivered it before it
-	// ended with err.
+	// ended with err. rec is the record the last call of next verified,
+	// as it sits in the pack: header, ID, and what it stores.
 	i   int
 	run []byte
 	err error
+	rec []byte
 }
 
 // next returns the payload of reference i, valid until the next call,
@@ -140,7 +146,7 @@ func (r *runReader) next() ([]byte, error) {
 			return nil, err
 		}
 	}
-	need := blockRecOverhead + int(at.e.len)
+	need := blockRecOverhead + int(at.e.stored)
 	if got := len(r.run); got < need {
 		r.run = nil
 		if r.err == io.EOF {
@@ -148,12 +154,12 @@ func (r *runReader) next() ([]byte, error) {
 		}
 		return nil, fmt.Errorf("blockstore: reading block %s: %w", ref.ID, r.err)
 	}
-	p, err := verifyRecord(r.run[:need], at, ref.ID)
+	p, err := r.verify(r.run[:need], at, ref.ID)
 	if err != nil {
 		r.run = nil
 		return nil, err
 	}
-	r.run = r.run[need:]
+	r.rec, r.run = r.run[:need], r.run[need:]
 	r.i++
 	return p, nil
 }
@@ -171,13 +177,13 @@ func (r *runReader) readRun() error {
 		return fmt.Errorf("%w: block %s holds %d bytes, reference says %d", ErrCorrupt, ref.ID, at.e.len, ref.Len)
 	}
 	first := r.locs[r.i]
-	size := blockRecOverhead + int(first.e.len)
+	size := blockRecOverhead + int(first.e.stored)
 	for j := r.i + 1; j < len(r.refs); j++ {
 		// A reference the index cannot place resolves to pack 0, which
 		// no run is in; one that disagrees about the length starts a run
 		// of its own, to fail there.
 		ref, at := r.refs[j], r.locs[j]
-		rec := blockRecOverhead + int(at.e.len)
+		rec := blockRecOverhead + int(at.e.stored)
 		if at.e.pack != first.e.pack || at.e.off != first.e.off+int64(size) || ref.Len != 0 && ref.Len != at.e.len || size+rec > runCap {
 			break
 		}
@@ -190,18 +196,26 @@ func (r *runReader) readRun() error {
 	return nil
 }
 
-// verifyRecord checks raw, the bytes read from where at places block
-// id, against the index and the reference — the one place a block
-// record is judged — and returns the block's bytes within it.
-func verifyRecord(raw []byte, at loc, id ID) ([]byte, error) {
+// verify checks raw, the bytes read from where at places block id,
+// against the index and the reference — the one place a block record is
+// judged — and returns the block's bytes: within raw, or unpacked into
+// the scratch.
+func (r *runReader) verify(raw []byte, at loc, id ID) (p []byte, err error) {
 	h, ok := packFormat.Parse(raw)
-	p := raw[blockRecOverhead:]
+	h.Off, p = at.e.off, raw[blockRecOverhead:]
 	switch got := crc32.Checksum(raw[recframe.HdrSize:], castagnoli); {
-	case !ok || h.Kind != recBlock && h.Kind != recMoved || h.Len != idSize+at.e.len || ID(raw[recframe.HdrSize:blockRecOverhead]) != id:
+	case !ok || h.Kind != recBlock && h.Kind != recMoved || recordEntry(h, at.e.pack) != at.e || ID(raw[recframe.HdrSize:blockRecOverhead]) != id:
 		return nil, fmt.Errorf("%w: block %s: record header at %s offset %d does not verify", ErrCorrupt, id, at.f.Name(), at.e.off)
-	case got != h.CRC || got != at.e.crc:
-		return nil, fmt.Errorf("%w: block %s CRC %08x, record %08x, index %08x", ErrCorrupt, id, got, h.CRC, at.e.crc)
-	case IDOf(p) != id:
+	case got != h.CRC:
+		return nil, fmt.Errorf("%w: block %s CRC %08x, record %08x", ErrCorrupt, id, got, h.CRC)
+	}
+	if at.e.packed() {
+		if r.sc.block, err = compress.AppendUnpacked(r.sc.block[:0], p, int(at.e.len)); err != nil {
+			return nil, fmt.Errorf("%w: block %s: %w", ErrCorrupt, id, err)
+		}
+		p = r.sc.block
+	}
+	if IDOf(p) != id {
 		return nil, fmt.Errorf("%w: block %s bytes hash to a different ID", ErrCorrupt, id)
 	}
 	return p, nil
@@ -219,5 +233,5 @@ func (s *Store) Locate(id ID) (path string, off, length int64, err error) {
 	if f == nil {
 		return "", 0, 0, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	return f.Name(), e.off, blockRecOverhead + int64(e.len), nil
+	return f.Name(), e.off, blockRecOverhead + int64(e.stored), nil
 }

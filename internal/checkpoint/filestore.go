@@ -80,6 +80,11 @@ type FileStore struct {
 	// recs[i] is the index entry of checkpoint man.Base+i.
 	recs []recLoc //ckptlint:guardedby mu
 
+	// stage is the write path's staging buffer (writeRecordsLocked).
+	// It belongs to the store rather than to a sync.Pool, which a GC
+	// empties, and which under the race detector drops Puts at random.
+	stage []byte //ckptlint:guardedby mu
+
 	// failed, once set, fails every later write: the store was closed,
 	// its log fail-stopped, a commit's durability is unknown, or a
 	// simulated crash hit it or its block store, and the directory is
@@ -479,25 +484,21 @@ func (fs *FileStore) internLocked(ds []*Diff) (refs []blockstore.Ref, counts []i
 	return refs, counts, nil
 }
 
-// writeRecords is the one encoder of segment records: it writes one
-// diff record per diff to w and returns where each landed relative to
-// w's start. With frame set the records form ONE
+// writeRecordsLocked is the one encoder of segment records: it writes
+// one diff record per diff to w and returns where each landed relative
+// to w's start. With frame set the records form ONE
 // frame; otherwise each is a frame of its own, which is how a whole
 // segment is laid out so damage to its tail cannot take the rest with
 // it. Record, container and diff headers and block references are
-// staged in a pooled buffer; a diff's sections — region lists, bitmap,
-// data — are written from where they lie, by reference, unless they are
-// short enough to ride in the staging buffer (refMin).
-func (fs *FileStore) writeRecords(w io.Writer, ds []*Diff, refs []blockstore.Ref, counts []int, end uint32, frame bool) (locs []recLoc, err error) {
-	bp, _ := encodeBufPool.Get().(*[]byte)
-	if bp == nil {
-		bp = new([]byte)
-	}
-	buf := (*bp)[:0]
-	defer func() {
-		*bp = buf
-		encodeBufPool.Put(bp)
-	}()
+// staged in the store's own buffer, which only a write holding mu uses;
+// a diff's sections — region lists, bitmap, data — are written from
+// where they lie, by reference, unless they are short enough to ride in
+// the staging buffer (refMin).
+//
+//ckptlint:locked mu
+func (fs *FileStore) writeRecordsLocked(w io.Writer, ds []*Diff, refs []blockstore.Ref, counts []int, end uint32, frame bool) (locs []recLoc, err error) {
+	buf := fs.stage[:0]
+	defer func() { fs.stage = buf[:0] }()
 	var n int64 // bytes written so far
 	flush := func(p []byte) error {
 		m, werr := w.Write(p)
@@ -562,12 +563,12 @@ func (fs *FileStore) writeRecords(w io.Writer, ds []*Diff, refs []blockstore.Ref
 	return locs, nil
 }
 
-// refMin is the length from which writeRecords writes a section by
-// reference instead of copying it behind the staged headers. The
-// staging buffer lives in a pool that a GC may empty, so what it holds
-// is reallocated now and then: staging only short sections keeps it a
-// few KiB, and a short section is not worth the two writes (0.8 µs each
-// for 64 bytes on a 2-core VM) that writing it by reference adds.
+// refMin is the length from which writeRecordsLocked writes a section
+// by reference instead of copying it behind the staged headers. The
+// staging buffer stays with the store as long as it is open: staging
+// only short sections keeps it a few KiB, and a short section is not
+// worth the two writes (0.8 µs each for 64 bytes on a 2-core VM) that
+// writing it by reference adds.
 const refMin = 4 << 10
 
 // appendFrameLocked is the one write path of the live segment: it adds
@@ -593,7 +594,7 @@ func (fs *FileStore) appendFrameLocked(ds []*Diff) error {
 	}
 	var locs []recLoc
 	err = fs.log.Append(fs.hooks, func(w io.Writer) (err error) {
-		locs, err = fs.writeRecords(w, ds, refs, counts, uint32(end), true)
+		locs, err = fs.writeRecordsLocked(w, ds, refs, counts, uint32(end), true)
 		return err
 	})
 	if err != nil {
@@ -710,7 +711,7 @@ func (fs *FileStore) writeSegmentLocked(path string, diffs []*Diff, refs []block
 	}
 	first := int(diffs[0].CkptID)
 	err = log.Append(fs.hooks, func(w io.Writer) (err error) {
-		locs, err = fs.writeRecords(w, diffs, refs, counts, uint32(first+len(diffs)), false)
+		locs, err = fs.writeRecordsLocked(w, diffs, refs, counts, uint32(first+len(diffs)), false)
 		return err
 	})
 	return log, locs, fs.diedLocked(err)

@@ -188,10 +188,9 @@ func (d *Diff) TotalBytes() int64 {
 	return headerSize + d.MetadataBytes() + int64(len(d.Data))
 }
 
-// encodeBufPool recycles the staging buffers of encoded headers: Encode
-// stages a diff's fixed-size header in one, the stores their record and
-// container headers. Pointers to slices are pooled (not slices) so Put
-// does not itself allocate.
+// encodeBufPool recycles the staging buffers in which Encode stages a
+// diff's fixed-size header. Pointers to slices are pooled (not slices)
+// so Put does not itself allocate.
 var encodeBufPool sync.Pool
 
 // errBadMetadata reports a Diff whose region lists hold a part of an

@@ -226,7 +226,10 @@ func segmentSeeds(tb testing.TB) [][]byte {
 	var fs FileStore
 	frame := func(end uint32, ds ...*Diff) []byte {
 		var buf bytes.Buffer
-		if _, err := fs.writeRecords(&buf, ds, nil, nil, end, true); err != nil {
+		fs.mu.Lock()
+		_, err := fs.writeRecordsLocked(&buf, ds, nil, nil, end, true)
+		fs.mu.Unlock()
+		if err != nil {
 			tb.Fatal(err)
 		}
 		return buf.Bytes()

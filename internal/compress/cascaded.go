@@ -56,6 +56,11 @@ func (cascaded) Decompress(src []byte, dstLen int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Bounded before any arithmetic: a word count past dstLen/4 must
+	// not wrap nWords*4 into range.
+	if dstLen < 0 || nWords64 > uint64(dstLen/4) {
+		return nil, fmt.Errorf("cascaded: %d words do not fit %d bytes", nWords64, dstLen)
+	}
 	nWords := int(nWords64)
 	if pos >= len(src) {
 		return nil, fmt.Errorf("cascaded: truncated header")
@@ -86,10 +91,10 @@ func (cascaded) Decompress(src []byte, dstLen int) ([]byte, error) {
 		}
 		pos = p2
 		delta := uint32(int32(unzigzag(dz)))
-		run := int(run64)
-		if out+run > nWords {
+		if run64 > uint64(nWords-out) {
 			return nil, fmt.Errorf("cascaded: run overflows word count")
 		}
+		run := int(run64)
 		for r := 0; r < run; r++ {
 			prev += delta
 			binary.LittleEndian.PutUint32(dst[out*4:], prev)

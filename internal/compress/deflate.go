@@ -49,12 +49,18 @@ func (d deflateCodec) Compress(src []byte) ([]byte, error) {
 }
 
 func (d deflateCodec) Decompress(src []byte, dstLen int) ([]byte, error) {
+	if dstLen < 0 {
+		return nil, fmt.Errorf("deflate: negative output length %d", dstLen)
+	}
 	r := flate.NewReader(bytes.NewReader(src))
 	defer r.Close()
 	dst := make([]byte, 0, dstLen)
 	buf := make([]byte, 64<<10)
 	for {
 		n, err := r.Read(buf)
+		if len(dst)+n > dstLen {
+			return nil, fmt.Errorf("deflate: output overruns %d bytes", dstLen)
+		}
 		dst = append(dst, buf[:n]...)
 		if err == io.EOF {
 			break

@@ -109,6 +109,9 @@ func (lz4) Compress(src []byte) ([]byte, error) {
 }
 
 func (lz4) Decompress(src []byte, dstLen int) ([]byte, error) {
+	if dstLen < 0 {
+		return nil, fmt.Errorf("lz4: negative output length %d", dstLen)
+	}
 	dst := make([]byte, 0, dstLen)
 	pos := 0
 	for pos < len(src) {
@@ -130,6 +133,9 @@ func (lz4) Decompress(src []byte, dstLen int) ([]byte, error) {
 		}
 		if pos+litLen > len(src) {
 			return nil, fmt.Errorf("lz4: truncated literals")
+		}
+		if len(dst)+litLen > dstLen {
+			return nil, fmt.Errorf("lz4: output overruns %d bytes", dstLen)
 		}
 		dst = append(dst, src[pos:pos+litLen]...)
 		pos += litLen
@@ -159,6 +165,9 @@ func (lz4) Decompress(src []byte, dstLen int) ([]byte, error) {
 			}
 		}
 		matchLen += lz4MinMatch
+		if len(dst)+matchLen > dstLen {
+			return nil, fmt.Errorf("lz4: output overruns %d bytes", dstLen)
+		}
 		// Byte-by-byte copy: matches may overlap their own output.
 		start := len(dst) - offset
 		for i := 0; i < matchLen; i++ {
