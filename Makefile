@@ -14,7 +14,7 @@ FUZZ_TARGETS = \
 	FuzzReadFrameSpare:./internal/wire \
 	FuzzHandshake:./internal/wire \
 	FuzzStreamAck:./internal/wire \
-	FuzzSubscribeDecode:./internal/wire \
+	FuzzPullDecode:./internal/wire \
 	FuzzDigestDecode:./internal/wire \
 	FuzzDiffDecode:./internal/checkpoint \
 	FuzzDecodeBytes:./internal/checkpoint \

@@ -248,7 +248,7 @@ func (c *Client) Pull(name string) (*Record, error) {
 			return err
 		}
 		rec = checkpoint.NewRecord()
-		return cn.PullSpan(h, b, n, recordSink(rec, cn, name))
+		return cn.PullSpan(h, wire.Pull{From: uint32(b), To: uint32(n)}, recordSink(rec, cn, name))
 	})
 	if err != nil {
 		return nil, err

@@ -136,14 +136,14 @@ func TestPullSpanAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		total += enc.Len()
-		canned.Write(cannedFrame(t, &wire.Frame{Type: wire.TPull, Lineage: 1, Ckpt: uint32(k), Payload: enc.Bytes()}))
+		canned.Write(cannedFrame(t, &wire.Frame{Type: wire.TPull, Lineage: 1, Ckpt: uint32(k), Payload: wire.EncodePush(enc.Bytes())}))
 	}
 
 	cn := &wireclient.Conn{NC: &cannedConn{r: bytes.NewReader(canned.Bytes())}}
 	rec := checkpoint.NewRecord()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err = cn.PullSpan(1, 0, frames, recordSink(rec, cn, "lin"))
+	err = cn.PullSpan(1, wire.Pull{To: frames}, recordSink(rec, cn, "lin"))
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -58,10 +58,11 @@ func startSpanServer(t *testing.T, moved string, moveAt int, chains map[string][
 					}
 				}
 			case wire.TPull:
-				to, err := wire.DecodePullSpan(req.Payload)
+				p, err := wire.DecodePull(req.Ckpt, req.Payload)
 				if err != nil {
 					return
 				}
+				to := p.To
 				s.mu.Lock()
 				s.pulls++
 				cut := int(to)
@@ -74,7 +75,7 @@ func startSpanServer(t *testing.T, moved string, moveAt int, chains map[string][
 						out = append(out, &wire.Frame{Type: wire.TPull, Status: wire.StatusSpanMoved, Lineage: req.Lineage, Ckpt: uint32(k), Payload: []byte("folded")})
 						break
 					}
-					out = append(out, &wire.Frame{Type: wire.TPull, Lineage: req.Lineage, Ckpt: uint32(k), Payload: s.chains[req.Lineage][k]})
+					out = append(out, &wire.Frame{Type: wire.TPull, Lineage: req.Lineage, Ckpt: uint32(k), Payload: wire.EncodePush(s.chains[req.Lineage][k])})
 				}
 			}
 			for _, f := range out {

@@ -545,7 +545,7 @@ func TestClientConnectionLimitError(t *testing.T) {
 // Bumping it is a flag day — update the handshake refusal tests and
 // the protocol description in internal/wire when it moves.
 func TestClientProtocolVersion(t *testing.T) {
-	if wire.Version != 8 {
+	if wire.Version != 9 {
 		t.Fatalf("protocol version bumped to %d: update the protocol notes", wire.Version)
 	}
 }

@@ -1,5 +1,5 @@
 // Chaos suite, replication seam: seeded fault schedules against a live
-// v5 subscription follower (internal/follower). The invariant matches
+// follower (internal/follower) on a follow pull. The invariant matches
 // the rest of the suite — whatever the network does to the tail
 // stream, the promoted standby state is byte-exact or the failure is
 // typed; never silent divergence. `make chaos-smoke` runs these with
@@ -25,7 +25,7 @@ import (
 
 // startFaultServer is startServer with the accept side wrapped in a
 // faults plan: every accepted connection carries the schedule, so the
-// follower's subscription stream can be torn or slowed server-side.
+// follower's follow stream can be torn or slowed server-side.
 // The returned stop is idempotent (the kill scenario stops mid-test).
 func startFaultServer(t *testing.T, cfg server.Config, in *faults.Injector, plan faults.ConnPlan) (*server.Server, string, func()) {
 	t.Helper()
@@ -201,7 +201,7 @@ func TestChaosFollowerLagResume(t *testing.T) {
 // compaction fold. Mid-tail, the retained prefix folds to a baseline;
 // the fold ends the subscription (the server closes the stream), the
 // follower's next dial is refused (the injected flap), and the retry's
-// re-subscribe is refused with StatusSpanMoved — forcing a manifest
+// follow pull is refused with StatusSpanMoved — forcing a manifest
 // resync that re-opens the lineage, re-pulls [newBase, len) and
 // converges byte-exactly.
 func TestChaosFollowerMidFoldResync(t *testing.T) {

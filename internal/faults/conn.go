@@ -146,8 +146,8 @@ func (l *faultListener) Accept() (net.Conn, error) {
 // faultConn is a net.Conn with scheduled failure behaviors. Deadline
 // methods pass through to the embedded conn. Like the net.Conn it
 // wraps, it tolerates one concurrent reader and one concurrent writer
-// (the v5 subscription path reads a watchdog byte while the tail loop
-// writes); the schedule state is mutex-guarded, and the lock is never
+// (a follow pull reads a watchdog byte while its frames are
+// written); the schedule state is mutex-guarded, and the lock is never
 // held across blocking I/O.
 type faultConn struct {
 	net.Conn

@@ -5,11 +5,10 @@ import (
 	"testing"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
-	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
 
 // TestApplyEncodedAliasAudit: applyEncoded mirrors a diff decoded where
-// the tail loop read it, and the loop reads the next frame over it. The
+// the follow stream read it, and the stream reads the next frame over it. The
 // read buffer is overwritten with 0xA5 after each call; the mirror still
 // serves the bytes that arrived and restores every image.
 func TestApplyEncodedAliasAudit(t *testing.T) {
@@ -38,7 +37,7 @@ func TestApplyEncodedAliasAudit(t *testing.T) {
 		images = append(images, img)
 	}
 
-	rb := make([]byte, 0, 1024) // the tail loop's read buffer
+	rb := make([]byte, 0, 1024) // the connection's read buffer
 	var encoded [][]byte
 	for k, d := range chain {
 		var enc bytes.Buffer
@@ -47,7 +46,7 @@ func TestApplyEncodedAliasAudit(t *testing.T) {
 		}
 		encoded = append(encoded, enc.Bytes())
 		b := append(rb[:0], enc.Bytes()...)
-		if err := f.applyEncoded(k, b, wire.Checksum(enc.Bytes())); err != nil {
+		if err := f.applyEncoded(k, b); err != nil {
 			t.Fatal(err)
 		}
 		for i, all := 0, rb[:cap(rb)]; i < len(all); i++ {

@@ -1,33 +1,32 @@
 // Package follower implements the hot-standby side of live
-// replication: a subscriber that dials a ckptd primary, tails the
-// server-pushed diff stream of one lineage (TSubscribe), and appends
-// every diff as it arrives to a local FileStore mirror. The mirror is
-// the standby's only copy of the lineage: a tail frame is decoded,
-// written once and dropped, so a follower holds one frame of memory
-// however long the chain grows. State is built only when asked, as in
-// the paper's restore (§2): Promote reads the whole mirror back
-// through its record checksums, which is both the verification a
-// failover needs and the load of the Record it returns.
+// replication: a follower that dials a ckptd primary, follows one
+// lineage with a follow pull — a TPull whose span does not end — and
+// appends every diff as it arrives to a local FileStore mirror. The
+// mirror is the standby's only copy of the lineage: a pulled frame is
+// checked, decoded, written once and dropped, so a follower holds one
+// frame of memory however long the chain grows. State is built only
+// when asked, as in the paper's restore (§2): Promote reads the whole
+// mirror back through its record checksums, which is both the
+// verification a failover needs and the load of the Record it returns.
 //
 // # Resume cursors
 //
 // The follower's position is the cursor {base, next, crc}: the
 // baseline it mirrors, the next checkpoint id it needs, and the
-// CRC32C of the last diff it holds. Every reconnect re-subscribes
-// with the cursor; the primary either resumes the stream exactly
-// there (re-verifying continuity against its stored bytes) or refuses
-// the cursor with StatusSpanMoved. Then the follower re-opens the
-// lineage for its current [base, len), pulls that span over the same
-// connection, installs it atomically (FileStore.InstallSpan, the
-// manifest transaction) and re-subscribes. A stream ends only by
-// closing, whatever ended it: a primary crash mid-frame, a diff that
-// failed its verification on the primary, a server stop and a
-// compaction fold all collapse into the same loop: reconnect,
-// re-subscribe, maybe resync.
+// CRC32C of the last diff it holds. Every reconnect follows from the
+// cursor; the primary either resumes the stream exactly there
+// (re-verifying continuity against its stored bytes) or refuses the
+// cursor with StatusSpanMoved. Then the follower re-opens the lineage
+// for its current [base, len), pulls that span over the same
+// connection with the same call, installs it atomically
+// (FileStore.InstallSpan, the manifest transaction) and follows again.
+// A stream ends only by closing, whatever ended it: a primary crash
+// mid-frame, a diff that failed its verification on the primary, a
+// server stop and a compaction fold all collapse into the same loop:
+// reconnect, follow, maybe resync.
 package follower
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -47,15 +46,9 @@ import (
 const (
 	DefaultTimeout = 10 * time.Second
 
-	// tailTick is the read-deadline granularity of the tail loop: how
-	// often an idle subscriber wakes to check for cancellation.
-	tailTick = 250 * time.Millisecond
-	// connBufSize matches the server's per-connection buffer.
-	connBufSize = 64 << 10
-	// resubscribeAttempts bounds same-connection resync+re-subscribe
-	// rounds before the follower tears the connection down and starts
-	// over (a live primary folding continuously could otherwise pin
-	// the loop).
+	// resubscribeAttempts bounds same-connection resync+follow rounds
+	// before the follower tears the connection down and starts over (a
+	// live primary folding continuously could otherwise pin the loop).
 	resubscribeAttempts = 4
 )
 
@@ -68,7 +61,9 @@ type Options struct {
 	// Dir is the local mirror directory (a checkpoint.FileStore).
 	// Required.
 	Dir string
-	// Timeout bounds dials and request round trips (default 10s).
+	// Timeout bounds dials, request round trips and the read of each
+	// pulled frame once its first byte has arrived (default 10s); an
+	// idle stream waits for that byte without a deadline.
 	Timeout time.Duration
 	// MinBackoff/MaxBackoff bound the jittered reconnect backoff (the
 	// wireclient.RetryPolicy delay defaults, 50ms/2s; backoff resets
@@ -106,7 +101,7 @@ type Stats struct {
 	Base, Next int
 	// Applied counts diffs appended to the mirror since New.
 	Applied uint64
-	// TailFrames counts diffs that arrived via the tail stream.
+	// TailFrames counts diffs that arrived on the follow stream.
 	TailFrames uint64
 	// Resyncs counts span re-pulls after a refused cursor; Reconnects
 	// counts sessions ended, whatever ended them.
@@ -139,7 +134,7 @@ var errStopped = errors.New("follower: stopped")
 type Follower struct {
 	opts Options
 	// wc carries both the replication session (a connection checked
-	// out for the life of each subscription) and Heal's repair pulls.
+	// out for the life of each follow pull) and Heal's repair pulls.
 	wc *wireclient.Client
 	// backoff paces reconnects, seeded from the mirror's identity so N
 	// standbys of a restarted primary do not redial in lock-step while
@@ -179,7 +174,7 @@ type Follower struct {
 
 // New opens (or reopens) the mirror directory and builds a Follower.
 // A non-empty mirror resumes from its stored cursor — a restarted
-// standby re-subscribes where it crashed instead of re-pulling.
+// standby follows on from where it crashed instead of re-pulling.
 func New(opts Options) (*Follower, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
@@ -214,7 +209,7 @@ func New(opts Options) (*Follower, error) {
 }
 
 // Run drives replication until ctx is cancelled or Close/Promote is
-// called: dial, subscribe, apply, reconnect with backoff. It always
+// called: dial, follow, apply, reconnect with backoff. It always
 // returns nil on a deliberate stop; it never returns on a primary
 // failure — that is the condition the standby exists for.
 func (f *Follower) Run(ctx context.Context) error {
@@ -223,7 +218,8 @@ func (f *Follower) Run(ctx context.Context) error {
 		if ctx.Err() != nil || f.stopped() {
 			return nil
 		}
-		progress, err := f.session(ctx)
+		mark := f.applied.Load() + f.resyncs.Load() // what the session adds is progress
+		err := f.session(ctx)
 		if ctx.Err() != nil || f.stopped() {
 			return nil
 		}
@@ -231,7 +227,7 @@ func (f *Follower) Run(ctx context.Context) error {
 		if err != nil && !errors.Is(err, errStopped) {
 			f.opts.Logf("follower %s: session: %v", f.opts.Lineage, err)
 		}
-		if progress {
+		if f.applied.Load()+f.resyncs.Load() != mark {
 			idle = 0
 		} else {
 			idle++
@@ -249,25 +245,39 @@ func (f *Follower) Run(ctx context.Context) error {
 	}
 }
 
-// session runs one connection's worth of replication and reports
-// whether it made progress (applied or resynced). A subscription
-// consumes its connection, so the session always ends by discarding
-// it.
-func (f *Follower) session(ctx context.Context) (bool, error) {
+// session runs one connection's worth of replication: follow from the
+// cursor, and resync and follow again while the cursor is refused as
+// moved. An accepted follow pull consumes its connection, so the
+// session always ends by discarding it; cancelling ctx, Close and
+// Promote end it by closing the connection.
+func (f *Follower) session(ctx context.Context) error {
 	cn, err := f.wc.Get()
 	if err != nil {
-		return false, err
+		return err
 	}
 	f.setConn(cn.NC)
+	sever := context.AfterFunc(ctx, func() { cn.NC.Close() })
 	defer func() {
+		sever()
 		f.setConn(nil)
 		cn.Discard()
 	}()
-	handle, err := cn.Handle(f.opts.Lineage)
-	if err != nil {
-		return false, err
+	if f.stopped() {
+		return nil // Close or Promote came before setConn
 	}
-	return f.subscribe(ctx, cn, handle)
+	handle, err := cn.Handle(f.opts.Lineage)
+	for attempt := 0; err == nil; attempt++ {
+		if attempt == resubscribeAttempts {
+			return fmt.Errorf("follower: cursor not settled after %d resyncs", resubscribeAttempts)
+		}
+		if err = cn.PullSpan(handle, f.cursor(), f.applyEncoded); errors.Is(err, wire.ErrSpanMoved) {
+			// Cursor refused; the connection is still in request mode.
+			// Pull the lineage's current span right here, then follow on
+			// from the fresh cursor.
+			err = f.resync(cn)
+		}
+	}
+	return err
 }
 
 // setConn records the live connection so Close/Promote can sever it.
@@ -277,98 +287,11 @@ func (f *Follower) setConn(nc net.Conn) {
 	f.mu.Unlock()
 }
 
-// cursor snapshots the resume position.
-func (f *Follower) cursor() wire.Cursor {
+// cursor is the follow pull from the resume position.
+func (f *Follower) cursor() wire.Pull {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return wire.Cursor{Base: uint32(f.base), Next: uint32(f.next), CRC: f.lastCRC}
-}
-
-// subscribe drives one connection: subscribe (resync and retry while
-// the cursor is refused as moved), then tail the stream.
-func (f *Follower) subscribe(ctx context.Context, cn *wireclient.Conn, handle uint32) (bool, error) {
-	progress := false
-	for attempt := 0; attempt < resubscribeAttempts; attempt++ {
-		if ctx.Err() != nil || f.stopped() {
-			return progress, nil
-		}
-		req := &wire.Frame{Type: wire.TSubscribe, Lineage: handle,
-			Payload: wire.EncodeSubscribe(f.cursor())}
-		_, err := cn.RoundTrip(req)
-		if errors.Is(err, wire.ErrSpanMoved) {
-			// Cursor refused; the connection is still in request
-			// mode. Pull the lineage's current span right here, then
-			// re-subscribe with the fresh cursor.
-			if err := f.resync(cn); err != nil {
-				return progress, err
-			}
-			progress = true
-			continue
-		}
-		if err != nil {
-			return progress, err
-		}
-		tailed, err := f.tail(ctx, cn.NC)
-		return progress || tailed, err
-	}
-	return progress, fmt.Errorf("follower: cursor not settled after %d resyncs", resubscribeAttempts)
-}
-
-// tail reads server-pushed TTail frames until the primary closes the
-// stream. Reads use short deadlines as idle ticks so cancellation is
-// noticed between frames; bufio.Peek keeps partially arrived bytes
-// buffered across ticks, so a frame straddling a tick is never torn.
-func (f *Follower) tail(ctx context.Context, nc net.Conn) (bool, error) {
-	br := bufio.NewReaderSize(nc, connBufSize)
-	var frame wire.Frame
-	var scratch []byte
-	progress := false
-	var stalled time.Duration
-	prevBuffered := 0
-	for {
-		if ctx.Err() != nil || f.stopped() {
-			return progress, nil
-		}
-		nc.SetReadDeadline(time.Now().Add(tailTick))
-		_, err := br.Peek(wire.HeaderSize)
-		if err != nil {
-			if wire.Timeout(err) {
-				// Idle tick. A partial frame that stops growing for a
-				// full Timeout is a stalled primary, not idleness.
-				if b := br.Buffered(); b > 0 && b == prevBuffered {
-					stalled += tailTick
-					if stalled >= f.opts.Timeout {
-						return progress, fmt.Errorf("follower: stream stalled mid-frame (%d bytes buffered)", b)
-					}
-				} else {
-					prevBuffered = br.Buffered()
-					stalled = 0
-				}
-				continue
-			}
-			return progress, err
-		}
-		stalled, prevBuffered = 0, 0
-		nc.SetReadDeadline(time.Now().Add(f.opts.Timeout))
-		if err := wire.ReadFrameInto(br, wire.DefaultMaxPayload, &frame, &scratch); err != nil {
-			return progress, err
-		}
-		if frame.Type != wire.TTail {
-			return progress, fmt.Errorf("follower: unexpected frame %#x in tail stream", frame.Type)
-		}
-		crc, encoded, err := wire.DecodePush(frame.Payload)
-		if err != nil {
-			return progress, err
-		}
-		f.tailFrames.Add(1)
-		if err := f.applyEncoded(int(frame.Ckpt), encoded, crc); err != nil {
-			if errors.Is(err, errStopped) {
-				return progress, nil
-			}
-			return progress, err
-		}
-		progress = true
-	}
+	return wire.Pull{From: uint32(f.next), To: wire.PullFollow, Base: uint32(f.base), CRC: f.lastCRC}
 }
 
 // resync re-opens the lineage for its current span [base, len), pulls
@@ -381,8 +304,7 @@ func (f *Follower) resync(cn *wireclient.Conn) error {
 	}
 	if n == base {
 		if base == 0 {
-			cur := f.cursor()
-			if cur.Next > 0 {
+			if f.cursor().From > 0 {
 				return errors.New("follower: mirror is ahead of an empty primary (diverged lineage?)")
 			}
 			return nil // both empty: nothing to do
@@ -391,7 +313,7 @@ func (f *Follower) resync(cn *wireclient.Conn) error {
 	}
 	f.opts.Logf("follower %s: cursor refused; re-pulling [%d,%d)", f.opts.Lineage, base, n)
 	diffs := make([]*checkpoint.Diff, 0, n-base)
-	if err := cn.PullSpan(handle, base, n, checkpoint.OwnedDiffs(&diffs)); err != nil {
+	if err := cn.PullSpan(handle, wire.Pull{From: uint32(base), To: uint32(n)}, checkpoint.OwnedDiffs(&diffs)); err != nil {
 		return fmt.Errorf("follower: resync pull [%d,%d): %w", base, n, err)
 	}
 	f.mu.Lock()
@@ -428,14 +350,15 @@ func (f *Follower) reloadLocked() error {
 	return nil
 }
 
-// applyEncoded mirrors one arrived diff: a durable append to the
-// mirror, then the cursor. encoded aliases the tail loop's read buffer,
-// and so does the decoded diff; the append is done with both when it
-// returns.
-func (f *Follower) applyEncoded(k int, encoded []byte, crc uint32) error {
+// applyEncoded mirrors one diff that arrived on the follow stream: a
+// durable append to the mirror, then the cursor. encoded aliases the
+// connection's read buffer, and so does the decoded diff; the append is
+// done with both when it returns.
+func (f *Follower) applyEncoded(k int, encoded []byte) error {
+	f.tailFrames.Add(1)
 	d, err := checkpoint.DecodeCheckpoint(k, encoded)
 	if err != nil {
-		return fmt.Errorf("follower: tail frame %d: %w", k, err)
+		return fmt.Errorf("follower: pulled frame %d: %w", k, err)
 	}
 	f.mu.Lock()
 	if f.closed || f.promoted {
@@ -454,7 +377,7 @@ func (f *Follower) applyEncoded(k int, encoded []byte, crc uint32) error {
 		f.mu.Unlock()
 		return fmt.Errorf("follower: mirroring diff %d: %w", k, err)
 	}
-	f.next, f.lastCRC = k+1, crc
+	f.next, f.lastCRC = k+1, wire.Checksum(encoded)
 	// Counted before the unlock so a Stats() that already observes the
 	// advanced cursor also observes the count.
 	f.applied.Add(1)

@@ -153,7 +153,7 @@ func verifyPromotion(t *testing.T, p *follower.Promotion, images [][]byte, base 
 	}
 }
 
-// The happy path: subscribe on v5, receive the backlog, then live
+// The happy path: follow the lineage, receive the backlog, then live
 // frames as the primary keeps pushing, and promote from the mirror.
 func TestFollowerLiveTailAndPromote(t *testing.T) {
 	images := testImages(901, 6)
@@ -223,8 +223,8 @@ func TestFollowerLiveTailAndPromote(t *testing.T) {
 }
 
 // A compaction fold on the primary invalidates the follower's cursor
-// mid-stream. The stream ends; the follower's cursor is refused on
-// re-subscribe, and it must re-pull the folded span and converge
+// mid-stream. The stream ends; the follower's cursor is refused when
+// it follows again, and it must re-pull the folded span and converge
 // byte-exactly on the new baseline.
 func TestFollowerResyncAcrossFold(t *testing.T) {
 	images := testImages(903, 8)
@@ -276,7 +276,7 @@ func TestFollowerResyncAcrossFold(t *testing.T) {
 }
 
 // A restarted standby must resume from its mirror's stored cursor —
-// re-subscribing where the previous process stopped instead of
+// following on from where the previous process stopped instead of
 // re-pulling the chain.
 func TestFollowerRestartResumesFromMirror(t *testing.T) {
 	images := testImages(904, 6)
@@ -407,7 +407,7 @@ func TestFollowerTailHoldsNoChain(t *testing.T) {
 			t.Fatal(err)
 		}
 		encoded[k] = enc.Bytes()
-		tail := &wire.Frame{Type: wire.TTail, Ckpt: uint32(k), Payload: wire.EncodePush(encoded[k])}
+		tail := &wire.Frame{Type: wire.TPull, Ckpt: uint32(k), Payload: wire.EncodePush(encoded[k])}
 		if err := wire.WriteFrame(&fr, tail); err != nil {
 			t.Fatal(err)
 		}
@@ -460,7 +460,7 @@ func TestFollowerMirrorsRegionListsInPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 		encoded[k] = enc.Bytes()
-		if err := wire.WriteFrame(&fr, &wire.Frame{Type: wire.TTail, Ckpt: uint32(k), Payload: wire.EncodePush(encoded[k])}); err != nil {
+		if err := wire.WriteFrame(&fr, &wire.Frame{Type: wire.TPull, Ckpt: uint32(k), Payload: wire.EncodePush(encoded[k])}); err != nil {
 			t.Fatal(err)
 		}
 		frames[k] = fr.Bytes()
@@ -490,8 +490,9 @@ func TestFollowerMirrorsRegionListsInPlace(t *testing.T) {
 }
 
 // scriptedTail runs a follower against a scripted primary that answers
-// its open and subscribe and then writes frames, and returns what the
-// follower allocated per frame after the first warm ones had arrived.
+// its open, takes its follow pull and then writes frames, and returns
+// what the follower allocated per frame after the first warm ones had
+// arrived.
 func scriptedTail(t *testing.T, frames [][]byte, warm int) (uint64, *follower.Follower) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -510,16 +511,14 @@ func scriptedTail(t *testing.T, frames [][]byte, warm int) (uint64, *follower.Fo
 		if wire.ReadHello(nc) != nil || wire.WriteHello(nc) != nil {
 			return
 		}
-		for _, resp := range []wire.Frame{
-			{Type: wire.TOpen, Payload: wire.EncodeOpenInfo(0)},
-			{Type: wire.TSubscribe},
-		} {
-			if req, err := wire.ReadFrame(nc, 0); err != nil || req.Type != resp.Type {
-				return
-			}
-			if wire.WriteFrame(nc, &resp) != nil {
-				return
-			}
+		if req, err := wire.ReadFrame(nc, 0); err != nil || req.Type != wire.TOpen {
+			return
+		}
+		if wire.WriteFrame(nc, &wire.Frame{Type: wire.TOpen, Payload: wire.EncodeOpenInfo(0)}) != nil {
+			return
+		}
+		if req, err := wire.ReadFrame(nc, 0); err != nil || req.Type != wire.TPull {
+			return
 		}
 		for k, fr := range frames {
 			if k == warm {
@@ -559,8 +558,94 @@ func allocated(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// An idle follow stream is never torn down: the follower waits for the
+// next frame's first byte without a deadline, however long that takes,
+// and mirrors the next push on the same connection.
+func TestFollowerIdleStreamStays(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	images := testImages(912, 3)
+	_, addr, stop := startServer(t, server.Config{Root: t.TempDir()})
+	defer stop()
+	cl, err := gpuckpt.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ck := checkpointer(t, images[:2])
+	if _, err := cl.PushCheckpointer("idle", ck); err != nil {
+		t.Fatal(err)
+	}
+	fl := runFollower(t, addr, "idle", func(o *follower.Options) { o.Timeout = timeout })
+	waitNext(t, fl, 2)
+
+	time.Sleep(3*timeout + timeout/2)
+	if _, err := ck.Checkpoint(images[2]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.PushCheckpointer("idle", ck); err != nil {
+		t.Fatal(err)
+	}
+	waitNext(t, fl, 3)
+	if st := fl.Stats(); st.Reconnects != 0 || st.TailFrames != 3 {
+		t.Fatalf("after an idle stream of %v: %+v, want every diff on the one stream", 3*timeout, st)
+	}
+	p, err := fl.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyPromotion(t, p, images, 0)
+}
+
+// A primary that stalls mid-frame is caught: once a frame's first byte
+// has arrived, the rest is read under the timeout. The follower's first
+// connection stalls in the read of the third frame's payload for longer
+// than the timeout; the session ends within about twice the timeout,
+// and the follower reconnects and resumes byte-exact.
+func TestFollowerStallMidFrameEndsSession(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	images := testImages(913, 5)
+	_, addr, stop := startServer(t, server.Config{Root: t.TempDir()})
+	defer stop()
+	cl, err := gpuckpt.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.PushCheckpointer("stall", checkpointer(t, images)); err != nil {
+		t.Fatal(err)
+	}
+	// Reads on the connection: the hello, the open's header and
+	// payload, then a header and a payload per frame. The 9th is the
+	// payload of checkpoint 2.
+	plan := faults.ConnPlan{Stall: faults.On(1), StallFor: timeout + timeout/6, StallReadN: 9}
+	fl := runFollower(t, addr, "stall", func(o *follower.Options) {
+		o.Timeout = timeout
+		o.Dialer = faults.New(913).Dialer(plan)
+	})
+	waitNext(t, fl, 2)
+	stalled := time.Now()
+	for fl.Stats().Reconnects == 0 {
+		if time.Since(stalled) > 10*timeout {
+			t.Fatalf("the stalled session never ended: %+v", fl.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if d := time.Since(stalled); d > 2*timeout {
+		t.Fatalf("the stalled session ended %v after the last frame, want within %v", d, 2*timeout)
+	}
+	waitNext(t, fl, len(images))
+	if st := fl.Stats(); st.Reconnects != 1 || st.Resyncs != 0 || st.Applied != uint64(len(images)) {
+		t.Fatalf("after the stall: %+v, want one reconnect and every diff applied once", st)
+	}
+	p, err := fl.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyPromotion(t, p, images, 0)
+}
+
 // A fresh follower joining an already folded lineage has no local
-// cursor at all; the subscribe must be redirected through a full span
+// cursor at all; the follow pull must be redirected through a full span
 // pull before streaming starts.
 func TestFollowerJoinsFoldedLineage(t *testing.T) {
 	images := testImages(905, 6)

@@ -108,9 +108,7 @@ func TestReplicatedIntakeRecyclesStaging(t *testing.T) {
 	defer stop()
 	sub := testConn(t, addr)
 	defer sub.Close()
-	if _, resp := subscribeOn(t, sub, "replicated", wire.Cursor{}); resp.Status != wire.StatusOK {
-		t.Fatalf("subscribe: %+v", resp)
-	}
+	subscribeOn(t, srv, sub, "replicated", wire.Pull{})
 	pusher := testConn(t, addr)
 	defer pusher.Close()
 	h := call(t, pusher, &wire.Frame{Type: wire.TOpen, Payload: []byte("replicated")}).Lineage
@@ -130,7 +128,7 @@ func TestReplicatedIntakeRecyclesStaging(t *testing.T) {
 			if err := wire.ReadFrameInto(sub, 0, &tail, &scratch); err != nil {
 				t.Fatalf("tail %d: %v", ck, err)
 			}
-			if tail.Type != wire.TTail || tail.Ckpt != uint32(ck) || !bytes.Equal(tail.Payload, want[ck]) {
+			if tail.Type != wire.TPull || tail.Ckpt != uint32(ck) || !bytes.Equal(tail.Payload, want[ck]) {
 				t.Fatalf("tail frame %d (type %#x ckpt %d) is not the pushed payload", ck, tail.Type, tail.Ckpt)
 			}
 		}
@@ -153,7 +151,7 @@ func TestReplicatedIntakeRecyclesStaging(t *testing.T) {
 }
 
 // readTails reads the frames a subscription sends from checkpoint from
-// on: TTail frames, each of which must carry the pushed payload of the
+// on: frames, each of which must carry the pushed payload of the
 // next checkpoint, until the server closes the stream.
 func readTails(t *testing.T, sub net.Conn, want [][]byte, from int) {
 	t.Helper()
@@ -166,7 +164,7 @@ func readTails(t *testing.T, sub net.Conn, want [][]byte, from int) {
 		if err != nil {
 			t.Fatalf("after %d tail frames: %v", ck-from, err)
 		}
-		if fr.Type != wire.TTail || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, want[ck]) {
+		if fr.Type != wire.TPull || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, want[ck]) {
 			t.Fatalf("frame type %#x ckpt %d is not the pushed payload of checkpoint %d", fr.Type, fr.Ckpt, ck)
 		}
 	}
@@ -174,7 +172,7 @@ func readTails(t *testing.T, sub net.Conn, want [][]byte, from int) {
 
 // TestRaceFanOutReleases: however a subscription goes — delivered,
 // left behind by a reader that stops reading, or ended by a fold, a
-// disconnect or a shutdown — every TTail payload that reaches the wire
+// disconnect or a shutdown — every payload that reaches the wire
 // is the pushed bytes, and the free list ends where it started: the
 // run's staging and the buffer the subscription borrowed are all back,
 // and the pusher reads on into one of them. Once the connections close,
@@ -199,11 +197,6 @@ func TestRaceFanOutReleases(t *testing.T) {
 		h = call(t, pusher, &wire.Frame{Type: wire.TOpen, Payload: []byte("fan")}).Lineage
 		return l, pusher, h, sub, warmFrames(l.srv, n, len(want[0]))
 	}
-	subscribe := func(t *testing.T, sub net.Conn) {
-		if _, resp := subscribeOn(t, sub, "fan", wire.Cursor{}); resp.Type != wire.TSubscribe || resp.Status != wire.StatusOK {
-			t.Fatalf("subscribe: %+v", resp)
-		}
-	}
 	pushAll := func(t *testing.T, pusher net.Conn, h uint32) {
 		sendRun(t, pusher, streamBurst(t, h, 0, want), 0, n)
 	}
@@ -216,7 +209,7 @@ func TestRaceFanOutReleases(t *testing.T) {
 	}
 	readAll := func(t *testing.T, sub net.Conn) {
 		for ck := 0; ck < n; ck++ {
-			if fr := readTail(t, sub); fr.Type != wire.TTail || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, want[ck]) {
+			if fr := readTail(t, sub); fr.Type != wire.TPull || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, want[ck]) {
 				t.Fatalf("tail frame %d is not the pushed payload", ck)
 			}
 		}
@@ -225,10 +218,10 @@ func TestRaceFanOutReleases(t *testing.T) {
 	t.Run("delivery", func(t *testing.T) {
 		// Each diff is read as soon as it is acked.
 		l, pusher, h, sub, warm := start(t, Config{})
-		subscribe(t, sub)
+		subscribeOn(t, l.srv, sub, "fan", wire.Pull{})
 		for ck := 0; ck < n; ck++ {
 			sendRun(t, pusher, streamBurst(t, h, ck, want[ck:ck+1]), ck, 1)
-			if fr := readTail(t, sub); fr.Type != wire.TTail || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, want[ck]) {
+			if fr := readTail(t, sub); fr.Type != wire.TPull || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, want[ck]) {
 				t.Fatalf("tail frame %d is not the pushed payload", ck)
 			}
 		}
@@ -241,7 +234,7 @@ func TestRaceFanOutReleases(t *testing.T) {
 		// and is still not dropped: it is sent the whole run once it
 		// reads.
 		l, pusher, h, sub, warm := start(t, Config{})
-		subscribe(t, sub)
+		subscribeOn(t, l.srv, sub, "fan", wire.Pull{})
 		pushAll(t, pusher, h)
 		readAll(t, sub)
 		waitFree(t, l.srv, warm)
@@ -250,7 +243,7 @@ func TestRaceFanOutReleases(t *testing.T) {
 
 	t.Run("fold", func(t *testing.T) {
 		l, pusher, h, sub, warm := start(t, Config{})
-		subscribe(t, sub)
+		subscribeOn(t, l.srv, sub, "fan", wire.Pull{})
 		pushAll(t, pusher, h)
 		if resp := call(t, pusher, &wire.Frame{Type: wire.TCompact, Lineage: h, Ckpt: 3}); resp.Status != wire.StatusOK {
 			t.Fatalf("compact: %s", resp.Payload)
@@ -265,9 +258,9 @@ func TestRaceFanOutReleases(t *testing.T) {
 
 	t.Run("disconnect", func(t *testing.T) {
 		l, pusher, h, sub, warm := start(t, Config{})
-		subscribe(t, sub)
+		subscribeOn(t, l.srv, sub, "fan", wire.Pull{})
 		pushAll(t, pusher, h)
-		if fr := readTail(t, sub); fr.Type != wire.TTail || fr.Ckpt != 0 || !bytes.Equal(fr.Payload, want[0]) {
+		if fr := readTail(t, sub); fr.Type != wire.TPull || fr.Ckpt != 0 || !bytes.Equal(fr.Payload, want[0]) {
 			t.Fatal("the first tail frame is not the pushed payload")
 		}
 		sub.Close()
@@ -277,9 +270,9 @@ func TestRaceFanOutReleases(t *testing.T) {
 
 	t.Run("shutdown", func(t *testing.T) {
 		l, pusher, h, sub, warm := start(t, Config{DrainTimeout: 50 * time.Millisecond})
-		subscribe(t, sub)
+		subscribeOn(t, l.srv, sub, "fan", wire.Pull{})
 		pushAll(t, pusher, h)
-		if fr := readTail(t, sub); fr.Type != wire.TTail || fr.Ckpt != 0 || !bytes.Equal(fr.Payload, want[0]) {
+		if fr := readTail(t, sub); fr.Type != wire.TPull || fr.Ckpt != 0 || !bytes.Equal(fr.Payload, want[0]) {
 			t.Fatal("the first tail frame is not the pushed payload")
 		}
 		// The subscription is parked writing checkpoint 1; the drain
@@ -299,9 +292,7 @@ func TestSubscriberNeverShed(t *testing.T) {
 	pusher, sub := l.dial(t), l.dial(t)
 	defer pusher.Close()
 	defer sub.Close()
-	if _, resp := subscribeOn(t, sub, "slow", wire.Cursor{}); resp.Status != wire.StatusOK {
-		t.Fatalf("subscribe: %+v", resp)
-	}
+	subscribeOn(t, l.srv, sub, "slow", wire.Pull{})
 	h := call(t, pusher, &wire.Frame{Type: wire.TOpen, Payload: []byte("slow")}).Lineage
 	want := make([][]byte, n)
 	for ck := range want {
@@ -311,7 +302,7 @@ func TestSubscriberNeverShed(t *testing.T) {
 		}
 	}
 	for ck := 0; ck < n; ck++ {
-		if fr := readTail(t, sub); fr.Type != wire.TTail || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, want[ck]) {
+		if fr := readTail(t, sub); fr.Type != wire.TPull || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, want[ck]) {
 			t.Fatalf("frame %d: type %#x ckpt %d, want the pushed diff", ck, fr.Type, fr.Ckpt)
 		}
 	}
@@ -331,9 +322,7 @@ func BenchmarkReplicatedPush(b *testing.B) {
 	sub, pusher := testConn(b, addr), testConn(b, addr)
 	defer sub.Close()
 	defer pusher.Close()
-	if _, resp := subscribeOn(b, sub, "bench", wire.Cursor{}); resp.Status != wire.StatusOK {
-		b.Fatalf("subscribe: %+v", resp)
-	}
+	subscribeOn(b, srv, sub, "bench", wire.Pull{})
 	h := call(b, pusher, &wire.Frame{Type: wire.TOpen, Payload: []byte("bench")}).Lineage
 	sub.SetDeadline(time.Time{})
 	pusher.SetDeadline(time.Time{})

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -222,13 +223,12 @@ func TestRaceStagingRecycle(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		cur := wire.Cursor{Next: open.Ckpt}
-		if cur.Next > 0 {
-			cur.CRC = wire.Checksum(want[cur.Next-1][wire.PushChecksumSize:])
+		cur := wire.Pull{From: open.Ckpt}
+		if cur.From > 0 {
+			cur.CRC = wire.Checksum(want[cur.From-1][wire.PushChecksumSize:])
 		}
-		resp, err := roundTrip(sc, &wire.Frame{Type: wire.TSubscribe, Lineage: open.Lineage, Payload: wire.EncodeSubscribe(cur)})
-		if err != nil || resp.Type != wire.TSubscribe || resp.Status != wire.StatusOK {
-			return fmt.Errorf("subscribe at %d: %+v, %v", cur.Next, resp, err)
+		if err := wire.WriteFrame(sc, followReq(open.Lineage, cur)); err != nil {
+			return err
 		}
 		for i := 0; i < 3; i++ {
 			sc.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
@@ -236,7 +236,7 @@ func TestRaceStagingRecycle(t *testing.T) {
 			if err != nil {
 				return nil // nothing more arrived in time
 			}
-			if fr.Type != wire.TTail || int(fr.Ckpt) >= len(want) || !bytes.Equal(fr.Payload, want[fr.Ckpt]) {
+			if fr.Type != wire.TPull || fr.Status != wire.StatusOK || int(fr.Ckpt) >= len(want) || !bytes.Equal(fr.Payload, want[fr.Ckpt]) {
 				return fmt.Errorf("frame type %#x ckpt %d reached a subscriber damaged", fr.Type, fr.Ckpt)
 			}
 		}
@@ -451,12 +451,9 @@ func TestPullHandsBackOutgrownBuffer(t *testing.T) {
 	srv, h, _ := pullServer(t, blocks)
 	small := make([]byte, frameMemMin)
 	srv.frames.put(small)
-	conn, peer := net.Pipe() // for the write deadline: the frames go to bw
-	defer conn.Close()
-	defer peer.Close()
-	bw := bufio.NewWriterSize(io.Discard, connBufSize)
-	if err := srv.servePull(pullSpan(h, 0, 1), bw, conn); err != nil {
-		t.Fatal(err)
+	conn, bw := discardSink(t)
+	if !srv.servePull(context.Background(), nil, conn, nil, bw, pullSpan(h, 0, 1)) {
+		t.Fatal("the pull consumed the connection")
 	}
 	listed := freeBytes(t, srv) // fails on a buffer listed twice
 	var caps []int

@@ -1,7 +1,7 @@
 // The per-lineage subscription hub: who to wake when a lineage changes.
 //
 // The hub holds no frames. A subscription reads what it sends from the
-// store (subscribe.go); the hub only tells it when to look again. What
+// store (pull.go); the hub only tells it when to look again. What
 // it finds is either more diffs of its generation, which it sends, or
 // a lineage a fold or span install rewrote, which ends it.
 //

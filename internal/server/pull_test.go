@@ -20,7 +20,7 @@ import (
 
 // pullSpan builds the TPull request for the span [from, to).
 func pullSpan(h, from, to uint32) *wire.Frame {
-	return &wire.Frame{Type: wire.TPull, Lineage: h, Ckpt: from, Payload: wire.AppendPullSpan(nil, to)}
+	return &wire.Frame{Type: wire.TPull, Lineage: h, Ckpt: from, Payload: wire.AppendPull(nil, wire.Pull{From: from, To: to})}
 }
 
 // pushChain opens lineage name on conn and pushes n tagged diffs of
@@ -77,7 +77,7 @@ func TestServerPullSpan(t *testing.T) {
 	}
 	for ck := 1; ck < 5; ck++ {
 		f := readFrame(t, conn)
-		if f.Type != wire.TPull || f.Status != wire.StatusOK || f.Lineage != h || f.Ckpt != uint32(ck) || !bytes.Equal(f.Payload, encs[ck]) {
+		if f.Type != wire.TPull || f.Status != wire.StatusOK || f.Lineage != h || f.Ckpt != uint32(ck) || !bytes.Equal(f.Payload, wire.EncodePush(encs[ck])) {
 			t.Fatalf("frame for checkpoint %d: %+v", ck, f)
 		}
 	}
@@ -130,7 +130,7 @@ func TestServerPullSpanRot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ck := 0; ck < 2; ck++ {
-		if f := readFrame(t, conn); f.Status != wire.StatusOK || f.Ckpt != uint32(ck) || !bytes.Equal(f.Payload, encs[ck]) {
+		if f := readFrame(t, conn); f.Status != wire.StatusOK || f.Ckpt != uint32(ck) || !bytes.Equal(f.Payload, wire.EncodePush(encs[ck])) {
 			t.Fatalf("frame before the damage, checkpoint %d: %+v", ck, f)
 		}
 	}
@@ -141,7 +141,7 @@ func TestServerPullSpanRot(t *testing.T) {
 	}
 	// The stream is over: the next frame on the wire answers the next
 	// request, and the undamaged diffs still serve.
-	if pull := call(t, conn, pullOne(h, 3)); pull.Status != wire.StatusOK || !bytes.Equal(pull.Payload, encs[3]) {
+	if pull := call(t, conn, pullOne(h, 3)); pull.Status != wire.StatusOK || !bytes.Equal(pull.Payload, wire.EncodePush(encs[3])) {
 		t.Fatalf("pull past the damage: %+v", pull)
 	}
 }
@@ -252,11 +252,11 @@ func TestRacePullDoesNotBlockPush(t *testing.T) {
 
 	// Resume. The parked frame was verified, whole, before its first
 	// byte left: it completes byte-exact.
-	payload := make([]byte, len(encs[0]))
+	payload := make([]byte, wire.PushChecksumSize+len(encs[0]))
 	if _, err := io.ReadFull(reader, payload); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(payload, encs[0]) {
+	if !bytes.Equal(payload, wire.EncodePush(encs[0])) {
 		t.Fatal("the frame parked across the compaction arrived damaged")
 	}
 	moved := readFrame(t, reader)
@@ -314,15 +314,12 @@ func pullServer(t *testing.T, blocks ...int) (*Server, uint32, *lineage) {
 func TestPullBufferSurvivesGC(t *testing.T) {
 	const blocks = 512
 	srv, h, _ := pullServer(t, blocks)
-	conn, peer := net.Pipe() // for the write deadline: the frames go to bw
-	defer conn.Close()
-	defer peer.Close()
-	bw := bufio.NewWriterSize(io.Discard, connBufSize)
+	conn, bw := discardSink(t)
 	serve := func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if err := srv.servePull(pullSpan(h, 0, 1), bw, conn); err != nil {
-			t.Fatal(err)
+		if !srv.servePull(context.Background(), nil, conn, nil, bw, pullSpan(h, 0, 1)) {
+			t.Fatal("the pull consumed the connection")
 		}
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
@@ -333,6 +330,22 @@ func TestPullBufferSurvivesGC(t *testing.T) {
 	if alloc := serve(); alloc >= blocks*4096 {
 		t.Fatalf("serving a %d-byte frame again after two GCs allocated %d bytes, want less than the frame", blocks*4096, alloc)
 	}
+}
+
+// discardConn is a connection whose writes go nowhere, so a span stream
+// served to it runs to its end without a reader; the pipe it wraps
+// takes the deadlines.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(b []byte) (int, error) { return len(b), nil }
+
+// discardSink returns a discardConn and a writer buffering in front of
+// it, as a connection's responses are buffered.
+func discardSink(t testing.TB) (net.Conn, *bufio.Writer) {
+	conn, peer := net.Pipe()
+	t.Cleanup(func() { conn.Close(); peer.Close() })
+	sink := discardConn{conn}
+	return sink, bufio.NewWriterSize(sink, connBufSize)
 }
 
 // TestPullFrameAllocs: with a buffer from the free list, serving diff k
@@ -346,12 +359,9 @@ func TestPullFrameAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, peer := net.Pipe()
-	defer conn.Close()
-	defer peer.Close()
-	bw := bufio.NewWriterSize(io.Discard, connBufSize)
-	if err := srv.servePull(pullSpan(h, 0, 2), bw, conn); err != nil { // leaves its buffer on the list
-		t.Fatal(err)
+	conn, bw := discardSink(t)
+	if !srv.servePull(context.Background(), nil, conn, nil, bw, pullSpan(h, 0, 2)) { // leaves its buffer on the list
+		t.Fatal("the pull consumed the connection")
 	}
 	pb := &pullBuf{frame: wire.Frame{Type: wire.TPull, Lineage: h, Payload: srv.frames.largest()}}
 	if cap(pb.frame.Payload) < 200*4096 {

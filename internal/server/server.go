@@ -370,8 +370,8 @@ func (s *Server) snapshot() []*lineage {
 // payload.
 func (s *Server) StreamPushes() uint64 { return s.streamPushes.Load() }
 
-// Subscribes reports accepted subscriptions; TailFrames the TTail
-// frames pushed; FoldEnds the subscriptions that ended because a fold
+// Subscribes reports accepted follow pulls; TailFrames the diff frames
+// they sent; FoldEnds the follow pulls that ended because a fold
 // or span install rewrote their lineage (checkpoint.ErrSpanMoved). Like
 // StreamPushes these are server-side counters, not part of the
 // wire.Stats payload.
@@ -563,7 +563,7 @@ func (s *Server) handshake(conn net.Conn) error {
 const connBufSize = 64 << 10
 
 // handleConn runs the request loop of one connection. stop fires when
-// Serve begins draining; subscriptions use it to close their tail
+// Serve begins draining; follow pulls use it to close their
 // streams instead of waiting out the drain.
 func (s *Server) handleConn(ctx context.Context, stop <-chan struct{}, conn net.Conn) {
 	defer conn.Close()
@@ -637,12 +637,10 @@ func (s *Server) handleConn(ctx context.Context, stop <-chan struct{}, conn net.
 		switch req.Type {
 		case wire.TPushStream:
 			err = s.serveStream(&run, &req, &scratch, bw, conn)
-		case wire.TSubscribe:
-			if !s.serveSubscribe(ctx, stop, conn, br, bw, &req) {
+		case wire.TPull:
+			if !s.servePull(ctx, stop, conn, br, bw, &req) {
 				return
 			}
-		case wire.TPull:
-			err = s.servePull(&req, bw, conn)
 		default:
 			err = s.writeResp(bw, conn, s.dispatch(&req))
 		}

@@ -79,7 +79,7 @@ func call(t testing.TB, conn net.Conn, req *wire.Frame) *wire.Frame {
 // pullOne builds the TPull request for the one-checkpoint span
 // [ck, ck+1), which is answered by exactly one frame.
 func pullOne(h, ck uint32) *wire.Frame {
-	return &wire.Frame{Type: wire.TPull, Lineage: h, Ckpt: ck, Payload: wire.AppendPullSpan(nil, ck+1)}
+	return &wire.Frame{Type: wire.TPull, Lineage: h, Ckpt: ck, Payload: wire.AppendPull(nil, wire.Pull{From: ck, To: ck + 1})}
 }
 
 func encodedDiff(t *testing.T, ck int, tag byte) []byte {
@@ -113,7 +113,7 @@ func TestServerOpenPushPull(t *testing.T) {
 	}
 
 	pull := call(t, conn, pullOne(h, 0))
-	if pull.Status != wire.StatusOK || !bytes.Equal(pull.Payload, enc) {
+	if pull.Status != wire.StatusOK || !bytes.Equal(pull.Payload, wire.EncodePush(enc)) {
 		t.Fatalf("pull returned %d bytes, want %d", len(pull.Payload), len(enc))
 	}
 
@@ -405,7 +405,7 @@ func TestServerStreamPush(t *testing.T) {
 			tag = 0xEE
 		}
 		want := encodedDiff(t, i, tag)
-		if !bytes.Equal(pull.Payload, want) {
+		if !bytes.Equal(pull.Payload, wire.EncodePush(want)) {
 			t.Fatalf("pull %d diverges from pushed bytes", i)
 		}
 	}
@@ -790,7 +790,7 @@ func TestServerCrossLineageDedup(t *testing.T) {
 	}
 	for i := range handles {
 		pull := call(t, conn, pullOne(handles[i], 0))
-		if pull.Status != wire.StatusOK || !bytes.Equal(pull.Payload, enc) {
+		if pull.Status != wire.StatusOK || !bytes.Equal(pull.Payload, wire.EncodePush(enc)) {
 			t.Fatalf("pull lineage %d: status %d, %d bytes", i, pull.Status, len(pull.Payload))
 		}
 	}

@@ -19,21 +19,36 @@ import (
 	"github.com/gpuckpt/gpuckpt/internal/wireclient"
 )
 
-// subscribeOn opens name on conn and issues a TSubscribe with cur,
-// returning the handle and the raw response frame.
-func subscribeOn(t testing.TB, conn net.Conn, name string, cur wire.Cursor) (uint32, *wire.Frame) {
+// followReq builds the follow pull of lineage h from the cursor cur:
+// the TPull request of a subscription.
+func followReq(h uint32, cur wire.Pull) *wire.Frame {
+	cur.To = wire.PullFollow
+	return &wire.Frame{Type: wire.TPull, Lineage: h, Ckpt: cur.From, Payload: wire.AppendPull(nil, cur)}
+}
+
+// subscribeOn opens name on conn, sends the follow pull from cur, and
+// waits until srv has accepted it: an accepted follow pull has no
+// answer of its own, only the diffs from cur.From on. It returns the
+// handle.
+func subscribeOn(t testing.TB, srv *Server, conn net.Conn, name string, cur wire.Pull) uint32 {
 	t.Helper()
 	open := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte(name)})
 	if open.Status != wire.StatusOK {
 		t.Fatalf("open: %+v", open)
 	}
-	resp := call(t, conn, &wire.Frame{Type: wire.TSubscribe, Lineage: open.Lineage,
-		Payload: wire.EncodeSubscribe(cur)})
-	return open.Lineage, resp
+	accepted := srv.Subscribes()
+	if err := wire.WriteFrame(conn, followReq(open.Lineage, cur)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); srv.Subscribes() == accepted; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the follow pull from %+v was not accepted", cur)
+		}
+	}
+	return open.Lineage
 }
 
-// readTail reads the next server-pushed frame off a subscribed
-// connection and, for TTail, decodes and checks the carried diff.
+// readTail reads the next frame off a follow pull's connection.
 func readTail(t *testing.T, conn net.Conn) *wire.Frame {
 	t.Helper()
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -44,7 +59,7 @@ func readTail(t *testing.T, conn net.Conn) *wire.Frame {
 	return fr
 }
 
-// readClosed reads off a subscribed connection and fails unless the
+// readClosed reads off a follow pull's connection and fails unless the
 // server closed the stream, sending nothing first.
 func readClosed(t *testing.T, conn net.Conn) {
 	t.Helper()
@@ -55,7 +70,7 @@ func readClosed(t *testing.T, conn net.Conn) {
 }
 
 // TestSubscribeBacklogThenLive is the core subscription contract: an accepted
-// subscription first replays the stored backlog past the cursor, then
+// follow pull first replays the stored backlog past the cursor, then
 // streams every subsequently pushed diff, in order, checksummed.
 func TestSubscribeBacklogThenLive(t *testing.T) {
 	srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
@@ -77,13 +92,7 @@ func TestSubscribeBacklogThenLive(t *testing.T) {
 
 	sub := testConn(t, addr)
 	defer sub.Close()
-	_, resp := subscribeOn(t, sub, "sub", wire.Cursor{})
-	if resp.Type != wire.TSubscribe || resp.Status != wire.StatusOK {
-		t.Fatalf("subscribe: %+v", resp)
-	}
-	if resp.Ckpt != 2 || len(resp.Payload) != 0 {
-		t.Fatalf("ack %+v, want an empty payload and length 2", resp)
-	}
+	subscribeOn(t, srv, sub, "sub", wire.Pull{})
 
 	// A third diff pushed while the subscription is live.
 	enc := encodedDiff(t, 2, 0x12)
@@ -95,8 +104,8 @@ func TestSubscribeBacklogThenLive(t *testing.T) {
 
 	for ck := 0; ck < 3; ck++ {
 		fr := readTail(t, sub)
-		if fr.Type != wire.TTail || fr.Ckpt != uint32(ck) {
-			t.Fatalf("tail frame %d: type %#x ckpt %d", ck, fr.Type, fr.Ckpt)
+		if fr.Type != wire.TPull || fr.Status != wire.StatusOK || fr.Ckpt != uint32(ck) {
+			t.Fatalf("tail frame %d: type %#x status %d ckpt %d", ck, fr.Type, fr.Status, fr.Ckpt)
 		}
 		crc, encoded, err := wire.DecodePush(fr.Payload)
 		if err != nil {
@@ -122,10 +131,10 @@ func TestSubscribeBacklogThenLive(t *testing.T) {
 
 // TestSubscribeStaleCursorKeepsConnection: a rejected cursor answers
 // with a StatusSpanMoved error frame and leaves the connection in
-// request mode — the subscriber pulls the span and re-subscribes on the
+// request mode — the subscriber pulls the span and follows again on the
 // same socket.
 func TestSubscribeStaleCursorKeepsConnection(t *testing.T) {
-	_, addr, stop := startServer(t, Config{Root: t.TempDir()})
+	srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
 	defer stop()
 
 	pusher := testConn(t, addr)
@@ -137,9 +146,10 @@ func TestSubscribeStaleCursorKeepsConnection(t *testing.T) {
 
 	sub := testConn(t, addr)
 	defer sub.Close()
+	h := call(t, sub, &wire.Frame{Type: wire.TOpen, Payload: []byte("stale")}).Lineage
 	// CRC does not match the stored diff 0: continuity is unprovable.
-	h, resp := subscribeOn(t, sub, "stale", wire.Cursor{Base: 0, Next: 1, CRC: 0xDEAD})
-	if resp.Type != wire.TSubscribe || resp.Status != wire.StatusSpanMoved {
+	resp := call(t, sub, followReq(h, wire.Pull{Base: 0, From: 1, CRC: 0xDEAD}))
+	if resp.Type != wire.TPull || resp.Status != wire.StatusSpanMoved {
 		t.Fatalf("stale cursor: %+v, want a StatusSpanMoved error frame", resp)
 	}
 	if err := resp.Err(); !errors.Is(err, wire.ErrSpanMoved) {
@@ -148,14 +158,22 @@ func TestSubscribeStaleCursorKeepsConnection(t *testing.T) {
 
 	// Same connection still serves requests: pull the span...
 	pull := call(t, sub, pullOne(h, 0))
-	if pull.Status != wire.StatusOK || !bytes.Equal(pull.Payload, enc) {
+	if pull.Status != wire.StatusOK || !bytes.Equal(pull.Payload, wire.EncodePush(enc)) {
 		t.Fatalf("pull on kept connection: %+v", pull)
 	}
-	// ...and accepts the corrected cursor.
-	resp = call(t, sub, &wire.Frame{Type: wire.TSubscribe, Lineage: h,
-		Payload: wire.EncodeSubscribe(wire.Cursor{Base: 0, Next: 1, CRC: wire.Checksum(enc)})})
-	if resp.Type != wire.TSubscribe || resp.Status != wire.StatusOK {
-		t.Fatalf("re-subscribe: %+v", resp)
+	// ...and accepts the corrected cursor: the next push reaches it.
+	if err := wire.WriteFrame(sub, followReq(h, wire.Pull{Base: 0, From: 1, CRC: wire.Checksum(enc)})); err != nil {
+		t.Fatal(err)
+	}
+	next := wire.EncodePush(encodedDiff(t, 1, 0x78))
+	if resp := call(t, pusher, &wire.Frame{Type: wire.TPush, Lineage: open.Lineage, Ckpt: 1, Payload: next}); resp.Status != wire.StatusOK {
+		t.Fatalf("push 1: %+v", resp)
+	}
+	if fr := readTail(t, sub); fr.Type != wire.TPull || fr.Status != wire.StatusOK || fr.Ckpt != 1 || !bytes.Equal(fr.Payload, next) {
+		t.Fatalf("after the corrected cursor: %+v", fr)
+	}
+	if n := srv.Subscribes(); n != 1 {
+		t.Fatalf("Subscribes = %d, want 1", n)
 	}
 }
 
@@ -167,18 +185,20 @@ func TestSubscribeRefusals(t *testing.T) {
 	conn := testConn(t, addr)
 	defer conn.Close()
 
-	resp := call(t, conn, &wire.Frame{Type: wire.TSubscribe, Lineage: 42,
-		Payload: wire.EncodeSubscribe(wire.Cursor{})})
+	resp := call(t, conn, followReq(42, wire.Pull{}))
 	if resp.Status != wire.StatusUnknownHandle {
 		t.Fatalf("bogus handle: %+v", resp)
 	}
 	open := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte("refuse")})
-	resp = call(t, conn, &wire.Frame{Type: wire.TSubscribe, Lineage: open.Lineage,
-		Payload: []byte{1, 2, 3}})
-	if resp.Status != wire.StatusErr {
+	truncated := followReq(open.Lineage, wire.Pull{})
+	truncated.Payload = truncated.Payload[:7]
+	if resp := call(t, conn, truncated); resp.Status != wire.StatusErr {
 		t.Fatalf("truncated cursor: %+v", resp)
 	}
-	// The connection survived both refusals.
+	if resp := call(t, conn, followReq(open.Lineage, wire.Pull{From: 3, Base: 4})); resp.Status != wire.StatusErr {
+		t.Fatalf("cursor below its base: %+v", resp)
+	}
+	// The connection survived the refusals.
 	if resp := call(t, conn, &wire.Frame{Type: wire.TList}); resp.Status != wire.StatusOK {
 		t.Fatalf("list after refusals: %+v", resp)
 	}
@@ -202,14 +222,12 @@ func bigEncodedDiff(t *testing.T, ck, size int) []byte {
 // reaches a live subscriber as exactly the payloads the pusher sent —
 // checksum prefix included — not as a re-encoding of the decoded diffs.
 func TestStreamFanOutRelaysPushedBytes(t *testing.T) {
-	_, addr, stop := startServer(t, Config{Root: t.TempDir()})
+	srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
 	defer stop()
 
 	sub := testConn(t, addr)
 	defer sub.Close()
-	if _, resp := subscribeOn(t, sub, "fan", wire.Cursor{}); resp.Status != wire.StatusOK {
-		t.Fatalf("subscribe: %+v", resp)
-	}
+	subscribeOn(t, srv, sub, "fan", wire.Pull{})
 
 	pusher := testConn(t, addr)
 	defer pusher.Close()
@@ -233,7 +251,7 @@ func TestStreamFanOutRelaysPushedBytes(t *testing.T) {
 	}
 	for ck := 0; ck < n; ck++ {
 		fr := readTail(t, sub)
-		if fr.Type != wire.TTail || fr.Ckpt != uint32(ck) {
+		if fr.Type != wire.TPull || fr.Ckpt != uint32(ck) {
 			t.Fatalf("tail frame %d: type %#x ckpt %d", ck, fr.Type, fr.Ckpt)
 		}
 		if !bytes.Equal(fr.Payload, want[ck]) {
@@ -273,14 +291,14 @@ func recv(t *testing.T, ch <-chan *wire.Frame, what string) *wire.Frame {
 
 // TestFoldEndsSubscription: a fold that moves the baseline — an
 // explicit TCompact, a CompactAuto one, or a background compactLoop
-// sweep — ends a live subscription: the server closes the stream. The
+// sweep — ends a live follow pull: the server closes the stream. The
 // fold is held just past its manifest rename while a push queues on the
 // lineage lock; the push lands once the fold is done, before the
-// subscriber reads, and still never reaches it as a TTail, because the
-// subscription serves only the generation it registered at. The old
+// subscriber reads, and still never reaches it as a frame, because the
+// follow pull serves only the generation it registered at. The old
 // cursor is then refused with StatusSpanMoved, and TOpen reports the
 // folded span. A no-op TCompact ends nobody: a subscription resumed on
-// the folded span keeps receiving TTail frames, until a fold with no
+// the folded span keeps receiving frames, until a fold with no
 // push after it ends that one too.
 func TestFoldEndsSubscription(t *testing.T) {
 	for _, tc := range []struct {
@@ -315,10 +333,8 @@ func TestFoldEndsSubscription(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cur := wire.Cursor{Next: 6, CRC: wire.Checksum(encodedDiff(t, 5, 0x25))}
-			if _, resp := subscribeOn(t, sub, "fold", cur); resp.Status != wire.StatusOK {
-				t.Fatalf("subscribe: %+v", resp)
-			}
+			cur := wire.Pull{From: 6, CRC: wire.Checksum(encodedDiff(t, 5, 0x25))}
+			subscribeOn(t, srv, sub, "fold", cur)
 
 			// Hold the fold just past its commit point, with the lineage
 			// lock held. The hold also sets the lineage to keep-all, under
@@ -368,7 +384,7 @@ func TestFoldEndsSubscription(t *testing.T) {
 			}
 
 			readClosed(t, sub)
-			if _, resp := subscribeOn(t, ctl, "fold", cur); resp.Status != wire.StatusSpanMoved {
+			if resp := call(t, ctl, followReq(h, cur)); resp.Status != wire.StatusSpanMoved {
 				t.Fatalf("re-subscribe with the old cursor: %+v, want StatusSpanMoved", resp)
 			}
 			open := call(t, ctl, &wire.Frame{Type: wire.TOpen, Payload: []byte("fold")})
@@ -383,10 +399,8 @@ func TestFoldEndsSubscription(t *testing.T) {
 			ln.store.SetHooks(nil)
 			sub2 := testConn(t, addr)
 			defer sub2.Close()
-			cur = wire.Cursor{Base: 4, Next: 7, CRC: wire.Checksum(encodedDiff(t, 6, 0x26))}
-			if _, resp := subscribeOn(t, sub2, "fold", cur); resp.Status != wire.StatusOK {
-				t.Fatalf("resubscribe: %+v", resp)
-			}
+			cur = wire.Pull{Base: 4, From: 7, CRC: wire.Checksum(encodedDiff(t, 6, 0x26))}
+			subscribeOn(t, srv, sub2, "fold", cur)
 			res, err := wire.DecodeCompactResult(call(t, ctl, &wire.Frame{Type: wire.TCompact, Lineage: h, Ckpt: 4}).Payload)
 			if err != nil || res.OldBase != 4 || res.NewBase != 4 {
 				t.Fatalf("no-op compact %+v (%v)", res, err)
@@ -394,8 +408,8 @@ func TestFoldEndsSubscription(t *testing.T) {
 			if resp := call(t, pusher, push(7)); resp.Status != wire.StatusOK {
 				t.Fatalf("push 7: %s", resp.Payload)
 			}
-			if fr := readTail(t, sub2); fr.Type != wire.TTail || fr.Ckpt != 7 {
-				t.Fatalf("after a no-op compact: frame type %#x ckpt %d, want TTail 7", fr.Type, fr.Ckpt)
+			if fr := readTail(t, sub2); fr.Type != wire.TPull || fr.Status != wire.StatusOK || fr.Ckpt != 7 {
+				t.Fatalf("after a no-op compact: frame type %#x status %d ckpt %d, want diff 7", fr.Type, fr.Status, fr.Ckpt)
 			}
 			if n := srv.FoldEnds(); n != 1 {
 				t.Fatalf("FoldEnds = %d after a no-op compact, want 1", n)
@@ -440,7 +454,7 @@ func basicChain(t *testing.T, n, size, chunk int) [][]byte {
 	return payloads
 }
 
-// TestSubscribeFoldMidBacklog: a subscription never relays a diff of a
+// TestSubscribeFoldMidBacklog: a follow pull never relays a diff of a
 // generation other than its own. The subscriber is mid-backlog, parked
 // on an unbuffered pipe in the write of checkpoint 3, when a fold to
 // baseline 4 commits; the fold is held just past its manifest rename
@@ -465,15 +479,13 @@ func TestSubscribeFoldMidBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, resp := subscribeOn(t, sub, "fold", wire.Cursor{}); resp.Status != wire.StatusOK {
-		t.Fatalf("subscribe: %+v", resp)
-	}
+	subscribeOn(t, l.srv, sub, "fold", wire.Pull{})
 	for ck := 0; ck < 3; ck++ {
-		if fr := readTail(t, sub); fr.Type != wire.TTail || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, want[ck]) {
+		if fr := readTail(t, sub); fr.Type != wire.TPull || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, want[ck]) {
 			t.Fatalf("backlog frame %d: type %#x ckpt %d", ck, fr.Type, fr.Ckpt)
 		}
 	}
-	// The header of checkpoint 3: the subscription has read it from the
+	// The header of checkpoint 3: the follow pull has read it from the
 	// store and is parked writing its payload.
 	var hdr [wire.HeaderSize]byte
 	if _, err := io.ReadFull(sub, hdr[:]); err != nil {
@@ -502,7 +514,7 @@ func TestSubscribeFoldMidBacklog(t *testing.T) {
 		t.Fatalf("payload of checkpoint 3: %v", err)
 	}
 	// Let the fold finish with the hub held, so its wake waits: what
-	// the subscriber reads next comes from the subscription alone.
+	// the subscriber reads next comes from the follow pull alone.
 	l.srv.hub.mu.Lock()
 	close(release)
 	sub.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -518,10 +530,10 @@ func TestSubscribeFoldMidBacklog(t *testing.T) {
 }
 
 // TestSubscribeRotEndsWithoutBarrier: a diff that fails verification is
-// not a fold. The subscription sends the diffs before it, then closes
+// not a fold. The follow pull sends the diffs before it, then closes
 // the stream without a byte of the rotten diff, uncounted by FoldEnds; the
 // subscriber's cursor stays good, and once the diff is reinstalled a
-// subscription resumed from that cursor is sent it byte-exact.
+// follow pull resumed from that cursor is sent it byte-exact.
 func TestSubscribeRotEndsWithoutBarrier(t *testing.T) {
 	srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
 	defer stop()
@@ -558,12 +570,10 @@ func TestSubscribeRotEndsWithoutBarrier(t *testing.T) {
 
 	// tails subscribes from cur and returns the frames sent until the
 	// stream ends or reaches the lineage's end.
-	tails := func(cur wire.Cursor) []*wire.Frame {
+	tails := func(cur wire.Pull) []*wire.Frame {
 		sub := testConn(t, addr)
 		defer sub.Close()
-		if _, resp := subscribeOn(t, sub, "rot", cur); resp.Type != wire.TSubscribe || resp.Status != wire.StatusOK {
-			t.Fatalf("subscribe from %d: %+v", cur.Next, resp)
-		}
+		subscribeOn(t, srv, sub, "rot", cur)
 		var got []*wire.Frame
 		for {
 			sub.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -580,12 +590,12 @@ func TestSubscribeRotEndsWithoutBarrier(t *testing.T) {
 			}
 		}
 	}
-	got := tails(wire.Cursor{})
+	got := tails(wire.Pull{})
 	if len(got) != 2 {
 		t.Fatalf("%d frames before the stream ended, want checkpoints 0 and 1 only", len(got))
 	}
 	for ck, fr := range got {
-		if fr.Type != wire.TTail || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, wire.EncodePush(want[ck])) {
+		if fr.Type != wire.TPull || fr.Status != wire.StatusOK || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, wire.EncodePush(want[ck])) {
 			t.Fatalf("frame %d: type %#x ckpt %d, want the pushed diff", ck, fr.Type, fr.Ckpt)
 		}
 	}
@@ -600,13 +610,13 @@ func TestSubscribeRotEndsWithoutBarrier(t *testing.T) {
 	if err := ln.store.ReinstallDiff(d); err != nil {
 		t.Fatal(err)
 	}
-	got = tails(wire.Cursor{Next: 2, CRC: wire.Checksum(want[1])})
+	got = tails(wire.Pull{From: 2, CRC: wire.Checksum(want[1])})
 	if len(got) != 2 {
 		t.Fatalf("%d frames after the reinstall, want checkpoints 2 and 3", len(got))
 	}
 	for i, fr := range got {
 		ck := 2 + i
-		if fr.Type != wire.TTail || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, wire.EncodePush(want[ck])) {
+		if fr.Type != wire.TPull || fr.Status != wire.StatusOK || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, wire.EncodePush(want[ck])) {
 			t.Fatalf("frame %d after the reinstall: type %#x ckpt %d, want the pushed diff", i, fr.Type, fr.Ckpt)
 		}
 	}
@@ -616,7 +626,7 @@ func TestSubscribeRotEndsWithoutBarrier(t *testing.T) {
 // installs reaches the lineage's subscribers without a push. Server A
 // is one round behind its peer B, and a subscriber on A waits at
 // Len(A). When B holds a longer suffix, the round reinstalls it on A
-// and the subscriber is sent every pulled id as a TTail; when B folded
+// and the subscriber is sent every pulled id as a frame; when B folded
 // past A, the round adopts B's span, the subscriber's stream ends, and
 // its cursor is refused with StatusSpanMoved.
 func TestAntiEntropyWakesSubscribers(t *testing.T) {
@@ -653,10 +663,8 @@ func TestAntiEntropyWakesSubscribers(t *testing.T) {
 					t.Fatalf("compact B: %s", resp.Payload)
 				}
 			}
-			cur := wire.Cursor{Next: 3, CRC: wire.Checksum(encodedDiff(t, 2, 0x42))}
-			if _, resp := subscribeOn(t, sub, "ae", cur); resp.Status != wire.StatusOK {
-				t.Fatalf("subscribe: %+v", resp)
-			}
+			cur := wire.Pull{From: 3, CRC: wire.Checksum(encodedDiff(t, 2, 0x42))}
+			subscribeOn(t, srvA, sub, "ae", cur)
 
 			peer, err := wireclient.New(addrB, wireclient.Options{Timeout: 5 * time.Second})
 			if err != nil {
@@ -669,14 +677,14 @@ func TestAntiEntropyWakesSubscribers(t *testing.T) {
 
 			if !tc.fold {
 				for ck := 3; ck < len(want); ck++ {
-					if fr := readTail(t, sub); fr.Type != wire.TTail || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, want[ck]) {
+					if fr := readTail(t, sub); fr.Type != wire.TPull || fr.Ckpt != uint32(ck) || !bytes.Equal(fr.Payload, want[ck]) {
 						t.Fatalf("frame type %#x ckpt %d, want the pulled diff %d", fr.Type, fr.Ckpt, ck)
 					}
 				}
 				return
 			}
 			readClosed(t, sub)
-			if _, resp := subscribeOn(t, a, "ae", cur); resp.Status != wire.StatusSpanMoved {
+			if resp := call(t, a, followReq(hA, cur)); resp.Status != wire.StatusSpanMoved {
 				t.Fatalf("re-subscribe after the adopted fold: %+v, want StatusSpanMoved", resp)
 			}
 		})

@@ -123,30 +123,46 @@ func FuzzStreamAck(f *testing.F) {
 	})
 }
 
-// FuzzSubscribeDecode feeds arbitrary bytes to the TSubscribe cursor
-// decoder. Whatever decodes must re-encode byte-identically (an
-// exact-length format, no slack) and must satisfy next >= base — a
-// decoder that accepted next < base would let a hostile peer point the
+// FuzzPullDecode feeds arbitrary TPull requests — the header's from
+// and a payload — to their decoder, bounded and follow forms alike.
+// Whatever decodes must re-encode byte-identically (an exact-length
+// format, no slack) and a follow pull must satisfy from >= base — a
+// decoder that accepted from < base would let a hostile peer point the
 // server's continuity check below the baseline.
-func FuzzSubscribeDecode(f *testing.F) {
-	f.Add(EncodeSubscribe(Cursor{Base: 3, Next: 9, CRC: 0xdeadbeef}))
-	f.Add(EncodeSubscribe(Cursor{Base: 0, Next: 0}))
-	f.Add(EncodeSubscribe(Cursor{Base: 7, Next: 7}))
-	f.Add(EncodeSubscribe(Cursor{Base: 0xffffffff, Next: 0xffffffff, CRC: 0xffffffff}))
-	f.Add(EncodeSubscribe(Cursor{Base: 2, Next: 17, CRC: 1})[:8])    // 8 bytes: the retired ack's length
-	f.Add(EncodeSubscribe(Cursor{Base: 9, Next: 3})[:SubscribeSize]) // next below base
-	f.Add(append(EncodeSubscribe(Cursor{Base: 1, Next: 4}), 0))      // a trailing byte
-	f.Add(EncodeSubscribe(Cursor{Base: 5, Next: 12})[:9])            // 9 bytes: the retired barrier's length
-	f.Add([]byte{})
+func FuzzPullDecode(f *testing.F) {
+	follow := func(from, base, crc uint32) []byte {
+		return AppendPull(nil, Pull{From: from, To: PullFollow, Base: base, CRC: crc})
+	}
+	below := follow(9, 9, 0)
+	binary.BigEndian.PutUint32(below[4:], 10)
+	for _, seed := range []struct {
+		from    uint32
+		payload []byte
+	}{
+		{9, follow(9, 3, 0xdeadbeef)},
+		{0, follow(0, 0, 0)},
+		{7, follow(7, 7, 0)},
+		{0xffffffff, follow(0xffffffff, 0xffffffff, 0xffffffff)},
+		{17, follow(17, 2, 1)[:8]},      // 8 bytes: the retired ack's length
+		{9, below},                      // from below base
+		{4, append(follow(4, 1, 0), 0)}, // a trailing byte
+		{12, follow(12, 5, 0)[:9]},      // 9 bytes: the retired barrier's length
+		{0, nil},
+		{3, AppendPull(nil, Pull{From: 3, To: 9})}, // a bounded pull
+	} {
+		f.Add(seed.from, seed.payload)
+	}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if c, err := DecodeSubscribe(data); err == nil {
-			if c.Next < c.Base {
-				t.Fatalf("decoded cursor violates next >= base: %+v", c)
-			}
-			if out := EncodeSubscribe(c); !bytes.Equal(out, data) {
-				t.Fatalf("cursor round trip diverged:\n in  %x\n out %x", data, out)
-			}
+	f.Fuzz(func(t *testing.T, from uint32, data []byte) {
+		p, err := DecodePull(from, data)
+		if err != nil {
+			return
+		}
+		if p.From != from || (p.Follow() && p.From < p.Base) {
+			t.Fatalf("decoded pull violates from >= base: %+v", p)
+		}
+		if out := AppendPull(nil, p); !bytes.Equal(out, data) {
+			t.Fatalf("pull round trip diverged:\n in  %x\n out %x", data, out)
 		}
 	})
 }

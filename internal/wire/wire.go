@@ -16,12 +16,12 @@
 // carry the message in the payload). This keeps the server loop
 // trivial and makes the client's retry-on-transient-error logic safe:
 // a broken connection can always be replayed by re-sending the request
-// on a fresh connection. Three request types leave that mode: a run of
+// on a fresh connection. Two request types leave that mode: a run of
 // TPushStream frames is pipelined (acknowledgements return out of
-// order, keyed by checkpoint id), a TPull is answered by one frame per
-// checkpoint of the span it names, and an accepted TSubscribe switches
-// the connection into a server-pushed tail stream of TTail frames that
-// ends when the server closes it (see subscribe.go).
+// order, keyed by checkpoint id), and a TPull is answered by one frame
+// per checkpoint of the span it names — a span that, for a follow
+// pull, does not end: the server streams every later diff too and ends
+// the stream by closing the connection.
 package wire
 
 import (
@@ -32,7 +32,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"os"
 	"time"
 )
 
@@ -44,7 +43,7 @@ const (
 	// peer is built from the same source tree, so there is nothing to
 	// negotiate: both ends refuse a hello advertising any other version
 	// with a *VersionError before a single frame is exchanged.
-	Version uint8 = 8
+	Version uint8 = 9
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 14
 	// HelloSize is the handshake message length in bytes.
@@ -65,15 +64,25 @@ const (
 	// lineage Lineage; the response's Ckpt is the new length.
 	TPush
 	// TPull (v7) fetches the span [Ckpt, to) of lineage Lineage; the
-	// 4-byte payload (EncodePullSpan) carries to. The server validates
-	// the span against one snapshot of the lineage and answers with
-	// to-Ckpt TPull/StatusOK frames in id order, header Ckpt the
-	// checkpoint id and payload its canonical encoded diff, each
-	// verified in full before its first byte is sent. A non-OK TPull
-	// frame (header Ckpt the id it could not serve) ends the stream
-	// early; either way the connection is back in request mode after
-	// the last frame. A fold that replaces the lineage under the stream
-	// ends it with StatusSpanMoved, never with diffs of two generations.
+	// payload (AppendPull) carries to. The server validates the span
+	// against one snapshot of the lineage and answers with to-Ckpt
+	// TPull/StatusOK frames in id order, header Ckpt the checkpoint id and
+	// payload the TPush layout (v9): a CRC32C prefix, then the canonical
+	// encoded diff, verified in full before its first byte is sent. A
+	// non-OK TPull frame (header Ckpt the id it could not serve) ends the
+	// stream early; either way the connection is back in request mode
+	// after the last frame. A fold that replaces the lineage under the
+	// stream ends it with StatusSpanMoved, never with diffs of two
+	// generations.
+	//
+	// A follow pull (v9: to is PullFollow) is a subscription. Its payload
+	// also carries the puller's cursor: the baseline it mirrors and the
+	// CRC32C of the diff Ckpt-1 it holds. A cursor the server cannot
+	// continue gets a StatusSpanMoved error frame and the connection
+	// stays in request mode, so the puller can pull the lineage's current
+	// span over it and follow again. An accepted follow pull consumes the
+	// connection: the server sends [Ckpt, Len) and then every diff
+	// appended later, and ends the stream by closing the connection.
 	TPull
 	// TList returns the server's lineage directory (EncodeList).
 	TList
@@ -98,27 +107,12 @@ const (
 	// StatusBusy or StatusUnknownHandle) on the same connection — one
 	// bad diff never tears the stream.
 	TPushStream
-	// TSubscribe (v5) asks the server to push every future diff of
-	// lineage Lineage to this connection. The payload is a resume
-	// cursor (EncodeSubscribe): the subscriber's view of the baseline,
-	// the next checkpoint id it needs, and the CRC32C of the last diff
-	// it holds. It is answered like any request (v8). An accepted
-	// subscription gets a TSubscribe/StatusOK frame with an empty
-	// payload and header Ckpt the lineage length, and the connection
-	// leaves request/response mode: the server pushes TTail frames
-	// until the stream ends, and ends it by closing the connection. A
-	// cursor the server cannot continue gets a StatusSpanMoved error
-	// frame and the connection stays in request mode, so the
-	// subscriber can pull the lineage's current span over it and
-	// re-subscribe.
-	TSubscribe
-	// TTail (v5) is one server-pushed diff on a subscribed
-	// connection: header Ckpt is the absolute checkpoint id and the
-	// payload uses the TPush layout (CRC32C prefix + encoded diff).
-	TTail
-	// Type byte 11 carried the subscription barrier of v5-v7. It is
-	// retired in place, so every later type keeps its byte, and it is
-	// never reused.
+	// Type bytes 9-11 carried the subscription request, its tail frames
+	// (v5-v8) and its barrier (v5-v7); a subscription is a follow pull
+	// since v9. They are retired in place, so every later type keeps its
+	// byte, and they are never reused.
+	_
+	_
 	_
 	// TDigest (v6) asks for a divergence digest of lineage Lineage.
 	// The request payload (EncodeDigestReq) names a checkpoint span
@@ -168,8 +162,8 @@ const (
 	// one generation of the lineage: a compaction folded its start away,
 	// or replaced the lineage while the span was streaming. Nothing the
 	// frames before it carried is wrong; re-opening the lineage and
-	// pulling the span it reports now is always safe. Since v8 it also
-	// refuses a TSubscribe cursor the server cannot continue.
+	// pulling the span it reports now is always safe. It also refuses a
+	// follow pull whose cursor the server cannot continue.
 	StatusSpanMoved uint8 = 5
 )
 
@@ -189,8 +183,8 @@ var (
 	// the one RemoteError a client should retry, after honoring the
 	// RetryAfter hint.
 	ErrBusy = errors.New("wire: server busy")
-	// ErrChecksum reports a TPush payload whose CRC32C prefix does not
-	// match the encoded diff that follows it.
+	// ErrChecksum reports a TPush payload or pulled frame whose CRC32C
+	// prefix does not match the encoded diff that follows it.
 	ErrChecksum = errors.New("wire: push payload checksum mismatch")
 	// ErrUnknownHandle matches (via errors.Is) a RemoteError carried by
 	// a StatusUnknownHandle response: the lineage handle the request
@@ -200,7 +194,7 @@ var (
 	ErrUnknownHandle = errors.New("wire: unknown lineage handle")
 	// ErrSpanMoved matches (via errors.Is) a RemoteError carried by a
 	// StatusSpanMoved response: a compaction moved the lineage out from
-	// under the pulled span or the subscribe cursor. The client recovers
+	// under the pulled span or the follow pull's cursor. The client recovers
 	// by re-opening the lineage and pulling its current span.
 	ErrSpanMoved = errors.New("wire: pulled span moved")
 	// ErrUnexpectedResponse reports a response frame whose type does not
@@ -322,17 +316,6 @@ func Transient(err error) bool {
 // disconnects out of the error log; it never justifies a retry.
 func IsClean(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed)
-}
-
-// Timeout reports whether err is a read/write deadline expiry. A
-// subscriber tailing a stream reads with short deadlines so it can
-// notice cancellation between frames; an expired deadline with no
-// bytes consumed is an idle tick, not a transport fault. Like
-// Transient and IsClean this is the single classification point — the
-// ckptlint retryable check keeps callers from matching
-// os.ErrDeadlineExceeded themselves.
-func Timeout(err error) bool {
-	return errors.Is(err, os.ErrDeadlineExceeded)
 }
 
 // VersionError reports a hello advertising a protocol version other
@@ -597,21 +580,55 @@ func DecodeList(b []byte) ([]LineageInfo, error) {
 	return infos, nil
 }
 
-// PullSpanSize is the length of a TPull request payload.
-const PullSpanSize = 4
+// PullFollow, as the end of a TPull span, makes it a follow pull: a
+// span that does not end.
+const PullFollow uint32 = math.MaxUint32
 
-// AppendPullSpan appends a TPull request payload: the exclusive end of
-// the span whose start rides in the frame header's Ckpt field.
-func AppendPullSpan(buf []byte, to uint32) []byte {
-	return binary.BigEndian.AppendUint32(buf, to)
+// Pull is a TPull request: the span [From, To) of a lineage, From riding
+// in the frame header's Ckpt field. A follow pull (To == PullFollow)
+// also carries the puller's cursor: Base, the baseline it believes the
+// lineage has, and CRC, the CRC32C (Checksum) of the encoded diff
+// From-1 it holds — zero when From == Base and it holds nothing.
+type Pull struct {
+	From, To  uint32
+	Base, CRC uint32
 }
 
-// DecodePullSpan parses a TPull request payload.
-func DecodePullSpan(b []byte) (to uint32, err error) {
-	if len(b) != PullSpanSize {
-		return 0, fmt.Errorf("wire: pull span payload %d bytes, want %d", len(b), PullSpanSize)
+// Follow reports whether p is a follow pull.
+func (p Pull) Follow() bool { return p.To == PullFollow }
+
+// AppendPull appends p's request payload to buf — To, then for a follow
+// pull Base and CRC, each 4 bytes big-endian — and returns the extended
+// slice.
+func AppendPull(buf []byte, p Pull) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, p.To)
+	if p.Follow() {
+		buf = binary.BigEndian.AppendUint32(buf, p.Base)
+		buf = binary.BigEndian.AppendUint32(buf, p.CRC)
 	}
-	return binary.BigEndian.Uint32(b), nil
+	return buf
+}
+
+// DecodePull parses a TPull request: from is the header's Ckpt, b the
+// payload. A follow pull's cursor must have From >= Base.
+func DecodePull(from uint32, b []byte) (Pull, error) {
+	p := Pull{From: from}
+	want := 4
+	if len(b) >= 4 {
+		if p.To = binary.BigEndian.Uint32(b); p.Follow() {
+			want = 12
+		}
+	}
+	if len(b) != want {
+		return Pull{}, fmt.Errorf("wire: pull payload %d bytes, want %d", len(b), want)
+	}
+	if p.Follow() {
+		p.Base, p.CRC = binary.BigEndian.Uint32(b[4:]), binary.BigEndian.Uint32(b[8:])
+		if p.From < p.Base {
+			return Pull{}, fmt.Errorf("wire: follow pull from %d below base %d", p.From, p.Base)
+		}
+	}
+	return p, nil
 }
 
 // EncodeOpenInfo serializes the extra payload of a TOpen response: the

@@ -127,9 +127,10 @@ func TestHandshakeExactVersion(t *testing.T) {
 
 // TestFrameTypeBytes pins the type byte of every frame type. A type
 // keeps its byte for as long as the protocol has it, and a retired byte
-// is never handed out again: 11 was TResync until v8.
+// is never handed out again: 9 and 10 were TSubscribe and TTail until
+// v9, 11 was TResync until v8.
 func TestFrameTypeBytes(t *testing.T) {
-	const retired = 11
+	retired := map[uint8]bool{9: true, 10: true, 11: true}
 	for name, c := range map[string]struct{ got, want uint8 }{
 		"TOpen":       {TOpen, 1},
 		"TPush":       {TPush, 2},
@@ -139,16 +140,14 @@ func TestFrameTypeBytes(t *testing.T) {
 		"TCompact":    {TCompact, 6},
 		"TPolicy":     {TPolicy, 7},
 		"TPushStream": {TPushStream, 8},
-		"TSubscribe":  {TSubscribe, 9},
-		"TTail":       {TTail, 10},
 		"TDigest":     {TDigest, 12},
 		"TErr":        {TErr, 0xFF},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is type byte %d, want %d", name, c.got, c.want)
 		}
-		if c.got == retired {
-			t.Errorf("%s uses the retired type byte %d", name, retired)
+		if retired[c.got] {
+			t.Errorf("%s uses the retired type byte %d", name, c.got)
 		}
 	}
 }
@@ -389,16 +388,68 @@ func TestSpanMovedError(t *testing.T) {
 	}
 }
 
-// TestPullSpanPayload: the TPull request payload is exactly four bytes.
+// TestPullSpanPayload: a bounded TPull request payload is exactly four
+// bytes, and its end may be anything but PullFollow.
 func TestPullSpanPayload(t *testing.T) {
-	b := AppendPullSpan(nil, 0xDEADBEEF)
-	if to, err := DecodePullSpan(b); err != nil || to != 0xDEADBEEF {
-		t.Fatalf("round trip: %d %v", to, err)
+	b := AppendPull(nil, Pull{From: 3, To: 0xDEADBEEF})
+	if p, err := DecodePull(3, b); err != nil || p != (Pull{From: 3, To: 0xDEADBEEF}) {
+		t.Fatalf("round trip: %+v %v", p, err)
 	}
-	for _, bad := range [][]byte{nil, b[:3], append(b, 0)} {
-		if _, err := DecodePullSpan(bad); err == nil {
-			t.Fatalf("payload of %d bytes decoded", len(bad))
+	for _, bad := range [][]byte{nil, b[:3], append(b, 0), AppendPull(nil, Pull{To: PullFollow})[:4]} {
+		if _, err := DecodePull(0, bad); err == nil {
+			t.Fatalf("payload %x decoded", bad)
 		}
+	}
+}
+
+// TestSubscribeCursorRoundTrip: a follow pull's payload carries the
+// subscriber's cursor, and the cursor survives the round trip.
+func TestSubscribeCursorRoundTrip(t *testing.T) {
+	for _, p := range []Pull{
+		{To: PullFollow},
+		{From: 5, To: PullFollow, CRC: 0xdeadbeef},
+		{From: 7, To: PullFollow, Base: 7},
+		{From: 123, To: PullFollow, Base: 7, CRC: 0xffffffff},
+	} {
+		enc := AppendPull([]byte("prefix"), p)[6:]
+		if len(enc) != 12 {
+			t.Fatalf("AppendPull(%+v) = %d bytes, want 12", p, len(enc))
+		}
+		got, err := DecodePull(p.From, enc)
+		if err != nil {
+			t.Fatalf("DecodePull(%+v): %v", p, err)
+		}
+		if got != p || !got.Follow() {
+			t.Fatalf("cursor round trip: got %+v, want %+v", got, p)
+		}
+	}
+}
+
+// TestSubscribeDecodeTruncated walks every prefix of a well-formed
+// follow pull payload (plus one trailing byte) through its decoder:
+// only the exact length may decode.
+func TestSubscribeDecodeTruncated(t *testing.T) {
+	full := AppendPull(nil, Pull{From: 9, To: PullFollow, Base: 2, CRC: 0xabad1dea})
+	t.Run("subscribe", func(t *testing.T) {
+		if _, err := DecodePull(9, full); err != nil {
+			t.Fatalf("full payload rejected: %v", err)
+		}
+		for n := 0; n < len(full); n++ {
+			if _, err := DecodePull(9, full[:n]); err == nil {
+				t.Fatalf("truncation to %d/%d bytes decoded without error", n, len(full))
+			}
+		}
+		if _, err := DecodePull(9, append(bytes.Clone(full), 0)); err == nil {
+			t.Fatalf("payload with trailing byte decoded without error")
+		}
+	})
+}
+
+// TestSubscribeDecodeRejectsInvariantViolations: a follow pull from
+// below the baseline its cursor names does not decode.
+func TestSubscribeDecodeRejectsInvariantViolations(t *testing.T) {
+	if _, err := DecodePull(8, AppendPull(nil, Pull{From: 8, To: PullFollow, Base: 9})); err == nil {
+		t.Fatal("cursor with next < base decoded without error")
 	}
 }
 

@@ -2,7 +2,6 @@ package wireclient
 
 import (
 	"fmt"
-	"math"
 	"net"
 	"time"
 
@@ -17,8 +16,7 @@ import (
 type Conn struct {
 	// NC is the underlying socket. Requests, push streams and span pulls
 	// never touch it directly; it is exported for the follower, which
-	// closes it to sever a blocked session and reads its tail
-	// subscription on short tick deadlines of its own.
+	// closes it to end a follow pull.
 	NC net.Conn
 
 	pool   *pool
@@ -32,7 +30,8 @@ type Conn struct {
 	vec     net.Buffers // writev segment list: staged blocks, payload sections by reference
 	resp    wire.Frame  // the frame read last, payload aliasing scratch
 	scratch []byte
-	spare   [][]byte // the buffers scratch outgrew reading resp
+	spare   [][]byte  // the buffers scratch outgrew reading resp
+	first   firstByte // the reader of an idle read
 	push    pushWindow
 }
 
@@ -58,11 +57,34 @@ func (cn *Conn) writeVec() error {
 
 // read reads one frame into cn.resp under the read deadline — the one
 // place bytes arrive from a server. It checks nothing: a stream ack's
-// non-OK status is data, so the status check is the caller's.
-func (cn *Conn) read() error {
+// non-OK status is data, so the status check is the caller's. An idle
+// read — the next frame of a follow pull — waits for the frame's first
+// byte with no deadline and arms it only then.
+func (cn *Conn) read(idle bool) error {
 	cn.dropSpare()
+	if idle {
+		cn.NC.SetReadDeadline(time.Time{})
+		cn.first = firstByte{cn: cn}
+		return wire.ReadFrameSpare(&cn.first, 0, &cn.resp, &cn.scratch, &cn.spare)
+	}
 	cn.NC.SetReadDeadline(time.Now().Add(cn.timeout))
 	return wire.ReadFrameSpare(cn.NC, 0, &cn.resp, &cn.scratch, &cn.spare)
+}
+
+// firstByte reads from a connection's socket and arms its read deadline
+// once the first byte has arrived.
+type firstByte struct {
+	cn    *Conn
+	armed bool
+}
+
+func (r *firstByte) Read(p []byte) (int, error) {
+	n, err := r.cn.NC.Read(p)
+	if n > 0 && !r.armed {
+		r.armed = true
+		r.cn.NC.SetReadDeadline(time.Now().Add(r.cn.timeout))
+	}
+	return n, err
 }
 
 // dropSpare lets go of the buffers the read before outgrew.
@@ -96,10 +118,10 @@ func (cn *Conn) send(req *wire.Frame) error {
 }
 
 // recv reads one response frame to a request of type reqType into
-// cn.resp and checks it: status (a non-OK one is its typed
-// *wire.RemoteError), then type.
-func (cn *Conn) recv(reqType uint8) error {
-	if err := cn.read(); err != nil {
+// cn.resp (an idle read when idle is set) and checks it: status (a
+// non-OK one is its typed *wire.RemoteError), then type.
+func (cn *Conn) recv(reqType uint8, idle bool) error {
+	if err := cn.read(idle); err != nil {
 		return err
 	}
 	if err := cn.resp.Err(); err != nil {
@@ -119,7 +141,7 @@ func (cn *Conn) RoundTrip(req *wire.Frame) (*wire.Frame, error) {
 	if err := cn.send(req); err != nil {
 		return nil, err
 	}
-	if err := cn.recv(req.Type); err != nil {
+	if err := cn.recv(req.Type, false); err != nil {
 		return nil, err
 	}
 	return &cn.resp, nil
@@ -134,36 +156,52 @@ type ConsumerError struct{ Err error }
 func (e *ConsumerError) Error() string { return e.Err.Error() }
 func (e *ConsumerError) Unwrap() error { return e.Err }
 
-// PullSpan pulls checkpoints [from, to) of the lineage behind handle
-// as one request and hands fn each canonical encoded diff in id order,
-// the frame's id cross-checked against the id it must carry. Every
-// frame is read into the connection's kept buffer, so encoded is valid
-// only until fn returns — unless fn calls TakeScratch — while the
-// buffers that one outgrew reading it (Spare) are fn's to keep. Each
-// frame gets the full read timeout.
+// PullSpan sends the pull p for the lineage behind handle as one
+// request and hands fn each canonical encoded diff in id order from
+// p.From on, the frame's id cross-checked against the id it must carry
+// and its CRC32C prefix against the diff: a frame that fails the check
+// is wire.ErrChecksum, and fn is handed nothing of it. Every frame is
+// read into the connection's kept buffer, so encoded is valid only
+// until fn returns — unless fn calls TakeScratch — while the buffers
+// that one outgrew reading it (Spare) are fn's to keep.
 //
-// The server ends the stream early with a typed error frame (a
-// *wire.RemoteError: damage at the checkpoint the frame names, a busy
+// A bounded pull ends after diff p.To-1, and each of its frames gets the
+// full read timeout. The server ends it early with a typed error frame
+// (a *wire.RemoteError: damage at the checkpoint the frame names, a busy
 // shed, wire.ErrSpanMoved when a compaction moved the lineage); the
 // diffs handed over before it were good and the connection stays
-// usable. An error from fn abandons the stream and comes back as a
+// usable.
+//
+// A follow pull (p.To == wire.PullFollow) does not end: it returns only
+// with an error. A cursor the server refuses is a *wire.RemoteError
+// (wire.ErrSpanMoved), and the connection stays usable; once accepted,
+// the stream ends when the server closes it, or the caller closes NC.
+// Waiting for the first byte of each frame sets no deadline, so an idle
+// stream is never torn down; the rest of the frame is read under the
+// timeout, so a server that stalls mid-frame is.
+//
+// An error from fn abandons the stream and comes back as a
 // *ConsumerError.
-func (cn *Conn) PullSpan(handle uint32, from, to int, fn func(ck int, encoded []byte) error) error {
-	if from < 0 || from >= to || int64(to) > math.MaxUint32 {
-		return fmt.Errorf("wireclient: pull span [%d,%d) is not a checkpoint range", from, to)
+func (cn *Conn) PullSpan(handle uint32, p wire.Pull, fn func(ck int, encoded []byte) error) error {
+	if !p.Follow() && p.From >= p.To {
+		return fmt.Errorf("wireclient: pull span [%d,%d) is not a checkpoint range", p.From, p.To)
 	}
-	req := wire.Frame{Type: wire.TPull, Lineage: handle, Ckpt: uint32(from), Payload: wire.AppendPullSpan(nil, uint32(to))}
+	req := wire.Frame{Type: wire.TPull, Lineage: handle, Ckpt: p.From, Payload: wire.AppendPull(nil, p)}
 	if err := cn.send(&req); err != nil {
 		return err
 	}
-	for ck := from; ck < to; ck++ {
-		if err := cn.recv(wire.TPull); err != nil {
+	for ck := int64(p.From); p.Follow() || ck < int64(p.To); ck++ {
+		if err := cn.recv(wire.TPull, p.Follow()); err != nil {
 			return err
 		}
-		if cn.resp.Ckpt != uint32(ck) {
+		if int64(cn.resp.Ckpt) != ck {
 			return fmt.Errorf("%w: pull frame carries checkpoint %d, want %d", wire.ErrUnexpectedResponse, cn.resp.Ckpt, ck)
 		}
-		if err := fn(ck, cn.resp.Payload); err != nil {
+		_, encoded, err := wire.DecodePush(cn.resp.Payload)
+		if err != nil {
+			return fmt.Errorf("wireclient: pulled checkpoint %d: %w", ck, err)
+		}
+		if err := fn(int(ck), encoded); err != nil {
 			return &ConsumerError{err}
 		}
 	}

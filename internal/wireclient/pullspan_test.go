@@ -78,8 +78,10 @@ func (p *scriptedPeer) seen() (conns int, pulls []wire.Frame) {
 	return p.conns, append([]wire.Frame(nil), p.pulls...)
 }
 
+// okFrame is the TPull/StatusOK frame of checkpoint ck carrying the diff
+// payload.
 func okFrame(ck uint32, payload string) wire.Frame {
-	return wire.Frame{Type: wire.TPull, Lineage: 1, Ckpt: ck, Payload: []byte(payload)}
+	return wire.Frame{Type: wire.TPull, Lineage: 1, Ckpt: ck, Payload: wire.EncodePush([]byte(payload))}
 }
 
 func newClient(t *testing.T, addr string) *wireclient.Client {
@@ -119,8 +121,8 @@ func TestPullSpanOneRequest(t *testing.T) {
 	if len(pulls) != 1 || pulls[0].Ckpt != 3 {
 		t.Fatalf("requests sent: %+v", pulls)
 	}
-	if to, err := wire.DecodePullSpan(pulls[0].Payload); err != nil || to != 6 {
-		t.Fatalf("request names end %d (%v), want 6", to, err)
+	if p, err := wire.DecodePull(pulls[0].Ckpt, pulls[0].Payload); err != nil || p.To != 6 {
+		t.Fatalf("request names end %d (%v), want 6", p.To, err)
 	}
 	for _, bad := range [][2]int{{4, 4}, {5, 4}, {-1, 2}} {
 		if err := cl.PullSpan("lin", bad[0], bad[1], collect(&got)); err == nil {
@@ -209,5 +211,34 @@ func TestPullSpanConsumerError(t *testing.T) {
 	}
 	if conns, pulls := peer.seen(); conns != 2 || len(pulls) != 2 {
 		t.Fatalf("%d connections, %d requests; want the tainted connection replaced and no replay", conns, len(pulls))
+	}
+}
+
+// TestPullSpanChecksum: a pulled frame whose diff does not match its
+// CRC32C prefix — one byte flipped on the wire — fails the pull typed
+// with wire.ErrChecksum, terminal, and the consumer is handed nothing
+// of it, whether the pull is bounded or a follow pull.
+func TestPullSpanChecksum(t *testing.T) {
+	flipped := okFrame(1, "b")
+	flipped.Payload[len(flipped.Payload)-1] ^= 0x01
+	peer := startScriptedPeer(t, []wire.Frame{okFrame(0, "a"), flipped, okFrame(2, "c")})
+	cl := newClient(t, peer.addr)
+	var got []string
+	if err := cl.PullSpan("lin", 0, 3, collect(&got)); !errors.Is(err, wire.ErrChecksum) || fmt.Sprint(got) != "[0:a]" {
+		t.Fatalf("bounded pull: err %v after %v, want wire.ErrChecksum after [0:a]", err, got)
+	}
+	if conns, pulls := peer.seen(); conns != 1 || len(pulls) != 1 {
+		t.Fatalf("%d connections, %d requests; a checksum mismatch is not replayed", conns, len(pulls))
+	}
+
+	cn, err := cl.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cn.Discard()
+	got = nil
+	err = cn.PullSpan(1, wire.Pull{To: wire.PullFollow}, collect(&got))
+	if !errors.Is(err, wire.ErrChecksum) || fmt.Sprint(got) != "[0:a]" {
+		t.Fatalf("follow pull: err %v after %v, want wire.ErrChecksum after [0:a]", err, got)
 	}
 }

@@ -58,7 +58,7 @@ func (cn *Conn) Push(handle, ckpt uint32, encoded []byte) error {
 	if err := cn.writeVec(); err != nil {
 		return err
 	}
-	return cn.recv(wire.TPush)
+	return cn.recv(wire.TPush, false)
 }
 
 // streamCoalesceFrames is how many staged frames ride one writev.
@@ -208,7 +208,7 @@ func (cn *Conn) flushStaged() error {
 // credited back to the window byte budget. Only a transport or
 // protocol failure returns a non-nil error.
 func (cn *Conn) consumeAck(pushed *int, frameErr *error) (int64, error) {
-	if err := cn.read(); err != nil {
+	if err := cn.read(false); err != nil {
 		return 0, err
 	}
 	if err := cn.answers(wire.TPushStream); err != nil {

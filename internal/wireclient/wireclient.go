@@ -313,12 +313,15 @@ func (c *Client) Open(name string) (length, base int, err error) {
 // resolve, then Conn.PullSpan. A replayed attempt hands fn the span
 // from its start again.
 func (c *Client) PullSpan(lineage string, from, to int, fn func(ck int, encoded []byte) error) error {
+	if from < 0 || from >= to || int64(to) >= int64(wire.PullFollow) {
+		return fmt.Errorf("wireclient: pull span [%d,%d) is not a checkpoint range", from, to)
+	}
 	return c.Do(context.Background(), lineage, func(cn *Conn) error {
 		h, err := cn.Handle(lineage)
 		if err != nil {
 			return err
 		}
-		return cn.PullSpan(h, from, to, fn)
+		return cn.PullSpan(h, wire.Pull{From: uint32(from), To: uint32(to)}, fn)
 	})
 }
 

@@ -48,7 +48,7 @@ type Promotion struct {
 }
 
 // Follower is a live hot standby: it tails a primary's diff stream
-// for one lineage (a TSubscribe subscription) into a durable local
+// for one lineage (a follow pull, a TPull that does not end) into a durable local
 // mirror, and holds nothing of the lineage in memory. Promote verifies
 // the mirror and loads it, in one read of the chain. A Follower must
 // be Closed.
