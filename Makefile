@@ -30,9 +30,9 @@ FUZZ_TARGETS = \
 FUZZTIME ?= 5s
 FUZZTIME_LONG ?= 5m
 
-.PHONY: ci fmt vet lint loc pairs build test race bench-test bench bench-smoke bench-json bench-wire bench-failover bench-heal saturate-smoke failover-smoke heal-smoke fuzz fuzz-smoke chaos-smoke race-chaos
+.PHONY: ci fmt vet lint loc pairs build test race bench-test bench bench-smoke bench-json bench-wire bench-failover bench-heal saturate-smoke failover-smoke heal-smoke paper-smoke fuzz fuzz-smoke chaos-smoke race-chaos
 
-ci: fmt vet lint build race bench-test bench-smoke saturate-smoke failover-smoke heal-smoke fuzz-smoke chaos-smoke
+ci: fmt vet lint build race bench-test bench-smoke saturate-smoke failover-smoke heal-smoke paper-smoke fuzz-smoke chaos-smoke
 
 # fmt checks tracked files only: `gofmt -l .` descends into
 # dot-directories, so after a `make pairs` it would also judge the
@@ -155,6 +155,26 @@ bench-heal:
 heal-smoke:
 	$(GO) run ./cmd/ckptbench -exp heal -chain 16
 
+# paper-smoke holds the reproduction to the paper: every table and
+# figure of `ckptbench -exp all` at 5,000 vertices (Table 1, Figs 4-6,
+# overhead, ablation, extensions, adjoint, the headline claims C1-C7,
+# compact), diffed against internal/experiments/testdata/paper-5000.golden.
+# Ratios are functions of algorithm and data alone, and throughputs and
+# I/O times come from the device cost model, so the output is exact —
+# but for the compact table's two restore columns, which are wall-clock
+# and are masked here with the column padding they set. Any FAIL claim
+# fails the target first. A change that moves a row rewrites the golden
+# with `make paper-smoke PAPER_UPDATE=1` in the same commit.
+PAPER_GOLDEN = internal/experiments/testdata/paper-5000.golden
+PAPER_MASK = /^=== /{c = ($$0 == "=== compact ===")} c {gsub(/[0-9.]+(ns|µs|ms|s)/, "-"); gsub(/-+/, "-"); $$1 = $$1} {print}
+paper-smoke:
+	@raw=$$(mktemp) && out=$$(mktemp) && trap 'rm -f $$raw $$out' EXIT && \
+	$(GO) run ./cmd/ckptbench -exp all -vertices 5000 > $$raw && \
+	awk '$(PAPER_MASK)' $$raw > $$out && \
+	if grep -w FAIL $$out; then echo "paper-smoke: a headline claim fails"; exit 1; fi && \
+	if [ -n "$(PAPER_UPDATE)" ]; then cat $$out > $(PAPER_GOLDEN) && echo "paper-smoke: rewrote $(PAPER_GOLDEN)"; \
+	else diff -u $(PAPER_GOLDEN) $$out && echo "paper-smoke: output matches $(PAPER_GOLDEN)"; fi
+
 # fuzz-smoke gives each decode-surface fuzz target a short budget on
 # top of the checked-in seed corpus; enough to catch regressions in the
 # validation paths without stalling CI.
@@ -176,13 +196,19 @@ fuzz-smoke:
 # GC's mark racing pushes and lineage opens, forced and raced, GC moving
 # a packed block as the packed record it is, rot in what a packed record
 # stores failing typed, the refusal, writing nothing, of the packs and
-# snapshots of the builds that counted references, a raw-only store
+# snapshots of the builds that counted references and of an index
+# version this build does not know, a raw-only store
 # opening unchanged, and the version record that makes the raw-only
 # builds refuse a pack holding packed records instead of cutting it),
-# the scrub regressions — a scrub writes nothing
-# (TestScrubIsReadOnly), and no foreign diff is spliced in at a rotten
+# the scrub regressions — a scrub writes nothing, not even over a torn
+# pack tail (TestScrubIsReadOnly), and no foreign diff is spliced in at a rotten
 # id, neither by an append after Scrub (TestScrubLeavesNoHoleToSplice)
 # nor by a push after ScrubDir (TestScrubbedRotRefusesForeignPush) —
+# the one-writer rule of a root — restoretool -dir leaves a stopped
+# root with a torn pack tail byte-identical and refuses to compact it
+# (TestDirLeavesStoppedRootAlone), and a standby over a root that
+# already holds _blocks mirrors every lineage and promotes each
+# byte-exact (TestStandbyRootWithBlocks) —
 # a fold ending its lineage's subscriptions by closing them while a push
 # queued across it lands unsent (TestFoldEndsSubscription), the
 # subscription's generation pin (TestSubscribeFoldMidBacklog: no diff of
@@ -219,7 +245,9 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run '^(TestAppendLadder|TestCommit)$$' ./internal/recframe
 	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestInstallCrashLeaksNothing|TestScrubLeavesNoHoleToSplice|TestTombstoneReadsAsDamage|TestManifestNamingMissingSegmentFailsOpen)$$' ./internal/checkpoint
 	$(GO) test -race -count=1 -run '^(TestScrubIsReadOnly|TestScrubbedRotRefusesForeignPush)$$' .
-	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestReadBudget|TestReadAcrossRelocation|TestRaceGetInternGC|TestGCMarkThenPush|TestGCMarkThenOpen|TestRaceGCMarkPush|TestCountedPackRefused|TestCountedIndexRefused|TestGCMovesPackedBlock|TestPackedRecordRot|TestRawStoreOpensUnchanged|TestPackedPackRefusedByRawBuilds)$$' ./internal/blockstore
+	$(GO) test -race -count=1 -run '^TestDirLeavesStoppedRootAlone$$' ./cmd/restoretool
+	$(GO) test -race -count=1 -run '^TestStandbyRootWithBlocks$$' ./cmd/ckptd
+	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestReadBudget|TestReadAcrossRelocation|TestRaceGetInternGC|TestGCMarkThenPush|TestGCMarkThenOpen|TestRaceGCMarkPush|TestCountedPackRefused|TestCountedIndexRefused|TestUnknownIndexVersionRefused|TestGCMovesPackedBlock|TestPackedRecordRot|TestRawStoreOpensUnchanged|TestPackedPackRefusedByRawBuilds)$$' ./internal/blockstore
 	$(GO) test -race -count=1 -run '^TestHealPullsRuns$$' ./internal/antientropy
 	$(GO) test -race -count=1 -run '^(TestRace|(TestFoldEndsSubscription|TestSubscribeFoldMidBacklog|TestSubscribeRotEndsWithoutBarrier|TestAntiEntropyWakesSubscribers|TestSubscriberNeverShed|TestStagedFrameIsTheReadBuffer|TestStagedRunCountsCapacity|TestRequestConnTakesNoListBuffer|TestTornRunReturnsBuffers)$$)' ./internal/server
 	$(GO) test -race -count=1 -run '^TestRace' ./internal/wireclient

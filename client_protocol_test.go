@@ -159,14 +159,18 @@ func TestResponseTypeCheckedEverywhere(t *testing.T) {
 		{"follower heal", func() map[uint8]func(*testing.T, string) (error, func()) {
 			heal := func(t *testing.T, addr string) (error, func()) {
 				dir := mirrorDir(t)
-				fl, err := follower.New(follower.Options{Addr: addr, Lineage: "lin", Dir: dir,
+				store, err := checkpoint.NewFileStoreWith(dir, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fl, err := follower.New(follower.Options{Addr: addr, Lineage: "lin", Store: store,
 					Timeout: 5 * time.Second, MinBackoff: time.Millisecond})
 				if err != nil {
 					t.Fatal(err)
 				}
 				rotMirror(t, dir) // after the follower verified and loaded it
 				_, err = fl.Heal()
-				return err, func() { fl.Close() }
+				return err, func() { fl.Close(); store.Close() }
 			}
 			// Heal opens and pulls; it never digests.
 			return map[uint8]func(*testing.T, string) (error, func()){wire.TOpen: heal, wire.TPull: heal}

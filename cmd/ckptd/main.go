@@ -20,17 +20,17 @@
 //	      -follow primary:9090 -failover-after 3s
 //
 // With -follow the daemon runs as a live replica instead of a
-// primary: it discovers the primary's lineages, tails each one's diff
-// stream, and mirrors them under -root. When the primary stays unreachable for
-// -failover-after (0 disables automatic promotion), the standby
+// primary: it opens -root as a server, discovers the primary's
+// lineages and mirrors each one's diff stream through that server, so
+// it stores what the primary stores. When the primary stays unreachable
+// for -failover-after (0 disables automatic promotion), the standby
 // promotes: replication stops, every mirror is read back once and
-// verified, and the same process starts serving the mirrored root on
-// -listen. No diff is replayed into memory: the server restores from
-// the mirrors on request, as a primary does.
+// verified, and the same server starts serving the root on -listen.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -114,19 +114,22 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		cfg.Logf = log.Printf
 	}
 
+	srv, err := server.New(cfg)
+	if err != nil {
+		return err
+	}
+	promoted := ""
 	if *follow != "" {
-		return runStandby(ctx, stdout, standbyConfig{
+		promote, err := runStandby(ctx, stdout, srv, standbyConfig{
 			primary:   *follow,
-			listen:    *listen,
 			rescan:    *followRescan,
 			failAfter: *failAfter,
 			server:    cfg,
 		})
-	}
-
-	srv, err := server.New(cfg)
-	if err != nil {
-		return err
+		if err != nil || !promote {
+			return errors.Join(err, srv.Close())
+		}
+		promoted = "promoted: "
 	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -135,7 +138,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	// The resolved address (meaningful with ":0") goes to stdout so
 	// scripts and tests can discover the port.
-	fmt.Fprintf(stdout, "ckptd: listening on %s (root %s)\n", ln.Addr(), *root)
+	fmt.Fprintf(stdout, "ckptd: %slistening on %s (root %s)\n", promoted, ln.Addr(), *root)
 	err = srv.Serve(ctx, ln)
 	if cerr := srv.Close(); cerr != nil && err == nil {
 		err = cerr

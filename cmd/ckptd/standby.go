@@ -1,12 +1,12 @@
 // Standby mode: ckptd as a live replica of another ckptd. The daemon
-// discovers the primary's lineages, runs one follower per lineage
-// (each mirroring into the same per-lineage directory layout a primary
-// uses), and — when the primary stays unreachable past the configured
-// grace — promotes: every follower's mirror is verified in one read,
-// the mirrors are handed to a regular server, and the process starts
-// listening. The followers hold no state in memory, so none is thrown
-// away: the server opens the mirrors from disk, as a restarted primary
-// opens its root.
+// opens its root as a server does — one server.Server, the root's one
+// block store owner — discovers the primary's lineages and runs one
+// follower per lineage, each appending to the lineage store that server
+// opened, so mirrored diffs intern and pack as they do on the primary.
+// When the primary stays unreachable past the configured grace, it
+// promotes: every follower's mirror is verified in one read and the
+// same server starts serving. Nothing is reopened: the server already
+// holds every mirror.
 package main
 
 import (
@@ -14,8 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -25,7 +23,6 @@ import (
 
 type standbyConfig struct {
 	primary   string
-	listen    string
 	rescan    time.Duration
 	failAfter time.Duration
 	server    server.Config
@@ -36,31 +33,30 @@ type standbyConfig struct {
 // not failAfter + rescan.
 const downProbe = 100 * time.Millisecond
 
-func runStandby(ctx context.Context, stdout io.Writer, cfg standbyConfig) error {
+// runStandby replicates the primary into srv's root and reports whether
+// it promoted: every mirror verified, srv is to serve the root.
+func runStandby(ctx context.Context, stdout io.Writer, srv *server.Server, cfg standbyConfig) (bool, error) {
 	logf := cfg.server.Logf
 	fmt.Fprintf(stdout, "ckptd: standby of %s (root %s)\n", cfg.primary, cfg.server.Root)
 
-	fctx, fcancel := context.WithCancel(context.Background())
-	defer fcancel()
+	fctx, stopReplication := context.WithCancel(context.Background())
 	var (
 		wg        sync.WaitGroup
 		followers = map[string]*follower.Follower{}
 		order     []string // deterministic promote/close order
 		downSince time.Time
+		resyncs   uint64 // the followers' resyncs as of the last block GC
 	)
-	// stopReplication ends every follower's Run loop and joins them;
-	// the followers themselves stay open for Promote/Close.
-	stopReplication := func() {
-		fcancel()
+	// However the standby ends, its followers stop and close; srv keeps the mirrors.
+	defer func() {
+		stopReplication()
 		wg.Wait()
-	}
-	closeAll := func() {
 		for _, name := range order {
 			if err := followers[name].Close(); err != nil {
 				logf("ckptd: standby: closing follower %q: %v", name, err)
 			}
 		}
-	}
+	}()
 
 	// The standby runs its own anti-entropy against the primary: on
 	// the configured cadence each follower scans its mirror for
@@ -91,12 +87,11 @@ func runStandby(ctx context.Context, stdout io.Writer, cfg standbyConfig) error 
 				if _, ok := followers[info.Name]; ok {
 					continue
 				}
-				fl, ferr := follower.New(follower.Options{
-					Addr:    cfg.primary,
-					Lineage: info.Name,
-					Dir:     filepath.Join(cfg.server.Root, info.Name),
-					Logf:    logf,
-				})
+				store, ferr := srv.Store(info.Name)
+				var fl *follower.Follower
+				if ferr == nil {
+					fl, ferr = follower.New(follower.Options{Addr: cfg.primary, Lineage: info.Name, Store: store, Logf: logf})
+				}
 				if ferr != nil {
 					logf("ckptd: standby: cannot follow %q: %v", info.Name, ferr)
 					continue
@@ -121,6 +116,15 @@ func runStandby(ctx context.Context, stdout io.Writer, cfg standbyConfig) error 
 				}
 			}
 		}
+		// A resync replaced a mirror's span, whose blocks may now be garbage.
+		var n uint64
+		for _, name := range order {
+			n += followers[name].Stats().Resyncs
+		}
+		if n != resyncs {
+			resyncs = n
+			srv.CollectBlocks()
+		}
 		wait := cfg.rescan
 		if !downSince.IsZero() {
 			wait = downProbe
@@ -129,50 +133,27 @@ func runStandby(ctx context.Context, stdout io.Writer, cfg standbyConfig) error 
 		select {
 		case <-ctx.Done():
 			timer.Stop()
-			stopReplication()
-			closeAll()
 			fmt.Fprintln(stdout, "ckptd: standby shut down")
-			return nil
+			return false, nil
 		case <-timer.C:
 		}
 	}
 
-	// Promotion: verify every mirror, then serve the root. The followers
-	// must be closed before the server opens the same directories.
-	stopReplication()
+	// Promotion: verify every mirror; the server holding them serves them.
 	for _, name := range order {
-		fl := followers[name]
-		p, err := fl.Promote()
+		p, err := followers[name].Promote()
 		switch {
 		case errors.Is(err, follower.ErrMirrorCorrupt):
 			// The mirror rotted while the standby idled and the primary
 			// is gone, so it cannot be healed. Refuse the whole
 			// promotion rather than serve a lineage whose bytes no
 			// longer verify — fail-stop, never silent corruption.
-			closeAll()
-			return fmt.Errorf("refusing promotion: %w", err)
+			return false, fmt.Errorf("refusing promotion: %w", err)
 		case err != nil:
 			logf("ckptd: standby: promoting %q: %v", name, err)
 		default:
 			fmt.Fprintf(stdout, "ckptd: promoted lineage %q [%d,%d)\n", name, p.Base, p.Len)
 		}
 	}
-	closeAll()
-
-	srv, err := server.New(cfg.server)
-	if err != nil {
-		return fmt.Errorf("promoted server: %w", err)
-	}
-	ln, err := net.Listen("tcp", cfg.listen)
-	if err != nil {
-		srv.Close()
-		return err
-	}
-	fmt.Fprintf(stdout, "ckptd: promoted: listening on %s (root %s)\n", ln.Addr(), cfg.server.Root)
-	err = srv.Serve(ctx, ln)
-	if cerr := srv.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	fmt.Fprintln(stdout, "ckptd: shut down")
-	return err
+	return true, nil
 }

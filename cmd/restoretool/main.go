@@ -14,7 +14,9 @@
 //
 // With -remote, the record is pulled over the network from a ckptd
 // checkpoint server (cmd/ckptd) instead of read from local files, and
-// -compact runs as a server-side transaction.
+// -compact runs as a server-side transaction. With -dir, a lineage of a
+// ckptd root, live or stopped, is read and never written: its _blocks
+// is opened read-only, and -compact fails with blockstore.ErrReadOnly.
 //
 // A compacted lineage keeps its original absolute checkpoint indices:
 // after compacting to baseline 8, -restore 8 and up keep working and

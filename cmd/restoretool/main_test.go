@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
 	"math/rand"
 	"net"
 	"os"
@@ -13,6 +16,7 @@ import (
 	"testing"
 
 	gpuckpt "github.com/gpuckpt/gpuckpt"
+	"github.com/gpuckpt/gpuckpt/internal/blockstore"
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/faults"
 	"github.com/gpuckpt/gpuckpt/internal/server"
@@ -248,5 +252,79 @@ func TestRemoteFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-remote", "127.0.0.1:1", "-lineage", "missing", "-timeout", "2s", "-info"}, &out); err == nil {
 		t.Fatal("unreachable server accepted")
+	}
+}
+
+// TestDirLeavesStoppedRootAlone: restoretool -dir over a lineage of a
+// stopped ckptd root whose newest pack has a torn tail reads it — -info,
+// -restore, -verify — and refuses -compact typed (the fold would intern
+// into the root's _blocks, which only its server writes), and every
+// file under the root hashes identical before and after.
+func TestDirLeavesStoppedRootAlone(t *testing.T) {
+	stream, _, goldens := buildChain(t, 4)
+	raw, err := os.ReadFile(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	srv, err := server.New(server.Config{Root: root, Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := srv.Store("lin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := bytes.NewReader(raw); r.Len() > 0; {
+		d, err := checkpoint.Decode(r)
+		if err == nil {
+			err = store.Append(d)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	packs, err := filepath.Glob(filepath.Join(root, "_blocks", "pack-*.log"))
+	if err != nil || len(packs) == 0 {
+		t.Fatalf("no pack under %s (%v)", root, err)
+	}
+	f, err := os.OpenFile(packs[len(packs)-1], os.O_WRONLY|os.O_APPEND, 0)
+	if err == nil {
+		_, err = f.Write(bytes.Repeat([]byte{0x5A}, 23)) // a torn record header
+		f.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	digest := func() map[string][32]byte {
+		out := map[string][32]byte{}
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			out[path] = sha256.Sum256(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	before := digest()
+	dir := filepath.Join(root, "lin")
+	var out bytes.Buffer
+	if err := run([]string{"-dir", dir, "-info", "-restore", "3", "-verify", goldens[3]}, &out); err != nil {
+		t.Fatalf("read of the stopped root: %v", err)
+	}
+	if err := run([]string{"-dir", dir, "-compact", "keep-last=2"}, &out); !errors.Is(err, blockstore.ErrReadOnly) {
+		t.Fatalf("-compact over the stopped root: %v, want blockstore.ErrReadOnly", err)
+	}
+	if after := digest(); !maps.Equal(after, before) {
+		t.Fatalf("restoretool -dir changed the stopped root: %d files before, %d after", len(before), len(after))
 	}
 }

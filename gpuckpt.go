@@ -231,7 +231,7 @@ func New(cfg Config, dataLen int) (*Checkpointer, error) {
 	}
 	c := &Checkpointer{d: d, dev: dev, pool: pool, cfg: cfg, dataLen: dataLen}
 	if cfg.PersistDir != "" {
-		store, err := checkpoint.NewFileStore(cfg.PersistDir)
+		store, err := checkpoint.NewFileStoreWith(cfg.PersistDir, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -297,12 +297,10 @@ func (c *Checkpointer) Rebase() (*Record, error) {
 		if err := os.Rename(dir, archived); err != nil {
 			return nil, fmt.Errorf("gpuckpt: archiving lineage dir: %w", err)
 		}
-		// Close before reopening: an auto-attached shared block store
-		// must never be open under two writable handles at once.
 		if err := c.store.Close(); err != nil {
 			return nil, fmt.Errorf("gpuckpt: closing archived lineage store: %w", err)
 		}
-		store, err := checkpoint.NewFileStore(dir)
+		store, err := checkpoint.NewFileStoreWith(dir, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -514,7 +512,7 @@ func (r *Record) TotalBytes() int64 { return r.rec.TotalBytes() }
 // SaveRecordDir persists the current lineage into an empty directory,
 // as one atomically committed batch.
 func (c *Checkpointer) SaveRecordDir(dir string) error {
-	store, err := checkpoint.NewFileStore(dir)
+	store, err := checkpoint.NewFileStoreWith(dir, nil)
 	if err != nil {
 		return err
 	}
@@ -549,7 +547,9 @@ func ReadRecordDir(dir string) (*Record, error) {
 // crash-safe span install: an interrupted run leaves either the old
 // lineage or the folded one, every retained checkpoint restorable, and
 // the next write to the directory removes the loser's leftovers.
-// workers bounds the restore worker pool (0 = GOMAXPROCS).
+// workers bounds the restore worker pool (0 = GOMAXPROCS). A lineage
+// of a ckptd root is its server's to compact: there CompactDir writes
+// nothing and fails with an error matching blockstore.ErrReadOnly.
 func CompactDir(dir, policy string, workers int) (CompactInfo, error) {
 	pol, err := lifecycle.ParsePolicy(policy)
 	if err != nil {

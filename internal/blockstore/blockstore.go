@@ -155,12 +155,12 @@ var (
 	// live Store holds (typically a running ckptd server). Retry later,
 	// or open with Options.ReadOnly to inspect alongside the owner.
 	ErrBusy = errors.New("blockstore: store directory is locked by another owner")
-	// ErrOldLayout reports a directory written by a layout this store
-	// does not read: the file-per-block layout (a data/ fan-out plus
-	// blockstore.journal), or the builds that counted references (ref
-	// and release records in a pack, a version 2 index snapshot). There
-	// is no migration and no second reader; nothing in it is touched.
-	ErrOldLayout = errors.New("blockstore: directory holds an old layout, which this store does not read")
+	// ErrOldLayout reports a directory in a layout this build does not
+	// read: the file-per-block layout (a data/ fan-out plus
+	// blockstore.journal), the builds that counted references (ref and
+	// release records in a pack, a version 2 index snapshot), or an index
+	// snapshot of an unknown version. Nothing in it is touched.
+	ErrOldLayout = errors.New("blockstore: directory holds a layout this build does not read")
 	// ErrSimulatedCrash is recframe.ErrSimulatedCrash: what a hook seam
 	// returns (wrapped) to kill the process there. The store leaves the
 	// debris a dying process would and refuses everything until it is
@@ -310,6 +310,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	return s, nil
 }
+
+// ReadOnly reports whether Intern and GC fail with ErrReadOnly.
+func (s *Store) ReadOnly() bool { return s.ro }
 
 // Close releases the pack handles and the owner lock. Idempotent; a
 // closed store rejects every other operation.

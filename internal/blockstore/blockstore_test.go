@@ -740,6 +740,34 @@ func TestCountedIndexRefused(t *testing.T) {
 	refusesOldLayout(t, dir)
 }
 
+// TestUnknownIndexVersionRefused: a snapshot of a version this build
+// does not know — one above its own — is refused typed, by DecodeIndex
+// and by an open, which writes nothing.
+func TestUnknownIndexVersionRefused(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	b := testPayload(1, 4096)
+	if _, err := s.Intern([][]byte{b}); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	snap, err := encodeIndex(4, logPos{pack: s.active, off: s.log.Size()}, []ID{IDOf(b)}, s.entries)
+	s.mu.Unlock()
+	s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap[4] = formatVersion + 1
+	binary.LittleEndian.PutUint32(snap[len(snap)-4:], crc32.Checksum(snap[:len(snap)-4], castagnoli))
+	if _, _, _, err := DecodeIndex(snap); !errors.Is(err, ErrOldLayout) {
+		t.Fatalf("decoding a version %d snapshot: %v, want ErrOldLayout", formatVersion+1, err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, indexFileName), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refusesOldLayout(t, dir)
+}
+
 func TestIDStability(t *testing.T) {
 	// The block address of a payload is a format constant: if this
 	// value ever changes, every existing store becomes unreadable.

@@ -61,8 +61,8 @@ import (
 // replays only the log past the recorded position. A version 3
 // snapshot, whose entries have no stored length because every record
 // was raw, is read as one whose stored lengths equal their lengths; a
-// version 2 snapshot, written by the builds that counted references, is
-// refused with ErrOldLayout.
+// version 2 snapshot, written by the builds that counted references, or
+// one of an unknown version is refused with ErrOldLayout.
 const (
 	indexMagic       = 0x58_49_42_47 // "GBIX"
 	indexFooterMagic = 0x46_49_42_47 // "GBIF"
@@ -183,8 +183,8 @@ func encodeIndex(gen uint64, mark logPos, ids []ID, entries map[ID]entry) ([]byt
 // DecodeIndex parses an index snapshot. The declared entry count is
 // bounded by the actual byte length before any allocation and the
 // whole-file CRC must verify; any mismatch is ErrCorrupt. A snapshot of
-// the raw-only builds (version 3) is read; one of the counting builds is
-// ErrOldLayout.
+// the raw-only builds (version 3) is read; one of the counting builds,
+// or of any version but 3 and 4, is ErrOldLayout.
 func DecodeIndex(b []byte) (gen uint64, mark logPos, entries map[ID]entry, err error) {
 	fail := func(format string, args ...any) (uint64, logPos, map[ID]entry, error) {
 		return 0, logPos{}, nil, fmt.Errorf("%w: index "+format, append([]any{ErrCorrupt}, args...)...)
@@ -211,7 +211,7 @@ func DecodeIndex(b []byte) (gen uint64, mark logPos, entries map[ID]entry, err e
 	case countedVersion:
 		return 0, logPos{}, nil, fmt.Errorf("%w: index version %d, written by a build that counted references", ErrOldLayout, countedVersion)
 	default:
-		return 0, logPos{}, nil, fmt.Errorf("blockstore: unsupported index version %d", body[4])
+		return 0, logPos{}, nil, fmt.Errorf("%w: index version %d", ErrOldLayout, body[4])
 	}
 	gen = binary.LittleEndian.Uint64(body[5:])
 	mark = logPos{pack: binary.LittleEndian.Uint32(body[13:]), off: int64(binary.LittleEndian.Uint64(body[17:]))}

@@ -154,25 +154,19 @@ func (fs *FileStore) diedLocked(err error) error {
 // NewFileStore opens a lineage directory, which need not exist yet.
 //
 // If a sibling block store directory exists (<parent>/_blocks, the
-// layout a ckptd root uses), it is opened and attached automatically,
-// so single-lineage tools can read block-mapped diffs out of a server
-// root without extra wiring; Close then closes the attached store. A
-// plain directory with no sibling stays fully self-contained.
-//
-// When the sibling store's writable lock is held — the lineage sits
-// inside a LIVE ckptd root — the attach falls back to read-only:
-// loads still resolve block-mapped diffs, while any write that would
-// intern into the shared store fails with blockstore.ErrReadOnly
-// instead of racing the owner's recovery sweep and GC.
+// layout a ckptd root uses), it is attached read-only — no lock taken,
+// no torn tail cut — so tools read block-mapped diffs out of a server
+// root, live or stopped, and never write it: a write through the store
+// fails with blockstore.ErrReadOnly before it touches the directory.
+// Close closes the attached store. A plain directory with no sibling
+// stays fully self-contained.
 func NewFileStore(dir string) (*FileStore, error) {
 	var bs *blockstore.Store
 	sibling := filepath.Join(filepath.Dir(dir), blockstore.DirName)
 	if st, err := os.Stat(sibling); err == nil && st.IsDir() {
-		b, err := attachSiblingStore(sibling)
-		if err != nil {
+		if bs, err = blockstore.Open(sibling, blockstore.Options{ReadOnly: true}); err != nil {
 			return nil, err
 		}
-		bs = b
 	}
 	fs, err := newFileStore(dir, bs, bs != nil)
 	if err != nil && bs != nil {
@@ -181,24 +175,12 @@ func NewFileStore(dir string) (*FileStore, error) {
 	return fs, err
 }
 
-// attachSiblingStore opens a sibling block store for auto-attach:
-// writable when this process can become the owner, read-only when a
-// live owner already holds the lock. Ownership of the returned store
-// passes to the caller.
-func attachSiblingStore(sibling string) (*blockstore.Store, error) {
-	b, err := blockstore.Open(sibling, blockstore.Options{})
-	if !errors.Is(err, blockstore.ErrBusy) {
-		return b, err
-	}
-	return blockstore.Open(sibling, blockstore.Options{ReadOnly: true})
-}
-
 // NewFileStoreWith opens a lineage directory whose new diffs intern
 // their data sections into the shared block store bs — the
 // multi-lineage configuration of the ckptd server, where one store
 // de-duplicates across every lineage and tenant. The caller retains
 // ownership of bs; closing the FileStore does not close it. bs may be
-// nil, which is exactly NewFileStore minus the sibling auto-attach.
+// nil: a self-contained lineage, whatever sits beside it.
 func NewFileStoreWith(dir string, bs *blockstore.Store) (*FileStore, error) {
 	return newFileStore(dir, bs, false)
 }
@@ -419,12 +401,16 @@ func checkRun(ds []*Diff, first int, base uint32) error {
 // was writing (the next number), the one a committed install had not
 // deleted yet (the previous number) — and takes the live segment over
 // for writing: created durably if the lineage has none (recframe.Create),
-// else with a torn frame at its end cut off (recframe.Resume).
+// else with a torn frame at its end cut off (recframe.Resume). Over a
+// read-only block store it fails first, with blockstore.ErrReadOnly.
 //
 //ckptlint:locked mu
 func (fs *FileStore) prepareLocked() error {
 	if fs.failed != nil || fs.log != nil {
 		return fs.failed
+	}
+	if fs.blocks != nil && fs.blocks.ReadOnly() {
+		return fmt.Errorf("checkpoint: store %s: %w", fs.dir, blockstore.ErrReadOnly)
 	}
 	if err := os.MkdirAll(fs.dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: creating store %s: %w", fs.dir, err)

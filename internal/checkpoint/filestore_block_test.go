@@ -263,10 +263,11 @@ func TestBlockStoreSelfContainedCompat(t *testing.T) {
 	}
 }
 
-// TestBlockStoreAutoAttach: NewFileStore on a lineage inside a server
-// root (sibling _blocks present) attaches the store automatically, so
-// restoretool and ReadRecordDir resolve block-mapped files; Close
-// closes the attached store.
+// TestBlockStoreAutoAttach: NewFileStore on a lineage inside a stopped
+// server root (sibling _blocks present) attaches the store read-only,
+// so restoretool and ReadRecordDir resolve block-mapped files while a
+// write fails typed, having touched nothing; Close closes the attached
+// store.
 func TestBlockStoreAutoAttach(t *testing.T) {
 	root := t.TempDir()
 	bs, stores := openShared(t, root, "lineage")
@@ -291,17 +292,27 @@ func TestBlockStoreAutoAttach(t *testing.T) {
 	if !bytes.Equal(got, d.Data) {
 		t.Fatal("auto-attach restore diverged")
 	}
+	seg := filepath.Join(root, "lineage", segmentName(0))
+	before, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Append(randomDiff(1, 6, 640)); !errors.Is(err, blockstore.ErrReadOnly) {
+		t.Fatalf("Append through the attach over a stopped root: %v, want blockstore.ErrReadOnly", err)
+	}
+	if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the refused Append changed the segment (%v)", err)
+	}
 	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestBlockStoreAutoAttachReadOnlyFallback: NewFileStore on a lineage
-// inside a LIVE ckptd root (the writable owner still holds the block
-// store lock) attaches read-only — loads resolve block-mapped diffs,
+// inside a LIVE ckptd root (the writable owner holds the block store
+// lock) attaches read-only too — loads resolve block-mapped diffs,
 // while writes that would intern into the shared store fail typed
-// instead of running a second, uncoordinated recovery (whose orphan
-// sweep could delete a payload the owner is about to reference).
+// instead of racing the owner.
 func TestBlockStoreAutoAttachReadOnlyFallback(t *testing.T) {
 	if !blockstore.LockingSupported() {
 		t.Skip("no owner locking on this platform")

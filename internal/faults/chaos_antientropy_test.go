@@ -415,7 +415,7 @@ func TestChaosAntiEntropyRotDuringSubscribe(t *testing.T) {
 	pushTo(t, addr, "lin", encoded[:half])
 
 	dir := t.TempDir()
-	fl := runChaosFollower(t, follower.Options{Addr: addr, Lineage: "lin", Dir: dir})
+	fl := runChaosFollower(t, follower.Options{Addr: addr, Lineage: "lin", Store: mirrorStore(t, dir)})
 	waitFollower(t, fl, half)
 
 	// Rot a mirrored diff while the subscription is live.
@@ -456,7 +456,7 @@ func TestChaosStandbyRotPromoteRefusal(t *testing.T) {
 	pushTo(t, addr, "lin", encoded)
 
 	dir := t.TempDir()
-	fl := runChaosFollower(t, follower.Options{Addr: addr, Lineage: "lin", Dir: dir})
+	fl := runChaosFollower(t, follower.Options{Addr: addr, Lineage: "lin", Store: mirrorStore(t, dir)})
 	waitFollower(t, fl, len(encoded))
 
 	// Primary dies; then the idle mirror rots.

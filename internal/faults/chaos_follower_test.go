@@ -53,6 +53,18 @@ func startFaultServer(t *testing.T, cfg server.Config, in *faults.Injector, plan
 	return srv, ln.Addr().String(), stop
 }
 
+// mirrorStore opens a self-contained mirror store over dir, closed
+// when the test ends (after the follower, which does not own it).
+func mirrorStore(t *testing.T, dir string) *checkpoint.FileStore {
+	t.Helper()
+	store, err := checkpoint.NewFileStoreWith(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return store
+}
+
 // runChaosFollower starts a follower with chaos-friendly timing (tight
 // backoff so injected disconnects heal within the test budget) and
 // joins its Run loop on cleanup.
@@ -161,7 +173,7 @@ func TestChaosFollowerLagResume(t *testing.T) {
 	defer stop()
 
 	fl := runChaosFollower(t, follower.Options{
-		Addr: addr, Lineage: "lag", Dir: t.TempDir(),
+		Addr: addr, Lineage: "lag", Store: mirrorStore(t, t.TempDir()),
 	})
 	deadline := time.Now().Add(10 * time.Second)
 	for srv.Subscribes() == 0 && time.Now().Before(deadline) {
@@ -223,7 +235,7 @@ func TestChaosFollowerMidFoldResync(t *testing.T) {
 
 	in := faults.New(252)
 	fl := runChaosFollower(t, follower.Options{
-		Addr: addr, Lineage: "fold", Dir: t.TempDir(),
+		Addr: addr, Lineage: "fold", Store: mirrorStore(t, t.TempDir()),
 		// Dial 1 carries the pre-fold tail; dial 2 — the reconnect the
 		// fold's close of the stream forces — is refused, so recovery
 		// also rides the backoff path before dial 3 resyncs.
@@ -289,7 +301,7 @@ func TestChaosFollowerPrimaryKillMidFrame(t *testing.T) {
 	cl.Close()
 
 	fl := runChaosFollower(t, follower.Options{
-		Addr: addr, Lineage: "kill", Dir: t.TempDir(),
+		Addr: addr, Lineage: "kill", Store: mirrorStore(t, t.TempDir()),
 	})
 	waitFollower(t, fl, len(images))
 	st := fl.Stats()

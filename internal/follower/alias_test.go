@@ -12,7 +12,12 @@ import (
 // read buffer is overwritten with 0xA5 after each call; the mirror still
 // serves the bytes that arrived and restores every image.
 func TestApplyEncodedAliasAudit(t *testing.T) {
-	f, err := New(Options{Addr: "127.0.0.1:1", Lineage: "audit", Dir: t.TempDir()})
+	store, err := checkpoint.NewFileStoreWith(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	f, err := New(Options{Addr: "127.0.0.1:1", Lineage: "audit", Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +58,12 @@ func TestApplyEncodedAliasAudit(t *testing.T) {
 			all[i] = 0xA5
 		}
 	}
-	rec, err := f.store.Load()
+	rec, err := store.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k, enc := range encoded {
-		if got, err := f.store.DiffBytes(k); err != nil || !bytes.Equal(got, enc) {
+		if got, err := store.DiffBytes(k); err != nil || !bytes.Equal(got, enc) {
 			t.Fatalf("mirrored diff %d is not the bytes that arrived (%v)", k, err)
 		}
 		if img, err := rec.Restore(k); err != nil || !bytes.Equal(img, images[k]) {

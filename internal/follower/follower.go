@@ -58,9 +58,9 @@ type Options struct {
 	Addr string
 	// Lineage is the lineage to mirror. Required.
 	Lineage string
-	// Dir is the local mirror directory (a checkpoint.FileStore).
-	// Required.
-	Dir string
+	// Store is the local mirror, which the follower appends to and the
+	// caller owns (in ckptd, the standby's server). Required.
+	Store *checkpoint.FileStore
 	// Timeout bounds dials, request round trips and the read of each
 	// pulled frame once its first byte has arrived (default 10s); an
 	// idle stream waits for that byte without a deadline.
@@ -82,8 +82,8 @@ type Options struct {
 }
 
 func (o *Options) fill() error {
-	if o.Addr == "" || o.Lineage == "" || o.Dir == "" {
-		return errors.New("follower: Addr, Lineage and Dir are required")
+	if o.Addr == "" || o.Lineage == "" || o.Store == nil {
+		return errors.New("follower: Addr, Lineage and Store are required")
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = DefaultTimeout
@@ -142,8 +142,6 @@ type Follower struct {
 	backoff *wireclient.Backoff
 
 	mu sync.Mutex
-	//ckptlint:guardedby mu
-	store *checkpoint.FileStore
 	// base, next and lastCRC are the resume cursor: the mirror holds
 	// [base, next), and lastCRC is the checksum of diff next-1.
 	//ckptlint:guardedby mu
@@ -172,21 +170,18 @@ type Follower struct {
 	healed     atomic.Uint64 //ckptlint:atomic
 }
 
-// New opens (or reopens) the mirror directory and builds a Follower.
-// A non-empty mirror resumes from its stored cursor — a restarted
-// standby follows on from where it crashed instead of re-pulling.
+// New builds a Follower over the mirror opts.Store. A non-empty mirror
+// resumes from its stored cursor — a restarted standby follows on from
+// where it crashed instead of re-pulling.
 func New(opts Options) (*Follower, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	store, err := checkpoint.NewFileStore(opts.Dir)
-	if err != nil {
-		return nil, err
-	}
 	seed := fnv.New64a()
-	seed.Write([]byte(opts.Lineage + "\x00" + opts.Dir))
+	seed.Write([]byte(opts.Lineage + "\x00" + opts.Store.Dir()))
 	retry := wireclient.RetryPolicy{BaseDelay: opts.MinBackoff, MaxDelay: opts.MaxBackoff, Seed: int64(seed.Sum64())}
-	f := &Follower{opts: opts, store: store, stop: make(chan struct{}), backoff: wireclient.NewBackoff(retry)}
+	f := &Follower{opts: opts, stop: make(chan struct{}), backoff: wireclient.NewBackoff(retry)}
+	var err error
 	f.wc, err = wireclient.New(opts.Addr, wireclient.Options{
 		Timeout:  opts.Timeout,
 		Dialer:   opts.Dialer,
@@ -194,7 +189,6 @@ func New(opts Options) (*Follower, error) {
 		Retry:    retry,
 	})
 	if err != nil {
-		store.Close()
 		return nil, err
 	}
 	f.mu.Lock()
@@ -202,8 +196,7 @@ func New(opts Options) (*Follower, error) {
 	f.mu.Unlock()
 	if err != nil {
 		f.wc.Close()
-		store.Close()
-		return nil, fmt.Errorf("follower: mirror %s unusable: %w", opts.Dir, err)
+		return nil, fmt.Errorf("follower: mirror %s unusable: %w", opts.Store.Dir(), err)
 	}
 	return f, nil
 }
@@ -321,7 +314,7 @@ func (f *Follower) resync(cn *wireclient.Conn) error {
 	if f.closed || f.promoted {
 		return errStopped
 	}
-	if err := f.store.InstallSpan(base, diffs); err != nil {
+	if err := f.opts.Store.InstallSpan(base, diffs); err != nil {
 		return fmt.Errorf("follower: installing resync span: %w", err)
 	}
 	if err := f.reloadLocked(); err != nil {
@@ -337,10 +330,10 @@ func (f *Follower) resync(cn *wireclient.Conn) error {
 //
 //ckptlint:locked mu
 func (f *Follower) reloadLocked() error {
-	n, base := f.store.Len(), f.store.Base()
+	n, base := f.opts.Store.Len(), f.opts.Store.Base()
 	var crc uint32
 	if n > base {
-		last, err := f.store.DiffBytes(n - 1)
+		last, err := f.opts.Store.DiffBytes(n - 1)
 		if err != nil {
 			return err
 		}
@@ -373,7 +366,7 @@ func (f *Follower) applyEncoded(k int, encoded []byte) error {
 		f.mu.Unlock()
 		return fmt.Errorf("follower: gap: got diff %d, cursor at %d", k, f.next)
 	}
-	if err := f.store.Append(d); err != nil {
+	if err := f.opts.Store.Append(d); err != nil {
 		f.mu.Unlock()
 		return fmt.Errorf("follower: mirroring diff %d: %w", k, err)
 	}
@@ -451,8 +444,8 @@ func (e *MirrorCorruptError) Is(target error) bool { return target == ErrMirrorC
 // every mirrored diff back and verifies it against its record
 // checksums (FileStore.Load), once: that pass is the verification a
 // failover needs and the load of the returned Record. No tail frame is
-// applied on the way. The mirror stays open in the Follower; Close it
-// before reopening Dir elsewhere.
+// applied on the way. The mirror store stays open: it is its owner's,
+// who may serve it from here on.
 //
 // Bit rot accumulated on the standby's disk while it idled surfaces
 // here as a typed *MirrorCorruptError refusal — a failover must never
@@ -465,11 +458,11 @@ func (f *Follower) Promote() (*Promotion, error) {
 	if f.closed {
 		return nil, errors.New("follower: promote after close")
 	}
-	p := &Promotion{Lineage: f.opts.Lineage, Dir: f.opts.Dir, Base: f.base, Len: f.next}
+	p := &Promotion{Lineage: f.opts.Lineage, Dir: f.opts.Store.Dir(), Base: f.base, Len: f.next}
 	if p.Len > p.Base {
-		rec, err := f.store.Load()
+		rec, err := f.opts.Store.Load()
 		if err != nil {
-			return nil, &MirrorCorruptError{Lineage: f.opts.Lineage, Dir: f.opts.Dir, Err: err}
+			return nil, &MirrorCorruptError{Lineage: f.opts.Lineage, Dir: p.Dir, Err: err}
 		}
 		p.Record = rec
 	}
@@ -478,9 +471,8 @@ func (f *Follower) Promote() (*Promotion, error) {
 	return p, nil
 }
 
-// Close ends replication and releases the connections and the mirror
-// store.
-// Idempotent.
+// Close ends replication and releases the connections; the mirror
+// store stays open, its owner's to close. Idempotent.
 func (f *Follower) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -489,10 +481,8 @@ func (f *Follower) Close() error {
 	}
 	f.closed = true
 	f.severLocked()
-	store := f.store
 	f.mu.Unlock()
-	f.wc.Close()
-	return store.Close()
+	return f.wc.Close()
 }
 
 // Heal runs one anti-entropy pass of the standby against its primary:
@@ -514,14 +504,14 @@ func (f *Follower) Close() error {
 // checksum sweep of the mirror and no network traffic.
 func (f *Follower) Heal() (int, error) {
 	f.mu.Lock()
-	store, stopped := f.store, f.closed || f.promoted
+	stopped := f.closed || f.promoted
 	f.mu.Unlock()
 	if stopped {
 		return 0, nil
 	}
 	rec, err := antientropy.NewReconciler(antientropy.Config{
 		Lineage: f.opts.Lineage,
-		Store:   store,
+		Store:   f.opts.Store,
 		Peer:    f.wc,
 		Logf:    f.opts.Logf,
 		// Installs serialize with the apply pipeline, and a mirror that

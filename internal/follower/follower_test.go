@@ -89,6 +89,18 @@ func checkpointer(t *testing.T, images [][]byte) *gpuckpt.Checkpointer {
 	return ck
 }
 
+// mirror opens a self-contained mirror store over dir, closed when the
+// test ends.
+func mirror(t *testing.T, dir string) *checkpoint.FileStore {
+	t.Helper()
+	store, err := checkpoint.NewFileStoreWith(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return store
+}
+
 // runFollower builds a follower with test defaults, starts Run, and
 // registers cleanup. Extra options are applied over the defaults.
 func runFollower(t *testing.T, addr, lineage string, tweak func(*follower.Options)) *follower.Follower {
@@ -96,7 +108,7 @@ func runFollower(t *testing.T, addr, lineage string, tweak func(*follower.Option
 	opts := follower.Options{
 		Addr:       addr,
 		Lineage:    lineage,
-		Dir:        t.TempDir(),
+		Store:      mirror(t, t.TempDir()),
 		Timeout:    5 * time.Second,
 		MinBackoff: 5 * time.Millisecond,
 		MaxBackoff: 100 * time.Millisecond,
@@ -293,11 +305,13 @@ func TestFollowerRestartResumesFromMirror(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	fl := runFollower(t, addr, "restart", func(o *follower.Options) { o.Dir = dir })
+	store := mirror(t, dir)
+	fl := runFollower(t, addr, "restart", func(o *follower.Options) { o.Store = store })
 	waitNext(t, fl, 4)
 	if err := fl.Close(); err != nil {
 		t.Fatal(err)
 	}
+	store.Close() // the standby stops; its restart reopens the mirror
 
 	for _, img := range images[4:] {
 		if _, err := ck.Checkpoint(img); err != nil {
@@ -308,7 +322,7 @@ func TestFollowerRestartResumesFromMirror(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fl2 := runFollower(t, addr, "restart", func(o *follower.Options) { o.Dir = dir })
+	fl2 := runFollower(t, addr, "restart", func(o *follower.Options) { o.Store = mirror(t, dir) })
 	waitNext(t, fl2, 6)
 	st := fl2.Stats()
 	if st.Applied != 2 {
@@ -343,16 +357,18 @@ func TestFollowerRestartWithRottenMirror(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	fl := runFollower(t, addr, "rot", func(o *follower.Options) { o.Dir = dir })
+	store := mirror(t, dir)
+	fl := runFollower(t, addr, "rot", func(o *follower.Options) { o.Store = store })
 	waitNext(t, fl, len(images))
 	if err := fl.Close(); err != nil {
 		t.Fatal(err)
 	}
+	store.Close()
 	if _, _, _, err := faults.New(907).RotStoredDiff(dir, 2); err != nil {
 		t.Fatal(err)
 	}
 
-	fl2 := runFollower(t, addr, "rot", func(o *follower.Options) { o.Dir = dir })
+	fl2 := runFollower(t, addr, "rot", func(o *follower.Options) { o.Store = mirror(t, dir) })
 	if _, err := fl2.Promote(); !errors.Is(err, follower.ErrMirrorCorrupt) {
 		t.Fatalf("promote of the rotten mirror: %v, want ErrMirrorCorrupt", err)
 	}

@@ -37,16 +37,17 @@ func (s *Server) compactLoop(ctx context.Context, stop <-chan struct{}) {
 					s.cfg.Logf("server: compacting lineage %q: %v", ln.name, err)
 				}
 			}
-			s.collectBlocks()
+			s.CollectBlocks()
 		}
 	}
 }
 
-// collectBlocks runs the block-store GC, which reclaims every block no
+// CollectBlocks runs the block-store GC, which reclaims every block no
 // lineage references any more, with no lineage lock held. It marks from
 // s.snapshot(), which is every lineage of the root: New opens each
-// lineage directory and open is the only way to create one.
-func (s *Server) collectBlocks() {
+// lineage directory and open is the only way to create one. A standby
+// also runs it after a resync replaced a mirror it writes through Store.
+func (s *Server) CollectBlocks() {
 	_, err := s.blocks.GC(func(live func(blockstore.ID)) error {
 		for _, ln := range s.snapshot() {
 			if err := ln.store.MarkBlocks(live); err != nil {

@@ -41,6 +41,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -50,11 +51,13 @@ import (
 )
 
 // pullBuf is the memory one span stream works in: the frame being sent,
-// whose payload is the diff reassembled in place, and the store's read
-// scratch.
+// whose payload is the diff reassembled in place, the store's read
+// scratch, and what write stages the frame's header in.
 type pullBuf struct {
 	frame wire.Frame
 	sc    checkpoint.ReadScratch
+	stage []byte
+	vec   net.Buffers
 }
 
 // servePull serves one TPull request and reports whether the connection
@@ -118,8 +121,6 @@ func (s *Server) servePull(ctx context.Context, stop <-chan struct{}, conn net.C
 		return false
 	}
 
-	var stage []byte
-	var vec net.Buffers
 	var pb pullBuf
 	next, _ := span.Bounds()
 	// send writes the frames of [next, to) of span, in a frame buffer
@@ -143,25 +144,15 @@ func (s *Server) servePull(ctx context.Context, stop <-chan struct{}, conn net.C
 			if err := pb.load(span, next, &s.frames); err != nil {
 				return true, err
 			}
-			encoded := pb.frame.Payload
-			payloadLen := wire.PushChecksumSize + len(encoded)
-			var err error
-			stage, err = wire.AppendFrameHeader(stage[:0], wire.TPull, wire.StatusOK, req.Lineage, uint32(next), payloadLen)
-			if err == nil {
-				stage = binary.BigEndian.AppendUint32(stage, wire.Checksum(encoded))
-				vec = append(vec[:0], stage, encoded)
-				saved := vec // WriteFrameVec consumes vec; keep its backing array
-				conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-				err = wire.WriteFrameVec(conn, &vec)
-				vec = saved[:0]
-			}
+			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+			n, err := pb.write(conn, req.Lineage)
 			if err != nil {
 				if !wire.IsClean(err) {
 					s.cfg.Logf("server: %s: pull write: %v", caddr, err)
 				}
 				return false, nil
 			}
-			s.bytesOut.Add(uint64(wire.HeaderSize + payloadLen))
+			s.bytesOut.Add(n)
 			if follow {
 				s.tailFrames.Add(1)
 			}
@@ -242,6 +233,24 @@ func (s *Server) openPull(req *wire.Frame) (ln *lineage, span checkpoint.Span, s
 	}
 	s.subscribes.Add(1)
 	return ln, span, s.hub.register(ln), nil
+}
+
+// write sends pb.frame on handle h as a TPull/StatusOK frame: header and
+// CRC32C prefix staged in pb.stage, the diff handed to writev untouched.
+// It returns the frame's wire size.
+func (pb *pullBuf) write(w io.Writer, h uint32) (uint64, error) {
+	encoded := pb.frame.Payload
+	n := wire.PushChecksumSize + len(encoded)
+	stage, err := wire.AppendFrameHeader(pb.stage[:0], wire.TPull, wire.StatusOK, h, pb.frame.Ckpt, n)
+	if err != nil {
+		return 0, err
+	}
+	pb.stage = binary.BigEndian.AppendUint32(stage, wire.Checksum(encoded))
+	pb.vec = append(pb.vec[:0], pb.stage, encoded)
+	saved := pb.vec // WriteFrameVec consumes vec; keep its backing array
+	err = wire.WriteFrameVec(w, &pb.vec)
+	pb.vec = saved[:0]
+	return uint64(wire.HeaderSize + n), err
 }
 
 // load makes pb.frame the frame that carries checkpoint ck of span,

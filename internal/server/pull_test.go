@@ -349,10 +349,11 @@ func discardSink(t testing.TB) (net.Conn, *bufio.Writer) {
 }
 
 // TestPullFrameAllocs: with a buffer from the free list, serving diff k
-// of a span — reassemble, verify, frame, write — allocates a constant
-// (the staged frame header), whether the diff maps to 2 blocks or 200:
-// the references are walked in place and every block is read through
-// one scratch.
+// of a span as servePull serves it — reassemble and verify (load), then
+// the staged header and CRC prefix and one vector write (write) —
+// allocates at most once, whether the diff maps to 2 blocks or 200: the
+// references are walked in place, every block is read through one
+// scratch, and the header and vector are the stream's own.
 func TestPullFrameAllocs(t *testing.T) {
 	srv, h, ln := pullServer(t, 2, 200)
 	span, err := ln.store.Span(0, 2)
@@ -363,7 +364,7 @@ func TestPullFrameAllocs(t *testing.T) {
 	if !srv.servePull(context.Background(), nil, conn, nil, bw, pullSpan(h, 0, 2)) { // leaves its buffer on the list
 		t.Fatal("the pull consumed the connection")
 	}
-	pb := &pullBuf{frame: wire.Frame{Type: wire.TPull, Lineage: h, Payload: srv.frames.largest()}}
+	pb := &pullBuf{frame: wire.Frame{Payload: srv.frames.largest()}}
 	if cap(pb.frame.Payload) < 200*4096 {
 		t.Fatalf("the free list holds no buffer the span's frames fit: largest is %d bytes", cap(pb.frame.Payload))
 	}
@@ -372,7 +373,7 @@ func TestPullFrameAllocs(t *testing.T) {
 			if err := pb.load(span, ck, &srv.frames); err != nil {
 				t.Fatal(err)
 			}
-			if err := wire.WriteFrame(bw, &pb.frame); err != nil {
+			if _, err := pb.write(conn, h); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -335,6 +335,17 @@ func (s *Server) open(name string) (uint32, int, int, error) {
 	return h, ln.store.Len(), ln.store.Base(), nil
 }
 
+// Store opens lineage name as a request naming it does and returns its
+// store, which stays the server's: a standby's followers mirror into it.
+func (s *Server) Store(name string) (*checkpoint.FileStore, error) {
+	h, _, _, err := s.open(name)
+	if err != nil {
+		return nil, err
+	}
+	ln, _ := s.get(h) // open issued h, and no lineage is ever removed
+	return ln.store, nil
+}
+
 // SetStorageHooks installs the fault seam on the server's block store
 // (see blockstore.Store.SetHooks); nil removes it. Test-only.
 func (s *Server) SetStorageHooks(h *recframe.Hooks) { s.blocks.SetHooks(h) }
@@ -763,7 +774,7 @@ func (s *Server) serve(req *wire.Frame) (*wire.Frame, error) {
 			return nil, fmt.Errorf("server: compact lineage %q: %w", ln.name, err)
 		}
 		if st.NewBase > st.OldBase {
-			s.collectBlocks()
+			s.CollectBlocks()
 		}
 		res := wire.CompactResult{
 			OldBase:    uint32(st.OldBase),

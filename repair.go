@@ -27,8 +27,9 @@ func (r *RepairReport) OK() bool { return len(r.Corrupt) == len(r.Repaired) }
 
 // ScrubDir verifies every diff in the checkpoint directory dir:
 // record checksums, structural decode, id agreement. It writes
-// nothing: corrupt diffs are reported, not repaired — use Client.Repair
-// to refetch them from a ckptd server holding the same lineage.
+// nothing, not even a torn pack tail of a stopped ckptd root: corrupt
+// diffs are reported, not repaired — use Client.Repair to refetch them
+// from a ckptd server holding the same lineage.
 func ScrubDir(dir string) (*RepairReport, error) {
 	fs, err := checkpoint.NewFileStore(dir)
 	if err != nil {
@@ -53,7 +54,8 @@ func ScrubDir(dir string) (*RepairReport, error) {
 // again. A local diff that verifies but disagrees with the server's
 // equally-verified copy is divergence and comes back as an error
 // matching antientropy.ErrDiverged — Repair never overwrites good
-// local data with conflicting server data.
+// local data with conflicting server data. A lineage of a ckptd root
+// is its server's to repair (Repair fails with blockstore.ErrReadOnly).
 //
 // Repair returns the report even when some diffs could not be
 // repaired (server missing the lineage, id compacted away); the error

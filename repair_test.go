@@ -89,23 +89,53 @@ func treeDigest(t *testing.T, root string) map[string][32]byte {
 	return out
 }
 
+// tearPackTail appends to the newest pack of root's block store the
+// first 23 bytes of a record header, as a crash mid-append leaves them.
+func tearPackTail(t *testing.T, root string) {
+	t.Helper()
+	packs, err := filepath.Glob(filepath.Join(root, "_blocks", "pack-*.log"))
+	if err != nil || len(packs) == 0 {
+		t.Fatalf("no pack under %s (%v)", root, err)
+	}
+	f, err := os.OpenFile(packs[len(packs)-1], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(bytes.Repeat([]byte{0x5A}, 23)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestScrubIsReadOnly: ScrubDir and FileStore.Scrub leave every file of
-// a server root — the lineage directory and _blocks — byte-identical,
-// on a clean lineage and on a rotten one.
+// a stopped server root — the lineage directory and _blocks —
+// byte-identical: on a clean lineage, on a rotten one, and with a torn
+// pack tail, which is the server's to cut when it next starts.
 func TestScrubIsReadOnly(t *testing.T) {
 	encoded, _ := treeChain(t, 41, 6)
 	root := serveRoot(t, encoded)
 	dir := filepath.Join(root, "lin")
-	for _, victims := range [][]int{nil, {2}} {
-		for _, ck := range victims {
+	for _, c := range []struct {
+		rot     []int // ids rotted before the scrubs
+		tear    bool  // the newest pack's tail torn before the scrubs
+		corrupt []int // what the scrubs report
+	}{
+		{nil, false, nil},
+		{[]int{2}, false, []int{2}},
+		{nil, true, []int{2}},
+	} {
+		for _, ck := range c.rot {
 			if _, _, _, err := faults.New(int64(ck)).RotStoredDiff(dir, ck); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if c.tear {
+			tearPackTail(t, root)
+		}
 		before := treeDigest(t, root)
 		rep, err := ScrubDir(dir)
-		if err != nil || rep.Checked != 6 || !slices.Equal(rep.Corrupt, victims) {
-			t.Fatalf("ScrubDir with %v rotten: %+v %v", victims, rep, err)
+		if err != nil || rep.Checked != 6 || !slices.Equal(rep.Corrupt, c.corrupt) {
+			t.Fatalf("ScrubDir with %v rotten (torn tail %v): %+v %v", c.corrupt, c.tear, rep, err)
 		}
 		st, err := checkpoint.NewFileStore(dir)
 		if err != nil {
@@ -113,16 +143,16 @@ func TestScrubIsReadOnly(t *testing.T) {
 		}
 		sr, err := st.Scrub()
 		st.Close()
-		if err != nil || !slices.Equal(sr.Corrupt, victims) {
-			t.Fatalf("Scrub with %v rotten: %+v %v", victims, sr, err)
+		if err != nil || !slices.Equal(sr.Corrupt, c.corrupt) {
+			t.Fatalf("Scrub with %v rotten (torn tail %v): %+v %v", c.corrupt, c.tear, sr, err)
 		}
 		after := treeDigest(t, root)
 		if len(after) != len(before) {
-			t.Fatalf("scrubs with %v rotten changed the file set: %d files -> %d", victims, len(before), len(after))
+			t.Fatalf("scrubs with %v rotten (torn tail %v) changed the file set: %d files -> %d", c.corrupt, c.tear, len(before), len(after))
 		}
 		for path, sum := range before {
 			if after[path] != sum {
-				t.Fatalf("scrubs with %v rotten changed %s", victims, path)
+				t.Fatalf("scrubs with %v rotten (torn tail %v) changed %s", c.corrupt, c.tear, path)
 			}
 		}
 	}

@@ -2,9 +2,11 @@ package gpuckpt
 
 import (
 	"context"
+	"errors"
 	"net"
 	"time"
 
+	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/follower"
 )
 
@@ -13,7 +15,8 @@ type FollowerConfig struct {
 	// Lineage is the lineage to mirror. Required.
 	Lineage string
 	// Dir is the local mirror directory; a non-empty mirror resumes
-	// from its stored cursor. Required.
+	// from its stored cursor. The mirror is self-contained: a _blocks
+	// directory beside it is not used. Required.
 	Dir string
 	// Timeout bounds dials and round trips (default 10s).
 	Timeout time.Duration
@@ -53,26 +56,35 @@ type Promotion struct {
 // the mirror and loads it, in one read of the chain. A Follower must
 // be Closed.
 type Follower struct {
-	fl *follower.Follower
+	fl    *follower.Follower
+	store *checkpoint.FileStore
 }
 
 // NewFollower builds a hot standby mirroring cfg.Lineage from the
 // primary at addr. Drive it with Run; it replicates until Promote or
 // Close.
 func NewFollower(addr string, cfg FollowerConfig) (*Follower, error) {
+	if cfg.Dir == "" {
+		return nil, errors.New("gpuckpt: FollowerConfig.Dir is required")
+	}
+	store, err := checkpoint.NewFileStoreWith(cfg.Dir, nil)
+	if err != nil {
+		return nil, err
+	}
 	fl, err := follower.New(follower.Options{
 		Addr:    addr,
 		Lineage: cfg.Lineage,
-		Dir:     cfg.Dir,
+		Store:   store,
 		Timeout: cfg.Timeout,
 		Dialer:  cfg.Dialer,
 		Logf:    cfg.Logf,
 		OnApply: cfg.OnApply,
 	})
 	if err != nil {
+		store.Close()
 		return nil, err
 	}
-	return &Follower{fl: fl}, nil
+	return &Follower{fl: fl, store: store}, nil
 }
 
 // Run replicates until ctx is cancelled or Promote/Close is called.
@@ -86,9 +98,8 @@ func (f *Follower) Stats() FollowerStats { return f.fl.Stats() }
 
 // Promote stops replication, verifies and loads the mirror, and
 // restores its newest checkpoint into State. The mirror directory
-// stays owned by the Follower until Close; a caller that wants to
-// serve Dir with its own store (e.g. a promoted ckptd) must Close
-// first.
+// stays open in the Follower until Close; a caller that wants to open
+// Dir with a store of its own must Close first.
 func (f *Follower) Promote() (*Promotion, error) {
 	p, err := f.fl.Promote()
 	if err != nil {
@@ -106,7 +117,7 @@ func (f *Follower) Promote() (*Promotion, error) {
 
 // Close stops replication and releases the connection pool and the
 // mirror store. Idempotent.
-func (f *Follower) Close() error { return f.fl.Close() }
+func (f *Follower) Close() error { return errors.Join(f.fl.Close(), f.store.Close()) }
 
 // Lineages lists the lineage directory of the primary at addr — the
 // discovery step before spawning one Follower per lineage.
