@@ -52,17 +52,29 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
+// joinInts is parseInts' inverse: a flag default from a Config list.
+func joinInts(vs []int) string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = strconv.Itoa(v)
+	}
+	return strings.Join(out, ",")
+}
+
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("ckptbench", flag.ContinueOnError)
+	// The paper's parameters default to the experiments' own defaults,
+	// so the two cannot drift apart.
+	def := experiments.DefaultConfig()
 	var (
 		exp      = fs.String("exp", "all", "experiment: table1, fig4, fig5, fig6, overhead, ablation, extensions, adjoint, headline, compact, dedupx, failover, all")
-		vertices = fs.Int("vertices", 20000, "target vertices per input graph (paper: 11-18 M)")
-		maxK     = fs.Int("maxk", 4, "largest graphlet size for ORANGES (paper: 5)")
-		chunks   = fs.String("chunks", "32,64,128,256,512", "chunk sizes for fig4")
-		chunk    = fs.Int("chunk", 128, "chunk size for fig5/fig6/ablation")
-		freqs    = fs.String("freqs", "5,10,20", "checkpoint counts for fig5")
-		procs    = fs.String("procs", "1,2,4,8,16,32,64", "process counts for fig6")
-		nCkpts   = fs.Int("n", 10, "checkpoints for fig4/fig6/ablation")
+		vertices = fs.Int("vertices", def.TargetVertices, "target vertices per input graph (paper: 11-18 M)")
+		maxK     = fs.Int("maxk", def.MaxGraphletSize, "largest graphlet size for ORANGES (paper: 5)")
+		chunks   = fs.String("chunks", joinInts(def.ChunkSizes), "chunk sizes for fig4")
+		chunk    = fs.Int("chunk", def.ChunkSize, "chunk size for fig5/fig6/ablation")
+		freqs    = fs.String("freqs", joinInts(def.Frequencies), "checkpoint counts for fig5")
+		procs    = fs.String("procs", joinInts(def.ProcCounts), "process counts for fig6")
+		nCkpts   = fs.Int("n", def.NumCheckpoints, "checkpoints for fig4/fig6/ablation")
 		workers  = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		seed     = fs.Int64("seed", 42, "graph generator seed")
 		verify   = fs.Bool("verify", false, "verify every restore bit-exactly")

@@ -25,6 +25,7 @@ import (
 // A Group is not safe for concurrent use.
 type Group struct {
 	cfg     Config
+	pool    *parallel.Pool
 	dev     *device.Device
 	members map[string]*groupMember
 	order   []string
@@ -50,6 +51,7 @@ func NewGroup(cfg Config) *Group {
 	pool := parallel.NewPool(cfg.Workers)
 	return &Group{
 		cfg:     cfg,
+		pool:    pool,
 		dev:     device.New(cfg.GPU.toParams(), pool, nil),
 		members: make(map[string]*groupMember),
 	}
@@ -238,12 +240,14 @@ func (g *Group) RestoreLatest() (map[string][]byte, error) {
 }
 
 // Close releases the modeled device memory and the lineage store of
-// every member and the shared block store, if one was attached.
+// every member, the shared block store, if one was attached, and the
+// worker pool. The members' records stay restorable, sequentially.
 func (g *Group) Close() {
 	if g.closed {
 		return
 	}
 	for _, m := range g.members {
+		m.d.Record().SetPool(nil) // as Checkpointer.Close: no launch on the closed pool
 		m.d.Close()
 		if m.store != nil {
 			m.store.Close() // releases the segment; the block store is the Group's
@@ -253,5 +257,6 @@ func (g *Group) Close() {
 		g.blocks.Close()
 		g.blocks = nil
 	}
+	g.pool.Close()
 	g.closed = true
 }

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/gpuckpt/gpuckpt/internal/blockstore"
 )
@@ -222,4 +224,37 @@ func TestGroupRefusesOldBlockLayout(t *testing.T) {
 	if err := g.Protect("grid", 4096); !errors.Is(err, blockstore.ErrOldLayout) {
 		t.Fatalf("Protect over an old-layout block store: %v, want blockstore.ErrOldLayout", err)
 	}
+}
+
+// Closing a Group, and a finished BuildWorkloadSeries, stop the worker
+// pools they made: the goroutine count settles back to its starting
+// value. A pool of Workers: 4 parks three helpers, so a leak shows.
+func TestWorkerPoolsStop(t *testing.T) {
+	settles := func(what string, start int) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > start {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d before", what, runtime.NumGoroutine(), start)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	start := runtime.NumGoroutine()
+	g := NewGroup(Config{Method: MethodTree, ChunkSize: 64, Workers: 4})
+	if err := g.Protect("grid", 4096); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Checkpoint(map[string][]byte{"grid": make([]byte, 4096)}); err != nil {
+		t.Fatal(err)
+	}
+	g.Close()
+	settles("Group.Close", start)
+
+	start = runtime.NumGoroutine()
+	if _, err := BuildWorkloadSeries(WorkloadConfig{Graph: WorkloadGraphs()[0], TargetVertices: 1500, Checkpoints: 2, Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	settles("BuildWorkloadSeries", start)
 }

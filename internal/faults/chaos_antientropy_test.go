@@ -20,6 +20,7 @@ import (
 	"time"
 
 	gpuckpt "github.com/gpuckpt/gpuckpt"
+	"github.com/gpuckpt/gpuckpt/internal/blockstore"
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/dedup"
 	"github.com/gpuckpt/gpuckpt/internal/faults"
@@ -397,6 +398,86 @@ func TestChaosAntiEntropyNodeKillMidHeal(t *testing.T) {
 		t.Fatalf("recovered heal still fail-stopped %d lineages", q)
 	}
 	verifyLineage(t, addrA, "lin", images)
+}
+
+// A peer's fold adopted by anti-entropy frees blocks on the adopting
+// side too: the installed span replaces the lineage's segment, and the
+// blocks only the old one referenced must leave the block store with
+// no compaction of its own (ckptd's default -compact-interval 0). B
+// folds a 10-diff lineage to base 8, A adopts [8,10), and A's live
+// block set shrinks to B's.
+func TestChaosAntiEntropyFoldInstallCollectsBlocks(t *testing.T) {
+	images := seededImages(1606, 10)
+	_, encoded := buildLineage(t, checkpoint.MethodTree, images, dedup.Options{})
+
+	rootA, rootB := t.TempDir(), t.TempDir()
+	lnA, lnB := listenLocal(t), listenLocal(t)
+	addrA, addrB := lnA.Addr().String(), lnB.Addr().String()
+	_, stopSeedA := startServerOn(t, server.Config{Root: rootA}, lnA)
+	_, stopSeedB := startServerOn(t, server.Config{Root: rootB}, lnB)
+	pushTo(t, addrA, "lin", encoded)
+	pushTo(t, addrB, "lin", encoded)
+	stopSeedA()
+	stopSeedB()
+
+	lnA2, err := net.Listen("tcp", addrA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lnB2, err := net.Listen("tcp", addrB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvA, _ := startServerOn(t, server.Config{
+		Root: rootA, Peers: []string{addrB}, AntiEntropyInterval: aeInterval,
+	}, lnA2)
+	startServerOn(t, server.Config{Root: rootB, Peers: []string{addrA}, AntiEntropyInterval: aeInterval}, lnB2)
+
+	cl, err := gpuckpt.Dial(addrB, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.CompactTo("lin", 8); err != nil {
+		t.Fatal(err)
+	}
+	storeA, err := srvA.Store("lin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "A adopts B's fold", func() bool { return storeA.Base() == 8 })
+	waitUntil(t, "A's block store drops what the install freed", func() bool {
+		return liveBlocks(t, rootA) == liveBlocks(t, rootB)
+	})
+	if srvA.Stats().Compactions != 0 {
+		t.Fatal("A compacted on its own; the install alone must free its blocks")
+	}
+	clA, err := gpuckpt.Dial(addrA, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clA.Close()
+	pulled, err := clA.Pull("lin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 8; k < len(images); k++ {
+		if got, err := pulled.Restore(k); err != nil || !bytes.Equal(got, images[k]) {
+			t.Fatalf("A's adopted checkpoint %d does not restore (%v)", k, err)
+		}
+	}
+}
+
+// liveBlocks counts the blocks indexed in root's block store, read
+// through a read-only open beside the live server.
+func liveBlocks(t *testing.T, root string) int {
+	t.Helper()
+	bs, err := blockstore.Open(filepath.Join(root, blockstore.DirName), blockstore.Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bs.Close()
+	return bs.Stats().Blocks
 }
 
 // Scenario 24: a standby's mirror rots UNDER an active subscription

@@ -105,6 +105,7 @@ func BuildWorkloadSeries(cfg WorkloadConfig) (*WorkloadSeries, error) {
 		}
 	}
 	pool := parallel.NewPool(cfg.Workers)
+	defer pool.Close()
 	out := &WorkloadSeries{
 		GraphName: g.Name(),
 		Vertices:  g.NumVertices(),
