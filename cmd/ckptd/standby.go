@@ -100,10 +100,14 @@ func runStandby(ctx context.Context, stdout io.Writer, srv *server.Server, cfg s
 				order = append(order, info.Name)
 				fmt.Fprintf(stdout, "ckptd: following lineage %q\n", info.Name)
 				wg.Add(1)
-				go func(fl *follower.Follower) {
+				go func(name string, fl *follower.Follower) {
 					defer wg.Done()
-					fl.Run(fctx)
-				}(fl)
+					// Run returns an error only when the primary diverged
+					// from the mirror; the mirror stays promotable.
+					if err := fl.Run(fctx); err != nil {
+						logf("ckptd: standby: stopped following %q: %v", name, err)
+					}
+				}(info.Name, fl)
 			}
 			if time.Since(lastHeal) >= healEvery {
 				lastHeal = time.Now()

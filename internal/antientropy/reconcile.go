@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
@@ -141,6 +142,8 @@ type Reconciler struct {
 	// further Round returns without touching the store.
 	//ckptlint:guardedby mu
 	stopped error
+
+	resyncs atomic.Uint64 //ckptlint:atomic
 }
 
 // NewReconciler validates cfg and builds a Reconciler.
@@ -161,6 +164,10 @@ func (r *Reconciler) Quarantined() error {
 	defer r.mu.Unlock()
 	return r.stopped
 }
+
+// Resyncs counts the folded spans this reconciler adopted by
+// InstallSpan, counted inside the Locked hook with the install itself.
+func (r *Reconciler) Resyncs() uint64 { return r.resyncs.Load() }
 
 // Round runs one reconciliation round.
 //
@@ -219,11 +226,11 @@ func (r *Reconciler) Round() (Result, error) {
 //     a clean round costs);
 //  2. fold awareness — a peer whose baseline advanced past ours is
 //     adopted wholesale via InstallSpan, never patched diff-by-diff;
-//  3. a missing suffix is pulled;
-//  4. the common span is compared against the summary and bisected
+//  3. the common span is compared against the summary and bisected
 //     down to per-diff detail on mismatch, healing local rot — a
 //     damaged id fails its checksum like any other — and
-//     fail-stopping on true divergence.
+//     fail-stopping on true divergence;
+//  4. only then is a missing suffix pulled.
 func (r *Reconciler) round() (Result, error) {
 	var res Result
 	st := r.cfg.Store
@@ -261,28 +268,26 @@ func (r *Reconciler) round() (Result, error) {
 		return res, nil
 	}
 
-	// Pull the missing suffix: every checkpoint the peer stores past
-	// our length. ReinstallDiff at the tail extends the stored span.
+	// Compare the common span first: a suffix may only extend a span
+	// both replicas agree on. A round that pulls one therefore costs
+	// a clipped digest more; a clean round needs only the summary.
 	n := st.Len()
-	if n < pLen {
-		if err := r.heal(n, pLen, nil, &res); err != nil {
-			return res, err
-		}
-		n = st.Len()
-	}
-
-	// Compare the common span against the summary we already hold.
-	// After the suffix pull the common span IS the peer's whole span
-	// (or all of it that we overlap), so a clean round needs no
-	// second digest request.
-	hi := min(n, pLen)
-	if hi > base {
+	if hi := min(n, pLen); hi > base {
 		match, err := r.matchesSummary(base, hi, pd)
 		if err != nil {
 			return res, err
 		}
 		if !match {
-			err := r.bisect(base, hi, &res)
+			if err := r.bisect(base, hi, &res); err != nil {
+				return res, err
+			}
+		}
+	}
+
+	// Pull the missing suffix: every checkpoint the peer stores past
+	// our length. ReinstallDiff at the tail extends the stored span.
+	if n < pLen {
+		if err := r.heal(n, pLen, nil, &res); err != nil {
 			return res, err
 		}
 	}
@@ -431,14 +436,30 @@ func (r *Reconciler) repairSpan(lo, hi int, res *Result) error {
 	return healRun(hi)
 }
 
-// healErr classifies a failed pull-and-install of checkpoint ck: a span
-// the peer's compaction moved mid-pull ends the round as raced, anything
-// else is a *HealError.
+// consumerErr marks a failure of the reconciler's own side of a pull —
+// the pulled bytes failed verification, or their install failed — so
+// healErr can tell it from the transport that carried the pull.
+type consumerErr struct{ error }
+
+func (e consumerErr) Unwrap() error { return e.error }
+
+// healErr classifies a failed pull-and-install of checkpoint ck. A span
+// the peer's compaction moved mid-pull ends the round as raced. A
+// failure the data answers for is a *HealError: the peer replied that
+// it cannot serve its copy, or what arrived failed verification or its
+// install. Anything else broke the transport — the peer died or stalled
+// mid-pull — and comes back as-is: it says nothing about either
+// replica, so it counts nothing toward fail-stop.
 func (r *Reconciler) healErr(ck int, cause error) error {
-	if errors.Is(cause, wire.ErrSpanMoved) {
+	var re *wire.RemoteError
+	var ce consumerErr
+	switch {
+	case errors.Is(cause, wire.ErrSpanMoved):
 		return errRaced
+	case errors.As(cause, &re), errors.As(cause, &ce):
+		return &HealError{Lineage: r.cfg.Lineage, Ckpt: ck, Cause: cause}
 	}
-	return &HealError{Lineage: r.cfg.Lineage, Ckpt: ck, Cause: cause}
+	return cause
 }
 
 // heal pulls checkpoints [from, to) from the peer as one span and, as
@@ -458,14 +479,14 @@ func (r *Reconciler) heal(from, to int, want []uint32, res *Result) error {
 			return nil
 		}
 		if want != nil && checkpoint.DiffChecksum(b) != want[ck-from] {
-			return errors.New("pulled bytes fail the peer's own checksum")
+			return consumerErr{errors.New("pulled bytes fail the peer's own checksum")}
 		}
 		d, err := checkpoint.DecodeCheckpoint(ck, b)
 		if err != nil {
-			return fmt.Errorf("pulled bytes do not verify: %w", err)
+			return consumerErr{fmt.Errorf("pulled bytes do not verify: %w", err)}
 		}
 		if err := r.locked(func() error { return r.cfg.Store.ReinstallDiff(d) }); err != nil {
-			return err
+			return consumerErr{err}
 		}
 		done++
 		res.Healed++
@@ -490,13 +511,23 @@ func (r *Reconciler) resync(pBase, pLen int, res *Result) error {
 		return r.healErr(pBase, fmt.Errorf("peer advertises empty folded span [%d,%d)", pBase, pLen))
 	}
 	diffs := make([]*checkpoint.Diff, 0, pLen-pBase)
-	if err := r.cfg.Peer.PullSpan(r.cfg.Lineage, pBase, pLen, checkpoint.OwnedDiffs(&diffs)); err != nil {
+	collect := checkpoint.OwnedDiffs(&diffs)
+	if err := r.cfg.Peer.PullSpan(r.cfg.Lineage, pBase, pLen, func(ck int, b []byte) error {
+		if err := collect(ck, b); err != nil {
+			return consumerErr{err}
+		}
+		return nil
+	}); err != nil {
 		return r.healErr(pBase+len(diffs), err)
 	}
 	if err := r.locked(func() error {
-		return r.cfg.Store.InstallSpan(pBase, diffs)
+		if err := r.cfg.Store.InstallSpan(pBase, diffs); err != nil {
+			return err
+		}
+		r.resyncs.Add(1)
+		return nil
 	}); err != nil {
-		return r.healErr(pBase, err)
+		return r.healErr(pBase, consumerErr{err})
 	}
 	before := res.BytesPulled
 	for _, d := range diffs {

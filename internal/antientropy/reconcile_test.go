@@ -3,6 +3,7 @@ package antientropy
 import (
 	"bytes"
 	"errors"
+	"io"
 	"slices"
 	"testing"
 
@@ -284,15 +285,13 @@ func TestRoundPullsMissingSuffix(t *testing.T) {
 	verifyConverged(t, local, peer)
 }
 
-func TestRoundResyncsAfterPeerFold(t *testing.T) {
-	local, peer := newStore(t), newStore(t)
-	appendChain(t, local, 6, defaultTag)
-	appendChain(t, peer, 6, defaultTag)
-	// Fold the peer: adopt [2, 6) as its authoritative span. Its
-	// manifest generation and baseline advance past the local ones.
-	diffs := make([]*checkpoint.Diff, 0, 4)
-	for ck := 2; ck < 6; ck++ {
-		b, err := peer.DiffBytes(ck)
+// fold folds st to baseline base: it adopts its own [base, Len) as its
+// authoritative span, and its manifest generation and baseline advance.
+func fold(t *testing.T, st *checkpoint.FileStore, base int) {
+	t.Helper()
+	var diffs []*checkpoint.Diff
+	for ck := base; ck < st.Len(); ck++ {
+		b, err := st.DiffBytes(ck)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,9 +301,16 @@ func TestRoundResyncsAfterPeerFold(t *testing.T) {
 		}
 		diffs = append(diffs, d)
 	}
-	if err := peer.InstallSpan(2, diffs); err != nil {
+	if err := st.InstallSpan(base, diffs); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestRoundResyncsAfterPeerFold(t *testing.T) {
+	local, peer := newStore(t), newStore(t)
+	appendChain(t, local, 6, defaultTag)
+	appendChain(t, peer, 6, defaultTag)
+	fold(t, peer, 2)
 
 	r := newReconciler(t, local, peer, Config{})
 	res, err := r.Round()
@@ -434,6 +440,87 @@ func TestRoundDivergence(t *testing.T) {
 		if rep, err := st.Scrub(); err != nil || rep.First != nil {
 			t.Fatalf("replica after divergence: %+v %v", rep, err)
 		}
+	}
+}
+
+// TestRoundDivergenceBeforeSuffix: a peer that diverged at our last
+// diff and went on past it must fail-stop the round before any of its
+// suffix lands on our own parent: the local span is left as it was,
+// one self-consistent chain.
+func TestRoundDivergenceBeforeSuffix(t *testing.T) {
+	local, peer := newStore(t), newStore(t)
+	appendChain(t, local, 8, defaultTag)
+	appendChain(t, peer, 10, func(ck int) byte {
+		if ck >= 7 {
+			return 0xE0 + byte(ck)
+		}
+		return defaultTag(ck)
+	})
+
+	before := sizes(local)
+	r := newReconciler(t, local, peer, Config{})
+	res, err := r.Round()
+	var de *DivergenceError
+	if !errors.Is(err, ErrQuarantined) || !errors.As(err, &de) || de.Ckpt != 7 {
+		t.Fatalf("a longer diverged peer: %+v %v, want divergence at 7", res, err)
+	}
+	if res.Healed != 0 || local.Len() != 8 || !slices.Equal(sizes(local), before) {
+		t.Fatalf("the round wrote %+v, local len %d: the peer's suffix landed on our diff 7", res, local.Len())
+	}
+}
+
+// flakyPeer breaks the transport of its first fails span pulls after
+// one diff, as a peer that dies mid-pull does.
+type flakyPeer struct {
+	storePeer
+	fails int
+}
+
+func (p *flakyPeer) PullSpan(lineage string, from, to int, fn func(ck int, encoded []byte) error) error {
+	if p.fails == 0 {
+		return p.storePeer.PullSpan(lineage, from, to, fn)
+	}
+	p.fails--
+	if err := p.storePeer.PullSpan(lineage, from, from+1, fn); err != nil {
+		return err
+	}
+	return io.ErrUnexpectedEOF
+}
+
+// TestRoundTransportFailureNotCounted: a peer that dies mid-pull says
+// nothing about either replica. However many rounds it breaks — a
+// suffix pull or a fold adoption — none counts toward fail-stop, and
+// the first round it survives converges.
+func TestRoundTransportFailureNotCounted(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fold int // the peer's compaction baseline; 0 pulls a suffix
+	}{{"suffix", 0}, {"fold", 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			local, peer := newStore(t), newStore(t)
+			appendChain(t, local, 3, defaultTag)
+			appendChain(t, peer, 9, defaultTag)
+			if tc.fold > 0 {
+				fold(t, peer, tc.fold)
+			}
+			fp := &flakyPeer{storePeer: storePeer{st: peer}, fails: 2 * MaxHealFailures}
+			r, err := NewReconciler(Config{Lineage: "lin", Store: local, Peer: fp, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2*MaxHealFailures; i++ {
+				if _, err := r.Round(); !errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, ErrHealFailed) {
+					t.Fatalf("round %d against a dying peer: %v, want the transport error as-is", i+1, err)
+				}
+			}
+			if _, err := r.Round(); err != nil {
+				t.Fatalf("round against the recovered peer: %v", err)
+			}
+			verifyConverged(t, local, peer)
+			if want := uint64(min(tc.fold, 1)); r.Resyncs() != want {
+				t.Fatalf("Resyncs %d, want %d", r.Resyncs(), want)
+			}
+		})
 	}
 }
 

@@ -269,6 +269,54 @@ func TestChaosFollowerMidFoldResync(t *testing.T) {
 	verifyPromoted(t, fl, images, 3)
 }
 
+// A primary that dies mid-pull, round after round, says nothing about
+// the mirror: the follower joins a folded lineage, and the server tears
+// every connection of its first three rounds inside the resync's span
+// pull, retries included. No round counts toward fail-stop, so the
+// fourth converges and the promoted state is byte-exact.
+func TestChaosFollowerResyncOutlivesDyingPrimary(t *testing.T) {
+	images := seededImages(454, chaosCkpts)
+	_, encoded := buildLineage(t, checkpoint.MethodTree, images, dedup.Options{})
+
+	in := faults.New(454)
+	// Connection 1 is the pusher. Each round then takes four: the
+	// refused follow's (the round's digest and first pull ride it) and
+	// one per pull retry. 300 bytes pass the greeting, the open, the
+	// refusal and the digest, and tear inside the span's frames.
+	const dying = 3 * 4
+	_, addr, stop := startFaultServer(t, server.Config{Root: t.TempDir()}, in, faults.ConnPlan{
+		Reset:      func(n int) bool { return n >= 2 && n < 2+dying },
+		ResetAfter: 300,
+	})
+	defer stop()
+
+	cl, err := gpuckpt.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, enc := range encoded {
+		if err := cl.Push("dying", k, enc); err != nil {
+			t.Fatalf("push %d: %v", k, err)
+		}
+	}
+	if _, err := cl.CompactTo("dying", 3); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	cl.Close()
+
+	fl := runChaosFollower(t, follower.Options{
+		Addr: addr, Lineage: "dying", Store: mirrorStore(t, t.TempDir()),
+	})
+	waitFollower(t, fl, len(images))
+	if got := in.Fired(faults.EvReset); got != dying {
+		t.Fatalf("mid-pull resets fired %d times, want %d; trace %v", got, dying, in.Trace())
+	}
+	if st := fl.Stats(); st.Base != 3 || st.Resyncs != 1 || st.Reconnects < 3 {
+		t.Fatalf("after three dying rounds: %+v, want base 3 by one resync", st)
+	}
+	verifyPromoted(t, fl, images, 3)
+}
+
 // Scenario 17: the primary dies mid-frame. The server-side plan tears
 // the follower's connection after 600 written bytes — inside the first
 // tail frame's payload, exactly what a crashing primary leaves on the

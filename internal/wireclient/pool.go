@@ -51,10 +51,15 @@ type pool struct {
 	idle []*Conn
 	//ckptlint:guardedby mu
 	closed bool
+	// live holds every connection dialed and not yet closed, parked or
+	// checked out (what sever tears); a reuse does not touch it.
+	//ckptlint:guardedby mu
+	live map[*Conn]struct{}
 }
 
 func newPool(size int, wait time.Duration, dial func() (*Conn, error)) *pool {
-	p := &pool{dial: dial, wait: wait, permits: make(chan struct{}, size), done: make(chan struct{})}
+	p := &pool{dial: dial, wait: wait, permits: make(chan struct{}, size), done: make(chan struct{}),
+		live: make(map[*Conn]struct{}, size)}
 	for i := 0; i < size; i++ {
 		p.permits <- struct{}{}
 	}
@@ -96,6 +101,9 @@ func (p *pool) get() (*Conn, error) {
 			cn.out = true
 			return cn, nil
 		}
+		p.mu.Lock()
+		delete(p.live, cn)
+		p.mu.Unlock()
 		cn.NC.Close()
 	}
 	cn, err := p.dial()
@@ -103,6 +111,14 @@ func (p *pool) get() (*Conn, error) {
 		p.permits <- struct{}{}
 		return nil, err
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed { // closed or severed mid-dial: the new connection is too
+		cn.NC.Close()
+		p.permits <- struct{}{}
+		return nil, ErrClosed
+	}
+	p.live[cn] = struct{}{}
 	cn.pool, cn.out = p, true
 	return cn, nil
 }
@@ -178,6 +194,8 @@ func (p *pool) put(cn *Conn, ok bool) {
 	if park {
 		cn.parked = time.Now()
 		p.idle = append(p.idle, cn)
+	} else {
+		delete(p.live, cn)
 	}
 	p.mu.Unlock()
 	if !park {
@@ -212,6 +230,9 @@ func (p *pool) close() error {
 	p.closed = true
 	idle := p.idle
 	p.idle = nil
+	for _, cn := range idle {
+		delete(p.live, cn)
+	}
 	p.mu.Unlock()
 	close(p.done)
 	var first error
@@ -221,4 +242,17 @@ func (p *pool) close() error {
 		}
 	}
 	return first
+}
+
+// sever closes the pool and, unlike close, the connections checked out
+// of it too, so a request blocked reading one fails now instead of when
+// its deadline expires. Idempotent.
+func (p *pool) sever() error {
+	err := p.close()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for cn := range p.live {
+		cn.NC.Close()
+	}
+	return err
 }

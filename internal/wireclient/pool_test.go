@@ -274,6 +274,45 @@ func TestPoolClose(t *testing.T) {
 	}
 }
 
+// TestPoolSever: sever tears the connection a caller is blocked reading
+// — close leaves it to its caller — and leaves nothing live once the
+// straggler checks in.
+func TestPoolSever(t *testing.T) {
+	h := newHarness(t)
+	p := newPool(2, time.Second, h.dial)
+	c, d := mustGet(t, p), mustGet(t, p)
+	c.Release()
+	read := make(chan error, 1)
+	go func() {
+		_, err := d.NC.Read(make([]byte, 1)) // the harness never writes
+		read <- err
+	}()
+	if err := p.sever(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-read:
+		if !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("severed read: %v, want net.ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("sever left a checked-out read blocked")
+	}
+	if _, err := p.get(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("get after sever: %v", err)
+	}
+	d.Discard()
+	p.mu.Lock()
+	live := len(p.live)
+	p.mu.Unlock()
+	if live != 0 || p.idleCount() != 0 {
+		t.Fatalf("after sever: %d live, %d idle", live, p.idleCount())
+	}
+	if err := p.sever(); err != nil {
+		t.Fatal("second sever not idempotent:", err)
+	}
+}
+
 // TestPoolCloseWakesWaiter: a get blocked on a permit fails with
 // ErrClosed the moment the pool closes, not after its wait.
 func TestPoolCloseWakesWaiter(t *testing.T) {

@@ -182,6 +182,12 @@ func (c *Client) Addr() string { return c.addr }
 // Close releases every pooled connection. Idempotent.
 func (c *Client) Close() error { return c.pool.close() }
 
+// Sever closes the client as Close does and also tears the connections
+// checked out of it, so a request in flight fails at once: a blocked
+// read does not wait out its Timeout, and a retry finds the client
+// closed. Idempotent.
+func (c *Client) Sever() error { return c.pool.sever() }
+
 // dial opens one pooled connection: dial, handshake, fresh protocol
 // state. The deadline covers only the handshake — each operation then
 // arms its own read/write deadlines, so a long-lived pooled connection
