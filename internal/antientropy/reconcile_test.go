@@ -68,7 +68,7 @@ func (p *storePeer) PullSpan(lineage string, from, to int, fn func(ck int, encod
 	span, err := p.st.Span(from, to)
 	for ck := from; err == nil && ck < to; ck++ {
 		var b []byte
-		if b, err = span.AppendDiff(nil, ck, &checkpoint.ReadScratch{}); err == nil {
+		if b, _, err = span.AppendDiff(nil, ck, &checkpoint.ReadScratch{}); err == nil {
 			if err := fn(ck, b); err != nil {
 				return err
 			}

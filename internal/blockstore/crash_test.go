@@ -784,7 +784,7 @@ func TestRaceGetInternGC(t *testing.T) {
 					t.Errorf("Get of a live block during GC: %v", err)
 					return
 				}
-				if got, err := s.AppendBlocks(nil, allRefs, &sc); err != nil || !bytes.Equal(got, all) {
+				if got, _, err := s.AppendBlocks(nil, 0, allRefs, &sc); err != nil || !bytes.Equal(got, all) {
 					t.Errorf("AppendBlocks of the live blocks during GC: %v", err)
 					return
 				}

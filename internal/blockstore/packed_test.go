@@ -72,7 +72,7 @@ func TestPackedStorage(t *testing.T) {
 			}
 		}
 		var sc ReadScratch
-		got, err := s.AppendBlocks([]byte("head"), refs, &sc)
+		got, _, err := s.AppendBlocks([]byte("head"), 0, refs, &sc)
 		if err != nil || !bytes.Equal(got, append([]byte("head"), bytes.Join(gdv, nil)...)) {
 			t.Fatalf("%s: AppendBlocks: %v", when, err)
 		}
@@ -322,7 +322,7 @@ func TestReadPackedAllocs(t *testing.T) {
 	var sc ReadScratch
 	dst := make([]byte, 0, 8*4096)
 	allocs := testing.AllocsPerRun(20, func() {
-		if dst, err = s.AppendBlocks(dst[:0], refs, &sc); err != nil {
+		if dst, _, err = s.AppendBlocks(dst[:0], 0, refs, &sc); err != nil {
 			t.Fatal(err)
 		}
 	})

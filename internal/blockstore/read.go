@@ -53,15 +53,19 @@ func (s *Store) resolveLocked(refs []Ref, locs []loc) {
 }
 
 // AppendBlocks appends the payloads of refs, in order, to dst and
-// returns the extended slice; on error dst is returned as it was and the
-// error names the first block that could not be served. sc carries the
-// read's scratch memory between calls.
-func (s *Store) AppendBlocks(dst []byte, refs []Ref, sc *ReadScratch) ([]byte, error) {
-	out := dst
-	if err := s.read(refs, sc, func(p []byte) { out = append(out, p...) }); err != nil {
-		return dst, err
+// returns the extended slice, and crc, a running CRC32C (Castagnoli),
+// extended with every payload as it lands; on error dst and crc are
+// returned as they were and the error names the first block that could
+// not be served. sc carries the read's scratch memory between calls.
+func (s *Store) AppendBlocks(dst []byte, crc uint32, refs []Ref, sc *ReadScratch) ([]byte, uint32, error) {
+	out, sum := dst, crc
+	if err := s.read(refs, sc, func(p []byte) {
+		out = append(out, p...)
+		sum = crc32.Update(sum, castagnoli, p)
+	}); err != nil {
+		return dst, crc, err
 	}
-	return out, nil
+	return out, sum, nil
 }
 
 // read is the one read path of the store: it hands emit the payload of

@@ -3,11 +3,13 @@ package blockstore
 import (
 	"bytes"
 	"errors"
-	"github.com/gpuckpt/gpuckpt/internal/recframe"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"strings"
 	"testing"
+
+	"github.com/gpuckpt/gpuckpt/internal/recframe"
 )
 
 // readCounter counts the pack reads of the read path at the hooks seam.
@@ -22,7 +24,8 @@ func readCounter(n *int) *recframe.Hooks {
 
 // TestAppendBlocksMatchesGet: whatever order, repetition and pack
 // spread a reference list has, the run reader returns exactly the bytes
-// a Get per reference does, behind whatever dst already holds.
+// a Get per reference does, behind whatever dst already holds, and the
+// running CRC32C it was handed extended with them.
 func TestAppendBlocksMatchesGet(t *testing.T) {
 	s := openRoll(t, t.TempDir()) // 1500-byte packs: the batches below span several
 	defer s.Close()
@@ -61,22 +64,26 @@ func TestAppendBlocksMatchesGet(t *testing.T) {
 			}
 			want = append(want, p...)
 		}
-		got, err := s.AppendBlocks([]byte("head"), refs, &sc)
+		tab := crc32.MakeTable(crc32.Castagnoli)
+		got, crc, err := s.AppendBlocks([]byte("head"), crc32.Checksum([]byte("head"), tab), refs, &sc)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s: AppendBlocks returned %d bytes, %v; want the %d a Get per block gives", name, len(got), err, len(want))
+		}
+		if crc != crc32.Checksum(want, tab) {
+			t.Fatalf("%s: AppendBlocks returned CRC %08x, want %08x", name, crc, crc32.Checksum(want, tab))
 		}
 	}
 
 	// A reference the store cannot serve fails the whole call typed, names
 	// the block, and gives dst back.
 	missing := Ref{ID: IDOf([]byte("never interned")), Len: 14}
-	got, err := s.AppendBlocks([]byte("kept"), append(inOrder[:3:3], missing), &sc)
+	got, _, err := s.AppendBlocks([]byte("kept"), 0, append(inOrder[:3:3], missing), &sc)
 	if !errors.Is(err, ErrNotFound) || !strings.Contains(err.Error(), missing.ID.String()) || string(got) != "kept" {
 		t.Fatalf("unknown block in the list: %q, %v", got, err)
 	}
 	wrong := inOrder[1]
 	wrong.Len++
-	got, err = s.AppendBlocks([]byte("kept"), []Ref{inOrder[0], wrong, inOrder[2]}, &sc)
+	got, _, err = s.AppendBlocks([]byte("kept"), 0, []Ref{inOrder[0], wrong, inOrder[2]}, &sc)
 	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), wrong.ID.String()) || string(got) != "kept" {
 		t.Fatalf("reference with the wrong length: %q, %v", got, err)
 	}
@@ -94,7 +101,7 @@ func TestReadBudget(t *testing.T) {
 	cost := func(refs []Ref) int {
 		t.Helper()
 		reads = 0
-		if _, err := s.AppendBlocks(nil, refs, &sc); err != nil {
+		if _, _, err := s.AppendBlocks(nil, 0, refs, &sc); err != nil {
 			t.Fatal(err)
 		}
 		return reads
@@ -152,12 +159,12 @@ func TestReadFailureAtTheSeam(t *testing.T) {
 	}
 	boom := errors.New("injected")
 	s.SetHooks(failAt("read", boom))
-	got, err := s.AppendBlocks([]byte("kept"), refs, &ReadScratch{})
+	got, _, err := s.AppendBlocks([]byte("kept"), 0, refs, &ReadScratch{})
 	if !errors.Is(err, boom) || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), refs[0].ID.String()) || string(got) != "kept" {
 		t.Fatalf("failed read: %q, %v", got, err)
 	}
 	s.SetHooks(nil)
-	if _, err := s.AppendBlocks(nil, refs, &ReadScratch{}); err != nil {
+	if _, _, err := s.AppendBlocks(nil, 0, refs, &ReadScratch{}); err != nil {
 		t.Fatalf("the read after the failure: %v", err)
 	}
 }
@@ -200,7 +207,7 @@ func TestReadAcrossRelocation(t *testing.T) {
 		}
 		return nil
 	}})
-	got, err := s.AppendBlocks([]byte("head"), refs[:4], &ReadScratch{})
+	got, _, err := s.AppendBlocks([]byte("head"), 0, refs[:4], &ReadScratch{})
 	if err != nil || !bytes.Equal(got, append([]byte("head"), bytes.Join(keep, nil)...)) {
 		t.Fatalf("read across the relocation: %d bytes, %v", len(got), err)
 	}

@@ -35,11 +35,12 @@ func (fs *FileStore) SpanChecksums(lo, hi int) ([]uint32, error) {
 	var encoded []byte
 	var sc ReadScratch
 	for ck := lo; ck < hi; ck++ {
+		var crc uint32
 		var err error
-		if encoded, err = fs.appendDiff(encoded[:0], ck, nil, &sc); err != nil {
+		if encoded, crc, err = fs.appendDiff(encoded[:0], ck, nil, &sc); err != nil {
 			return nil, err
 		}
-		out = append(out, DiffChecksum(encoded))
+		out = append(out, crc)
 	}
 	return out, nil
 }

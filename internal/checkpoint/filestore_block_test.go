@@ -487,11 +487,11 @@ func TestAppendDiffReadsInPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sc ReadScratch
-		got, err := sp.AppendDiff(append(make([]byte, 0, 2*len(want)), "kept"...), 0, &sc)
+		got, _, err := sp.AppendDiff(append(make([]byte, 0, 2*len(want)), "kept"...), 0, &sc)
 		if err != nil || string(got[:4]) != "kept" || !bytes.Equal(got[4:], want) || sc.rec != nil {
 			t.Fatalf("store %d, dst with room: %v; scratch used %v", i, err, sc.rec != nil)
 		}
-		got, err = sp.AppendDiff([]byte("kept"), 0, &sc)
+		got, _, err = sp.AppendDiff([]byte("kept"), 0, &sc)
 		if err != nil || string(got[:4]) != "kept" || !bytes.Equal(got[4:], want) || sc.rec == nil {
 			t.Fatalf("store %d, dst without room: %v; scratch used %v", i, err, sc.rec != nil)
 		}

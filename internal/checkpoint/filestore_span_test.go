@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -175,13 +177,77 @@ func TestSpanAppendDiff(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sp.AppendDiff([]byte("head"), ck, &sc)
+			got, _, err := sp.AppendDiff([]byte("head"), ck, &sc)
 			if err != nil || !bytes.Equal(got, append([]byte("head"), want...)) {
 				t.Fatalf("diff %d through the span: %d bytes, %v; want %d", ck, len(got), err, len(want)+4)
 			}
 		}
-		if _, err := sp.AppendDiff(nil, 0, &sc); err == nil {
+		if _, _, err := sp.AppendDiff(nil, 0, &sc); err == nil {
 			t.Fatal("a diff outside the span was served")
+		}
+	}
+}
+
+// TestSpanAppendDiffCRC: the CRC32C AppendDiff returns is the checksum
+// of exactly what it appended, for a self-contained diff (the record's
+// CRC), a block-mapped one of raw blocks and one whose blocks the store
+// packed (folded in as the blocks land), whether the record is read
+// into the scratch or into dst's spare capacity.
+func TestSpanAppendDiffCRC(t *testing.T) {
+	bs, shared := openShared(t, t.TempDir(), "mapped")
+	plain, err := NewFileStore(filepath.Join(t.TempDir(), "plain"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	// Counter-shaped data: one small word per 64-byte block, the rest
+	// zero, so each block is distinct and packs.
+	sparse := make([]byte, 8192)
+	for i := 0; i < len(sparse); i += 64 {
+		binary.LittleEndian.PutUint32(sparse[i:], uint32(i/64+1))
+	}
+	packedDiff := &Diff{Method: MethodFull, CkptID: 1, DataLen: uint64(len(sparse)), ChunkSize: 16, Data: sparse}
+	tab := crc32.MakeTable(crc32.Castagnoli)
+	for _, c := range []struct {
+		name string
+		fs   *FileStore
+	}{{"self-contained", plain}, {"raw blocks", shared[0]}, {"packed blocks", shared[0]}} {
+		ck := c.fs.Len()
+		d := randomDiff(ck, int64(ck), 8192)
+		if c.name == "packed blocks" {
+			d = packedDiff
+		}
+		before := bs.Stats().StoredBytes
+		if err := c.fs.Append(d); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if stored := bs.Stats().StoredBytes - before; c.name == "packed blocks" && stored >= int64(len(sparse)) {
+			t.Fatalf("packed blocks: %d bytes stored for %d: the blocks did not pack", stored, len(sparse))
+		}
+		path, off, size, err := c.fs.Locate(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if IsBlockMapped(seg[off+recHdrSize:off+size]) != (c.fs == shared[0]) {
+			t.Fatalf("%s: record block-mapped %v", c.name, c.fs != shared[0])
+		}
+		sp, err := c.fs.Span(ck, ck+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A dst with room has the record read into its spare capacity.
+		for _, dst := range [][]byte{[]byte("head"), append(make([]byte, 0, 4*8192), "head"...)} {
+			got, crc, err := sp.AppendDiff(dst, ck, &ReadScratch{})
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if want := crc32.Checksum(got[4:], tab); crc != want {
+				t.Fatalf("%s, dst capacity %d: AppendDiff returned CRC %08x, the %d bytes it appended hash to %08x", c.name, cap(dst), crc, len(got)-4, want)
+			}
 		}
 	}
 }
@@ -237,21 +303,21 @@ func TestSpanMovesWithInstall(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sc ReadScratch
-	if _, err := sp.AppendDiff(nil, 1, &sc); err != nil {
+	if _, _, err := sp.AppendDiff(nil, 1, &sc); err != nil {
 		t.Fatal(err)
 	}
 	// An append does not move the span...
 	if err := fs.Append(fullDiffAt(4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sp.AppendDiff(nil, 2, &sc); err != nil {
+	if _, _, err := sp.AppendDiff(nil, 2, &sc); err != nil {
 		t.Fatalf("read after an append: %v", err)
 	}
 	// ...a rewrite does.
 	if err := fs.InstallSpan(1, []*Diff{fullDiffAt(1), fullDiffAt(2), fullDiffAt(3), fullDiffAt(4)}); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := sp.AppendDiff([]byte("kept"), 3, &sc); !errors.Is(err, ErrSpanMoved) || string(got) != "kept" {
+	if got, _, err := sp.AppendDiff([]byte("kept"), 3, &sc); !errors.Is(err, ErrSpanMoved) || string(got) != "kept" {
 		t.Fatalf("read after a rewrite: %q, %v; want dst back and ErrSpanMoved", got, err)
 	}
 	if _, err := fs.DiffBytes(3); err != nil {
@@ -289,7 +355,7 @@ func TestTailFollows(t *testing.T) {
 	}
 	var sc ReadScratch
 	for ck := 0; ck < 3; ck++ {
-		got, err := tail.AppendDiff(nil, ck, &sc)
+		got, _, err := tail.AppendDiff(nil, ck, &sc)
 		if want, _ := fs.DiffBytes(ck); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("diff %d through the followed tail: %v", ck, err)
 		}
@@ -358,10 +424,10 @@ func TestSpanRotNamesCheckpoint(t *testing.T) {
 	var sc ReadScratch
 	for at := int64(0); at < int64(len(refs))*blen; at++ {
 		flipByte(t, path, start+at)
-		if _, err := sp.AppendDiff(nil, 0, &sc); err != nil {
+		if _, _, err := sp.AppendDiff(nil, 0, &sc); err != nil {
 			t.Fatalf("byte %d: the diff before the damage: %v", at, err)
 		}
-		got, err := sp.AppendDiff([]byte("kept"), 1, &sc)
+		got, _, err := sp.AppendDiff([]byte("kept"), 1, &sc)
 		var ce *CorruptError
 		if !errors.As(err, &ce) || ce.Ckpt != 1 || !errors.Is(err, blockstore.ErrCorrupt) || string(got) != "kept" {
 			t.Fatalf("byte %d: %q, %v; want dst back and a CorruptError naming checkpoint 1", at, got, err)
@@ -371,7 +437,7 @@ func TestSpanRotNamesCheckpoint(t *testing.T) {
 		}
 		flipByte(t, path, start+at)
 	}
-	if _, err := sp.AppendDiff(nil, 1, &sc); err != nil {
+	if _, _, err := sp.AppendDiff(nil, 1, &sc); err != nil {
 		t.Fatalf("with every byte put back: %v", err)
 	}
 }
@@ -414,7 +480,7 @@ func TestSpanAppendDiffAllocs(t *testing.T) {
 	var dst []byte
 	allocs := func(ck int) float64 {
 		read := func() {
-			if dst, err = sp.AppendDiff(dst[:0], ck, &sc); err != nil {
+			if dst, _, err = sp.AppendDiff(dst[:0], ck, &sc); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -97,11 +97,12 @@ func (sp Span) Bounds() (from, to int) { return sp.from, sp.to }
 
 // AppendDiff appends the canonical encoded bytes of checkpoint ck of the
 // span to dst, verified in full as DiffBytes verifies them, and returns
-// the extended slice; on error dst is returned as it was. sc carries the
-// read's scratch memory between calls.
-func (sp Span) AppendDiff(dst []byte, ck int, sc *ReadScratch) ([]byte, error) {
+// the extended slice and the CRC32C of what it appended (DiffChecksum of
+// the diff); on error dst is returned as it was. sc carries the read's
+// scratch memory between calls.
+func (sp Span) AppendDiff(dst []byte, ck int, sc *ReadScratch) ([]byte, uint32, error) {
 	if ck < sp.from || ck >= sp.to {
-		return dst, fmt.Errorf("checkpoint: diff %d outside span [%d,%d)", ck, sp.from, sp.to)
+		return dst, 0, fmt.Errorf("checkpoint: diff %d outside span [%d,%d)", ck, sp.from, sp.to)
 	}
 	return sp.fs.appendDiff(dst, ck, &sp.segment, sc)
 }
@@ -109,7 +110,8 @@ func (sp Span) AppendDiff(dst []byte, ck int, sc *ReadScratch) ([]byte, error) {
 // DiffBytes returns the canonical encoded bytes of stored checkpoint ck
 // in memory of their own — the single-diff form of Span.AppendDiff.
 func (fs *FileStore) DiffBytes(ck int) ([]byte, error) {
-	return fs.appendDiff(nil, ck, nil, &ReadScratch{})
+	encoded, _, err := fs.appendDiff(nil, ck, nil, &ReadScratch{})
+	return encoded, err
 }
 
 // appendDiff is the one read path of stored diffs. It reads the record
@@ -118,7 +120,10 @@ func (fs *FileStore) DiffBytes(ck int) ([]byte, error) {
 // payload is appended to dst as is, a block-mapped container is
 // reassembled — prefix verbatim, then every referenced block fetched
 // from the shared store by one AppendBlocks, which verifies each one —
-// so callers never see container bytes. Damage of either kind is a *CorruptError (errors.Is
+// so callers never see container bytes. It also returns the diff's
+// CRC32C without a second pass over it: a self-contained payload's is
+// the record's, which just verified, and a reassembled diff's is
+// folded in as the prefix and each block land. Damage of either kind is a *CorruptError (errors.Is
 // ErrCorrupt) naming ck. Only the read itself happens under the lock: a
 // reader never sees a half-installed segment, and verification and
 // block fetches do not hold up appends. With segment set, the read is
@@ -133,23 +138,23 @@ func (fs *FileStore) DiffBytes(ck int) ([]byte, error) {
 // spare capacity is read there, where the diff will be written over
 // it, and not into sc: a reader whose frame has room needs no scratch
 // the size of a record.
-func (fs *FileStore) appendDiff(dst []byte, ck int, segment *uint32, sc *ReadScratch) ([]byte, error) {
+func (fs *FileStore) appendDiff(dst []byte, ck int, segment *uint32, sc *ReadScratch) ([]byte, uint32, error) {
 	fs.mu.Lock()
 	base, end, live := int(fs.man.Base), fs.endLocked(), fs.man.segment
 	if segment != nil && *segment != live {
 		fs.mu.Unlock()
-		return dst, fmt.Errorf("%w: the lineage was rewritten under the read of diff %d; it now holds [%d,%d)", ErrSpanMoved, ck, base, end)
+		return dst, 0, fmt.Errorf("%w: the lineage was rewritten under the read of diff %d; it now holds [%d,%d)", ErrSpanMoved, ck, base, end)
 	}
 	if ck < base || ck >= end {
 		fs.mu.Unlock()
-		return dst, fmt.Errorf("checkpoint: diff %d out of range [%d,%d)", ck, base, end)
+		return dst, 0, fmt.Errorf("checkpoint: diff %d out of range [%d,%d)", ck, base, end)
 	}
 	if fs.seg == nil {
 		fs.mu.Unlock()
-		return dst, fs.failed
+		return dst, 0, fs.failed
 	}
-	corrupt := func(err error) ([]byte, error) {
-		return dst, &CorruptError{Path: fs.dir, Ckpt: ck, Err: err}
+	corrupt := func(err error) ([]byte, uint32, error) {
+		return dst, 0, &CorruptError{Path: fs.dir, Ckpt: ck, Err: err}
 	}
 	loc := fs.recs[ck-base]
 	if loc.state != recLive {
@@ -167,7 +172,7 @@ func (fs *FileStore) appendDiff(dst []byte, ck int, segment *uint32, sc *ReadScr
 	raw, err := fs.hooks.ReadAt(fs.seg, buf[:need], loc.off)
 	fs.mu.Unlock()
 	if err != nil && err != io.EOF { // a short read fails verification below
-		return dst, fmt.Errorf("checkpoint: reading diff %d: %w", ck, err)
+		return dst, 0, fmt.Errorf("checkpoint: reading diff %d: %w", ck, err)
 	}
 	h, ok := segFormat.Parse(raw)
 	if !ok || h.Kind != recDiff || int(h.A) != ck || h.Len != loc.len {
@@ -178,24 +183,28 @@ func (fs *FileStore) appendDiff(dst []byte, ck int, segment *uint32, sc *ReadScr
 		return corrupt(fmt.Errorf("%w: record says %08x, payload hashes to %08x", ErrChecksumMismatch, h.CRC, got))
 	}
 	if !IsBlockMapped(payload) {
-		return append(dst, payload...), nil
+		return append(dst, payload...), h.CRC, nil
 	}
 	prefix, refs, dataLen, err := parseBlockDiff(payload)
 	if err != nil {
 		return corrupt(err)
 	}
 	if fs.blocks == nil {
-		return dst, errNoBlockStore
+		return dst, 0, errNoBlockStore
 	}
 	sc.refs = appendRefs(sc.refs[:0], refs)
 	out := append(slices.Grow(dst, len(prefix)+int(dataLen)), prefix...)
-	if out, err = fs.blocks.AppendBlocks(out, sc.refs, &sc.blocks); err != nil {
+	// The record may have been read into dst's spare capacity, which the
+	// prefix was just moved down over: from here on, only out and
+	// sc.refs hold what the record held.
+	out, crc, err := fs.blocks.AppendBlocks(out, crc32.Checksum(out[len(dst):], castagnoli), sc.refs, &sc.blocks)
+	if err != nil {
 		if fs.Manifest().segment != live {
 			return fs.appendDiff(dst, ck, segment, sc)
 		}
 		return corrupt(err)
 	}
-	return out, nil
+	return out, crc, nil
 }
 
 // decodeVerified decodes the verified bytes of checkpoint ck, read into
@@ -203,7 +212,7 @@ func (fs *FileStore) appendDiff(dst []byte, ck int, segment *uint32, sc *ReadScr
 // Structural decode failures and id mismatches are *CorruptError like
 // checksum failures: all three mean the diff cannot be restored.
 func (fs *FileStore) decodeVerified(ck int, sc *ReadScratch) (*Diff, error) {
-	encoded, err := fs.appendDiff(nil, ck, nil, sc)
+	encoded, _, err := fs.appendDiff(nil, ck, nil, sc)
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/device"
 	"github.com/gpuckpt/gpuckpt/internal/hashmap"
+	"github.com/gpuckpt/gpuckpt/internal/murmur3"
 	"github.com/gpuckpt/gpuckpt/internal/parallel"
 )
 
@@ -606,6 +607,51 @@ func TestDeterministicDiffBytes(t *testing.T) {
 	b := encode(8)
 	if !bytes.Equal(a, b) {
 		t.Fatal("diff bytes depend on worker count")
+	}
+}
+
+// TestLeafSweepMatchesSeam is the differential test of the leaf
+// sweep's paired fixed-kernel path against its one-chunk-at-a-time
+// path, the hashChunk seam set to plain Sum128: on a tree whose chunk
+// count is no power of two and whose last chunk is short, at 1 to 4
+// workers, whose blocks straddle DeepLeaves, every diff of a chain is
+// byte-identical.
+func TestLeafSweepMatchesSeam(t *testing.T) {
+	const chunk, nChunks = 64, 300
+	size := nChunks*chunk - 17
+	rng := rand.New(rand.NewSource(43))
+	chain := [][]byte{randBuf(rng, size)}
+	for k := 1; k < 6; k++ {
+		next := append([]byte(nil), chain[k-1]...)
+		mutate(rng, next, 6, 2)
+		rng.Read(next[size-10:])
+		// Chunks on both sides of DeepLeaves (88) repeat earlier ones.
+		src := rng.Intn(80) * chunk
+		copy(next[86*chunk:91*chunk], next[src:src+5*chunk])
+		chain = append(chain, next)
+	}
+	for workers := 1; workers <= 4; workers++ {
+		run := func(seam bool) []byte {
+			d := newTestDedup(t, checkpoint.MethodTree, size, workers, Options{ChunkSize: chunk})
+			if deep, grain := d.tree.DeepLeaves(), (nChunks+workers-1)/workers; deep != 88 || (workers > 1 && deep%grain == 0) {
+				t.Fatalf("%d workers: DeepLeaves %d, blocks of %d chunks: no block straddles it", workers, deep, grain)
+			}
+			if seam {
+				d.hashChunk = func(b []byte) murmur3.Digest { return murmur3.Sum128(b, d.opts.Seed) }
+			}
+			var out []byte
+			for k, b := range chain {
+				diff, _, err := d.Checkpoint(b)
+				if err != nil {
+					t.Fatalf("%d workers, seam %v, checkpoint %d: %v", workers, seam, k, err)
+				}
+				out = append(out, encodeDiff(t, diff)...)
+			}
+			return out
+		}
+		if !bytes.Equal(run(false), run(true)) {
+			t.Fatalf("%d workers: the paired leaf sweep's diffs differ from the one-chunk sweep's", workers)
+		}
 	}
 }
 

@@ -23,41 +23,29 @@ import (
 // over lists derived from those. The first checkpoint is simply the
 // case where every chunk is on the list.
 func (d *Deduplicator) initBodies() {
-	// Lines 1-23 of Algorithm 1: hash every chunk, two at a time so
-	// the two Murmur3 dependency chains overlap, and classify the ones
-	// whose digest moved as FIRST_OCUR / SHIFT_DUPL against the
+	// Lines 1-23 of Algorithm 1: hash every chunk and classify the
+	// ones whose digest moved as FIRST_OCUR / SHIFT_DUPL against the
 	// historical record of unique hashes, refreshing the leaf digests.
 	// A block's changed chunk ids land at d.changedBuf[lo:], in order.
+	// Chunks [0, DeepLeaves) are the leaves of the deepest level and
+	// the rest the leaves one level up, so the block is swept as at
+	// most two runs of consecutive nodes.
 	//ckptlint:noalloc
 	d.leafBody = func(lo, hi int) {
-		data := d.frontData
 		out := d.changedBuf[lo:lo:hi]
 		var ops int64
-		var digs [2]murmur3.Digest
-	sweep:
-		for c, n := lo, 0; c < hi; c += n {
-			off, end := d.chunkSpan(c)
-			if c+1 < hi && d.hashChunk == nil {
-				_, end2 := d.chunkSpan(c + 1)
-				digs[0], digs[1] = murmur3.Sum128x2(data[off:end], data[end:end2], d.opts.Seed)
-				n = 2
-			} else {
-				digs[0] = d.hashOne(data[off:end])
-				n = 1
-			}
-			for j, dig := range digs[:n] {
-				node := d.tree.LeafNode(c + j)
-				if dig == d.tree.Digests[node] {
-					continue
-				}
-				out = append(out, uint32(c+j))
-				k, err := d.insertLeaf(node, dig)
-				ops += k
-				if err != nil {
-					d.gs.fail(err)
-					break sweep
-				}
-			}
+		var err error
+		deep := d.tree.DeepLeaves()
+		if lo < deep {
+			out, ops, err = d.sweepLeaves(out, lo, min(hi, deep))
+		}
+		if err == nil && hi > deep {
+			var k int64
+			out, k, err = d.sweepLeaves(out, max(lo, deep), hi)
+			ops += k
+		}
+		if err != nil {
+			d.gs.fail(err)
 		}
 		d.gs.mapOps.Add(ops)
 		d.gs.addRun(lo, len(out))
@@ -186,6 +174,50 @@ func (d *Deduplicator) initBodies() {
 	}
 
 	d.initBasicBodies()
+}
+
+// sweepLeaves hashes chunks [lo, hi), leaves of one tree level and so
+// consecutive nodes, and handles each whose digest moved: its id is
+// appended to out and insertLeaf registers it. It returns out and the
+// map operations spent, stopping at the first error. Whole chunks go
+// two at a time, so the two Murmur3 dependency chains overlap and
+// Sum128x2 takes its fixed kernel for the chunk size; the short last
+// chunk, and every chunk while the hashChunk seam is set, go one by
+// one.
+//
+//ckptlint:noalloc
+func (d *Deduplicator) sweepLeaves(out []uint32, lo, hi int) ([]uint32, int64, error) {
+	data, cs, seed := d.frontData, d.opts.ChunkSize, d.opts.Seed
+	node := d.tree.LeafNode(lo) - lo // chunk c is node node+c
+	whole := lo                      // chunks [lo, whole) are paired
+	if d.hashChunk == nil {
+		whole = max(lo, min(hi, d.dataLen/cs))
+	}
+	var ops int64
+	var digs [2]murmur3.Digest
+	for c, n := lo, 0; c < hi; c += n {
+		if c+1 < whole {
+			off := c * cs
+			digs[0], digs[1] = murmur3.Sum128x2(data[off:off+cs], data[off+cs:off+2*cs], seed)
+			n = 2
+		} else {
+			off, end := d.chunkSpan(c)
+			digs[0] = d.hashOne(data[off:end])
+			n = 1
+		}
+		for j, dig := range digs[:n] {
+			if dig == d.tree.Digests[node+c+j] {
+				continue
+			}
+			out = append(out, uint32(c+j))
+			k, err := d.insertLeaf(node+c+j, dig)
+			ops += k
+			if err != nil {
+				return out, ops, err
+			}
+		}
+	}
+	return out, ops, nil
 }
 
 // hashOne fingerprints one chunk: Murmur3 with the configured seed,

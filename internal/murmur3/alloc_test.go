@@ -26,21 +26,24 @@ func TestSum128ZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSum128x2ZeroAlloc covers the paired leaf hash of the sweep.
+// TestSum128x2ZeroAlloc covers the paired leaf hash of the sweep: the
+// fixed kernel of every kernel length, and the generic loop.
 func TestSum128x2ZeroAlloc(t *testing.T) {
-	data := make([]byte, 256)
+	data := make([]byte, 1024)
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
-	var a, b Digest
-	avg := testing.AllocsPerRun(100, func() {
-		a, b = Sum128x2(data[:128], data[128:249], 42)
-	})
-	if avg != 0 {
-		t.Errorf("Sum128x2: %.2f allocs per run, want 0", avg)
-	}
-	if a.IsZero() || b.IsZero() {
-		t.Error("Sum128x2: zero digest")
+	for _, n := range append(kernelLengths, 121) {
+		var a, b Digest
+		avg := testing.AllocsPerRun(100, func() {
+			a, b = Sum128x2(data[:n], data[512:512+n], 42)
+		})
+		if avg != 0 {
+			t.Errorf("Sum128x2(%d bytes): %.2f allocs per run, want 0", n, avg)
+		}
+		if a.IsZero() || b.IsZero() {
+			t.Errorf("Sum128x2(%d bytes): zero digest", n)
+		}
 	}
 }
 

@@ -3,9 +3,19 @@
 // checkpoint chunks (Tan et al., ICPP 2023, §2.4).
 //
 // The implementation follows Austin Appleby's reference
-// (MurmurHash3_x64_128) and is allocation-free: Sum128 returns the
-// digest as a value type so hot loops hashing millions of chunks do
-// not touch the garbage collector.
+// (MurmurHash3_x64_128) and is allocation-free: every entry point
+// returns digests as value types so hot loops hashing millions of
+// chunks do not touch the garbage collector. The entry points:
+//
+//   - Sum128 hashes one message: block identities (blockstore.IDOf),
+//     image digests, the one-at-a-time chunk hash.
+//   - Sum128x2 hashes two messages at once, the leaf sweep's chunk
+//     pairs; two messages of one length from 32 to 512 bytes, a power
+//     of two, take that length's fixed kernel.
+//   - SumPair hashes two digests' concatenation, the Merkle node
+//     combiner, as a fixed 32-byte message.
+//
+// Every one of them gives exactly the digest of the reference.
 package murmur3
 
 import (
@@ -70,21 +80,94 @@ func Sum128(data []byte, seed uint32) Digest {
 // multiply-rotate chain, so on the 32-512 byte chunks Algorithm 1
 // hashes it is bound by latency, not by bandwidth; interleaving two
 // chains over their common 16-byte blocks lets the core overlap them.
+// Two inputs of one kernel length (32, 64, 128, 256 or 512 bytes, the
+// chunk sizes of §3.3) take that length's fixed kernel.
 //
 //ckptlint:noalloc
 func Sum128x2(a, b []byte, seed uint32) (Digest, Digest) {
+	if len(a) == len(b) {
+		if p, ok := fixed2(a, b, seed); ok {
+			n := uint64(len(a))
+			return fmixState(p.a1, p.a2, n), fmixState(p.b1, p.b2, n)
+		}
+	}
 	a1, a2 := uint64(seed), uint64(seed)
 	b1, b2 := a1, a2
-	common := min(len(a), len(b)) &^ 15
-	for i := 0; i < common; i += 16 {
-		ka1 := binary.LittleEndian.Uint64(a[i:])
-		ka2 := binary.LittleEndian.Uint64(a[i+8:])
-		kb1 := binary.LittleEndian.Uint64(b[i:])
-		kb2 := binary.LittleEndian.Uint64(b[i+8:])
-		a1, a2 = mixBlock(a1, a2, ka1, ka2)
-		b1, b2 = mixBlock(b1, b2, kb1, kb2)
+	ra, rb := a, b
+	for len(ra) >= 16 && len(rb) >= 16 {
+		a1, a2 = mixBlock(a1, a2, binary.LittleEndian.Uint64(ra[:8]), binary.LittleEndian.Uint64(ra[8:16]))
+		b1, b2 = mixBlock(b1, b2, binary.LittleEndian.Uint64(rb[:8]), binary.LittleEndian.Uint64(rb[8:16]))
+		ra, rb = ra[16:], rb[16:]
 	}
-	return finish(a1, a2, a[common:], uint64(len(a))), finish(b1, b2, b[common:], uint64(len(b)))
+	return finish(a1, a2, ra, uint64(len(a))), finish(b1, b2, rb, uint64(len(b)))
+}
+
+// pair is the state of two interleaved streams, a and b.
+type pair struct{ a1, a2, b1, b2 uint64 }
+
+// fixed2 runs the kernel for the common length of a and b, and reports
+// whether there is one. The kernels read through array pointers at
+// constant offsets, so no block pays a bounds check or a reslice, and
+// their digests skip the tail, which a kernel length never has.
+//
+//ckptlint:noalloc
+func fixed2(a, b []byte, seed uint32) (pair, bool) {
+	h := uint64(seed)
+	p := pair{h, h, h, h}
+	switch len(a) {
+	case 32:
+		return p.mix32((*[32]byte)(a), (*[32]byte)(b)), true
+	case 64:
+		return p.mix64((*[64]byte)(a), (*[64]byte)(b)), true
+	case 128:
+		return p.mix128((*[128]byte)(a), (*[128]byte)(b)), true
+	case 256:
+		return p.mix256((*[256]byte)(a), (*[256]byte)(b)), true
+	case 512:
+		return p.mix512((*[512]byte)(a), (*[512]byte)(b)), true
+	}
+	return p, false
+}
+
+// mix32 folds 32 bytes of each stream into p, unrolled: the kernel
+// every longer one is made of.
+//
+//ckptlint:noalloc
+func (p pair) mix32(a, b *[32]byte) pair {
+	le := binary.LittleEndian
+	p.a1, p.a2 = mixBlock(p.a1, p.a2, le.Uint64(a[0:8]), le.Uint64(a[8:16]))
+	p.b1, p.b2 = mixBlock(p.b1, p.b2, le.Uint64(b[0:8]), le.Uint64(b[8:16]))
+	p.a1, p.a2 = mixBlock(p.a1, p.a2, le.Uint64(a[16:24]), le.Uint64(a[24:32]))
+	p.b1, p.b2 = mixBlock(p.b1, p.b2, le.Uint64(b[16:24]), le.Uint64(b[24:32]))
+	return p
+}
+
+// mix64 folds 64 bytes of each stream into p: two mix32 steps.
+//
+//ckptlint:noalloc
+func (p pair) mix64(a, b *[64]byte) pair {
+	return p.mix32((*[32]byte)(a[:32]), (*[32]byte)(b[:32])).mix32((*[32]byte)(a[32:]), (*[32]byte)(b[32:]))
+}
+
+// mix128 folds 128 bytes of each stream into p: two mix64 steps.
+//
+//ckptlint:noalloc
+func (p pair) mix128(a, b *[128]byte) pair {
+	return p.mix64((*[64]byte)(a[:64]), (*[64]byte)(b[:64])).mix64((*[64]byte)(a[64:]), (*[64]byte)(b[64:]))
+}
+
+// mix256 folds 256 bytes of each stream into p: two mix128 steps.
+//
+//ckptlint:noalloc
+func (p pair) mix256(a, b *[256]byte) pair {
+	return p.mix128((*[128]byte)(a[:128]), (*[128]byte)(b[:128])).mix128((*[128]byte)(a[128:]), (*[128]byte)(b[128:]))
+}
+
+// mix512 folds 512 bytes of each stream into p: two mix256 steps.
+//
+//ckptlint:noalloc
+func (p pair) mix512(a, b *[512]byte) pair {
+	return p.mix256((*[256]byte)(a[:256]), (*[256]byte)(b[:256])).mix256((*[256]byte)(a[256:]), (*[256]byte)(b[256:]))
 }
 
 // mixBlock folds one 16-byte block (k1, k2) into the state.
@@ -117,14 +200,12 @@ func mixBlock(h1, h2, k1, k2 uint64) (uint64, uint64) {
 //
 //ckptlint:noalloc
 func finish(h1, h2 uint64, data []byte, total uint64) Digest {
-	nblocks := len(data) / 16
-	for i := 0; i < nblocks; i++ {
-		k1 := binary.LittleEndian.Uint64(data[i*16:])
-		k2 := binary.LittleEndian.Uint64(data[i*16+8:])
-		h1, h2 = mixBlock(h1, h2, k1, k2)
+	tail := data
+	for len(tail) >= 16 {
+		h1, h2 = mixBlock(h1, h2, binary.LittleEndian.Uint64(tail[:8]), binary.LittleEndian.Uint64(tail[8:16]))
+		tail = tail[16:]
 	}
 
-	tail := data[nblocks*16:]
 	var k1, k2 uint64
 	switch len(tail) & 15 {
 	case 15:
@@ -180,7 +261,14 @@ func finish(h1, h2 uint64, data []byte, total uint64) Digest {
 		k1 *= c2
 		h1 ^= k1
 	}
+	return fmixState(h1, h2, total)
+}
 
+// fmixState finalizes a stream whose message, total bytes long, is all
+// folded into (h1, h2).
+//
+//ckptlint:noalloc
+func fmixState(h1, h2, total uint64) Digest {
 	h1 ^= total
 	h2 ^= total
 
@@ -198,14 +286,13 @@ func finish(h1, h2 uint64, data []byte, total uint64) Digest {
 
 // SumPair hashes the concatenation of two digests. It is the node
 // combiner of the Merkle tree: Tree(node) = SumPair(left, right).
-// It avoids allocating an intermediate 32-byte buffer on the heap.
+// The 32 bytes are the two Bytes serializations, whose 8-byte words
+// are the digests' halves, so it folds the halves in as the two
+// blocks of a 32-byte message without serializing anything.
 //
 //ckptlint:noalloc
 func SumPair(left, right Digest, seed uint32) Digest {
-	var buf [32]byte
-	binary.LittleEndian.PutUint64(buf[0:8], left.H1)
-	binary.LittleEndian.PutUint64(buf[8:16], left.H2)
-	binary.LittleEndian.PutUint64(buf[16:24], right.H1)
-	binary.LittleEndian.PutUint64(buf[24:32], right.H2)
-	return Sum128(buf[:], seed)
+	h1, h2 := mixBlock(uint64(seed), uint64(seed), left.H1, left.H2)
+	h1, h2 = mixBlock(h1, h2, right.H1, right.H2)
+	return fmixState(h1, h2, 32)
 }

@@ -148,14 +148,22 @@ func BenchmarkSum128x2(b *testing.B) {
 	}
 }
 
+// kernelLengths are the message lengths Sum128x2 has a fixed kernel
+// for.
+var kernelLengths = []int{32, 64, 128, 256, 512}
+
 // TestSum128x2MatchesSum128 is the differential test of the paired
-// hash: every pair of lengths around the block and tail boundaries,
-// equal and unequal, must give exactly the two single digests.
+// hash: every pair of lengths around the block and tail boundaries and
+// the kernel lengths, equal and unequal, must give exactly the two
+// single digests.
 func TestSum128x2MatchesSum128(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	buf := make([]byte, 2*600)
 	rng.Read(buf)
-	lengths := []int{0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 64, 121, 128, 129, 512, 600}
+	lengths := []int{0, 1, 7, 8, 9, 15, 16, 17, 31, 47, 121, 600}
+	for _, n := range kernelLengths {
+		lengths = append(lengths, n-16, n-1, n, n+1, n+16)
+	}
 	for _, la := range lengths {
 		for _, lb := range lengths {
 			a, b := buf[:la], buf[600:600+lb]
@@ -169,15 +177,29 @@ func TestSum128x2MatchesSum128(t *testing.T) {
 }
 
 // FuzzSum128x2 checks the paired hash against Sum128 on arbitrary
-// message pairs.
+// message pairs, and again on both cut to the longest kernel length
+// they reach, so the fuzzer exercises the fixed kernels whatever
+// lengths it draws.
 func FuzzSum128x2(f *testing.F) {
 	f.Add([]byte(""), []byte("a"), uint32(0))
 	f.Add(bytes.Repeat([]byte{1}, 128), bytes.Repeat([]byte{2}, 121), uint32(42))
 	f.Add(bytes.Repeat([]byte{3}, 17), bytes.Repeat([]byte{4}, 64), uint32(1<<31))
+	for i, n := range kernelLengths {
+		f.Add(bytes.Repeat([]byte{byte(5 + i)}, n), bytes.Repeat([]byte{byte(10 + i)}, n), uint32(n))
+	}
 	f.Fuzz(func(t *testing.T, a, b []byte, seed uint32) {
-		da, db := Sum128x2(a, b, seed)
-		if da != Sum128(a, seed) || db != Sum128(b, seed) {
-			t.Fatalf("Sum128x2(%x, %x, %d) differs from Sum128", a, b, seed)
+		check := func(a, b []byte) {
+			da, db := Sum128x2(a, b, seed)
+			if da != Sum128(a, seed) || db != Sum128(b, seed) {
+				t.Fatalf("Sum128x2(%x, %x, %d) differs from Sum128", a, b, seed)
+			}
+		}
+		check(a, b)
+		for i := len(kernelLengths) - 1; i >= 0; i-- {
+			if n := kernelLengths[i]; len(a) >= n && len(b) >= n {
+				check(a[:n], b[len(b)-n:])
+				break
+			}
 		}
 	})
 }

@@ -51,10 +51,11 @@ import (
 )
 
 // pullBuf is the memory one span stream works in: the frame being sent,
-// whose payload is the diff reassembled in place, the store's read
-// scratch, and what write stages the frame's header in.
+// whose payload is the diff reassembled in place, and its CRC32C; the
+// store's read scratch; and what write stages the frame's header in.
 type pullBuf struct {
 	frame wire.Frame
+	crc   uint32
 	sc    checkpoint.ReadScratch
 	stage []byte
 	vec   net.Buffers
@@ -236,8 +237,9 @@ func (s *Server) openPull(req *wire.Frame) (ln *lineage, span checkpoint.Span, s
 }
 
 // write sends pb.frame on handle h as a TPull/StatusOK frame: header and
-// CRC32C prefix staged in pb.stage, the diff handed to writev untouched.
-// It returns the frame's wire size.
+// CRC32C prefix (pb.crc, which load took from the read) staged in
+// pb.stage, the diff handed to writev untouched. It returns the frame's
+// wire size.
 func (pb *pullBuf) write(w io.Writer, h uint32) (uint64, error) {
 	encoded := pb.frame.Payload
 	n := wire.PushChecksumSize + len(encoded)
@@ -245,7 +247,7 @@ func (pb *pullBuf) write(w io.Writer, h uint32) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	pb.stage = binary.BigEndian.AppendUint32(stage, wire.Checksum(encoded))
+	pb.stage = binary.BigEndian.AppendUint32(stage, pb.crc)
 	pb.vec = append(pb.vec[:0], pb.stage, encoded)
 	saved := pb.vec // WriteFrameVec consumes vec; keep its backing array
 	err = wire.WriteFrameVec(w, &pb.vec)
@@ -254,15 +256,16 @@ func (pb *pullBuf) write(w io.Writer, h uint32) (uint64, error) {
 }
 
 // load makes pb.frame the frame that carries checkpoint ck of span,
-// complete and verified. A buffer the diff outgrows goes back to frames.
+// complete and verified, and pb.crc its CRC32C. A buffer the diff
+// outgrows goes back to frames.
 func (pb *pullBuf) load(span checkpoint.Span, ck int, frames *frameMem) error {
-	out, err := span.AppendDiff(pb.frame.Payload[:0], ck, &pb.sc)
+	out, crc, err := span.AppendDiff(pb.frame.Payload[:0], ck, &pb.sc)
 	if err != nil {
 		return err
 	}
 	if cap(out) != cap(pb.frame.Payload) {
 		frames.put(pb.frame.Payload)
 	}
-	pb.frame.Ckpt, pb.frame.Payload = uint32(ck), out
+	pb.frame.Ckpt, pb.frame.Payload, pb.crc = uint32(ck), out, crc
 	return nil
 }
