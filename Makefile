@@ -212,14 +212,19 @@ fuzz-smoke:
 # turns out divergent, at the mirror's length or past it, fail-stops
 # typed and keeps its own verified diff
 # (TestFollowerDivergentPrimaryFailStops), one whose primary falls
-# behind its mirror keeps the mirror and pulls no span, only digests
+# behind its mirror keeps the mirror and pulls no span, only digests,
+# and reads no mirror diff while the primary's coordinates hold
 # (TestFollowerBehindPrimaryWaits), a promotion severs a round blocked
 # on a hung primary (TestFollowerPromoteSeversRound), a primary dying
 # mid-resync round after round never fail-stops the follower
 # (TestChaosFollowerResyncOutlivesDyingPrimary), a reconciler compares
 # the common span before it pulls a diverged peer's suffix
-# (TestRoundDivergenceBeforeSuffix) and counts no transport failure
-# toward fail-stop (TestRoundTransportFailureNotCounted), a severed
+# (TestRoundDivergenceBeforeSuffix), counts no transport failure
+# toward fail-stop (TestRoundTransportFailureNotCounted), reads each
+# replica's span once to find and heal one rotten diff
+# (TestRoundReadsEachDiffOnce) and walks a lineage longer than one
+# digest window, healing rot and fail-stopping divergence in its second
+# (TestRoundWalksWindows), a severed
 # client tears its checked-out connections (TestPoolSever), and a
 # peer's fold adopted by anti-entropy frees the replaced blocks with no
 # compaction of its own (TestChaosAntiEntropyFoldInstallCollectsBlocks) —
@@ -264,7 +269,7 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run '^(TestFollowerDivergentPrimaryFailStops|TestFollowerBehindPrimaryWaits|TestFollowerPromoteSeversRound)$$' ./internal/follower
 	$(GO) test -race -count=1 -run '^TestPoolSever$$' ./internal/wireclient
 	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestReadBudget|TestReadAcrossRelocation|TestRaceGetInternGC|TestGCMarkThenPush|TestGCMarkThenOpen|TestRaceGCMarkPush|TestCountedPackRefused|TestCountedIndexRefused|TestUnknownIndexVersionRefused|TestGCMovesPackedBlock|TestPackedRecordRot|TestRawStoreOpensUnchanged|TestPackedPackRefusedByRawBuilds)$$' ./internal/blockstore
-	$(GO) test -race -count=1 -run '^(TestHealPullsRuns|TestRoundDivergenceBeforeSuffix|TestRoundTransportFailureNotCounted)$$' ./internal/antientropy
+	$(GO) test -race -count=1 -run '^(TestHealPullsRuns|TestRoundDivergenceBeforeSuffix|TestRoundTransportFailureNotCounted|TestRoundReadsEachDiffOnce|TestRoundWalksWindows)$$' ./internal/antientropy
 	$(GO) test -race -count=1 -run '^(TestRace|(TestFoldEndsSubscription|TestSubscribeFoldMidBacklog|TestSubscribeRotEndsWithoutBarrier|TestAntiEntropyWakesSubscribers|TestSubscriberNeverShed|TestStagedFrameIsTheReadBuffer|TestStagedRunCountsCapacity|TestRequestConnTakesNoListBuffer|TestTornRunReturnsBuffers)$$)' ./internal/server
 	$(GO) test -race -count=1 -run '^TestRace' ./internal/wireclient
 	$(GO) test -race -count=1 -run '^TestFrameTypeBytes$$' ./internal/wire

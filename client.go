@@ -348,11 +348,10 @@ func (c *Client) Stats() (ServerStats, error) {
 	return wire.DecodeStats(resp.Payload)
 }
 
-// LineageDigest is the compact anti-entropy summary of a lineage
-// span, as served by TDigest: coordinates plus a rolling
-// CRC32C and a murmur3-128 merkle root over per-diff content
-// checksums. Two replicas whose digests match hold byte-identical
-// canonical encodings over the span.
+// LineageDigest is a lineage span's anti-entropy digest, as served by
+// TDigest: coordinates plus per-diff content checksums. Two replicas
+// whose checksums match hold byte-identical canonical encodings over
+// the span.
 type LineageDigest struct {
 	// Base and Len delimit the server's stored span.
 	Base, Len int
@@ -360,36 +359,35 @@ type LineageDigest struct {
 	// when a fold rewrites history, telling reconcilers a span must be
 	// resynced wholesale rather than patched.
 	Generation uint64
-	// SpanLo and SpanHi delimit the digested span (the request clipped
-	// to what the server stores).
+	// SpanLo and SpanHi delimit the digested span: the request clipped
+	// to what the server stores and to wire.DigestMaxDetail ids.
 	SpanLo, SpanHi int
-	// CRC folds the span's per-diff checksums; Root is their merkle
-	// root, which localizes where two spans differ.
-	CRC  uint32
-	Root [16]byte
-	// Detail holds the per-diff content checksums when requested.
+	// Detail holds the per-diff content checksums of [SpanLo, SpanHi)
+	// when requested.
 	Detail []uint32
 }
 
 // Digest requests a span digest of the named lineage. lo == hi == 0
-// digests the server's whole stored span. With detail, the response
-// carries per-diff checksums (the span must then be at most
-// wire.DigestMaxDetail wide).
+// digests the server's whole stored span, clipped like any other
+// request to wire.DigestMaxDetail ids. The server always sends the
+// span's per-diff checksums; with detail false the client drops them
+// and returns the coordinates only.
 func (c *Client) Digest(name string, lo, hi int, detail bool) (LineageDigest, error) {
-	d, err := c.wc.Digest(name, wire.DigestReq{Lo: uint32(lo), Hi: uint32(hi), Detail: detail})
+	d, err := c.wc.Digest(name, wire.DigestReq{Lo: uint32(lo), Hi: uint32(hi)})
 	if err != nil {
 		return LineageDigest{}, err
 	}
-	return LineageDigest{
+	out := LineageDigest{
 		Base:       int(d.Base),
 		Len:        int(d.Len),
 		Generation: d.Generation,
 		SpanLo:     int(d.SpanLo),
 		SpanHi:     int(d.SpanHi),
-		CRC:        d.CRC,
-		Root:       d.Root,
-		Detail:     d.Detail,
-	}, nil
+	}
+	if detail {
+		out.Detail = d.CRCs
+	}
+	return out, nil
 }
 
 // compact issues one TCompact request. target is an absolute

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -456,11 +457,11 @@ func TestClientBackoffObservesContext(t *testing.T) {
 	}
 }
 
-// TestClientDigest round-trips a wire v6 span digest: the summary
-// must cover the pushed span, and the per-diff detail must match the
-// server's canonical content checksums.
+// TestClientDigest round-trips a span digest: it must cover the pushed
+// span, its per-diff detail must match the server's canonical content
+// checksums, and a digest without detail carries the coordinates only.
 func TestClientDigest(t *testing.T) {
-	addr, shutdown := startTestServer(t, server.Config{Root: t.TempDir()})
+	srv, addr, shutdown := startTestServerH(t, server.Config{Root: t.TempDir()})
 	defer shutdown()
 	cl, err := Dial(addr, 5*time.Second)
 	if err != nil {
@@ -491,8 +492,15 @@ func TestClientDigest(t *testing.T) {
 			t.Fatalf("detail[%d] = %08x, want content checksum %08x", k, d.Detail[k], want)
 		}
 	}
-	if d.CRC == 0 && d.Root == ([16]byte{}) {
-		t.Fatal("summary digest is zero over a non-empty span")
+	st, err := srv.Store("lin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if crcs, err := st.SpanChecksums(0, n); err != nil || !slices.Equal(d.Detail, crcs) {
+		t.Fatalf("detail %08x, the store's span checksums %08x (%v)", d.Detail, crcs, err)
+	}
+	if c, err := cl.Digest("lin", 0, 0, false); err != nil || c.Detail != nil || c.SpanHi != n {
+		t.Fatalf("digest without detail: %+v %v", c, err)
 	}
 }
 
@@ -545,7 +553,7 @@ func TestClientConnectionLimitError(t *testing.T) {
 // Bumping it is a flag day — update the handshake refusal tests and
 // the protocol description in internal/wire when it moves.
 func TestClientProtocolVersion(t *testing.T) {
-	if wire.Version != 9 {
+	if wire.Version != 10 {
 		t.Fatalf("protocol version bumped to %d: update the protocol notes", wire.Version)
 	}
 }

@@ -102,7 +102,7 @@ func healExperiment(cfg experiments.Config, chain int, jsonPath string) (*metric
 	}
 
 	// Bit-rot a quarter of A's stored diffs, spread across the span so
-	// the bisection has real work.
+	// the heals are scattered runs of one, each its own span pull.
 	rotted := chain / 4
 	if rotted < 1 {
 		rotted = 1

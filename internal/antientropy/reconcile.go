@@ -28,7 +28,7 @@ var (
 	ErrQuarantined = errors.New("antientropy: lineage quarantined")
 
 	// errRaced ends a round whose spans moved underneath it (a
-	// compaction or append landed mid-bisection); the next round
+	// compaction landed mid-round); the next round
 	// starts over from fresh coordinates.
 	errRaced = errors.New("antientropy: span moved mid-round")
 	// errPeerDamaged ends a round because the peer answered a digest
@@ -99,15 +99,9 @@ type Result struct {
 	BytesPulled int64
 }
 
-const (
-	// MaxHealFailures is the consecutive failed-heal-round budget
-	// before a lineage fail-stops.
-	MaxHealFailures = 3
-	// DetailWindow is the bisection leaf width: spans at or below it
-	// are compared per-diff instead of split further. At most
-	// wire.DigestMaxDetail.
-	DetailWindow = 256
-)
+// MaxHealFailures is the consecutive failed-heal-round budget before a
+// lineage fail-stops.
+const MaxHealFailures = 3
 
 // Config parameterizes a Reconciler.
 type Config struct {
@@ -222,13 +216,12 @@ func (r *Reconciler) Round() (Result, error) {
 
 // round is one pass of the convergence algorithm:
 //
-//  1. one summary digest of the peer's whole span (the only traffic
-//     a clean round costs);
+//  1. one digest of the peer's span — its coordinates and the
+//     checksums of its first window;
 //  2. fold awareness — a peer whose baseline advanced past ours is
 //     adopted wholesale via InstallSpan, never patched diff-by-diff;
-//  3. the common span is compared against the summary and bisected
-//     down to per-diff detail on mismatch, healing local rot — a
-//     damaged id fails its checksum like any other — and
+//  3. the common span is compared per diff, window by window, healing
+//     local rot — a damaged id fails its checksum like any other — and
 //     fail-stopping on true divergence;
 //  4. only then is a missing suffix pulled.
 func (r *Reconciler) round() (Result, error) {
@@ -269,19 +262,29 @@ func (r *Reconciler) round() (Result, error) {
 	}
 
 	// Compare the common span first: a suffix may only extend a span
-	// both replicas agree on. A round that pulls one therefore costs
-	// a clipped digest more; a clean round needs only the summary.
+	// both replicas agree on. The first window's checksums came with
+	// the coordinates; each further window costs one more digest.
 	n := st.Len()
-	if hi := min(n, pLen); hi > base {
-		match, err := r.matchesSummary(base, hi, pd)
-		if err != nil {
-			return res, err
-		}
-		if !match {
-			if err := r.bisect(base, hi, &res); err != nil {
+	hi := min(n, pLen)
+	for lo := base; lo < hi; {
+		if lo > base {
+			if pd, err = r.cfg.Peer.Digest(r.cfg.Lineage, wire.DigestReq{Lo: uint32(lo), Hi: uint32(hi)}); err != nil {
+				var re *wire.RemoteError
+				if errors.As(err, &re) {
+					return res, fmt.Errorf("%w: %v", errPeerDamaged, err)
+				}
 				return res, err
 			}
 		}
+		if int(pd.SpanLo) != lo || int(pd.SpanHi) <= lo || len(pd.CRCs) != int(pd.SpanHi-pd.SpanLo) {
+			// The peer's store moved between its digests.
+			return res, errRaced
+		}
+		end := min(hi, int(pd.SpanHi))
+		if err := r.repairSpan(lo, pd.CRCs[:end-lo], &res); err != nil {
+			return res, err
+		}
+		lo = end
 	}
 
 	// Pull the missing suffix: every checkpoint the peer stores past
@@ -322,118 +325,43 @@ func (r *Reconciler) SelfHeal() (Result, error) {
 	return res, nil
 }
 
-// matchesSummary compares the local digest of [lo, hi) against a
-// peer summary already in hand. Local rot inside the span reads as a
-// mismatch for the bisection to localize.
-func (r *Reconciler) matchesSummary(lo, hi int, pd wire.DigestResp) (bool, error) {
-	if int(pd.SpanLo) != lo || int(pd.SpanHi) != hi {
-		// The peer's digest covers a different span than the common
-		// one we computed — its store moved between the digest and
-		// our Len snapshot.
-		if int(pd.SpanLo) > lo || int(pd.SpanHi) < hi {
-			return false, errRaced
+// repairSpan walks the peer's per-diff checksums of [lo, lo+len(want))
+// against the local ones, reading each local diff once. A local
+// verification failure is rot to heal, each run of adjacent rotten ids
+// with one span pull; a local diff that verifies but disagrees with a
+// peer diff that also verified is divergence, and divergence
+// fail-stops — after the rot before it is healed.
+func (r *Reconciler) repairSpan(lo int, want []uint32, res *Result) error {
+	hi := lo + len(want)
+	run := lo // the rotten ids [run, ck) await their heal
+	for ck := lo; ck < hi; {
+		local, err := r.cfg.Store.SpanChecksums(ck, hi)
+		if len(local) > 0 {
+			if run < ck {
+				if herr := r.heal(run, ck, want[run-lo:ck-lo], res); herr != nil {
+					return herr
+				}
+			}
+			for i, crc := range local {
+				if crc != want[ck-lo+i] {
+					return &DivergenceError{Lineage: r.cfg.Lineage, Ckpt: ck + i}
+				}
+			}
+			ck += len(local)
+			run = ck
 		}
-		// Peer covers MORE than the common span (we are shorter and
-		// ahead races are already handled); digest spans must line up
-		// exactly to compare, so fetch a clipped one.
-		return r.spanMatches(lo, hi)
-	}
-	local, err := BuildResp(r.cfg.Store, wire.DigestReq{Lo: uint32(lo), Hi: uint32(hi)})
-	if err != nil {
-		if checkpoint.IsCorrupt(err) {
-			return false, nil
-		}
-		return false, err
-	}
-	if int(local.SpanLo) != lo || int(local.SpanHi) != hi {
-		return false, errRaced
-	}
-	return local.CRC == pd.CRC && local.Root == pd.Root, nil
-}
-
-// spanMatches digests [lo, hi) on both sides and compares summaries.
-func (r *Reconciler) spanMatches(lo, hi int) (bool, error) {
-	pd, err := r.cfg.Peer.Digest(r.cfg.Lineage, wire.DigestReq{Lo: uint32(lo), Hi: uint32(hi)})
-	if err != nil {
-		var re *wire.RemoteError
-		if errors.As(err, &re) {
-			return false, fmt.Errorf("%w: %v", errPeerDamaged, err)
-		}
-		return false, err
-	}
-	if int(pd.SpanLo) != lo || int(pd.SpanHi) != hi {
-		return false, errRaced
-	}
-	return r.matchesSummary(lo, hi, pd)
-}
-
-// bisect recursively halves a mismatching span down to DetailWindow,
-// then repairs it per-diff. Only mismatching halves recurse, so a
-// single rotten diff in a long lineage costs O(log n) summary
-// digests plus one detail request.
-func (r *Reconciler) bisect(lo, hi int, res *Result) error {
-	if hi-lo <= DetailWindow {
-		return r.repairSpan(lo, hi, res)
-	}
-	mid := lo + (hi-lo)/2
-	for _, half := range [2][2]int{{lo, mid}, {mid, hi}} {
-		match, err := r.spanMatches(half[0], half[1])
-		if err != nil {
+		switch {
+		case err == nil:
+		case checkpoint.IsCorrupt(err):
+			ck++ // rotten: it joins the run
+		default:
 			return err
 		}
-		if !match {
-			if err := r.bisect(half[0], half[1], res); err != nil {
-				return err
-			}
-		}
+	}
+	if run < hi {
+		return r.heal(run, hi, want[run-lo:], res)
 	}
 	return nil
-}
-
-// repairSpan fetches the peer's per-diff detail for a narrow span and
-// walks it against local per-diff checksums. Each local diff is
-// checksummed individually so one rotten file cannot mask damage
-// behind it. A local verification failure is rot to heal, each run of
-// adjacent rotten ids with one span pull; a local diff that verifies
-// but disagrees with a peer diff that also verified is divergence, and
-// divergence fail-stops — after the rot before it is healed.
-func (r *Reconciler) repairSpan(lo, hi int, res *Result) error {
-	pd, err := r.cfg.Peer.Digest(r.cfg.Lineage,
-		wire.DigestReq{Lo: uint32(lo), Hi: uint32(hi), Detail: true})
-	if err != nil {
-		var re *wire.RemoteError
-		if errors.As(err, &re) {
-			return fmt.Errorf("%w: %v", errPeerDamaged, err)
-		}
-		return err
-	}
-	if int(pd.SpanLo) != lo || int(pd.SpanHi) != hi || len(pd.Detail) != hi-lo {
-		return errRaced
-	}
-	run := lo // the rotten ids [run, ck) await their heal
-	healRun := func(end int) error {
-		if run == end {
-			return nil
-		}
-		return r.heal(run, end, pd.Detail[run-lo:end-lo], res)
-	}
-	for ck := lo; ck < hi; ck++ {
-		crcs, err := r.cfg.Store.SpanChecksums(ck, ck+1)
-		if checkpoint.IsCorrupt(err) {
-			continue
-		}
-		if herr := healRun(ck); herr != nil {
-			return herr
-		}
-		run = ck + 1
-		switch {
-		case err != nil:
-			return err
-		case crcs[0] != pd.Detail[ck-lo]:
-			return &DivergenceError{Lineage: r.cfg.Lineage, Ckpt: ck}
-		}
-	}
-	return healRun(hi)
 }
 
 // consumerErr marks a failure of the reconciler's own side of a pull —

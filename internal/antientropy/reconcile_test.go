@@ -3,12 +3,15 @@ package antientropy
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/faults"
+	"github.com/gpuckpt/gpuckpt/internal/recframe"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
 
@@ -23,17 +26,18 @@ func newStore(t *testing.T) *checkpoint.FileStore {
 	return st
 }
 
-// appendChain appends n full diffs with per-id deterministic content.
-// tagOf lets a test plant divergent content at chosen ids.
+// appendChain appends full diffs up to id n, with per-id deterministic
+// content, as one batch. tagOf lets a test plant divergent content at
+// chosen ids.
 func appendChain(t *testing.T, st *checkpoint.FileStore, n int, tagOf func(ck int) byte) {
 	t.Helper()
-	start := st.Len()
-	for ck := start; ck < n; ck++ {
-		d := &checkpoint.Diff{Method: checkpoint.MethodFull, CkptID: uint32(ck),
-			DataLen: 64, ChunkSize: 16, Data: bytes.Repeat([]byte{tagOf(ck)}, 64)}
-		if err := st.Append(d); err != nil {
-			t.Fatalf("append %d: %v", ck, err)
-		}
+	var ds []*checkpoint.Diff
+	for ck := st.Len(); ck < n; ck++ {
+		ds = append(ds, &checkpoint.Diff{Method: checkpoint.MethodFull, CkptID: uint32(ck),
+			DataLen: 64, ChunkSize: 16, Data: bytes.Repeat([]byte{tagOf(ck)}, 64)})
+	}
+	if _, err := st.AppendBatch(ds); err != nil {
+		t.Fatalf("append [%d,%d): %v", st.Len(), n, err)
 	}
 }
 
@@ -129,31 +133,6 @@ func verifyConverged(t *testing.T, a, b *checkpoint.FileStore) {
 	}
 }
 
-func TestSpanRootProperties(t *testing.T) {
-	crcs := []uint32{0x11, 0x22, 0x33, 0x44, 0x55}
-	root := SpanRoot(3, crcs)
-	if root == ([16]byte{}) {
-		t.Fatal("non-empty span digested to zero root")
-	}
-	if SpanRoot(3, crcs) != root {
-		t.Fatal("root not deterministic")
-	}
-	if SpanRoot(4, crcs) == root {
-		t.Fatal("shifted span collides with original")
-	}
-	mutated := append([]uint32(nil), crcs...)
-	mutated[2] ^= 1
-	if SpanRoot(3, mutated) == root {
-		t.Fatal("mutated checksum did not change root")
-	}
-	if SpanRoot(0, nil) != ([16]byte{}) {
-		t.Fatal("empty span must digest to the zero root")
-	}
-	if FoldCRCs(crcs) == FoldCRCs(mutated) {
-		t.Fatal("fold CRC ignored a mutation")
-	}
-}
-
 func TestBuildRespClipping(t *testing.T) {
 	st := newStore(t)
 	appendChain(t, st, 6, defaultTag)
@@ -162,29 +141,28 @@ func TestBuildRespClipping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if whole.Base != 0 || whole.Len != 6 || whole.SpanLo != 0 || whole.SpanHi != 6 {
+	if whole.Base != 0 || whole.Len != 6 || whole.SpanLo != 0 || whole.SpanHi != 6 || len(whole.CRCs) != 6 {
 		t.Fatalf("whole-span digest: %+v", whole)
 	}
-	part, err := BuildResp(st, wire.DigestReq{Lo: 2, Hi: 99, Detail: true})
+	part, err := BuildResp(st, wire.DigestReq{Lo: 2, Hi: 99})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if part.SpanLo != 2 || part.SpanHi != 6 || len(part.Detail) != 4 {
-		t.Fatalf("clipped digest: %+v", part)
 	}
 	crcs, err := st.SpanChecksums(2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if part.CRC != FoldCRCs(crcs) || part.Root != SpanRoot(2, crcs) {
-		t.Fatal("digest does not match direct span checksums")
+	if part.SpanLo != 2 || part.SpanHi != 6 || !slices.Equal(part.CRCs, crcs) {
+		t.Fatalf("clipped digest %+v, span checksums %v", part, crcs)
 	}
-	outside, err := BuildResp(st, wire.DigestReq{Lo: 40, Hi: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outside.SpanLo != outside.SpanHi {
-		t.Fatalf("out-of-span request must collapse empty: %+v", outside)
+	for _, q := range []wire.DigestReq{{Lo: 40, Hi: 50}, {Lo: 6, Hi: 6}, {Lo: 3, Hi: 3}} {
+		empty, err := BuildResp(st, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if empty.SpanLo != empty.SpanHi || len(empty.CRCs) != 0 || empty.Len != 6 {
+			t.Fatalf("%+v must collapse to the coordinates: %+v", q, empty)
+		}
 	}
 }
 
@@ -554,24 +532,86 @@ func TestRoundHealFailureResets(t *testing.T) {
 	failRounds(t, r, MaxHealFailures-1)
 }
 
-// TestRoundBisection: a single rotten diff in a lineage longer than the
-// detail window must be found through bisection.
-func TestRoundBisection(t *testing.T) {
-	const n = 300
-	local, peer := newStore(t), newStore(t)
-	appendChain(t, local, n, defaultTag)
-	appendChain(t, peer, n, defaultTag)
-	rot(t, local, 229)
+// countReads counts the diff reads of st.
+func countReads(st *checkpoint.FileStore) *atomic.Int64 {
+	var n atomic.Int64
+	st.SetHooks(&recframe.Hooks{Seam: func(point, _ string) error {
+		if point == recframe.SeamRead {
+			n.Add(1)
+		}
+		return nil
+	}})
+	return &n
+}
 
-	r := newReconciler(t, local, peer, Config{})
-	res, err := r.Round()
-	if err != nil {
-		t.Fatal(err)
+// TestRoundReadsEachDiffOnce: a single rotten diff deep in a lineage is
+// found and healed in one round that reads each replica's span once —
+// the peer's digest reads its diffs once and its pull the healed one
+// again, the local compare reads each diff once and the install adds
+// no more than the healed one.
+func TestRoundReadsEachDiffOnce(t *testing.T) {
+	for _, n := range []int{300, 600} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			local, peer := newStore(t), newStore(t)
+			appendChain(t, local, n, defaultTag)
+			appendChain(t, peer, n, defaultTag)
+			rot(t, local, 229)
+			localReads, peerReads := countReads(local), countReads(peer)
+
+			r := newReconciler(t, local, peer, Config{})
+			res, err := r.Round()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Healed != 1 {
+				t.Fatalf("heal: %+v", res)
+			}
+			lr, pr := localReads.Load(), peerReads.Load()
+			t.Logf("%d local, %d peer diff reads", lr, pr)
+			if lr > int64(n+1) || pr > int64(n+1) {
+				t.Fatalf("one round read %d local and %d peer diffs of a %d-diff span", lr, pr, n)
+			}
+			verifyConverged(t, local, peer)
+		})
 	}
-	if res.Healed != 1 {
-		t.Fatalf("bisected heal: %+v", res)
-	}
-	verifyConverged(t, local, peer)
+}
+
+// TestRoundWalksWindows: a lineage longer than one digest window is
+// compared window by window in one round — rot in the second window is
+// healed, and a verified mismatch there fail-stops with the store
+// untouched.
+func TestRoundWalksWindows(t *testing.T) {
+	const n, bad = wire.DigestMaxDetail + 8, wire.DigestMaxDetail + 3
+	t.Run("rot", func(t *testing.T) {
+		local, peer := newStore(t), newStore(t)
+		appendChain(t, local, n, defaultTag)
+		appendChain(t, peer, n, defaultTag)
+		rot(t, local, bad)
+		res, err := newReconciler(t, local, peer, Config{}).Round()
+		if err != nil || res.Healed != 1 {
+			t.Fatalf("second-window rot: %+v %v", res, err)
+		}
+		verifyConverged(t, local, peer)
+	})
+	t.Run("divergence", func(t *testing.T) {
+		local, peer := newStore(t), newStore(t)
+		appendChain(t, local, n, defaultTag)
+		appendChain(t, peer, n, func(ck int) byte {
+			if ck == bad {
+				return 0xEE
+			}
+			return defaultTag(ck)
+		})
+		before := sizes(local)
+		res, err := newReconciler(t, local, peer, Config{}).Round()
+		var de *DivergenceError
+		if !errors.Is(err, ErrDiverged) || !errors.As(err, &de) || de.Ckpt != bad {
+			t.Fatalf("second-window divergence: %+v %v", res, err)
+		}
+		if res.Healed != 0 || !slices.Equal(sizes(local), before) {
+			t.Fatalf("a diverged round wrote %+v", res)
+		}
+	})
 }
 
 // countingPeer is a storePeer that counts its span pulls.

@@ -23,7 +23,8 @@ import (
 // [lo, hi), in id order. The span must sit inside [Base, Len). A
 // diff that fails verification surfaces as a *CorruptError naming
 // the checkpoint (errors.Is ErrCorrupt) — the reconciler's local-rot
-// signal.
+// signal — and comes back with the checksums of the diffs before it, so
+// a caller can go on past the failing id without reading them again.
 func (fs *FileStore) SpanChecksums(lo, hi int) ([]uint32, error) {
 	base := fs.Base()
 	if length := fs.Len(); lo < base || hi > length || hi < lo {
@@ -38,7 +39,7 @@ func (fs *FileStore) SpanChecksums(lo, hi int) ([]uint32, error) {
 		var crc uint32
 		var err error
 		if encoded, crc, err = fs.appendDiff(encoded[:0], ck, nil, &sc); err != nil {
-			return nil, err
+			return out, err
 		}
 		out = append(out, crc)
 	}

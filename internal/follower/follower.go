@@ -137,6 +137,12 @@ type Follower struct {
 	// standbys of a restarted primary do not redial in lock-step while
 	// each one's schedule stays reproducible.
 	backoff *wireclient.Backoff
+	// waiting, once a refused cursor's round healed nothing, holds the
+	// primary's coordinates then, with the mirror's length; Run's
+	// goroutine alone touches it. While both are unchanged the cursor
+	// would be refused and the round find nothing again, so a session
+	// skips both.
+	waiting *coords
 
 	// mu is the apply lock: every mirror write holds it, and none is
 	// made once Close or Promote has set closed or promoted.
@@ -237,20 +243,55 @@ func (f *Follower) Run(ctx context.Context) error {
 	}
 }
 
+// coords is what a coordinates-only digest tells of the primary's
+// lineage, and the mirror's length it was asked from.
+type coords struct {
+	base, len, next uint32
+	generation      uint64
+}
+
 // session follows from the mirror's cursor and, each time the primary
 // refuses it or the mirror cannot read it, converges the mirror with
 // one reconciler round and follows again. A round that changes nothing
-// ends the session, which then backs off like any idle one.
+// ends the session, which then backs off like any idle one; the
+// sessions after it send one coordinates-only digest and stop there
+// until the primary's coordinates move.
 func (f *Follower) session() error {
 	for {
+		if f.waiting != nil {
+			c, err := f.primaryCoords()
+			if err != nil || c == *f.waiting {
+				return err
+			}
+			f.waiting = nil
+		}
 		err := f.follow()
 		if !errors.Is(err, wire.ErrSpanMoved) && !checkpoint.IsCorrupt(err) {
 			return err
 		}
+		c, err := f.primaryCoords()
+		if err != nil {
+			return err
+		}
 		if res, err := f.rec.Round(); err != nil || res.Healed == 0 {
+			if err == nil {
+				f.waiting = &c
+			}
 			return err
 		}
 	}
+}
+
+// primaryCoords asks the primary for its lineage's coordinates with a digest
+// of the empty span at the mirror's length, which reads nothing on
+// either side. An empty mirror asks at 1: [0,0) would be the whole span.
+func (f *Follower) primaryCoords() (coords, error) {
+	next := uint32(max(f.opts.Store.Len(), 1))
+	d, err := f.wc.Digest(f.opts.Lineage, wire.DigestReq{Lo: next, Hi: next})
+	if err != nil {
+		return coords{}, err
+	}
+	return coords{base: d.Base, len: d.Len, next: next, generation: d.Generation}, nil
 }
 
 // follow runs one follow pull from the mirror's cursor. A refused

@@ -26,6 +26,7 @@ import (
 	"github.com/gpuckpt/gpuckpt/internal/faults"
 	"github.com/gpuckpt/gpuckpt/internal/follower"
 	"github.com/gpuckpt/gpuckpt/internal/merkle"
+	"github.com/gpuckpt/gpuckpt/internal/recframe"
 	"github.com/gpuckpt/gpuckpt/internal/server"
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 	"github.com/gpuckpt/gpuckpt/internal/wireclient"
@@ -888,7 +889,8 @@ func TestFollowerPromoteSeversRound(t *testing.T) {
 // A primary replaced by one that holds only a prefix of the mirror
 // refuses the cursor, and the round finds the common span equal and
 // changes nothing: the mirror keeps [0,10), and for as long as the
-// primary stays behind the standby pulls no span from it, only digests.
+// primary stays behind the standby pulls no span from it, only digests,
+// and reads less of its mirror than one pass — no round per retry.
 // Once the primary has caught up, the follower follows on.
 func TestFollowerBehindPrimaryWaits(t *testing.T) {
 	const lineage = "behind"
@@ -899,7 +901,16 @@ func TestFollowerBehindPrimaryWaits(t *testing.T) {
 	pushImages(t, addr, lineage, images[:10])
 	behind, behindAddr, dial, swap := replacedPrimary(t, addr, lineage, images[:6])
 
-	fl := runFollower(t, addr, lineage, func(o *follower.Options) { o.Dialer = dial })
+	var reads atomic.Int64
+	fl := runFollower(t, addr, lineage, func(o *follower.Options) {
+		o.Dialer = dial
+		o.Store.SetHooks(&recframe.Hooks{Seam: func(point, _ string) error {
+			if point == recframe.SeamRead {
+				reads.Add(1)
+			}
+			return nil
+		}})
+	})
 	waitNext(t, fl, 10)
 	swap()
 	stopOnce()
@@ -921,13 +932,16 @@ func TestFollowerBehindPrimaryWaits(t *testing.T) {
 		}
 		span += len(enc)
 	}
-	out := behind.Stats().BytesOut
+	out, read := behind.Stats().BytesOut, reads.Load()
 	time.Sleep(time.Second)
 	st := fl.Stats()
-	sent := behind.Stats().BytesOut - out
-	t.Logf("behind primary sent %d B in 1s over %d sessions; its span is %d B", sent, st.Reconnects, span)
+	sent, read := behind.Stats().BytesOut-out, reads.Load()-read
+	t.Logf("behind primary sent %d B in 1s over %d sessions, the mirror read %d diffs; its span is %d B", sent, st.Reconnects, read, span)
 	if sent >= uint64(span) {
 		t.Fatalf("a primary behind the mirror sent %d B in one second, its span is %d B", sent, span)
+	}
+	if read > int64(st.Next) {
+		t.Fatalf("waiting on a primary behind it, the mirror read %d diffs in one second, it holds %d", read, st.Next)
 	}
 	if st.Base != 0 || st.Next != 10 || st.Resyncs != 0 {
 		t.Fatalf("the mirror moved against a primary behind it: %+v", st)

@@ -1,17 +1,14 @@
-// Wire v6 anti-entropy payloads: the digest request a reconciler
-// sends with TDigest and the divergence digest a peer answers with.
+// Wire v10 anti-entropy payloads: the digest request a reconciler
+// sends with TDigest and the digest a peer answers with.
 //
-// A digest is deliberately two-speed. The summary form is tiny (36
-// bytes) and covers an arbitrary span with a rolling CRC32C and a
-// murmur3-128 merkle root over per-diff CONTENT checksums — content,
-// not file bytes, because the same diff stored self-contained on one
-// replica and block-mapped on another has different on-disk images
-// but identical canonical encodings. Matching summaries end the
-// round. A mismatch bisects: the reconciler halves the span with
-// further summary requests until it is small enough to ask for
-// detail — the per-diff CRC list — and learns exactly which
-// checkpoints diverge. DigestMaxDetail bounds the detail form so a
-// lying peer cannot demand an unbounded allocation.
+// A digest is a span's per-diff CONTENT checksums — content, not file
+// bytes, because the same diff stored self-contained on one replica and
+// block-mapped on another has different on-disk images but identical
+// canonical encodings. The server clips the requested span to what it
+// stores and to DigestMaxDetail ids, so one response is at most 28 +
+// 4·4096 bytes (~16 KiB) and a reconciler walks a longer span window by
+// window. An empty span costs 28 bytes and reads nothing: the lineage's
+// coordinates alone.
 
 package wire
 
@@ -23,33 +20,24 @@ import (
 // Digest payload sizes.
 const (
 	// DigestReqSize is the TDigest request payload length: lo, hi
-	// (absolute checkpoint ids, 4 bytes each) and a flags byte.
-	DigestReqSize = 9
+	// (absolute checkpoint ids, 4 bytes each).
+	DigestReqSize = 8
 	// DigestRespHeader is the fixed prefix of a TDigest response:
-	// base u32, len u32, generation u64, span CRC u32, merkle root
-	// 16 bytes, span lo u32, span hi u32, detail count u32.
-	DigestRespHeader = 4 + 4 + 8 + 4 + 16 + 4 + 4 + 4
-	// DigestMaxDetail bounds the per-diff CRC list a detail response
-	// may carry; requests for wider spans are answered summary-only.
-	// 4096 ids keeps the largest detail payload under 16 KiB while
-	// letting the bisection finish in one request for realistic
-	// lineages.
+	// base u32, len u32, generation u64, span lo u32, span hi u32,
+	// CRC count u32.
+	DigestRespHeader = 4 + 4 + 8 + 4 + 4 + 4
+	// DigestMaxDetail bounds the ids one response covers: a server
+	// clips a wider request to it, and a decoder refuses a longer CRC
+	// list, so a lying peer cannot demand an unbounded allocation.
 	DigestMaxDetail = 4096
 )
 
-// Digest request flags.
-const (
-	// DigestDetail asks for the per-diff CRC list of the requested
-	// span (refused for spans wider than DigestMaxDetail).
-	DigestDetail uint8 = 1 << 0
-)
-
 // DigestReq is a TDigest request: digest the intersection of the
-// lineage's stored span with [Lo, Hi). Lo == Hi == 0 means the whole
-// stored span.
+// lineage's stored span with [Lo, Hi), clipped to DigestMaxDetail ids.
+// Lo == Hi == 0 means the whole stored span; any other empty span asks
+// for the coordinates only.
 type DigestReq struct {
 	Lo, Hi uint32
-	Detail bool
 }
 
 // EncodeDigestReq encodes a TDigest request payload.
@@ -61,12 +49,7 @@ func EncodeDigestReq(q DigestReq) []byte {
 // extended slice.
 func AppendDigestReq(buf []byte, q DigestReq) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, q.Lo)
-	buf = binary.BigEndian.AppendUint32(buf, q.Hi)
-	var flags uint8
-	if q.Detail {
-		flags |= DigestDetail
-	}
-	return append(buf, flags)
+	return binary.BigEndian.AppendUint32(buf, q.Hi)
 }
 
 // DecodeDigestReq parses a TDigest request payload.
@@ -78,26 +61,16 @@ func DecodeDigestReq(b []byte) (DigestReq, error) {
 		Lo: binary.BigEndian.Uint32(b[0:]),
 		Hi: binary.BigEndian.Uint32(b[4:]),
 	}
-	flags := b[8]
-	if flags&^DigestDetail != 0 {
-		return DigestReq{}, fmt.Errorf("wire: unknown digest request flags %#x", flags)
-	}
-	q.Detail = flags&DigestDetail != 0
 	if q.Hi < q.Lo {
 		return DigestReq{}, fmt.Errorf("wire: digest request span [%d,%d) inverted", q.Lo, q.Hi)
-	}
-	if q.Detail && q.Hi-q.Lo > DigestMaxDetail {
-		return DigestReq{}, fmt.Errorf("wire: digest detail span %d exceeds %d", q.Hi-q.Lo, DigestMaxDetail)
 	}
 	return q, nil
 }
 
 // DigestResp is a TDigest response: the lineage's manifest
-// coordinates plus the digest of the requested span's per-diff
-// content checksums. Span is the requested range clipped to [Base,
-// Len); CRC and Root cover exactly the diffs in Span, in id order.
-// Detail, present only when requested, holds one content CRC per
-// diff of Span.
+// coordinates plus the per-diff content checksums of the digested
+// span, which is the requested range clipped to [Base, Len) and to
+// DigestMaxDetail ids.
 type DigestResp struct {
 	// Base and Len are the lineage's committed baseline and length —
 	// the span a healthy replica stores is [Base, Len).
@@ -107,18 +80,11 @@ type DigestResp struct {
 	// patch individual diffs: the peer folded, and convergence means
 	// re-installing the peer's authoritative span.
 	Generation uint64
-	// CRC is the rolling CRC32C over the big-endian per-diff content
-	// checksums of Span, in id order (ChecksumAdd-folded; zero for an
-	// empty span).
-	CRC uint32
-	// Root is the murmur3-128 merkle root over the same per-diff
-	// checksums (antientropy.SpanRoot; zero for an empty span).
-	Root [16]byte
 	// SpanLo / SpanHi echo the digested span after clipping.
 	SpanLo, SpanHi uint32
-	// Detail is the per-diff content CRC list for Span, id order;
-	// nil unless the request set DigestDetail.
-	Detail []uint32
+	// CRCs holds one content CRC per diff of [SpanLo, SpanHi), id
+	// order.
+	CRCs []uint32
 }
 
 // EncodeDigestResp encodes a TDigest response payload.
@@ -129,21 +95,19 @@ func EncodeDigestResp(r DigestResp) []byte {
 // AppendDigestResp appends the encoded response to buf and returns
 // the extended slice.
 func AppendDigestResp(buf []byte, r DigestResp) []byte {
-	// The decoder rejects detail lists over DigestMaxDetail, so an
+	// The decoder rejects CRC lists over DigestMaxDetail, so an
 	// oversized list could never be accepted anyway; clamp rather than
 	// emit a payload every peer must refuse.
-	if len(r.Detail) > DigestMaxDetail {
-		r.Detail = r.Detail[:DigestMaxDetail]
+	if len(r.CRCs) > DigestMaxDetail {
+		r.CRCs = r.CRCs[:DigestMaxDetail]
 	}
 	buf = binary.BigEndian.AppendUint32(buf, r.Base)
 	buf = binary.BigEndian.AppendUint32(buf, r.Len)
 	buf = binary.BigEndian.AppendUint64(buf, r.Generation)
-	buf = binary.BigEndian.AppendUint32(buf, r.CRC)
-	buf = append(buf, r.Root[:]...)
 	buf = binary.BigEndian.AppendUint32(buf, r.SpanLo)
 	buf = binary.BigEndian.AppendUint32(buf, r.SpanHi)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.Detail)))
-	for _, crc := range r.Detail {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.CRCs)))
+	for _, crc := range r.CRCs {
 		buf = binary.BigEndian.AppendUint32(buf, crc)
 	}
 	return buf
@@ -151,7 +115,7 @@ func AppendDigestResp(buf []byte, r DigestResp) []byte {
 
 // DecodeDigestResp parses a TDigest response payload. Like
 // DecodeList, it never allocates on the declared count alone: the
-// detail slice grows only as far as the payload actually reaches.
+// CRC slice grows only as far as the payload actually reaches.
 func DecodeDigestResp(b []byte) (DigestResp, error) {
 	const fixed = DigestRespHeader
 	if len(b) < fixed {
@@ -161,11 +125,9 @@ func DecodeDigestResp(b []byte) (DigestResp, error) {
 	r.Base = binary.BigEndian.Uint32(b[0:])
 	r.Len = binary.BigEndian.Uint32(b[4:])
 	r.Generation = binary.BigEndian.Uint64(b[8:])
-	r.CRC = binary.BigEndian.Uint32(b[16:])
-	copy(r.Root[:], b[20:36])
-	r.SpanLo = binary.BigEndian.Uint32(b[36:])
-	r.SpanHi = binary.BigEndian.Uint32(b[40:])
-	n := binary.BigEndian.Uint32(b[44:])
+	r.SpanLo = binary.BigEndian.Uint32(b[16:])
+	r.SpanHi = binary.BigEndian.Uint32(b[20:])
+	n := binary.BigEndian.Uint32(b[24:])
 	if r.Len < r.Base {
 		return DigestResp{}, fmt.Errorf("wire: digest response len %d below base %d", r.Len, r.Base)
 	}
@@ -174,20 +136,20 @@ func DecodeDigestResp(b []byte) (DigestResp, error) {
 			r.SpanLo, r.SpanHi, r.Base, r.Len)
 	}
 	if n > DigestMaxDetail {
-		return DigestResp{}, fmt.Errorf("wire: digest detail count %d exceeds %d", n, DigestMaxDetail)
+		return DigestResp{}, fmt.Errorf("wire: digest CRC count %d exceeds %d", n, DigestMaxDetail)
+	}
+	if n != r.SpanHi-r.SpanLo {
+		return DigestResp{}, fmt.Errorf("wire: digest CRC count %d does not cover span [%d,%d)",
+			n, r.SpanLo, r.SpanHi)
 	}
 	if len(b) != fixed+4*int(n) {
-		return DigestResp{}, fmt.Errorf("wire: digest response is %d bytes, want %d for %d detail entries",
+		return DigestResp{}, fmt.Errorf("wire: digest response is %d bytes, want %d for %d CRCs",
 			len(b), fixed+4*int(n), n)
 	}
 	if n > 0 {
-		if uint32(r.SpanHi-r.SpanLo) != n {
-			return DigestResp{}, fmt.Errorf("wire: digest detail count %d does not cover span [%d,%d)",
-				n, r.SpanLo, r.SpanHi)
-		}
-		r.Detail = make([]uint32, 0, min(int(n), (len(b)-fixed)/4))
+		r.CRCs = make([]uint32, 0, min(int(n), (len(b)-fixed)/4))
 		for i := 0; i < int(n); i++ {
-			r.Detail = append(r.Detail, binary.BigEndian.Uint32(b[fixed+4*i:]))
+			r.CRCs = append(r.CRCs, binary.BigEndian.Uint32(b[fixed+4*i:]))
 		}
 	}
 	return r, nil

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -10,8 +11,8 @@ func TestDigestReqRoundTrip(t *testing.T) {
 	for _, q := range []DigestReq{
 		{},
 		{Lo: 3, Hi: 17},
-		{Lo: 3, Hi: 17, Detail: true},
-		{Lo: 0, Hi: DigestMaxDetail, Detail: true},
+		{Lo: 17, Hi: 17},
+		{Lo: 0, Hi: 1 << 31},
 	} {
 		b := EncodeDigestReq(q)
 		if len(b) != DigestReqSize {
@@ -25,10 +26,10 @@ func TestDigestReqRoundTrip(t *testing.T) {
 }
 
 // TestDigestReqTruncated truncates a request at every byte boundary
-// and rejects trailing slack, inverted spans, unknown flags, and
-// detail requests wider than the bound.
+// and rejects trailing slack — the v9 request's flags byte included —
+// and inverted spans.
 func TestDigestReqTruncated(t *testing.T) {
-	valid := EncodeDigestReq(DigestReq{Lo: 2, Hi: 9, Detail: true})
+	valid := EncodeDigestReq(DigestReq{Lo: 2, Hi: 9})
 	for i := 0; i < len(valid); i++ {
 		if _, err := DecodeDigestReq(valid[:i]); err == nil {
 			t.Errorf("request truncated to %d bytes decoded", i)
@@ -44,58 +45,39 @@ func TestDigestReqTruncated(t *testing.T) {
 	if _, err := DecodeDigestReq(inverted); err == nil {
 		t.Error("inverted span decoded")
 	}
-	badFlags := append([]byte(nil), valid...)
-	badFlags[8] = 0x80
-	if _, err := DecodeDigestReq(badFlags); err == nil {
-		t.Error("unknown flag bit decoded")
-	}
-	wide := EncodeDigestReq(DigestReq{Lo: 0, Hi: DigestMaxDetail + 1})
-	wide[8] = DigestDetail
-	if _, err := DecodeDigestReq(wide); err == nil {
-		t.Error("over-wide detail request decoded")
-	}
 }
 
 func digestRespFixture() DigestResp {
-	r := DigestResp{
-		Base: 3, Len: 12, Generation: 5, CRC: 0xdeadbeef,
+	return DigestResp{
+		Base: 3, Len: 12, Generation: 5,
 		SpanLo: 4, SpanHi: 8,
-		Detail: []uint32{0x11, 0x22, 0x33, 0x44},
+		CRCs: []uint32{0x11, 0x22, 0x33, 0x44},
 	}
-	for i := range r.Root {
-		r.Root[i] = byte(i + 1)
-	}
-	return r
 }
 
 func TestDigestRespRoundTrip(t *testing.T) {
 	for _, r := range []DigestResp{
 		{},
-		{Base: 3, Len: 12, Generation: 2, CRC: 7, SpanLo: 3, SpanHi: 12},
+		{Base: 3, Len: 12, Generation: 2, SpanLo: 12, SpanHi: 12},
 		digestRespFixture(),
 	} {
 		b := EncodeDigestResp(r)
+		if want := DigestRespHeader + 4*len(r.CRCs); len(b) != want {
+			t.Fatalf("response %+v encoded to %d bytes, want %d", r, len(b), want)
+		}
 		got, err := DecodeDigestResp(b)
 		if err != nil {
 			t.Fatalf("decode %+v: %v", r, err)
 		}
 		if got.Base != r.Base || got.Len != r.Len || got.Generation != r.Generation ||
-			got.CRC != r.CRC || got.Root != r.Root || got.SpanLo != r.SpanLo || got.SpanHi != r.SpanHi {
+			got.SpanLo != r.SpanLo || got.SpanHi != r.SpanHi || !slices.Equal(got.CRCs, r.CRCs) {
 			t.Fatalf("round trip %+v -> %+v", r, got)
-		}
-		if len(got.Detail) != len(r.Detail) {
-			t.Fatalf("detail round trip %v -> %v", r.Detail, got.Detail)
-		}
-		for i := range r.Detail {
-			if got.Detail[i] != r.Detail[i] {
-				t.Fatalf("detail[%d] %x -> %x", i, r.Detail[i], got.Detail[i])
-			}
 		}
 	}
 }
 
-// TestDigestRespTruncated truncates a detail-bearing response at
-// every byte boundary and rejects trailing slack.
+// TestDigestRespTruncated truncates a response at every byte boundary
+// and rejects trailing slack.
 func TestDigestRespTruncated(t *testing.T) {
 	valid := EncodeDigestResp(digestRespFixture())
 	for i := 0; i < len(valid); i++ {
@@ -109,8 +91,8 @@ func TestDigestRespTruncated(t *testing.T) {
 }
 
 // TestDigestRespInvalid rejects semantic violations: len below base,
-// spans outside the lineage, lying detail counts, and counts that do
-// not cover the span.
+// spans outside the lineage, lying CRC counts, and counts that do not
+// cover the span — an empty list for a non-empty span included.
 func TestDigestRespInvalid(t *testing.T) {
 	mutate := func(fn func(b []byte)) []byte {
 		b := EncodeDigestResp(digestRespFixture())
@@ -120,14 +102,15 @@ func TestDigestRespInvalid(t *testing.T) {
 	cases := map[string][]byte{
 		"len below base": mutate(func(b []byte) { binary.BigEndian.PutUint32(b[4:], 1) }),
 		"span below base": mutate(func(b []byte) {
-			binary.BigEndian.PutUint32(b[36:], 0)
-			binary.BigEndian.PutUint32(b[44:], 8) // count must track the widened span
+			binary.BigEndian.PutUint32(b[16:], 0)
+			binary.BigEndian.PutUint32(b[24:], 8) // count must track the widened span
 		}),
-		"span above len":  mutate(func(b []byte) { binary.BigEndian.PutUint32(b[40:], 99) }),
-		"inverted span":   mutate(func(b []byte) { binary.BigEndian.PutUint32(b[36:], 9) }),
-		"count over max":  mutate(func(b []byte) { binary.BigEndian.PutUint32(b[44:], DigestMaxDetail+1) }),
-		"lying count":     mutate(func(b []byte) { binary.BigEndian.PutUint32(b[44:], 1<<20) }),
-		"count span skew": mutate(func(b []byte) { binary.BigEndian.PutUint32(b[40:], 9) }),
+		"span above len":    mutate(func(b []byte) { binary.BigEndian.PutUint32(b[20:], 99) }),
+		"inverted span":     mutate(func(b []byte) { binary.BigEndian.PutUint32(b[16:], 9) }),
+		"count over max":    mutate(func(b []byte) { binary.BigEndian.PutUint32(b[24:], DigestMaxDetail+1) }),
+		"lying count":       mutate(func(b []byte) { binary.BigEndian.PutUint32(b[24:], 1<<20) }),
+		"count span skew":   mutate(func(b []byte) { binary.BigEndian.PutUint32(b[20:], 9) }),
+		"span without CRCs": EncodeDigestResp(DigestResp{Base: 3, Len: 12, SpanLo: 4, SpanHi: 8}),
 	}
 	for name, b := range cases {
 		if _, err := DecodeDigestResp(b); err == nil {
@@ -163,13 +146,13 @@ func TestDecodeStatsExactSize(t *testing.T) {
 	}
 }
 
-// FuzzDigestDecode feeds arbitrary bytes to both v6 digest decoders.
+// FuzzDigestDecode feeds arbitrary bytes to both digest decoders.
 // Whatever decodes must re-encode byte-identically and satisfy the
 // documented invariants — a decoder that accepts a span outside the
-// lineage or an unbounded detail count would let a hostile peer
-// wedge or balloon a reconciler.
+// lineage or an unbounded CRC count would let a hostile peer wedge or
+// balloon a reconciler.
 func FuzzDigestDecode(f *testing.F) {
-	f.Add(EncodeDigestReq(DigestReq{Lo: 3, Hi: 17, Detail: true}))
+	f.Add(EncodeDigestReq(DigestReq{Lo: 3, Hi: 17}))
 	f.Add(EncodeDigestReq(DigestReq{}))
 	f.Add(EncodeDigestResp(digestRespFixture()))
 	f.Add(EncodeDigestResp(DigestResp{Base: 1, Len: 1, SpanLo: 1, SpanHi: 1}))
@@ -189,8 +172,8 @@ func FuzzDigestDecode(f *testing.F) {
 			if r.Len < r.Base || r.SpanHi < r.SpanLo || r.SpanLo < r.Base || r.SpanHi > r.Len {
 				t.Fatalf("decoded response violates span invariants: %+v", r)
 			}
-			if len(r.Detail) > DigestMaxDetail {
-				t.Fatalf("decoded response detail overflows bound: %d", len(r.Detail))
+			if len(r.CRCs) > DigestMaxDetail || len(r.CRCs) != int(r.SpanHi-r.SpanLo) {
+				t.Fatalf("decoded response CRC list does not cover its span within the bound: %d", len(r.CRCs))
 			}
 			if out := EncodeDigestResp(r); !bytes.Equal(out, data) {
 				t.Fatalf("response round trip diverged:\n in  %x\n out %x", data, out)

@@ -43,7 +43,7 @@ const (
 	// peer is built from the same source tree, so there is nothing to
 	// negotiate: both ends refuse a hello advertising any other version
 	// with a *VersionError before a single frame is exchanged.
-	Version uint8 = 9
+	Version uint8 = 10
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 14
 	// HelloSize is the handshake message length in bytes.
@@ -114,16 +114,14 @@ const (
 	_
 	_
 	_
-	// TDigest (v6) asks for a divergence digest of lineage Lineage.
-	// The request payload (EncodeDigestReq) names a checkpoint span
-	// and whether per-diff detail is wanted; the response carries a
-	// DigestResp — the lineage's manifest coordinates (base, length,
-	// compaction generation) plus a rolling CRC32C and murmur3-128
-	// merkle root over the requested span's per-diff content
-	// checksums, and, when detail was requested, the per-diff CRC
-	// list itself. The anti-entropy reconciler compares summaries and
-	// bisects with detail requests; the connection stays in
-	// request/response mode throughout.
+	// TDigest (v6; v10 layout) asks for a digest of lineage Lineage.
+	// The request payload (EncodeDigestReq) names a checkpoint span; the
+	// response carries a DigestResp — the lineage's manifest coordinates
+	// (base, length, compaction generation) plus one content checksum
+	// per diff of the span, clipped to the stored span and to
+	// DigestMaxDetail ids. The anti-entropy reconciler walks a span
+	// window by window; the connection stays in request/response mode
+	// throughout.
 	TDigest
 	// TErr is an unsolicited server error (e.g. connection limit
 	// reached), sent without a matching request.

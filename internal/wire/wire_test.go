@@ -111,7 +111,7 @@ func TestHandshake(t *testing.T) {
 // a *VersionError naming the peer's version, and the refusal is
 // terminal.
 func TestHandshakeExactVersion(t *testing.T) {
-	for _, theirs := range []uint8{0, 3, 7, Version - 1, Version + 1, 255} {
+	for _, theirs := range []uint8{0, 3, 7, 9, Version - 1, Version + 1, 255} {
 		peer := bytes.NewBuffer([]byte{0x43, 0x4b, 0x50, 0x44, theirs, 0})
 		var out bytes.Buffer
 		err := Handshake(pipeRW{peer, &out})

@@ -47,9 +47,9 @@ func ScrubDir(dir string) (*RepairReport, error) {
 // server's lineage name — the recovery path for bit rot on a node's
 // local store when a ckptd peer holds a replica. It scrubs, runs one
 // anti-entropy reconciliation round (internal/antientropy, the same
-// machinery ckptd peers use continuously): pull any missing suffix,
-// and bisect span digests down to every diff that fails verification or
-// differs — and scrubs again. Every refetched diff is verified before
+// machinery ckptd peers use continuously): compare every diff's content
+// checksum against the server's, heal each one that fails verification,
+// pull any missing suffix — and scrubs again. Every refetched diff is verified before
 // it is reinstalled; after a full repair every restore is byte-exact
 // again. A local diff that verifies but disagrees with the server's
 // equally-verified copy is divergence and comes back as an error
