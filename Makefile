@@ -25,6 +25,7 @@ FUZZ_TARGETS = \
 	FuzzPackScan:./internal/blockstore \
 	FuzzDecompress:./internal/compress \
 	FuzzPack:./internal/compress \
+	FuzzDeltaPack:./internal/compress \
 	FuzzSum128x2:./internal/murmur3 \
 	FuzzMapModel:./internal/hashmap
 FUZZTIME ?= 5s
@@ -62,7 +63,7 @@ lint:
 # New files count once they are staged (`git add -A`).
 BASE ?= HEAD
 loc:
-	@git diff --numstat $(BASE) -- '*.go' ':!*_test.go' ':!bench/' ':!**/testdata/**' | \
+	@git diff --numstat $(BASE) -- '*.go' ':!*_test.go' ':!bench/' ':!**/testdata/**' ':!testdata/' | \
 		awk '{a += $$1; d += $$2} END {printf "non-test Go outside bench/ and testdata/ vs $(BASE): +%d -%d = %+d\n", a, d, a - d}'
 
 # pairs is the parent-vs-change report every performance claim needs
@@ -191,15 +192,19 @@ fuzz-smoke:
 # torn-tail / rot classification tests of the lineage store
 # (internal/checkpoint, with the span install that crashes after its
 # rename and must leak no block) and of the block store
-# (internal/blockstore, over raw and packed blocks alike, with its fsync
-# and read budgets, its reads-vs-relocating-GC race, raced and forced,
-# GC's mark racing pushes and lineage opens, forced and raced, GC moving
-# a packed block as the packed record it is, rot in what a packed record
-# stores failing typed, the refusal, writing nothing, of the packs and
-# snapshots of the builds that counted references and of an index
-# version this build does not know, a raw-only store
-# opening unchanged, and the version record that makes the raw-only
-# builds refuse a pack holding packed records instead of cutting it),
+# (internal/blockstore, over raw blocks, raw and packed ones, and raw,
+# packed and delta-packed ones alike, with its fsync and read budgets,
+# its reads-vs-relocating-GC race, raced and forced, GC's mark racing
+# pushes and lineage opens, forced and raced, GC moving a packed and a
+# delta-packed block as the records they are, rot in what a packed
+# record stores failing typed, the refusal, writing nothing, of the
+# packs and snapshots of the builds that counted references and of an
+# index version this build does not know, a raw-only store and a store
+# of the builds before delta records opening unchanged, no block stored
+# longer than a build that only packed would store it, and the version
+# records that make the raw-only builds refuse a pack holding packed
+# records, and the builds before delta records one holding delta
+# records, instead of cutting it),
 # the scrub regressions — a scrub writes nothing, not even over a torn
 # pack tail (TestScrubIsReadOnly), and no foreign diff is spliced in at a rotten
 # id, neither by an append after Scrub (TestScrubLeavesNoHoleToSplice)
@@ -268,7 +273,7 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run '^TestStandbyRootWithBlocks$$' ./cmd/ckptd
 	$(GO) test -race -count=1 -run '^(TestFollowerDivergentPrimaryFailStops|TestFollowerBehindPrimaryWaits|TestFollowerPromoteSeversRound)$$' ./internal/follower
 	$(GO) test -race -count=1 -run '^TestPoolSever$$' ./internal/wireclient
-	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestReadBudget|TestReadAcrossRelocation|TestRaceGetInternGC|TestGCMarkThenPush|TestGCMarkThenOpen|TestRaceGCMarkPush|TestCountedPackRefused|TestCountedIndexRefused|TestUnknownIndexVersionRefused|TestGCMovesPackedBlock|TestPackedRecordRot|TestRawStoreOpensUnchanged|TestPackedPackRefusedByRawBuilds)$$' ./internal/blockstore
+	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestReadBudget|TestReadAcrossRelocation|TestRaceGetInternGC|TestGCMarkThenPush|TestGCMarkThenOpen|TestRaceGCMarkPush|TestCountedPackRefused|TestCountedIndexRefused|TestUnknownIndexVersionRefused|TestGCMovesPackedBlock|TestPackedRecordRot|TestRawStoreOpensUnchanged|TestPackedPackRefusedByRawBuilds|TestPackedStoreOpensUnchanged|TestDeltaPackRefusedByPackedBuilds|TestStoredNeverLonger)$$' ./internal/blockstore
 	$(GO) test -race -count=1 -run '^(TestHealPullsRuns|TestRoundDivergenceBeforeSuffix|TestRoundTransportFailureNotCounted|TestRoundReadsEachDiffOnce|TestRoundWalksWindows)$$' ./internal/antientropy
 	$(GO) test -race -count=1 -run '^(TestRace|(TestFoldEndsSubscription|TestSubscribeFoldMidBacklog|TestSubscribeRotEndsWithoutBarrier|TestAntiEntropyWakesSubscribers|TestSubscriberNeverShed|TestStagedFrameIsTheReadBuffer|TestStagedRunCountsCapacity|TestRequestConnTakesNoListBuffer|TestTornRunReturnsBuffers)$$)' ./internal/server
 	$(GO) test -race -count=1 -run '^TestRace' ./internal/wireclient

@@ -20,8 +20,9 @@ import (
 
 // failoverExperiment measures the hot-standby promise end to end: a
 // loopback primary receives a checkpoint chain one diff at a time
-// while a live follower tails its subscription stream; then the
-// primary is killed and the follower promoted. Three numbers matter:
+// while a live follower follows it with one follow pull (a pull whose
+// span has no end); then the primary is killed and the follower
+// promoted. Three numbers matter:
 //
 //   - replication lag: push-commit to durable in the standby's mirror,
 //     per diff (p50/p99 reported) — the data-loss window a real
@@ -179,7 +180,7 @@ func failoverExperiment(cfg experiments.Config, chain int, jsonPath string) (*me
 	replayed := uint64(p.Len - p.Base)
 
 	t := metrics.NewTable(
-		fmt.Sprintf("failover: %d-diff chain, live wire v%d tail, kill-primary promotion", chain, wire.Version),
+		fmt.Sprintf("failover: %d-diff chain, live wire v%d follow pull, kill-primary promotion", chain, wire.Version),
 		"chain", "lag p50", "lag p99", "promote", "kill->serving", "replayed", "state")
 	t.Add(fmt.Sprint(chain),
 		p50.Round(time.Microsecond).String(),
@@ -202,7 +203,7 @@ func failoverExperiment(cfg experiments.Config, chain int, jsonPath string) (*me
 			TailFrames      uint64  `json:"tail_frames"`
 			KillToServingS  float64 `json:"kill_to_serving_s"`
 		}{
-			Note: fmt.Sprintf("hot-standby failover over loopback: live wire v%d tail, primary killed, "+
+			Note: fmt.Sprintf("hot-standby failover over loopback: live wire v%d follow pull, primary killed, "+
 				"follower promoted; regenerate with `make bench-failover`", wire.Version),
 			Chain: chain, ChunkSize: chunk, BufLen: serviceBufLen,
 			LagP50Ns: p50.Nanoseconds(), LagP99Ns: p99.Nanoseconds(),

@@ -4,15 +4,25 @@ import "testing"
 
 // TestInternAllocs pins what one Intern allocates on the push path — a
 // batch of new blocks, and a batch of blocks already present — at the
-// counts measured before the append ladder moved into recframe: the
-// shared append must not put a new allocation there.
+// reference slice alone: neither the shared append nor a block's layout
+// may put a new allocation there. It runs over random blocks, stored
+// raw, and over batches of raw, packed and delta-packed ones.
 func TestInternAllocs(t *testing.T) {
+	for _, sh := range []struct {
+		name    string
+		payload func(seed int64, n int) []byte
+	}{{"raw", testPayload}, {"layouts", layoutPayload}} {
+		t.Run(sh.name, func(t *testing.T) { internAllocs(t, sh.payload) })
+	}
+}
+
+func internAllocs(t *testing.T, payload func(seed int64, n int) []byte) {
 	s := mustOpen(t, t.TempDir())
 	const runs = 20
 	batches := make([][][]byte, runs+1) // AllocsPerRun warms up once
 	for i := range batches {
 		for j := 0; j < 16; j++ {
-			batches[i] = append(batches[i], testPayload(int64(i*100+j), 4096))
+			batches[i] = append(batches[i], payload(int64(i*100+j), 4096))
 		}
 	}
 	if _, err := s.Intern(batches[0][:1]); err != nil { // the first pack exists
@@ -36,6 +46,5 @@ func TestInternAllocs(t *testing.T) {
 	}
 }
 
-// Measured at e640187 (go1.24): one per chunk for its ID, the reference
-// slice, and the offset writer the shared append no longer needs.
-const internAllocsNew, internAllocsHit = 18, 18
+// Measured with delta-packed records (go1.24).
+const internAllocsNew, internAllocsHit = 1, 1

@@ -5,12 +5,14 @@
 // A block is addressed by the 128-bit Murmur3 digest of its payload
 // (the same hash family the paper's GPU kernels use to fingerprint
 // chunks, §2.4), so identical chunks produced by ANY lineage resolve
-// to the same stored record and are stored exactly once. A block whose
-// little-endian uint32 words pack shorter than it (the Bitcomp layout
-// of internal/compress: small counters, such as a sparse GDV's) is
-// stored packed; any other block is stored as it is. Every read
-// re-verifies two CRC32Cs and re-derives the digest from the block's
-// bytes, unpacked if need be, so bit rot surfaces as a typed
+// to the same stored record and are stored exactly once. A block is
+// stored in the shortest of three layouts: its bytes; its little-endian
+// uint32 words bit-packed at one width per 256 (the Bitcomp layout of
+// internal/compress: small counters); or the zigzag deltas of
+// consecutive words bit-packed at one width per 4 (slowly changing or
+// sparse counters, such as a GDV's). Random blocks stay as they are.
+// Every read re-verifies two CRC32Cs and re-derives the digest from the
+// block's bytes, unpacked if need be, so bit rot surfaces as a typed
 // ErrCorrupt, never as silently wrong restore bytes.
 //
 // # Planes
@@ -189,8 +191,8 @@ type Options struct {
 // Stats is a snapshot of the store counters.
 type Stats struct {
 	// Blocks counts the indexed blocks and StoredBytes what their
-	// records store: a packed block's packed layout, any other block's
-	// bytes. Neither counts record headers and IDs.
+	// records store: a packed or delta-packed block's layout, any other
+	// block's bytes. Neither counts record headers and IDs.
 	Blocks      int
 	StoredBytes int64
 	// Interned counts unique blocks written since open; DedupHits
@@ -238,18 +240,23 @@ type Store struct {
 	// yet) and log its write handle — the same file and its committed
 	// length (nil while there is no pack, and in a read-only store). at is
 	// the offset the next record of the frame being staged will sit at.
-	// versioned says the active pack holds a version record, which a
-	// packed record written to it needs before it. An open that finds
-	// it only in the part of the pack a snapshot folds leaves it false,
-	// and the next packed frame writes a second one: harmless.
-	packs     map[uint32]*os.File //ckptlint:guardedby mu
-	active    uint32              //ckptlint:guardedby mu
-	log       *recframe.Log       //ckptlint:guardedby mu
-	at        int64               //ckptlint:guardedby mu
-	versioned bool                //ckptlint:guardedby mu
+	// version is the highest version record the active pack holds, which
+	// a packed or delta record written to it needs before it. An open
+	// that finds one only in the part of the pack a snapshot folds does
+	// not count it, and the next such frame writes a second one:
+	// harmless. deltas says the store holds or held delta records — its
+	// snapshot is version 5, or it replayed or wrote one — so that its
+	// snapshots are version 5 and GC's moved records get a version 3
+	// record.
+	packs   map[uint32]*os.File //ckptlint:guardedby mu
+	active  uint32              //ckptlint:guardedby mu
+	log     *recframe.Log       //ckptlint:guardedby mu
+	at      int64               //ckptlint:guardedby mu
+	version byte                //ckptlint:guardedby mu
+	deltas  bool                //ckptlint:guardedby mu
 	// The write path's fixed scratch: the staging buffer, a record
 	// header, the entry Intern plans for each new block, and the packed
-	// layout of the block being staged.
+	// or delta layout of the block being staged.
 	w      *bufio.Writer          //ckptlint:guardedby mu
 	hdr    [recframe.HdrSize]byte //ckptlint:guardedby mu
 	plan   map[ID]entry           //ckptlint:guardedby mu
@@ -419,6 +426,7 @@ func (s *Store) recoverLocked() error {
 			b, err := os.ReadFile(s.indexPath())
 			if err == nil {
 				s.gen, mark, s.entries, err = DecodeIndex(b)
+				s.deltas = err == nil && b[4] == formatVersion
 			}
 			if err != nil {
 				return fmt.Errorf("blockstore: index %s: %w", s.indexPath(), err)
@@ -460,7 +468,7 @@ func (s *Store) recoverLocked() error {
 		if err == nil {
 			recs, committed, err = packFormat.Scan(io.NewSectionReader(f, from, size-from), size-from, !last)
 		}
-		s.versioned = false
+		s.version = 0
 		for _, r := range recs {
 			r.Off += from
 			if err == nil {
@@ -491,9 +499,9 @@ func (s *Store) recoverLocked() error {
 
 // replayLocked folds one verified record of pack num (handle f) into
 // the in-memory state: a block record places its block, a moved record
-// moves one the index holds, and a version record says the pack may
-// hold packed records. An earlier build's ref or release record is
-// ErrOldLayout.
+// moves one the index holds, and a version record says which layouts
+// the pack may hold. An earlier build's ref or release record, or the
+// version record of a later build, is ErrOldLayout.
 //
 //ckptlint:locked mu
 func (s *Store) replayLocked(f *os.File, num uint32, r recframe.Header) error {
@@ -501,15 +509,19 @@ func (s *Store) replayLocked(f *os.File, num uint32, r recframe.Header) error {
 	if _, err := f.ReadAt(id[:], r.Off+recframe.HdrSize); err != nil {
 		return err
 	}
-	switch {
-	case r.Kind == recRef && r.Len == idSize && id == packVersion:
-		s.versioned = true
+	kind, v := r.Kind&^recDelta, id[4]
+	switch isVersion := r.Kind == recRef && r.Len == idSize && id == versionRecord(v); {
+	case isVersion && (v == packedPackVersion || v == deltaPackVersion):
+		s.version = max(s.version, v)
 		return nil
-	case r.Kind != recBlock && r.Kind != recMoved:
+	case isVersion:
+		return fmt.Errorf("%w: pack format version %d at offset %d", ErrOldLayout, v, r.Off)
+	case kind != recBlock && kind != recMoved:
 		return fmt.Errorf("%w: a reference-count record (kind %d) at offset %d", ErrOldLayout, r.Kind, r.Off)
 	}
+	s.deltas = s.deltas || r.Kind&recDelta != 0
 	at := recordEntry(r, num)
-	if e, ok := s.entries[id]; r.Kind == recBlock || ok && e.len == at.len && e.crc == at.crc {
+	if e, ok := s.entries[id]; kind == recBlock || ok && e.len == at.len && e.crc == at.crc {
 		s.placeLocked(id, at)
 	}
 	return nil
@@ -557,30 +569,33 @@ func (s *Store) beginLocked() error {
 }
 
 // appendFrameLocked is the one write path of the pack log. The frame
-// is what emit stages with recLocked; packed says it holds a packed
-// record, which a pack without a version record gets one for first, in
-// a frame of its own: a tear after it leaves a version record and no
-// block. It goes to the active pack (a new one if that is full or there
-// is none yet) through the store's fixed buffer as ONE
-// recframe.Log.Append: one write, one fsync, and on failure nothing of
-// the frame stays — or the log has fail-stopped (the cut failed, or a
-// simulated crash) and the store is disabled. Callers apply the frame
-// to the in-memory state only once this returns nil.
+// is what emit stages with recLocked; version is the pack format
+// version its records need (0 for raw ones only), which a pack without
+// a version record that high gets one of first, in a frame of its own: a tear after it
+// leaves a version record and no block. It goes to the active pack (a
+// new one if that is full or there is none yet) through the store's
+// fixed buffer as ONE recframe.Log.Append: one write, one fsync, and on
+// failure nothing of the frame stays — or the log has fail-stopped (the
+// cut failed, or a simulated crash) and the store is disabled. Callers
+// apply the frame to the in-memory state only once this returns nil.
 //
 //ckptlint:locked mu
-func (s *Store) appendFrameLocked(packed bool, emit func() error) error {
+func (s *Store) appendFrameLocked(version byte, emit func() error) error {
 	if s.log == nil || s.log.Size() >= s.rollSize {
 		if err := s.rollLocked(); err != nil {
 			return s.diedLocked(fmt.Errorf("blockstore: rolling the pack log: %w", err))
 		}
 	}
 	s.at = s.log.Size()
-	version := packed && !s.versioned
+	if version <= s.version {
+		version = 0
+	}
 	err := s.log.Append(s.hooks, func(w io.Writer) error {
 		s.w.Reset(w)
 		defer s.w.Reset(nil) // let go of the caller's last payload
-		if version {
-			s.recLocked(recRef, false, packVersion[:], nil, entry{}, blockCRC(packVersion[:], nil))
+		if version != 0 {
+			v := versionRecord(version)
+			s.recLocked(recRef, false, v[:], nil, entry{}, blockCRC(v[:], nil))
 		}
 		if err := emit(); err != nil {
 			return err
@@ -588,7 +603,7 @@ func (s *Store) appendFrameLocked(packed bool, emit func() error) error {
 		return s.w.Flush()
 	})
 	if err == nil {
-		s.versioned = s.versioned || version
+		s.version = max(s.version, version)
 	} else {
 		err = fmt.Errorf("blockstore: %w", err)
 		if s.log.Failed() != nil {
@@ -616,7 +631,7 @@ func (s *Store) rollLocked() error {
 		return err
 	}
 	s.active++
-	s.packs[s.active], s.log, s.versioned = log.File(), log, false
+	s.packs[s.active], s.log, s.version = log.File(), log, 0
 	return nil
 }
 
@@ -642,21 +657,27 @@ func (s *Store) recLocked(kind byte, more bool, id, p []byte, e entry, crc uint3
 }
 
 // blockLocked stages the record of block p, planned as e: its bytes, or
-// their packed layout when e is packed.
+// the shorter of their packed and delta-packed layouts, whose length
+// Intern planned — the packed one if PackedLen measures it, since a
+// delta layout is kept only when it is strictly shorter.
 //
 //ckptlint:locked mu
 func (s *Store) blockLocked(more bool, id, p []byte, e entry) (off int64) {
-	if !e.packed() {
+	switch {
+	case !e.packed():
 		return s.recLocked(recBlock, more, id, p, e, e.crc)
+	case compress.PackedLen(p) == int(e.stored):
+		s.packed = compress.AppendPacked(s.packed[:0], p)
+		return s.recLocked(recBlock, more, id, s.packed, e, blockCRC(id, s.packed))
 	}
-	s.packed = compress.AppendPacked(s.packed[:0], p)
-	return s.recLocked(recBlock, more, id, s.packed, e, blockCRC(id, s.packed))
+	s.packed = compress.AppendDeltaPacked(s.packed[:0], p)
+	return s.recLocked(recBlock|recDelta, more, id, s.packed, e, blockCRC(id, s.packed))
 }
 
 // Intern stores every chunk that is not already present and returns
 // the reference of each, in order. The new chunks are ONE frame — a
-// block record each, where the chunk first occurs in the batch, packed
-// if that is shorter — made durable by one fsync whatever the block
+// block record each, where the chunk first occurs in the batch, in its
+// shortest layout — made durable by one fsync whatever the block
 // count; a dedup hit writes nothing. It commits entirely or not at all:
 // on any error (a collision, a failed write or fsync) the store, in
 // memory and on disk, is as it was before the call.
@@ -670,7 +691,7 @@ func (s *Store) Intern(chunks [][]byte) ([]Ref, error) {
 	// Plan first, apply after the fsync: s.plan holds the entry of every
 	// block the frame adds.
 	var hits, saved uint64
-	packed := false
+	var version byte
 	for i, p := range chunks {
 		if len(p) > math.MaxUint32-idSize {
 			return nil, fmt.Errorf("blockstore: chunk %d of %d bytes is beyond the record length limit", i, len(p))
@@ -686,7 +707,12 @@ func (s *Store) Intern(chunks [][]byte) ([]Ref, error) {
 		case !ok:
 			want.stored = want.len
 			if n := compress.PackedLen(p); n < len(p) {
-				want.stored, packed = uint32(n), true
+				want.stored = uint32(n)
+				version = max(version, packedPackVersion)
+			}
+			if n := compress.DeltaPackedLen(p); n >= 0 && n < int(want.stored) {
+				want.stored = uint32(n)
+				version = deltaPackVersion
 			}
 			s.plan[id] = want
 		case have.len != want.len || have.crc != want.crc:
@@ -698,7 +724,7 @@ func (s *Store) Intern(chunks [][]byte) ([]Ref, error) {
 		}
 	}
 	if len(s.plan) > 0 {
-		err := s.appendFrameLocked(packed, func() error {
+		err := s.appendFrameLocked(version, func() error {
 			for i, left := 0, len(s.plan); left > 0; i++ {
 				if at, ok := s.plan[refs[i].ID]; ok && at.pack == 0 {
 					left--
@@ -715,6 +741,7 @@ func (s *Store) Intern(chunks [][]byte) ([]Ref, error) {
 		for id, at := range s.plan {
 			s.placeLocked(id, at)
 		}
+		s.deltas = s.deltas || version == deltaPackVersion
 	}
 	if s.touched != nil {
 		for _, r := range refs {

@@ -42,6 +42,33 @@ func mixedPayload(seed int64, n int) []byte {
 	return testPayload(seed, n)
 }
 
+// deltaPayload returns n bytes of little-endian uint32 counters that
+// start near 2^20 and step by at most 3 either way: too wide to pack
+// well, a few bits a word as deltas.
+func deltaPayload(seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	p := make([]byte, n)
+	w := uint32(1<<20 + rng.Intn(1<<16))
+	for i := 0; i+4 <= n; i += 4 {
+		w += uint32(rng.Intn(7) - 3)
+		binary.LittleEndian.PutUint32(p[i:], w)
+	}
+	return p
+}
+
+// layoutPayload makes a run of seeds cycle through the three layouts:
+// deltaPayload, counterPayload and testPayload for a seed of 1, 2 and 0
+// modulo 3.
+func layoutPayload(seed int64, n int) []byte {
+	switch seed % 3 {
+	case 1:
+		return deltaPayload(seed, n)
+	case 2:
+		return counterPayload(seed, n)
+	}
+	return testPayload(seed, n)
+}
+
 // markOf is a GC mark that finds the blocks of ps, and only those, live.
 func markOf(ps ...[]byte) func(live func(ID)) error {
 	return func(live func(ID)) error {
@@ -569,7 +596,7 @@ func TestIndexEncodeDecodeRoundTrip(t *testing.T) {
 		ids = append(ids, id)
 	}
 	sortIDs(ids)
-	b, err := encodeIndex(99, logPos{pack: 3, off: 1 << 33}, ids, entries)
+	b, err := encodeIndex(formatVersion, 99, logPos{pack: 3, off: 1 << 33}, ids, entries)
 	if err != nil {
 		t.Fatalf("encodeIndex: %v", err)
 	}
@@ -599,7 +626,7 @@ func TestIndexDecodeTruncationEveryBoundary(t *testing.T) {
 		ids = append(ids, id)
 	}
 	sortIDs(ids)
-	b, err := encodeIndex(7, logPos{pack: 1, off: 9}, ids, entries)
+	b, err := encodeIndex(formatVersion, 7, logPos{pack: 1, off: 9}, ids, entries)
 	if err != nil {
 		t.Fatalf("encodeIndex: %v", err)
 	}
@@ -616,7 +643,7 @@ func TestIndexDecodeTruncationEveryBoundary(t *testing.T) {
 // must fail (CRC) and never panic.
 func TestIndexDecodeBitFlips(t *testing.T) {
 	id := IDOf([]byte("flip"))
-	b, err := encodeIndex(1, logPos{pack: 1, off: 44}, []ID{id}, map[ID]entry{id: {pack: 1, len: 8, crc: 9}})
+	b, err := encodeIndex(formatVersion, 1, logPos{pack: 1, off: 44}, []ID{id}, map[ID]entry{id: {pack: 1, len: 8, crc: 9}})
 	if err != nil {
 		t.Fatalf("encodeIndex: %v", err)
 	}
@@ -751,7 +778,7 @@ func TestUnknownIndexVersionRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	snap, err := encodeIndex(4, logPos{pack: s.active, off: s.log.Size()}, []ID{IDOf(b)}, s.entries)
+	snap, err := encodeIndex(formatVersion, 4, logPos{pack: s.active, off: s.log.Size()}, []ID{IDOf(b)}, s.entries)
 	s.mu.Unlock()
 	s.Close()
 	if err != nil {

@@ -32,15 +32,18 @@ func openRoll(t *testing.T, dir string) *Store {
 // shape is how the blocks of the reference history are made. Raw blocks
 // are random bytes, which a store keeps as they are. Packed ones
 // alternate small counters, which it packs, with random blocks, so that
-// frames hold both kinds of record. roll is a pack roll size at which
-// the history's first intern seals the first pack.
+// frames hold both kinds of record. Delta ones cycle through slowly
+// changing counters, which it delta-packs, small counters and random
+// blocks, so that frames hold all three. roll is a pack roll size at
+// which the history's first intern seals the first pack. The history's
+// first block, A0, is stored in the layout the shape is named for.
 type shape struct {
 	name    string
 	payload func(seed int64, n int) []byte
 	roll    int64
 }
 
-var shapes = []shape{{"raw", testPayload, testRoll}, {"packed", mixedPayload, 1000}}
+var shapes = []shape{{"raw", testPayload, testRoll}, {"packed", mixedPayload, 1000}, {"delta", layoutPayload, 800}}
 
 // open opens dir with the shape's roll size.
 func (sh shape) open(t *testing.T, dir string) *Store {
@@ -63,6 +66,27 @@ func (sh shape) blocks() (a, b [][]byte, c []byte) {
 func (sh shape) all() [][]byte {
 	a, b, c := sh.blocks()
 	return append(append(a, b...), c)
+}
+
+// recordLayout reads the header of the record of block id and returns
+// the layout it stores the block in: raw, packed or delta.
+func recordLayout(t *testing.T, s *Store, id ID) string {
+	t.Helper()
+	path, off, _, err := s.Locate(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch h, _ := packFormat.Parse(img[off:]); {
+	case h.Kind&recDelta != 0:
+		return "delta"
+	case h.A != 0:
+		return "packed"
+	}
+	return "raw"
 }
 
 func refsOf(ps ...[]byte) []Ref {
@@ -211,8 +235,9 @@ func (tw *tearingWriter) Write(p []byte) (int, error) {
 // references once the interrupted step has run, must keep exactly the
 // referenced blocks the store holds and reclaim every other one, and
 // the recovered store must accept the next write and keep it across one
-// more reopen. It runs over both shapes of block: with packed ones,
-// every frame that packs a block also starts with a version record.
+// more reopen. It runs over every shape of block: with packed and delta
+// ones, the first frame that puts a layout's record in a pack also
+// starts with a version record.
 func TestCrashPoints(t *testing.T) {
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) { crashPoints(t, sh) })
@@ -235,11 +260,8 @@ func crashPoints(t *testing.T, sh shape) {
 		t.Fatalf("the history did not relocate and unlink the first pack: %v", err)
 	}
 	a, _, _ := sh.blocks()
-	s.mu.Lock()
-	moved := s.entries[IDOf(a[0])]
-	s.mu.Unlock()
-	if moved.packed() != (sh.name == "packed") {
-		t.Fatalf("A0, moved to pack %d, is stored packed %v", moved.pack, moved.packed())
+	if got := recordLayout(t, s, IDOf(a[0])); got != sh.name {
+		t.Fatalf("A0, moved out of pack 1, is stored %s", got)
 	}
 	s.Close()
 	s = sh.open(t, clean)
@@ -391,7 +413,7 @@ func damagedCopy(t *testing.T, dir string, damage func(pack []byte) []byte) stri
 // bytes alone; a writable one cuts them off, so what is interned next
 // survives the reopen after (the ports of the torn-journal-tail and
 // orphan-sweep tests of the layout this one replaced). It runs over
-// both shapes of block.
+// every shape of block.
 func TestTornFinalFrame(t *testing.T) {
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) { tornFinalFrame(t, sh) })
@@ -458,8 +480,8 @@ func tornFinalFrame(t *testing.T, sh shape) {
 // unlinks the pack, rot and all, and every live block still reads. The
 // same flip in the LAST frame is the one ambiguity: it cannot be told
 // from an append that died mid-write, and is cut off as one. It runs
-// over both shapes of block; with packed ones, what GC moves out of the
-// rotten pack is a packed record, copied as it is.
+// over every shape of block; with packed and delta ones, what GC moves
+// out of the rotten pack is such a record, copied as it is.
 func TestRotIsNotATornTail(t *testing.T) {
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) { rotIsNotATornTail(t, sh) })

@@ -22,30 +22,40 @@ import (
 //	block    ID + stored  the block's location
 //	moved    ID + stored  GC's copy of a live block: a new location
 //
-// A raw record stores the block's bytes and its header's two user
-// fields are zero. A packed record stores the packed layout of
-// internal/compress (AppendPacked) of a block it is shorter than; its
-// header carries the block's length in A and the block's CRC (blockCRC,
-// over the ID and the block's bytes) in B, so that the index learns
-// both without reading the payload. The record's own CRC covers what
-// it stores, as for every record.
+// A record stores its block in one of three layouts, whichever is
+// shortest, raw on a tie:
+//
+//	raw      the block's bytes; the header's two user fields are zero
+//	packed   internal/compress's AppendPacked: one bit width per 256 words
+//	delta    internal/compress's AppendDeltaPacked: zigzag deltas of
+//	         consecutive words, one bit width per 4; the record's kind
+//	         has the recDelta bit set
+//
+// A packed or delta record's header carries the block's length in A and
+// the block's CRC (blockCRC, over the ID and the block's bytes) in B,
+// so that the index learns both without reading the payload. The
+// record's own CRC covers what it stores, as for every record, and a
+// read re-derives the block's ID from its bytes, unpacked first.
 //
 // Kinds 2 and 3 (a run of IDs each) are the ref and release records of
 // earlier builds, which counted references in the log. The framing
 // still recognises them, so a pack holding one is not mistaken for
 // damage and cut; an open refuses it with ErrOldLayout. One kind 2
 // record is this build's own: the version record, whose payload is
-// packVersion. It commits a frame of its own at the head of the first
-// frame that puts a packed record in a pack. A build that predates
-// packed records reads it as a ref record and refuses the pack with its
+// "GBPV", a pack format version and zeros to the length of an ID. It
+// commits a frame of its own at the head of the first frame that puts
+// a record of a newer layout in a pack: version 2 before the first
+// packed record, version 3 before the first delta record. A build
+// that predates a layout reads that version record as a ref record, or
+// as a version it does not know, and refuses the pack with its
 // ErrOldLayout, touching nothing — where it would otherwise have taken
-// the packed records, whose A and B it does not accept, for damage and
-// cut them off as a torn tail.
+// the records it cannot read for damage and cut them off as a torn
+// tail.
 //
 // # Index snapshot (blockstore.index)
 //
 //	u32  magic "GBIX"
-//	u8   version (4)
+//	u8   version (4, or 5 once the store holds delta records)
 //	u64  generation
 //	u32  pack, u64 offset: the log position the snapshot folds up to
 //	u32  entry count
@@ -54,21 +64,27 @@ import (
 //	u32  CRC32C of every preceding byte
 //
 // len is the block's length, stored the length of what its record
-// stores (less than len for a packed record, else equal) and crc the
-// block's CRC. The snapshot is the commit record of a GC transaction:
-// it lists every live block with its location, and its atomic rename
-// is the single commit point (mirroring the lineage manifest). An open
-// replays only the log past the recorded position. A version 3
-// snapshot, whose entries have no stored length because every record
-// was raw, is read as one whose stored lengths equal their lengths; a
-// version 2 snapshot, written by the builds that counted references, or
-// one of an unknown version is refused with ErrOldLayout.
+// stores (less than len unless the record is raw) and crc the block's
+// CRC. Which of packed and delta a short record holds, its header
+// says: the index needs only its length. The snapshot is the commit
+// record of a GC transaction: it lists every live block with its
+// location, and its atomic rename is the single commit point
+// (mirroring the lineage manifest). An open replays only the log past
+// the recorded position. A store that holds or held delta records
+// writes version 5, the same entries under a version the builds before
+// delta records refuse: they would read a folded delta record as a
+// packed one. A version 3 snapshot, whose entries have no stored
+// length because every record was raw, is read as one whose stored
+// lengths equal their lengths; a version 2 snapshot, written by the
+// builds that counted references, or one of an unknown version is
+// refused with ErrOldLayout.
 const (
 	indexMagic       = 0x58_49_42_47 // "GBIX"
 	indexFooterMagic = 0x46_49_42_47 // "GBIF"
-	formatVersion    = 4
-	rawVersion       = 3 // of the builds that wrote raw records only
-	countedVersion   = 2 // of the builds that counted references
+	formatVersion    = 5             // of a store that holds or held delta records
+	packedVersion    = 4             // of any other store, and of the builds before delta records
+	rawVersion       = 3             // of the builds that wrote raw records only
+	countedVersion   = 2             // of the builds that counted references
 
 	indexHdrSize    = 4 + 1 + 8 + 4 + 8 + 4
 	indexEntrySize  = idSize + 4 + 8 + 4 + 4 + 4
@@ -83,15 +99,23 @@ const (
 	recRef     = 2 // written by earlier builds only; refused. Also the version record.
 	recRelease = 3 // written by earlier builds only; refused
 	recMoved   = 4
+	// recDelta is set in the kind of a block or moved record that
+	// stores the delta-packed layout.
+	recDelta = 0x10
+
+	// The pack format versions a version record names: the first that
+	// holds packed records, and the first that holds delta records.
+	packedPackVersion = 2
+	deltaPackVersion  = 3
 
 	// blockRecOverhead is what a block record costs beyond what it
 	// stores.
 	blockRecOverhead = recframe.HdrSize + idSize
 )
 
-// packVersion is the payload of the version record: "GBPV", the pack
-// format version, zeros to the length of an ID.
-var packVersion = [idSize]byte{'G', 'B', 'P', 'V', 2}
+// versionRecord is the payload of the version record of pack format
+// version v: "GBPV", v, zeros to the length of an ID.
+func versionRecord(v byte) [idSize]byte { return [idSize]byte{'G', 'B', 'P', 'V', v} }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -100,10 +124,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 var packFormat = recframe.Format{
 	Magic: [4]byte{'G', 'B', 'P', 'R'},
 	Accept: func(h recframe.Header) bool {
-		switch {
-		case h.Kind == recBlock || h.Kind == recMoved:
-			// A packed record stores less than the block's length.
-			return h.Len >= idSize && (h.A == 0 && h.B == 0 || h.Len-idSize < h.A)
+		switch kind := h.Kind &^ recDelta; {
+		case kind == recBlock || kind == recMoved:
+			// A packed or delta record stores less than the block's length.
+			raw := h.A == 0 && h.B == 0 && h.Kind&recDelta == 0
+			return h.Len >= idSize && (raw || h.Len-idSize < h.A)
 		case h.A != 0 || h.B != 0:
 		case h.Kind == recRef || h.Kind == recRelease:
 			return h.Len > 0 && h.Len%idSize == 0
@@ -113,8 +138,7 @@ var packFormat = recframe.Format{
 }
 
 // blockCRC is the block's CRC: over the ID, then the block's bytes —
-// the payload checksum of a raw record, and the B field of a packed
-// one. It doubles as the index's second, structurally independent check
+// the payload checksum of a raw record, and the B field of any other. It doubles as the index's second, structurally independent check
 // of the block.
 func blockCRC(id, p []byte) uint32 {
 	return crc32.Update(crc32.Checksum(id, castagnoli), castagnoli, p)
@@ -122,7 +146,8 @@ func blockCRC(id, p []byte) uint32 {
 
 // entry is the in-memory state of one block: where its record sits
 // (the header's offset in pack number pack), the block's length, the
-// length of what the record stores, and the block's CRC.
+// length of what the record stores, and the block's CRC. Which layout a
+// short record holds, its header says.
 type entry struct {
 	off    int64
 	pack   uint32
@@ -131,7 +156,8 @@ type entry struct {
 	crc    uint32
 }
 
-// packed reports whether the record stores the block packed.
+// packed reports whether the record stores the block packed or
+// delta-packed.
 func (e entry) packed() bool { return e.stored != e.len }
 
 // recordEntry returns the entry of the block record h, which sits in
@@ -150,15 +176,16 @@ type logPos struct {
 	off  int64
 }
 
-// encodeIndex serializes a snapshot. Entries are written in ascending
-// ID order so the byte stream is deterministic for a given state.
-func encodeIndex(gen uint64, mark logPos, ids []ID, entries map[ID]entry) ([]byte, error) {
+// encodeIndex serializes a snapshot of the given version, 4 or 5.
+// Entries are written in ascending ID order so the byte stream is
+// deterministic for a given state.
+func encodeIndex(version byte, gen uint64, mark logPos, ids []ID, entries map[ID]entry) ([]byte, error) {
 	if len(ids) > maxIndexEntries {
 		return nil, fmt.Errorf("blockstore: %d entries exceed the index format limit", len(ids))
 	}
 	buf := make([]byte, 0, indexHdrSize+indexEntrySize*len(ids)+indexFooterSize)
 	buf = binary.LittleEndian.AppendUint32(buf, indexMagic)
-	buf = append(buf, formatVersion)
+	buf = append(buf, version)
 	buf = binary.LittleEndian.AppendUint64(buf, gen)
 	buf = binary.LittleEndian.AppendUint32(buf, mark.pack)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(mark.off))
@@ -184,7 +211,7 @@ func encodeIndex(gen uint64, mark logPos, ids []ID, entries map[ID]entry) ([]byt
 // bounded by the actual byte length before any allocation and the
 // whole-file CRC must verify; any mismatch is ErrCorrupt. A snapshot of
 // the raw-only builds (version 3) is read; one of the counting builds,
-// or of any version but 3 and 4, is ErrOldLayout.
+// or of any version but 3 to 5, is ErrOldLayout.
 func DecodeIndex(b []byte) (gen uint64, mark logPos, entries map[ID]entry, err error) {
 	fail := func(format string, args ...any) (uint64, logPos, map[ID]entry, error) {
 		return 0, logPos{}, nil, fmt.Errorf("%w: index "+format, append([]any{ErrCorrupt}, args...)...)
@@ -205,7 +232,7 @@ func DecodeIndex(b []byte) (gen uint64, mark logPos, entries map[ID]entry, err e
 	}
 	size := indexEntrySize
 	switch body[4] {
-	case formatVersion:
+	case formatVersion, packedVersion:
 	case rawVersion:
 		size = rawEntrySize
 	case countedVersion:

@@ -27,11 +27,13 @@ func fuzzIndexSeeds(f *testing.F) [][]byte {
 			ids = append(ids, id)
 		}
 		sortIDs(ids)
-		b, err := encodeIndex(uint64(n), logPos{pack: uint32(n), off: int64(n) << 20}, ids, entries)
-		if err != nil {
-			f.Fatal(err)
+		for _, version := range []byte{packedVersion, formatVersion} {
+			b, err := encodeIndex(version, uint64(n), logPos{pack: uint32(n), off: int64(n) << 20}, ids, entries)
+			if err != nil {
+				f.Fatal(err)
+			}
+			seeds = append(seeds, b)
 		}
-		seeds = append(seeds, b)
 	}
 	return seeds
 }
@@ -71,11 +73,15 @@ func FuzzBlockIndexDecode(f *testing.F) {
 			ids = append(ids, id)
 		}
 		sortIDs(ids)
-		b, err := encodeIndex(gen, mark, ids, entries)
+		version := data[4]
+		if version == rawVersion {
+			version = formatVersion
+		}
+		b, err := encodeIndex(version, gen, mark, ids, entries)
 		if err != nil {
 			t.Fatalf("re-encode of decoded index failed: %v", err)
 		}
-		if data[4] == formatVersion && !bytes.Equal(b, data) {
+		if data[4] != rawVersion && !bytes.Equal(b, data) {
 			t.Fatalf("decoded index is not canonical: %d vs %d bytes", len(b), len(data))
 		}
 		gen2, mark2, entries2, err := DecodeIndex(b)
@@ -109,9 +115,10 @@ func appendRecAB(img []byte, kind byte, more bool, payload []byte, a, b uint32) 
 // packSeeds returns pack images for the fuzz corpus: an intern of new
 // blocks, a frame of three, a relocation, a torn tail, two images of
 // the builds that counted references — a frame one of them committed
-// with a ref record, and that build's release — which are refused, and
+// with a ref record, and that build's release — which are refused,
 // packed records: a version record, a frame packing one block of two,
-// and GC's packed copy of it.
+// and GC's packed copy of it, and delta records: a version 3 record, a
+// frame delta-packing one block of two, and GC's copy of it.
 func packSeeds() [][]byte {
 	a, b, c := []byte("block a"), bytes.Repeat([]byte{0xB}, 300), []byte{}
 	ia, ib, ic := IDOf(a), IDOf(b), IDOf(c)
@@ -124,11 +131,18 @@ func packSeeds() [][]byte {
 
 	d := counterPayload(1, 400)
 	id := IDOf(d)
-	version := appendRec(one, recRef, false, []ID{packVersion}, nil)
+	version := appendRec(one, recRef, false, []ID{versionRecord(2)}, nil)
 	packed := appendPackedRec(version, recBlock, true, id, compress.AppendPacked(nil, d), uint32(len(d)), blockCRC(id[:], d))
 	packed = appendRec(packed, recBlock, false, []ID{ib}, b)
 	packedMoved := appendPackedRec(packed, recMoved, false, id, compress.AppendPacked(nil, d), uint32(len(d)), blockCRC(id[:], d))
-	return [][]byte{one, three, moved, moved[:len(moved)-9], counted, released, packed, packedMoved}
+
+	e := deltaPayload(1, 400)
+	ie := IDOf(e)
+	delta := appendRec(packed, recRef, false, []ID{versionRecord(3)}, nil)
+	delta = appendPackedRec(delta, recBlock|recDelta, true, ie, compress.AppendDeltaPacked(nil, e), uint32(len(e)), blockCRC(ie[:], e))
+	delta = appendRec(delta, recBlock, false, []ID{ia}, a)
+	deltaMoved := appendPackedRec(delta, recMoved|recDelta, false, ie, compress.AppendDeltaPacked(nil, e), uint32(len(e)), blockCRC(ie[:], e))
+	return [][]byte{one, three, moved, moved[:len(moved)-9], counted, released, packed, packedMoved, delta, deltaMoved}
 }
 
 // openPackImage opens a store whose only pack is img. A pack of the

@@ -135,19 +135,27 @@ func (s *Store) GC(mark func(live func(ID)) error) (GCStats, error) {
 // relocateLocked copies the live blocks of sealed pack num to the end
 // of the log as one frame of moved records and, once that is durable,
 // points their entries at the copies. A moved record stores what the
-// record it copies stores, packed or not. Each block is verified
+// record it copies stores, in its layout. Each block is verified
 // against the index on the way, so one that rotted fails the relocation
 // (ErrCorrupt) instead of gaining a fresh checksum.
 //
 //ckptlint:locked mu
 func (s *Store) relocateLocked(num uint32, live []ID) error {
+	// A moved record needs the version its record needed: packed or
+	// delta, which only the record says, so a store that holds delta
+	// records gives any frame that moves a short one a version 3 record.
 	var refs []Ref
-	packed := false
+	var version byte
 	for _, id := range live {
 		if e := s.entries[id]; e.pack == num {
 			refs = append(refs, Ref{ID: id})
-			packed = packed || e.packed()
+			if e.packed() {
+				version = packedPackVersion
+			}
 		}
+	}
+	if version != 0 && s.deltas {
+		version = deltaPackVersion
 	}
 	if len(refs) == 0 {
 		return nil
@@ -158,13 +166,14 @@ func (s *Store) relocateLocked(num uint32, live []ID) error {
 	r.hooks = s.hooks
 	s.resolveLocked(refs, r.locs)
 	offs := make([]int64, len(refs))
-	err := s.appendFrameLocked(packed, func() error {
+	err := s.appendFrameLocked(version, func() error {
 		for i := range refs {
 			if _, err := r.next(); err != nil {
 				return err
 			}
+			kind := recMoved | r.rec[4]&recDelta // the record's kind byte
 			rec := r.rec[blockRecOverhead:]
-			offs[i] = s.recLocked(recMoved, i < len(refs)-1, refs[i].ID[:], rec, r.locs[i].e, blockCRC(refs[i].ID[:], rec))
+			offs[i] = s.recLocked(kind, i < len(refs)-1, refs[i].ID[:], rec, r.locs[i].e, blockCRC(refs[i].ID[:], rec))
 		}
 		return nil
 	})
@@ -191,7 +200,11 @@ func (s *Store) commitIndexLocked(live []ID) error {
 	if s.log != nil {
 		end.off = s.log.Size()
 	}
-	snap, err := encodeIndex(s.gen+1, end, live, s.entries)
+	version := byte(packedVersion)
+	if s.deltas {
+		version = formatVersion
+	}
+	snap, err := encodeIndex(version, s.gen+1, end, live, s.entries)
 	if err != nil {
 		return err
 	}

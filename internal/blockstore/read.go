@@ -208,16 +208,21 @@ func (r *runReader) verify(raw []byte, at loc, id ID) (p []byte, err error) {
 	h, ok := packFormat.Parse(raw)
 	h.Off, p = at.e.off, raw[blockRecOverhead:]
 	switch got := crc32.Checksum(raw[recframe.HdrSize:], castagnoli); {
-	case !ok || h.Kind != recBlock && h.Kind != recMoved || recordEntry(h, at.e.pack) != at.e || ID(raw[recframe.HdrSize:blockRecOverhead]) != id:
+	case !ok || h.Kind&^recDelta != recBlock && h.Kind&^recDelta != recMoved || recordEntry(h, at.e.pack) != at.e || ID(raw[recframe.HdrSize:blockRecOverhead]) != id:
 		return nil, fmt.Errorf("%w: block %s: record header at %s offset %d does not verify", ErrCorrupt, id, at.f.Name(), at.e.off)
 	case got != h.CRC:
 		return nil, fmt.Errorf("%w: block %s CRC %08x, record %08x", ErrCorrupt, id, got, h.CRC)
 	}
-	if at.e.packed() {
-		if r.sc.block, err = compress.AppendUnpacked(r.sc.block[:0], p, int(at.e.len)); err != nil {
-			return nil, fmt.Errorf("%w: block %s: %w", ErrCorrupt, id, err)
-		}
+	switch {
+	case h.Kind&recDelta != 0:
+		r.sc.block, err = compress.AppendDeltaUnpacked(r.sc.block[:0], p, int(at.e.len))
 		p = r.sc.block
+	case at.e.packed():
+		r.sc.block, err = compress.AppendUnpacked(r.sc.block[:0], p, int(at.e.len))
+		p = r.sc.block
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: block %s: %w", ErrCorrupt, id, err)
 	}
 	if IDOf(p) != id {
 		return nil, fmt.Errorf("%w: block %s bytes hash to a different ID", ErrCorrupt, id)
