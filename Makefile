@@ -27,6 +27,7 @@ FUZZ_TARGETS = \
 	FuzzPack:./internal/compress \
 	FuzzDeltaPack:./internal/compress \
 	FuzzSum128x2:./internal/murmur3 \
+	FuzzSum128x8:./internal/murmur3 \
 	FuzzMapModel:./internal/hashmap
 FUZZTIME ?= 5s
 FUZZTIME_LONG ?= 5m

@@ -174,6 +174,9 @@ type Result struct {
 	MetadataBytes int64
 	// DataBytes is the first-occurrence data portion of the diff.
 	DataBytes int64
+	// HashedBytes is what the checkpoint ran through Murmur3: every
+	// chunk, plus 32 bytes per Merkle node it hashed.
+	HashedBytes int64
 	// FirstRegions and ShiftRegions count the emitted metadata
 	// entries; FixedChunks counts chunks that cost nothing.
 	FirstRegions, ShiftRegions, FixedChunks int
@@ -343,18 +346,24 @@ func (c *Checkpointer) Checkpoint(data []byte) (Result, error) {
 			return Result{}, fmt.Errorf("gpuckpt: persisting diff: %w", err)
 		}
 	}
+	return resultOf(st), nil
+}
+
+// resultOf reports one checkpoint's statistics.
+func resultOf(st dedup.Stats) Result {
 	return Result{
 		CkptID:        st.CkptID,
 		InputBytes:    st.InputBytes,
 		StoredBytes:   st.DiffBytes,
 		MetadataBytes: st.MetadataBytes,
 		DataBytes:     st.DataBytes,
+		HashedBytes:   st.HashedBytes,
 		FirstRegions:  st.NumFirstOcur,
 		ShiftRegions:  st.NumShiftDupl,
 		FixedChunks:   st.FixedLeaves,
 		DedupTime:     st.DedupTime,
 		TransferTime:  st.TransferTime,
-	}, nil
+	}
 }
 
 // NumCheckpoints returns the number of checkpoints in the record.

@@ -181,18 +181,7 @@ func (g *Group) Checkpoint(buffers map[string][]byte) (GroupResult, error) {
 				return GroupResult{}, fmt.Errorf("gpuckpt: persisting member %q: %w", name, err)
 			}
 		}
-		r := Result{
-			CkptID:        st.CkptID,
-			InputBytes:    st.InputBytes,
-			StoredBytes:   st.DiffBytes,
-			MetadataBytes: st.MetadataBytes,
-			DataBytes:     st.DataBytes,
-			FirstRegions:  st.NumFirstOcur,
-			ShiftRegions:  st.NumShiftDupl,
-			FixedChunks:   st.FixedLeaves,
-			DedupTime:     st.DedupTime,
-			TransferTime:  st.TransferTime,
-		}
+		r := resultOf(st)
 		res.PerMember[name] = r
 		res.InputBytes += r.InputBytes
 		res.StoredBytes += r.StoredBytes

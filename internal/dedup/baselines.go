@@ -145,6 +145,7 @@ func (d *Deduplicator) checkpointBasic(data []byte) (*checkpoint.Diff, Stats, er
 
 	st.FixedLeaves = int(d.gs.fixedN.Load())
 	st.FirstLeaves = int(changed)
+	st.HashedBytes = int64(d.dataLen)
 	diff := d.newDiff()
 	*diff = checkpoint.Diff{
 		Method:    checkpoint.MethodBasic,
@@ -175,6 +176,7 @@ func (d *Deduplicator) checkpointList(data []byte) (*checkpoint.Diff, Stats, err
 	st.FixedLeaves = int(fixed)
 	st.FirstLeaves = int(first)
 	st.ShiftLeaves = int(shift)
+	st.HashedBytes = int64(d.dataLen)
 
 	// Emit one region per non-fixed leaf, already in chunk order.
 	firsts := make(checkpoint.FirstList, 0, 4*first)

@@ -168,6 +168,11 @@ type Stats struct {
 	MetadataBytes int64
 	// DataBytes is the gathered-data portion of the diff.
 	DataBytes int64
+	// HashedBytes is what went through Murmur3: every leaf chunk, plus
+	// 32 bytes (two child digests) per interior node the consolidation
+	// sweeps hashed. It is the HashBytes the device model charges,
+	// before Options.HashCostMultiplier.
+	HashedBytes int64
 
 	// Region/label census.
 	NumFirstOcur int // first-occurrence regions emitted

@@ -611,46 +611,51 @@ func TestDeterministicDiffBytes(t *testing.T) {
 }
 
 // TestLeafSweepMatchesSeam is the differential test of the leaf
-// sweep's paired fixed-kernel path against its one-chunk-at-a-time
-// path, the hashChunk seam set to plain Sum128: on a tree whose chunk
-// count is no power of two and whose last chunk is short, at 1 to 4
-// workers, whose blocks straddle DeepLeaves, every diff of a chain is
-// byte-identical.
+// sweep's grouped paths (Sum128x8, then Sum128x2) against its
+// one-chunk-at-a-time path, the hashChunk seam set to plain Sum128: on
+// trees whose chunk count is no power of two and whose last chunk is
+// short, at 1 to 4 workers, whose blocks straddle DeepLeaves, every
+// diff of a chain is byte-identical. The geometries give runs on both
+// sides of DeepLeaves whose lengths are and are not multiples of 8, so
+// each run ends in a partial group of eight.
 func TestLeafSweepMatchesSeam(t *testing.T) {
-	const chunk, nChunks = 64, 300
-	size := nChunks*chunk - 17
-	rng := rand.New(rand.NewSource(43))
-	chain := [][]byte{randBuf(rng, size)}
-	for k := 1; k < 6; k++ {
-		next := append([]byte(nil), chain[k-1]...)
-		mutate(rng, next, 6, 2)
-		rng.Read(next[size-10:])
-		// Chunks on both sides of DeepLeaves (88) repeat earlier ones.
-		src := rng.Intn(80) * chunk
-		copy(next[86*chunk:91*chunk], next[src:src+5*chunk])
-		chain = append(chain, next)
-	}
-	for workers := 1; workers <= 4; workers++ {
-		run := func(seam bool) []byte {
-			d := newTestDedup(t, checkpoint.MethodTree, size, workers, Options{ChunkSize: chunk})
-			if deep, grain := d.tree.DeepLeaves(), (nChunks+workers-1)/workers; deep != 88 || (workers > 1 && deep%grain == 0) {
-				t.Fatalf("%d workers: DeepLeaves %d, blocks of %d chunks: no block straddles it", workers, deep, grain)
-			}
-			if seam {
-				d.hashChunk = func(b []byte) murmur3.Digest { return murmur3.Sum128(b, d.opts.Seed) }
-			}
-			var out []byte
-			for k, b := range chain {
-				diff, _, err := d.Checkpoint(b)
-				if err != nil {
-					t.Fatalf("%d workers, seam %v, checkpoint %d: %v", workers, seam, k, err)
-				}
-				out = append(out, encodeDiff(t, diff)...)
-			}
-			return out
+	const chunk = 64
+	for _, nChunks := range []int{300, 301, 283} {
+		deep := 2 * (nChunks - 256) // 88, 90, 54: leaves of the deepest level
+		size := nChunks*chunk - 17
+		rng := rand.New(rand.NewSource(int64(43 + nChunks)))
+		chain := [][]byte{randBuf(rng, size)}
+		for k := 1; k < 6; k++ {
+			next := append([]byte(nil), chain[k-1]...)
+			mutate(rng, next, 6, 2)
+			rng.Read(next[size-10:])
+			// Chunks on both sides of DeepLeaves repeat earlier ones.
+			src := rng.Intn(deep-8) * chunk
+			copy(next[(deep-2)*chunk:(deep+3)*chunk], next[src:src+5*chunk])
+			chain = append(chain, next)
 		}
-		if !bytes.Equal(run(false), run(true)) {
-			t.Fatalf("%d workers: the paired leaf sweep's diffs differ from the one-chunk sweep's", workers)
+		for workers := 1; workers <= 4; workers++ {
+			run := func(seam bool) []byte {
+				d := newTestDedup(t, checkpoint.MethodTree, size, workers, Options{ChunkSize: chunk})
+				if got, grain := d.tree.DeepLeaves(), (nChunks+workers-1)/workers; got != deep || (workers > 1 && deep%grain == 0) {
+					t.Fatalf("%d chunks, %d workers: DeepLeaves %d, blocks of %d chunks: no block straddles it", nChunks, workers, got, grain)
+				}
+				if seam {
+					d.hashChunk = func(b []byte) murmur3.Digest { return murmur3.Sum128(b, d.opts.Seed) }
+				}
+				var out []byte
+				for k, b := range chain {
+					diff, _, err := d.Checkpoint(b)
+					if err != nil {
+						t.Fatalf("%d chunks, %d workers, seam %v, checkpoint %d: %v", nChunks, workers, seam, k, err)
+					}
+					out = append(out, encodeDiff(t, diff)...)
+				}
+				return out
+			}
+			if !bytes.Equal(run(false), run(true)) {
+				t.Fatalf("%d chunks, %d workers: the grouped leaf sweep's diffs differ from the one-chunk sweep's", nChunks, workers)
+			}
 		}
 	}
 }
@@ -722,4 +727,48 @@ func BenchmarkCheckpointTreeMethod(b *testing.B) {
 }
 func BenchmarkCheckpointTreeSmallChunks(b *testing.B) {
 	benchmarkMethod(b, checkpoint.MethodTree, Options{ChunkSize: 32})
+}
+
+// TestHashedBytes pins Stats.HashedBytes, what the device model charges
+// as hashed: every leaf chunk, plus 32 bytes per interior node the
+// consolidation sweeps hash, whichever path hashed the leaves.
+func TestHashedBytes(t *testing.T) {
+	const chunk, nChunks = 64, 1024
+	const size = chunk * nChunks
+	rng := rand.New(rand.NewSource(5))
+	img := randBuf(rng, size)
+	steps := []struct {
+		name   string
+		mutate func(b []byte)
+		want   int64
+	}{
+		{"first checkpoint: every interior node", func([]byte) {}, size + 32*(nChunks-1)},
+		{"unchanged: the leaves alone", func([]byte) {}, size},
+		{"one chunk rewritten: no sibling to pair with", func(b []byte) { rng.Read(b[5*chunk : 6*chunk]) }, size},
+		{"two sibling chunks rewritten: their parent", func(b []byte) { rng.Read(b[0 : 2*chunk]) }, size + 32},
+		{"two sibling chunks shifted: their parent", func(b []byte) { copy(b[8*chunk:10*chunk], b[20*chunk:22*chunk]) }, size + 32},
+	}
+	for _, seam := range []bool{false, true} {
+		for _, m := range []checkpoint.Method{checkpoint.MethodTree, checkpoint.MethodList, checkpoint.MethodBasic} {
+			d := newTestDedup(t, m, size, 2, Options{ChunkSize: chunk})
+			if seam {
+				d.hashChunk = func(b []byte) murmur3.Digest { return murmur3.Sum128(b, d.opts.Seed) }
+			}
+			buf := append([]byte(nil), img...)
+			for _, s := range steps {
+				s.mutate(buf)
+				_, st, err := d.Checkpoint(buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := s.want
+				if m != checkpoint.MethodTree {
+					want = size // no interior nodes
+				}
+				if st.HashedBytes != want {
+					t.Errorf("%v, seam %v, %s: HashedBytes %d, want %d", m, seam, s.name, st.HashedBytes, want)
+				}
+			}
+		}
+	}
 }

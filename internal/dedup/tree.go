@@ -180,27 +180,30 @@ func (d *Deduplicator) initBodies() {
 // consecutive nodes, and handles each whose digest moved: its id is
 // appended to out and insertLeaf registers it. It returns out and the
 // map operations spent, stopping at the first error. Whole chunks go
-// two at a time, so the two Murmur3 dependency chains overlap and
-// Sum128x2 takes its fixed kernel for the chunk size; the short last
-// chunk, and every chunk while the hashChunk seam is set, go one by
-// one.
+// eight at a time through Sum128x8, one Murmur3 chain per SIMD lane,
+// and the run's last few two at a time through Sum128x2, whose two
+// chains overlap; the short last chunk, and every chunk while the
+// hashChunk seam is set, go one by one.
 //
 //ckptlint:noalloc
 func (d *Deduplicator) sweepLeaves(out []uint32, lo, hi int) ([]uint32, int64, error) {
 	data, cs, seed := d.frontData, d.opts.ChunkSize, d.opts.Seed
 	node := d.tree.LeafNode(lo) - lo // chunk c is node node+c
-	whole := lo                      // chunks [lo, whole) are paired
+	whole := lo                      // chunks [lo, whole) are whole, hashed in groups
 	if d.hashChunk == nil {
 		whole = max(lo, min(hi, d.dataLen/cs))
 	}
 	var ops int64
-	var digs [2]murmur3.Digest
+	var digs [8]murmur3.Digest
 	for c, n := lo, 0; c < hi; c += n {
-		if c+1 < whole {
-			off := c * cs
+		off := c * cs
+		switch {
+		case c+8 <= whole:
+			digs, n = murmur3.Sum128x8(data[off:off+8*cs], cs, seed), 8
+		case c+2 <= whole:
 			digs[0], digs[1] = murmur3.Sum128x2(data[off:off+cs], data[off+cs:off+2*cs], seed)
 			n = 2
-		} else {
+		default:
 			off, end := d.chunkSpan(c)
 			digs[0] = d.hashOne(data[off:end])
 			n = 1
@@ -373,24 +376,27 @@ func (d *Deduplicator) listAncestors() {
 // level, bottom-up, all nodes of a level in parallel. Each level is
 // charged what the dense GPU sweep of it costs whatever share of it the
 // CPU had to visit: two label bytes per node of the level, plus a pair
-// hash and a map operation per node body counted in d.gs.hashed.
-func (d *Deduplicator) sweepLevels(l *launcher, name string, body func(lo, hi int)) error {
+// hash and a map operation per node body counted in d.gs.hashed. It
+// returns the number of nodes the bodies hashed.
+func (d *Deduplicator) sweepLevels(l *launcher, name string, body func(lo, hi int)) (int64, error) {
 	pool := d.dev.Pool()
+	var hashed int64
 	for k, lv := range d.levels {
 		d.gs.hashed.Store(0)
 		d.curLevel = d.anc[d.ancEnd[k]:d.ancEnd[k+1]]
 		pool.ForRange(len(d.curLevel), body)
 		if err := d.gs.takeErr(); err != nil {
-			return err
+			return hashed, err
 		}
 		n := d.gs.hashed.Load()
+		hashed += n
 		l.phase(name, device.Cost{
 			HashBytes: int64(float64(n*32) * d.opts.HashCostMultiplier),
 			MemBytes:  int64(lv[1]-lv[0]) * 2,
 			MapOps:    n,
 		})
 	}
-	return nil
+	return hashed, nil
 }
 
 // walkRegions visits the roots of the maximal uniform regions left to
@@ -534,6 +540,7 @@ func (d *Deduplicator) treeFront(data []byte, l *launcher) (treeFrontResult, err
 	fr.st.FixedLeaves = int(fixed)
 	fr.st.FirstLeaves = int(first)
 	fr.st.ShiftLeaves = int(shift)
+	fr.st.HashedBytes = int64(d.dataLen)
 
 	// Fast path: a fully unchanged buffer needs no consolidation
 	// sweeps at all (§2.4's mitigation of unnecessary intermediate
@@ -550,12 +557,15 @@ func (d *Deduplicator) treeFront(data []byte, l *launcher) (treeFrontResult, err
 	// is consolidated, so a shifted subtree cannot miss a
 	// first-occurrence entry that is still being hashed.
 	d.listAncestors()
-	if err := d.sweepLevels(l, "firstocur-level", d.firstLevelBody); err != nil {
+	firstNodes, err := d.sweepLevels(l, "firstocur-level", d.firstLevelBody)
+	if err != nil {
 		return fr, err
 	}
-	if err := d.sweepLevels(l, "consolidate-level", d.consolidateBody); err != nil {
+	dupNodes, err := d.sweepLevels(l, "consolidate-level", d.consolidateBody)
+	if err != nil {
 		return fr, err
 	}
+	fr.st.HashedBytes += 32 * (firstNodes + dupNodes)
 	fr.firsts, fr.shifts = d.listRegions()
 	fr.st.NumFirstOcur = fr.firsts.Len()
 	fr.st.NumShiftDupl = fr.shifts.Len()

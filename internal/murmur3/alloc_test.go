@@ -78,3 +78,26 @@ func TestDigestBytesZeroAlloc(t *testing.T) {
 		t.Error("Bytes/FromBytes round trip mismatch")
 	}
 }
+
+// TestSum128x8ZeroAlloc covers the eight-way leaf hash on both paths:
+// the kernel's lengths, and one the portable path alone takes.
+func TestSum128x8ZeroAlloc(t *testing.T) {
+	data := make([]byte, 8*512)
+	for i := range data {
+		data[i] = byte(i * 31)
+	}
+	eachPath(t, func(path string) {
+		for _, n := range append(kernelLengths, 121) {
+			var out [8]Digest
+			avg := testing.AllocsPerRun(100, func() {
+				out = Sum128x8(data, n, 42)
+			})
+			if avg != 0 {
+				t.Errorf("%s: Sum128x8(%d bytes): %.2f allocs per run, want 0", path, n, avg)
+			}
+			if out[7].IsZero() {
+				t.Errorf("%s: Sum128x8(%d bytes): zero digest", path, n)
+			}
+		}
+	})
+}

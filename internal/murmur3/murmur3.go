@@ -12,6 +12,10 @@
 //   - Sum128x2 hashes two messages at once, the leaf sweep's chunk
 //     pairs; two messages of one length from 32 to 512 bytes, a power
 //     of two, take that length's fixed kernel.
+//   - Sum128x8 hashes eight consecutive messages of one length, the
+//     leaf sweep's runs of whole chunks: on a CPU with AVX512F and
+//     AVX512DQ each 64-bit lane of a zmm register runs one message's
+//     chain (x8_amd64.s), elsewhere it is four Sum128x2 calls.
 //   - SumPair hashes two digests' concatenation, the Merkle node
 //     combiner, as a fixed 32-byte message.
 //
@@ -21,6 +25,7 @@ package murmur3
 import (
 	"encoding/binary"
 	"math/bits"
+	"unsafe"
 )
 
 // Digest is a 128-bit hash value. The two halves correspond to the h1
@@ -100,6 +105,27 @@ func Sum128x2(a, b []byte, seed uint32) (Digest, Digest) {
 		ra, rb = ra[16:], rb[16:]
 	}
 	return finish(a1, a2, ra, uint64(len(a))), finish(b1, b2, rb, uint64(len(b)))
+}
+
+// Sum128x8 hashes the eight consecutive n-byte messages that open data
+// and returns exactly their eight Sum128 digests, in order; data must
+// hold at least 8·n bytes. Where the CPU has AVX512F and AVX512DQ and
+// n is a multiple of 16, one kernel runs the eight chains in the eight
+// lanes of a zmm register, the CPU analog of the paper's one GPU
+// thread per chunk; otherwise it makes four Sum128x2 calls. The kernel
+// is chosen once, at package init.
+//
+//ckptlint:noalloc
+func Sum128x8(data []byte, n int, seed uint32) (out [8]Digest) {
+	msgs := data[: 8*n : len(data)]
+	if useAVX512 && n%16 == 0 {
+		sum128x8(&out, unsafe.SliceData(msgs), uint64(len(msgs)/8), uint64(seed))
+		return out
+	}
+	for i := 0; i < 8; i += 2 {
+		out[i], out[i+1] = Sum128x2(msgs[i*n:(i+1)*n], msgs[(i+1)*n:(i+2)*n], seed)
+	}
+	return out
 }
 
 // pair is the state of two interleaved streams, a and b.
