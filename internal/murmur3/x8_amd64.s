@@ -28,6 +28,11 @@ GLOBL x8consts<>(SB), RODATA|NOPTR, $48
 // 4-7 into Z3, one message per 128-bit lane; the quadword unpacks
 // then give k1 and k2 of all eight in the lane order 0,4,1,5,2,6,3,7,
 // which the unpacks at the end turn back into digests 0-3 and 4-7.
+// Each block also prefetches 128 bytes, from 1 KiB past the end of
+// the eight messages on: the leaf sweep walks a buffer larger than the
+// caches group by group, and the prefetches keep the groups it hashes
+// next on their way from memory. A prefetch past the end of the buffer
+// is a hint and cannot fault.
 // Only VEX and EVEX encodings: a legacy-SSE instruction here would
 // cost an AVX state transition on every call.
 TEXT ·sum128x8(SB), NOSPLIT, $0-32
@@ -44,11 +49,15 @@ TEXT ·sum128x8(SB), NOSPLIT, $0-32
 	VPBROADCASTQ x8consts<>+40(SB), Z21
 	LEAQ (DX)(DX*2), BX // 3n
 	LEAQ (SI)(DX*4), DI // message 4
+	LEAQ 1024(DI)(DX*4), R8 // the prefetch cursor
 	MOVQ DX, CX
 	SHRQ $4, CX         // blocks per message
 	JZ   final
 
 block:
+	PREFETCHT0   (R8)
+	PREFETCHT0   64(R8)
+	ADDQ         $128, R8
 	VMOVDQU      (SI), X2
 	VINSERTI64X2 $1, (SI)(DX*1), Z2, Z2
 	VINSERTI64X2 $2, (SI)(DX*2), Z2, Z2
