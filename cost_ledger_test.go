@@ -63,7 +63,6 @@ func (cw countedWriter) Write(p []byte) (int, error) {
 // stream set, the whole chain as one streamed push at the end.
 type ledgerChain struct {
 	t       *testing.T
-	srv     *server.Server
 	cl      *Client
 	io      *ioCounter
 	lineage string
@@ -71,7 +70,6 @@ type ledgerChain struct {
 	ck      *Checkpointer
 
 	userBytes, hashed int64
-	fsyncs, writes    int64
 	minDiff           int64 // the smallest diff checkpointed
 }
 
@@ -82,13 +80,15 @@ func newLedgerChain(t *testing.T, srv *server.Server, cl *Client, lineage string
 		t.Fatal(err)
 	}
 	t.Cleanup(ck.Close)
-	// Open the lineage first, so its store counts through the hooks too.
-	c := &ledgerChain{t: t, srv: srv, cl: cl, io: &ioCounter{}, lineage: lineage, stream: stream, ck: ck, minDiff: -1}
+	// The chain's pushes count on the block store and on the lineage's
+	// own store, which is opened here to take the hooks.
+	c := &ledgerChain{t: t, cl: cl, io: &ioCounter{}, lineage: lineage, stream: stream, ck: ck, minDiff: -1}
 	store, err := srv.Store(lineage)
 	if err != nil {
 		t.Fatal(err)
 	}
 	store.SetHooks(c.io.hooks())
+	srv.SetStorageHooks(c.io.hooks())
 	return c
 }
 
@@ -109,19 +109,12 @@ func (c *ledgerChain) checkpoint(img []byte) {
 	}
 }
 
-// push sends what the server does not hold yet, counting the storage
-// I/O it costs: the server acks a push only once it is durable, so
-// the counts are complete when it returns.
+// push sends what the server does not hold yet. The server acks a push
+// only once it is durable, so what it cost is counted when it returns.
 func (c *ledgerChain) push() {
-	c.srv.SetStorageHooks(c.io.hooks())
-	defer c.srv.SetStorageHooks(nil)
-	c.io.fsyncs.Store(0)
-	c.io.writes.Store(0)
 	if _, err := c.cl.PushCheckpointer(c.lineage, c.ck); err != nil {
 		c.t.Fatal(err)
 	}
-	c.fsyncs += c.io.fsyncs.Load()
-	c.writes += c.io.writes.Load()
 }
 
 func (c *ledgerChain) row() ledgerRow {
@@ -131,8 +124,8 @@ func (c *ledgerChain) row() ledgerRow {
 	n := c.ck.NumCheckpoints()
 	return ledgerRow{
 		Pushes:                 n,
-		FsyncsPerPush:          float64(c.fsyncs) / float64(n),
-		WritesPerPush:          float64(c.writes) / float64(n),
+		FsyncsPerPush:          float64(c.io.fsyncs.Load()) / float64(n),
+		WritesPerPush:          float64(c.io.writes.Load()) / float64(n),
 		BytesHashedPerUserByte: float64(c.hashed) / float64(c.userBytes),
 	}
 }
