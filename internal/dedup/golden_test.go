@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"strings"
 	"testing"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
@@ -116,12 +115,21 @@ func goldenDigests(t *testing.T, snaps [][]byte, workers int, opts Options, asyn
 			t.Fatalf("checkpoint %d: %v", k, err)
 		}
 		hd.Write(encodeDiff(t, diff))
-		// The digests predate Stats.HashedBytes, so its field is left
-		// out of the line; TestHashedBytes pins it.
-		line := fmt.Sprintf("%+v\n", st)
-		hs.Write([]byte(strings.Replace(line, fmt.Sprintf(" HashedBytes:%d", st.HashedBytes), "", 1)))
+		hs.Write([]byte(goldenStatsLine(st)))
 	}
 	return hex.EncodeToString(hd.Sum(nil)), hex.EncodeToString(hs.Sum(nil))
+}
+
+// goldenStatsLine prints the Stats fields the golden digests were
+// written with, as %+v printed them then. A field added since (such as
+// HashedBytes, which TestHashedBytes pins) stays out of the line.
+func goldenStatsLine(st Stats) string {
+	return fmt.Sprintf("{Method:%v CkptID:%v ChunkSize:%v InputBytes:%v DiffBytes:%v MetadataBytes:%v DataBytes:%v "+
+		"NumFirstOcur:%v NumShiftDupl:%v FixedLeaves:%v FirstLeaves:%v ShiftLeaves:%v FastPath:%v FellBack:%v "+
+		"DedupTime:%v TransferTime:%v}\n",
+		st.Method, st.CkptID, st.ChunkSize, st.InputBytes, st.DiffBytes, st.MetadataBytes, st.DataBytes,
+		st.NumFirstOcur, st.NumShiftDupl, st.FixedLeaves, st.FirstLeaves, st.ShiftLeaves, st.FastPath, st.FellBack,
+		st.DedupTime, st.TransferTime)
 }
 
 type goldenEntry struct {
