@@ -176,7 +176,8 @@ func BenchmarkAblationTwoStage(b *testing.B) {
 }
 
 // BenchmarkAblationGather compares team-based coalesced serialization
-// (§2.4) against one thread per region.
+// (§2.4) against one thread per region. The difference is the cost
+// model's uncoalesced-access charge; the CPU copy is the same in both.
 func BenchmarkAblationGather(b *testing.B) {
 	rows := benchAblationRows(b)
 	b.ReportMetric(rows[0].Throughput/1e9, "team-gather-GB/s")

@@ -282,13 +282,7 @@ func recordSink(rec *checkpoint.Record, cn *wireclient.Conn, name string) func(c
 // already hold for the named lineage, returning the number pushed.
 // The missing suffix streams as a pipelined window.
 func (c *Client) PushRecord(name string, rec *Record) (int, error) {
-	return c.pushDiffs(context.Background(), name, rec.Len(), rec.diffAt)
-}
-
-// PushRecordContext is PushRecord bounded by a context: cancellation
-// between retry attempts ends the schedule immediately.
-func (c *Client) PushRecordContext(ctx context.Context, name string, rec *Record) (int, error) {
-	return c.pushDiffs(ctx, name, rec.Len(), rec.diffAt)
+	return c.pushDiffs(name, rec.Len(), rec.diffAt)
 }
 
 // PushCheckpointer uploads every diff of ck's record that the server
@@ -296,7 +290,7 @@ func (c *Client) PushRecordContext(ctx context.Context, name string, rec *Record
 // pushed. Call it after each Checkpoint (incremental push) or once at
 // the end (bulk push) — contiguity makes both equivalent.
 func (c *Client) PushCheckpointer(name string, ck *Checkpointer) (int, error) {
-	return c.pushDiffs(context.Background(), name, ck.NumCheckpoints(), ck.diffAt)
+	return c.pushDiffs(name, ck.NumCheckpoints(), ck.diffAt)
 }
 
 // pushDiffs syncs diffs [have, total) of a lineage to the server,
@@ -307,9 +301,9 @@ func (c *Client) PushCheckpointer(name string, ck *Checkpointer) (int, error) {
 // gap; diffs that landed before the failure are never re-sent. The gap
 // streams as pipelined TPushStream frames (wireclient's Conn.StreamPush).
 // Returns the number of diffs newly acknowledged by the server.
-func (c *Client) pushDiffs(ctx context.Context, name string, total int, diffAt func(int) (*checkpoint.Diff, error)) (int, error) {
+func (c *Client) pushDiffs(name string, total int, diffAt func(int) (*checkpoint.Diff, error)) (int, error) {
 	pushed := 0
-	err := c.wc.Do(ctx, name, func(cn *wireclient.Conn) error {
+	err := c.wc.Do(context.Background(), name, func(cn *wireclient.Conn) error {
 		h, have, _, err := cn.Open(name)
 		if err != nil || have >= total {
 			return err

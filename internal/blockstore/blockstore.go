@@ -69,9 +69,9 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/gpuckpt/gpuckpt/internal/compress"
-	"github.com/gpuckpt/gpuckpt/internal/metrics"
 	"github.com/gpuckpt/gpuckpt/internal/murmur3"
 	"github.com/gpuckpt/gpuckpt/internal/recframe"
 )
@@ -86,6 +86,12 @@ const (
 	// every producer derives the same ID from the same bytes, so this
 	// seed is a format constant, never a configuration knob.
 	idSeed uint32 = 0x9747b28c
+
+	// chunkSize is the granularity Split cuts payloads at before
+	// interning. It is a property of the store, not of each producer:
+	// cross-lineage de-duplication requires every producer to chunk
+	// identically.
+	chunkSize = 4096
 
 	// DirName is the conventional name of a shared block store
 	// directory placed next to the lineage directories it serves
@@ -173,12 +179,6 @@ var (
 
 // Options parameterizes Open.
 type Options struct {
-	// ChunkSize is the granularity producers split payloads at before
-	// interning (default 4096). It is a property of the store, not of
-	// each producer: cross-lineage de-duplication requires every
-	// producer to chunk identically.
-	ChunkSize int
-
 	// ReadOnly opens the store without mutating anything (no temp
 	// sweep, no cut of a torn tail) and without taking the directory
 	// lock: Intern and GC return ErrReadOnly. This is the safe
@@ -213,8 +213,7 @@ type Stats struct {
 // off a log the owner is appending to. Read-only opens coexist with a
 // live owner; see Options.ReadOnly.
 type Store struct {
-	dir   string
-	chunk int
+	dir string
 	// ro marks a store opened with Options.ReadOnly; rollSize is
 	// packRollSize (tests shrink it). Both are set once in Open.
 	ro       bool
@@ -267,11 +266,11 @@ type Store struct {
 	// read-only mode or where the platform offers no flock).
 	lock *os.File //ckptlint:guardedby mu
 
-	interned  metrics.Counter //ckptlint:atomic
-	dedupHits metrics.Counter //ckptlint:atomic
-	savedB    metrics.Counter //ckptlint:atomic
-	gcBlocks  metrics.Counter //ckptlint:atomic
-	gcBytes   metrics.Counter //ckptlint:atomic
+	interned  atomic.Uint64 //ckptlint:atomic
+	dedupHits atomic.Uint64 //ckptlint:atomic
+	savedB    atomic.Uint64 //ckptlint:atomic
+	gcBlocks  atomic.Uint64 //ckptlint:atomic
+	gcBytes   atomic.Uint64 //ckptlint:atomic
 }
 
 // New creates (or reopens) a block store directory. It is Open with
@@ -287,15 +286,12 @@ func New(dir string) (*Store, error) { return Open(dir, Options{}) }
 //
 // The returned Store must be Closed when no longer needed.
 func Open(dir string, opts Options) (*Store, error) {
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = 4096
-	}
 	for _, name := range oldLayoutNames {
 		if _, err := os.Lstat(filepath.Join(dir, name)); err == nil {
 			return nil, fmt.Errorf("%w: %s", ErrOldLayout, filepath.Join(dir, name))
 		}
 	}
-	s := &Store{dir: dir, chunk: opts.ChunkSize, ro: opts.ReadOnly, rollSize: packRollSize}
+	s := &Store{dir: dir, ro: opts.ReadOnly, rollSize: packRollSize}
 	// Nothing shares the store yet; holding mu keeps the precondition
 	// of the locked helpers recovery runs through true.
 	s.mu.Lock()
@@ -545,10 +541,10 @@ func (s *Store) Split(p []byte) [][]byte {
 	if len(p) == 0 {
 		return nil
 	}
-	out := make([][]byte, 0, (len(p)+s.chunk-1)/s.chunk)
-	for len(p) > s.chunk {
-		out = append(out, p[:s.chunk])
-		p = p[s.chunk:]
+	out := make([][]byte, 0, (len(p)+chunkSize-1)/chunkSize)
+	for len(p) > chunkSize {
+		out = append(out, p[:chunkSize])
+		p = p[chunkSize:]
 	}
 	return append(out, p)
 }

@@ -168,7 +168,7 @@ func TestSplit(t *testing.T) {
 		chunks := s.Split(p)
 		var total int
 		for i, c := range chunks {
-			if i < len(chunks)-1 && len(c) != s.chunk {
+			if i < len(chunks)-1 && len(c) != chunkSize {
 				t.Fatalf("n=%d: chunk %d has %d bytes", n, i, len(c))
 			}
 			total += len(c)

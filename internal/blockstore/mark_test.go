@@ -17,11 +17,11 @@ import (
 // it over its root: the mark reports what every lineage open when it
 // enumerates references, while pushes and new lineages keep arriving.
 
-// chunkSize is the block size of the test roots: every chunk below is
-// one block.
-const chunkSize = 64
+// chunkSize is the block size of the store: every chunk below is one
+// block.
+const chunkSize = 4096
 
-// chunk returns the 64 seeded random bytes of one block.
+// chunk returns the seeded random bytes of one block.
 func chunk(seed int64) []byte {
 	p := make([]byte, chunkSize)
 	rand.New(rand.NewSource(seed)).Read(p)
@@ -56,18 +56,18 @@ type testLineage struct {
 }
 
 // newTestRoot opens a block store under a fresh root, with packs that
-// seal at 1 KiB so that GC relocates.
+// seal at 64 KiB (16 blocks) so that GC relocates.
 func newTestRoot(t *testing.T) *testRoot {
 	t.Helper()
 	r := &testRoot{dir: t.TempDir()}
 	r.openStore(t)
-	blockstore.SetRollSize(r.bs, 1<<10)
+	blockstore.SetRollSize(r.bs, 1<<16)
 	return r
 }
 
 func (r *testRoot) openStore(t *testing.T) {
 	t.Helper()
-	bs, err := blockstore.Open(filepath.Join(r.dir, blockstore.DirName), blockstore.Options{ChunkSize: chunkSize})
+	bs, err := blockstore.Open(filepath.Join(r.dir, blockstore.DirName), blockstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // under one root, the layout of a ckptd server.
 func openShared(t *testing.T, root string, lineages ...string) (*blockstore.Store, []*FileStore) {
 	t.Helper()
-	bs, err := blockstore.Open(filepath.Join(root, blockstore.DirName), blockstore.Options{ChunkSize: 64})
+	bs, err := blockstore.Open(filepath.Join(root, blockstore.DirName), blockstore.Options{})
 	if err != nil {
 		t.Fatalf("blockstore.Open: %v", err)
 	}
@@ -43,6 +43,10 @@ func markStores(stores ...*FileStore) func(live func(blockstore.ID)) error {
 	}
 }
 
+// mappedLen is the length of most test diffs: two whole 4096-byte blocks
+// of the block store and a short third.
+const mappedLen = 2*4096 + 640
+
 func randomDiff(ck int, seed int64, n int) *Diff {
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]byte, n)
@@ -58,7 +62,7 @@ func TestBlockStoreCrossLineageDedup(t *testing.T) {
 	root := t.TempDir()
 	bs, stores := openShared(t, root, "tenant-a", "tenant-b")
 	for ck := 0; ck < 4; ck++ {
-		d := randomDiff(ck, int64(ck), 640) // identical bytes per ckpt in both lineages
+		d := randomDiff(ck, int64(ck), mappedLen) // identical bytes per ckpt in both lineages
 		for _, fs := range stores {
 			if err := fs.Append(d); err != nil {
 				t.Fatalf("append ckpt %d: %v", ck, err)
@@ -83,7 +87,7 @@ func TestBlockStoreCrossLineageDedup(t *testing.T) {
 			if err != nil {
 				t.Fatalf("lineage %d restore %d: %v", i, ck, err)
 			}
-			want := randomDiff(ck, int64(ck), 640).Data
+			want := randomDiff(ck, int64(ck), mappedLen).Data
 			if !bytes.Equal(got, want) {
 				t.Fatalf("lineage %d restore %d diverged", i, ck)
 			}
@@ -102,7 +106,7 @@ func TestBlockStoreDiffBytesCanonical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	d := randomDiff(0, 42, 333)
+	d := randomDiff(0, 42, 4096+333)
 	if err := stores[0].Append(d); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +140,7 @@ func TestBlockStoreDiffBytesCanonical(t *testing.T) {
 func TestBlockStoreReleaseOnPrune(t *testing.T) {
 	root := t.TempDir()
 	bs, stores := openShared(t, root, "a", "b")
-	shared := randomDiff(0, 1, 640)
+	shared := randomDiff(0, 1, mappedLen)
 	for _, fs := range stores {
 		if err := fs.Append(shared); err != nil {
 			t.Fatal(err)
@@ -144,12 +148,12 @@ func TestBlockStoreReleaseOnPrune(t *testing.T) {
 	}
 	// Lineage a grows private history, then compacts it away.
 	for ck := 1; ck <= 3; ck++ {
-		if err := stores[0].Append(randomDiff(ck, 100+int64(ck), 640)); err != nil {
+		if err := stores[0].Append(randomDiff(ck, 100+int64(ck), mappedLen)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Move a's baseline to 3: the old segment's records are gone.
-	base := randomDiff(3, 999, 640)
+	base := randomDiff(3, 999, mappedLen)
 	if err := stores[0].InstallSpan(3, []*Diff{base}); err != nil {
 		t.Fatal(err)
 	}
@@ -201,14 +205,14 @@ func TestBlockStoreSelfContainedCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ck := 0; ck < 3; ck++ {
-		if err := plain.Append(randomDiff(ck, int64(ck), 640)); err != nil {
+		if err := plain.Append(randomDiff(ck, int64(ck), mappedLen)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	plain.Close()
 
 	// Reopen the same directory attached to a shared store.
-	bs, err := blockstore.Open(filepath.Join(root, blockstore.DirName), blockstore.Options{ChunkSize: 64})
+	bs, err := blockstore.Open(filepath.Join(root, blockstore.DirName), blockstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +230,7 @@ func TestBlockStoreSelfContainedCompat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, randomDiff(ck, int64(ck), 640).Data) {
+		if !bytes.Equal(got, randomDiff(ck, int64(ck), mappedLen).Data) {
 			t.Fatalf("self-contained restore %d diverged", ck)
 		}
 	}
@@ -258,7 +262,7 @@ func TestBlockStoreSelfContainedCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, randomDiff(1, 1, 640).Data) {
+	if !bytes.Equal(got, randomDiff(1, 1, mappedLen).Data) {
 		t.Fatal("transparently interned diff restores differently")
 	}
 }
@@ -271,7 +275,7 @@ func TestBlockStoreSelfContainedCompat(t *testing.T) {
 func TestBlockStoreAutoAttach(t *testing.T) {
 	root := t.TempDir()
 	bs, stores := openShared(t, root, "lineage")
-	d := randomDiff(0, 5, 640)
+	d := randomDiff(0, 5, mappedLen)
 	if err := stores[0].Append(d); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +301,7 @@ func TestBlockStoreAutoAttach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Append(randomDiff(1, 6, 640)); !errors.Is(err, blockstore.ErrReadOnly) {
+	if err := fs.Append(randomDiff(1, 6, mappedLen)); !errors.Is(err, blockstore.ErrReadOnly) {
 		t.Fatalf("Append through the attach over a stopped root: %v, want blockstore.ErrReadOnly", err)
 	}
 	if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, before) {
@@ -319,7 +323,7 @@ func TestBlockStoreAutoAttachReadOnlyFallback(t *testing.T) {
 	}
 	root := t.TempDir()
 	bs, stores := openShared(t, root, "lineage")
-	d := randomDiff(0, 5, 640)
+	d := randomDiff(0, 5, mappedLen)
 	if err := stores[0].Append(d); err != nil {
 		t.Fatal(err)
 	}
@@ -340,11 +344,11 @@ func TestBlockStoreAutoAttachReadOnlyFallback(t *testing.T) {
 	if !bytes.Equal(got, d.Data) {
 		t.Fatal("read-only auto-attach restore diverged")
 	}
-	if err := fs.Append(randomDiff(1, 6, 640)); !errors.Is(err, blockstore.ErrReadOnly) {
+	if err := fs.Append(randomDiff(1, 6, mappedLen)); !errors.Is(err, blockstore.ErrReadOnly) {
 		t.Fatalf("Append through read-only attach: %v, want blockstore.ErrReadOnly", err)
 	}
 	// The owner keeps working throughout.
-	if err := stores[0].Append(randomDiff(1, 7, 640)); err != nil {
+	if err := stores[0].Append(randomDiff(1, 7, mappedLen)); err != nil {
 		t.Fatalf("owner append with read-only observer attached: %v", err)
 	}
 	_ = bs
@@ -356,7 +360,7 @@ func TestBlockStoreAutoAttachReadOnlyFallback(t *testing.T) {
 func TestBlockStoreMissingStoreIsConfigError(t *testing.T) {
 	root := t.TempDir()
 	bs, stores := openShared(t, root, "lineage")
-	if err := stores[0].Append(randomDiff(0, 6, 640)); err != nil {
+	if err := stores[0].Append(randomDiff(0, 6, mappedLen)); err != nil {
 		t.Fatal(err)
 	}
 	bs.Close()
@@ -401,7 +405,7 @@ func TestBlockStoreMissingStoreIsConfigError(t *testing.T) {
 func TestBlockStoreRotSurfacesAsCorrupt(t *testing.T) {
 	root := t.TempDir()
 	bs, stores := openShared(t, root, "a", "b")
-	d := randomDiff(0, 7, 640)
+	d := randomDiff(0, 7, mappedLen)
 	for _, fs := range stores {
 		if err := fs.Append(d); err != nil {
 			t.Fatal(err)

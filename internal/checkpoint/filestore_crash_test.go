@@ -15,13 +15,20 @@ import (
 	"github.com/gpuckpt/gpuckpt/internal/recframe"
 )
 
+// refDiffLen is the length of a reference diff: two whole 4096-byte
+// blocks of the block store and a short third.
+const refDiffLen = 2*4096 + 200
+
 // refChain is the 12-diff reference chain of the crash tests. Every
 // diff is a full image, so any span of it restores on its own, and is
-// long enough to split into several blocks of the test block store.
-func refChain() []*Diff {
+// long enough to split into several blocks of the block store.
+func refChain() []*Diff { return refChainOf(refDiffLen) }
+
+// refChainOf is the reference chain with diffs of n bytes.
+func refChainOf(n int) []*Diff {
 	c := make([]*Diff, 12)
 	for ck := range c {
-		c[ck] = randomDiff(ck, 7000+int64(ck), 200)
+		c[ck] = randomDiff(ck, 7000+int64(ck), n)
 	}
 	return c
 }
@@ -41,7 +48,7 @@ func (e lineageEnv) open(t *testing.T) (*FileStore, *blockstore.Store) {
 	var bs *blockstore.Store
 	if e.blocks {
 		var err error
-		bs, err = blockstore.Open(filepath.Join(e.root, blockstore.DirName), blockstore.Options{ChunkSize: 64})
+		bs, err = blockstore.Open(filepath.Join(e.root, blockstore.DirName), blockstore.Options{})
 		if err != nil {
 			t.Fatalf("block store: %v", err)
 		}
@@ -378,7 +385,7 @@ func damagedCopy(t *testing.T, dir string, damage func(seg []byte) []byte) strin
 // nothing quarantined. Opening does not touch the file; the next write
 // cuts the torn bytes off before appending.
 func TestTornFinalFrame(t *testing.T) {
-	chain := refChain()
+	chain := refChainOf(200) // self-contained records: every byte is a cut
 	dir, off, size := buildFrames(t, chain)
 	frameStart, frameEnd := off[1], off[3]+size[3]
 	for cut := frameStart; cut < frameEnd; cut++ {

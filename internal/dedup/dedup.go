@@ -38,7 +38,6 @@ import (
 	"github.com/gpuckpt/gpuckpt/internal/hashmap"
 	"github.com/gpuckpt/gpuckpt/internal/merkle"
 	"github.com/gpuckpt/gpuckpt/internal/murmur3"
-	"github.com/gpuckpt/gpuckpt/internal/parallel"
 )
 
 // Label classifies a tree node during one checkpoint, following
@@ -101,9 +100,10 @@ type Options struct {
 	// first-occurrence regions registered in the same checkpoint,
 	// reproducing the missed-de-duplication hazard the paper avoids.
 	SingleStage bool
-	// PerThreadGather replaces the team-based coalesced chunk gather
-	// with one thread per chunk (§2.4 serialization ablation), which
-	// the cost model charges an uncoalesced-access penalty for.
+	// PerThreadGather models the gather with one thread per region
+	// instead of the team-based coalesced copy (§2.4 serialization
+	// ablation): the cost model charges an uncoalesced-access penalty.
+	// The CPU copy itself is the same in both modes.
 	PerThreadGather bool
 	// Unfused launches one kernel per phase and per tree level
 	// instead of a single fused kernel (§2.4 fused-kernel ablation),
@@ -291,8 +291,7 @@ type Deduplicator struct {
 	basicSizesBody  func(lo, hi int)
 	basicCopyBody   func(lo, hi int)
 	gatherSizesBody func(lo, hi int)
-	gatherTeamBody  func(t parallel.Team)
-	gatherPerThread func(lo, hi int)
+	gatherBody      func(lo, hi int)
 
 	// Pipelined-backend state (see async.go). backDone is non-nil while
 	// a backend goroutine is in flight; asyncErr poisons the pipeline

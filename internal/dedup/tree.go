@@ -150,8 +150,7 @@ func (d *Deduplicator) initBodies() {
 		d.gs.hashed.Add(h)
 	}
 
-	// Serialization bodies (§2.4): region sizes, then the gather copy,
-	// either team-coalesced or one thread per region (ablation).
+	// Serialization bodies (§2.4): region sizes, then the gather copy.
 	//ckptlint:noalloc
 	d.gatherSizesBody = func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -160,13 +159,7 @@ func (d *Deduplicator) initBodies() {
 		}
 	}
 	//ckptlint:noalloc
-	d.gatherTeamBody = func(t parallel.Team) {
-		i := t.LeagueRank()
-		off, end := d.tree.NodeSpan(int(d.gatherFirsts.At(i)), d.opts.ChunkSize, d.dataLen)
-		copy(d.gatherOut[d.gatherOffsets[i]:d.gatherOffsets[i]+d.gatherSizes[i]], d.gatherData[off:end])
-	}
-	//ckptlint:noalloc
-	d.gatherPerThread = func(lo, hi int) {
+	d.gatherBody = func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			off, end := d.tree.NodeSpan(int(d.gatherFirsts.At(i)), d.opts.ChunkSize, d.dataLen)
 			copy(d.gatherOut[d.gatherOffsets[i]:d.gatherOffsets[i]+d.gatherSizes[i]], d.gatherData[off:end])
@@ -487,10 +480,11 @@ func (d *Deduplicator) lookupShift(dig murmur3.Digest) (hashmap.Entry, bool) {
 
 // gather serializes the first-occurrence regions into one contiguous
 // buffer: offsets are pre-calculated with an exclusive scan and the
-// copies run team-parallel so accesses coalesce (§2.4, "high
-// throughput serialization of scattered chunks"). The returned buffer
-// is freshly allocated — it is retained by the diff — but the sizes
-// and offsets scratch is reused across checkpoints.
+// copies run in parallel (§2.4, "high throughput serialization of
+// scattered chunks"). Whether the device copy coalesces is the cost
+// model's charge, not a different CPU copy. The returned buffer is
+// freshly allocated — it is retained by the diff — but the sizes and
+// offsets scratch is reused across checkpoints.
 func (d *Deduplicator) gather(data []byte, firstNodes checkpoint.FirstList, l *launcher) []byte {
 	if len(firstNodes) == 0 {
 		return nil
@@ -505,13 +499,11 @@ func (d *Deduplicator) gather(data []byte, firstNodes checkpoint.FirstList, l *l
 	out := make([]byte, total)
 	d.gatherOut = out
 
+	pool.ForRange(n, d.gatherBody)
 	cost := device.Cost{MemBytes: 2 * total}
 	if d.opts.PerThreadGather {
 		// One thread per region: long strided copies, uncoalesced.
 		cost.UncoalescedPenalty = 4
-		pool.ForRange(n, d.gatherPerThread)
-	} else {
-		pool.ForTeams(n, 32, d.gatherTeamBody)
 	}
 	l.phase("gather", cost)
 	d.gatherData, d.gatherFirsts, d.gatherOut = nil, nil, nil

@@ -23,9 +23,6 @@ type Graph struct {
 // Name returns the graph's label for reports.
 func (g *Graph) Name() string { return g.name }
 
-// SetName relabels the graph.
-func (g *Graph) SetName(name string) { g.name = name }
-
 // NumVertices returns |V|.
 func (g *Graph) NumVertices() int { return len(g.offsets) - 1 }
 

@@ -26,15 +26,9 @@ const (
 	goldenResumeAfter  = 2 // the snapshot a resumed run restarts behind
 )
 
-// snapshotLog returns a snapshot callback that records, per snapshot,
-// its index, the runner's processed count and the image's digest.
-func snapshotLog(r **Runner, log *[]string) func(int, []byte) error {
-	return func(ck int, img []byte) error {
-		*log = append(*log, fmt.Sprintf("%d %d %x", ck, (*r).Processed(), sha256.Sum256(img)))
-		return nil
-	}
-}
-
+// goldenSnapshots runs every series on one graph and returns, per
+// series, one line per snapshot: its index, the runner's processed
+// count and the image's digest.
 func goldenSnapshots(t *testing.T) map[string][]string {
 	t.Helper()
 	e, err := graph.CatalogByName("Message Race")
@@ -46,26 +40,28 @@ func goldenSnapshots(t *testing.T) map[string][]string {
 		t.Fatal(err)
 	}
 	out := map[string][]string{}
-
-	var log []string
-	var resumeImage []byte
-	r := mustRunner(t, g, 4)
-	record := snapshotLog(&r, &log)
-	err = r.RunWithSnapshots(goldenCkpts, func(ck int, img []byte) error {
-		if ck == goldenResumeAfter {
+	var (
+		r           *Runner
+		log         []string
+		resumeImage []byte
+	)
+	record := func(ck int, img []byte) error {
+		if ck == goldenResumeAfter && resumeImage == nil { // the first series, RunWithSnapshots
 			resumeImage = append([]byte(nil), img...)
 		}
-		return record(ck, img)
-	})
-	if err != nil {
+		log = append(log, fmt.Sprintf("%d %d %x", ck, r.Processed(), sha256.Sum256(img)))
+		return nil
+	}
+
+	r = mustRunner(t, g, 4)
+	if err := r.RunWithSnapshots(goldenCkpts, record); err != nil {
 		t.Fatal(err)
 	}
 	out[fmt.Sprintf("run/N=%d", goldenCkpts)] = log
 
 	for p := 0; p < goldenProcs; p++ {
-		log = nil
-		r = mustRunner(t, g, 4)
-		if err := r.RunStrideWithSnapshots(p, goldenProcs, goldenCkpts, snapshotLog(&r, &log)); err != nil {
+		log, r = nil, mustRunner(t, g, 4)
+		if err := r.RunStrideWithSnapshots(p, goldenProcs, goldenCkpts, record); err != nil {
 			t.Fatal(err)
 		}
 		out[fmt.Sprintf("stride/p=%d/procs=%d/N=%d", p, goldenProcs, goldenCkpts)] = log
@@ -76,7 +72,7 @@ func goldenSnapshots(t *testing.T) map[string][]string {
 	if r, err = ResumeRunner(g, nil, 4, resumeImage, processed); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ResumeWithSnapshots(goldenCkpts, snapshotLog(&r, &log)); err != nil {
+	if err := r.ResumeWithSnapshots(goldenCkpts, record); err != nil {
 		t.Fatal(err)
 	}
 	out[fmt.Sprintf("resume/after=%d/N=%d", goldenResumeAfter, goldenCkpts)] = log

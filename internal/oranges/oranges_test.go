@@ -256,7 +256,7 @@ func TestStridePartitionSumsToFull(t *testing.T) {
 	parts := make([]*GDV, procs)
 	for p := 0; p < procs; p++ {
 		r := mustRunner(t, g, 4)
-		if err := r.ProcessStride(p, procs); err != nil {
+		if err := r.RunStrideWithSnapshots(p, procs, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		parts[p] = r.GDV()
@@ -336,10 +336,10 @@ func TestRunnerValidation(t *testing.T) {
 	if err := r.ProcessRange(0, 1000); err == nil {
 		t.Fatal("overlong range accepted")
 	}
-	if err := r.ProcessStride(-1, 2); err == nil {
+	if err := r.RunStrideWithSnapshots(-1, 2, 1, nil); err == nil {
 		t.Fatal("negative stride offset accepted")
 	}
-	if err := r.ProcessStride(0, 0); err == nil {
+	if err := r.RunStrideWithSnapshots(0, 0, 1, nil); err == nil {
 		t.Fatal("zero stride accepted")
 	}
 	if err := r.RunWithSnapshots(0, nil); err == nil {

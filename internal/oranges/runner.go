@@ -80,35 +80,12 @@ func (r *Runner) ResumeWithSnapshots(nCheckpoints int, snapshot func(ckpt int, g
 	if nCheckpoints < 1 || nCheckpoints > n {
 		return fmt.Errorf("oranges: checkpoint count %d outside [1,%d]", nCheckpoints, n)
 	}
-	startCk := -1
 	for ck := 0; ck <= nCheckpoints; ck++ {
 		if n*ck/nCheckpoints == r.processed {
-			startCk = ck
-			break
+			return r.runBatches(0, 1, ck, nCheckpoints, snapshot)
 		}
 	}
-	if startCk < 0 {
-		return fmt.Errorf("oranges: processed count %d is not a checkpoint boundary for N=%d", r.processed, nCheckpoints)
-	}
-	buf := make([]byte, r.gdv.SizeBytes())
-	for ck := startCk; ck < nCheckpoints; ck++ {
-		lo := n * ck / nCheckpoints
-		hi := n * (ck + 1) / nCheckpoints
-		if err := r.ProcessRange(lo, hi); err != nil {
-			return err
-		}
-		r.processed = hi
-		if snapshot == nil {
-			continue
-		}
-		if err := r.gdv.SerializeInto(buf); err != nil {
-			return err
-		}
-		if err := snapshot(ck, buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return fmt.Errorf("oranges: processed count %d is not a checkpoint boundary for N=%d", r.processed, nCheckpoints)
 }
 
 // GDV returns the live counter array.
@@ -127,34 +104,7 @@ func (r *Runner) ProcessRange(lo, hi int) error {
 	if lo < 0 || hi > n || lo > hi {
 		return fmt.Errorf("oranges: root range [%d,%d) outside [0,%d]", lo, hi, n)
 	}
-	r.pool.ForRange(hi-lo, func(blo, bhi int) {
-		e := newEnumerator(r.g, r.tables, r.gdv, r.maxK)
-		for i := blo; i < bhi; i++ {
-			e.enumerateFrom(int32(lo + i))
-		}
-		r.subgraphs.Add(e.count)
-	})
-	return nil
-}
-
-// ProcessStride enumerates roots lo, lo+stride, lo+2*stride, ... —
-// the per-process share of the strong-scaling partitioning.
-func (r *Runner) ProcessStride(offset, stride int) error {
-	n := r.g.NumVertices()
-	if offset < 0 || stride < 1 {
-		return fmt.Errorf("oranges: invalid stride partition (%d,%d)", offset, stride)
-	}
-	roots := make([]int32, 0, n/stride+1)
-	for v := offset; v < n; v += stride {
-		roots = append(roots, int32(v))
-	}
-	r.pool.ForRange(len(roots), func(blo, bhi int) {
-		e := newEnumerator(r.g, r.tables, r.gdv, r.maxK)
-		for i := blo; i < bhi; i++ {
-			e.enumerateFrom(roots[i])
-		}
-		r.subgraphs.Add(e.count)
-	})
+	r.enumerate(lo, 1, hi-lo)
 	return nil
 }
 
@@ -163,41 +113,13 @@ func (r *Runner) ProcessStride(offset, stride int) error {
 // roots (offset, offset+stride, ...) in nCheckpoints evenly sized
 // batches, snapshotting the full-size GDV replica after each.
 func (r *Runner) RunStrideWithSnapshots(offset, stride, nCheckpoints int, snapshot func(ckpt int, gdvImage []byte) error) error {
-	n := r.g.NumVertices()
 	if offset < 0 || stride < 1 {
 		return fmt.Errorf("oranges: invalid stride partition (%d,%d)", offset, stride)
-	}
-	roots := make([]int32, 0, n/stride+1)
-	for v := offset; v < n; v += stride {
-		roots = append(roots, int32(v))
 	}
 	if nCheckpoints < 1 {
 		return fmt.Errorf("oranges: checkpoint count %d below 1", nCheckpoints)
 	}
-	buf := make([]byte, r.gdv.SizeBytes())
-	for ck := 0; ck < nCheckpoints; ck++ {
-		lo := len(roots) * ck / nCheckpoints
-		hi := len(roots) * (ck + 1) / nCheckpoints
-		batch := roots[lo:hi]
-		r.pool.ForRange(len(batch), func(blo, bhi int) {
-			e := newEnumerator(r.g, r.tables, r.gdv, r.maxK)
-			for i := blo; i < bhi; i++ {
-				e.enumerateFrom(batch[i])
-			}
-			r.subgraphs.Add(e.count)
-		})
-		r.processed += len(batch)
-		if snapshot == nil {
-			continue
-		}
-		if err := r.gdv.SerializeInto(buf); err != nil {
-			return err
-		}
-		if err := snapshot(ck, buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.runBatches(offset, stride, 0, nCheckpoints, snapshot)
 }
 
 // RunWithSnapshots processes the whole vertex set in nCheckpoints
@@ -210,14 +132,25 @@ func (r *Runner) RunWithSnapshots(nCheckpoints int, snapshot func(ckpt int, gdvI
 	if nCheckpoints < 1 || nCheckpoints > n {
 		return fmt.Errorf("oranges: checkpoint count %d outside [1,%d]", nCheckpoints, n)
 	}
+	r.processed = 0
+	return r.runBatches(0, 1, 0, nCheckpoints, snapshot)
+}
+
+// runBatches enumerates the share of roots offset, offset+stride, ...
+// in nCheckpoints even batches, batch first onward. After each batch
+// it counts the batch's roots as processed and, if snapshot is set,
+// hands it the batch index and the serialized GDV.
+func (r *Runner) runBatches(offset, stride, first, nCheckpoints int, snapshot func(ckpt int, gdvImage []byte) error) error {
+	roots := 0
+	if n := r.g.NumVertices(); offset < n {
+		roots = (n - offset + stride - 1) / stride
+	}
 	buf := make([]byte, r.gdv.SizeBytes())
-	for ck := 0; ck < nCheckpoints; ck++ {
-		lo := n * ck / nCheckpoints
-		hi := n * (ck + 1) / nCheckpoints
-		if err := r.ProcessRange(lo, hi); err != nil {
-			return err
-		}
-		r.processed = hi
+	for ck := first; ck < nCheckpoints; ck++ {
+		lo := roots * ck / nCheckpoints
+		hi := roots * (ck + 1) / nCheckpoints
+		r.enumerate(offset+lo*stride, stride, hi-lo)
+		r.processed += hi - lo
 		if snapshot == nil {
 			continue
 		}
@@ -229,4 +162,16 @@ func (r *Runner) RunWithSnapshots(nCheckpoints int, snapshot func(ckpt int, gdvI
 		}
 	}
 	return nil
+}
+
+// enumerate counts the graphlets rooted at the count vertices root,
+// root+stride, ... in parallel, one enumerator per block of roots.
+func (r *Runner) enumerate(root, stride, count int) {
+	r.pool.ForRange(count, func(blo, bhi int) {
+		e := newEnumerator(r.g, r.tables, r.gdv, r.maxK)
+		for i := blo; i < bhi; i++ {
+			e.enumerateFrom(int32(root + i*stride))
+		}
+		r.subgraphs.Add(e.count)
+	})
 }

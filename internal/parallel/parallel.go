@@ -1,6 +1,6 @@
 // Package parallel provides Kokkos-style data-parallel execution
-// primitives (parallel-for, parallel-reduce, exclusive parallel-scan
-// and team policies) over a persistent goroutine worker pool.
+// primitives (parallel-for and exclusive parallel-scan) over a
+// persistent goroutine worker pool.
 //
 // The paper's implementation uses the Kokkos performance-portability
 // framework to launch fused GPU kernels (Tan et al., ICPP 2023, §2.4).
@@ -34,16 +34,14 @@ const inlineThreshold = 128
 // any helping workers claim blocks cooperatively. States are recycled
 // through a sync.Pool so steady-state launches allocate nothing.
 type launchState struct {
-	body     func(lo, hi int)
-	team     func(t Team) // a team-policy launch runs this once per index instead of body
-	teamSize int
-	n        int
-	grain    int
-	nblocks  int64
-	next     atomic.Int64 // next block index to claim
-	undone   atomic.Int64 // blocks not yet completed
-	refs     atomic.Int64 // goroutines holding a reference
-	done     chan struct{}
+	body    func(lo, hi int)
+	n       int
+	grain   int
+	nblocks int64
+	next    atomic.Int64 // next block index to claim
+	undone  atomic.Int64 // blocks not yet completed
+	refs    atomic.Int64 // goroutines holding a reference
+	done    chan struct{}
 }
 
 var statePool = sync.Pool{
@@ -63,11 +61,7 @@ func (ls *launchState) run() {
 		if hi > ls.n {
 			hi = ls.n
 		}
-		if ls.team != nil {
-			runTeams(ls.team, lo, hi, ls.n, ls.teamSize)
-		} else {
-			ls.body(lo, hi)
-		}
+		ls.body(lo, hi)
 		if ls.undone.Add(-1) == 0 {
 			ls.done <- struct{}{}
 		}
@@ -77,7 +71,7 @@ func (ls *launchState) run() {
 // release drops one reference; the final holder recycles the state.
 func (ls *launchState) release() {
 	if ls.refs.Add(-1) == 0 {
-		ls.body, ls.team = nil, nil
+		ls.body = nil
 		statePool.Put(ls)
 	}
 }
@@ -165,15 +159,8 @@ func (p *Pool) grainSize(n int) int {
 // completed.
 func (p *Pool) launch(n, grain int, body func(lo, hi int)) {
 	ls := statePool.Get().(*launchState)
-	ls.body = body
-	p.submit(ls, n, grain)
-}
-
-// submit runs the launch ls describes (its body or team already set)
-// over [0, n) in blocks of grain.
-func (p *Pool) submit(ls *launchState, n, grain int) {
 	nblocks := (n + grain - 1) / grain
-	ls.n, ls.grain, ls.nblocks = n, grain, int64(nblocks)
+	ls.body, ls.n, ls.grain, ls.nblocks = body, n, grain, int64(nblocks)
 	ls.next.Store(0)
 	ls.undone.Store(int64(nblocks))
 	ls.refs.Store(1)
@@ -225,9 +212,9 @@ func (p *Pool) ForRange(n int, body func(lo, hi int)) {
 	p.launch(n, grain, body)
 }
 
-// scratchPool recycles the per-launch block-accumulator slices of
-// ReduceInt64 and ScanExclusive (nblocks entries, bounded by the
-// worker count), so steady-state reductions allocate nothing.
+// scratchPool recycles ScanExclusive's per-launch block sums (nblocks
+// entries, bounded by the worker count), so steady-state scans
+// allocate nothing.
 var scratchPool sync.Pool
 
 func getScratch(n int) *[]int64 {
@@ -238,49 +225,11 @@ func getScratch(n int) *[]int64 {
 	if cap(*v) < n {
 		*v = make([]int64, n)
 	}
-	s := (*v)[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	*v = s
+	*v = (*v)[:n]
 	return v
 }
 
 func putScratch(v *[]int64) { scratchPool.Put(v) }
-
-// ReduceInt64 computes a parallel reduction of body(i) over [0, n)
-// combined with join, starting from identity. join must be
-// associative and commutative.
-func ReduceInt64(p *Pool, n int, identity int64, body func(i int) int64, join func(a, b int64) int64) int64 {
-	if n <= 0 {
-		return identity
-	}
-	p.checkOpen()
-	grain := p.grainSize(n)
-	nblocks := (n + grain - 1) / grain
-	if nblocks == 1 || p.workers == 1 || n < inlineThreshold {
-		acc := identity
-		for i := 0; i < n; i++ {
-			acc = join(acc, body(i))
-		}
-		return acc
-	}
-	pv := getScratch(nblocks)
-	partial := *pv
-	p.launch(n, grain, func(lo, hi int) {
-		acc := identity
-		for i := lo; i < hi; i++ {
-			acc = join(acc, body(i))
-		}
-		partial[lo/grain] = acc
-	})
-	acc := identity
-	for _, v := range partial {
-		acc = join(acc, v)
-	}
-	putScratch(pv)
-	return acc
-}
 
 // ScanExclusive computes the exclusive prefix sum of in, writing the
 // result to out (which may alias in) and returning the total. It is
@@ -334,55 +283,5 @@ func ScanExclusive(p *Pool, in []int64, out []int64) int64 {
 		}
 	})
 	putScratch(pv)
-	return total
-}
-
-// Collector accumulates values produced concurrently by loop bodies.
-// Each worker appends to a private shard; Items merges shards. This is
-// the idiom used to "save roots" from the level-parallel labeling
-// sweep of Algorithm 1 without a global atomic append.
-type Collector[T any] struct {
-	mu sync.Mutex
-	//ckptlint:guardedby mu
-	shards [][]T
-}
-
-// Append adds values to the collector. It is safe for concurrent use;
-// each call locks once regardless of how many values it adds, so
-// callers batch per-block.
-func (c *Collector[T]) Append(values ...T) {
-	if len(values) == 0 {
-		return
-	}
-	shard := make([]T, len(values))
-	copy(shard, values)
-	c.mu.Lock()
-	c.shards = append(c.shards, shard)
-	c.mu.Unlock()
-}
-
-// Items returns all collected values in unspecified order.
-func (c *Collector[T]) Items() []T {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total int
-	for _, s := range c.shards {
-		total += len(s)
-	}
-	out := make([]T, 0, total)
-	for _, s := range c.shards {
-		out = append(out, s...)
-	}
-	return out
-}
-
-// Len returns the number of collected values.
-func (c *Collector[T]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total int
-	for _, s := range c.shards {
-		total += len(s)
-	}
 	return total
 }

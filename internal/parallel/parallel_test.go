@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestForCoversAllIndices(t *testing.T) {
@@ -45,39 +44,6 @@ func TestForZeroAndNegative(t *testing.T) {
 	p.ForRange(0, func(int, int) { called = true })
 	if called {
 		t.Fatal("body invoked for empty iteration space")
-	}
-}
-
-func TestReduceInt64Sum(t *testing.T) {
-	p := NewPool(8)
-	f := func(raw []int8) bool {
-		var want int64
-		for _, v := range raw {
-			want += int64(v)
-		}
-		got := ReduceInt64(p, len(raw), 0,
-			func(i int) int64 { return int64(raw[i]) },
-			func(a, b int64) int64 { return a + b })
-		return got == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReduceMax(t *testing.T) {
-	p := NewPool(3)
-	in := []int64{3, -7, 22, 9, 22, -100, 4}
-	got := ReduceInt64(p, len(in), -1<<62,
-		func(i int) int64 { return in[i] },
-		func(a, b int64) int64 {
-			if a > b {
-				return a
-			}
-			return b
-		})
-	if got != 22 {
-		t.Fatalf("max = %d, want 22", got)
 	}
 }
 
@@ -132,57 +98,6 @@ func TestScanExclusiveLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	ScanExclusive(NewPool(2), make([]int64, 3), make([]int64, 4))
-}
-
-func TestCollector(t *testing.T) {
-	p := NewPool(8)
-	var c Collector[int]
-	n := 500
-	p.For(n, func(i int) { c.Append(i) })
-	items := c.Items()
-	if len(items) != n || c.Len() != n {
-		t.Fatalf("collected %d items, want %d", len(items), n)
-	}
-	seen := make(map[int]bool, n)
-	for _, v := range items {
-		if seen[v] {
-			t.Fatalf("duplicate item %d", v)
-		}
-		seen[v] = true
-	}
-	var empty Collector[int]
-	empty.Append()
-	if empty.Len() != 0 || len(empty.Items()) != 0 {
-		t.Fatal("empty append changed collector")
-	}
-}
-
-func TestForTeams(t *testing.T) {
-	p := NewPool(4)
-	league, teamSize := 13, 4
-	var ranks [13]int32
-	var work int64
-	p.ForTeams(league, teamSize, func(tm Team) {
-		atomic.AddInt32(&ranks[tm.LeagueRank()], 1)
-		if tm.LeagueSize() != league || tm.Size() != teamSize {
-			t.Errorf("bad team geometry %d/%d", tm.LeagueSize(), tm.Size())
-		}
-		tm.ThreadRange(10, func(int) { atomic.AddInt64(&work, 1) })
-	})
-	for r, c := range ranks {
-		if c != 1 {
-			t.Fatalf("team %d executed %d times", r, c)
-		}
-	}
-	if work != int64(league*10) {
-		t.Fatalf("thread-range work = %d, want %d", work, league*10)
-	}
-	p.ForTeams(0, 4, func(Team) { t.Error("body called for empty league") })
-	p.ForTeams(2, 0, func(tm Team) {
-		if tm.Size() != 1 {
-			t.Errorf("teamSize 0 not clamped to 1")
-		}
-	})
 }
 
 func TestNewPoolDefaults(t *testing.T) {

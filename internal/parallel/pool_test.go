@@ -7,7 +7,7 @@ import (
 )
 
 // TestPoolConcurrentLaunchStress drives many goroutines through one
-// shared Pool at once, mixing For/ForRange/Reduce/Scan/ForTeams
+// shared Pool at once, mixing ForRange, ScanExclusive and For
 // launches. Run under -race this exercises the descriptor recycling
 // and cooperative block claiming of the persistent workers.
 func TestPoolConcurrentLaunchStress(t *testing.T) {
@@ -30,7 +30,7 @@ func TestPoolConcurrentLaunchStress(t *testing.T) {
 				in[i] = int64(i % 7)
 			}
 			for r := 0; r < rounds; r++ {
-				switch r % 4 {
+				switch r % 3 {
 				case 0:
 					var sum atomic.Int64
 					p.ForRange(n, func(lo, hi int) {
@@ -46,15 +46,6 @@ func TestPoolConcurrentLaunchStress(t *testing.T) {
 						return
 					}
 				case 1:
-					got := ReduceInt64(p, n, 0,
-						func(i int) int64 { return int64(i) },
-						func(a, b int64) int64 { return a + b })
-					want := int64(n) * int64(n-1) / 2
-					if got != want {
-						t.Errorf("goroutine %d round %d: Reduce = %d, want %d", g, r, got, want)
-						return
-					}
-				case 2:
 					total := ScanExclusive(p, in, out)
 					var want int64
 					for i := 0; i < n; i++ {
@@ -68,13 +59,11 @@ func TestPoolConcurrentLaunchStress(t *testing.T) {
 						t.Errorf("goroutine %d round %d: scan total = %d, want %d", g, r, total, want)
 						return
 					}
-				case 3:
+				case 2:
 					var visits atomic.Int64
-					p.ForTeams(37, 4, func(tm Team) {
-						tm.ThreadRange(3, func(int) { visits.Add(1) })
-					})
-					if got := visits.Load(); got != 37*3 {
-						t.Errorf("goroutine %d round %d: team visits = %d, want %d", g, r, got, 37*3)
+					p.For(n, func(int) { visits.Add(1) })
+					if got := visits.Load(); got != n {
+						t.Errorf("goroutine %d round %d: For visits = %d, want %d", g, r, got, n)
 						return
 					}
 				}
@@ -104,14 +93,10 @@ func TestPoolCloseContract(t *testing.T) {
 	mustPanic("ForRange", func() { p.ForRange(1000, func(lo, hi int) {}) })
 	mustPanic("For", func() { p.For(1000, func(int) {}) })
 	mustPanic("inline ForRange", func() { p.ForRange(4, func(lo, hi int) {}) })
-	mustPanic("ReduceInt64", func() {
-		ReduceInt64(p, 1000, 0, func(i int) int64 { return 0 }, func(a, b int64) int64 { return a })
-	})
 	mustPanic("ScanExclusive", func() {
 		in := make([]int64, 1000)
 		ScanExclusive(p, in, in)
 	})
-	mustPanic("ForTeams", func() { p.ForTeams(8, 4, func(Team) {}) })
 }
 
 // TestPoolSingleWorkerHasNoHelpers checks that a 1-worker pool runs
