@@ -2,7 +2,11 @@ package dedup
 
 // Golden equivalence: the encoded diffs and the Stats (modeled
 // DedupTime included) of seeded chains are pinned to digests generated
-// at the commit before Algorithm 1's sweeps became sparse. Any change
+// at the commit before Algorithm 1's sweeps became sparse. The keys
+// under method/ (Full, Basic and List), the streamcomp and perthread
+// option sets, and the async/ keys (the Stats of CheckpointAsync, whose
+// split launch models differently) were added at the commit before
+// Checkpoint and CheckpointAsync came to share their stages. Any change
 // to the kernel's execution strategy must leave every digest alone;
 // regenerate (GPUCKPT_UPDATE_GOLDEN=1 go test -run TestGoldenDiffs
 // ./internal/dedup) only for a deliberate change of the diff format or
@@ -18,6 +22,7 @@ import (
 	"testing"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
+	"github.com/gpuckpt/gpuckpt/internal/compress"
 )
 
 const (
@@ -36,6 +41,8 @@ var goldenOptions = []struct {
 	{"verify", Options{VerifyDuplicates: true}},
 	{"fallback", Options{AutoFallback: true}},
 	{"all", Options{SingleStage: true, VerifyDuplicates: true, AutoFallback: true, Unfused: true}},
+	{"streamcomp", Options{StreamingTransfer: true, Compressor: compress.NewCascaded()}},
+	{"perthread", Options{PerThreadGather: true}},
 }
 
 // goldenChain builds the seeded chain for a buffer of chunks chunks
@@ -91,10 +98,10 @@ func goldenChain(chunks int) [][]byte {
 
 // goldenDigests runs the chain and returns the digest of every encoded
 // diff and the digest of every Stats, in chain order.
-func goldenDigests(t *testing.T, snaps [][]byte, workers int, opts Options, async bool) (diffs, stats string) {
+func goldenDigests(t *testing.T, snaps [][]byte, method checkpoint.Method, workers int, opts Options, async bool) (diffs, stats string) {
 	t.Helper()
 	opts.ChunkSize = goldenChunkSize
-	d := newTestDedup(t, checkpoint.MethodTree, len(snaps[0]), workers, opts)
+	d := newTestDedup(t, method, len(snaps[0]), workers, opts)
 	hd, hs := sha256.New(), sha256.New()
 	for k, img := range snaps {
 		var (
@@ -132,8 +139,10 @@ func goldenStatsLine(st Stats) string {
 		st.DedupTime, st.TransferTime)
 }
 
+// goldenEntry holds a chain's digests. An async/ entry holds only the
+// Stats: CheckpointAsync's diffs are checked against Checkpoint's.
 type goldenEntry struct {
-	Diffs string `json:"diffs"`
+	Diffs string `json:"diffs,omitempty"`
 	Stats string `json:"stats"`
 }
 
@@ -159,7 +168,14 @@ func TestGoldenDiffs(t *testing.T) {
 	}
 	for _, chain := range chains {
 		for _, chunks := range goldenChunkCounts {
-			goldenCheck(t, golden, update, chain.prefix, chunks, chain.build(chunks))
+			snaps := chain.build(chunks)
+			goldenCheck(t, golden, update, checkpoint.MethodTree, chain.prefix, chunks, snaps)
+			if chain.prefix != "" {
+				continue // the other methods run the base chain only
+			}
+			for _, m := range []checkpoint.Method{checkpoint.MethodFull, checkpoint.MethodBasic, checkpoint.MethodList} {
+				goldenCheck(t, golden, update, m, "method/"+m.String()+"/", chunks, snaps)
+			}
 		}
 	}
 	if update {
@@ -177,21 +193,23 @@ func TestGoldenDiffs(t *testing.T) {
 }
 
 // goldenCheck compares (or, updating, records) the digests of one chain
-// under every golden option set.
-func goldenCheck(t *testing.T, golden map[string]goldenEntry, update bool, prefix string, chunks int, snaps [][]byte) {
+// under every golden option set, through Checkpoint and CheckpointAsync.
+func goldenCheck(t *testing.T, golden map[string]goldenEntry, update bool, method checkpoint.Method, prefix string, chunks int, snaps [][]byte) {
 	t.Helper()
 	for _, o := range goldenOptions {
 		key := fmt.Sprintf("%s%s/%d", prefix, o.name, chunks)
 		if update {
-			diffs, stats := goldenDigests(t, snaps, 1, o.opts, false)
+			diffs, stats := goldenDigests(t, snaps, method, 1, o.opts, false)
 			golden[key] = goldenEntry{Diffs: diffs, Stats: stats}
+			_, stats = goldenDigests(t, snaps, method, 2, o.opts, true)
+			golden["async/"+key] = goldenEntry{Stats: stats}
 		}
 		want, ok := golden[key]
 		if !ok {
 			t.Fatalf("%s: no golden entry", key)
 		}
 		for _, workers := range []int{1, 2, 4} {
-			diffs, stats := goldenDigests(t, snaps, workers, o.opts, false)
+			diffs, stats := goldenDigests(t, snaps, method, workers, o.opts, false)
 			if diffs != want.Diffs {
 				t.Errorf("%s workers=%d: encoded diffs differ from the golden chain", key, workers)
 			}
@@ -199,8 +217,14 @@ func goldenCheck(t *testing.T, golden map[string]goldenEntry, update bool, prefi
 				t.Errorf("%s workers=%d: Stats differ from the golden chain", key, workers)
 			}
 		}
-		if diffs, _ := goldenDigests(t, snaps, 2, o.opts, true); diffs != want.Diffs {
+		diffs, stats := goldenDigests(t, snaps, method, 2, o.opts, true)
+		if diffs != want.Diffs {
 			t.Errorf("%s: CheckpointAsync diffs differ from Checkpoint's", key)
+		}
+		if wantAsync, ok := golden["async/"+key]; !ok {
+			t.Fatalf("async/%s: no golden entry", key)
+		} else if stats != wantAsync.Stats {
+			t.Errorf("async/%s: CheckpointAsync Stats differ from the golden chain", key)
 		}
 	}
 }
