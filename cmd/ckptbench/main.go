@@ -88,7 +88,6 @@ func run(args []string, stdout io.Writer) error {
 		chainLen = fs.Int("chain", 64, "checkpoint chain length for -exp saturate/failover/heal")
 		frames   = fs.Int("frames", gpuckpt.DefaultWindowFrames, "streaming window frame bound for -exp saturate")
 		frameB   = fs.Int64("framebytes", gpuckpt.DefaultWindowBytes, "streaming window byte bound for -exp saturate")
-		pipeline = fs.Bool("pipeline", false, "overlap each checkpoint's store with the next one's dedup (CheckpointAsync)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -146,7 +145,6 @@ func run(args []string, stdout io.Writer) error {
 		ChunkSize:       *chunk,
 		VerifyRestore:   *verify,
 		ApplyGorder:     *gorder,
-		Pipelined:       *pipeline,
 	}
 
 	emit := func(name string, t *metrics.Table) error {

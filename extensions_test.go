@@ -291,7 +291,7 @@ func TestKernelStats(t *testing.T) {
 	if _, err := ck.Checkpoint(sparseCounters(rng, len(buf))); err != nil {
 		t.Fatal(err)
 	}
-	stats := ck.KernelStats()
+	stats := ck.dev.Stats()
 	for _, name := range []string{"tree-dedup", "d2h", "compress"} {
 		st, ok := stats[name]
 		if !ok || st.Launches < 1 || st.Modeled <= 0 {

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"time"
 
+	"github.com/gpuckpt/gpuckpt/internal/blockstore"
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/compress"
 	"github.com/gpuckpt/gpuckpt/internal/dedup"
@@ -106,7 +107,9 @@ type Ablation struct {
 	// shifted regions can no longer match first-occurrence regions of
 	// the same checkpoint, fragmenting the compact metadata.
 	SingleStage bool
-	// PerThreadGather disables the team-based coalesced serialization.
+	// PerThreadGather models the gather with one thread per region
+	// instead of a coalesced team copy: the cost model charges an
+	// uncoalesced-access penalty. The copy itself is the same.
 	PerThreadGather bool
 	// UnfusedKernels launches one kernel per phase and tree level
 	// instead of a single fused kernel.
@@ -192,16 +195,6 @@ func (r Result) Ratio() float64 {
 	return float64(r.InputBytes) / float64(r.StoredBytes)
 }
 
-// Throughput returns the paper's metric: input bytes divided by the
-// modeled time to create and ship the checkpoint (B/s).
-func (r Result) Throughput() float64 {
-	t := r.DedupTime + r.TransferTime
-	if t <= 0 {
-		return 0
-	}
-	return float64(r.InputBytes) / t.Seconds()
-}
-
 // String renders a one-line summary.
 func (r Result) String() string {
 	return fmt.Sprintf("ckpt %d: %d -> %d bytes (%.2fx, %d+%d regions, %v dedup, %v transfer)",
@@ -215,7 +208,7 @@ func (r Result) String() string {
 type Checkpointer struct {
 	d       *dedup.Deduplicator
 	dev     *device.Device
-	pool    *parallel.Pool
+	pool    *parallel.Pool // nil for a Group member: the Group owns the pool
 	cfg     Config
 	dataLen int
 	store   *checkpoint.FileStore
@@ -223,24 +216,39 @@ type Checkpointer struct {
 
 // New creates a Checkpointer for buffers of exactly dataLen bytes.
 func New(cfg Config, dataLen int) (*Checkpointer, error) {
+	pool := parallel.NewPool(cfg.Workers)
+	c, err := newCheckpointer(cfg, dataLen, device.New(cfg.GPU.toParams(), pool, nil), cfg.PersistDir, nil)
+	if err != nil {
+		pool.Close()
+		return nil, err
+	}
+	c.pool = pool
+	return c, nil
+}
+
+// newCheckpointer builds one lineage's engine on dev and, when dir is
+// set, opens dir as its persist directory over the block store blocks
+// (nil: self-contained). It releases what it built when it fails; the
+// device's pool stays the caller's.
+func newCheckpointer(cfg Config, dataLen int, dev *device.Device, dir string, blocks *blockstore.Store) (*Checkpointer, error) {
 	if dataLen <= 0 {
 		return nil, fmt.Errorf("gpuckpt: data length must be positive, got %d", dataLen)
 	}
-	pool := parallel.NewPool(cfg.Workers)
-	dev := device.New(cfg.GPU.toParams(), pool, nil)
 	d, err := newDedup(cfg, dataLen, dev)
 	if err != nil {
 		return nil, err
 	}
-	c := &Checkpointer{d: d, dev: dev, pool: pool, cfg: cfg, dataLen: dataLen}
-	if cfg.PersistDir != "" {
-		store, err := checkpoint.NewFileStoreWith(cfg.PersistDir, nil)
+	c := &Checkpointer{d: d, dev: dev, cfg: cfg, dataLen: dataLen}
+	if dir != "" {
+		store, err := checkpoint.NewFileStoreWith(dir, blocks)
 		if err != nil {
+			d.Close()
 			return nil, err
 		}
 		if n := store.Len(); n != 0 {
 			store.Close()
-			return nil, fmt.Errorf("gpuckpt: persist dir %s already holds %d diffs", cfg.PersistDir, n)
+			d.Close()
+			return nil, fmt.Errorf("gpuckpt: persist dir %s already holds %d diffs", dir, n)
 		}
 		c.store = store
 	}
@@ -410,36 +418,20 @@ func (c *Checkpointer) diffAt(k int) (*checkpoint.Diff, error) {
 // checkpointer (kernels + transfers).
 func (c *Checkpointer) ModeledTime() time.Duration { return c.dev.Elapsed() }
 
-// KernelStat reports the modeled cost of one kernel family.
-type KernelStat struct {
-	// Launches counts kernel submissions (1 per checkpoint for the
-	// fused pipeline; one per phase and tree level when unfused).
-	Launches int64
-	// Modeled is the cumulative modeled device time.
-	Modeled time.Duration
-}
-
-// KernelStats breaks the modeled device time down by kernel family
-// ("tree-dedup", "d2h", "compress", ...) — the profile a performance
-// engineer would read off nsys on the real system.
-func (c *Checkpointer) KernelStats() map[string]KernelStat {
-	out := make(map[string]KernelStat)
-	for name, st := range c.dev.Stats() {
-		out[name] = KernelStat{Launches: st.Launches, Modeled: st.Modeled}
-	}
-	return out
-}
-
 // Close releases the modeled device memory and stops the worker pool.
 // The record remains restorable (region assembly falls back to
 // sequential), but no further checkpoints can be taken.
 func (c *Checkpointer) Close() {
-	// Record() drains any in-flight pipelined backend; detach the pool
-	// before stopping it so later Restore calls don't launch on a
-	// closed pool.
+	c.release()
+	c.pool.Close()
+}
+
+// release frees the modeled device memory and the lineage store. The
+// record stays restorable: it is detached from the pool first, so a
+// later Restore does not launch on a closed pool.
+func (c *Checkpointer) release() {
 	c.d.Record().SetPool(nil)
 	c.d.Close()
-	c.pool.Close()
 	if c.store != nil {
 		// Releases the lineage's auto-attached block store, if any.
 		c.store.Close()

@@ -97,15 +97,12 @@ func TestTreeBeatsFullOnRecordSize(t *testing.T) {
 
 func TestResultMetrics(t *testing.T) {
 	var zero Result
-	if zero.Ratio() != 0 || zero.Throughput() != 0 {
+	if zero.Ratio() != 0 {
 		t.Fatal("zero result not handled")
 	}
 	r := Result{InputBytes: 100, StoredBytes: 50, DedupTime: 1e9, TransferTime: 1e9}
 	if r.Ratio() != 2 {
 		t.Fatal("ratio wrong")
-	}
-	if r.Throughput() != 50 {
-		t.Fatalf("throughput %v", r.Throughput())
 	}
 }
 
@@ -115,6 +112,37 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Method: Method(9)}, 100); err == nil {
 		t.Fatal("bad method accepted")
+	}
+}
+
+// A New that fails stops the worker pool it started and releases what
+// it built: repeated failures leave the goroutine count where it was.
+// A pool of Workers: 4 parks three helpers, so a leak shows.
+func TestNewReleasesOnError(t *testing.T) {
+	full := t.TempDir()
+	ck, err := New(Config{Method: MethodTree, ChunkSize: 64, PersistDir: full}, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ck.Checkpoint(make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	ck.Close()
+
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		if _, err := New(Config{Workers: 4, Method: Method(9)}, 100); err == nil {
+			t.Fatal("bad method accepted")
+		}
+		if _, err := New(Config{Workers: 4, Method: MethodTree, ChunkSize: 64, PersistDir: full}, 4096); err == nil {
+			t.Fatal("persist dir that holds diffs accepted")
+		}
+	}
+	// A stopped worker may still be unwinding when Close returns.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 20 failed New calls, %d before", runtime.NumGoroutine(), before)
+		}
 	}
 }
 

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"github.com/gpuckpt/gpuckpt/internal/blockstore"
-	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
-	"github.com/gpuckpt/gpuckpt/internal/dedup"
 	"github.com/gpuckpt/gpuckpt/internal/device"
 	"github.com/gpuckpt/gpuckpt/internal/parallel"
 )
@@ -27,7 +25,7 @@ type Group struct {
 	cfg     Config
 	pool    *parallel.Pool
 	dev     *device.Device
-	members map[string]*groupMember
+	members map[string]*Checkpointer
 	order   []string
 	ckpts   int
 	closed  bool
@@ -39,12 +37,6 @@ type Group struct {
 	blocks *blockstore.Store
 }
 
-type groupMember struct {
-	d     *dedup.Deduplicator
-	store *checkpoint.FileStore
-	size  int
-}
-
 // NewGroup creates an empty group. Config applies to every member;
 // PersistDir, when set, receives one subdirectory per member.
 func NewGroup(cfg Config) *Group {
@@ -53,7 +45,7 @@ func NewGroup(cfg Config) *Group {
 		cfg:     cfg,
 		pool:    pool,
 		dev:     device.New(cfg.GPU.toParams(), pool, nil),
-		members: make(map[string]*groupMember),
+		members: make(map[string]*Checkpointer),
 	}
 }
 
@@ -72,27 +64,16 @@ func (g *Group) Protect(name string, dataLen int) error {
 	if g.ckpts > 0 {
 		return fmt.Errorf("gpuckpt: cannot add member %q after the first checkpoint", name)
 	}
-	d, err := newDedup(g.cfg, dataLen, g.dev)
-	if err != nil {
-		return err
-	}
-	m := &groupMember{d: d, size: dataLen}
+	var dir string
 	if g.cfg.PersistDir != "" {
 		if err := g.attachBlocks(); err != nil {
-			d.Close()
 			return err
 		}
-		store, err := checkpoint.NewFileStoreWith(filepath.Join(g.cfg.PersistDir, name), g.blocks)
-		if err != nil {
-			d.Close()
-			return err
-		}
-		if n := store.Len(); n != 0 {
-			store.Close()
-			d.Close()
-			return fmt.Errorf("gpuckpt: member dir for %q already holds %d diffs", name, n)
-		}
-		m.store = store
+		dir = filepath.Join(g.cfg.PersistDir, name)
+	}
+	m, err := newCheckpointer(g.cfg, dataLen, g.dev, dir, g.blocks)
+	if err != nil {
+		return err
 	}
 	g.members[name] = m
 	g.order = append(g.order, name)
@@ -142,14 +123,6 @@ type GroupResult struct {
 	DedupTime, TransferTime time.Duration
 }
 
-// Ratio returns the aggregate de-duplication ratio of this checkpoint.
-func (r GroupResult) Ratio() float64 {
-	if r.StoredBytes == 0 {
-		return 0
-	}
-	return float64(r.InputBytes) / float64(r.StoredBytes)
-}
-
 // Checkpoint captures all members atomically-by-convention: buffers
 // must contain exactly the registered names with their registered
 // lengths.
@@ -170,18 +143,10 @@ func (g *Group) Checkpoint(buffers map[string][]byte) (GroupResult, error) {
 	}
 	res := GroupResult{CkptID: g.ckpts, PerMember: make(map[string]Result, len(g.members))}
 	for _, name := range g.order {
-		m := g.members[name]
-		buf := buffers[name]
-		diff, st, err := m.d.Checkpoint(buf)
+		r, err := g.members[name].Checkpoint(buffers[name])
 		if err != nil {
 			return GroupResult{}, fmt.Errorf("gpuckpt: member %q: %w", name, err)
 		}
-		if m.store != nil {
-			if err := m.store.Append(diff); err != nil {
-				return GroupResult{}, fmt.Errorf("gpuckpt: persisting member %q: %w", name, err)
-			}
-		}
-		r := resultOf(st)
 		res.PerMember[name] = r
 		res.InputBytes += r.InputBytes
 		res.StoredBytes += r.StoredBytes
@@ -192,21 +157,6 @@ func (g *Group) Checkpoint(buffers map[string][]byte) (GroupResult, error) {
 	return res, nil
 }
 
-// NumCheckpoints returns the number of group checkpoints taken.
-func (g *Group) NumCheckpoints() int { return g.ckpts }
-
-// RecordBytes returns the total serialized size across all members.
-func (g *Group) RecordBytes() int64 {
-	var total int64
-	for _, m := range g.members {
-		total += m.d.Record().TotalBytes()
-	}
-	return total
-}
-
-// ModeledTime returns the cumulative modeled device time of the group.
-func (g *Group) ModeledTime() time.Duration { return g.dev.Elapsed() }
-
 // Restore reconstructs every member as of group checkpoint k.
 func (g *Group) Restore(k int) (map[string][]byte, error) {
 	if k < 0 || k >= g.ckpts {
@@ -214,7 +164,7 @@ func (g *Group) Restore(k int) (map[string][]byte, error) {
 	}
 	out := make(map[string][]byte, len(g.members))
 	for _, name := range g.order {
-		state, err := g.members[name].d.Restore(k)
+		state, err := g.members[name].Restore(k)
 		if err != nil {
 			return nil, fmt.Errorf("gpuckpt: member %q: %w", name, err)
 		}
@@ -236,11 +186,7 @@ func (g *Group) Close() {
 		return
 	}
 	for _, m := range g.members {
-		m.d.Record().SetPool(nil) // as Checkpointer.Close: no launch on the closed pool
-		m.d.Close()
-		if m.store != nil {
-			m.store.Close() // releases the segment; the block store is the Group's
-		}
+		m.release() // the block store is the Group's, closed below
 	}
 	if g.blocks != nil {
 		g.blocks.Close()

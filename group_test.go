@@ -54,14 +54,14 @@ func TestGroupRoundTrip(t *testing.T) {
 		if res.InputBytes != int64(len(grid)+len(solver)) {
 			t.Fatalf("input bytes %d", res.InputBytes)
 		}
-		if len(res.PerMember) != 2 || res.Ratio() <= 0 {
+		if len(res.PerMember) != 2 || res.StoredBytes <= 0 {
 			t.Fatalf("bad group result: %+v", res)
 		}
 	}
-	if g.NumCheckpoints() != 4 {
-		t.Fatalf("group has %d checkpoints", g.NumCheckpoints())
+	if g.ckpts != 4 {
+		t.Fatalf("group has %d checkpoints", g.ckpts)
 	}
-	if g.RecordBytes() <= 0 || g.ModeledTime() <= 0 {
+	if g.dev.Elapsed() <= 0 {
 		t.Fatal("degenerate group accounting")
 	}
 	for k, s := range snaps {

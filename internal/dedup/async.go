@@ -33,12 +33,8 @@ type AsyncResult struct {
 // waits for it before dispatching its own. After a backend failure the
 // pipeline is poisoned: every subsequent call returns the error.
 func (d *Deduplicator) CheckpointAsync(data []byte) (<-chan AsyncResult, error) {
-	if d.closed {
-		return nil, ErrClosed
-	}
-	if len(data) != d.dataLen {
-		return nil, fmt.Errorf("dedup: buffer length %d, deduplicator configured for %d",
-			len(data), d.dataLen)
+	if err := d.admit(data); err != nil {
+		return nil, err
 	}
 	if d.opts.VerifyDuplicates {
 		// The verification sweep byte-compares shifted chunks against
@@ -56,30 +52,12 @@ func (d *Deduplicator) CheckpointAsync(data []byte) (<-chan AsyncResult, error) 
 	}
 
 	// Front half on the caller's goroutine, overlapping the previous
-	// checkpoint's backend. Full/Basic/List build their whole diff
-	// here (their gather is cheap and shares state with the hash
-	// sweep); Tree defers gather/serialize to the backend.
-	d.l.reset(d.dev, !d.opts.Unfused, "front")
-	var (
-		fr   treeFrontResult
-		diff *checkpoint.Diff
-		err  error
-	)
-	switch d.method {
-	case checkpoint.MethodFull:
-		diff, fr.st, err = d.checkpointFull(data)
-	case checkpoint.MethodBasic:
-		diff, fr.st, err = d.checkpointBasic(data)
-	case checkpoint.MethodList:
-		diff, fr.st, err = d.checkpointList(data)
-	case checkpoint.MethodTree:
-		l := d.frontLauncher("tree-dedup")
-		fr, err = d.treeFront(data, l)
-		l.flush()
-	}
+	// checkpoint's backend.
+	diff, fr, err := d.front(data)
 	if err != nil {
 		return nil, err
 	}
+	d.l.flush() // Tree's front is its own launch; the backend launches the gather
 	frontTime := d.l.elapsed
 
 	// Only one backend may be in flight: its goroutine owns the diff
@@ -105,55 +83,25 @@ func (d *Deduplicator) CheckpointAsync(data []byte) (<-chan AsyncResult, error) 
 }
 
 // backend runs the back half of one pipelined checkpoint: the Tree
-// gather/serialize stage, compression, stats finalization, the
-// modeled device-to-host transfer and the record append.
-func (d *Deduplicator) backend(data []byte, fr *treeFrontResult, diff *checkpoint.Diff, id uint32, frontTime time.Duration) AsyncResult {
+// gather/serialize stage as its own launch, then finish and the record
+// append.
+func (d *Deduplicator) backend(data []byte, fr *treeFrontResult, diff *checkpoint.Diff, id uint32, charged time.Duration) AsyncResult {
 	if inj := d.opts.FaultInjector; inj != nil {
 		if err := inj("back", id); err != nil {
 			return AsyncResult{Err: fmt.Errorf("dedup: back stage of checkpoint %d: %w", id, err)}
 		}
 	}
-	var backTime time.Duration
 	if d.method == checkpoint.MethodTree {
 		d.backL.reset(d.dev, !d.opts.Unfused, "tree-dedup")
 		var err error
-		diff, err = d.treeBack(data, fr, &d.backL, id)
-		if err != nil {
+		if diff, err = d.treeBack(data, fr, &d.backL, id); err != nil {
 			return AsyncResult{Err: err}
 		}
-		backTime = d.backL.elapsed
+		charged += d.backL.elapsed
 	}
-	compDur, err := d.compressDiff(diff)
+	st, err := d.finish(diff, fr.st, id, charged)
 	if err != nil {
 		return AsyncResult{Err: err}
-	}
-
-	st := fr.st
-	st.Method = d.method
-	st.CkptID = id
-	st.ChunkSize = d.opts.ChunkSize
-	st.InputBytes = int64(d.dataLen)
-	st.DiffBytes = diff.TotalBytes()
-	st.MetadataBytes = diff.MetadataBytes()
-	st.DataBytes = int64(len(diff.Data))
-	// The device clock advances from both pipeline stages at once, so
-	// DedupTime is the sum of this checkpoint's own charges rather
-	// than a clock delta.
-	st.DedupTime = frontTime + backTime + compDur
-
-	if d.opts.StreamingTransfer {
-		// §5 streaming extension: the transfer overlaps the
-		// de-duplication pipeline, so only the non-overlapped tail
-		// blocks the application.
-		xfer := d.dev.EstimateTransfer(diff.TotalBytes())
-		tail := xfer - st.DedupTime
-		if tail < 0 {
-			tail = 0
-		}
-		d.dev.ChargeDuration("d2h-streamed", tail)
-		st.TransferTime = tail
-	} else {
-		st.TransferTime = d.dev.CopyToHost(diff.TotalBytes())
 	}
 
 	if inj := d.opts.FaultInjector; inj != nil {

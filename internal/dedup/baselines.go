@@ -69,9 +69,8 @@ func (d *Deduplicator) initBasicBodies() {
 // shipped every checkpoint. There is no on-device work beyond the
 // transfer, so its throughput measures the raw GPU-to-host flush
 // bandwidth (§3.2).
-func (d *Deduplicator) checkpointFull(data []byte) (*checkpoint.Diff, Stats, error) {
+func (d *Deduplicator) checkpointFull(data []byte) *checkpoint.Diff {
 	dataLen, chunkSize := d.wireGeom()
-	var st Stats
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	diff := d.newDiff()
@@ -82,7 +81,7 @@ func (d *Deduplicator) checkpointFull(data []byte) (*checkpoint.Diff, Stats, err
 		ChunkSize: chunkSize,
 		Data:      cp,
 	}
-	return diff, st, nil
+	return diff
 }
 
 // checkpointBasic implements the Basic incremental baseline (§3.2):
@@ -90,7 +89,7 @@ func (d *Deduplicator) checkpointFull(data []byte) (*checkpoint.Diff, Stats, err
 // position in the previous checkpoint; a bitmap marks the changed
 // chunks, whose bytes are gathered behind it. Spatial duplication and
 // shifted temporal duplication are invisible to this method.
-func (d *Deduplicator) checkpointBasic(data []byte) (*checkpoint.Diff, Stats, error) {
+func (d *Deduplicator) checkpointBasic(data []byte) (*checkpoint.Diff, Stats) {
 	dataLen, chunkSize := d.wireGeom()
 	l := d.frontLauncher("basic-dedup")
 	var st Stats
@@ -155,7 +154,7 @@ func (d *Deduplicator) checkpointBasic(data []byte) (*checkpoint.Diff, Stats, er
 		Bitmap:    bitmap,
 		Data:      out,
 	}
-	return diff, st, nil
+	return diff, st
 }
 
 // checkpointList implements the List baseline (§3.2): identical to the

@@ -249,7 +249,7 @@ type Deduplicator struct {
 	// allocation-free: the kernel bodies below are created once in New
 	// and read their per-launch parameters from these fields.
 	levels [][2]int // cached tree level intervals (static geometry)
-	l      launcher // front/sync kernel accounting
+	l      launcher // front-stage kernel accounting; Checkpoint runs Tree's back stage on it too
 	backL  launcher // pipelined-backend kernel accounting
 	gs     sweepScratch
 	arena  []checkpoint.Diff // batch-allocated Diffs handed out one at a time
@@ -538,48 +538,92 @@ func (d *Deduplicator) compressDiff(diff *checkpoint.Diff) (time.Duration, error
 // Checkpoint de-duplicates data against the checkpoint record,
 // appends the resulting diff to the lineage, charges the modeled
 // kernel and transfer time, and returns the diff with its statistics.
+// Tree's gather runs on the front stage's launcher, so fused mode
+// models the whole checkpoint as one kernel.
 func (d *Deduplicator) Checkpoint(data []byte) (*checkpoint.Diff, Stats, error) {
-	if d.closed {
-		return nil, Stats{}, ErrClosed
+	if err := d.admit(data); err != nil {
+		return nil, Stats{}, err
 	}
 	if err := d.waitBackend(); err != nil {
 		return nil, Stats{}, err
 	}
+	diff, fr, err := d.front(data)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	if d.method == checkpoint.MethodTree {
+		if diff, err = d.treeBack(data, &fr, &d.l, d.ckptID); err != nil {
+			return nil, Stats{}, err
+		}
+	}
+	st, err := d.finish(diff, fr.st, d.ckptID, d.l.elapsed)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	if err := d.record.Append(diff); err != nil {
+		return nil, Stats{}, fmt.Errorf("dedup: appending diff: %w", err)
+	}
+	d.ckptID++
+	return diff, st, nil
+}
+
+// admit refuses a checkpoint of a closed deduplicator or of a buffer
+// of the wrong length.
+func (d *Deduplicator) admit(data []byte) error {
+	if d.closed {
+		return ErrClosed
+	}
 	if len(data) != d.dataLen {
-		return nil, Stats{}, fmt.Errorf("dedup: buffer length %d, deduplicator configured for %d",
+		return fmt.Errorf("dedup: buffer length %d, deduplicator configured for %d",
 			len(data), d.dataLen)
 	}
-	startClock := d.dev.Elapsed()
+	return nil
+}
 
+// front runs the hash/label stage of the configured method on d.l.
+// Full, Basic and List build their whole diff here (their gather is
+// cheap and shares state with the hash sweep). Tree returns a nil diff
+// and leaves its gather/serialize stage, and its launcher's pending
+// fused cost, to treeBack.
+func (d *Deduplicator) front(data []byte) (*checkpoint.Diff, treeFrontResult, error) {
 	var (
+		fr   treeFrontResult
 		diff *checkpoint.Diff
-		st   Stats
 		err  error
 	)
 	switch d.method {
 	case checkpoint.MethodFull:
-		diff, st, err = d.checkpointFull(data)
+		d.frontLauncher("full") // charges nothing; finish reads its zero elapsed time
+		diff = d.checkpointFull(data)
 	case checkpoint.MethodBasic:
-		diff, st, err = d.checkpointBasic(data)
+		diff, fr.st = d.checkpointBasic(data)
 	case checkpoint.MethodList:
-		diff, st, err = d.checkpointList(data)
+		diff, fr.st, err = d.checkpointList(data)
 	case checkpoint.MethodTree:
-		diff, st, err = d.checkpointTree(data)
+		fr, err = d.treeFront(data, d.frontLauncher("tree-dedup"))
 	}
+	return diff, fr, err
+}
+
+// finish compresses checkpoint id's diff, completes its statistics
+// from st and charges its device-to-host transfer. charged is the
+// kernel time the checkpoint's launchers charged: the device clock may
+// also be advancing for another checkpoint's pipeline stage, so
+// DedupTime is a sum of this checkpoint's own charges, not a clock
+// delta.
+func (d *Deduplicator) finish(diff *checkpoint.Diff, st Stats, id uint32, charged time.Duration) (Stats, error) {
+	compDur, err := d.compressDiff(diff)
 	if err != nil {
-		return nil, Stats{}, err
-	}
-	if _, err := d.compressDiff(diff); err != nil {
-		return nil, Stats{}, err
+		return Stats{}, err
 	}
 	st.Method = d.method
-	st.CkptID = d.ckptID
+	st.CkptID = id
 	st.ChunkSize = d.opts.ChunkSize
 	st.InputBytes = int64(d.dataLen)
 	st.DiffBytes = diff.TotalBytes()
 	st.MetadataBytes = diff.MetadataBytes()
 	st.DataBytes = int64(len(diff.Data))
-	st.DedupTime = d.dev.Elapsed() - startClock
+	st.DedupTime = charged + compDur
 
 	if d.opts.StreamingTransfer {
 		// §5 streaming extension: the transfer overlaps the
@@ -595,19 +639,14 @@ func (d *Deduplicator) Checkpoint(data []byte) (*checkpoint.Diff, Stats, error) 
 	} else {
 		st.TransferTime = d.dev.CopyToHost(diff.TotalBytes())
 	}
-
-	if err := d.record.Append(diff); err != nil {
-		return nil, Stats{}, fmt.Errorf("dedup: appending diff: %w", err)
-	}
-	d.ckptID++
-	return diff, st, nil
+	return st, nil
 }
 
 // launcher accumulates kernel costs, modeling either a single fused
 // kernel (one launch latency for the whole pipeline, §2.4) or one
 // launch per phase/level. It also tracks the total modeled duration it
-// charged, which the pipelined engine needs because concurrent stages
-// make device-clock deltas meaningless.
+// charged, which finish reads as the checkpoint's kernel time because
+// concurrent pipeline stages make device-clock deltas meaningless.
 type launcher struct {
 	dev     *device.Device
 	fused   bool

@@ -510,9 +510,10 @@ func (d *Deduplicator) gather(data []byte, firstNodes checkpoint.FirstList, l *l
 	return out
 }
 
-// treeFrontResult carries the hash/label outcome of one Tree
-// checkpoint from the front half to the (possibly pipelined) back
-// half: leaf statistics, the fast-path flag and the region lists.
+// treeFrontResult carries the hash/label outcome of one checkpoint
+// from the front half to the (possibly pipelined) back half: the
+// statistics of every method and, for Tree, the fast-path flag and the
+// region lists.
 type treeFrontResult struct {
 	st     Stats
 	fast   bool
@@ -616,17 +617,4 @@ func (d *Deduplicator) treeBack(data []byte, fr *treeFrontResult, l *launcher, i
 		Data:      gathered,
 	}
 	return diff, nil
-}
-
-// checkpointTree runs the full Tree pipeline (Algorithm 1)
-// synchronously: front and back halves on the caller's goroutine,
-// sharing one launcher so fused mode still models a single kernel.
-func (d *Deduplicator) checkpointTree(data []byte) (*checkpoint.Diff, Stats, error) {
-	l := d.frontLauncher("tree-dedup")
-	fr, err := d.treeFront(data, l)
-	if err != nil {
-		return nil, fr.st, err
-	}
-	diff, err := d.treeBack(data, &fr, l, d.ckptID)
-	return diff, fr.st, err
 }

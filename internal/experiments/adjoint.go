@@ -104,13 +104,3 @@ func Adjoint(cfg Config) (*metrics.Table, []AdjointResult, error) {
 	}
 	return t, out, nil
 }
-
-// adjointRowsByMethod indexes results for assertions and reports.
-func adjointRowsByMethod(rows []AdjointResult, solver, method string) (AdjointResult, bool) {
-	for _, r := range rows {
-		if r.Solver == solver && r.Method == method {
-			return r, true
-		}
-	}
-	return AdjointResult{}, false
-}

@@ -43,9 +43,6 @@ type Config struct {
 	// ApplyGorder enables the Gorder pre-process (the generators emit
 	// trace order natively; see DESIGN.md).
 	ApplyGorder bool
-	// Pipelined runs every method through the asynchronous checkpoint
-	// engine (dedup.CheckpointAsync); output is bit-identical.
-	Pipelined bool
 }
 
 // DefaultConfig returns the laptop-scale defaults (about 1/500 of the
@@ -176,7 +173,7 @@ func Fig4(cfg Config) (*metrics.Table, []workload.Row, error) {
 			return nil, nil, err
 		}
 		rows, err := workload.ChunkSweep(series, checkpoint.Methods(), cfg.ChunkSizes,
-			workload.Options{Workers: cfg.Workers, VerifyRestore: cfg.VerifyRestore, Pipelined: cfg.Pipelined})
+			workload.Options{Workers: cfg.Workers, VerifyRestore: cfg.VerifyRestore})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -214,7 +211,7 @@ func Fig5(cfg Config) (*metrics.Table, []workload.Row, error) {
 			return nil, nil, err
 		}
 		rows, err := workload.Frequency(series, cfg.Frequencies, checkpoint.Methods(), compress.Registry(),
-			workload.Options{ChunkSize: cfg.ChunkSize, Workers: cfg.Workers, VerifyRestore: cfg.VerifyRestore, Pipelined: cfg.Pipelined})
+			workload.Options{ChunkSize: cfg.ChunkSize, Workers: cfg.Workers, VerifyRestore: cfg.VerifyRestore})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -301,7 +298,6 @@ func Ablation(cfg Config) (*metrics.Table, []workload.Row, error) {
 			ChunkSize:     cfg.ChunkSize,
 			Workers:       cfg.Workers,
 			VerifyRestore: cfg.VerifyRestore,
-			Pipelined:     cfg.Pipelined,
 			Dedup:         v.opts,
 		})
 		if err != nil {

@@ -266,3 +266,23 @@ func TestHeadlineClaims(t *testing.T) {
 		t.Error("allPass inconsistent")
 	}
 }
+
+// adjointRowsByMethod indexes results for assertions and reports.
+func adjointRowsByMethod(rows []AdjointResult, solver, method string) (AdjointResult, bool) {
+	for _, r := range rows {
+		if r.Solver == solver && r.Method == method {
+			return r, true
+		}
+	}
+	return AdjointResult{}, false
+}
+
+// allPass reports whether every claim passed.
+func allPass(claims []Claim) bool {
+	for _, c := range claims {
+		if !c.Pass {
+			return false
+		}
+	}
+	return true
+}

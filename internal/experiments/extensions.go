@@ -39,7 +39,6 @@ func Extensions(cfg Config) (*metrics.Table, []workload.Row, error) {
 			ChunkSize:     cfg.ChunkSize,
 			Workers:       cfg.Workers,
 			VerifyRestore: true, // extensions must never trade away correctness
-			Pipelined:     cfg.Pipelined,
 			Dedup:         v.opts,
 		})
 		if err != nil {

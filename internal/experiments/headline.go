@@ -204,13 +204,3 @@ func Headline(cfg Config) (*metrics.Table, []Claim, error) {
 	}
 	return t, claims, nil
 }
-
-// allPass reports whether every claim passed.
-func allPass(claims []Claim) bool {
-	for _, c := range claims {
-		if !c.Pass {
-			return false
-		}
-	}
-	return true
-}

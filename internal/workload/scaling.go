@@ -55,10 +55,9 @@ type ScalingConfig struct {
 // independent of P — while the device model applies the per-node
 // host-ingest contention of P concurrent checkpointing GPUs.
 //
-// Scaling always uses the sequential Checkpoint path (Options.Pipelined
-// is ignored): the runner reuses its snapshot buffer between
-// checkpoints, which the pipelined engine's deferred back half cannot
-// tolerate.
+// The runner reuses its snapshot buffer between checkpoints, so Scaling
+// must stay on the sequential Checkpoint: CheckpointAsync's back half
+// still reads the buffer after the call returns.
 func Scaling(cfg ScalingConfig) ([]ScalingRow, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("workload: scaling needs a graph")

@@ -111,10 +111,6 @@ type Options struct {
 	VerifyRestore bool
 	// MapCapacity overrides the dedup hash-table sizing.
 	MapCapacity int
-	// Pipelined drives the methods through CheckpointAsync, overlapping
-	// each checkpoint's gather/serialize/store with the next one's
-	// hash/label sweep. Output is bit-identical to the sequential path.
-	Pipelined bool
 	// Dedup passes extra algorithm options through to the methods
 	// (ablation knobs). ChunkSize/MapCapacity fields here are
 	// overridden by the fields above.
@@ -155,42 +151,18 @@ func RunMethod(s *Series, method checkpoint.Method, opts Options) (Row, error) {
 		Procs:     1,
 	}
 	var modeled time.Duration
-	accumulate := func(ck int, st dedup.Stats) {
+	for ck, img := range s.Images {
+		_, st, err := d.Checkpoint(img)
+		if err != nil {
+			return Row{}, fmt.Errorf("workload: %s checkpoint %d: %w", method, ck, err)
+		}
 		if ck == 0 && len(s.Images) > 1 {
-			return // aggregate excludes the first full checkpoint (§3.2)
+			continue // aggregate excludes the first full checkpoint (§3.2)
 		}
 		row.InputBytes += st.InputBytes
 		row.StoredBytes += st.DiffBytes
 		row.MetaBytes += st.MetadataBytes
 		modeled += st.DedupTime + st.TransferTime
-	}
-	if opts.Pipelined {
-		// Issue every checkpoint through the async engine, draining each
-		// result only when the next front has been dispatched, so every
-		// back half genuinely overlaps the following front half.
-		chans := make([]<-chan dedup.AsyncResult, 0, len(s.Images))
-		for ck, img := range s.Images {
-			ch, err := d.CheckpointAsync(img)
-			if err != nil {
-				return Row{}, fmt.Errorf("workload: %s pipelined checkpoint %d: %w", method, ck, err)
-			}
-			chans = append(chans, ch)
-		}
-		for ck, ch := range chans {
-			res := <-ch
-			if res.Err != nil {
-				return Row{}, fmt.Errorf("workload: %s pipelined checkpoint %d: %w", method, ck, res.Err)
-			}
-			accumulate(ck, res.Stats)
-		}
-	} else {
-		for ck, img := range s.Images {
-			_, st, err := d.Checkpoint(img)
-			if err != nil {
-				return Row{}, fmt.Errorf("workload: %s checkpoint %d: %w", method, ck, err)
-			}
-			accumulate(ck, st)
-		}
 	}
 	if row.StoredBytes > 0 {
 		row.Ratio = float64(row.InputBytes) / float64(row.StoredBytes)

@@ -114,34 +114,6 @@ func TestRunMethodAllMethods(t *testing.T) {
 	}
 }
 
-// TestRunMethodPipelinedParity pins that the pipelined driver produces
-// the same aggregate bytes, ratio and verified restores as the
-// sequential one. Modeled times (and hence throughput) legitimately
-// differ between the two engines.
-func TestRunMethodPipelinedParity(t *testing.T) {
-	s := testSeries(t, 5)
-	for _, m := range checkpoint.Methods() {
-		seq, err := RunMethod(s, m, Options{ChunkSize: 128, VerifyRestore: true})
-		if err != nil {
-			t.Fatalf("%v sequential: %v", m, err)
-		}
-		pip, err := RunMethod(s, m, Options{ChunkSize: 128, VerifyRestore: true, Pipelined: true})
-		if err != nil {
-			t.Fatalf("%v pipelined: %v", m, err)
-		}
-		if !pip.RestoreVerified {
-			t.Fatalf("%v pipelined: restore not verified", m)
-		}
-		if pip.Throughput <= 0 {
-			t.Fatalf("%v pipelined: degenerate throughput", m)
-		}
-		pip.Throughput = seq.Throughput
-		if pip != seq {
-			t.Fatalf("%v: pipelined row differs\npipelined: %+v\nsequential: %+v", m, pip, seq)
-		}
-	}
-}
-
 func TestRunCodec(t *testing.T) {
 	s := testSeries(t, 4)
 	for _, c := range compress.Registry() {

@@ -121,13 +121,3 @@ func (f *Follower) Promote() (*Promotion, error) {
 // Close stops replication and releases the connection pool and the
 // mirror store. Idempotent.
 func (f *Follower) Close() error { return errors.Join(f.fl.Close(), f.store.Close()) }
-
-// Lineages lists the lineage directory of the primary at addr — the
-// discovery step before spawning one Follower per lineage.
-func Lineages(addr string, timeout time.Duration) ([]LineageInfo, error) {
-	infos, err := follower.Lineages(addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return lineageInfos(infos), nil
-}

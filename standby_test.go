@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
+	"github.com/gpuckpt/gpuckpt/internal/follower"
 	"github.com/gpuckpt/gpuckpt/internal/server"
 )
 
@@ -81,11 +82,11 @@ func TestFollowerTailsAndPromotes(t *testing.T) {
 		t.Fatalf("the chain did not arrive on the follow stream: %+v", st)
 	}
 
-	infos, err := Lineages(addr, 5*time.Second)
+	infos, err := follower.Lineages(addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 1 || infos[0].Name != lineage || infos[0].Len != n {
+	if len(infos) != 1 || infos[0].Name != lineage || int(infos[0].Len) != n {
 		t.Fatalf("Lineages = %+v, want %q with %d checkpoints", infos, lineage, n)
 	}
 
