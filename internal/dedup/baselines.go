@@ -3,6 +3,7 @@ package dedup
 import (
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/device"
+	"github.com/gpuckpt/gpuckpt/internal/murmur3"
 	"github.com/gpuckpt/gpuckpt/internal/parallel"
 )
 
@@ -11,21 +12,26 @@ import (
 // size/copy gather sweeps, all reading scratch from Deduplicator
 // fields.
 func (d *Deduplicator) initBasicBodies() {
+	// The hash/compare sweep hashes chunks in the groups of the Tree
+	// leaf sweep (hashGroup).
+	//ckptlint:noalloc
 	d.basicHashBody = func(lo, hi int) {
-		data := d.frontData
+		whole := d.wholeChunks(lo, hi)
 		var ch, fx int64
-		for c := lo; c < hi; c++ {
-			node := d.tree.LeafNode(c)
-			off, end := d.chunkSpan(c)
-			dig := d.hashOne(data[off:end])
-			if dig == d.tree.Digests[node] {
-				d.basicChanged[c] = 0
-				fx++
-				continue
+		var digs [8]murmur3.Digest
+		for c, n := lo, 0; c < hi; c += n {
+			n = d.hashGroup(&digs, c, whole)
+			for j, dig := range digs[:n] {
+				node := d.tree.LeafNode(c + j)
+				if dig == d.tree.Digests[node] {
+					d.basicChanged[c+j] = 0
+					fx++
+					continue
+				}
+				d.tree.Digests[node] = dig
+				d.basicChanged[c+j] = 1
+				ch++
 			}
-			d.tree.Digests[node] = dig
-			d.basicChanged[c] = 1
-			ch++
 		}
 		d.gs.changedN.Add(ch)
 		d.gs.fixedN.Add(fx)

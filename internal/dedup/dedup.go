@@ -265,6 +265,12 @@ type Deduplicator struct {
 	curLevel   []uint32 // the run being swept
 	walkStack  []uint32 // listRegions' descent stack
 
+	// The region lists of the current checkpoint, walked into once and
+	// copied out at exact size (listRegions). Region roots cover
+	// disjoint runs of leaves, so New sizes them for one region a chunk.
+	regionFirsts checkpoint.FirstList
+	regionShifts checkpoint.ShiftList
+
 	frontData []byte // buffer being hashed/labeled by the front half
 
 	// gather/scan scratch. Used by the Tree backend and by the
@@ -460,6 +466,10 @@ func New(method checkpoint.Method, dataLen int, dev *device.Device, opts Options
 		d.anc = make([]uint32, 0, d.nChunks-1)
 		d.ancEnd = make([]int, len(d.levels)+1)
 		d.walkStack = make([]uint32, 0, len(d.levels)+2)
+	}
+	if method == checkpoint.MethodTree {
+		d.regionFirsts = make(checkpoint.FirstList, 0, 4*d.nChunks)
+		d.regionShifts = make(checkpoint.ShiftList, 0, 12*d.nChunks)
 	}
 	if err := dev.Malloc(devBytes); err != nil {
 		return nil, fmt.Errorf("dedup: reserving device memory: %w", err)

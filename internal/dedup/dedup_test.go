@@ -429,6 +429,32 @@ func TestMapFullReturnsError(t *testing.T) {
 	}
 }
 
+// TestRetryAfterMapFull: a checkpoint that failed on a full historical
+// record and is retried fails again or stores the buffer; it never
+// takes the chunks it could not register as unchanged.
+func TestRetryAfterMapFull(t *testing.T) {
+	const chunk, chunks = 32, 16
+	for _, moved := range []int{2, 8, 16} {
+		d := mustNew(t, checkpoint.MethodTree, chunk*chunks, Options{ChunkSize: chunk, MapCapacity: chunks})
+		rng := rand.New(rand.NewSource(int64(moved)))
+		buf := randBuf(rng, chunk*chunks)
+		if _, _, err := d.Checkpoint(buf); err != nil { // 31 of 32 slots
+			t.Fatal(err)
+		}
+		rng.Read(buf[:moved*chunk])
+		if _, _, err := d.Checkpoint(buf); !errors.Is(err, hashmap.ErrFull) {
+			t.Fatalf("%d moved chunks into one free slot: err=%v, want ErrFull", moved, err)
+		}
+		diff, _, err := d.Checkpoint(buf)
+		if err != nil {
+			continue
+		}
+		if got, err := d.Record().Restore(int(diff.CkptID)); err != nil || !bytes.Equal(got, buf) {
+			t.Fatalf("%d moved chunks: the retry after ErrFull succeeded but restores wrong bytes (err=%v)", moved, err)
+		}
+	}
+}
+
 // TestDefaultTableUnchanged: with the default capacity the historical
 // record keeps the slot count it had when the table rounded 2 × 3 ×
 // NumNodes up to a power of two; default-capacity chains rely on that
@@ -611,27 +637,49 @@ func TestDeterministicDiffBytes(t *testing.T) {
 }
 
 // TestLeafSweepMatchesSeam is the differential test of the leaf
-// sweep's grouped paths (Sum128x8, then Sum128x2) against its
-// one-chunk-at-a-time path, the hashChunk seam set to plain Sum128: on
-// trees whose chunk count is no power of two and whose last chunk is
-// short, at 1 to 4 workers, whose blocks straddle DeepLeaves, every
-// diff of a chain is byte-identical. The geometries give runs on both
-// sides of DeepLeaves whose lengths are and are not multiples of 8, so
-// each run ends in a partial group of eight.
+// sweep's grouped paths (Sum128x8, then Sum128x2, moved digests
+// registered in prefetched batches of leafBatch) against its
+// one-chunk-at-a-time path, the hashChunk seam set to plain Sum128
+// (each chunk hashed alone and registered alone): on trees whose chunk
+// count is no power of two and whose last chunk is short, at 1 to 4
+// workers, whose blocks straddle DeepLeaves, every diff of a chain is
+// byte-identical. The geometries give runs on both sides of DeepLeaves
+// whose lengths are and are not multiples of 8, so each run ends in a
+// partial group of eight. Each chain ends in two checkpoints that move
+// a known number of leaves: 1.5 batches straddling DeepLeaves, so at
+// one worker the first batch spans it, and exactly two batches with a
+// repeat across their boundary. The 640-chunk first checkpoint moves
+// ten whole batches at one worker.
 func TestLeafSweepMatchesSeam(t *testing.T) {
 	const chunk = 64
-	for _, nChunks := range []int{300, 301, 283} {
-		deep := 2 * (nChunks - 256) // 88, 90, 54: leaves of the deepest level
+	for _, nChunks := range []int{300, 301, 283, 640} {
+		deep := 2 * (nChunks - 1<<(bits.Len(uint(nChunks))-1)) // 88, 90, 54, 256: leaves of the deepest level
 		size := nChunks*chunk - 17
 		rng := rand.New(rand.NewSource(int64(43 + nChunks)))
 		chain := [][]byte{randBuf(rng, size)}
-		for k := 1; k < 6; k++ {
+		moved := map[int]int{} // checkpoint -> leaves it moves
+		for k := 1; k < 8; k++ {
 			next := append([]byte(nil), chain[k-1]...)
-			mutate(rng, next, 6, 2)
-			rng.Read(next[size-10:])
-			// Chunks on both sides of DeepLeaves repeat earlier ones.
-			src := rng.Intn(deep-8) * chunk
-			copy(next[(deep-2)*chunk:(deep+3)*chunk], next[src:src+5*chunk])
+			switch k {
+			case 6:
+				lo, n := deep-leafBatch/2, leafBatch+leafBatch/2
+				rng.Read(next[lo*chunk : (lo+n)*chunk])
+				moved[k] = n
+			case 7:
+				lo, n := deep-leafBatch, 2*leafBatch
+				lo = max(lo, 0)
+				rng.Read(next[lo*chunk : (lo+n)*chunk])
+				// The second batch opens with a repeat of the first's
+				// opening chunk: a shifted duplicate across batches.
+				copy(next[(lo+leafBatch)*chunk:(lo+leafBatch+1)*chunk], next[lo*chunk:(lo+1)*chunk])
+				moved[k] = n
+			default:
+				mutate(rng, next, 6, 2)
+				rng.Read(next[size-10:])
+				// Chunks on both sides of DeepLeaves repeat earlier ones.
+				src := rng.Intn(deep-8) * chunk
+				copy(next[(deep-2)*chunk:(deep+3)*chunk], next[src:src+5*chunk])
+			}
 			chain = append(chain, next)
 		}
 		for workers := 1; workers <= 4; workers++ {
@@ -645,9 +693,12 @@ func TestLeafSweepMatchesSeam(t *testing.T) {
 				}
 				var out []byte
 				for k, b := range chain {
-					diff, _, err := d.Checkpoint(b)
+					diff, st, err := d.Checkpoint(b)
 					if err != nil {
 						t.Fatalf("%d chunks, %d workers, seam %v, checkpoint %d: %v", nChunks, workers, seam, k, err)
+					}
+					if n, ok := moved[k]; ok && st.FirstLeaves+st.ShiftLeaves != n {
+						t.Fatalf("%d chunks, checkpoint %d moved %d leaves, want %d", nChunks, k, st.FirstLeaves+st.ShiftLeaves, n)
 					}
 					out = append(out, encodeDiff(t, diff)...)
 				}

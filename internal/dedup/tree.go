@@ -27,23 +27,9 @@ func (d *Deduplicator) initBodies() {
 	// ones whose digest moved as FIRST_OCUR / SHIFT_DUPL against the
 	// historical record of unique hashes, refreshing the leaf digests.
 	// A block's changed chunk ids land at d.changedBuf[lo:], in order.
-	// Chunks [0, DeepLeaves) are the leaves of the deepest level and
-	// the rest the leaves one level up, so the block is swept as at
-	// most two runs of consecutive nodes.
 	//ckptlint:noalloc
 	d.leafBody = func(lo, hi int) {
-		out := d.changedBuf[lo:lo:hi]
-		var ops int64
-		var err error
-		deep := d.tree.DeepLeaves()
-		if lo < deep {
-			out, ops, err = d.sweepLeaves(out, lo, min(hi, deep))
-		}
-		if err == nil && hi > deep {
-			var k int64
-			out, k, err = d.sweepLeaves(out, max(lo, deep), hi)
-			ops += k
-		}
+		out, ops, err := d.sweepLeaves(d.changedBuf[lo:lo:hi], lo, hi)
 		if err != nil {
 			d.gs.fail(err)
 		}
@@ -169,51 +155,121 @@ func (d *Deduplicator) initBodies() {
 	d.initBasicBodies()
 }
 
-// sweepLeaves hashes chunks [lo, hi), leaves of one tree level and so
-// consecutive nodes, and handles each whose digest moved: its id is
-// appended to out and insertLeaf registers it. It returns out and the
-// map operations spent, stopping at the first error. Whole chunks go
-// eight at a time through Sum128x8, one Murmur3 chain per SIMD lane,
-// and the run's last few two at a time through Sum128x2, whose two
-// chains overlap; the short last chunk, and every chunk while the
-// hashChunk seam is set, go one by one.
+// leafBatch is how many moved leaf digests the second pass of
+// sweepLeaves reads from the historical record before it registers
+// them: the best of 8 to 128 on HotPathTreeDense8M, though 32 to 128
+// measure within each other's spread.
+const leafBatch = 64
+
+// sweepLeaves hashes chunks [lo, hi) and handles each whose digest
+// moved: its id is appended to out and insertLeaf registers it, in
+// chunk order. It returns out and the map operations spent, stopping
+// at the first error. It runs in two passes. The first hashes the
+// chunks (hashLeaves), writes each moved digest and lists its chunk.
+// The second walks that list in batches of leafBatch: it prefetches
+// the home slot of every digest of a batch, then inserts them one by
+// one. An insert ends in a compare-and-swap that later loads cannot
+// pass, so without the prefetch each moved digest would wait for its
+// own cache miss in the table. While the hashChunk seam is set every
+// chunk goes one by one, hashed alone and registered in batches of
+// one: the reference the grouped paths are tested against.
 //
 //ckptlint:noalloc
 func (d *Deduplicator) sweepLeaves(out []uint32, lo, hi int) ([]uint32, int64, error) {
-	data, cs, seed := d.frontData, d.opts.ChunkSize, d.opts.Seed
-	node := d.tree.LeafNode(lo) - lo // chunk c is node node+c
-	whole := lo                      // chunks [lo, whole) are whole, hashed in groups
-	if d.hashChunk == nil {
-		whole = max(lo, min(hi, d.dataLen/cs))
+	start := len(out)
+	// Chunks [0, DeepLeaves) are the leaves of the deepest level and
+	// the rest the leaves one level up, so the range is hashed as at
+	// most two runs of consecutive nodes.
+	deep := d.tree.DeepLeaves()
+	if lo < deep {
+		out = d.hashLeaves(out, lo, min(hi, deep))
+	}
+	if hi > deep {
+		out = d.hashLeaves(out, max(lo, deep), hi)
+	}
+	batch := leafBatch
+	if d.hashChunk != nil {
+		batch = 1
 	}
 	var ops int64
-	var digs [8]murmur3.Digest
-	for c, n := lo, 0; c < hi; c += n {
-		off := c * cs
-		switch {
-		case c+8 <= whole:
-			digs, n = murmur3.Sum128x8(data[off:off+8*cs], cs, seed), 8
-		case c+2 <= whole:
-			digs[0], digs[1] = murmur3.Sum128x2(data[off:off+cs], data[off+cs:off+2*cs], seed)
-			n = 2
-		default:
-			off, end := d.chunkSpan(c)
-			digs[0] = d.hashOne(data[off:end])
-			n = 1
+	var nodes [leafBatch]int
+	for b := start; b < len(out); b += batch {
+		run := out[b:min(b+batch, len(out))]
+		for i, c := range run {
+			nodes[i] = d.tree.LeafNode(int(c))
+			d.hmap.Prefetch(d.tree.Digests[nodes[i]])
 		}
-		for j, dig := range digs[:n] {
-			if dig == d.tree.Digests[node+c+j] {
-				continue
-			}
-			out = append(out, uint32(c+j))
-			k, err := d.insertLeaf(node+c+j, dig)
+		for i, node := range nodes[:len(run)] {
+			k, err := d.insertLeaf(node)
 			ops += k
 			if err != nil {
+				// The leaves left unregistered get back a digest no
+				// chunk has, as before the first checkpoint, so a retry
+				// sees them moved instead of taking them as stored.
+				for _, c := range out[b+i:] {
+					d.tree.Digests[d.tree.LeafNode(int(c))] = murmur3.Digest{}
+				}
 				return out, ops, err
 			}
 		}
 	}
 	return out, ops, nil
+}
+
+// hashLeaves is the first pass of sweepLeaves over chunks [lo, hi),
+// leaves of one tree level and so consecutive nodes: it writes every
+// digest that moved to the tree and appends its chunk id to out.
+//
+//ckptlint:noalloc
+func (d *Deduplicator) hashLeaves(out []uint32, lo, hi int) []uint32 {
+	node := d.tree.LeafNode(lo) - lo // chunk c is node node+c
+	whole := d.wholeChunks(lo, hi)
+	var digs [8]murmur3.Digest
+	for c, n := lo, 0; c < hi; c += n {
+		n = d.hashGroup(&digs, c, whole)
+		for j, dig := range digs[:n] {
+			if dig != d.tree.Digests[node+c+j] {
+				d.tree.Digests[node+c+j] = dig
+				out = append(out, uint32(c+j))
+			}
+		}
+	}
+	return out
+}
+
+// wholeChunks returns where the chunks of [lo, hi) that the leaf
+// sweeps hash in groups end: past the last whole chunk, or at lo while
+// the hashChunk seam is set.
+//
+//ckptlint:noalloc
+func (d *Deduplicator) wholeChunks(lo, hi int) int {
+	if d.hashChunk != nil {
+		return lo
+	}
+	return max(lo, min(hi, d.dataLen/d.opts.ChunkSize))
+}
+
+// hashGroup hashes chunks from c on into digs and returns how many.
+// Whole chunks below whole go eight at a time through Sum128x8, one
+// Murmur3 chain per SIMD lane, and a run's last few two at a time
+// through Sum128x2, whose two chains overlap; any other chunk goes
+// alone through hashOne.
+//
+//ckptlint:noalloc
+func (d *Deduplicator) hashGroup(digs *[8]murmur3.Digest, c, whole int) int {
+	data, cs, seed := d.frontData, d.opts.ChunkSize, d.opts.Seed
+	off := c * cs
+	switch {
+	case c+8 <= whole:
+		murmur3.Sum128x8(digs, data[off:off+8*cs], cs, seed)
+		return 8
+	case c+2 <= whole:
+		digs[0], digs[1] = murmur3.Sum128x2(data[off:off+cs], data[off+cs:off+2*cs], seed)
+		return 2
+	}
+	off, end := d.chunkSpan(c)
+	digs[0] = d.hashOne(data[off:end])
+	return 1
 }
 
 // hashOne fingerprints one chunk: Murmur3 with the configured seed,
@@ -227,12 +283,14 @@ func (d *Deduplicator) hashOne(chunk []byte) murmur3.Digest {
 	return murmur3.Sum128(chunk, d.opts.Seed)
 }
 
-// insertLeaf registers the moved digest of a leaf in the historical
-// record and gives the leaf its provisional label (lines 8-16 of
-// Algorithm 1). It returns the map operations it spent.
+// insertLeaf registers the moved digest of a leaf, already written to
+// the tree, in the historical record and gives the leaf its provisional
+// label (lines 8-16 of Algorithm 1). It returns the map operations it
+// spent.
 //
 //ckptlint:noalloc
-func (d *Deduplicator) insertLeaf(node int, dig murmur3.Digest) (ops int64, err error) {
+func (d *Deduplicator) insertLeaf(node int) (ops int64, err error) {
+	dig := d.tree.Digests[node]
 	// No entry is one the table reserves (hashmap.ErrReservedEntry):
 	// node indices are below NumNodes = 2·nChunks − 1, which is odd, so
 	// while every index fits a uint32 (NumNodes ≤ 2³²) none is
@@ -242,7 +300,6 @@ func (d *Deduplicator) insertLeaf(node int, dig murmur3.Digest) (ops int64, err 
 	if err != nil {
 		return 1, d.errMapFull(err)
 	}
-	d.tree.Digests[node] = dig
 	if inserted {
 		d.labels[node] = LabelFirstOcur
 		return 1, nil
@@ -392,14 +449,15 @@ func (d *Deduplicator) sweepLevels(l *launcher, name string, body func(lo, hi in
 	return hashed, nil
 }
 
-// walkRegions visits the roots of the maximal uniform regions left to
+// walkRegions lists the roots of the maximal uniform regions left to
 // right — from the root down through MIXED nodes, which is chunk
-// order — and returns how many carry FIRST_OCUR and SHIFT_DUPL
-// (FIXED_DUPL roots cost nothing and are skipped). Non-nil firsts and
-// shifts are appended to on the way, in their wire form.
+// order — that carry FIRST_OCUR and SHIFT_DUPL (FIXED_DUPL roots cost
+// nothing and are skipped), in their wire form, into d.regionFirsts
+// and d.regionShifts.
 //
 //ckptlint:noalloc
-func (d *Deduplicator) walkRegions(firsts *checkpoint.FirstList, shifts *checkpoint.ShiftList) (nf, ns int) {
+func (d *Deduplicator) walkRegions() {
+	firsts, shifts := d.regionFirsts[:0], d.regionShifts[:0]
 	stack := append(d.walkStack[:0], 0)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
@@ -408,45 +466,40 @@ func (d *Deduplicator) walkRegions(firsts *checkpoint.FirstList, shifts *checkpo
 		case LabelMixed:
 			stack = append(stack, uint32(merkle.Right(int(v))), uint32(merkle.Left(int(v))))
 		case LabelFirstOcur:
-			if firsts != nil {
-				*firsts = firsts.Append(v)
-			}
-			nf++
+			firsts = firsts.Append(v)
 		case LabelShiftDupl:
-			if shifts != nil {
-				// A fill's own digest misses the record; its source is
-				// that of its leftmost descendant that hits, repeated.
-				src, ok := d.hmap.Find(d.tree.Digests[v])
-				for u := int(v); !ok && !d.tree.IsLeaf(u); {
-					u = merkle.Left(u)
-					src, ok = d.hmap.Find(d.tree.Digests[u])
-				}
-				if !ok {
-					// Unreachable by construction: every shifted leaf
-					// was labeled after a successful map lookup.
-					panic("dedup: shifted region missing from historical record")
-				}
-				*shifts = shifts.Append(checkpoint.ShiftRegion{Node: v, SrcNode: src.Node, SrcCkpt: src.Ckpt})
+			// A fill's own digest misses the record; its source is
+			// that of its leftmost descendant that hits, repeated.
+			src, ok := d.hmap.Find(d.tree.Digests[v])
+			for u := int(v); !ok && !d.tree.IsLeaf(u); {
+				u = merkle.Left(u)
+				src, ok = d.hmap.Find(d.tree.Digests[u])
 			}
-			ns++
+			if !ok {
+				// Unreachable by construction: every shifted leaf
+				// was labeled after a successful map lookup.
+				panic("dedup: shifted region missing from historical record")
+			}
+			shifts = shifts.Append(checkpoint.ShiftRegion{Node: v, SrcNode: src.Node, SrcCkpt: src.Ckpt})
 		}
 	}
-	return nf, ns
+	d.regionFirsts, d.regionShifts = firsts, shifts
 }
 
 // listRegions returns the diff's region lists in chunk order, which
 // makes the diff layout (and therefore the wire format) deterministic.
 // They are retained by the diff, so they are allocated — at exact
-// size: one walk counts, one fills.
+// size, copied from the walk's reused lists.
 func (d *Deduplicator) listRegions() (firsts checkpoint.FirstList, shifts checkpoint.ShiftList) {
-	nf, ns := d.walkRegions(nil, nil)
-	if nf > 0 {
-		firsts = make(checkpoint.FirstList, 0, 4*nf)
+	d.walkRegions()
+	if len(d.regionFirsts) > 0 {
+		firsts = make(checkpoint.FirstList, len(d.regionFirsts))
+		copy(firsts, d.regionFirsts)
 	}
-	if ns > 0 {
-		shifts = make(checkpoint.ShiftList, 0, 12*ns)
+	if len(d.regionShifts) > 0 {
+		shifts = make(checkpoint.ShiftList, len(d.regionShifts))
+		copy(shifts, d.regionShifts)
 	}
-	d.walkRegions(&firsts, &shifts)
 	return firsts, shifts
 }
 

@@ -18,12 +18,12 @@ func modelDigest(k int) murmur3.Digest {
 	return murmur3.Digest{H1: uint64(k%32) << 59, H2: uint64(k)}
 }
 
-// FuzzMapModel runs a decoded sequence of inserts, finds and updates
-// on a table whose slot count is not a power of two against a Go map
-// holding what the table must hold. The first byte picks the table
-// (New(n), n odd, so 2n slots); each following triple is an op (mod
-// 3), a key and an entry byte (node in the high five bits, checkpoint
-// in the low three).
+// FuzzMapModel runs a decoded sequence of inserts, finds, updates and
+// prefetches on a table whose slot count is not a power of two against
+// a Go map holding what the table must hold; a prefetch changes
+// nothing. The first byte picks the table (New(n), n odd, so 2n
+// slots); each following triple is an op (mod 4), a key and an entry
+// byte (node in the high five bits, checkpoint in the low three).
 func FuzzMapModel(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 9, 1, 1, 9, 2, 1, 1})
 	f.Add([]byte{3, 0, 5, 16, 0, 37, 8, 2, 5, 8, 2, 37, 0, 1, 37, 0})
@@ -37,6 +37,8 @@ func FuzzMapModel(f *testing.F) {
 	// lands in slot 9 before any probe wraps; then nine keys that leave
 	// only slot 5 free and a tenth homed at 6 that must probe all ten.
 	f.Add([]byte{0, 0, 26, 1, 0, 27, 2})
+	// Prefetches of absent and present keys between inserts of them.
+	f.Add([]byte{0, 3, 7, 0, 0, 7, 9, 3, 7, 0, 3, 39, 0, 0, 39, 16, 1, 39, 0, 3, 7, 0})
 	f.Add([]byte{0, 0, 20, 0, 0, 21, 0, 0, 22, 0, 0, 52, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 32, 0, 0, 53, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) == 0 {
@@ -49,7 +51,7 @@ func FuzzMapModel(f *testing.F) {
 			d := modelDigest(k)
 			e := Entry{Node: uint32(ops[2] >> 3), Ckpt: uint32(ops[2] & 7)}
 			cur, present := model[k]
-			switch ops[0] % 3 {
+			switch ops[0] % 4 {
 			case 0:
 				prev, inserted, err := m.InsertIfAbsent(d, e)
 				switch {
@@ -80,6 +82,8 @@ func FuzzMapModel(f *testing.F) {
 				if swapped {
 					model[k] = e
 				}
+			case 3:
+				m.Prefetch(d)
 			}
 		}
 		if m.Size() != len(model) {

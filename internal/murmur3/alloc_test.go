@@ -90,7 +90,7 @@ func TestSum128x8ZeroAlloc(t *testing.T) {
 		for _, n := range append(kernelLengths, 121) {
 			var out [8]Digest
 			avg := testing.AllocsPerRun(100, func() {
-				out = Sum128x8(data, n, 42)
+				Sum128x8(&out, data, n, 42)
 			})
 			if avg != 0 {
 				t.Errorf("%s: Sum128x8(%d bytes): %.2f allocs per run, want 0", path, n, avg)

@@ -108,24 +108,25 @@ func Sum128x2(a, b []byte, seed uint32) (Digest, Digest) {
 }
 
 // Sum128x8 hashes the eight consecutive n-byte messages that open data
-// and returns exactly their eight Sum128 digests, in order; data must
-// hold at least 8·n bytes. Where the CPU has AVX512F and AVX512DQ and
-// n is a multiple of 16, one kernel runs the eight chains in the eight
-// lanes of a zmm register, the CPU analog of the paper's one GPU
-// thread per chunk; otherwise it makes four Sum128x2 calls. The kernel
-// is chosen once, at package init.
+// and writes exactly their eight Sum128 digests to out, in order; data
+// must hold at least 8·n bytes. Writing in place spares a caller that
+// hashes a buffer eight chunks at a time a 128-byte result copy per
+// call. Where the CPU has AVX512F and AVX512DQ and n is a multiple of
+// 16, one kernel runs the eight chains in the eight lanes of a zmm
+// register, the CPU analog of the paper's one GPU thread per chunk;
+// otherwise it makes four Sum128x2 calls. The kernel is chosen once,
+// at package init.
 //
 //ckptlint:noalloc
-func Sum128x8(data []byte, n int, seed uint32) (out [8]Digest) {
+func Sum128x8(out *[8]Digest, data []byte, n int, seed uint32) {
 	msgs := data[: 8*n : len(data)]
 	if useAVX512 && n%16 == 0 {
-		sum128x8(&out, unsafe.SliceData(msgs), uint64(len(msgs)/8), uint64(seed))
-		return out
+		sum128x8(out, unsafe.SliceData(msgs), uint64(len(msgs)/8), uint64(seed))
+		return
 	}
 	for i := 0; i < 8; i += 2 {
 		out[i], out[i+1] = Sum128x2(msgs[i*n:(i+1)*n], msgs[(i+1)*n:(i+2)*n], seed)
 	}
-	return out
 }
 
 // pair is the state of two interleaved streams, a and b.

@@ -49,7 +49,8 @@ func TestSum128x8MatchesSum128(t *testing.T) {
 			base := i % 8
 			seed := rng.Uint32()
 			data := buf[base : base+8*n]
-			if got, want := Sum128x8(data, n, seed), sum128x8Ref(data, n, seed); got != want {
+			var got [8]Digest
+			if Sum128x8(&got, data, n, seed); got != sum128x8Ref(data, n, seed) {
 				t.Fatalf("%s: Sum128x8(len %d, base %d, seed %d) differs from Sum128", path, n, base, seed)
 			}
 		}
@@ -67,7 +68,8 @@ func TestSum128x8ShortDataPanics(t *testing.T) {
 			}
 		}()
 		buf := make([]byte, 8*16, 8*32)
-		Sum128x8(buf[:8*16-1], 16, 0)
+		var out [8]Digest
+		Sum128x8(&out, buf[:8*16-1], 16, 0)
 	})
 }
 
@@ -83,7 +85,8 @@ func FuzzSum128x8(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, n uint16, seed uint32) {
 		eachPath(t, func(path string) {
 			for _, m := range []int{int(n) % (len(data)/8 + 1), int(n) % (len(data)/8 + 1) &^ 15} {
-				if got, want := Sum128x8(data, m, seed), sum128x8Ref(data, m, seed); got != want {
+				var got [8]Digest
+				if Sum128x8(&got, data, m, seed); got != sum128x8Ref(data, m, seed) {
 					t.Fatalf("%s: Sum128x8(%x, %d, %d) differs from Sum128", path, data, m, seed)
 				}
 			}
@@ -96,8 +99,9 @@ func BenchmarkSum128x8(b *testing.B) {
 		data := bytes.Repeat([]byte{0xa5}, 8*size)
 		b.Run(byteSizeName(size), func(b *testing.B) {
 			b.SetBytes(int64(8 * size))
+			var out [8]Digest
 			for i := 0; i < b.N; i++ {
-				_ = Sum128x8(data, size, 0)
+				Sum128x8(&out, data, size, 0)
 			}
 		})
 	}
