@@ -28,7 +28,8 @@ FUZZ_TARGETS = \
 	FuzzDeltaPack:./internal/compress \
 	FuzzSum128x2:./internal/murmur3 \
 	FuzzSum128x8:./internal/murmur3 \
-	FuzzMapModel:./internal/hashmap
+	FuzzMapModel:./internal/hashmap \
+	FuzzFailedCheckpoint:./internal/dedup
 FUZZTIME ?= 5s
 FUZZTIME_LONG ?= 5m
 

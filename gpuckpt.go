@@ -285,8 +285,10 @@ func newDedup(cfg Config, dataLen int, dev *device.Device) (*dedup.Deduplicator,
 // read-only Record for archival. Long-running applications rebase
 // periodically to bound restore chain length and GPU-resident
 // metadata.
-// With PersistDir configured, the old lineage directory is renamed to
-// `<dir>.pre-rebase-<k>` and a fresh directory takes its place.
+// With PersistDir configured, the old lineage directory is caught up,
+// renamed to `<dir>.pre-rebase-<k>`, and a fresh directory takes its
+// place. Rebase is also how a lineage goes on after a failed
+// checkpoint: the new engine starts from the last committed one.
 func (c *Checkpointer) Rebase() (*Record, error) {
 	n := c.NumCheckpoints()
 	if n == 0 {
@@ -295,6 +297,9 @@ func (c *Checkpointer) Rebase() (*Record, error) {
 	state, err := c.d.Restore(n - 1)
 	if err != nil {
 		return nil, fmt.Errorf("gpuckpt: rebase restore: %w", err)
+	}
+	if err := c.persist(); err != nil {
+		return nil, err
 	}
 	if c.store != nil {
 		dir := c.store.Dir()
@@ -344,17 +349,39 @@ func (c *Checkpointer) Rebase() (*Record, error) {
 
 // Checkpoint de-duplicates data against the record and appends the
 // resulting difference. data must have the configured length.
+//
+// A checkpoint that fails past its argument checks (a full historical
+// record, say) fails the engine: every later Checkpoint is refused with
+// an error wrapping the first, Restore keeps serving the committed
+// checkpoints, and Rebase goes on in a fresh engine. A failed
+// PersistDir append leaves the checkpoint committed in memory; the next
+// Checkpoint appends it before its own.
 func (c *Checkpointer) Checkpoint(data []byte) (Result, error) {
-	diff, st, err := c.d.Checkpoint(data)
+	_, st, err := c.d.Checkpoint(data)
 	if err != nil {
 		return Result{}, err
 	}
-	if c.store != nil {
-		if err := c.store.Append(diff); err != nil {
-			return Result{}, fmt.Errorf("gpuckpt: persisting diff: %w", err)
-		}
+	if err := c.persist(); err != nil {
+		return Result{}, err
 	}
 	return resultOf(st), nil
+}
+
+// persist appends to the PersistDir every committed diff it lacks, in
+// one batch: the checkpoint just taken, and any whose append failed.
+func (c *Checkpointer) persist() error {
+	if c.store == nil {
+		return nil
+	}
+	rec := c.d.Record()
+	var missing []*checkpoint.Diff
+	for k := c.store.Len(); k < rec.Len(); k++ {
+		missing = append(missing, rec.Diff(k))
+	}
+	if _, err := c.store.AppendBatch(missing); err != nil {
+		return fmt.Errorf("gpuckpt: persisting diff: %w", err)
+	}
+	return nil
 }
 
 // resultOf reports one checkpoint's statistics.

@@ -29,6 +29,9 @@ type Group struct {
 	order   []string
 	ckpts   int
 	closed  bool
+	// failed refuses every round after one that some members
+	// committed and others did not.
+	failed error
 	// blocks is the PersistDir's shared content-addressed block store,
 	// opened once for all members when <PersistDir>/_blocks exists.
 	// One handle serves every member store: the block store's log has
@@ -125,10 +128,17 @@ type GroupResult struct {
 
 // Checkpoint captures all members atomically-by-convention: buffers
 // must contain exactly the registered names with their registered
-// lengths.
+// lengths. A round that fails after some members committed it leaves
+// their records one checkpoint ahead of the others, so the group
+// refuses every later round with an error naming the member that
+// failed and wrapping its cause; Restore stays exact for every round
+// all members committed.
 func (g *Group) Checkpoint(buffers map[string][]byte) (GroupResult, error) {
 	if g.closed {
 		return GroupResult{}, ErrGroupClosed
+	}
+	if g.failed != nil {
+		return GroupResult{}, g.failed
 	}
 	if len(g.members) == 0 {
 		return GroupResult{}, fmt.Errorf("gpuckpt: group has no members")
@@ -142,10 +152,15 @@ func (g *Group) Checkpoint(buffers map[string][]byte) (GroupResult, error) {
 		}
 	}
 	res := GroupResult{CkptID: g.ckpts, PerMember: make(map[string]Result, len(g.members))}
-	for _, name := range g.order {
-		r, err := g.members[name].Checkpoint(buffers[name])
+	for i, name := range g.order {
+		m := g.members[name]
+		r, err := m.Checkpoint(buffers[name])
 		if err != nil {
-			return GroupResult{}, fmt.Errorf("gpuckpt: member %q: %w", name, err)
+			err = fmt.Errorf("gpuckpt: member %q: %w", name, err)
+			if i > 0 || m.NumCheckpoints() > g.ckpts { // a member committed this round
+				g.failed = fmt.Errorf("gpuckpt: group round %d failed part-way: %w", g.ckpts, err)
+			}
+			return GroupResult{}, err
 		}
 		res.PerMember[name] = r
 		res.InputBytes += r.InputBytes

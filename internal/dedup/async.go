@@ -30,19 +30,17 @@ type AsyncResult struct {
 //
 // At most one checkpoint is in flight: a second CheckpointAsync call
 // first overlaps its front half with the outstanding back half, then
-// waits for it before dispatching its own. After a backend failure the
-// pipeline is poisoned: every subsequent call returns the error.
+// waits for it before dispatching its own. A failure fails the
+// Deduplicator as in Checkpoint, except an injected front fault.
 func (d *Deduplicator) CheckpointAsync(data []byte) (<-chan AsyncResult, error) {
-	if err := d.admit(data); err != nil {
-		return nil, err
-	}
 	if d.opts.VerifyDuplicates {
 		// The verification sweep byte-compares shifted chunks against
 		// the stored record, which the backend is still appending to —
 		// serialize the stages (correctness over overlap).
-		if err := d.waitBackend(); err != nil {
-			return nil, err
-		}
+		d.drainBackend()
+	}
+	if err := d.admit(data); err != nil {
+		return nil, err
 	}
 
 	if inj := d.opts.FaultInjector; inj != nil {
@@ -55,28 +53,27 @@ func (d *Deduplicator) CheckpointAsync(data []byte) (<-chan AsyncResult, error) 
 	// checkpoint's backend.
 	diff, fr, err := d.front(data)
 	if err != nil {
-		return nil, err
+		return nil, d.fail(err)
 	}
 	d.l.flush() // Tree's front is its own launch; the backend launches the gather
 	frontTime := d.l.elapsed
 
 	// Only one backend may be in flight: its goroutine owns the diff
-	// arena (for Tree), the gather scratch and the record.
-	if err := d.waitBackend(); err != nil {
+	// arena (for Tree), the gather scratch and the record. If it
+	// failed, admit now refuses this checkpoint.
+	d.drainBackend()
+	if err := d.admit(data); err != nil {
 		return nil, err
 	}
 
 	id := d.ckptID
 	ch := make(chan AsyncResult, 1)
-	done := make(chan struct{})
+	done := make(chan error, 1)
 	d.backDone = done
 	go func() {
 		res := d.backend(data, &fr, diff, id, frontTime)
-		if res.Err != nil {
-			d.asyncErr = res.Err
-		}
 		ch <- res
-		close(done)
+		done <- res.Err
 	}()
 	d.ckptID++
 	return ch, nil
@@ -116,20 +113,22 @@ func (d *Deduplicator) backend(data []byte, fr *treeFrontResult, diff *checkpoin
 }
 
 // drainBackend blocks until the in-flight pipelined backend, if any,
-// has finished.
+// has finished, and takes over its failure.
 func (d *Deduplicator) drainBackend() {
 	if d.backDone != nil {
-		<-d.backDone
+		err := <-d.backDone
 		d.backDone = nil
+		d.fail(err)
 	}
 }
 
-// waitBackend drains the backend and reports the sticky pipeline
-// error, if any.
-func (d *Deduplicator) waitBackend() error {
+// fail drains the backend, whose checkpoint came first, then makes err
+// (if not nil) the failure of a Deduplicator that has none, and
+// returns err.
+func (d *Deduplicator) fail(err error) error {
 	d.drainBackend()
-	if d.asyncErr != nil {
-		return fmt.Errorf("dedup: pipelined checkpoint failed: %w", d.asyncErr)
+	if d.failed == nil {
+		d.failed = err
 	}
-	return nil
+	return err
 }

@@ -220,6 +220,11 @@ func (s Stats) Ratio() float64 {
 // and the historical record of unique hashes across checkpoints, as
 // each process does in its own GPU memory (§2.1).
 //
+// A checkpoint that fails past admit fails the Deduplicator, whose
+// tree and insert-only record then lie ahead of the lineage: every
+// later checkpoint is refused, wrapping that error, while Restore and
+// Record serve the committed ones (DESIGN §11).
+//
 // A Deduplicator is not safe for concurrent use; the parallelism lives
 // inside the kernels it launches (and, with CheckpointAsync, in the
 // single pipelined backend goroutine it manages internally).
@@ -300,10 +305,10 @@ type Deduplicator struct {
 	gatherBody      func(lo, hi int)
 
 	// Pipelined-backend state (see async.go). backDone is non-nil while
-	// a backend goroutine is in flight; asyncErr poisons the pipeline
-	// after a backend failure.
-	backDone chan struct{}
-	asyncErr error
+	// a backend goroutine is in flight and delivers its error; failed,
+	// the first failure, is touched on the caller's goroutine only.
+	backDone chan error
+	failed   error
 }
 
 // sweepScratch holds the atomic counters the labeling sweeps
@@ -516,11 +521,9 @@ func (d *Deduplicator) Close() {
 	}
 }
 
-// Restore reconstructs the buffer as of checkpoint k.
+// Restore reconstructs the buffer as of checkpoint k, failed or not.
 func (d *Deduplicator) Restore(k int) ([]byte, error) {
-	if err := d.waitBackend(); err != nil {
-		return nil, err
-	}
+	d.drainBackend()
 	return d.record.Restore(k)
 }
 
@@ -549,39 +552,41 @@ func (d *Deduplicator) compressDiff(diff *checkpoint.Diff) (time.Duration, error
 // appends the resulting diff to the lineage, charges the modeled
 // kernel and transfer time, and returns the diff with its statistics.
 // Tree's gather runs on the front stage's launcher, so fused mode
-// models the whole checkpoint as one kernel.
+// models the whole checkpoint as one kernel. An error past admit
+// (hashmap.ErrFull, say) fails the Deduplicator.
 func (d *Deduplicator) Checkpoint(data []byte) (*checkpoint.Diff, Stats, error) {
+	d.drainBackend()
 	if err := d.admit(data); err != nil {
-		return nil, Stats{}, err
-	}
-	if err := d.waitBackend(); err != nil {
 		return nil, Stats{}, err
 	}
 	diff, fr, err := d.front(data)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, Stats{}, d.fail(err)
 	}
 	if d.method == checkpoint.MethodTree {
 		if diff, err = d.treeBack(data, &fr, &d.l, d.ckptID); err != nil {
-			return nil, Stats{}, err
+			return nil, Stats{}, d.fail(err)
 		}
 	}
 	st, err := d.finish(diff, fr.st, d.ckptID, d.l.elapsed)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, Stats{}, d.fail(err)
 	}
 	if err := d.record.Append(diff); err != nil {
-		return nil, Stats{}, fmt.Errorf("dedup: appending diff: %w", err)
+		return nil, Stats{}, d.fail(fmt.Errorf("dedup: appending diff: %w", err))
 	}
 	d.ckptID++
 	return diff, st, nil
 }
 
-// admit refuses a checkpoint of a closed deduplicator or of a buffer
-// of the wrong length.
+// admit refuses a checkpoint of a closed or failed deduplicator or of
+// a buffer of the wrong length. It changes nothing.
 func (d *Deduplicator) admit(data []byte) error {
 	if d.closed {
 		return ErrClosed
+	}
+	if d.failed != nil {
+		return fmt.Errorf("dedup: refused after a failed checkpoint: %w", d.failed)
 	}
 	if len(data) != d.dataLen {
 		return fmt.Errorf("dedup: buffer length %d, deduplicator configured for %d",

@@ -199,16 +199,10 @@ func (d *Deduplicator) sweepLeaves(out []uint32, lo, hi int) ([]uint32, int64, e
 			nodes[i] = d.tree.LeafNode(int(c))
 			d.hmap.Prefetch(d.tree.Digests[nodes[i]])
 		}
-		for i, node := range nodes[:len(run)] {
+		for _, node := range nodes[:len(run)] {
 			k, err := d.insertLeaf(node)
 			ops += k
 			if err != nil {
-				// The leaves left unregistered get back a digest no
-				// chunk has, as before the first checkpoint, so a retry
-				// sees them moved instead of taking them as stored.
-				for _, c := range out[b+i:] {
-					d.tree.Digests[d.tree.LeafNode(int(c))] = murmur3.Digest{}
-				}
 				return out, ops, err
 			}
 		}
@@ -314,9 +308,9 @@ func (d *Deduplicator) insertLeaf(node int) (ops int64, err error) {
 }
 
 // errMapFull wraps hashmap.ErrFull, raised by a leaf or an interior
-// insert alike, with the remedy.
+// insert alike, with the remedies.
 func (d *Deduplicator) errMapFull(err error) error {
-	return fmt.Errorf("dedup: historical record full at checkpoint %d (capacity %d); raise Options.MapCapacity: %w",
+	return fmt.Errorf("dedup: historical record full at checkpoint %d (capacity %d); rebase the lineage (Checkpointer.Rebase) or raise Options.MapCapacity: %w",
 		d.ckptID, d.hmap.Capacity(), err)
 }
 

@@ -845,13 +845,13 @@ func TestChaosStreamPackFailure(t *testing.T) {
 // --- pipeline seam ------------------------------------------------------
 
 // Scenario 12: kernel failures inside the async pipeline. A front
-// failure rejects the checkpoint synchronously; a back failure poisons
-// the pipeline (every later call reports it); the record keeps only
+// failure rejects the checkpoint synchronously; a back failure fails
+// the engine (every later call reports it); the record keeps only
 // fully-committed checkpoints and restores them byte-exactly.
 func TestChaosPipelineKernelFailure(t *testing.T) {
 	frontAndBack := faults.PipelinePlan{
 		Front: faults.On(2), // second checkpoint dies on the spot
-		Back:  faults.On(4), // fourth *attempted* back stage poisons
+		Back:  faults.On(4), // fourth *attempted* back stage fails the engine
 	}
 	for _, m := range []struct {
 		name   string

@@ -23,7 +23,7 @@ import (
 //     package. The field form is the Close/Stop contract: the
 //     closecontract check independently guarantees the owning type's
 //     release method runs on every path, and that release method is
-//     where the receive lives (dedup.waitBackend draining backDone);
+//     where the receive lives (dedup.drainBackend draining backDone);
 //  3. it carries an explicit //ckptlint:detached <reason> waiver on
 //     the `go` line or the line above. A detached waiver without a
 //     reason is itself a finding — undocumented fire-and-forget is
