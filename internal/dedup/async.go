@@ -43,10 +43,8 @@ func (d *Deduplicator) CheckpointAsync(data []byte) (<-chan AsyncResult, error) 
 		return nil, err
 	}
 
-	if inj := d.opts.FaultInjector; inj != nil {
-		if err := inj("front", d.ckptID); err != nil {
-			return nil, fmt.Errorf("dedup: front stage of checkpoint %d: %w", d.ckptID, err)
-		}
+	if err := d.inject("front", d.ckptID); err != nil {
+		return nil, err
 	}
 
 	// Front half on the caller's goroutine, overlapping the previous
@@ -83,10 +81,8 @@ func (d *Deduplicator) CheckpointAsync(data []byte) (<-chan AsyncResult, error) 
 // gather/serialize stage as its own launch, then finish and the record
 // append.
 func (d *Deduplicator) backend(data []byte, fr *treeFrontResult, diff *checkpoint.Diff, id uint32, charged time.Duration) AsyncResult {
-	if inj := d.opts.FaultInjector; inj != nil {
-		if err := inj("back", id); err != nil {
-			return AsyncResult{Err: fmt.Errorf("dedup: back stage of checkpoint %d: %w", id, err)}
-		}
+	if err := d.inject("back", id); err != nil {
+		return AsyncResult{Err: err}
 	}
 	if d.method == checkpoint.MethodTree {
 		d.backL.reset(d.dev, !d.opts.Unfused, "tree-dedup")
@@ -101,10 +97,8 @@ func (d *Deduplicator) backend(data []byte, fr *treeFrontResult, diff *checkpoin
 		return AsyncResult{Err: err}
 	}
 
-	if inj := d.opts.FaultInjector; inj != nil {
-		if err := inj("append", id); err != nil {
-			return AsyncResult{Err: fmt.Errorf("dedup: append stage of checkpoint %d: %w", id, err)}
-		}
+	if err := d.inject("append", id); err != nil {
+		return AsyncResult{Err: err}
 	}
 	if err := d.record.Append(diff); err != nil {
 		return AsyncResult{Err: fmt.Errorf("dedup: appending diff: %w", err)}

@@ -136,11 +136,13 @@ type Options struct {
 	// first-occurrence data exceeds 90% of the buffer, a plain Full
 	// diff is stored instead, avoiding the worst-case metadata.
 	AutoFallback bool
-	// FaultInjector, when set, is consulted at the pipeline's stage
-	// boundaries ("front" on the caller's goroutine, "back" and
-	// "append" on the backend goroutine) with the checkpoint id; a
-	// non-nil return fails that stage as a kernel failure would. The
-	// fault-injection seam of internal/faults — nil in production.
+	// FaultInjector, when set, is consulted at three stages of every
+	// checkpoint with its id: "front" after admission, "back" after
+	// the kernels and "append" before the record append. A non-nil
+	// return fails that stage as a kernel failure would: at "front"
+	// the checkpoint is refused and nothing changes, later it fails
+	// the Deduplicator. The fault-injection seam of internal/faults —
+	// nil in production.
 	FaultInjector func(stage string, ckpt uint32) error
 }
 
@@ -559,6 +561,9 @@ func (d *Deduplicator) Checkpoint(data []byte) (*checkpoint.Diff, Stats, error) 
 	if err := d.admit(data); err != nil {
 		return nil, Stats{}, err
 	}
+	if err := d.inject("front", d.ckptID); err != nil {
+		return nil, Stats{}, err
+	}
 	diff, fr, err := d.front(data)
 	if err != nil {
 		return nil, Stats{}, d.fail(err)
@@ -568,8 +573,14 @@ func (d *Deduplicator) Checkpoint(data []byte) (*checkpoint.Diff, Stats, error) 
 			return nil, Stats{}, d.fail(err)
 		}
 	}
+	if err := d.inject("back", d.ckptID); err != nil {
+		return nil, Stats{}, d.fail(err)
+	}
 	st, err := d.finish(diff, fr.st, d.ckptID, d.l.elapsed)
 	if err != nil {
+		return nil, Stats{}, d.fail(err)
+	}
+	if err := d.inject("append", d.ckptID); err != nil {
 		return nil, Stats{}, d.fail(err)
 	}
 	if err := d.record.Append(diff); err != nil {
@@ -577,6 +588,17 @@ func (d *Deduplicator) Checkpoint(data []byte) (*checkpoint.Diff, Stats, error) 
 	}
 	d.ckptID++
 	return diff, st, nil
+}
+
+// inject consults Options.FaultInjector at a stage of checkpoint id
+// and wraps the failure it returns, if any.
+func (d *Deduplicator) inject(stage string, id uint32) error {
+	if inj := d.opts.FaultInjector; inj != nil {
+		if err := inj(stage, id); err != nil {
+			return fmt.Errorf("dedup: %s stage of checkpoint %d: %w", stage, id, err)
+		}
+	}
+	return nil
 }
 
 // admit refuses a checkpoint of a closed or failed deduplicator or of

@@ -844,9 +844,9 @@ func TestChaosStreamPackFailure(t *testing.T) {
 
 // --- pipeline seam ------------------------------------------------------
 
-// Scenario 12: kernel failures inside the async pipeline. A front
-// failure rejects the checkpoint synchronously; a back failure fails
-// the engine (every later call reports it); the record keeps only
+// Scenario 12: kernel failures inside Checkpoint. A front failure
+// refuses the checkpoint and changes nothing; a back failure fails the
+// engine (every later call reports it); the record keeps only
 // fully-committed checkpoints and restores them byte-exactly.
 func TestChaosPipelineKernelFailure(t *testing.T) {
 	frontAndBack := faults.PipelinePlan{
@@ -882,31 +882,24 @@ func TestChaosPipelineKernelFailure(t *testing.T) {
 			t.Cleanup(d.Close)
 
 			var committed []int
-			var sawFront, sawBack bool
 			for i := 0; i < len(images); i++ {
-				ch, err := d.CheckpointAsync(images[i])
-				if err != nil {
+				failed := in.Fired(faults.EvBackFail) > 0
+				if _, _, err := d.Checkpoint(images[i]); err != nil {
 					if !errors.Is(err, faults.ErrKernel) {
 						t.Fatalf("checkpoint %d: untyped pipeline error %v", i, err)
-					}
-					if !sawBack {
-						sawFront = true
 					}
 					if m.retry {
 						i--
 					}
 					continue
 				}
-				res := <-ch
-				if res.Err != nil {
-					if !errors.Is(res.Err, faults.ErrKernel) {
-						t.Fatalf("checkpoint %d backend: untyped error %v", i, res.Err)
-					}
-					sawBack = true
-					continue
+				if failed {
+					t.Fatalf("checkpoint %d committed after a back fault failed the engine", i)
 				}
 				committed = append(committed, i)
 			}
+			t.Logf("trace %v", in.Trace())
+			sawFront, sawBack := in.Fired(faults.EvFrontFail) > 0, in.Fired(faults.EvBackFail) > 0
 			if !sawFront || sawBack != (m.plan.Back != nil) {
 				t.Fatalf("schedule incomplete: front=%v back=%v trace=%v", sawFront, sawBack, in.Trace())
 			}

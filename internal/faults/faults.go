@@ -15,8 +15,8 @@
 //     connection resets, stalls past the peer's deadline, short reads,
 //     and slow-loris byte-at-a-time writes.
 //   - pipeline: PipelineInjector builds the dedup.Options.FaultInjector
-//     callback, failing the front, back, or append stage of
-//     dedup.CheckpointAsync as a kernel failure would.
+//     callback, failing the front, back, or append stage of a
+//     dedup Checkpoint as a kernel failure would.
 //
 // Determinism is the point: every decision is either a pure function
 // of an occurrence ordinal (On, Every, From, Upto) or a draw from the

@@ -1,18 +1,18 @@
 package faults
 
 // Pipeline seam event names. The occurrence ordinal counts invocations
-// of that stage (one per checkpoint), so On(3) fails the stage of the
-// third checkpoint the pipeline processes.
+// of that stage (one per checkpoint), so On(3) fails the third
+// checkpoint to reach it.
 const (
 	EvFrontFail  = "pipeline.front"
 	EvBackFail   = "pipeline.back"
 	EvAppendFail = "pipeline.append"
 )
 
-// PipelinePlan schedules kernel failures inside dedup.CheckpointAsync:
-// Front fails on the caller's goroutine before the front half runs,
-// Back fails the backend stage (hash/gather kernels), Append fails
-// just before the record append.
+// PipelinePlan schedules kernel failures inside dedup's Checkpoint:
+// Front fails after admission, before any state changes, Back fails
+// after the hash/label/gather kernels, Append fails just before the
+// record append.
 type PipelinePlan struct {
 	Front  Hits
 	Back   Hits
