@@ -1,8 +1,8 @@
 package gpuckpt
 
 // The HotPath suite tracks the REAL (wall-clock) cost of the hot path
-// introduced by the persistent worker pool, the allocation-free
-// Algorithm 1 and the pipelined checkpoint engine:
+// introduced by the persistent worker pool and the allocation-free
+// Algorithm 1:
 //
 //	go test -bench=HotPath -benchmem
 //	make bench-json    # regenerates BENCH_hotpath.json
@@ -271,9 +271,8 @@ func benchTree8M(b *testing.B, share float64) {
 func BenchmarkHotPathTreeSparse8M(b *testing.B) { benchTree8M(b, 0.01) }
 func BenchmarkHotPathTreeDense8M(b *testing.B)  { benchTree8M(b, 0.06) }
 
-// The pipeline pair measures one checkpoint per op over the same
-// churned snapshots, sequential engine vs CheckpointAsync with one
-// result in flight.
+// HotPathTreeSequential measures one checkpoint per op over a cycle of
+// churned snapshots.
 func BenchmarkHotPathTreeSequential(b *testing.B) {
 	const size = 256 * 1024
 	snaps := hotPathSnapshots(29, size, 8)
@@ -284,33 +283,6 @@ func BenchmarkHotPathTreeSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := d.Checkpoint(snaps[i%len(snaps)]); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHotPathTreePipelined(b *testing.B) {
-	const size = 256 * 1024
-	snaps := hotPathSnapshots(29, size, 8)
-	d := newBenchDedup(b, checkpoint.MethodTree, size)
-	b.SetBytes(size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var prev <-chan dedup.AsyncResult
-	for i := 0; i < b.N; i++ {
-		ch, err := d.CheckpointAsync(snaps[i%len(snaps)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if prev != nil {
-			if res := <-prev; res.Err != nil {
-				b.Fatal(res.Err)
-			}
-		}
-		prev = ch
-	}
-	if prev != nil {
-		if res := <-prev; res.Err != nil {
-			b.Fatal(res.Err)
 		}
 	}
 }
@@ -333,7 +305,6 @@ var hotPathSuite = []struct {
 	{"HotPathTreeSparse8M", 1, BenchmarkHotPathTreeSparse8M},
 	{"HotPathTreeDense8M", 1, BenchmarkHotPathTreeDense8M},
 	{"HotPathTreeSequential", hotPathWorkers, BenchmarkHotPathTreeSequential},
-	{"HotPathTreePipelined", hotPathWorkers, BenchmarkHotPathTreePipelined},
 }
 
 type hotPathEntry struct {

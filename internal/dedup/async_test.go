@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
-	"github.com/gpuckpt/gpuckpt/internal/compress"
 	"github.com/gpuckpt/gpuckpt/internal/device"
 	"github.com/gpuckpt/gpuckpt/internal/parallel"
 )
@@ -31,129 +30,6 @@ func encodeDiff(t *testing.T, d *checkpoint.Diff) []byte {
 		t.Fatalf("encode: %v", err)
 	}
 	return buf.Bytes()
-}
-
-// TestAsyncMatchesSync pins the pipelined engine's core contract: for
-// every method and a spread of option sets, CheckpointAsync produces
-// byte-identical serialized diffs, identical label/region statistics
-// and identical restores to the sequential Checkpoint path.
-func TestAsyncMatchesSync(t *testing.T) {
-	snaps := workloadSnapshots(71, 48*1024, 8)
-	size := len(snaps[0])
-
-	optionSets := []Options{
-		{ChunkSize: 64},
-		{ChunkSize: 64, StreamingTransfer: true},
-		{ChunkSize: 64, VerifyDuplicates: true},
-		{ChunkSize: 64, AutoFallback: true},
-		{ChunkSize: 64, Compressor: compress.NewCascaded()},
-		{ChunkSize: 64, SingleStage: true, PerThreadGather: true, Unfused: true},
-		{ChunkSize: 64, Compressor: compress.NewLZ4(), StreamingTransfer: true, VerifyDuplicates: true, AutoFallback: true},
-	}
-
-	for _, method := range checkpoint.Methods() {
-		for oi, opts := range optionSets {
-			sync := newTestDedup(t, method, size, 4, opts)
-			async := newTestDedup(t, method, size, 4, opts)
-
-			// Drive the async instance in pipelined fashion: issue every
-			// checkpoint, collecting result channels, and only drain them
-			// at the end so fronts genuinely overlap backends.
-			chans := make([]<-chan AsyncResult, 0, len(snaps))
-			for _, img := range snaps {
-				ch, err := async.CheckpointAsync(img)
-				if err != nil {
-					t.Fatalf("%v/opts%d: CheckpointAsync: %v", method, oi, err)
-				}
-				chans = append(chans, ch)
-			}
-
-			syncEnc := make([][]byte, 0, len(snaps))
-			syncStats := make([]Stats, 0, len(snaps))
-			for _, img := range snaps {
-				diff, st, err := sync.Checkpoint(img)
-				if err != nil {
-					t.Fatalf("%v/opts%d: Checkpoint: %v", method, oi, err)
-				}
-				syncEnc = append(syncEnc, encodeDiff(t, diff))
-				syncStats = append(syncStats, st)
-			}
-
-			for k, ch := range chans {
-				res := <-ch
-				if res.Err != nil {
-					t.Fatalf("%v/opts%d ckpt %d: async result: %v", method, oi, k, res.Err)
-				}
-				if got, want := encodeDiff(t, res.Diff), syncEnc[k]; !bytes.Equal(got, want) {
-					t.Fatalf("%v/opts%d ckpt %d: async diff differs from sync (async %d bytes, sync %d bytes)",
-						method, oi, k, len(got), len(want))
-				}
-				ss, as := syncStats[k], res.Stats
-				// Modeled times legitimately differ (the pipelined gather is
-				// its own kernel launch); everything else must match.
-				as.DedupTime, as.TransferTime = ss.DedupTime, ss.TransferTime
-				if as != ss {
-					t.Fatalf("%v/opts%d ckpt %d: stats differ\nasync: %+v\nsync:  %+v", method, oi, k, as, ss)
-				}
-			}
-
-			// Restores must agree bit-exactly at every checkpoint.
-			for k := range snaps {
-				sr, err := sync.Restore(k)
-				if err != nil {
-					t.Fatalf("%v/opts%d: sync restore %d: %v", method, oi, k, err)
-				}
-				ar, err := async.Restore(k)
-				if err != nil {
-					t.Fatalf("%v/opts%d: async restore %d: %v", method, oi, k, err)
-				}
-				if !bytes.Equal(sr, ar) {
-					t.Fatalf("%v/opts%d: restore %d differs between sync and async", method, oi, k)
-				}
-				if !bytes.Equal(ar, snaps[k]) {
-					t.Fatalf("%v/opts%d: async restore %d differs from original", method, oi, k)
-				}
-			}
-		}
-	}
-}
-
-// TestAsyncInterleavedWithSync mixes Checkpoint and CheckpointAsync on
-// one instance; the pair must serialize cleanly and the record must
-// stay in order.
-func TestAsyncInterleavedWithSync(t *testing.T) {
-	snaps := workloadSnapshots(13, 32*1024, 6)
-	d := newTestDedup(t, checkpoint.MethodTree, len(snaps[0]), 4, Options{ChunkSize: 64})
-
-	for k, img := range snaps {
-		if k%2 == 0 {
-			ch, err := d.CheckpointAsync(img)
-			if err != nil {
-				t.Fatalf("ckpt %d: %v", k, err)
-			}
-			defer func(k int, ch <-chan AsyncResult) {
-				if res := <-ch; res.Err != nil {
-					t.Errorf("ckpt %d: %v", k, res.Err)
-				}
-			}(k, ch)
-		} else {
-			if _, _, err := d.Checkpoint(img); err != nil {
-				t.Fatalf("ckpt %d: %v", k, err)
-			}
-		}
-	}
-	if got := d.Record().Len(); got != len(snaps) {
-		t.Fatalf("record has %d diffs, want %d", got, len(snaps))
-	}
-	for k := range snaps {
-		state, err := d.Restore(k)
-		if err != nil {
-			t.Fatalf("restore %d: %v", k, err)
-		}
-		if !bytes.Equal(state, snaps[k]) {
-			t.Fatalf("restore %d differs from original", k)
-		}
-	}
 }
 
 // TestAsyncClosedAndLengthErrors covers the immediate error paths.

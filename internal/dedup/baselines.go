@@ -61,7 +61,7 @@ func (d *Deduplicator) initBasicBodies() {
 		}
 	}
 	d.basicCopyBody = func(lo, hi int) {
-		data := d.frontData
+		data := d.sweepData
 		for c := lo; c < hi; c++ {
 			if d.basicChanged[c] == 1 {
 				off, end := d.chunkSpan(c)
@@ -97,11 +97,11 @@ func (d *Deduplicator) checkpointFull(data []byte) *checkpoint.Diff {
 // shifted temporal duplication are invisible to this method.
 func (d *Deduplicator) checkpointBasic(data []byte) (*checkpoint.Diff, Stats) {
 	dataLen, chunkSize := d.wireGeom()
-	l := d.frontLauncher("basic-dedup")
+	l := d.resetLauncher("basic-dedup")
 	var st Stats
 	pool := d.dev.Pool()
 
-	d.frontData = data
+	d.sweepData = data
 	d.gs.changedN.Store(0)
 	d.gs.fixedN.Store(0)
 	pool.ForRange(d.nChunks, d.basicHashBody)
@@ -146,7 +146,7 @@ func (d *Deduplicator) checkpointBasic(data []byte) (*checkpoint.Diff, Stats) {
 		d.basicBitmap, d.basicOut = nil, nil
 	}
 	l.flush()
-	d.frontData = nil
+	d.sweepData = nil
 
 	st.FixedLeaves = int(d.gs.fixedN.Load())
 	st.FirstLeaves = int(changed)
@@ -170,7 +170,7 @@ func (d *Deduplicator) checkpointBasic(data []byte) (*checkpoint.Diff, Stats) {
 // shifted-duplicate chunk is stored as its own metadata entry.
 func (d *Deduplicator) checkpointList(data []byte) (*checkpoint.Diff, Stats, error) {
 	dataLen, chunkSize := d.wireGeom()
-	l := d.frontLauncher("list-dedup")
+	l := d.resetLauncher("list-dedup")
 	var st Stats
 
 	d.resetLabels(l)
@@ -210,7 +210,7 @@ func (d *Deduplicator) checkpointList(data []byte) (*checkpoint.Diff, Stats, err
 
 	gathered := d.gather(data, firsts, l)
 	l.flush()
-	d.frontData = nil
+	d.sweepData = nil
 
 	st.NumFirstOcur = firsts.Len()
 	st.NumShiftDupl = shifts.Len()

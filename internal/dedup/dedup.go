@@ -228,8 +228,7 @@ func (s Stats) Ratio() float64 {
 // Record serve the committed ones (DESIGN §11).
 //
 // A Deduplicator is not safe for concurrent use; the parallelism lives
-// inside the kernels it launches (and, with CheckpointAsync, in the
-// single pipelined backend goroutine it manages internally).
+// inside the kernels it launches.
 type Deduplicator struct {
 	method checkpoint.Method
 	opts   Options
@@ -256,8 +255,7 @@ type Deduplicator struct {
 	// allocation-free: the kernel bodies below are created once in New
 	// and read their per-launch parameters from these fields.
 	levels [][2]int // cached tree level intervals (static geometry)
-	l      launcher // front-stage kernel accounting; Checkpoint runs Tree's back stage on it too
-	backL  launcher // pipelined-backend kernel accounting
+	l      launcher // the current checkpoint's kernel accounting
 	gs     sweepScratch
 	arena  []checkpoint.Diff // batch-allocated Diffs handed out one at a time
 
@@ -278,11 +276,9 @@ type Deduplicator struct {
 	regionFirsts checkpoint.FirstList
 	regionShifts checkpoint.ShiftList
 
-	frontData []byte // buffer being hashed/labeled by the front half
+	sweepData []byte // buffer the current checkpoint's sweeps read
 
-	// gather/scan scratch. Used by the Tree backend and by the
-	// Basic/List front halves — never both concurrently, since one
-	// Deduplicator runs exactly one method.
+	// gather/scan scratch of whichever method this Deduplicator runs.
 	gatherData    []byte
 	gatherFirsts  checkpoint.FirstList
 	gatherOut     []byte
@@ -306,11 +302,7 @@ type Deduplicator struct {
 	gatherSizesBody func(lo, hi int)
 	gatherBody      func(lo, hi int)
 
-	// Pipelined-backend state (see async.go). backDone is non-nil while
-	// a backend goroutine is in flight and delivers its error; failed,
-	// the first failure, is touched on the caller's goroutine only.
-	backDone chan error
-	failed   error
+	failed error // the first checkpoint that failed past admit
 }
 
 // sweepScratch holds the atomic counters the labeling sweeps
@@ -502,32 +494,22 @@ func (d *Deduplicator) ChunkSize() int { return d.opts.ChunkSize }
 // NumChunks returns the leaf count of the Merkle tree.
 func (d *Deduplicator) NumChunks() int { return d.nChunks }
 
-// Record returns the checkpoint lineage accumulated so far. If a
-// pipelined checkpoint is in flight its backend is drained first, so
-// the returned record is complete.
-func (d *Deduplicator) Record() *checkpoint.Record {
-	d.drainBackend()
-	return d.record
-}
+// Record returns the checkpoint lineage accumulated so far.
+func (d *Deduplicator) Record() *checkpoint.Record { return d.record }
 
 // Device returns the device the deduplicator runs on.
 func (d *Deduplicator) Device() *device.Device { return d.dev }
 
-// Close releases the modeled device memory, draining any in-flight
-// pipelined backend first.
+// Close releases the modeled device memory.
 func (d *Deduplicator) Close() {
 	if !d.closed {
-		d.drainBackend()
 		d.dev.Free(d.devBytes)
 		d.closed = true
 	}
 }
 
 // Restore reconstructs the buffer as of checkpoint k, failed or not.
-func (d *Deduplicator) Restore(k int) ([]byte, error) {
-	d.drainBackend()
-	return d.record.Restore(k)
-}
+func (d *Deduplicator) Restore(k int) ([]byte, error) { return d.record.Restore(k) }
 
 // compressDiff applies the configured codec to the diff's data section
 // (keeping the compressed form only when it actually helps), charges
@@ -553,34 +535,41 @@ func (d *Deduplicator) compressDiff(diff *checkpoint.Diff) (time.Duration, error
 // Checkpoint de-duplicates data against the checkpoint record,
 // appends the resulting diff to the lineage, charges the modeled
 // kernel and transfer time, and returns the diff with its statistics.
-// Tree's gather runs on the front stage's launcher, so fused mode
-// models the whole checkpoint as one kernel. An error past admit
+// An error of the method's kernels, finish or the record append
 // (hashmap.ErrFull, say) fails the Deduplicator.
 func (d *Deduplicator) Checkpoint(data []byte) (*checkpoint.Diff, Stats, error) {
-	d.drainBackend()
 	if err := d.admit(data); err != nil {
 		return nil, Stats{}, err
 	}
-	if err := d.inject("front", d.ckptID); err != nil {
+	if err := d.inject("front"); err != nil {
 		return nil, Stats{}, err
 	}
-	diff, fr, err := d.front(data)
+	var (
+		diff *checkpoint.Diff
+		st   Stats
+		err  error
+	)
+	switch d.method {
+	case checkpoint.MethodFull:
+		d.resetLauncher("full") // charges nothing; finish reads its zero elapsed time
+		diff = d.checkpointFull(data)
+	case checkpoint.MethodBasic:
+		diff, st = d.checkpointBasic(data)
+	case checkpoint.MethodList:
+		diff, st, err = d.checkpointList(data)
+	case checkpoint.MethodTree:
+		diff, st, err = d.checkpointTree(data)
+	}
 	if err != nil {
 		return nil, Stats{}, d.fail(err)
 	}
-	if d.method == checkpoint.MethodTree {
-		if diff, err = d.treeBack(data, &fr, &d.l, d.ckptID); err != nil {
-			return nil, Stats{}, d.fail(err)
-		}
-	}
-	if err := d.inject("back", d.ckptID); err != nil {
+	if err := d.inject("back"); err != nil {
 		return nil, Stats{}, d.fail(err)
 	}
-	st, err := d.finish(diff, fr.st, d.ckptID, d.l.elapsed)
-	if err != nil {
+	if st, err = d.finish(diff, st); err != nil {
 		return nil, Stats{}, d.fail(err)
 	}
-	if err := d.inject("append", d.ckptID); err != nil {
+	if err := d.inject("append"); err != nil {
 		return nil, Stats{}, d.fail(err)
 	}
 	if err := d.record.Append(diff); err != nil {
@@ -590,15 +579,22 @@ func (d *Deduplicator) Checkpoint(data []byte) (*checkpoint.Diff, Stats, error) 
 	return diff, st, nil
 }
 
-// inject consults Options.FaultInjector at a stage of checkpoint id
-// and wraps the failure it returns, if any.
-func (d *Deduplicator) inject(stage string, id uint32) error {
+// inject consults Options.FaultInjector at a stage of the current
+// checkpoint and wraps the failure it returns, if any.
+func (d *Deduplicator) inject(stage string) error {
 	if inj := d.opts.FaultInjector; inj != nil {
-		if err := inj(stage, id); err != nil {
-			return fmt.Errorf("dedup: %s stage of checkpoint %d: %w", stage, id, err)
+		if err := inj(stage, d.ckptID); err != nil {
+			return fmt.Errorf("dedup: %s stage of checkpoint %d: %w", stage, d.ckptID, err)
 		}
 	}
 	return nil
+}
+
+// fail makes err, a failure past admit, the Deduplicator's and
+// returns it.
+func (d *Deduplicator) fail(err error) error {
+	d.failed = err
+	return err
 }
 
 // admit refuses a checkpoint of a closed or failed deduplicator or of
@@ -617,50 +613,23 @@ func (d *Deduplicator) admit(data []byte) error {
 	return nil
 }
 
-// front runs the hash/label stage of the configured method on d.l.
-// Full, Basic and List build their whole diff here (their gather is
-// cheap and shares state with the hash sweep). Tree returns a nil diff
-// and leaves its gather/serialize stage, and its launcher's pending
-// fused cost, to treeBack.
-func (d *Deduplicator) front(data []byte) (*checkpoint.Diff, treeFrontResult, error) {
-	var (
-		fr   treeFrontResult
-		diff *checkpoint.Diff
-		err  error
-	)
-	switch d.method {
-	case checkpoint.MethodFull:
-		d.frontLauncher("full") // charges nothing; finish reads its zero elapsed time
-		diff = d.checkpointFull(data)
-	case checkpoint.MethodBasic:
-		diff, fr.st = d.checkpointBasic(data)
-	case checkpoint.MethodList:
-		diff, fr.st, err = d.checkpointList(data)
-	case checkpoint.MethodTree:
-		fr, err = d.treeFront(data, d.frontLauncher("tree-dedup"))
-	}
-	return diff, fr, err
-}
-
-// finish compresses checkpoint id's diff, completes its statistics
-// from st and charges its device-to-host transfer. charged is the
-// kernel time the checkpoint's launchers charged: the device clock may
-// also be advancing for another checkpoint's pipeline stage, so
-// DedupTime is a sum of this checkpoint's own charges, not a clock
-// delta.
-func (d *Deduplicator) finish(diff *checkpoint.Diff, st Stats, id uint32, charged time.Duration) (Stats, error) {
+// finish compresses the current checkpoint's diff, completes its
+// statistics from st and charges its device-to-host transfer. Its
+// DedupTime is what the checkpoint's launcher charged plus the
+// compression.
+func (d *Deduplicator) finish(diff *checkpoint.Diff, st Stats) (Stats, error) {
 	compDur, err := d.compressDiff(diff)
 	if err != nil {
 		return Stats{}, err
 	}
 	st.Method = d.method
-	st.CkptID = id
+	st.CkptID = d.ckptID
 	st.ChunkSize = d.opts.ChunkSize
 	st.InputBytes = int64(d.dataLen)
 	st.DiffBytes = diff.TotalBytes()
 	st.MetadataBytes = diff.MetadataBytes()
 	st.DataBytes = int64(len(diff.Data))
-	st.DedupTime = charged + compDur
+	st.DedupTime = d.l.elapsed + compDur
 
 	if d.opts.StreamingTransfer {
 		// §5 streaming extension: the transfer overlaps the
@@ -682,8 +651,7 @@ func (d *Deduplicator) finish(diff *checkpoint.Diff, st Stats, id uint32, charge
 // launcher accumulates kernel costs, modeling either a single fused
 // kernel (one launch latency for the whole pipeline, §2.4) or one
 // launch per phase/level. It also tracks the total modeled duration it
-// charged, which finish reads as the checkpoint's kernel time because
-// concurrent pipeline stages make device-clock deltas meaningless.
+// charged, which finish reads as the checkpoint's kernel time.
 type launcher struct {
 	dev     *device.Device
 	fused   bool
@@ -699,8 +667,8 @@ func (l *launcher) reset(dev *device.Device, fused bool, name string) {
 	*l = launcher{dev: dev, fused: fused, name: name}
 }
 
-// frontLauncher resets and returns the reusable front-stage launcher.
-func (d *Deduplicator) frontLauncher(name string) *launcher {
+// resetLauncher resets and returns the current checkpoint's launcher.
+func (d *Deduplicator) resetLauncher(name string) *launcher {
 	d.l.reset(d.dev, !d.opts.Unfused, name)
 	return &d.l
 }

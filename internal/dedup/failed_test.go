@@ -101,8 +101,8 @@ func TestRefusalsLeaveEngineUsable(t *testing.T) {
 
 // FuzzFailedCheckpoint drives Tree and List over a small geometry with
 // a tight historical record through random rewrites, reverts and
-// copies of chunks, mixing Checkpoint with pipelined CheckpointAsync
-// calls that overlap the previous one. Every checkpoint that succeeds
+// copies of chunks, mixing Checkpoint with CheckpointAsync calls whose
+// results are collected one call late. Every checkpoint that succeeds
 // restores exactly; the first failure wraps hashmap.ErrFull, every
 // checkpoint after it is refused with an error wrapping that failure,
 // and every earlier checkpoint still restores.

@@ -3,10 +3,9 @@ package dedup
 // Golden equivalence: the encoded diffs and the Stats (modeled
 // DedupTime included) of seeded chains are pinned to digests generated
 // at the commit before Algorithm 1's sweeps became sparse. The keys
-// under method/ (Full, Basic and List), the streamcomp and perthread
-// option sets, and the async/ keys (the Stats of CheckpointAsync, whose
-// split launch models differently) were added at the commit before
-// Checkpoint and CheckpointAsync came to share their stages. Any change
+// under method/ (Full, Basic and List) and the streamcomp and perthread
+// option sets were added at the commit before the engine's two drivers
+// came to share their stages. Any change
 // to the kernel's execution strategy must leave every digest alone;
 // regenerate (GPUCKPT_UPDATE_GOLDEN=1 go test -run TestGoldenDiffs
 // ./internal/dedup) only for a deliberate change of the diff format or
@@ -98,26 +97,13 @@ func goldenChain(chunks int) [][]byte {
 
 // goldenDigests runs the chain and returns the digest of every encoded
 // diff and the digest of every Stats, in chain order.
-func goldenDigests(t *testing.T, snaps [][]byte, method checkpoint.Method, workers int, opts Options, async bool) (diffs, stats string) {
+func goldenDigests(t *testing.T, snaps [][]byte, method checkpoint.Method, workers int, opts Options) (diffs, stats string) {
 	t.Helper()
 	opts.ChunkSize = goldenChunkSize
 	d := newTestDedup(t, method, len(snaps[0]), workers, opts)
 	hd, hs := sha256.New(), sha256.New()
 	for k, img := range snaps {
-		var (
-			diff *checkpoint.Diff
-			st   Stats
-			err  error
-		)
-		if async {
-			var ch <-chan AsyncResult
-			if ch, err = d.CheckpointAsync(img); err == nil {
-				res := <-ch
-				diff, st, err = res.Diff, res.Stats, res.Err
-			}
-		} else {
-			diff, st, err = d.Checkpoint(img)
-		}
+		diff, st, err := d.Checkpoint(img)
 		if err != nil {
 			t.Fatalf("checkpoint %d: %v", k, err)
 		}
@@ -139,10 +125,9 @@ func goldenStatsLine(st Stats) string {
 		st.DedupTime, st.TransferTime)
 }
 
-// goldenEntry holds a chain's digests. An async/ entry holds only the
-// Stats: CheckpointAsync's diffs are checked against Checkpoint's.
+// goldenEntry holds a chain's digests.
 type goldenEntry struct {
-	Diffs string `json:"diffs,omitempty"`
+	Diffs string `json:"diffs"`
 	Stats string `json:"stats"`
 }
 
@@ -193,38 +178,27 @@ func TestGoldenDiffs(t *testing.T) {
 }
 
 // goldenCheck compares (or, updating, records) the digests of one chain
-// under every golden option set, through Checkpoint and CheckpointAsync.
+// under every golden option set.
 func goldenCheck(t *testing.T, golden map[string]goldenEntry, update bool, method checkpoint.Method, prefix string, chunks int, snaps [][]byte) {
 	t.Helper()
 	for _, o := range goldenOptions {
 		key := fmt.Sprintf("%s%s/%d", prefix, o.name, chunks)
 		if update {
-			diffs, stats := goldenDigests(t, snaps, method, 1, o.opts, false)
+			diffs, stats := goldenDigests(t, snaps, method, 1, o.opts)
 			golden[key] = goldenEntry{Diffs: diffs, Stats: stats}
-			_, stats = goldenDigests(t, snaps, method, 2, o.opts, true)
-			golden["async/"+key] = goldenEntry{Stats: stats}
 		}
 		want, ok := golden[key]
 		if !ok {
 			t.Fatalf("%s: no golden entry", key)
 		}
 		for _, workers := range []int{1, 2, 4} {
-			diffs, stats := goldenDigests(t, snaps, method, workers, o.opts, false)
+			diffs, stats := goldenDigests(t, snaps, method, workers, o.opts)
 			if diffs != want.Diffs {
 				t.Errorf("%s workers=%d: encoded diffs differ from the golden chain", key, workers)
 			}
 			if stats != want.Stats {
 				t.Errorf("%s workers=%d: Stats differ from the golden chain", key, workers)
 			}
-		}
-		diffs, stats := goldenDigests(t, snaps, method, 2, o.opts, true)
-		if diffs != want.Diffs {
-			t.Errorf("%s: CheckpointAsync diffs differ from Checkpoint's", key)
-		}
-		if wantAsync, ok := golden["async/"+key]; !ok {
-			t.Fatalf("async/%s: no golden entry", key)
-		} else if stats != wantAsync.Stats {
-			t.Errorf("async/%s: CheckpointAsync Stats differ from the golden chain", key)
 		}
 	}
 }

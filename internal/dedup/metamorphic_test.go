@@ -208,7 +208,7 @@ func runSnapshots(seed int64, chunks, n int) [][]byte {
 // TestMetamorphicRuns: on run-heavy chains, where Tree's shifted
 // regions become fills, every method restores the input exactly under
 // every option that changes how Algorithm 1 runs — single-stage,
-// verified duplicates, unfused, pipelined — and Tree still stores no
+// verified duplicates, unfused — and Tree still stores no
 // more than List, with far fewer shifted regions.
 func TestMetamorphicRuns(t *testing.T) {
 	optionSets := []Options{
@@ -224,39 +224,22 @@ func TestMetamorphicRuns(t *testing.T) {
 			shifts := map[checkpoint.Method]int{}
 			fills := map[bool]int{} // by whether the source is older
 			for _, m := range checkpoint.Methods() {
-				for _, pipelined := range []bool{false, true} {
-					d := newTestDedup(t, m, len(snaps[0]), 2, opts)
-					chans := make([]<-chan AsyncResult, 0, len(snaps))
-					for k, img := range snaps {
-						if pipelined {
-							ch, err := d.CheckpointAsync(img)
-							if err != nil {
-								t.Fatalf("chunks %d opts %d %v ckpt %d: %v", chunks, oi, m, k, err)
-							}
-							chans = append(chans, ch)
-							continue
-						}
-						diff, st, err := d.Checkpoint(img)
-						if err != nil {
-							t.Fatalf("chunks %d opts %d %v ckpt %d: %v", chunks, oi, m, k, err)
-						}
-						stored[m] += diff.TotalBytes()
-						shifts[m] += st.NumShiftDupl
-						if m == checkpoint.MethodTree {
-							countFills(diff, fills)
-						}
+				d := newTestDedup(t, m, len(snaps[0]), 2, opts)
+				for k, img := range snaps {
+					diff, st, err := d.Checkpoint(img)
+					if err != nil {
+						t.Fatalf("chunks %d opts %d %v ckpt %d: %v", chunks, oi, m, k, err)
 					}
-					for k, ch := range chans {
-						if res := <-ch; res.Err != nil {
-							t.Fatalf("chunks %d opts %d %v ckpt %d pipelined: %v", chunks, oi, m, k, res.Err)
-						}
+					stored[m] += diff.TotalBytes()
+					shifts[m] += st.NumShiftDupl
+					if m == checkpoint.MethodTree {
+						countFills(diff, fills)
 					}
-					for k, want := range snaps {
-						got, err := d.Restore(k)
-						if err != nil || !bytes.Equal(got, want) {
-							t.Fatalf("chunks %d opts %d %v pipelined=%v: restore %d differs (err %v)",
-								chunks, oi, m, pipelined, k, err)
-						}
+				}
+				for k, want := range snaps {
+					got, err := d.Restore(k)
+					if err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("chunks %d opts %d %v: restore %d differs (err %v)", chunks, oi, m, k, err)
 					}
 				}
 			}

@@ -45,7 +45,7 @@ func (d *Deduplicator) initBodies() {
 	//ckptlint:noalloc
 	d.reconcileBody = func(lo, hi int) {
 		g := &d.gs
-		data := d.frontData
+		data := d.sweepData
 		var fi, sh, vf int64
 		for _, c := range d.changed[lo:hi] {
 			node := d.tree.LeafNode(int(c))
@@ -251,7 +251,7 @@ func (d *Deduplicator) wholeChunks(lo, hi int) int {
 //
 //ckptlint:noalloc
 func (d *Deduplicator) hashGroup(digs *[8]murmur3.Digest, c, whole int) int {
-	data, cs, seed := d.frontData, d.opts.ChunkSize, d.opts.Seed
+	data, cs, seed := d.sweepData, d.opts.ChunkSize, d.opts.Seed
 	off := c * cs
 	switch {
 	case c+8 <= whole:
@@ -325,7 +325,7 @@ func (d *Deduplicator) errMapFull(err error) error {
 func (d *Deduplicator) leafPhase(data []byte, l *launcher) (fixed, first, shift int64, err error) {
 	pool := d.dev.Pool()
 	g := &d.gs
-	d.frontData = data
+	d.sweepData = data
 	g.mapOps.Store(0)
 	g.firstN.Store(0)
 	g.shiftN.Store(0)
@@ -557,111 +557,71 @@ func (d *Deduplicator) gather(data []byte, firstNodes checkpoint.FirstList, l *l
 	return out
 }
 
-// treeFrontResult carries the hash/label outcome of one checkpoint
-// from the front half to the (possibly pipelined) back half: the
-// statistics of every method and, for Tree, the fast-path flag and the
-// region lists.
-type treeFrontResult struct {
-	st     Stats
-	fast   bool
-	firsts checkpoint.FirstList
-	shifts checkpoint.ShiftList
-}
-
-// treeFront runs the hash/label/consolidate phases of Algorithm 1
-// (everything up to, but not including, the gather/serialize stage).
-func (d *Deduplicator) treeFront(data []byte, l *launcher) (treeFrontResult, error) {
-	var fr treeFrontResult
+// checkpointTree implements the Tree method, Algorithm 1: the leaf
+// hash, the two consolidation sweeps and the gather all charge one
+// launcher, so fused mode models the whole checkpoint as one kernel.
+func (d *Deduplicator) checkpointTree(data []byte) (*checkpoint.Diff, Stats, error) {
+	dataLen, chunkSize := d.wireGeom()
+	l := d.resetLauncher("tree-dedup")
+	var st Stats
 	d.resetLabels(l)
 	fixed, first, shift, err := d.leafPhase(data, l)
 	if err != nil {
-		return fr, err
+		return nil, st, err
 	}
-	fr.st.FixedLeaves = int(fixed)
-	fr.st.FirstLeaves = int(first)
-	fr.st.ShiftLeaves = int(shift)
-	fr.st.HashedBytes = int64(d.dataLen)
+	st.FixedLeaves = int(fixed)
+	st.FirstLeaves = int(first)
+	st.ShiftLeaves = int(shift)
+	st.HashedBytes = int64(d.dataLen)
 
-	// Fast path: a fully unchanged buffer needs no consolidation
-	// sweeps at all (§2.4's mitigation of unnecessary intermediate
-	// hashing between identical checkpoints).
+	var firsts checkpoint.FirstList
+	var shifts checkpoint.ShiftList
+	var gathered []byte
 	if first == 0 && shift == 0 {
-		fr.fast = true
-		fr.st.FastPath = true
-		d.frontData = nil
-		return fr, nil
-	}
-
-	// Two bottom-up sweeps (§2.2): every FIRST_OCUR subtree is built and
-	// registered in the historical record before any shifted duplicate
-	// is consolidated, so a shifted subtree cannot miss a
-	// first-occurrence entry that is still being hashed.
-	d.listAncestors()
-	firstNodes, err := d.sweepLevels(l, "firstocur-level", d.firstLevelBody)
-	if err != nil {
-		return fr, err
-	}
-	dupNodes, err := d.sweepLevels(l, "consolidate-level", d.consolidateBody)
-	if err != nil {
-		return fr, err
-	}
-	fr.st.HashedBytes += 32 * (firstNodes + dupNodes)
-	fr.firsts, fr.shifts = d.listRegions()
-	fr.st.NumFirstOcur = fr.firsts.Len()
-	fr.st.NumShiftDupl = fr.shifts.Len()
-	d.frontData = nil
-	return fr, nil
-}
-
-// treeBack runs the gather/serialize stage and assembles the diff for
-// checkpoint id. In the pipelined engine it executes on the backend
-// goroutine, overlapping the next checkpoint's treeFront; it touches
-// only the gather scratch, the diff arena and fr — never the tree,
-// labels or hash map the front half mutates.
-func (d *Deduplicator) treeBack(data []byte, fr *treeFrontResult, l *launcher, id uint32) (*checkpoint.Diff, error) {
-	dataLen, chunkSize := d.wireGeom()
-	if fr.fast {
-		l.flush()
-		diff := d.newDiff()
-		*diff = checkpoint.Diff{
-			Method:    checkpoint.MethodTree,
-			CkptID:    id,
-			DataLen:   dataLen,
-			ChunkSize: chunkSize,
+		// Fast path: a fully unchanged buffer needs no consolidation
+		// sweeps at all (§2.4's mitigation of unnecessary intermediate
+		// hashing between identical checkpoints).
+		st.FastPath = true
+	} else {
+		// Two bottom-up sweeps (§2.2): every FIRST_OCUR subtree is
+		// built and registered in the historical record before any
+		// shifted duplicate is consolidated, so a shifted subtree
+		// cannot miss a first-occurrence entry that is still being
+		// hashed.
+		d.listAncestors()
+		firstNodes, err := d.sweepLevels(l, "firstocur-level", d.firstLevelBody)
+		if err != nil {
+			return nil, st, err
 		}
-		return diff, nil
+		dupNodes, err := d.sweepLevels(l, "consolidate-level", d.consolidateBody)
+		if err != nil {
+			return nil, st, err
+		}
+		st.HashedBytes += 32 * (firstNodes + dupNodes)
+		firsts, shifts = d.listRegions()
+		st.NumFirstOcur = firsts.Len()
+		st.NumShiftDupl = shifts.Len()
+		gathered = d.gather(data, firsts, l)
 	}
-
-	gathered := d.gather(data, fr.firsts, l)
 	l.flush()
+	d.sweepData = nil
 
 	// §2.4: when (almost) the whole buffer changed, incremental
 	// checkpointing is deactivated for this interval — a Full diff
 	// carries the same bytes without the metadata.
 	if d.opts.AutoFallback && int64(len(gathered)) > int64(0.9*float64(d.dataLen)) {
-		fr.st.FellBack = true
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		diff := d.newDiff()
-		*diff = checkpoint.Diff{
-			Method:    checkpoint.MethodFull,
-			CkptID:    id,
-			DataLen:   dataLen,
-			ChunkSize: chunkSize,
-			Data:      cp,
-		}
-		return diff, nil
+		st.FellBack = true
+		return d.checkpointFull(data), st, nil
 	}
-
 	diff := d.newDiff()
 	*diff = checkpoint.Diff{
 		Method:    checkpoint.MethodTree,
-		CkptID:    id,
+		CkptID:    d.ckptID,
 		DataLen:   dataLen,
 		ChunkSize: chunkSize,
-		FirstOcur: fr.firsts,
-		ShiftDupl: fr.shifts,
+		FirstOcur: firsts,
+		ShiftDupl: shifts,
 		Data:      gathered,
 	}
-	return diff, nil
+	return diff, st, nil
 }

@@ -139,10 +139,10 @@ type KernelStat struct {
 }
 
 // Device is one simulated GPU owned by one application process. The
-// clock, statistics and memory accounting are mutex-guarded so that a
-// pipelined checkpoint engine may charge modeled time from its
-// background stage while the foreground stage launches kernels; the
-// data parallelism still lives *inside* kernel launches.
+// clock, statistics and memory accounting are mutex-guarded so that
+// they may be read (Elapsed, Stats, Allocated) on another goroutine
+// than the one charging them; the data parallelism lives *inside*
+// kernel launches.
 type Device struct {
 	params Params
 	pool   *parallel.Pool
@@ -309,9 +309,9 @@ func (d *Device) Allocated() int64 {
 // flight each GPU sees min(PCIe, hostIngest/k).
 type Node struct {
 	hostIngest float64
-	// concurrency is read by EffectiveBandwidth from whichever
-	// goroutine performs a transfer (the pipelined engine's backend
-	// included) while experiments reconfigure it, so it must be atomic.
+	// concurrency is atomic because a node is shared by the devices of
+	// its processes, which may transfer (EffectiveBandwidth) on
+	// goroutines of their own while SetConcurrentTransfers changes it.
 	//ckptlint:atomic
 	concurrency atomic.Int64
 }

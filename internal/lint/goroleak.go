@@ -10,8 +10,8 @@ import (
 )
 
 // goroleakCheck requires every `go` statement under internal/... to be
-// tied to a lifecycle, so background workers (compaction loop, dedup
-// backend, stream drain) provably join on shutdown. A
+// tied to a lifecycle, so background workers (compaction loop, stream
+// drain) provably join on shutdown. A
 // goroutine is considered tracked when:
 //
 //  1. its body calls Done on a sync.WaitGroup that the spawning
@@ -23,7 +23,8 @@ import (
 //     package. The field form is the Close/Stop contract: the
 //     closecontract check independently guarantees the owning type's
 //     release method runs on every path, and that release method is
-//     where the receive lives (dedup.drainBackend draining backDone);
+//     where the receive lives (a worker's drain receiving from its
+//     done field, as in the check's testdata);
 //  3. it carries an explicit //ckptlint:detached <reason> waiver on
 //     the `go` line or the line above. A detached waiver without a
 //     reason is itself a finding — undocumented fire-and-forget is
@@ -209,8 +210,8 @@ func goroutineJoins(pkg *Package, spawner *ast.BlockStmt, g *ast.GoStmt, body *a
 	// Pattern 2: the body closes or sends on a channel…
 	for _, ch := range signalChannels(bodyInfo, body) {
 		objs := map[*types.Var]bool{ch: true}
-		// …possibly a local later stored into a field (d.backDone =
-		// done before the go statement)…
+		// …possibly a local later stored into a field (w.done = done
+		// before the go statement)…
 		ast.Inspect(spawner, func(n ast.Node) bool {
 			as, ok := n.(*ast.AssignStmt)
 			if !ok {

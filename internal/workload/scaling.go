@@ -55,9 +55,8 @@ type ScalingConfig struct {
 // independent of P — while the device model applies the per-node
 // host-ingest contention of P concurrent checkpointing GPUs.
 //
-// The runner reuses its snapshot buffer between checkpoints, so Scaling
-// must stay on the sequential Checkpoint: CheckpointAsync's back half
-// still reads the buffer after the call returns.
+// The runner reuses its snapshot buffer between checkpoints, which
+// Checkpoint has stopped reading by the time it returns.
 func Scaling(cfg ScalingConfig) ([]ScalingRow, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("workload: scaling needs a graph")
