@@ -175,12 +175,13 @@ func BenchmarkHotPathBasicSteady(b *testing.B) { benchSteady(b, checkpoint.Metho
 func BenchmarkHotPathListSteady(b *testing.B)  { benchSteady(b, checkpoint.MethodList) }
 func BenchmarkHotPathTreeSteady(b *testing.B)  { benchSteady(b, checkpoint.MethodTree) }
 
-// BenchmarkHotPathTreeChurn cycles through mutated snapshots so every
-// iteration emits, gathers and serializes real diffs.
-func BenchmarkHotPathTreeChurn(b *testing.B) {
+// benchChurn cycles through mutated snapshots so every iteration
+// emits, gathers and serializes real diffs.
+func benchChurn(b *testing.B, method checkpoint.Method) {
+	b.Helper()
 	const size = 256 * 1024
 	snaps := hotPathSnapshots(23, size, 8)
-	d := newBenchDedup(b, checkpoint.MethodTree, size)
+	d := newBenchDedup(b, method, size)
 	for _, img := range snaps {
 		if _, _, err := d.Checkpoint(img); err != nil {
 			b.Fatal(err)
@@ -195,6 +196,9 @@ func BenchmarkHotPathTreeChurn(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkHotPathBasicChurn(b *testing.B) { benchChurn(b, checkpoint.MethodBasic) }
+func BenchmarkHotPathTreeChurn(b *testing.B)  { benchChurn(b, checkpoint.MethodTree) }
 
 // TestHotPathTreeChurnAllocs gates what BenchmarkHotPathTreeChurn
 // reports: a churned Tree checkpoint allocates nothing beyond the three
@@ -301,6 +305,7 @@ var hotPathSuite = []struct {
 	{"HotPathBasicSteady", hotPathWorkers, BenchmarkHotPathBasicSteady},
 	{"HotPathListSteady", hotPathWorkers, BenchmarkHotPathListSteady},
 	{"HotPathTreeSteady", hotPathWorkers, BenchmarkHotPathTreeSteady},
+	{"HotPathBasicChurn", hotPathWorkers, BenchmarkHotPathBasicChurn},
 	{"HotPathTreeChurn", hotPathWorkers, BenchmarkHotPathTreeChurn},
 	{"HotPathTreeSparse8M", 1, BenchmarkHotPathTreeSparse8M},
 	{"HotPathTreeDense8M", 1, BenchmarkHotPathTreeDense8M},

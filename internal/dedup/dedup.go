@@ -23,6 +23,7 @@
 package dedup
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -197,26 +198,6 @@ type Stats struct {
 	TransferTime time.Duration
 }
 
-// Throughput returns the paper's throughput metric (§3.2): original
-// data size divided by the time to create and copy the incremental
-// checkpoint to host memory, in bytes/second.
-func (s Stats) Throughput() float64 {
-	total := s.DedupTime + s.TransferTime
-	if total <= 0 {
-		return 0
-	}
-	return float64(s.InputBytes) / total.Seconds()
-}
-
-// Ratio returns the per-checkpoint de-duplication ratio (full size
-// divided by diff size).
-func (s Stats) Ratio() float64 {
-	if s.DiffBytes == 0 {
-		return 0
-	}
-	return float64(s.InputBytes) / float64(s.DiffBytes)
-}
-
 // Deduplicator creates the incremental checkpoint record of one
 // process's buffer on one (simulated) GPU. It retains the Merkle tree
 // and the historical record of unique hashes across checkpoints, as
@@ -271,7 +252,8 @@ type Deduplicator struct {
 	walkStack  []uint32 // listRegions' descent stack
 
 	// The region lists of the current checkpoint, walked into once and
-	// copied out at exact size (listRegions). Region roots cover
+	// copied out at exact size (listRegions); Basic lists its changed
+	// leaves in regionFirsts for the gather alone. Region roots cover
 	// disjoint runs of leaves, so New sizes them for one region a chunk.
 	regionFirsts checkpoint.FirstList
 	regionShifts checkpoint.ShiftList
@@ -285,20 +267,14 @@ type Deduplicator struct {
 	gatherSizes   []int64
 	gatherOffsets []int64
 
-	basicChanged []int64
-	basicBitmap  []byte
-	basicOut     []byte
-	zeroBitmap   []byte // shared all-zero bitmap for unchanged Basic checkpoints
+	zeroBitmap []byte // shared all-zero bitmap for unchanged Basic checkpoints
 
 	// Kernel bodies stored once so launches do not allocate closures.
 	leafBody        func(lo, hi int)
+	basicBody       func(lo, hi int)
 	reconcileBody   func(lo, hi int)
 	firstLevelBody  func(lo, hi int)
 	consolidateBody func(lo, hi int)
-	basicHashBody   func(lo, hi int)
-	basicBitmapBody func(lo, hi int)
-	basicSizesBody  func(lo, hi int)
-	basicCopyBody   func(lo, hi int)
 	gatherSizesBody func(lo, hi int)
 	gatherBody      func(lo, hi int)
 
@@ -310,8 +286,7 @@ type Deduplicator struct {
 // sweep error and the leaf sweep's runs of changed chunks. Reused
 // across checkpoints.
 type sweepScratch struct {
-	mapOps, fixedN, firstN, shiftN, verified atomic.Int64 //ckptlint:atomic
-	hashed, changedN                         atomic.Int64 //ckptlint:atomic
+	mapOps, shiftN, verified, hashed atomic.Int64 //ckptlint:atomic
 
 	mu sync.Mutex
 	//ckptlint:guardedby mu
@@ -441,33 +416,32 @@ func New(method checkpoint.Method, dataLen int, dev *device.Device, opts Options
 	d.levels = d.tree.Levels()
 	d.initBodies()
 
-	var devBytes int64
-	devBytes += int64(d.tree.NumNodes) * 16 // digests
-	if method == checkpoint.MethodTree || method == checkpoint.MethodList || method == checkpoint.MethodBasic {
+	// Host-side sweep scratch below is not charged; the modeled device
+	// holds the digests, the labels and the historical record.
+	devBytes := int64(d.tree.NumNodes) * 16 // digests
+	if method != checkpoint.MethodFull {
+		d.changedBuf = make([]uint32, d.nChunks)
+	}
+	if method == checkpoint.MethodTree || method == checkpoint.MethodList {
 		d.labels = make([]Label, d.tree.NumNodes)
 		for i := range d.labels {
 			d.labels[i] = LabelFixedDupl
 		}
 		devBytes += int64(d.tree.NumNodes)
-	}
-	if method == checkpoint.MethodBasic {
-		d.basicChanged = make([]int64, d.nChunks)
-	}
-	if method == checkpoint.MethodTree || method == checkpoint.MethodList {
 		capacity := opts.MapCapacity
 		if capacity <= 0 {
 			capacity = defaultMapCapacity(d.tree.NumNodes)
 		}
 		d.hmap = hashmap.New(capacity)
 		devBytes += int64(d.hmap.Capacity()) * 28
-		// Host-side sweep scratch; the modeled device holds none of it.
-		d.changedBuf = make([]uint32, d.nChunks)
 		d.anc = make([]uint32, 0, d.nChunks-1)
 		d.ancEnd = make([]int, len(d.levels)+1)
 		d.walkStack = make([]uint32, 0, len(d.levels)+2)
 	}
-	if method == checkpoint.MethodTree {
+	if method == checkpoint.MethodTree || method == checkpoint.MethodBasic {
 		d.regionFirsts = make(checkpoint.FirstList, 0, 4*d.nChunks)
+	}
+	if method == checkpoint.MethodTree {
 		d.regionShifts = make(checkpoint.ShiftList, 0, 12*d.nChunks)
 	}
 	if err := dev.Malloc(devBytes); err != nil {
@@ -485,20 +459,8 @@ func defaultMapCapacity(numNodes int) int {
 	return 1 << (bits.Len(uint(6*numNodes-1)) - 1)
 }
 
-// Method returns the de-duplication method of this instance.
-func (d *Deduplicator) Method() checkpoint.Method { return d.method }
-
-// ChunkSize returns the configured chunk granularity.
-func (d *Deduplicator) ChunkSize() int { return d.opts.ChunkSize }
-
-// NumChunks returns the leaf count of the Merkle tree.
-func (d *Deduplicator) NumChunks() int { return d.nChunks }
-
 // Record returns the checkpoint lineage accumulated so far.
 func (d *Deduplicator) Record() *checkpoint.Record { return d.record }
-
-// Device returns the device the deduplicator runs on.
-func (d *Deduplicator) Device() *device.Device { return d.dev }
 
 // Close releases the modeled device memory.
 func (d *Deduplicator) Close() {
@@ -544,29 +506,36 @@ func (d *Deduplicator) Checkpoint(data []byte) (*checkpoint.Diff, Stats, error) 
 	if err := d.inject("front"); err != nil {
 		return nil, Stats{}, err
 	}
+	dataLen, chunkSize := d.wireGeom()
+	diff := d.newDiff()
+	*diff = checkpoint.Diff{Method: d.method, CkptID: d.ckptID, DataLen: dataLen, ChunkSize: chunkSize}
 	var (
-		diff *checkpoint.Diff
-		st   Stats
-		err  error
+		st  Stats
+		err error
 	)
+	d.sweepData = data
 	switch d.method {
 	case checkpoint.MethodFull:
+		// The complete buffer every checkpoint: no on-device work
+		// beyond the transfer, whose rate it measures (§3.2).
 		d.resetLauncher("full") // charges nothing; finish reads its zero elapsed time
-		diff = d.checkpointFull(data)
+		diff.Data = bytes.Clone(data)
 	case checkpoint.MethodBasic:
-		diff, st = d.checkpointBasic(data)
+		d.checkpointBasic(data, diff)
 	case checkpoint.MethodList:
-		diff, st, err = d.checkpointList(data)
+		st.ShiftLeaves, err = d.checkpointList(data, diff)
 	case checkpoint.MethodTree:
-		diff, st, err = d.checkpointTree(data)
+		st, err = d.checkpointTree(data, diff)
 	}
+	d.sweepData = nil
 	if err != nil {
 		return nil, Stats{}, d.fail(err)
 	}
+	d.l.flush()
 	if err := d.inject("back"); err != nil {
 		return nil, Stats{}, d.fail(err)
 	}
-	if st, err = d.finish(diff, st); err != nil {
+	if st, err = d.finish(data, diff, st); err != nil {
 		return nil, Stats{}, d.fail(err)
 	}
 	if err := d.inject("append"); err != nil {
@@ -613,11 +582,27 @@ func (d *Deduplicator) admit(data []byte) error {
 	return nil
 }
 
-// finish compresses the current checkpoint's diff, completes its
-// statistics from st and charges its device-to-host transfer. Its
-// DedupTime is what the checkpoint's launcher charged plus the
-// compression.
-func (d *Deduplicator) finish(diff *checkpoint.Diff, st Stats) (Stats, error) {
+// finish completes the current checkpoint after its method's kernels.
+// An incremental method's Stats get their census: its leaves are the
+// changed chunks the leaf sweep listed, st.ShiftLeaves of them shifted
+// duplicates, and its regions those of the diff. Then come Tree's
+// AutoFallback, the compression of the diff, the other statistics and
+// the device-to-host transfer. DedupTime is what the checkpoint's
+// launcher charged plus the compression.
+func (d *Deduplicator) finish(data []byte, diff *checkpoint.Diff, st Stats) (Stats, error) {
+	if d.method != checkpoint.MethodFull {
+		st.FixedLeaves = d.nChunks - len(d.changed)
+		st.FirstLeaves = len(d.changed) - st.ShiftLeaves
+		st.HashedBytes += int64(d.dataLen)
+		st.NumFirstOcur, st.NumShiftDupl = diff.FirstOcur.Len(), diff.ShiftDupl.Len()
+	}
+	// §2.4: when (almost) the whole buffer changed, incremental
+	// checkpointing is deactivated for this interval — a Full diff
+	// carries the same bytes without the metadata.
+	if d.method == checkpoint.MethodTree && d.opts.AutoFallback && int64(len(diff.Data)) > int64(0.9*float64(d.dataLen)) {
+		st.FellBack = true
+		diff.Method, diff.FirstOcur, diff.ShiftDupl, diff.Data = checkpoint.MethodFull, nil, nil, bytes.Clone(data)
+	}
 	compDur, err := d.compressDiff(diff)
 	if err != nil {
 		return Stats{}, err

@@ -169,8 +169,8 @@ func TestStreamingTransferOverlap(t *testing.T) {
 	if st.TransferTime != 0 {
 		t.Fatalf("fully-hidden transfer reported %v", st.TransferTime)
 	}
-	if st.Throughput() <= 0 {
-		t.Fatal("degenerate streaming throughput")
+	if st.DedupTime <= 0 {
+		t.Fatal("degenerate streaming dedup time")
 	}
 }
 

@@ -36,6 +36,11 @@ func (d *Deduplicator) initBodies() {
 		d.gs.mapOps.Add(ops)
 		d.gs.addRun(lo, len(out))
 	}
+	// The Basic baseline's sweep: the leaf sweep's first pass alone.
+	//ckptlint:noalloc
+	d.basicBody = func(lo, hi int) {
+		d.gs.addRun(lo, len(d.hashBlock(d.changedBuf[lo:lo:hi], lo, hi)))
+	}
 
 	// Reconciliation: align the labels of the changed leaves with the
 	// final map state. With VerifyDuplicates, every shifted leaf is
@@ -46,13 +51,12 @@ func (d *Deduplicator) initBodies() {
 	d.reconcileBody = func(lo, hi int) {
 		g := &d.gs
 		data := d.sweepData
-		var fi, sh, vf int64
+		var sh, vf int64
 		for _, c := range d.changed[lo:hi] {
 			node := d.tree.LeafNode(int(c))
 			e, ok := d.hmap.Find(d.tree.Digests[node])
 			if ok && e.Node == uint32(node) && e.Ckpt == d.ckptID {
 				d.labels[node] = LabelFirstOcur
-				fi++
 				continue
 			}
 			if d.opts.VerifyDuplicates {
@@ -60,7 +64,6 @@ func (d *Deduplicator) initBodies() {
 				off, end := d.chunkSpan(int(c))
 				if !d.sourceMatches(e, data, data[off:end]) {
 					d.labels[node] = LabelFirstOcur
-					fi++
 					continue
 				}
 			}
@@ -68,7 +71,6 @@ func (d *Deduplicator) initBodies() {
 			sh++
 		}
 		g.mapOps.Add(int64(hi - lo))
-		g.firstN.Add(fi)
 		g.shiftN.Add(sh)
 		g.verified.Add(vf)
 	}
@@ -151,8 +153,6 @@ func (d *Deduplicator) initBodies() {
 			copy(d.gatherOut[d.gatherOffsets[i]:d.gatherOffsets[i]+d.gatherSizes[i]], d.gatherData[off:end])
 		}
 	}
-
-	d.initBasicBodies()
 }
 
 // leafBatch is how many moved leaf digests the second pass of
@@ -165,7 +165,7 @@ const leafBatch = 64
 // moved: its id is appended to out and insertLeaf registers it, in
 // chunk order. It returns out and the map operations spent, stopping
 // at the first error. It runs in two passes. The first hashes the
-// chunks (hashLeaves), writes each moved digest and lists its chunk.
+// chunks (hashBlock), writes each moved digest and lists its chunk.
 // The second walks that list in batches of leafBatch: it prefetches
 // the home slot of every digest of a batch, then inserts them one by
 // one. An insert ends in a compare-and-swap that later loads cannot
@@ -177,16 +177,7 @@ const leafBatch = 64
 //ckptlint:noalloc
 func (d *Deduplicator) sweepLeaves(out []uint32, lo, hi int) ([]uint32, int64, error) {
 	start := len(out)
-	// Chunks [0, DeepLeaves) are the leaves of the deepest level and
-	// the rest the leaves one level up, so the range is hashed as at
-	// most two runs of consecutive nodes.
-	deep := d.tree.DeepLeaves()
-	if lo < deep {
-		out = d.hashLeaves(out, lo, min(hi, deep))
-	}
-	if hi > deep {
-		out = d.hashLeaves(out, max(lo, deep), hi)
-	}
+	out = d.hashBlock(out, lo, hi)
 	batch := leafBatch
 	if d.hashChunk != nil {
 		batch = 1
@@ -210,9 +201,27 @@ func (d *Deduplicator) sweepLeaves(out []uint32, lo, hi int) ([]uint32, int64, e
 	return out, ops, nil
 }
 
-// hashLeaves is the first pass of sweepLeaves over chunks [lo, hi),
-// leaves of one tree level and so consecutive nodes: it writes every
-// digest that moved to the tree and appends its chunk id to out.
+// hashBlock is the first pass of sweepLeaves over chunks [lo, hi), and
+// all of the Basic baseline's sweep (basicBody): it writes every digest
+// that moved to the tree and appends its chunk id to out. Chunks
+// [0, DeepLeaves) are the leaves of the deepest level and the rest the
+// leaves one level up, so the range is hashed as at most two runs of
+// consecutive nodes.
+//
+//ckptlint:noalloc
+func (d *Deduplicator) hashBlock(out []uint32, lo, hi int) []uint32 {
+	deep := d.tree.DeepLeaves()
+	if lo < deep {
+		out = d.hashLeaves(out, lo, min(hi, deep))
+	}
+	if hi > deep {
+		out = d.hashLeaves(out, max(lo, deep), hi)
+	}
+	return out
+}
+
+// hashLeaves is hashBlock over one of its runs: chunks [lo, hi), leaves
+// of one tree level and so consecutive nodes.
 //
 //ckptlint:noalloc
 func (d *Deduplicator) hashLeaves(out []uint32, lo, hi int) []uint32 {
@@ -314,27 +323,27 @@ func (d *Deduplicator) errMapFull(err error) error {
 		d.ckptID, d.hmap.Capacity(), err)
 }
 
-// leafPhase implements lines 1-23 of Algorithm 1 via the stored leaf
-// and reconciliation bodies.
+// leafPhase implements lines 1-23 of Algorithm 1 over the current
+// checkpoint's buffer via the stored leaf and reconciliation bodies,
+// and returns how many of the changed leaves are shifted duplicates;
+// the others are first occurrences.
 //
 // Concurrent inserts of the same digest race exactly as on the GPU;
 // determinism is restored by (a) UpdateIfEarlier converging the map
 // entry to the minimum node of the current checkpoint and (b) the
 // reconciliation sweep that re-labels each leaf against the final map
 // state, so FIRST_OCUR is held by exactly the leaf the map records.
-func (d *Deduplicator) leafPhase(data []byte, l *launcher) (fixed, first, shift int64, err error) {
+func (d *Deduplicator) leafPhase(l *launcher) (shift int, err error) {
 	pool := d.dev.Pool()
 	g := &d.gs
-	d.sweepData = data
 	g.mapOps.Store(0)
-	g.firstN.Store(0)
 	g.shiftN.Store(0)
 	g.verified.Store(0)
 
 	pool.ForRange(d.nChunks, d.leafBody)
 	d.changed = g.packRuns(d.changedBuf)
 	if err := g.takeErr(); err != nil {
-		return 0, 0, 0, err
+		return 0, err
 	}
 	pool.ForRange(len(d.changed), d.reconcileBody)
 
@@ -344,7 +353,7 @@ func (d *Deduplicator) leafPhase(data []byte, l *launcher) (fixed, first, shift 
 		MapOps:    g.mapOps.Load(),
 		ChunkOps:  int64(d.nChunks),
 	})
-	return int64(d.nChunks - len(d.changed)), g.firstN.Load(), g.shiftN.Load(), nil
+	return int(g.shiftN.Load()), nil
 }
 
 // sourceMatches byte-compares a chunk against the recorded source of
@@ -529,10 +538,11 @@ func (d *Deduplicator) lookupShift(dig murmur3.Digest) (hashmap.Entry, bool) {
 // buffer: offsets are pre-calculated with an exclusive scan and the
 // copies run in parallel (§2.4, "high throughput serialization of
 // scattered chunks"). Whether the device copy coalesces is the cost
-// model's charge, not a different CPU copy. The returned buffer is
-// freshly allocated — it is retained by the diff — but the sizes and
-// offsets scratch is reused across checkpoints.
-func (d *Deduplicator) gather(data []byte, firstNodes checkpoint.FirstList, l *launcher) []byte {
+// model's charge (perThread: one thread per region, uncoalesced), not
+// a different CPU copy. The returned buffer is freshly allocated — it
+// is retained by the diff — but the sizes and offsets scratch is
+// reused across checkpoints.
+func (d *Deduplicator) gather(data []byte, firstNodes checkpoint.FirstList, l *launcher, perThread bool) []byte {
 	if len(firstNodes) == 0 {
 		return nil
 	}
@@ -548,7 +558,7 @@ func (d *Deduplicator) gather(data []byte, firstNodes checkpoint.FirstList, l *l
 
 	pool.ForRange(n, d.gatherBody)
 	cost := device.Cost{MemBytes: 2 * total}
-	if d.opts.PerThreadGather {
+	if perThread {
 		// One thread per region: long strided copies, uncoalesced.
 		cost.UncoalescedPenalty = 4
 	}
@@ -560,68 +570,38 @@ func (d *Deduplicator) gather(data []byte, firstNodes checkpoint.FirstList, l *l
 // checkpointTree implements the Tree method, Algorithm 1: the leaf
 // hash, the two consolidation sweeps and the gather all charge one
 // launcher, so fused mode models the whole checkpoint as one kernel.
-func (d *Deduplicator) checkpointTree(data []byte) (*checkpoint.Diff, Stats, error) {
-	dataLen, chunkSize := d.wireGeom()
+// Its Stats carry the census finish cannot derive from the diff.
+func (d *Deduplicator) checkpointTree(data []byte, diff *checkpoint.Diff) (Stats, error) {
 	l := d.resetLauncher("tree-dedup")
 	var st Stats
 	d.resetLabels(l)
-	fixed, first, shift, err := d.leafPhase(data, l)
+	shift, err := d.leafPhase(l)
 	if err != nil {
-		return nil, st, err
+		return st, err
 	}
-	st.FixedLeaves = int(fixed)
-	st.FirstLeaves = int(first)
-	st.ShiftLeaves = int(shift)
-	st.HashedBytes = int64(d.dataLen)
-
-	var firsts checkpoint.FirstList
-	var shifts checkpoint.ShiftList
-	var gathered []byte
-	if first == 0 && shift == 0 {
+	st.ShiftLeaves = shift
+	if len(d.changed) == 0 {
 		// Fast path: a fully unchanged buffer needs no consolidation
 		// sweeps at all (§2.4's mitigation of unnecessary intermediate
 		// hashing between identical checkpoints).
 		st.FastPath = true
-	} else {
-		// Two bottom-up sweeps (§2.2): every FIRST_OCUR subtree is
-		// built and registered in the historical record before any
-		// shifted duplicate is consolidated, so a shifted subtree
-		// cannot miss a first-occurrence entry that is still being
-		// hashed.
-		d.listAncestors()
-		firstNodes, err := d.sweepLevels(l, "firstocur-level", d.firstLevelBody)
-		if err != nil {
-			return nil, st, err
-		}
-		dupNodes, err := d.sweepLevels(l, "consolidate-level", d.consolidateBody)
-		if err != nil {
-			return nil, st, err
-		}
-		st.HashedBytes += 32 * (firstNodes + dupNodes)
-		firsts, shifts = d.listRegions()
-		st.NumFirstOcur = firsts.Len()
-		st.NumShiftDupl = shifts.Len()
-		gathered = d.gather(data, firsts, l)
+		return st, nil
 	}
-	l.flush()
-	d.sweepData = nil
-
-	// §2.4: when (almost) the whole buffer changed, incremental
-	// checkpointing is deactivated for this interval — a Full diff
-	// carries the same bytes without the metadata.
-	if d.opts.AutoFallback && int64(len(gathered)) > int64(0.9*float64(d.dataLen)) {
-		st.FellBack = true
-		return d.checkpointFull(data), st, nil
+	// Two bottom-up sweeps (§2.2): every FIRST_OCUR subtree is built
+	// and registered in the historical record before any shifted
+	// duplicate is consolidated, so a shifted subtree cannot miss a
+	// first-occurrence entry that is still being hashed.
+	d.listAncestors()
+	firstNodes, err := d.sweepLevels(l, "firstocur-level", d.firstLevelBody)
+	if err != nil {
+		return st, err
 	}
-	diff := d.newDiff()
-	*diff = checkpoint.Diff{
-		Method:    checkpoint.MethodTree,
-		CkptID:    d.ckptID,
-		DataLen:   dataLen,
-		ChunkSize: chunkSize,
-		FirstOcur: firsts,
-		ShiftDupl: shifts,
-		Data:      gathered,
+	dupNodes, err := d.sweepLevels(l, "consolidate-level", d.consolidateBody)
+	if err != nil {
+		return st, err
 	}
-	return diff, st, nil
+	st.HashedBytes = 32 * (firstNodes + dupNodes)
+	diff.FirstOcur, diff.ShiftDupl = d.listRegions()
+	diff.Data = d.gather(data, diff.FirstOcur, l, d.opts.PerThreadGather)
+	return st, nil
 }

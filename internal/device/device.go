@@ -110,7 +110,7 @@ func (c Cost) Add(o Cost) Cost {
 }
 
 // Duration converts a cost to modeled device time under p, excluding
-// launch latency (the Device adds launch latency per Launch call).
+// launch latency (the Device adds launch latency per Charge call).
 func (c Cost) Duration(p Params) time.Duration {
 	var secs float64
 	if c.HashBytes > 0 {
@@ -174,9 +174,6 @@ func New(params Params, pool *parallel.Pool, node *Node) *Device {
 	}
 }
 
-// Params returns the modeled device parameters.
-func (d *Device) Params() Params { return d.params }
-
 // Pool returns the worker pool kernels execute on.
 func (d *Device) Pool() *parallel.Pool { return d.pool }
 
@@ -197,22 +194,14 @@ func (d *Device) account(name string, dur time.Duration) {
 	d.mu.Unlock()
 }
 
-// Launch executes kernel body fn on the device pool, charges the
-// modeled cost plus one kernel-launch latency to the device clock, and
-// returns the charged duration.
-func (d *Device) Launch(name string, c Cost, fn func(p *parallel.Pool)) time.Duration {
-	if fn != nil {
-		fn(d.pool)
-	}
+// Charge advances the clock by one kernel launch of the named kernel:
+// its modeled cost plus one launch latency. The kernel's real work
+// runs on Pool beforehand; Charge returns the charged duration.
+func (d *Device) Charge(name string, c Cost) time.Duration {
 	dur := c.Duration(d.params) + d.params.KernelLaunchLatency
 	d.account(name, dur)
 	return dur
 }
-
-// Charge advances the clock by the modeled cost without executing
-// anything (used when the real work happened outside a Launch body)
-// and returns the charged duration.
-func (d *Device) Charge(name string, c Cost) time.Duration { return d.Launch(name, c, nil) }
 
 // ChargeDuration advances the clock by a pre-computed modeled duration
 // (used for work whose rate is not expressed by Cost, e.g. on-device
@@ -246,14 +235,6 @@ func (d *Device) Elapsed() time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.clock
-}
-
-// ResetClock zeroes the modeled clock and kernel statistics.
-func (d *Device) ResetClock() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.clock = 0
-	d.stats = make(map[string]*KernelStat)
 }
 
 // Stats returns the per-kernel modeled time table.
@@ -337,9 +318,6 @@ func (n *Node) SetConcurrentTransfers(k int) {
 	}
 	n.concurrency.Store(int64(k))
 }
-
-// ConcurrentTransfers returns the configured transfer concurrency.
-func (n *Node) ConcurrentTransfers() int { return int(n.concurrency.Load()) }
 
 // EffectiveBandwidth returns the per-GPU device-to-host bandwidth
 // under the current contention level.

@@ -49,33 +49,20 @@ func TestCostAdd(t *testing.T) {
 	}
 }
 
-func TestLaunchAdvancesClockAndRunsBody(t *testing.T) {
+// TestChargeWithoutBody checks that a charge advances the clock by the
+// modeled cost plus one launch latency, and books it as one launch.
+func TestChargeWithoutBody(t *testing.T) {
 	d := New(testParams(), parallel.NewPool(2), nil)
-	ran := false
-	d.Launch("k", Cost{MapOps: 1e6}, func(p *parallel.Pool) {
-		if p == nil {
-			t.Error("nil pool passed to kernel body")
-		}
-		ran = true
-	})
-	if !ran {
-		t.Fatal("kernel body did not run")
-	}
 	want := time.Second + 10*time.Microsecond
+	if got := d.Charge("k", Cost{MapOps: 1e6}); got != want {
+		t.Fatalf("charged %v want %v", got, want)
+	}
 	if d.Elapsed() != want {
 		t.Fatalf("elapsed %v want %v", d.Elapsed(), want)
 	}
 	st := d.Stats()["k"]
 	if st.Launches != 1 || st.Modeled != want {
 		t.Fatalf("stats %+v", st)
-	}
-}
-
-func TestChargeWithoutBody(t *testing.T) {
-	d := New(testParams(), nil, nil)
-	d.Charge("x", Cost{HashBytes: 5e8})
-	if d.Elapsed() <= time.Second {
-		t.Fatalf("charge did not advance clock: %v", d.Elapsed())
 	}
 }
 
@@ -102,21 +89,10 @@ func TestCopyToHostContention(t *testing.T) {
 	if dur != 4*time.Second {
 		t.Fatalf("contended transfer took %v want 4s", dur)
 	}
-	if node.ConcurrentTransfers() != 8 {
-		t.Fatal("concurrency not recorded")
-	}
+	// Zero transfers clamp to one: 1e8 bytes at min(1e8, 2e8/1).
 	node.SetConcurrentTransfers(0)
-	if node.ConcurrentTransfers() != 1 {
-		t.Fatal("concurrency not clamped to 1")
-	}
-}
-
-func TestResetClock(t *testing.T) {
-	d := New(testParams(), nil, nil)
-	d.Charge("k", Cost{MapOps: 1e6})
-	d.ResetClock()
-	if d.Elapsed() != 0 || len(d.Stats()) != 0 {
-		t.Fatal("reset did not clear clock/stats")
+	if dur := d.CopyToHost(1e8); dur != time.Second {
+		t.Fatalf("transfer at concurrency 0 took %v want 1s (clamped to 1)", dur)
 	}
 }
 

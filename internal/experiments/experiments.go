@@ -211,7 +211,7 @@ func Fig5(cfg Config) (*metrics.Table, []workload.Row, error) {
 			return nil, nil, err
 		}
 		rows, err := workload.Frequency(series, cfg.Frequencies, checkpoint.Methods(), compress.Registry(),
-			workload.Options{ChunkSize: cfg.ChunkSize, Workers: cfg.Workers, VerifyRestore: cfg.VerifyRestore})
+			workload.Options{Workers: cfg.Workers, VerifyRestore: cfg.VerifyRestore, Dedup: dedup.Options{ChunkSize: cfg.ChunkSize}})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -238,7 +238,7 @@ func Fig6(cfg Config) (*metrics.Table, []workload.ScalingRow, error) {
 		NumCheckpoints:  cfg.NumCheckpoints,
 		MaxGraphletSize: cfg.MaxGraphletSize,
 		Methods:         []checkpoint.Method{checkpoint.MethodFull, checkpoint.MethodTree},
-		Options:         workload.Options{ChunkSize: cfg.ChunkSize, Workers: cfg.Workers},
+		Options:         workload.Options{Workers: cfg.Workers, Dedup: dedup.Options{ChunkSize: cfg.ChunkSize}},
 	})
 	if err != nil {
 		return nil, nil, err
@@ -294,8 +294,8 @@ func Ablation(cfg Config) (*metrics.Table, []workload.Row, error) {
 	}
 	var all []workload.Row
 	for _, v := range variants {
+		v.opts.ChunkSize = cfg.ChunkSize
 		row, err := workload.RunMethod(series, v.method, workload.Options{
-			ChunkSize:     cfg.ChunkSize,
 			Workers:       cfg.Workers,
 			VerifyRestore: cfg.VerifyRestore,
 			Dedup:         v.opts,

@@ -35,8 +35,8 @@ func Extensions(cfg Config) (*metrics.Table, []workload.Row, error) {
 	}
 	var rows []workload.Row
 	for _, v := range variants {
+		v.opts.ChunkSize = cfg.ChunkSize
 		row, err := workload.RunMethod(series, checkpoint.MethodTree, workload.Options{
-			ChunkSize:     cfg.ChunkSize,
 			Workers:       cfg.Workers,
 			VerifyRestore: true, // extensions must never trade away correctness
 			Dedup:         v.opts,

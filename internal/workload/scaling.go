@@ -105,10 +105,7 @@ func Scaling(cfg ScalingConfig) ([]ScalingRow, error) {
 				node := device.ThetaGPUNode()
 				node.SetConcurrentTransfers(concurrent)
 				dev := device.New(opts.DeviceParams, pool, node)
-				dopts := opts.Dedup
-				dopts.ChunkSize = opts.ChunkSize
-				dopts.MapCapacity = opts.MapCapacity
-				d, err := dedup.New(m, runner.GDV().SizeBytes(), dev, dopts)
+				d, err := dedup.New(m, runner.GDV().SizeBytes(), dev, opts.Dedup)
 				if err != nil {
 					// Release the deduplicators already built for the
 					// earlier methods of this process.

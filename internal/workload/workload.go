@@ -99,8 +99,6 @@ type Row struct {
 
 // Options configures a scenario run.
 type Options struct {
-	// ChunkSize for the dedup methods. Default 128.
-	ChunkSize int
 	// Workers for the simulated device's kernel pool (0 = GOMAXPROCS).
 	Workers int
 	// DeviceParams; zero value selects device.A100().
@@ -109,17 +107,14 @@ type Options struct {
 	// and compares fingerprints. Costs extra time; on by default in
 	// tests, off in large benches.
 	VerifyRestore bool
-	// MapCapacity overrides the dedup hash-table sizing.
-	MapCapacity int
-	// Dedup passes extra algorithm options through to the methods
-	// (ablation knobs). ChunkSize/MapCapacity fields here are
-	// overridden by the fields above.
+	// Dedup configures the de-duplication methods: chunk size (default
+	// 128, the one the row reports), table sizing and ablation knobs.
 	Dedup dedup.Options
 }
 
 func (o Options) withDefaults() Options {
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = 128
+	if o.Dedup.ChunkSize <= 0 {
+		o.Dedup.ChunkSize = 128
 	}
 	if o.DeviceParams.MemBandwidth == 0 {
 		o.DeviceParams = device.A100()
@@ -134,10 +129,7 @@ func RunMethod(s *Series, method checkpoint.Method, opts Options) (Row, error) {
 	pool := parallel.NewPool(opts.Workers)
 	defer pool.Close()
 	dev := device.New(opts.DeviceParams, pool, nil)
-	dopts := opts.Dedup
-	dopts.ChunkSize = opts.ChunkSize
-	dopts.MapCapacity = opts.MapCapacity
-	d, err := dedup.New(method, s.DataLen, dev, dopts)
+	d, err := dedup.New(method, s.DataLen, dev, opts.Dedup)
 	if err != nil {
 		return Row{}, err
 	}
@@ -146,7 +138,7 @@ func RunMethod(s *Series, method checkpoint.Method, opts Options) (Row, error) {
 	row := Row{
 		Graph:     s.Graph,
 		Label:     method.String(),
-		ChunkSize: opts.ChunkSize,
+		ChunkSize: opts.Dedup.ChunkSize,
 		NumCkpts:  len(s.Images),
 		Procs:     1,
 	}
@@ -229,7 +221,7 @@ func ChunkSweep(s *Series, methods []checkpoint.Method, chunkSizes []int, opts O
 	var rows []Row
 	for _, cs := range chunkSizes {
 		o := opts
-		o.ChunkSize = cs
+		o.Dedup.ChunkSize = cs
 		for _, m := range methods {
 			row, err := RunMethod(s, m, o)
 			if err != nil {

@@ -75,7 +75,7 @@ func TestSubsample(t *testing.T) {
 
 func TestRunMethodAllMethods(t *testing.T) {
 	s := testSeries(t, 5)
-	opts := Options{ChunkSize: 128, VerifyRestore: true}
+	opts := Options{VerifyRestore: true} // chunk size 128, the default
 	rows := map[checkpoint.Method]Row{}
 	for _, m := range checkpoint.Methods() {
 		row, err := RunMethod(s, m, opts)
@@ -197,7 +197,7 @@ func TestScalingReduction(t *testing.T) {
 		NumCheckpoints:  4,
 		MaxGraphletSize: 4,
 		Methods:         []checkpoint.Method{checkpoint.MethodFull, checkpoint.MethodTree},
-		Options:         Options{ChunkSize: 128},
+		Options:         Options{}, // chunk size 128, the default
 	})
 	if err != nil {
 		t.Fatal(err)
