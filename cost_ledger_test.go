@@ -2,13 +2,20 @@ package gpuckpt
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
+	"net"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
+	"github.com/gpuckpt/gpuckpt/internal/wire"
 
 	"github.com/gpuckpt/gpuckpt/internal/graph"
 	"github.com/gpuckpt/gpuckpt/internal/oranges"
@@ -148,7 +155,13 @@ func (c *ledgerChain) row() ledgerRow {
 //     one frame in flight: with a wider window whether two such frames
 //     share a commit depends on how the socket reads fall (6 frames
 //     took 5 or 6 commits from one run to the next), and an exact
-//     ledger cannot hold that.
+//     ledger cannot hold that;
+//   - stream_peeked_run: a scripted peer writes a stream of 8 frames of
+//     at least 150 KB — each larger than the connection buffer — to a
+//     lineage that holds a baseline, all of it on the server's socket
+//     before the server reads a byte. The server finds each next frame
+//     on the socket (socketPeeker), so the 8 settle as one run: 1 pack
+//     fsync and 1 segment fsync.
 func TestCostLedger(t *testing.T) {
 	srv, addr, shutdown := startTestServerH(t, server.Config{Root: t.TempDir()})
 	defer shutdown()
@@ -212,6 +225,8 @@ func TestCostLedger(t *testing.T) {
 		t.Fatalf("stream_large_frames: a diff of %d bytes fits the server's 64 KiB connection buffer", large.minDiff)
 	}
 
+	got["stream_peeked_run"] = peekedRun(t)
+
 	blob, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -230,5 +245,150 @@ func TestCostLedger(t *testing.T) {
 	}
 	if !bytes.Equal(blob, want) {
 		t.Errorf("cost ledger differs from %s (LEDGER_UPDATE=1 rewrites it):\n got: %s\nwant: %s", ledgerFile, blob, want)
+	}
+}
+
+// gatedListener hands out the connections it accepts at once until
+// armed; then it holds the next one back until want bytes wait on its
+// socket, so the server reads nothing before the peer has written all.
+type gatedListener struct {
+	net.Listener
+	want atomic.Int64
+}
+
+func (l *gatedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	want := int(l.want.Swap(0))
+	if err != nil || want == 0 {
+		return c, err
+	}
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetReadBuffer(2 * want)
+	}
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if n := queuedBytes(c, want); n < 0 || n >= want {
+			break
+		}
+	}
+	return c, nil
+}
+
+// peekedRun is the stream_peeked_run row: see TestCostLedger.
+func peekedRun(t *testing.T) ledgerRow {
+	t.Helper()
+	srv, err := server.New(server.Config{Root: t.TempDir(), Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &gatedListener{Listener: inner}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln) }()
+	defer func() { cancel(); <-served }()
+
+	const frames, size = 8, 160 << 10
+	payload := func(ck int) []byte {
+		data := make([]byte, size)
+		rand.New(rand.NewSource(int64(ck))).Read(data)
+		d := &checkpoint.Diff{Method: checkpoint.MethodFull, CkptID: uint32(ck), DataLen: size, ChunkSize: 128, Data: data}
+		var enc bytes.Buffer
+		if err := d.Encode(&enc); err != nil {
+			t.Fatal(err)
+		}
+		return wire.EncodePush(enc.Bytes())
+	}
+	dial := func() net.Conn {
+		c, err := net.DialTimeout("tcp", inner.Addr().String(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetDeadline(time.Now().Add(20 * time.Second))
+		return c
+	}
+	// The baseline, request by request.
+	setup := dial()
+	defer setup.Close()
+	if err := wire.Handshake(setup); err != nil {
+		t.Fatal(err)
+	}
+	var h uint32
+	for _, req := range []*wire.Frame{
+		{Type: wire.TOpen, Payload: []byte("peeked")},
+		{Type: wire.TPush, Payload: payload(0)},
+	} {
+		req.Lineage = h
+		if err := wire.WriteFrame(setup, req); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := wire.ReadFrame(setup, 0)
+		if err != nil || resp.Status != wire.StatusOK {
+			t.Fatalf("setup request %#x: %+v, %v", req.Type, resp, err)
+		}
+		h = resp.Lineage
+	}
+
+	var script bytes.Buffer
+	if err := wire.WriteHello(&script); err != nil {
+		t.Fatal(err)
+	}
+	for ck := 1; ck <= frames; ck++ {
+		if err := wire.WriteFrame(&script, &wire.Frame{Type: wire.TPushStream, Lineage: h, Ckpt: uint32(ck), Payload: payload(ck)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var packs, segments atomic.Int64
+	c := &ioCounter{}
+	hooks := c.hooks()
+	count := hooks.Seam
+	hooks.Seam = func(point, path string) error {
+		if point == recframe.SeamSync {
+			switch name := filepath.Base(path); {
+			case strings.HasPrefix(name, "pack-"):
+				packs.Add(1)
+			case strings.HasPrefix(name, "segment-"):
+				segments.Add(1)
+			}
+		}
+		return count(point, path)
+	}
+	store, err := srv.Store("peeked")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.SetHooks(hooks)
+	srv.SetStorageHooks(hooks)
+
+	ln.want.Store(int64(script.Len()))
+	peer := dial()
+	defer peer.Close()
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := peer.Write(script.Bytes())
+		wrote <- err
+	}()
+	if err := wire.ReadHello(peer); err != nil {
+		t.Fatal(err)
+	}
+	for ck := 1; ck <= frames; ck++ {
+		if ack, err := wire.ReadFrame(peer, 0); err != nil || ack.Status != wire.StatusOK || ack.Ckpt != uint32(ck) {
+			t.Fatalf("ack %d: %+v, %v", ck, ack, err)
+		}
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if packs.Load() != 1 || segments.Load() != 1 {
+		t.Errorf("stream_peeked_run: %d frames written before the server read settled with %d pack and %d segment fsyncs, want 1 and 1",
+			frames, packs.Load(), segments.Load())
+	}
+	return ledgerRow{
+		Pushes:        frames,
+		FsyncsPerPush: float64(c.fsyncs.Load()) / frames,
+		WritesPerPush: float64(c.writes.Load()) / frames,
 	}
 }

@@ -154,7 +154,10 @@ var (
 	// astronomically unlikely 128-bit collision, refused rather than
 	// silently aliased. Both are the block's, however it is stored.
 	ErrCollision = errors.New("blockstore: block ID collision")
-	// ErrClosed reports use after Close.
+	// ErrClosed reports use after Close, or after a failure stopped the
+	// store (a failed fsync, a failed rollback, a simulated crash): the
+	// error then wraps that failure too, call after call, until a
+	// reopen recovers the directory.
 	ErrClosed = errors.New("blockstore: store is closed")
 	// ErrReadOnly reports a mutating operation on a store opened with
 	// Options.ReadOnly.
@@ -231,9 +234,17 @@ type Store struct {
 	blocks int    //ckptlint:guardedby mu
 	bytes  int64  //ckptlint:guardedby mu
 	gen    uint64 //ckptlint:guardedby mu
-	// touched holds every ID Intern returned since a running GC began
-	// (nil when none runs): live, whatever the GC's mark reports.
+	// touched holds every ID Intern or Write returned since a running GC
+	// began, and every ID pinned when it began (nil when none runs):
+	// live, whatever the GC's mark reports.
 	touched map[ID]struct{} //ckptlint:guardedby mu
+	// failed is the error a failure stopped the store with (failLocked),
+	// nil while it runs.
+	failed error //ckptlint:guardedby mu
+	// pins holds every Pin that Write has appended to and Unpin has
+	// not emptied yet: blocks a record will name once their caller
+	// settles, which a GC must not take meanwhile.
+	pins map[*Pin]struct{} //ckptlint:guardedby mu
 	// packs holds one handle per pack file, by number: what Get reads
 	// through. active is the number of the pack appends go to (0: none
 	// yet) and log its write handle — the same file and its committed
@@ -305,7 +316,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, err
 		}
 		s.lock = lock
-		s.plan, s.w = make(map[ID]entry), bufio.NewWriterSize(nil, writeBufSize)
+		s.plan, s.pins, s.w = make(map[ID]entry), make(map[*Pin]struct{}), bufio.NewWriterSize(nil, writeBufSize)
 	}
 	if err := s.recoverLocked(); err != nil {
 		s.releaseLocked()
@@ -353,7 +364,8 @@ func (s *Store) releaseLocked() (err error) {
 //ckptlint:locked mu
 func (s *Store) failLocked(err error) error {
 	s.releaseLocked()
-	return fmt.Errorf("%w (store disabled; reopen to recover)", err)
+	s.failed = fmt.Errorf("%w (%w; reopen to recover)", err, ErrClosed)
+	return s.failed
 }
 
 // diedLocked passes err through; a simulated crash — at any seam, or
@@ -541,12 +553,24 @@ func (s *Store) Split(p []byte) [][]byte {
 	if len(p) == 0 {
 		return nil
 	}
-	out := make([][]byte, 0, (len(p)+chunkSize-1)/chunkSize)
+	return AppendSplit(make([][]byte, 0, (len(p)+chunkSize-1)/chunkSize), p)
+}
+
+// BlockSize is the length Split cuts at: a payload handed over in
+// pieces that are whole multiples of it, all but the last, is cut
+// where Split cuts it whole.
+const BlockSize = chunkSize
+
+// AppendSplit appends the slices Split cuts p into to dst.
+func AppendSplit(dst [][]byte, p []byte) [][]byte {
 	for len(p) > chunkSize {
-		out = append(out, p[:chunkSize])
+		dst = append(dst, p[:chunkSize])
 		p = p[chunkSize:]
 	}
-	return append(out, p)
+	if len(p) > 0 {
+		dst = append(dst, p)
+	}
+	return dst
 }
 
 // beginLocked reports why the store cannot be mutated, if it cannot,
@@ -555,6 +579,8 @@ func (s *Store) Split(p []byte) [][]byte {
 //ckptlint:locked mu
 func (s *Store) beginLocked() error {
 	switch {
+	case s.failed != nil:
+		return s.failed
 	case s.closed:
 		return ErrClosed
 	case s.ro:
@@ -570,23 +596,24 @@ func (s *Store) beginLocked() error {
 // a version record that high gets one of first, in a frame of its own: a tear after it
 // leaves a version record and no block. It goes to the active pack (a
 // new one if that is full or there is none yet) through the store's
-// fixed buffer as ONE recframe.Log.Append: one write, one fsync, and on
-// failure nothing of the frame stays — or the log has fail-stopped (the
-// cut failed, or a simulated crash) and the store is disabled. Callers
-// apply the frame to the in-memory state only once this returns nil.
+// fixed buffer as ONE recframe.Log.Write: one write, no fsync — that is
+// syncLocked's — and on failure nothing of the frame stays, or the log
+// has fail-stopped (the cut failed, or a simulated crash) and the store
+// is disabled. Callers apply the frame to the in-memory state only once
+// this returns nil.
 //
 //ckptlint:locked mu
 func (s *Store) appendFrameLocked(version byte, emit func() error) error {
-	if s.log == nil || s.log.Size() >= s.rollSize {
+	if s.log == nil || s.log.End() >= s.rollSize {
 		if err := s.rollLocked(); err != nil {
 			return s.diedLocked(fmt.Errorf("blockstore: rolling the pack log: %w", err))
 		}
 	}
-	s.at = s.log.Size()
+	s.at = s.log.End()
 	if version <= s.version {
 		version = 0
 	}
-	err := s.log.Append(s.hooks, func(w io.Writer) error {
+	err := s.log.Write(s.hooks, func(w io.Writer) error {
 		s.w.Reset(w)
 		defer s.w.Reset(nil) // let go of the caller's last payload
 		if version != 0 {
@@ -612,14 +639,16 @@ func (s *Store) appendFrameLocked(version byte, emit func() error) error {
 // rollLocked seals the active pack, if there is one, and starts the
 // next. A sealed pack is scanned to its end, so a cut of this one (a
 // torn tail on open, a rolled-back frame) must be durable before it is
-// left; the new file must survive power loss before a snapshot may
-// point into it (recframe.Create).
+// left, and so must the frames written to it since the last sync; the
+// new file must survive power loss before a snapshot may point into it
+// (recframe.Create). A failed fsync of the pack it leaves stops the
+// store, as syncLocked's does.
 //
 //ckptlint:locked mu
 func (s *Store) rollLocked() error {
 	if s.log != nil {
-		if err := s.hooks.Sync(s.log.File()); err != nil {
-			return err
+		if err := s.log.Sync(s.hooks); err != nil {
+			return s.failLocked(err)
 		}
 	}
 	log, err := recframe.Create(s.hooks, s.packPath(s.active+1))
@@ -674,27 +703,117 @@ func (s *Store) blockLocked(more bool, id, p []byte, e entry) (off int64) {
 // the reference of each, in order. The new chunks are ONE frame — a
 // block record each, where the chunk first occurs in the batch, in its
 // shortest layout — made durable by one fsync whatever the block
-// count; a dedup hit writes nothing. It commits entirely or not at all:
-// on any error (a collision, a failed write or fsync) the store, in
-// memory and on disk, is as it was before the call.
+// count; a dedup hit writes nothing. It is Write with no Pin, then Sync:
+// it commits entirely or not at all — on a collision or a failed write
+// the store, in memory and on disk, is as it was before the call, and a
+// failed fsync stops the store (see Sync).
 func (s *Store) Intern(chunks [][]byte) ([]Ref, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.beginLocked(); err != nil {
+	refs, err := s.writeLocked(make([]Ref, 0, len(chunks)), chunks)
+	if err == nil {
+		err = s.syncLocked()
+	}
+	if err != nil {
 		return nil, err
 	}
-	refs := make([]Ref, len(chunks))
-	// Plan first, apply after the fsync: s.plan holds the entry of every
+	return refs, nil
+}
+
+// A Pin is a caller's list of references that Write appended to it:
+// every block it names is live across any GC until Unpin releases it.
+// Only Write and Unpin change Refs; its owner reads it freely.
+type Pin struct {
+	Refs []Ref
+}
+
+// Write stores every chunk that is not already present, as Intern does,
+// and appends the reference of each to p.Refs — but fsyncs nothing: its
+// new blocks are placed at once, so that any later call dedups against
+// them, and become durable at the next Sync, whoever calls it. A caller
+// makes no record that names one of them durable before a Sync that
+// began after this Write returned. It fails as Intern does, with p as
+// it was.
+func (s *Store) Write(p *Pin, chunks [][]byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	refs, err := s.writeLocked(p.Refs, chunks)
+	if err != nil {
+		return err
+	}
+	p.Refs = refs
+	if len(refs) > 0 {
+		s.pins[p] = struct{}{}
+	}
+	return nil
+}
+
+// Unpin releases the references of p past its first keep, which it
+// drops from p.Refs.
+func (s *Store) Unpin(p *Pin, keep int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p.Refs = p.Refs[:keep]
+	if keep == 0 {
+		delete(s.pins, p)
+	}
+}
+
+// Sync makes every block written so far durable: one fsync of the
+// active pack, if a block was written to it since the last; none
+// otherwise. A failed fsync stops the store — which of the pending
+// bytes reached the disk is unknown, so nothing may be placed behind
+// them or named by a record — until a reopen recovers it: the error is
+// returned, and every later call fails with ErrClosed.
+func (s *Store) Sync() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.failed != nil:
+		return s.failed
+	case s.closed:
+		return ErrClosed
+	case s.ro:
+		return ErrReadOnly
+	}
+	return s.syncLocked()
+}
+
+// syncLocked is Sync.
+//
+//ckptlint:locked mu
+func (s *Store) syncLocked() error {
+	if s.log == nil || s.log.End() == s.log.Size() {
+		return nil
+	}
+	if err := s.log.Sync(s.hooks); err != nil {
+		return s.failLocked(fmt.Errorf("blockstore: %w", err))
+	}
+	return nil
+}
+
+// writeLocked stores chunks as Write does and appends their references
+// to refs.
+//
+//ckptlint:locked mu
+func (s *Store) writeLocked(refs []Ref, chunks [][]byte) ([]Ref, error) {
+	if err := s.beginLocked(); err != nil {
+		return refs, err
+	}
+	had := len(refs)
+	refs = slices.Grow(refs, len(chunks))
+	// Plan first, apply after the write: s.plan holds the entry of every
 	// block the frame adds.
 	var hits, saved uint64
 	var version byte
 	for i, p := range chunks {
 		if len(p) > math.MaxUint32-idSize {
-			return nil, fmt.Errorf("blockstore: chunk %d of %d bytes is beyond the record length limit", i, len(p))
+			return refs[:had], fmt.Errorf("blockstore: chunk %d of %d bytes is beyond the record length limit", i, len(p))
 		}
 		id := IDOf(p)
-		refs[i] = Ref{ID: id, Len: uint32(len(p))}
-		want := entry{len: refs[i].Len, crc: blockCRC(refs[i].ID[:], p)}
+		refs = append(refs, Ref{ID: id, Len: uint32(len(p))})
+		r := &refs[len(refs)-1]
+		want := entry{len: r.Len, crc: blockCRC(r.ID[:], p)}
 		have, ok := s.entries[id]
 		if !ok {
 			have, ok = s.plan[id]
@@ -712,35 +831,36 @@ func (s *Store) Intern(chunks [][]byte) ([]Ref, error) {
 			}
 			s.plan[id] = want
 		case have.len != want.len || have.crc != want.crc:
-			return nil, fmt.Errorf("%w: id %s holds %d bytes crc %08x, interning %d bytes crc %08x",
+			return refs[:had], fmt.Errorf("%w: id %s holds %d bytes crc %08x, interning %d bytes crc %08x",
 				ErrCollision, id, have.len, have.crc, want.len, want.crc)
 		default:
 			hits++
 			saved += uint64(len(p))
 		}
 	}
+	added := refs[had:]
 	if len(s.plan) > 0 {
 		err := s.appendFrameLocked(version, func() error {
 			for i, left := 0, len(s.plan); left > 0; i++ {
-				if at, ok := s.plan[refs[i].ID]; ok && at.pack == 0 {
+				if at, ok := s.plan[added[i].ID]; ok && at.pack == 0 {
 					left--
 					at.pack = s.active
-					at.off = s.blockLocked(left > 0, refs[i].ID[:], chunks[i], at)
-					s.plan[refs[i].ID] = at
+					at.off = s.blockLocked(left > 0, added[i].ID[:], chunks[i], at)
+					s.plan[added[i].ID] = at
 				}
 			}
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return refs[:had], err
 		}
 		for id, at := range s.plan {
 			s.placeLocked(id, at)
 		}
 		s.deltas = s.deltas || version == deltaPackVersion
 	}
-	if s.touched != nil {
-		for _, r := range refs {
+	for _, r := range added {
+		if s.touched != nil {
 			s.touched[r.ID] = struct{}{}
 		}
 	}

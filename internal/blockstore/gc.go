@@ -46,6 +46,11 @@ func (s *Store) GC(mark func(live func(ID)) error) (GCStats, error) {
 	err := s.beginLocked()
 	if err == nil {
 		s.touched = make(map[ID]struct{})
+		for p := range s.pins {
+			for _, r := range p.Refs {
+				s.touched[r.ID] = struct{}{}
+			}
+		}
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -97,7 +102,12 @@ func (s *Store) GC(mark func(live func(ID)) error) (GCStats, error) {
 		}
 	}
 
-	err = s.seamLocked("gc-before", s.indexPath())
+	// The snapshot must name no block whose bytes are not durable: a
+	// Write's frames pending a Sync are synced first.
+	err = s.syncLocked()
+	if err == nil {
+		err = s.seamLocked("gc-before", s.indexPath())
+	}
 	if err == nil {
 		err = s.commitIndexLocked(live)
 	}
@@ -177,6 +187,9 @@ func (s *Store) relocateLocked(num uint32, live []ID) error {
 		}
 		return nil
 	})
+	if err == nil {
+		err = s.syncLocked()
+	}
 	if err != nil {
 		return err
 	}

@@ -50,8 +50,9 @@ func IsBlockMapped(encoded []byte) bool {
 }
 
 // appendBlockHeader appends the header of d's container to buf: the
-// canonical prefix of d and nrefs block references follow it.
-func appendBlockHeader(buf []byte, d *Diff, nrefs int) ([]byte, error) {
+// canonical prefix of d and nrefs block references, holding a data
+// section of dataLen bytes, follow it.
+func appendBlockHeader(buf []byte, d *Diff, nrefs int, dataLen uint64) ([]byte, error) {
 	prefixLen := d.PrefixBytes()
 	if prefixLen > math.MaxUint32 || uint64(nrefs) > math.MaxUint32 {
 		return buf, errors.New("checkpoint: block container metadata exceeds format limits")
@@ -60,7 +61,7 @@ func appendBlockHeader(buf []byte, d *Diff, nrefs int) ([]byte, error) {
 	buf = append(buf, blockDiffVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(prefixLen))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(nrefs))
-	return binary.LittleEndian.AppendUint64(buf, uint64(len(d.Data))), nil
+	return binary.LittleEndian.AppendUint64(buf, dataLen), nil
 }
 
 // appendRefBytes appends the encoded reference list refs to buf.

@@ -68,14 +68,13 @@ type FileStore struct {
 	mu  sync.Mutex
 	man Manifest //ckptlint:guardedby mu
 
-	// seg is the live segment's file, what reads go through (nil while
-	// the lineage has none), and segSize its committed length. Until the
-	// first write, seg is open read-only, the directory may still hold
-	// debris and log is nil; from then on log is the segment's write
-	// handle — the same file — and segSize follows its committed length.
-	seg     *os.File      //ckptlint:guardedby mu
-	segSize int64         //ckptlint:guardedby mu
-	log     *recframe.Log //ckptlint:guardedby mu
+	// log is the live segment (nil while the lineage has none): the file
+	// reads go through and its committed length. Until the first write
+	// the file is open read-only and the directory may still hold
+	// debris; prepareLocked then takes the segment over for writing, and
+	// prepared says it has.
+	log      *recframe.Log //ckptlint:guardedby mu
+	prepared bool          //ckptlint:guardedby mu
 
 	// recs[i] is the index entry of checkpoint man.Base+i.
 	recs []recLoc //ckptlint:guardedby mu
@@ -222,37 +221,38 @@ func newFileStore(dir string, bs *blockstore.Store, own bool) (*FileStore, error
 	case err != nil:
 		return nil, fmt.Errorf("checkpoint: opening store %s: %w", dir, err)
 	}
-	if err := fs.indexLocked(f); err != nil {
+	committed, err := fs.indexLocked(f)
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	fs.seg = f
+	fs.log = recframe.Attach(f, committed)
 	return fs, nil
 }
 
-// indexLocked scans segment f and rebuilds the index from it: in file
-// order the last record of an id wins, and an id below the highest end
-// any record declares that no surviving record covers is damaged — as
-// is one whose last record is a tombstone, which earlier builds wrote
-// and this one only reads.
+// indexLocked scans segment f, rebuilds the index from it and returns
+// the segment's committed length: in file order the last record of an
+// id wins, and an id below the highest end any record declares that no
+// surviving record covers is damaged — as is one whose last record is a
+// tombstone, which earlier builds wrote and this one only reads.
 //
 //ckptlint:locked mu
-func (fs *FileStore) indexLocked(f *os.File) error {
+func (fs *FileStore) indexLocked(f *os.File) (int64, error) {
 	st, err := f.Stat()
 	if err != nil {
-		return fmt.Errorf("checkpoint: scanning %s: %w", f.Name(), err)
+		return 0, fmt.Errorf("checkpoint: scanning %s: %w", f.Name(), err)
 	}
 	recs, committed, err := segFormat.Scan(f, st.Size(), false)
 	if err != nil {
-		return fmt.Errorf("checkpoint: scanning %s: %w", f.Name(), err)
+		return 0, fmt.Errorf("checkpoint: scanning %s: %w", f.Name(), err)
 	}
 	base := fs.man.Base
-	fs.recs, fs.segSize = fs.recs[:0], committed
+	fs.recs = fs.recs[:0]
 	for _, r := range recs {
 		// Every id in [base, end) was written to this segment at least
 		// once, which bounds end by what the file can hold.
 		if r.A < base || int64(r.B-base) > committed/recHdrSize {
-			return fmt.Errorf("checkpoint: %s: record of checkpoint %d (end %d) does not belong to a segment of %d bytes at baseline %d",
+			return 0, fmt.Errorf("checkpoint: %s: record of checkpoint %d (end %d) does not belong to a segment of %d bytes at baseline %d",
 				f.Name(), r.A, r.B, committed, base)
 		}
 		for len(fs.recs) < int(r.B-base) {
@@ -264,7 +264,7 @@ func (fs *FileStore) indexLocked(f *os.File) error {
 		}
 		fs.recs[r.A-base] = loc
 	}
-	return nil
+	return committed, nil
 }
 
 // endLocked returns one past the highest stored id: Len.
@@ -279,9 +279,9 @@ func (fs *FileStore) Close() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	var err error
-	if fs.seg != nil {
-		err = fs.seg.Close()
-		fs.seg = nil
+	if fs.log != nil {
+		err = fs.log.File().Close()
+		fs.log = nil
 	}
 	if fs.failed == nil {
 		fs.failed = fmt.Errorf("checkpoint: store %s is closed", fs.dir)
@@ -324,7 +324,10 @@ func (fs *FileStore) Len() int {
 func (fs *FileStore) TotalBytes() int64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.segSize
+	if fs.log == nil {
+		return 0
+	}
+	return fs.log.Size()
 }
 
 // Locate returns where stored checkpoint ck lives on disk: the segment
@@ -334,10 +337,10 @@ func (fs *FileStore) Locate(ck int) (path string, off, length int64, err error) 
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	i := ck - int(fs.man.Base)
-	if i < 0 || i >= len(fs.recs) || fs.recs[i].state != recLive || fs.seg == nil {
+	if i < 0 || i >= len(fs.recs) || fs.recs[i].state != recLive || fs.log == nil {
 		return "", 0, 0, fmt.Errorf("checkpoint: no stored diff %d in [%d,%d)", ck, fs.man.Base, fs.endLocked())
 	}
-	return fs.seg.Name(), fs.recs[i].off, recHdrSize + int64(fs.recs[i].len), nil
+	return fs.log.File().Name(), fs.recs[i].off, recHdrSize + int64(fs.recs[i].len), nil
 }
 
 // Append stores diff d as the next checkpoint: AppendBatch of one.
@@ -347,11 +350,9 @@ func (fs *FileStore) Append(d *Diff) error {
 }
 
 // AppendBatch appends a contiguous run of diffs as one frame: one
-// block-store call interns every data section (blocks and their
-// references are durable before the records that reference them),
-// one write adds the records to the segment, one fsync makes
-// the whole batch durable — the group commit behind the server's
-// stream path, and the only append path there is.
+// block-store Intern of every data section, then the record append of
+// AppendInterned — one write adds the records to the segment, one fsync
+// makes the whole batch durable.
 //
 // The first id must equal Len() and the run must be contiguous; a
 // shifted duplicate must not reference a checkpoint below the
@@ -373,7 +374,39 @@ func (fs *FileStore) AppendBatch(ds []*Diff) (appended int, err error) {
 	if err := checkRun(ds, fs.endLocked(), fs.man.Base); err != nil {
 		return 0, fmt.Errorf("checkpoint: append to [%d,%d): %w", fs.man.Base, fs.endLocked(), err)
 	}
-	if err := fs.appendFrameLocked(ds); err != nil {
+	if err := fs.appendLocked(ds); err != nil {
+		return 0, err
+	}
+	return len(ds), nil
+}
+
+// AppendInterned is AppendBatch for diffs whose data sections the
+// attached block store holds already — the append of the server's push
+// intake, which interns a diff's blocks as they arrive. refs are the
+// references blockstore Write or Intern returned for the sections, back
+// to back, counts[i] of them ds[i]'s; ds[i].Data is not read. The append
+// first makes the block store durable (blockstore.Sync), so no record
+// naming a block is durable before the block is; it commits as
+// AppendBatch does, and the caller keeps its pins until it returns.
+func (fs *FileStore) AppendInterned(ds []*Diff, refs []blockstore.Ref, counts []int) (appended int, err error) {
+	if len(ds) == 0 {
+		return 0, nil
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	switch {
+	case fs.blocks == nil:
+		return 0, fmt.Errorf("checkpoint: store %s has no block store to hold interned diffs", fs.dir)
+	case len(counts) != len(ds):
+		return 0, fmt.Errorf("checkpoint: %d reference counts for %d interned diffs", len(counts), len(ds))
+	}
+	if err := checkRun(ds, fs.endLocked(), fs.man.Base); err != nil {
+		return 0, fmt.Errorf("checkpoint: append to [%d,%d): %w", fs.man.Base, fs.endLocked(), err)
+	}
+	if err := fs.prepareLocked(); err != nil {
+		return 0, err
+	}
+	if err := fs.appendFrameLocked(ds, refs, counts); err != nil {
 		return 0, err
 	}
 	return len(ds), nil
@@ -406,7 +439,7 @@ func checkRun(ds []*Diff, first int, base uint32) error {
 //
 //ckptlint:locked mu
 func (fs *FileStore) prepareLocked() error {
-	if fs.failed != nil || fs.log != nil {
+	if fs.failed != nil || fs.prepared {
 		return fs.failed
 	}
 	if fs.blocks != nil && fs.blocks.ReadOnly() {
@@ -428,12 +461,12 @@ func (fs *FileStore) prepareLocked() error {
 	path := filepath.Join(fs.dir, segmentName(seq))
 	var log *recframe.Log
 	var err error
-	if fs.seg == nil {
+	if fs.log == nil {
 		log, err = recframe.Create(fs.hooks, path)
 	} else {
 		var f *os.File
 		if f, err = os.OpenFile(path, os.O_RDWR, 0); err == nil {
-			if log, err = recframe.Resume(f, fs.segSize); err != nil {
+			if log, err = recframe.Resume(f, fs.log.Size()); err != nil {
 				f.Close()
 			}
 		}
@@ -441,10 +474,10 @@ func (fs *FileStore) prepareLocked() error {
 	if err != nil {
 		return fs.diedLocked(fmt.Errorf("checkpoint: preparing segment for writing: %w", err))
 	}
-	if fs.seg != nil {
-		fs.seg.Close()
+	if fs.log != nil {
+		fs.log.File().Close()
 	}
-	fs.seg, fs.log = log.File(), log
+	fs.log, fs.prepared = log, true
 	return nil
 }
 
@@ -483,7 +516,9 @@ func (fs *FileStore) internLocked(ds []*Diff) (refs []blockstore.Ref, counts []i
 //
 //ckptlint:locked mu
 func (fs *FileStore) writeRecordsLocked(w io.Writer, ds []*Diff, refs []blockstore.Ref, counts []int, end uint32, frame bool) (locs []recLoc, err error) {
-	buf := fs.stage[:0]
+	// The references are staged whole, the headers too: room for all of
+	// them at once, so the buffer grows once, not by doubling.
+	buf := slices.Grow(fs.stage[:0], len(refs)*blockRefSize+len(ds)*recStageMax)
 	defer func() { fs.stage = buf[:0] }()
 	var n int64 // bytes written so far
 	flush := func(p []byte) error {
@@ -510,14 +545,18 @@ func (fs *FileStore) writeRecordsLocked(w io.Writer, ds []*Diff, refs []blocksto
 		hdrAt, at := len(buf), n+int64(len(buf))
 		buf = append(buf, make([]byte, recHdrSize)...)
 		secs := [...][]byte{d.FirstOcur, d.ShiftDupl, d.Bitmap, d.Data}
+		nData := uint64(len(d.Data))
 		var own []blockstore.Ref // stand in for the data section
 		if fs.blocks != nil {
-			own, refs, secs[3] = refs[:counts[i]], refs[counts[i]:], nil
-			if buf, err = appendBlockHeader(buf, d, len(own)); err != nil {
+			own, refs, secs[3], nData = refs[:counts[i]], refs[counts[i]:], nil, 0
+			for _, r := range own {
+				nData += uint64(r.Len) //ckptlint:ignore wireerr widens a uint32
+			}
+			if buf, err = appendBlockHeader(buf, d, len(own), nData); err != nil {
 				return nil, err
 			}
 		}
-		if buf, err = d.AppendHeader(buf); err != nil {
+		if buf, err = d.appendHeader(buf, nData); err != nil {
 			return nil, err
 		}
 		staged := buf[hdrAt+recHdrSize:]
@@ -557,15 +596,15 @@ func (fs *FileStore) writeRecordsLocked(w io.Writer, ds []*Diff, refs []blocksto
 // writing it by reference adds.
 const refMin = 4 << 10
 
-// appendFrameLocked is the one write path of the live segment: it adds
-// one frame — a diff record per element of ds — as ONE
-// recframe.Log.Append (one write, one fsync), then indexes it. An append
-// that fail-stopped the log (the cut failed too, or a simulated crash,
-// which must leave the debris a dying process would) stops the store
-// accepting writes.
+// recStageMax bounds the bytes writeRecordsLocked stages for one record
+// besides its references: record, container and diff headers.
+const recStageMax = 256
+
+// appendLocked interns the data sections of ds, if the store has a
+// block store, and appends their records (appendFrameLocked).
 //
 //ckptlint:locked mu
-func (fs *FileStore) appendFrameLocked(ds []*Diff) error {
+func (fs *FileStore) appendLocked(ds []*Diff) error {
 	if err := fs.prepareLocked(); err != nil {
 		return err
 	}
@@ -573,13 +612,33 @@ func (fs *FileStore) appendFrameLocked(ds []*Diff) error {
 	if err != nil {
 		return err
 	}
+	return fs.appendFrameLocked(ds, refs, counts)
+}
+
+// appendFrameLocked is the one write path of the live segment: once
+// the block store is durable — one conditional fsync of it, which puts
+// every block refs names on disk before any record that names it — it
+// adds one frame, a diff record per element of ds, as ONE
+// recframe.Log.Append (one write, one fsync), then indexes it. An
+// append that fail-stopped the log (the cut failed too, or a simulated
+// crash, which must leave the debris a dying process would) stops the
+// store accepting writes.
+//
+//ckptlint:locked mu
+func (fs *FileStore) appendFrameLocked(ds []*Diff, refs []blockstore.Ref, counts []int) error {
+	if fs.blocks != nil {
+		if err := fs.blocks.Sync(); err != nil {
+			return fs.diedLocked(fmt.Errorf("checkpoint: making the blocks of diffs [%d,%d) durable: %w", ds[0].CkptID, int(ds[0].CkptID)+len(ds), err))
+		}
+	}
 	base := int(fs.man.Base)
 	end := fs.endLocked()
 	for _, d := range ds {
 		end = max(end, int(d.CkptID)+1)
 	}
 	var locs []recLoc
-	err = fs.log.Append(fs.hooks, func(w io.Writer) (err error) {
+	at := fs.log.Size()
+	err := fs.log.Append(fs.hooks, func(w io.Writer) (err error) {
 		locs, err = fs.writeRecordsLocked(w, ds, refs, counts, uint32(end), true)
 		return err
 	})
@@ -591,10 +650,9 @@ func (fs *FileStore) appendFrameLocked(ds []*Diff) error {
 		fs.recs = append(fs.recs, recLoc{})
 	}
 	for i, d := range ds {
-		locs[i].off += fs.segSize
+		locs[i].off += at
 		fs.recs[int(d.CkptID)-base] = locs[i]
 	}
-	fs.segSize = fs.log.Size()
 	return nil
 }
 
@@ -661,9 +719,9 @@ func (fs *FileStore) InstallSpan(base int, diffs []*Diff) error {
 		}
 		return err
 	}
-	fs.seg.Close()
-	os.Remove(fs.seg.Name())
-	fs.seg, fs.log, fs.segSize, fs.recs = log.File(), log, log.Size(), locs
+	fs.log.File().Close()
+	os.Remove(fs.log.File().Name())
+	fs.log, fs.recs = log, locs
 	return nil
 }
 
@@ -717,18 +775,19 @@ func (fs *FileStore) MarkBlocks(live func(blockstore.ID)) error {
 	if fs.failed != nil {
 		return fmt.Errorf("checkpoint: marking the blocks of %s: %w", fs.dir, fs.failed)
 	}
-	if fs.blocks == nil || fs.seg == nil {
+	if fs.blocks == nil || fs.log == nil {
 		return nil
 	}
-	recs, _, err := segFormat.Scan(fs.seg, fs.segSize, false)
+	seg := fs.log.File()
+	recs, _, err := segFormat.Scan(seg, fs.log.Size(), false)
 	if err != nil {
-		return fmt.Errorf("checkpoint: marking the blocks of %s: %w", fs.seg.Name(), err)
+		return fmt.Errorf("checkpoint: marking the blocks of %s: %w", seg.Name(), err)
 	}
 	var payload []byte
 	for _, r := range recs {
 		payload = slices.Grow(payload[:0], int(r.Len))[:r.Len]
-		if _, err := fs.seg.ReadAt(payload, r.Off+recHdrSize); err != nil {
-			return fmt.Errorf("checkpoint: marking the blocks of %s: %w", fs.seg.Name(), err)
+		if _, err := seg.ReadAt(payload, r.Off+recHdrSize); err != nil {
+			return fmt.Errorf("checkpoint: marking the blocks of %s: %w", seg.Name(), err)
 		}
 		if _, refs, _, err := parseBlockDiff(payload); err == nil { // else self-contained
 			for ; len(refs) > 0; refs = refs[blockRefSize:] {
@@ -780,5 +839,5 @@ func (fs *FileStore) ReinstallDiff(d *Diff) error {
 	if ck < base || ck > end || d.CkptID == math.MaxUint32 {
 		return fmt.Errorf("checkpoint: reinstall %d outside [%d,%d]", ck, base, end)
 	}
-	return fs.appendFrameLocked([]*Diff{d})
+	return fs.appendLocked([]*Diff{d})
 }

@@ -122,7 +122,40 @@ func crashScript(c []*Diff) []crashStep {
 		{"AppendBatch 8-9", batch(c[8], c[9])},
 		{"ReinstallDiff 8", func(fs *FileStore) error { return fs.ReinstallDiff(c[8]) }},
 		{"InstallSpan [6,10) compaction", func(fs *FileStore) error { return fs.InstallSpan(6, c[6:10]) }},
-		{"AppendBatch 10-11", batch(c[10], c[11])},
+		{"AppendInterned 10-11", interned(c[10], c[11])},
+	}
+}
+
+// interned appends ds the way the server's push intake does, when the
+// store has a block store: each data section written to it two blocks
+// at a time, pinned and not synced, then one AppendInterned — a pack
+// fsync, then the segment append. Without one it is AppendBatch.
+func interned(ds ...*Diff) func(*FileStore) error {
+	return func(fs *FileStore) error {
+		if fs.blocks == nil {
+			_, err := fs.AppendBatch(ds)
+			return err
+		}
+		var pin blockstore.Pin
+		defer fs.blocks.Unpin(&pin, 0)
+		counts := make([]int, len(ds))
+		stripped := make([]*Diff, len(ds))
+		for i, d := range ds {
+			had := len(pin.Refs)
+			for p := d.Data; len(p) > 0; {
+				piece := p[:min(len(p), 2*blockstore.BlockSize)]
+				if err := fs.blocks.Write(&pin, fs.blocks.Split(piece)); err != nil {
+					return err
+				}
+				p = p[len(piece):]
+			}
+			counts[i] = len(pin.Refs) - had
+			cp := *d
+			cp.Data = nil
+			stripped[i] = &cp
+		}
+		_, err := fs.AppendInterned(stripped, pin.Refs, counts)
+		return err
 	}
 }
 
@@ -264,7 +297,7 @@ func TestCrashPoints(t *testing.T) {
 					t.Fatalf("%s: diff %d written after recovery reads back wrong: %v", label, next, err)
 				}
 				for _, e := range mustReadDir(t, env.dir()) {
-					if name := e.Name(); name != ManifestFileName && name != filepath.Base(fs.seg.Name()) {
+					if name := e.Name(); name != ManifestFileName && name != filepath.Base(fs.log.File().Name()) {
 						t.Fatalf("%s: debris %s survived the first write after recovery", label, name)
 					}
 				}

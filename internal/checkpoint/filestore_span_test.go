@@ -398,7 +398,7 @@ func TestSpanRotNamesCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.seg.ReadAt(raw[:length], off); err != nil {
+	if _, err := fs.log.File().ReadAt(raw[:length], off); err != nil {
 		t.Fatal(err)
 	}
 	_, enc, _, err := parseBlockDiff(raw[recHdrSize:length])

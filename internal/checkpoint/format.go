@@ -245,6 +245,15 @@ func (d *Diff) PrefixBytes() int64 { return headerSize + d.MetadataBytes() }
 //
 //ckptlint:noalloc
 func (d *Diff) AppendHeader(buf []byte) ([]byte, error) {
+	return d.appendHeader(buf, uint64(len(d.Data)))
+}
+
+// appendHeader is AppendHeader for a data section of nData bytes,
+// which d need not hold: a diff whose data section is in a block store
+// already.
+//
+//ckptlint:noalloc
+func (d *Diff) appendHeader(buf []byte, nData uint64) ([]byte, error) {
 	if len(d.FirstOcur)%4 != 0 || len(d.ShiftDupl)%12 != 0 ||
 		uint64(d.FirstOcur.Len()) > math.MaxUint32 ||
 		uint64(d.ShiftDupl.Len()) > math.MaxUint32 ||
@@ -261,9 +270,13 @@ func (d *Diff) AppendHeader(buf []byte) ([]byte, error) {
 	binary.LittleEndian.PutUint32(hdr[22:], uint32(d.FirstOcur.Len()))
 	binary.LittleEndian.PutUint32(hdr[26:], uint32(d.ShiftDupl.Len()))
 	binary.LittleEndian.PutUint32(hdr[30:], uint32(len(d.Bitmap)))
-	binary.LittleEndian.PutUint64(hdr[34:], uint64(len(d.Data)))
+	binary.LittleEndian.PutUint64(hdr[34:], nData)
 	hdr[42] = d.DataCodec
-	binary.LittleEndian.PutUint64(hdr[43:], d.rawLen())
+	raw := d.RawDataLen
+	if d.DataCodec == 0 {
+		raw = nData
+	}
+	binary.LittleEndian.PutUint64(hdr[43:], raw)
 	return append(buf, hdr[:]...), nil
 }
 
@@ -284,17 +297,28 @@ func (c sectionLens) tailLen() uint64 { return uint64(c.nBitmap) + c.nData }
 // anything is sized from them, so a corrupt or hostile header cannot
 // demand huge buffers (found by the decode-robustness fuzz test).
 func parseHeader(hdr []byte) (*Diff, sectionLens, error) {
+	d := new(Diff)
+	c, err := d.parseHeader(hdr)
+	if err != nil {
+		return nil, c, err
+	}
+	return d, c, nil
+}
+
+// parseHeader is the package function parsing into d, which it
+// overwrites whole.
+func (d *Diff) parseHeader(hdr []byte) (sectionLens, error) {
 	var c sectionLens
 	if binary.LittleEndian.Uint32(hdr[0:]) != diffMagic {
-		return nil, c, errors.New("checkpoint: bad magic")
+		return c, errors.New("checkpoint: bad magic")
 	}
 	if hdr[4] != formatVersion {
-		return nil, c, fmt.Errorf("checkpoint: unsupported version %d", hdr[4])
+		return c, fmt.Errorf("checkpoint: unsupported version %d", hdr[4])
 	}
 	if Method(hdr[5]) > MethodTree {
-		return nil, c, fmt.Errorf("checkpoint: unknown method %d", hdr[5])
+		return c, fmt.Errorf("checkpoint: unknown method %d", hdr[5])
 	}
-	d := &Diff{
+	*d = Diff{
 		Method:     Method(hdr[5]),
 		CkptID:     binary.LittleEndian.Uint32(hdr[6:]),
 		DataLen:    binary.LittleEndian.Uint64(hdr[10:]),
@@ -310,34 +334,34 @@ func parseHeader(hdr []byte) (*Diff, sectionLens, error) {
 	}
 	const maxDataLen = 1 << 42
 	if d.DataLen > maxDataLen {
-		return nil, c, fmt.Errorf("checkpoint: implausible data length %d", d.DataLen)
+		return c, fmt.Errorf("checkpoint: implausible data length %d", d.DataLen)
 	}
 	if d.ChunkSize == 0 && (c.nFirst > 0 || c.nShift > 0 || c.nBitmap > 0) {
-		return nil, c, errors.New("checkpoint: zero chunk size with chunk metadata")
+		return c, errors.New("checkpoint: zero chunk size with chunk metadata")
 	}
 	var numNodes uint64 = 1
 	if d.ChunkSize > 0 {
 		numNodes = 2*uint64(NumChunksU64(d.DataLen, uint64(d.ChunkSize))) - 1
 	}
 	if uint64(c.nFirst) > numNodes || uint64(c.nShift) > numNodes {
-		return nil, c, fmt.Errorf("checkpoint: %d+%d regions exceed %d tree nodes", c.nFirst, c.nShift, numNodes)
+		return c, fmt.Errorf("checkpoint: %d+%d regions exceed %d tree nodes", c.nFirst, c.nShift, numNodes)
 	}
 	if d.ChunkSize > 0 {
 		maxBitmap := (NumChunksU64(d.DataLen, uint64(d.ChunkSize)) + 7) / 8
 		if uint64(c.nBitmap) > maxBitmap {
-			return nil, c, fmt.Errorf("checkpoint: bitmap %d bytes exceeds %d chunks", c.nBitmap, maxBitmap*8)
+			return c, fmt.Errorf("checkpoint: bitmap %d bytes exceeds %d chunks", c.nBitmap, maxBitmap*8)
 		}
 	}
 	if c.nData > d.DataLen+headerSize {
-		return nil, c, fmt.Errorf("checkpoint: data section %d exceeds buffer length %d", c.nData, d.DataLen)
+		return c, fmt.Errorf("checkpoint: data section %d exceeds buffer length %d", c.nData, d.DataLen)
 	}
 	if d.DataCodec != 0 && d.RawDataLen > d.DataLen {
-		return nil, c, fmt.Errorf("checkpoint: raw data length %d exceeds buffer length %d", d.RawDataLen, d.DataLen)
+		return c, fmt.Errorf("checkpoint: raw data length %d exceeds buffer length %d", d.RawDataLen, d.DataLen)
 	}
 	if d.DataCodec == 0 && d.RawDataLen != c.nData {
-		return nil, c, fmt.Errorf("%w: raw data length %d but a %d-byte data section and no codec", ErrNonCanonical, d.RawDataLen, c.nData)
+		return c, fmt.Errorf("%w: raw data length %d but a %d-byte data section and no codec", ErrNonCanonical, d.RawDataLen, c.nData)
 	}
-	return d, c, nil
+	return c, nil
 }
 
 // setSections fills d's sections from meta and tail, which hold
@@ -505,11 +529,3 @@ func BitmapGet(bm []byte, i int) bool { return bm[i/8]&(1<<(i%8)) != 0 }
 
 // BitmapLen returns the byte length of a bitmap for n chunks.
 func BitmapLen(n int) int { return (n + 7) / 8 }
-
-// rawLen returns the uncompressed data-section length.
-func (d *Diff) rawLen() uint64 {
-	if d.DataCodec != 0 {
-		return d.RawDataLen
-	}
-	return uint64(len(d.Data))
-}

@@ -1,14 +1,18 @@
 package checkpoint
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"github.com/gpuckpt/gpuckpt/internal/recframe"
+	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
 
 // encodeSeed returns the encoding of d for use as a fuzz seed.
@@ -65,9 +69,11 @@ func FuzzDiffDecode(f *testing.F) {
 // against the stream parser, over the same seeds: on the bytes the
 // stream parser consumed both succeed with equal diffs that re-encode
 // to those bytes, and where it fails the by-reference parser fails too.
+// The push intake's streaming parser is held to both (streamDiffers).
 func FuzzDecodeBytes(f *testing.F) {
 	diffSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		streamDiffers(t, data)
 		r := bytes.NewReader(data)
 		want, err := Decode(r)
 		if err != nil {
@@ -91,6 +97,73 @@ func FuzzDecodeBytes(f *testing.F) {
 			}
 		}
 	})
+}
+
+// streamDiffers is FuzzDecodeBytes's differential half: data, framed
+// as a push payload whose CRC prefix is right or — for every third
+// length — wrong, read by ReadStream in reads of pseudo-random size
+// through a small bufio.Reader, must be accepted exactly when
+// wire.DecodePush and DecodeBytes accept it, parse to the same diff,
+// hand its data section over in whole cuts, consume exactly the
+// payload and give the same CRC verdict.
+func streamDiffers(t *testing.T, data []byte) {
+	payload := wire.EncodePush(data)
+	if len(data)%3 == 0 {
+		payload[0] ^= 0x5A
+	}
+	_, encoded, pushErr := wire.DecodePush(payload)
+	want, decErr := DecodeBytes(data)
+	seed := int64(wire.Checksum(data))
+	rng := rand.New(rand.NewSource(seed))
+	br := bufio.NewReaderSize(&chunkyReader{r: bytes.NewReader(payload), rng: rng}, 64)
+	cut := 1 + rng.Intn(br.Size())
+
+	declared := binary.BigEndian.Uint32(payload)
+	br.Discard(wire.PushChecksumSize)
+	var got Diff
+	var section []byte
+	pieces := 0
+	_, crc, bad, err := ReadStream(br, int64(len(data)), &got, nil, cut, func(p []byte) error {
+		if pieces > 0 && len(section)%cut != 0 {
+			t.Fatalf("a piece after %d data bytes does not start at a cut of %d", len(section), cut)
+		}
+		pieces++
+		section = append(section, p...)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("ReadStream failed reading a payload that was all there: %v", err)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("ReadStream left payload bytes unread (%v)", err)
+	}
+	crcErr := wire.CheckPush(declared, crc)
+	if (crcErr == nil) != (pushErr == nil) {
+		t.Fatalf("CRC verdicts differ: streamed %v, DecodePush %v", crcErr, pushErr)
+	}
+	if pushErr == nil && !bytes.Equal(encoded, data) {
+		t.Fatal("DecodePush returned other bytes than were pushed")
+	}
+	if (bad == nil) != (decErr == nil) {
+		t.Fatalf("verdicts differ: ReadStream %v, DecodeBytes %v", bad, decErr)
+	}
+	if bad != nil {
+		return
+	}
+	got.Data = section
+	if !reflect.DeepEqual(&got, want) {
+		t.Fatalf("ReadStream and DecodeBytes disagree:\n %+v\n %+v", &got, want)
+	}
+}
+
+// chunkyReader returns reads of pseudo-random size, 1 to 23 bytes.
+type chunkyReader struct {
+	r   io.Reader
+	rng *rand.Rand
+}
+
+func (c *chunkyReader) Read(p []byte) (int, error) {
+	return c.r.Read(p[:min(len(p), 1+c.rng.Intn(23))])
 }
 
 // FuzzManifestDecode feeds arbitrary bytes to the lineage-manifest

@@ -149,7 +149,7 @@ func (fs *FileStore) appendDiff(dst []byte, ck int, segment *uint32, sc *ReadScr
 		fs.mu.Unlock()
 		return dst, 0, fmt.Errorf("checkpoint: diff %d out of range [%d,%d)", ck, base, end)
 	}
-	if fs.seg == nil {
+	if fs.log == nil {
 		fs.mu.Unlock()
 		return dst, 0, fs.failed
 	}
@@ -169,7 +169,7 @@ func (fs *FileStore) appendDiff(dst []byte, ck int, segment *uint32, sc *ReadScr
 		}
 		buf = sc.rec
 	}
-	raw, err := fs.hooks.ReadAt(fs.seg, buf[:need], loc.off)
+	raw, err := fs.hooks.ReadAt(fs.log.File(), buf[:need], loc.off)
 	fs.mu.Unlock()
 	if err != nil && err != io.EOF { // a short read fails verification below
 		return dst, 0, fmt.Errorf("checkpoint: reading diff %d: %w", ck, err)

@@ -788,8 +788,14 @@ func TestChaosStreamStallInsideWindow(t *testing.T) {
 
 // Scenario 15: the storage seam reaches the PACK. During a streamed
 // push the block store's pack write tears, or its fsync fails: the
-// batch is refused typed, nothing acked before it is lost, the pack is
-// cut back to its previous length, and the next push commits the rest.
+// batch is refused typed, nothing acked before it is lost, and what
+// the refused batch wrote to the pack is orphaned — a GC takes the
+// store back to the blocks it held before. A torn write is cut back
+// and the store carries on: the next push on the same server commits
+// the rest. A failed fsync stops the block store, because which pending
+// bytes reached the disk is unknown: the next push is refused too, and
+// only a restart on the same root, which recovers it, serves the
+// lineage again and commits the rest.
 func TestChaosStreamPackFailure(t *testing.T) {
 	for name, plan := range map[string]faults.StoragePlan{
 		"sync-err":   {SyncErr: faults.On(1)},
@@ -800,7 +806,7 @@ func TestChaosStreamPackFailure(t *testing.T) {
 			half := len(images) / 2
 			root := t.TempDir()
 			srv, addr, stop := startServer(t, server.Config{Root: root})
-			defer stop()
+			defer func() { stop(); srv.Close() }()
 			cl, err := gpuckpt.Dial(addr, 5*time.Second)
 			if err != nil {
 				t.Fatal(err)
@@ -809,11 +815,15 @@ func TestChaosStreamPackFailure(t *testing.T) {
 			if _, err := cl.PushCheckpointer("pack-fail", streamCheckpointer(t, images[:half])); err != nil {
 				t.Fatal(err)
 			}
-			pack := filepath.Join(root, blockstore.DirName, "pack-000001.log")
-			before, err := os.Stat(pack)
-			if err != nil {
-				t.Fatal(err)
+			blocks := func() int {
+				bs, err := blockstore.Open(filepath.Join(root, blockstore.DirName), blockstore.Options{ReadOnly: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer bs.Close()
+				return bs.Stats().Blocks
 			}
+			before := blocks()
 
 			in := faults.New(151)
 			srv.SetStorageHooks(in.StorageHooks(plan))
@@ -825,8 +835,23 @@ func TestChaosStreamPackFailure(t *testing.T) {
 			if len(in.Trace()) != 1 {
 				t.Fatalf("the fault fired %v, want exactly once", in.Trace())
 			}
-			if after, err := os.Stat(pack); err != nil || after.Size() != before.Size() {
-				t.Fatalf("the refused batch left the pack at %d bytes (%v), want its previous %d", after.Size(), err, before.Size())
+			srv.SetStorageHooks(nil)
+
+			if name == "sync-err" {
+				if n, err := cl.PushCheckpointer("pack-fail", all); !errors.As(err, &re) || n != 0 {
+					t.Fatalf("a push after the failed fsync acked %d diffs and returned %v, want a refusal: the block store must stop", n, err)
+				}
+				cl.Close()
+				stop()
+				srv.Close()
+				srv, addr, stop = startServer(t, server.Config{Root: root})
+				if cl, err = gpuckpt.Dial(addr, 5*time.Second); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv.CollectBlocks()
+			if after := blocks(); after != before {
+				t.Fatalf("after the refused batch and a GC the store holds %d blocks, want its previous %d", after, before)
 			}
 			verifyLineage(t, addr, "pack-fail", images[:half])
 
@@ -836,7 +861,6 @@ func TestChaosStreamPackFailure(t *testing.T) {
 			if srv.StreamPushes() == 0 {
 				t.Fatal("push never took the streaming path")
 			}
-			srv.SetStorageHooks(nil)
 			verifyLineage(t, addr, "pack-fail", images)
 		})
 	}

@@ -11,7 +11,8 @@ import (
 
 // The durability protocol: how bytes reach the disk so that a crash at
 // any instant leaves either the state before a mutation or the state
-// after it. Log.Append, Resume and Create write a log; Commit replaces
+// after it. Log.Write, Log.Sync, Log.Append, Resume and Create write a
+// log; Commit replaces
 // a small file (a manifest, an index snapshot); Hooks is the one fault
 // seam they, and the stores' reads, run through.
 
@@ -108,13 +109,17 @@ func (h *Hooks) ReadAt(f *os.File, p []byte, off int64) ([]byte, error) {
 	return p[:n], err
 }
 
-// Log is an append-only log file and its committed length: the offset
-// up to which every frame is known durable, where the next one goes.
-// It is not safe for concurrent use; the store that owns it serializes
-// appends, reads the file through File, and closes it.
+// Log is an append-only log file, its committed length — the offset
+// up to which every frame is known durable — and its written length,
+// where the next frame goes. Frames between the two are written but not
+// yet durable: Write adds one, Sync makes them all durable with one
+// fsync, and Append is the two in one call. It is not safe for
+// concurrent use; the store that owns it serializes writes, reads the
+// file through File, and closes it.
 type Log struct {
 	f      *os.File
 	size   int64 // committed length
+	end    int64 // written length
 	n      int64 // bytes written of the frame in flight
 	failed error
 }
@@ -138,6 +143,14 @@ func Create(h *Hooks, path string) (*Log, error) {
 	return &Log{f: f}, nil
 }
 
+// Attach wraps f, an open log of which a scan found the first committed
+// bytes to be the committed frames, for reading: it writes nothing, and
+// whatever lies past committed stays until Resume takes the file over
+// for writing.
+func Attach(f *os.File, committed int64) *Log {
+	return &Log{f: f, size: committed, end: committed}
+}
+
 // Resume takes over f, an open log of which a scan found the first
 // committed bytes to be the committed frames. Never append after
 // garbage: whatever lies past them — a frame whose append died — is cut
@@ -146,7 +159,7 @@ func Resume(f *os.File, committed int64) (*Log, error) {
 	if err := f.Truncate(committed); err != nil {
 		return nil, fmt.Errorf("recframe: resuming %s: %w", f.Name(), err)
 	}
-	return &Log{f: f, size: committed}, nil
+	return Attach(f, committed), nil
 }
 
 // File returns the log's file, for reads and for closing.
@@ -155,29 +168,32 @@ func (l *Log) File() *os.File { return l.f }
 // Size returns the committed length.
 func (l *Log) Size() int64 { return l.size }
 
+// End returns the written length: Size plus the frames written since
+// the last Sync.
+func (l *Log) End() int64 { return l.end }
+
 // Failed returns the error the log fail-stopped with, nil while it
 // takes appends.
 func (l *Log) Failed() error { return l.failed }
 
-// frameWriter writes the frame in flight at the log's committed length.
+// frameWriter writes the frame in flight at the log's written length.
 type frameWriter Log
 
 func (w *frameWriter) Write(p []byte) (int, error) {
-	n, err := w.f.WriteAt(p, w.size+w.n)
+	n, err := w.f.WriteAt(p, w.end+w.n)
 	w.n += int64(n)
 	return n, err
 }
 
-// Append is the one way a frame reaches a log: emit writes it, through
-// the write seam, at the committed length; one fsync, through the sync
-// seam, makes it durable; only then does the committed length move, and
-// only then may the caller apply the frame to its in-memory state. On
+// Write adds a frame behind those written before it: emit writes it,
+// through the write seam, at the written length, which moves past it
+// once emit returns nil. The frame is not durable until a Sync. On
 // failure nothing of the frame stays — the file is cut back to the
-// committed length, so memory == disk — unless the cut fails too, or
-// the failure is a simulated crash (which must leave the debris a dying
-// process would): then the log fail-stops, and this and every later
-// Append returns an error Failed also reports.
-func (l *Log) Append(h *Hooks, emit func(w io.Writer) error) error {
+// written length — unless the cut fails too, or the failure is a
+// simulated crash (which must leave the debris a dying process would):
+// then the log fail-stops, and this and every later call returns an
+// error Failed also reports.
+func (l *Log) Write(h *Hooks, emit func(w io.Writer) error) error {
 	if l.failed != nil {
 		return l.failed
 	}
@@ -188,19 +204,62 @@ func (l *Log) Append(h *Hooks, emit func(w io.Writer) error) error {
 	}
 	err := emit(w)
 	if err == nil {
-		err = h.Sync(l.f)
-	}
-	if err == nil {
-		l.size += l.n
+		l.end += l.n
 		return nil
 	}
-	err = fmt.Errorf("recframe: appending to %s: %w", l.f.Name(), err)
+	return l.cut(l.end, fmt.Errorf("recframe: appending to %s: %w", l.f.Name(), err))
+}
+
+// Sync makes every written frame durable: one fsync, through the sync
+// seam, then the committed length moves to the written one. It fsyncs
+// even when no frame is pending, so a cut the log made becomes durable
+// too. On failure nothing moves: which pending bytes reached the disk
+// is unknown, and the caller decides — cut them (Append) or stop. A
+// simulated crash fail-stops the log.
+func (l *Log) Sync(h *Hooks) error {
+	if l.failed != nil {
+		return l.failed
+	}
+	if err := h.Sync(l.f); err != nil {
+		err = fmt.Errorf("recframe: syncing %s: %w", l.f.Name(), err)
+		if errors.Is(err, ErrSimulatedCrash) {
+			l.failed = err
+		}
+		return err
+	}
+	l.size = l.end
+	return nil
+}
+
+// Append is the one way a frame reaches a log with nothing pending
+// before it: Write, then Sync; only then may the caller apply the frame
+// to its in-memory state. On failure nothing of the frame stays — a
+// failed fsync cuts the file back to the committed length, so memory ==
+// disk — unless the cut fails or the failure is a simulated crash, when
+// the log fail-stops as Write does.
+func (l *Log) Append(h *Hooks, emit func(w io.Writer) error) error {
+	if err := l.Write(h, emit); err != nil {
+		return err
+	}
+	if err := l.Sync(h); err != nil && l.failed == nil {
+		return l.cut(l.size, err)
+	}
+	return l.failed
+}
+
+// cut ends a failed write or sync: it passes err through after cutting
+// the file back to at, the length before the failed frames, and
+// fail-stops the log instead on a simulated crash or a failed cut.
+func (l *Log) cut(at int64, err error) error {
 	if errors.Is(err, ErrSimulatedCrash) {
 		l.failed = err
-	} else if terr := l.f.Truncate(l.size); terr != nil {
+		return err
+	}
+	if terr := l.f.Truncate(at); terr != nil {
 		l.failed = fmt.Errorf("recframe: rolling back a failed append: %v (%w)", terr, err)
 		return l.failed
 	}
+	l.end = at
 	return err
 }
 

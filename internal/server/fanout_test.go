@@ -71,83 +71,66 @@ func freeBytes(t testing.TB, srv *Server) int {
 	return n
 }
 
-// outgrown returns the bytes a connection's first read of frame leaves
-// on the free list: the buffers wire.ReadFrameSpare outgrows on its way
-// to the frame's size, those the list keeps.
-func outgrown(t testing.TB, frame []byte) int {
-	t.Helper()
-	var f wire.Frame
-	var scratch []byte
-	var spare [][]byte
-	if err := wire.ReadFrameSpare(bytes.NewReader(frame), 0, &f, &scratch, &spare); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, b := range spare {
-		if cap(b) >= frameMemMin {
-			n += cap(b)
-		}
-	}
-	return n
-}
-
-// TestReplicatedIntakeRecyclesStaging: with a live subscriber, a staged
-// run goes back to the free list when it settles, and the subscriber
-// reads each diff back from the store into a buffer it borrows from the
-// same list for one wake. On a warm server the second of two 16-frame
-// runs over TCP therefore allocates next to nothing for its payload
-// bytes, where a copy per replicated frame would allocate all of them
-// again. The list starts with one buffer per frame, which with the
-// buffer the pusher reads its first frame into is one more than a run
-// can stage, so how TCP groups the frames into commits does not matter:
-// a subscriber borrows only after a commit has handed its staging back.
-// After each run the list holds those buffers but the one the pusher
-// reads on into, plus what the pusher's first read outgrew.
-func TestReplicatedIntakeRecyclesStaging(t *testing.T) {
-	srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
-	defer stop()
-	sub := testConn(t, addr)
-	defer sub.Close()
-	subscribeOn(t, srv, sub, "replicated", wire.Pull{})
-	pusher := testConn(t, addr)
-	defer pusher.Close()
-	h := call(t, pusher, &wire.Frame{Type: wire.TOpen, Payload: []byte("replicated")}).Lineage
-
-	const n, size = 16, 256 << 10
-	want := append(runPayloads(t, 0, n, size), runPayloads(t, n, n, size)...)
-	payloadBytes := 0
-	for _, p := range want[n:] {
-		payloadBytes += len(p)
-	}
-	first, second := streamBurst(t, h, 0, want[:n]), streamBurst(t, h, n, want[n:])
-	var tail wire.Frame
-	var scratch []byte
-	relay := func(burst []byte, from int) {
-		sendRun(t, pusher, burst, from, n)
-		for ck := from; ck < from+n; ck++ {
-			if err := wire.ReadFrameInto(sub, 0, &tail, &scratch); err != nil {
-				t.Fatalf("tail %d: %v", ck, err)
+// TestWarmStreamRunAllocatesNothingPerFrame: on a warm connection a
+// 16-frame stream run allocates nothing per frame, with or without a
+// live subscriber. Each frame's blocks go from the connection's read
+// buffer to the block store, its region lists into memory the
+// connection reuses, its ack into a buffer of the run's; a subscriber
+// reads each diff back into the buffer it borrows from the free list
+// once a wake. The third run of 256 KiB frames (the data of the first,
+// all block-store hits) therefore makes fewer allocations than it has
+// frames, however TCP groups the frames into settles.
+func TestWarmStreamRunAllocatesNothingPerFrame(t *testing.T) {
+	for _, replicated := range []bool{false, true} {
+		t.Run(map[bool]string{false: "alone", true: "replicated"}[replicated], func(t *testing.T) {
+			srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
+			defer stop()
+			sub := testConn(t, addr)
+			defer sub.Close()
+			if replicated {
+				subscribeOn(t, srv, sub, "warm", wire.Pull{})
 			}
-			if tail.Type != wire.TPull || tail.Ckpt != uint32(ck) || !bytes.Equal(tail.Payload, want[ck]) {
-				t.Fatalf("tail frame %d (type %#x ckpt %d) is not the pushed payload", ck, tail.Type, tail.Ckpt)
+			pusher := testConn(t, addr)
+			defer pusher.Close()
+			h := call(t, pusher, &wire.Frame{Type: wire.TOpen, Payload: []byte("warm")}).Lineage
+
+			const runs, n, size = 3, 16, 256 << 10
+			bursts := make([][]byte, runs)
+			for r := range bursts {
+				bursts[r] = streamBurst(t, h, r*n, runPayloads(t, r*n, n, size))
 			}
-		}
+			var ack, tail wire.Frame
+			var ackScratch, tailScratch []byte
+			relay := func(r int) {
+				if _, err := pusher.Write(bursts[r]); err != nil {
+					t.Fatal(err)
+				}
+				for ck := r * n; ck < (r+1)*n; ck++ {
+					if err := wire.ReadFrameInto(pusher, 0, &ack, &ackScratch); err != nil || ack.Status != wire.StatusOK || ack.Ckpt != uint32(ck) {
+						t.Fatalf("ack %d: %+v, %v", ck, ack, err)
+					}
+				}
+				for ck := r * n; replicated && ck < (r+1)*n; ck++ {
+					if err := wire.ReadFrameInto(sub, 0, &tail, &tailScratch); err != nil || tail.Type != wire.TPull || tail.Ckpt != uint32(ck) {
+						t.Fatalf("tail %d (type %#x ckpt %d): %v", ck, tail.Type, tail.Ckpt, err)
+					}
+				}
+			}
+			for r := 0; r < runs-1; r++ {
+				relay(r)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			relay(runs - 1)
+			runtime.ReadMemStats(&after)
+			mallocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+			t.Logf("a warm %d-frame run of %d KiB frames: %d allocations, %d B", n, size>>10, mallocs, bytes)
+			if mallocs >= n {
+				t.Fatalf("a warm %d-frame run made %d allocations (%d B), want fewer than one a frame", n, mallocs, bytes)
+			}
+		})
 	}
-
-	warm := warmFrames(srv, n, len(want[0])) + outgrown(t, first)
-	relay(first, 0)
-	waitFree(t, srv, warm)
-
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	relay(second, n)
-	waitFree(t, srv, warm)
-	runtime.ReadMemStats(&after)
-	alloc := after.TotalAlloc - before.TotalAlloc
-	if alloc >= uint64(payloadBytes)/20 {
-		t.Fatalf("the second replicated run allocated %d bytes for %d payload bytes, want under 5%%", alloc, payloadBytes)
-	}
-	t.Logf("the second replicated run allocated %d bytes for %d payload bytes", alloc, payloadBytes)
 }
 
 // readTails reads the frames a subscription sends from checkpoint from
@@ -174,10 +157,8 @@ func readTails(t *testing.T, sub net.Conn, want [][]byte, from int) {
 // left behind by a reader that stops reading, or ended by a fold, a
 // disconnect or a shutdown — every payload that reaches the wire
 // is the pushed bytes, and the free list ends where it started: the
-// run's staging and the buffer the subscription borrowed are all back,
-// and the pusher reads on into one of them. Once the connections close,
-// the list also holds the pusher's read buffer; the subscriber's, a few
-// bytes, it does not keep. The subscribers are on unbuffered pipes, so
+// buffer the subscription borrowed is back, and the pusher, which reads
+// into no buffer of the list, adds none when its connection closes. The subscribers are on unbuffered pipes, so
 // while the test does not read, the server is parked in a write with
 // the buffer borrowed.
 func TestRaceFanOutReleases(t *testing.T) {
@@ -200,12 +181,11 @@ func TestRaceFanOutReleases(t *testing.T) {
 	pushAll := func(t *testing.T, pusher net.Conn, h uint32) {
 		sendRun(t, pusher, streamBurst(t, h, 0, want), 0, n)
 	}
-	// hangUp closes both connections and waits for the pusher's read
-	// buffer to join the warm list.
+	// hangUp closes both connections; the list stays as it was.
 	hangUp := func(t *testing.T, l *pipeListener, pusher, sub net.Conn, warm int) {
 		pusher.Close()
 		sub.Close()
-		waitFree(t, l.srv, warm+len(want[0]))
+		waitFree(t, l.srv, warm)
 	}
 	readAll := func(t *testing.T, sub net.Conn) {
 		for ck := 0; ck < n; ck++ {
@@ -278,7 +258,7 @@ func TestRaceFanOutReleases(t *testing.T) {
 		// The subscription is parked writing checkpoint 1; the drain
 		// times out and closes its connection.
 		l.shutdown()
-		waitFree(t, l.srv, warm+len(want[0]))
+		waitFree(t, l.srv, warm)
 	})
 }
 

@@ -1,43 +1,35 @@
 // The server's frame memory: one free list of byte buffers, owned by
-// the Server, that connections read pushed frames into and span streams
-// and subscriptions read diffs back into. A buffer has one user at a
-// time and goes back when that user is done with it — a connection's
-// read buffer when the connection outgrows it or closes, a staged
-// frame's once its run has settled, a span stream's or a subscription's
-// once a diff outgrows it, and after the stream ends or each wake — so
-// a warm server ingests, replicates and serves frames without
+// the Server, that span streams and subscriptions read diffs back
+// into. The push intake does not draw on it: a pushed diff goes from
+// the connection's read buffer to the block store, and its run keeps
+// only its records (push.go). A buffer has one user at a time and goes
+// back when that user is done with it — a span stream's or a
+// subscription's once a diff outgrows it, and after the stream ends or
+// each wake — so a warm server replicates and serves frames without
 // allocating for them, and unlike a sync.Pool the list is not emptied
 // by a GC.
 //
 // What the list retains is capped server-wide by frameMemCap; a buffer
 // that would take it past the cap is left to the GC. The cap bounds
-// idle buffers only. Buffers in use are bounded by their users: a
-// staged run by streamBatchBytes per connection, a span stream or a
-// subscription by the one frame it is writing. The cap is not per
-// connection: MaxConns connections each pinning a full staged run would
-// be 64 × 16 MiB.
+// idle buffers only. Buffers in use are bounded by their users: a span
+// stream or a subscription by the one frame it is writing.
 
 package server
 
 import (
-	"math"
 	"math/bits"
 	"sync"
 )
 
-// frameMemCap bounds the bytes of free buffers the server retains: four
-// staged runs at their byte cap.
-const frameMemCap = 4 * streamBatchBytes
+// frameMemCap bounds the bytes of free buffers the server retains.
+const frameMemCap = 64 << 20
 
-// frameMemMin is the smallest buffer the list keeps: every connection
-// reads its first header into a few bytes of its own and hands them
-// back when it closes.
+// frameMemMin is the smallest buffer the list keeps.
 const frameMemMin = 4 << 10
 
 // frameMem is the free list. Buffers are kept by capacity class — class
-// k holds capacities of bit length k, [2^(k-1), 2^k) — so a get looks at
-// the top of at most one class that may not fit before it finds one
-// that must.
+// k holds capacities of bit length k, [2^(k-1), 2^k) — so largest finds
+// a buffer of the top class at once.
 type frameMem struct {
 	mu sync.Mutex
 	//ckptlint:guardedby mu
@@ -46,19 +38,13 @@ type frameMem struct {
 	held int // bytes of capacity on the list
 }
 
-// get returns a free buffer, emptied, for the next read of a
-// connection that has just staged an n-byte frame: the smallest that
-// holds n, else the largest, or nil if the list is empty. It never
-// allocates: a read that outgrows what it returns grows its own
-// (wire.ReadFrameSpare).
-func (m *frameMem) get(n int) []byte {
+// largest returns the largest free buffer, emptied, or nil if there is
+// none. A span stream or a subscription takes it: neither can know its
+// largest frame before it has read it. It never allocates: a read that
+// outgrows what it returns grows its own.
+func (m *frameMem) largest() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for k := bits.Len(uint(n)); k < len(m.free); k++ {
-		if top := len(m.free[k]) - 1; top >= 0 && cap(m.free[k][top]) >= n {
-			return m.takeLocked(k)
-		}
-	}
 	for k := len(m.free) - 1; k > 0; k-- {
 		if len(m.free[k]) > 0 {
 			return m.takeLocked(k)
@@ -66,11 +52,6 @@ func (m *frameMem) get(n int) []byte {
 	}
 	return nil
 }
-
-// largest returns the largest free buffer, emptied, or nil if there is
-// none. A span stream or a subscription takes it: neither can know its
-// largest frame before it has read it.
-func (m *frameMem) largest() []byte { return m.get(math.MaxInt) }
 
 // takeLocked pops the top buffer of class k.
 //

@@ -8,8 +8,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"runtime"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -18,31 +16,28 @@ import (
 	"github.com/gpuckpt/gpuckpt/internal/wire"
 )
 
-// TestFrameMem: get hands out the smallest free buffer that holds n,
-// else the largest, else nothing — it never allocates — and largest the
-// largest; put keeps what it is given from frameMemMin up to
-// frameMemCap.
+// TestFrameMem: largest hands out the largest free buffer, else
+// nothing — it never allocates; put keeps what it is given from
+// frameMemMin up to frameMemCap.
 func TestFrameMem(t *testing.T) {
 	var m frameMem
 	small, mid, big := make([]byte, frameMemMin), make([]byte, 3*frameMemMin), make([]byte, 5*frameMemMin)
-	for _, b := range [][]byte{big, small, mid} {
+	for _, b := range [][]byte{mid, big, small} {
 		m.put(b)
 	}
-	if b := m.get(2 * frameMemMin); &b[:1][0] != &mid[0] || len(b) != 0 {
-		t.Fatalf("get(%d) did not take the %d-byte buffer", 2*frameMemMin, len(mid))
+	for _, want := range [][]byte{big, mid, small} {
+		if b := m.largest(); &b[:1][0] != &want[0] || len(b) != 0 {
+			t.Fatalf("largest did not take the %d-byte buffer", len(want))
+		}
 	}
-	if b := m.largest(); &b[:1][0] != &big[0] || len(b) != 0 {
-		t.Fatalf("largest did not take the %d-byte buffer", len(big))
+	if b := m.largest(); b != nil || m.held != 0 {
+		t.Fatalf("largest of an empty list returned %d bytes, held %d", cap(b), m.held)
 	}
-	if b := m.get(2 * frameMemMin); &b[:1][0] != &small[0] || len(b) != 0 {
-		t.Fatalf("get(%d) with no buffer that holds it did not take the largest", 2*frameMemMin)
+	m.put(big)
+	if allocs := testing.AllocsPerRun(10, func() { m.put(m.largest()) }); allocs != 0 {
+		t.Fatalf("largest allocated %.0f times", allocs)
 	}
-	if b := m.get(1); b != nil || m.held != 0 {
-		t.Fatalf("get from an empty list returned %d bytes, held %d", cap(b), m.held)
-	}
-	if allocs := testing.AllocsPerRun(10, func() { m.put(m.get(1 << 20)) }); allocs != 0 {
-		t.Fatalf("get allocated %.0f times", allocs)
-	}
+	m.largest()
 	m.put(small)
 	m.put(make([]byte, frameMemCap))
 	if m.held != cap(small) {
@@ -110,105 +105,29 @@ func sendRun(t *testing.T, conn net.Conn, burst []byte, first, n int) {
 	}
 }
 
-// TestStreamIntakeRecyclesStaging: with no subscriber, a staged run
-// stages each frame in the buffer it was read into, and the
-// connection reads on into one from the server's free list, to which
-// the staging goes back when the run settles. A second run of the
-// same frames (ids aside) on the connection allocates next to nothing
-// for its payload bytes, where a copy per frame would allocate all of
-// them again. The connection is a net.Pipe, so both runs reach the
-// server in the same pieces and stage in the same groups.
-func TestStreamIntakeRecyclesStaging(t *testing.T) {
-	conn := startPipeServer(t, Config{Root: t.TempDir()}).dial(t)
-	defer conn.Close()
-	h := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte("recycle")}).Lineage
-	const n, size = 16, 256 << 10
-	first := streamBurst(t, h, 0, runPayloads(t, 0, n, size))
-	payloads := runPayloads(t, n, n, size)
-	second, payloadBytes := streamBurst(t, h, n, payloads), 0
-	for _, p := range payloads {
-		payloadBytes += len(p)
-	}
-
-	sendRun(t, conn, first, 0, n)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	sendRun(t, conn, second, n, n)
-	runtime.ReadMemStats(&after)
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(payloadBytes)/20 {
-		t.Fatalf("the second run allocated %d bytes for %d payload bytes, want under 5%%", alloc, payloadBytes)
-	}
-}
-
-// TestRaceStagingRecycle: a run's staging goes back to the free list
-// when the run settles, before the lineage's subscribers are woken,
-// and the next run reuses it at once. The first runs are staged in
-// process through the connection's read buffer, with a subscriber
-// registered between check and settle: once settle returns, the
-// subscriber holds a wake and the list holds every buffer of the run,
-// its whole capacity. The rest stream over one connection while
-// subscriptions come and go beside them, each checking what it is
-// sent against the pushed bytes while later runs reuse the staging;
+// TestRaceRunMemoryReuse: the memory a connection reads a run's
+// region lists into is reused run after run, and no record or
+// subscriber aliases it past its settle. Runs of diffs with region
+// lists stream over one connection while subscriptions come and go
+// beside them, each checking what it is sent against the pushed bytes;
 // every stored diff must still be the pushed bytes too.
-func TestRaceStagingRecycle(t *testing.T) {
+func TestRaceRunMemoryReuse(t *testing.T) {
 	srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
 	defer stop()
 	conn := testConn(t, addr)
 	defer conn.Close()
-	h := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte("recycle")}).Lineage
+	h := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte("reuse")}).Lineage
 	ln, err := srv.get(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const runs, n, size = 6, 8, 16 << 10
-	want := make([][]byte, 2*runs*n)
-	for ck := range want {
-		want[ck] = wire.EncodePush(bigEncodedDiff(t, ck, size))
-	}
-	held := func() int {
-		srv.frames.mu.Lock()
-		defer srv.frames.mu.Unlock()
-		return srv.frames.held
+	const runs, n, chunks = 6, 8, 4 << 10
+	want := make([][]byte, runs*n)
+	want[0] = wire.EncodePush(bigEncodedDiff(t, 0, 8*chunks))
+	for ck := 1; ck < len(want); ck++ {
+		want[ck] = wire.EncodePush(rotatedDiffBy(t, ck, chunks, ck)) // lists that differ diff by diff
 	}
 
-	// In process: the subscriber arrives between check and settle.
-	sink, peer := net.Pipe()
-	defer sink.Close()
-	defer peer.Close()
-	bw := bufio.NewWriter(io.Discard)
-	var scratch []byte
-	for r := 0; r < runs; r++ {
-		var run stagedRun
-		for ck := r * n; ck < (r+1)*n; ck++ {
-			req := &wire.Frame{Type: wire.TPushStream, Lineage: h, Ckpt: uint32(ck), Payload: readInto(&scratch, want[ck])}
-			if err := srv.serveStream(&run, req, &scratch, bw, sink); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if len(run.batch) != n || run.batch[0].staging == nil {
-			t.Fatalf("run %d: %d frames staged, want %d in their read buffers", r, len(run.batch), n)
-		}
-		staged := 0
-		for _, p := range run.batch {
-			staged += cap(p.staging)
-		}
-		sub := srv.hub.register(ln)
-		before := held()
-		if err := srv.settle(&run, bw, sink); err != nil {
-			t.Fatal(err)
-		}
-		if got := held() - before; got != staged || len(run.batch) != 0 {
-			t.Fatalf("run %d: settling gave the list %d bytes and left %d frames staged, want %d and none", r, got, len(run.batch), staged)
-		}
-		select {
-		case <-sub:
-		default:
-			t.Fatalf("run %d settled without waking its subscriber", r)
-		}
-		srv.hub.unregister(ln, sub)
-	}
-
-	// Over the connection, with subscriptions coming and going.
 	churn := func() error {
 		sc, err := net.DialTimeout("tcp", addr, 5*time.Second)
 		if err != nil {
@@ -219,7 +138,7 @@ func TestRaceStagingRecycle(t *testing.T) {
 		if err := wire.Handshake(sc); err != nil {
 			return err
 		}
-		open, err := roundTrip(sc, &wire.Frame{Type: wire.TOpen, Payload: []byte("recycle")})
+		open, err := roundTrip(sc, &wire.Frame{Type: wire.TOpen, Payload: []byte("reuse")})
 		if err != nil {
 			return err
 		}
@@ -264,7 +183,7 @@ func TestRaceStagingRecycle(t *testing.T) {
 		wg.Wait()
 	})
 	defer stopChurn()
-	for first := runs * n; first < len(want); first += n {
+	for first := 0; first < len(want); first += n {
 		sendRun(t, conn, streamBurst(t, h, first, want[first:first+n]), first, n)
 	}
 	stopChurn()
@@ -285,110 +204,10 @@ func roundTrip(conn net.Conn, req *wire.Frame) (*wire.Frame, error) {
 	return wire.ReadFrame(conn, 0)
 }
 
-// readInto puts payload where a connection's read leaves it: in
-// *scratch, replaced by an exact-size buffer when too small, as a read
-// grows one (wire.ReadFrameSpare).
-func readInto(scratch *[]byte, payload []byte) []byte {
-	if cap(*scratch) < len(payload) {
-		*scratch = make([]byte, len(payload))
-	}
-	*scratch = append((*scratch)[:0], payload...)
-	return *scratch
-}
-
-// TestStagedRunCountsCapacity: a staged run is bounded by the capacity
-// of its staging, not by its payload bytes. With the free list warmed
-// with buffers far larger than the frames, a back-to-back run settles
-// before the capacity it holds staged reaches streamBatchBytes, where
-// counting payload bytes would stage every frame; with right-sized
-// buffers, a run commits exactly where counting payload bytes does.
-func TestStagedRunCountsCapacity(t *testing.T) {
-	// commits serves payloads, ids from 0, as back-to-back stream frames
-	// through the connection's read buffer and returns how many frames
-	// each commit took, failing if a run is ever left holding
-	// streamBatchBytes of staging.
-	commits := func(t *testing.T, srv *Server, h uint32, payloads [][]byte) []int {
-		sink, peer := net.Pipe()
-		defer sink.Close()
-		defer peer.Close()
-		bw := bufio.NewWriter(io.Discard)
-		var run stagedRun
-		var scratch []byte
-		var took []int
-		staged := 0
-		for ck, p := range payloads {
-			req := &wire.Frame{Type: wire.TPushStream, Lineage: h, Ckpt: uint32(ck), Payload: readInto(&scratch, p)}
-			if err := srv.serveStream(&run, req, &scratch, bw, sink); err != nil {
-				t.Fatal(err)
-			}
-			capacity := 0
-			for _, q := range run.batch {
-				capacity += cap(q.staging)
-			}
-			if capacity >= streamBatchBytes {
-				t.Fatalf("frame %d: the run holds %d bytes of staging, cap %d", ck, capacity, streamBatchBytes)
-			}
-			if staged++; len(run.batch) == 0 {
-				took, staged = append(took, staged), 0
-			}
-		}
-		if err := srv.settle(&run, bw, sink); err != nil {
-			t.Fatal(err)
-		}
-		if staged > 0 {
-			took = append(took, staged)
-		}
-		return took
-	}
-	// byPayload is where a run of payloads commits when it counts
-	// decoded payload bytes.
-	byPayload := func(payloads [][]byte) []int {
-		var took []int
-		frames, bytes := 0, 0
-		for _, p := range payloads {
-			frames, bytes = frames+1, bytes+len(p)-wire.PushChecksumSize
-			if frames == streamBatchFrames || bytes >= streamBatchBytes {
-				took, frames, bytes = append(took, frames), 0, 0
-			}
-		}
-		if frames > 0 {
-			took = append(took, frames)
-		}
-		return took
-	}
-	open := func(t *testing.T) (*Server, uint32) {
-		srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
-		t.Cleanup(stop)
-		conn := testConn(t, addr)
-		t.Cleanup(func() { conn.Close() })
-		return srv, call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte("capacity")}).Lineage
-	}
-
-	t.Run("oversized", func(t *testing.T) {
-		srv, h := open(t)
-		warmFrames(srv, 20, 1<<20)
-		payloads := runPayloads(t, 0, 40, 64<<10)
-		took := commits(t, srv, h, payloads)
-		t.Logf("frames per commit: %v; by payload bytes: %v", took, byPayload(payloads))
-		if len(took) < 3 {
-			t.Fatalf("frames per commit %v: the run did not settle on the capacity it staged", took)
-		}
-	})
-
-	t.Run("right-sized", func(t *testing.T) {
-		srv, h := open(t)
-		payloads := runPayloads(t, 0, 20, 1<<20)
-		took, want := commits(t, srv, h, payloads), byPayload(payloads)
-		if !slices.Equal(took, want) {
-			t.Fatalf("frames per commit %v, want %v as by payload bytes", took, want)
-		}
-	})
-}
-
-// TestRequestConnTakesNoListBuffer: only a connection that has staged a
-// stream frame draws its read buffer from the free list. Requests
-// answered within themselves — TOpen, TList, TStats, TPush — leave the
-// list's largest buffer where it is, for the next span pull to take.
+// TestRequestConnTakesNoListBuffer: the intake does not draw on the
+// free list. Requests answered within themselves — TOpen, TList,
+// TStats, TPush — leave the list's largest buffer where it is, for the
+// next span pull to take.
 func TestRequestConnTakesNoListBuffer(t *testing.T) {
 	srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
 	defer stop()
@@ -412,12 +231,118 @@ func TestRequestConnTakesNoListBuffer(t *testing.T) {
 	}
 }
 
-// TestTornRunReturnsBuffers: a connection that tears mid-frame after k
-// staged frames commits none of them, and every buffer comes back —
-// the run's staging and the buffer the connection was reading the torn
-// frame into — each once. The k frames and the torn one arrive in one
-// piece, so the run never settles before the tear.
-func TestTornRunReturnsBuffers(t *testing.T) {
+// intakeConn is a connection's intake driven in process: frames read
+// from a buffer through the same bufio.Reader a connection reads with,
+// and acks to a writer nobody reads.
+type intakeConn struct {
+	srv  *Server
+	run  stagedRun
+	br   *bufio.Reader
+	src  *bytes.Reader
+	bw   *bufio.Writer
+	sink net.Conn
+	hdr  []byte
+}
+
+func newIntakeConn(t testing.TB, srv *Server) *intakeConn {
+	sink, peer := net.Pipe()
+	t.Cleanup(func() { sink.Close(); peer.Close() })
+	c := &intakeConn{srv: srv, src: bytes.NewReader(nil), bw: bufio.NewWriter(io.Discard), sink: sink}
+	c.br = bufio.NewReaderSize(c.src, connBufSize)
+	return c
+}
+
+// serve reads every frame of stream through the intake, as the
+// connection's loop does; what stays staged stays staged. It returns
+// how many frames the run held after each frame.
+func (c *intakeConn) serve(t testing.TB, stream []byte) []int {
+	t.Helper()
+	c.src.Reset(stream)
+	c.br.Reset(c.src)
+	var req wire.Frame
+	var held []int
+	for c.br.Buffered() > 0 || c.src.Len() > 0 {
+		n, err := wire.ReadFrameHeader(c.br, 0, &req, &c.hdr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.srv.intake(&c.run, &req, n, c.br, c.bw, c.sink); err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, len(c.run.diffs))
+	}
+	return held
+}
+
+// settle settles what the run holds.
+func (c *intakeConn) settle(t testing.TB) {
+	t.Helper()
+	if err := c.srv.settle(&c.run, c.bw, c.sink); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// openLineage opens lineage name on srv in process and returns it with
+// its handle.
+func openLineage(t testing.TB, srv *Server, name string) (*lineage, uint32) {
+	t.Helper()
+	h, _, _, err := srv.open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := srv.get(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln, h
+}
+
+// newServer returns a server over a fresh root that serves nothing: its
+// intake is driven in process.
+func newServer(t testing.TB) *Server {
+	t.Helper()
+	srv, err := New(quiet(Config{Root: t.TempDir()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// TestRunCapsOnRegionListBytes: a run holds only its records, so what
+// caps it is the region lists and bitmaps it holds, not the data its
+// frames carry. Twenty 1 MiB data frames — more than streamBatchBytes —
+// stage as one run, and diffs of 1.5 MiB of region lists each settle
+// every time the lists reach streamBatchBytes.
+func TestRunCapsOnRegionListBytes(t *testing.T) {
+	srv := newServer(t)
+	_, h := openLineage(t, srv, "caps")
+	c := newIntakeConn(t, srv)
+	const frames = 20
+	held := c.serve(t, streamBurst(t, h, 0, runPayloads(t, 0, frames, 1<<20)))
+	if held[frames-1] != frames {
+		t.Fatalf("20 data frames of 1 MiB staged as runs of %v, want one run", held)
+	}
+	c.settle(t)
+
+	const chunks = 128 << 10 // 1.5 MiB of shift regions a diff
+	lists := make([][]byte, 12)
+	for i := range lists {
+		lists[i] = wire.EncodePush(rotatedDiff(t, frames+i, chunks))
+	}
+	held = c.serve(t, streamBurst(t, h, frames, lists))
+	perRun := (streamBatchBytes + 12*chunks - 1) / (12 * chunks)
+	if held[perRun-2] != perRun-1 || held[perRun-1] != 0 {
+		t.Fatalf("1.5 MiB region-list frames staged as %v, want a settle at frame %d", held, perRun)
+	}
+	c.settle(t)
+}
+
+// TestTornRunReturnsPins: a connection that tears mid-frame after k
+// staged frames commits none of them and unpins every block the run
+// wrote, the torn frame's included: a GC right after the tear reclaims
+// them all, and the lineage is as long as before.
+func TestTornRunReturnsPins(t *testing.T) {
 	const k, size = 3, 16 << 10
 	l := startPipeServer(t, Config{Root: t.TempDir()})
 	pusher := l.dial(t)
@@ -427,16 +352,26 @@ func TestTornRunReturnsBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payloads := runPayloads(t, 0, k+1, size)
-	warm := warmFrames(l.srv, k, len(payloads[0]))
-	burst := streamBurst(t, h, 0, payloads)
+	burst := streamBurst(t, h, 0, runPayloads(t, 0, k+1, size))
 	if _, err := pusher.Write(burst[:len(burst)-size/2]); err != nil {
 		t.Fatal(err)
 	}
 	pusher.Close()
-	// The first frame was read into a buffer of its own, the rest into
-	// buffers from the list: k+1 of the frame's size in all.
-	waitFree(t, l.srv, warm+len(payloads[0]))
+	wrote := k * size / 4096
+	deadline := time.Now().Add(10 * time.Second)
+	for l.srv.blocks.Stats().Blocks < wrote {
+		if time.Now().After(deadline) {
+			t.Fatalf("the run wrote %d blocks, want at least %d", l.srv.blocks.Stats().Blocks, wrote)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Until the connection has gone, its pins keep the blocks.
+	for l.srv.CollectBlocks(); l.srv.blocks.Stats().Blocks > 0; l.srv.CollectBlocks() {
+		if time.Now().After(deadline) {
+			t.Fatalf("GCs after the tear keep %d blocks", l.srv.blocks.Stats().Blocks)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if n := ln.store.Len(); n != 0 {
 		t.Fatalf("the torn run left the lineage %d long, want 0", n)
 	}

@@ -1,12 +1,9 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
-	"net"
 	"runtime"
 	"testing"
 
@@ -19,13 +16,16 @@ import (
 // whose every chunk is the next one of checkpoint 0: a List diff of
 // shifted duplicates only, 12 bytes of region metadata a chunk and no
 // data.
-func rotatedDiff(t testing.TB, ck, chunks int) []byte {
+func rotatedDiff(t testing.TB, ck, chunks int) []byte { return rotatedDiffBy(t, ck, chunks, 1) }
+
+// rotatedDiffBy is rotatedDiff with every chunk the by-th next one.
+func rotatedDiffBy(t testing.TB, ck, chunks, by int) []byte {
 	t.Helper()
 	g := merkle.NewGeometry(chunks)
 	d := &checkpoint.Diff{Method: checkpoint.MethodList, CkptID: uint32(ck), DataLen: uint64(8 * chunks), ChunkSize: 8}
 	for c := range chunks {
 		d.ShiftDupl = d.ShiftDupl.Append(checkpoint.ShiftRegion{
-			Node: uint32(g.LeafNode(c)), SrcNode: uint32(g.LeafNode((c + 1) % chunks))})
+			Node: uint32(g.LeafNode(c)), SrcNode: uint32(g.LeafNode((c + by) % chunks))})
 	}
 	var buf bytes.Buffer
 	if err := d.Encode(&buf); err != nil {
@@ -34,73 +34,50 @@ func rotatedDiff(t testing.TB, ck, chunks int) []byte {
 	return buf.Bytes()
 }
 
-// TestIntakeWritesRegionListsInPlace: on a warm server, check and
-// commit of a stream frame carrying 1.5 MiB of region metadata allocate
-// next to nothing — decode aliases the lists in the run's staging and
-// the store writes them from there — and the stored bytes are the
-// pushed ones, also once that staging, back on the free list, has been
-// overwritten.
-func TestIntakeWritesRegionListsInPlace(t *testing.T) {
-	srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
-	defer stop()
-	conn := testConn(t, addr)
-	defer conn.Close()
-	h := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte("lists")}).Lineage
-	ln, err := srv.get(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const chunks = 128 << 10 // 1.5 MiB of shift regions a diff
-	want := [][]byte{bigEncodedDiff(t, 0, 8*chunks), rotatedDiff(t, 1, chunks), rotatedDiff(t, 2, chunks)}
-	payloads := make([][]byte, len(want))
-	for ck, enc := range want {
-		payloads[ck] = wire.EncodePush(enc)
-	}
-
-	sink, peer := net.Pipe()
-	defer sink.Close()
-	defer peer.Close()
-	bw := bufio.NewWriter(io.Discard)
-	var scratch []byte
-	read := func(ck int) { scratch = append(scratch[:0], payloads[ck]...) }
-	stage := func(ck int) {
-		var run stagedRun
-		req := &wire.Frame{Type: wire.TPushStream, Lineage: h, Ckpt: uint32(ck), Payload: scratch}
-		if err := srv.serveStream(&run, req, &scratch, bw, sink); err != nil {
-			t.Fatal(err)
-		}
-		if len(run.batch) != 1 || run.batch[0].staging == nil {
-			t.Fatalf("diff %d was not staged", ck)
-		}
-		if err := srv.settle(&run, bw, sink); err != nil {
-			t.Fatal(err)
-		}
-	}
-	read(0)
-	stage(0)
-	read(1)
-	stage(1)
-	read(2) // outside the measurement: the connection's read of the frame
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	stage(2)
+	f()
 	runtime.ReadMemStats(&after)
-	alloc := after.TotalAlloc - before.TotalAlloc
-	t.Logf("check and commit of a %d-byte diff: %d B allocated", len(want[2]), alloc)
-	if alloc >= 64<<10 {
-		t.Fatalf("check and commit of a %d-byte diff allocated %d bytes, want under 64 KiB", len(want[2]), alloc)
-	}
+	return after.TotalAlloc - before.TotalAlloc
+}
 
-	staging := srv.frames.largest()
-	if cap(staging) < len(want[2]) {
-		t.Fatalf("the run's staging is not back on the free list (largest %d bytes)", cap(staging))
+// TestIntakeWritesRegionListsOnce: a stream frame's region lists are
+// read once, into memory the connection owns and reuses run after run,
+// and written from there: on a warm connection the intake and settle of
+// a frame carrying 1.5 MiB of region metadata allocate next to nothing,
+// and the stored bytes are the pushed ones, also once that memory has
+// been overwritten.
+func TestIntakeWritesRegionListsOnce(t *testing.T) {
+	srv := newServer(t)
+	ln, h := openLineage(t, srv, "lists")
+	const chunks = 128 << 10 // 1.5 MiB of shift regions a diff
+	want := [][]byte{bigEncodedDiff(t, 0, 8*chunks), rotatedDiff(t, 1, chunks), rotatedDiff(t, 2, chunks)}
+	c := newIntakeConn(t, srv)
+	stage := func(ck int) {
+		c.serve(t, streamBurst(t, h, ck, [][]byte{wire.EncodePush(want[ck])}))
+		c.settle(t)
 	}
-	staging = staging[:cap(staging)]
-	for i := range staging {
-		staging[i] = 0xA5
+	stage(0)
+	stage(1)
+	frame := streamBurst(t, h, 2, [][]byte{wire.EncodePush(want[2])})
+	alloc := allocated(func() {
+		c.serve(t, frame)
+		c.settle(t)
+	})
+	t.Logf("intake and settle of a %d-byte diff: %d B allocated", len(want[2]), alloc)
+	if alloc >= 64<<10 {
+		t.Fatalf("intake and settle of a %d-byte diff allocated %d bytes, want under 64 KiB", len(want[2]), alloc)
 	}
-	srv.frames.put(staging)
+	meta := c.run.meta[:cap(c.run.meta)]
+	if len(meta) < 12*chunks {
+		t.Fatalf("the run read the region lists into %d bytes of its own, want at least %d", len(meta), 12*chunks)
+	}
+	for i := range meta {
+		meta[i] = 0xA5
+	}
 	for ck, enc := range want {
 		if got, err := ln.store.DiffBytes(ck); err != nil || !bytes.Equal(got, enc) {
 			t.Fatalf("stored diff %d is not the pushed bytes (%v)", ck, err)
@@ -108,80 +85,37 @@ func TestIntakeWritesRegionListsInPlace(t *testing.T) {
 	}
 }
 
-// TestStagedFrameIsTheReadBuffer: a staged stream frame is the buffer
-// the connection read it into, handed over, not a copy: its staging
-// starts at the read buffer's first byte, check and commit of a 1 MiB
-// frame on a warm server allocate next to nothing, and whatever the
-// connection reads next — 0xA5 over the whole buffer it reads on into —
-// leaves the committed bytes the pushed ones.
-func TestStagedFrameIsTheReadBuffer(t *testing.T) {
-	srv, addr, stop := startServer(t, Config{Root: t.TempDir()})
-	defer stop()
-	conn := testConn(t, addr)
-	defer conn.Close()
-	h := call(t, conn, &wire.Frame{Type: wire.TOpen, Payload: []byte("handover")}).Lineage
-	ln, err := srv.get(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A baseline, then two 1 MiB diffs of shifted duplicates only: region
-	// metadata, which the store writes with no block to intern.
-	const chunks = (1 << 20) / 12
-	payloads := [][]byte{
-		wire.EncodePush(bigEncodedDiff(t, 0, 8*chunks)),
-		wire.EncodePush(rotatedDiff(t, 1, chunks)),
-		wire.EncodePush(rotatedDiff(t, 2, chunks)),
-	}
-
-	sink, peer := net.Pipe()
-	defer sink.Close()
-	defer peer.Close()
-	bw := bufio.NewWriter(io.Discard)
-	var run stagedRun
-	var scratch []byte
-	serve := func(ck int) {
-		req := &wire.Frame{Type: wire.TPushStream, Lineage: h, Ckpt: uint32(ck), Payload: scratch}
-		if err := srv.serveStream(&run, req, &scratch, bw, sink); err != nil {
+// TestBaselinePushAllocation: a warm server ingests a 4 MiB baseline
+// push — every block new — allocating at most 256 KiB, most of it the
+// block index growing by 1,024 entries: the data goes from the
+// connection's read buffer to the block store, never into a buffer of
+// the frame's size. The connection has pushed one such baseline to
+// another lineage before.
+func TestBaselinePushAllocation(t *testing.T) {
+	srv := newServer(t)
+	c := newIntakeConn(t, srv)
+	const size = 4 << 20
+	baseline := func(name string, seed int) ([]byte, []byte) {
+		_, h := openLineage(t, srv, name)
+		enc := bigEncodedDiff(t, seed, size)
+		binary.LittleEndian.PutUint32(enc[6:], 0) // checkpoint 0, whatever the seed
+		var frame bytes.Buffer
+		if err := wire.WriteFrame(&frame, &wire.Frame{Type: wire.TPush, Lineage: h, Payload: wire.EncodePush(enc)}); err != nil {
 			t.Fatal(err)
 		}
+		return enc, frame.Bytes()
 	}
-	settle := func() {
-		if err := srv.settle(&run, bw, sink); err != nil {
-			t.Fatal(err)
-		}
+	_, warm := baseline("warm", 1)
+	c.serve(t, warm)
+	enc, frame := baseline("baseline", 2)
+	alloc := allocated(func() { c.serve(t, frame) })
+	t.Logf("ingesting a %d-byte baseline push: %d B allocated", size, alloc)
+	if alloc > 256<<10 {
+		t.Fatalf("ingesting a %d-byte baseline push allocated %d bytes, want at most 256 KiB", size, alloc)
 	}
-	for ck := range 2 {
-		readInto(&scratch, payloads[ck])
-		serve(ck)
-		settle() // the frame's buffer is on the free list now
-	}
-
-	read := readInto(&scratch, payloads[2])
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	serve(2)
-	if len(run.batch) != 1 || &run.batch[0].staging[0] != &read[0] {
-		t.Fatal("the staged frame is not the buffer it was read into")
-	}
-	next := scratch[:cap(scratch)]
-	if len(next) < len(payloads[2]) || &next[0] == &read[0] {
-		t.Fatalf("the connection reads on into %d bytes, want a buffer of its own that holds %d", len(next), len(payloads[2]))
-	}
-	for i := range next {
-		next[i] = 0xA5
-	}
-	settle()
-	runtime.ReadMemStats(&after)
-	alloc := after.TotalAlloc - before.TotalAlloc
-	t.Logf("check and commit of a %d-byte stream frame: %d B allocated", len(payloads[2]), alloc)
-	if alloc >= 4<<10 {
-		t.Fatalf("check and commit of a %d-byte stream frame allocated %d bytes, want under 4 KiB", len(payloads[2]), alloc)
-	}
-	for ck, p := range payloads {
-		if got, err := ln.store.DiffBytes(ck); err != nil || !bytes.Equal(got, p[wire.PushChecksumSize:]) {
-			t.Fatalf("stored diff %d is not the pushed bytes (%v)", ck, err)
-		}
+	ln, _ := openLineage(t, srv, "baseline")
+	if got, err := ln.store.DiffBytes(0); err != nil || !bytes.Equal(got, enc) {
+		t.Fatalf("stored baseline is not the pushed bytes (%v)", err)
 	}
 }
 

@@ -220,8 +220,8 @@ type Server struct {
 	// hub wakes subscribers when their lineage grows.
 	hub *hub
 
-	// frames is the free list connections that stage stream frames,
-	// span streams and subscriptions draw their buffers from (frames.go).
+	// frames is the free list span streams and subscriptions draw their
+	// buffers from (frames.go).
 	frames frameMem
 
 	// conn tracking for forced shutdown
@@ -589,31 +589,34 @@ func (s *Server) handleConn(ctx context.Context, stop <-chan struct{}, conn net.
 
 	// The request loop is sequential, but reads and writes are
 	// buffered so a pipelining client gets its acks batched: while
-	// the next request is already buffered, responses pile into bw;
+	// the next request is already here, responses pile into bw;
 	// the flush happens only when the loop is about to block on the
 	// socket, so a request/response client still sees every response
 	// before the server waits for its next request.
 	//
-	// TPushStream frames additionally group-commit (push.go): frames
-	// that arrived back-to-back are staged into run and appended with
-	// one store durability point, their acks written together. The run
-	// ends where the next frame is not a stream push — responses never
-	// jump their pushes — or is not there yet: the loop never waits for
-	// input while acks are owed, so a client blocked on its window
-	// always drains.
+	// Pushes are read as they arrive and staged into run (push.go);
+	// TPushStream frames that arrived back-to-back share one settle,
+	// their acks written together. The run ends where the next frame is
+	// not a stream push — responses never jump their pushes — or is not
+	// here yet, in bufio or on the socket (socketPeeker): the loop never
+	// waits for input while acks are owed, so a client blocked on its
+	// window always drains.
 	br := bufio.NewReaderSize(conn, connBufSize)
 	bw := bufio.NewWriterSize(conn, connBufSize)
-	// A staged frame takes over the read buffer, scratch (push.go); what
-	// a read outgrows, and scratch at the end, go to the free list.
 	var req wire.Frame
 	var scratch []byte
-	var spare [][]byte
 	var run stagedRun
-	defer func() {
-		s.drop(&run) // empty unless a read tore mid-run
-		s.frames.put(scratch)
-	}()
+	var waiting func() bool // socketPeeker(conn), once a run needs it
+	defer s.drop(&run)      // empty unless a read tore mid-run
 	for ctx.Err() == nil {
+		if br.Buffered() == 0 && len(run.diffs) > 0 {
+			if waiting == nil {
+				waiting = socketPeeker(conn)
+			}
+			if waiting() {
+				br.Peek(1) // it has arrived: this read does not block
+			}
+		}
 		next, _ := br.Peek(min(1, br.Buffered())) // the next frame's type byte, if it is here
 		if len(next) == 0 || next[0] != wire.TPushStream {
 			if err := s.settle(&run, bw, conn); err != nil {
@@ -629,11 +632,11 @@ func (s *Server) handleConn(ctx context.Context, stop <-chan struct{}, conn net.
 			}
 		}
 		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		err := wire.ReadFrameSpare(br, s.cfg.MaxPayload, &req, &scratch, &spare)
-		for _, b := range spare {
-			s.frames.put(b)
+		n, err := wire.ReadFrameHeader(br, s.cfg.MaxPayload, &req, &scratch, nil)
+		push := req.Type == wire.TPush || req.Type == wire.TPushStream
+		if err == nil && !push && n > 0 {
+			err = wire.ReadFramePayload(br, n, &req, &scratch, nil)
 		}
-		spare = spare[:0]
 		if err != nil {
 			// A clean disconnect (EOF between frames, or our own
 			// shutdown closing the socket) is normal teardown; anything
@@ -644,12 +647,12 @@ func (s *Server) handleConn(ctx context.Context, stop <-chan struct{}, conn net.
 			return
 		}
 		s.requests.Add(1)
-		s.bytesIn.Add(uint64(req.WireSize()))
+		s.bytesIn.Add(wire.HeaderSize + uint64(n))
 
-		switch req.Type {
-		case wire.TPushStream:
-			err = s.serveStream(&run, &req, &scratch, bw, conn)
-		case wire.TPull:
+		switch {
+		case push:
+			err = s.intake(&run, &req, n, br, bw, conn)
+		case req.Type == wire.TPull:
 			if !s.servePull(ctx, stop, conn, br, bw, &req) {
 				return
 			}
@@ -731,17 +734,6 @@ func (s *Server) serve(req *wire.Frame) (*wire.Frame, error) {
 			return nil, fmt.Errorf("server: lineage length %d does not fit the frame header", n)
 		}
 		return &wire.Frame{Lineage: h, Ckpt: uint32(n), Payload: wire.EncodeOpenInfo(uint32(base))}, nil
-
-	case wire.TPush:
-		ln, p, err := s.check(req, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		newLen, err := s.commit(ln, req.Ckpt, []pushed{p})
-		if err != nil {
-			return nil, err
-		}
-		return &wire.Frame{Lineage: req.Lineage, Ckpt: newLen}, nil
 
 	case wire.TList:
 		lineages := s.snapshot()

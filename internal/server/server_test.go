@@ -916,7 +916,10 @@ func TestStatusOf(t *testing.T) {
 			t.Errorf("statusOf(%v) = %d, want %d", c.err, got, c.status)
 		}
 		resp := srv.errFrame(&wire.Frame{Type: wire.TPull}, c.err)
-		ackFrame := srv.streamAckFrame(1, 2, 3, c.err)
+		ackFrame, err := wire.ReadFrame(bytes.NewReader(srv.appendStreamAck(nil, 1, 2, 3, c.err)), 0)
+		if err != nil || ackFrame.Type != wire.TPushStream || ackFrame.Lineage != 1 || ackFrame.Ckpt != 2 {
+			t.Fatalf("%v: stream ack frame %+v: %v", c.err, ackFrame, err)
+		}
 		ack, err := wire.DecodeStreamAck(ackFrame.Payload)
 		if err != nil {
 			t.Fatalf("%v: stream ack undecodable: %v", c.err, err)

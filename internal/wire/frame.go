@@ -160,6 +160,20 @@ func ReadFrameInto(r io.Reader, maxPayload uint32, f *Frame, scratch *[]byte) er
 // (checkpoint.Record.Donate) can own them, so the superseded growth
 // stops being waste. A nil spare drops them, as ReadFrameInto does.
 func ReadFrameSpare(r io.Reader, maxPayload uint32, f *Frame, scratch *[]byte, spare *[][]byte) error {
+	n, err := ReadFrameHeader(r, maxPayload, f, scratch, spare)
+	if err != nil || n == 0 {
+		return err
+	}
+	return ReadFramePayload(r, n, f, scratch, spare)
+}
+
+// ReadFrameHeader is the first half of ReadFrameSpare: it reads the
+// header of the next frame into f and returns the length of the payload
+// behind it, refused before anything is read of it if it is larger than
+// maxPayload (0 selects DefaultMaxPayload). f.Payload is nil and the n
+// payload bytes are still to be read: by ReadFramePayload, or by a
+// reader that consumes them as they arrive.
+func ReadFrameHeader(r io.Reader, maxPayload uint32, f *Frame, scratch *[]byte, spare *[][]byte) (n uint32, err error) {
 	if maxPayload == 0 {
 		maxPayload = DefaultMaxPayload
 	}
@@ -171,25 +185,29 @@ func ReadFrameSpare(r io.Reader, maxPayload uint32, f *Frame, scratch *[]byte, s
 	if cap(buf) < HeaderSize {
 		handBack(spare, buf)
 		buf = make([]byte, HeaderSize)
+		*scratch = buf
 	}
 	hdr := buf[:HeaderSize]
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		*scratch = buf
-		return err
+		return 0, err
 	}
 	f.Type = hdr[0]
 	f.Status = hdr[1]
 	f.Lineage = binary.BigEndian.Uint32(hdr[2:])
 	f.Ckpt = binary.BigEndian.Uint32(hdr[6:])
 	f.Payload = nil
-	n := binary.BigEndian.Uint32(hdr[10:])
-	*scratch = buf
+	n = binary.BigEndian.Uint32(hdr[10:])
 	if n > maxPayload {
-		return fmt.Errorf("%w: %d > %d", ErrPayloadTooLarge, n, maxPayload)
+		return n, fmt.Errorf("%w: %d > %d", ErrPayloadTooLarge, n, maxPayload)
 	}
-	if n == 0 {
-		return nil
-	}
+	return n, nil
+}
+
+// ReadFramePayload is the second half of ReadFrameSpare: it reads the
+// n-byte payload of the frame whose header ReadFrameHeader read into f,
+// into *scratch, as ReadFrameSpare does.
+func ReadFramePayload(r io.Reader, n uint32, f *Frame, scratch *[]byte, spare *[][]byte) error {
+	buf := *scratch
 	total := int(n)
 	if cap(buf) < min(total, initialPayloadCap) {
 		handBack(spare, buf)

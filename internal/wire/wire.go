@@ -408,10 +408,20 @@ func DecodePush(payload []byte) (crc uint32, encoded []byte, err error) {
 	}
 	crc = binary.BigEndian.Uint32(payload)
 	encoded = payload[PushChecksumSize:]
-	if Checksum(encoded) != crc {
-		return 0, nil, fmt.Errorf("%w: declared %08x, computed %08x", ErrChecksum, crc, Checksum(encoded))
+	if err := CheckPush(crc, Checksum(encoded)); err != nil {
+		return 0, nil, err
 	}
 	return crc, encoded, nil
+}
+
+// CheckPush compares the checksum a push payload declares with the one
+// computed over the diff bytes behind it — DecodePush's check, for a
+// reader that checksums the diff as it arrives.
+func CheckPush(declared, computed uint32) error {
+	if declared != computed {
+		return fmt.Errorf("%w: declared %08x, computed %08x", ErrChecksum, declared, computed)
+	}
+	return nil
 }
 
 // StreamAck is the response payload of one TPushStream frame. The
