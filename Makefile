@@ -243,12 +243,12 @@ fuzz-smoke:
 # closes the stream and is not counted as a moved span), the
 # reconciler's installs waking the lineage's subscribers
 # (TestAntiEntropyWakesSubscribers), a subscriber that reads nothing and
-# is never dropped (TestSubscriberNeverShed), the intake's buffer
-# handover — a staged frame is the buffer it was read into
-# (TestStagedFrameIsTheReadBuffer), a run is bounded by the capacity it
-# stages (TestStagedRunCountsCapacity), a request connection takes no
-# buffer from the free list (TestRequestConnTakesNoListBuffer) and a
-# torn run hands every buffer back once (TestTornRunReturnsBuffers) —
+# is never dropped (TestSubscriberNeverShed), the streamed intake — a
+# baseline push is never held whole (TestBaselinePushAllocation), a run
+# is bounded by the region lists it stages, not its data
+# (TestStagedRunCountsCapacity), a request connection takes no buffer
+# from the free list (TestRequestConnTakesNoListBuffer) and a torn run
+# unpins every block it wrote (TestTornRunReturnsPins) —
 # the pinned frame-type bytes with the retired one unused
 # (TestFrameTypeBytes), a heal
 # pulling each run of adjacent rotten ids as one span (TestHealPullsRuns),
@@ -277,7 +277,7 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run '^TestPoolSever$$' ./internal/wireclient
 	$(GO) test -race -count=1 -run '^(TestCrashPoints|TestTornFinalFrame|TestRotIsNotATornTail|TestFsyncBudget|TestReadBudget|TestReadAcrossRelocation|TestRaceGetInternGC|TestGCMarkThenPush|TestGCMarkThenOpen|TestRaceGCMarkPush|TestCountedPackRefused|TestCountedIndexRefused|TestUnknownIndexVersionRefused|TestGCMovesPackedBlock|TestPackedRecordRot|TestRawStoreOpensUnchanged|TestPackedPackRefusedByRawBuilds|TestPackedStoreOpensUnchanged|TestDeltaPackRefusedByPackedBuilds|TestStoredNeverLonger)$$' ./internal/blockstore
 	$(GO) test -race -count=1 -run '^(TestHealPullsRuns|TestRoundDivergenceBeforeSuffix|TestRoundTransportFailureNotCounted|TestRoundReadsEachDiffOnce|TestRoundWalksWindows)$$' ./internal/antientropy
-	$(GO) test -race -count=1 -run '^(TestRace|(TestFoldEndsSubscription|TestSubscribeFoldMidBacklog|TestSubscribeRotEndsWithoutBarrier|TestAntiEntropyWakesSubscribers|TestSubscriberNeverShed|TestStagedFrameIsTheReadBuffer|TestStagedRunCountsCapacity|TestRequestConnTakesNoListBuffer|TestTornRunReturnsBuffers)$$)' ./internal/server
+	$(GO) test -race -count=1 -run '^(TestRace|(TestFoldEndsSubscription|TestSubscribeFoldMidBacklog|TestSubscribeRotEndsWithoutBarrier|TestAntiEntropyWakesSubscribers|TestSubscriberNeverShed|TestBaselinePushAllocation|TestStagedRunCountsCapacity|TestRequestConnTakesNoListBuffer|TestTornRunReturnsPins)$$)' ./internal/server
 	$(GO) test -race -count=1 -run '^TestRace' ./internal/wireclient
 	$(GO) test -race -count=1 -run '^TestFrameTypeBytes$$' ./internal/wire
 	$(GO) test -race -count=1 -run '^(TestConcurrentDistinctInserts|TestConcurrentRacingInserts|TestConcurrentUpdateConvergesToMinimum|TestProbeWraparound|TestFullTable)$$' ./internal/hashmap

@@ -309,33 +309,44 @@ func newServer(t testing.TB) *Server {
 	return srv
 }
 
-// TestRunCapsOnRegionListBytes: a run holds only its records, so what
-// caps it is the region lists and bitmaps it holds, not the data its
-// frames carry. Twenty 1 MiB data frames — more than streamBatchBytes —
-// stage as one run, and diffs of 1.5 MiB of region lists each settle
-// every time the lists reach streamBatchBytes.
-func TestRunCapsOnRegionListBytes(t *testing.T) {
-	srv := newServer(t)
-	_, h := openLineage(t, srv, "caps")
-	c := newIntakeConn(t, srv)
-	const frames = 20
-	held := c.serve(t, streamBurst(t, h, 0, runPayloads(t, 0, frames, 1<<20)))
-	if held[frames-1] != frames {
-		t.Fatalf("20 data frames of 1 MiB staged as runs of %v, want one run", held)
-	}
-	c.settle(t)
+// TestStagedRunCountsCapacity: a run holds only its records, so the
+// capacity it counts toward streamBatchBytes is the region lists and
+// bitmaps it holds, not the data its frames carry. Oversized records —
+// diffs of 1.5 MiB of region lists each — settle every time the lists
+// reach streamBatchBytes; right-sized ones — twenty 1 MiB data frames,
+// more than streamBatchBytes of data — stage as one run.
+func TestStagedRunCountsCapacity(t *testing.T) {
+	t.Run("oversized", func(t *testing.T) {
+		srv := newServer(t)
+		_, h := openLineage(t, srv, "caps")
+		c := newIntakeConn(t, srv)
+		const chunks = 128 << 10 // 1.5 MiB of shift regions a diff
+		lists := make([][]byte, 12)
+		for i := range lists {
+			lists[i] = wire.EncodePush(rotatedDiff(t, i, chunks))
+		}
+		held := c.serve(t, streamBurst(t, h, 0, lists))
+		perRun := (streamBatchBytes + 12*chunks - 1) / (12 * chunks)
+		if held[perRun-2] != perRun-1 || held[perRun-1] != 0 {
+			t.Fatalf("1.5 MiB region-list frames staged as %v, want a settle at frame %d", held, perRun)
+		}
+		c.settle(t)
+	})
 
-	const chunks = 128 << 10 // 1.5 MiB of shift regions a diff
-	lists := make([][]byte, 12)
-	for i := range lists {
-		lists[i] = wire.EncodePush(rotatedDiff(t, frames+i, chunks))
-	}
-	held = c.serve(t, streamBurst(t, h, frames, lists))
-	perRun := (streamBatchBytes + 12*chunks - 1) / (12 * chunks)
-	if held[perRun-2] != perRun-1 || held[perRun-1] != 0 {
-		t.Fatalf("1.5 MiB region-list frames staged as %v, want a settle at frame %d", held, perRun)
-	}
-	c.settle(t)
+	t.Run("right-sized", func(t *testing.T) {
+		srv := newServer(t)
+		ln, h := openLineage(t, srv, "caps")
+		c := newIntakeConn(t, srv)
+		const frames = 20
+		held := c.serve(t, streamBurst(t, h, 0, runPayloads(t, 0, frames, 1<<20)))
+		if held[frames-1] != frames {
+			t.Fatalf("20 data frames of 1 MiB staged as runs of %v, want one run", held)
+		}
+		c.settle(t)
+		if n := ln.store.Len(); n != frames {
+			t.Fatalf("the run left the lineage %d long, want %d", n, frames)
+		}
+	})
 }
 
 // TestTornRunReturnsPins: a connection that tears mid-frame after k
